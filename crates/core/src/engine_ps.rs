@@ -610,17 +610,14 @@ impl PsEngine {
     ) {
         let cfg = &self.cfg;
         let w = stats.len();
-        if cfg.train.sparse_input {
+        if let Some(src) = csr_data {
             // Sparse fast path: CSR batch + sparse kernels; the gradient is
             // globally exact, so the health scan and lr compensation below
             // are unchanged.
             dataset
                 .labels
                 .slice_into(p.range.0, p.range.1, batch_labels);
-            match csr_data {
-                Some(src) => src.slice_rows_into(p.range.0, p.range.1, batch_csr),
-                None => dataset.batch_into_csr(p.range.0, p.range.1, batch_csr),
-            }
+            src.slice_rows_into(p.range.0, p.range.1, batch_csr);
             pool.install(|| {
                 ws.loss_and_gradient_sparse_into(
                     &p.snapshot,

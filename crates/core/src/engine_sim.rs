@@ -1198,17 +1198,14 @@ impl SimEngine {
                         .for_each(|(i, lane)| {
                             let lane = &mut lane[0];
                             let (s, e) = wave[i];
-                            if train.sparse_input {
+                            if let Some(src) = csr_data {
                                 // Sparse fast path: CSR batch + sparse
                                 // kernels. The gradient stays globally
                                 // exact (true zeros at untouched layer-0
                                 // columns), so everything downstream —
                                 // SVRG correction included — is unchanged.
                                 dataset.labels.slice_into(s, e, &mut lane.labels);
-                                match csr_data {
-                                    Some(src) => src.slice_rows_into(s, e, &mut lane.csr),
-                                    None => dataset.batch_into_csr(s, e, &mut lane.csr),
-                                }
+                                src.slice_rows_into(s, e, &mut lane.csr);
                                 lane.ws.loss_and_gradient_sparse_into(
                                     base,
                                     lane.csr.view(),
@@ -1316,14 +1313,11 @@ impl SimEngine {
             }
             Device::Gpu(_) => {
                 let lane = &mut scratch.gpu;
-                if train.sparse_input {
+                if let Some(src) = csr_data {
                     dataset
                         .labels
                         .slice_into(range.start, range.end, &mut lane.labels);
-                    match csr_data {
-                        Some(src) => src.slice_rows_into(range.start, range.end, &mut lane.csr),
-                        None => dataset.batch_into_csr(range.start, range.end, &mut lane.csr),
-                    }
+                    src.slice_rows_into(range.start, range.end, &mut lane.csr);
                     lane.ws.loss_and_gradient_sparse_into(
                         snapshot,
                         lane.csr.view(),

@@ -52,7 +52,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::adaptive::{credit_updates, AdaptiveController, WorkerBatchState};
 use crate::config::{AlgorithmKind, TrainConfig};
-use crate::eval::{eval_subset, gather_rows};
+use crate::eval::{eval_subset, gather_labels, gather_rows};
 use crate::fault::{panic_message, FaultPlan, WorkerError};
 use crate::metrics::{LossPoint, TrainResult, WorkerKind, WorkerStats};
 
@@ -493,9 +493,8 @@ impl ThreadedEngine {
             .then(|| sink.gauge("engine.beta_measured"));
         // Published only on sparse runs, so dashboards can tell "dense
         // path" (gauge absent) from a fully dense batch on the sparse path.
-        if train.sparse_input {
-            sink.gauge("engine.sparse_density")
-                .set(1.0 - dataset.sparsity() as f64);
+        if let Some(csr) = &csr_data {
+            sink.gauge("engine.sparse_density").set(csr.density());
         }
 
         // Coordinator-side GEMM pool, pinned to `train.rayon_threads`
@@ -522,43 +521,61 @@ impl ThreadedEngine {
         // point (a fixed prefix would bias the curve toward the dataset's
         // shipped ordering).
         let eval_rows = eval_subset(dataset.len(), train.eval_subsample, train.seed);
-        let (eval_x, eval_labels) = gather_rows(&dataset, &eval_rows);
         // On sparse runs the eval forward goes through the CSR kernels too:
         // a dense eval over a wide sparse batch would cost more than the
         // training steps it measures and stall the coordinator's dispatch.
-        let eval_csr: Option<CsrMatrix> = train
-            .sparse_input
-            .then(|| CsrMatrix::from_dense(&eval_x, 0.0));
-
-        let eval = |shared: &SharedModel, scheduler: &BatchScheduler, t0: Instant| -> LossPoint {
-            let model = shared.snapshot();
-            let pass = match &eval_csr {
-                Some(csr) => gemm_pool.install(|| hetero_nn::forward_sparse(&model, csr, true)),
-                None => gemm_pool.install(|| hetero_nn::forward(&model, &eval_x, true)),
-            };
-            let point = LossPoint {
-                // `t_base` splices a resumed incarnation's curve onto the
-                // restored prefix's time axis.
-                time: t_base + t0.elapsed().as_secs_f64(),
-                epochs: scheduler.epochs_elapsed(),
-                loss: hetero_nn::loss(pass.probs(), eval_labels.as_targets(), spec.loss),
-                accuracy: hetero_nn::accuracy(pass.probs(), eval_labels.as_targets()),
-            };
-            g_loss.set(point.loss as f64);
-            g_epochs.set(point.epochs);
-            if let (Some(g), Some(beta)) = (&g_beta_measured, shared.beta_estimate()) {
-                g.set(beta);
+        // Its batch is picked row-wise from the run's CSR copy, so nothing
+        // here scans the dense matrix.
+        enum EvalBatch {
+            Dense(Matrix),
+            Sparse(CsrMatrix),
+        }
+        let (eval_batch, eval_labels) = match csr_data.as_deref() {
+            Some(csr) => (
+                EvalBatch::Sparse(csr.select_rows(&eval_rows)),
+                gather_labels(&dataset, &eval_rows),
+            ),
+            None => {
+                let (x, labels) = gather_rows(&dataset, &eval_rows);
+                (EvalBatch::Dense(x), labels)
             }
-            if sink.enabled() {
-                sink.emit(
-                    COORDINATOR,
-                    EventKind::EvalPoint {
-                        loss: point.loss as f64,
-                    },
-                );
-            }
-            point
         };
+        // One snapshot model + workspace for every eval of the run.
+        let mut eval_model = Model::zeros_like(&spec);
+        let mut eval_ws = Workspace::new(&spec);
+
+        let mut eval =
+            |shared: &SharedModel, scheduler: &BatchScheduler, t0: Instant| -> LossPoint {
+                shared.snapshot_into(&mut eval_model);
+                let pass = gemm_pool.install(|| match &eval_batch {
+                    EvalBatch::Sparse(csr) => {
+                        eval_ws.forward_sparse_into(&eval_model, csr.view(), true)
+                    }
+                    EvalBatch::Dense(x) => eval_ws.forward_into(&eval_model, x, true),
+                });
+                let point = LossPoint {
+                    // `t_base` splices a resumed incarnation's curve onto the
+                    // restored prefix's time axis.
+                    time: t_base + t0.elapsed().as_secs_f64(),
+                    epochs: scheduler.epochs_elapsed(),
+                    loss: hetero_nn::loss(pass.probs(), eval_labels.as_targets(), spec.loss),
+                    accuracy: hetero_nn::accuracy(pass.probs(), eval_labels.as_targets()),
+                };
+                g_loss.set(point.loss as f64);
+                g_epochs.set(point.epochs);
+                if let (Some(g), Some(beta)) = (&g_beta_measured, shared.beta_estimate()) {
+                    g.set(beta);
+                }
+                if sink.enabled() {
+                    sink.emit(
+                        COORDINATOR,
+                        EventKind::EvalPoint {
+                            loss: point.loss as f64,
+                        },
+                    );
+                }
+                point
+            };
         // The remaining budget is what the original run had not yet spent.
         let budget = Duration::from_secs_f64((train.time_budget - t_base).max(0.0));
         let mut active = vec![true; kinds.len()];
@@ -1177,23 +1194,42 @@ impl ThreadedEngine {
                     // (the device side reuses `GpuMlp`'s scratch pool).
                     let mut snapshot = shared.snapshot();
                     let mut replica = Model::zeros_like(shared.spec());
-                    let mut x = Matrix::zeros(0, 0);
                     let mut labels = Labels::Classes(Vec::new());
-                    // Sparse fast path (`train.sparse_input`): the replica
-                    // trains on the host's sparse kernels instead of the
-                    // dense device step, so it needs its own workspace and
-                    // CSR staging (both reused across batches).
-                    let mut host_ws = Workspace::new(shared.spec());
-                    let mut host_csr = CsrBatch::new();
+                    // Where the replica trains: on the device (dense runs),
+                    // or — sparse fast path, `train.sparse_input` — on the
+                    // host's sparse kernels, which need their own workspace
+                    // and CSR staging and nothing uploaded to the device.
+                    enum ReplicaStep<'a> {
+                        Device {
+                            mlp: GpuMlp<'a>,
+                            x: Matrix,
+                        },
+                        HostSparse {
+                            src: &'a CsrMatrix,
+                            ws: Workspace,
+                            csr: CsrBatch,
+                        },
+                    }
+                    let mut replica_step = match csr_data.as_deref() {
+                        Some(src) => ReplicaStep::HostSparse {
+                            src,
+                            ws: Workspace::new(shared.spec()),
+                            csr: CsrBatch::new(),
+                        },
+                        // An OOM here is unrecoverable — there is no batch
+                        // to shrink when the parameters themselves don't fit.
+                        None => ReplicaStep::Device {
+                            mlp: GpuMlp::upload(&device, &snapshot).map_err(|e| {
+                                WorkerError::Oom(format!("model upload failed: {e}"))
+                            })?,
+                            x: Matrix::zeros(0, 0),
+                        },
+                    };
                     // Watchdog scratch: per-layer sumsq / non-finite counts
                     // of the merged delta, filled *inside* the merge's
                     // element loop (no extra pass over the model).
                     let mut merge_scan = MergeScan::for_model(&snapshot);
                     let poison_step = plan.poison_at(slot);
-                    // An OOM here is unrecoverable — there is no batch to
-                    // shrink when the parameters themselves don't fit.
-                    let mut mlp = GpuMlp::upload(&device, &snapshot)
-                        .map_err(|e| WorkerError::Oom(format!("model upload failed: {e}")))?;
                     let mut batches_done = 0u64;
                     loop {
                         let (msg, waited) = rx.recv_timed();
@@ -1219,7 +1255,6 @@ impl ThreadedEngine {
                         let step = GpuStepCtx {
                             shared: &shared,
                             dataset: &dataset,
-                            csr_data: csr_data.as_deref(),
                             gemm_pool: &gemm_pool,
                             train: &train,
                             watchdog: &watchdog,
@@ -1231,30 +1266,30 @@ impl ThreadedEngine {
                             rows_hist: &rows_hist,
                             sparse_retries_hist: &sparse_retries_hist,
                         };
-                        let (len, shrunk_to, leftover, scale, phases) = if train.sparse_input {
-                            gpu_batch_step_sparse(
+                        let (len, shrunk_to, leftover, scale, phases) = match &mut replica_step {
+                            ReplicaStep::HostSparse { src, ws, csr } => gpu_batch_step_sparse(
                                 &step,
+                                src,
                                 &mut snapshot,
                                 &mut replica,
-                                &mut host_ws,
-                                &mut host_csr,
+                                ws,
+                                csr,
                                 &mut labels,
                                 &mut merge_scan,
                                 range,
                                 poison,
-                            )
-                        } else {
-                            gpu_batch_step(
+                            ),
+                            ReplicaStep::Device { mlp, x } => gpu_batch_step(
                                 &step,
-                                &mut mlp,
+                                mlp,
                                 &mut snapshot,
                                 &mut replica,
-                                &mut x,
+                                x,
                                 &mut labels,
                                 &mut merge_scan,
                                 range,
                                 poison,
-                            )?
+                            )?,
                         };
                         device.set_active_batch(None);
                         let busy_end = t0.elapsed().as_secs_f64();
@@ -1294,8 +1329,9 @@ impl ThreadedEngine {
                         }
                     }
                     Ok(())
-                    // `mlp` (and its device buffers) drop here — and on any
-                    // unwind path above, via GpuMlp's Drop impl.
+                    // `replica_step`'s `mlp` (and its device buffers) drop
+                    // here — and on any unwind path above, via GpuMlp's Drop
+                    // impl.
                 };
                 report_worker_exit(slot, catch_unwind(AssertUnwindSafe(body)), &tx);
             })
@@ -1386,18 +1422,14 @@ fn cpu_lane_step(
     let stale_at = (!stale_hist.is_disabled()).then(|| shared.update_count());
     let t_stage = Instant::now();
     shared.snapshot_into(&mut lane.local);
-    if train.sparse_input {
-        // Sparse fast path: CSR batch, sparse kernels, and a racy apply
-        // that walks only the layer-0 columns the batch touched. The
-        // gradient is still globally exact (true zeros elsewhere), so
-        // clip/poison/scan below are unchanged.
+    if let Some(src) = csr_data {
+        // Sparse fast path: CSR batch staged from the run-level CSR copy
+        // in O(nnz), sparse kernels, and a racy apply that walks only the
+        // layer-0 columns the batch touched. The gradient is still
+        // globally exact (true zeros elsewhere), so clip/poison/scan below
+        // are unchanged.
         dataset.labels.slice_into(s, e, &mut lane.labels);
-        // Stage from the run-level CSR copy (O(nnz)); the dense rescan is
-        // only a fallback for callers that did not pre-compress.
-        match csr_data {
-            Some(src) => src.slice_rows_into(s, e, &mut lane.csr),
-            None => dataset.batch_into_csr(s, e, &mut lane.csr),
-        }
+        src.slice_rows_into(s, e, &mut lane.csr);
         let t_compute = Instant::now();
         lane.phases.stage_secs = (t_compute - t_stage).as_secs_f64();
         lane.ws.loss_and_gradient_sparse_into(
@@ -1433,7 +1465,7 @@ fn cpu_lane_step(
     }
     let eta = train.lr_scaling.eta(train.lr, e - s);
     let t_merge = Instant::now();
-    if train.sparse_input {
+    if csr_data.is_some() {
         let cols = lane.ws.sparse_active_cols();
         rows_hist.record(cols.len() as u64);
         skipped_ctr.add((dataset.features() - cols.len()) as u64);
@@ -1459,8 +1491,6 @@ fn cpu_lane_step(
 struct GpuStepCtx<'a> {
     shared: &'a SharedModel,
     dataset: &'a DenseDataset,
-    /// Run-level CSR copy of the features; `Some` iff `train.sparse_input`.
-    csr_data: Option<&'a CsrMatrix>,
     gemm_pool: &'a rayon::ThreadPool,
     train: &'a TrainConfig,
     watchdog: &'a Watchdog,
@@ -1597,6 +1627,7 @@ fn gpu_batch_step(
 #[allow(clippy::too_many_arguments)]
 fn gpu_batch_step_sparse(
     ctx: &GpuStepCtx<'_>,
+    src: &CsrMatrix,
     snapshot: &mut Model,
     replica: &mut Model,
     ws: &mut Workspace,
@@ -1615,10 +1646,7 @@ fn gpu_batch_step_sparse(
     ctx.dataset
         .labels
         .slice_into(range.start, range.end, labels);
-    match ctx.csr_data {
-        Some(src) => src.slice_rows_into(range.start, range.end, csr),
-        None => ctx.dataset.batch_into_csr(range.start, range.end, csr),
-    }
+    src.slice_rows_into(range.start, range.end, csr);
     phases.stage_secs = t_stage.elapsed().as_secs_f64();
     let eta = ctx.train.lr_scaling.eta(ctx.train.lr, range.len());
     let t_compute = Instant::now();

@@ -30,7 +30,13 @@ pub(crate) fn gather_rows(
     for (i, &r) in rows.iter().enumerate() {
         x.row_mut(i).copy_from_slice(dataset.x.row(r));
     }
-    let labels = match &dataset.labels {
+    (x, gather_labels(dataset, rows))
+}
+
+/// The labels of scattered rows — all a sparse run's eval needs from the
+/// dense dataset (its features come from the run's CSR copy).
+pub(crate) fn gather_labels(dataset: &DenseDataset, rows: &[usize]) -> hetero_data::Labels {
+    match &dataset.labels {
         hetero_data::Labels::Classes(v) => {
             hetero_data::Labels::Classes(rows.iter().map(|&r| v[r]).collect())
         }
@@ -41,8 +47,7 @@ pub(crate) fn gather_rows(
             }
             hetero_data::Labels::MultiHot(y)
         }
-    };
-    (x, labels)
+    }
 }
 
 #[cfg(test)]

@@ -268,18 +268,6 @@ impl DenseDataset {
         hetero_tensor::CsrMatrix::from_dense(&self.x, 0.0)
     }
 
-    /// Compress rows `start..end` into a reusable CSR batch (exact zeros
-    /// dropped) — the sparse counterpart of [`batch_into`](Self::batch_into).
-    /// Once `out`'s buffers have served a batch with at least as many rows
-    /// and nonzeros, subsequent calls allocate nothing. Engines use this to
-    /// feed the sparse training path from a dense-stored dataset.
-    pub fn batch_into_csr(&self, start: usize, end: usize, out: &mut hetero_tensor::CsrBatch) {
-        out.begin(self.x.cols());
-        for row in start..end {
-            out.push_dense_row(self.x.row(row));
-        }
-    }
-
     /// Fraction of exactly-zero feature entries (density diagnostics).
     pub fn sparsity(&self) -> f32 {
         if self.x.is_empty() {

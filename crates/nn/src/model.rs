@@ -4,6 +4,7 @@ use hetero_tensor::{ops, Matrix};
 use serde::{Deserialize, Serialize};
 
 use crate::init::InitScheme;
+use crate::sparse_input::walk_l0_cols;
 use crate::spec::MlpSpec;
 
 /// One fully-connected layer: row-major weights `w[out][in]` plus a bias
@@ -163,15 +164,10 @@ impl Model {
             let (out0, in0) = layer.w.shape();
             let ws = layer.w.as_mut_slice();
             let gs = g.w.as_slice();
-            for &c in l0_cols {
-                let c = c as usize;
+            walk_l0_cols(l0_cols, out0, |o, c| {
                 debug_assert!(c < in0, "active column {c} out of bounds");
-                let mut idx = c;
-                for _ in 0..out0 {
-                    ws[idx] -= eta * gs[idx];
-                    idx += in0;
-                }
-            }
+                ws[o * in0 + c] -= eta * gs[o * in0 + c];
+            });
             ops::axpy(-eta, &g.b, &mut layer.b);
         }
         for (layer, g) in self.layers.iter_mut().zip(&grad.layers).skip(1) {

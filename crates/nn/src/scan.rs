@@ -66,9 +66,16 @@ impl MergeScan {
         &self.layers
     }
 
-    /// Mutable slot for layer `l` (producers accumulate through this).
-    pub fn layer_mut(&mut self, l: usize) -> &mut LayerScan {
-        &mut self.layers[l]
+    /// Accumulate one merged delta of layer `l`: its square if finite,
+    /// else one more non-finite element.
+    #[inline]
+    pub(crate) fn observe(&mut self, l: usize, delta: f32) {
+        let slot = &mut self.layers[l];
+        if delta.is_finite() {
+            slot.sumsq += delta as f64 * delta as f64;
+        } else {
+            slot.nonfinite += 1;
+        }
     }
 
     /// Total non-finite elements across all layers.

@@ -18,6 +18,7 @@
 //!   paper's β parameter quantifies the "surviving fraction").
 
 use crate::model::Model;
+use crate::sparse_input::walk_l0_cols;
 use crate::spec::MlpSpec;
 use crate::sync::{AtomicU32, AtomicU64, Ordering};
 
@@ -213,9 +214,10 @@ impl SharedModel {
 
     /// Column-sparse Hogwild update: like
     /// [`apply_gradient_racy`](Self::apply_gradient_racy) but the layer-0
-    /// weight loop visits only the columns in `l0_cols` (ascending not
-    /// required; duplicates must not appear). Biases and all later layers
-    /// are applied densely.
+    /// weight loop visits only the columns in `l0_cols`, row by row in
+    /// address order (any order is correct, ascending — what
+    /// `sparse_active_cols` yields — is the fast one; duplicates must not
+    /// appear). Biases and all later layers are applied densely.
     ///
     /// Caller contract: `grad`'s layer-0 weights are **zero outside
     /// `l0_cols`** (what
@@ -233,16 +235,13 @@ impl SharedModel {
         let gw = g0.w.as_slice();
         // Relaxed load/store pairs throughout: same racy Hogwild semantics
         // as `apply_gradient_racy` (module ordering note above).
-        for &c in l0_cols {
+        walk_l0_cols(l0_cols, out0, |o, c| {
             // Flat index of layer-0 weight (o, c) is o·in0 + c.
-            let mut idx = c as usize;
-            for _ in 0..out0 {
-                let p = &self.params[idx];
-                let cur = f32::from_bits(p.load(Ordering::Relaxed));
-                p.store((cur - eta * gw[idx]).to_bits(), Ordering::Relaxed);
-                idx += in0;
-            }
-        }
+            let idx = o * in0 + c;
+            let p = &self.params[idx];
+            let cur = f32::from_bits(p.load(Ordering::Relaxed));
+            p.store((cur - eta * gw[idx]).to_bits(), Ordering::Relaxed);
+        });
         let mut idx = out0 * in0;
         let mut apply = |g: f32| {
             let p = &self.params[idx];
@@ -300,13 +299,7 @@ impl SharedModel {
             let g0 = &grad.layers()[0];
             let (out0, in0) = g0.w.shape();
             let gw = g0.w.as_slice();
-            for &c in l0_cols {
-                let mut idx = c as usize;
-                for _ in 0..out0 {
-                    apply_at(idx, gw[idx]);
-                    idx += in0;
-                }
-            }
+            walk_l0_cols(l0_cols, out0, |o, c| apply_at(o * in0 + c, gw[o * in0 + c]));
             let mut idx = out0 * in0;
             g0.b.iter().for_each(|&g| {
                 apply_at(idx, g);
@@ -409,7 +402,7 @@ impl SharedModel {
     pub fn merge_delta_scaled_observed(&self, base: &Model, replica: &Model, scale: f32) -> u64 {
         // Monomorphized no-op observer: identical codegen to the original
         // unscanned merge.
-        self.merge_core(base, replica, scale, |_, _| {})
+        self.merge_core(base, replica, scale, None, |_, _| {})
     }
 
     /// [`merge_delta_scaled_observed`](Self::merge_delta_scaled_observed)
@@ -427,13 +420,8 @@ impl SharedModel {
         scale: f32,
         scan: &mut crate::scan::MergeScan,
     ) -> u64 {
-        self.merge_core(base, replica, scale, |layer, delta| {
-            let slot = scan.layer_mut(layer);
-            if delta.is_finite() {
-                slot.sumsq += delta as f64 * delta as f64;
-            } else {
-                slot.nonfinite += 1;
-            }
+        self.merge_core(base, replica, scale, None, |layer, delta| {
+            scan.observe(layer, delta)
         })
     }
 
@@ -450,7 +438,11 @@ impl SharedModel {
     /// on the same column sets guarantees. Under that contract the result
     /// (parameters *and* scan) is identical to the dense scanned merge,
     /// because skipped elements have `delta == 0.0`, which the dense loop
-    /// observes as `sumsq += 0` and never CAS-applies.
+    /// observes as `sumsq += 0` and never CAS-applies. With `l0_cols`
+    /// ascending the elements are visited in the dense merge's own
+    /// (address) order, so even the scan's `f64` sums match it bit for bit;
+    /// another order of `l0_cols` merges the same parameters and can only
+    /// move those sums in their last place.
     ///
     /// Returns CAS retries, same as the dense merge.
     // audit: no_alloc,no_panic,no_block
@@ -462,24 +454,37 @@ impl SharedModel {
         l0_cols: &[u32],
         scan: &mut crate::scan::MergeScan,
     ) -> u64 {
+        self.merge_core(base, replica, scale, Some(l0_cols), |layer, delta| {
+            scan.observe(layer, delta)
+        })
+    }
+
+    /// Shared merge body: CAS-applies `scale·(replica − base)` and calls
+    /// `obs(layer, delta)` for every element visited (including zero
+    /// deltas, which are observed but not CAS-applied). With `l0_cols`
+    /// the layer-0 weights visited are those columns only.
+    fn merge_core(
+        &self,
+        base: &Model,
+        replica: &Model,
+        scale: f32,
+        l0_cols: Option<&[u32]>,
+        mut obs: impl FnMut(usize, f32),
+    ) -> u64 {
         assert_eq!(base.spec(), &self.spec, "base spec mismatch");
         assert_eq!(replica.spec(), &self.spec, "replica spec mismatch");
         assert!(scale.is_finite() && scale >= 0.0, "bad merge scale");
         let mut retries = 0u64;
         let mut merge_at = |layer: usize, idx: usize, bv: f32, rv: f32| {
             let delta = scale * (rv - bv);
-            let slot = scan.layer_mut(layer);
-            if delta.is_finite() {
-                slot.sumsq += delta as f64 * delta as f64;
-            } else {
-                slot.nonfinite += 1;
-            }
+            obs(layer, delta);
             if delta == 0.0 {
                 return;
             }
             let p = &self.params[idx];
-            // Relaxed CAS loop: same argument as `merge_core` — the add
-            // must not be lost, but needs no ordering.
+            // Relaxed CAS loop: same argument as `apply_gradient_atomic`
+            // — the add must not be lost, but needs no ordering. Failed
+            // exchanges are tallied as contention observations.
             let mut cur = p.load(Ordering::Relaxed);
             loop {
                 let next = (f32::from_bits(cur) + delta).to_bits();
@@ -492,87 +497,27 @@ impl SharedModel {
                 }
             }
         };
-        let (bl0, rl0) = (&base.layers()[0], &replica.layers()[0]);
-        let (out0, in0) = bl0.w.shape();
-        let (bw, rw) = (bl0.w.as_slice(), rl0.w.as_slice());
-        for &c in l0_cols {
-            // Flat index of layer-0 weight (o, c) is o·in0 + c.
-            let mut idx = c as usize;
-            for _ in 0..out0 {
-                merge_at(0, idx, bw[idx], rw[idx]);
-                idx += in0;
-            }
-        }
-        let mut idx = out0 * in0;
-        for (bv, rv) in bl0.b.iter().zip(&rl0.b) {
-            merge_at(0, idx, *bv, *rv);
-            idx += 1;
-        }
-        for (layer, (bl, rl)) in base
-            .layers()
-            .iter()
-            .zip(replica.layers())
-            .enumerate()
-            .skip(1)
-        {
-            for (bv, rv) in bl.w.as_slice().iter().zip(rl.w.as_slice()) {
-                merge_at(layer, idx, *bv, *rv);
-                idx += 1;
-            }
-            for (bv, rv) in bl.b.iter().zip(&rl.b) {
-                merge_at(layer, idx, *bv, *rv);
-                idx += 1;
-            }
-        }
-        // Relaxed: monitoring counter.
-        self.updates.fetch_add(1, Ordering::Relaxed);
-        retries
-    }
-
-    /// Shared merge body: CAS-applies `scale·(replica − base)` and calls
-    /// `obs(layer, delta)` for every element (including zero deltas, which
-    /// are observed but not CAS-applied).
-    fn merge_core(
-        &self,
-        base: &Model,
-        replica: &Model,
-        scale: f32,
-        mut obs: impl FnMut(usize, f32),
-    ) -> u64 {
-        assert_eq!(base.spec(), &self.spec, "base spec mismatch");
-        assert_eq!(replica.spec(), &self.spec, "replica spec mismatch");
-        assert!(scale.is_finite() && scale >= 0.0, "bad merge scale");
         let mut idx = 0;
-        let mut retries = 0u64;
         for (layer, (bl, rl)) in base.layers().iter().zip(replica.layers()).enumerate() {
-            let mut merge = |bv: f32, rv: f32| {
-                let p = &self.params[idx];
-                idx += 1;
-                let delta = scale * (rv - bv);
-                obs(layer, delta);
-                if delta == 0.0 {
-                    return;
+            let (bw, rw) = (bl.w.as_slice(), rl.w.as_slice());
+            match (layer, l0_cols) {
+                (0, Some(cols)) => {
+                    let (out0, in0) = bl.w.shape();
+                    // Flat index of layer-0 weight (o, c) is o·in0 + c.
+                    walk_l0_cols(cols, out0, |o, c| {
+                        merge_at(0, o * in0 + c, bw[o * in0 + c], rw[o * in0 + c])
+                    });
                 }
-                // Relaxed CAS loop: same argument as `apply_gradient_atomic`
-                // — the add must not be lost, but needs no ordering. Failed
-                // exchanges are tallied as contention observations.
-                let mut cur = p.load(Ordering::Relaxed);
-                loop {
-                    let next = (f32::from_bits(cur) + delta).to_bits();
-                    match p.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
-                        Ok(_) => break,
-                        Err(actual) => {
-                            retries += 1;
-                            cur = actual;
-                        }
+                _ => {
+                    for (i, (bv, rv)) in bw.iter().zip(rw).enumerate() {
+                        merge_at(layer, idx + i, *bv, *rv);
                     }
                 }
-            };
-            for (bv, rv) in bl.w.as_slice().iter().zip(rl.w.as_slice()) {
-                merge(*bv, *rv);
             }
+            idx += bw.len();
             for (bv, rv) in bl.b.iter().zip(&rl.b) {
-                merge(*bv, *rv);
+                merge_at(layer, idx, *bv, *rv);
+                idx += 1;
             }
         }
         // Relaxed: monitoring counter.

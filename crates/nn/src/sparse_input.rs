@@ -32,6 +32,39 @@ use crate::model::Model;
 use crate::spec::{LossKind, MlpSpec};
 use crate::workspace::Workspace;
 
+/// Visit every layer-0 weight `(o, c)`, `c ∈ cols`, of a row-major
+/// `out0×in` matrix **in address order**: output row by output row, left to
+/// right within a row. With `cols` ascending the whole walk is one forward
+/// sweep; the column-outer order it replaces took a full-row stride (a
+/// cache and a TLB miss) per element. Any order of `cols` visits the same
+/// set, so callers whose per-element work is independent get identical
+/// results, merely fastest when ascending.
+#[inline(always)]
+pub(crate) fn walk_l0_cols(cols: &[u32], out0: usize, mut visit: impl FnMut(usize, usize)) {
+    for o in 0..out0 {
+        for &c in cols {
+            visit(o, c as usize);
+        }
+    }
+}
+
+/// L1 share one tile of [`walk_l0_cols_transposing`] may occupy on the
+/// transposed side (half of a 32 KB L1d).
+const L0_TILE_BYTES: usize = 16 * 1024;
+
+/// [`walk_l0_cols`] for visitors that also touch the *transposed*
+/// (`in×out0`) scratch at `(c, o)`: the columns go in tiles whose `tile ×
+/// out0` transposed rows fit [`L0_TILE_BYTES`], so every cache line of the
+/// transposed side serves its 16 output rows before it is evicted. Untiled,
+/// the transposed side misses on every element (DESIGN.md §4k has the sweep).
+#[inline(always)]
+fn walk_l0_cols_transposing(cols: &[u32], out0: usize, mut visit: impl FnMut(usize, usize)) {
+    let cols_per_tile = (L0_TILE_BYTES / (4 * out0.max(1))).max(1);
+    for tile in cols.chunks(cols_per_tile) {
+        walk_l0_cols(tile, out0, &mut visit);
+    }
+}
+
 /// Reusable layer-0 sparse scratch owned by a [`Workspace`].
 ///
 /// Everything here is sized by the model spec alone (never by the batch),
@@ -39,18 +72,19 @@ use crate::workspace::Workspace;
 /// sparse steps never grow it.
 #[derive(Debug)]
 pub(crate) struct SparseScratch {
-    /// First-layer weights repacked transposed (`in×out₁`) each call so
-    /// every CSR entry reads one contiguous row.
+    /// First-layer weights repacked transposed (`in×out₁`) so every CSR
+    /// entry reads one contiguous row; each forward refreshes the rows of
+    /// its batch's columns only (the kernel reads no others).
     w1t: Matrix,
     /// Transposed first-layer gradient accumulator (`in×out₁`); only rows
     /// in the active set hold meaningful values.
     grad_t: Matrix,
-    /// `col_stamp[c] == cur_stamp` marks `c` as already collected into
-    /// `active` for the current batch.
-    col_stamp: Vec<u64>,
-    cur_stamp: u64,
-    /// Input columns with at least one stored entry in the current batch
-    /// (order of first appearance).
+    /// One bit per input column, all clear between calls (`collect_cols`).
+    col_mask: Vec<u64>,
+    /// Columns of the most recent forward batch (ascending).
+    fwd_cols: Vec<u32>,
+    /// Input columns with at least one stored entry in the most recent
+    /// gradient batch (ascending, duplicate-free).
     active: Vec<u32>,
     /// The active set of the previous sparse gradient — the `grad.w[0]`
     /// columns that must be re-zeroed before the next scatter.
@@ -66,8 +100,8 @@ impl SparseScratch {
         SparseScratch {
             w1t: Matrix::zeros(in_dim, out0),
             grad_t: Matrix::zeros(in_dim, out0),
-            col_stamp: vec![0; in_dim],
-            cur_stamp: 0,
+            col_mask: vec![0; in_dim.div_ceil(64)],
+            fwd_cols: Vec::with_capacity(in_dim),
             active: Vec::with_capacity(in_dim),
             prev_active: Vec::with_capacity(in_dim),
             full_clear: true,
@@ -90,9 +124,25 @@ impl SparseScratch {
     pub(crate) fn capacity_fingerprint(&self) -> usize {
         self.w1t.capacity()
             + self.grad_t.capacity()
-            + self.col_stamp.capacity()
+            + self.col_mask.capacity()
+            + self.fwd_cols.capacity()
             + self.active.capacity()
             + self.prev_active.capacity()
+    }
+}
+
+/// The distinct column indices of a batch, ascending, into `out`:
+/// `O(nnz + in/64)` through a bitmap that is left all-clear again.
+fn collect_cols(indices: &[u32], mask: &mut [u64], out: &mut Vec<u32>) {
+    out.clear();
+    for &c in indices {
+        mask[c as usize / 64] |= 1 << (c % 64);
+    }
+    for (w, word) in mask.iter_mut().enumerate() {
+        while *word != 0 {
+            out.push(w as u32 * 64 + word.trailing_zeros());
+            *word &= *word - 1;
+        }
     }
 }
 
@@ -117,11 +167,16 @@ pub(crate) fn forward_sparse_into_buffers(
     let n_layers = model.layers().len();
     activations.resize_with(n_layers, || Matrix::zeros(0, 0));
 
-    // Layer 0: repack W₁ transposed, then fused bias + per-nnz accumulate.
-    // The repack is O(out₁·in) — 1/batch of the dense layer-0 GEMM — and
-    // keeps the kernel's inner loop contiguous on both operands.
+    // Layer 0: repack the batch's columns of W₁ transposed, then fused bias
+    // + per-nnz accumulate. The repack is O(out₁·|cols|) and keeps the
+    // kernel's inner loop contiguous on both operands.
     let l0 = &model.layers()[0];
-    l0.w.transpose_into(&mut scratch.w1t);
+    let (out0, in0) = l0.w.shape();
+    collect_cols(x.indices(), &mut scratch.col_mask, &mut scratch.fwd_cols);
+    let (w, wt) = (l0.w.as_slice(), scratch.w1t.as_mut_slice());
+    walk_l0_cols_transposing(&scratch.fwd_cols, out0, |o, c| {
+        wt[c * out0 + o] = w[o * in0 + c]
+    });
     {
         let z = &mut activations[0];
         sparse::spmm_bias_into(x, &scratch.w1t, &l0.b, z);
@@ -231,20 +286,9 @@ fn sparse_weight_gradient(
     scratch: &mut SparseScratch,
 ) {
     // Remember the previous active set (its grad.w[0] columns hold stale
-    // values), then collect this batch's set via the stamp array.
-    scratch.prev_active.clear();
-    let (prev, active) = (&mut scratch.prev_active, &mut scratch.active);
-    prev.extend_from_slice(active);
-    active.clear();
-    scratch.cur_stamp += 1;
-    let cur = scratch.cur_stamp;
-    for &c in x.indices() {
-        let ci = c as usize;
-        if scratch.col_stamp[ci] != cur {
-            scratch.col_stamp[ci] = cur;
-            active.push(c);
-        }
-    }
+    // values), then collect this batch's.
+    std::mem::swap(&mut scratch.prev_active, &mut scratch.active);
+    collect_cols(x.indices(), &mut scratch.col_mask, &mut scratch.active);
 
     // Zero exactly the accumulator rows this batch will touch, accumulate,
     // and write back.
@@ -255,29 +299,17 @@ fn sparse_weight_gradient(
 
     let gw = &mut grad.layers_mut()[0].w;
     let (out0, in0) = gw.shape();
+    let gws = gw.as_mut_slice();
     if scratch.full_clear {
-        gw.fill_zero();
+        gws.fill(0.0);
         scratch.full_clear = false;
     } else {
-        let gws = gw.as_mut_slice();
-        for &c in scratch.prev_active.iter() {
-            let mut idx = c as usize;
-            for _ in 0..out0 {
-                gws[idx] = 0.0;
-                idx += in0;
-            }
-        }
+        walk_l0_cols(&scratch.prev_active, out0, |o, c| gws[o * in0 + c] = 0.0);
     }
-    let gws = gw.as_mut_slice();
-    for &c in scratch.active.iter() {
-        let ci = c as usize;
-        let gt = scratch.grad_t.row(ci);
-        let mut idx = ci;
-        for &g in gt.iter().take(out0) {
-            gws[idx] = g;
-            idx += in0;
-        }
-    }
+    let gt = scratch.grad_t.as_slice();
+    walk_l0_cols_transposing(&scratch.active, out0, |o, c| {
+        gws[o * in0 + c] = gt[c * out0 + o]
+    });
 }
 
 /// Forward pass with a sparse batch (first layer sparse, rest dense).

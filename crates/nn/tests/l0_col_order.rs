@@ -1,0 +1,231 @@
+//! The layer-0 column kernels visit independent elements, so the *order* of
+//! `l0_cols` must never show in the result: shuffled, descending and
+//! ascending column lists — at sizes on both sides of the transposing
+//! walk's tile — give bit-identical parameters, scan sums, update counts
+//! and conflict-probe counts. And the workspace hands those kernels the
+//! fast order: `sparse_active_cols()` is ascending and duplicate-free.
+
+// The loom build swaps SharedModel's atomics for model-checked versions
+// that require a loom context; these std tests are compiled out there.
+#![cfg(not(feature = "loom"))]
+
+use hetero_nn::{
+    Activation, InitScheme, LossKind, MergeScan, MlpSpec, Model, SharedModel, Targets, Workspace,
+};
+use hetero_tensor::simd::{self, SimdLevel};
+use hetero_tensor::{CsrMatrix, Matrix};
+
+const IN: usize = 600;
+/// The transposing walk tiles at `16 KB / (4 B · HIDDEN)` = 128 columns.
+const HIDDEN: usize = 32;
+const TILE: usize = 128;
+
+fn spec() -> MlpSpec {
+    MlpSpec {
+        input_dim: IN,
+        hidden: vec![HIDDEN],
+        classes: 3,
+        activation: Activation::Sigmoid,
+        loss: LossKind::SoftmaxCrossEntropy,
+    }
+}
+
+fn lcg(state: &mut u64) -> u64 {
+    *state = state
+        .wrapping_mul(6364136223846793005)
+        .wrapping_add(1442695040888963407);
+    *state >> 33
+}
+
+/// `n` distinct columns of `0..IN`, ascending.
+fn ascending_cols(n: usize, seed: u64) -> Vec<u32> {
+    let mut state = seed | 1;
+    let mut all: Vec<u32> = (0..IN as u32).collect();
+    for i in (1..all.len()).rev() {
+        all.swap(i, lcg(&mut state) as usize % (i + 1));
+    }
+    all.truncate(n);
+    all.sort_unstable();
+    all
+}
+
+/// The ascending list plus a shuffled and a descending copy of it.
+fn orders(asc: &[u32]) -> [Vec<u32>; 3] {
+    let mut shuffled = asc.to_vec();
+    let mut state = 0x5eed;
+    for i in (1..shuffled.len()).rev() {
+        shuffled.swap(i, lcg(&mut state) as usize % (i + 1));
+    }
+    let descending = asc.iter().rev().copied().collect();
+    [asc.to_vec(), shuffled, descending]
+}
+
+/// A model-shaped delta that is zero at layer-0 weights outside `cols` and
+/// a small multiple of 2⁻⁶ everywhere else — dyadic, so every product and
+/// every `f64` sum of squares below is exact whatever the visiting order.
+fn dyadic_on(cols: &[u32]) -> Model {
+    let mut g = Model::zeros_like(&spec());
+    let mut k = 0u32;
+    let mut next = move || {
+        k += 1;
+        ((k % 23) as f32 - 11.0) / 64.0
+    };
+    for o in 0..HIDDEN {
+        for &c in cols {
+            g.layers_mut()[0].w.set(o, c as usize, next());
+        }
+    }
+    for layer in g.layers_mut() {
+        layer.b.iter_mut().for_each(|b| *b = next());
+    }
+    g.layers_mut()[1]
+        .w
+        .as_mut_slice()
+        .iter_mut()
+        .for_each(|w| *w = next());
+    g
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Column counts on both sides of one and two tiles, plus the extremes.
+const SIZES: [usize; 8] = [0, 1, TILE - 1, TILE, TILE + 1, 2 * TILE, 2 * TILE + 1, IN];
+
+#[test]
+fn racy_cols_kernels_ignore_column_order() {
+    let init = Model::new(spec(), InitScheme::Xavier, 5);
+    for n in SIZES {
+        let asc = ascending_cols(n, n as u64);
+        let grad = dyadic_on(&asc);
+        let dense = SharedModel::new(&init);
+        dense.apply_gradient_racy(&grad, 0.5);
+        let mut probes = None;
+        for cols in orders(&asc) {
+            let plain = SharedModel::new(&init);
+            plain.apply_gradient_racy_cols(&grad, 0.5, &cols);
+            assert_eq!(bits(&plain.read_flat()), bits(&dense.read_flat()), "n={n}");
+            assert_eq!(plain.update_count(), 1);
+
+            let sampled = SharedModel::new(&init);
+            sampled.apply_gradient_racy_sampled_cols(&grad, 0.5, &cols);
+            assert_eq!(
+                bits(&sampled.read_flat()),
+                bits(&dense.read_flat()),
+                "n={n}"
+            );
+            assert_eq!(sampled.update_count(), 1);
+            // The probe population is a function of the flat indices
+            // visited, not of the order they were visited in.
+            let counts = sampled.conflict_counts();
+            assert_eq!(counts.1, 0, "uncontended probes never lose");
+            assert_eq!(*probes.get_or_insert(counts), counts, "n={n}");
+        }
+    }
+}
+
+#[test]
+fn sparse_merge_ignores_column_order_and_matches_dense_scan() {
+    // A dyadic base too, so `replica − base` is exact.
+    let base = Model::new(spec(), InitScheme::Constant(0.25), 0);
+    for n in SIZES {
+        let asc = ascending_cols(n, 100 + n as u64);
+        let mut replica = base.clone();
+        replica.scaled_add(&dyadic_on(&asc), 1.0);
+        let dense = SharedModel::new(&base);
+        let mut dense_scan = MergeScan::for_model(&base);
+        dense.merge_delta_scaled_scanned(&base, &replica, 0.5, &mut dense_scan);
+        for cols in orders(&asc) {
+            let shared = SharedModel::new(&base);
+            let mut scan = MergeScan::for_model(&base);
+            let retries = shared.merge_delta_sparse_scanned(&base, &replica, 0.5, &cols, &mut scan);
+            assert_eq!(retries, 0);
+            assert_eq!(shared.update_count(), 1);
+            assert_eq!(bits(&shared.read_flat()), bits(&dense.read_flat()), "n={n}");
+            for (got, want) in scan.layers().iter().zip(dense_scan.layers()) {
+                assert_eq!(got.sumsq.to_bits(), want.sumsq.to_bits(), "n={n}");
+                assert_eq!(got.nonfinite, want.nonfinite);
+            }
+        }
+    }
+}
+
+#[test]
+fn apply_gradient_sparse_ignores_column_order() {
+    let init = Model::new(spec(), InitScheme::Xavier, 8);
+    for n in SIZES {
+        let asc = ascending_cols(n, 200 + n as u64);
+        let grad = dyadic_on(&asc);
+        let mut dense = init.clone();
+        dense.apply_gradient(&grad, 0.25);
+        for cols in orders(&asc) {
+            let mut sparse = init.clone();
+            sparse.apply_gradient_sparse(&grad, 0.25, &cols);
+            assert_eq!(bits(&sparse.flatten()), bits(&dense.flatten()), "n={n}");
+        }
+    }
+}
+
+/// A batch of `rows` rows whose union of columns is exactly `cols`, every
+/// column used by one to three rows (so the CSR index stream repeats
+/// columns and is nowhere near globally sorted).
+fn batch_on(cols: &[u32], rows: usize, seed: u64) -> (CsrMatrix, Vec<u32>) {
+    let mut state = seed | 1;
+    let mut dense = Matrix::zeros(rows, IN);
+    for &c in cols {
+        for _ in 0..1 + lcg(&mut state) % 3 {
+            let r = lcg(&mut state) as usize % rows;
+            dense.set(r, c as usize, (lcg(&mut state) % 17) as f32 / 8.0 - 1.0625);
+        }
+    }
+    let labels = (0..rows).map(|i| (i % 3) as u32).collect();
+    (CsrMatrix::from_dense(&dense, 0.0), labels)
+}
+
+/// `sparse_active_cols()` is the batch's support, strictly ascending, for
+/// supports on both sides of the tile size — and a reused workspace (stale
+/// transposed rows, a previous active set to re-zero, an eval-style forward
+/// on other columns in between, a changed model) still produces exactly
+/// what a fresh one does, under both dispatch levels.
+#[test]
+fn active_cols_ascending_and_reused_workspace_exact_across_tile_boundaries() {
+    for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
+        simd::with_level(level, || {
+            let mut ws = Workspace::new(&spec());
+            assert!(ws.sparse_active_cols().is_empty());
+            for (step, n) in SIZES.into_iter().chain([TILE + 1, 3]).enumerate() {
+                let model = Model::new(spec(), InitScheme::Xavier, step as u64);
+                let support = ascending_cols(n, 300 + step as u64);
+                let (x, labels) = batch_on(&support, 7, step as u64);
+                let other = batch_on(&ascending_cols(TILE + 5, 900 + step as u64), 4, 1).0;
+                ws.forward_sparse_into(&model, other.view(), false);
+
+                let (l, g) = ws.loss_and_gradient_sparse_into(
+                    &model,
+                    x.view(),
+                    Targets::Classes(&labels),
+                    false,
+                );
+                let (l, g) = (l, g.clone());
+                assert_eq!(ws.sparse_active_cols(), support, "n={n}");
+                assert!(ws.sparse_active_cols().windows(2).all(|w| w[0] < w[1]));
+
+                let mut fresh = Workspace::new(&spec());
+                let (l_ref, g_ref) = fresh.loss_and_gradient_sparse_into(
+                    &model,
+                    x.view(),
+                    Targets::Classes(&labels),
+                    false,
+                );
+                assert_eq!(l.to_bits(), l_ref.to_bits(), "n={n}");
+                assert_eq!(bits(&g.flatten()), bits(&g_ref.flatten()), "n={n}");
+                // Globally exact: true zeros outside the support.
+                let gw = &g.layers()[0].w;
+                for c in (0..IN).filter(|c| !support.contains(&(*c as u32))) {
+                    assert!((0..HIDDEN).all(|o| gw.get(o, c) == 0.0), "col {c}");
+                }
+            }
+        });
+    }
+}

@@ -52,16 +52,28 @@ impl CsrMatrix {
     /// dropped" contract of `DenseDataset::to_csr`. A value exactly at a
     /// positive threshold is kept (`>=`, not `>`).
     pub fn from_dense(dense: &Matrix, threshold: f32) -> Self {
+        // Lanes tested at once before the per-element filter. At bag-of-words
+        // densities almost every group is all-zero, and OR-ing the bit
+        // patterns with the sign shifted out (so `-0.0` counts as zero, NaN
+        // does not) vectorizes where the per-element branch cannot. A group
+        // that fails the test takes the exact per-element path, so the
+        // output is the same for any group width.
+        const GROUP: usize = 16;
         let (rows, cols) = dense.shape();
         let mut indptr = Vec::with_capacity(rows + 1);
         let mut indices = Vec::new();
         let mut values = Vec::new();
         indptr.push(0);
         for i in 0..rows {
-            for (j, &v) in dense.row(i).iter().enumerate() {
-                if v != 0.0 && v.abs() >= threshold {
-                    indices.push(j as u32);
-                    values.push(v);
+            for (g, group) in dense.row(i).chunks(GROUP).enumerate() {
+                if group.iter().fold(0, |acc, v| acc | (v.to_bits() << 1)) == 0 {
+                    continue;
+                }
+                for (j, &v) in group.iter().enumerate() {
+                    if v != 0.0 && v.abs() >= threshold {
+                        indices.push((g * GROUP + j) as u32);
+                        values.push(v);
+                    }
                 }
             }
             indptr.push(indices.len());
@@ -233,6 +245,36 @@ impl CsrMatrix {
         }
     }
 
+    /// Gather the listed rows (any order, repeats allowed) into a new CSR
+    /// matrix in `O(nnz of the selection)` — equal to compressing the same
+    /// rows gathered from the dense source, without touching it.
+    ///
+    /// # Panics
+    /// Panics if a row index is out of bounds.
+    pub fn select_rows(&self, rows: &[usize]) -> CsrMatrix {
+        let nnz = rows
+            .iter()
+            .map(|&r| self.indptr[r + 1] - self.indptr[r])
+            .sum();
+        let mut indptr = Vec::with_capacity(rows.len() + 1);
+        let mut indices = Vec::with_capacity(nnz);
+        let mut values = Vec::with_capacity(nnz);
+        indptr.push(0);
+        for &r in rows {
+            let (s, e) = (self.indptr[r], self.indptr[r + 1]);
+            indices.extend_from_slice(&self.indices[s..e]);
+            values.extend_from_slice(&self.values[s..e]);
+            indptr.push(indices.len());
+        }
+        CsrMatrix {
+            rows: rows.len(),
+            cols: self.cols,
+            indptr,
+            indices,
+            values,
+        }
+    }
+
     /// Copy rows `start..end` into a reusable [`CsrBatch`] — the
     /// allocation-free batch primitive (buffers grow only while warming up
     /// to the largest batch nnz).
@@ -352,9 +394,10 @@ impl<'a> CsrView<'a> {
 }
 
 /// Reusable CSR batch scratch: the sparse analogue of the dense batch
-/// `Matrix` the training engines reuse across steps. The indptr/indices/
-/// values buffers keep their capacity across [`CsrBatch::begin`] calls, so
-/// refills are allocation-free once warmed up to the largest batch nnz.
+/// `Matrix` the training engines reuse across steps, filled by
+/// [`CsrMatrix::slice_rows_into`]. The indptr/indices/values buffers keep
+/// their capacity across refills, so those are allocation-free once warmed
+/// up to the largest batch nnz.
 #[derive(Debug, Clone, Default)]
 pub struct CsrBatch {
     cols: usize,
@@ -369,46 +412,7 @@ impl CsrBatch {
         Self::default()
     }
 
-    /// Reset to an empty `0×cols` batch, keeping buffer capacity.
-    pub fn begin(&mut self, cols: usize) {
-        self.cols = cols;
-        self.indptr.clear();
-        self.indptr.push(0);
-        self.indices.clear();
-        self.values.clear();
-    }
-
-    /// Append a row given `(col, value)` pairs with ascending column
-    /// indices; exact zeros are dropped (matching [`CsrMatrix::from_dense`]
-    /// at threshold 0).
-    pub fn push_row(&mut self, entries: impl IntoIterator<Item = (u32, f32)>) {
-        let mut prev: i64 = -1;
-        for (c, v) in entries {
-            debug_assert!((c as usize) < self.cols, "column {c} out of bounds");
-            debug_assert!(c as i64 > prev, "columns must be ascending within a row");
-            prev = c as i64;
-            if v != 0.0 {
-                self.indices.push(c);
-                self.values.push(v);
-            }
-        }
-        let _ = prev;
-        self.indptr.push(self.indices.len());
-    }
-
-    /// Append a dense row, storing only its non-zero entries.
-    pub fn push_dense_row(&mut self, row: &[f32]) {
-        debug_assert_eq!(row.len(), self.cols, "dense row width");
-        for (j, &v) in row.iter().enumerate() {
-            if v != 0.0 {
-                self.indices.push(j as u32);
-                self.values.push(v);
-            }
-        }
-        self.indptr.push(self.indices.len());
-    }
-
-    /// Number of rows pushed since the last [`CsrBatch::begin`].
+    /// Number of rows in the current batch.
     pub fn rows(&self) -> usize {
         self.indptr.len().saturating_sub(1)
     }
@@ -425,7 +429,7 @@ impl CsrBatch {
 
     /// Borrowed [`CsrView`] of the current batch.
     pub fn view(&self) -> CsrView<'_> {
-        // A never-begun batch has an empty indptr; present it as 0 rows.
+        // A never-filled batch has an empty indptr; present it as 0 rows.
         const EMPTY: &[usize] = &[0];
         CsrView {
             rows: self.rows(),
@@ -626,22 +630,10 @@ mod tests {
     }
 
     #[test]
-    fn csr_batch_push_rows() {
-        let mut b = CsrBatch::new();
-        assert_eq!(b.view().rows(), 0); // never-begun batch is valid and empty
-        b.begin(4);
-        b.push_row([(0, 1.0), (2, 2.0)]);
-        b.push_dense_row(&[0.0, 0.0, 0.0, 0.0]);
-        b.push_dense_row(&[0.0, 3.0, 0.0, 4.0]);
-        assert_eq!(b.rows(), 3);
-        assert_eq!(b.nnz(), 4);
-        let mut dense = Matrix::zeros(3, 4);
-        for i in 0..3 {
-            for (j, v) in b.view().row_iter(i) {
-                dense.set(i, j, v);
-            }
-        }
-        assert_eq!(dense, sample_dense());
+    fn never_filled_batch_is_a_valid_empty_view() {
+        let b = CsrBatch::new();
+        assert_eq!((b.rows(), b.nnz()), (0, 0));
+        assert_eq!(b.view().rows(), 0);
     }
 
     #[test]
@@ -768,6 +760,72 @@ mod tests {
         assert_eq!(s.to_dense(), d);
         let z = CsrMatrix::from_dense(&Matrix::zeros(2, 2), 0.0);
         assert_eq!(z.nnz(), 0, "exact zeros are dropped at threshold 0");
+    }
+
+    /// The zero-group skip is only a shortcut: for every row width around
+    /// the group size, with `-0.0`, NaN, ±Inf and sub-threshold entries in
+    /// otherwise empty groups, the result equals the plain per-element
+    /// filter.
+    #[test]
+    fn from_dense_group_skip_matches_per_element_filter() {
+        let specials = [
+            -0.0f32,
+            f32::NAN,
+            f32::INFINITY,
+            -1.0e-3,
+            0.5,
+            -2.0,
+            1.0e-40,
+        ];
+        for cols in [1usize, 15, 16, 17, 31, 32, 33, 50] {
+            let d = Matrix::from_fn(9, cols, |i, j| {
+                // Rows 0–6 hold one special value each at a moving column;
+                // row 7 is dense, row 8 empty.
+                match i {
+                    7 => (j as f32 + 1.0) * 0.25,
+                    8 => 0.0,
+                    _ if j == (i * 7 + cols / 2) % cols => specials[i],
+                    _ => 0.0,
+                }
+            });
+            for threshold in [0.0f32, 0.01, 1.0] {
+                let got = CsrMatrix::from_dense(&d, threshold);
+                let mut want = vec![Vec::new(); 9];
+                for (i, row) in want.iter_mut().enumerate() {
+                    for (j, &v) in d.row(i).iter().enumerate() {
+                        if v != 0.0 && v.abs() >= threshold {
+                            row.push((j, v.to_bits()));
+                        }
+                    }
+                }
+                for (i, row) in want.iter().enumerate() {
+                    let have: Vec<_> = got.row_iter(i).map(|(j, v)| (j, v.to_bits())).collect();
+                    assert_eq!(&have, row, "cols={cols} threshold={threshold} row={i}");
+                }
+                assert_eq!((got.rows(), got.cols()), (9, cols));
+            }
+        }
+    }
+
+    #[test]
+    fn select_rows_equals_compressing_the_gathered_dense_rows() {
+        let d = Matrix::from_fn(12, 21, |i, j| {
+            if (i * 5 + j * 3) % 7 == 0 {
+                (i * 21 + j) as f32 * 0.5 - 3.0
+            } else {
+                0.0
+            }
+        });
+        let s = CsrMatrix::from_dense(&d, 0.0);
+        // Ascending subset (the eval subset's shape), then unsorted with a
+        // repeat and an empty selection.
+        for rows in [vec![1usize, 4, 5, 11], vec![7, 0, 7, 3], vec![]] {
+            let mut gathered = Matrix::zeros(rows.len(), d.cols());
+            for (i, &r) in rows.iter().enumerate() {
+                gathered.row_mut(i).copy_from_slice(d.row(r));
+            }
+            assert_eq!(s.select_rows(&rows), CsrMatrix::from_dense(&gathered, 0.0));
+        }
     }
 
     #[test]
