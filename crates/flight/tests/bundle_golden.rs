@@ -22,9 +22,15 @@ const GOLDEN_PATH: &str = concat!(
 
 /// Dump a bundle from a fixed recorder state. Every input is pinned (no
 /// clocks, no real git sha, virtual-time sink), so the JSON bytes are
-/// reproducible across machines.
-fn fixture_dump() -> String {
-    let dir = std::env::temp_dir().join(format!("hetero-flight-golden-{}", std::process::id()));
+/// reproducible across machines. `test` names the caller: the dump's file
+/// name is fixed by pid and sequence number, and tests run on parallel
+/// threads of one process, so each gets its own directory to write to and
+/// clean up.
+fn fixture_dump(test: &str) -> String {
+    let dir = std::env::temp_dir().join(format!(
+        "hetero-flight-golden-{}-{test}",
+        std::process::id()
+    ));
     let flight = FlightRecorder::new(FlightConfig {
         dir: dir.clone(),
         ..FlightConfig::default()
@@ -97,7 +103,7 @@ fn fixture_dump() -> String {
 
 #[test]
 fn bundle_matches_golden_file() {
-    let json = fixture_dump();
+    let json = fixture_dump("golden");
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
         std::fs::create_dir_all(std::path::Path::new(GOLDEN_PATH).parent().unwrap()).unwrap();
         std::fs::write(GOLDEN_PATH, &json).unwrap();
@@ -125,7 +131,7 @@ fn golden_bundle_parses_and_renders() {
 
 #[test]
 fn bundle_schema_key_sets_are_stable() {
-    let doc: Value = serde_json::from_str(&fixture_dump()).unwrap();
+    let doc: Value = serde_json::from_str(&fixture_dump("schema")).unwrap();
     let keys = |v: &Value| -> Vec<String> {
         match v {
             Value::Object(o) => o.iter().map(|(k, _)| k.clone()).collect(),

@@ -15,23 +15,28 @@ use hetero_tensor::{gemm, ops};
 
 use crate::alloc::{BufferId, DeviceMemory};
 
-/// `C ← A·Bᵀ` where A is `m×k` and B is `n×k` (forward layer product).
-pub fn gemm_nt(
+/// `C ← A·Bᵀ + bias` where A is `m×k`, B is `n×k` and `bias` has `n`
+/// entries (forward layer product, bias-add fused into the GEMM store like
+/// the host path — no zero-fill, no second pass over `C`).
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_nt_bias(
     mem: &DeviceMemory,
     a: BufferId,
     b: BufferId,
+    bias: BufferId,
     c: BufferId,
     m: usize,
     k: usize,
     n: usize,
 ) {
-    let (ah, bh, ch) = (mem.get(a), mem.get(b), mem.get(c));
-    let (ar, br) = (ah.read(), bh.read());
+    let (ah, bh, biash, ch) = (mem.get(a), mem.get(b), mem.get(bias), mem.get(c));
+    let (ar, br, biasr) = (ah.read(), bh.read(), biash.read());
     let mut cw = ch.write();
     assert_eq!(ar.len(), m * k, "A dims");
     assert_eq!(br.len(), n * k, "B dims");
+    assert_eq!(biasr.len(), n, "bias dims");
     assert_eq!(cw.len(), m * n, "C dims");
-    gemm::par_gemm_nt_slices(1.0, &ar, &br, 0.0, &mut cw, m, k, n);
+    gemm::par_gemm_nt_bias_slices(1.0, &ar, &br, &biasr, &mut cw, m, k, n);
 }
 
 /// `C ← Aᵀ·B` where A is `k×m` and B is `k×n` (weight gradient).
@@ -70,16 +75,6 @@ pub fn gemm_nn(
     assert_eq!(br.len(), k * n, "B dims");
     assert_eq!(cw.len(), m * n, "C dims");
     gemm::par_gemm_nn_slices(1.0, &ar, &br, 0.0, &mut cw, m, k, n);
-}
-
-/// Broadcast-add a bias row vector to every row of an `m×n` buffer.
-pub fn add_bias(mem: &DeviceMemory, x: BufferId, bias: BufferId, n: usize) {
-    let (xh, bh) = (mem.get(x), mem.get(bias));
-    let mut xw = xh.write();
-    let br = bh.read();
-    assert_eq!(br.len(), n, "bias dims");
-    assert_eq!(xw.len() % n.max(1), 0, "matrix dims");
-    ops::add_row_broadcast_slice(&mut xw, n, &br);
 }
 
 /// Element-wise logistic sigmoid, in place (same dispatched kernel the
@@ -148,13 +143,14 @@ mod tests {
     }
 
     #[test]
-    fn gemm_nt_matches_host() {
+    fn gemm_nt_bias_matches_host() {
         let m = mem();
         let a = upload(&m, &[1.0, 2.0, 3.0, 4.0]); // 2x2
         let b = upload(&m, &[1.0, 0.0, 0.0, 1.0]); // 2x2 identity (as Bᵀ too)
-        let c = m.alloc(4).unwrap();
-        gemm_nt(&m, a, b, c, 2, 2, 2);
-        assert_eq!(&*m.get(c).read(), &[1.0, 2.0, 3.0, 4.0]);
+        let bias = upload(&m, &[1.0, -1.0]);
+        let c = upload(&m, &[f32::NAN; 4]); // overwritten, never read
+        gemm_nt_bias(&m, a, b, bias, c, 2, 2, 2);
+        assert_eq!(&*m.get(c).read(), &[2.0, 1.0, 4.0, 3.0]);
     }
 
     #[test]
@@ -181,12 +177,9 @@ mod tests {
     }
 
     #[test]
-    fn bias_and_sigmoid() {
+    fn sigmoid_kernel() {
         let m = mem();
-        let x = upload(&m, &[0.0, 0.0, 0.0, 0.0]);
-        let b = upload(&m, &[1.0, -1.0]);
-        add_bias(&m, x, b, 2);
-        assert_eq!(&*m.get(x).read(), &[1.0, -1.0, 1.0, -1.0]);
+        let x = upload(&m, &[1.0, -1.0, 1.0, -1.0]);
         sigmoid(&m, x);
         let r = m.get(x).read().clone();
         assert!((r[0] - 1.0 / (1.0 + (-1.0f32).exp())).abs() < 1e-6);
@@ -240,7 +233,8 @@ mod tests {
         let m = mem();
         let a = upload(&m, &[1.0; 4]);
         let b = upload(&m, &[1.0; 4]);
+        let bias = upload(&m, &[0.0; 2]);
         let c = m.alloc(5).unwrap();
-        gemm_nt(&m, a, b, c, 2, 2, 2);
+        gemm_nt_bias(&m, a, b, bias, c, 2, 2, 2);
     }
 }

@@ -240,16 +240,16 @@ impl<'d> GpuMlp<'d> {
             } else {
                 self.scratch.act(l - 1)
             };
-            kernels::gemm_nt(
+            kernels::gemm_nt_bias(
                 dev.mem(),
                 input,
                 self.weights[l],
+                self.biases[l],
                 act,
                 batch,
                 in_dim,
                 out_dim,
             );
-            kernels::add_bias(dev.mem(), act, self.biases[l], out_dim);
             if l + 1 == n_layers {
                 match self.spec.loss {
                     LossKind::SoftmaxCrossEntropy => kernels::softmax_rows(dev.mem(), act, out_dim),

@@ -2,42 +2,44 @@
 //!
 //! The MLP passes need three transpose combinations:
 //!
-//! | call | computes | used for |
-//! |---|---|---|
-//! | [`gemm_nn`] | `C ← α·A·B + β·C` | backprop `δ·W`; hidden chains |
-//! | [`gemm_tn`] | `C ← α·Aᵀ·B + β·C` | weight gradient: `∇W = δᵀ·X` |
-//! | [`gemm_nt`] | `C ← α·A·Bᵀ + β·C` | forward with row-major weights `X·Wᵀ` |
+//! | call | computes | used for | A as packed | B as packed |
+//! |---|---|---|---|---|
+//! | [`gemm_nn`] | `C ← α·A·B + β·C` | backprop `δ·W` | transposing | straight |
+//! | [`gemm_tn`] | `C ← α·Aᵀ·B + β·C` | weight gradient `∇W = δᵀ·X` | straight | straight |
+//! | [`gemm_nt`] | `C ← α·A·Bᵀ + β·C` | forward `X·Wᵀ` (row-major `W[out][in]`) | transposing | transposing |
+//! | [`gemm_nt_bias`] | `C ← α·A·Bᵀ + bias` | forward with the bias-add fused | transposing | transposing |
 //!
-//! Each has a cache-blocked serial implementation and a rayon-parallel
-//! wrapper ([`par_gemm_nn`], …) that splits the output rows across tasks:
-//! tasks write disjoint row slices, so the parallelism is race-free by
-//! construction (the rayon idiom from the workspace guides).
+//! Every call dispatches through [`crate::simd::active_level`]. On AVX2+FMA
+//! all four run the *same* 6×16 microkernel over BLIS-style packed panels
+//! (`crate::simd`): the table's last two columns — which of the four pack
+//! routines feeds each operand — are the only thing that differs between
+//! them. β = 0 and the bias row are applied when the first k-block is
+//! stored, so C is never pre-filled or re-read. Skinny NT shapes (few rows,
+//! or an output narrower than one vector) keep a dot-product body instead;
+//! the rule looks at the shape only. Off AVX2 (or with `HETERO_SIMD=0`) the
+//! portable scalar kernels below run; they are the reference semantics.
 //!
-//! All serial kernels (and therefore every per-task body of the parallel
-//! wrappers) dispatch through [`crate::simd::active_level`]: AVX2+FMA
-//! register-tiled microkernels where the CPU supports them, portable scalar
-//! loops otherwise. The NN and TN paths stream *packed* operand panels —
-//! BLIS-style copies into thread-local buffers (`pack_b_panel` /
-//! `pack_a_panel`) so the SIMD inner loops read contiguous memory. The
-//! pack buffers are reused across calls, so steady-state GEMMs allocate
-//! nothing.
+//! Pack buffers are thread-local and grow on first use only, so
+//! steady-state GEMMs allocate nothing.
 //!
-//! [`gemm_nt_bias`] fuses the bias-add into the NT store epilogue
-//! (`C = α·A·Bᵀ + bias` broadcast per row), saving one full pass over the
-//! output in the forward pass.
+//! The `par_*` wrappers hand each thread of the installed rayon pool one
+//! contiguous row range of C, aligned to the 6-row tile; tasks write
+//! disjoint rows, so the parallelism is race-free by construction, and
+//! every element is computed exactly as the serial call computes it (the
+//! results are bit-identical for any thread count). With one pool thread
+//! they *are* the serial call.
 
 use std::cell::RefCell;
 
 use rayon::prelude::*;
 
-use crate::simd::{self, SimdLevel};
+use crate::simd::{self, Operand, PackBufs, SimdLevel};
 use crate::Matrix;
 
-/// Row-block size for parallel partitioning.
-const PAR_ROW_BLOCK: usize = 32;
-/// K-panel blocking to keep the streamed panel of `B` in L2.
-pub(crate) const KB: usize = 256;
-/// J-panel blocking (columns of C/B) to keep the C row segment in L1.
+/// K-panel blocking of the scalar kernels (keeps the streamed rows of `B`
+/// in L2).
+const KB: usize = 256;
+/// J-panel blocking of the scalar NN kernel (keeps the C row segment in L1).
 const JB: usize = 512;
 
 /// Minimum problem size (in multiply-adds, `m·n·k`) for the `par_gemm_*`
@@ -49,52 +51,13 @@ const JB: usize = 512;
 /// kernel inline on the calling thread.
 pub const PAR_MIN_MADDS: usize = 64 * 64 * 64;
 
+/// Fewest output rows worth a thread of their own: every row range packs
+/// all of `B` for itself, so a shorter range costs more than it saves.
+const PAR_MIN_ROWS: usize = 32;
+
 thread_local! {
-    /// Reused B-panel pack buffer (≤ `KB·16` floats; see `pack_b_panel`).
-    static PACK_B: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-    /// Reused A-panel pack buffer for the TN kernel (see `pack_a_panel`).
-    static PACK_A: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Copy the `kblen×jw` strip `B[kb.., jb..jb+jw]` into `pack`
-/// row-contiguously (`pack[kk·jw + c] = B[kb+kk, jb+c]`): the BLIS-style
-/// B-panel the NN microkernel streams.
-pub(crate) fn pack_b_panel(
-    b: &[f32],
-    n: usize,
-    kb: usize,
-    kblen: usize,
-    jb: usize,
-    jw: usize,
-    pack: &mut Vec<f32>,
-) {
-    pack.resize(kblen * jw, 0.0);
-    for kk in 0..kblen {
-        let src = &b[(kb + kk) * n + jb..(kb + kk) * n + jb + jw];
-        pack[kk * jw..(kk + 1) * jw].copy_from_slice(src);
-    }
-}
-
-/// Transpose-pack the `kblen×ilen` block `A[kb.., i_start..i_start+ilen]`
-/// into `pack` so row `i` of the chunk holds its k-slice contiguously
-/// (`pack[i·kblen + kk] = A[kb+kk, i_start+i]`). Lets the TN kernel walk
-/// both operands unit-stride.
-pub(crate) fn pack_a_panel(
-    a: &[f32],
-    m: usize,
-    kb: usize,
-    kblen: usize,
-    i_start: usize,
-    ilen: usize,
-    pack: &mut Vec<f32>,
-) {
-    pack.resize(ilen * kblen, 0.0);
-    for kk in 0..kblen {
-        let src = &a[(kb + kk) * m + i_start..(kb + kk) * m + i_start + ilen];
-        for (i, &v) in src.iter().enumerate() {
-            pack[i * kblen + kk] = v;
-        }
-    }
+    /// Reused packed-panel storage of the AVX2 path (< 1 MiB per thread).
+    static PACK: RefCell<PackBufs> = const { RefCell::new(PackBufs::new()) };
 }
 
 #[inline]
@@ -118,7 +81,7 @@ fn scale_c(beta: f32, c: &mut [f32]) {
 }
 
 // ---------------------------------------------------------------------------
-// NN
+// Portable scalar kernels (reference semantics; β is applied by the caller)
 // ---------------------------------------------------------------------------
 
 /// Scalar blocked kernel for `C[i,:] += alpha * sum_k A[i,k] B[k,:]` over a
@@ -148,113 +111,6 @@ fn kernel_nn_scalar(alpha: f32, a_rows: &[f32], b: &[f32], n: usize, k: usize, c
         }
     }
 }
-
-/// Dispatched serial NN kernel body (no β handling).
-fn kernel_nn(alpha: f32, a_rows: &[f32], b: &[f32], n: usize, k: usize, c_rows: &mut [f32]) {
-    if n == 0 || k == 0 || c_rows.is_empty() {
-        return;
-    }
-    match simd::active_level() {
-        SimdLevel::Avx2 => PACK_B.with_borrow_mut(|pack| {
-            simd::gemm_nn(alpha, a_rows, b, n, k, c_rows, pack);
-        }),
-        SimdLevel::Scalar => kernel_nn_scalar(alpha, a_rows, b, n, k, c_rows),
-    }
-}
-
-/// `C ← α·A·B + β·C` (serial, cache-blocked).
-///
-/// # Panics
-/// Panics if `a.cols() != b.rows()` or `c.shape() != (a.rows(), b.cols())`.
-pub fn gemm_nn(alpha: f32, a: &Matrix, b: &Matrix, beta: f32, c: &mut Matrix) {
-    let (m, k) = a.shape();
-    let (kb, n) = b.shape();
-    check("gemm_nn", m, n, k, kb, c);
-    gemm_nn_slices(
-        alpha,
-        a.as_slice(),
-        b.as_slice(),
-        beta,
-        c.as_mut_slice(),
-        m,
-        k,
-        n,
-    );
-}
-
-/// Slice-level `C ← α·A·B + β·C`: `a` is `m×k`, `b` is `k×n`, `c` is `m×n`,
-/// all row-major. Lets callers that own raw buffers (the software GPU)
-/// reach the dispatched kernels without copying into a [`Matrix`].
-#[allow(clippy::too_many_arguments)] // BLAS-style slice API: the 8 args ARE the interface
-pub fn gemm_nn_slices(
-    alpha: f32,
-    a: &[f32],
-    b: &[f32],
-    beta: f32,
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    assert_eq!(a.len(), m * k, "gemm_nn_slices: A length");
-    assert_eq!(b.len(), k * n, "gemm_nn_slices: B length");
-    assert_eq!(c.len(), m * n, "gemm_nn_slices: C length");
-    scale_c(beta, c);
-    kernel_nn(alpha, a, b, n, k, c);
-}
-
-/// `C ← α·A·B + β·C`, output rows split across rayon tasks.
-pub fn par_gemm_nn(alpha: f32, a: &Matrix, b: &Matrix, beta: f32, c: &mut Matrix) {
-    let (m, k) = a.shape();
-    let (kb, n) = b.shape();
-    check("par_gemm_nn", m, n, k, kb, c);
-    par_gemm_nn_slices(
-        alpha,
-        a.as_slice(),
-        b.as_slice(),
-        beta,
-        c.as_mut_slice(),
-        m,
-        k,
-        n,
-    );
-}
-
-/// Parallel [`gemm_nn_slices`]: same layout contract, rows split across
-/// rayon tasks (falls back to the serial kernel below [`PAR_MIN_MADDS`]).
-#[allow(clippy::too_many_arguments)] // see gemm_nn_slices
-pub fn par_gemm_nn_slices(
-    alpha: f32,
-    a: &[f32],
-    b: &[f32],
-    beta: f32,
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    if m * n * k < PAR_MIN_MADDS {
-        // Parallel dispatch costs more than it saves on tiny problems.
-        gemm_nn_slices(alpha, a, b, beta, c, m, k, n);
-        return;
-    }
-    assert_eq!(a.len(), m * k, "par_gemm_nn_slices: A length");
-    assert_eq!(b.len(), k * n, "par_gemm_nn_slices: B length");
-    assert_eq!(c.len(), m * n, "par_gemm_nn_slices: C length");
-    c.par_chunks_mut(PAR_ROW_BLOCK * n)
-        .enumerate()
-        .for_each(|(blk, c_rows)| {
-            scale_c(beta, c_rows);
-            let row0 = blk * PAR_ROW_BLOCK;
-            let rows = c_rows.len() / n;
-            let a_rows = &a[row0 * k..(row0 + rows) * k];
-            kernel_nn(alpha, a_rows, b, n, k, c_rows);
-        });
-}
-
-// ---------------------------------------------------------------------------
-// TN
-// ---------------------------------------------------------------------------
 
 /// Scalar rank-1-accumulation kernel for TN over an output row range
 /// `[i0, i1)`. `c_rows` covers exactly those rows.
@@ -287,120 +143,6 @@ fn kernel_tn_scalar(
         }
     }
 }
-
-/// Dispatched TN kernel body over rows `[i0, i1)` (no β handling).
-#[allow(clippy::too_many_arguments)]
-fn kernel_tn(
-    alpha: f32,
-    a: &[f32],
-    b: &[f32],
-    m: usize,
-    n: usize,
-    k: usize,
-    i0: usize,
-    i1: usize,
-    c_rows: &mut [f32],
-) {
-    if n == 0 || k == 0 || i1 <= i0 {
-        return;
-    }
-    match simd::active_level() {
-        SimdLevel::Avx2 => PACK_A.with_borrow_mut(|pack| {
-            simd::gemm_tn(alpha, a, b, m, n, k, i0, i1, c_rows, pack);
-        }),
-        SimdLevel::Scalar => kernel_tn_scalar(alpha, a, b, m, n, k, i0, i1, c_rows),
-    }
-}
-
-/// `C ← α·Aᵀ·B + β·C` (serial).
-///
-/// `A` is `k×m`, `B` is `k×n`, `C` is `m×n`.
-pub fn gemm_tn(alpha: f32, a: &Matrix, b: &Matrix, beta: f32, c: &mut Matrix) {
-    let (ka, m) = a.shape();
-    let (kb, n) = b.shape();
-    check("gemm_tn", m, n, ka, kb, c);
-    gemm_tn_slices(
-        alpha,
-        a.as_slice(),
-        b.as_slice(),
-        beta,
-        c.as_mut_slice(),
-        ka,
-        m,
-        n,
-    );
-}
-
-/// Slice-level `C ← α·Aᵀ·B + β·C`: `a` is `k×m`, `b` is `k×n`, `c` is
-/// `m×n`, all row-major.
-#[allow(clippy::too_many_arguments)] // see gemm_nn_slices
-pub fn gemm_tn_slices(
-    alpha: f32,
-    a: &[f32],
-    b: &[f32],
-    beta: f32,
-    c: &mut [f32],
-    k: usize,
-    m: usize,
-    n: usize,
-) {
-    assert_eq!(a.len(), k * m, "gemm_tn_slices: A length");
-    assert_eq!(b.len(), k * n, "gemm_tn_slices: B length");
-    assert_eq!(c.len(), m * n, "gemm_tn_slices: C length");
-    scale_c(beta, c);
-    kernel_tn(alpha, a, b, m, n, k, 0, m, c);
-}
-
-/// `C ← α·Aᵀ·B + β·C`, output rows split across rayon tasks.
-pub fn par_gemm_tn(alpha: f32, a: &Matrix, b: &Matrix, beta: f32, c: &mut Matrix) {
-    let (ka, m) = a.shape();
-    let (kb, n) = b.shape();
-    check("par_gemm_tn", m, n, ka, kb, c);
-    par_gemm_tn_slices(
-        alpha,
-        a.as_slice(),
-        b.as_slice(),
-        beta,
-        c.as_mut_slice(),
-        ka,
-        m,
-        n,
-    );
-}
-
-/// Parallel [`gemm_tn_slices`]: same layout contract, rows split across
-/// rayon tasks (serial below [`PAR_MIN_MADDS`]).
-#[allow(clippy::too_many_arguments)] // see gemm_nn_slices
-pub fn par_gemm_tn_slices(
-    alpha: f32,
-    a: &[f32],
-    b: &[f32],
-    beta: f32,
-    c: &mut [f32],
-    k: usize,
-    m: usize,
-    n: usize,
-) {
-    if m * n * k < PAR_MIN_MADDS {
-        gemm_tn_slices(alpha, a, b, beta, c, k, m, n);
-        return;
-    }
-    assert_eq!(a.len(), k * m, "par_gemm_tn_slices: A length");
-    assert_eq!(b.len(), k * n, "par_gemm_tn_slices: B length");
-    assert_eq!(c.len(), m * n, "par_gemm_tn_slices: C length");
-    c.par_chunks_mut(PAR_ROW_BLOCK * n)
-        .enumerate()
-        .for_each(|(blk, c_rows)| {
-            scale_c(beta, c_rows);
-            let i0 = blk * PAR_ROW_BLOCK;
-            let i1 = i0 + c_rows.len() / n;
-            kernel_tn(alpha, a, b, m, n, k, i0, i1, c_rows);
-        });
-}
-
-// ---------------------------------------------------------------------------
-// NT
-// ---------------------------------------------------------------------------
 
 fn kernel_nt_scalar(alpha: f32, a_rows: &[f32], b: &[f32], n: usize, k: usize, c_rows: &mut [f32]) {
     if n == 0 || k == 0 || c_rows.is_empty() {
@@ -458,54 +200,268 @@ fn kernel_nt_bias_scalar(
     }
 }
 
-/// Dispatched serial NT kernel body (no β handling).
-fn kernel_nt(alpha: f32, a_rows: &[f32], b: &[f32], n: usize, k: usize, c_rows: &mut [f32]) {
-    if n == 0 || k == 0 || c_rows.is_empty() {
-        return;
+// ---------------------------------------------------------------------------
+// Dispatch
+// ---------------------------------------------------------------------------
+
+/// Which operand arrives transposed.
+#[derive(Clone, Copy)]
+enum Trans {
+    Nn,
+    Tn,
+    Nt,
+}
+
+/// One product `C[m×n] ← α·op(A)·op(B) + β·C`, or `+ bias` per row when
+/// `bias` is non-empty (NT only; β is then ignored).
+struct Call<'a> {
+    trans: Trans,
+    alpha: f32,
+    a: &'a [f32],
+    b: &'a [f32],
+    beta: f32,
+    bias: &'a [f32],
+    m: usize,
+    n: usize,
+    k: usize,
+}
+
+impl Call<'_> {
+    /// Compute the output rows starting at `r0` that `c_rows` holds.
+    fn rows(&self, r0: usize, c_rows: &mut [f32]) {
+        let &Call {
+            trans,
+            alpha,
+            a,
+            b,
+            beta,
+            bias,
+            m,
+            n,
+            k,
+        } = self;
+        let rows = c_rows.len() / n;
+        // The same rows of a row-major A (NN / NT; TN indexes A by column).
+        let a_rows = || &a[r0 * k..(r0 + rows) * k];
+        let nt = matches!(trans, Trans::Nt);
+        if simd::active_level() == SimdLevel::Avx2 && k > 0 {
+            // The path is picked from the whole product's shape, never from
+            // this row range, so any split computes what the serial call does.
+            if !simd::is_skinny(nt, m, n) {
+                let operand = |data, x_len, k_contig| Operand {
+                    data,
+                    ld: if k_contig { k } else { x_len },
+                    k_contig,
+                };
+                let pa = operand(a, m, !matches!(trans, Trans::Tn));
+                let pb = operand(b, n, nt);
+                return PACK.with_borrow_mut(|bufs| {
+                    simd::gemm_packed(alpha, pa, r0, pb, beta, bias, rows, n, k, c_rows, bufs)
+                });
+            }
+            if nt {
+                return simd::gemm_nt_dot(alpha, a_rows(), b, beta, bias, n, k, c_rows);
+            }
+        }
+        if !bias.is_empty() {
+            return kernel_nt_bias_scalar(alpha, a_rows(), b, bias, n, k, c_rows);
+        }
+        scale_c(beta, c_rows);
+        match trans {
+            Trans::Nn => kernel_nn_scalar(alpha, a_rows(), b, n, k, c_rows),
+            Trans::Tn => kernel_tn_scalar(alpha, a, b, m, n, k, r0, r0 + rows, c_rows),
+            Trans::Nt => kernel_nt_scalar(alpha, a_rows(), b, n, k, c_rows),
+        }
     }
-    match simd::active_level() {
-        SimdLevel::Avx2 => simd::gemm_nt(alpha, a_rows, b, n, k, c_rows),
-        SimdLevel::Scalar => kernel_nt_scalar(alpha, a_rows, b, n, k, c_rows),
+
+    /// Run the product into `c`; with `parallel`, above [`PAR_MIN_MADDS`]
+    /// and on a pool of more than one thread, one tile-aligned row range
+    /// per thread.
+    fn run(&self, parallel: bool, c: &mut [f32]) {
+        let (m, n, k) = (self.m, self.n, self.k);
+        assert_eq!(self.a.len(), m * k, "gemm: A length");
+        assert_eq!(self.b.len(), k * n, "gemm: B length");
+        assert_eq!(c.len(), m * n, "gemm: C length");
+        if m == 0 || n == 0 {
+            return;
+        }
+        let threads = if parallel && m * n * k >= PAR_MIN_MADDS {
+            rayon::current_num_threads().min(m.div_ceil(PAR_MIN_ROWS))
+        } else {
+            1
+        };
+        if threads <= 1 {
+            return self.rows(0, c);
+        }
+        let rows_per = m.div_ceil(threads).next_multiple_of(simd::MR);
+        c.par_chunks_mut(rows_per * n)
+            .enumerate()
+            .for_each(|(t, c_rows)| self.rows(t * rows_per, c_rows));
     }
 }
 
-fn kernel_nt_bias(
+/// Shape-check a [`Matrix`]-level call and run it.
+#[allow(clippy::too_many_arguments)]
+fn run_matrices(
+    op: &'static str,
+    trans: Trans,
+    parallel: bool,
     alpha: f32,
-    a_rows: &[f32],
-    b: &[f32],
-    bias: &[f32],
-    n: usize,
-    k: usize,
-    c_rows: &mut [f32],
+    a: &Matrix,
+    b: &Matrix,
+    beta: f32,
+    bias: Option<&[f32]>,
+    c: &mut Matrix,
 ) {
-    if n == 0 || c_rows.is_empty() {
-        return;
+    let (m, k) = match trans {
+        Trans::Tn => (a.cols(), a.rows()),
+        _ => a.shape(),
+    };
+    let (kb, n) = match trans {
+        Trans::Nt => (b.cols(), b.rows()),
+        _ => b.shape(),
+    };
+    check(op, m, n, k, kb, c);
+    if let Some(bias) = bias {
+        assert_eq!(bias.len(), n, "{op}: bias length {} != {n}", bias.len());
     }
-    match simd::active_level() {
-        SimdLevel::Avx2 => simd::gemm_nt_bias(alpha, a_rows, b, bias, n, k, c_rows),
-        SimdLevel::Scalar => kernel_nt_bias_scalar(alpha, a_rows, b, bias, n, k, c_rows),
+    let bias = bias.unwrap_or(&[]);
+    let (a, b, c) = (a.as_slice(), b.as_slice(), c.as_mut_slice());
+    run_slices(trans, parallel, alpha, a, b, beta, bias, c, (m, n, k));
+}
+
+/// Run a slice-level call (lengths are checked by [`Call::run`]).
+#[allow(clippy::too_many_arguments)]
+fn run_slices(
+    trans: Trans,
+    parallel: bool,
+    alpha: f32,
+    a: &[f32],
+    b: &[f32],
+    beta: f32,
+    bias: &[f32],
+    c: &mut [f32],
+    (m, n, k): (usize, usize, usize),
+) {
+    Call {
+        trans,
+        alpha,
+        a,
+        b,
+        beta,
+        bias,
+        m,
+        n,
+        k,
     }
+    .run(parallel, c);
+}
+
+// ---------------------------------------------------------------------------
+// Public entry points
+// ---------------------------------------------------------------------------
+
+/// `C ← α·A·B + β·C` (serial).
+///
+/// # Panics
+/// Panics if `a.cols() != b.rows()` or `c.shape() != (a.rows(), b.cols())`.
+pub fn gemm_nn(alpha: f32, a: &Matrix, b: &Matrix, beta: f32, c: &mut Matrix) {
+    run_matrices("gemm_nn", Trans::Nn, false, alpha, a, b, beta, None, c);
+}
+
+/// `C ← α·A·B + β·C`, output rows split across the rayon pool.
+pub fn par_gemm_nn(alpha: f32, a: &Matrix, b: &Matrix, beta: f32, c: &mut Matrix) {
+    run_matrices("par_gemm_nn", Trans::Nn, true, alpha, a, b, beta, None, c);
+}
+
+/// Slice-level `C ← α·A·B + β·C`: `a` is `m×k`, `b` is `k×n`, `c` is `m×n`,
+/// all row-major. Lets callers that own raw buffers (the software GPU)
+/// reach the dispatched kernels without copying into a [`Matrix`].
+#[allow(clippy::too_many_arguments)] // BLAS-style slice API: the 8 args ARE the interface
+pub fn gemm_nn_slices(
+    alpha: f32,
+    a: &[f32],
+    b: &[f32],
+    beta: f32,
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    run_slices(Trans::Nn, false, alpha, a, b, beta, &[], c, (m, n, k));
+}
+
+/// Parallel [`gemm_nn_slices`]: same layout contract, rows split across
+/// the rayon pool (serial below [`PAR_MIN_MADDS`]).
+#[allow(clippy::too_many_arguments)] // see gemm_nn_slices
+pub fn par_gemm_nn_slices(
+    alpha: f32,
+    a: &[f32],
+    b: &[f32],
+    beta: f32,
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    run_slices(Trans::Nn, true, alpha, a, b, beta, &[], c, (m, n, k));
+}
+
+/// `C ← α·Aᵀ·B + β·C` (serial).
+///
+/// `A` is `k×m`, `B` is `k×n`, `C` is `m×n`.
+pub fn gemm_tn(alpha: f32, a: &Matrix, b: &Matrix, beta: f32, c: &mut Matrix) {
+    run_matrices("gemm_tn", Trans::Tn, false, alpha, a, b, beta, None, c);
+}
+
+/// `C ← α·Aᵀ·B + β·C`, output rows split across the rayon pool.
+pub fn par_gemm_tn(alpha: f32, a: &Matrix, b: &Matrix, beta: f32, c: &mut Matrix) {
+    run_matrices("par_gemm_tn", Trans::Tn, true, alpha, a, b, beta, None, c);
+}
+
+/// Slice-level `C ← α·Aᵀ·B + β·C`: `a` is `k×m`, `b` is `k×n`, `c` is
+/// `m×n`, all row-major.
+#[allow(clippy::too_many_arguments)] // see gemm_nn_slices
+pub fn gemm_tn_slices(
+    alpha: f32,
+    a: &[f32],
+    b: &[f32],
+    beta: f32,
+    c: &mut [f32],
+    k: usize,
+    m: usize,
+    n: usize,
+) {
+    run_slices(Trans::Tn, false, alpha, a, b, beta, &[], c, (m, n, k));
+}
+
+/// Parallel [`gemm_tn_slices`]: same layout contract, rows split across
+/// the rayon pool (serial below [`PAR_MIN_MADDS`]).
+#[allow(clippy::too_many_arguments)] // see gemm_nn_slices
+pub fn par_gemm_tn_slices(
+    alpha: f32,
+    a: &[f32],
+    b: &[f32],
+    beta: f32,
+    c: &mut [f32],
+    k: usize,
+    m: usize,
+    n: usize,
+) {
+    run_slices(Trans::Tn, true, alpha, a, b, beta, &[], c, (m, n, k));
 }
 
 /// `C ← α·A·Bᵀ + β·C` (serial).
 ///
-/// `A` is `m×k`, `B` is `n×k`, `C` is `m×n`. Both operands are walked along
-/// contiguous rows, so this is a dot-product kernel — the natural layout for
+/// `A` is `m×k`, `B` is `n×k`, `C` is `m×n` — the natural layout for
 /// `X·Wᵀ` with row-major weight matrices `W[out][in]`.
 pub fn gemm_nt(alpha: f32, a: &Matrix, b: &Matrix, beta: f32, c: &mut Matrix) {
-    let (m, ka) = a.shape();
-    let (n, kb) = b.shape();
-    check("gemm_nt", m, n, ka, kb, c);
-    gemm_nt_slices(
-        alpha,
-        a.as_slice(),
-        b.as_slice(),
-        beta,
-        c.as_mut_slice(),
-        m,
-        ka,
-        n,
-    );
+    run_matrices("gemm_nt", Trans::Nt, false, alpha, a, b, beta, None, c);
+}
+
+/// `C ← α·A·Bᵀ + β·C`, output rows split across the rayon pool.
+pub fn par_gemm_nt(alpha: f32, a: &Matrix, b: &Matrix, beta: f32, c: &mut Matrix) {
+    run_matrices("par_gemm_nt", Trans::Nt, true, alpha, a, b, beta, None, c);
 }
 
 /// Slice-level `C ← α·A·Bᵀ + β·C`: `a` is `m×k`, `b` is `n×k`, `c` is
@@ -521,101 +477,11 @@ pub fn gemm_nt_slices(
     k: usize,
     n: usize,
 ) {
-    assert_eq!(a.len(), m * k, "gemm_nt_slices: A length");
-    assert_eq!(b.len(), n * k, "gemm_nt_slices: B length");
-    assert_eq!(c.len(), m * n, "gemm_nt_slices: C length");
-    scale_c(beta, c);
-    kernel_nt(alpha, a, b, n, k, c);
-}
-
-/// `C ← α·A·Bᵀ + bias` with the row-broadcast bias-add fused into the GEMM
-/// epilogue (β = 0 semantics: `C` is overwritten). One pass over `C`
-/// instead of a GEMM pass plus a broadcast pass.
-///
-/// # Panics
-/// Panics on shape mismatch or `bias.len() != b.rows()`.
-pub fn gemm_nt_bias(alpha: f32, a: &Matrix, b: &Matrix, bias: &[f32], c: &mut Matrix) {
-    let (m, ka) = a.shape();
-    let (n, kb) = b.shape();
-    check("gemm_nt_bias", m, n, ka, kb, c);
-    assert_eq!(
-        bias.len(),
-        n,
-        "gemm_nt_bias: bias length {} != {n}",
-        bias.len()
-    );
-    kernel_nt_bias(
-        alpha,
-        a.as_slice(),
-        b.as_slice(),
-        bias,
-        n,
-        ka,
-        c.as_mut_slice(),
-    );
-}
-
-/// Parallel [`gemm_nt_bias`]: output rows split across rayon tasks.
-pub fn par_gemm_nt_bias(alpha: f32, a: &Matrix, b: &Matrix, bias: &[f32], c: &mut Matrix) {
-    let (m, ka) = a.shape();
-    let (n, kb) = b.shape();
-    check("par_gemm_nt_bias", m, n, ka, kb, c);
-    assert_eq!(
-        bias.len(),
-        n,
-        "par_gemm_nt_bias: bias length {} != {n}",
-        bias.len()
-    );
-    if m * n * ka < PAR_MIN_MADDS {
-        kernel_nt_bias(
-            alpha,
-            a.as_slice(),
-            b.as_slice(),
-            bias,
-            n,
-            ka,
-            c.as_mut_slice(),
-        );
-        return;
-    }
-    let (a_s, b_s) = (a.as_slice(), b.as_slice());
-    c.as_mut_slice()
-        .par_chunks_mut(PAR_ROW_BLOCK * n)
-        .enumerate()
-        .for_each(|(blk, c_rows)| {
-            let row0 = blk * PAR_ROW_BLOCK;
-            let rows = c_rows.len() / n;
-            kernel_nt_bias(
-                alpha,
-                &a_s[row0 * ka..(row0 + rows) * ka],
-                b_s,
-                bias,
-                n,
-                ka,
-                c_rows,
-            );
-        });
-}
-
-/// `C ← α·A·Bᵀ + β·C`, output rows split across rayon tasks.
-pub fn par_gemm_nt(alpha: f32, a: &Matrix, b: &Matrix, beta: f32, c: &mut Matrix) {
-    let (m, ka) = a.shape();
-    let (n, kb) = b.shape();
-    check("par_gemm_nt", m, n, ka, kb, c);
-    par_gemm_nt_slices(
-        alpha,
-        a.as_slice(),
-        b.as_slice(),
-        beta,
-        c.as_mut_slice(),
-        m,
-        ka,
-        n,
-    );
+    run_slices(Trans::Nt, false, alpha, a, b, beta, &[], c, (m, n, k));
 }
 
 /// Parallel [`gemm_nt_slices`]: same layout contract, rows split across
-/// rayon tasks (serial below [`PAR_MIN_MADDS`]).
+/// the rayon pool (serial below [`PAR_MIN_MADDS`]).
 #[allow(clippy::too_many_arguments)] // see gemm_nn_slices
 pub fn par_gemm_nt_slices(
     alpha: f32,
@@ -627,21 +493,59 @@ pub fn par_gemm_nt_slices(
     k: usize,
     n: usize,
 ) {
-    if m * n * k < PAR_MIN_MADDS {
-        gemm_nt_slices(alpha, a, b, beta, c, m, k, n);
-        return;
-    }
-    assert_eq!(a.len(), m * k, "par_gemm_nt_slices: A length");
-    assert_eq!(b.len(), n * k, "par_gemm_nt_slices: B length");
-    assert_eq!(c.len(), m * n, "par_gemm_nt_slices: C length");
-    c.par_chunks_mut(PAR_ROW_BLOCK * n)
-        .enumerate()
-        .for_each(|(blk, c_rows)| {
-            scale_c(beta, c_rows);
-            let row0 = blk * PAR_ROW_BLOCK;
-            let rows = c_rows.len() / n;
-            kernel_nt(alpha, &a[row0 * k..(row0 + rows) * k], b, n, k, c_rows);
-        });
+    run_slices(Trans::Nt, true, alpha, a, b, beta, &[], c, (m, n, k));
+}
+
+/// `C ← α·A·Bᵀ + bias` with the row-broadcast bias-add fused into the GEMM
+/// epilogue (β = 0 semantics: `C` is overwritten). One pass over `C`
+/// instead of a GEMM pass plus a broadcast pass.
+///
+/// # Panics
+/// Panics on shape mismatch or `bias.len() != b.rows()`.
+pub fn gemm_nt_bias(alpha: f32, a: &Matrix, b: &Matrix, bias: &[f32], c: &mut Matrix) {
+    run_matrices(
+        "gemm_nt_bias",
+        Trans::Nt,
+        false,
+        alpha,
+        a,
+        b,
+        0.0,
+        Some(bias),
+        c,
+    );
+}
+
+/// Parallel [`gemm_nt_bias`]: output rows split across the rayon pool.
+pub fn par_gemm_nt_bias(alpha: f32, a: &Matrix, b: &Matrix, bias: &[f32], c: &mut Matrix) {
+    run_matrices(
+        "par_gemm_nt_bias",
+        Trans::Nt,
+        true,
+        alpha,
+        a,
+        b,
+        0.0,
+        Some(bias),
+        c,
+    );
+}
+
+/// Slice-level [`par_gemm_nt_bias`]: `a` is `m×k`, `b` is `n×k`, `bias`
+/// has `n` entries, `c` is `m×n`, all row-major.
+#[allow(clippy::too_many_arguments)] // see gemm_nn_slices
+pub fn par_gemm_nt_bias_slices(
+    alpha: f32,
+    a: &[f32],
+    b: &[f32],
+    bias: &[f32],
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    assert_eq!(bias.len(), n, "par_gemm_nt_bias_slices: bias length");
+    run_slices(Trans::Nt, true, alpha, a, b, 0.0, bias, c, (m, n, k));
 }
 
 /// Reference implementation used by tests: naive triple loop, `C = α·op(A)·op(B) + β·C`.

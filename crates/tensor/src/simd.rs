@@ -19,17 +19,23 @@
 //! [`with_level`], a thread-scoped override (the global memo is shared
 //! state; a scoped override keeps concurrently-running tests independent).
 //!
-//! Register-tile shapes (chosen so accumulators + operands fit the 16
-//! ymm registers):
+//! Dense GEMM has exactly two AVX2 inner loops:
 //!
-//! - **NN** (`C += α·A·B`): 4×16 tiles — 4 broadcast lanes of `A` against a
-//!   16-column strip of `B` that [`crate::gemm`] has packed contiguously
-//!   (BLIS-style B-panel packing), 8 FMA accumulators.
-//! - **NT** (`C += α·A·Bᵀ`): 4×2 dot-product tiles — both operands stream
-//!   contiguous rows, 8 full-width partial-dot accumulators reduced
-//!   horizontally once per tile.
-//! - **TN** (`C += α·Aᵀ·B`): 2×16 tiles over an A panel that `gemm` packs
-//!   transposed, so the k-loop reads both operands contiguously.
+//! | loop | shape | registers | used for |
+//! |---|---|---|---|
+//! | `tile_6x16` | 6×16 tile of C over one packed `kc×6` A panel and one packed `kc×16` B panel | 12 accumulators + 2 B vectors + 1 broadcast of 16 ymm | every NN / TN / NT product that is not skinny |
+//! | `dot_block` | 4×2 (or 1×4) full-length row·row dots, tail by masked load | 8 (4) accumulators | NT with fewer than 18 rows or fewer than 8 output columns |
+//!
+//! The packed path is BLIS-shaped: B is packed `KC×NC` at a time into
+//! 16-column panels, A `MC×KC` at a time into 6-row panels, both
+//! zero-padded to whole panels, so the microkernel has no edge cases — row
+//! edges are not stored, column edges are masked stores. NN, TN and NT
+//! differ only in which of the four packers (`pack::<6|16>`, straight or
+//! 8×8-transposing) feeds each operand. β·C or the fused bias row is added
+//! when the first k-block is stored (β = 0 stores without reading C); later
+//! k-blocks accumulate. NN / TN with fewer than 4 output rows cannot repay
+//! any packing and run the portable kernels in [`crate::gemm`]. All three
+//! choices read the shape of the whole product only (`is_skinny`).
 //!
 //! Safety discipline: every `unsafe` block in this module carries a SAFETY
 //! comment, and every function that touches an intrinsic is annotated
@@ -163,51 +169,89 @@ macro_rules! avx2_entry {
     };
 }
 
+/// One GEMM operand as the packers read it. `x` is the operand's C-side
+/// index (a row of C for A, a column of C for B) and `p` the reduction
+/// index; element `(x, p)` lives at `data[x·ld + p]` when `k_contig`
+/// (row-major `A` of NN/NT, the `n×k` `B` of NT) and at `data[p·ld + x]`
+/// otherwise (the `k×m` `A` of TN, the `k×n` `B` of NN/TN).
+#[derive(Clone, Copy)]
+pub(crate) struct Operand<'a> {
+    pub(crate) data: &'a [f32],
+    pub(crate) ld: usize,
+    pub(crate) k_contig: bool,
+}
+
+/// Per-thread packed-panel storage for [`gemm_packed`]; grows to the
+/// blocking constants' working set on first use and is reused afterwards.
+pub(crate) struct PackBufs {
+    a: Vec<f32>,
+    b: Vec<f32>,
+}
+
+impl PackBufs {
+    pub(crate) const fn new() -> Self {
+        Self {
+            a: Vec::new(),
+            b: Vec::new(),
+        }
+    }
+}
+
+/// Rows of the register tile (and of a packed A panel). The `par_gemm_*`
+/// wrappers align their per-thread row ranges to it.
+pub(crate) const MR: usize = 6;
+
+/// NT keeps the dot-product body below three row tiles (measured crossover).
+const NT_DOT_MAX_ROWS: usize = 3 * MR;
+/// NN / TN run the portable row-axpy kernels below 4 rows (measured).
+const SCALAR_MAX_ROWS: usize = 4;
+
+/// Shapes the packed path does not take, decided from the whole product's
+/// shape alone. Packing costs `O(mk + kn)` against `O(mnk)` of compute, so it
+/// cannot pay for itself when C has very few rows: NT then keeps the
+/// dot-product body (also when the output is narrower than one vector and a
+/// 16-wide tile would be mostly padding), NN and TN fall back to the portable
+/// kernels. Crossover tables: DESIGN.md §4f.
+pub(crate) fn is_skinny(nt: bool, m: usize, n: usize) -> bool {
+    if nt {
+        m < NT_DOT_MAX_ROWS || n < 8
+    } else {
+        m < SCALAR_MAX_ROWS
+    }
+}
+
 avx2_entry!(
-    /// `C[rows×n] += α·A[rows×k]·B[n×k]ᵀ` (dot-product NT kernel).
-    gemm_nt(alpha: f32, a_rows: &[f32], b: &[f32], n: usize, k: usize, c_rows: &mut [f32])
+    /// `C[m×n] ← α·op(A)·op(B) + β·C`, or `+ bias` per row when `bias` is
+    /// non-empty (then β is ignored): the packed 6×16 path behind every
+    /// dense GEMM. `a`'s C-side index starts at `i0` (a row range of a
+    /// larger product); `c` holds exactly the `m` output rows.
+    gemm_packed(
+        alpha: f32,
+        a: Operand<'_>,
+        i0: usize,
+        b: Operand<'_>,
+        beta: f32,
+        bias: &[f32],
+        m: usize,
+        n: usize,
+        k: usize,
+        c: &mut [f32],
+        bufs: &mut PackBufs,
+    )
 );
 avx2_entry!(
-    /// `C[rows×n] = α·A[rows×k]·B[n×k]ᵀ + bias` (NT with the bias-add fused
-    /// into the store epilogue; overwrites `C`, i.e. β = 0 semantics).
-    gemm_nt_bias(
+    /// Skinny-shape NT: `C[rows×n] ← α·A[rows×k]·B[n×k]ᵀ + β·C` (or
+    /// `+ bias` when `bias` is non-empty) by row-against-row dot products,
+    /// no packing.
+    gemm_nt_dot(
         alpha: f32,
         a_rows: &[f32],
         b: &[f32],
+        beta: f32,
         bias: &[f32],
         n: usize,
         k: usize,
         c_rows: &mut [f32],
-    )
-);
-avx2_entry!(
-    /// `C[rows×n] += α·A[rows×k]·B[k×n]`, streaming B through the packed
-    /// panel buffer `pack` (filled via `pack_b_panel` in `crate::gemm`).
-    gemm_nn(
-        alpha: f32,
-        a_rows: &[f32],
-        b: &[f32],
-        n: usize,
-        k: usize,
-        c_rows: &mut [f32],
-        pack: &mut Vec<f32>,
-    )
-);
-avx2_entry!(
-    /// `C[i0..i1, :] += α·(A[k×m])ᵀ·B[k×n]` over the row range `[i0, i1)`;
-    /// `c_rows` covers exactly those rows. A panels are packed transposed
-    /// into `pack` so the k-loop is contiguous on both operands.
-    gemm_tn(
-        alpha: f32,
-        a: &[f32],
-        b: &[f32],
-        m: usize,
-        n: usize,
-        k: usize,
-        i0: usize,
-        i1: usize,
-        c_rows: &mut [f32],
-        pack: &mut Vec<f32>,
     )
 );
 avx2_entry!(
@@ -309,11 +353,21 @@ mod imp {
     #[cfg(target_arch = "x86_64")]
     use core::arch::x86_64::*;
 
-    use crate::gemm::{pack_a_panel, pack_b_panel, KB};
+    use super::{Operand, PackBufs, MR};
 
-    /// Row-chunk of packed A processed per TN panel (packed chunk =
-    /// `TN_MC·KB` floats ≈ 64 KiB, comfortably L2-resident).
-    const TN_MC: usize = 64;
+    /// Columns of the register tile: two ymm vectors.
+    const NR: usize = 16;
+    /// Reduction-block depth. One `KC×NR` B panel (24 KiB) plus two `KC×MR`
+    /// A panels (9 KiB each, the one in use and the one streaming in) fit a
+    /// 48 KiB L1d, and the benchmark networks' widest layer (k = 300) is a
+    /// single block, so C is stored once and never re-read.
+    const KC: usize = 384;
+    /// Rows of A packed per block: 16 panels, `MC·KC` floats = 144 KiB of L2.
+    const MC: usize = 96;
+    /// Columns of B packed per block: 32 panels — the paper's 512-wide
+    /// layers in one block; `KC·NC` floats = 768 KiB at most (the buffers
+    /// grow only to what a call needs: 230 KiB for 300×192).
+    const NC: usize = 512;
 
     // --- tiny helpers ------------------------------------------------------
 
@@ -336,6 +390,14 @@ mod imp {
         unsafe { _mm256_storeu_ps(s.as_mut_ptr().add(off), v) }
     }
 
+    /// Mask with the first `lanes` (saturating at 8) of 8 lanes enabled.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    fn lane_mask(lanes: usize) -> __m256i {
+        let idx = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+        _mm256_cmpgt_epi32(_mm256_set1_epi32(lanes.min(8) as i32), idx)
+    }
+
     /// Horizontal sum of all 8 lanes.
     #[inline]
     #[target_feature(enable = "avx2,fma")]
@@ -346,500 +408,386 @@ mod imp {
         _mm_cvtss_f32(s)
     }
 
-    /// Full-width dot product of `a[..k]·b[..k]` (vector body + scalar tail).
+    // --- skinny NT: row-against-row dot products, no packing ----------------
+
+    /// `R×C` block of full-length dot products `a[r]·b[c]`: `R·C` 8-lane
+    /// accumulators, the `k % 8` tail folded in by one masked load, one
+    /// horizontal reduction per output. Every output's value depends only
+    /// on its own two rows, never on `R`, `C` or its place in the block.
+    ///
+    /// (Index loops, not iterator adaptors: a closure handed to a generic
+    /// std function is compiled without this function's target features
+    /// and cannot be inlined back.)
     #[target_feature(enable = "avx2,fma")]
-    fn dot1(a: &[f32], b: &[f32], k: usize) -> f32 {
+    fn dot_block<const R: usize, const C: usize>(
+        a: [&[f32]; R],
+        b: [&[f32]; C],
+        k: usize,
+    ) -> [[f32; C]; R] {
+        for row in a.iter().chain(&b) {
+            assert_eq!(row.len(), k);
+        }
         let k8 = k & !7;
-        let mut s = _mm256_setzero_ps();
+        let mut acc = [[_mm256_setzero_ps(); C]; R];
+        let mut fma = |va: [__m256; R], vb: [__m256; C]| {
+            for r in 0..R {
+                for c in 0..C {
+                    acc[r][c] = _mm256_fmadd_ps(va[r], vb[c], acc[r][c]);
+                }
+            }
+        };
+        let (mut va, mut vb) = ([_mm256_setzero_ps(); R], [_mm256_setzero_ps(); C]);
         let mut p = 0;
         while p < k8 {
-            s = _mm256_fmadd_ps(load8(a, p), load8(b, p), s);
+            for r in 0..R {
+                va[r] = load8(a[r], p);
+            }
+            for c in 0..C {
+                vb[c] = load8(b[c], p);
+            }
+            fma(va, vb);
             p += 8;
         }
-        let mut d = hsum(s);
-        for p in k8..k {
-            d += a[p] * b[p];
+        if k8 < k {
+            let tail = lane_mask(k - k8);
+            // SAFETY: the mask enables exactly the `k - k8` lanes that lie
+            // inside the row (length `k`, asserted above); `maskload`
+            // neither reads nor faults on disabled lanes.
+            let ld = |row: &[f32]| unsafe { _mm256_maskload_ps(row.as_ptr().add(k8), tail) };
+            for r in 0..R {
+                va[r] = ld(a[r]);
+            }
+            for c in 0..C {
+                vb[c] = ld(b[c]);
+            }
+            fma(va, vb);
         }
-        d
+        let mut out = [[0.0; C]; R];
+        for r in 0..R {
+            for c in 0..C {
+                out[r][c] = hsum(acc[r][c]);
+            }
+        }
+        out
     }
 
-    // --- NT: C += alpha * A · Bᵀ  (dot-product kernel) ----------------------
-
-    /// Shared NT body; `BIAS` selects the fused bias-add epilogue
-    /// (`C = α·A·Bᵀ + bias`, overwriting) versus plain accumulation.
+    /// `R` rows of C against every row of `b`, `C` columns at a time.
     #[target_feature(enable = "avx2,fma")]
-    fn nt_body<const BIAS: bool>(
+    #[allow(clippy::too_many_arguments)]
+    fn nt_dot_rows<const R: usize, const C: usize>(
         alpha: f32,
-        a_rows: &[f32],
+        a: [&[f32]; R],
         b: &[f32],
+        beta: f32,
         bias: &[f32],
         n: usize,
         k: usize,
         c_rows: &mut [f32],
     ) {
-        if n == 0 || c_rows.is_empty() {
-            return;
+        let put = |c: &mut f32, j: usize, dot: f32| {
+            let v = alpha * dot;
+            *c = if !bias.is_empty() {
+                v + bias[j]
+            } else if beta == 0.0 {
+                v // never reads C: β = 0 overwrites NaN like BLAS
+            } else {
+                v + beta * *c
+            };
+        };
+        let mut j = 0;
+        while j + C <= n {
+            let mut b_rows = [&b[..0]; C];
+            for q in 0..C {
+                b_rows[q] = &b[(j + q) * k..][..k];
+            }
+            let d = dot_block(a, b_rows, k);
+            for r in 0..R {
+                for q in 0..C {
+                    put(&mut c_rows[r * n + j + q], j + q, d[r][q]);
+                }
+            }
+            j += C;
         }
-        let rows = c_rows.len() / n;
-        let k8 = k & !7;
-        let mut i = 0;
-        // 4×2 register tile: 8 partial-dot accumulators.
-        while i + 4 <= rows {
-            let a0 = &a_rows[i * k..(i + 1) * k];
-            let a1 = &a_rows[(i + 1) * k..(i + 2) * k];
-            let a2 = &a_rows[(i + 2) * k..(i + 3) * k];
-            let a3 = &a_rows[(i + 3) * k..(i + 4) * k];
-            let mut j = 0;
-            while j + 2 <= n {
-                let b0 = &b[j * k..(j + 1) * k];
-                let b1 = &b[(j + 1) * k..(j + 2) * k];
-                let mut s00 = _mm256_setzero_ps();
-                let mut s01 = _mm256_setzero_ps();
-                let mut s10 = _mm256_setzero_ps();
-                let mut s11 = _mm256_setzero_ps();
-                let mut s20 = _mm256_setzero_ps();
-                let mut s21 = _mm256_setzero_ps();
-                let mut s30 = _mm256_setzero_ps();
-                let mut s31 = _mm256_setzero_ps();
-                let mut p = 0;
-                while p < k8 {
-                    let vb0 = load8(b0, p);
-                    let vb1 = load8(b1, p);
-                    let va = load8(a0, p);
-                    s00 = _mm256_fmadd_ps(va, vb0, s00);
-                    s01 = _mm256_fmadd_ps(va, vb1, s01);
-                    let va = load8(a1, p);
-                    s10 = _mm256_fmadd_ps(va, vb0, s10);
-                    s11 = _mm256_fmadd_ps(va, vb1, s11);
-                    let va = load8(a2, p);
-                    s20 = _mm256_fmadd_ps(va, vb0, s20);
-                    s21 = _mm256_fmadd_ps(va, vb1, s21);
-                    let va = load8(a3, p);
-                    s30 = _mm256_fmadd_ps(va, vb0, s30);
-                    s31 = _mm256_fmadd_ps(va, vb1, s31);
-                    p += 8;
-                }
-                let mut d = [
-                    hsum(s00),
-                    hsum(s01),
-                    hsum(s10),
-                    hsum(s11),
-                    hsum(s20),
-                    hsum(s21),
-                    hsum(s30),
-                    hsum(s31),
-                ];
-                for p in k8..k {
-                    let (b0p, b1p) = (b0[p], b1[p]);
-                    d[0] += a0[p] * b0p;
-                    d[1] += a0[p] * b1p;
-                    d[2] += a1[p] * b0p;
-                    d[3] += a1[p] * b1p;
-                    d[4] += a2[p] * b0p;
-                    d[5] += a2[p] * b1p;
-                    d[6] += a3[p] * b0p;
-                    d[7] += a3[p] * b1p;
-                }
-                for (r, pair) in d.chunks_exact(2).enumerate() {
-                    let off = (i + r) * n + j;
-                    if BIAS {
-                        c_rows[off] = alpha * pair[0] + bias[j];
-                        c_rows[off + 1] = alpha * pair[1] + bias[j + 1];
-                    } else {
-                        c_rows[off] += alpha * pair[0];
-                        c_rows[off + 1] += alpha * pair[1];
-                    }
-                }
-                j += 2;
+        while j < n {
+            let d = dot_block(a, [&b[j * k..][..k]], k);
+            for r in 0..R {
+                put(&mut c_rows[r * n + j], j, d[r][0]);
             }
-            if j < n {
-                let bj = &b[j * k..(j + 1) * k];
-                for (r, ar) in [a0, a1, a2, a3].into_iter().enumerate() {
-                    let v = alpha * dot1(ar, bj, k);
-                    let off = (i + r) * n + j;
-                    if BIAS {
-                        c_rows[off] = v + bias[j];
-                    } else {
-                        c_rows[off] += v;
-                    }
-                }
-            }
-            i += 4;
-        }
-        // Row tail: plain vector dots.
-        while i < rows {
-            let ar = &a_rows[i * k..(i + 1) * k];
-            for j in 0..n {
-                let v = alpha * dot1(ar, &b[j * k..(j + 1) * k], k);
-                let off = i * n + j;
-                if BIAS {
-                    c_rows[off] = v + bias[j];
-                } else {
-                    c_rows[off] += v;
-                }
-            }
-            i += 1;
+            j += 1;
         }
     }
 
     #[target_feature(enable = "avx2,fma")]
-    pub(super) fn gemm_nt(
+    #[allow(clippy::too_many_arguments)]
+    pub(super) fn gemm_nt_dot(
         alpha: f32,
         a_rows: &[f32],
         b: &[f32],
-        n: usize,
-        k: usize,
-        c_rows: &mut [f32],
-    ) {
-        nt_body::<false>(alpha, a_rows, b, &[], n, k, c_rows)
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) fn gemm_nt_bias(
-        alpha: f32,
-        a_rows: &[f32],
-        b: &[f32],
+        beta: f32,
         bias: &[f32],
         n: usize,
         k: usize,
         c_rows: &mut [f32],
     ) {
-        nt_body::<true>(alpha, a_rows, b, bias, n, k, c_rows)
-    }
-
-    // --- NN: C += alpha * A · B over packed B panels ------------------------
-
-    /// 16-column panel pass: rows of C gain `α·A[:, kb..kb+kblen]·panel`.
-    /// `pack` holds the strip `B[kb.., jb..jb+16]` row-contiguously.
-    #[target_feature(enable = "avx2,fma")]
-    #[allow(clippy::too_many_arguments)]
-    fn nn_panel16(
-        alpha_v: __m256,
-        a_rows: &[f32],
-        k: usize,
-        kb: usize,
-        kblen: usize,
-        pack: &[f32],
-        n: usize,
-        jb: usize,
-        c_rows: &mut [f32],
-        rows: usize,
-    ) {
+        let row = |i: usize| &a_rows[i * k..][..k];
+        let mut c_iter = c_rows.chunks_exact_mut(4 * n);
         let mut i = 0;
-        while i + 4 <= rows {
-            let mut acc00 = _mm256_setzero_ps();
-            let mut acc01 = _mm256_setzero_ps();
-            let mut acc10 = _mm256_setzero_ps();
-            let mut acc11 = _mm256_setzero_ps();
-            let mut acc20 = _mm256_setzero_ps();
-            let mut acc21 = _mm256_setzero_ps();
-            let mut acc30 = _mm256_setzero_ps();
-            let mut acc31 = _mm256_setzero_ps();
-            for kk in 0..kblen {
-                let vb0 = load8(pack, kk * 16);
-                let vb1 = load8(pack, kk * 16 + 8);
-                let va = _mm256_set1_ps(a_rows[i * k + kb + kk]);
-                acc00 = _mm256_fmadd_ps(va, vb0, acc00);
-                acc01 = _mm256_fmadd_ps(va, vb1, acc01);
-                let va = _mm256_set1_ps(a_rows[(i + 1) * k + kb + kk]);
-                acc10 = _mm256_fmadd_ps(va, vb0, acc10);
-                acc11 = _mm256_fmadd_ps(va, vb1, acc11);
-                let va = _mm256_set1_ps(a_rows[(i + 2) * k + kb + kk]);
-                acc20 = _mm256_fmadd_ps(va, vb0, acc20);
-                acc21 = _mm256_fmadd_ps(va, vb1, acc21);
-                let va = _mm256_set1_ps(a_rows[(i + 3) * k + kb + kk]);
-                acc30 = _mm256_fmadd_ps(va, vb0, acc30);
-                acc31 = _mm256_fmadd_ps(va, vb1, acc31);
-            }
-            let accs = [
-                (acc00, acc01),
-                (acc10, acc11),
-                (acc20, acc21),
-                (acc30, acc31),
-            ];
-            for (r, (lo, hi)) in accs.into_iter().enumerate() {
-                let off = (i + r) * n + jb;
-                store8(
-                    c_rows,
-                    off,
-                    _mm256_fmadd_ps(lo, alpha_v, load8(c_rows, off)),
-                );
-                store8(
-                    c_rows,
-                    off + 8,
-                    _mm256_fmadd_ps(hi, alpha_v, load8(c_rows, off + 8)),
-                );
-            }
+        // 4×2 blocks (8 accumulators), then single rows 1×4.
+        for c4 in &mut c_iter {
+            let a4 = [row(i), row(i + 1), row(i + 2), row(i + 3)];
+            nt_dot_rows::<4, 2>(alpha, a4, b, beta, bias, n, k, c4);
             i += 4;
         }
-        while i < rows {
-            let mut lo = _mm256_setzero_ps();
-            let mut hi = _mm256_setzero_ps();
-            for kk in 0..kblen {
-                let va = _mm256_set1_ps(a_rows[i * k + kb + kk]);
-                lo = _mm256_fmadd_ps(va, load8(pack, kk * 16), lo);
-                hi = _mm256_fmadd_ps(va, load8(pack, kk * 16 + 8), hi);
-            }
-            let off = i * n + jb;
-            store8(
-                c_rows,
-                off,
-                _mm256_fmadd_ps(lo, alpha_v, load8(c_rows, off)),
-            );
-            store8(
-                c_rows,
-                off + 8,
-                _mm256_fmadd_ps(hi, alpha_v, load8(c_rows, off + 8)),
-            );
+        for c1 in c_iter.into_remainder().chunks_exact_mut(n) {
+            nt_dot_rows::<1, 4>(alpha, [row(i)], b, beta, bias, n, k, c1);
             i += 1;
         }
     }
 
-    /// 8-column variant of [`nn_panel16`].
+    // --- packed GEMM: four packers, one 6×16 microkernel --------------------
+
+    /// In-register transpose of an 8×8 block of floats.
+    #[inline]
     #[target_feature(enable = "avx2,fma")]
-    #[allow(clippy::too_many_arguments)]
-    fn nn_panel8(
-        alpha_v: __m256,
-        a_rows: &[f32],
-        k: usize,
-        kb: usize,
-        kblen: usize,
-        pack: &[f32],
-        n: usize,
-        jb: usize,
-        c_rows: &mut [f32],
-        rows: usize,
-    ) {
-        let mut i = 0;
-        while i + 4 <= rows {
-            let mut acc0 = _mm256_setzero_ps();
-            let mut acc1 = _mm256_setzero_ps();
-            let mut acc2 = _mm256_setzero_ps();
-            let mut acc3 = _mm256_setzero_ps();
-            for kk in 0..kblen {
-                let vb = load8(pack, kk * 8);
-                acc0 = _mm256_fmadd_ps(_mm256_set1_ps(a_rows[i * k + kb + kk]), vb, acc0);
-                acc1 = _mm256_fmadd_ps(_mm256_set1_ps(a_rows[(i + 1) * k + kb + kk]), vb, acc1);
-                acc2 = _mm256_fmadd_ps(_mm256_set1_ps(a_rows[(i + 2) * k + kb + kk]), vb, acc2);
-                acc3 = _mm256_fmadd_ps(_mm256_set1_ps(a_rows[(i + 3) * k + kb + kk]), vb, acc3);
-            }
-            for (r, acc) in [acc0, acc1, acc2, acc3].into_iter().enumerate() {
-                let off = (i + r) * n + jb;
-                store8(
-                    c_rows,
-                    off,
-                    _mm256_fmadd_ps(acc, alpha_v, load8(c_rows, off)),
-                );
-            }
-            i += 4;
-        }
-        while i < rows {
-            let mut acc = _mm256_setzero_ps();
-            for kk in 0..kblen {
-                let va = _mm256_set1_ps(a_rows[i * k + kb + kk]);
-                acc = _mm256_fmadd_ps(va, load8(pack, kk * 8), acc);
-            }
-            let off = i * n + jb;
-            store8(
-                c_rows,
-                off,
-                _mm256_fmadd_ps(acc, alpha_v, load8(c_rows, off)),
-            );
-            i += 1;
-        }
+    fn transpose8(v: [__m256; 8]) -> [__m256; 8] {
+        let t0 = _mm256_unpacklo_ps(v[0], v[1]);
+        let t1 = _mm256_unpackhi_ps(v[0], v[1]);
+        let t2 = _mm256_unpacklo_ps(v[2], v[3]);
+        let t3 = _mm256_unpackhi_ps(v[2], v[3]);
+        let t4 = _mm256_unpacklo_ps(v[4], v[5]);
+        let t5 = _mm256_unpackhi_ps(v[4], v[5]);
+        let t6 = _mm256_unpacklo_ps(v[6], v[7]);
+        let t7 = _mm256_unpackhi_ps(v[6], v[7]);
+        let u0 = _mm256_shuffle_ps::<0x44>(t0, t2);
+        let u1 = _mm256_shuffle_ps::<0xEE>(t0, t2);
+        let u2 = _mm256_shuffle_ps::<0x44>(t1, t3);
+        let u3 = _mm256_shuffle_ps::<0xEE>(t1, t3);
+        let u4 = _mm256_shuffle_ps::<0x44>(t4, t6);
+        let u5 = _mm256_shuffle_ps::<0xEE>(t4, t6);
+        let u6 = _mm256_shuffle_ps::<0x44>(t5, t7);
+        let u7 = _mm256_shuffle_ps::<0xEE>(t5, t7);
+        [
+            _mm256_permute2f128_ps::<0x20>(u0, u4),
+            _mm256_permute2f128_ps::<0x20>(u1, u5),
+            _mm256_permute2f128_ps::<0x20>(u2, u6),
+            _mm256_permute2f128_ps::<0x20>(u3, u7),
+            _mm256_permute2f128_ps::<0x31>(u0, u4),
+            _mm256_permute2f128_ps::<0x31>(u1, u5),
+            _mm256_permute2f128_ps::<0x31>(u2, u6),
+            _mm256_permute2f128_ps::<0x31>(u3, u7),
+        ]
     }
 
+    /// Pack the `xlen × kc` block of `op` starting at `(x0, p0)` into
+    /// `W`-wide panels: panel `q` holds `dst[q·kc·W + p·W + c] =
+    /// op(x0 + q·W + c, p0 + p)`, zero where `x` runs past the block, so
+    /// the microkernel never sees an edge. `W = MR` packs A, `W = NR` packs
+    /// B; `k_contig` picks the transposing or the straight copy — these four
+    /// instantiations are the only place NN, NT and TN differ.
     #[target_feature(enable = "avx2,fma")]
-    pub(super) fn gemm_nn(
-        alpha: f32,
-        a_rows: &[f32],
-        b: &[f32],
-        n: usize,
-        k: usize,
-        c_rows: &mut [f32],
-        pack: &mut Vec<f32>,
+    fn pack<const W: usize>(
+        op: Operand<'_>,
+        x0: usize,
+        xlen: usize,
+        p0: usize,
+        kc: usize,
+        dst: &mut Vec<f32>,
     ) {
-        if n == 0 || k == 0 || c_rows.is_empty() {
-            return;
+        let need = xlen.div_ceil(W) * W * kc;
+        if dst.len() < need {
+            dst.resize(need, 0.0);
         }
-        let rows = c_rows.len() / n;
-        let alpha_v = _mm256_set1_ps(alpha);
-        let n16 = n - n % 16;
-        let n8 = n - n % 8;
-        let mut jb = 0;
-        while jb < n16 {
-            for kb in (0..k).step_by(KB) {
-                let kblen = KB.min(k - kb);
-                pack_b_panel(b, n, kb, kblen, jb, 16, pack);
-                nn_panel16(alpha_v, a_rows, k, kb, kblen, pack, n, jb, c_rows, rows);
-            }
-            jb += 16;
-        }
-        if jb < n8 {
-            for kb in (0..k).step_by(KB) {
-                let kblen = KB.min(k - kb);
-                pack_b_panel(b, n, kb, kblen, jb, 8, pack);
-                nn_panel8(alpha_v, a_rows, k, kb, kblen, pack, n, jb, c_rows, rows);
-            }
-            jb += 8;
-        }
-        if jb < n {
-            // Sub-8-column remainder: plain scalar accumulation.
-            for i in 0..rows {
-                for kk in 0..k {
-                    let aik = alpha * a_rows[i * k + kk];
-                    let b_row = &b[kk * n..(kk + 1) * n];
-                    let c_row = &mut c_rows[i * n..(i + 1) * n];
-                    for j in jb..n {
-                        c_row[j] += aik * b_row[j];
+        for (q, panel) in dst[..need].chunks_exact_mut(kc * W).enumerate() {
+            let x = x0 + q * W;
+            let w = W.min(x0 + xlen - x);
+            if op.k_contig {
+                pack_transposed::<W>(op, x, w, p0, kc, panel);
+            } else {
+                for (p, out) in panel.chunks_exact_mut(W).enumerate() {
+                    let src = &op.data[(p0 + p) * op.ld + x..][..w];
+                    if w == W {
+                        out.copy_from_slice(src); // constant length: two moves
+                    } else {
+                        out[..w].copy_from_slice(src);
+                        out[w..].fill(0.0);
                     }
                 }
             }
         }
     }
 
-    // --- TN: C += alpha * Aᵀ · B over packed (transposed) A panels ----------
+    /// The transposing half of [`pack`]: rows `x..x+w` of a `k_contig`
+    /// operand (they run along p) become the columns of one `kc×W` panel,
+    /// 8 rows × 8 k-steps at a time through [`transpose8`]. Rows `w..W`
+    /// read as zero.
+    #[target_feature(enable = "avx2,fma")]
+    fn pack_transposed<const W: usize>(
+        op: Operand<'_>,
+        x: usize,
+        w: usize,
+        p0: usize,
+        kc: usize,
+        panel: &mut [f32],
+    ) {
+        for g in (0..W).step_by(8) {
+            let lanes_out = 8.min(W - g); // panel columns g..g+lanes_out
+            let keep = lane_mask(lanes_out);
+            let rows = w.saturating_sub(g).min(8);
+            let mut src = [&op.data[..0]; 8];
+            for (r, row) in src.iter_mut().enumerate().take(rows) {
+                *row = &op.data[(x + g + r) * op.ld + p0..][..kc];
+            }
+            let mut p = 0;
+            while p < kc {
+                let steps = 8.min(kc - p);
+                let take = lane_mask(steps);
+                let mut v = [_mm256_setzero_ps(); 8];
+                for r in 0..8 {
+                    if r < rows {
+                        // SAFETY: `src[r]` has length `kc` and the mask
+                        // enables `steps ≤ kc - p` lanes from offset `p`;
+                        // `maskload` does not touch disabled lanes.
+                        v[r] = unsafe { _mm256_maskload_ps(src[r].as_ptr().add(p), take) };
+                    }
+                }
+                let t = transpose8(v);
+                for i in 0..8 {
+                    if i < steps {
+                        let line = &mut panel[(p + i) * W + g..][..lanes_out];
+                        // SAFETY: `line` holds exactly the `lanes_out` lanes
+                        // the mask enables; disabled lanes are not written.
+                        unsafe { _mm256_maskstore_ps(line.as_mut_ptr(), keep, t[i]) };
+                    }
+                }
+                p += 8;
+            }
+        }
+    }
+
+    /// The one dense-GEMM inner loop: a 6×16 tile of `Σ_p A[i,p]·B[p,j]`
+    /// over one packed A panel and one packed B panel — 12 accumulators,
+    /// 2 B vectors and 1 broadcast fill 15 of the 16 ymm registers. Then
+    /// `C ← α·acc + β·add` on the tile's valid `mr×nr` corner; a null `add`
+    /// stores `α·acc` without reading anything.
+    ///
+    /// # Safety
+    /// `ap` / `bp` must be readable for `kc·MR` / `kc·NR` floats. `c` must
+    /// be writable for `nr` floats at each of `mr` rows `ldc` apart, and
+    /// `add`, when non-null, readable for `nr` floats at each of `mr` rows
+    /// `add_ld` apart (it may alias `c`). `mr ≤ MR` and `nr ≤ NR`.
+    #[target_feature(enable = "avx2,fma")]
+    #[allow(clippy::too_many_arguments)]
+    // SAFETY: contract above; the body reads `kc` whole lines of each panel
+    // and touches C / `add` only through masks enabling `nr` lanes of the
+    // first `mr` rows.
+    unsafe fn tile_6x16(
+        kc: usize,
+        mut ap: *const f32,
+        mut bp: *const f32,
+        alpha: f32,
+        beta: f32,
+        add: *const f32,
+        add_ld: usize,
+        c: *mut f32,
+        ldc: usize,
+        mr: usize,
+        nr: usize,
+    ) {
+        let mut acc = [[_mm256_setzero_ps(); 2]; MR];
+        for _ in 0..kc {
+            let b0 = _mm256_loadu_ps(bp);
+            let b1 = _mm256_loadu_ps(bp.add(8));
+            for (r, acc_r) in acc.iter_mut().enumerate() {
+                let a = _mm256_broadcast_ss(&*ap.add(r));
+                acc_r[0] = _mm256_fmadd_ps(a, b0, acc_r[0]);
+                acc_r[1] = _mm256_fmadd_ps(a, b1, acc_r[1]);
+            }
+            ap = ap.add(MR);
+            bp = bp.add(NR);
+        }
+        // Column edges are masked, not looped over; a disabled lane is
+        // neither read nor written, so the high half's address may lie past
+        // the row (hence `wrapping_add`).
+        let (lo, hi) = (lane_mask(nr), lane_mask(nr.saturating_sub(8)));
+        let (alpha, beta) = (_mm256_set1_ps(alpha), _mm256_set1_ps(beta));
+        for (r, acc_r) in acc.iter().enumerate() {
+            if r >= mr {
+                break;
+            }
+            let mut v0 = _mm256_mul_ps(acc_r[0], alpha);
+            let mut v1 = _mm256_mul_ps(acc_r[1], alpha);
+            if !add.is_null() {
+                let src = add.wrapping_add(r * add_ld);
+                v0 = _mm256_fmadd_ps(_mm256_maskload_ps(src, lo), beta, v0);
+                v1 = _mm256_fmadd_ps(_mm256_maskload_ps(src.wrapping_add(8), hi), beta, v1);
+            }
+            let dst = c.wrapping_add(r * ldc);
+            _mm256_maskstore_ps(dst, lo, v0);
+            _mm256_maskstore_ps(dst.wrapping_add(8), hi, v1);
+        }
+    }
 
     #[target_feature(enable = "avx2,fma")]
     #[allow(clippy::too_many_arguments)]
-    pub(super) fn gemm_tn(
+    pub(super) fn gemm_packed(
         alpha: f32,
-        a: &[f32],
-        b: &[f32],
+        a: Operand<'_>,
+        i0: usize,
+        b: Operand<'_>,
+        beta: f32,
+        bias: &[f32],
         m: usize,
         n: usize,
         k: usize,
-        i0: usize,
-        i1: usize,
-        c_rows: &mut [f32],
-        pack: &mut Vec<f32>,
+        c: &mut [f32],
+        bufs: &mut PackBufs,
     ) {
-        if n == 0 || i1 <= i0 {
-            return;
-        }
-        let alpha_v = _mm256_set1_ps(alpha);
-        for kb in (0..k).step_by(KB) {
-            let kblen = KB.min(k - kb);
-            for ic in (i0..i1).step_by(TN_MC) {
-                let ilen = TN_MC.min(i1 - ic);
-                pack_a_panel(a, m, kb, kblen, ic, ilen, pack);
-                tn_chunk(alpha_v, pack, kblen, ilen, b, n, kb, ic - i0, c_rows);
-            }
-        }
-    }
-
-    /// One packed-A chunk: `C[c_row0.., :] += α·packᵀ-rows·B[kb.., :]`.
-    /// `pa` is `ilen×kblen` (row `i` of the chunk holds its k-slice
-    /// contiguously).
-    #[target_feature(enable = "avx2,fma")]
-    #[allow(clippy::too_many_arguments)]
-    fn tn_chunk(
-        alpha_v: __m256,
-        pa: &[f32],
-        kblen: usize,
-        ilen: usize,
-        b: &[f32],
-        n: usize,
-        kb: usize,
-        c_row0: usize,
-        c_rows: &mut [f32],
-    ) {
-        let n16 = n - n % 16;
-        let n8 = n - n % 8;
-        let mut j = 0;
-        while j < n16 {
-            let mut i = 0;
-            while i + 2 <= ilen {
-                let a0 = &pa[i * kblen..(i + 1) * kblen];
-                let a1 = &pa[(i + 1) * kblen..(i + 2) * kblen];
-                let mut acc00 = _mm256_setzero_ps();
-                let mut acc01 = _mm256_setzero_ps();
-                let mut acc10 = _mm256_setzero_ps();
-                let mut acc11 = _mm256_setzero_ps();
-                for (kk, (&a0k, &a1k)) in a0.iter().zip(a1).enumerate() {
-                    let off = (kb + kk) * n + j;
-                    let vb0 = load8(b, off);
-                    let vb1 = load8(b, off + 8);
-                    let va0 = _mm256_set1_ps(a0k);
-                    let va1 = _mm256_set1_ps(a1k);
-                    acc00 = _mm256_fmadd_ps(va0, vb0, acc00);
-                    acc01 = _mm256_fmadd_ps(va0, vb1, acc01);
-                    acc10 = _mm256_fmadd_ps(va1, vb0, acc10);
-                    acc11 = _mm256_fmadd_ps(va1, vb1, acc11);
-                }
-                let o0 = (c_row0 + i) * n + j;
-                let o1 = o0 + n;
-                store8(
-                    c_rows,
-                    o0,
-                    _mm256_fmadd_ps(acc00, alpha_v, load8(c_rows, o0)),
-                );
-                store8(
-                    c_rows,
-                    o0 + 8,
-                    _mm256_fmadd_ps(acc01, alpha_v, load8(c_rows, o0 + 8)),
-                );
-                store8(
-                    c_rows,
-                    o1,
-                    _mm256_fmadd_ps(acc10, alpha_v, load8(c_rows, o1)),
-                );
-                store8(
-                    c_rows,
-                    o1 + 8,
-                    _mm256_fmadd_ps(acc11, alpha_v, load8(c_rows, o1 + 8)),
-                );
-                i += 2;
-            }
-            if i < ilen {
-                let a0 = &pa[i * kblen..(i + 1) * kblen];
-                let mut lo = _mm256_setzero_ps();
-                let mut hi = _mm256_setzero_ps();
-                for (kk, &a0k) in a0.iter().enumerate() {
-                    let off = (kb + kk) * n + j;
-                    let va = _mm256_set1_ps(a0k);
-                    lo = _mm256_fmadd_ps(va, load8(b, off), lo);
-                    hi = _mm256_fmadd_ps(va, load8(b, off + 8), hi);
-                }
-                let o0 = (c_row0 + i) * n + j;
-                store8(c_rows, o0, _mm256_fmadd_ps(lo, alpha_v, load8(c_rows, o0)));
-                store8(
-                    c_rows,
-                    o0 + 8,
-                    _mm256_fmadd_ps(hi, alpha_v, load8(c_rows, o0 + 8)),
-                );
-            }
-            j += 16;
-        }
-        if j < n8 {
-            for i in 0..ilen {
-                let a0 = &pa[i * kblen..(i + 1) * kblen];
-                let mut acc = _mm256_setzero_ps();
-                for (kk, &a0k) in a0.iter().enumerate() {
-                    acc = _mm256_fmadd_ps(_mm256_set1_ps(a0k), load8(b, (kb + kk) * n + j), acc);
-                }
-                let off = (c_row0 + i) * n + j;
-                store8(
-                    c_rows,
-                    off,
-                    _mm256_fmadd_ps(acc, alpha_v, load8(c_rows, off)),
-                );
-            }
-            j += 8;
-        }
-        if j < n {
-            // Sub-8-column remainder: scalar accumulation.
-            for i in 0..ilen {
-                let a0 = &pa[i * kblen..(i + 1) * kblen];
-                let c_row = &mut c_rows[(c_row0 + i) * n..(c_row0 + i + 1) * n];
-                for jc in j..n {
-                    let mut s = 0.0f32;
-                    for (kk, &a0k) in a0.iter().enumerate() {
-                        s += a0k * b[(kb + kk) * n + jc];
+        assert_eq!(c.len(), m * n, "gemm_packed: C length");
+        assert!(
+            bias.is_empty() || bias.len() == n,
+            "gemm_packed: bias length"
+        );
+        for jc in (0..n).step_by(NC) {
+            let nc = NC.min(n - jc);
+            for pc in (0..k).step_by(KC) {
+                let kc = KC.min(k - pc);
+                pack::<NR>(b, jc, nc, pc, kc, &mut bufs.b);
+                for ic in (0..m).step_by(MC) {
+                    let mc = MC.min(m - ic);
+                    pack::<MR>(a, i0 + ic, mc, pc, kc, &mut bufs.a);
+                    for jr in (0..nc).step_by(NR) {
+                        let nr = NR.min(nc - jr);
+                        let bp = bufs.b[jr * kc..][..kc * NR].as_ptr();
+                        for ir in (0..mc).step_by(MR) {
+                            let mr = MR.min(mc - ir);
+                            let ap = bufs.a[ir * kc..][..kc * MR].as_ptr();
+                            let (row, col) = (ic + ir, jc + jr);
+                            let tile = &mut c[row * n + col..(row + mr - 1) * n + col + nr];
+                            let cp = tile.as_mut_ptr();
+                            // First k-block: β·C, the bias row, or nothing;
+                            // later blocks accumulate onto what it stored.
+                            let (add, add_ld, beta) = if pc > 0 {
+                                (cp.cast_const(), n, 1.0)
+                            } else if !bias.is_empty() {
+                                (bias[col..col + nr].as_ptr(), 0, 1.0)
+                            } else if beta != 0.0 {
+                                (cp.cast_const(), n, beta)
+                            } else {
+                                (std::ptr::null(), 0, 0.0)
+                            };
+                            // SAFETY: `ap` / `bp` were just sliced to one
+                            // whole `kc·MR` / `kc·NR` panel; `tile` spans
+                            // rows `row..row+mr` × columns `col..col+nr` of
+                            // C (bounds-checked above), which is what the
+                            // kernel writes and, through `add = cp`, reads;
+                            // the bias slice holds `nr` floats and is re-read
+                            // for every row (`add_ld = 0`); `mr ≤ MR` and
+                            // `nr ≤ NR` by the `min`s.
+                            unsafe {
+                                tile_6x16(kc, ap, bp, alpha, beta, add, add_ld, cp, n, mr, nr);
+                            }
+                        }
                     }
-                    // alpha is the same value broadcast in `alpha_v`.
-                    let alpha = _mm_cvtss_f32(_mm256_castps256_ps128(alpha_v));
-                    c_row[jc] += alpha * s;
                 }
             }
         }
