@@ -28,8 +28,8 @@ use std::sync::Arc;
 
 use hetero_bench::Harness;
 use hetero_core::{
-    AlgorithmKind, FaultPlan, SimEngine, SimEngineConfig, ThreadedEngine, ThreadedEngineConfig,
-    TrainResult,
+    AlgorithmKind, FaultPlan, RunCtx, SimEngine, SimEngineConfig, ThreadedEngine,
+    ThreadedEngineConfig, TrainResult,
 };
 use hetero_data::PaperDataset;
 use hetero_flight::{FlightConfig, FlightRecorder};
@@ -199,7 +199,14 @@ fn main() {
         // Traced so the row carries its critical-path phase profile; the
         // virtual clock makes the sim profile exact and noise-free.
         let sink = TraceSink::virtual_time(1 << 16);
-        let r = engine.run_observed(&dataset, &sink, &hub);
+        let r = engine.run_with(
+            &dataset,
+            &RunCtx {
+                sink: sink.clone(),
+                hub: hub.clone(),
+                ..RunCtx::default()
+            },
+        );
         let profile = analyze(&sink.drain()).critical_path.profile;
         eprintln!(
             "  sim/{}: {:.0} updates ({:.0}/s), loss {:.4}",
@@ -251,7 +258,14 @@ fn main() {
         // Traced for the phase profile; the lineage events cost < 2% (the
         // `trace_event_cost_pct` budget below), well inside run-to-run noise.
         let sink = TraceSink::wall(1 << 16);
-        let r = engine.run_observed(Arc::new(dataset.clone()), &sink, &hub);
+        let r = engine.run_with(
+            Arc::new(dataset.clone()),
+            &RunCtx {
+                sink: sink.clone(),
+                hub: hub.clone(),
+                ..RunCtx::default()
+            },
+        );
         let trace = sink.drain();
         trace_events = trace_events.max(trace.events_sorted().len() as u64);
         let profile = analyze(&trace).critical_path.profile;
@@ -297,11 +311,13 @@ fn main() {
         .expect("valid threaded config");
         let hub = MetricsHub::new();
         let flight = FlightRecorder::new(FlightConfig::default());
-        let r = engine.run_flight(
+        let r = engine.run_with(
             Arc::new(dataset.clone()),
-            &TraceSink::disabled(),
-            &hub,
-            &flight,
+            &RunCtx {
+                hub: hub.clone(),
+                flight: flight.clone(),
+                ..RunCtx::default()
+            },
         );
         let ups = r.total_updates() / r.duration.max(1e-9);
         let plain_ups = threaded_results
@@ -476,7 +492,13 @@ fn main() {
         })
         .expect("valid sparse-leg config");
         let hub = MetricsHub::new();
-        let r = engine.run_observed(Arc::clone(&sparse_data), &TraceSink::disabled(), &hub);
+        let r = engine.run_with(
+            Arc::clone(&sparse_data),
+            &RunCtx {
+                hub: hub.clone(),
+                ..RunCtx::default()
+            },
+        );
         eprintln!(
             "  {engine_name}/{}: {:.0} updates ({:.0}/s), loss {:.4}, β̂ = {:?}",
             r.algorithm,

@@ -8,19 +8,11 @@
 //! is process-wide: mixing a counting allocator into the unit-test binary
 //! would perturb every other test's numbers.
 
-use hetero_bench::alloc_count::CountingAlloc;
+use hetero_bench::alloc_count::{allocs_in, CountingAlloc};
 use hetero_metrics::{HubSnapshot, LogHistogram, Metric, MetricsHub};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
-
-/// Allocations observed while running `f` after one warmup call.
-fn allocs_in(mut f: impl FnMut()) -> u64 {
-    f(); // warm: lazy statics, first-touch paths
-    let before = ALLOC.allocations();
-    f();
-    ALLOC.allocations() - before
-}
 
 #[test]
 fn histogram_record_path_is_allocation_free() {
@@ -86,4 +78,36 @@ fn snapshot_queries_do_not_allocate_per_quantile() {
         std::hint::black_box(merged.count_le(500_000));
     });
     assert_eq!(n, 0, "snapshot quantile queries allocated {n} times");
+}
+
+/// The tally has teeth, and only the measuring thread can move it — the
+/// flake this replaced was another test's allocations landing in a
+/// measured region.
+#[test]
+fn tally_counts_the_measuring_thread_only() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    let n = allocs_in(|| drop(std::hint::black_box(Vec::<u8>::with_capacity(64))));
+    assert!(n >= 1, "an allocation on this thread went uncounted");
+    // SeqCst on both flags: plain start/stop signals, no data published.
+    let (noisy, stop) = (AtomicBool::new(false), AtomicBool::new(false));
+    let quiet = std::thread::scope(|s| {
+        s.spawn(|| {
+            while !stop.load(Ordering::SeqCst) {
+                drop(std::hint::black_box(vec![0u8; 64]));
+                noisy.store(true, Ordering::SeqCst);
+            }
+        });
+        while !noisy.load(Ordering::SeqCst) {
+            std::hint::spin_loop();
+        }
+        // The neighbour is allocating for the whole measured region.
+        let quiet = allocs_in(|| {
+            for _ in 0..10_000 {
+                std::hint::black_box(noisy.load(Ordering::SeqCst));
+            }
+        });
+        stop.store(true, Ordering::SeqCst);
+        quiet
+    });
+    assert_eq!(quiet, 0, "a neighbour thread's allocations were counted");
 }

@@ -8,21 +8,13 @@
 //! is process-wide: mixing a counting allocator into the unit-test binary
 //! would perturb every other test's numbers.
 
-use hetero_bench::alloc_count::CountingAlloc;
+use hetero_bench::alloc_count::{allocs_in, CountingAlloc};
 use hetero_data::PaperDataset;
 use hetero_nn::{InitScheme, MergeScan, MlpSpec, Model, SharedModel, Workspace};
 use hetero_tensor::{CsrBatch, CsrMatrix};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
-
-/// Allocations observed while running `f` after one warmup call.
-fn allocs_in(mut f: impl FnMut()) -> u64 {
-    f(); // warm: sparse scratch, CSR capacity, first-touch paths
-    let before = ALLOC.allocations();
-    f();
-    ALLOC.allocations() - before
-}
 
 fn sparse_fixture() -> (hetero_data::DenseDataset, CsrMatrix, MlpSpec) {
     let data = PaperDataset::RealSim.generate(0.01, 42);

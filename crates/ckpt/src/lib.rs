@@ -340,14 +340,16 @@ struct CheckpointerInner {
     write_errors: u64,
 }
 
-/// Cadenced checkpoint writer for the engines' `run_ckpt` entry points.
+/// Cadenced checkpoint writer, handed to an engine as `RunCtx::ckpt`.
 ///
 /// Disabled-by-default like every observability hook in this workspace: a
 /// [`Checkpointer::disabled`] instance answers `false`/`None` everywhere
 /// and the engine's checkpoint branches never execute, so the run is
-/// bit-identical to one without checkpointing. Internally a mutex-wrapped
-/// inner — engines call it from a single coordinator thread, so the lock
-/// is never contended.
+/// bit-identical to one without checkpointing. Cheap to clone (an `Arc` —
+/// or nothing at all when disabled), so a caller can keep a handle to ask
+/// for [`Checkpointer::latest_path`] after the run. Internally a
+/// mutex-wrapped inner — engines call it from a single coordinator
+/// thread, so the lock is never contended.
 pub struct Checkpointer {
     inner: Option<Arc<Mutex<CheckpointerInner>>>,
 }

@@ -12,15 +12,12 @@ use std::sync::Arc;
 
 use hetero_ckpt::{Checkpointer, CkptConfig, CkptStore};
 use hetero_core::{
-    AlgorithmKind, FaultPlan, SimEngine, SimEngineConfig, ThreadedEngine, ThreadedEngineConfig,
-    TrainConfig,
+    AlgorithmKind, FaultPlan, RunCtx, SimEngine, SimEngineConfig, ThreadedEngine,
+    ThreadedEngineConfig, TrainConfig,
 };
 use hetero_data::{DenseDataset, SynthConfig};
-use hetero_flight::FlightRecorder;
-use hetero_metrics::MetricsHub;
 use hetero_nn::MlpSpec;
 use hetero_sim::{CpuModel, GpuModel};
-use hetero_trace::TraceSink;
 use proptest::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -95,13 +92,7 @@ proptest! {
             resume: false,
         })
         .unwrap();
-        let checked = SimEngine::new(cfg.clone()).unwrap().run_ckpt(
-            &data,
-            &TraceSink::disabled(),
-            &MetricsHub::disabled(),
-            &FlightRecorder::disabled(),
-            &writer,
-        );
+        let checked = SimEngine::new(cfg.clone()).unwrap().run_with(&data, &RunCtx { ckpt: writer.clone(), ..RunCtx::default() });
         // Checkpointing observes; it never perturbs the schedule.
         prop_assert_eq!(&baseline.loss_curve, &checked.loss_curve);
         prop_assert!(writer.latest_path().is_some(), "no checkpoint published");
@@ -113,13 +104,7 @@ proptest! {
             resume: true,
         })
         .unwrap();
-        let resumed = SimEngine::new(cfg).unwrap().run_ckpt(
-            &data,
-            &TraceSink::disabled(),
-            &MetricsHub::disabled(),
-            &FlightRecorder::disabled(),
-            &reader,
-        );
+        let resumed = SimEngine::new(cfg).unwrap().run_with(&data, &RunCtx { ckpt: reader.clone(), ..RunCtx::default() });
         prop_assert_eq!(&baseline.loss_curve, &resumed.loss_curve);
         prop_assert_eq!(baseline.epochs, resumed.epochs);
         for (a, b) in baseline.workers.iter().zip(&resumed.workers) {
@@ -232,12 +217,12 @@ fn faultplan_killed_threaded_run_resumes_to_target_loss() {
         resume: false,
     })
     .unwrap();
-    let killed = ThreadedEngine::new(killed_cfg).unwrap().run_ckpt(
+    let killed = ThreadedEngine::new(killed_cfg).unwrap().run_with(
         Arc::clone(&data),
-        &TraceSink::disabled(),
-        &MetricsHub::disabled(),
-        &FlightRecorder::disabled(),
-        &writer,
+        &RunCtx {
+            ckpt: writer.clone(),
+            ..RunCtx::default()
+        },
     );
     assert_eq!(
         killed.aborted.as_deref(),
@@ -262,12 +247,12 @@ fn faultplan_killed_threaded_run_resumes_to_target_loss() {
         resume: true,
     })
     .unwrap();
-    let resumed = ThreadedEngine::new(cfg).unwrap().run_ckpt(
+    let resumed = ThreadedEngine::new(cfg).unwrap().run_with(
         Arc::clone(&data),
-        &TraceSink::disabled(),
-        &MetricsHub::disabled(),
-        &FlightRecorder::disabled(),
-        &reader,
+        &RunCtx {
+            ckpt: reader.clone(),
+            ..RunCtx::default()
+        },
     );
     assert!(resumed.aborted.is_none(), "{:?}", resumed.aborted);
     // The resumed curve keeps the killed run's prefix and extends it.

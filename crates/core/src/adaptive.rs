@@ -1,5 +1,5 @@
 //! The Adaptive Hogbatch batch-size controller — Algorithm 2's
-//! `ScheduleWork` message handler, extracted so both engines share it and
+//! `ScheduleWork` message handler, extracted so every engine shares it and
 //! it can be unit-tested in isolation.
 //!
 //! On every work request from worker `E` the coordinator compares `E`'s

@@ -185,7 +185,7 @@ impl AdaptiveParams {
     }
 }
 
-/// Full training configuration shared by both engines.
+/// Full training configuration shared by the engines.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TrainConfig {
     /// Which algorithm to run.
@@ -251,10 +251,10 @@ pub struct TrainConfig {
     /// Max examples used per loss evaluation (subsampled for speed).
     pub eval_subsample: usize,
     /// Seconds between crash-consistency checkpoints when a checkpointer
-    /// is attached via the engines' `run_ckpt` entry points (virtual
-    /// seconds in the simulation/PS engines, wall seconds in the threaded
-    /// engine). `None` disables periodic checkpointing even when a
-    /// checkpoint directory is configured.
+    /// is attached as `RunCtx::ckpt` (virtual seconds in the simulation/PS
+    /// engines, wall seconds in the threaded engine). `None` disables
+    /// periodic checkpointing even when a checkpoint directory is
+    /// configured.
     pub ckpt_interval: Option<f64>,
     /// How many checkpoint generations to keep on disk. Older generations
     /// are pruned after each successful write; at least one previous

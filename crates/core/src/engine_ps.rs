@@ -22,17 +22,17 @@
 //! `CpuGpuHogbatch`/`AdaptiveHogbatch` reproduces the paper's argument for
 //! the centralized design.
 
-use hetero_ckpt::Checkpointer;
 use hetero_data::{BatchScheduler, DenseDataset, Labels};
-use hetero_flight::{FlightRecorder, Provenance, Watchdog, WatchdogState};
-use hetero_metrics::MetricsHub;
+use hetero_flight::Watchdog;
 use hetero_nn::{scan_model, MergeScan, Model, Workspace};
 use hetero_sim::{CpuModel, DeviceModel, EventQueue, GpuModel};
 use hetero_tensor::{CsrBatch, CsrMatrix, Matrix};
-use hetero_trace::{BatchPhases, EventKind, TimeDomain, COORDINATOR};
+use hetero_trace::{BatchPhases, EventKind, TimeDomain};
 use serde::{Deserialize, Serialize};
 
+use crate::adaptive::WorkerBatchState;
 use crate::config::TrainConfig;
+use crate::coordinator::{observe_scan, Coordinator, CoreCkpt, RunCtx, Setup};
 use crate::metrics::{LossPoint, TrainResult, WorkerKind, WorkerStats};
 
 /// Network model between workers and the parameter server.
@@ -114,10 +114,12 @@ pub struct PsEngine {
     cfg: PsEngineConfig,
 }
 
+/// One gradient in flight between a worker and the server. Serializable
+/// as is: a checkpoint freezes it with its model snapshot at its arrival
+/// time.
+#[derive(Clone, Serialize, Deserialize)]
 struct Pending {
     /// Lineage id stamped on this batch's dispatch/start/complete events.
-    /// Not checkpointed — a resumed run issues fresh ids for its restored
-    /// in-flight gradients, so a trace never sees a reused id.
     id: u64,
     worker: usize,
     snapshot: Model,
@@ -127,43 +129,22 @@ struct Pending {
     phases: BatchPhases,
 }
 
-/// One in-flight gradient at its arrival time, as frozen in a checkpoint.
+/// Full state of a [`PsEngine`] run at one virtual instant: the common
+/// envelope plus the shard cursors, the eval cadence and the gradients in
+/// flight (with arrival times, in pop order). The engine is serial on a
+/// deterministic clock, so — like the simulation engine — a restored run
+/// continues bit-identically; the lr compensation is computed from the
+/// per-worker update counts the envelope restores exactly.
 #[derive(Serialize, Deserialize)]
-struct PsPendingCkpt {
-    at: f64,
-    worker: usize,
-    snapshot: Model,
-    range: (usize, usize),
-}
-
-/// Per-worker counters a resumed run continues from (the lr compensation
-/// is computed from `updates`, so restoring them exactly preserves the
-/// learning-rate trajectory).
-#[derive(Serialize, Deserialize)]
-struct PsWorkerCkpt {
-    updates: f64,
-    batches: u64,
-    examples: u64,
-}
-
-/// Full state of a [`PsEngine`] run at one virtual instant. The engine is
-/// serial on a deterministic clock, so — like the simulation engine — a
-/// restored run continues bit-identically.
-#[derive(Serialize, Deserialize)]
-struct PsCkptState {
-    schema: String,
-    t: f64,
-    model: Model,
+struct PsCkpt {
+    core: CoreCkpt,
     shard_schedulers: Vec<BatchScheduler>,
-    curve: Vec<LossPoint>,
     last_eval: f64,
-    workers: Vec<PsWorkerCkpt>,
-    pending: Vec<PsPendingCkpt>,
-    watchdog: WatchdogState,
+    pending: Vec<(f64, Pending)>,
 }
 
 /// Schema tag rejecting checkpoints from other engines or layouts.
-const PS_CKPT_SCHEMA: &str = "hetero-ps-ckpt/v1";
+const PS_CKPT_SCHEMA: &str = "hetero-ps-ckpt/v2";
 
 impl PsEngine {
     /// Build the engine.
@@ -179,43 +160,18 @@ impl PsEngine {
         Ok(PsEngine { cfg })
     }
 
-    /// Train on `dataset`; shards are contiguous equal splits.
+    /// [`PsEngine::run_with`] a default [`RunCtx`].
     pub fn run(&self, dataset: &DenseDataset) -> TrainResult {
-        self.run_flight(dataset, &FlightRecorder::disabled())
+        self.run_with(dataset, &RunCtx::default())
     }
 
-    /// [`PsEngine::run`] with a black-box flight recorder attached.
-    ///
-    /// The recorder's watchdog scans every server-applied gradient for
-    /// per-layer norms and NaN/±Inf and watches the loss curve at every
-    /// eval. This engine has no adaptive controller, so a
-    /// [`hetero_flight::HealthAction::Clamp`] has nothing to clamp — the
-    /// request is recorded in the health summary and otherwise ignored; an
-    /// abort stops the run with a postmortem bundle. A disabled recorder
-    /// reduces this to exactly [`PsEngine::run`].
-    pub fn run_flight(&self, dataset: &DenseDataset, flight: &FlightRecorder) -> TrainResult {
-        self.run_ckpt(dataset, flight, &Checkpointer::disabled())
-    }
-
-    /// [`PsEngine::run_flight`] with crash-consistent checkpointing.
-    ///
-    /// Between virtual events the coordinator state plus the queue's
-    /// pending set is the complete run state; when a checkpoint is due the
-    /// engine freezes both through `hetero-ckpt`'s atomic-publish path. The
-    /// engine is serial on a deterministic clock, so a checkpointer with
-    /// `resume: true` continues the loss curve **bit-identically** — the
-    /// same property the simulation engine has. A disabled checkpointer
-    /// reduces this to exactly [`PsEngine::run_flight`].
-    pub fn run_ckpt(
-        &self,
-        dataset: &DenseDataset,
-        flight: &FlightRecorder,
-        ckpt: &Checkpointer,
-    ) -> TrainResult {
-        let watchdog = flight.watchdog();
-        // This engine takes no caller sink; the recorder's bounded ring
-        // retains the eval/health event window for postmortems.
-        let sink = flight.make_sink(TimeDomain::Virtual);
+    /// Train on `dataset` (shards are contiguous equal splits) for
+    /// `time_budget` virtual seconds, observed and checkpointed as `ctx`
+    /// says (see [`RunCtx`]; its sink should be in the virtual domain).
+    /// Batch sizes are static here, so a health-policy clamp has nothing
+    /// to shrink — it is recorded in the health summary and the run goes
+    /// on; an abort stops it with a postmortem bundle.
+    pub fn run_with(&self, dataset: &DenseDataset, ctx: &RunCtx) -> TrainResult {
         let cfg = &self.cfg;
         let spec = &cfg.spec;
         assert_eq!(dataset.features(), spec.input_dim, "feature width");
@@ -230,31 +186,38 @@ impl PsEngine {
         let n = dataset.len();
         // Static shard boundaries.
         let shard = |i: usize| -> (usize, usize) { (i * n / w, (i + 1) * n / w) };
+        let shard_len = |i: usize| (shard(i).1 - shard(i).0).max(1);
         let mut shard_schedulers: Vec<BatchScheduler> = (0..w)
-            .map(|i| {
-                let (s, e) = shard(i);
-                BatchScheduler::new((e - s).max(1), cfg.train.max_epochs)
-            })
+            .map(|i| BatchScheduler::new(shard_len(i), cfg.train.max_epochs))
             .collect();
+        let mut co = Coordinator::new(
+            Setup {
+                engine: "ps",
+                domain: TimeDomain::Virtual,
+                algorithm: "Parameter Server",
+                train: &cfg.train,
+                dataset,
+                layers: spec.num_layers(),
+                // Static per-worker batches — repartitioning is "not
+                // viable" — so every state is pinned.
+                workers: devices
+                    .iter()
+                    .enumerate()
+                    .map(|(i, d)| {
+                        let b = cfg.batch.min(shard_len(i));
+                        (d.kind(), WorkerBatchState::new(b, b, b))
+                    })
+                    .collect(),
+            },
+            ctx,
+        );
+        let sink = co.sink.clone();
 
         let mut model = Model::new(spec.clone(), cfg.train.init, cfg.train.seed);
-        watchdog.ensure_layers(model.layers().len());
-        if flight.enabled() {
-            flight.set_provenance(Provenance {
-                engine: "ps".into(),
-                algorithm: "Parameter Server".into(),
-                dataset: dataset.name.clone(),
-                workers: w,
-                config_json: serde_json::to_string(&cfg.train).unwrap_or_default(),
-                git_sha: hetero_flight::read_git_sha(),
-                simd_level: format!("{:?}", hetero_tensor::simd::active_level()),
-            });
-        }
         let mut health_scan = MergeScan::for_model(&model);
-        let mut stats: Vec<WorkerStats> =
-            devices.iter().map(|d| WorkerStats::new(d.kind())).collect();
         let mut queue: EventQueue<Pending> = EventQueue::new();
-        let mut curve: Vec<LossPoint> = Vec::new();
+        // A reused sink may still hold a previous run's clock.
+        sink.set_virtual_now(queue.now());
         let fpe = spec.train_flops_per_example();
         let grad_bytes = spec.param_bytes();
         let budget = cfg.train.time_budget;
@@ -268,84 +231,79 @@ impl PsEngine {
             .expect("ps gemm pool");
         // The eval batch is the same fixed prefix every time — extract once.
         let (eval_x, eval_labels) = dataset.batch(0, eval_n);
-        let eval = |model: &Model, t: f64, epochs: f64, curve: &mut Vec<LossPoint>| -> f32 {
+        let eval = |model: &Model, t: f64, schedulers: &[BatchScheduler]| -> LossPoint {
             let pass = pool.install(|| hetero_nn::forward(model, &eval_x, true));
-            let loss = hetero_nn::loss(pass.probs(), eval_labels.as_targets(), spec.loss);
-            curve.push(LossPoint {
+            let served: f64 = schedulers.iter().map(|s| s.examples_served() as f64).sum();
+            LossPoint {
                 time: t,
-                epochs,
-                loss,
+                epochs: served / n as f64,
+                loss: hetero_nn::loss(pass.probs(), eval_labels.as_targets(), spec.loss),
                 accuracy: hetero_nn::accuracy(pass.probs(), eval_labels.as_targets()),
-            });
-            if sink.enabled() {
-                sink.emit_at(t, COORDINATOR, EventKind::EvalPoint { loss: loss as f64 });
             }
-            loss
         };
         let mut last_eval = 0.0f64;
-        // Batch lineage ids, monotone from 1 (restored in-flight gradients
-        // take fresh ids too — see `Pending::id`).
-        let mut next_batch_id: u64 = 1;
-        // Modeled phase breakdown for a worker's round trip: the pull and
-        // push legs are transfer, the gradient is compute. Mirrors the
-        // `cost` formula in `assign` below.
-        let phases_for = |worker: usize, len: usize| -> BatchPhases {
-            BatchPhases {
-                transfer_secs: 2.0 * cfg.network.transfer_time(grad_bytes),
-                compute_secs: devices[worker].batch_time(fpe, len),
-                ..BatchPhases::default()
+
+        // Each assignment: the worker pulls the model (network cost),
+        // computes, and pushes its gradient back.
+        let assign = |co: &mut Coordinator<'_>,
+                      worker: usize,
+                      model: &Model,
+                      queue: &mut EventQueue<Pending>,
+                      schedulers: &mut [BatchScheduler]| {
+            if queue.now() >= budget {
+                return;
             }
+            let Some((id, local)) = co.next_dispatch(worker, &mut schedulers[worker]) else {
+                return;
+            };
+            let (s0, _) = shard(worker);
+            let len = local.len();
+            let transfer = cfg.network.transfer_time(grad_bytes);
+            let compute = devices[worker].batch_time(fpe, len);
+            let cost = transfer + compute + transfer;
+            let start = queue.now();
+            // The worker begins its pull the moment the server assigns
+            // the shard batch, so dispatch and start coincide.
+            co.sink.emit(worker as u32, EventKind::BatchStarted { id });
+            let level = devices[worker].busy_utilization(len);
+            co.busy(worker, start, start + cost, level);
+            queue.schedule_after(
+                cost,
+                Pending {
+                    id,
+                    worker,
+                    snapshot: model.clone(),
+                    range: (s0 + local.start, s0 + local.end),
+                    // The pull and push legs are transfer, the gradient is
+                    // compute — the same terms as `cost`.
+                    phases: BatchPhases {
+                        transfer_secs: 2.0 * transfer,
+                        compute_secs: compute,
+                        ..BatchPhases::default()
+                    },
+                },
+            );
         };
 
         // --- Resume from the newest valid checkpoint ----------------------------
-        // Replaces the freshly initialized state wholesale. The worker-count
-        // guard rejects a checkpoint from a differently shaped run (the
-        // schema tag already rejects other engines' checkpoints).
-        let resume: Option<PsCkptState> = ckpt
-            .resume_state::<PsCkptState>()
-            .filter(|s| s.schema == PS_CKPT_SCHEMA && s.workers.len() == w);
-        let resumed = resume.is_some();
-        if let Some(s) = resume {
-            model = s.model;
+        // Replaces the freshly initialized state wholesale.
+        if let Some(s) = co.load(PS_CKPT_SCHEMA, |s: &PsCkpt| &s.core) {
+            model = co.restore(s.core);
             shard_schedulers = s.shard_schedulers;
-            curve = s.curve;
             last_eval = s.last_eval;
-            for (stat, wc) in stats.iter_mut().zip(&s.workers) {
-                stat.updates = wc.updates;
-                stat.batches = wc.batches;
-                stat.examples = wc.examples;
-            }
-            watchdog.restore_state(&s.watchdog);
             // Re-schedule the in-flight gradients in pop order: fresh
             // monotone sequence numbers preserve the original tie-breaking,
             // so the continuation is bit-identical to the uninterrupted run.
-            for p in s.pending {
-                let id = next_batch_id;
-                next_batch_id += 1;
-                let len = p.range.1 - p.range.0;
-                if sink.enabled() {
-                    // Restored in-flight batches re-enter the trace at the
-                    // resume instant under their fresh ids.
-                    sink.emit_at(s.t, COORDINATOR, EventKind::BatchDispatched { id, batch: len });
-                    sink.emit_at(s.t, p.worker as u32, EventKind::BatchStarted { id });
-                }
-                queue.schedule_at(
-                    p.at,
-                    Pending {
-                        id,
-                        worker: p.worker,
-                        snapshot: p.snapshot,
-                        range: p.range,
-                        phases: phases_for(p.worker, len),
-                    },
-                );
+            for (at, p) in s.pending {
+                queue.schedule_at(at, p);
             }
-            ckpt.resume_mark(s.t);
-            sink.counter("ckpt.resumes").add(1);
         } else {
-            // The initial loss seeds the watchdog's divergence/stall baseline.
-            let l0 = eval(&model, 0.0, 0.0, &mut curve);
-            watchdog.observe_eval(l0 as f64);
+            co.initial_point(eval(&model, 0.0, &shard_schedulers), None);
+            // Kick off every worker. (A resumed run's workers are already
+            // in flight: their gradients came back with the checkpoint.)
+            for i in 0..w {
+                assign(&mut co, i, &model, &mut queue, &mut shard_schedulers);
+            }
         }
 
         // Reused per-completion buffers: the server processes one gradient
@@ -359,137 +317,32 @@ impl PsEngine {
         // (O(batch × features) regardless of density).
         let csr_data: Option<CsrMatrix> = self.cfg.train.sparse_input.then(|| dataset.to_csr());
 
-        // Kick off: each worker pulls the model (network cost) and starts.
-        let assign = |worker: usize,
-                      model: &Model,
-                      queue: &mut EventQueue<Pending>,
-                      schedulers: &mut [BatchScheduler],
-                      stats: &mut [WorkerStats],
-                      next_batch_id: &mut u64| {
-            if queue.now() >= budget {
-                return;
-            }
-            let Some(local) = schedulers[worker].next_batch(cfg.batch) else {
-                return;
-            };
-            if local.is_empty() {
-                return;
-            }
-            let (s0, _) = shard(worker);
-            let range = (s0 + local.start, s0 + local.end);
-            let len = range.1 - range.0;
-            // Pull model + compute + push gradient.
-            let cost = cfg.network.transfer_time(grad_bytes)
-                + devices[worker].batch_time(fpe, len)
-                + cfg.network.transfer_time(grad_bytes);
-            let start = queue.now();
-            let id = *next_batch_id;
-            *next_batch_id += 1;
-            if sink.enabled() {
-                // The worker begins its pull the moment the server assigns
-                // the shard batch, so dispatch and start coincide.
-                sink.emit_at(start, COORDINATOR, EventKind::BatchDispatched { id, batch: len });
-                sink.emit_at(start, worker as u32, EventKind::BatchStarted { id });
-            }
-            stats[worker].timeline.record(
-                start,
-                start + cost,
-                devices[worker].busy_utilization(len),
-            );
-            queue.schedule_after(
-                cost,
-                Pending {
-                    id,
-                    worker,
-                    snapshot: model.clone(),
-                    range,
-                    phases: phases_for(worker, len),
-                },
-            );
-        };
-        // A resumed run's workers are already in flight (their completion
-        // events came back with the checkpoint): kickoff is fresh starts only.
-        if !resumed {
-            for i in 0..w {
-                assign(
-                    i,
-                    &model,
-                    &mut queue,
-                    &mut shard_schedulers,
-                    &mut stats,
-                    &mut next_batch_id,
-                );
-            }
-        }
-
-        let total_served = |ss: &[BatchScheduler]| -> f64 {
-            ss.iter().map(|s| s.examples_served() as f64).sum::<f64>() / n as f64
-        };
-
-        // Checkpoint observability (no-ops when the recorder is disabled;
-        // this engine has no MetricsHub, so the write-latency distribution
-        // lives in the threaded/sim engines only).
-        let g_ckpt_gen = sink.gauge("ckpt.generation");
-        let g_ckpt_bytes = sink.gauge("ckpt.bytes");
-        let g_ckpt_age = sink.gauge("ckpt.age_secs");
-
         loop {
             // Periodic crash-consistency checkpoint, captured *between*
             // events — the only instants at which the queue's pending set
-            // plus the server state is the complete run state. The capture
-            // reads everything and mutates nothing, so the schedule and the
-            // math are untouched whether or not a checkpoint is written.
-            if ckpt.due(queue.now()) {
-                let state = PsCkptState {
-                    schema: PS_CKPT_SCHEMA.to_string(),
-                    t: queue.now(),
-                    model: model.clone(),
+            // plus the server state is the complete run state.
+            let now = queue.now();
+            if ctx.ckpt.due(now) {
+                let state = PsCkpt {
+                    core: co.capture(PS_CKPT_SCHEMA, now, &model),
                     shard_schedulers: shard_schedulers.clone(),
-                    curve: curve.clone(),
                     last_eval,
-                    workers: stats
-                        .iter()
-                        .map(|s| PsWorkerCkpt {
-                            updates: s.updates,
-                            batches: s.batches,
-                            examples: s.examples,
-                        })
-                        .collect(),
                     pending: queue
                         .pending_in_order()
                         .into_iter()
-                        .map(|(at, p)| PsPendingCkpt {
-                            at,
-                            worker: p.worker,
-                            snapshot: p.snapshot.clone(),
-                            range: p.range,
-                        })
+                        .map(|(at, p)| (at, p.clone()))
                         .collect(),
-                    watchdog: watchdog.export_state(),
                 };
-                if let Some(report) = ckpt.save(state.t, &state) {
-                    g_ckpt_gen.set(report.generation as f64);
-                    g_ckpt_bytes.set(report.bytes as f64);
-                    flight.set_resumable_from(report.path.display().to_string());
-                }
+                co.save(now, &state);
             }
             let Some((t, p)) = queue.pop() else { break };
             if t > budget {
                 break;
             }
-            // Health abort raised by a previous gradient scan or eval
+            sink.set_virtual_now(t);
+            // A health abort raised by a previous gradient scan or eval
             // observation stops the run here.
-            if let Some(reason) = watchdog.tripped() {
-                if sink.enabled() {
-                    sink.emit_at(
-                        t,
-                        COORDINATOR,
-                        EventKind::HealthEvent {
-                            action: "abort".to_string(),
-                            detail: reason,
-                        },
-                    );
-                }
+            if co.poll_health() {
                 break;
             }
             // Gradient on the stale snapshot; server applies it with the
@@ -504,86 +357,29 @@ impl PsEngine {
                 &mut batch_labels,
                 &mut ws,
                 &mut health_scan,
-                &watchdog,
-                &mut stats,
+                &co.watchdog,
+                &mut co.stats,
                 &mut model,
             );
-            if sink.enabled() {
-                sink.emit_at(
-                    t,
-                    p.worker as u32,
-                    EventKind::BatchCompleted {
-                        id: p.id,
-                        batch: p.range.1 - p.range.0,
-                        updates: 1,
-                        phases: p.phases,
-                    },
-                );
-            }
-
+            sink.emit(
+                p.worker as u32,
+                EventKind::BatchCompleted {
+                    id: p.id,
+                    batch: p.range.1 - p.range.0,
+                    updates: 1,
+                    phases: p.phases,
+                },
+            );
             if t - last_eval >= cfg.train.eval_interval {
                 last_eval = t;
-                if ckpt.enabled() {
-                    g_ckpt_age.set(t - ckpt.last_saved_at().unwrap_or(0.0));
-                }
-                let loss = eval(&model, t, total_served(&shard_schedulers), &mut curve);
-                // No adaptive controller here: a Clamp action has nothing
-                // to act on, so the request is drained and only recorded.
-                watchdog.observe_eval(loss as f64);
-                let _ = watchdog.take_clamp_request();
-                if flight.enabled() {
-                    flight.record_snapshot(hetero_flight::HealthSnapshot {
-                        t,
-                        loss: loss as f64,
-                        epochs: total_served(&shard_schedulers),
-                        batches: vec![cfg.batch; w],
-                        beta: None,
-                        staleness_p50: None,
-                        staleness_p99: None,
-                        grad_peak_norm: watchdog.summary().peak_grad_norm,
-                    });
-                }
+                co.eval_point(eval(&model, t, &shard_schedulers), None);
             }
-            assign(
-                p.worker,
-                &model,
-                &mut queue,
-                &mut shard_schedulers,
-                &mut stats,
-                &mut next_batch_id,
-            );
+            co.completed(p.worker);
+            assign(&mut co, p.worker, &model, &mut queue, &mut shard_schedulers);
         }
-        eval(&model, budget, total_served(&shard_schedulers), &mut curve);
-
-        for (i, s) in stats.iter_mut().enumerate() {
-            s.final_batch = cfg.batch.min(shard(i).1 - shard(i).0);
-        }
-        for s in &mut stats {
-            s.summarize_timeline();
-        }
-        let aborted = watchdog.tripped().map(|r| format!("health watchdog: {r}"));
-        let mut health = watchdog.enabled().then(|| watchdog.summary());
-        if flight.enabled() && aborted.is_some() {
-            let reason = aborted.clone().unwrap_or_default();
-            let path = flight.dump(&reason, sink.capture(), &MetricsHub::disabled());
-            if let (Some(h), Some(p)) = (health.as_mut(), path) {
-                h.postmortem = Some(p);
-            }
-        }
-        TrainResult {
-            algorithm: "Parameter Server".into(),
-            dataset: dataset.name.clone(),
-            loss_curve: curve,
-            workers: stats,
-            duration: budget,
-            epochs: total_served(&shard_schedulers),
-            trace_path: None,
-            requeued_batches: 0,
-            aborted,
-            measured_beta: None,
-            staleness: None,
-            health,
-        }
+        sink.set_virtual_now(budget);
+        let last = eval(&model, budget, &shard_schedulers);
+        co.finish(last, None, budget)
     }
 
     /// Server-side handling of one arrived gradient: rebuild the batch into
@@ -635,15 +431,7 @@ impl PsEngine {
         if watchdog.enabled() {
             health_scan.reset();
             scan_model(ws.grad(), health_scan);
-            for (l, ls) in health_scan.layers().iter().enumerate() {
-                watchdog.observe_layer(
-                    p.worker as u32,
-                    l,
-                    stats[p.worker].batches,
-                    ls.sumsq,
-                    ls.nonfinite,
-                );
-            }
+            observe_scan(watchdog, p.worker, stats[p.worker].batches, health_scan);
         }
         let mean_updates = (stats.iter().map(|s| s.updates).sum::<f64>() / w as f64).max(1.0);
         let own = stats[p.worker].updates.max(1.0);
@@ -669,6 +457,7 @@ mod tests {
     use super::*;
     use crate::config::AlgorithmKind;
     use crate::engine_sim::{SimEngine, SimEngineConfig};
+    use hetero_ckpt::Checkpointer;
     use hetero_data::SynthConfig;
     use hetero_nn::MlpSpec;
 
@@ -852,10 +641,12 @@ mod tests {
             resume: false,
         })
         .unwrap();
-        let checked = PsEngine::new(cfg.clone()).unwrap().run_ckpt(
+        let checked = PsEngine::new(cfg.clone()).unwrap().run_with(
             &data,
-            &FlightRecorder::disabled(),
-            &writer,
+            &RunCtx {
+                ckpt: writer.clone(),
+                ..RunCtx::default()
+            },
         );
         assert_eq!(baseline.loss_curve, checked.loss_curve);
         assert!(writer.latest_path().is_some(), "no checkpoint written");
@@ -869,10 +660,13 @@ mod tests {
             resume: true,
         })
         .unwrap();
-        let resumed =
-            PsEngine::new(cfg)
-                .unwrap()
-                .run_ckpt(&data, &FlightRecorder::disabled(), &reader);
+        let resumed = PsEngine::new(cfg).unwrap().run_with(
+            &data,
+            &RunCtx {
+                ckpt: reader.clone(),
+                ..RunCtx::default()
+            },
+        );
         assert_eq!(baseline.loss_curve, resumed.loss_curve);
         assert_eq!(baseline.epochs, resumed.epochs);
         for (a, b) in baseline.workers.iter().zip(&resumed.workers) {
@@ -880,6 +674,63 @@ mod tests {
             assert_eq!(a.examples, b.examples);
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn caller_sink_sees_every_batch_lifecycle_and_does_not_move_the_run() {
+        use std::collections::{HashMap, HashSet};
+        let data = dataset();
+        let cfg = ps_config(0.05, 1.0);
+        let plain = PsEngine::new(cfg.clone()).unwrap().run(&data);
+        let ctx = RunCtx {
+            sink: hetero_trace::TraceSink::virtual_time(hetero_trace::DEFAULT_RING_CAPACITY),
+            ..RunCtx::default()
+        };
+        let traced = PsEngine::new(cfg.clone()).unwrap().run_with(&data, &ctx);
+        // Tracing never feeds back into the schedule or the math.
+        assert_eq!(plain.loss_curve, traced.loss_curve);
+
+        let trace = ctx.sink.drain();
+        assert_eq!(trace.domain, TimeDomain::Virtual);
+        assert_eq!(trace.total_dropped(), 0, "ring too small for the run");
+        // id → (target worker, started, completed).
+        let mut batches: HashMap<u64, (u32, bool, bool)> = HashMap::new();
+        let mut evals = 0;
+        for e in trace.events_sorted() {
+            assert!(e.t >= 0.0 && e.t <= cfg.train.time_budget + 1e-9, "{e:?}");
+            match e.kind {
+                EventKind::BatchDispatched { id, batch } => {
+                    assert!(id > 0 && batch > 0);
+                    let fresh = batches.insert(id, (e.worker, false, false)).is_none();
+                    assert!(fresh, "duplicate batch id {id}");
+                }
+                EventKind::BatchStarted { id } => {
+                    let b = batches.get_mut(&id).expect("start without dispatch");
+                    assert_eq!(b.0, e.worker, "batch {id} started on another worker");
+                    b.1 = true;
+                }
+                EventKind::BatchCompleted { id, updates, .. } => {
+                    let b = batches.get_mut(&id).expect("completion without dispatch");
+                    assert!(b.1 && !b.2, "batch {id} completed unstarted or twice");
+                    assert_eq!((b.0, updates), (e.worker, 1));
+                    b.2 = true;
+                }
+                EventKind::EvalPoint { .. } => evals += 1,
+                EventKind::BatchRequeued { .. } | EventKind::WorkerFault { .. } => {
+                    panic!("fault-free run traced {:?}", e.kind)
+                }
+                _ => {}
+            }
+        }
+        assert_eq!(evals, traced.loss_curve.len());
+        // Every batch starts the moment it is dispatched; all but the ones
+        // still in flight at the budget complete, on both workers.
+        assert!(batches.values().all(|b| b.1));
+        let done: Vec<u32> = batches.values().filter(|b| b.2).map(|b| b.0).collect();
+        let total: u64 = traced.workers.iter().map(|w| w.batches).sum();
+        assert_eq!(done.len() as u64, total);
+        assert!(batches.len() - done.len() <= traced.workers.len());
+        assert_eq!(done.iter().collect::<HashSet<_>>().len(), 2);
     }
 
     #[test]

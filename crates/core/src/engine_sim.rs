@@ -20,25 +20,26 @@
 //!    applied to the live model, update counts are credited, and the worker
 //!    immediately requests more work.
 
-use hetero_ckpt::Checkpointer;
 use hetero_data::batch::BatchRange;
 use hetero_data::{BatchScheduler, DenseDataset, Labels};
-use hetero_flight::{
-    FlightRecorder, HealthAction, HealthSnapshot, Provenance, Watchdog, WatchdogState,
-};
-use hetero_metrics::{HistHandle, Metric, MetricsHub, GLOBAL_WORKER};
+use hetero_flight::Watchdog;
+use hetero_metrics::{HistHandle, Metric, MetricsHub};
 use hetero_nn::{scan_model, Gradient, MergeScan, MlpSpec, Model, Workspace};
 use hetero_sim::{CpuModel, DeviceModel, EventQueue, GpuModel, UtilizationTimeline};
 use hetero_tensor::{CsrBatch, CsrMatrix, Matrix};
-use hetero_trace::{BatchPhases, CounterHandle, EventKind, TraceSink, COORDINATOR};
+use hetero_trace::{BatchPhases, EventKind, TimeDomain, TraceSink};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use crate::adaptive::{AdaptiveController, WorkerBatchState};
 use crate::config::{AlgorithmKind, TrainConfig};
+use crate::coordinator::{
+    cpu_batch_state, gpu_batch_state, observe_scan, record_busy, Coordinator, CoreCkpt, RunCtx,
+    Setup,
+};
 use crate::eval::{eval_subset, gather_rows};
-use crate::fault::FaultPlan;
-use crate::metrics::{LossPoint, TimelineSummary, TrainResult, WorkerKind, WorkerStats};
+use crate::fault::{FaultPlan, WorkerError};
+use crate::metrics::{LossPoint, TrainResult, WorkerKind, WorkerStats};
 
 /// Hardware and comparator parameters for a simulated run.
 #[derive(Debug, Clone)]
@@ -171,6 +172,11 @@ impl SimObs {
     }
 }
 
+/// A pending event of the simulation. Serializable as is: an in-flight
+/// completion carries its full model snapshot into a checkpoint, because
+/// the gradient a resumed run computes for it must come from the exact
+/// weights the original schedule assigned, or bit-identity is lost.
+#[derive(Clone, Serialize, Deserialize)]
 enum Ev {
     Complete {
         /// Lineage id stamped on the batch's dispatch/start/complete events.
@@ -188,118 +194,31 @@ enum Ev {
     Eval,
 }
 
-/// Serializable mirror of [`Ev`] for checkpoints. In-flight completion
-/// events carry their full model snapshot: the gradient a resumed run
-/// computes for them must come from the exact same weights the original
-/// schedule assigned, or bit-identity is lost.
+/// Everything a [`SimEngine`] run is, frozen at one virtual instant: the
+/// common envelope (model, controller, loss curve, per-worker counters,
+/// watchdog tallies) plus this engine's tail — the batch-schedule cursor,
+/// the SVRG anchor pair, eval cadence state, and every in-flight event.
+/// Restoring this state and re-running the event loop continues the
+/// original run bit-identically — the property `crates/ckpt/tests` locks
+/// in.
 #[derive(Serialize, Deserialize)]
-enum EvState {
-    /// Mirror of [`Ev::Complete`].
-    Complete {
-        id: u64,
-        worker: usize,
-        range: BatchRange,
-        snapshot: Model,
-        updates_at_snapshot: u64,
-        phases: BatchPhases,
-    },
-    /// Mirror of [`Ev::Eval`].
-    Eval,
-}
-
-impl EvState {
-    fn capture(ev: &Ev) -> Self {
-        match ev {
-            Ev::Complete {
-                id,
-                worker,
-                range,
-                snapshot,
-                updates_at_snapshot,
-                phases,
-            } => EvState::Complete {
-                id: *id,
-                worker: *worker,
-                range: *range,
-                snapshot: snapshot.clone(),
-                updates_at_snapshot: *updates_at_snapshot,
-                phases: *phases,
-            },
-            Ev::Eval => EvState::Eval,
-        }
-    }
-
-    fn restore(self) -> Ev {
-        match self {
-            EvState::Complete {
-                id,
-                worker,
-                range,
-                snapshot,
-                updates_at_snapshot,
-                phases,
-            } => Ev::Complete {
-                id,
-                worker,
-                range,
-                snapshot,
-                updates_at_snapshot,
-                phases,
-            },
-            EvState::Eval => Ev::Eval,
-        }
-    }
-}
-
-/// One pending event at its scheduled virtual time. Stored in pop order;
-/// re-scheduling in this order reproduces the queue's tie-breaking exactly
-/// (see [`EventQueue::pending_in_order`]).
-#[derive(Serialize, Deserialize)]
-struct PendingEv {
-    at: f64,
-    ev: EvState,
-}
-
-/// Per-worker counters a resumed run must continue from (the watchdog's
-/// per-layer step numbers and the fault plan's `death_after`/`poison_at`
-/// sites key off `batches`).
-#[derive(Serialize, Deserialize)]
-struct SimWorkerCkpt {
-    updates: f64,
-    batches: u64,
-    examples: u64,
-    retired: Option<String>,
-}
-
-/// Everything a [`SimEngine`] run is, frozen at one virtual instant.
-///
-/// Deliberately exhaustive: model weights, the adaptive controller, the
-/// batch-schedule cursor, the SVRG anchor pair, the loss curve so far,
-/// eval cadence state, per-worker counters, watchdog tallies, and every
-/// in-flight event (with its model snapshot). Restoring this state and
-/// re-running the event loop continues the original run bit-identically —
-/// the property `crates/ckpt/tests` locks in.
-#[derive(Serialize, Deserialize)]
-struct SimCkptState {
-    schema: String,
-    t: f64,
-    model: Model,
-    controller: AdaptiveController,
+struct SimCkpt {
+    core: CoreCkpt,
     scheduler: BatchScheduler,
     global_updates: u64,
     anchor: Option<(Model, Model)>,
-    curve: Vec<LossPoint>,
     last_epoch_evaled: usize,
     last_eval_time: f64,
-    workers: Vec<SimWorkerCkpt>,
-    pending: Vec<PendingEv>,
-    watchdog: WatchdogState,
+    /// Pending events with their scheduled virtual times, in pop order:
+    /// re-scheduling in this order reproduces the queue's tie-breaking
+    /// exactly (see [`EventQueue::pending_in_order`]).
+    pending: Vec<(f64, Ev)>,
 }
 
 /// Schema tag sanity-checked at restore so a checkpoint from a different
-/// engine (or a future incompatible layout) is rejected instead of
+/// engine (or an older, incompatible layout) is rejected instead of
 /// half-applied.
-const SIM_CKPT_SCHEMA: &str = "hetero-sim-ckpt/v1";
+const SIM_CKPT_SCHEMA: &str = "hetero-sim-ckpt/v2";
 
 /// The discrete-event engine.
 pub struct SimEngine {
@@ -317,92 +236,31 @@ impl SimEngine {
         Ok(SimEngine { cfg })
     }
 
-    /// Train on `dataset`, returning the full metrics record.
+    /// [`SimEngine::run_with`] a default [`RunCtx`] (kept: the frozen
+    /// `benchmark/` calls it).
     pub fn run(&self, dataset: &DenseDataset) -> TrainResult {
-        self.run_traced(dataset, &TraceSink::disabled())
+        self.run_with(dataset, &RunCtx::default())
     }
 
-    /// [`SimEngine::run`] with structured tracing attached.
-    ///
-    /// Events are stamped with **virtual** simulation seconds: the engine
-    /// publishes its clock to the sink at every event-loop step, and
-    /// dispatch events carry their exact schedule time. The sink should be
-    /// in the virtual domain ([`TraceSink::virtual_time`]); with a disabled
-    /// sink this is exactly [`SimEngine::run`] — determinism is untouched
-    /// because tracing never feeds back into the schedule.
+    /// [`SimEngine::run_with`] only [`RunCtx::sink`] set (kept: the frozen
+    /// `benchmark/` calls it).
     pub fn run_traced(&self, dataset: &DenseDataset, sink: &TraceSink) -> TrainResult {
-        self.run_observed(dataset, sink, &MetricsHub::disabled())
+        let sink = sink.clone();
+        self.run_with(
+            dataset,
+            &RunCtx {
+                sink,
+                ..RunCtx::default()
+            },
+        )
     }
 
-    /// [`SimEngine::run_traced`] with a metrics hub attached: per-worker
-    /// batch-latency, transfer, and staleness histograms (virtual-time
-    /// durations) plus the live dashboard gauges flow out while the run
-    /// progresses. A disabled hub reduces this to exactly
-    /// [`SimEngine::run_traced`]; the schedule and the math are untouched
-    /// either way.
-    pub fn run_observed(
-        &self,
-        dataset: &DenseDataset,
-        sink: &TraceSink,
-        hub: &MetricsHub,
-    ) -> TrainResult {
-        self.run_flight(dataset, sink, hub, &FlightRecorder::disabled())
-    }
-
-    /// [`SimEngine::run_observed`] with a black-box flight recorder
-    /// attached.
-    ///
-    /// The recorder's watchdog scans every applied gradient for per-layer
-    /// norms and NaN/±Inf, watches the loss curve for divergence/stall at
-    /// every eval, and enforces its [`hetero_flight::HealthPolicy`] (warn /
-    /// clamp the adaptive controller / abort-with-postmortem). Observation
-    /// never feeds back into the virtual schedule, so an enabled recorder
-    /// leaves the simulated timeline and the math bit-identical — only an
-    /// explicit policy *action* (clamp, abort) changes the run, exactly as
-    /// it would on the threaded engine. A disabled recorder reduces this
-    /// to exactly [`SimEngine::run_observed`].
-    pub fn run_flight(
-        &self,
-        dataset: &DenseDataset,
-        sink: &TraceSink,
-        hub: &MetricsHub,
-        flight: &FlightRecorder,
-    ) -> TrainResult {
-        self.run_ckpt(dataset, sink, hub, flight, &Checkpointer::disabled())
-    }
-
-    /// [`SimEngine::run_flight`] with crash-consistent checkpointing
-    /// attached.
-    ///
-    /// At the checkpointer's cadence (virtual seconds) the engine freezes
-    /// its complete state — model, adaptive controller, schedule cursor,
-    /// SVRG anchor, loss curve, per-worker counters, watchdog tallies, and
-    /// every in-flight event with its model snapshot — and publishes it
-    /// atomically (temp file + fsync + rename + CRC32 footer; see
-    /// `hetero-ckpt`). A checkpointer configured with `resume: true` loads
-    /// the newest valid generation before training and **continues the
-    /// original run bit-identically**: the event queue's pending events
-    /// are re-scheduled in pop order, so even same-instant ties break as
-    /// they would have. Checkpoint observation never feeds back into the
-    /// schedule; a disabled checkpointer reduces this to exactly
-    /// [`SimEngine::run_flight`].
-    pub fn run_ckpt(
-        &self,
-        dataset: &DenseDataset,
-        sink: &TraceSink,
-        hub: &MetricsHub,
-        flight: &FlightRecorder,
-        ckpt: &Checkpointer,
-    ) -> TrainResult {
-        // The retention window needs *some* sink; prefer the caller's, fall
-        // back to the recorder's bounded ring.
-        let flight_sink;
-        let sink = if flight.enabled() && !sink.enabled() {
-            flight_sink = flight.make_sink(hetero_trace::TimeDomain::Virtual);
-            &flight_sink
-        } else {
-            sink
-        };
+    /// Train on `dataset` for `time_budget` virtual seconds, observed and
+    /// checkpointed as `ctx` says (see [`RunCtx`]; its sink should be in
+    /// the virtual domain). Nothing in `ctx` feeds back into the virtual
+    /// schedule, so the timeline and the math are bit-identical whatever
+    /// is attached — only an explicit health-policy action changes a run.
+    pub fn run_with(&self, dataset: &DenseDataset, ctx: &RunCtx) -> TrainResult {
         // Pin the GEMM fan-out to `train.rayon_threads` (0 = host cores)
         // for the whole run; the sim is single-coordinator, so the only
         // oversubscription possible is the pool itself exceeding the host.
@@ -413,19 +271,11 @@ impl SimEngine {
         let host = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1);
-        sink.counter("engine.pool_oversubscription")
-            .add(pool.current_num_threads().saturating_sub(host) as u64);
-        pool.install(|| self.run_traced_inner(dataset, sink, hub, flight, ckpt))
+        let oversubscribed = pool.current_num_threads().saturating_sub(host) as u64;
+        pool.install(|| self.run_inner(dataset, ctx, oversubscribed))
     }
 
-    fn run_traced_inner(
-        &self,
-        dataset: &DenseDataset,
-        sink: &TraceSink,
-        hub: &MetricsHub,
-        flight: &FlightRecorder,
-        ckpt: &Checkpointer,
-    ) -> TrainResult {
+    fn run_inner(&self, dataset: &DenseDataset, ctx: &RunCtx, oversubscribed: u64) -> TrainResult {
         let cfg = &self.cfg;
         let train = &cfg.train;
         let algo = train.algorithm;
@@ -446,64 +296,34 @@ impl SimEngine {
                 devices.push(Device::Gpu(g.clone()));
             }
         }
-        let mut stats: Vec<WorkerStats> =
-            devices.iter().map(|d| WorkerStats::new(d.kind())).collect();
+        let mut co = Coordinator::new(
+            Setup {
+                engine: "sim",
+                domain: TimeDomain::Virtual,
+                algorithm: algo.label(),
+                train,
+                dataset,
+                layers: spec.num_layers(),
+                workers: devices
+                    .iter()
+                    .map(|d| (d.kind(), self.initial_batch(d, dataset.len())))
+                    .collect(),
+            },
+            ctx,
+        );
+        let sink = co.sink.clone();
+        sink.counter("engine.pool_oversubscription")
+            .add(oversubscribed);
 
         // Sparse staging source: compress the feature matrix once per run so
         // lanes slice CSR batches in O(nnz) instead of rescanning the dense
         // matrix per batch (O(batch × features) regardless of density).
         let csr_data: Option<CsrMatrix> = train.sparse_input.then(|| dataset.to_csr());
         let mut eval_timeline = UtilizationTimeline::new();
-        let obs = SimObs::new(hub, devices.len());
-
-        // Live dashboard gauges, mirroring the threaded engine's naming so
-        // one dashboard renders either engine.
-        struct WorkerGauges {
-            updates: hetero_trace::GaugeHandle,
-            batch: hetero_trace::GaugeHandle,
-            examples: hetero_trace::GaugeHandle,
-            busy_secs: hetero_trace::GaugeHandle,
-        }
-        let worker_gauges: Vec<WorkerGauges> = devices
-            .iter()
-            .enumerate()
-            .map(|(w, d)| {
-                sink.gauge(&format!("worker.{w}.kind")).set(match d.kind() {
-                    WorkerKind::Cpu => 0.0,
-                    WorkerKind::Gpu => 1.0,
-                });
-                WorkerGauges {
-                    updates: sink.gauge(&format!("worker.{w}.updates")),
-                    batch: sink.gauge(&format!("worker.{w}.batch")),
-                    examples: sink.gauge(&format!("worker.{w}.examples")),
-                    busy_secs: sink.gauge(&format!("worker.{w}.busy_secs")),
-                }
-            })
-            .collect();
-        let g_loss = sink.gauge("engine.loss");
-        let g_epochs = sink.gauge("engine.epochs");
-
-        // --- Batch-size controller ---------------------------------------------
-        let example_bytes = 4 * spec.input_dim as u64;
-        let param_bytes = spec.param_bytes();
-        let mut controller =
-            self.build_controller(&devices, dataset.len(), example_bytes, param_bytes);
+        let obs = SimObs::new(&ctx.hub, devices.len());
 
         // --- Model, schedule, eval subset --------------------------------------
         let mut model = Model::new(spec.clone(), train.init, train.seed);
-        let watchdog = flight.watchdog();
-        watchdog.ensure_layers(model.layers().len());
-        if flight.enabled() {
-            flight.set_provenance(Provenance {
-                engine: "sim".into(),
-                algorithm: algo.label().to_string(),
-                dataset: dataset.name.clone(),
-                workers: devices.len(),
-                config_json: serde_json::to_string(train).unwrap_or_default(),
-                git_sha: hetero_flight::read_git_sha(),
-                simd_level: format!("{:?}", hetero_tensor::simd::active_level()),
-            });
-        }
         // Watchdog scratch: per-layer sumsq / non-finite counts of each
         // applied gradient, reused across every event.
         let mut health_scan = MergeScan::for_model(&model);
@@ -512,7 +332,8 @@ impl SimEngine {
         let (eval_x, eval_labels) = gather_rows(dataset, &eval_rows);
 
         let mut queue: EventQueue<Ev> = EventQueue::new();
-        let mut curve = Vec::new();
+        // A reused sink may still hold a previous run's clock.
+        sink.set_virtual_now(queue.now());
         let mut global_updates: u64 = 0;
         // Hybrid SVRG anchor: the latest GPU large-batch (model, gradient)
         // pair — the "compass" CPU updates correct against (§II).
@@ -521,28 +342,10 @@ impl SimEngine {
         // the first events, allocation-free thereafter.
         let mut scratch = SimScratch::new(spec);
         let budget = train.time_budget;
-        let timeline_rejects = sink.counter("engine.timeline_rejects");
+        let timeline_rejects = co.timeline_rejects.clone();
 
-        let record_eval = |t: f64,
-                           epochs: f64,
-                           model: &Model,
-                           curve: &mut Vec<LossPoint>,
-                           eval_tl: &mut UtilizationTimeline|
-         -> f32 {
+        let eval = |t: f64, epochs: f64, model: &Model, eval_tl: &mut UtilizationTimeline| {
             let pass = hetero_nn::forward(model, &eval_x, true);
-            let l = hetero_nn::loss(pass.probs(), eval_labels.as_targets(), model.spec().loss);
-            let acc = hetero_nn::accuracy(pass.probs(), eval_labels.as_targets());
-            curve.push(LossPoint {
-                time: t,
-                epochs,
-                loss: l,
-                accuracy: acc,
-            });
-            g_loss.set(l as f64);
-            g_epochs.set(epochs);
-            if sink.enabled() {
-                sink.emit_at(t, COORDINATOR, EventKind::EvalPoint { loss: l as f64 });
-            }
             // The paper runs the loss evaluation on the GPU at epoch end,
             // which shows up as a utilization spike (Figure 7). Account it
             // on a dedicated timeline to avoid perturbing worker schedules.
@@ -550,159 +353,49 @@ impl SimEngine {
                 let fwd = model.spec().forward_flops_per_example();
                 let dur = g.batch_time(fwd, eval_x.rows());
                 let start = t.max(eval_tl.horizon());
-                if eval_tl.try_record(start, start + dur, 1.0).is_err() {
-                    timeline_rejects.add(1);
-                }
+                record_busy(eval_tl, &timeline_rejects, start, start + dur, 1.0);
             }
-            l
+            LossPoint {
+                time: t,
+                epochs,
+                loss: hetero_nn::loss(pass.probs(), eval_labels.as_targets(), model.spec().loss),
+                accuracy: hetero_nn::accuracy(pass.probs(), eval_labels.as_targets()),
+            }
         };
 
         let mut last_epoch_evaled = 0usize;
         let mut last_eval_time = 0.0f64;
-        // Batch lineage ids, monotone from 1. A resumed run continues past
-        // the ids still in flight so its trace never reuses one.
-        let mut next_batch_id: u64 = 1;
 
         // --- Resume from the newest valid checkpoint ----------------------------
-        // Replaces the freshly initialized state wholesale. The worker-count
-        // guard rejects a checkpoint from a differently shaped run (the
-        // schema tag already rejects other engines' checkpoints).
-        let resume: Option<SimCkptState> = ckpt
-            .resume_state::<SimCkptState>()
-            .filter(|s| s.schema == SIM_CKPT_SCHEMA && s.workers.len() == devices.len());
-        let resumed = resume.is_some();
-        if let Some(s) = resume {
-            model = s.model;
-            controller = s.controller;
+        // Replaces the freshly initialized state wholesale.
+        if let Some(s) = co.load(SIM_CKPT_SCHEMA, |s: &SimCkpt| &s.core) {
+            model = co.restore(s.core);
             scheduler = s.scheduler;
             global_updates = s.global_updates;
             anchor = s.anchor;
-            curve = s.curve;
             last_epoch_evaled = s.last_epoch_evaled;
             last_eval_time = s.last_eval_time;
-            for (stat, w) in stats.iter_mut().zip(&s.workers) {
-                stat.updates = w.updates;
-                stat.batches = w.batches;
-                stat.examples = w.examples;
-                stat.retired = w.retired.clone();
-            }
-            watchdog.restore_state(&s.watchdog);
             // Re-schedule the in-flight events in pop order: fresh monotone
             // sequence numbers preserve the original tie-breaking, so the
             // continuation is bit-identical to the uninterrupted run.
-            for p in s.pending {
-                let ev = p.ev.restore();
-                if let Ev::Complete { id, .. } = &ev {
-                    next_batch_id = next_batch_id.max(id + 1);
-                }
-                queue.schedule_at(p.at, ev);
+            for (at, ev) in s.pending {
+                queue.schedule_at(at, ev);
             }
-            ckpt.resume_mark(s.t);
-            sink.counter("ckpt.resumes").add(1);
         } else {
-            // Initial loss (identical across algorithms per §VII-A); it
-            // seeds the watchdog's divergence/stall baseline (never reacts).
-            let l0 = record_eval(0.0, 0.0, &model, &mut curve, &mut eval_timeline);
-            watchdog.observe_eval(l0 as f64);
-        }
-
-        // Health reactions need the controller and scheduler, which the
-        // event loop also borrows — macros keep everything lexical.
-        macro_rules! health_event {
-            ($t:expr, $action:expr, $detail:expr) => {
-                if sink.enabled() {
-                    sink.emit_at(
-                        $t,
-                        COORDINATOR,
-                        EventKind::HealthEvent {
-                            action: $action.to_string(),
-                            detail: $detail,
-                        },
-                    );
-                }
-            };
-        }
-        macro_rules! freeze_batches {
-            () => {{
-                for w in 0..devices.len() {
-                    controller.clamp_max_batch(w, controller.batch(w));
-                }
-                watchdog.note_clamp();
-            }};
-        }
-        macro_rules! handle_health {
-            ($loss:expr, $t:expr) => {{
-                let loss: f64 = $loss;
-                match watchdog.observe_eval(loss) {
-                    HealthAction::Ignore => {}
-                    HealthAction::Warn => {
-                        health_event!($t, "warn", format!("eval health warning at loss {loss:.4}"));
-                    }
-                    HealthAction::Clamp => {
-                        freeze_batches!();
-                        health_event!(
-                            $t,
-                            "clamp",
-                            format!("batch growth frozen at loss {loss:.4}")
-                        );
-                    }
-                    // The trip flag is set; the event loop's next pop turns
-                    // it into the abort.
-                    HealthAction::Abort => {}
-                }
-                if watchdog.take_clamp_request() {
-                    freeze_batches!();
-                    health_event!(
-                        $t,
-                        "clamp",
-                        "batch growth frozen on worker health report".to_string()
-                    );
-                }
-                if flight.enabled() {
-                    let stale = hub.summary(Metric::Staleness);
-                    let h = watchdog.summary();
-                    flight.record_snapshot(HealthSnapshot {
-                        t: $t,
-                        loss,
-                        epochs: scheduler.epochs_elapsed(),
-                        batches: (0..devices.len()).map(|w| controller.batch(w)).collect(),
-                        // The sim's β̂ is the idealized 1.0, known only at
-                        // the end of the run; snapshots leave it unset.
-                        beta: None,
-                        staleness_p50: stale.as_ref().map(|s| s.p50),
-                        staleness_p99: stale.as_ref().map(|s| s.p99),
-                        grad_peak_norm: h.peak_grad_norm,
-                    });
-                    if sink.enabled() {
-                        for (l, n) in h.layer_peak_norms.iter().enumerate() {
-                            sink.gauge(&format!("health.layer.{l}.grad_norm")).set(*n);
-                        }
-                        sink.gauge("health.nonfinite")
-                            .set(h.nonfinite_events as f64);
-                    }
-                }
-            }};
-        }
-
-        // --- Kick off every worker ---------------------------------------------
-        // A resumed run's workers are already in flight (their completion
-        // events came back with the checkpoint), so the kickoff is fresh
-        // starts only.
-        if !resumed {
+            // Initial loss (identical across algorithms per §VII-A).
+            co.initial_point(eval(0.0, 0.0, &model, &mut eval_timeline), None);
+            // Kick off every worker. (A resumed run's workers are already
+            // in flight: their completion events came back with the
+            // checkpoint.)
             for (w, device) in devices.iter().enumerate() {
                 self.assign(
+                    &mut co,
                     w,
                     device,
-                    &mut controller,
                     &mut scheduler,
                     &model,
                     &mut queue,
-                    &mut stats,
-                    budget,
                     global_updates,
-                    &mut next_batch_id,
-                    sink,
-                    &timeline_rejects,
                     &obs,
                 );
             }
@@ -713,87 +406,45 @@ impl SimEngine {
         // an epoch every few events do not flood the curve.
         let min_eval_spacing = train.eval_interval * 0.25;
 
-        // Checkpoint observability: generation/bytes gauges plus the
-        // write-latency histogram (all no-ops when sink/hub are disabled).
-        let g_ckpt_gen = sink.gauge("ckpt.generation");
-        let g_ckpt_bytes = sink.gauge("ckpt.bytes");
-        let g_ckpt_age = sink.gauge("ckpt.age_secs");
-        let ckpt_hist = hub.histogram(Metric::CkptWrite, GLOBAL_WORKER);
-
         // --- Event loop ---------------------------------------------------------
         loop {
             // Periodic crash-consistency checkpoint, captured *between*
             // events — the only instants at which the queue's pending set
-            // plus the coordinator state is the complete run state. The
-            // capture reads everything and mutates nothing, so the
-            // schedule and the math are untouched whether or not a
-            // checkpoint is written.
-            if ckpt.due(queue.now()) {
-                let state = SimCkptState {
-                    schema: SIM_CKPT_SCHEMA.to_string(),
-                    t: queue.now(),
-                    model: model.clone(),
-                    controller: controller.clone(),
+            // plus the coordinator state is the complete run state.
+            let now = queue.now();
+            if ctx.ckpt.due(now) {
+                let state = SimCkpt {
+                    core: co.capture(SIM_CKPT_SCHEMA, now, &model),
                     scheduler: scheduler.clone(),
                     global_updates,
                     anchor: anchor.clone(),
-                    curve: curve.clone(),
                     last_epoch_evaled,
                     last_eval_time,
-                    workers: stats
-                        .iter()
-                        .map(|s| SimWorkerCkpt {
-                            updates: s.updates,
-                            batches: s.batches,
-                            examples: s.examples,
-                            retired: s.retired.clone(),
-                        })
-                        .collect(),
                     pending: queue
                         .pending_in_order()
                         .into_iter()
-                        .map(|(at, ev)| PendingEv {
-                            at,
-                            ev: EvState::capture(ev),
-                        })
+                        .map(|(at, ev)| (at, ev.clone()))
                         .collect(),
-                    watchdog: watchdog.export_state(),
                 };
-                if let Some(report) = ckpt.save(state.t, &state) {
-                    g_ckpt_gen.set(report.generation as f64);
-                    g_ckpt_bytes.set(report.bytes as f64);
-                    ckpt_hist.record_secs(report.write_secs);
-                    flight.set_resumable_from(report.path.display().to_string());
-                }
+                co.save(now, &state);
             }
             let Some((t, ev)) = queue.pop() else { break };
             if t > budget {
                 break;
             }
-            // Health abort raised by a previous event's gradient scan or
-            // eval observation stops the virtual run here.
-            if let Some(reason) = watchdog.tripped() {
-                sink.set_virtual_now(t);
-                health_event!(t, "abort", reason);
-                break;
-            }
             // Publish the virtual clock so events emitted while handling
             // this step (merges, resizes, completions) are stamped at `t`.
             sink.set_virtual_now(t);
+            // A health abort raised by a previous event's gradient scan or
+            // eval observation stops the virtual run here.
+            if co.poll_health() {
+                break;
+            }
             match ev {
                 Ev::Eval => {
-                    let loss = record_eval(
-                        t,
-                        scheduler.epochs_elapsed(),
-                        &model,
-                        &mut curve,
-                        &mut eval_timeline,
-                    );
-                    handle_health!(loss as f64, t);
+                    let epochs = scheduler.epochs_elapsed();
+                    co.eval_point(eval(t, epochs, &model, &mut eval_timeline), None);
                     last_eval_time = t;
-                    if ckpt.enabled() {
-                        g_ckpt_age.set(t - ckpt.last_saved_at().unwrap_or(0.0));
-                    }
                     let next = t + train.eval_interval;
                     if next <= budget {
                         queue.schedule_at(next, Ev::Eval);
@@ -818,14 +469,14 @@ impl SimEngine {
                         dataset,
                         csr_data.as_ref(),
                         &mut model,
-                        &mut controller,
-                        &mut stats,
+                        &mut co.controller,
+                        &mut co.stats,
                         staleness,
                         phases,
                         &mut anchor,
                         &mut scratch,
-                        sink,
-                        &watchdog,
+                        &sink,
+                        &co.watchdog,
                         &mut health_scan,
                     );
                     // Epoch-boundary loss evaluation (paper: "loss
@@ -837,35 +488,18 @@ impl SimEngine {
                     {
                         last_epoch_evaled = range.epoch + 1;
                         last_eval_time = t;
-                        let loss = record_eval(
-                            t,
-                            scheduler.epochs_elapsed(),
-                            &model,
-                            &mut curve,
-                            &mut eval_timeline,
-                        );
-                        handle_health!(loss as f64, t);
+                        let epochs = scheduler.epochs_elapsed();
+                        co.eval_point(eval(t, epochs, &model, &mut eval_timeline), None);
                     }
-                    if sink.enabled() {
-                        let g = &worker_gauges[worker];
-                        g.updates.set(stats[worker].updates);
-                        g.batch.set(controller.batch(worker) as f64);
-                        g.examples.set(stats[worker].examples as f64);
-                        g.busy_secs.set(stats[worker].timeline.busy_time());
-                    }
+                    co.completed(worker);
                     self.assign(
+                        &mut co,
                         worker,
                         &devices[worker],
-                        &mut controller,
                         &mut scheduler,
                         &model,
                         &mut queue,
-                        &mut stats,
-                        budget,
                         global_updates,
-                        &mut next_batch_id,
-                        sink,
-                        &timeline_rejects,
                         &obs,
                     );
                 }
@@ -873,83 +507,23 @@ impl SimEngine {
         }
 
         // Final loss at the budget boundary.
-        record_eval(
-            budget,
-            scheduler.epochs_elapsed(),
-            &model,
-            &mut curve,
-            &mut eval_timeline,
-        );
-
-        for (w, s) in stats.iter_mut().enumerate() {
-            s.final_batch = controller.batch(w);
-            s.summarize_timeline();
-        }
+        sink.set_virtual_now(budget);
+        let epochs = scheduler.epochs_elapsed();
+        let last = eval(budget, epochs, &model, &mut eval_timeline);
         // The sim applies every update serially on the virtual clock, so no
         // Hogwild write is ever lost: the measured serialization rate is
-        // exactly 1 (the paper's idealized β).
-        let measured_beta = train.measured_beta.then_some(1.0);
-        if sink.enabled() {
-            sink.set_virtual_now(budget);
-            let examples: u64 = stats.iter().map(|s| s.examples).sum();
-            sink.gauge("engine.examples_per_sec")
-                .set(examples as f64 / budget.max(1e-9));
-            sink.gauge("engine.beta").set(train.adaptive.beta);
-            if let Some(beta) = measured_beta {
-                sink.gauge("engine.beta_measured").set(beta);
-            }
-        }
-        let aborted = watchdog
-            .tripped()
-            .map(|r| format!("health watchdog: {r}"))
-            .or_else(|| {
-                stats
-                    .iter()
-                    .all(|s| s.retired.is_some())
-                    .then(|| "all workers retired by faults".to_string())
-            });
-        // Black-box dump on any abnormal end (see the threaded engine for
-        // the full story); `capture` leaves the caller's trace intact.
-        let mut health = watchdog.enabled().then(|| watchdog.summary());
-        if flight.enabled() && (aborted.is_some() || stats.iter().any(|s| s.retired.is_some())) {
-            let reason = aborted
-                .clone()
-                .unwrap_or_else(|| "worker retirement".to_string());
-            let path = flight.dump(&reason, sink.capture(), hub);
-            if let (Some(h), Some(p)) = (health.as_mut(), path) {
-                h.postmortem = Some(p);
-            }
-        }
-        let mut result = TrainResult {
-            algorithm: algo.label().to_string(),
-            dataset: dataset.name.clone(),
-            loss_curve: curve,
-            workers: stats,
-            duration: budget,
-            epochs: scheduler.epochs_elapsed(),
-            trace_path: None,
-            // The sim loses no in-flight work on an injected death (the
-            // worker dies at assignment time), so nothing is re-queued.
-            requeued_batches: 0,
-            aborted,
-            measured_beta,
-            staleness: hub.summary(Metric::Staleness),
-            health,
-        };
+        // exactly 1 (the paper's idealized β), known only here at the end —
+        // the eval points above leave it unset. No in-flight work is lost
+        // on an injected death either (the worker dies at assignment
+        // time), so the result's re-queue count stays 0.
+        let mut result = co.finish(last, train.measured_beta.then_some(1.0), budget);
         // The epoch-end loss evaluations run on the GPU (§VII-B) but must
         // not perturb the worker schedules, so they live on a dedicated
         // timeline appended as a zero-update pseudo-worker.
-        let eval_summary = TimelineSummary::from_timeline(&eval_timeline);
-        result.workers.push(WorkerStats {
-            kind: WorkerKind::Gpu,
-            updates: 0.0,
-            batches: 0,
-            examples: 0,
-            final_batch: 0,
-            retired: None,
-            timeline: eval_timeline,
-            timeline_summary: eval_summary,
-        });
+        let mut eval_worker = WorkerStats::new(WorkerKind::Gpu);
+        eval_worker.timeline = eval_timeline;
+        eval_worker.summarize_timeline();
+        result.workers.push(eval_worker);
         result
     }
 
@@ -958,58 +532,31 @@ impl SimEngine {
     #[allow(clippy::too_many_arguments)]
     fn assign(
         &self,
+        co: &mut Coordinator<'_>,
         worker: usize,
         device: &Device,
-        controller: &mut AdaptiveController,
         scheduler: &mut BatchScheduler,
         model: &Model,
         queue: &mut EventQueue<Ev>,
-        stats: &mut [WorkerStats],
-        budget: f64,
         global_updates: u64,
-        next_batch_id: &mut u64,
-        sink: &TraceSink,
-        timeline_rejects: &CounterHandle,
         obs: &SimObs,
     ) {
-        if queue.now() >= budget {
-            return;
-        }
-        if stats[worker].retired.is_some() {
+        if queue.now() >= self.cfg.train.time_budget || co.retired(worker) {
             return;
         }
         // Injected death: the worker completed its allotted batches and
         // never asks for work again — the simulated analogue of the
         // threaded engine's quarantine (survivors keep the run alive).
         if let Some(k) = self.cfg.fault_plan.death_after(worker) {
-            if stats[worker].batches >= k {
-                let reason = format!("injected death after {k} batches");
-                if sink.enabled() {
-                    sink.emit(
-                        worker as u32,
-                        EventKind::WorkerFault {
-                            reason: reason.clone(),
-                        },
-                    );
-                    sink.emit(
-                        worker as u32,
-                        EventKind::WorkerRetired {
-                            reason: reason.clone(),
-                        },
-                    );
-                }
-                sink.counter("engine.faults").add(1);
-                stats[worker].retired = Some(reason);
+            if co.stats[worker].batches >= k {
+                let death = format!("injected death after {k} batches");
+                co.retire(worker, &WorkerError::Panic(death));
                 return;
             }
         }
-        let size = controller.on_request_traced(worker, sink);
-        let Some(range) = scheduler.next_batch(size) else {
+        let Some((id, range)) = co.next_dispatch(worker, scheduler) else {
             return; // epoch budget exhausted
         };
-        if range.is_empty() {
-            return;
-        }
         let cost = self.batch_cost(device, range.len());
         let start = queue.now();
         // The virtual clock decides latency, so the histogram is filled at
@@ -1033,35 +580,14 @@ impl SimEngine {
             phases.transfer_secs = h2d + d2h;
             phases.compute_secs = (cost - phases.transfer_secs).max(0.0);
         }
-        let id = *next_batch_id;
-        *next_batch_id += 1;
-        if sink.enabled() {
-            sink.emit_at(
-                start,
-                COORDINATOR,
-                EventKind::BatchDispatched {
-                    id,
-                    batch: range.len(),
-                },
-            );
-            // The simulated worker begins immediately — assignment happens
-            // on completion of its previous batch, so queue wait is zero.
-            sink.emit_at(start, worker as u32, EventKind::BatchStarted { id });
-        }
-        if stats[worker]
-            .timeline
-            .try_record(
-                start,
-                start + cost,
-                match device {
-                    Device::Cpu(c) => c.busy_utilization(range.len()),
-                    Device::Gpu(g) => g.busy_utilization(range.len()),
-                },
-            )
-            .is_err()
-        {
-            timeline_rejects.add(1);
-        }
+        // The simulated worker begins immediately — assignment happens
+        // on completion of its previous batch, so queue wait is zero.
+        co.sink.emit(worker as u32, EventKind::BatchStarted { id });
+        let level = match device {
+            Device::Cpu(c) => c.busy_utilization(range.len()),
+            Device::Gpu(g) => g.busy_utilization(range.len()),
+        };
+        co.busy(worker, start, start + cost, level);
         queue.schedule_after(
             cost,
             Ev::Complete {
@@ -1264,15 +790,7 @@ impl SimEngine {
                         if watchdog.enabled() {
                             scan.reset();
                             scan_model(g, scan);
-                            for (l, ls) in scan.layers().iter().enumerate() {
-                                watchdog.observe_layer(
-                                    worker as u32,
-                                    l,
-                                    stats[worker].batches,
-                                    ls.sumsq,
-                                    ls.nonfinite,
-                                );
-                            }
+                            observe_scan(watchdog, worker, stats[worker].batches, scan);
                         }
                         if train.weight_decay > 0.0 {
                             model.scale(1.0 - eta * train.weight_decay);
@@ -1342,15 +860,7 @@ impl SimEngine {
                 if watchdog.enabled() {
                     scan.reset();
                     scan_model(lane.ws.grad(), scan);
-                    for (l, ls) in scan.layers().iter().enumerate() {
-                        watchdog.observe_layer(
-                            worker as u32,
-                            l,
-                            stats[worker].batches,
-                            ls.sumsq,
-                            ls.nonfinite,
-                        );
-                    }
+                    observe_scan(watchdog, worker, stats[worker].batches, scan);
                 }
                 let eta = train.lr_scaling.eta(train.lr, range.len()) * discount;
                 if train.weight_decay > 0.0 {
@@ -1403,76 +913,42 @@ impl SimEngine {
         }
     }
 
-    /// Build the per-algorithm batch-size controller.
-    fn build_controller(
-        &self,
-        devices: &[Device],
-        n: usize,
-        example_bytes: u64,
-        param_bytes: u64,
-    ) -> AdaptiveController {
+    /// Initial batch-size state of one worker (see
+    /// [`cpu_batch_state`] / [`gpu_batch_state`] for the paper's rule).
+    fn initial_batch(&self, device: &Device, n: usize) -> WorkerBatchState {
         let train = &self.cfg.train;
-        let p = &train.adaptive;
-        let adapt = train.algorithm.is_adaptive();
-        // Omnivore-style sizing (§II): pick the CPU batch so that, per the
-        // *pre-execution estimate*, the CPU finishes a batch in the same
-        // time the GPU takes for its configured batch. Computed once here
-        // and frozen thereafter — exactly the criticism the paper levels.
-        let proportional_cpu_batch = |c: &CpuModel| -> usize {
-            let fpe = self.cfg.spec.train_flops_per_example();
-            let t_gpu = self
-                .cfg
-                .gpus
-                .first()
-                .map(|g| g.batch_time(fpe, train.gpu_batch.min(n.max(1))))
-                .unwrap_or(0.0);
-            let mut b = c.threads.max(1);
-            while b < n.max(1) && c.batch_time(fpe, b * 2) <= t_gpu {
-                b *= 2;
+        let spec = &self.cfg.spec;
+        match device {
+            Device::Cpu(c) if train.algorithm == AlgorithmKind::StaticProportional => {
+                // Omnivore-style sizing (§II): pick the CPU batch so that,
+                // per the *pre-execution estimate*, the CPU finishes a
+                // batch in the same time the GPU takes for its configured
+                // batch. Computed once here and frozen thereafter —
+                // exactly the criticism the paper levels.
+                let n = n.max(1);
+                let fpe = spec.train_flops_per_example();
+                let t_gpu = self
+                    .cfg
+                    .gpus
+                    .first()
+                    .map(|g| g.batch_time(fpe, train.gpu_batch.min(n)))
+                    .unwrap_or(0.0);
+                let mut b = c.threads.max(1);
+                while b < n && c.batch_time(fpe, b * 2) <= t_gpu {
+                    b *= 2;
+                }
+                let b = b.min(n);
+                WorkerBatchState::new(b, b, b)
             }
-            b.min(n.max(1))
-        };
-        let states: Vec<WorkerBatchState> = devices
-            .iter()
-            .map(|d| match d {
-                Device::Cpu(c) => {
-                    if adapt {
-                        // Paper: CPU starts at the lower threshold
-                        // (1 example per thread = Hogwild).
-                        let min_b = p.cpu_min_batch.max(c.threads).min(n.max(1));
-                        let max_b = p.cpu_max_batch.max(min_b);
-                        WorkerBatchState::new(min_b, min_b, max_b)
-                    } else if train.algorithm == AlgorithmKind::StaticProportional {
-                        let b = proportional_cpu_batch(c).max(1);
-                        WorkerBatchState::new(b, b, b)
-                    } else {
-                        let b = (train.cpu_batch_per_thread * c.threads)
-                            .min(n.max(1))
-                            .max(1);
-                        WorkerBatchState::new(b, b, b)
-                    }
-                }
-                Device::Gpu(g) => {
-                    // §VI-B: device memory bounds the batch size.
-                    let mem_cap = g
-                        .max_batch(
-                            example_bytes + 8 * self.cfg.spec.hidden.iter().sum::<usize>() as u64,
-                            param_bytes,
-                        )
-                        .max(1);
-                    if adapt {
-                        let max_b = p.gpu_max_batch.min(mem_cap).max(1);
-                        let min_b = p.gpu_min_batch.min(max_b).max(1);
-                        // Paper: GPU starts at the upper threshold.
-                        WorkerBatchState::new(max_b, min_b, max_b)
-                    } else {
-                        let b = train.gpu_batch.min(mem_cap).max(1);
-                        WorkerBatchState::new(b, b, b)
-                    }
-                }
-            })
-            .collect();
-        AdaptiveController::new(p.alpha, adapt, states)
+            Device::Cpu(c) => cpu_batch_state(train, c.threads, n),
+            Device::Gpu(g) => {
+                // §VI-B: device memory bounds the batch size.
+                let example_bytes = 4 * spec.input_dim as u64;
+                let activation_bytes = 8 * spec.hidden.iter().sum::<usize>() as u64;
+                let mem_cap = g.max_batch(example_bytes + activation_bytes, spec.param_bytes());
+                gpu_batch_state(train, mem_cap.max(1))
+            }
+        }
     }
 }
 
@@ -1480,7 +956,9 @@ impl SimEngine {
 mod tests {
     use super::*;
     use crate::config::{AdaptiveParams, LrScaling};
+    use hetero_ckpt::Checkpointer;
     use hetero_data::SynthConfig;
+    use hetero_trace::COORDINATOR;
 
     /// Small hardware so tests run fast: 4-thread CPU, toy GPU 100× faster.
     fn tiny_hardware() -> (CpuModel, GpuModel) {
@@ -1632,12 +1110,12 @@ mod tests {
             resume: false,
         })
         .unwrap();
-        let checked = SimEngine::new(cfg.clone()).unwrap().run_ckpt(
+        let checked = SimEngine::new(cfg.clone()).unwrap().run_with(
             &data,
-            &TraceSink::disabled(),
-            &MetricsHub::disabled(),
-            &FlightRecorder::disabled(),
-            &writer,
+            &RunCtx {
+                ckpt: writer.clone(),
+                ..RunCtx::default()
+            },
         );
         assert_eq!(baseline.loss_curve, checked.loss_curve);
         assert!(writer.latest_path().is_some(), "no checkpoint written");
@@ -1651,12 +1129,12 @@ mod tests {
             resume: true,
         })
         .unwrap();
-        let resumed = SimEngine::new(cfg).unwrap().run_ckpt(
+        let resumed = SimEngine::new(cfg).unwrap().run_with(
             &data,
-            &TraceSink::disabled(),
-            &MetricsHub::disabled(),
-            &FlightRecorder::disabled(),
-            &reader,
+            &RunCtx {
+                ckpt: reader.clone(),
+                ..RunCtx::default()
+            },
         );
         assert_eq!(baseline.loss_curve, resumed.loss_curve);
         assert_eq!(baseline.epochs, resumed.epochs);
@@ -1992,9 +1470,14 @@ mod tests {
         let cfg = tiny_config(AlgorithmKind::AdaptiveHogbatch, 0.03);
         let hub = MetricsHub::new();
         let sink = TraceSink::virtual_time(1 << 14);
-        let observed = SimEngine::new(cfg.clone())
-            .unwrap()
-            .run_observed(&data, &sink, &hub);
+        let observed = SimEngine::new(cfg.clone()).unwrap().run_with(
+            &data,
+            &RunCtx {
+                sink: sink.clone(),
+                hub: hub.clone(),
+                ..RunCtx::default()
+            },
+        );
         let plain = SimEngine::new(cfg).unwrap().run(&data);
         // Observation must not feed back into the schedule or the math.
         assert_eq!(observed.loss_curve.len(), plain.loss_curve.len());

@@ -30,31 +30,30 @@
 //! - when **every** worker is gone the run stops early and reports why in
 //!   [`TrainResult::aborted`] instead of hanging.
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use hetero_ckpt::Checkpointer;
 use hetero_data::batch::BatchRange;
 use hetero_data::{BatchScheduler, DenseDataset, Labels};
-use hetero_flight::{
-    FlightRecorder, HealthAction, HealthSnapshot, Provenance, Watchdog, WatchdogState,
-};
+use hetero_flight::Watchdog;
 use hetero_gpu::{GpuDevice, GpuMlp};
-use hetero_metrics::{HistHandle, Metric, MetricsHub, GLOBAL_WORKER};
+use hetero_metrics::{HistHandle, Metric, MetricsHub};
 use hetero_mq::{channel_traced_lineage, Receiver, RecvTimeoutError, Sender};
 use hetero_nn::{scan_model, MergeScan, MlpSpec, Model, SharedModel, Workspace};
 use hetero_sim::{DeviceModel, GpuModel};
 use hetero_tensor::{CsrBatch, CsrMatrix, Matrix};
-use hetero_trace::{BatchPhases, CounterHandle, EventKind, TraceSink, COORDINATOR};
+use hetero_trace::{BatchPhases, CounterHandle, EventKind, TimeDomain, TraceSink, COORDINATOR};
 use serde::{Deserialize, Serialize};
 
-use crate::adaptive::{credit_updates, AdaptiveController, WorkerBatchState};
+use crate::adaptive::credit_updates;
 use crate::config::{AlgorithmKind, TrainConfig};
+use crate::coordinator::{
+    cpu_batch_state, gpu_batch_state, observe_scan, Coordinator, CoreCkpt, RunCtx, Setup,
+};
 use crate::eval::{eval_subset, gather_labels, gather_rows};
 use crate::fault::{panic_message, FaultPlan, WorkerError};
-use crate::metrics::{LossPoint, TrainResult, WorkerKind, WorkerStats};
+use crate::metrics::{LossPoint, TrainResult, WorkerKind};
 
 /// Configuration of the threaded engine.
 #[derive(Debug, Clone)]
@@ -77,9 +76,7 @@ pub struct ThreadedEngineConfig {
 #[derive(Debug)]
 enum CoordMsg {
     Execute {
-        /// Batch lineage id, fresh per dispatch (a re-queued range gets a
-        /// new id when it is re-dispatched; `BatchRequeued` links the
-        /// fault chain by the old id).
+        /// Batch lineage id, fresh per dispatch.
         id: u64,
         range: BatchRange,
     },
@@ -127,104 +124,53 @@ enum WorkerMsg {
     Fault { worker: usize, error: WorkerError },
 }
 
-/// Coordinator-side supervision state threaded through the helpers below.
-struct Supervision<'a> {
-    active: &'a mut [bool],
-    stats: &'a mut [WorkerStats],
-    in_flight: &'a mut [Option<(u64, BatchRange)>],
-    requeue: &'a mut VecDeque<BatchRange>,
-    requeued_batches: &'a mut u64,
-    faults_ctr: &'a CounterHandle,
-    requeues_ctr: &'a CounterHandle,
+/// What every worker thread shares with the coordinator.
+#[derive(Clone)]
+struct WorkerEnv {
+    dataset: Arc<DenseDataset>,
+    /// The run's CSR copy of the features on sparse runs.
+    csr_data: Option<Arc<CsrMatrix>>,
+    shared: Arc<SharedModel>,
+    ready: Sender<WorkerMsg>,
+    t0: Instant,
+    train: TrainConfig,
+    sink: TraceSink,
+    hub: MetricsHub,
+    watchdog: Watchdog,
 }
 
-impl Supervision<'_> {
-    /// Quarantine worker `w`: mark the slot inactive, record why, and
-    /// return its in-flight batch (if any) to the dispatch queue.
-    fn retire(&mut self, w: usize, error: &WorkerError, sink: &TraceSink) {
-        if let Some(existing) = &self.stats[w].retired {
-            // Already quarantined — but a typed fault that lost the race to
-            // the generic disconnect sweep still carries the real reason.
-            if existing.starts_with("channel disconnected")
-                && !matches!(error, WorkerError::Disconnected(_))
-            {
-                self.stats[w].retired = Some(error.to_string());
-            }
-            return;
-        }
-        self.active[w] = false;
-        let reason = error.to_string();
-        self.stats[w].retired = Some(reason.clone());
-        self.faults_ctr.add(1);
-        if sink.enabled() {
-            sink.emit(
-                w as u32,
-                EventKind::WorkerFault {
-                    reason: reason.clone(),
-                },
-            );
-            sink.emit(w as u32, EventKind::WorkerRetired { reason });
-        }
-        if let Some((id, range)) = self.in_flight[w].take() {
-            self.push_requeue(id, range, sink);
-        }
-    }
-
-    /// Return a batch range to the dispatch queue (in-flight work of a dead
-    /// worker, or the tail an OOM shrink left behind). `id` is the lineage
-    /// id of the dispatch the range came from — the re-dispatch will get a
-    /// fresh id, and this event is what links the two.
-    fn push_requeue(&mut self, id: u64, range: BatchRange, sink: &TraceSink) {
-        *self.requeued_batches += 1;
-        self.requeues_ctr.add(1);
-        if sink.enabled() {
-            sink.emit(
-                COORDINATOR,
-                EventKind::BatchRequeued {
-                    id,
-                    batch: range.len(),
-                },
-            );
-        }
-        self.requeue.push_back(range);
-    }
-}
-
-/// Per-worker counters a resumed run continues from.
+/// The threaded engine's checkpoint: the common envelope plus the schedule
+/// cursor. Ranges in flight at the capture are folded into the envelope's
+/// re-queue (see [`RunCtx::ckpt`] for why this engine's resume is
+/// statistical, not bit-identical).
 #[derive(Serialize, Deserialize)]
-struct ThreadedWorkerCkpt {
-    updates: f64,
-    batches: u64,
-    examples: u64,
-}
-
-/// Wall-clock engine state frozen at one instant. Unlike the virtual-clock
-/// engines this cannot be bit-identical — workers race the capture — so the
-/// checkpoint holds the *statistically sufficient* state: a racy-read model
-/// image, the schedule cursor, the adaptive controller, and every range
-/// that was in flight (re-queued on resume so no example is silently
-/// dropped). A resumed run is a fresh set of threads continuing the same
-/// optimization trajectory, so its loss curve is statistically — not
-/// bit-for-bit — indistinguishable from an uninterrupted run.
-#[derive(Serialize, Deserialize)]
-struct ThreadedCkptState {
-    schema: String,
-    /// Training wall-seconds consumed before this checkpoint, summed
-    /// across incarnations; the resumed run offsets its clock and shrinks
-    /// its budget by this.
-    t: f64,
-    model: Model,
-    controller: AdaptiveController,
+struct ThreadedCkpt {
+    core: CoreCkpt,
     scheduler: BatchScheduler,
-    curve: Vec<LossPoint>,
-    workers: Vec<ThreadedWorkerCkpt>,
-    requeue: Vec<BatchRange>,
-    requeued_batches: u64,
-    watchdog: WatchdogState,
 }
 
 /// Schema tag rejecting checkpoints from other engines or layouts.
-const THREADED_CKPT_SCHEMA: &str = "hetero-threaded-ckpt/v1";
+const THREADED_CKPT_SCHEMA: &str = "hetero-threaded-ckpt/v2";
+
+/// Hand worker `w` its next batch. Returns `false` — after telling the
+/// worker to stop — once the schedule has nothing left for it.
+fn dispatch(
+    co: &mut Coordinator<'_>,
+    scheduler: &mut BatchScheduler,
+    tx: &Sender<CoordMsg>,
+    w: usize,
+) -> bool {
+    let Some((id, range)) = co.next_dispatch(w, scheduler) else {
+        let _ = tx.send(CoordMsg::Stop);
+        return false;
+    };
+    if tx.send(CoordMsg::Execute { id, range }).is_err() {
+        // The worker died without a fault message: quarantine the slot,
+        // which hands the range it never received to the survivors.
+        co.retire(w, &WorkerError::Disconnected("exec channel closed".into()));
+    }
+    true
+}
 
 /// The wall-clock engine.
 pub struct ThreadedEngine {
@@ -255,131 +201,81 @@ impl ThreadedEngine {
         Ok(ThreadedEngine { cfg })
     }
 
-    /// Train on `dataset` until the wall-clock budget expires.
+    /// [`ThreadedEngine::run_with`] a default [`RunCtx`] (kept: the frozen
+    /// `benchmark/` calls it).
     pub fn run(&self, dataset: Arc<DenseDataset>) -> TrainResult {
-        self.run_traced(dataset, &TraceSink::disabled())
+        self.run_with(dataset, &RunCtx::default())
     }
 
-    /// [`ThreadedEngine::run`] with structured tracing attached.
-    ///
-    /// Every batch dispatch/completion, adaptive resize, queue operation,
-    /// GPU transfer/kernel, model merge, eval point, and worker fault flows
-    /// through `sink`, stamped with wall seconds since the sink was
-    /// created. The sink should be in the wall-clock domain
-    /// ([`TraceSink::wall`]); with a disabled sink this is exactly
-    /// [`ThreadedEngine::run`].
+    /// [`ThreadedEngine::run_with`] only [`RunCtx::sink`] set (kept: the
+    /// frozen `benchmark/` calls it).
     pub fn run_traced(&self, dataset: Arc<DenseDataset>, sink: &TraceSink) -> TrainResult {
-        self.run_observed(dataset, sink, &MetricsHub::disabled())
+        let sink = sink.clone();
+        self.run_with(
+            dataset,
+            &RunCtx {
+                sink,
+                ..RunCtx::default()
+            },
+        )
     }
 
-    /// [`ThreadedEngine::run_traced`] with a metrics hub attached.
-    ///
-    /// Workers fill per-worker histograms (batch latency, queue wait,
-    /// H2D/D2H transfer time, merge wait/retries, gradient staleness) and
-    /// the coordinator publishes the live dashboard gauges
-    /// (`worker.<w>.*`, `engine.loss`, …) through `sink` so
-    /// [`hetero_metrics::DashboardFrame::collect`] and the OpenMetrics
-    /// exporter see a consistent picture. A disabled hub reduces this to
-    /// exactly [`ThreadedEngine::run_traced`].
-    pub fn run_observed(
-        &self,
-        dataset: Arc<DenseDataset>,
-        sink: &TraceSink,
-        hub: &MetricsHub,
-    ) -> TrainResult {
-        self.run_flight(dataset, sink, hub, &FlightRecorder::disabled())
-    }
-
-    /// [`ThreadedEngine::run_observed`] with a black-box flight recorder
-    /// attached.
-    ///
-    /// The recorder's watchdog observes per-layer gradient norms and
-    /// NaN/±Inf counts from every worker hot path (fused into the SIMD
-    /// merge/scan — no extra pass over the model) and loss health at every
-    /// eval point, enforcing its [`hetero_flight::HealthPolicy`]: warnings
-    /// are traced as health events, clamps freeze the adaptive controller
-    /// at the current batch sizes, and an abort stops the run with the
-    /// reason in [`TrainResult::aborted`]. Any abnormal end (watchdog trip,
-    /// worker retirement, all-workers-dead abort) dumps a self-contained
-    /// postmortem bundle; its path lands in the result's
-    /// [`hetero_flight::HealthSummary::postmortem`]. When the caller's
-    /// `sink` is disabled, the recorder supplies its own bounded
-    /// drop-oldest sink so a postmortem always embeds the recent-event
-    /// window. A disabled recorder reduces this to exactly
-    /// [`ThreadedEngine::run_observed`].
-    pub fn run_flight(
-        &self,
-        dataset: Arc<DenseDataset>,
-        sink: &TraceSink,
-        hub: &MetricsHub,
-        flight: &FlightRecorder,
-    ) -> TrainResult {
-        self.run_ckpt(dataset, sink, hub, flight, &Checkpointer::disabled())
-    }
-
-    /// [`ThreadedEngine::run_flight`] with crash-consistent checkpointing.
-    ///
-    /// When a checkpoint comes due the coordinator captures the model via a
-    /// racy [`SharedModel::snapshot_into`] read — the Hogwild lanes and the
-    /// GPU CAS-merge loop never stall — plus the schedule cursor, adaptive
-    /// controller, loss curve, in-flight ranges, and watchdog tallies, and
-    /// publishes them through `hetero-ckpt`'s atomic-rename path. A
-    /// checkpointer with `resume: true` restores that state, offsets the
-    /// wall clock by the consumed training time, and finishes the remaining
-    /// budget with fresh threads; the continued loss curve is statistically
-    /// indistinguishable from an uninterrupted run (real concurrency makes
-    /// bit-identity impossible here — the virtual-clock engines provide
-    /// that property). A disabled checkpointer reduces this to exactly
-    /// [`ThreadedEngine::run_flight`].
-    pub fn run_ckpt(
-        &self,
-        dataset: Arc<DenseDataset>,
-        sink: &TraceSink,
-        hub: &MetricsHub,
-        flight: &FlightRecorder,
-        ckpt: &Checkpointer,
-    ) -> TrainResult {
-        // The retention window needs *some* sink; prefer the caller's, fall
-        // back to the recorder's bounded ring.
-        let flight_sink;
-        let sink = if flight.enabled() && !sink.enabled() {
-            flight_sink = flight.make_sink(hetero_trace::TimeDomain::Wall);
-            &flight_sink
-        } else {
-            sink
-        };
-        let watchdog = flight.watchdog();
+    /// Train on `dataset` until the wall-clock budget expires, observed
+    /// and checkpointed as `ctx` says (see [`RunCtx`]; its sink should be
+    /// in the wall-clock domain).
+    pub fn run_with(&self, dataset: Arc<DenseDataset>, ctx: &RunCtx) -> TrainResult {
         let cfg = &self.cfg;
-        let train = cfg.train.clone();
+        let train = &cfg.train;
         let algo = train.algorithm;
-        let spec = cfg.spec.clone();
+        let spec = &cfg.spec;
         assert_eq!(dataset.features(), spec.input_dim, "feature width");
 
-        // Worker slots: CPU first (if used), then GPU. Built before the
-        // model so the resume guard below can check the run shape.
-        let mut kinds = Vec::new();
+        // Worker slots: CPU first (if used), then GPU.
+        let mut workers = Vec::new();
         if algo.uses_cpu() {
-            kinds.push(WorkerKind::Cpu);
+            let state = cpu_batch_state(train, cfg.cpu_threads, dataset.len());
+            workers.push((WorkerKind::Cpu, state));
         }
         if algo.uses_gpu() {
             for _ in 0..cfg.gpu_workers.max(1) {
-                kinds.push(WorkerKind::Gpu);
+                // The software device reports OOM at run time instead of
+                // bounding the batch up front.
+                workers.push((WorkerKind::Gpu, gpu_batch_state(train, usize::MAX)));
             }
         }
+        let mut co = Coordinator::new(
+            Setup {
+                engine: "threaded",
+                domain: TimeDomain::Wall,
+                algorithm: algo.label(),
+                train,
+                dataset: &dataset,
+                layers: spec.num_layers(),
+                workers,
+            },
+            ctx,
+        );
+        let mut scheduler = BatchScheduler::new(dataset.len(), train.max_epochs);
 
         // --- Resume from the newest valid checkpoint ----------------------------
-        // The worker-count guard rejects a checkpoint from a differently
-        // shaped run (the schema tag already rejects other engines').
-        let resume: Option<ThreadedCkptState> = ckpt
-            .resume_state::<ThreadedCkptState>()
-            .filter(|s| s.schema == THREADED_CKPT_SCHEMA && s.workers.len() == kinds.len());
-        let t_base = resume.as_ref().map_or(0.0, |s| s.t);
-
-        let init = match &resume {
-            Some(s) => s.model.clone(),
+        let resume = co.load(THREADED_CKPT_SCHEMA, |s: &ThreadedCkpt| &s.core);
+        let resumed = resume.is_some();
+        // Training wall-seconds consumed by earlier incarnations: the
+        // resumed run offsets its clock and shrinks its budget by this.
+        let t_base = resume.as_ref().map_or(0.0, |s| s.core.t);
+        let init = match resume {
+            Some(s) => {
+                scheduler = s.scheduler;
+                let model = co.restore(s.core);
+                // A resumed run is a fresh set of threads: whoever had been
+                // quarantined when the checkpoint froze starts healthy.
+                for s in &mut co.stats {
+                    s.retired = None;
+                }
+                model
+            }
             None => Model::new(spec.clone(), train.init, train.seed),
         };
-        watchdog.ensure_layers(init.layers().len());
         let shared = Arc::new(SharedModel::new(&init));
 
         // Sparse staging source: compress the feature matrix once per run so
@@ -392,105 +288,38 @@ impl ThreadedEngine {
             train.sparse_input.then(|| Arc::new(dataset.to_csr()));
 
         let t0 = Instant::now();
-
-        if flight.enabled() {
-            flight.set_provenance(Provenance {
-                engine: "threaded".into(),
-                algorithm: algo.label().to_string(),
-                dataset: dataset.name.clone(),
-                workers: kinds.len(),
-                config_json: serde_json::to_string(&train).unwrap_or_default(),
-                git_sha: hetero_flight::read_git_sha(),
-                simd_level: format!("{:?}", hetero_tensor::simd::active_level()),
-            });
-        }
-
+        let sink = co.sink.clone();
         let (ready_tx, ready_rx) =
-            channel_traced_lineage::<WorkerMsg>(sink, "ready", COORDINATOR, worker_msg_lineage);
+            channel_traced_lineage::<WorkerMsg>(&sink, "ready", COORDINATOR, worker_msg_lineage);
+        let env = WorkerEnv {
+            dataset: Arc::clone(&dataset),
+            csr_data: csr_data.clone(),
+            shared: Arc::clone(&shared),
+            ready: ready_tx,
+            t0,
+            train: train.clone(),
+            sink: sink.clone(),
+            hub: ctx.hub.clone(),
+            watchdog: co.watchdog.clone(),
+        };
         let mut exec_txs: Vec<Sender<CoordMsg>> = Vec::new();
         let mut handles = Vec::new();
-        for (slot, kind) in kinds.iter().enumerate() {
+        for (slot, stat) in co.stats.iter().enumerate() {
             let (tx, rx) = channel_traced_lineage::<CoordMsg>(
-                sink,
+                &sink,
                 &format!("exec{slot}"),
                 slot as u32,
                 coord_msg_lineage,
             );
             exec_txs.push(tx);
-            let h = match kind {
-                WorkerKind::Cpu => self.spawn_cpu_worker(
-                    slot,
-                    Arc::clone(&dataset),
-                    csr_data.clone(),
-                    Arc::clone(&shared),
-                    rx,
-                    ready_tx.clone(),
-                    t0,
-                    train.clone(),
-                    sink.clone(),
-                    hub.clone(),
-                    watchdog.clone(),
-                ),
-                WorkerKind::Gpu => self.spawn_gpu_worker(
-                    slot,
-                    Arc::clone(&dataset),
-                    csr_data.clone(),
-                    Arc::clone(&shared),
-                    rx,
-                    ready_tx.clone(),
-                    t0,
-                    train.clone(),
-                    sink.clone(),
-                    hub.clone(),
-                    watchdog.clone(),
-                ),
-            };
-            handles.push(h);
+            handles.push(match stat.kind {
+                WorkerKind::Cpu => self.spawn_cpu_worker(slot, rx, env.clone()),
+                WorkerKind::Gpu => self.spawn_gpu_worker(slot, rx, env.clone()),
+            });
         }
-        drop(ready_tx);
+        // The workers hold the only ready senders from here on.
+        drop(env);
 
-        // --- Coordinator loop ---------------------------------------------------
-        let mut stats: Vec<WorkerStats> = kinds.iter().map(|k| WorkerStats::new(*k)).collect();
-        let mut controller = self.build_controller(&kinds, dataset.len());
-        let mut scheduler = BatchScheduler::new(dataset.len(), train.max_epochs);
-        let mut curve: Vec<LossPoint> = Vec::new();
-
-        let timeline_rejects = sink.counter("engine.timeline_rejects");
-        let faults_ctr = sink.counter("engine.faults");
-        let requeues_ctr = sink.counter("engine.requeues");
-
-        // Live dashboard gauges (`worker.<w>.*`, `engine.*`): resolved once
-        // here, refreshed on every completion/eval so a concurrent
-        // dashboard or scrape endpoint always reads a fresh picture.
-        struct WorkerGauges {
-            updates: hetero_trace::GaugeHandle,
-            batch: hetero_trace::GaugeHandle,
-            examples: hetero_trace::GaugeHandle,
-            busy_secs: hetero_trace::GaugeHandle,
-        }
-        let worker_gauges: Vec<WorkerGauges> = kinds
-            .iter()
-            .enumerate()
-            .map(|(w, k)| {
-                sink.gauge(&format!("worker.{w}.kind")).set(match k {
-                    WorkerKind::Cpu => 0.0,
-                    WorkerKind::Gpu => 1.0,
-                });
-                WorkerGauges {
-                    updates: sink.gauge(&format!("worker.{w}.updates")),
-                    batch: sink.gauge(&format!("worker.{w}.batch")),
-                    examples: sink.gauge(&format!("worker.{w}.examples")),
-                    busy_secs: sink.gauge(&format!("worker.{w}.busy_secs")),
-                }
-            })
-            .collect();
-        let g_loss = sink.gauge("engine.loss");
-        let g_epochs = sink.gauge("engine.epochs");
-        // Created only when β is actually measured, so dashboards can tell
-        // "off" (gauge absent) from "measured 0".
-        let g_beta_measured = train
-            .measured_beta
-            .then(|| sink.gauge("engine.beta_measured"));
         // Published only on sparse runs, so dashboards can tell "dense
         // path" (gauge absent) from a fully dense batch on the sparse path.
         if let Some(csr) = &csr_data {
@@ -512,7 +341,7 @@ impl ThreadedEngine {
             .map(|n| n.get())
             .unwrap_or(1);
         let cpu_lanes = if algo.uses_cpu() { cfg.cpu_threads } else { 0 };
-        let gpu_slots = kinds.iter().filter(|k| **k == WorkerKind::Gpu).count();
+        let gpu_slots = co.workers() - usize::from(algo.uses_cpu());
         let requested = cpu_lanes + gpu_slots * gemm_pool.current_num_threads();
         sink.counter("engine.pool_oversubscription")
             .add(requested.saturating_sub(host_threads) as u64);
@@ -541,298 +370,73 @@ impl ThreadedEngine {
             }
         };
         // One snapshot model + workspace for every eval of the run.
-        let mut eval_model = Model::zeros_like(&spec);
-        let mut eval_ws = Workspace::new(&spec);
-
-        let mut eval =
-            |shared: &SharedModel, scheduler: &BatchScheduler, t0: Instant| -> LossPoint {
-                shared.snapshot_into(&mut eval_model);
-                let pass = gemm_pool.install(|| match &eval_batch {
-                    EvalBatch::Sparse(csr) => {
-                        eval_ws.forward_sparse_into(&eval_model, csr.view(), true)
-                    }
-                    EvalBatch::Dense(x) => eval_ws.forward_into(&eval_model, x, true),
-                });
-                let point = LossPoint {
-                    // `t_base` splices a resumed incarnation's curve onto the
-                    // restored prefix's time axis.
-                    time: t_base + t0.elapsed().as_secs_f64(),
-                    epochs: scheduler.epochs_elapsed(),
-                    loss: hetero_nn::loss(pass.probs(), eval_labels.as_targets(), spec.loss),
-                    accuracy: hetero_nn::accuracy(pass.probs(), eval_labels.as_targets()),
-                };
-                g_loss.set(point.loss as f64);
-                g_epochs.set(point.epochs);
-                if let (Some(g), Some(beta)) = (&g_beta_measured, shared.beta_estimate()) {
-                    g.set(beta);
+        let mut eval_model = Model::zeros_like(spec);
+        let mut eval_ws = Workspace::new(spec);
+        let mut eval = |scheduler: &BatchScheduler| -> LossPoint {
+            shared.snapshot_into(&mut eval_model);
+            let pass = gemm_pool.install(|| match &eval_batch {
+                EvalBatch::Sparse(csr) => {
+                    eval_ws.forward_sparse_into(&eval_model, csr.view(), true)
                 }
-                if sink.enabled() {
-                    sink.emit(
-                        COORDINATOR,
-                        EventKind::EvalPoint {
-                            loss: point.loss as f64,
-                        },
-                    );
-                }
-                point
-            };
+                EvalBatch::Dense(x) => eval_ws.forward_into(&eval_model, x, true),
+            });
+            LossPoint {
+                // `t_base` splices a resumed incarnation's curve onto the
+                // restored prefix's time axis.
+                time: t_base + t0.elapsed().as_secs_f64(),
+                epochs: scheduler.epochs_elapsed(),
+                loss: hetero_nn::loss(pass.probs(), eval_labels.as_targets(), spec.loss),
+                accuracy: hetero_nn::accuracy(pass.probs(), eval_labels.as_targets()),
+            }
+        };
+        // The live CAS-probe estimate, when the run opted into measured β.
+        let beta = || {
+            train
+                .measured_beta
+                .then(|| shared.beta_estimate())
+                .flatten()
+        };
         // The remaining budget is what the original run had not yet spent.
         let budget = Duration::from_secs_f64((train.time_budget - t_base).max(0.0));
-        let mut active = vec![true; kinds.len()];
-        let mut in_flight: Vec<Option<(u64, BatchRange)>> = vec![None; kinds.len()];
-        let mut requeue: VecDeque<BatchRange> = VecDeque::new();
-        let mut requeued_batches: u64 = 0;
-        // Monotone batch lineage ids, coordinator-owned. Starting at 1
-        // keeps 0 free as an "unset" marker in diagnostics.
-        let mut next_batch_id: u64 = 1;
-
-        if let Some(s) = resume {
-            controller = s.controller;
-            scheduler = s.scheduler;
-            curve = s.curve;
-            for (stat, wc) in stats.iter_mut().zip(&s.workers) {
-                stat.updates = wc.updates;
-                stat.batches = wc.batches;
-                stat.examples = wc.examples;
-            }
-            // Ranges that were in flight (or re-queued) when the
-            // checkpoint froze go back to the front of the queue: they were
-            // already counted by the scheduler, so serving them from the
-            // requeue keeps `examples_served`/`epochs_elapsed` exact.
-            requeue.extend(s.requeue);
-            requeued_batches = s.requeued_batches;
-            watchdog.restore_state(&s.watchdog);
-            ckpt.resume_mark(t_base);
-            sink.counter("ckpt.resumes").add(1);
-        } else {
-            let first = eval(&shared, &scheduler, t0);
-            // Seed the watchdog's divergence/stall baseline with the
-            // initial loss (the first observation never reacts).
-            watchdog.observe_eval(first.loss as f64);
-            curve.push(first);
+        if !resumed {
+            co.initial_point(eval(&scheduler), beta());
         }
 
-        // Checkpoint observability: generation/bytes/age gauges plus the
-        // write-latency histogram (no-ops when sink/hub are disabled). The
-        // capture buffer is reused so a checkpoint allocates nothing on the
-        // coordinator's steady path beyond the serialized payload.
-        let g_ckpt_gen = sink.gauge("ckpt.generation");
-        let g_ckpt_bytes = sink.gauge("ckpt.bytes");
-        let g_ckpt_age = sink.gauge("ckpt.age_secs");
-        let ckpt_hist = hub.histogram(Metric::CkptWrite, GLOBAL_WORKER);
-        let mut ckpt_model: Option<Model> =
-            ckpt.enabled().then(|| Model::zeros_like(shared.spec()));
-
-        macro_rules! sup {
-            () => {
-                Supervision {
-                    active: &mut active,
-                    stats: &mut stats,
-                    in_flight: &mut in_flight,
-                    requeue: &mut requeue,
-                    requeued_batches: &mut requeued_batches,
-                    faults_ctr: &faults_ctr,
-                    requeues_ctr: &requeues_ctr,
-                }
-            };
-        }
-
-        /// Re-queued ranges are served before the scheduler so they are
-        /// never re-counted in `examples_served`/`epochs_elapsed` (the
-        /// scheduler counted them when it first handed them out).
-        fn next_range(
-            requeue: &mut VecDeque<BatchRange>,
-            scheduler: &mut BatchScheduler,
-            size: usize,
-        ) -> Option<BatchRange> {
-            if let Some(r) = requeue.pop_front() {
-                return Some(r);
-            }
-            scheduler.next_batch(size).filter(|r| !r.is_empty())
-        }
-
-        macro_rules! dispatch {
-            ($w:expr) => {{
-                let w: usize = $w;
-                let size = controller.on_request_traced(w, sink);
-                match next_range(&mut requeue, &mut scheduler, size) {
-                    Some(range) => {
-                        let id = next_batch_id;
-                        next_batch_id += 1;
-                        if sink.enabled() {
-                            sink.emit(
-                                w as u32,
-                                EventKind::BatchDispatched {
-                                    id,
-                                    batch: range.len(),
-                                },
-                            );
-                        }
-                        match exec_txs[w].send(CoordMsg::Execute { id, range }) {
-                            Ok(()) => in_flight[w] = Some((id, range)),
-                            Err(_) => {
-                                // The worker died without a fault message:
-                                // the range never left, put it back and
-                                // quarantine the slot.
-                                requeue.push_front(range);
-                                sup!().retire(
-                                    w,
-                                    &WorkerError::Disconnected("exec channel closed".into()),
-                                    sink,
-                                );
-                            }
-                        }
-                    }
-                    None => {
-                        let _ = exec_txs[w].send(CoordMsg::Stop);
-                        active[w] = false;
-                    }
-                }
-            }};
-        }
-
-        // Health reactions need the controller, which the `dispatch!` macro
-        // also borrows — macros keep both lexical, where a closure could
-        // not.
-        macro_rules! freeze_batches {
-            () => {{
-                for w in 0..kinds.len() {
-                    controller.clamp_max_batch(w, controller.batch(w));
-                }
-                watchdog.note_clamp();
-            }};
-        }
-        macro_rules! health_event {
-            ($action:expr, $detail:expr) => {
-                if sink.enabled() {
-                    sink.emit(
-                        COORDINATOR,
-                        EventKind::HealthEvent {
-                            action: $action.to_string(),
-                            detail: $detail,
-                        },
-                    );
-                }
-            };
-        }
-
-        // Kick off every worker.
-        for w in 0..kinds.len() {
-            dispatch!(w);
-        }
+        // --- Coordinator loop ---------------------------------------------------
+        // Slots that were told to stop (budget spent or schedule dry); a
+        // slot is live until then unless it was retired.
+        let mut stopped: Vec<bool> = (0..co.workers())
+            .map(|w| !dispatch(&mut co, &mut scheduler, &exec_txs[w], w))
+            .collect();
         let eval_interval = Duration::from_secs_f64(train.eval_interval);
         let mut next_eval = eval_interval;
-        let mut tripped: Option<String> = None;
+        // Reused so a checkpoint allocates nothing on the coordinator's
+        // steady path beyond the serialized payload.
+        let mut ckpt_model: Option<Model> = None;
 
-        while active.iter().any(|&a| a) {
-            // Health policy enforcement between messages: an abort raised
-            // from any worker hot path (or a prior eval) stops the run; a
-            // clamp request freezes the adaptive controller at the current
-            // batch sizes.
-            if let Some(reason) = watchdog.tripped() {
-                health_event!("abort", reason.clone());
-                tripped = Some(format!("health watchdog: {reason}"));
+        while (0..co.workers()).any(|w| !stopped[w] && !co.retired(w)) {
+            if co.poll_health() {
                 break;
             }
-            if watchdog.take_clamp_request() {
-                freeze_batches!();
-                health_event!(
-                    "clamp",
-                    "batch growth frozen on worker health report".to_string()
-                );
-            }
             // Periodic crash-consistency checkpoint. The model image is a
-            // racy `snapshot_into` read — workers keep merging throughout —
-            // so the capture never stalls the hot path; everything else
-            // captured here is coordinator-owned state.
+            // racy `snapshot_into` read — the Hogwild lanes and the GPU
+            // CAS-merge loop never stall — and everything else captured
+            // is coordinator-owned state.
             let t_train = t_base + t0.elapsed().as_secs_f64();
-            if ckpt.due(t_train) {
-                if let Some(m) = ckpt_model.as_mut() {
-                    shared.snapshot_into(m);
-                    let state = ThreadedCkptState {
-                        schema: THREADED_CKPT_SCHEMA.to_string(),
-                        t: t_train,
-                        model: m.clone(),
-                        controller: controller.clone(),
-                        scheduler: scheduler.clone(),
-                        curve: curve.clone(),
-                        workers: stats
-                            .iter()
-                            .map(|s| ThreadedWorkerCkpt {
-                                updates: s.updates,
-                                batches: s.batches,
-                                examples: s.examples,
-                            })
-                            .collect(),
-                        requeue: requeue
-                            .iter()
-                            .copied()
-                            .chain(in_flight.iter().flatten().map(|(_, r)| *r))
-                            .collect(),
-                        requeued_batches,
-                        watchdog: watchdog.export_state(),
-                    };
-                    if let Some(report) = ckpt.save(t_train, &state) {
-                        g_ckpt_gen.set(report.generation as f64);
-                        g_ckpt_bytes.set(report.bytes as f64);
-                        ckpt_hist.record_secs(report.write_secs);
-                        flight.set_resumable_from(report.path.display().to_string());
-                    }
-                }
+            if ctx.ckpt.due(t_train) {
+                let m = ckpt_model.get_or_insert_with(|| Model::zeros_like(spec));
+                shared.snapshot_into(m);
+                let mut core = co.capture(THREADED_CKPT_SCHEMA, t_train, m);
+                // Workers race the capture, so whatever is in flight goes
+                // back on the queue of the resumed run: the scheduler has
+                // already counted it, and no example is silently dropped.
+                core.requeue.extend(co.in_flight());
+                let scheduler = scheduler.clone();
+                co.save(t_train, &ThreadedCkpt { core, scheduler });
             }
             let now = t0.elapsed();
             if now >= next_eval {
-                if ckpt.enabled() {
-                    g_ckpt_age.set(t_train - ckpt.last_saved_at().unwrap_or(0.0));
-                }
-                let point = eval(&shared, &scheduler, t0);
-                match watchdog.observe_eval(point.loss as f64) {
-                    HealthAction::Ignore => {}
-                    HealthAction::Warn => {
-                        health_event!(
-                            "warn",
-                            format!("eval health warning at loss {:.4}", point.loss)
-                        );
-                    }
-                    HealthAction::Clamp => {
-                        freeze_batches!();
-                        health_event!(
-                            "clamp",
-                            format!("batch growth frozen at loss {:.4}", point.loss)
-                        );
-                    }
-                    // The trip flag is already set; the loop-top check
-                    // turns it into the abort.
-                    HealthAction::Abort => {}
-                }
-                if flight.enabled() {
-                    let stale = hub.summary(Metric::Staleness);
-                    let h = watchdog.summary();
-                    flight.record_snapshot(HealthSnapshot {
-                        t: point.time,
-                        loss: point.loss as f64,
-                        epochs: point.epochs,
-                        batches: (0..kinds.len()).map(|w| controller.batch(w)).collect(),
-                        beta: if train.measured_beta {
-                            shared.beta_estimate()
-                        } else {
-                            None
-                        },
-                        staleness_p50: stale.as_ref().map(|s| s.p50),
-                        staleness_p99: stale.as_ref().map(|s| s.p99),
-                        grad_peak_norm: h.peak_grad_norm,
-                    });
-                    // Per-layer gradient-norm gauges for the dashboard /
-                    // OpenMetrics endpoint.
-                    if sink.enabled() {
-                        for (l, n) in h.layer_peak_norms.iter().enumerate() {
-                            sink.gauge(&format!("health.layer.{l}.grad_norm")).set(*n);
-                        }
-                        sink.gauge("health.nonfinite")
-                            .set(h.nonfinite_events as f64);
-                    }
-                }
-                curve.push(point);
+                co.eval_point(eval(&scheduler), beta());
                 // Advance past `now` in whole intervals: a stall longer
                 // than one interval must not leave `next_eval` behind the
                 // wall clock (which would starve batch dispatch with
@@ -844,59 +448,44 @@ impl ThreadedEngine {
             let wait = (next_eval - now).min(Duration::from_millis(50));
             match ready_rx.recv_timeout(wait) {
                 Ok(WorkerMsg::Ready(r)) => {
-                    in_flight[r.worker] = None;
-                    controller.report_updates(r.worker, r.updates);
+                    let w = r.worker;
+                    co.controller.report_updates(w, r.updates);
                     if let Some(fit) = r.shrunk_to {
                         // The device OOMed above `fit`: the adaptive loop
                         // must never re-request a size it already rejected.
-                        controller.clamp_max_batch(r.worker, fit);
+                        co.controller.clamp_max_batch(w, fit);
                     }
                     if let Some(tail) = r.leftover {
-                        sup!().push_requeue(r.id, tail, sink);
+                        co.requeue(r.id, tail);
                     }
-                    let s = &mut stats[r.worker];
+                    let s = &mut co.stats[w];
                     s.updates += r.updates;
                     s.batches += 1;
                     s.examples += r.examples;
                     let level = match s.kind {
                         WorkerKind::Cpu => {
-                            (r.batch.min(self.cfg.cpu_threads) as f64) / self.cfg.cpu_threads as f64
+                            (r.batch.min(cfg.cpu_threads) as f64) / cfg.cpu_threads as f64
                         }
-                        WorkerKind::Gpu => self.cfg.gpu_perf.busy_utilization(r.batch),
+                        WorkerKind::Gpu => cfg.gpu_perf.busy_utilization(r.batch),
                     };
-                    // Wall-clock segments from a racing worker can jitter;
-                    // clamp monotonic.
-                    let start = r.busy_start.max(s.timeline.horizon());
-                    let end = r.busy_end.max(start);
-                    if s.timeline.try_record(start, end, level).is_err() {
-                        timeline_rejects.add(1);
-                    }
-                    let g = &worker_gauges[r.worker];
-                    g.updates.set(s.updates);
-                    g.batch.set(r.batch as f64);
-                    g.examples.set(s.examples as f64);
-                    g.busy_secs.set(s.timeline.busy_time());
-
-                    if t0.elapsed() < budget {
-                        dispatch!(r.worker);
+                    co.busy(w, r.busy_start, r.busy_end, level);
+                    co.completed(w);
+                    if co.retired(w) {
+                        // A quarantined slot gets no more work.
+                    } else if t0.elapsed() < budget {
+                        stopped[w] = !dispatch(&mut co, &mut scheduler, &exec_txs[w], w);
                     } else {
-                        let _ = exec_txs[r.worker].send(CoordMsg::Stop);
-                        active[r.worker] = false;
+                        let _ = exec_txs[w].send(CoordMsg::Stop);
+                        stopped[w] = true;
                     }
                 }
-                Ok(WorkerMsg::Fault { worker, error }) => {
-                    sup!().retire(worker, &error, sink);
-                }
+                Ok(WorkerMsg::Fault { worker, error }) => co.retire(worker, &error),
                 Err(RecvTimeoutError::Timeout) => {
                     // Sweep for workers that died without managing to send
                     // a fault (their exec receiver is gone).
-                    for w in 0..kinds.len() {
-                        if active[w] && exec_txs[w].is_disconnected() {
-                            sup!().retire(
-                                w,
-                                &WorkerError::Disconnected("exec channel closed".into()),
-                                sink,
-                            );
+                    for (w, tx) in exec_txs.iter().enumerate() {
+                        if !stopped[w] && tx.is_disconnected() {
+                            co.retire(w, &WorkerError::Disconnected("exec channel closed".into()));
                         }
                     }
                 }
@@ -913,85 +502,37 @@ impl ThreadedEngine {
         // Faults that raced the shutdown still deserve a retirement record.
         while let Ok(msg) = ready_rx.try_recv() {
             if let WorkerMsg::Fault { worker, error } = msg {
-                sup!().retire(worker, &error, sink);
+                co.retire(worker, &error);
             }
         }
-        let aborted = tripped.or_else(|| {
-            stats
-                .iter()
-                .all(|s| s.retired.is_some())
-                .then(|| "all workers retired by faults".to_string())
-        });
-
-        curve.push(eval(&shared, &scheduler, t0));
-
-        for (w, s) in stats.iter_mut().enumerate() {
-            s.final_batch = controller.batch(w);
-            s.summarize_timeline();
-        }
+        let last = eval(&scheduler);
         // Total training time across incarnations, not just this one.
         let duration = t_base + t0.elapsed().as_secs_f64();
-        if sink.enabled() {
-            let examples: u64 = stats.iter().map(|s| s.examples).sum();
-            sink.gauge("engine.examples_per_sec")
-                .set(examples as f64 / duration.max(1e-9));
-            sink.gauge("engine.beta").set(train.adaptive.beta);
-        }
-        let measured_beta = if train.measured_beta {
-            shared.beta_estimate()
-        } else {
-            None
-        };
-        // Black-box dump on any abnormal end: watchdog trip, a retired
-        // worker, or the all-dead abort. `capture` copies the retained
-        // window without draining, so the caller's own `drain` still sees
-        // the full trace.
-        let mut health = watchdog.enabled().then(|| watchdog.summary());
-        if flight.enabled() && (aborted.is_some() || stats.iter().any(|s| s.retired.is_some())) {
-            let reason = aborted
-                .clone()
-                .unwrap_or_else(|| "worker retirement".to_string());
-            let path = flight.dump(&reason, sink.capture(), hub);
-            if let (Some(h), Some(p)) = (health.as_mut(), path) {
-                h.postmortem = Some(p);
-            }
-        }
-        TrainResult {
-            algorithm: algo.label().to_string(),
-            dataset: dataset.name.clone(),
-            loss_curve: curve,
-            workers: stats,
-            duration,
-            epochs: scheduler.epochs_elapsed(),
-            trace_path: None,
-            requeued_batches,
-            aborted,
-            measured_beta,
-            staleness: hub.summary(Metric::Staleness),
-            health,
-        }
+        co.finish(last, beta(), duration)
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn spawn_cpu_worker(
         &self,
         slot: usize,
-        dataset: Arc<DenseDataset>,
-        csr_data: Option<Arc<CsrMatrix>>,
-        shared: Arc<SharedModel>,
         rx: Receiver<CoordMsg>,
-        tx: Sender<WorkerMsg>,
-        t0: Instant,
-        train: TrainConfig,
-        sink: TraceSink,
-        hub: MetricsHub,
-        watchdog: Watchdog,
+        env: WorkerEnv,
     ) -> std::thread::JoinHandle<()> {
         let threads = self.cfg.cpu_threads;
         let plan = self.cfg.fault_plan.clone();
         std::thread::Builder::new()
             .name(format!("cpu-worker-{slot}"))
             .spawn(move || {
+                let WorkerEnv {
+                    dataset,
+                    csr_data,
+                    shared,
+                    ready: tx,
+                    t0,
+                    train,
+                    sink,
+                    hub,
+                    watchdog,
+                } = env;
                 let body = || -> Result<(), WorkerError> {
                     let pool = rayon::ThreadPoolBuilder::new()
                         .num_threads(threads)
@@ -1144,26 +685,28 @@ impl ThreadedEngine {
             .expect("spawn cpu worker")
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn spawn_gpu_worker(
         &self,
         slot: usize,
-        dataset: Arc<DenseDataset>,
-        csr_data: Option<Arc<CsrMatrix>>,
-        shared: Arc<SharedModel>,
         rx: Receiver<CoordMsg>,
-        tx: Sender<WorkerMsg>,
-        t0: Instant,
-        train: TrainConfig,
-        sink: TraceSink,
-        hub: MetricsHub,
-        watchdog: Watchdog,
+        env: WorkerEnv,
     ) -> std::thread::JoinHandle<()> {
         let perf = self.cfg.gpu_perf.clone();
         let plan = self.cfg.fault_plan.clone();
         std::thread::Builder::new()
             .name(format!("gpu-worker-{slot}"))
             .spawn(move || {
+                let WorkerEnv {
+                    dataset,
+                    csr_data,
+                    shared,
+                    ready: tx,
+                    t0,
+                    train,
+                    sink,
+                    hub,
+                    watchdog,
+                } = env;
                 let body = || -> Result<(), WorkerError> {
                     // The observed device feeds H2D/D2H transfer
                     // histograms on top of the trace events.
@@ -1337,44 +880,8 @@ impl ThreadedEngine {
             })
             .expect("spawn gpu worker")
     }
-
-    fn build_controller(&self, kinds: &[WorkerKind], n: usize) -> AdaptiveController {
-        let train = &self.cfg.train;
-        let p = &train.adaptive;
-        let adapt = train.algorithm.is_adaptive();
-        let states = kinds
-            .iter()
-            .map(|k| match k {
-                WorkerKind::Cpu => {
-                    if adapt {
-                        let min_b = p.cpu_min_batch.max(self.cfg.cpu_threads).min(n.max(1));
-                        WorkerBatchState::new(min_b, min_b, p.cpu_max_batch.max(min_b))
-                    } else {
-                        let b = (train.cpu_batch_per_thread * self.cfg.cpu_threads)
-                            .min(n.max(1))
-                            .max(1);
-                        WorkerBatchState::new(b, b, b)
-                    }
-                }
-                WorkerKind::Gpu => {
-                    if adapt {
-                        let max_b = p.gpu_max_batch.max(1);
-                        let min_b = p.gpu_min_batch.min(max_b).max(1);
-                        WorkerBatchState::new(max_b, min_b, max_b)
-                    } else {
-                        let b = train.gpu_batch.max(1);
-                        WorkerBatchState::new(b, b, b)
-                    }
-                }
-            })
-            .collect();
-        AdaptiveController::new(p.alpha, adapt, states)
-    }
 }
 
-/// Convert a worker body's exit into a [`WorkerMsg::Fault`] when it did not
-/// end cleanly. A clean exit (coordinator said Stop, or the schedule ran
-/// dry) sends nothing.
 /// One persistent scratch set per Hogwild lane — model snapshot, batch
 /// staging, and forward/backward workspace all reused across batches, so a
 /// steady-state lane performs zero heap allocations.
@@ -1459,9 +966,7 @@ fn cpu_lane_step(
     if watchdog.enabled() {
         lane.scan.reset();
         scan_model(lane.ws.grad(), &mut lane.scan);
-        for (l, ls) in lane.scan.layers().iter().enumerate() {
-            watchdog.observe_layer(slot as u32, l, batches_done, ls.sumsq, ls.nonfinite);
-        }
+        observe_scan(watchdog, slot, batches_done, &lane.scan);
     }
     let eta = train.lr_scaling.eta(train.lr, e - s);
     let t_merge = Instant::now();
@@ -1597,15 +1102,7 @@ fn gpu_batch_step(
         let r = ctx
             .shared
             .merge_delta_scaled_scanned(snapshot, replica, scale, merge_scan);
-        for (l, ls) in merge_scan.layers().iter().enumerate() {
-            ctx.watchdog.observe_layer(
-                ctx.slot as u32,
-                l,
-                ctx.batches_done,
-                ls.sumsq,
-                ls.nonfinite,
-            );
-        }
+        observe_scan(ctx.watchdog, ctx.slot, ctx.batches_done, merge_scan);
         r
     } else {
         ctx.shared
@@ -1678,15 +1175,7 @@ fn gpu_batch_step_sparse(
         merge_scan,
     );
     if ctx.watchdog.enabled() {
-        for (l, ls) in merge_scan.layers().iter().enumerate() {
-            ctx.watchdog.observe_layer(
-                ctx.slot as u32,
-                l,
-                ctx.batches_done,
-                ls.sumsq,
-                ls.nonfinite,
-            );
-        }
+        observe_scan(ctx.watchdog, ctx.slot, ctx.batches_done, merge_scan);
     }
     phases.merge_secs = merge_start.elapsed().as_secs_f64();
     ctx.merge_hist.record_secs(phases.merge_secs);
@@ -1696,6 +1185,9 @@ fn gpu_batch_step_sparse(
     (range.len(), None, None, scale, phases)
 }
 
+/// Convert a worker body's exit into a [`WorkerMsg::Fault`] when it did not
+/// end cleanly. A clean exit (coordinator said Stop, or the schedule ran
+/// dry) sends nothing.
 fn report_worker_exit(
     slot: usize,
     exit: std::thread::Result<Result<(), WorkerError>>,
@@ -1717,7 +1209,17 @@ fn report_worker_exit(
 mod tests {
     use super::*;
     use crate::config::{AdaptiveParams, LrScaling};
+    use hetero_ckpt::Checkpointer;
     use hetero_data::SynthConfig;
+
+    /// Per-thread trace ring sized for a whole test run. The busiest
+    /// thread (the GPU worker: start, transfers, kernels, merge, complete
+    /// per batch) emits 80–150 k events in a 0.4 s release-mode run; a
+    /// drop-oldest ring smaller than that cuts mid-batch, and a test then
+    /// sees a completion whose start was evicted. Rings only grow as they
+    /// fill, so the headroom is free. Tests that count events assert
+    /// `total_dropped() == 0` first, so an undersized ring says so itself.
+    const RING: usize = 1 << 20;
 
     fn dataset() -> Arc<DenseDataset> {
         let mut cfg = SynthConfig::small(400, 8, 2, 5);
@@ -1815,7 +1317,7 @@ mod tests {
 
     #[test]
     fn traced_run_emits_batch_lifecycle() {
-        let sink = TraceSink::wall(8192);
+        let sink = TraceSink::wall(RING);
         let r = ThreadedEngine::new(config(AlgorithmKind::AdaptiveHogbatch, 0.4))
             .unwrap()
             .run_traced(dataset(), &sink);
@@ -1825,6 +1327,7 @@ mod tests {
             "engine never writes the file itself"
         );
         let trace = sink.drain();
+        assert_eq!(trace.total_dropped(), 0, "ring too small for the run");
         let events = trace.events_sorted();
         let (mut dispatched, mut started, mut completed, mut evals, mut merges) =
             (0u64, 0u64, 0u64, 0u64, 0u64);
@@ -1843,7 +1346,10 @@ mod tests {
                     started += 1;
                 }
                 EventKind::BatchCompleted { id, ref phases, .. } => {
-                    assert!(dispatched_ids.contains(&id), "completion without dispatch: {id}");
+                    assert!(
+                        dispatched_ids.contains(&id),
+                        "completion without dispatch: {id}"
+                    );
                     phase_time += phases.total();
                     completed += 1;
                 }
@@ -1896,13 +1402,18 @@ mod tests {
 
     #[test]
     fn observed_run_fills_histograms_and_dashboard_gauges() {
-        let sink = TraceSink::wall(8192);
+        let sink = TraceSink::wall(RING);
         let hub = MetricsHub::new();
         let mut cfg = config(AlgorithmKind::AdaptiveHogbatch, 0.4);
         cfg.train.measured_beta = true;
-        let r = ThreadedEngine::new(cfg)
-            .unwrap()
-            .run_observed(dataset(), &sink, &hub);
+        let r = ThreadedEngine::new(cfg).unwrap().run_with(
+            dataset(),
+            &RunCtx {
+                sink: sink.clone(),
+                hub: hub.clone(),
+                ..RunCtx::default()
+            },
+        );
         assert!(r.final_loss().is_finite());
         // Measured β: the run opted in, so the estimate must be present
         // and a valid survival fraction.
@@ -1954,14 +1465,19 @@ mod tests {
 
     #[test]
     fn sparse_input_run_converges_and_reports_sparse_metrics() {
-        let sink = TraceSink::wall(8192);
+        let sink = TraceSink::wall(RING);
         let hub = MetricsHub::new();
         let mut cfg = config(AlgorithmKind::CpuGpuHogbatch, 0.5);
         cfg.train.sparse_input = true;
         cfg.train.measured_beta = true; // exercise the sampled-cols apply
-        let r = ThreadedEngine::new(cfg)
-            .unwrap()
-            .run_observed(dataset(), &sink, &hub);
+        let r = ThreadedEngine::new(cfg).unwrap().run_with(
+            dataset(),
+            &RunCtx {
+                sink: sink.clone(),
+                hub: hub.clone(),
+                ..RunCtx::default()
+            },
+        );
         assert!(r.final_loss() < r.initial_loss(), "{:?}", r.loss_curve);
         for w in &r.workers {
             assert!(w.batches > 0, "{:?} idle", w.kind);
@@ -2015,7 +1531,7 @@ mod tests {
         // beyond the host's cores).
         let mut cfg = config(AlgorithmKind::CpuGpuHogbatch, 0.2);
         cfg.train.rayon_threads = 1024;
-        let sink = TraceSink::wall(4096);
+        let sink = TraceSink::wall(RING);
         let _ = ThreadedEngine::new(cfg)
             .unwrap()
             .run_traced(dataset(), &sink);
@@ -2081,12 +1597,12 @@ mod tests {
             resume: false,
         })
         .unwrap();
-        let first = ThreadedEngine::new(cfg.clone()).unwrap().run_ckpt(
+        let first = ThreadedEngine::new(cfg.clone()).unwrap().run_with(
             data.clone(),
-            &TraceSink::disabled(),
-            &MetricsHub::disabled(),
-            &FlightRecorder::disabled(),
-            &writer,
+            &RunCtx {
+                ckpt: writer.clone(),
+                ..RunCtx::default()
+            },
         );
         assert!(writer.latest_path().is_some(), "no checkpoint written");
         assert!(first.final_loss() < first.initial_loss());
@@ -2101,12 +1617,12 @@ mod tests {
             resume: true,
         })
         .unwrap();
-        let resumed = ThreadedEngine::new(cfg).unwrap().run_ckpt(
+        let resumed = ThreadedEngine::new(cfg).unwrap().run_with(
             data,
-            &TraceSink::disabled(),
-            &MetricsHub::disabled(),
-            &FlightRecorder::disabled(),
-            &reader,
+            &RunCtx {
+                ckpt: reader.clone(),
+                ..RunCtx::default()
+            },
         );
         // The restored curve is a literal prefix of the first run's curve
         // (it was captured from that run), and the resumed incarnation

@@ -1,9 +1,9 @@
 //! Shared evaluation-subset helpers.
 //!
-//! Both engines evaluate the loss curve on the *same* seeded random
-//! subsample at every eval point: a fixed prefix would bias the curve
-//! toward whatever ordering the dataset shipped with, and re-drawing per
-//! eval point would add noise between points.
+//! The simulation and threaded engines evaluate the loss curve on the
+//! *same* seeded random subsample at every eval point: a fixed prefix
+//! would bias the curve toward whatever ordering the dataset shipped with,
+//! and re-drawing per eval point would add noise between points.
 
 use hetero_data::DenseDataset;
 use rand::rngs::StdRng;

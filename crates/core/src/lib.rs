@@ -30,14 +30,22 @@
 //! - [`engine_threads::ThreadedEngine`] — real OS threads, the custom
 //!   message queue, a [`hetero_nn::SharedModel`] updated Hogwild-style and
 //!   a software-GPU worker; wall-clock time.
+//! - [`engine_ps::PsEngine`] — the distributed parameter-server comparator
+//!   of §II (static shards, a network model, update-count learning-rate
+//!   compensation) on the same virtual clock as the simulation.
 //!
-//! Both engines implement the same algorithm set and produce the same
-//! [`metrics::TrainResult`] shape.
+//! All three drive one coordinator core (dispatch, re-queue, lineage ids,
+//! health policy, checkpoint envelope, result epilogue) and differ only in
+//! their clock and in how a batch executes. Each has one entry point,
+//! `run_with(dataset, &RunCtx)`, plus `run(dataset)` for the default
+//! [`RunCtx`] — tracing, metrics, flight recorder and checkpointing all
+//! disabled — and produces the same [`metrics::TrainResult`] shape.
 
 #![warn(missing_docs)]
 
 pub mod adaptive;
 pub mod config;
+mod coordinator;
 pub mod engine_ps;
 pub mod engine_sim;
 pub mod engine_threads;
@@ -48,6 +56,7 @@ pub mod svrg;
 
 pub use adaptive::{credit_updates, AdaptiveController};
 pub use config::{AdaptiveParams, AlgorithmKind, LrScaling, TrainConfig};
+pub use coordinator::RunCtx;
 pub use engine_ps::{NetworkModel, PsEngine, PsEngineConfig};
 pub use engine_sim::{SimEngine, SimEngineConfig};
 pub use engine_threads::{ThreadedEngine, ThreadedEngineConfig};

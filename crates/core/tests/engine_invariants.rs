@@ -1,9 +1,12 @@
 //! Engine-level invariant tests exercising the hetero-core public API
 //! across algorithms and seeds.
 
+use std::sync::Arc;
+
 use hetero_core::{
-    AdaptiveParams, AlgorithmKind, FaultPlan, LrScaling, SimEngine, SimEngineConfig, TrainConfig,
-    WorkerKind,
+    AdaptiveParams, AlgorithmKind, FaultPlan, LrScaling, NetworkModel, PsEngine, PsEngineConfig,
+    RunCtx, SimEngine, SimEngineConfig, ThreadedEngine, ThreadedEngineConfig, TrainConfig,
+    TrainResult, WorkerKind,
 };
 use hetero_data::SynthConfig;
 use hetero_nn::MlpSpec;
@@ -277,4 +280,81 @@ fn beta_discounts_cpu_update_credit() {
         cpu_updates(&half),
         cpu_updates(&full)
     );
+}
+
+/// A default `RunCtx` is the run without one, on every engine: bit-for-bit
+/// on the two virtual-clock engines, and the same shape (real threads
+/// cannot repeat a schedule) with no abort and no re-queue on the threaded
+/// one.
+#[test]
+fn run_with_default_ctx_equals_run_on_every_engine() {
+    let data = Arc::new(dataset(3));
+    let sim_cfg = config(AlgorithmKind::AdaptiveHogbatch, 3);
+    let (cpu, gpu) = hardware();
+    let ps = PsEngine::new(PsEngineConfig {
+        spec: sim_cfg.spec.clone(),
+        train: sim_cfg.train.clone(),
+        cpu_workers: vec![cpu],
+        gpu_workers: vec![gpu.clone()],
+        batch: 64,
+        network: NetworkModel::ten_gbe(),
+        lr_compensation: 1.0,
+    })
+    .unwrap();
+    let mut wall = sim_cfg.train.clone();
+    wall.time_budget = 0.3;
+    wall.eval_interval = 0.1;
+    let threaded = ThreadedEngine::new(ThreadedEngineConfig {
+        spec: sim_cfg.spec.clone(),
+        train: wall,
+        cpu_threads: 2,
+        gpu_perf: gpu,
+        gpu_workers: 1,
+        fault_plan: FaultPlan::none(),
+    })
+    .unwrap();
+    let sim = SimEngine::new(sim_cfg).unwrap();
+    let ctx = RunCtx::default();
+
+    type Run<'a> = Box<dyn Fn() -> TrainResult + 'a>;
+    let table: [(&str, bool, Run, Run); 3] = [
+        (
+            "sim",
+            true,
+            Box::new(|| sim.run(&data)),
+            Box::new(|| sim.run_with(&data, &ctx)),
+        ),
+        (
+            "ps",
+            true,
+            Box::new(|| ps.run(&data)),
+            Box::new(|| ps.run_with(&data, &ctx)),
+        ),
+        (
+            "threaded",
+            false,
+            Box::new(|| threaded.run(Arc::clone(&data))),
+            Box::new(|| threaded.run_with(Arc::clone(&data), &ctx)),
+        ),
+    ];
+    for (engine, deterministic, run, run_with) in &table {
+        let (a, b) = (run(), run_with());
+        if *deterministic {
+            assert_eq!(a.loss_curve, b.loss_curve, "{engine}: curve moved");
+            assert_eq!(a.epochs, b.epochs, "{engine}: epochs moved");
+        }
+        for r in [&a, &b] {
+            assert!(r.loss_curve.len() >= 3, "{engine}: {:?}", r.loss_curve);
+            assert!(r.final_loss() < r.initial_loss(), "{engine}: no progress");
+            assert!(r.aborted.is_none(), "{engine}: {:?}", r.aborted);
+            assert_eq!(r.requeued_batches, 0, "{engine}: re-queued a batch");
+            assert!(r.health.is_none() && r.staleness.is_none(), "{engine}");
+        }
+        assert_eq!(a.algorithm, b.algorithm);
+        assert_eq!(a.workers.len(), b.workers.len(), "{engine}: worker slots");
+        for (wa, wb) in a.workers.iter().zip(&b.workers) {
+            assert_eq!(wa.kind, wb.kind);
+            assert!(wa.retired.is_none() && wb.retired.is_none());
+        }
+    }
 }

@@ -31,6 +31,12 @@ fn with_timeout<T: Send + 'static>(secs: u64, f: impl FnOnce() -> T + Send + 'st
     }
 }
 
+/// Per-thread trace ring sized for a whole run (up to ~150 k events on the
+/// busiest thread; see the same constant in `engine_threads.rs`' tests):
+/// an undersized drop-oldest ring evicts the early `BatchRequeued` these
+/// tests look for.
+const RING: usize = 1 << 20;
+
 fn dataset() -> Arc<DenseDataset> {
     let mut cfg = SynthConfig::small(400, 8, 2, 5);
     cfg.separability = 3.0;
@@ -97,7 +103,7 @@ fn oom_retry_halves_batch_and_clamps_controller() {
     // biases, grad_w, grad_b per layer); attempt 14 lands inside the first
     // training step, after the batch transfer.
     let plan = FaultPlan::none().oom_on_alloc(1, 14);
-    let sink = TraceSink::wall(8192);
+    let sink = TraceSink::wall(RING);
     let r = with_timeout(60, move || {
         ThreadedEngine::new(config(AlgorithmKind::CpuGpuHogbatch, 0.4, plan))
             .unwrap()
@@ -124,13 +130,14 @@ fn oom_retry_halves_batch_and_clamps_controller() {
 #[test]
 fn oom_retry_traces_requeue_without_fault() {
     let plan = FaultPlan::none().oom_on_alloc(1, 14);
-    let sink = TraceSink::wall(8192);
+    let sink = TraceSink::wall(RING);
     let trace = with_timeout(60, move || {
         ThreadedEngine::new(config(AlgorithmKind::CpuGpuHogbatch, 0.3, plan))
             .unwrap()
             .run_traced(dataset(), &sink);
         sink.drain()
     });
+    assert_eq!(trace.total_dropped(), 0, "ring too small for the run");
     let events = trace.events_sorted();
     let requeues = events
         .iter()

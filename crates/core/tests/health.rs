@@ -8,7 +8,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use hetero_core::{
-    AdaptiveParams, AlgorithmKind, FaultPlan, LrScaling, SimEngine, SimEngineConfig,
+    AdaptiveParams, AlgorithmKind, FaultPlan, LrScaling, RunCtx, SimEngine, SimEngineConfig,
     ThreadedEngine, ThreadedEngineConfig, TrainConfig,
 };
 use hetero_data::{DenseDataset, SynthConfig};
@@ -16,7 +16,6 @@ use hetero_flight::{render_report, FlightConfig, FlightRecorder, HealthPolicy, P
 use hetero_metrics::MetricsHub;
 use hetero_nn::MlpSpec;
 use hetero_sim::GpuModel;
-use hetero_trace::TraceSink;
 
 /// Per-test watchdog thread (same rationale as `fault_tolerance.rs`).
 fn with_timeout<T: Send + 'static>(secs: u64, f: impl FnOnce() -> T + Send + 'static) -> T {
@@ -115,11 +114,13 @@ fn threaded_worker_death_dumps_renderable_bundle() {
             fault_plan: FaultPlan::none().die_after(1, 2),
         })
         .unwrap()
-        .run_flight(
+        .run_with(
             Arc::new(dataset()),
-            &TraceSink::disabled(),
-            &MetricsHub::new(),
-            &f2,
+            &RunCtx {
+                hub: MetricsHub::new(),
+                flight: f2.clone(),
+                ..RunCtx::default()
+            },
         )
     });
     let (bundle, path) = read_bundle(&r);
@@ -153,11 +154,13 @@ fn poisoned_gradient_aborts_naming_layer_and_step() {
         cfg.fault_plan = FaultPlan::none().poison_gradient_at(0, 3);
         cfg.train.time_budget = 0.05;
         cfg.train.eval_interval = 0.01;
-        SimEngine::new(cfg).unwrap().run_flight(
+        SimEngine::new(cfg).unwrap().run_with(
             &dataset(),
-            &TraceSink::disabled(),
-            &MetricsHub::new(),
-            &f2,
+            &RunCtx {
+                hub: MetricsHub::new(),
+                flight: f2.clone(),
+                ..RunCtx::default()
+            },
         )
     });
     let aborted = r.aborted.as_deref().expect("poison must abort the run");
@@ -195,7 +198,14 @@ fn stall_clamps_adaptive_controller_without_aborting() {
         cfg.lr = 1e-12; // validates (> 0) but cannot move the loss
         SimEngine::new(SimEngineConfig::paper_hardware(MlpSpec::tiny(8, 2), cfg))
             .unwrap()
-            .run_flight(&dataset(), &TraceSink::disabled(), &MetricsHub::new(), &f2)
+            .run_with(
+                &dataset(),
+                &RunCtx {
+                    hub: MetricsHub::new(),
+                    flight: f2.clone(),
+                    ..RunCtx::default()
+                },
+            )
     });
     assert!(
         r.aborted.is_none(),
@@ -229,11 +239,13 @@ fn watchdog_does_not_perturb_training() {
         SimEngineConfig::paper_hardware(MlpSpec::tiny(8, 2), t)
     };
     let watched = with_timeout(60, move || {
-        SimEngine::new(cfg()).unwrap().run_flight(
+        SimEngine::new(cfg()).unwrap().run_with(
             &dataset(),
-            &TraceSink::disabled(),
-            &MetricsHub::new(),
-            &f2,
+            &RunCtx {
+                hub: MetricsHub::new(),
+                flight: f2.clone(),
+                ..RunCtx::default()
+            },
         )
     });
     assert_eq!(plain.loss_curve.len(), watched.loss_curve.len());

@@ -100,8 +100,8 @@ struct RecorderInner {
 }
 
 /// The always-on black box. Cheap to clone (an `Arc` — or nothing at all
-/// when disabled). Engines thread one through a run via `run_flight`;
-/// every method on a disabled recorder is a no-op.
+/// when disabled). Engines take one as `RunCtx::flight`; every method on a
+/// disabled recorder is a no-op.
 #[derive(Clone, Default)]
 pub struct FlightRecorder {
     inner: Option<Arc<RecorderInner>>,

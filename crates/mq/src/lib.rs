@@ -31,12 +31,10 @@
 
 #![warn(missing_docs)]
 
-pub mod bounded;
 pub mod channel;
 pub mod queue;
 pub mod sync;
 
-pub use bounded::{bounded, BoundedReceiver, BoundedSender};
 pub use channel::{
     channel, channel_traced, channel_traced_lineage, Receiver, RecvError, RecvTimeoutError,
     SendError, Sender, TryRecvError,

@@ -1,11 +1,9 @@
-//! Model-checking of the blocking channels under `--features loom`: the
-//! eventcount-lite sleep/wake handshake (no lost wakeups), the
-//! close/disconnect protocol of both channel flavours, and bounded
-//! backpressure.
+//! Model-checking of the blocking channel under `--features loom`: the
+//! eventcount-lite sleep/wake handshake (no lost wakeups) and the
+//! close/disconnect protocol.
 #![cfg(feature = "loom")]
 
-use hetero_mq::bounded::BoundedSendError;
-use hetero_mq::{bounded, channel, RecvError, TryRecvError};
+use hetero_mq::{channel, RecvError, TryRecvError};
 use loom::thread;
 
 /// The lost-wakeup race: the receiver's empty-check and sleep must not
@@ -73,49 +71,5 @@ fn try_recv_reports_disconnect_only_after_drain() {
         }
         h.join().unwrap();
         assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
-    });
-}
-
-/// Bounded channel: a producer pushing past capacity blocks and resumes;
-/// order and completeness survive every interleaving.
-#[test]
-fn bounded_backpressure_delivers_in_order() {
-    loom::model(|| {
-        let (tx, rx) = bounded(1);
-        let h = thread::spawn(move || {
-            tx.send(1u8).unwrap();
-            // Blocks until the consumer drains the first message.
-            tx.send(2u8).unwrap();
-        });
-        assert_eq!(rx.recv(), Ok(1));
-        assert_eq!(rx.recv(), Ok(2));
-        assert_eq!(rx.recv(), Err(RecvError));
-        h.join().unwrap();
-    });
-}
-
-/// Receiver dropped while a sender is blocked on a full queue: the close
-/// must wake the sender into a clean error (never a hang or a lost value
-/// without an error).
-#[test]
-fn receiver_drop_unblocks_blocked_bounded_sender() {
-    loom::model(|| {
-        let (tx, rx) = bounded(1);
-        tx.send(1u8).unwrap();
-        let h = thread::spawn(move || tx.send(2u8));
-        drop(rx);
-        assert_eq!(h.join().unwrap(), Err(BoundedSendError(2)));
-    });
-}
-
-/// Last bounded sender dropped while the receiver may be parked on
-/// `not_empty`: the notify_all in the sender drop must wake it.
-#[test]
-fn sender_drop_wakes_blocked_bounded_receiver() {
-    loom::model(|| {
-        let (tx, rx) = bounded::<u8>(1);
-        let h = thread::spawn(move || drop(tx));
-        assert_eq!(rx.recv(), Err(RecvError));
-        h.join().unwrap();
     });
 }

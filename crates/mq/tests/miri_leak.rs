@@ -14,7 +14,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use hetero_mq::{bounded, channel, MpscQueue};
+use hetero_mq::{channel, MpscQueue};
 
 /// Payload that counts its drops.
 #[derive(Debug)]
@@ -109,18 +109,4 @@ fn channel_message_rejected_by_dead_receiver_is_returned_not_leaked() {
     let value = err.into_inner();
     drop(value);
     assert_eq!(drops.load(Ordering::SeqCst), 1);
-}
-
-#[test]
-fn bounded_pending_messages_freed_on_drop() {
-    let (drops, make) = counter();
-    {
-        let (tx, rx) = bounded(8);
-        for _ in 0..5 {
-            tx.send(make()).unwrap();
-        }
-        drop(tx);
-        drop(rx);
-    }
-    assert_eq!(drops.load(Ordering::SeqCst), 5);
 }

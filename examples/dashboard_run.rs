@@ -97,8 +97,13 @@ fn main() {
 
     // Train on a helper thread; the main thread owns the terminal.
     let run = {
-        let (sink, hub, dataset) = (sink.clone(), hub.clone(), Arc::clone(&dataset));
-        std::thread::spawn(move || engine.run_observed(dataset, &sink, &hub))
+        let dataset = Arc::clone(&dataset);
+        let ctx = RunCtx {
+            sink: sink.clone(),
+            hub: hub.clone(),
+            ..RunCtx::default()
+        };
+        std::thread::spawn(move || engine.run_with(dataset, &ctx))
     };
 
     if !headless {

@@ -12,13 +12,6 @@
 #   2. the loom suite FAILS (with a data-race report) under each mutation,
 # i.e. the model checker genuinely guards both halves of the edge.
 #
-# Not every plausible mutation is checkable this way: weakening the bounded
-# channel's permit handoff (crates/mq/src/bounded.rs) is INVISIBLE to the
-# vendored loom shim, because the shim maps Condvar waits onto real OS
-# primitives instead of modelling them, so no interleaving exploring the
-# weakened ordering is ever generated. That mutation is deliberately not
-# seeded here — see DESIGN.md §4f for the shim's limits.
-#
 # Usage: scripts/check_mutation.sh   (from anywhere in the repo)
 set -u
 cd "$(dirname "$0")/.."

@@ -238,9 +238,10 @@ fn main() {
             None => eprintln!("--resume: no valid checkpoint found, starting fresh"),
         }
     }
-    let sink = hetero_sgd::trace::TraceSink::disabled();
-    let hub = MetricsHub::disabled();
-    let flight = FlightRecorder::disabled();
+    let ctx = RunCtx {
+        ckpt,
+        ..RunCtx::default()
+    };
 
     let result = match args.engine.as_str() {
         "sim" => {
@@ -249,7 +250,7 @@ fn main() {
                     eprintln!("config error: {e}");
                     std::process::exit(2);
                 });
-            engine.run_ckpt(&dataset, &sink, &hub, &flight, &ckpt)
+            engine.run_with(&dataset, &ctx)
         }
         "threads" => {
             let threads = std::thread::available_parallelism()
@@ -267,7 +268,7 @@ fn main() {
                 eprintln!("config error: {e}");
                 std::process::exit(2);
             });
-            engine.run_ckpt(Arc::new(dataset), &sink, &hub, &flight, &ckpt)
+            engine.run_with(Arc::new(dataset), &ctx)
         }
         "ps" => {
             // Distributed parameter-server comparator (§II): one Xeon + one
@@ -286,7 +287,7 @@ fn main() {
                 eprintln!("config error: {e}");
                 std::process::exit(2);
             });
-            engine.run_ckpt(&dataset, &flight, &ckpt)
+            engine.run_with(&dataset, &ctx)
         }
         other => {
             eprintln!("unknown engine '{other}' (expected sim|threads|ps)");
@@ -294,7 +295,7 @@ fn main() {
         }
     };
 
-    if let Some(p) = ckpt.latest_path() {
+    if let Some(p) = ctx.ckpt.latest_path() {
         eprintln!("resumable from {}", p.display());
     }
     if args.json {

@@ -62,8 +62,8 @@ pub mod prelude {
     pub use hetero_ckpt::{Checkpointer, CkptConfig, CkptStore};
     pub use hetero_core::{
         AdaptiveController, AdaptiveParams, AlgorithmKind, FaultKind, FaultPlan, LossPoint,
-        LrScaling, SimEngine, SimEngineConfig, ThreadedEngine, ThreadedEngineConfig, TrainConfig,
-        TrainResult, WorkerError, WorkerKind,
+        LrScaling, RunCtx, SimEngine, SimEngineConfig, ThreadedEngine, ThreadedEngineConfig,
+        TrainConfig, TrainResult, WorkerError, WorkerKind,
     };
     pub use hetero_data::{BatchScheduler, DenseDataset, Labels, PaperDataset, SynthConfig};
     pub use hetero_flight::{FlightConfig, FlightRecorder};
