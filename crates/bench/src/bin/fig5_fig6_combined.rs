@@ -3,10 +3,25 @@
 //! Both figures plot the same experiments — normalized loss against
 //! *time* (Fig. 5) and against *epochs* (Fig. 6) — so this binary runs
 //! each (dataset × algorithm) cell once and emits both CSVs
-//! (`results/fig5.csv`, `results/fig6.csv`) and both SVG sets. Use this
-//! for the results of record; the individual `fig5_convergence` /
-//! `fig6_statistical_efficiency` binaries remain for artifact-by-artifact
-//! regeneration.
+//! (`results/fig5.csv`, `results/fig6.csv`) and both SVG sets.
+//!
+//! Paper shapes Figure 5 must reproduce:
+//! - the heterogeneous algorithms (CPU+GPU, Adaptive) reach low loss
+//!   fastest;
+//! - Hogbatch/Hogwild CPU is orders of magnitude slower per epoch
+//!   (236–317×) and barely moves within the budget;
+//! - TensorFlow tracks Hogbatch GPU closely — except on `delicious`,
+//!   where its multi-label path makes it clearly worse;
+//! - Adaptive beats CPU+GPU on `real-sim` (high-dimensional data suffers
+//!   more from conflicting updates).
+//!
+//! Paper shapes Figure 6 must reproduce: small-batch methods make the
+//! most progress per epoch; Hogbatch GPU and TensorFlow (largest batches)
+//! are the least statistically efficient and overlap almost exactly; the
+//! heterogeneous algorithms sit between, with Adaptive above CPU+GPU (its
+//! batch mix is closer to uniform). Hogwild CPU is omitted from the
+//! paper's figure — it cannot complete the epochs in reasonable time —
+//! but its (short) curve is still emitted for completeness.
 
 use std::io::Write;
 

@@ -7,12 +7,10 @@
 //! |---|---|
 //! | `table1_hardware` | Table I — hardware specification |
 //! | `table2_datasets` | Table II — dataset statistics |
-//! | `fig5_convergence` | Figure 5 — normalized loss vs (virtual) time |
-//! | `fig6_statistical_efficiency` | Figure 6 — normalized loss vs epochs |
+//! | `fig5_fig6_combined` | Figure 5 — normalized loss vs (virtual) time, and Figure 6 — vs epochs, from one set of runs |
 //! | `fig7_utilization` | Figure 7 — CPU/GPU utilization over 3 epochs |
 //! | `fig8_update_ratio` | Figure 8 — CPU:GPU model-update distribution |
 //! | `ablations` | α/β/threshold/lr-scaling sweeps (§VI design choices) |
-//! | `bench_math` | math-core perf trajectory → `BENCH_math.json` (not a paper artifact) |
 //!
 //! All binaries print CSV to stdout (plus rendered SVG charts under
 //! `results/`) and a human-readable summary to stderr, and honor four
@@ -142,8 +140,6 @@ impl Harness {
             },
             time_budget: self.budget,
             max_epochs: None,
-            grad_clip: None,
-            weight_decay: 0.0,
             staleness_discount: 0.0,
             rayon_threads: 0,
             measured_beta: false,
@@ -208,14 +204,6 @@ pub fn normalization_basis(results: &[TrainResult]) -> f32 {
         .iter()
         .map(|r| r.min_loss())
         .fold(f32::INFINITY, f32::min)
-}
-
-/// Print a CSV header + rows of (series, x, y) triples.
-pub fn print_csv(header: &str, rows: impl IntoIterator<Item = (String, f64, f64)>) {
-    println!("{header}");
-    for (series, x, y) in rows {
-        println!("{series},{x},{y}");
-    }
 }
 
 #[cfg(test)]

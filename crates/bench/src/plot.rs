@@ -1,7 +1,7 @@
 //! Minimal self-contained SVG line charts.
 //!
 //! The figure binaries emit CSV for external tooling *and* a rendered SVG
-//! so `cargo run -p hetero-bench --bin fig5_convergence` regenerates a
+//! so `cargo run -p hetero-bench --bin fig5_fig6_combined` regenerates a
 //! directly viewable figure. No drawing dependencies: the SVG is assembled
 //! as text.
 

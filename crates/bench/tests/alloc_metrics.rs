@@ -12,7 +12,7 @@ use hetero_bench::alloc_count::{allocs_in, CountingAlloc};
 use hetero_metrics::{HubSnapshot, LogHistogram, Metric, MetricsHub};
 
 #[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc::new();
+static ALLOC: CountingAlloc = CountingAlloc;
 
 #[test]
 fn histogram_record_path_is_allocation_free() {

@@ -1,8 +1,11 @@
 //! Measured (not asserted-by-inspection) allocation-freedom of a warm
-//! sparse training step: CSR batch staging, the sparse loss+gradient
+//! training step. Sparse: CSR batch staging, the sparse loss+gradient
 //! pass, the column-restricted racy apply, and the row-sparse scanned
-//! merge must never touch the heap once buffers are warmed — they run
-//! per batch inside every engine's hot loop.
+//! merge. Dense: the serial loss+gradient pass and the plain apply the
+//! CPU Hogwild lanes run (the rayon path necessarily allocates —
+//! scoped-thread spawns — and is excluded by design). None may touch the
+//! heap once buffers are warmed — they run per batch inside every
+//! engine's hot loop.
 //!
 //! Lives in its own integration-test binary because `#[global_allocator]`
 //! is process-wide: mixing a counting allocator into the unit-test binary
@@ -10,11 +13,13 @@
 
 use hetero_bench::alloc_count::{allocs_in, CountingAlloc};
 use hetero_data::PaperDataset;
-use hetero_nn::{InitScheme, MergeScan, MlpSpec, Model, SharedModel, Workspace};
-use hetero_tensor::{CsrBatch, CsrMatrix};
+use hetero_nn::{
+    Activation, InitScheme, LossKind, MergeScan, MlpSpec, Model, SharedModel, Targets, Workspace,
+};
+use hetero_tensor::{CsrBatch, CsrMatrix, Matrix};
 
 #[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc::new();
+static ALLOC: CountingAlloc = CountingAlloc;
 
 fn sparse_fixture() -> (hetero_data::DenseDataset, CsrMatrix, MlpSpec) {
     let data = PaperDataset::RealSim.generate(0.01, 42);
@@ -44,6 +49,40 @@ fn warm_cpu_sparse_step_is_allocation_free() {
         shared.apply_gradient_racy_cols(ws.grad(), 0.01, ws.sparse_active_cols());
     });
     assert_eq!(n, 0, "warm CPU sparse step allocated {n} times");
+}
+
+#[test]
+fn warm_dense_step_is_allocation_free() {
+    // Covtype-shaped net at the paper's width: 54 -> 512 -> 512 -> 2.
+    let spec = MlpSpec {
+        input_dim: 54,
+        hidden: vec![512, 512],
+        classes: 2,
+        activation: Activation::Sigmoid,
+        loss: LossKind::SoftmaxCrossEntropy,
+    };
+    let batch = 256;
+    let mut model = Model::new(spec.clone(), InitScheme::default(), 7);
+    let x = Matrix::from_fn(batch, spec.input_dim, |r, c| {
+        ((r * 31 + c * 17) % 97) as f32 / 48.5 - 1.0
+    });
+    let classes: Vec<u32> = (0..batch as u32).map(|i| i % 2).collect();
+    let mut ws = Workspace::with_batch_capacity(&spec, batch);
+    let mut step = || {
+        ws.loss_and_gradient_into(&model, &x, Targets::Classes(&classes), false);
+        model.apply_gradient(ws.grad(), 0.01);
+    };
+    // `allocs_in` warms every buffer with one uncounted pass of the closure.
+    // 100 steps catch growth that only shows every few steps; the release
+    // legs in CI run them all. An unoptimized step at this width takes
+    // ~0.7 s, so a debug `cargo test --workspace` settles for a handful.
+    let steps = if cfg!(debug_assertions) { 4 } else { 100 };
+    let n = allocs_in(|| {
+        for _ in 0..steps {
+            step();
+        }
+    });
+    assert_eq!(n, 0, "warm dense step allocated {n} times");
 }
 
 #[test]

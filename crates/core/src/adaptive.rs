@@ -185,11 +185,6 @@ impl AdaptiveController {
         }
         hi - lo
     }
-
-    /// Number of workers managed.
-    pub fn num_workers(&self) -> usize {
-        self.workers.len()
-    }
 }
 
 #[cfg(test)]

@@ -208,13 +208,6 @@ pub struct TrainConfig {
     pub time_budget: f64,
     /// Optional epoch cap (the paper stops on time instead).
     pub max_epochs: Option<usize>,
-    /// Optional global-L2 gradient clipping bound applied to every
-    /// gradient before it reaches the model (testbed stabilizer; `None`
-    /// matches the paper's plain SGD).
-    pub grad_clip: Option<f32>,
-    /// L2 weight decay λ: every update also applies `w ← (1 − ηλ)·w`
-    /// (0 = off, matching the paper).
-    pub weight_decay: f32,
     /// Staleness compensation κ (§VI-B: "the learning rate can be
     /// decreased to compensate for the stale gradient"). A gradient whose
     /// snapshot is `s` model-updates old is applied with
@@ -279,8 +272,6 @@ impl Default for TrainConfig {
             adaptive: AdaptiveParams::default(),
             time_budget: 1.0,
             max_epochs: None,
-            grad_clip: None,
-            weight_decay: 0.0,
             staleness_discount: 0.0,
             rayon_threads: 0,
             measured_beta: false,
@@ -311,14 +302,6 @@ impl TrainConfig {
         }
         if self.staleness_discount < 0.0 || !self.staleness_discount.is_finite() {
             return Err("staleness discount must be finite and non-negative".into());
-        }
-        if let Some(c) = self.grad_clip {
-            if c <= 0.0 || !c.is_finite() {
-                return Err("grad clip must be positive and finite".into());
-            }
-        }
-        if self.weight_decay < 0.0 || !self.weight_decay.is_finite() {
-            return Err("weight decay must be finite and non-negative".into());
         }
         if let Some(i) = self.ckpt_interval {
             if i <= 0.0 || !i.is_finite() {

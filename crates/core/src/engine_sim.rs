@@ -780,9 +780,6 @@ impl SimEngine {
                         } else {
                             lane.ws.grad_mut()
                         };
-                        if let Some(c) = train.grad_clip {
-                            g.clip_to_norm(c);
-                        }
                         if poison_pending {
                             poison_pending = false;
                             g.layers_mut()[0].b[0] = f32::NAN;
@@ -791,9 +788,6 @@ impl SimEngine {
                             scan.reset();
                             scan_model(g, scan);
                             observe_scan(watchdog, worker, stats[worker].batches, scan);
-                        }
-                        if train.weight_decay > 0.0 {
-                            model.scale(1.0 - eta * train.weight_decay);
                         }
                         if train.sparse_input && svrg_anchor.is_none() {
                             // Row-sparse apply: only the layer-0 columns
@@ -851,9 +845,6 @@ impl SimEngine {
                         true,
                     );
                 }
-                if let Some(c) = train.grad_clip {
-                    lane.ws.grad_mut().clip_to_norm(c);
-                }
                 if poison_pending {
                     lane.ws.grad_mut().layers_mut()[0].b[0] = f32::NAN;
                 }
@@ -863,9 +854,6 @@ impl SimEngine {
                     observe_scan(watchdog, worker, stats[worker].batches, scan);
                 }
                 let eta = train.lr_scaling.eta(train.lr, range.len()) * discount;
-                if train.weight_decay > 0.0 {
-                    model.scale(1.0 - eta * train.weight_decay);
-                }
                 if train.sparse_input {
                     model.apply_gradient_sparse(lane.ws.grad(), eta, lane.ws.sparse_active_cols());
                 } else {
@@ -1007,8 +995,6 @@ mod tests {
             },
             time_budget: budget,
             max_epochs: None,
-            grad_clip: None,
-            weight_decay: 0.0,
             staleness_discount: 0.0,
             rayon_threads: 0,
             measured_beta: false,

@@ -955,9 +955,6 @@ fn cpu_lane_step(
         lane.phases.compute_secs = t_compute.elapsed().as_secs_f64();
     }
     lane.phases.transfer_secs = 0.0;
-    if let Some(c) = train.grad_clip {
-        lane.ws.grad_mut().clip_to_norm(c);
-    }
     // Injected fault: one NaN into this worker's gradient at the planned
     // step.
     if poison {
@@ -1252,8 +1249,6 @@ mod tests {
                 },
                 time_budget: secs,
                 max_epochs: None,
-                grad_clip: None,
-                weight_decay: 0.0,
                 staleness_discount: 0.0,
                 rayon_threads: 0,
                 measured_beta: false,

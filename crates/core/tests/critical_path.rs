@@ -62,8 +62,6 @@ fn config() -> SimEngineConfig {
             },
             time_budget: 0.03,
             max_epochs: None,
-            grad_clip: None,
-            weight_decay: 0.0,
             staleness_discount: 0.0,
             rayon_threads: 0,
             measured_beta: true,

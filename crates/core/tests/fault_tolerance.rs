@@ -68,8 +68,6 @@ fn config(algo: AlgorithmKind, secs: f64, plan: FaultPlan) -> ThreadedEngineConf
             },
             time_budget: secs,
             max_epochs: None,
-            grad_clip: None,
-            weight_decay: 0.0,
             staleness_discount: 0.0,
             rayon_threads: 0,
             measured_beta: false,

@@ -61,8 +61,6 @@ fn train(algo: AlgorithmKind, secs: f64) -> TrainConfig {
         },
         time_budget: secs,
         max_epochs: None,
-        grad_clip: None,
-        weight_decay: 0.0,
         staleness_discount: 0.0,
         rayon_threads: 0,
         measured_beta: false,

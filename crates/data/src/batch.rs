@@ -94,11 +94,6 @@ impl BatchScheduler {
         Some(range)
     }
 
-    /// Examples remaining in the current epoch.
-    pub fn remaining_in_epoch(&self) -> usize {
-        self.n - self.cursor
-    }
-
     /// Current epoch (0-based; increments when an epoch's last example is
     /// handed out).
     pub fn epoch(&self) -> usize {
@@ -284,7 +279,6 @@ mod tests {
         assert_eq!(s.batches_served(), 3);
         assert_eq!(s.examples_served(), 15);
         assert!((s.epochs_elapsed() - 1.5).abs() < 1e-9);
-        assert_eq!(s.remaining_in_epoch(), 5);
     }
 
     #[test]

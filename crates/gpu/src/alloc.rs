@@ -92,11 +92,6 @@ impl DeviceMemory {
         self.inner.lock().forced_oom.push(n);
     }
 
-    /// Allocation attempts made so far (successful or not).
-    pub fn alloc_attempts(&self) -> u64 {
-        self.inner.lock().attempts
-    }
-
     /// Allocate a zero-initialized buffer of `len` f32 elements.
     pub fn alloc(&self, len: usize) -> Result<BufferId, OomError> {
         let bytes = 4 * len as u64;
@@ -269,7 +264,6 @@ mod tests {
         let err = mem.alloc(8).unwrap_err(); // attempt 1: injected
         assert_eq!(err.requested, 32);
         assert!(mem.alloc(8).is_ok()); // attempt 2: injection consumed
-        assert_eq!(mem.alloc_attempts(), 3);
         mem.free(a).unwrap();
     }
 

@@ -17,8 +17,6 @@ struct GpuTrace {
     sink: TraceSink,
     /// Worker id stamped on emitted transfer/kernel events.
     worker: u32,
-    /// Cumulative synchronization-stall seconds.
-    stall_secs: GaugeHandle,
     /// Per-upload transfer-time histogram (`hetero-metrics`; disabled
     /// unless built with [`GpuDevice::new_observed`]).
     h2d_hist: HistHandle,
@@ -31,7 +29,6 @@ impl GpuTrace {
         GpuTrace {
             sink: TraceSink::disabled(),
             worker: 0,
-            stall_secs: GaugeHandle::disabled(),
             h2d_hist: HistHandle::disabled(),
             d2h_hist: HistHandle::disabled(),
         }
@@ -97,7 +94,6 @@ impl GpuDevice {
             GpuTrace {
                 sink: sink.clone(),
                 worker,
-                stall_secs: sink.gauge(&format!("gpu.w{worker}.stall_secs")),
                 h2d_hist: hub.histogram(Metric::H2d, worker),
                 d2h_hist: hub.histogram(Metric::D2h, worker),
             }
@@ -141,11 +137,6 @@ impl GpuDevice {
     /// A V100-modeled device (the paper's hardware).
     pub fn v100() -> Self {
         Self::new(GpuModel::v100())
-    }
-
-    /// A traced V100-modeled device (see [`GpuDevice::new_traced`]).
-    pub fn v100_traced(sink: &TraceSink, worker: u32) -> Self {
-        Self::new_traced(GpuModel::v100(), sink, worker)
     }
 
     /// The sink this device reports to (disabled unless built with
@@ -262,15 +253,6 @@ impl GpuDevice {
         *self.busy.lock() += self.perf.batch_time(flops_per_example, batch);
     }
 
-    /// Add raw virtual seconds (e.g. for synchronization stalls). Stall
-    /// time also accumulates on the `gpu.w<id>.stall_secs` gauge when
-    /// tracing is attached.
-    pub fn account_seconds(&self, secs: f64) {
-        assert!(secs >= 0.0 && secs.is_finite());
-        *self.busy.lock() += secs;
-        self.trace.stall_secs.add(secs);
-    }
-
     /// Total virtual busy seconds accumulated so far.
     pub fn virtual_time(&self) -> f64 {
         *self.busy.lock()
@@ -330,12 +312,11 @@ mod tests {
     #[test]
     fn traced_device_emits_transfer_events_and_gauges() {
         let sink = hetero_trace::TraceSink::wall(256);
-        let dev = GpuDevice::v100_traced(&sink, 2);
+        let dev = GpuDevice::new_traced(GpuModel::v100(), &sink, 2);
         dev.set_active_batch(Some(11));
         let buf = dev.h2d(&vec![1.0f32; 256]).unwrap();
         dev.set_active_batch(None);
         let _ = dev.d2h(buf);
-        dev.account_seconds(0.25);
         dev.note_kernel("unit_test_kernel");
         let trace = sink.drain();
         let mut h2d = 0;
@@ -368,7 +349,6 @@ mod tests {
             trace.counters.iter().cloned().collect();
         // Buffer still live: gauge mirrors bytes in use.
         assert_eq!(counters.get("gpu.w2.mem_used_bytes"), Some(&1024.0));
-        assert_eq!(counters.get("gpu.w2.stall_secs"), Some(&0.25));
     }
 
     #[test]

@@ -33,11 +33,9 @@ pub mod alloc;
 pub mod device;
 pub mod kernels;
 pub mod mlp;
-pub mod pipeline;
 pub mod stream;
 
 pub use alloc::{BufferId, DeviceMemory, OomError};
 pub use device::GpuDevice;
 pub use mlp::GpuMlp;
-pub use pipeline::BatchPipeline;
 pub use stream::{Event, Stream};

@@ -221,12 +221,6 @@ impl<T: Send> Sender<T> {
         Ok(())
     }
 
-    /// Number of live senders (including this one).
-    pub fn sender_count(&self) -> usize {
-        // Relaxed: informational snapshot; no memory is guarded by it.
-        self.shared.senders.load(Ordering::Relaxed)
-    }
-
     /// Whether the receiving half has been dropped. A `true` here means
     /// every future [`Sender::send`] will fail — supervision code can use
     /// this to detect a dead peer without consuming a message.
@@ -503,18 +497,6 @@ mod tests {
         });
         assert_eq!(rx.recv(), Ok("late"));
         h.join().unwrap();
-    }
-
-    #[test]
-    fn clone_tracks_sender_count() {
-        let (tx, rx) = channel::<()>();
-        assert_eq!(tx.sender_count(), 1);
-        let tx2 = tx.clone();
-        assert_eq!(tx.sender_count(), 2);
-        drop(tx2);
-        assert_eq!(tx.sender_count(), 1);
-        drop(tx);
-        assert_eq!(rx.recv(), Err(RecvError));
     }
 
     #[test]

@@ -32,28 +32,11 @@ impl Activation {
         }
     }
 
-    /// Derivative expressed **in terms of the activation output** `a = f(z)`.
-    ///
-    /// All four supported activations admit this form, which lets the
-    /// backward pass avoid storing pre-activations:
-    /// σ' = a(1-a), relu' = 1 if a>0 else 0, tanh' = 1-a², id' = 1.
-    pub fn derivative_from_output(&self, a: f32) -> f32 {
-        match self {
-            Activation::Sigmoid => a * (1.0 - a),
-            Activation::Relu => {
-                if a > 0.0 {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
-            Activation::Tanh => 1.0 - a * a,
-            Activation::Identity => 1.0,
-        }
-    }
-
     /// Multiply `delta` in place by `f'(z)` computed from the stored output
     /// (fused, SIMD-dispatched kernels — no temporary derivative matrix).
+    /// All four activations admit a derivative in terms of `a = f(z)`
+    /// (σ' = a(1-a), relu' = 1 if a>0 else 0, tanh' = 1-a², id' = 1),
+    /// which is what lets the backward pass avoid storing pre-activations.
     pub fn mul_derivative(&self, output: &Matrix, delta: &mut Matrix) {
         assert_eq!(output.shape(), delta.shape(), "activation shape mismatch");
         match self {
@@ -68,38 +51,6 @@ impl Activation {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn finite_diff(act: Activation, x: f32) -> f32 {
-        let h = 1e-3;
-        let mut lo = Matrix::from_rows(&[&[x - h]]);
-        let mut hi = Matrix::from_rows(&[&[x + h]]);
-        act.apply(&mut lo);
-        act.apply(&mut hi);
-        (hi.get(0, 0) - lo.get(0, 0)) / (2.0 * h)
-    }
-
-    #[test]
-    fn derivatives_match_finite_difference() {
-        for act in [Activation::Sigmoid, Activation::Tanh, Activation::Identity] {
-            for &x in &[-2.0f32, -0.5, 0.1, 1.7] {
-                let mut m = Matrix::from_rows(&[&[x]]);
-                act.apply(&mut m);
-                let analytic = act.derivative_from_output(m.get(0, 0));
-                let numeric = finite_diff(act, x);
-                assert!(
-                    (analytic - numeric).abs() < 1e-3,
-                    "{act:?} at {x}: {analytic} vs {numeric}"
-                );
-            }
-        }
-        // ReLU away from the kink.
-        for &x in &[-1.0f32, 1.0] {
-            let mut m = Matrix::from_rows(&[&[x]]);
-            Activation::Relu.apply(&mut m);
-            let analytic = Activation::Relu.derivative_from_output(m.get(0, 0));
-            assert_eq!(analytic, if x > 0.0 { 1.0 } else { 0.0 });
-        }
-    }
 
     #[test]
     fn relu_clamps_negatives() {

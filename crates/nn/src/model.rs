@@ -193,20 +193,6 @@ impl Model {
         }
     }
 
-    /// Scale all parameters so the global L2 norm does not exceed
-    /// `max_norm` (gradient clipping). Returns the factor applied (1.0 when
-    /// already within the bound).
-    pub fn clip_to_norm(&mut self, max_norm: f32) -> f32 {
-        assert!(max_norm > 0.0, "max_norm must be positive");
-        let norm = self.param_norm();
-        if norm <= max_norm || norm == 0.0 {
-            return 1.0;
-        }
-        let factor = max_norm / norm;
-        self.scale(factor);
-        factor
-    }
-
     /// L2 norm over all parameters.
     pub fn param_norm(&self) -> f32 {
         self.layers
@@ -348,21 +334,6 @@ mod tests {
     #[test]
     fn param_norm_zero_for_zero_model() {
         assert_eq!(Model::zeros_like(&spec()).param_norm(), 0.0);
-    }
-
-    #[test]
-    fn clip_to_norm_caps_large_gradients() {
-        let s = spec();
-        let mut g = Model::new(s.clone(), InitScheme::Constant(1.0), 0);
-        let norm = g.param_norm();
-        assert!(norm > 2.0);
-        let f = g.clip_to_norm(2.0);
-        assert!((g.param_norm() - 2.0).abs() < 1e-4);
-        assert!((f - 2.0 / norm).abs() < 1e-6);
-        // Already-small gradients are untouched.
-        let before = g.clone();
-        assert_eq!(g.clip_to_norm(100.0), 1.0);
-        assert_eq!(g, before);
     }
 
     #[test]

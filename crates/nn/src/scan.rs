@@ -78,11 +78,6 @@ impl MergeScan {
         }
     }
 
-    /// Total non-finite elements across all layers.
-    pub fn nonfinite_total(&self) -> u64 {
-        self.layers.iter().map(|l| l.nonfinite).sum()
-    }
-
     /// `(layer index, L2 norm)` of the layer with the largest norm, or
     /// `None` for an empty accumulator.
     pub fn peak(&self) -> Option<(usize, f64)> {
@@ -94,11 +89,6 @@ impl MergeScan {
                 Some((_, bn)) if bn >= n => best,
                 _ => Some((i, n)),
             })
-    }
-
-    /// First layer index containing a non-finite element, if any.
-    pub fn first_nonfinite_layer(&self) -> Option<usize> {
-        self.layers.iter().position(|l| l.nonfinite > 0)
     }
 }
 
@@ -152,7 +142,6 @@ mod tests {
             assert!((scan.layers()[l].sumsq - manual).abs() < 1e-9);
             assert_eq!(scan.layers()[l].nonfinite, 0);
         }
-        assert_eq!(scan.first_nonfinite_layer(), None);
         assert!(scan.peak().is_some());
     }
 
@@ -162,8 +151,8 @@ mod tests {
         m.layers_mut()[1].b[0] = f32::NAN;
         let mut scan = MergeScan::for_model(&m);
         scan_model(&m, &mut scan);
-        assert_eq!(scan.nonfinite_total(), 1);
-        assert_eq!(scan.first_nonfinite_layer(), Some(1));
+        assert_eq!(scan.layers()[0].nonfinite, 0);
+        assert_eq!(scan.layers()[1].nonfinite, 1);
         // The poisoned element is excluded from the norm, not NaN-ing it.
         assert!(scan.layers()[1].norm().is_finite());
     }

@@ -191,36 +191,6 @@ impl Workspace {
         &self.pass
     }
 
-    /// Backward pass into the reused δ/gradient buffers; requires a forward
-    /// pass for the same batch already stored in this workspace (via
-    /// [`forward_into`](Self::forward_into)).
-    // audit: no_alloc
-    pub fn backward_into(
-        &mut self,
-        model: &Model,
-        x: &Matrix,
-        targets: Targets<'_>,
-        parallel: bool,
-    ) -> &Gradient {
-        self.check_spec(model);
-        self.track(x.rows(), |ws| {
-            backward_with_scratch(
-                model,
-                x,
-                &ws.pass,
-                targets,
-                parallel,
-                &mut ws.delta,
-                &mut ws.delta_next,
-                &mut ws.grad,
-            );
-        });
-        if let Some(s) = &mut self.sparse {
-            s.note_dense_gradient();
-        }
-        &self.grad
-    }
-
     /// One-call loss + gradient — the allocation-free counterpart of
     /// [`loss_and_gradient`](crate::backward::loss_and_gradient), and
     /// bit-identical to it (both run the same kernel sequence).

@@ -97,11 +97,6 @@ impl<T> EventQueue<T> {
         })
     }
 
-    /// Look at the earliest pending event time without popping.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
-    }
-
     /// Current virtual time (time of the last popped event).
     pub fn now(&self) -> SimTime {
         self.now
@@ -187,7 +182,7 @@ mod tests {
         q.pop();
         assert_eq!(q.now(), 2.5);
         q.schedule_after(1.5, ());
-        assert_eq!(q.peek_time(), Some(4.0));
+        assert_eq!(q.pop(), Some((4.0, ())));
     }
 
     #[test]

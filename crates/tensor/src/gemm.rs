@@ -480,22 +480,6 @@ pub fn gemm_nt_slices(
     run_slices(Trans::Nt, false, alpha, a, b, beta, &[], c, (m, n, k));
 }
 
-/// Parallel [`gemm_nt_slices`]: same layout contract, rows split across
-/// the rayon pool (serial below [`PAR_MIN_MADDS`]).
-#[allow(clippy::too_many_arguments)] // see gemm_nn_slices
-pub fn par_gemm_nt_slices(
-    alpha: f32,
-    a: &[f32],
-    b: &[f32],
-    beta: f32,
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    run_slices(Trans::Nt, true, alpha, a, b, beta, &[], c, (m, n, k));
-}
-
 /// `C ← α·A·Bᵀ + bias` with the row-broadcast bias-add fused into the GEMM
 /// epilogue (β = 0 semantics: `C` is overwritten). One pass over `C`
 /// instead of a GEMM pass plus a broadcast pass.

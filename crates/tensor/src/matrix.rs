@@ -8,8 +8,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::TensorError;
-
 /// Dense row-major matrix of `f32`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Matrix {
@@ -165,11 +163,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consume the matrix, returning the backing buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Element at `(i, j)`.
     #[inline]
     pub fn get(&self, i: usize, j: usize) -> f32 {
@@ -182,25 +175,6 @@ impl Matrix {
     pub fn set(&mut self, i: usize, j: usize, v: f32) {
         debug_assert!(i < self.rows && j < self.cols);
         self.data[i * self.cols + j] = v;
-    }
-
-    /// Checked element access.
-    pub fn try_get(&self, i: usize, j: usize) -> Result<f32, TensorError> {
-        if i >= self.rows {
-            return Err(TensorError::OutOfBounds {
-                axis: "row",
-                index: i,
-                len: self.rows,
-            });
-        }
-        if j >= self.cols {
-            return Err(TensorError::OutOfBounds {
-                axis: "col",
-                index: j,
-                len: self.cols,
-            });
-        }
-        Ok(self.data[i * self.cols + j])
     }
 
     /// Immutable view of row `i`.
@@ -241,12 +215,6 @@ impl Matrix {
         }
     }
 
-    /// Borrowed view of rows `start..end` as a flat slice.
-    pub fn rows_slice(&self, start: usize, end: usize) -> &[f32] {
-        assert!(start <= end && end <= self.rows, "row range out of bounds");
-        &self.data[start * self.cols..end * self.cols]
-    }
-
     /// Transposed copy.
     pub fn transpose(&self) -> Matrix {
         let mut t = Matrix::zeros(self.cols, self.rows);
@@ -281,24 +249,9 @@ impl Matrix {
         }
     }
 
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f32 {
-        self.data.iter().map(|v| v * v).sum::<f32>().sqrt()
-    }
-
-    /// Maximum absolute element (0 for an empty matrix).
-    pub fn max_abs(&self) -> f32 {
-        self.data.iter().fold(0.0f32, |m, v| m.max(v.abs()))
-    }
-
     /// True iff every element is finite.
     pub fn all_finite(&self) -> bool {
         self.data.iter().all(|v| v.is_finite())
-    }
-
-    /// Fill with zeros in place.
-    pub fn fill_zero(&mut self) {
-        self.data.iter_mut().for_each(|v| *v = 0.0);
     }
 
     /// Approximate equality with absolute tolerance `tol`.
@@ -359,20 +312,6 @@ mod tests {
     }
 
     #[test]
-    fn try_get_bounds() {
-        let m = Matrix::zeros(2, 3);
-        assert!(m.try_get(1, 2).is_ok());
-        assert!(matches!(
-            m.try_get(2, 0),
-            Err(TensorError::OutOfBounds { axis: "row", .. })
-        ));
-        assert!(matches!(
-            m.try_get(0, 3),
-            Err(TensorError::OutOfBounds { axis: "col", .. })
-        ));
-    }
-
-    #[test]
     fn transpose_roundtrip() {
         let m = Matrix::from_fn(5, 7, |i, j| (i * 7 + j) as f32);
         let t = m.transpose();
@@ -400,7 +339,6 @@ mod tests {
         assert_eq!(b.shape(), (3, 3));
         assert_eq!(b.get(0, 0), 4.0);
         assert_eq!(b.get(2, 2), 6.0);
-        assert_eq!(m.rows_slice(4, 7).len(), 9);
     }
 
     #[test]
@@ -410,10 +348,8 @@ mod tests {
     }
 
     #[test]
-    fn norms_and_finiteness() {
+    fn finiteness() {
         let m = Matrix::from_rows(&[&[3.0, 4.0]]);
-        assert!((m.frobenius_norm() - 5.0).abs() < 1e-6);
-        assert_eq!(m.max_abs(), 4.0);
         assert!(m.all_finite());
         let bad = Matrix::from_rows(&[&[f32::NAN]]);
         assert!(!bad.all_finite());
@@ -435,12 +371,5 @@ mod tests {
         let rows: Vec<&[f32]> = m.rows_iter().collect();
         assert_eq!(rows.len(), 4);
         assert_eq!(rows[3], &[6.0, 7.0]);
-    }
-
-    #[test]
-    fn fill_zero_resets() {
-        let mut m = Matrix::full(2, 2, 5.0);
-        m.fill_zero();
-        assert!(m.as_slice().iter().all(|&v| v == 0.0));
     }
 }

@@ -91,12 +91,6 @@ pub fn hadamard_assign(a: &mut Matrix, b: &Matrix) {
     }
 }
 
-/// `a ← a + b`.
-pub fn add_assign(a: &mut Matrix, b: &Matrix) {
-    assert_eq!(a.shape(), b.shape(), "add shape mismatch");
-    axpy(1.0, b.as_slice(), a.as_mut_slice());
-}
-
 /// `a ← a - b`.
 pub fn sub_assign(a: &mut Matrix, b: &Matrix) {
     assert_eq!(a.shape(), b.shape(), "sub shape mismatch");
@@ -393,11 +387,9 @@ mod tests {
     }
 
     #[test]
-    fn add_sub_assign() {
-        let mut a = Matrix::full(2, 2, 3.0);
+    fn sub_assign_subtracts() {
+        let mut a = Matrix::full(2, 2, 4.0);
         let b = Matrix::full(2, 2, 1.0);
-        add_assign(&mut a, &b);
-        assert_eq!(a, Matrix::full(2, 2, 4.0));
         sub_assign(&mut a, &b);
         assert_eq!(a, Matrix::full(2, 2, 3.0));
     }

@@ -87,50 +87,6 @@ impl CsrMatrix {
         }
     }
 
-    /// Build from (row, col, value) triplets (need not be sorted; duplicate
-    /// positions are summed).
-    ///
-    /// # Panics
-    /// Panics on out-of-bounds coordinates.
-    pub fn from_triplets(
-        rows: usize,
-        cols: usize,
-        triplets: impl IntoIterator<Item = (usize, usize, f32)>,
-    ) -> Self {
-        let mut per_row: Vec<Vec<(u32, f32)>> = vec![Vec::new(); rows];
-        for (r, c, v) in triplets {
-            assert!(r < rows && c < cols, "triplet ({r},{c}) out of bounds");
-            per_row[r].push((c as u32, v));
-        }
-        let mut indptr = Vec::with_capacity(rows + 1);
-        let mut indices = Vec::new();
-        let mut values = Vec::new();
-        indptr.push(0);
-        for row in &mut per_row {
-            row.sort_unstable_by_key(|&(c, _)| c);
-            let mut k = 0;
-            while k < row.len() {
-                let (c, mut v) = row[k];
-                let mut k2 = k + 1;
-                while k2 < row.len() && row[k2].0 == c {
-                    v += row[k2].1;
-                    k2 += 1;
-                }
-                indices.push(c);
-                values.push(v);
-                k = k2;
-            }
-            indptr.push(indices.len());
-        }
-        CsrMatrix {
-            rows,
-            cols,
-            indptr,
-            indices,
-            values,
-        }
-    }
-
     /// Build row-by-row from `(col, value)` entry iterators with ascending
     /// column indices within each row — the direct LIBSVM→CSR load path,
     /// which never materializes a dense matrix. Exact zeros are dropped.
@@ -300,35 +256,6 @@ impl CsrMatrix {
     pub fn spmm(&self, w: &Matrix) -> Matrix {
         let mut z = Matrix::zeros(0, 0);
         spmm_bias_into(self.view(), w, &[], &mut z);
-        z
-    }
-
-    /// Rayon-parallel [`CsrMatrix::spmm`]: output rows are split across
-    /// tasks (each task reads disjoint CSR rows and writes disjoint output
-    /// rows — race-free by construction).
-    pub fn par_spmm(&self, w: &Matrix) -> Matrix {
-        use rayon::prelude::*;
-        assert_eq!(w.rows(), self.cols, "spmm inner dimension");
-        let out = w.cols();
-        if self.rows * out < 1 << 14 {
-            return self.spmm(w);
-        }
-        let mut z = Matrix::zeros(self.rows, out);
-        let indptr = &self.indptr;
-        let indices = &self.indices;
-        let values = &self.values;
-        z.as_mut_slice()
-            .par_chunks_mut(out)
-            .enumerate()
-            .for_each(|(i, zi)| {
-                let (s, e) = (indptr[i], indptr[i + 1]);
-                for (&c, &v) in indices[s..e].iter().zip(&values[s..e]) {
-                    let wj = w.row(c as usize);
-                    for (zo, wv) in zi.iter_mut().zip(wj) {
-                        *zo += v * wv;
-                    }
-                }
-            });
         z
     }
 
@@ -578,20 +505,6 @@ mod tests {
     }
 
     #[test]
-    fn from_triplets_sums_duplicates() {
-        let s = CsrMatrix::from_triplets(2, 3, vec![(0, 1, 1.0), (0, 1, 2.0), (1, 2, 5.0)]);
-        assert_eq!(s.nnz(), 2);
-        assert_eq!(s.to_dense().get(0, 1), 3.0);
-        assert_eq!(s.to_dense().get(1, 2), 5.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn triplets_bounds_checked() {
-        CsrMatrix::from_triplets(2, 2, vec![(2, 0, 1.0)]);
-    }
-
-    #[test]
     fn row_iter_yields_sorted_pairs() {
         let s = CsrMatrix::from_dense(&sample_dense(), 0.0);
         let row0: Vec<_> = s.row_iter(0).collect();
@@ -688,23 +601,6 @@ mod tests {
         let mut expect = sx.spmm(&w);
         crate::ops::add_row_broadcast(&mut expect, &bias);
         assert!(z.approx_eq(&expect, 1e-6));
-    }
-
-    #[test]
-    fn par_spmm_matches_serial() {
-        // Large enough to take the parallel path.
-        let x = Matrix::from_fn(200, 120, |i, j| {
-            if (i * 7 + j * 13) % 9 == 0 {
-                ((i + j) as f32 * 0.1).sin()
-            } else {
-                0.0
-            }
-        });
-        let sx = CsrMatrix::from_dense(&x, 0.0);
-        let w = Matrix::from_fn(120, 100, |i, j| ((i * 3 + j) as f32 * 0.05).cos());
-        let serial = sx.spmm(&w);
-        let parallel = sx.par_spmm(&w);
-        assert!(serial.approx_eq(&parallel, 1e-5));
     }
 
     /// The sparse kernels are linear (mul+add in scalar order), so the two

@@ -3,7 +3,7 @@
 //! decision ledger.
 //!
 //! The input is the same event stream every exporter consumes — each
-//! batch-lifecycle event carries its [`BatchId`](crate::BatchId), so the
+//! batch-lifecycle event carries its [`BatchId`], so the
 //! analyzer can rebuild one [`BatchSpan`] per dispatched batch
 //! (dispatch → queue wait → start → phases → completion) and then answer
 //! the question the aggregates cannot: *where did this run's wall-clock

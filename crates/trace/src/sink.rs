@@ -266,13 +266,6 @@ impl TraceSink {
             .map_or_else(GaugeHandle::disabled, |i| i.registry.gauge(name))
     }
 
-    /// Point-in-time counter/gauge values (empty when disabled).
-    pub fn snapshot_counters(&self) -> Vec<(String, f64)> {
-        self.inner
-            .as_ref()
-            .map_or_else(Vec::new, |i| i.registry.snapshot())
-    }
-
     /// Point-in-time counters and gauges, kept apart with native types
     /// (empty when disabled). The OpenMetrics exporter in `hetero-metrics`
     /// renders counters as `counter` families and gauges as `gauge`
@@ -356,7 +349,6 @@ mod tests {
         sink.emit(0, EventKind::QueuePushed { depth: 1, id: None });
         sink.counter("x").add(5);
         assert!(sink.drain().is_empty());
-        assert!(sink.snapshot_counters().is_empty());
     }
 
     #[test]

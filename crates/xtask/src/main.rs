@@ -32,7 +32,6 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 
 mod audit;
-mod bench_diff;
 mod lexer;
 
 use lexer::{has_word, preprocess, Line};
@@ -41,16 +40,15 @@ use lexer::{has_word, preprocess, Line};
 /// contain atomic `Ordering::` uses. Everything else must use higher-level
 /// primitives from these modules.
 const ORDERING_ALLOWLIST: &[&str] = &[
-    "crates/mq/src/",                  // lock-free queue + channels (loom-checked)
-    "crates/nn/src/shared.rs",         // Hogwild shared model (loom-checked)
-    "crates/nn/src/sync.rs",           // atomic facade for the above
-    "crates/trace/src/",               // monitoring counters/gauges (relaxed-only)
-    "crates/gpu/src/stream.rs",        // stream completion flags
-    "crates/gpu/src/device.rs",        // batch-lineage slot (relaxed-only)
-    "crates/tensor/src/simd.rs",       // write-once dispatch memo (relaxed-only)
-    "crates/bench/src/alloc_count.rs", // counting allocator (relaxed-only)
-    "crates/metrics/src/",             // histogram tallies + scrape shutdown flag (relaxed-only)
-    "crates/flight/src/",              // health watchdog counters/peaks (relaxed-only)
+    "crates/mq/src/",            // lock-free queue + channels (loom-checked)
+    "crates/nn/src/shared.rs",   // Hogwild shared model (loom-checked)
+    "crates/nn/src/sync.rs",     // atomic facade for the above
+    "crates/trace/src/",         // monitoring counters/gauges (relaxed-only)
+    "crates/gpu/src/stream.rs",  // stream completion flags
+    "crates/gpu/src/device.rs",  // batch-lineage slot (relaxed-only)
+    "crates/tensor/src/simd.rs", // write-once dispatch memo (relaxed-only)
+    "crates/metrics/src/",       // histogram tallies + scrape shutdown flag (relaxed-only)
+    "crates/flight/src/",        // health watchdog counters/peaks (relaxed-only)
 ];
 
 /// The places allowed to start OS threads: the worker supervision layer,
@@ -98,13 +96,8 @@ fn main() {
         Some("audit") => {
             std::process::exit(audit::run(&args[1..], &workspace_root()));
         }
-        Some("bench-diff") => {
-            std::process::exit(bench_diff::run(&args[1..], &workspace_root()));
-        }
         _ => {
-            eprintln!(
-                "usage: cargo xtask <lint [--self-check] | audit [--self-check] | bench-diff ...>"
-            );
+            eprintln!("usage: cargo xtask <lint [--self-check] | audit [--self-check]>");
             std::process::exit(2);
         }
     }

@@ -203,8 +203,6 @@ fn main() {
         },
         time_budget: args.budget,
         max_epochs: None,
-        grad_clip: None,
-        weight_decay: 0.0,
         staleness_discount: args.kappa,
         rayon_threads: 0,
         measured_beta: false,

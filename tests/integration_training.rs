@@ -57,8 +57,6 @@ fn sim_config(
             },
             time_budget: budget,
             max_epochs: None,
-            grad_clip: None,
-            weight_decay: 0.0,
             staleness_discount: 0.0,
             rayon_threads: 0,
             measured_beta: false,
