@@ -45,8 +45,8 @@ fn warm_cpu_sparse_step_is_allocation_free() {
         shared.snapshot_into(&mut local);
         data.labels.slice_into(s, e, &mut labels);
         csr_all.slice_rows_into(s, e, &mut csr);
-        ws.loss_and_gradient_sparse_into(&local, csr.view(), labels.as_targets(), false);
-        shared.apply_gradient_racy_cols(ws.grad(), 0.01, ws.sparse_active_cols());
+        ws.loss_and_gradient_into(&local, csr.view(), labels.as_targets(), false);
+        shared.apply_racy(ws.grad(), 0.01, ws.active_cols(), false);
     });
     assert_eq!(n, 0, "warm CPU sparse step allocated {n} times");
 }
@@ -98,23 +98,18 @@ fn warm_sparse_merge_step_is_allocation_free() {
     let mut scan = MergeScan::new(spec.hidden.len() + 1);
     let (s, e) = (0, 64.min(data.len()));
     let n = allocs_in(|| {
-        // The exact per-batch sequence of `gpu_batch_step_sparse`, minus
+        // The exact per-batch sequence of `gpu_batch_step` on a CSR run, minus
         // the rayon install (parallel=false keeps the measurement in one
         // thread — the kernels themselves are what is under test).
         shared.snapshot_into(&mut snapshot);
         replica.copy_from(&snapshot);
         data.labels.slice_into(s, e, &mut labels);
         csr_all.slice_rows_into(s, e, &mut csr);
-        ws.loss_and_gradient_sparse_into(&replica, csr.view(), labels.as_targets(), false);
-        replica.apply_gradient_sparse(ws.grad(), 0.05, ws.sparse_active_cols());
+        ws.loss_and_gradient_into(&replica, csr.view(), labels.as_targets(), false);
+        let cols = ws.active_cols().expect("CSR gradient");
+        replica.apply_gradient_sparse(ws.grad(), 0.05, cols);
         scan.reset();
-        shared.merge_delta_sparse_scanned(
-            &snapshot,
-            &replica,
-            1.0,
-            ws.sparse_active_cols(),
-            &mut scan,
-        );
+        shared.merge(&snapshot, &replica, 1.0, Some(cols), Some(&mut scan));
     });
     assert_eq!(n, 0, "warm sparse merge step allocated {n} times");
 }

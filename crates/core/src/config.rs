@@ -223,7 +223,7 @@ pub struct TrainConfig {
     pub rayon_threads: usize,
     /// Measure the surviving-update fraction β instead of assuming
     /// [`AdaptiveParams::beta`]. When on, CPU workers apply gradients
-    /// through `SharedModel::apply_gradient_racy_sampled` (identical
+    /// through a probing `SharedModel::apply_racy` (identical
     /// Hogwild dynamics plus sparse conflict probes) and the adaptive
     /// controller credits CPU batches with `t·β̂` from the live estimate.
     /// **Default off** to preserve paper parity: the paper fixes β = 1

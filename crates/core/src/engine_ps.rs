@@ -22,18 +22,17 @@
 //! `CpuGpuHogbatch`/`AdaptiveHogbatch` reproduces the paper's argument for
 //! the centralized design.
 
-use hetero_data::{BatchScheduler, DenseDataset, Labels};
-use hetero_flight::Watchdog;
-use hetero_nn::{scan_model, MergeScan, Model, Workspace};
+use hetero_data::{BatchScheduler, DenseDataset};
+use hetero_nn::{scan_model, MergeScan, Model};
 use hetero_sim::{CpuModel, DeviceModel, EventQueue, GpuModel};
-use hetero_tensor::{CsrBatch, CsrMatrix, Matrix};
 use hetero_trace::{BatchPhases, EventKind, TimeDomain};
 use serde::{Deserialize, Serialize};
 
 use crate::adaptive::WorkerBatchState;
 use crate::config::TrainConfig;
 use crate::coordinator::{observe_scan, Coordinator, CoreCkpt, RunCtx, Setup};
-use crate::metrics::{LossPoint, TrainResult, WorkerKind, WorkerStats};
+use crate::lane::{eval_subset, BatchSource, Evaluator, Lane};
+use crate::metrics::{LossPoint, TrainResult, WorkerKind};
 
 /// Network model between workers and the parameter server.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -221,7 +220,7 @@ impl PsEngine {
         let fpe = spec.train_flops_per_example();
         let grad_bytes = spec.param_bytes();
         let budget = cfg.train.time_budget;
-        let eval_n = cfg.train.eval_subsample.min(n);
+        let src = BatchSource::new(dataset, cfg.train.sparse_input);
 
         // GEMM fan-out pinned to `train.rayon_threads` (0 = host cores);
         // both the eval forward pass and the per-batch gradient run inside.
@@ -229,16 +228,16 @@ impl PsEngine {
             .num_threads(cfg.train.rayon_threads)
             .build()
             .expect("ps gemm pool");
-        // The eval batch is the same fixed prefix every time — extract once.
-        let (eval_x, eval_labels) = dataset.batch(0, eval_n);
-        let eval = |model: &Model, t: f64, schedulers: &[BatchScheduler]| -> LossPoint {
-            let pass = pool.install(|| hetero_nn::forward(model, &eval_x, true));
+        let eval_rows = eval_subset(n, cfg.train.eval_subsample, cfg.train.seed);
+        let mut evaluator = Evaluator::new(&src, &eval_rows, spec);
+        let mut eval = |model: &Model, t: f64, schedulers: &[BatchScheduler]| -> LossPoint {
+            let (loss, accuracy) = pool.install(|| evaluator.score(model));
             let served: f64 = schedulers.iter().map(|s| s.examples_served() as f64).sum();
             LossPoint {
                 time: t,
                 epochs: served / n as f64,
-                loss: hetero_nn::loss(pass.probs(), eval_labels.as_targets(), spec.loss),
-                accuracy: hetero_nn::accuracy(pass.probs(), eval_labels.as_targets()),
+                loss,
+                accuracy,
             }
         };
         let mut last_eval = 0.0f64;
@@ -307,15 +306,8 @@ impl PsEngine {
         }
 
         // Reused per-completion buffers: the server processes one gradient
-        // at a time, so one workspace serves every worker's batches.
-        let mut ws = Workspace::new(spec);
-        let mut batch_x = Matrix::zeros(0, 0);
-        let mut batch_csr = CsrBatch::new();
-        let mut batch_labels = Labels::Classes(Vec::new());
-        // Sparse staging source: compress the feature matrix once per run so
-        // batches slice in O(nnz) instead of rescanning the dense matrix
-        // (O(batch × features) regardless of density).
-        let csr_data: Option<CsrMatrix> = self.cfg.train.sparse_input.then(|| dataset.to_csr());
+        // at a time, so one lane serves every worker's batches.
+        let mut lane = Lane::new(spec);
 
         loop {
             // Periodic crash-consistency checkpoint, captured *between*
@@ -347,20 +339,9 @@ impl PsEngine {
             }
             // Gradient on the stale snapshot; server applies it with the
             // update-count-compensated learning rate.
-            self.server_apply(
-                &pool,
-                dataset,
-                csr_data.as_ref(),
-                &p,
-                &mut batch_x,
-                &mut batch_csr,
-                &mut batch_labels,
-                &mut ws,
-                &mut health_scan,
-                &co.watchdog,
-                &mut co.stats,
-                &mut model,
-            );
+            pool.install(|| {
+                self.server_apply(&src, &p, &mut lane, &mut health_scan, &mut co, &mut model)
+            });
             sink.emit(
                 p.worker as u32,
                 EventKind::BatchCompleted {
@@ -388,50 +369,24 @@ impl PsEngine {
     /// update-count-compensated learning rate. This is the per-batch server
     /// hot path — everything it touches is preallocated.
     // audit: no_alloc
-    #[allow(clippy::too_many_arguments)]
     fn server_apply(
         &self,
-        pool: &rayon::ThreadPool,
-        dataset: &DenseDataset,
-        csr_data: Option<&CsrMatrix>,
+        src: &BatchSource<&DenseDataset>,
         p: &Pending,
-        batch_x: &mut Matrix,
-        batch_csr: &mut CsrBatch,
-        batch_labels: &mut Labels,
-        ws: &mut Workspace,
+        lane: &mut Lane,
         health_scan: &mut MergeScan,
-        watchdog: &Watchdog,
-        stats: &mut [WorkerStats],
+        co: &mut Coordinator<'_>,
         model: &mut Model,
     ) {
         let cfg = &self.cfg;
+        let stats = &mut co.stats;
         let w = stats.len();
-        if let Some(src) = csr_data {
-            // Sparse fast path: CSR batch + sparse kernels; the gradient is
-            // globally exact, so the health scan and lr compensation below
-            // are unchanged.
-            dataset
-                .labels
-                .slice_into(p.range.0, p.range.1, batch_labels);
-            src.slice_rows_into(p.range.0, p.range.1, batch_csr);
-            pool.install(|| {
-                ws.loss_and_gradient_sparse_into(
-                    &p.snapshot,
-                    batch_csr.view(),
-                    batch_labels.as_targets(),
-                    true,
-                );
-            });
-        } else {
-            dataset.batch_into(p.range.0, p.range.1, batch_x, batch_labels);
-            pool.install(|| {
-                ws.loss_and_gradient_into(&p.snapshot, batch_x, batch_labels.as_targets(), true);
-            });
-        }
-        if watchdog.enabled() {
+        lane.stage(src, p.range.0, p.range.1);
+        lane.gradient(src, &p.snapshot, true);
+        if co.watchdog.enabled() {
             health_scan.reset();
-            scan_model(ws.grad(), health_scan);
-            observe_scan(watchdog, p.worker, stats[p.worker].batches, health_scan);
+            scan_model(lane.ws.grad(), health_scan);
+            observe_scan(&co.watchdog, p.worker, stats[p.worker].batches, health_scan);
         }
         let mean_updates = (stats.iter().map(|s| s.updates).sum::<f64>() / w as f64).max(1.0);
         let own = stats[p.worker].updates.max(1.0);
@@ -441,11 +396,7 @@ impl PsEngine {
             .lr_scaling
             .eta(cfg.train.lr, p.range.1 - p.range.0)
             * comp as f32;
-        if cfg.train.sparse_input {
-            model.apply_gradient_sparse(ws.grad(), eta, ws.sparse_active_cols());
-        } else {
-            model.apply_gradient(ws.grad(), eta);
-        }
+        lane.apply_to(model, eta);
         stats[p.worker].updates += 1.0;
         stats[p.worker].batches += 1;
         stats[p.worker].examples += (p.range.1 - p.range.0) as u64;

@@ -21,12 +21,11 @@
 //!    immediately requests more work.
 
 use hetero_data::batch::BatchRange;
-use hetero_data::{BatchScheduler, DenseDataset, Labels};
+use hetero_data::{BatchScheduler, DenseDataset};
 use hetero_flight::Watchdog;
 use hetero_metrics::{HistHandle, Metric, MetricsHub};
 use hetero_nn::{scan_model, Gradient, MergeScan, MlpSpec, Model, Workspace};
 use hetero_sim::{CpuModel, DeviceModel, EventQueue, GpuModel, UtilizationTimeline};
-use hetero_tensor::{CsrBatch, CsrMatrix, Matrix};
 use hetero_trace::{BatchPhases, EventKind, TimeDomain, TraceSink};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -37,8 +36,8 @@ use crate::coordinator::{
     cpu_batch_state, gpu_batch_state, observe_scan, record_busy, Coordinator, CoreCkpt, RunCtx,
     Setup,
 };
-use crate::eval::{eval_subset, gather_rows};
 use crate::fault::{FaultPlan, WorkerError};
+use crate::lane::{eval_subset, BatchSource, Evaluator, Lane};
 use crate::metrics::{LossPoint, TrainResult, WorkerKind, WorkerStats};
 
 /// Hardware and comparator parameters for a simulated run.
@@ -95,30 +94,23 @@ impl Device {
     }
 }
 
-/// Persistent scratch for one gradient lane: batch staging, the main
-/// forward/backward workspace, and (for Hybrid SVRG) a second workspace
-/// plus a direction buffer for the anchor correction. Reused across every
-/// event, so steady-state gradient computation allocates nothing.
+/// Persistent scratch for one gradient lane: the shared [`Lane`] (batch
+/// staging + the main forward/backward workspace) and, for Hybrid SVRG, a
+/// second workspace plus a direction buffer for the anchor correction.
+/// Reused across every event, so steady-state gradient computation
+/// allocates nothing.
 struct SimLane {
-    ws: Workspace,
+    batch: Lane,
     anchor_ws: Workspace,
     dir: Gradient,
-    x: Matrix,
-    /// CSR batch staging for the sparse fast path (`train.sparse_input`);
-    /// stays empty on dense runs.
-    csr: CsrBatch,
-    labels: Labels,
 }
 
 impl SimLane {
     fn new(spec: &MlpSpec) -> Self {
         SimLane {
-            ws: Workspace::new(spec),
+            batch: Lane::new(spec),
             anchor_ws: Workspace::new(spec),
             dir: Model::zeros_like(spec),
-            x: Matrix::zeros(0, 0),
-            csr: CsrBatch::new(),
-            labels: Labels::Classes(Vec::new()),
         }
     }
 }
@@ -129,7 +121,7 @@ impl SimLane {
 struct SimScratch {
     lanes: Vec<SimLane>,
     base: Model,
-    gpu: SimLane,
+    gpu: Lane,
     /// Reused sub-batch range list for the CPU wave split (capacity grows
     /// to the thread count once, then steady-state batches don't allocate).
     sub_ranges: Vec<(usize, usize)>,
@@ -140,7 +132,7 @@ impl SimScratch {
         SimScratch {
             lanes: Vec::new(),
             base: Model::zeros_like(spec),
-            gpu: SimLane::new(spec),
+            gpu: Lane::new(spec),
             sub_ranges: Vec::new(),
         }
     }
@@ -315,10 +307,7 @@ impl SimEngine {
         sink.counter("engine.pool_oversubscription")
             .add(oversubscribed);
 
-        // Sparse staging source: compress the feature matrix once per run so
-        // lanes slice CSR batches in O(nnz) instead of rescanning the dense
-        // matrix per batch (O(batch × features) regardless of density).
-        let csr_data: Option<CsrMatrix> = train.sparse_input.then(|| dataset.to_csr());
+        let src = BatchSource::new(dataset, train.sparse_input);
         let mut eval_timeline = UtilizationTimeline::new();
         let obs = SimObs::new(&ctx.hub, devices.len());
 
@@ -329,7 +318,7 @@ impl SimEngine {
         let mut health_scan = MergeScan::for_model(&model);
         let mut scheduler = BatchScheduler::new(dataset.len(), train.max_epochs);
         let eval_rows = eval_subset(dataset.len(), train.eval_subsample, train.seed);
-        let (eval_x, eval_labels) = gather_rows(dataset, &eval_rows);
+        let mut evaluator = Evaluator::new(&src, &eval_rows, spec);
 
         let mut queue: EventQueue<Ev> = EventQueue::new();
         // A reused sink may still hold a previous run's clock.
@@ -344,22 +333,22 @@ impl SimEngine {
         let budget = train.time_budget;
         let timeline_rejects = co.timeline_rejects.clone();
 
-        let eval = |t: f64, epochs: f64, model: &Model, eval_tl: &mut UtilizationTimeline| {
-            let pass = hetero_nn::forward(model, &eval_x, true);
+        let mut eval = |t: f64, epochs: f64, model: &Model, eval_tl: &mut UtilizationTimeline| {
+            let (loss, accuracy) = evaluator.score(model);
             // The paper runs the loss evaluation on the GPU at epoch end,
             // which shows up as a utilization spike (Figure 7). Account it
             // on a dedicated timeline to avoid perturbing worker schedules.
             if let Some(g) = self.cfg.gpus.first() {
                 let fwd = model.spec().forward_flops_per_example();
-                let dur = g.batch_time(fwd, eval_x.rows());
+                let dur = g.batch_time(fwd, evaluator.rows());
                 let start = t.max(eval_tl.horizon());
                 record_busy(eval_tl, &timeline_rejects, start, start + dur, 1.0);
             }
             LossPoint {
                 time: t,
                 epochs,
-                loss: hetero_nn::loss(pass.probs(), eval_labels.as_targets(), model.spec().loss),
-                accuracy: hetero_nn::accuracy(pass.probs(), eval_labels.as_targets()),
+                loss,
+                accuracy,
             }
         };
 
@@ -466,8 +455,7 @@ impl SimEngine {
                         &devices[worker],
                         &range,
                         &snapshot,
-                        dataset,
-                        csr_data.as_ref(),
+                        &src,
                         &mut model,
                         &mut co.controller,
                         &mut co.stats,
@@ -650,8 +638,7 @@ impl SimEngine {
         device: &Device,
         range: &BatchRange,
         snapshot: &Model,
-        dataset: &DenseDataset,
-        csr_data: Option<&CsrMatrix>,
+        src: &BatchSource<&DenseDataset>,
         model: &mut Model,
         controller: &mut AdaptiveController,
         stats: &mut [WorkerStats],
@@ -724,49 +711,15 @@ impl SimEngine {
                         .for_each(|(i, lane)| {
                             let lane = &mut lane[0];
                             let (s, e) = wave[i];
-                            if let Some(src) = csr_data {
-                                // Sparse fast path: CSR batch + sparse
-                                // kernels. The gradient stays globally
-                                // exact (true zeros at untouched layer-0
-                                // columns), so everything downstream —
-                                // SVRG correction included — is unchanged.
-                                dataset.labels.slice_into(s, e, &mut lane.labels);
-                                src.slice_rows_into(s, e, &mut lane.csr);
-                                lane.ws.loss_and_gradient_sparse_into(
-                                    base,
-                                    lane.csr.view(),
-                                    lane.labels.as_targets(),
-                                    false,
-                                );
-                            } else {
-                                dataset.batch_into(s, e, &mut lane.x, &mut lane.labels);
-                                lane.ws.loss_and_gradient_into(
-                                    base,
-                                    &lane.x,
-                                    lane.labels.as_targets(),
-                                    false,
-                                );
-                            }
+                            lane.batch.stage(src, s, e);
+                            lane.batch.gradient(src, base, false);
                             if let Some((anchor_model, mu)) = svrg_anchor {
                                 // SVRG-corrected direction against the
                                 // most recent GPU anchor:
                                 // ∇f_i(w) − ∇f_i(ŵ) + μ̂.
-                                if train.sparse_input {
-                                    lane.anchor_ws.loss_and_gradient_sparse_into(
-                                        anchor_model,
-                                        lane.csr.view(),
-                                        lane.labels.as_targets(),
-                                        false,
-                                    );
-                                } else {
-                                    lane.anchor_ws.loss_and_gradient_into(
-                                        anchor_model,
-                                        &lane.x,
-                                        lane.labels.as_targets(),
-                                        false,
-                                    );
-                                }
-                                lane.dir.copy_from(lane.ws.grad());
+                                let anchor_ws = &mut lane.anchor_ws;
+                                lane.batch.gradient_in(anchor_ws, src, anchor_model, false);
+                                lane.dir.copy_from(lane.batch.ws.grad());
                                 lane.dir.scaled_add(lane.anchor_ws.grad(), -1.0);
                                 lane.dir.scaled_add(mu, 1.0);
                             }
@@ -778,7 +731,7 @@ impl SimEngine {
                         let g: &mut Gradient = if svrg_anchor.is_some() {
                             &mut lane.dir
                         } else {
-                            lane.ws.grad_mut()
+                            lane.batch.ws.grad_mut()
                         };
                         if poison_pending {
                             poison_pending = false;
@@ -789,18 +742,12 @@ impl SimEngine {
                             scan_model(g, scan);
                             observe_scan(watchdog, worker, stats[worker].batches, scan);
                         }
-                        if train.sparse_input && svrg_anchor.is_none() {
-                            // Row-sparse apply: only the layer-0 columns
-                            // the batch touched (plus biases + dense tail).
+                        if svrg_anchor.is_some() {
                             // The SVRG direction mixes in the dense anchor
-                            // term, so it keeps the dense apply.
-                            model.apply_gradient_sparse(
-                                lane.ws.grad(),
-                                eta,
-                                lane.ws.sparse_active_cols(),
-                            );
-                        } else {
+                            // term μ̂, so it is dense whatever the batch was.
                             model.apply_gradient(g, eta);
+                        } else {
+                            lane.batch.apply_to(model, eta);
                         }
                     }
                     wave_base.copy_from(model);
@@ -825,26 +772,8 @@ impl SimEngine {
             }
             Device::Gpu(_) => {
                 let lane = &mut scratch.gpu;
-                if let Some(src) = csr_data {
-                    dataset
-                        .labels
-                        .slice_into(range.start, range.end, &mut lane.labels);
-                    src.slice_rows_into(range.start, range.end, &mut lane.csr);
-                    lane.ws.loss_and_gradient_sparse_into(
-                        snapshot,
-                        lane.csr.view(),
-                        lane.labels.as_targets(),
-                        true,
-                    );
-                } else {
-                    dataset.batch_into(range.start, range.end, &mut lane.x, &mut lane.labels);
-                    lane.ws.loss_and_gradient_into(
-                        snapshot,
-                        &lane.x,
-                        lane.labels.as_targets(),
-                        true,
-                    );
-                }
+                lane.stage(src, range.start, range.end);
+                lane.gradient(src, snapshot, true);
                 if poison_pending {
                     lane.ws.grad_mut().layers_mut()[0].b[0] = f32::NAN;
                 }
@@ -854,11 +783,7 @@ impl SimEngine {
                     observe_scan(watchdog, worker, stats[worker].batches, scan);
                 }
                 let eta = train.lr_scaling.eta(train.lr, range.len()) * discount;
-                if train.sparse_input {
-                    model.apply_gradient_sparse(lane.ws.grad(), eta, lane.ws.sparse_active_cols());
-                } else {
-                    model.apply_gradient(lane.ws.grad(), eta);
-                }
+                lane.apply_to(model, eta);
                 if train.algorithm == AlgorithmKind::HybridSvrg {
                     // The accurate large-batch gradient becomes the new
                     // variance-reduction anchor for CPU workers. The anchor

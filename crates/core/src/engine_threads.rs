@@ -35,14 +35,13 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use hetero_data::batch::BatchRange;
-use hetero_data::{BatchScheduler, DenseDataset, Labels};
+use hetero_data::{BatchScheduler, DenseDataset};
 use hetero_flight::Watchdog;
 use hetero_gpu::{GpuDevice, GpuMlp};
 use hetero_metrics::{HistHandle, Metric, MetricsHub};
 use hetero_mq::{channel_traced_lineage, Receiver, RecvTimeoutError, Sender};
-use hetero_nn::{scan_model, MergeScan, MlpSpec, Model, SharedModel, Workspace};
+use hetero_nn::{scan_model, MergeScan, MlpSpec, Model, SharedModel};
 use hetero_sim::{DeviceModel, GpuModel};
-use hetero_tensor::{CsrBatch, CsrMatrix, Matrix};
 use hetero_trace::{BatchPhases, CounterHandle, EventKind, TimeDomain, TraceSink, COORDINATOR};
 use serde::{Deserialize, Serialize};
 
@@ -51,8 +50,8 @@ use crate::config::{AlgorithmKind, TrainConfig};
 use crate::coordinator::{
     cpu_batch_state, gpu_batch_state, observe_scan, Coordinator, CoreCkpt, RunCtx, Setup,
 };
-use crate::eval::{eval_subset, gather_labels, gather_rows};
 use crate::fault::{panic_message, FaultPlan, WorkerError};
+use crate::lane::{eval_subset, BatchSource, Evaluator, Lane};
 use crate::metrics::{LossPoint, TrainResult, WorkerKind};
 
 /// Configuration of the threaded engine.
@@ -127,9 +126,7 @@ enum WorkerMsg {
 /// What every worker thread shares with the coordinator.
 #[derive(Clone)]
 struct WorkerEnv {
-    dataset: Arc<DenseDataset>,
-    /// The run's CSR copy of the features on sparse runs.
-    csr_data: Option<Arc<CsrMatrix>>,
+    src: Arc<BatchSource<Arc<DenseDataset>>>,
     shared: Arc<SharedModel>,
     ready: Sender<WorkerMsg>,
     t0: Instant,
@@ -278,22 +275,15 @@ impl ThreadedEngine {
         };
         let shared = Arc::new(SharedModel::new(&init));
 
-        // Sparse staging source: compress the feature matrix once per run so
-        // workers slice CSR batches in O(nnz) instead of rescanning the dense
-        // matrix per batch — an O(batch × features) cost that is independent
-        // of density and would otherwise swamp the sparse kernels' win.
-        // Built before the clock starts: it is data preparation, the sparse
-        // counterpart of the dense matrix already sitting in memory.
-        let csr_data: Option<Arc<CsrMatrix>> =
-            train.sparse_input.then(|| Arc::new(dataset.to_csr()));
+        // Built before the clock starts (see `BatchSource`).
+        let src = Arc::new(BatchSource::new(Arc::clone(&dataset), train.sparse_input));
 
         let t0 = Instant::now();
         let sink = co.sink.clone();
         let (ready_tx, ready_rx) =
             channel_traced_lineage::<WorkerMsg>(&sink, "ready", COORDINATOR, worker_msg_lineage);
         let env = WorkerEnv {
-            dataset: Arc::clone(&dataset),
-            csr_data: csr_data.clone(),
+            src: Arc::clone(&src),
             shared: Arc::clone(&shared),
             ready: ready_tx,
             t0,
@@ -322,8 +312,8 @@ impl ThreadedEngine {
 
         // Published only on sparse runs, so dashboards can tell "dense
         // path" (gauge absent) from a fully dense batch on the sparse path.
-        if let Some(csr) = &csr_data {
-            sink.gauge("engine.sparse_density").set(csr.density());
+        if let Some(density) = src.density() {
+            sink.gauge("engine.sparse_density").set(density);
         }
 
         // Coordinator-side GEMM pool, pinned to `train.rayon_threads`
@@ -346,47 +336,20 @@ impl ThreadedEngine {
         sink.counter("engine.pool_oversubscription")
             .add(requested.saturating_sub(host_threads) as u64);
 
-        // Evaluation subset: the same seeded random subsample at every eval
-        // point (a fixed prefix would bias the curve toward the dataset's
-        // shipped ordering).
         let eval_rows = eval_subset(dataset.len(), train.eval_subsample, train.seed);
-        // On sparse runs the eval forward goes through the CSR kernels too:
-        // a dense eval over a wide sparse batch would cost more than the
-        // training steps it measures and stall the coordinator's dispatch.
-        // Its batch is picked row-wise from the run's CSR copy, so nothing
-        // here scans the dense matrix.
-        enum EvalBatch {
-            Dense(Matrix),
-            Sparse(CsrMatrix),
-        }
-        let (eval_batch, eval_labels) = match csr_data.as_deref() {
-            Some(csr) => (
-                EvalBatch::Sparse(csr.select_rows(&eval_rows)),
-                gather_labels(&dataset, &eval_rows),
-            ),
-            None => {
-                let (x, labels) = gather_rows(&dataset, &eval_rows);
-                (EvalBatch::Dense(x), labels)
-            }
-        };
-        // One snapshot model + workspace for every eval of the run.
+        let mut evaluator = Evaluator::new(&src, &eval_rows, spec);
+        // One snapshot model for every eval of the run.
         let mut eval_model = Model::zeros_like(spec);
-        let mut eval_ws = Workspace::new(spec);
         let mut eval = |scheduler: &BatchScheduler| -> LossPoint {
             shared.snapshot_into(&mut eval_model);
-            let pass = gemm_pool.install(|| match &eval_batch {
-                EvalBatch::Sparse(csr) => {
-                    eval_ws.forward_sparse_into(&eval_model, csr.view(), true)
-                }
-                EvalBatch::Dense(x) => eval_ws.forward_into(&eval_model, x, true),
-            });
+            let (loss, accuracy) = gemm_pool.install(|| evaluator.score(&eval_model));
             LossPoint {
                 // `t_base` splices a resumed incarnation's curve onto the
                 // restored prefix's time axis.
                 time: t_base + t0.elapsed().as_secs_f64(),
                 epochs: scheduler.epochs_elapsed(),
-                loss: hetero_nn::loss(pass.probs(), eval_labels.as_targets(), spec.loss),
-                accuracy: hetero_nn::accuracy(pass.probs(), eval_labels.as_targets()),
+                loss,
+                accuracy,
             }
         };
         // The live CAS-probe estimate, when the run opted into measured β.
@@ -523,8 +486,7 @@ impl ThreadedEngine {
             .name(format!("cpu-worker-{slot}"))
             .spawn(move || {
                 let WorkerEnv {
-                    dataset,
-                    csr_data,
+                    src,
                     shared,
                     ready: tx,
                     t0,
@@ -539,16 +501,13 @@ impl ThreadedEngine {
                         .thread_name(|i| format!("hogwild-{i}"))
                         .build()
                         .map_err(|e| WorkerError::Panic(format!("cpu worker pool: {e}")))?;
-                    let mut lanes: Vec<Lane> = (0..threads)
+                    let mut lanes: Vec<CpuLane> = (0..threads)
                         .map(|_| {
                             let local = shared.snapshot();
                             let scan = MergeScan::for_model(&local);
-                            Lane {
+                            CpuLane {
                                 local,
-                                ws: Workspace::new(shared.spec()),
-                                x: Matrix::zeros(0, 0),
-                                csr: CsrBatch::new(),
-                                labels: Labels::Classes(Vec::new()),
+                                batch: Lane::new(shared.spec()),
                                 scan,
                                 phases: BatchPhases::default(),
                             }
@@ -563,7 +522,6 @@ impl ThreadedEngine {
                     let stale_hist = hub.histogram(Metric::Staleness, slot as u32);
                     let rows_hist = hub.histogram(Metric::RowsTouched, slot as u32);
                     let skipped_ctr = sink.counter("engine.sparse_rows_skipped");
-                    let csr_src = csr_data.as_deref();
                     let mut batches_done = 0u64;
                     loop {
                         let (msg, waited) = rx.recv_timed();
@@ -592,6 +550,17 @@ impl ThreadedEngine {
                             .filter(|(s, e)| e > s)
                             .collect();
                         let n_updates = sub_ranges.len();
+                        let step = CpuStepCtx {
+                            shared: &shared,
+                            src: &src,
+                            train: &train,
+                            watchdog: &watchdog,
+                            slot,
+                            batches_done,
+                            stale_hist: &stale_hist,
+                            rows_hist: &rows_hist,
+                            skipped_ctr: &skipped_ctr,
+                        };
                         // Each Hogwild lane: read the live shared model (racy
                         // snapshot), compute its sub-gradient, apply racily.
                         // Lane i owns lanes[i] exclusively (chunk size 1), so
@@ -606,22 +575,7 @@ impl ThreadedEngine {
                                     // one poisoned update is enough, and it
                                     // keeps the site exact.
                                     let poison = i == 0 && poison_step == Some(batches_done);
-                                    cpu_lane_step(
-                                        lane,
-                                        &shared,
-                                        &dataset,
-                                        csr_src,
-                                        s,
-                                        e,
-                                        &train,
-                                        poison,
-                                        &watchdog,
-                                        slot,
-                                        batches_done,
-                                        &stale_hist,
-                                        &rows_hist,
-                                        &skipped_ctr,
-                                    );
+                                    cpu_lane_step(&step, lane, s, e, poison);
                                 },
                             );
                         });
@@ -697,8 +651,7 @@ impl ThreadedEngine {
             .name(format!("gpu-worker-{slot}"))
             .spawn(move || {
                 let WorkerEnv {
-                    dataset,
-                    csr_data,
+                    src,
                     shared,
                     ready: tx,
                     t0,
@@ -735,43 +688,26 @@ impl ThreadedEngine {
                     // snapshot/replica models and the batch buffers make the
                     // steady-state step loop allocation-free on the host
                     // (the device side reuses `GpuMlp`'s scratch pool).
-                    let mut snapshot = shared.snapshot();
-                    let mut replica = Model::zeros_like(shared.spec());
-                    let mut labels = Labels::Classes(Vec::new());
-                    // Where the replica trains: on the device (dense runs),
-                    // or — sparse fast path, `train.sparse_input` — on the
-                    // host's sparse kernels, which need their own workspace
-                    // and CSR staging and nothing uploaded to the device.
-                    enum ReplicaStep<'a> {
-                        Device {
-                            mlp: GpuMlp<'a>,
-                            x: Matrix,
-                        },
-                        HostSparse {
-                            src: &'a CsrMatrix,
-                            ws: Workspace,
-                            csr: CsrBatch,
-                        },
-                    }
-                    let mut replica_step = match csr_data.as_deref() {
-                        Some(src) => ReplicaStep::HostSparse {
-                            src,
-                            ws: Workspace::new(shared.spec()),
-                            csr: CsrBatch::new(),
-                        },
-                        // An OOM here is unrecoverable — there is no batch
-                        // to shrink when the parameters themselves don't fit.
-                        None => ReplicaStep::Device {
-                            mlp: GpuMlp::upload(&device, &snapshot).map_err(|e| {
-                                WorkerError::Oom(format!("model upload failed: {e}"))
-                            })?,
-                            x: Matrix::zeros(0, 0),
-                        },
+                    let snapshot = shared.snapshot();
+                    // Where the replica trains: on the device, or — CSR
+                    // batches — on the host's sparse kernels, with nothing
+                    // uploaded (the software device has no CSR kernels).
+                    // An OOM here is unrecoverable — there is no batch to
+                    // shrink when the parameters themselves don't fit.
+                    let mlp = (src.density().is_none())
+                        .then(|| GpuMlp::upload(&device, &snapshot))
+                        .transpose()
+                        .map_err(|e| WorkerError::Oom(format!("model upload failed: {e}")))?;
+                    let mut replica = GpuReplica {
+                        mlp,
+                        replica: Model::zeros_like(shared.spec()),
+                        lane: Lane::new(shared.spec()),
+                        // Watchdog scratch: per-layer sumsq / non-finite
+                        // counts of the merged delta, filled *inside* the
+                        // merge's element loop (no extra pass over the model).
+                        merge_scan: MergeScan::for_model(&snapshot),
+                        snapshot,
                     };
-                    // Watchdog scratch: per-layer sumsq / non-finite counts
-                    // of the merged delta, filled *inside* the merge's
-                    // element loop (no extra pass over the model).
-                    let mut merge_scan = MergeScan::for_model(&snapshot);
                     let poison_step = plan.poison_at(slot);
                     let mut batches_done = 0u64;
                     loop {
@@ -797,7 +733,7 @@ impl ThreadedEngine {
                         let poison = poison_step == Some(batches_done);
                         let step = GpuStepCtx {
                             shared: &shared,
-                            dataset: &dataset,
+                            src: &src,
                             gemm_pool: &gemm_pool,
                             train: &train,
                             watchdog: &watchdog,
@@ -809,31 +745,8 @@ impl ThreadedEngine {
                             rows_hist: &rows_hist,
                             sparse_retries_hist: &sparse_retries_hist,
                         };
-                        let (len, shrunk_to, leftover, scale, phases) = match &mut replica_step {
-                            ReplicaStep::HostSparse { src, ws, csr } => gpu_batch_step_sparse(
-                                &step,
-                                src,
-                                &mut snapshot,
-                                &mut replica,
-                                ws,
-                                csr,
-                                &mut labels,
-                                &mut merge_scan,
-                                range,
-                                poison,
-                            ),
-                            ReplicaStep::Device { mlp, x } => gpu_batch_step(
-                                &step,
-                                mlp,
-                                &mut snapshot,
-                                &mut replica,
-                                x,
-                                &mut labels,
-                                &mut merge_scan,
-                                range,
-                                poison,
-                            )?,
-                        };
+                        let (len, shrunk_to, leftover, scale, phases) =
+                            gpu_batch_step(&step, &mut replica, range, poison)?;
                         device.set_active_batch(None);
                         let busy_end = t0.elapsed().as_secs_f64();
                         lat_hist.record_secs(busy_end - busy_start);
@@ -872,7 +785,7 @@ impl ThreadedEngine {
                         }
                     }
                     Ok(())
-                    // `replica_step`'s `mlp` (and its device buffers) drop
+                    // `replica.mlp` (and its device buffers) drops
                     // here — and on any unwind path above, via GpuMlp's Drop
                     // impl.
                 };
@@ -882,17 +795,11 @@ impl ThreadedEngine {
     }
 }
 
-/// One persistent scratch set per Hogwild lane — model snapshot, batch
-/// staging, and forward/backward workspace all reused across batches, so a
-/// steady-state lane performs zero heap allocations.
-struct Lane {
+/// One Hogwild lane: its racy model snapshot beside the shared [`Lane`]
+/// scratch, all reused across batches.
+struct CpuLane {
     local: Model,
-    ws: Workspace,
-    x: Matrix,
-    /// CSR batch staging for the sparse fast path (`train.sparse_input`);
-    /// stays empty on dense runs.
-    csr: CsrBatch,
-    labels: Labels,
+    batch: Lane,
     /// Watchdog scratch: per-layer sumsq / non-finite counts of the lane's
     /// own gradient, reused every batch (lane-local, so no
     /// synchronization).
@@ -903,88 +810,58 @@ struct Lane {
     phases: BatchPhases,
 }
 
+/// Shared, read-only context of one CPU batch's lane steps.
+struct CpuStepCtx<'a> {
+    shared: &'a SharedModel,
+    src: &'a BatchSource<Arc<DenseDataset>>,
+    train: &'a TrainConfig,
+    watchdog: &'a Watchdog,
+    slot: usize,
+    batches_done: u64,
+    stale_hist: &'a HistHandle,
+    rows_hist: &'a HistHandle,
+    skipped_ctr: &'a CounterHandle,
+}
+
 /// One Hogwild lane step: racy snapshot → sub-gradient → racy apply.
 /// This is the CPU hot path the paper's speedup model assumes is cheap;
 /// the audit proves its steady state stays allocation-free (DESIGN.md §4j).
 // audit: no_alloc
-#[allow(clippy::too_many_arguments)]
-fn cpu_lane_step(
-    lane: &mut Lane,
-    shared: &SharedModel,
-    dataset: &DenseDataset,
-    csr_data: Option<&CsrMatrix>,
-    s: usize,
-    e: usize,
-    train: &TrainConfig,
-    poison: bool,
-    watchdog: &Watchdog,
-    slot: usize,
-    batches_done: u64,
-    stale_hist: &HistHandle,
-    rows_hist: &HistHandle,
-    skipped_ctr: &CounterHandle,
-) {
+fn cpu_lane_step(ctx: &CpuStepCtx<'_>, lane: &mut CpuLane, s: usize, e: usize, poison: bool) {
+    let shared = ctx.shared;
     // Staleness = global updates applied between this lane's read and its
     // own write landing (minus the write itself).
-    let stale_at = (!stale_hist.is_disabled()).then(|| shared.update_count());
+    let stale_at = (!ctx.stale_hist.is_disabled()).then(|| shared.update_count());
     let t_stage = Instant::now();
     shared.snapshot_into(&mut lane.local);
-    if let Some(src) = csr_data {
-        // Sparse fast path: CSR batch staged from the run-level CSR copy
-        // in O(nnz), sparse kernels, and a racy apply that walks only the
-        // layer-0 columns the batch touched. The gradient is still
-        // globally exact (true zeros elsewhere), so clip/poison/scan below
-        // are unchanged.
-        dataset.labels.slice_into(s, e, &mut lane.labels);
-        src.slice_rows_into(s, e, &mut lane.csr);
-        let t_compute = Instant::now();
-        lane.phases.stage_secs = (t_compute - t_stage).as_secs_f64();
-        lane.ws.loss_and_gradient_sparse_into(
-            &lane.local,
-            lane.csr.view(),
-            lane.labels.as_targets(),
-            false,
-        );
-        lane.phases.compute_secs = t_compute.elapsed().as_secs_f64();
-    } else {
-        dataset.batch_into(s, e, &mut lane.x, &mut lane.labels);
-        let t_compute = Instant::now();
-        lane.phases.stage_secs = (t_compute - t_stage).as_secs_f64();
-        lane.ws
-            .loss_and_gradient_into(&lane.local, &lane.x, lane.labels.as_targets(), false);
-        lane.phases.compute_secs = t_compute.elapsed().as_secs_f64();
-    }
+    lane.batch.stage(ctx.src, s, e);
+    let t_compute = Instant::now();
+    lane.phases.stage_secs = (t_compute - t_stage).as_secs_f64();
+    lane.batch.gradient(ctx.src, &lane.local, false);
+    lane.phases.compute_secs = t_compute.elapsed().as_secs_f64();
     lane.phases.transfer_secs = 0.0;
     // Injected fault: one NaN into this worker's gradient at the planned
     // step.
     if poison {
-        lane.ws.grad_mut().layers_mut()[0].b[0] = f32::NAN;
+        lane.batch.ws.grad_mut().layers_mut()[0].b[0] = f32::NAN;
     }
-    if watchdog.enabled() {
+    if ctx.watchdog.enabled() {
         lane.scan.reset();
-        scan_model(lane.ws.grad(), &mut lane.scan);
-        observe_scan(watchdog, slot, batches_done, &lane.scan);
+        scan_model(lane.batch.ws.grad(), &mut lane.scan);
+        observe_scan(ctx.watchdog, ctx.slot, ctx.batches_done, &lane.scan);
     }
-    let eta = train.lr_scaling.eta(train.lr, e - s);
+    let eta = ctx.train.lr_scaling.eta(ctx.train.lr, e - s);
     let t_merge = Instant::now();
-    if csr_data.is_some() {
-        let cols = lane.ws.sparse_active_cols();
-        rows_hist.record(cols.len() as u64);
-        skipped_ctr.add((dataset.features() - cols.len()) as u64);
-        if train.measured_beta {
-            shared.apply_gradient_racy_sampled_cols(lane.ws.grad(), eta, cols);
-        } else {
-            shared.apply_gradient_racy_cols(lane.ws.grad(), eta, cols);
-        }
-    } else if train.measured_beta {
-        shared.apply_gradient_racy_sampled(lane.ws.grad(), eta);
-    } else {
-        shared.apply_gradient_racy(lane.ws.grad(), eta);
+    if let Some(cols) = lane.batch.active_cols() {
+        ctx.rows_hist.record(cols.len() as u64);
+        let features = ctx.src.dataset.features();
+        ctx.skipped_ctr.add((features - cols.len()) as u64);
     }
+    lane.batch.apply_racy(shared, eta, ctx.train.measured_beta);
     lane.phases.merge_secs = t_merge.elapsed().as_secs_f64();
     if let Some(at) = stale_at {
         let now = shared.update_count();
-        stale_hist.record(now.saturating_sub(at + 1));
+        ctx.stale_hist.record(now.saturating_sub(at + 1));
     }
 }
 
@@ -992,7 +869,7 @@ fn cpu_lane_step(
 /// function's signature stays reviewable).
 struct GpuStepCtx<'a> {
     shared: &'a SharedModel,
-    dataset: &'a DenseDataset,
+    src: &'a BatchSource<Arc<DenseDataset>>,
     gemm_pool: &'a rayon::ThreadPool,
     train: &'a TrainConfig,
     watchdog: &'a Watchdog,
@@ -1005,71 +882,109 @@ struct GpuStepCtx<'a> {
     sparse_retries_hist: &'a HistHandle,
 }
 
+/// A GPU worker's deep-copy replica and everything one step of it reuses.
+struct GpuReplica<'d> {
+    /// The device-resident copy; `None` when the replica trains on the
+    /// host instead (CSR runs).
+    mlp: Option<GpuMlp<'d>>,
+    snapshot: Model,
+    replica: Model,
+    lane: Lane,
+    merge_scan: MergeScan,
+}
+
 /// One GPU batch step's outcome: examples processed, the shrunk batch size
 /// after OOM retries (if any), the unprocessed leftover tail, the merge
 /// scale, and the measured per-phase wall-clock breakdown.
 type GpuStepOutcome = (usize, Option<usize>, Option<BatchRange>, f32, BatchPhases);
 
-/// One GPU batch step: replica refresh → device train step (with bounded
-/// OOM-halving retry) → staleness-discounted delta merge (§V/§VI-B).
+/// One GPU batch step: snapshot → train the replica one step →
+/// staleness-discounted delta merge (§V/§VI-B).
 /// Returns `(processed len, shrunk_to, leftover tail, merge scale, phase
 /// breakdown)` — staging (snapshot + batch gather), transfer (model
-/// refresh + delta download), compute (device step), and merge are
+/// refresh + delta download), compute (the step), and merge are
 /// wall-timed separately, accumulated across OOM retries.
 ///
 /// The steady-state path is allocation-free on the host; the `format!`
 /// calls on the unrecoverable-OOM branch are reviewed allowlist entries
 /// (the worker retires immediately after).
 // audit: no_alloc
-#[allow(clippy::too_many_arguments)]
 fn gpu_batch_step(
     ctx: &GpuStepCtx<'_>,
-    mlp: &mut GpuMlp,
-    snapshot: &mut Model,
-    replica: &mut Model,
-    x: &mut Matrix,
-    labels: &mut Labels,
-    merge_scan: &mut MergeScan,
+    rep: &mut GpuReplica<'_>,
     range: BatchRange,
     poison: bool,
 ) -> Result<GpuStepOutcome, WorkerError> {
+    let GpuReplica {
+        mlp,
+        snapshot,
+        replica,
+        lane,
+        merge_scan,
+    } = rep;
     let mut phases = BatchPhases::default();
     // Deep-copy replica of the current global model (§V).
     let updates_at_snapshot = ctx.shared.update_count();
     let t_stage = Instant::now();
     ctx.shared.snapshot_into(snapshot);
     phases.stage_secs += t_stage.elapsed().as_secs_f64();
-    // Bounded retry: halve the batch until the step fits on the device (a
-    // mid-step OOM leaves the replica partially updated, so refresh before
-    // every try).
-    let mut len = range.len();
-    let mut shrunk_to = None;
-    loop {
-        let t_refresh = Instant::now();
-        mlp.refresh(snapshot);
-        phases.transfer_secs += t_refresh.elapsed().as_secs_f64();
-        let t_batch = Instant::now();
-        ctx.dataset
-            .batch_into(range.start, range.start + len, x, labels);
-        phases.stage_secs += t_batch.elapsed().as_secs_f64();
-        let eta = ctx.train.lr_scaling.eta(ctx.train.lr, len);
-        let t_compute = Instant::now();
-        let step = ctx
-            .gemm_pool
-            .install(|| mlp.train_step(x, labels.as_targets(), eta));
-        phases.compute_secs += t_compute.elapsed().as_secs_f64();
-        match step {
-            Ok(_) => break,
-            Err(e) if len > 1 => {
-                len /= 2;
-                shrunk_to = Some(len);
-                let _ = e;
+    // Train the replica one step — the one place the worker's two modes
+    // differ. Each arm also says where its merge's CAS retries are
+    // tallied and whether the merge is scanned with the watchdog off.
+    let (len, shrunk_to, retries_hist, scanned) = match mlp {
+        Some(mlp) => {
+            // Bounded retry: halve the batch until the step fits on the
+            // device (a mid-step OOM leaves the replica partially updated,
+            // so refresh before every try).
+            let mut len = range.len();
+            let mut shrunk_to = None;
+            loop {
+                let t_refresh = Instant::now();
+                mlp.refresh(snapshot);
+                phases.transfer_secs += t_refresh.elapsed().as_secs_f64();
+                let t_batch = Instant::now();
+                lane.stage(ctx.src, range.start, range.start + len);
+                phases.stage_secs += t_batch.elapsed().as_secs_f64();
+                let eta = ctx.train.lr_scaling.eta(ctx.train.lr, len);
+                let t_compute = Instant::now();
+                let step = ctx
+                    .gemm_pool
+                    .install(|| mlp.train_step(&lane.x, lane.labels.as_targets(), eta));
+                phases.compute_secs += t_compute.elapsed().as_secs_f64();
+                match step {
+                    Ok(_) => break,
+                    Err(_) if len > 1 => {
+                        len /= 2;
+                        shrunk_to = Some(len);
+                    }
+                    Err(e) => {
+                        return Err(WorkerError::Oom(format!("single-example step failed: {e}")));
+                    }
+                }
             }
-            Err(e) => {
-                return Err(WorkerError::Oom(format!("single-example step failed: {e}")));
-            }
+            let t_download = Instant::now();
+            mlp.download_into(replica);
+            phases.transfer_secs += t_download.elapsed().as_secs_f64();
+            (len, shrunk_to, ctx.retries_hist, ctx.watchdog.enabled())
         }
-    }
+        None => {
+            // Host memory can't OOM-shrink, so the whole range always
+            // processes, and nothing crosses a device link.
+            let t_stage = Instant::now();
+            replica.copy_from(snapshot);
+            lane.stage(ctx.src, range.start, range.end);
+            phases.stage_secs += t_stage.elapsed().as_secs_f64();
+            let eta = ctx.train.lr_scaling.eta(ctx.train.lr, range.len());
+            let t_compute = Instant::now();
+            ctx.gemm_pool
+                .install(|| lane.gradient(ctx.src, replica, true));
+            lane.apply_to(replica, eta);
+            phases.compute_secs = t_compute.elapsed().as_secs_f64();
+            let rows = lane.active_cols().map_or(0, <[u32]>::len);
+            ctx.rows_hist.record(rows as u64);
+            (range.len(), None, ctx.sparse_retries_hist, true)
+        }
+    };
     let leftover = (len < range.len()).then_some(BatchRange {
         start: range.start + len,
         end: range.end,
@@ -1077,109 +992,36 @@ fn gpu_batch_step(
     });
     // Merge the replica's delta into the global model without clobbering
     // concurrent CPU updates. §VI-B: the delta is discounted by how stale
-    // its base snapshot became while the device was computing.
+    // its base snapshot became while the replica was training.
     let staleness = ctx
         .shared
         .update_count()
         .saturating_sub(updates_at_snapshot);
     let scale = 1.0 / (1.0 + ctx.train.staleness_discount * staleness as f32);
     ctx.stale_hist.record(staleness);
-    let t_download = Instant::now();
-    mlp.download_into(replica);
-    phases.transfer_secs += t_download.elapsed().as_secs_f64();
     // Injected fault: one NaN into this worker's delta at the planned step
     // (the merge carries it into the shared model — detection is the
-    // watchdog's job, not the merge's).
+    // watchdog's job, not the merge's). The bias is part of a row-sparse
+    // merge's dense tail, so the NaN reaches the shared model either way.
     if poison {
         replica.layers_mut()[0].b[0] = f32::NAN;
     }
-    let merge_start = Instant::now();
-    let retries = if ctx.watchdog.enabled() {
-        merge_scan.reset();
-        let r = ctx
-            .shared
-            .merge_delta_scaled_scanned(snapshot, replica, scale, merge_scan);
-        observe_scan(ctx.watchdog, ctx.slot, ctx.batches_done, merge_scan);
-        r
-    } else {
-        ctx.shared
-            .merge_delta_scaled_observed(snapshot, replica, scale)
-    };
-    phases.merge_secs = merge_start.elapsed().as_secs_f64();
-    ctx.merge_hist.record_secs(phases.merge_secs);
-    ctx.retries_hist.record(retries);
-    Ok((len, shrunk_to, leftover, scale, phases))
-}
-
-/// Sparse-input variant of [`gpu_batch_step`]: the replica trains one step
-/// on the host's CSR kernels (the software device has no sparse path), and
-/// the merge walks only the layer-0 columns the batch touched plus the
-/// dense tail. The replica equals the snapshot outside those columns, so
-/// the row-sparse merge is exactly the dense merge, scan included. Host
-/// memory can't OOM-shrink, so the whole range always processes.
-// audit: no_alloc
-#[allow(clippy::too_many_arguments)]
-fn gpu_batch_step_sparse(
-    ctx: &GpuStepCtx<'_>,
-    src: &CsrMatrix,
-    snapshot: &mut Model,
-    replica: &mut Model,
-    ws: &mut Workspace,
-    csr: &mut CsrBatch,
-    labels: &mut Labels,
-    merge_scan: &mut MergeScan,
-    range: BatchRange,
-    poison: bool,
-) -> GpuStepOutcome {
-    let mut phases = BatchPhases::default();
-    // Deep-copy replica of the current global model (§V).
-    let updates_at_snapshot = ctx.shared.update_count();
-    let t_stage = Instant::now();
-    ctx.shared.snapshot_into(snapshot);
-    replica.copy_from(snapshot);
-    ctx.dataset
-        .labels
-        .slice_into(range.start, range.end, labels);
-    src.slice_rows_into(range.start, range.end, csr);
-    phases.stage_secs = t_stage.elapsed().as_secs_f64();
-    let eta = ctx.train.lr_scaling.eta(ctx.train.lr, range.len());
-    let t_compute = Instant::now();
-    ctx.gemm_pool.install(|| {
-        ws.loss_and_gradient_sparse_into(replica, csr.view(), labels.as_targets(), true);
-    });
-    replica.apply_gradient_sparse(ws.grad(), eta, ws.sparse_active_cols());
-    phases.compute_secs = t_compute.elapsed().as_secs_f64();
-    ctx.rows_hist.record(ws.sparse_active_cols().len() as u64);
-    // §VI-B staleness discount, same as the dense step.
-    let staleness = ctx
-        .shared
-        .update_count()
-        .saturating_sub(updates_at_snapshot);
-    let scale = 1.0 / (1.0 + ctx.train.staleness_discount * staleness as f32);
-    ctx.stale_hist.record(staleness);
-    // Injected fault: the bias is part of the merge's dense tail, so the
-    // NaN still reaches the shared model for the watchdog to catch.
-    if poison {
-        replica.layers_mut()[0].b[0] = f32::NAN;
-    }
+    // A host-trained replica equals the snapshot outside the lane's
+    // layer-0 columns, so walking only those is exactly the full merge,
+    // scan included.
     let merge_start = Instant::now();
     merge_scan.reset();
-    let retries = ctx.shared.merge_delta_sparse_scanned(
-        snapshot,
-        replica,
-        scale,
-        ws.sparse_active_cols(),
-        merge_scan,
-    );
+    let scan = scanned.then_some(&mut *merge_scan);
+    let retries = ctx
+        .shared
+        .merge(snapshot, replica, scale, lane.active_cols(), scan);
     if ctx.watchdog.enabled() {
         observe_scan(ctx.watchdog, ctx.slot, ctx.batches_done, merge_scan);
     }
     phases.merge_secs = merge_start.elapsed().as_secs_f64();
     ctx.merge_hist.record_secs(phases.merge_secs);
-    ctx.sparse_retries_hist.record(retries);
-    // Host-resident CSR path: nothing crosses a device link.
-    phases.transfer_secs = 0.0;
-    (range.len(), None, None, scale, phases)
+    retries_hist.record(retries);
+    Ok((len, shrunk_to, leftover, scale, phases))
 }
 
 /// Convert a worker body's exit into a [`WorkerMsg::Fault`] when it did not

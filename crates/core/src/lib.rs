@@ -49,10 +49,9 @@ mod coordinator;
 pub mod engine_ps;
 pub mod engine_sim;
 pub mod engine_threads;
-mod eval;
 pub mod fault;
+mod lane;
 pub mod metrics;
-pub mod svrg;
 
 pub use adaptive::{credit_updates, AdaptiveController};
 pub use config::{AdaptiveParams, AlgorithmKind, LrScaling, TrainConfig};
@@ -62,4 +61,3 @@ pub use engine_sim::{SimEngine, SimEngineConfig};
 pub use engine_threads::{ThreadedEngine, ThreadedEngineConfig};
 pub use fault::{FaultKind, FaultPlan, WorkerError};
 pub use metrics::{LossPoint, TimelineSummary, TrainResult, WorkerKind, WorkerStats};
-pub use svrg::{train_sgd_baseline, train_svrg, SvrgConfig};

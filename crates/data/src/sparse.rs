@@ -5,7 +5,7 @@
 //! storing 20,958 features per example at ~0.25% density. This type keeps
 //! the feature matrix in CSR instead, so a dataset that would need
 //! gigabytes dense fits in tens of megabytes, and batches feed the sparse
-//! training path ([`hetero_nn::Workspace::loss_and_gradient_sparse_into`])
+//! training path ([`hetero_nn::Workspace::loss_and_gradient_into`])
 //! directly — the dense matrix is never materialized, not even during
 //! loading ([`crate::libsvm::sparsify`] builds the CSR straight from the
 //! parsed LIBSVM rows).

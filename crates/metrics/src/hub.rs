@@ -30,7 +30,7 @@ pub enum Metric {
     H2d,
     /// Device-to-host transfer time per download (ns).
     D2h,
-    /// Time spent inside `SharedModel::merge_delta_scaled` per merge (ns).
+    /// Time spent inside `SharedModel::merge` per merge (ns).
     MergeWait,
     /// CAS retries incurred merging one delta (count; contention measure).
     MergeRetries,

@@ -12,21 +12,16 @@
 
 use hetero_tensor::{gemm, ops, Matrix};
 
-use crate::forward::{forward, loss, ForwardPass, Targets};
+use crate::forward::{forward, loss, ForwardPass, Input, Targets};
 use crate::model::Model;
+use crate::sparse_input::SparseScratch;
 use crate::spec::LossKind;
 
 /// A gradient has exactly the shape of the model it differentiates.
 pub type Gradient = Model;
 
-/// Compute `∂loss/∂z_out = (p − y)/B` into a caller-owned buffer (shared by
-/// the dense and sparse backward passes — the output delta is identical).
-pub(crate) fn output_delta_into(
-    probs: &Matrix,
-    targets: Targets<'_>,
-    kind: LossKind,
-    delta: &mut Matrix,
-) {
+/// Compute `∂loss/∂z_out = (p − y)/B` into a caller-owned buffer.
+fn output_delta_into(probs: &Matrix, targets: Targets<'_>, kind: LossKind, delta: &mut Matrix) {
     let batch = probs.rows();
     let inv_b = if batch > 0 { 1.0 / batch as f32 } else { 0.0 };
     delta.copy_from(probs);
@@ -64,13 +59,14 @@ pub fn backward(
     let mut delta_next = Matrix::zeros(0, 0);
     backward_with_scratch(
         model,
-        x,
+        x.into(),
         pass,
         targets,
         parallel,
         &mut delta,
         &mut delta_next,
         &mut grad,
+        None,
     );
     grad
 }
@@ -79,17 +75,19 @@ pub fn backward(
 ///
 /// `delta`/`delta_next` are the ping-pong δ buffers (any shape; reshaped
 /// with [`Matrix::resize`]); `grad` must have the model's shape and is
-/// fully overwritten. Warmed buffers make this allocation-free.
+/// fully overwritten. Warmed buffers make this allocation-free. A CSR
+/// batch needs `sparse`: its layer-0 weight gradient is a scatter kernel.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn backward_with_scratch(
     model: &Model,
-    x: &Matrix,
+    x: Input<'_>,
     pass: &ForwardPass,
     targets: Targets<'_>,
     parallel: bool,
     delta: &mut Matrix,
     delta_next: &mut Matrix,
     grad: &mut Gradient,
+    mut sparse: Option<&mut SparseScratch>,
 ) {
     let n_layers = model.layers().len();
     assert_eq!(pass.activations.len(), n_layers, "stale forward pass");
@@ -104,11 +102,24 @@ pub(crate) fn backward_with_scratch(
 
     output_delta_into(pass.probs(), targets, model.spec().loss, delta);
     for l in (0..n_layers).rev() {
-        // Input to layer l: the previous layer's activation, or the batch.
-        let input: &Matrix = if l == 0 { x } else { &pass.activations[l - 1] };
-
+        // Input to layer l: the previous layer's activation, or the batch
+        // — whose format decides the layer-0 weight gradient, nothing else.
+        let dense_input: Option<&Matrix> = match (l, x) {
+            (0, Input::Csr(x)) => {
+                let scratch = sparse.as_deref_mut().expect("CSR input needs scratch");
+                scratch.backward_l0(x, delta, grad);
+                None
+            }
+            (0, Input::Dense(x)) => {
+                if let Some(scratch) = sparse.as_deref_mut() {
+                    scratch.note_dense_gradient();
+                }
+                Some(x)
+            }
+            _ => Some(&pass.activations[l - 1]),
+        };
         // ∇W = δᵀ · input  — δ is batch×out, input is batch×in → out×in.
-        {
+        if let Some(input) = dense_input {
             let gw = &mut grad.layers_mut()[l].w;
             if parallel {
                 gemm::par_gemm_tn(1.0, delta, input, 0.0, gw);

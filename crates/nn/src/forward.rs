@@ -1,8 +1,9 @@
 //! Batch forward pass, loss evaluation, and prediction (Eq. 1 of the paper).
 
-use hetero_tensor::{gemm, ops, Matrix};
+use hetero_tensor::{gemm, ops, CsrView, Matrix};
 
 use crate::model::Model;
+use crate::sparse_input::SparseScratch;
 use crate::spec::LossKind;
 
 /// Floor applied inside `log` to keep the loss finite.
@@ -29,6 +30,39 @@ impl Targets<'_> {
     /// True when no examples are present.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+}
+
+/// One batch of examples in either storage format. Only layer 0 ever
+/// reads the input, so the forward and backward bodies branch on the
+/// format exactly there and share everything after it.
+#[derive(Debug, Clone, Copy)]
+pub enum Input<'a> {
+    /// Row-major `batch×input_dim`.
+    Dense(&'a Matrix),
+    /// CSR rows of the same logical shape.
+    Csr(CsrView<'a>),
+}
+
+impl Input<'_> {
+    /// `(examples, features)` of the batch.
+    pub fn dims(&self) -> (usize, usize) {
+        match self {
+            Input::Dense(x) => x.shape(),
+            Input::Csr(x) => (x.rows(), x.cols()),
+        }
+    }
+}
+
+impl<'a> From<&'a Matrix> for Input<'a> {
+    fn from(x: &'a Matrix) -> Self {
+        Input::Dense(x)
+    }
+}
+
+impl<'a> From<CsrView<'a>> for Input<'a> {
+    fn from(x: CsrView<'a>) -> Self {
+        Input::Csr(x)
     }
 }
 
@@ -62,7 +96,7 @@ impl ForwardPass {
 /// through the same kernel sequence, so their results are bit-identical.
 pub fn forward(model: &Model, x: &Matrix, parallel: bool) -> ForwardPass {
     let mut activations = Vec::new();
-    forward_into_buffers(model, x, parallel, &mut activations);
+    forward_into_buffers(model, x.into(), parallel, &mut activations, None);
     ForwardPass { activations }
 }
 
@@ -71,34 +105,47 @@ pub fn forward(model: &Model, x: &Matrix, parallel: bool) -> ForwardPass {
 /// `activations` is resized to one matrix per layer; each matrix is
 /// reshaped with [`Matrix::resize`], so a warmed buffer set incurs no
 /// allocation. The bias-add is fused into the NT GEMM epilogue
-/// ([`gemm::gemm_nt_bias`]) — one pass over each pre-activation.
+/// ([`gemm::gemm_nt_bias`]) — one pass over each pre-activation. A CSR
+/// batch needs `sparse`, the layer-0 repack scratch.
 pub(crate) fn forward_into_buffers(
     model: &Model,
-    x: &Matrix,
+    x: Input<'_>,
     parallel: bool,
     activations: &mut Vec<Matrix>,
+    mut sparse: Option<&mut SparseScratch>,
 ) {
+    let (batch, width) = x.dims();
     assert_eq!(
-        x.cols(),
+        width,
         model.spec().input_dim,
         "batch feature width {} != input_dim {}",
-        x.cols(),
+        width,
         model.spec().input_dim
     );
-    let batch = x.rows();
     let n_layers = model.layers().len();
     activations.resize_with(n_layers, || Matrix::zeros(0, 0));
     for (l, layer) in model.layers().iter().enumerate() {
-        let out_dim = layer.w.rows();
         // Split so we can read the previous activation while writing this one.
         let (head, tail) = activations.split_at_mut(l);
         let z = &mut tail[0];
-        z.resize(batch, out_dim);
-        let input: &Matrix = if l == 0 { x } else { &head[l - 1] };
-        if parallel {
-            gemm::par_gemm_nt_bias(1.0, input, &layer.w, &layer.b, z);
-        } else {
-            gemm::gemm_nt_bias(1.0, input, &layer.w, &layer.b, z);
+        // The one place the input format matters: a CSR batch takes the
+        // sparse layer-0 product; everything else is the dense NT GEMM.
+        let dense_input: Option<&Matrix> = match (l, x) {
+            (0, Input::Csr(x)) => {
+                let scratch = sparse.as_deref_mut().expect("CSR input needs scratch");
+                scratch.forward_l0(x, layer, z);
+                None
+            }
+            (0, Input::Dense(x)) => Some(x),
+            _ => Some(&head[l - 1]),
+        };
+        if let Some(input) = dense_input {
+            z.resize(batch, layer.w.rows());
+            if parallel {
+                gemm::par_gemm_nt_bias(1.0, input, &layer.w, &layer.b, z);
+            } else {
+                gemm::gemm_nt_bias(1.0, input, &layer.w, &layer.b, z);
+            }
         }
         if l + 1 == n_layers {
             match model.spec().loss {

@@ -13,6 +13,9 @@
 //!   initialization schemes, flatten/unflatten.
 //! - [`mod@forward`]/[`mod@backward`] — batch forward pass, loss, and exact
 //!   back-propagated gradients (Eq. 1–3 of the paper).
+//! - [`Workspace`] — the same passes over reused buffers, for an
+//!   [`Input`] that is a dense matrix or CSR rows (the format matters at
+//!   the first layer only; [`mod@sparse_input`] holds that layer's kernels).
 //! - [`SharedModel`] — the *global model* of the framework: a flat
 //!   `Vec<AtomicU32>` (f32 bits) that CPU workers update Hogwild-style
 //!   (racy read–modify–write, relaxed ordering) while GPU workers take deep
@@ -28,7 +31,6 @@ pub mod backward;
 pub mod forward;
 pub mod init;
 pub mod model;
-pub mod optim;
 pub mod scan;
 pub mod shared;
 pub mod sparse_input;
@@ -38,10 +40,9 @@ pub mod workspace;
 
 pub use activation::Activation;
 pub use backward::{backward, loss_and_gradient, Gradient};
-pub use forward::{accuracy, forward, loss, predict_probs, ForwardPass, Targets};
+pub use forward::{accuracy, forward, loss, predict_probs, ForwardPass, Input, Targets};
 pub use init::InitScheme;
 pub use model::Model;
-pub use optim::{Optimizer, OptimizerKind};
 pub use scan::{scan_model, LayerScan, MergeScan};
 pub use shared::SharedModel;
 pub use sparse_input::{forward_sparse, loss_and_gradient_sparse};

@@ -8,7 +8,7 @@
 //! - CPU Hogwild lanes call [`scan_model`] on the workspace gradient —
 //!   one extra SIMD pass over a buffer that is tiny next to the GEMMs that
 //!   produced it;
-//! - GPU merges use [`crate::SharedModel::merge_delta_scaled_scanned`],
+//! - GPU merges hand [`crate::SharedModel::merge`] a scan,
 //!   which folds the scan into the CAS merge loop itself — zero extra
 //!   passes over memory.
 //!

@@ -9,7 +9,7 @@
 //! is a flat `Vec<AtomicU32>` holding f32 bit patterns accessed with
 //! `Relaxed` ordering. Two update flavours are provided:
 //!
-//! - [`SharedModel::apply_gradient_racy`] — load/compute/store per element.
+//! - [`SharedModel::apply_racy`] — load/compute/store per element.
 //!   Concurrent writers can overwrite each other, which is *exactly* the
 //!   Hogwild semantics the paper relies on (conflicts happen, convergence
 //!   survives).
@@ -31,8 +31,8 @@ use crate::sync::{AtomicU32, AtomicU64, Ordering};
 // (`tests/loom_shared.rs`) checks the CAS path loses nothing and the racy
 // path stays within its feasible envelope under all interleavings.
 
-/// Every how many parameters the sampled racy path probes for write
-/// conflicts (see [`SharedModel::apply_gradient_racy_sampled`]). Sparse on
+/// Every how many parameters a probing racy apply checks for write
+/// conflicts (see [`SharedModel::apply_racy`]). Sparse on
 /// purpose: the probe is a strong CAS instead of a plain store, and the
 /// estimator only needs a sample, not a census.
 const CONFLICT_SAMPLE_STRIDE: usize = 16;
@@ -43,7 +43,7 @@ pub struct SharedModel {
     params: Vec<AtomicU32>,
     /// Total number of model updates applied (any worker).
     updates: AtomicU64,
-    /// Parameter writes probed for conflicts by the sampled racy path.
+    /// Parameter writes probed for conflicts by probing racy applies.
     conflict_samples: AtomicU64,
     /// Probed writes that observed a racing foreign write.
     conflict_losses: AtomicU64,
@@ -137,196 +137,112 @@ impl SharedModel {
     ///
     /// Lost updates under contention are expected and tolerated — this is
     /// the paper's CPU-worker update path.
+    ///
+    /// With `l0_cols` the layer-0 weight loop visits only those columns,
+    /// row by row in address order (any order is correct, ascending — what
+    /// [`Workspace::active_cols`](crate::Workspace::active_cols) yields —
+    /// is the fast one; duplicates must not appear); biases and all later
+    /// layers are applied densely. Caller contract: `grad`'s layer-0
+    /// weights are **zero outside `l0_cols`**, so skipping the other
+    /// columns changes nothing — it only skips `w ← w − eta·0` writes,
+    /// which for bag-of-words inputs is almost all of layer 0.
+    ///
+    /// With `probe`, **conflict sampling**: identical model dynamics, but
+    /// every `CONFLICT_SAMPLE_STRIDE`-th (16th) *flat parameter index* is
+    /// written with a strong `compare_exchange` first. A probe that fails
+    /// observed a foreign write racing this one — exactly the event that
+    /// makes a Hogwild update partially "not survive" — and is tallied
+    /// into the measured-β estimator
+    /// ([`beta_estimate`](Self::beta_estimate)). On a failed probe the
+    /// value is stored anyway, preserving the racy last-writer-wins
+    /// semantics bit-for-bit. Sampling on the flat index keeps the probe
+    /// population the same with and without `l0_cols`, so β̂ remains
+    /// comparable across sparse and dense lanes.
     // audit: no_alloc,no_panic,no_block
-    pub fn apply_gradient_racy(&self, grad: &Model, eta: f32) {
-        assert_eq!(grad.spec(), &self.spec, "gradient spec mismatch");
-        let mut idx = 0;
-        // Relaxed load/store pairs: the non-atomic read-modify-write is the
-        // point — concurrent writers may overwrite each other (Hogwild
-        // lost-update semantics; module ordering note above).
-        for layer in grad.layers() {
-            for &g in layer.w.as_slice() {
-                let p = &self.params[idx];
-                let cur = f32::from_bits(p.load(Ordering::Relaxed));
-                p.store((cur - eta * g).to_bits(), Ordering::Relaxed);
-                idx += 1;
-            }
-            for &g in &layer.b {
-                let p = &self.params[idx];
-                // Relaxed: same racy Hogwild load/store as the weights above.
-                let cur = f32::from_bits(p.load(Ordering::Relaxed));
-                p.store((cur - eta * g).to_bits(), Ordering::Relaxed);
-                idx += 1;
-            }
+    pub fn apply_racy(&self, grad: &Model, eta: f32, l0_cols: Option<&[u32]>, probe: bool) {
+        // Two monomorphized bodies: the un-probed one has no CAS and no
+        // counters in its loop at all.
+        if probe {
+            self.apply_racy_body::<true>(grad, eta, l0_cols)
+        } else {
+            self.apply_racy_body::<false>(grad, eta, l0_cols)
         }
-        // Relaxed: monitoring counter.
-        self.updates.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Hogwild update with **conflict sampling**: identical model dynamics
-    /// to [`apply_gradient_racy`](Self::apply_gradient_racy), but every
-    /// `CONFLICT_SAMPLE_STRIDE`-th (16th) parameter write is probed with a
-    /// strong `compare_exchange` first. A probe that fails observed a
-    /// foreign write racing this one — exactly the event that makes a
-    /// Hogwild update partially "not survive" — and is tallied into the
-    /// measured-β estimator ([`beta_estimate`](Self::beta_estimate)). On a
-    /// failed probe the value is stored anyway, preserving the racy
-    /// last-writer-wins semantics bit-for-bit.
-    // audit: no_alloc,no_panic,no_block
-    pub fn apply_gradient_racy_sampled(&self, grad: &Model, eta: f32) {
+    /// [`apply_racy`](Self::apply_racy), dense and un-probed (kept: the
+    /// frozen `benchmark/` calls it).
+    pub fn apply_gradient_racy(&self, grad: &Model, eta: f32) {
+        self.apply_racy(grad, eta, None, false)
+    }
+
+    /// [`apply_racy`](Self::apply_racy) over `l0_cols`, un-probed (kept:
+    /// the frozen `benchmark/` calls it).
+    pub fn apply_gradient_racy_cols(&self, grad: &Model, eta: f32, l0_cols: &[u32]) {
+        self.apply_racy(grad, eta, Some(l0_cols), false)
+    }
+
+    /// The one racy read-modify-write loop behind
+    /// [`apply_racy`](Self::apply_racy).
+    fn apply_racy_body<const PROBE: bool>(&self, grad: &Model, eta: f32, l0_cols: Option<&[u32]>) {
         assert_eq!(grad.spec(), &self.spec, "gradient spec mismatch");
-        let mut idx = 0;
         let mut samples = 0u64;
         let mut losses = 0u64;
-        let mut apply = |g: f32| {
+        let mut apply_at = |idx: usize, g: f32| {
             let p = &self.params[idx];
-            // Relaxed load/store pairs: same racy Hogwild semantics as
-            // `apply_gradient_racy` (module ordering note above); the
-            // sampled strong CAS below also needs no ordering — only its
+            // Relaxed load/store pairs: the non-atomic read-modify-write is
+            // the point — concurrent writers may overwrite each other
+            // (Hogwild lost-update semantics; module ordering note above).
+            // The sampled strong CAS also needs no ordering — only its
             // success/failure verdict is used, as a conflict *observation*.
             let cur = p.load(Ordering::Relaxed);
             let next = (f32::from_bits(cur) - eta * g).to_bits();
-            if idx.is_multiple_of(CONFLICT_SAMPLE_STRIDE) {
+            if PROBE && idx.is_multiple_of(CONFLICT_SAMPLE_STRIDE) {
                 samples += 1;
                 if p.compare_exchange(cur, next, Ordering::Relaxed, Ordering::Relaxed)
                     .is_err()
                 {
                     losses += 1;
+                    // Relaxed: losing the probe still lands the racy
+                    // Hogwild store, same as the unsampled lane.
                     p.store(next, Ordering::Relaxed);
                 }
             } else {
-                // Relaxed: unsampled lane of the same racy store above.
                 p.store(next, Ordering::Relaxed);
             }
-            idx += 1;
         };
-        for layer in grad.layers() {
-            layer.w.as_slice().iter().for_each(|&g| apply(g));
-            layer.b.iter().for_each(|&g| apply(g));
-        }
-        // Relaxed: monitoring counters.
-        self.conflict_samples.fetch_add(samples, Ordering::Relaxed);
-        if losses > 0 {
-            self.conflict_losses.fetch_add(losses, Ordering::Relaxed);
-        }
-        self.updates.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Column-sparse Hogwild update: like
-    /// [`apply_gradient_racy`](Self::apply_gradient_racy) but the layer-0
-    /// weight loop visits only the columns in `l0_cols`, row by row in
-    /// address order (any order is correct, ascending — what
-    /// `sparse_active_cols` yields — is the fast one; duplicates must not
-    /// appear). Biases and all later layers are applied densely.
-    ///
-    /// Caller contract: `grad`'s layer-0 weights are **zero outside
-    /// `l0_cols`** (what
-    /// [`Workspace::loss_and_gradient_sparse_into`](crate::Workspace::loss_and_gradient_sparse_into)
-    /// guarantees via
-    /// [`sparse_active_cols`](crate::Workspace::sparse_active_cols)), so
-    /// skipping the other columns changes nothing — it only skips
-    /// `w ← w − eta·0` writes, which for bag-of-words inputs is almost all
-    /// of layer 0.
-    // audit: no_alloc,no_panic,no_block
-    pub fn apply_gradient_racy_cols(&self, grad: &Model, eta: f32, l0_cols: &[u32]) {
-        assert_eq!(grad.spec(), &self.spec, "gradient spec mismatch");
-        let g0 = &grad.layers()[0];
-        let (out0, in0) = g0.w.shape();
-        let gw = g0.w.as_slice();
-        // Relaxed load/store pairs throughout: same racy Hogwild semantics
-        // as `apply_gradient_racy` (module ordering note above).
-        walk_l0_cols(l0_cols, out0, |o, c| {
-            // Flat index of layer-0 weight (o, c) is o·in0 + c.
-            let idx = o * in0 + c;
-            let p = &self.params[idx];
-            let cur = f32::from_bits(p.load(Ordering::Relaxed));
-            p.store((cur - eta * gw[idx]).to_bits(), Ordering::Relaxed);
-        });
-        let mut idx = out0 * in0;
-        let mut apply = |g: f32| {
-            let p = &self.params[idx];
-            // Relaxed: racy Hogwild load/store as above.
-            let cur = f32::from_bits(p.load(Ordering::Relaxed));
-            p.store((cur - eta * g).to_bits(), Ordering::Relaxed);
-            idx += 1;
-        };
-        g0.b.iter().for_each(|&g| apply(g));
-        for layer in grad.layers().iter().skip(1) {
-            layer.w.as_slice().iter().for_each(|&g| apply(g));
-            layer.b.iter().for_each(|&g| apply(g));
-        }
-        // Relaxed: monitoring counter.
-        self.updates.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Column-sparse variant of
-    /// [`apply_gradient_racy_sampled`](Self::apply_gradient_racy_sampled):
-    /// identical model dynamics to
-    /// [`apply_gradient_racy_cols`](Self::apply_gradient_racy_cols) (same
-    /// caller contract), with every `CONFLICT_SAMPLE_STRIDE`-th *flat
-    /// parameter index* probed by a strong CAS for the measured-β
-    /// estimator. Sampling on the flat index keeps the probe population
-    /// consistent with the dense sampled path, so β̂ remains comparable
-    /// across sparse and dense lanes.
-    // audit: no_alloc,no_panic,no_block
-    pub fn apply_gradient_racy_sampled_cols(&self, grad: &Model, eta: f32, l0_cols: &[u32]) {
-        assert_eq!(grad.spec(), &self.spec, "gradient spec mismatch");
-        let mut samples = 0u64;
-        let mut losses = 0u64;
-        {
-            let mut apply_at = |idx: usize, g: f32| {
-                let p = &self.params[idx];
-                // Relaxed load/store pairs: racy Hogwild semantics; the
-                // sampled strong CAS only contributes its success/failure
-                // verdict (see `apply_gradient_racy_sampled`).
-                let cur = p.load(Ordering::Relaxed);
-                let next = (f32::from_bits(cur) - eta * g).to_bits();
-                if idx.is_multiple_of(CONFLICT_SAMPLE_STRIDE) {
-                    samples += 1;
-                    if p.compare_exchange(cur, next, Ordering::Relaxed, Ordering::Relaxed)
-                        .is_err()
-                    {
-                        losses += 1;
-                        // Relaxed: losing the probe still lands the racy
-                        // Hogwild store, same as the unsampled lane.
-                        p.store(next, Ordering::Relaxed);
-                    }
-                } else {
-                    // Relaxed: unsampled lane of the same racy store.
-                    p.store(next, Ordering::Relaxed);
+        let mut idx = 0;
+        for (layer, gl) in grad.layers().iter().enumerate() {
+            let gw = gl.w.as_slice();
+            match (layer, l0_cols) {
+                (0, Some(cols)) => {
+                    let (out0, in0) = gl.w.shape();
+                    // Flat index of layer-0 weight (o, c) is o·in0 + c.
+                    walk_l0_cols(cols, out0, |o, c| apply_at(o * in0 + c, gw[o * in0 + c]));
                 }
-            };
-            let g0 = &grad.layers()[0];
-            let (out0, in0) = g0.w.shape();
-            let gw = g0.w.as_slice();
-            walk_l0_cols(l0_cols, out0, |o, c| apply_at(o * in0 + c, gw[o * in0 + c]));
-            let mut idx = out0 * in0;
-            g0.b.iter().for_each(|&g| {
+                _ => {
+                    for (i, &g) in gw.iter().enumerate() {
+                        apply_at(idx + i, g);
+                    }
+                }
+            }
+            idx += gw.len();
+            for &g in &gl.b {
                 apply_at(idx, g);
                 idx += 1;
-            });
-            for layer in grad.layers().iter().skip(1) {
-                for &g in layer.w.as_slice() {
-                    apply_at(idx, g);
-                    idx += 1;
-                }
-                for &g in &layer.b {
-                    apply_at(idx, g);
-                    idx += 1;
-                }
             }
         }
         // Relaxed: monitoring counters.
-        self.conflict_samples.fetch_add(samples, Ordering::Relaxed);
-        if losses > 0 {
-            self.conflict_losses.fetch_add(losses, Ordering::Relaxed);
+        if PROBE {
+            self.conflict_samples.fetch_add(samples, Ordering::Relaxed);
+            if losses > 0 {
+                self.conflict_losses.fetch_add(losses, Ordering::Relaxed);
+            }
         }
         self.updates.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Probed and conflicting parameter writes accumulated by
-    /// [`apply_gradient_racy_sampled`](Self::apply_gradient_racy_sampled):
-    /// `(samples, losses)`.
+    /// Probed and conflicting parameter writes accumulated by probing
+    /// [`apply_racy`](Self::apply_racy) calls: `(samples, losses)`.
     pub fn conflict_counts(&self) -> (u64, u64) {
         // Relaxed: monitoring counters.
         (
@@ -337,7 +253,7 @@ impl SharedModel {
 
     /// Measured surviving-update fraction β̂ = 1 − losses/samples, from the
     /// sampled conflict probes. `None` until at least one probe ran (e.g.
-    /// the run never used the sampled path). The paper fixes β = 1 by
+    /// the run never asked for probing). The paper fixes β = 1 by
     /// default; this estimator lets the adaptive controller credit CPU
     /// batches with `t·β̂` instead when `TrainConfig::measured_beta` is on.
     pub fn beta_estimate(&self) -> Option<f64> {
@@ -376,76 +292,65 @@ impl SharedModel {
         self.updates.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Merge a deep replica by adding its delta from `base`:
-    /// `w ← w + (replica − base)` element-wise (atomic).
+    /// Merge a deep replica by adding its delta from `base`, scaled:
+    /// `w ← w + scale·(replica − base)` element-wise (atomic). Returns the
+    /// number of CAS retries the merge incurred — a direct measure of merge
+    /// contention with concurrent Hogwild writers (0 on an uncontended
+    /// merge), which feeds the `MergeRetries` histogram.
     ///
     /// This is how a GPU worker folds its locally-trained replica into the
     /// global model without clobbering CPU updates that landed meanwhile.
-    pub fn merge_delta(&self, base: &Model, replica: &Model) {
-        self.merge_delta_scaled(base, replica, 1.0);
-    }
-
-    /// Merge a replica delta scaled by `scale`:
-    /// `w ← w + scale·(replica − base)`.
-    ///
     /// `scale < 1` implements the paper's §VI-B staleness compensation —
     /// discounting a delta whose base snapshot has since gone stale.
-    pub fn merge_delta_scaled(&self, base: &Model, replica: &Model, scale: f32) {
-        self.merge_delta_scaled_observed(base, replica, scale);
-    }
-
-    /// Like [`merge_delta_scaled`](Self::merge_delta_scaled) but returns
-    /// the number of CAS retries the merge incurred — a direct measure of
-    /// merge contention with concurrent Hogwild writers (0 on an
-    /// uncontended merge). Feeds the `MergeRetries` histogram.
-    // audit: no_alloc,no_panic,no_block
-    pub fn merge_delta_scaled_observed(&self, base: &Model, replica: &Model, scale: f32) -> u64 {
-        // Monomorphized no-op observer: identical codegen to the original
-        // unscanned merge.
-        self.merge_core(base, replica, scale, None, |_, _| {})
-    }
-
-    /// [`merge_delta_scaled_observed`](Self::merge_delta_scaled_observed)
-    /// with the training-health scan fused into the merge loop: each
-    /// scaled delta is accumulated (sum of squares of the finite part plus
-    /// a NaN/±Inf count) into the caller-owned per-layer `scan` as it is
-    /// CAS-applied — zero extra passes over the parameters and zero
+    ///
+    /// With `scan`, the training-health scan is fused into the merge loop:
+    /// each scaled delta is accumulated (sum of squares of the finite part
+    /// plus a NaN/±Inf count) into the caller-owned per-layer `scan` as it
+    /// is CAS-applied — zero extra passes over the parameters and zero
     /// allocations. A non-finite delta is still merged (the poisoned run
     /// is the watchdog's problem to abort, not the merge's to mask).
-    // audit: no_alloc,no_panic,no_block
-    pub fn merge_delta_scaled_scanned(
-        &self,
-        base: &Model,
-        replica: &Model,
-        scale: f32,
-        scan: &mut crate::scan::MergeScan,
-    ) -> u64 {
-        self.merge_core(base, replica, scale, None, |layer, delta| {
-            scan.observe(layer, delta)
-        })
-    }
-
-    /// Column-sparse variant of
-    /// [`merge_delta_scaled_scanned`](Self::merge_delta_scaled_scanned):
-    /// the layer-0 weight loop visits only the columns in `l0_cols` —
-    /// columns whose delta is known to be zero are neither read, observed,
-    /// nor CAS'd. Layer-0 biases and all later layers merge densely with
-    /// the scan fused in, exactly like the dense scanned merge.
     ///
+    /// With `l0_cols`, the layer-0 weight loop visits only those columns —
+    /// columns whose delta is known to be zero are neither read, observed,
+    /// nor CAS'd. Layer-0 biases and all later layers merge densely.
     /// Caller contract: `replica` equals `base` at every layer-0 weight
     /// outside `l0_cols` — what a replica trained with
     /// [`Model::apply_gradient_sparse`](crate::Model::apply_gradient_sparse)
     /// on the same column sets guarantees. Under that contract the result
-    /// (parameters *and* scan) is identical to the dense scanned merge,
+    /// (parameters *and* scan) is identical to the dense merge,
     /// because skipped elements have `delta == 0.0`, which the dense loop
     /// observes as `sumsq += 0` and never CAS-applies. With `l0_cols`
     /// ascending the elements are visited in the dense merge's own
     /// (address) order, so even the scan's `f64` sums match it bit for bit;
     /// another order of `l0_cols` merges the same parameters and can only
     /// move those sums in their last place.
-    ///
-    /// Returns CAS retries, same as the dense merge.
     // audit: no_alloc,no_panic,no_block
+    pub fn merge(
+        &self,
+        base: &Model,
+        replica: &Model,
+        scale: f32,
+        l0_cols: Option<&[u32]>,
+        scan: Option<&mut crate::scan::MergeScan>,
+    ) -> u64 {
+        match scan {
+            Some(scan) => self.merge_core(base, replica, scale, l0_cols, |layer, delta| {
+                scan.observe(layer, delta)
+            }),
+            // Monomorphized no-op observer: identical codegen to a merge
+            // loop with no scan in it.
+            None => self.merge_core(base, replica, scale, l0_cols, |_, _| {}),
+        }
+    }
+
+    /// [`merge`](Self::merge), dense and unscanned (kept: the frozen
+    /// `benchmark/` calls it).
+    pub fn merge_delta_scaled_observed(&self, base: &Model, replica: &Model, scale: f32) -> u64 {
+        self.merge(base, replica, scale, None, None)
+    }
+
+    /// [`merge`](Self::merge) over `l0_cols`, scanned (kept: the frozen
+    /// `benchmark/` calls it).
     pub fn merge_delta_sparse_scanned(
         &self,
         base: &Model,
@@ -454,9 +359,7 @@ impl SharedModel {
         l0_cols: &[u32],
         scan: &mut crate::scan::MergeScan,
     ) -> u64 {
-        self.merge_core(base, replica, scale, Some(l0_cols), |layer, delta| {
-            scan.observe(layer, delta)
-        })
+        self.merge(base, replica, scale, Some(l0_cols), Some(scan))
     }
 
     /// Shared merge body: CAS-applies `scale·(replica − base)` and calls
@@ -561,7 +464,7 @@ mod tests {
         let mut grad = Model::zeros_like(m.spec());
         grad.layers_mut()[0].w.set(0, 1, 2.0);
         grad.layers_mut()[1].b[1] = -1.0;
-        s.apply_gradient_racy(&grad, 0.1);
+        s.apply_racy(&grad, 0.1, None, false);
         let mut out = Model::zeros_like(m.spec());
         s.snapshot_into(&mut out);
         assert_eq!(out, s.snapshot());
@@ -572,7 +475,7 @@ mod tests {
         let (m, s) = setup();
         let mut grad = Model::zeros_like(m.spec());
         grad.layers_mut()[0].w.set(0, 0, 1.0);
-        s.apply_gradient_racy(&grad, 0.1);
+        s.apply_racy(&grad, 0.1, None, false);
         let snap = s.snapshot();
         let expect = m.layers()[0].w.get(0, 0) - 0.1;
         assert!((snap.layers()[0].w.get(0, 0) - expect).abs() < 1e-6);
@@ -585,7 +488,7 @@ mod tests {
         let s2 = SharedModel::new(&m);
         let mut grad = Model::zeros_like(m.spec());
         grad.layers_mut()[1].b[0] = 2.0;
-        s1.apply_gradient_racy(&grad, 0.5);
+        s1.apply_racy(&grad, 0.5, None, false);
         s2.apply_gradient_atomic(&grad, 0.5);
         assert_eq!(s1.read_flat(), s2.read_flat());
     }
@@ -597,8 +500,8 @@ mod tests {
         let mut grad = Model::zeros_like(m.spec());
         grad.layers_mut()[0].w.set(0, 0, 1.0);
         grad.layers_mut()[1].b[0] = -0.5;
-        s1.apply_gradient_racy(&grad, 0.3);
-        s2.apply_gradient_racy_sampled(&grad, 0.3);
+        s1.apply_racy(&grad, 0.3, None, false);
+        s2.apply_racy(&grad, 0.3, None, true);
         assert_eq!(s1.read_flat(), s2.read_flat());
         assert_eq!(s2.update_count(), 1);
         // Uncontended probes never observe a conflict: β̂ = 1 exactly.
@@ -623,7 +526,7 @@ mod tests {
                 let g = Arc::clone(&grad);
                 std::thread::spawn(move || {
                     for _ in 0..2000 {
-                        s.apply_gradient_racy_sampled(&g, 1.0);
+                        s.apply_racy(&g, 1.0, None, true);
                     }
                 })
             })
@@ -645,7 +548,7 @@ mod tests {
         let mut replica = m.clone();
         let old = replica.layers()[0].w.get(0, 1);
         replica.layers_mut()[0].w.set(0, 1, old + 1.0);
-        let retries = s.merge_delta_scaled_observed(&base, &replica, 1.0);
+        let retries = s.merge(&base, &replica, 1.0, None, None);
         assert_eq!(retries, 0);
         assert!((s.snapshot().layers()[0].w.get(0, 1) - (old + 1.0)).abs() < 1e-6);
     }
@@ -675,8 +578,8 @@ mod tests {
         let s2 = SharedModel::new(&m);
         let cols = [0u32, 2];
         let grad = sparse_grad(&m, &cols);
-        s1.apply_gradient_racy(&grad, 0.3);
-        s2.apply_gradient_racy_cols(&grad, 0.3, &cols);
+        s1.apply_racy(&grad, 0.3, None, false);
+        s2.apply_racy(&grad, 0.3, Some(&cols), false);
         assert_eq!(s1.read_flat(), s2.read_flat());
         assert_eq!(s2.update_count(), 1);
     }
@@ -687,8 +590,8 @@ mod tests {
         let s2 = SharedModel::new(&m);
         let cols = [1u32, 2];
         let grad = sparse_grad(&m, &cols);
-        s1.apply_gradient_racy_cols(&grad, 0.7, &cols);
-        s2.apply_gradient_racy_sampled_cols(&grad, 0.7, &cols);
+        s1.apply_racy(&grad, 0.7, Some(&cols), false);
+        s2.apply_racy(&grad, 0.7, Some(&cols), true);
         assert_eq!(s1.read_flat(), s2.read_flat());
         // Flat index 0 is layer-0 weight (0, 0); with column 0 absent from
         // `cols` the probe population comes from the dense tail (index 16
@@ -721,8 +624,8 @@ mod tests {
         replica.layers_mut()[1].w.set(1, 1, old11 - 0.75);
         let mut scan1 = crate::scan::MergeScan::new(m.spec().layer_dims().len());
         let mut scan2 = crate::scan::MergeScan::new(m.spec().layer_dims().len());
-        s1.merge_delta_scaled_scanned(&base, &replica, 0.8, &mut scan1);
-        s2.merge_delta_sparse_scanned(&base, &replica, 0.8, &cols, &mut scan2);
+        s1.merge(&base, &replica, 0.8, None, Some(&mut scan1));
+        s2.merge(&base, &replica, 0.8, Some(&cols), Some(&mut scan2));
         assert_eq!(s1.read_flat(), s2.read_flat());
         for (l1, l2) in scan1.layers().iter().zip(scan2.layers()) {
             assert_eq!(l1.sumsq.to_bits(), l2.sumsq.to_bits());
@@ -738,7 +641,7 @@ mod tests {
         let mut replica = m.clone();
         replica.layers_mut()[1].b[1] += 2.0;
         let mut scan = crate::scan::MergeScan::new(m.spec().layer_dims().len());
-        let retries = s.merge_delta_sparse_scanned(&base, &replica, 1.0, &[], &mut scan);
+        let retries = s.merge(&base, &replica, 1.0, Some(&[]), Some(&mut scan));
         assert_eq!(retries, 0);
         let snap = s.snapshot();
         assert_eq!(snap.layers()[0].w, m.layers()[0].w);
@@ -761,7 +664,7 @@ mod tests {
         let mut replica = m.clone();
         let old = replica.layers()[0].w.get(1, 1);
         replica.layers_mut()[0].w.set(1, 1, old + 0.5);
-        s.merge_delta(&base, &replica);
+        s.merge(&base, &replica, 1.0, None, None);
         let snap = s.snapshot();
         assert!((snap.layers()[0].w.get(1, 1) - (old + 0.5)).abs() < 1e-6);
         // Other params untouched.
@@ -817,7 +720,7 @@ mod tests {
                 let g = Arc::clone(&grad);
                 std::thread::spawn(move || {
                     for _ in 0..per {
-                        s.apply_gradient_racy(&g, 1.0);
+                        s.apply_racy(&g, 1.0, None, false);
                     }
                 })
             })

@@ -8,28 +8,26 @@
 //! reuses the dense pipeline everywhere else — making the paper's "process
 //! everything dense" decision (§VII-A) measurable rather than assumed.
 //!
-//! Two API levels:
+//! One API: the [`crate::Workspace`] passes take an [`crate::Input`],
+//! dense or CSR, and the shared forward/backward bodies call into this
+//! module at layer 0 only. All scratch (the transposed weight repack, the
+//! transposed gradient accumulator, the active-column bookkeeping) lives
+//! in the workspace and is sized once, so warm steps are allocation-free.
+//! [`forward_sparse`] / [`loss_and_gradient_sparse`] are thin allocating
+//! wrappers for tests and one-off calls.
 //!
-//! - [`crate::Workspace::forward_sparse_into`] /
-//!   [`crate::Workspace::loss_and_gradient_sparse_into`] — the hot path.
-//!   All scratch (the transposed weight repack, the transposed gradient
-//!   accumulator, the active-column bookkeeping) lives in the workspace and
-//!   is sized once, so warm steps are allocation-free.
-//! - [`forward_sparse`] / [`loss_and_gradient_sparse`] — thin allocating
-//!   wrappers over the workspace variants, for tests and one-off calls.
-//!
-//! The dense tail (layers 1..) runs the *same* kernel sequence as the dense
-//! path, so sparse/dense parity there holds by construction. The layer-0
+//! The layers after the first run the *same* code as for a dense batch, so
+//! sparse/dense parity there holds by construction. The layer-0
 //! kernels are linear mul+add in scalar element order on both dispatch
 //! levels — the only divergence from the dense path is float summation
 //! order over the input features.
 
-use hetero_tensor::{gemm, ops, sparse, CsrMatrix, CsrView, Matrix};
+use hetero_tensor::{sparse, CsrMatrix, CsrView, Matrix};
 
-use crate::backward::{output_delta_into, Gradient};
+use crate::backward::Gradient;
 use crate::forward::{ForwardPass, Targets};
-use crate::model::Model;
-use crate::spec::{LossKind, MlpSpec};
+use crate::model::{Layer, Model};
+use crate::spec::MlpSpec;
 use crate::workspace::Workspace;
 
 /// Visit every layer-0 weight `(o, c)`, `c ∈ cols`, of a row-major
@@ -90,7 +88,8 @@ pub(crate) struct SparseScratch {
     /// columns that must be re-zeroed before the next scatter.
     prev_active: Vec<u32>,
     /// Zero all of `grad.w[0]` before the next scatter: set at creation and
-    /// whenever a dense backward overwrote the gradient in between.
+    /// whenever a dense backward overwrote the gradient in between — i.e.
+    /// exactly while `active` does *not* describe the stored gradient.
     full_clear: bool,
 }
 
@@ -108,9 +107,11 @@ impl SparseScratch {
         }
     }
 
-    /// Columns touched by the most recent sparse gradient.
-    pub(crate) fn active_cols(&self) -> &[u32] {
-        &self.active
+    /// Support of the stored gradient's layer-0 weights, if the most recent
+    /// gradient was a sparse one (`None` after a dense pass: `active` then
+    /// still lists the batch before it).
+    pub(crate) fn active_cols(&self) -> Option<&[u32]> {
+        (!self.full_clear).then_some(&self.active)
     }
 
     /// A dense backward overwrote the shared gradient buffer: the next
@@ -129,6 +130,54 @@ impl SparseScratch {
             + self.active.capacity()
             + self.prev_active.capacity()
     }
+
+    /// Layer-0 pre-activation of a CSR batch into `z`: repack the batch's
+    /// columns of W₁ transposed, then fused bias + per-nnz accumulate. The
+    /// repack is O(out₁·|cols|) and keeps the kernel's inner loop
+    /// contiguous on both operands.
+    pub(crate) fn forward_l0(&mut self, x: CsrView<'_>, l0: &Layer, z: &mut Matrix) {
+        let (out0, in0) = l0.w.shape();
+        collect_cols(x.indices(), &mut self.col_mask, &mut self.fwd_cols);
+        let (w, wt) = (l0.w.as_slice(), self.w1t.as_mut_slice());
+        walk_l0_cols_transposing(&self.fwd_cols, out0, |o, c| {
+            wt[c * out0 + o] = w[o * in0 + c]
+        });
+        sparse::spmm_bias_into(x, &self.w1t, &l0.b, z);
+    }
+
+    /// Layer-0 weight gradient `∇W₁ = δᵀ·X` at `O(nnz·out₁)`:
+    /// accumulate row-contiguously into the transposed scratch, then scatter
+    /// only the active columns back into `grad.w[0]` — re-zeroing the columns
+    /// the *previous* call touched so the dense gradient stays globally exact
+    /// (full-pass consumers like gradient clipping and the watchdog scan read
+    /// true zeros at inactive columns).
+    pub(crate) fn backward_l0(&mut self, x: CsrView<'_>, delta: &Matrix, grad: &mut Gradient) {
+        // Remember the previous active set (its grad.w[0] columns hold stale
+        // values), then collect this batch's.
+        std::mem::swap(&mut self.prev_active, &mut self.active);
+        collect_cols(x.indices(), &mut self.col_mask, &mut self.active);
+
+        // Zero exactly the accumulator rows this batch will touch, accumulate,
+        // and write back.
+        for &c in self.active.iter() {
+            self.grad_t.row_mut(c as usize).fill(0.0);
+        }
+        sparse::spmm_tn_scatter(x, delta, &mut self.grad_t);
+
+        let gw = &mut grad.layers_mut()[0].w;
+        let (out0, in0) = gw.shape();
+        let gws = gw.as_mut_slice();
+        if self.full_clear {
+            gws.fill(0.0);
+            self.full_clear = false;
+        } else {
+            walk_l0_cols(&self.prev_active, out0, |o, c| gws[o * in0 + c] = 0.0);
+        }
+        let gt = self.grad_t.as_slice();
+        walk_l0_cols_transposing(&self.active, out0, |o, c| {
+            gws[o * in0 + c] = gt[c * out0 + o]
+        });
+    }
 }
 
 /// The distinct column indices of a batch, ascending, into `out`:
@@ -146,180 +195,14 @@ fn collect_cols(indices: &[u32], mask: &mut [u64], out: &mut Vec<u32>) {
     }
 }
 
-/// Core sparse forward pass writing into caller-owned activation buffers —
-/// layer 0 via the CSR kernel, layers 1.. via the identical dense sequence
-/// as `forward_into_buffers`.
-pub(crate) fn forward_sparse_into_buffers(
-    model: &Model,
-    x: CsrView<'_>,
-    parallel: bool,
-    activations: &mut Vec<Matrix>,
-    scratch: &mut SparseScratch,
-) {
-    assert_eq!(
-        x.cols(),
-        model.spec().input_dim,
-        "sparse batch width {} != input_dim {}",
-        x.cols(),
-        model.spec().input_dim
-    );
-    let batch = x.rows();
-    let n_layers = model.layers().len();
-    activations.resize_with(n_layers, || Matrix::zeros(0, 0));
-
-    // Layer 0: repack the batch's columns of W₁ transposed, then fused bias
-    // + per-nnz accumulate. The repack is O(out₁·|cols|) and keeps the
-    // kernel's inner loop contiguous on both operands.
-    let l0 = &model.layers()[0];
-    let (out0, in0) = l0.w.shape();
-    collect_cols(x.indices(), &mut scratch.col_mask, &mut scratch.fwd_cols);
-    let (w, wt) = (l0.w.as_slice(), scratch.w1t.as_mut_slice());
-    walk_l0_cols_transposing(&scratch.fwd_cols, out0, |o, c| {
-        wt[c * out0 + o] = w[o * in0 + c]
-    });
-    {
-        let z = &mut activations[0];
-        sparse::spmm_bias_into(x, &scratch.w1t, &l0.b, z);
-        if n_layers == 1 {
-            apply_output(model, z);
-        } else {
-            model.spec().activation.apply(z);
-        }
-    }
-
-    // Dense tail: same kernels, same order as the dense forward.
-    for l in 1..n_layers {
-        let layer = &model.layers()[l];
-        let (head, tail) = activations.split_at_mut(l);
-        let z = &mut tail[0];
-        z.resize(batch, layer.w.rows());
-        let input = &head[l - 1];
-        if parallel {
-            gemm::par_gemm_nt_bias(1.0, input, &layer.w, &layer.b, z);
-        } else {
-            gemm::gemm_nt_bias(1.0, input, &layer.w, &layer.b, z);
-        }
-        if l + 1 == n_layers {
-            apply_output(model, z);
-        } else {
-            model.spec().activation.apply(z);
-        }
-    }
-}
-
-fn apply_output(model: &Model, z: &mut Matrix) {
-    match model.spec().loss {
-        LossKind::SoftmaxCrossEntropy => ops::softmax_rows(z),
-        LossKind::MultiLabelBce => ops::sigmoid_inplace(z),
-    }
-}
-
-/// Core sparse backward pass writing into caller-owned buffers — the dense
-/// tail mirrors `backward_with_scratch` exactly; layer 0 replaces the TN
-/// GEMM over `x` with the CSR scatter kernel plus active-column tracking.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn backward_sparse_with_scratch(
-    model: &Model,
-    x: CsrView<'_>,
-    pass: &ForwardPass,
-    targets: Targets<'_>,
-    parallel: bool,
-    delta: &mut Matrix,
-    delta_next: &mut Matrix,
-    grad: &mut Gradient,
-    scratch: &mut SparseScratch,
-) {
-    let n_layers = model.layers().len();
-    assert_eq!(pass.activations.len(), n_layers, "stale forward pass");
-
-    // Same ping-pong parity bookkeeping as the dense backward (see the
-    // comment in `backward_with_scratch`).
-    let mut swapped = false;
-
-    output_delta_into(pass.probs(), targets, model.spec().loss, delta);
-    for l in (0..n_layers).rev() {
-        if l == 0 {
-            ops::col_sum_into(delta, &mut grad.layers_mut()[0].b);
-            sparse_weight_gradient(x, delta, grad, scratch);
-        } else {
-            let input = &pass.activations[l - 1];
-            {
-                let gw = &mut grad.layers_mut()[l].w;
-                if parallel {
-                    gemm::par_gemm_tn(1.0, delta, input, 0.0, gw);
-                } else {
-                    gemm::gemm_tn(1.0, delta, input, 0.0, gw);
-                }
-            }
-            ops::col_sum_into(delta, &mut grad.layers_mut()[l].b);
-
-            let w = &model.layers()[l].w;
-            delta_next.resize(delta.rows(), w.cols());
-            if parallel {
-                gemm::par_gemm_nn(1.0, delta, w, 0.0, delta_next);
-            } else {
-                gemm::gemm_nn(1.0, delta, w, 0.0, delta_next);
-            }
-            model
-                .spec()
-                .activation
-                .mul_derivative(&pass.activations[l - 1], delta_next);
-            std::mem::swap(delta, delta_next);
-            swapped = !swapped;
-        }
-    }
-    if swapped {
-        std::mem::swap(delta, delta_next);
-    }
-}
-
-/// Layer-0 weight gradient `∇W₁ = δᵀ·X` at `O(nnz·out₁)`:
-/// accumulate row-contiguously into the transposed scratch, then scatter
-/// only the active columns back into `grad.w[0]` — re-zeroing the columns
-/// the *previous* call touched so the dense gradient stays globally exact
-/// (full-pass consumers like gradient clipping and the watchdog scan read
-/// true zeros at inactive columns).
-fn sparse_weight_gradient(
-    x: CsrView<'_>,
-    delta: &Matrix,
-    grad: &mut Gradient,
-    scratch: &mut SparseScratch,
-) {
-    // Remember the previous active set (its grad.w[0] columns hold stale
-    // values), then collect this batch's.
-    std::mem::swap(&mut scratch.prev_active, &mut scratch.active);
-    collect_cols(x.indices(), &mut scratch.col_mask, &mut scratch.active);
-
-    // Zero exactly the accumulator rows this batch will touch, accumulate,
-    // and write back.
-    for &c in scratch.active.iter() {
-        scratch.grad_t.row_mut(c as usize).fill(0.0);
-    }
-    sparse::spmm_tn_scatter(x, delta, &mut scratch.grad_t);
-
-    let gw = &mut grad.layers_mut()[0].w;
-    let (out0, in0) = gw.shape();
-    let gws = gw.as_mut_slice();
-    if scratch.full_clear {
-        gws.fill(0.0);
-        scratch.full_clear = false;
-    } else {
-        walk_l0_cols(&scratch.prev_active, out0, |o, c| gws[o * in0 + c] = 0.0);
-    }
-    let gt = scratch.grad_t.as_slice();
-    walk_l0_cols_transposing(&scratch.active, out0, |o, c| {
-        gws[o * in0 + c] = gt[c * out0 + o]
-    });
-}
-
 /// Forward pass with a sparse batch (first layer sparse, rest dense).
 ///
 /// Thin allocating wrapper over
-/// [`Workspace::forward_sparse_into`](crate::Workspace::forward_sparse_into);
+/// [`Workspace::forward_into`](crate::Workspace::forward_into);
 /// steady-state loops use the workspace variant directly.
 pub fn forward_sparse(model: &Model, x: &CsrMatrix, parallel: bool) -> ForwardPass {
     let mut ws = Workspace::new(model.spec());
-    ws.forward_sparse_into(model, x.view(), parallel).clone()
+    ws.forward_into(model, x.view(), parallel).clone()
 }
 
 /// Loss + exact gradient for a sparse batch.
@@ -327,7 +210,7 @@ pub fn forward_sparse(model: &Model, x: &CsrMatrix, parallel: bool) -> ForwardPa
 /// Produces the same gradient as densifying `x` and calling
 /// [`crate::loss_and_gradient`], at `O(nnz)` cost in the input layer. Thin
 /// allocating wrapper over
-/// [`Workspace::loss_and_gradient_sparse_into`](crate::Workspace::loss_and_gradient_sparse_into).
+/// [`Workspace::loss_and_gradient_into`](crate::Workspace::loss_and_gradient_into).
 pub fn loss_and_gradient_sparse(
     model: &Model,
     x: &CsrMatrix,
@@ -335,7 +218,7 @@ pub fn loss_and_gradient_sparse(
     parallel: bool,
 ) -> (f32, Gradient) {
     let mut ws = Workspace::new(model.spec());
-    let (l, g) = ws.loss_and_gradient_sparse_into(model, x.view(), targets, parallel);
+    let (l, g) = ws.loss_and_gradient_into(model, x.view(), targets, parallel);
     (l, g.clone())
 }
 
@@ -414,7 +297,7 @@ mod tests {
             hidden: vec![],
             classes: 3,
             activation: crate::Activation::Sigmoid,
-            loss: LossKind::SoftmaxCrossEntropy,
+            loss: crate::LossKind::SoftmaxCrossEntropy,
         };
         let model = Model::new(spec, InitScheme::Xavier, 2);
         let dense = sparse_batch(5, 8, 21);
@@ -441,12 +324,8 @@ mod tests {
         let mut ws = Workspace::new(&spec);
         for batch in [&a, &b, &a] {
             let csr = CsrMatrix::from_dense(batch, 0.0);
-            let (l, g) = ws.loss_and_gradient_sparse_into(
-                &model,
-                csr.view(),
-                Targets::Classes(&labels),
-                false,
-            );
+            let (l, g) =
+                ws.loss_and_gradient_into(&model, csr.view(), Targets::Classes(&labels), false);
             let (l_ref, g_ref) =
                 loss_and_gradient_sparse(&model, &csr, Targets::Classes(&labels), false);
             assert_eq!(l.to_bits(), l_ref.to_bits());
@@ -469,10 +348,10 @@ mod tests {
         let mut ws = Workspace::new(&spec);
         // Sparse first (primes the active set), then dense (fills grad.w[0]
         // densely), then sparse again — the last call must fully re-zero.
-        ws.loss_and_gradient_sparse_into(&model, csr.view(), Targets::Classes(&labels), false);
+        ws.loss_and_gradient_into(&model, csr.view(), Targets::Classes(&labels), false);
         ws.loss_and_gradient_into(&model, &dense, Targets::Classes(&labels), false);
         let (_, g) =
-            ws.loss_and_gradient_sparse_into(&model, csr.view(), Targets::Classes(&labels), false);
+            ws.loss_and_gradient_into(&model, csr.view(), Targets::Classes(&labels), false);
         let (_, g_ref) = loss_and_gradient_sparse(&model, &csr, Targets::Classes(&labels), false);
         for (x, y) in g.flatten().iter().zip(g_ref.flatten().iter()) {
             assert_eq!(x.to_bits(), y.to_bits(), "{x} vs {y}");
@@ -490,8 +369,8 @@ mod tests {
         let csr = CsrMatrix::from_dense(&dense, 0.0);
         let labels = vec![0u32, 1, 0, 1];
         let mut ws = Workspace::new(&spec);
-        ws.loss_and_gradient_sparse_into(&model, csr.view(), Targets::Classes(&labels), false);
-        let mut cols = ws.sparse_active_cols().to_vec();
+        ws.loss_and_gradient_into(&model, csr.view(), Targets::Classes(&labels), false);
+        let mut cols = ws.active_cols().expect("CSR gradient").to_vec();
         cols.sort_unstable();
         assert_eq!(cols, vec![1, 5]);
     }

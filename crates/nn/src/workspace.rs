@@ -27,11 +27,9 @@
 use hetero_tensor::{CsrView, Matrix};
 
 use crate::backward::{backward_with_scratch, Gradient};
-use crate::forward::{forward_into_buffers, loss, ForwardPass, Targets};
+use crate::forward::{forward_into_buffers, loss, ForwardPass, Input, Targets};
 use crate::model::Model;
-use crate::sparse_input::{
-    backward_sparse_with_scratch, forward_sparse_into_buffers, SparseScratch,
-};
+use crate::sparse_input::SparseScratch;
 use crate::spec::MlpSpec;
 
 /// Reusable forward/backward buffers for one worker (see module docs).
@@ -46,7 +44,7 @@ pub struct Workspace {
     /// Gradient accumulator, shaped like the model once and overwritten
     /// in place every step.
     grad: Gradient,
-    /// Layer-0 sparse scratch, created on the first sparse call. Boxed so
+    /// Layer-0 sparse scratch, created on the first CSR batch. Boxed so
     /// dense-only workspaces pay one pointer; all its buffers are sized by
     /// the spec alone, so creation is the only allocation it ever does.
     sparse: Option<Box<SparseScratch>>,
@@ -137,27 +135,34 @@ impl Workspace {
             + self.sparse.as_ref().map_or(0, |s| s.capacity_fingerprint())
     }
 
-    /// Create the sparse scratch if absent — before `track` runs, so the
-    /// one-time creation never counts against the steady-state invariant.
-    fn ensure_sparse(&mut self) {
-        if self.sparse.is_none() {
-            self.sparse = Some(Box::new(SparseScratch::new(&self.spec)));
-        }
-    }
-
-    /// Input columns touched by the most recent sparse backward pass —
-    /// the exact support of `grad().layers()[0].w`. Empty if no sparse
-    /// gradient has been computed yet.
-    pub fn sparse_active_cols(&self) -> &[u32] {
-        self.sparse.as_ref().map_or(&[], |s| s.active_cols())
-    }
-
-    fn check_spec(&self, model: &Model) {
+    /// Check `model` fits and, for a CSR batch, create the sparse scratch if
+    /// absent — before `track` runs, so the one-time creation never counts
+    /// against the steady-state invariant.
+    fn prepare(&mut self, model: &Model, x: Input<'_>) {
         assert_eq!(
             *model.spec(),
             self.spec,
             "workspace was built for a different model spec"
         );
+        if matches!(x, Input::Csr(_)) && self.sparse.is_none() {
+            self.sparse = Some(Box::new(SparseScratch::new(&self.spec)));
+        }
+    }
+
+    /// The layer-0 input columns the stored gradient is confined to:
+    /// `Some` iff it came from a CSR batch, and then the exact support of
+    /// `grad().layers()[0].w` (ascending, duplicate-free). `None` means a
+    /// dense gradient (or none yet) — an applier handed this alongside
+    /// [`grad`](Self::grad) can never walk columns that describe some
+    /// earlier batch.
+    pub fn active_cols(&self) -> Option<&[u32]> {
+        self.sparse.as_ref().and_then(|s| s.active_cols())
+    }
+
+    /// [`active_cols`](Self::active_cols), empty when the stored gradient
+    /// is dense (kept: the frozen `benchmark/` calls it).
+    pub fn sparse_active_cols(&self) -> &[u32] {
+        self.active_cols().unwrap_or(&[])
     }
 
     /// Track buffer growth around a forward/backward call and enforce the
@@ -178,15 +183,24 @@ impl Workspace {
         out
     }
 
-    /// Forward pass into the reused activation stack.
+    /// Forward pass into the reused activation stack, for a dense batch
+    /// (`&Matrix`) or a CSR one (`CsrView`: first layer sparse, the rest
+    /// shared). Allocation-free once warmed.
     ///
     /// Same kernels as [`forward`](crate::forward::forward) — results are
     /// bit-identical; only the buffer ownership differs.
     // audit: no_alloc
-    pub fn forward_into(&mut self, model: &Model, x: &Matrix, parallel: bool) -> &ForwardPass {
-        self.check_spec(model);
-        self.track(x.rows(), |ws| {
-            forward_into_buffers(model, x, parallel, &mut ws.pass.activations);
+    pub fn forward_into<'a>(
+        &mut self,
+        model: &Model,
+        x: impl Into<Input<'a>>,
+        parallel: bool,
+    ) -> &ForwardPass {
+        let x = x.into();
+        self.prepare(model, x);
+        self.track(x.dims().0, |ws| {
+            let sparse = ws.sparse.as_deref_mut();
+            forward_into_buffers(model, x, parallel, &mut ws.pass.activations, sparse);
         });
         &self.pass
     }
@@ -194,17 +208,26 @@ impl Workspace {
     /// One-call loss + gradient — the allocation-free counterpart of
     /// [`loss_and_gradient`](crate::backward::loss_and_gradient), and
     /// bit-identical to it (both run the same kernel sequence).
+    ///
+    /// For a CSR batch the stored gradient is still globally exact: layer-0
+    /// columns outside the batch support hold true zeros (the previous
+    /// call's columns are re-zeroed), so full-pass consumers (clipping,
+    /// merge scans) stay correct, while appliers may restrict themselves
+    /// to [`active_cols`](Self::active_cols).
     // audit: no_alloc
-    pub fn loss_and_gradient_into(
+    pub fn loss_and_gradient_into<'a>(
         &mut self,
         model: &Model,
-        x: &Matrix,
+        x: impl Into<Input<'a>>,
         targets: Targets<'_>,
         parallel: bool,
     ) -> (f32, &Gradient) {
-        self.check_spec(model);
-        let l = self.track(x.rows(), |ws| {
-            forward_into_buffers(model, x, parallel, &mut ws.pass.activations);
+        let x = x.into();
+        self.prepare(model, x);
+        let l = self.track(x.dims().0, |ws| {
+            let mut sparse = ws.sparse.as_deref_mut();
+            let acts = &mut ws.pass.activations;
+            forward_into_buffers(model, x, parallel, acts, sparse.as_deref_mut());
             let l = loss(ws.pass.probs(), targets, model.spec().loss);
             backward_with_scratch(
                 model,
@@ -215,43 +238,15 @@ impl Workspace {
                 &mut ws.delta,
                 &mut ws.delta_next,
                 &mut ws.grad,
+                sparse,
             );
             l
         });
-        if let Some(s) = &mut self.sparse {
-            s.note_dense_gradient();
-        }
         (l, &self.grad)
     }
 
-    /// Sparse forward pass (first layer CSR, dense tail) into the reused
-    /// activation stack. Allocation-free once warmed — the layer-0 scratch
-    /// is created on the first sparse call and sized by the spec alone.
-    // audit: no_alloc
-    pub fn forward_sparse_into(
-        &mut self,
-        model: &Model,
-        x: CsrView<'_>,
-        parallel: bool,
-    ) -> &ForwardPass {
-        self.check_spec(model);
-        self.ensure_sparse();
-        self.track(x.rows(), |ws| {
-            let scratch = ws.sparse.as_mut().expect("sparse scratch just ensured");
-            forward_sparse_into_buffers(model, x, parallel, &mut ws.pass.activations, scratch);
-        });
-        &self.pass
-    }
-
-    /// One-call sparse loss + gradient — the allocation-free counterpart of
-    /// [`loss_and_gradient_sparse`](crate::sparse_input::loss_and_gradient_sparse).
-    ///
-    /// The stored gradient is globally exact: layer-0 columns outside the
-    /// batch support hold true zeros (the previous call's columns are
-    /// re-zeroed), so full-pass consumers (clipping, merge scans) stay
-    /// correct, while sparse appliers may restrict themselves to
-    /// [`sparse_active_cols`](Self::sparse_active_cols).
-    // audit: no_alloc
+    /// [`loss_and_gradient_into`](Self::loss_and_gradient_into) on a CSR
+    /// batch (kept: the frozen `benchmark/` calls it).
     pub fn loss_and_gradient_sparse_into(
         &mut self,
         model: &Model,
@@ -259,26 +254,7 @@ impl Workspace {
         targets: Targets<'_>,
         parallel: bool,
     ) -> (f32, &Gradient) {
-        self.check_spec(model);
-        self.ensure_sparse();
-        let l = self.track(x.rows(), |ws| {
-            let scratch = ws.sparse.as_mut().expect("sparse scratch just ensured");
-            forward_sparse_into_buffers(model, x, parallel, &mut ws.pass.activations, scratch);
-            let l = loss(ws.pass.probs(), targets, model.spec().loss);
-            backward_sparse_with_scratch(
-                model,
-                x,
-                &ws.pass,
-                targets,
-                parallel,
-                &mut ws.delta,
-                &mut ws.delta_next,
-                &mut ws.grad,
-                scratch,
-            );
-            l
-        });
-        (l, &self.grad)
+        self.loss_and_gradient_into(model, x, targets, parallel)
     }
 }
 

@@ -3,7 +3,7 @@
 //! ascending column lists — at sizes on both sides of the transposing
 //! walk's tile — give bit-identical parameters, scan sums, update counts
 //! and conflict-probe counts. And the workspace hands those kernels the
-//! fast order: `sparse_active_cols()` is ascending and duplicate-free.
+//! fast order: `active_cols()` is ascending and duplicate-free.
 
 // The loom build swaps SharedModel's atomics for model-checked versions
 // that require a loom context; these std tests are compiled out there.
@@ -100,16 +100,16 @@ fn racy_cols_kernels_ignore_column_order() {
         let asc = ascending_cols(n, n as u64);
         let grad = dyadic_on(&asc);
         let dense = SharedModel::new(&init);
-        dense.apply_gradient_racy(&grad, 0.5);
+        dense.apply_racy(&grad, 0.5, None, false);
         let mut probes = None;
         for cols in orders(&asc) {
             let plain = SharedModel::new(&init);
-            plain.apply_gradient_racy_cols(&grad, 0.5, &cols);
+            plain.apply_racy(&grad, 0.5, Some(&cols), false);
             assert_eq!(bits(&plain.read_flat()), bits(&dense.read_flat()), "n={n}");
             assert_eq!(plain.update_count(), 1);
 
             let sampled = SharedModel::new(&init);
-            sampled.apply_gradient_racy_sampled_cols(&grad, 0.5, &cols);
+            sampled.apply_racy(&grad, 0.5, Some(&cols), true);
             assert_eq!(
                 bits(&sampled.read_flat()),
                 bits(&dense.read_flat()),
@@ -135,11 +135,11 @@ fn sparse_merge_ignores_column_order_and_matches_dense_scan() {
         replica.scaled_add(&dyadic_on(&asc), 1.0);
         let dense = SharedModel::new(&base);
         let mut dense_scan = MergeScan::for_model(&base);
-        dense.merge_delta_scaled_scanned(&base, &replica, 0.5, &mut dense_scan);
+        dense.merge(&base, &replica, 0.5, None, Some(&mut dense_scan));
         for cols in orders(&asc) {
             let shared = SharedModel::new(&base);
             let mut scan = MergeScan::for_model(&base);
-            let retries = shared.merge_delta_sparse_scanned(&base, &replica, 0.5, &cols, &mut scan);
+            let retries = shared.merge(&base, &replica, 0.5, Some(&cols), Some(&mut scan));
             assert_eq!(retries, 0);
             assert_eq!(shared.update_count(), 1);
             assert_eq!(bits(&shared.read_flat()), bits(&dense.read_flat()), "n={n}");
@@ -183,7 +183,7 @@ fn batch_on(cols: &[u32], rows: usize, seed: u64) -> (CsrMatrix, Vec<u32>) {
     (CsrMatrix::from_dense(&dense, 0.0), labels)
 }
 
-/// `sparse_active_cols()` is the batch's support, strictly ascending, for
+/// `active_cols()` is the batch's support, strictly ascending, for
 /// supports on both sides of the tile size — and a reused workspace (stale
 /// transposed rows, a previous active set to re-zero, an eval-style forward
 /// on other columns in between, a changed model) still produces exactly
@@ -193,26 +193,23 @@ fn active_cols_ascending_and_reused_workspace_exact_across_tile_boundaries() {
     for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
         simd::with_level(level, || {
             let mut ws = Workspace::new(&spec());
-            assert!(ws.sparse_active_cols().is_empty());
+            assert!(ws.active_cols().is_none());
             for (step, n) in SIZES.into_iter().chain([TILE + 1, 3]).enumerate() {
                 let model = Model::new(spec(), InitScheme::Xavier, step as u64);
                 let support = ascending_cols(n, 300 + step as u64);
                 let (x, labels) = batch_on(&support, 7, step as u64);
                 let other = batch_on(&ascending_cols(TILE + 5, 900 + step as u64), 4, 1).0;
-                ws.forward_sparse_into(&model, other.view(), false);
+                ws.forward_into(&model, other.view(), false);
 
-                let (l, g) = ws.loss_and_gradient_sparse_into(
-                    &model,
-                    x.view(),
-                    Targets::Classes(&labels),
-                    false,
-                );
+                let (l, g) =
+                    ws.loss_and_gradient_into(&model, x.view(), Targets::Classes(&labels), false);
                 let (l, g) = (l, g.clone());
-                assert_eq!(ws.sparse_active_cols(), support, "n={n}");
-                assert!(ws.sparse_active_cols().windows(2).all(|w| w[0] < w[1]));
+                let active = ws.active_cols().expect("CSR gradient");
+                assert_eq!(active, support, "n={n}");
+                assert!(active.windows(2).all(|w| w[0] < w[1]));
 
                 let mut fresh = Workspace::new(&spec());
-                let (l_ref, g_ref) = fresh.loss_and_gradient_sparse_into(
+                let (l_ref, g_ref) = fresh.loss_and_gradient_into(
                     &model,
                     x.view(),
                     Targets::Classes(&labels),

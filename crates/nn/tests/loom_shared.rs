@@ -32,7 +32,7 @@ fn concurrent_merge_delta_loses_nothing() {
             .map(|_| {
                 let s = Arc::clone(&shared);
                 let (b, r) = (base.clone(), replica.clone());
-                thread::spawn(move || s.merge_delta(&b, &r))
+                thread::spawn(move || s.merge(&b, &r, 1.0, None, None))
             })
             .collect();
         for h in handles {
@@ -83,7 +83,7 @@ fn racy_hogwild_updates_stay_in_feasible_envelope() {
             .map(|_| {
                 let s = Arc::clone(&shared);
                 let g = Arc::clone(&grad);
-                thread::spawn(move || s.apply_gradient_racy(&g, 1.0))
+                thread::spawn(move || s.apply_racy(&g, 1.0, None, false))
             })
             .collect();
         for h in handles {

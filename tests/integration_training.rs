@@ -278,7 +278,7 @@ fn shared_model_concurrent_cpu_gpu_workers_raw() {
                 let (x, labels) = data.batch(start, start + 8);
                 let (_, g) =
                     hetero_sgd::nn::loss_and_gradient(&local, &x, labels.as_targets(), false);
-                shared.apply_gradient_racy(&g, 0.05);
+                shared.apply_racy(&g, 0.05, None, false);
             }
         }));
     }
@@ -297,7 +297,7 @@ fn shared_model_concurrent_cpu_gpu_workers_raw() {
                 let (x, labels) = data.batch(start, start + 64);
                 mlp.train_step(&x, labels.as_targets(), 0.1).unwrap();
                 let replica = mlp.download();
-                shared.merge_delta(&snapshot, &replica);
+                shared.merge(&snapshot, &replica, 1.0, None, None);
             }
             mlp.destroy();
         }));

@@ -70,7 +70,7 @@ proptest! {
         grad.layers_mut()[1].b[0] = -0.5;
         for (i, &eta) in etas.iter().enumerate() {
             if i % 2 == 0 {
-                shared.apply_gradient_racy(&grad, eta);
+                shared.apply_racy(&grad, eta, None, false);
             } else {
                 shared.apply_gradient_atomic(&grad, eta);
             }
