@@ -6,7 +6,10 @@
 //! 3. **GPU lower threshold** — the utilization-vs-balance trade-off that
 //!    Figure 7's Adaptive curve exposes;
 //! 4. **learning-rate ∝ batch** on/off — the Goyal-style scaling the
-//!    paper adopts in §VI-B.
+//!    paper adopts in §VI-B;
+//! 5. **staleness compensation κ** (§VI-B's stale-gradient remark);
+//! 6. **multi-GPU scaling** (the paper's future work) — 1/2/4 simulated
+//!    V100s under CPU+GPU Hogbatch.
 //!
 //! Output: one CSV block per sweep on stdout, summary on stderr.
 
@@ -131,6 +134,46 @@ fn main() {
             "lr scaling {name:6}: final loss {:.5} (min {:.5})",
             r.final_loss(),
             r.min_loss()
+        );
+    }
+
+    // --- 5. staleness-compensation sweep ----------------------------------------
+    println!("# staleness compensation sweep (CPU+GPU Hogbatch)");
+    println!("kappa,final_loss,min_loss");
+    for kappa in [0.0f32, 0.001, 0.01, 0.1] {
+        let mut train = h.train_config(AlgorithmKind::CpuGpuHogbatch, &dataset);
+        train.staleness_discount = kappa;
+        let r = SimEngine::new(SimEngineConfig::paper_hardware(spec.clone(), train))
+            .unwrap()
+            .run(&dataset);
+        println!("{kappa},{:.5},{:.5}", r.final_loss(), r.min_loss());
+        eprintln!(
+            "kappa {kappa:6}: final {:.5} (min {:.5})",
+            r.final_loss(),
+            r.min_loss()
+        );
+    }
+
+    // --- 6. multi-GPU scaling ----------------------------------------------------
+    println!("# multi-GPU scaling (CPU+GPU Hogbatch)");
+    println!("gpus,epochs,final_loss,total_updates");
+    for n_gpus in [1usize, 2, 4] {
+        let train = h.train_config(AlgorithmKind::CpuGpuHogbatch, &dataset);
+        let mut cfg = SimEngineConfig::paper_hardware(spec.clone(), train);
+        let g = cfg.gpus[0].clone();
+        cfg.gpus = (0..n_gpus).map(|_| g.clone()).collect();
+        let r = SimEngine::new(cfg).unwrap().run(&dataset);
+        println!(
+            "{n_gpus},{:.3},{:.5},{:.0}",
+            r.epochs,
+            r.final_loss(),
+            r.total_updates()
+        );
+        eprintln!(
+            "{n_gpus} GPU(s): {:7.2} epochs | final {:.5} | {:.0} updates",
+            r.epochs,
+            r.final_loss(),
+            r.total_updates()
         );
     }
 }

@@ -127,7 +127,6 @@ impl Harness {
                 ref_batch: 1,
                 max_lr: 0.5,
             },
-            cpu_batch_per_thread: 1,
             gpu_batch: gpu_max,
             adaptive: AdaptiveParams {
                 alpha: 2.0,
@@ -139,16 +138,10 @@ impl Harness {
                 gpu_max_batch: gpu_max,
             },
             time_budget: self.budget,
-            max_epochs: None,
-            staleness_discount: 0.0,
-            rayon_threads: 0,
-            measured_beta: false,
-            sparse_input: false,
             eval_interval: self.budget / 24.0,
             eval_subsample: 2048,
-            ckpt_interval: None,
-            ckpt_retain: 2,
             seed: self.seed,
+            ..TrainConfig::default()
         }
     }
 

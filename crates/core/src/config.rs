@@ -17,22 +17,9 @@ pub enum AlgorithmKind {
     /// CPU+GPU Hogbatch (§VI-B): static small CPU batches + static large
     /// GPU batches updating one shared model asynchronously.
     CpuGpuHogbatch,
-    /// Omnivore-style comparator (§II): batch sizes **proportional to
-    /// device speed**, computed once before execution and kept constant —
-    /// the goal being synchronized completion across devices. The paper's
-    /// criticism (runtime speed differs from the estimate) is observable
-    /// by comparing this against `AdaptiveHogbatch`.
-    StaticProportional,
     /// Adaptive Hogbatch (§VI-C, Algorithm 2): batch sizes continuously
     /// doubled/halved to bound the update-count gap between workers.
     AdaptiveHogbatch,
-    /// Hybrid SVRG — the paper's §II intuition made literal: the GPU's
-    /// accurate large-batch gradients serve as *variance-reduction anchors*
-    /// ("rare jumps using a compass") while CPU Hogwild steps apply the
-    /// SVRG-corrected direction `∇f_i(w) − ∇f_i(ŵ) + μ̂` against the most
-    /// recent anchor. A new algorithm developed on the testbed, as §V
-    /// invites. Simulation engine only.
-    HybridSvrg,
 }
 
 impl AlgorithmKind {
@@ -44,20 +31,6 @@ impl AlgorithmKind {
             AlgorithmKind::TensorFlow,
             AlgorithmKind::CpuGpuHogbatch,
             AlgorithmKind::AdaptiveHogbatch,
-        ]
-    }
-
-    /// All algorithms including the comparators and extensions beyond the
-    /// paper's five.
-    pub fn all_extended() -> [AlgorithmKind; 7] {
-        [
-            AlgorithmKind::HogwildCpu,
-            AlgorithmKind::MiniBatchGpu,
-            AlgorithmKind::TensorFlow,
-            AlgorithmKind::CpuGpuHogbatch,
-            AlgorithmKind::StaticProportional,
-            AlgorithmKind::AdaptiveHogbatch,
-            AlgorithmKind::HybridSvrg,
         ]
     }
 
@@ -87,9 +60,7 @@ impl AlgorithmKind {
             AlgorithmKind::MiniBatchGpu => "Hogbatch GPU",
             AlgorithmKind::TensorFlow => "TensorFlow",
             AlgorithmKind::CpuGpuHogbatch => "CPU+GPU Hogbatch",
-            AlgorithmKind::StaticProportional => "Omnivore-static",
             AlgorithmKind::AdaptiveHogbatch => "Adaptive Hogbatch",
-            AlgorithmKind::HybridSvrg => "Hybrid SVRG",
         }
     }
 }
@@ -243,16 +214,6 @@ pub struct TrainConfig {
     pub eval_interval: f64,
     /// Max examples used per loss evaluation (subsampled for speed).
     pub eval_subsample: usize,
-    /// Seconds between crash-consistency checkpoints when a checkpointer
-    /// is attached as `RunCtx::ckpt` (virtual seconds in the simulation/PS
-    /// engines, wall seconds in the threaded engine). `None` disables
-    /// periodic checkpointing even when a checkpoint directory is
-    /// configured.
-    pub ckpt_interval: Option<f64>,
-    /// How many checkpoint generations to keep on disk. Older generations
-    /// are pruned after each successful write; at least one previous
-    /// generation survives so a torn final write can fall back.
-    pub ckpt_retain: usize,
     /// RNG seed for model init and shuffling.
     pub seed: u64,
 }
@@ -278,8 +239,6 @@ impl Default for TrainConfig {
             sparse_input: false,
             eval_interval: 0.05,
             eval_subsample: 2048,
-            ckpt_interval: None,
-            ckpt_retain: 2,
             seed: 42,
         }
     }
@@ -303,13 +262,10 @@ impl TrainConfig {
         if self.staleness_discount < 0.0 || !self.staleness_discount.is_finite() {
             return Err("staleness discount must be finite and non-negative".into());
         }
-        if let Some(i) = self.ckpt_interval {
-            if i <= 0.0 || !i.is_finite() {
-                return Err("checkpoint interval must be positive and finite".into());
-            }
-        }
-        if self.ckpt_retain == 0 {
-            return Err("checkpoint retention must keep at least one generation".into());
+        if self.eval_subsample == 0 {
+            // An empty eval batch scores a loss of 0.0, which reads as a
+            // converged run.
+            return Err("eval subsample must be positive".into());
         }
         self.adaptive.validate()
     }
@@ -387,20 +343,10 @@ mod tests {
         };
         assert!(c.validate().is_err());
         let c = TrainConfig {
-            ckpt_interval: Some(0.0),
+            eval_subsample: 0,
             ..TrainConfig::default()
         };
         assert!(c.validate().is_err());
-        let c = TrainConfig {
-            ckpt_retain: 0,
-            ..TrainConfig::default()
-        };
-        assert!(c.validate().is_err());
-        let c = TrainConfig {
-            ckpt_interval: Some(0.5),
-            ..TrainConfig::default()
-        };
-        assert!(c.validate().is_ok());
     }
 
     #[test]

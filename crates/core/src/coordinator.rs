@@ -1,4 +1,4 @@
-//! The coordinator core shared by the three engines (paper §V: *one*
+//! The coordinator core shared by both engines (paper §V: *one*
 //! generic framework, algorithms as instantiations of it).
 //!
 //! [`Coordinator`] owns the state and policy every run needs regardless
@@ -15,10 +15,9 @@
 //!
 //! Time stamps: the coordinator always emits with [`TraceSink::emit`], so
 //! events carry the sink's own clock — wall seconds since the sink was
-//! created on the threaded engine, and on the virtual-clock engines the
-//! instant the engine last published with
-//! [`TraceSink::set_virtual_now`] (they publish at every event-loop step
-//! before calling in here). Observation never feeds back: with every
+//! created on the threaded engine, and on the simulation engine the
+//! instant it last published with [`TraceSink::set_virtual_now`] (it
+//! publishes at every event-loop step before calling in here). Observation never feeds back: with every
 //! [`RunCtx`] field disabled each call below reduces to the bookkeeping
 //! the schedule itself needs, which is why an observed simulation is
 //! bit-identical to an unobserved one.
@@ -52,15 +51,14 @@ pub struct RunCtx {
     /// point and worker fault flows through this sink. Use
     /// [`TraceSink::wall`] with the threaded engine (events are stamped
     /// with wall seconds since the sink was created) and
-    /// [`TraceSink::virtual_time`] with the simulation and
-    /// parameter-server engines (events are stamped with **virtual**
-    /// seconds; tracing never feeds back into the schedule, so the run
+    /// [`TraceSink::virtual_time`] with the simulation engine (events are
+    /// stamped with **virtual** seconds; tracing never feeds back into the schedule, so the run
     /// stays deterministic). The live dashboard gauges (`worker.<w>.*`,
     /// `engine.*`, `ckpt.*`, `health.*`) are published here too.
     pub sink: TraceSink,
     /// Per-worker histograms: batch latency, queue wait, H2D/D2H transfer
     /// time, merge wait/retries, gradient staleness (virtual-time
-    /// durations on the virtual-clock engines), and the checkpoint write
+    /// durations on the simulation engine), and the checkpoint write
     /// latency. Fills [`TrainResult::staleness`].
     pub hub: MetricsHub,
     /// Black-box flight recorder. Its watchdog observes per-layer
@@ -79,9 +77,9 @@ pub struct RunCtx {
     pub flight: FlightRecorder,
     /// Crash-consistent checkpointing at the checkpointer's cadence, in
     /// the engine's clock. With `resume: true` the newest valid generation
-    /// is restored before training. The virtual-clock engines freeze their
+    /// is restored before training. The simulation engine freezes its
     /// complete state between events — every in-flight event with its
-    /// model snapshot included — and **continue bit-identically**. The
+    /// model snapshot included — and **continues bit-identically**. The
     /// threaded engine cannot (workers race the capture): it stores the
     /// statistically sufficient state — a racy-read model image, the
     /// schedule cursor, the controller, and every in-flight range,
@@ -103,7 +101,7 @@ impl Default for RunCtx {
 
 /// What an engine tells [`Coordinator::new`] about the run it is starting.
 pub(crate) struct Setup<'a> {
-    /// Provenance name of the engine (`threaded` / `sim` / `ps`).
+    /// Provenance name of the engine (`threaded` / `sim`).
     pub engine: &'static str,
     /// Clock the engine runs on (picks the recorder's fallback sink).
     pub domain: TimeDomain,
@@ -178,8 +176,7 @@ pub(crate) fn record_busy(
 
 /// Per-worker counters a resumed run continues from. The watchdog's
 /// per-layer step numbers and the fault plan's `death_after`/`poison_at`
-/// sites key off `batches`; the parameter server's lr compensation is
-/// computed from `updates`.
+/// sites key off `batches`.
 #[derive(Serialize, Deserialize)]
 struct WorkerCkpt {
     updates: f64,
@@ -190,11 +187,11 @@ struct WorkerCkpt {
 
 /// The checkpoint envelope common to every engine: what the coordinator
 /// owns, plus the model image. An engine embeds it in its own state struct
-/// next to its tail (pending events, shard schedulers, …).
+/// next to its tail (schedule cursor, pending events, …).
 #[derive(Serialize, Deserialize)]
 pub(crate) struct CoreCkpt {
     /// Rejects checkpoints from another engine or layout whole.
-    schema: String,
+    pub schema: String,
     /// Engine time of the capture, summed across incarnations.
     pub t: f64,
     pub model: Model,
@@ -210,7 +207,7 @@ pub(crate) struct CoreCkpt {
 
 /// Live dashboard gauges of one worker (`worker.<w>.*`), resolved once and
 /// refreshed on every completion so a concurrent dashboard or scrape
-/// endpoint always reads a fresh picture; one naming for all engines.
+/// endpoint always reads a fresh picture; one naming for both engines.
 struct WorkerGauges {
     updates: GaugeHandle,
     batch: GaugeHandle,
@@ -312,8 +309,7 @@ impl<'a> Coordinator<'a> {
             watchdog,
             stats: kinds.iter().map(|k| WorkerStats::new(*k)).collect(),
             // A run whose states are pinned (min = max) never resizes, so
-            // the static algorithms and the parameter server reuse the
-            // same plumbing.
+            // the static algorithms reuse the same plumbing.
             controller: AdaptiveController::new(
                 train.adaptive.alpha,
                 train.algorithm.is_adaptive(),
@@ -397,6 +393,17 @@ impl<'a> Coordinator<'a> {
             end,
             level,
         );
+    }
+
+    /// Credit worker `w` with one finished batch of `examples` rows:
+    /// `updates` (β-weighted for a CPU worker) goes to Algorithm 2's count
+    /// and to the worker's stats.
+    pub fn credit(&mut self, w: usize, updates: f64, examples: u64) {
+        self.controller.report_updates(w, updates);
+        let s = &mut self.stats[w];
+        s.updates += updates;
+        s.batches += 1;
+        s.examples += examples;
     }
 
     /// Worker `w`'s dispatch came back: nothing of it is in flight any
@@ -730,6 +737,7 @@ impl<'a> Coordinator<'a> {
 mod tests {
     use super::*;
     use hetero_data::SynthConfig;
+    use proptest::prelude::*;
 
     fn range(start: usize, end: usize) -> BatchRange {
         BatchRange {
@@ -739,12 +747,22 @@ mod tests {
         }
     }
 
-    /// Two pinned workers (CPU 4, GPU 16) over a 100-example dataset.
+    /// Two pinned workers (CPU 4, GPU 16).
+    const PINNED: [(usize, usize); 2] = [(4, 4), (16, 16)];
+
+    /// One CPU worker, then GPU workers, with the given `[min_b, max_b]`,
+    /// started the way the engines start them: the CPU at its floor, the
+    /// GPUs at their ceilings.
     fn coordinator<'a>(
         train: &'a TrainConfig,
         data: &'a DenseDataset,
         ctx: &'a RunCtx,
+        bounds: &[(usize, usize)],
     ) -> Coordinator<'a> {
+        let workers = bounds.iter().enumerate().map(|(w, &(lo, hi))| match w {
+            0 => (WorkerKind::Cpu, WorkerBatchState::new(lo, lo, hi)),
+            _ => (WorkerKind::Gpu, WorkerBatchState::new(hi, lo, hi)),
+        });
         Coordinator::new(
             Setup {
                 engine: "test",
@@ -753,10 +771,7 @@ mod tests {
                 train,
                 dataset: data,
                 layers: 2,
-                workers: vec![
-                    (WorkerKind::Cpu, WorkerBatchState::new(4, 4, 4)),
-                    (WorkerKind::Gpu, WorkerBatchState::new(16, 16, 16)),
-                ],
+                workers: workers.collect(),
             },
             ctx,
         )
@@ -778,7 +793,7 @@ mod tests {
             SynthConfig::small(100, 4, 2, 1).generate(),
             RunCtx::default(),
         );
-        let mut co = coordinator(&train, &data, &ctx);
+        let mut co = coordinator(&train, &data, &ctx, &PINNED);
         let mut scheduler = BatchScheduler::new(data.len(), None);
         let (id0, first) = co.next_dispatch(0, &mut scheduler).unwrap();
         assert_eq!((first.start, first.end), (0, 4));
@@ -813,7 +828,7 @@ mod tests {
             sink: TraceSink::virtual_time(256),
             ..RunCtx::default()
         };
-        let mut co = coordinator(&train, &data, &ctx);
+        let mut co = coordinator(&train, &data, &ctx, &PINNED);
         let mut scheduler = BatchScheduler::new(data.len(), None);
         let (id, r) = co.next_dispatch(0, &mut scheduler).unwrap();
         let mut ids = vec![id];
@@ -828,7 +843,7 @@ mod tests {
         let model = Model::zeros_like(&hetero_nn::MlpSpec::tiny(4, 2));
         let core = co.capture("test/v1", 0.5, &model);
         let ctx2 = RunCtx::default();
-        let mut resumed = coordinator(&train, &data, &ctx2);
+        let mut resumed = coordinator(&train, &data, &ctx2, &PINNED);
         resumed.restore(core);
         for w in [0, 1] {
             ids.push(resumed.next_dispatch(w, &mut scheduler).unwrap().0);
@@ -859,7 +874,7 @@ mod tests {
             SynthConfig::small(100, 4, 2, 1).generate(),
             RunCtx::default(),
         );
-        let mut co = coordinator(&train, &data, &ctx);
+        let mut co = coordinator(&train, &data, &ctx, &PINNED);
         let mut scheduler = BatchScheduler::new(data.len(), None);
         co.next_dispatch(1, &mut scheduler).unwrap();
         // The generic disconnect sweep wins the race…
@@ -879,5 +894,207 @@ mod tests {
         assert_eq!(r.requeued_batches, 1);
         // One of two workers survived: the run is not an all-dead abort.
         assert!(r.aborted.is_none());
+    }
+
+    // --- The coordinator as a model-checked state machine (ROADMAP 5a) --------
+
+    /// What the coordinator must be doing, written the obvious way: a FIFO
+    /// re-queue, one in-flight slot per worker, the ranges reported
+    /// complete, and each worker's batch thresholds as clamps left them.
+    struct Reference {
+        requeue: VecDeque<BatchRange>,
+        in_flight: Vec<Option<(u64, BatchRange)>>,
+        done: Vec<BatchRange>,
+        retired: Vec<bool>,
+        bounds: Vec<(usize, usize)>,
+        last_id: u64,
+    }
+
+    /// The model test's three adaptive workers.
+    const BOUNDS: [(usize, usize); 3] = [(2, 16), (4, 32), (8, 64)];
+
+    /// One operation of the interleaving, applied to the coordinator and to
+    /// the reference, with the per-operation expectations checked. An
+    /// operation the engines never issue in the current state (dispatch to
+    /// a busy or retired worker, complete with nothing in flight) is a
+    /// no-op. Worker 0 never retires, so the run can always be drained.
+    fn apply<'a>(
+        (op, w, arg): (u8, usize, usize),
+        co: &mut Coordinator<'a>,
+        scheduler: &mut BatchScheduler,
+        model: &mut Reference,
+        (train, data, ctx): (&'a TrainConfig, &'a DenseDataset, &'a RunCtx),
+    ) -> Result<(), TestCaseError> {
+        let n = scheduler.len();
+        match op {
+            // Dispatch.
+            0..=2 if !model.retired[w] && model.in_flight[w].is_none() => {
+                let requeued = model.requeue.pop_front();
+                let served = scheduler.examples_served();
+                let Some((id, range)) = co.next_dispatch(w, scheduler) else {
+                    prop_assert!(requeued.is_none(), "re-queued {requeued:?} not served");
+                    prop_assert!(scheduler.next_batch(1).is_none(), "schedule not dry");
+                    return Ok(());
+                };
+                prop_assert!(id > model.last_id, "id {id} after {}", model.last_id);
+                model.last_id = id;
+                match requeued {
+                    // Re-queued work goes first, as is, and is not re-counted.
+                    Some(r) => {
+                        prop_assert_eq!(range, r);
+                        prop_assert_eq!(scheduler.examples_served(), served);
+                    }
+                    // Fresh work continues the served prefix at a size
+                    // inside the worker's thresholds (epoch tail excepted).
+                    None => {
+                        let (lo, hi) = model.bounds[w];
+                        prop_assert_eq!((range.epoch * n + range.start) as u64, served);
+                        prop_assert!(
+                            range.len() <= hi && (range.len() >= lo || range.end == n),
+                            "worker {w} got {range:?} outside [{lo}, {hi}]"
+                        );
+                    }
+                }
+                model.in_flight[w] = Some((id, range));
+            }
+            // Complete.
+            3 | 4 => {
+                if let Some((_, range)) = model.in_flight[w].take() {
+                    // Uneven credit walks Algorithm 2 through both resizes.
+                    co.credit(w, (arg % 5) as f64, range.len() as u64);
+                    co.completed(w);
+                    model.done.push(range);
+                }
+            }
+            // Complete with a leftover: the OOM-shrink protocol.
+            5 => {
+                let Some((id, range)) = model.in_flight[w].filter(|(_, r)| r.len() > 1) else {
+                    return Ok(());
+                };
+                let fit = 1 + arg % (range.len() - 1);
+                let (head, tail) = (
+                    BatchRange {
+                        end: range.start + fit,
+                        ..range
+                    },
+                    BatchRange {
+                        start: range.start + fit,
+                        ..range
+                    },
+                );
+                co.credit(w, 1.0, fit as u64);
+                co.controller.clamp_max_batch(w, fit);
+                co.requeue(id, tail);
+                co.completed(w);
+                model.in_flight[w] = None;
+                model.done.push(head);
+                model.requeue.push_back(tail);
+                let (lo, hi) = model.bounds[w];
+                model.bounds[w] = (lo.min(fit), hi.min(fit));
+            }
+            // Retire, twice: the second must re-queue nothing.
+            6 if w > 0 => {
+                co.retire(w, &WorkerError::Panic("model".into()));
+                if let Some((_, range)) = model.in_flight[w].take() {
+                    model.requeue.push_back(range);
+                }
+                model.retired[w] = true;
+                let requeued = co.requeued_batches;
+                co.retire(w, &WorkerError::Disconnected("again".into()));
+                prop_assert_eq!(co.requeued_batches, requeued, "second retire re-queued");
+            }
+            7 => {
+                let limit = 1 + arg % 40;
+                co.controller.clamp_max_batch(w, limit);
+                let (lo, hi) = model.bounds[w];
+                model.bounds[w] = (lo.min(limit), hi.min(limit));
+            }
+            // Capture → restore into a fresh coordinator, by the threaded
+            // engine's protocol: what was in flight at the capture goes on
+            // the resumed run's queue.
+            8 => {
+                let image = Model::zeros_like(&hetero_nn::MlpSpec::tiny(4, 2));
+                let mut core = co.capture("model/v1", 0.0, &image);
+                core.requeue.extend(co.in_flight());
+                let json = serde_json::to_string(&(core, &*scheduler)).unwrap();
+                let (core, cursor): (CoreCkpt, BatchScheduler) =
+                    serde_json::from_str(&json).unwrap();
+                *co = coordinator(train, data, ctx, &BOUNDS);
+                co.restore(core);
+                *scheduler = cursor;
+                for slot in &mut model.in_flight {
+                    model.requeue.extend(slot.take().map(|(_, r)| r));
+                }
+            }
+            _ => {}
+        }
+        // The coordinator's tables are the reference's…
+        prop_assert_eq!(&co.requeue, &model.requeue);
+        prop_assert_eq!(&co.in_flight, &model.in_flight);
+        // …and every example served so far is in exactly one of completed,
+        // in flight and re-queue: no gap, no overlap, nothing unserved.
+        let served = scheduler.examples_served() as usize;
+        let mut cover = vec![0u8; served];
+        let held = co.in_flight().chain(co.requeue.iter().copied());
+        for r in model.done.iter().copied().chain(held) {
+            for i in r.start..r.end {
+                let at = r.epoch * n + i;
+                prop_assert!(at < served, "{r:?} was never served");
+                cover[at] += 1;
+            }
+        }
+        prop_assert!(cover.iter().all(|&c| c == 1), "gap or overlap: {cover:?}");
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Arbitrary interleavings of dispatch / complete / complete with a
+        /// leftover / retire / clamp / capture→restore keep the coordinator
+        /// equal to [`Reference`]; draining what is left then completes
+        /// every example of every epoch exactly once.
+        #[test]
+        fn coordinator_matches_the_reference_model(
+            n in 20usize..150,
+            epochs in 1usize..4,
+            ops in prop::collection::vec((0u8..9, 0usize..3, 0usize..1000), 1..160),
+        ) {
+            let (train, data, ctx) = (
+                TrainConfig::default(),
+                SynthConfig::small(n, 4, 2, 1).generate(),
+                RunCtx::default(),
+            );
+            let world = (&train, &data, &ctx);
+            let mut co = coordinator(&train, &data, &ctx, &BOUNDS);
+            let mut scheduler = BatchScheduler::new(n, Some(epochs));
+            let mut model = Reference {
+                requeue: VecDeque::new(),
+                in_flight: vec![None; BOUNDS.len()],
+                done: Vec::new(),
+                retired: vec![false; BOUNDS.len()],
+                bounds: BOUNDS.to_vec(),
+                last_id: 0,
+            };
+            for op in ops {
+                apply(op, &mut co, &mut scheduler, &mut model, world)?;
+            }
+            // Drain: survivors alternate complete and dispatch until the
+            // schedule and the re-queue are both dry.
+            while {
+                for w in 0..BOUNDS.len() {
+                    apply((3, w, 1), &mut co, &mut scheduler, &mut model, world)?;
+                    apply((0, w, 0), &mut co, &mut scheduler, &mut model, world)?;
+                }
+                model.in_flight.iter().any(Option::is_some)
+            } {}
+            // `apply` just showed completed ∪ in flight ∪ re-queue covers
+            // the served prefix exactly once; both of the latter are empty
+            // and the prefix is the whole schedule.
+            prop_assert!(model.requeue.is_empty());
+            prop_assert_eq!(scheduler.examples_served() as usize, n * epochs);
+            let completed: usize = model.done.iter().map(BatchRange::len).sum();
+            prop_assert_eq!(completed, n * epochs);
+        }
     }
 }

@@ -11,7 +11,8 @@
 //!
 //! Workflow per worker (paper Figure 4):
 //! 1. coordinator computes the worker's batch size (the
-//!    [`AdaptiveController`] is Algorithm 2; static algorithms freeze it),
+//!    [`crate::AdaptiveController`] is Algorithm 2; static algorithms freeze
+//!    it),
 //! 2. extracts a contiguous range from the data (the [`BatchScheduler`]),
 //! 3. snapshots the model (reference for CPU, deep copy for GPU — in the
 //!    simulation both are snapshots, but GPU workers additionally pay the
@@ -24,13 +25,13 @@ use hetero_data::batch::BatchRange;
 use hetero_data::{BatchScheduler, DenseDataset};
 use hetero_flight::Watchdog;
 use hetero_metrics::{HistHandle, Metric, MetricsHub};
-use hetero_nn::{scan_model, Gradient, MergeScan, MlpSpec, Model, Workspace};
+use hetero_nn::{scan_model, MergeScan, MlpSpec, Model};
 use hetero_sim::{CpuModel, DeviceModel, EventQueue, GpuModel, UtilizationTimeline};
 use hetero_trace::{BatchPhases, EventKind, TimeDomain, TraceSink};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
-use crate::adaptive::{AdaptiveController, WorkerBatchState};
+use crate::adaptive::WorkerBatchState;
 use crate::config::{AlgorithmKind, TrainConfig};
 use crate::coordinator::{
     cpu_batch_state, gpu_batch_state, observe_scan, record_busy, Coordinator, CoreCkpt, RunCtx,
@@ -94,32 +95,12 @@ impl Device {
     }
 }
 
-/// Persistent scratch for one gradient lane: the shared [`Lane`] (batch
-/// staging + the main forward/backward workspace) and, for Hybrid SVRG, a
-/// second workspace plus a direction buffer for the anchor correction.
-/// Reused across every event, so steady-state gradient computation
-/// allocates nothing.
-struct SimLane {
-    batch: Lane,
-    anchor_ws: Workspace,
-    dir: Gradient,
-}
-
-impl SimLane {
-    fn new(spec: &MlpSpec) -> Self {
-        SimLane {
-            batch: Lane::new(spec),
-            anchor_ws: Workspace::new(spec),
-            dir: Model::zeros_like(spec),
-        }
-    }
-}
-
 /// Per-run scratch shared by every [`SimEngine::apply_batch`] call: one
 /// lane per concurrent Hogwild sub-batch, the wave base model, and a
-/// dedicated GPU lane.
+/// dedicated GPU lane. Reused across every event, so steady-state gradient
+/// computation allocates nothing.
 struct SimScratch {
-    lanes: Vec<SimLane>,
+    lanes: Vec<Lane>,
     base: Model,
     gpu: Lane,
     /// Reused sub-batch range list for the CPU wave split (capacity grows
@@ -189,7 +170,7 @@ enum Ev {
 /// Everything a [`SimEngine`] run is, frozen at one virtual instant: the
 /// common envelope (model, controller, loss curve, per-worker counters,
 /// watchdog tallies) plus this engine's tail — the batch-schedule cursor,
-/// the SVRG anchor pair, eval cadence state, and every in-flight event.
+/// eval cadence state, and every in-flight event.
 /// Restoring this state and re-running the event loop continues the
 /// original run bit-identically — the property `crates/ckpt/tests` locks
 /// in.
@@ -198,7 +179,6 @@ struct SimCkpt {
     core: CoreCkpt,
     scheduler: BatchScheduler,
     global_updates: u64,
-    anchor: Option<(Model, Model)>,
     last_epoch_evaled: usize,
     last_eval_time: f64,
     /// Pending events with their scheduled virtual times, in pop order:
@@ -210,7 +190,7 @@ struct SimCkpt {
 /// Schema tag sanity-checked at restore so a checkpoint from a different
 /// engine (or an older, incompatible layout) is rejected instead of
 /// half-applied.
-const SIM_CKPT_SCHEMA: &str = "hetero-sim-ckpt/v2";
+const SIM_CKPT_SCHEMA: &str = "hetero-sim-ckpt/v3";
 
 /// The discrete-event engine.
 pub struct SimEngine {
@@ -324,9 +304,6 @@ impl SimEngine {
         // A reused sink may still hold a previous run's clock.
         sink.set_virtual_now(queue.now());
         let mut global_updates: u64 = 0;
-        // Hybrid SVRG anchor: the latest GPU large-batch (model, gradient)
-        // pair — the "compass" CPU updates correct against (§II).
-        let mut anchor: Option<(Model, Model)> = None;
         // Reused gradient-lane buffers (see `SimScratch`): warmed during
         // the first events, allocation-free thereafter.
         let mut scratch = SimScratch::new(spec);
@@ -361,7 +338,6 @@ impl SimEngine {
             model = co.restore(s.core);
             scheduler = s.scheduler;
             global_updates = s.global_updates;
-            anchor = s.anchor;
             last_epoch_evaled = s.last_epoch_evaled;
             last_eval_time = s.last_eval_time;
             // Re-schedule the in-flight events in pop order: fresh monotone
@@ -406,7 +382,6 @@ impl SimEngine {
                     core: co.capture(SIM_CKPT_SCHEMA, now, &model),
                     scheduler: scheduler.clone(),
                     global_updates,
-                    anchor: anchor.clone(),
                     last_epoch_evaled,
                     last_eval_time,
                     pending: queue
@@ -449,7 +424,7 @@ impl SimEngine {
                 } => {
                     let staleness = global_updates.saturating_sub(updates_at_snapshot);
                     obs.stale[worker].record(staleness);
-                    global_updates += self.apply_batch(
+                    let (applied, credited) = self.apply_batch(
                         id,
                         worker,
                         &devices[worker],
@@ -457,16 +432,16 @@ impl SimEngine {
                         &snapshot,
                         &src,
                         &mut model,
-                        &mut co.controller,
-                        &mut co.stats,
+                        co.stats[worker].batches,
                         staleness,
                         phases,
-                        &mut anchor,
                         &mut scratch,
                         &sink,
                         &co.watchdog,
                         &mut health_scan,
                     );
+                    global_updates += applied;
+                    co.credit(worker, credited, range.len() as u64);
                     // Epoch-boundary loss evaluation (paper: "loss
                     // computation is always performed on the GPU at the
                     // end of the epoch").
@@ -595,16 +570,7 @@ impl SimEngine {
         let spec = &self.cfg.spec;
         let fpe = spec.train_flops_per_example();
         match device {
-            Device::Cpu(c) => {
-                let t = c.batch_time(fpe, batch);
-                if self.cfg.train.algorithm == AlgorithmKind::HybridSvrg {
-                    // SVRG correction doubles the CPU gradient work:
-                    // ∇f_i(w) and ∇f_i(ŵ) per sub-batch.
-                    2.0 * t
-                } else {
-                    t
-                }
-            }
+            Device::Cpu(c) => c.batch_time(fpe, batch),
             Device::Gpu(g) => {
                 let batch_bytes = (4 * spec.input_dim * batch) as u64;
                 // Deep-copy replica: model in (H2D) + model out (D2H), §VI-B.
@@ -628,7 +594,9 @@ impl SimEngine {
 
     /// `ExecuteWork` completion: compute the gradient(s) on the snapshot
     /// and apply them to the live model. Returns the number of raw updates
-    /// applied (for global staleness accounting).
+    /// applied (for global staleness accounting) and the β-weighted count
+    /// to credit the worker with. `batches_done` is the worker's 0-based
+    /// batch counter (the fault plan's and the watchdog's step number).
     // audit: no_alloc
     #[allow(clippy::too_many_arguments)]
     fn apply_batch(
@@ -640,32 +608,28 @@ impl SimEngine {
         snapshot: &Model,
         src: &BatchSource<&DenseDataset>,
         model: &mut Model,
-        controller: &mut AdaptiveController,
-        stats: &mut [WorkerStats],
+        batches_done: u64,
         staleness: u64,
         phases: BatchPhases,
-        anchor: &mut Option<(Model, Model)>,
         scratch: &mut SimScratch,
         sink: &TraceSink,
         watchdog: &Watchdog,
         scan: &mut MergeScan,
-    ) -> u64 {
+    ) -> (u64, f64) {
         let train = &self.cfg.train;
         // Injected fault: one NaN into this worker's first applied gradient
         // at the planned step (0-based batch counter, like `death_after`).
-        let mut poison_pending =
-            self.cfg.fault_plan.poison_at(worker) == Some(stats[worker].batches);
+        let mut poison_pending = self.cfg.fault_plan.poison_at(worker) == Some(batches_done);
         // §VI-B staleness compensation: discount the learning rate for
         // gradients computed on an old snapshot.
         let discount = 1.0 / (1.0 + train.staleness_discount * staleness as f32);
-        match device {
+        let (n_updates, credited, merge_scale) = match device {
             Device::Cpu(c) => {
                 // Algorithm 2 CPU worker: split into t sub-batches, one
                 // Hogwild update each, all computed on the snapshot
                 // (maximum intra-batch staleness — the conservative model).
                 let t = c.threads;
-                let total = range.len();
-                let sub = total.div_ceil(t);
+                let sub = range.len().div_ceil(t);
                 scratch.sub_ranges.clear();
                 for i in 0..t {
                     let s = range.start + i * sub;
@@ -674,11 +638,6 @@ impl SimEngine {
                         scratch.sub_ranges.push((s, e));
                     }
                 }
-                let svrg_anchor = if train.algorithm == AlgorithmKind::HybridSvrg {
-                    anchor.as_ref()
-                } else {
-                    None
-                };
                 // Hogwild threads read the live model *during* their
                 // sub-batch, so the effective staleness is far finer than
                 // one whole coordinator batch. Model that by processing the
@@ -702,7 +661,7 @@ impl SimEngine {
                     // every buffer in them is reused (chunk size 1 gives
                     // lane i exclusive ownership of lanes[i]).
                     while lanes.len() < wave.len() {
-                        lanes.push(SimLane::new(model.spec()));
+                        lanes.push(Lane::new(model.spec()));
                     }
                     let base = &*wave_base;
                     lanes[..wave.len()]
@@ -711,64 +670,27 @@ impl SimEngine {
                         .for_each(|(i, lane)| {
                             let lane = &mut lane[0];
                             let (s, e) = wave[i];
-                            lane.batch.stage(src, s, e);
-                            lane.batch.gradient(src, base, false);
-                            if let Some((anchor_model, mu)) = svrg_anchor {
-                                // SVRG-corrected direction against the
-                                // most recent GPU anchor:
-                                // ∇f_i(w) − ∇f_i(ŵ) + μ̂.
-                                let anchor_ws = &mut lane.anchor_ws;
-                                lane.batch.gradient_in(anchor_ws, src, anchor_model, false);
-                                lane.dir.copy_from(lane.batch.ws.grad());
-                                lane.dir.scaled_add(lane.anchor_ws.grad(), -1.0);
-                                lane.dir.scaled_add(mu, 1.0);
-                            }
+                            lane.stage(src, s, e);
+                            lane.gradient(src, base, false);
                         });
                     n_updates += wave.len();
                     for (i, &(s, e)) in wave.iter().enumerate() {
                         let lane = &mut lanes[i];
                         let eta = train.lr_scaling.eta(train.lr, e - s) * discount;
-                        let g: &mut Gradient = if svrg_anchor.is_some() {
-                            &mut lane.dir
-                        } else {
-                            lane.batch.ws.grad_mut()
-                        };
                         if poison_pending {
                             poison_pending = false;
-                            g.layers_mut()[0].b[0] = f32::NAN;
+                            lane.ws.grad_mut().layers_mut()[0].b[0] = f32::NAN;
                         }
                         if watchdog.enabled() {
                             scan.reset();
-                            scan_model(g, scan);
-                            observe_scan(watchdog, worker, stats[worker].batches, scan);
+                            scan_model(lane.ws.grad(), scan);
+                            observe_scan(watchdog, worker, batches_done, scan);
                         }
-                        if svrg_anchor.is_some() {
-                            // The SVRG direction mixes in the dense anchor
-                            // term μ̂, so it is dense whatever the batch was.
-                            model.apply_gradient(g, eta);
-                        } else {
-                            lane.batch.apply_to(model, eta);
-                        }
+                        lane.apply_to(model, eta);
                     }
                     wave_base.copy_from(model);
                 }
-                if sink.enabled() {
-                    sink.emit(
-                        worker as u32,
-                        EventKind::BatchCompleted {
-                            id,
-                            batch: total,
-                            updates: n_updates,
-                            phases,
-                        },
-                    );
-                }
-                let credited = n_updates as f64 * train.adaptive.beta;
-                controller.report_updates(worker, credited);
-                stats[worker].updates += credited;
-                stats[worker].batches += 1;
-                stats[worker].examples += total as u64;
-                n_updates as u64
+                (n_updates, n_updates as f64 * train.adaptive.beta, None)
             }
             Device::Gpu(_) => {
                 let lane = &mut scratch.gpu;
@@ -780,50 +702,36 @@ impl SimEngine {
                 if watchdog.enabled() {
                     scan.reset();
                     scan_model(lane.ws.grad(), scan);
-                    observe_scan(watchdog, worker, stats[worker].batches, scan);
+                    observe_scan(watchdog, worker, batches_done, scan);
                 }
                 let eta = train.lr_scaling.eta(train.lr, range.len()) * discount;
                 lane.apply_to(model, eta);
-                if train.algorithm == AlgorithmKind::HybridSvrg {
-                    // The accurate large-batch gradient becomes the new
-                    // variance-reduction anchor for CPU workers. The anchor
-                    // pair is allocated on the first GPU merge only;
-                    // afterwards its buffers are reused in place.
-                    match anchor {
-                        Some((anchor_model, mu)) => {
-                            anchor_model.copy_from(snapshot);
-                            mu.copy_from(lane.ws.grad());
-                        }
-                        None => *anchor = Some((snapshot.clone(), lane.ws.grad().clone())),
-                    }
-                }
-                if sink.enabled() {
-                    // The simulated GPU merge is the staleness-discounted
-                    // apply of the deep-copy replica's gradient (§VI-B).
-                    sink.emit(
-                        worker as u32,
-                        EventKind::ModelMerge {
-                            scale: discount as f64,
-                            id: Some(id),
-                        },
-                    );
-                    sink.emit(
-                        worker as u32,
-                        EventKind::BatchCompleted {
-                            id,
-                            batch: range.len(),
-                            updates: 1,
-                            phases,
-                        },
-                    );
-                }
-                controller.report_updates(worker, 1.0);
-                stats[worker].updates += 1.0;
-                stats[worker].batches += 1;
-                stats[worker].examples += range.len() as u64;
-                1
+                (1, 1.0, Some(discount))
             }
+        };
+        if sink.enabled() {
+            if let Some(scale) = merge_scale {
+                // The simulated GPU merge is the staleness-discounted
+                // apply of the deep-copy replica's gradient (§VI-B).
+                sink.emit(
+                    worker as u32,
+                    EventKind::ModelMerge {
+                        scale: scale as f64,
+                        id: Some(id),
+                    },
+                );
+            }
+            sink.emit(
+                worker as u32,
+                EventKind::BatchCompleted {
+                    id,
+                    batch: range.len(),
+                    updates: n_updates,
+                    phases,
+                },
+            );
         }
+        (n_updates as u64, credited)
     }
 
     /// Initial batch-size state of one worker (see
@@ -832,27 +740,6 @@ impl SimEngine {
         let train = &self.cfg.train;
         let spec = &self.cfg.spec;
         match device {
-            Device::Cpu(c) if train.algorithm == AlgorithmKind::StaticProportional => {
-                // Omnivore-style sizing (§II): pick the CPU batch so that,
-                // per the *pre-execution estimate*, the CPU finishes a
-                // batch in the same time the GPU takes for its configured
-                // batch. Computed once here and frozen thereafter —
-                // exactly the criticism the paper levels.
-                let n = n.max(1);
-                let fpe = spec.train_flops_per_example();
-                let t_gpu = self
-                    .cfg
-                    .gpus
-                    .first()
-                    .map(|g| g.batch_time(fpe, train.gpu_batch.min(n)))
-                    .unwrap_or(0.0);
-                let mut b = c.threads.max(1);
-                while b < n && c.batch_time(fpe, b * 2) <= t_gpu {
-                    b *= 2;
-                }
-                let b = b.min(n);
-                WorkerBatchState::new(b, b, b)
-            }
             Device::Cpu(c) => cpu_batch_state(train, c.threads, n),
             Device::Gpu(g) => {
                 // §VI-B: device memory bounds the batch size.
@@ -901,14 +788,12 @@ mod tests {
         let (cpu, gpu) = tiny_hardware();
         let spec = MlpSpec::tiny(10, 2);
         let train = TrainConfig {
-            init: hetero_nn::InitScheme::Xavier,
             algorithm: algo,
             lr: 0.05,
             lr_scaling: LrScaling::Sqrt {
                 ref_batch: 1,
                 max_lr: 0.5,
             },
-            cpu_batch_per_thread: 1,
             gpu_batch: 256,
             adaptive: AdaptiveParams {
                 alpha: 2.0,
@@ -919,16 +804,10 @@ mod tests {
                 gpu_max_batch: 256,
             },
             time_budget: budget,
-            max_epochs: None,
-            staleness_discount: 0.0,
-            rayon_threads: 0,
-            measured_beta: false,
-            sparse_input: false,
             eval_interval: budget / 10.0,
             eval_subsample: 256,
-            ckpt_interval: None,
-            ckpt_retain: 2,
             seed: 7,
+            ..TrainConfig::default()
         };
         SimEngineConfig {
             spec,
@@ -1055,6 +934,73 @@ mod tests {
             assert_eq!(a.examples, b.examples);
             assert_eq!(a.updates, b.updates);
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A checkpoint in the previous layout (`SimCkpt` still carried the
+    /// SVRG anchor pair, tag v2) must be refused whole by the schema tag:
+    /// the run starts fresh instead of half-applying it.
+    #[test]
+    fn checkpoint_of_the_previous_schema_is_refused() {
+        use hetero_ckpt::CkptConfig;
+        #[derive(Serialize)]
+        struct SimCkptV2 {
+            core: CoreCkpt,
+            scheduler: BatchScheduler,
+            global_updates: u64,
+            anchor: Option<(Model, Model)>,
+            last_epoch_evaled: usize,
+            last_eval_time: f64,
+            pending: Vec<(f64, Ev)>,
+        }
+        let data = tiny_dataset();
+        let cfg = tiny_config(AlgorithmKind::AdaptiveHogbatch, 0.02);
+        let dir =
+            std::env::temp_dir().join(format!("hetero-sim-ckpt-schema-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let ckpt = |resume| {
+            Checkpointer::new(CkptConfig {
+                dir: dir.clone(),
+                interval: 0.004,
+                retain: 2,
+                resume,
+            })
+            .unwrap()
+        };
+        // Runs with `ckpt` attached; returns how many times it resumed.
+        let resumes = |ckpt: Checkpointer| {
+            let sink = TraceSink::virtual_time(1 << 14);
+            let ctx = RunCtx {
+                sink: sink.clone(),
+                ckpt,
+                ..RunCtx::default()
+            };
+            SimEngine::new(cfg.clone()).unwrap().run_with(&data, &ctx);
+            let counters = sink.drain().counters;
+            counters
+                .iter()
+                .find(|(name, _)| name == "ckpt.resumes")
+                .map_or(0.0, |(_, v)| *v)
+        };
+        assert_eq!(resumes(ckpt(false)), 0.0);
+        // The current layout resumes…
+        assert_eq!(resumes(ckpt(true)), 1.0);
+        // …the same state written the way the previous schema laid it out
+        // does not.
+        let now: SimCkpt = ckpt(true).resume_state().expect("a checkpoint");
+        let mut core = now.core;
+        core.schema = "hetero-sim-ckpt/v2".into();
+        let old = SimCkptV2 {
+            core,
+            scheduler: now.scheduler,
+            global_updates: now.global_updates,
+            anchor: None,
+            last_epoch_evaled: now.last_epoch_evaled,
+            last_eval_time: now.last_eval_time,
+            pending: now.pending,
+        };
+        assert!(ckpt(false).save(old.core.t, &old).is_some());
+        assert_eq!(resumes(ckpt(true)), 0.0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1220,49 +1166,6 @@ mod tests {
     }
 
     #[test]
-    fn static_proportional_solves_for_equal_batch_times() {
-        // Omnivore-style sizing: the engine must pick the largest
-        // power-of-two-scaled CPU batch whose estimated time still fits
-        // within the GPU's batch time, frozen for the whole run.
-        let data = tiny_dataset();
-        let cfg = tiny_config(AlgorithmKind::StaticProportional, 0.05);
-        // Replicate the solve with the same models.
-        let fpe = cfg.spec.train_flops_per_example();
-        let t_gpu = cfg.gpus[0].batch_time(fpe, cfg.train.gpu_batch.min(data.len()));
-        let mut expected = cfg.cpu.threads;
-        while expected < data.len() && cfg.cpu.batch_time(fpe, expected * 2) <= t_gpu {
-            expected *= 2;
-        }
-        let r = SimEngine::new(cfg.clone()).unwrap().run(&data);
-        assert!(r.final_loss() < r.initial_loss());
-        let cpu = r
-            .workers
-            .iter()
-            .find(|w| w.kind == WorkerKind::Cpu)
-            .unwrap();
-        let gpu = r
-            .workers
-            .iter()
-            .find(|w| w.kind == WorkerKind::Gpu && w.batches > 0)
-            .unwrap();
-        assert!(cpu.batches > 0 && gpu.batches > 0);
-        assert_eq!(
-            cpu.final_batch,
-            expected.min(data.len()),
-            "proportional solve mismatch"
-        );
-        // Maximality: doubling the chosen batch would overshoot the GPU's
-        // time (unless already capped by the dataset). The floor of one
-        // example per thread may itself exceed t_gpu — that is allowed.
-        if cpu.final_batch * 2 <= data.len() {
-            assert!(
-                cfg.cpu.batch_time(fpe, cpu.final_batch * 2) > t_gpu,
-                "solve was not maximal"
-            );
-        }
-    }
-
-    #[test]
     fn staleness_discount_shrinks_stale_steps() {
         // With a huge κ every stale gradient is nearly nulled; training
         // still runs, stays finite, and makes less progress than κ = 0.
@@ -1287,39 +1190,6 @@ mod tests {
                     < (base.initial_loss() - base.final_loss()) * 0.9,
             "discount had no visible effect"
         );
-    }
-
-    #[test]
-    fn hybrid_svrg_converges_and_uses_anchors() {
-        let data = tiny_dataset();
-        let r = SimEngine::new(tiny_config(AlgorithmKind::HybridSvrg, 0.05))
-            .unwrap()
-            .run(&data);
-        assert!(
-            r.final_loss() < r.initial_loss(),
-            "{} -> {}",
-            r.initial_loss(),
-            r.final_loss()
-        );
-        // Both worker kinds participate (GPU provides anchors, CPU the
-        // corrected walk).
-        let frac = r.cpu_update_fraction();
-        assert!(frac > 0.0 && frac < 1.0, "cpu fraction {frac}");
-        assert!(r.loss_curve.iter().all(|p| p.loss.is_finite()));
-    }
-
-    #[test]
-    fn hybrid_svrg_cpu_batches_cost_double() {
-        // The SVRG correction doubles CPU gradient work; the virtual cost
-        // model must reflect it.
-        let cfg_plain = tiny_config(AlgorithmKind::CpuGpuHogbatch, 0.05);
-        let cfg_svrg = tiny_config(AlgorithmKind::HybridSvrg, 0.05);
-        let e_plain = SimEngine::new(cfg_plain).unwrap();
-        let e_svrg = SimEngine::new(cfg_svrg).unwrap();
-        let cpu = Device::Cpu(tiny_hardware().0);
-        let t_plain = e_plain.batch_cost(&cpu, 64);
-        let t_svrg = e_svrg.batch_cost(&cpu, 64);
-        assert!((t_svrg - 2.0 * t_plain).abs() < 1e-12);
     }
 
     #[test]

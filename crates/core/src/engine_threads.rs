@@ -95,17 +95,9 @@ struct Ready {
     worker: usize,
     /// Lineage id of the completed dispatch.
     id: u64,
-    updates: f64,
-    examples: u64,
     busy_start: f64,
     busy_end: f64,
-    batch: usize,
-    /// When a device OOM forced the step smaller, the batch size that
-    /// actually fit — the coordinator clamps the controller's ceiling to it.
-    shrunk_to: Option<usize>,
-    /// The unprocessed tail of the dispatched range after an OOM shrink;
-    /// the coordinator re-queues it.
-    leftover: Option<BatchRange>,
+    out: StepOutcome,
 }
 
 /// Lineage extractor for the ready channel.
@@ -149,6 +141,15 @@ struct ThreadedCkpt {
 /// Schema tag rejecting checkpoints from other engines or layouts.
 const THREADED_CKPT_SCHEMA: &str = "hetero-threaded-ckpt/v2";
 
+/// The live CAS-probe estimate β̂, when the run opted into measured β
+/// (DESIGN.md §4g).
+fn live_beta(train: &TrainConfig, shared: &SharedModel) -> Option<f64> {
+    train
+        .measured_beta
+        .then(|| shared.beta_estimate())
+        .flatten()
+}
+
 /// Hand worker `w` its next batch. Returns `false` — after telling the
 /// worker to stop — once the schedule has nothing left for it.
 fn dispatch(
@@ -180,14 +181,8 @@ impl ThreadedEngine {
     pub fn new(cfg: ThreadedEngineConfig) -> Result<Self, String> {
         cfg.train.validate()?;
         cfg.spec.validate()?;
-        if matches!(
-            cfg.train.algorithm,
-            AlgorithmKind::TensorFlow | AlgorithmKind::HybridSvrg
-        ) {
-            return Err(format!(
-                "{} is simulation-only",
-                cfg.train.algorithm.label()
-            ));
+        if cfg.train.algorithm == AlgorithmKind::TensorFlow {
+            return Err("TensorFlow is simulation-only".into());
         }
         if cfg.cpu_threads == 0 {
             return Err("cpu_threads must be positive".into());
@@ -302,10 +297,7 @@ impl ThreadedEngine {
                 coord_msg_lineage,
             );
             exec_txs.push(tx);
-            handles.push(match stat.kind {
-                WorkerKind::Cpu => self.spawn_cpu_worker(slot, rx, env.clone()),
-                WorkerKind::Gpu => self.spawn_gpu_worker(slot, rx, env.clone()),
-            });
+            handles.push(self.spawn_worker(slot, stat.kind, rx, env.clone()));
         }
         // The workers hold the only ready senders from here on.
         drop(env);
@@ -352,13 +344,7 @@ impl ThreadedEngine {
                 accuracy,
             }
         };
-        // The live CAS-probe estimate, when the run opted into measured β.
-        let beta = || {
-            train
-                .measured_beta
-                .then(|| shared.beta_estimate())
-                .flatten()
-        };
+        let beta = || live_beta(train, &shared);
         // The remaining budget is what the original run had not yet spent.
         let budget = Duration::from_secs_f64((train.time_budget - t_base).max(0.0));
         if !resumed {
@@ -411,25 +397,21 @@ impl ThreadedEngine {
             let wait = (next_eval - now).min(Duration::from_millis(50));
             match ready_rx.recv_timeout(wait) {
                 Ok(WorkerMsg::Ready(r)) => {
-                    let w = r.worker;
-                    co.controller.report_updates(w, r.updates);
-                    if let Some(fit) = r.shrunk_to {
+                    let (w, out) = (r.worker, r.out);
+                    co.credit(w, out.credited, out.batch as u64);
+                    if let Some(fit) = out.shrunk_to {
                         // The device OOMed above `fit`: the adaptive loop
                         // must never re-request a size it already rejected.
                         co.controller.clamp_max_batch(w, fit);
                     }
-                    if let Some(tail) = r.leftover {
+                    if let Some(tail) = out.leftover {
                         co.requeue(r.id, tail);
                     }
-                    let s = &mut co.stats[w];
-                    s.updates += r.updates;
-                    s.batches += 1;
-                    s.examples += r.examples;
-                    let level = match s.kind {
+                    let level = match co.stats[w].kind {
                         WorkerKind::Cpu => {
-                            (r.batch.min(cfg.cpu_threads) as f64) / cfg.cpu_threads as f64
+                            (out.batch.min(cfg.cpu_threads) as f64) / cfg.cpu_threads as f64
                         }
-                        WorkerKind::Gpu => cfg.gpu_perf.busy_utilization(r.batch),
+                        WorkerKind::Gpu => cfg.gpu_perf.busy_utilization(out.batch),
                     };
                     co.busy(w, r.busy_start, r.busy_end, level);
                     co.completed(w);
@@ -474,325 +456,313 @@ impl ThreadedEngine {
         co.finish(last, beta(), duration)
     }
 
-    fn spawn_cpu_worker(
+    /// Start worker `slot`'s thread: its kind's body around the common
+    /// [`serve`] loop. A body that does not end cleanly (coordinator said
+    /// Stop, or the schedule ran dry) — a typed error or a panic — becomes
+    /// a [`WorkerMsg::Fault`] instead of taking the process down.
+    fn spawn_worker(
         &self,
         slot: usize,
+        kind: WorkerKind,
         rx: Receiver<CoordMsg>,
         env: WorkerEnv,
     ) -> std::thread::JoinHandle<()> {
         let threads = self.cfg.cpu_threads;
-        let plan = self.cfg.fault_plan.clone();
-        std::thread::Builder::new()
-            .name(format!("cpu-worker-{slot}"))
-            .spawn(move || {
-                let WorkerEnv {
-                    src,
-                    shared,
-                    ready: tx,
-                    t0,
-                    train,
-                    sink,
-                    hub,
-                    watchdog,
-                } = env;
-                let body = || -> Result<(), WorkerError> {
-                    let pool = rayon::ThreadPoolBuilder::new()
-                        .num_threads(threads)
-                        .thread_name(|i| format!("hogwild-{i}"))
-                        .build()
-                        .map_err(|e| WorkerError::Panic(format!("cpu worker pool: {e}")))?;
-                    let mut lanes: Vec<CpuLane> = (0..threads)
-                        .map(|_| {
-                            let local = shared.snapshot();
-                            let scan = MergeScan::for_model(&local);
-                            CpuLane {
-                                local,
-                                batch: Lane::new(shared.spec()),
-                                scan,
-                                phases: BatchPhases::default(),
-                            }
-                        })
-                        .collect();
-                    let poison_step = plan.poison_at(slot);
-                    // Histogram handles resolved once; recording is a few
-                    // relaxed atomic adds, so the zero-alloc steady state
-                    // of the lanes is preserved.
-                    let lat_hist = hub.histogram(Metric::BatchLatency, slot as u32);
-                    let queue_hist = hub.histogram(Metric::QueueWait, slot as u32);
-                    let stale_hist = hub.histogram(Metric::Staleness, slot as u32);
-                    let rows_hist = hub.histogram(Metric::RowsTouched, slot as u32);
-                    let skipped_ctr = sink.counter("engine.sparse_rows_skipped");
-                    let mut batches_done = 0u64;
-                    loop {
-                        let (msg, waited) = rx.recv_timed();
-                        let Ok(msg) = msg else { break };
-                        queue_hist.record_secs(waited.as_secs_f64());
-                        let (batch_id, range) = match msg {
-                            CoordMsg::Execute { id, range } => (id, range),
-                            CoordMsg::Stop => break,
-                        };
-                        if sink.enabled() {
-                            sink.emit(slot as u32, EventKind::BatchStarted { id: batch_id });
-                        }
-                        if plan.death_after(slot) == Some(batches_done) {
-                            panic!(
-                                "injected fault: worker {slot} died after {batches_done} batches"
-                            );
-                        }
-                        let busy_start = t0.elapsed().as_secs_f64();
-                        let total = range.len();
-                        let sub = total.div_ceil(threads);
-                        let sub_ranges: Vec<(usize, usize)> = (0..threads)
-                            .map(|i| {
-                                let s = range.start + i * sub;
-                                (s, (s + sub).min(range.end))
-                            })
-                            .filter(|(s, e)| e > s)
-                            .collect();
-                        let n_updates = sub_ranges.len();
-                        let step = CpuStepCtx {
-                            shared: &shared,
-                            src: &src,
-                            train: &train,
-                            watchdog: &watchdog,
-                            slot,
-                            batches_done,
-                            stale_hist: &stale_hist,
-                            rows_hist: &rows_hist,
-                            skipped_ctr: &skipped_ctr,
-                        };
-                        // Each Hogwild lane: read the live shared model (racy
-                        // snapshot), compute its sub-gradient, apply racily.
-                        // Lane i owns lanes[i] exclusively (chunk size 1), so
-                        // every buffer is reused without synchronization.
-                        pool.install(|| {
-                            use rayon::prelude::*;
-                            lanes[..n_updates].par_chunks_mut(1).enumerate().for_each(
-                                |(i, lane)| {
-                                    let lane = &mut lane[0];
-                                    let (s, e) = sub_ranges[i];
-                                    // Injected fault lands in lane 0 only —
-                                    // one poisoned update is enough, and it
-                                    // keeps the site exact.
-                                    let poison = i == 0 && poison_step == Some(batches_done);
-                                    cpu_lane_step(&step, lane, s, e, poison);
-                                },
-                            );
-                        });
-                        let busy_end = t0.elapsed().as_secs_f64();
-                        lat_hist.record_secs(busy_end - busy_start);
-                        batches_done += 1;
-                        // Lane phase timings are CPU-seconds summed across
-                        // parallel lanes; project them onto the batch's wall
-                        // busy span so attribution never exceeds elapsed.
-                        let mut phases = BatchPhases::default();
-                        for lane in &lanes[..n_updates] {
-                            phases.add(&lane.phases);
-                        }
-                        let lane_total = phases.total();
-                        let busy_wall = (busy_end - busy_start).max(0.0);
-                        if lane_total > busy_wall && lane_total > 0.0 {
-                            phases.scale(busy_wall / lane_total);
-                        }
-                        if sink.enabled() {
-                            sink.emit(
-                                slot as u32,
-                                EventKind::BatchCompleted {
-                                    id: batch_id,
-                                    batch: total,
-                                    updates: n_updates,
-                                    phases,
-                                },
-                            );
-                        }
-                        // `t·β` crediting: the configured constant by
-                        // default; the live CAS-probe estimate when the run
-                        // opted into measured β (DESIGN.md §4g).
-                        let credited = if train.measured_beta {
-                            credit_updates(
-                                n_updates as u64,
-                                train.adaptive.beta,
-                                shared.beta_estimate(),
-                            )
-                        } else {
-                            n_updates as f64 * train.adaptive.beta
-                        };
-                        let sent = tx.send(WorkerMsg::Ready(Ready {
-                            worker: slot,
-                            id: batch_id,
-                            updates: credited,
-                            examples: total as u64,
-                            busy_start,
-                            busy_end,
-                            batch: total,
-                            shrunk_to: None,
-                            leftover: None,
-                        }));
-                        if sent.is_err() {
-                            break; // coordinator gone: nothing left to tell
-                        }
-                    }
-                    Ok(())
-                };
-                report_worker_exit(slot, catch_unwind(AssertUnwindSafe(body)), &tx);
-            })
-            .expect("spawn cpu worker")
-    }
-
-    fn spawn_gpu_worker(
-        &self,
-        slot: usize,
-        rx: Receiver<CoordMsg>,
-        env: WorkerEnv,
-    ) -> std::thread::JoinHandle<()> {
         let perf = self.cfg.gpu_perf.clone();
         let plan = self.cfg.fault_plan.clone();
         std::thread::Builder::new()
-            .name(format!("gpu-worker-{slot}"))
+            .name(format!("{kind:?}-worker-{slot}").to_lowercase())
             .spawn(move || {
-                let WorkerEnv {
-                    src,
-                    shared,
-                    ready: tx,
-                    t0,
-                    train,
-                    sink,
-                    hub,
-                    watchdog,
-                } = env;
-                let body = || -> Result<(), WorkerError> {
-                    // The observed device feeds H2D/D2H transfer
-                    // histograms on top of the trace events.
-                    let device = GpuDevice::new_observed(perf, &sink, slot as u32, &hub);
-                    let lat_hist = hub.histogram(Metric::BatchLatency, slot as u32);
-                    let queue_hist = hub.histogram(Metric::QueueWait, slot as u32);
-                    let stale_hist = hub.histogram(Metric::Staleness, slot as u32);
-                    let merge_hist = hub.histogram(Metric::MergeWait, slot as u32);
-                    let retries_hist = hub.histogram(Metric::MergeRetries, slot as u32);
-                    let rows_hist = hub.histogram(Metric::RowsTouched, slot as u32);
-                    let sparse_retries_hist =
-                        hub.histogram(Metric::MergeRetriesSparse, slot as u32);
-                    if plan.upload_oom(slot) {
-                        device.inject_oom_at(0);
+                let body = || {
+                    let run = |step: &mut Step<'_>| serve(slot, &rx, &env, &plan, step);
+                    match kind {
+                        WorkerKind::Cpu => cpu_worker(slot, threads, &plan, &env, run),
+                        WorkerKind::Gpu => gpu_worker(slot, perf, &plan, &env, run),
                     }
-                    if let Some(n) = plan.oom_alloc_index(slot) {
-                        device.inject_oom_at(n);
-                    }
-                    // Kernel-emulation GEMMs fan out to this pinned pool
-                    // instead of grabbing every host core.
-                    let gemm_pool = rayon::ThreadPoolBuilder::new()
-                        .num_threads(train.rayon_threads)
-                        .build()
-                        .map_err(|e| WorkerError::Panic(format!("gpu gemm pool: {e}")))?;
-                    // Persistent host-side staging, reused across batches:
-                    // snapshot/replica models and the batch buffers make the
-                    // steady-state step loop allocation-free on the host
-                    // (the device side reuses `GpuMlp`'s scratch pool).
-                    let snapshot = shared.snapshot();
-                    // Where the replica trains: on the device, or — CSR
-                    // batches — on the host's sparse kernels, with nothing
-                    // uploaded (the software device has no CSR kernels).
-                    // An OOM here is unrecoverable — there is no batch to
-                    // shrink when the parameters themselves don't fit.
-                    let mlp = (src.density().is_none())
-                        .then(|| GpuMlp::upload(&device, &snapshot))
-                        .transpose()
-                        .map_err(|e| WorkerError::Oom(format!("model upload failed: {e}")))?;
-                    let mut replica = GpuReplica {
-                        mlp,
-                        replica: Model::zeros_like(shared.spec()),
-                        lane: Lane::new(shared.spec()),
-                        // Watchdog scratch: per-layer sumsq / non-finite
-                        // counts of the merged delta, filled *inside* the
-                        // merge's element loop (no extra pass over the model).
-                        merge_scan: MergeScan::for_model(&snapshot),
-                        snapshot,
-                    };
-                    let poison_step = plan.poison_at(slot);
-                    let mut batches_done = 0u64;
-                    loop {
-                        let (msg, waited) = rx.recv_timed();
-                        let Ok(msg) = msg else { break };
-                        queue_hist.record_secs(waited.as_secs_f64());
-                        let (batch_id, range) = match msg {
-                            CoordMsg::Execute { id, range } => (id, range),
-                            CoordMsg::Stop => break,
-                        };
-                        if sink.enabled() {
-                            sink.emit(slot as u32, EventKind::BatchStarted { id: batch_id });
-                        }
-                        if plan.death_after(slot) == Some(batches_done) {
-                            panic!(
-                                "injected fault: worker {slot} died after {batches_done} batches"
-                            );
-                        }
-                        // Transfers the device emits while this batch runs
-                        // carry its lineage id.
-                        device.set_active_batch(Some(batch_id));
-                        let busy_start = t0.elapsed().as_secs_f64();
-                        let poison = poison_step == Some(batches_done);
-                        let step = GpuStepCtx {
-                            shared: &shared,
-                            src: &src,
-                            gemm_pool: &gemm_pool,
-                            train: &train,
-                            watchdog: &watchdog,
-                            slot,
-                            batches_done,
-                            stale_hist: &stale_hist,
-                            merge_hist: &merge_hist,
-                            retries_hist: &retries_hist,
-                            rows_hist: &rows_hist,
-                            sparse_retries_hist: &sparse_retries_hist,
-                        };
-                        let (len, shrunk_to, leftover, scale, phases) =
-                            gpu_batch_step(&step, &mut replica, range, poison)?;
-                        device.set_active_batch(None);
-                        let busy_end = t0.elapsed().as_secs_f64();
-                        lat_hist.record_secs(busy_end - busy_start);
-                        batches_done += 1;
-                        if sink.enabled() {
-                            sink.emit(
-                                slot as u32,
-                                EventKind::ModelMerge {
-                                    scale: scale as f64,
-                                    id: Some(batch_id),
-                                },
-                            );
-                            sink.emit(
-                                slot as u32,
-                                EventKind::BatchCompleted {
-                                    id: batch_id,
-                                    batch: len,
-                                    updates: 1,
-                                    phases,
-                                },
-                            );
-                        }
-                        let sent = tx.send(WorkerMsg::Ready(Ready {
-                            worker: slot,
-                            id: batch_id,
-                            updates: 1.0,
-                            examples: len as u64,
-                            busy_start,
-                            busy_end,
-                            batch: len,
-                            shrunk_to,
-                            leftover,
-                        }));
-                        if sent.is_err() {
-                            break; // coordinator gone: nothing left to tell
-                        }
-                    }
-                    Ok(())
-                    // `replica.mlp` (and its device buffers) drops
-                    // here — and on any unwind path above, via GpuMlp's Drop
-                    // impl.
                 };
-                report_worker_exit(slot, catch_unwind(AssertUnwindSafe(body)), &tx);
+                let error = match catch_unwind(AssertUnwindSafe(body)) {
+                    Ok(Ok(())) => return,
+                    Ok(Err(e)) => e,
+                    Err(payload) => WorkerError::Panic(panic_message(&*payload)),
+                };
+                // If the coordinator is already gone there is nobody left
+                // to tell.
+                let fault = WorkerMsg::Fault {
+                    worker: slot,
+                    error,
+                };
+                let _ = env.ready.send(fault);
             })
-            .expect("spawn gpu worker")
+            .expect("spawn worker")
     }
+}
+
+/// What a worker's step did with one dispatched range; [`serve`] traces
+/// it and sends it to the coordinator inside [`Ready`].
+struct StepOutcome {
+    /// Examples processed (short of the dispatch after an OOM shrink).
+    batch: usize,
+    /// Raw model updates applied.
+    updates: usize,
+    /// What Algorithm 2 is credited with (`t·β` for Hogwild lanes).
+    credited: f64,
+    /// Scale of the replica merge, on workers that merge one.
+    merge_scale: Option<f32>,
+    /// When a device OOM forced the step smaller, the batch size that
+    /// actually fit — the coordinator clamps the controller's ceiling to it.
+    shrunk_to: Option<usize>,
+    /// The unprocessed tail of the dispatched range after an OOM shrink;
+    /// the coordinator re-queues it.
+    leftover: Option<BatchRange>,
+    /// Measured per-phase breakdown of the busy span.
+    phases: BatchPhases,
+}
+
+/// One worker kind's step: `(batch id, range, batches done before it)`.
+type Step<'a> = dyn FnMut(u64, BatchRange, u64) -> Result<StepOutcome, WorkerError> + 'a;
+
+/// The loop every worker thread runs, whatever its device: wait for a
+/// dispatch, run `step` on it, report the outcome — until the coordinator
+/// says stop or hangs up.
+fn serve(
+    slot: usize,
+    rx: &Receiver<CoordMsg>,
+    env: &WorkerEnv,
+    plan: &FaultPlan,
+    step: &mut Step<'_>,
+) -> Result<(), WorkerError> {
+    let (sink, t0) = (&env.sink, env.t0);
+    // Histogram handles resolved once; recording is a few relaxed atomic
+    // adds, so the zero-alloc steady state of the steps is preserved.
+    let lat_hist = env.hub.histogram(Metric::BatchLatency, slot as u32);
+    let queue_hist = env.hub.histogram(Metric::QueueWait, slot as u32);
+    let mut batches_done = 0u64;
+    loop {
+        let (msg, waited) = rx.recv_timed();
+        let Ok(msg) = msg else { break };
+        queue_hist.record_secs(waited.as_secs_f64());
+        let (id, range) = match msg {
+            CoordMsg::Execute { id, range } => (id, range),
+            CoordMsg::Stop => break,
+        };
+        sink.emit(slot as u32, EventKind::BatchStarted { id });
+        if plan.death_after(slot) == Some(batches_done) {
+            panic!("injected fault: worker {slot} died after {batches_done} batches");
+        }
+        let busy_start = t0.elapsed().as_secs_f64();
+        let out = step(id, range, batches_done)?;
+        let busy_end = t0.elapsed().as_secs_f64();
+        lat_hist.record_secs(busy_end - busy_start);
+        batches_done += 1;
+        if let Some(scale) = out.merge_scale {
+            sink.emit(
+                slot as u32,
+                EventKind::ModelMerge {
+                    scale: scale as f64,
+                    id: Some(id),
+                },
+            );
+        }
+        sink.emit(
+            slot as u32,
+            EventKind::BatchCompleted {
+                id,
+                batch: out.batch,
+                updates: out.updates,
+                phases: out.phases,
+            },
+        );
+        let ready = Ready {
+            worker: slot,
+            id,
+            busy_start,
+            busy_end,
+            out,
+        };
+        if env.ready.send(WorkerMsg::Ready(ready)).is_err() {
+            break; // coordinator gone: nothing left to tell
+        }
+    }
+    Ok(())
+}
+
+/// The CPU worker: `threads` Hogwild lanes over a pinned pool. Builds the
+/// lanes, then hands `serve` the step that splits a dispatch across them.
+fn cpu_worker(
+    slot: usize,
+    threads: usize,
+    plan: &FaultPlan,
+    env: &WorkerEnv,
+    serve: impl FnOnce(&mut Step<'_>) -> Result<(), WorkerError>,
+) -> Result<(), WorkerError> {
+    let (shared, src, train) = (&*env.shared, &*env.src, &env.train);
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .thread_name(|i| format!("hogwild-{i}"))
+        .build()
+        .map_err(|e| WorkerError::Panic(format!("cpu worker pool: {e}")))?;
+    let mut lanes: Vec<CpuLane> = (0..threads)
+        .map(|_| {
+            let local = shared.snapshot();
+            let scan = MergeScan::for_model(&local);
+            CpuLane {
+                local,
+                batch: Lane::new(shared.spec()),
+                scan,
+                phases: BatchPhases::default(),
+            }
+        })
+        .collect();
+    let poison_step = plan.poison_at(slot);
+    let stale_hist = env.hub.histogram(Metric::Staleness, slot as u32);
+    let rows_hist = env.hub.histogram(Metric::RowsTouched, slot as u32);
+    let skipped_ctr = env.sink.counter("engine.sparse_rows_skipped");
+    serve(&mut |_id, range, batches_done| {
+        let started = Instant::now();
+        let sub = range.len().div_ceil(threads);
+        let sub_ranges: Vec<(usize, usize)> = (0..threads)
+            .map(|i| {
+                let s = range.start + i * sub;
+                (s, (s + sub).min(range.end))
+            })
+            .filter(|(s, e)| e > s)
+            .collect();
+        let n_updates = sub_ranges.len();
+        let step = CpuStepCtx {
+            shared,
+            src,
+            train,
+            watchdog: &env.watchdog,
+            slot,
+            batches_done,
+            stale_hist: &stale_hist,
+            rows_hist: &rows_hist,
+            skipped_ctr: &skipped_ctr,
+        };
+        // Each Hogwild lane: read the live shared model (racy snapshot),
+        // compute its sub-gradient, apply racily. Lane i owns lanes[i]
+        // exclusively (chunk size 1), so every buffer is reused without
+        // synchronization.
+        pool.install(|| {
+            use rayon::prelude::*;
+            lanes[..n_updates]
+                .par_chunks_mut(1)
+                .enumerate()
+                .for_each(|(i, lane)| {
+                    let (s, e) = sub_ranges[i];
+                    // Injected fault lands in lane 0 only — one poisoned
+                    // update is enough, and it keeps the site exact.
+                    let poison = i == 0 && poison_step == Some(batches_done);
+                    cpu_lane_step(&step, &mut lane[0], s, e, poison);
+                });
+        });
+        // Lane phase timings are CPU-seconds summed across parallel lanes;
+        // project them onto the batch's wall busy span so attribution never
+        // exceeds elapsed.
+        let busy_wall = started.elapsed().as_secs_f64();
+        let mut phases = BatchPhases::default();
+        for lane in &lanes[..n_updates] {
+            phases.add(&lane.phases);
+        }
+        let lane_total = phases.total();
+        if lane_total > busy_wall && lane_total > 0.0 {
+            phases.scale(busy_wall / lane_total);
+        }
+        // `t·β` crediting: the configured constant by default, the live
+        // estimate when the run measures β.
+        let measured = live_beta(train, shared);
+        Ok(StepOutcome {
+            batch: range.len(),
+            updates: n_updates,
+            credited: credit_updates(n_updates as u64, train.adaptive.beta, measured),
+            merge_scale: None,
+            shrunk_to: None,
+            leftover: None,
+            phases,
+        })
+    })
+}
+
+/// A GPU worker: one software device with a deep-copy replica of the
+/// model. Uploads the replica, then hands `serve` the step that trains it
+/// on a dispatch and merges the delta back.
+fn gpu_worker(
+    slot: usize,
+    perf: GpuModel,
+    plan: &FaultPlan,
+    env: &WorkerEnv,
+    serve: impl FnOnce(&mut Step<'_>) -> Result<(), WorkerError>,
+) -> Result<(), WorkerError> {
+    let (shared, src, train, hub) = (&*env.shared, &*env.src, &env.train, &env.hub);
+    // The observed device feeds H2D/D2H transfer histograms on top of the
+    // trace events.
+    let device = GpuDevice::new_observed(perf, &env.sink, slot as u32, hub);
+    let stale_hist = hub.histogram(Metric::Staleness, slot as u32);
+    let merge_hist = hub.histogram(Metric::MergeWait, slot as u32);
+    let retries_hist = hub.histogram(Metric::MergeRetries, slot as u32);
+    let rows_hist = hub.histogram(Metric::RowsTouched, slot as u32);
+    let sparse_retries_hist = hub.histogram(Metric::MergeRetriesSparse, slot as u32);
+    if plan.upload_oom(slot) {
+        device.inject_oom_at(0);
+    }
+    if let Some(n) = plan.oom_alloc_index(slot) {
+        device.inject_oom_at(n);
+    }
+    // Kernel-emulation GEMMs fan out to this pinned pool instead of
+    // grabbing every host core.
+    let gemm_pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(train.rayon_threads)
+        .build()
+        .map_err(|e| WorkerError::Panic(format!("gpu gemm pool: {e}")))?;
+    // Persistent host-side staging, reused across batches: snapshot/replica
+    // models and the batch buffers make the steady-state step loop
+    // allocation-free on the host (the device side reuses `GpuMlp`'s
+    // scratch pool).
+    let snapshot = shared.snapshot();
+    // Where the replica trains: on the device, or — CSR batches — on the
+    // host's sparse kernels, with nothing uploaded (the software device has
+    // no CSR kernels). An OOM here is unrecoverable — there is no batch to
+    // shrink when the parameters themselves don't fit.
+    let mlp = (src.density().is_none())
+        .then(|| GpuMlp::upload(&device, &snapshot))
+        .transpose()
+        .map_err(|e| WorkerError::Oom(format!("model upload failed: {e}")))?;
+    let mut replica = GpuReplica {
+        mlp,
+        replica: Model::zeros_like(shared.spec()),
+        lane: Lane::new(shared.spec()),
+        // Watchdog scratch: per-layer sumsq / non-finite counts of the
+        // merged delta, filled *inside* the merge's element loop (no extra
+        // pass over the model).
+        merge_scan: MergeScan::for_model(&snapshot),
+        snapshot,
+    };
+    let poison_step = plan.poison_at(slot);
+    serve(&mut |id, range, batches_done| {
+        // Transfers the device emits while this batch runs carry its
+        // lineage id.
+        device.set_active_batch(Some(id));
+        let step = GpuStepCtx {
+            shared,
+            src,
+            gemm_pool: &gemm_pool,
+            train,
+            watchdog: &env.watchdog,
+            slot,
+            batches_done,
+            stale_hist: &stale_hist,
+            merge_hist: &merge_hist,
+            retries_hist: &retries_hist,
+            rows_hist: &rows_hist,
+            sparse_retries_hist: &sparse_retries_hist,
+        };
+        let poison = poison_step == Some(batches_done);
+        let out = gpu_batch_step(&step, &mut replica, range, poison)?;
+        device.set_active_batch(None);
+        Ok(out)
+    })
+    // `replica.mlp` (and its device buffers) drops here — and on any unwind
+    // path above, via GpuMlp's Drop impl.
 }
 
 /// One Hogwild lane: its racy model snapshot beside the shared [`Lane`]
@@ -893,17 +863,11 @@ struct GpuReplica<'d> {
     merge_scan: MergeScan,
 }
 
-/// One GPU batch step's outcome: examples processed, the shrunk batch size
-/// after OOM retries (if any), the unprocessed leftover tail, the merge
-/// scale, and the measured per-phase wall-clock breakdown.
-type GpuStepOutcome = (usize, Option<usize>, Option<BatchRange>, f32, BatchPhases);
-
 /// One GPU batch step: snapshot → train the replica one step →
 /// staleness-discounted delta merge (§V/§VI-B).
-/// Returns `(processed len, shrunk_to, leftover tail, merge scale, phase
-/// breakdown)` — staging (snapshot + batch gather), transfer (model
-/// refresh + delta download), compute (the step), and merge are
-/// wall-timed separately, accumulated across OOM retries.
+/// In the outcome's phase breakdown staging (snapshot + batch gather),
+/// transfer (model refresh + delta download), compute (the step), and
+/// merge are wall-timed separately, accumulated across OOM retries.
 ///
 /// The steady-state path is allocation-free on the host; the `format!`
 /// calls on the unrecoverable-OOM branch are reviewed allowlist entries
@@ -914,7 +878,7 @@ fn gpu_batch_step(
     rep: &mut GpuReplica<'_>,
     range: BatchRange,
     poison: bool,
-) -> Result<GpuStepOutcome, WorkerError> {
+) -> Result<StepOutcome, WorkerError> {
     let GpuReplica {
         mlp,
         snapshot,
@@ -1021,27 +985,15 @@ fn gpu_batch_step(
     phases.merge_secs = merge_start.elapsed().as_secs_f64();
     ctx.merge_hist.record_secs(phases.merge_secs);
     retries_hist.record(retries);
-    Ok((len, shrunk_to, leftover, scale, phases))
-}
-
-/// Convert a worker body's exit into a [`WorkerMsg::Fault`] when it did not
-/// end cleanly. A clean exit (coordinator said Stop, or the schedule ran
-/// dry) sends nothing.
-fn report_worker_exit(
-    slot: usize,
-    exit: std::thread::Result<Result<(), WorkerError>>,
-    tx: &Sender<WorkerMsg>,
-) {
-    let error = match exit {
-        Ok(Ok(())) => return,
-        Ok(Err(e)) => e,
-        Err(payload) => WorkerError::Panic(panic_message(&*payload)),
-    };
-    // If the coordinator is already gone there is nobody left to tell.
-    let _ = tx.send(WorkerMsg::Fault {
-        worker: slot,
-        error,
-    });
+    Ok(StepOutcome {
+        batch: len,
+        updates: 1,
+        credited: 1.0,
+        merge_scale: Some(scale),
+        shrunk_to,
+        leftover,
+        phases,
+    })
 }
 
 #[cfg(test)]
@@ -1072,14 +1024,12 @@ mod tests {
         ThreadedEngineConfig {
             spec: MlpSpec::tiny(8, 2),
             train: TrainConfig {
-                init: hetero_nn::InitScheme::Xavier,
                 algorithm: algo,
                 lr: 0.05,
                 lr_scaling: LrScaling::Sqrt {
                     ref_batch: 1,
                     max_lr: 0.3,
                 },
-                cpu_batch_per_thread: 1,
                 gpu_batch: 64,
                 adaptive: AdaptiveParams {
                     alpha: 2.0,
@@ -1090,16 +1040,10 @@ mod tests {
                     gpu_max_batch: 64,
                 },
                 time_budget: secs,
-                max_epochs: None,
-                staleness_discount: 0.0,
-                rayon_threads: 0,
-                measured_beta: false,
-                sparse_input: false,
                 eval_interval: secs / 4.0,
                 eval_subsample: 200,
-                ckpt_interval: None,
-                ckpt_retain: 2,
                 seed: 3,
+                ..TrainConfig::default()
             },
             cpu_threads: 4,
             gpu_perf: GpuModel::v100(),

@@ -106,25 +106,6 @@ impl Lane {
             .0
     }
 
-    /// [`gradient`](Self::gradient) of the same staged batch into a second
-    /// workspace — the Hybrid-SVRG anchor term `∇f_i(ŵ)`, needed beside the
-    /// lane's own `∇f_i(w)`.
-    // audit: no_alloc
-    pub(crate) fn gradient_in<D>(
-        &self,
-        ws: &mut Workspace,
-        src: &BatchSource<D>,
-        model: &Model,
-        parallel: bool,
-    ) -> f32
-    where
-        D: Deref<Target = DenseDataset>,
-    {
-        let x = src.input(&self.x, &self.csr);
-        let targets = self.labels.as_targets();
-        ws.loss_and_gradient_into(model, x, targets, parallel).0
-    }
-
     /// Layer-0 columns the stored gradient is confined to (`None`: dense).
     pub(crate) fn active_cols(&self) -> Option<&[u32]> {
         self.ws.active_cols()

@@ -30,11 +30,8 @@
 //! - [`engine_threads::ThreadedEngine`] — real OS threads, the custom
 //!   message queue, a [`hetero_nn::SharedModel`] updated Hogwild-style and
 //!   a software-GPU worker; wall-clock time.
-//! - [`engine_ps::PsEngine`] — the distributed parameter-server comparator
-//!   of §II (static shards, a network model, update-count learning-rate
-//!   compensation) on the same virtual clock as the simulation.
 //!
-//! All three drive one coordinator core (dispatch, re-queue, lineage ids,
+//! Both drive one coordinator core (dispatch, re-queue, lineage ids,
 //! health policy, checkpoint envelope, result epilogue) and differ only in
 //! their clock and in how a batch executes. Each has one entry point,
 //! `run_with(dataset, &RunCtx)`, plus `run(dataset)` for the default
@@ -46,7 +43,6 @@
 pub mod adaptive;
 pub mod config;
 mod coordinator;
-pub mod engine_ps;
 pub mod engine_sim;
 pub mod engine_threads;
 pub mod fault;
@@ -56,7 +52,6 @@ pub mod metrics;
 pub use adaptive::{credit_updates, AdaptiveController};
 pub use config::{AdaptiveParams, AlgorithmKind, LrScaling, TrainConfig};
 pub use coordinator::RunCtx;
-pub use engine_ps::{NetworkModel, PsEngine, PsEngineConfig};
 pub use engine_sim::{SimEngine, SimEngineConfig};
 pub use engine_threads::{ThreadedEngine, ThreadedEngineConfig};
 pub use fault::{FaultKind, FaultPlan, WorkerError};

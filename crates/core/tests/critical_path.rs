@@ -43,14 +43,12 @@ fn config() -> SimEngineConfig {
     SimEngineConfig {
         spec: MlpSpec::tiny(8, 3),
         train: TrainConfig {
-            init: hetero_nn::InitScheme::Xavier,
             algorithm: AlgorithmKind::AdaptiveHogbatch,
             lr: 0.03,
             lr_scaling: LrScaling::Sqrt {
                 ref_batch: 1,
                 max_lr: 0.3,
             },
-            cpu_batch_per_thread: 1,
             gpu_batch: 128,
             adaptive: AdaptiveParams {
                 alpha: 2.0,
@@ -61,16 +59,11 @@ fn config() -> SimEngineConfig {
                 gpu_max_batch: 128,
             },
             time_budget: 0.03,
-            max_epochs: None,
-            staleness_discount: 0.0,
-            rayon_threads: 0,
             measured_beta: true,
-            sparse_input: false,
             eval_interval: 0.01,
             eval_subsample: 256,
-            ckpt_interval: None,
-            ckpt_retain: 2,
             seed: 11,
+            ..TrainConfig::default()
         },
         cpu,
         gpus: vec![gpu],

@@ -4,9 +4,8 @@
 use std::sync::Arc;
 
 use hetero_core::{
-    AdaptiveParams, AlgorithmKind, FaultPlan, LrScaling, NetworkModel, PsEngine, PsEngineConfig,
-    RunCtx, SimEngine, SimEngineConfig, ThreadedEngine, ThreadedEngineConfig, TrainConfig,
-    TrainResult, WorkerKind,
+    AdaptiveParams, AlgorithmKind, FaultPlan, LrScaling, RunCtx, SimEngine, SimEngineConfig,
+    ThreadedEngine, ThreadedEngineConfig, TrainConfig, TrainResult, WorkerKind,
 };
 use hetero_data::SynthConfig;
 use hetero_nn::MlpSpec;
@@ -41,14 +40,12 @@ fn config(algo: AlgorithmKind, seed: u64) -> SimEngineConfig {
     SimEngineConfig {
         spec: MlpSpec::tiny(8, 3),
         train: TrainConfig {
-            init: hetero_nn::InitScheme::Xavier,
             algorithm: algo,
             lr: 0.03,
             lr_scaling: LrScaling::Sqrt {
                 ref_batch: 1,
                 max_lr: 0.3,
             },
-            cpu_batch_per_thread: 1,
             gpu_batch: 128,
             adaptive: AdaptiveParams {
                 alpha: 2.0,
@@ -59,16 +56,10 @@ fn config(algo: AlgorithmKind, seed: u64) -> SimEngineConfig {
                 gpu_max_batch: 128,
             },
             time_budget: 0.03,
-            max_epochs: None,
-            staleness_discount: 0.0,
-            rayon_threads: 0,
-            measured_beta: false,
-            sparse_input: false,
             eval_interval: 0.01,
             eval_subsample: 256,
-            ckpt_interval: None,
-            ckpt_retain: 2,
             seed,
+            ..TrainConfig::default()
         },
         cpu,
         gpus: vec![gpu],
@@ -87,9 +78,9 @@ fn dataset(seed: u64) -> hetero_data::DenseDataset {
 }
 
 #[test]
-fn every_extended_algorithm_produces_valid_metrics() {
+fn every_algorithm_produces_valid_metrics() {
     let data = dataset(1);
-    for algo in AlgorithmKind::all_extended() {
+    for algo in AlgorithmKind::all() {
         let r = SimEngine::new(config(algo, 1)).unwrap().run(&data);
         // Structural invariants on the result record.
         assert!(!r.loss_curve.is_empty(), "{}: empty curve", r.algorithm);
@@ -280,25 +271,14 @@ fn beta_discounts_cpu_update_credit() {
     );
 }
 
-/// A default `RunCtx` is the run without one, on every engine: bit-for-bit
-/// on the two virtual-clock engines, and the same shape (real threads
-/// cannot repeat a schedule) with no abort and no re-queue on the threaded
-/// one.
+/// A default `RunCtx` is the run without one, on both engines: bit-for-bit
+/// on the virtual clock, and the same shape (real threads cannot repeat a
+/// schedule) with no abort and no re-queue on the threaded one.
 #[test]
 fn run_with_default_ctx_equals_run_on_every_engine() {
     let data = Arc::new(dataset(3));
     let sim_cfg = config(AlgorithmKind::AdaptiveHogbatch, 3);
-    let (cpu, gpu) = hardware();
-    let ps = PsEngine::new(PsEngineConfig {
-        spec: sim_cfg.spec.clone(),
-        train: sim_cfg.train.clone(),
-        cpu_workers: vec![cpu],
-        gpu_workers: vec![gpu.clone()],
-        batch: 64,
-        network: NetworkModel::ten_gbe(),
-        lr_compensation: 1.0,
-    })
-    .unwrap();
+    let (_, gpu) = hardware();
     let mut wall = sim_cfg.train.clone();
     wall.time_budget = 0.3;
     wall.eval_interval = 0.1;
@@ -315,18 +295,12 @@ fn run_with_default_ctx_equals_run_on_every_engine() {
     let ctx = RunCtx::default();
 
     type Run<'a> = Box<dyn Fn() -> TrainResult + 'a>;
-    let table: [(&str, bool, Run, Run); 3] = [
+    let table: [(&str, bool, Run, Run); 2] = [
         (
             "sim",
             true,
             Box::new(|| sim.run(&data)),
             Box::new(|| sim.run_with(&data, &ctx)),
-        ),
-        (
-            "ps",
-            true,
-            Box::new(|| ps.run(&data)),
-            Box::new(|| ps.run_with(&data, &ctx)),
         ),
         (
             "threaded",

@@ -49,14 +49,12 @@ fn config(algo: AlgorithmKind, secs: f64, plan: FaultPlan) -> ThreadedEngineConf
     ThreadedEngineConfig {
         spec: MlpSpec::tiny(8, 2),
         train: TrainConfig {
-            init: hetero_nn::InitScheme::Xavier,
             algorithm: algo,
             lr: 0.05,
             lr_scaling: LrScaling::Sqrt {
                 ref_batch: 1,
                 max_lr: 0.3,
             },
-            cpu_batch_per_thread: 1,
             gpu_batch: 64,
             adaptive: AdaptiveParams {
                 alpha: 2.0,
@@ -67,16 +65,10 @@ fn config(algo: AlgorithmKind, secs: f64, plan: FaultPlan) -> ThreadedEngineConf
                 gpu_max_batch: 64,
             },
             time_budget: secs,
-            max_epochs: None,
-            staleness_discount: 0.0,
-            rayon_threads: 0,
-            measured_beta: false,
-            sparse_input: false,
             eval_interval: secs / 4.0,
             eval_subsample: 200,
-            ckpt_interval: None,
-            ckpt_retain: 2,
             seed: 3,
+            ..TrainConfig::default()
         },
         cpu_threads: 2,
         gpu_perf: GpuModel::v100(),

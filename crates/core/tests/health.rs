@@ -42,14 +42,12 @@ fn dataset() -> DenseDataset {
 
 fn train(algo: AlgorithmKind, secs: f64) -> TrainConfig {
     TrainConfig {
-        init: hetero_nn::InitScheme::Xavier,
         algorithm: algo,
         lr: 0.05,
         lr_scaling: LrScaling::Sqrt {
             ref_batch: 1,
             max_lr: 0.3,
         },
-        cpu_batch_per_thread: 1,
         gpu_batch: 64,
         adaptive: AdaptiveParams {
             alpha: 2.0,
@@ -60,16 +58,10 @@ fn train(algo: AlgorithmKind, secs: f64) -> TrainConfig {
             gpu_max_batch: 64,
         },
         time_budget: secs,
-        max_epochs: None,
-        staleness_discount: 0.0,
-        rayon_threads: 0,
-        measured_beta: false,
-        sparse_input: false,
         eval_interval: secs / 8.0,
         eval_subsample: 200,
-        ckpt_interval: None,
-        ckpt_retain: 2,
         seed: 3,
+        ..TrainConfig::default()
     }
 }
 

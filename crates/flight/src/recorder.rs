@@ -48,7 +48,7 @@ impl Default for FlightConfig {
 /// Run provenance embedded in every bundle: enough to reproduce the run.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Provenance {
-    /// Engine that produced the run (`threaded` / `sim` / `ps`).
+    /// Engine that produced the run (`threaded` / `sim`).
     pub engine: String,
     /// Algorithm label (matches `TrainResult::algorithm`).
     pub algorithm: String,

@@ -176,15 +176,6 @@ impl Model {
         }
     }
 
-    /// `self ← self + alpha · other` (gradient accumulation).
-    pub fn scaled_add(&mut self, other: &Model, alpha: f32) {
-        assert_eq!(self.spec, other.spec, "shape mismatch");
-        for (layer, o) in self.layers.iter_mut().zip(&other.layers) {
-            ops::axpy(alpha, o.w.as_slice(), layer.w.as_mut_slice());
-            ops::axpy(alpha, &o.b, &mut layer.b);
-        }
-    }
-
     /// Scale every parameter (e.g. averaging accumulated gradients).
     pub fn scale(&mut self, alpha: f32) {
         for layer in &mut self.layers {
@@ -320,12 +311,12 @@ mod tests {
     }
 
     #[test]
-    fn scaled_add_and_scale() {
+    fn accumulate_and_scale() {
         let s = spec();
         let mut acc = Model::zeros_like(&s);
         let ones = Model::new(s.clone(), InitScheme::Constant(1.0), 0);
-        acc.scaled_add(&ones, 2.0);
-        acc.scaled_add(&ones, 1.0);
+        acc.apply_gradient(&ones, -2.0);
+        acc.apply_gradient(&ones, -1.0);
         acc.scale(1.0 / 3.0);
         // Weights converge to 1.0; biases stay 0 (constant-init biases are 0).
         assert!((acc.layers()[0].w.get(0, 0) - 1.0).abs() < 1e-6);

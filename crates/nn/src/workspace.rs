@@ -104,7 +104,7 @@ impl Workspace {
     }
 
     /// Mutable access to the stored gradient — for in-place post-processing
-    /// (clipping, SVRG correction) before the gradient is applied.
+    /// (clipping, fault injection) before the gradient is applied.
     pub fn grad_mut(&mut self) -> &mut Gradient {
         &mut self.grad
     }

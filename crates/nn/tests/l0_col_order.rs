@@ -132,7 +132,7 @@ fn sparse_merge_ignores_column_order_and_matches_dense_scan() {
     for n in SIZES {
         let asc = ascending_cols(n, 100 + n as u64);
         let mut replica = base.clone();
-        replica.scaled_add(&dyadic_on(&asc), 1.0);
+        replica.apply_gradient(&dyadic_on(&asc), -1.0);
         let dense = SharedModel::new(&base);
         let mut dense_scan = MergeScan::for_model(&base);
         dense.merge(&base, &replica, 0.5, None, Some(&mut dense_scan));

@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! hetero-train [--dataset covtype|w8a|delicious|real-sim]
-//!              [--algorithm hogwild-cpu|minibatch-gpu|tensorflow|cpu-gpu|omnivore|adaptive]
-//!              [--engine sim|threads|ps]
+//!              [--algorithm hogwild-cpu|minibatch-gpu|tensorflow|cpu-gpu|adaptive]
+//!              [--engine sim|threads]
 //!              [--scale 0.005] [--width 64] [--depth N]
 //!              [--budget 0.2] [--lr 0.01] [--gpu-batch 8192]
 //!              [--alpha 2.0] [--beta 1.0] [--kappa 0.0]
@@ -13,7 +13,7 @@
 //! ```
 //!
 //! With `--ckpt-dir` the run publishes crash-consistent checkpoints every
-//! `--ckpt-interval` seconds (virtual for sim/ps, wall for threads) and
+//! `--ckpt-interval` seconds (virtual for sim, wall for threads) and
 //! `--resume` continues from the newest valid generation in that directory.
 //!
 //! Prints a human-readable summary, or the full `TrainResult` as JSON with
@@ -23,10 +23,20 @@ use std::sync::Arc;
 
 use hetero_sgd::prelude::*;
 
+/// Accepted `--algorithm` / `--engine` values, as the parser's errors and
+/// the usage text both print them.
+const ALGORITHMS: &str = "hogwild-cpu|minibatch-gpu|tensorflow|cpu-gpu|adaptive";
+const ENGINES: &str = "sim|threads";
+
+enum Engine {
+    Sim,
+    Threads,
+}
+
 struct Args {
     dataset: PaperDataset,
     algorithm: AlgorithmKind,
-    engine: String,
+    engine: Engine,
     scale: f64,
     width: usize,
     depth: Option<usize>,
@@ -49,7 +59,7 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         dataset: PaperDataset::Covtype,
         algorithm: AlgorithmKind::AdaptiveHogbatch,
-        engine: "sim".into(),
+        engine: Engine::Sim,
         scale: 0.005,
         width: 64,
         depth: None,
@@ -103,12 +113,21 @@ fn parse_args() -> Result<Args, String> {
                     "minibatch-gpu" | "hogbatch-gpu" => AlgorithmKind::MiniBatchGpu,
                     "tensorflow" | "tf" => AlgorithmKind::TensorFlow,
                     "cpu-gpu" | "cpu+gpu" => AlgorithmKind::CpuGpuHogbatch,
-                    "omnivore" | "static" => AlgorithmKind::StaticProportional,
                     "adaptive" => AlgorithmKind::AdaptiveHogbatch,
-                    other => return Err(format!("unknown algorithm '{other}'")),
+                    other => {
+                        return Err(format!(
+                            "unknown algorithm '{other}' (expected {ALGORITHMS})"
+                        ))
+                    }
                 };
             }
-            "--engine" => args.engine = value.clone(),
+            "--engine" => {
+                args.engine = match value.as_str() {
+                    "sim" => Engine::Sim,
+                    "threads" => Engine::Threads,
+                    other => return Err(format!("unknown engine '{other}' (expected {ENGINES})")),
+                };
+            }
             "--scale" => args.scale = value.parse().map_err(|e| format!("--scale: {e}"))?,
             "--width" => args.width = value.parse().map_err(|e| format!("--width: {e}"))?,
             "--depth" => args.depth = Some(value.parse().map_err(|e| format!("--depth: {e}"))?),
@@ -122,7 +141,10 @@ fn parse_args() -> Result<Args, String> {
             "--kappa" => args.kappa = value.parse().map_err(|e| format!("--kappa: {e}"))?,
             "--ckpt-dir" => args.ckpt_dir = Some(value.clone()),
             "--ckpt-interval" => {
-                args.ckpt_interval = value.parse().map_err(|e| format!("--ckpt-interval: {e}"))?
+                args.ckpt_interval = value.parse().map_err(|e| format!("--ckpt-interval: {e}"))?;
+                if args.ckpt_interval <= 0.0 || !args.ckpt_interval.is_finite() {
+                    return Err("--ckpt-interval must be positive and finite".into());
+                }
             }
             "--ckpt-retain" => {
                 args.ckpt_retain = value.parse().map_err(|e| format!("--ckpt-retain: {e}"))?
@@ -144,8 +166,8 @@ fn main() {
             }
             eprintln!(
                 "usage: hetero-train [--dataset covtype|w8a|delicious|real-sim] \\\n\
-                 \t[--algorithm hogwild-cpu|minibatch-gpu|tensorflow|cpu-gpu|omnivore|adaptive] \\\n\
-                 \t[--engine sim|threads] [--scale F] [--width N] [--depth N] [--budget S] \\\n\
+                 \t[--algorithm {ALGORITHMS}] \\\n\
+                 \t[--engine {ENGINES}] [--scale F] [--width N] [--depth N] [--budget S] \\\n\
                  \t[--lr F] [--gpu-batch N] [--alpha F] [--beta F] [--kappa F] \\\n\
                  \t[--ckpt-dir DIR] [--ckpt-interval S] [--ckpt-retain N] [--resume] \\\n\
                  \t[--sparse] [--seed N] [--json]"
@@ -191,7 +213,6 @@ fn main() {
             ref_batch: 1,
             max_lr: 0.5,
         },
-        cpu_batch_per_thread: 1,
         gpu_batch: gpu_max,
         adaptive: AdaptiveParams {
             alpha: args.alpha,
@@ -202,33 +223,26 @@ fn main() {
             gpu_max_batch: gpu_max,
         },
         time_budget: args.budget,
-        max_epochs: None,
         staleness_discount: args.kappa,
-        rayon_threads: 0,
-        measured_beta: false,
         sparse_input: args.sparse,
         eval_interval: args.budget / 20.0,
-        eval_subsample: 2048,
-        ckpt_interval: args.ckpt_dir.as_ref().map(|_| args.ckpt_interval),
-        ckpt_retain: args.ckpt_retain.max(1),
         seed: args.seed,
+        ..TrainConfig::default()
     };
 
-    // Crash-consistency checkpointing, when a directory was given: the
-    // TrainConfig carries the cadence for provenance, the Checkpointer
-    // does the publishing/resuming.
-    let ckpt = match (&args.ckpt_dir, train.ckpt_interval) {
-        (Some(dir), Some(interval)) => Checkpointer::new(CkptConfig {
+    // Crash-consistency checkpointing, when a directory was given.
+    let ckpt = match &args.ckpt_dir {
+        Some(dir) => Checkpointer::new(CkptConfig {
             dir: std::path::PathBuf::from(dir),
-            interval,
-            retain: train.ckpt_retain,
+            interval: args.ckpt_interval,
+            retain: args.ckpt_retain.max(1),
             resume: args.resume,
         })
         .unwrap_or_else(|e| {
             eprintln!("checkpoint error: {e}");
             std::process::exit(2);
         }),
-        _ => Checkpointer::disabled(),
+        None => Checkpointer::disabled(),
     };
     if args.resume {
         match ckpt.latest_path() {
@@ -241,8 +255,8 @@ fn main() {
         ..RunCtx::default()
     };
 
-    let result = match args.engine.as_str() {
-        "sim" => {
+    let result = match args.engine {
+        Engine::Sim => {
             let engine = SimEngine::new(SimEngineConfig::paper_hardware(spec, train))
                 .unwrap_or_else(|e| {
                     eprintln!("config error: {e}");
@@ -250,7 +264,7 @@ fn main() {
                 });
             engine.run_with(&dataset, &ctx)
         }
-        "threads" => {
+        Engine::Threads => {
             let threads = std::thread::available_parallelism()
                 .map(|v| v.get().saturating_sub(2).max(2))
                 .unwrap_or(4);
@@ -267,29 +281,6 @@ fn main() {
                 std::process::exit(2);
             });
             engine.run_with(Arc::new(dataset), &ctx)
-        }
-        "ps" => {
-            // Distributed parameter-server comparator (§II): one Xeon + one
-            // V100 worker over 10 GbE, update-count lr compensation.
-            let batch = gpu_max.min(dataset.len() / 2).max(1);
-            let engine = hetero_sgd::core::PsEngine::new(hetero_sgd::core::PsEngineConfig {
-                spec,
-                train,
-                cpu_workers: vec![CpuModel::xeon_pair()],
-                gpu_workers: vec![GpuModel::v100()],
-                batch,
-                network: hetero_sgd::core::NetworkModel::ten_gbe(),
-                lr_compensation: 1.0,
-            })
-            .unwrap_or_else(|e| {
-                eprintln!("config error: {e}");
-                std::process::exit(2);
-            });
-            engine.run_with(&dataset, &ctx)
-        }
-        other => {
-            eprintln!("unknown engine '{other}' (expected sim|threads|ps)");
-            std::process::exit(2);
         }
     };
 

@@ -38,14 +38,12 @@ fn sim_config(
     hetero_sgd::core::SimEngineConfig {
         spec,
         train: TrainConfig {
-            init: hetero_nn::InitScheme::Xavier,
             algorithm: algo,
             lr: 0.02,
             lr_scaling: LrScaling::Sqrt {
                 ref_batch: 1,
                 max_lr: 0.4,
             },
-            cpu_batch_per_thread: 1,
             gpu_batch: 128,
             adaptive: AdaptiveParams {
                 alpha: 2.0,
@@ -56,16 +54,10 @@ fn sim_config(
                 gpu_max_batch: 128,
             },
             time_budget: budget,
-            max_epochs: None,
-            staleness_discount: 0.0,
-            rayon_threads: 0,
-            measured_beta: false,
-            sparse_input: false,
             eval_interval: budget / 8.0,
             eval_subsample: 512,
-            ckpt_interval: None,
-            ckpt_retain: 2,
             seed: 5,
+            ..TrainConfig::default()
         },
         cpu,
         gpus: vec![gpu],
