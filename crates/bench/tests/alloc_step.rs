@@ -1,7 +1,7 @@
 //! Measured (not asserted-by-inspection) allocation-freedom of a warm
 //! training step. Sparse: CSR batch staging, the sparse loss+gradient
 //! pass, the column-restricted racy apply, and the row-sparse scanned
-//! merge. Dense: the serial loss+gradient pass and the plain apply the
+//! gradient merge (uncontended, and beside a second merger). Dense: the serial loss+gradient pass and the plain apply the
 //! CPU Hogwild lanes run (the rayon path necessarily allocates —
 //! scoped-thread spawns — and is excluded by design). None may touch the
 //! heap once buffers are warmed — they run per batch inside every
@@ -17,6 +17,7 @@ use hetero_nn::{
     Activation, InitScheme, LossKind, MergeScan, MlpSpec, Model, SharedModel, Targets, Workspace,
 };
 use hetero_tensor::{CsrBatch, CsrMatrix, Matrix};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -91,25 +92,57 @@ fn warm_sparse_merge_step_is_allocation_free() {
     let model = Model::new(spec.clone(), InitScheme::Xavier, 11);
     let shared = SharedModel::new(&model);
     let mut snapshot = Model::zeros_like(&spec);
-    let mut replica = Model::zeros_like(&spec);
     let mut ws = Workspace::new(&spec);
     let mut csr = CsrBatch::new();
     let mut labels = data.labels.slice(0, 1);
     let mut scan = MergeScan::new(spec.hidden.len() + 1);
     let (s, e) = (0, 64.min(data.len()));
-    let n = allocs_in(|| {
-        // The exact per-batch sequence of `gpu_batch_step` on a CSR run, minus
-        // the rayon install (parallel=false keeps the measurement in one
-        // thread — the kernels themselves are what is under test).
+    // The exact per-batch sequence of `gpu_batch_step` on a CSR run, minus
+    // the rayon install (parallel=false keeps the measurement in one thread
+    // — the kernels themselves are what is under test). Returns the stripes
+    // the merge found owned by another merger.
+    let mut step = || {
         shared.snapshot_into(&mut snapshot);
-        replica.copy_from(&snapshot);
         data.labels.slice_into(s, e, &mut labels);
         csr_all.slice_rows_into(s, e, &mut csr);
-        ws.loss_and_gradient_into(&replica, csr.view(), labels.as_targets(), false);
-        let cols = ws.active_cols().expect("CSR gradient");
-        replica.apply_gradient_sparse(ws.grad(), 0.05, cols);
+        ws.loss_and_gradient_into(&snapshot, csr.view(), labels.as_targets(), false);
         scan.reset();
-        shared.merge(&snapshot, &replica, 1.0, Some(cols), Some(&mut scan));
+        shared.merge_gradient(ws.grad(), 0.05, ws.active_cols(), Some(&mut scan))
+    };
+    let n = allocs_in(|| {
+        step();
     });
     assert_eq!(n, 0, "warm sparse merge step allocated {n} times");
+
+    // The same while a second merger keeps taking stripes: holding a stripe
+    // back and coming back to it must not touch the heap either. Stepped
+    // until a call has actually met an owned stripe.
+    let (stop, other_grad) = (AtomicBool::new(false), model.clone());
+    std::thread::scope(|threads| {
+        threads.spawn(|| {
+            // Relaxed: a stop flag, nothing is published through it.
+            while !stop.load(Ordering::Relaxed) {
+                shared.merge_gradient(&other_grad, 1.0e-6, None, None);
+            }
+        });
+        // Per call of the closure (warm-up, then the counted one): stripes
+        // found owned before it stopped stepping.
+        let mut found_owned = Vec::with_capacity(2);
+        let n = allocs_in(|| {
+            let mut found = 0;
+            for _ in 0..10_000 {
+                found += step();
+                if found > 0 {
+                    break;
+                }
+            }
+            found_owned.push(found);
+        });
+        stop.store(true, Ordering::Relaxed);
+        assert!(
+            found_owned[1] > 0,
+            "no counted merge met an owned stripe: {found_owned:?}"
+        );
+        assert_eq!(n, 0, "contended sparse merge step allocated {n} times");
+    });
 }

@@ -721,15 +721,16 @@ fn gpu_worker(
     let snapshot = shared.snapshot();
     // Where the replica trains: on the device, or — CSR batches — on the
     // host's sparse kernels, with nothing uploaded (the software device has
-    // no CSR kernels). An OOM here is unrecoverable — there is no batch to
-    // shrink when the parameters themselves don't fit.
-    let mlp = (src.density().is_none())
+    // no CSR kernels) and no second model held. An OOM here is
+    // unrecoverable — there is no batch to shrink when the parameters
+    // themselves don't fit.
+    let on_device = (src.density().is_none())
         .then(|| GpuMlp::upload(&device, &snapshot))
         .transpose()
-        .map_err(|e| WorkerError::Oom(format!("model upload failed: {e}")))?;
+        .map_err(|e| WorkerError::Oom(format!("model upload failed: {e}")))?
+        .map(|mlp| (mlp, Model::zeros_like(shared.spec())));
     let mut replica = GpuReplica {
-        mlp,
-        replica: Model::zeros_like(shared.spec()),
+        on_device,
         lane: Lane::new(shared.spec()),
         // Watchdog scratch: per-layer sumsq / non-finite counts of the
         // merged delta, filled *inside* the merge's element loop (no extra
@@ -761,7 +762,7 @@ fn gpu_worker(
         device.set_active_batch(None);
         Ok(out)
     })
-    // `replica.mlp` (and its device buffers) drops here — and on any unwind
+    // `replica.on_device` (and its device buffers) drops here — and on any unwind
     // path above, via GpuMlp's Drop impl.
 }
 
@@ -854,11 +855,12 @@ struct GpuStepCtx<'a> {
 
 /// A GPU worker's deep-copy replica and everything one step of it reuses.
 struct GpuReplica<'d> {
-    /// The device-resident copy; `None` when the replica trains on the
-    /// host instead (CSR runs).
-    mlp: Option<GpuMlp<'d>>,
+    /// The device-resident copy and the host model it is downloaded into;
+    /// `None` when the replica trains on the host instead (CSR runs) —
+    /// there it is one gradient step from `snapshot`, so the lane's
+    /// gradient is its whole delta and no second model is kept.
+    on_device: Option<(GpuMlp<'d>, Model)>,
     snapshot: Model,
-    replica: Model,
     lane: Lane,
     merge_scan: MergeScan,
 }
@@ -880,9 +882,8 @@ fn gpu_batch_step(
     poison: bool,
 ) -> Result<StepOutcome, WorkerError> {
     let GpuReplica {
-        mlp,
+        on_device,
         snapshot,
-        replica,
         lane,
         merge_scan,
     } = rep;
@@ -892,11 +893,10 @@ fn gpu_batch_step(
     let t_stage = Instant::now();
     ctx.shared.snapshot_into(snapshot);
     phases.stage_secs += t_stage.elapsed().as_secs_f64();
-    // Train the replica one step — the one place the worker's two modes
-    // differ. Each arm also says where its merge's CAS retries are
-    // tallied and whether the merge is scanned with the watchdog off.
-    let (len, shrunk_to, retries_hist, scanned) = match mlp {
-        Some(mlp) => {
+    // Train the replica one step — the first of the two places the
+    // worker's modes differ (the other is where the delta comes from).
+    let (len, shrunk_to) = match on_device {
+        Some((mlp, replica)) => {
             // Bounded retry: halve the batch until the step fits on the
             // device (a mid-step OOM leaves the replica partially updated,
             // so refresh before every try).
@@ -929,24 +929,23 @@ fn gpu_batch_step(
             let t_download = Instant::now();
             mlp.download_into(replica);
             phases.transfer_secs += t_download.elapsed().as_secs_f64();
-            (len, shrunk_to, ctx.retries_hist, ctx.watchdog.enabled())
+            (len, shrunk_to)
         }
         None => {
             // Host memory can't OOM-shrink, so the whole range always
-            // processes, and nothing crosses a device link.
+            // processes, and nothing crosses a device link. The step itself
+            // is never taken on a copy: its gradient at the snapshot is all
+            // the merge needs.
             let t_stage = Instant::now();
-            replica.copy_from(snapshot);
             lane.stage(ctx.src, range.start, range.end);
             phases.stage_secs += t_stage.elapsed().as_secs_f64();
-            let eta = ctx.train.lr_scaling.eta(ctx.train.lr, range.len());
             let t_compute = Instant::now();
             ctx.gemm_pool
-                .install(|| lane.gradient(ctx.src, replica, true));
-            lane.apply_to(replica, eta);
+                .install(|| lane.gradient(ctx.src, snapshot, true));
             phases.compute_secs = t_compute.elapsed().as_secs_f64();
             let rows = lane.active_cols().map_or(0, <[u32]>::len);
             ctx.rows_hist.record(rows as u64);
-            (range.len(), None, ctx.sparse_retries_hist, true)
+            (range.len(), None)
         }
     };
     let leftover = (len < range.len()).then_some(BatchRange {
@@ -963,28 +962,42 @@ fn gpu_batch_step(
         .saturating_sub(updates_at_snapshot);
     let scale = 1.0 / (1.0 + ctx.train.staleness_discount * staleness as f32);
     ctx.stale_hist.record(staleness);
-    // Injected fault: one NaN into this worker's delta at the planned step
-    // (the merge carries it into the shared model — detection is the
-    // watchdog's job, not the merge's). The bias is part of a row-sparse
-    // merge's dense tail, so the NaN reaches the shared model either way.
-    if poison {
-        replica.layers_mut()[0].b[0] = f32::NAN;
-    }
-    // A host-trained replica equals the snapshot outside the lane's
-    // layer-0 columns, so walking only those is exactly the full merge,
-    // scan included.
     let merge_start = Instant::now();
+    // The scan rides in the merge loop, and only a watchdog reads it.
     merge_scan.reset();
-    let scan = scanned.then_some(&mut *merge_scan);
-    let retries = ctx
-        .shared
-        .merge(snapshot, replica, scale, lane.active_cols(), scan);
+    let scan = ctx.watchdog.enabled().then_some(&mut *merge_scan);
+    // Injected fault (`poison`): one NaN into this worker's delta at the
+    // planned step (the merge carries it into the shared model — detection
+    // is the watchdog's job, not the merge's). The bias is part of a
+    // row-sparse merge's dense tail, so the NaN reaches the shared model
+    // either way. Each arm also says where its merge's contention is
+    // tallied.
+    let (found_owned, owned_hist) = match on_device {
+        Some((_, replica)) => {
+            if poison {
+                replica.layers_mut()[0].b[0] = f32::NAN;
+            }
+            let found_owned = ctx.shared.merge(snapshot, replica, scale, None, scan);
+            (found_owned, ctx.retries_hist)
+        }
+        None => {
+            if poison {
+                lane.ws.grad_mut().layers_mut()[0].b[0] = f32::NAN;
+            }
+            // The host-trained replica would be `snapshot − η·∇`; its delta
+            // is the gradient the lane still holds, over the lane's own
+            // layer-0 columns.
+            let eta = ctx.train.lr_scaling.eta(ctx.train.lr, len);
+            let found_owned = lane.merge_into(ctx.shared, eta * scale, scan);
+            (found_owned, ctx.sparse_retries_hist)
+        }
+    };
     if ctx.watchdog.enabled() {
         observe_scan(ctx.watchdog, ctx.slot, ctx.batches_done, merge_scan);
     }
     phases.merge_secs = merge_start.elapsed().as_secs_f64();
     ctx.merge_hist.record_secs(phases.merge_secs);
-    retries_hist.record(retries);
+    owned_hist.record(found_owned);
     Ok(StepOutcome {
         batch: len,
         updates: 1,
@@ -1267,7 +1280,7 @@ mod tests {
         let beta = r.measured_beta.expect("measured β missing");
         assert!((0.0..=1.0).contains(&beta), "β̂ = {beta}");
         // Sparse observability: rows-touched from both worker kinds, the
-        // sparse-split CAS-retry series from the GPU merge, the density
+        // sparse-split merge-contention series from the GPU merge, the density
         // gauge, and the rows-skipped counter.
         let snap = hub.snapshot();
         let rows = snap
@@ -1292,6 +1305,74 @@ mod tests {
             counters.contains_key("engine.sparse_rows_skipped"),
             "rows-skipped counter missing"
         );
+    }
+
+    /// One GPU batch step of each arm (device replica on dense batches,
+    /// host-trained gradient on CSR ones) with and without a watchdog:
+    /// the merge fills the caller's scan only when something reads it.
+    #[test]
+    fn gpu_merge_scans_only_under_a_watchdog() {
+        let data = dataset();
+        let train = config(AlgorithmKind::CpuGpuHogbatch, 0.1).train;
+        let model = Model::new(MlpSpec::tiny(8, 2), hetero_nn::InitScheme::Xavier, 1);
+        let gemm_pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(1)
+            .build()
+            .unwrap();
+        let device = GpuDevice::new(GpuModel::v100());
+        let off = HistHandle::disabled();
+        for sparse in [false, true] {
+            for watched in [false, true] {
+                let shared = SharedModel::new(&model);
+                let src = BatchSource::new(Arc::clone(&data), sparse);
+                let watchdog = if watched {
+                    Watchdog::new(Default::default())
+                } else {
+                    Watchdog::disabled()
+                };
+                watchdog.ensure_layers(model.layers().len());
+                let ctx = GpuStepCtx {
+                    shared: &shared,
+                    src: &src,
+                    gemm_pool: &gemm_pool,
+                    train: &train,
+                    watchdog: &watchdog,
+                    slot: 0,
+                    batches_done: 0,
+                    stale_hist: &off,
+                    merge_hist: &off,
+                    retries_hist: &off,
+                    rows_hist: &off,
+                    sparse_retries_hist: &off,
+                };
+                let snapshot = shared.snapshot();
+                let on_device = (!sparse).then(|| {
+                    let mlp = GpuMlp::upload(&device, &snapshot).unwrap();
+                    (mlp, Model::zeros_like(shared.spec()))
+                });
+                let mut rep = GpuReplica {
+                    on_device,
+                    lane: Lane::new(shared.spec()),
+                    merge_scan: MergeScan::for_model(&snapshot),
+                    snapshot,
+                };
+                let range = BatchRange {
+                    start: 0,
+                    end: 64,
+                    epoch: 0,
+                };
+                let out = gpu_batch_step(&ctx, &mut rep, range, false).unwrap();
+                assert_eq!((out.batch, out.updates), (64, 1));
+                assert_ne!(shared.snapshot(), model, "sparse={sparse}: nothing merged");
+                let reset = MergeScan::for_model(&model);
+                assert_eq!(
+                    rep.merge_scan != reset,
+                    watched,
+                    "sparse={sparse} watched={watched}: {:?}",
+                    rep.merge_scan
+                );
+            }
+        }
     }
 
     #[test]

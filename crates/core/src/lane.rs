@@ -11,7 +11,7 @@
 use std::ops::Deref;
 
 use hetero_data::{DenseDataset, Labels};
-use hetero_nn::{Input, MlpSpec, Model, SharedModel, Workspace};
+use hetero_nn::{Input, MergeScan, MlpSpec, Model, SharedModel, Workspace};
 use hetero_tensor::{CsrBatch, CsrMatrix, Matrix};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -126,6 +126,20 @@ impl Lane {
     // audit: no_alloc
     pub(crate) fn apply_racy(&self, shared: &SharedModel, eta: f32, probe: bool) {
         shared.apply_racy(self.ws.grad(), eta, self.ws.active_cols(), probe);
+    }
+
+    /// The merge twin of [`apply_racy`](Self::apply_racy), for a lane that
+    /// stands in for a GPU replica: the same gradient over the same columns,
+    /// added as a stripe-owning merger (exact against other mergers) and
+    /// scanned into `scan` when given. Returns the stripes found owned.
+    // audit: no_alloc
+    pub(crate) fn merge_into(
+        &self,
+        shared: &SharedModel,
+        step: f32,
+        scan: Option<&mut MergeScan>,
+    ) -> u64 {
+        shared.merge_gradient(self.ws.grad(), step, self.ws.active_cols(), scan)
     }
 }
 

@@ -171,6 +171,52 @@ fn poisoned_gradient_aborts_naming_layer_and_step() {
     let _ = std::fs::remove_dir(&dir);
 }
 
+/// The same on real threads, for the delta a GPU worker merges — from a
+/// device replica on a dense run, from the host-trained gradient on a
+/// `sparse_input` one. GPU-only, so the first non-finite observation cannot
+/// be a CPU lane that read the poisoned model back.
+#[test]
+fn poisoned_gpu_delta_aborts_naming_worker_layer_and_step() {
+    for sparse_input in [false, true] {
+        let (flight, dir) = recorder("poison-gpu", HealthPolicy::default());
+        let f2 = flight.clone();
+        let r = with_timeout(60, move || {
+            let mut train = train(AlgorithmKind::MiniBatchGpu, 0.4);
+            train.sparse_input = sparse_input;
+            ThreadedEngine::new(ThreadedEngineConfig {
+                spec: MlpSpec::tiny(8, 2),
+                train,
+                cpu_threads: 1,
+                gpu_perf: GpuModel::v100(),
+                gpu_workers: 1,
+                fault_plan: FaultPlan::none().poison_gradient_at(0, 2),
+            })
+            .unwrap()
+            .run_with(
+                Arc::new(dataset()),
+                &RunCtx {
+                    hub: MetricsHub::new(),
+                    flight: f2.clone(),
+                    ..RunCtx::default()
+                },
+            )
+        });
+        let aborted = r.aborted.as_deref().expect("poison must abort the run");
+        assert!(aborted.contains("health watchdog"), "{aborted}");
+        let health = r.health.as_ref().unwrap();
+        let first = health.first_nonfinite.expect("first poison recorded");
+        assert_eq!(
+            (first.worker, first.layer, first.step),
+            (0, 0, 2),
+            "sparse_input={sparse_input}"
+        );
+        let (bundle, path) = read_bundle(&r);
+        assert!(bundle.reason.contains("layer 0"), "{}", bundle.reason);
+        let _ = std::fs::remove_file(path);
+        let _ = std::fs::remove_dir(&dir);
+    }
+}
+
 /// A stalled run (learning rate too small to ever improve) triggers the
 /// Clamp action: batch growth freezes, the run completes un-aborted, and
 /// the health summary records the stall + clamp.

@@ -32,7 +32,8 @@ pub enum Metric {
     D2h,
     /// Time spent inside `SharedModel::merge` per merge (ns).
     MergeWait,
-    /// CAS retries incurred merging one delta (count; contention measure).
+    /// Stripes found owned by another merger while merging one delta
+    /// (count; merger ↔ merger contention).
     MergeRetries,
     /// Gradient staleness per applied update: shared-model version at merge
     /// minus version at read (count of interleaved foreign updates).
@@ -43,8 +44,8 @@ pub enum Metric {
     /// Layer-0 weight columns touched by one sparse merge/apply (count;
     /// the batch's active-column set size — the row-sparsity measure).
     RowsTouched,
-    /// CAS retries incurred merging one delta via the **sparse** merge
-    /// path (count; compare with `MergeRetries` to see the contention cut).
+    /// Stripes found owned by another merger while merging one delta via
+    /// the **sparse** merge path (count; compare with `MergeRetries`).
     MergeRetriesSparse,
 }
 
@@ -87,11 +88,15 @@ impl Metric {
             Metric::H2d => "Host-to-device transfer time per upload",
             Metric::D2h => "Device-to-host transfer time per download",
             Metric::MergeWait => "Time spent merging a delta into the shared model",
-            Metric::MergeRetries => "CAS retries per shared-model merge (contention)",
+            Metric::MergeRetries => {
+                "Stripes found owned by another merger per shared-model merge (contention)"
+            }
             Metric::Staleness => "Foreign updates between gradient read and merge",
             Metric::CkptWrite => "Wall time publishing one crash-consistency checkpoint",
             Metric::RowsTouched => "Layer-0 columns touched per sparse merge/apply",
-            Metric::MergeRetriesSparse => "CAS retries per sparse shared-model merge",
+            Metric::MergeRetriesSparse => {
+                "Stripes found owned by another merger per sparse shared-model merge"
+            }
         }
     }
 

@@ -27,7 +27,86 @@ pub struct Model {
     layers: Vec<Layer>,
 }
 
+/// One weight row or one bias vector of a layer, located in the flat layout
+/// [`Model::flatten`] defines — the unit [`crate::SharedModel`]'s traversals
+/// walk and its mergers own.
+pub(crate) struct Stripe {
+    pub(crate) layer: usize,
+    /// Where the row starts in its layer's weight slice; `None`: the bias.
+    pub(crate) row_at: Option<usize>,
+    /// The stripe's range of the flat layout, `start..end`.
+    pub(crate) start: usize,
+    pub(crate) end: usize,
+}
+
+impl Stripe {
+    /// Number of parameters in the stripe.
+    pub(crate) fn len(&self) -> usize {
+        self.end - self.start
+    }
+
+    /// The stripe's range of its layer's weight slice; `None`: the bias.
+    fn weight_span(&self) -> Option<std::ops::Range<usize>> {
+        self.row_at.map(|at| at..at + self.len())
+    }
+
+    /// Visit the stripe's element offsets in address order — in a layer-0
+    /// weight row only those of `l0_cols`, when given (ascending columns
+    /// make a whole-model traversal one forward sweep; any order visits the
+    /// same set). The per-row form of
+    /// [`walk_l0_cols`](crate::sparse_input::walk_l0_cols).
+    #[inline(always)]
+    pub(crate) fn walk(&self, l0_cols: Option<&[u32]>, mut visit: impl FnMut(usize)) {
+        match l0_cols {
+            Some(cols) if self.layer == 0 && self.row_at.is_some() => {
+                cols.iter().for_each(|&c| visit(c as usize))
+            }
+            _ => (0..self.len()).for_each(visit),
+        }
+    }
+}
+
 impl Model {
+    /// Every stripe of the flat layout, in order: per layer its weight rows,
+    /// then its bias.
+    pub(crate) fn stripes(&self) -> Vec<Stripe> {
+        let mut stripes = Vec::new();
+        let mut start = 0;
+        for (layer, l) in self.layers.iter().enumerate() {
+            let (out, width) = l.w.shape();
+            let rows = (0..out).map(|o| (Some(o * width), width));
+            for (row_at, len) in rows.chain([(None, l.b.len())]) {
+                let end = start + len;
+                stripes.push(Stripe {
+                    layer,
+                    row_at,
+                    start,
+                    end,
+                });
+                start = end;
+            }
+        }
+        stripes
+    }
+
+    /// This model's values in stripe `st` (of a model of the same spec).
+    pub(crate) fn stripe(&self, st: &Stripe) -> &[f32] {
+        let layer = &self.layers[st.layer];
+        match st.weight_span() {
+            Some(row) => &layer.w.as_slice()[row],
+            None => &layer.b,
+        }
+    }
+
+    /// [`stripe`](Self::stripe), writable.
+    pub(crate) fn stripe_mut(&mut self, st: &Stripe) -> &mut [f32] {
+        let layer = &mut self.layers[st.layer];
+        match st.weight_span() {
+            Some(row) => &mut layer.w.as_mut_slice()[row],
+            None => &mut layer.b,
+        }
+    }
+
     /// Allocate and initialize a model for `spec`.
     ///
     /// Each layer gets an independent deterministic stream derived from

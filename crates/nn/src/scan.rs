@@ -9,7 +9,7 @@
 //!   one extra SIMD pass over a buffer that is tiny next to the GEMMs that
 //!   produced it;
 //! - GPU merges hand [`crate::SharedModel::merge`] a scan,
-//!   which folds the scan into the CAS merge loop itself — zero extra
+//!   which folds the scan into the merge loop itself — zero extra
 //!   passes over memory.
 //!
 //! Scans are read-only observations: they never change what is written to
@@ -31,6 +31,17 @@ impl LayerScan {
     /// L2 norm of everything accumulated into this layer.
     pub fn norm(&self) -> f64 {
         self.sumsq.sqrt()
+    }
+
+    /// Accumulate one merged delta: its square if finite, else one more
+    /// non-finite element.
+    #[inline]
+    pub(crate) fn observe(&mut self, delta: f32) {
+        if delta.is_finite() {
+            self.sumsq += delta as f64 * delta as f64;
+        } else {
+            self.nonfinite += 1;
+        }
     }
 }
 
@@ -66,16 +77,12 @@ impl MergeScan {
         &self.layers
     }
 
-    /// Accumulate one merged delta of layer `l`: its square if finite,
-    /// else one more non-finite element.
+    /// Fold what a merge saw of one stripe of layer `l` into that layer.
     #[inline]
-    pub(crate) fn observe(&mut self, l: usize, delta: f32) {
+    pub(crate) fn add(&mut self, l: usize, seen: LayerScan) {
         let slot = &mut self.layers[l];
-        if delta.is_finite() {
-            slot.sumsq += delta as f64 * delta as f64;
-        } else {
-            slot.nonfinite += 1;
-        }
+        slot.sumsq += seen.sumsq;
+        slot.nonfinite += seen.nonfinite;
     }
 
     /// `(layer index, L2 norm)` of the layer with the largest norm, or

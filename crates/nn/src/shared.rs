@@ -7,40 +7,59 @@
 //!
 //! In Rust, "benign" data races are still UB on plain `f32`, so the storage
 //! is a flat `Vec<AtomicU32>` holding f32 bit patterns accessed with
-//! `Relaxed` ordering. Two update flavours are provided:
+//! `Relaxed` ordering, cut into **stripes**: one weight row or one bias
+//! vector of a layer. Three update flavours are provided:
 //!
 //! - [`SharedModel::apply_racy`] — load/compute/store per element.
 //!   Concurrent writers can overwrite each other, which is *exactly* the
 //!   Hogwild semantics the paper relies on (conflicts happen, convergence
-//!   survives).
+//!   survives). Lanes never look at who owns a stripe.
+//! - [`SharedModel::merge`] / [`SharedModel::merge_gradient`] — the same
+//!   load/add/store, by a merger that *owns* the stripe it writes. **Exact:
+//!   merger ↔ merger** — mergers exclude each other per stripe, so
+//!   concurrent merges lose nothing. **Hogwild: lane ↔ anything** — a racy
+//!   lane's plain store could always overwrite a merged add (also while
+//!   that add was a CAS), so lane-vs-merge conflicts were already inside
+//!   the Hogwild envelope in one direction and now are in both.
 //! - [`SharedModel::apply_gradient_atomic`] — per-element CAS loop; no
-//!   update is ever lost. Used to study the effect of lost updates (the
-//!   paper's β parameter quantifies the "surviving fraction").
+//!   update is ever lost. The exact reference of the tests, and the way to
+//!   study lost updates (the paper's β is the "surviving fraction").
 
-use crate::model::Model;
-use crate::sparse_input::walk_l0_cols;
+use crate::model::{Model, Stripe};
+use crate::scan::{LayerScan, MergeScan};
 use crate::spec::MlpSpec;
-use crate::sync::{AtomicU32, AtomicU64, Ordering};
+use crate::sync::{yield_now, AtomicBool, AtomicU32, AtomicU64, Ordering};
 
-// Ordering discipline for this file: every atomic access is `Relaxed`. The
-// parameters are pure numeric data — no worker ever uses a parameter value
-// to decide whether *other* memory is initialized, so no access needs to
-// publish or acquire anything. Lost updates (racy path) and interleaved
-// snapshots are tolerated by the Hogwild design; what Rust requires is only
-// that the accesses be atomic, not that they be ordered. The loom suite
-// (`tests/loom_shared.rs`) checks the CAS path loses nothing and the racy
-// path stays within its feasible envelope under all interleavings.
+// Ordering discipline for this file: every access to `params` and to the
+// counters is `Relaxed`. The parameters are pure numeric data — no worker
+// ever uses a parameter value to decide whether *other* memory is
+// initialized, so no access needs to publish or acquire anything. Lost
+// updates (racy path) and interleaved snapshots are tolerated by the Hogwild
+// design; what Rust requires is only that the accesses be atomic, not that
+// they be ordered. The one edge is on the stripe words: a merger takes a
+// stripe with an `Acquire` swap and gives it up with a `Release` store, so
+// the next owner's loads come after the previous owner's stores and its adds
+// build on them — that edge is all of "mergers lose nothing", and why the
+// parameters themselves still need no ordering. The loom suite
+// (`tests/loom_shared.rs`) checks that under all interleavings, and that the
+// racy path stays within its feasible envelope.
 
 /// Every how many parameters a probing racy apply checks for write
-/// conflicts (see [`SharedModel::apply_racy`]). Sparse on
-/// purpose: the probe is a strong CAS instead of a plain store, and the
-/// estimator only needs a sample, not a census.
+/// conflicts (see [`SharedModel::apply_racy`]). Sparse on purpose: the probe
+/// is a strong CAS instead of a plain store, and the estimator only needs a
+/// sample, not a census.
 const CONFLICT_SAMPLE_STRIDE: usize = 16;
 
 /// Shared parameter store for concurrent SGD.
 pub struct SharedModel {
     spec: MlpSpec,
     params: Vec<AtomicU32>,
+    /// Where each stripe lies in `params`, in flat order; read-only.
+    stripes: Vec<Stripe>,
+    /// One ownership word per stripe (set: a merger is adding into it),
+    /// touched by mergers only. Kept apart from `stripes` so the lanes,
+    /// which read the geometry, share no cache line with the swaps.
+    owned: Vec<AtomicBool>,
     /// Total number of model updates applied (any worker).
     updates: AtomicU64,
     /// Parameter writes probed for conflicts by probing racy applies.
@@ -52,14 +71,17 @@ pub struct SharedModel {
 impl SharedModel {
     /// Wrap an initial model into shared storage.
     pub fn new(model: &Model) -> Self {
-        let params = model
-            .flatten()
-            .into_iter()
-            .map(|v| AtomicU32::new(v.to_bits()))
-            .collect();
+        let stripes = model.stripes();
+        // Filled stripe by stripe from the model itself: no flat temporary.
+        let mut params = Vec::with_capacity(model.num_params());
+        for st in &stripes {
+            params.extend(model.stripe(st).iter().map(|v| AtomicU32::new(v.to_bits())));
+        }
         SharedModel {
             spec: model.spec().clone(),
             params,
+            owned: stripes.iter().map(|_| AtomicBool::new(false)).collect(),
+            stripes,
             updates: AtomicU64::new(0),
             conflict_samples: AtomicU64::new(0),
             conflict_losses: AtomicU64::new(0),
@@ -82,15 +104,9 @@ impl SharedModel {
         self.updates.load(Ordering::Relaxed)
     }
 
-    /// Read the current parameters into a flat vector (relaxed loads; the
-    /// snapshot may interleave with concurrent updates — by design).
+    /// A [`snapshot`](Self::snapshot), flattened.
     pub fn read_flat(&self) -> Vec<f32> {
-        // Relaxed: snapshot may interleave with writers by design; each
-        // element is still read tear-free (see module ordering note).
-        self.params
-            .iter()
-            .map(|p| f32::from_bits(p.load(Ordering::Relaxed)))
-            .collect()
+        self.snapshot().flatten()
     }
 
     /// Deep-copy snapshot as a [`Model`] — what a GPU worker transfers to
@@ -107,17 +123,12 @@ impl SharedModel {
     // audit: no_alloc,no_panic,no_block
     pub fn snapshot_into(&self, model: &mut Model) {
         assert_eq!(model.spec(), &self.spec, "snapshot spec mismatch");
-        let mut idx = 0;
         // Relaxed: snapshot may interleave with writers by design; each
         // element is still read tear-free (see module ordering note).
-        for layer in model.layers_mut() {
-            for v in layer.w.as_mut_slice() {
-                *v = f32::from_bits(self.params[idx].load(Ordering::Relaxed));
-                idx += 1;
-            }
-            for v in layer.b.iter_mut() {
-                *v = f32::from_bits(self.params[idx].load(Ordering::Relaxed));
-                idx += 1;
+        for st in &self.stripes {
+            let params = &self.params[st.start..st.end];
+            for (v, p) in model.stripe_mut(st).iter_mut().zip(params) {
+                *v = f32::from_bits(p.load(Ordering::Relaxed));
             }
         }
     }
@@ -128,8 +139,10 @@ impl SharedModel {
         assert_eq!(model.spec(), &self.spec, "replica spec mismatch");
         // Relaxed: overwrite is allowed to interleave with concurrent
         // readers/writers (see module ordering note).
-        for (p, v) in self.params.iter().zip(model.flatten()) {
-            p.store(v.to_bits(), Ordering::Relaxed);
+        for st in &self.stripes {
+            for (p, v) in self.params[st.start..st.end].iter().zip(model.stripe(st)) {
+                p.store(v.to_bits(), Ordering::Relaxed);
+            }
         }
     }
 
@@ -185,51 +198,33 @@ impl SharedModel {
     /// [`apply_racy`](Self::apply_racy).
     fn apply_racy_body<const PROBE: bool>(&self, grad: &Model, eta: f32, l0_cols: Option<&[u32]>) {
         assert_eq!(grad.spec(), &self.spec, "gradient spec mismatch");
-        let mut samples = 0u64;
-        let mut losses = 0u64;
-        let mut apply_at = |idx: usize, g: f32| {
-            let p = &self.params[idx];
-            // Relaxed load/store pairs: the non-atomic read-modify-write is
-            // the point — concurrent writers may overwrite each other
-            // (Hogwild lost-update semantics; module ordering note above).
-            // The sampled strong CAS also needs no ordering — only its
-            // success/failure verdict is used, as a conflict *observation*.
-            let cur = p.load(Ordering::Relaxed);
-            let next = (f32::from_bits(cur) - eta * g).to_bits();
-            if PROBE && idx.is_multiple_of(CONFLICT_SAMPLE_STRIDE) {
-                samples += 1;
-                if p.compare_exchange(cur, next, Ordering::Relaxed, Ordering::Relaxed)
-                    .is_err()
-                {
-                    losses += 1;
-                    // Relaxed: losing the probe still lands the racy
-                    // Hogwild store, same as the unsampled lane.
+        let (mut samples, mut losses) = (0u64, 0u64);
+        for st in &self.stripes {
+            let (params, g) = (&self.params[st.start..st.end], grad.stripe(st));
+            st.walk(l0_cols, |i| {
+                let p = &params[i];
+                // Relaxed load/store pairs: the non-atomic read-modify-write
+                // is the point — concurrent writers may overwrite each other
+                // (Hogwild lost-update semantics; module ordering note
+                // above). The sampled strong CAS also needs no ordering —
+                // only its success/failure verdict is used, as a conflict
+                // *observation*.
+                let cur = p.load(Ordering::Relaxed);
+                let next = (f32::from_bits(cur) - eta * g[i]).to_bits();
+                if PROBE && (st.start + i).is_multiple_of(CONFLICT_SAMPLE_STRIDE) {
+                    samples += 1;
+                    if p.compare_exchange(cur, next, Ordering::Relaxed, Ordering::Relaxed)
+                        .is_err()
+                    {
+                        losses += 1;
+                        // Relaxed: losing the probe still lands the racy
+                        // Hogwild store, same as the unsampled lane.
+                        p.store(next, Ordering::Relaxed);
+                    }
+                } else {
                     p.store(next, Ordering::Relaxed);
                 }
-            } else {
-                p.store(next, Ordering::Relaxed);
-            }
-        };
-        let mut idx = 0;
-        for (layer, gl) in grad.layers().iter().enumerate() {
-            let gw = gl.w.as_slice();
-            match (layer, l0_cols) {
-                (0, Some(cols)) => {
-                    let (out0, in0) = gl.w.shape();
-                    // Flat index of layer-0 weight (o, c) is o·in0 + c.
-                    walk_l0_cols(cols, out0, |o, c| apply_at(o * in0 + c, gw[o * in0 + c]));
-                }
-                _ => {
-                    for (i, &g) in gw.iter().enumerate() {
-                        apply_at(idx + i, g);
-                    }
-                }
-            }
-            idx += gw.len();
-            for &g in &gl.b {
-                apply_at(idx, g);
-                idx += 1;
-            }
+            });
         }
         // Relaxed: monitoring counters.
         if PROBE {
@@ -245,10 +240,8 @@ impl SharedModel {
     /// [`apply_racy`](Self::apply_racy) calls: `(samples, losses)`.
     pub fn conflict_counts(&self) -> (u64, u64) {
         // Relaxed: monitoring counters.
-        (
-            self.conflict_samples.load(Ordering::Relaxed),
-            self.conflict_losses.load(Ordering::Relaxed),
-        )
+        let read = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        (read(&self.conflict_samples), read(&self.conflict_losses))
     }
 
     /// Measured surviving-update fraction β̂ = 1 − losses/samples, from the
@@ -258,72 +251,66 @@ impl SharedModel {
     /// batches with `t·β̂` instead when `TrainConfig::measured_beta` is on.
     pub fn beta_estimate(&self) -> Option<f64> {
         let (samples, losses) = self.conflict_counts();
-        if samples == 0 {
-            return None;
-        }
-        Some(1.0 - losses as f64 / samples as f64)
+        (samples > 0).then(|| 1.0 - losses as f64 / samples as f64)
     }
 
     /// Lock-free exact update: per-element CAS loop; never loses a write.
     // audit: no_alloc,no_panic,no_block
     pub fn apply_gradient_atomic(&self, grad: &Model, eta: f32) {
         assert_eq!(grad.spec(), &self.spec, "gradient spec mismatch");
-        let mut idx = 0;
-        let mut apply = |g: f32| {
-            let p = &self.params[idx];
-            // Relaxed CAS loop: atomicity of each compare_exchange is what
-            // guarantees no lost update; ordering is irrelevant because the
-            // value is pure data (module ordering note above).
-            let mut cur = p.load(Ordering::Relaxed);
-            loop {
-                let next = (f32::from_bits(cur) - eta * g).to_bits();
-                match p.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
-                    Ok(_) => break,
-                    Err(actual) => cur = actual,
+        for st in &self.stripes {
+            for (p, g) in self.params[st.start..st.end].iter().zip(grad.stripe(st)) {
+                // Relaxed CAS loop: atomicity of each compare_exchange is
+                // what guarantees no lost update; ordering is irrelevant
+                // because the value is pure data (module ordering note).
+                let mut cur = p.load(Ordering::Relaxed);
+                loop {
+                    let next = (f32::from_bits(cur) - eta * g).to_bits();
+                    match p.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
+                        Ok(_) => break,
+                        Err(actual) => cur = actual,
+                    }
                 }
             }
-            idx += 1;
-        };
-        for layer in grad.layers() {
-            layer.w.as_slice().iter().for_each(|&g| apply(g));
-            layer.b.iter().for_each(|&g| apply(g));
         }
         // Relaxed: monitoring counter.
         self.updates.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Merge a deep replica by adding its delta from `base`, scaled:
-    /// `w ← w + scale·(replica − base)` element-wise (atomic). Returns the
-    /// number of CAS retries the merge incurred — a direct measure of merge
-    /// contention with concurrent Hogwild writers (0 on an uncontended
-    /// merge), which feeds the `MergeRetries` histogram.
+    /// `w ← w + scale·(replica − base)` element-wise — how a GPU worker
+    /// folds its locally-trained replica into the global model without
+    /// overwriting the model with its stale copy. `scale < 1` implements
+    /// the paper's §VI-B staleness compensation — discounting a delta whose
+    /// base snapshot has since gone stale.
     ///
-    /// This is how a GPU worker folds its locally-trained replica into the
-    /// global model without clobbering CPU updates that landed meanwhile.
-    /// `scale < 1` implements the paper's §VI-B staleness compensation —
-    /// discounting a delta whose base snapshot has since gone stale.
+    /// **Exact: merger ↔ merger. Hogwild: lane ↔ anything.** The merger
+    /// owns a stripe while it adds into it with the lanes' own `Relaxed`
+    /// load/add/store: concurrent merges each land in full, whereas a lane
+    /// writing the same parameter in between may overwrite the add or be
+    /// overwritten by it. A stripe found owned is not waited for: it is
+    /// marked in its 64-stripe window's bitmask (a `u64`, no allocation),
+    /// the merge carries on, and at the window's end revisits it — exactly
+    /// once — and only then yields until its owner lets go. A merger holds
+    /// one stripe at a time and never waits while holding it, so mergers
+    /// cannot deadlock. Returns the number of stripes found owned (merger ↔
+    /// merger contention; 0 uncontended), which feeds `MergeRetries`.
     ///
     /// With `scan`, the training-health scan is fused into the merge loop:
     /// each scaled delta is accumulated (sum of squares of the finite part
     /// plus a NaN/±Inf count) into the caller-owned per-layer `scan` as it
-    /// is CAS-applied — zero extra passes over the parameters and zero
+    /// is added — zero extra passes over the parameters and zero
     /// allocations. A non-finite delta is still merged (the poisoned run
     /// is the watchdog's problem to abort, not the merge's to mask).
     ///
-    /// With `l0_cols`, the layer-0 weight loop visits only those columns —
-    /// columns whose delta is known to be zero are neither read, observed,
-    /// nor CAS'd. Layer-0 biases and all later layers merge densely.
-    /// Caller contract: `replica` equals `base` at every layer-0 weight
-    /// outside `l0_cols` — what a replica trained with
-    /// [`Model::apply_gradient_sparse`](crate::Model::apply_gradient_sparse)
-    /// on the same column sets guarantees. Under that contract the result
-    /// (parameters *and* scan) is identical to the dense merge,
-    /// because skipped elements have `delta == 0.0`, which the dense loop
-    /// observes as `sumsq += 0` and never CAS-applies. With `l0_cols`
-    /// ascending the elements are visited in the dense merge's own
-    /// (address) order, so even the scan's `f64` sums match it bit for bit;
-    /// another order of `l0_cols` merges the same parameters and can only
-    /// move those sums in their last place.
+    /// With `l0_cols`, as in [`apply_racy`](Self::apply_racy), the layer-0
+    /// weight loop visits only those columns; the others are neither read,
+    /// observed, nor written. Caller contract: the delta is zero at every
+    /// other layer-0 weight. Then parameters *and* scan come out as from
+    /// the dense merge, which observes a zero delta as `sumsq += 0` and
+    /// never writes it — bit for bit, `f64` sums included, when `l0_cols`
+    /// ascends and no stripe is held back (the dense merge's own address
+    /// order); any other order can only move those sums in their last place.
     // audit: no_alloc,no_panic,no_block
     pub fn merge(
         &self,
@@ -331,16 +318,25 @@ impl SharedModel {
         replica: &Model,
         scale: f32,
         l0_cols: Option<&[u32]>,
-        scan: Option<&mut crate::scan::MergeScan>,
+        scan: Option<&mut MergeScan>,
     ) -> u64 {
-        match scan {
-            Some(scan) => self.merge_core(base, replica, scale, l0_cols, |layer, delta| {
-                scan.observe(layer, delta)
-            }),
-            // Monomorphized no-op observer: identical codegen to a merge
-            // loop with no scan in it.
-            None => self.merge_core(base, replica, scale, l0_cols, |_, _| {}),
-        }
+        self.merge_core([base, replica], scale, |[b, r]| r - b, l0_cols, scan)
+    }
+
+    /// [`merge`](Self::merge) of a replica one gradient step from its base,
+    /// never materialized: `w ← w − step·grad`, the delta `merge` recovers
+    /// from `replica = base − step·grad`. The merge twin of
+    /// [`apply_racy`](Self::apply_racy) — same gradient, same `l0_cols`
+    /// contract, differing only in the stripe guard and the scan.
+    // audit: no_alloc,no_panic,no_block
+    pub fn merge_gradient(
+        &self,
+        grad: &Model,
+        step: f32,
+        l0_cols: Option<&[u32]>,
+        scan: Option<&mut MergeScan>,
+    ) -> u64 {
+        self.merge_core([grad], step, |[g]| -g, l0_cols, scan)
     }
 
     /// [`merge`](Self::merge), dense and unscanned (kept: the frozen
@@ -357,75 +353,79 @@ impl SharedModel {
         replica: &Model,
         scale: f32,
         l0_cols: &[u32],
-        scan: &mut crate::scan::MergeScan,
+        scan: &mut MergeScan,
     ) -> u64 {
         self.merge(base, replica, scale, Some(l0_cols), Some(scan))
     }
 
-    /// Shared merge body: CAS-applies `scale·(replica − base)` and calls
-    /// `obs(layer, delta)` for every element visited (including zero
-    /// deltas, which are observed but not CAS-applied). With `l0_cols`
-    /// the layer-0 weights visited are those columns only.
-    fn merge_core(
+    /// The one merge body: adds `scale·diff(src values)` into each stripe as
+    /// it owns it; `scan` observes every delta visited, unwritten zeros too.
+    fn merge_core<const N: usize>(
         &self,
-        base: &Model,
-        replica: &Model,
+        src: [&Model; N],
         scale: f32,
+        diff: impl Fn([f32; N]) -> f32,
         l0_cols: Option<&[u32]>,
-        mut obs: impl FnMut(usize, f32),
+        mut scan: Option<&mut MergeScan>,
     ) -> u64 {
-        assert_eq!(base.spec(), &self.spec, "base spec mismatch");
-        assert_eq!(replica.spec(), &self.spec, "replica spec mismatch");
+        for model in src {
+            assert_eq!(model.spec(), &self.spec, "merge source spec mismatch");
+        }
         assert!(scale.is_finite() && scale >= 0.0, "bad merge scale");
-        let mut retries = 0u64;
-        let mut merge_at = |layer: usize, idx: usize, bv: f32, rv: f32| {
-            let delta = scale * (rv - bv);
-            obs(layer, delta);
-            if delta == 0.0 {
-                return;
+        // Merge stripe `s` if it can be owned right now; `false`: it is taken.
+        let mut merge_stripe = |s: usize| {
+            // Acquire: pairs with the previous owner's `Release`, so the
+            // loads below see its adds. `hetero_unguarded_merge` is the
+            // seeded bug of `scripts/check_mutation.sh`: no exclusion.
+            let word = &self.owned[s];
+            if !cfg!(hetero_unguarded_merge) && word.swap(true, Ordering::Acquire) {
+                return false;
             }
-            let p = &self.params[idx];
-            // Relaxed CAS loop: same argument as `apply_gradient_atomic`
-            // — the add must not be lost, but needs no ordering. Failed
-            // exchanges are tallied as contention observations.
-            let mut cur = p.load(Ordering::Relaxed);
-            loop {
-                let next = (f32::from_bits(cur) + delta).to_bits();
-                match p.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
-                    Ok(_) => break,
-                    Err(actual) => {
-                        retries += 1;
-                        cur = actual;
-                    }
+            let st = &self.stripes[s];
+            let (params, vals) = (&self.params[st.start..st.end], src.map(|m| m.stripe(st)));
+            // Stripe-local, so the scan's sums stay in registers.
+            let mut seen = LayerScan::default();
+            st.walk(l0_cols, |i| {
+                let delta = scale * diff(vals.map(|v| v[i]));
+                if scan.is_some() {
+                    seen.observe(delta);
                 }
+                if delta != 0.0 {
+                    // Relaxed load/add/store, the lanes' own: no other
+                    // *merger* can be between the two (stripe owned), and a
+                    // lane that is races this one like another lane would.
+                    let p = &params[i];
+                    let sum = f32::from_bits(p.load(Ordering::Relaxed)) + delta;
+                    p.store(sum.to_bits(), Ordering::Relaxed);
+                }
+            });
+            // Release: publishes the adds above to the stripe's next owner.
+            word.store(false, Ordering::Release);
+            if let Some(scan) = scan.as_deref_mut() {
+                scan.add(st.layer, seen);
             }
+            true
         };
-        let mut idx = 0;
-        for (layer, (bl, rl)) in base.layers().iter().zip(replica.layers()).enumerate() {
-            let (bw, rw) = (bl.w.as_slice(), rl.w.as_slice());
-            match (layer, l0_cols) {
-                (0, Some(cols)) => {
-                    let (out0, in0) = bl.w.shape();
-                    // Flat index of layer-0 weight (o, c) is o·in0 + c.
-                    walk_l0_cols(cols, out0, |o, c| {
-                        merge_at(0, o * in0 + c, bw[o * in0 + c], rw[o * in0 + c])
-                    });
-                }
-                _ => {
-                    for (i, (bv, rv)) in bw.iter().zip(rw).enumerate() {
-                        merge_at(layer, idx + i, *bv, *rv);
-                    }
+        let mut found_owned = 0;
+        for window in (0..self.stripes.len()).step_by(64) {
+            let mut held_back = 0u64;
+            for s in window..self.stripes.len().min(window + 64) {
+                if !merge_stripe(s) {
+                    held_back |= 1 << (s - window);
                 }
             }
-            idx += bw.len();
-            for (bv, rv) in bl.b.iter().zip(&rl.b) {
-                merge_at(layer, idx, *bv, *rv);
-                idx += 1;
+            found_owned += u64::from(held_back.count_ones());
+            while held_back != 0 {
+                let s = window + held_back.trailing_zeros() as usize;
+                while !merge_stripe(s) {
+                    yield_now();
+                }
+                held_back &= held_back - 1;
             }
         }
         // Relaxed: monitoring counter.
         self.updates.fetch_add(1, Ordering::Relaxed);
-        retries
+        found_owned
     }
 }
 
@@ -632,6 +632,34 @@ mod tests {
             assert_eq!(l1.nonfinite, l2.nonfinite);
         }
         assert_eq!(s2.update_count(), 1);
+    }
+
+    #[test]
+    fn gradient_merge_is_the_replica_merge_of_one_step() {
+        let (m, by_replica) = setup();
+        let (by_grad, by_cas) = (SharedModel::new(&m), SharedModel::new(&m));
+        let cols = [2u32, 0];
+        let grad = sparse_grad(&m, &cols);
+        let mut replica = m.clone();
+        replica.apply_gradient_sparse(&grad, 0.25, &cols);
+        let layers = m.spec().layer_dims().len();
+        let (mut scan_r, mut scan_g) = (MergeScan::new(layers), MergeScan::new(layers));
+        by_replica.merge(&m, &replica, 1.0, Some(&cols), Some(&mut scan_r));
+        by_grad.merge_gradient(&grad, 0.25, Some(&cols), Some(&mut scan_g));
+        by_cas.apply_gradient_atomic(&grad, 0.25);
+        // The gradient source is the CAS reference bit for bit; the replica
+        // source went through one more rounding (`base − η·g`, then `− base`).
+        assert_eq!(by_grad.read_flat(), by_cas.read_flat());
+        for (a, b) in by_grad.read_flat().iter().zip(by_replica.read_flat()) {
+            assert!((a - b).abs() < 1e-5, "{a} vs {b}");
+        }
+        for (g, r) in scan_g.layers().iter().zip(scan_r.layers()) {
+            assert!(
+                (g.sumsq - r.sumsq).abs() <= 1e-5 * g.sumsq,
+                "{g:?} vs {r:?}"
+            );
+            assert_eq!((g.nonfinite, r.nonfinite), (0, 0));
+        }
     }
 
     #[test]

@@ -158,8 +158,12 @@ pub fn parse_file(rel: &str, text: &str, errors: &mut Vec<MarkerError>) -> Vec<F
         // pending fn's body opens mid-line (one-line functions), the rest
         // of the line is scanned as its body after the loop.
         let mut opened_fn_scan: Option<(usize, usize)> = None;
+        // `[T; N]` in a signature: that `;` ends nothing.
+        let mut brackets = 0usize;
         for (pos, c) in code.char_indices() {
             match c {
+                '[' => brackets += 1,
+                ']' => brackets = brackets.saturating_sub(1),
                 '{' => {
                     depth += 1;
                     // A pending impl's block brace comes lexically before
@@ -184,7 +188,7 @@ pub fn parse_file(rel: &str, text: &str, errors: &mut Vec<MarkerError>) -> Vec<F
                     }
                     depth -= 1;
                 }
-                ';' => {
+                ';' if brackets == 0 => {
                     // Trait method declaration / extern fn without a body.
                     if let Some(fi) = pending_fn {
                         if !code.contains('{') {
@@ -550,6 +554,21 @@ fn long(
     b: usize,
 ) -> usize {
     helper(a, b)
+}
+";
+        let defs = parse(src);
+        assert_eq!(defs[0].calls.len(), 1);
+        assert_eq!(defs[0].calls[0].name, "helper");
+    }
+
+    #[test]
+    fn array_types_in_a_signature_do_not_end_it() {
+        // The `;` of `[T; N]` is not a body-less declaration's.
+        let src = "\
+fn generic<const N: usize>(
+    src: [&Model; N],
+) -> usize {
+    helper(src)
 }
 ";
         let defs = parse(src);
