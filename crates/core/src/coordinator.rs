@@ -205,6 +205,24 @@ pub(crate) struct CoreCkpt {
     watchdog: WatchdogState,
 }
 
+#[cfg(test)]
+impl CoreCkpt {
+    /// Examples the workers had been credited with at the capture.
+    pub fn examples_trained(&self) -> u64 {
+        self.workers.iter().map(|w| w.examples).sum()
+    }
+}
+
+/// One range handed to a worker that has not reported back on it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Dispatched {
+    id: u64,
+    range: BatchRange,
+    /// Straight from the scheduler, which counted it at this dispatch — a
+    /// re-queued range was counted when it was first handed out.
+    fresh: bool,
+}
+
 /// Live dashboard gauges of one worker (`worker.<w>.*`), resolved once and
 /// refreshed on every completion so a concurrent dashboard or scrape
 /// endpoint always reads a fresh picture; one naming for both engines.
@@ -230,7 +248,10 @@ pub(crate) struct Coordinator<'a> {
     pub controller: AdaptiveController,
     curve: Vec<LossPoint>,
     requeue: VecDeque<BatchRange>,
-    in_flight: Vec<Option<(u64, BatchRange)>>,
+    /// Per worker, oldest first: the range it is on, then the ranges
+    /// parked behind it (the threaded engine dispatches ahead; the
+    /// simulation keeps one).
+    in_flight: Vec<VecDeque<Dispatched>>,
     requeued_batches: u64,
     /// Monotone batch lineage ids. Starting at 1 keeps 0 free as an
     /// "unset" marker in diagnostics; a resumed run continues past the
@@ -317,7 +338,7 @@ impl<'a> Coordinator<'a> {
             ),
             curve: Vec::new(),
             requeue: VecDeque::new(),
-            in_flight: vec![None; kinds.len()],
+            in_flight: vec![VecDeque::new(); kinds.len()],
             requeued_batches: 0,
             next_batch_id: 1,
             busy_secs: vec![0.0; kinds.len()],
@@ -353,20 +374,28 @@ impl<'a> Coordinator<'a> {
     /// Algorithm 2's `ScheduleWork`: recompute worker `w`'s batch size,
     /// pick its next range and give the dispatch a fresh lineage id (a
     /// re-queued range gets a new id too; `BatchRequeued` links the fault
-    /// chain by the old one). `None` once the schedule is exhausted.
+    /// chain by the old one). `None` once the schedule is exhausted — and
+    /// always for a retired worker, which is never dispatched to.
     ///
     /// Re-queued ranges are served *before* the scheduler, which counted
     /// them when it first handed them out — so they are never re-counted
     /// in `examples_served` / `epochs_elapsed`.
+    ///
+    /// The range joins the back of `w`'s window: a worker that already
+    /// holds one parks it, and the resize above is the one that applies to
+    /// the next unassigned range.
     pub fn next_dispatch(
         &mut self,
         w: usize,
         scheduler: &mut BatchScheduler,
     ) -> Option<(u64, BatchRange)> {
+        if self.retired(w) {
+            return None;
+        }
         let size = self.controller.on_request_traced(w, &self.sink);
-        let range = match self.requeue.pop_front() {
-            Some(r) => r,
-            None => scheduler.next_batch(size).filter(|r| !r.is_empty())?,
+        let (range, fresh) = match self.requeue.pop_front() {
+            Some(r) => (r, false),
+            None => (scheduler.next_batch(size).filter(|r| !r.is_empty())?, true),
         };
         let id = self.next_batch_id;
         self.next_batch_id += 1;
@@ -379,8 +408,31 @@ impl<'a> Coordinator<'a> {
                 batch: range.len(),
             },
         );
-        self.in_flight[w] = Some((id, range));
+        self.in_flight[w].push_back(Dispatched { id, range, fresh });
         Some((id, range))
+    }
+
+    /// Ranges worker `w` holds: the one it is on plus those parked behind.
+    pub fn window(&self, w: usize) -> usize {
+        self.in_flight[w].len()
+    }
+
+    /// The loss curve's epoch coordinate: examples served, less those
+    /// parked behind a worker's current range — a range counts from the
+    /// moment a worker can be on it, which is what `epochs_elapsed` alone
+    /// means with one range per worker (the simulation: nothing is ever
+    /// parked, and the two are the same number). Only a fresh range is
+    /// held back: the scheduler counted a re-queued one long ago, and
+    /// taking it out again would walk the coordinate backwards.
+    pub fn epochs_elapsed(&self, scheduler: &BatchScheduler) -> f64 {
+        let parked: usize = self
+            .in_flight
+            .iter()
+            .flat_map(|window| window.iter().skip(1))
+            .filter(|d| d.fresh)
+            .map(|d| d.range.len())
+            .sum();
+        (scheduler.examples_served() - parked as u64) as f64 / scheduler.len() as f64
     }
 
     /// Record worker `w`'s busy interval `[start, end]` at utilization
@@ -406,11 +458,22 @@ impl<'a> Coordinator<'a> {
         s.examples += examples;
     }
 
-    /// Worker `w`'s dispatch came back: nothing of it is in flight any
-    /// more, and its dashboard gauges are refreshed from the (already
-    /// credited) stats.
-    pub fn completed(&mut self, w: usize) {
-        self.in_flight[w] = None;
+    /// Worker `w`'s dispatch `id` came back: it leaves the front of the
+    /// window (a worker runs its ranges in the order it got them), and the
+    /// dashboard gauges are refreshed from the (already credited) stats.
+    pub fn completed(&mut self, w: usize, id: u64) {
+        // `hetero_completed_pops_back` is a mutation switch for
+        // `scripts/check_mutation.sh`.
+        let done = if cfg!(hetero_completed_pops_back) {
+            self.in_flight[w].pop_back()
+        } else {
+            self.in_flight[w].pop_front()
+        };
+        // A retired worker's window already went back to the queue.
+        debug_assert!(
+            self.retired(w) || done.map(|d| d.id) == Some(id),
+            "worker {w} reported batch {id}, the front of its window was {done:?}"
+        );
         if self.sink.enabled() {
             let (s, g) = (&self.stats[w], &self.worker_gauges[w]);
             g.updates.set(s.updates);
@@ -436,13 +499,26 @@ impl<'a> Coordinator<'a> {
         self.requeue.push_back(range);
     }
 
-    /// Ranges currently dispatched and not yet completed.
+    /// Ranges currently dispatched and not yet completed, parked ones
+    /// included.
     pub fn in_flight(&self) -> impl Iterator<Item = BatchRange> + '_ {
-        self.in_flight.iter().flatten().map(|(_, r)| *r)
+        self.in_flight.iter().flatten().map(|d| d.range)
     }
 
-    /// Quarantine worker `w`: record why and return its in-flight batch
-    /// (if any) to the dispatch queue. Idempotent — but a typed fault that
+    /// A resumed simulation's pending completion: worker `w` is on `range`
+    /// again (the envelope does not carry the windows — the threaded
+    /// engine folds them into the re-queue instead).
+    pub fn adopt(&mut self, w: usize, id: u64, range: BatchRange) {
+        self.in_flight[w].push_back(Dispatched {
+            id,
+            range,
+            fresh: true,
+        });
+    }
+
+    /// Quarantine worker `w`: record why and return its whole window (the
+    /// range it was on and any parked behind it), oldest first, to the
+    /// dispatch queue. Idempotent — but a typed fault that
     /// lost the race to the generic disconnect sweep still carries the
     /// real reason, so it replaces it.
     pub fn retire(&mut self, w: usize, error: &WorkerError) {
@@ -467,8 +543,12 @@ impl<'a> Coordinator<'a> {
             self.sink
                 .emit(w as u32, EventKind::WorkerRetired { reason });
         }
-        if let Some((id, range)) = self.in_flight[w].take() {
-            self.requeue(id, range);
+        for d in std::mem::take(&mut self.in_flight[w]) {
+            self.requeue(d.id, d.range);
+            // A mutation switch for `scripts/check_mutation.sh`.
+            if cfg!(hetero_retire_front_only) {
+                break;
+            }
         }
     }
 
@@ -736,6 +816,7 @@ impl<'a> Coordinator<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine_threads::DISPATCH_WINDOW;
     use hetero_data::SynthConfig;
     use proptest::prelude::*;
 
@@ -804,10 +885,10 @@ mod tests {
         // The survivor gets both re-queued ranges, oldest first and at
         // their own lengths, before anything new from the scheduler —
         // whose count does not move.
-        let (_, a) = co.next_dispatch(1, &mut scheduler).unwrap();
-        co.completed(1);
-        let (_, b) = co.next_dispatch(1, &mut scheduler).unwrap();
-        co.completed(1);
+        let (id_a, a) = co.next_dispatch(1, &mut scheduler).unwrap();
+        co.completed(1, id_a);
+        let (id_b, b) = co.next_dispatch(1, &mut scheduler).unwrap();
+        co.completed(1, id_b);
         assert_eq!((a, b), (first, range(40, 50)));
         assert_eq!(scheduler.examples_served(), 4);
         let (_, c) = co.next_dispatch(1, &mut scheduler).unwrap();
@@ -832,11 +913,12 @@ mod tests {
         let mut scheduler = BatchScheduler::new(data.len(), None);
         let (id, r) = co.next_dispatch(0, &mut scheduler).unwrap();
         let mut ids = vec![id];
-        co.completed(0);
+        co.completed(0, id);
         co.requeue(id, r);
         for w in [1, 0, 1] {
-            ids.push(co.next_dispatch(w, &mut scheduler).unwrap().0);
-            co.completed(w);
+            let (id, _) = co.next_dispatch(w, &mut scheduler).unwrap();
+            ids.push(id);
+            co.completed(w, id);
         }
         // A second incarnation restored from the first one's envelope
         // carries on past every id already handed out.
@@ -896,18 +978,52 @@ mod tests {
         assert!(r.aborted.is_none());
     }
 
+    #[test]
+    fn a_parked_range_is_not_counted_until_the_one_before_it_completes() {
+        let (train, data, ctx) = (
+            TrainConfig::default(),
+            SynthConfig::small(100, 4, 2, 1).generate(),
+            RunCtx::default(),
+        );
+        let mut co = coordinator(&train, &data, &ctx, &PINNED);
+        let mut scheduler = BatchScheduler::new(data.len(), None);
+        let (first, _) = co.next_dispatch(1, &mut scheduler).unwrap();
+        assert_eq!(co.epochs_elapsed(&scheduler), 0.16);
+        // A second range parks behind the first: served, but no worker can
+        // be on it yet.
+        let (second, parked) = co.next_dispatch(1, &mut scheduler).unwrap();
+        assert_eq!((co.window(1), parked.len()), (2, 16));
+        assert_eq!(scheduler.epochs_elapsed(), 0.32);
+        assert_eq!(co.epochs_elapsed(&scheduler), 0.16);
+        // Another worker's current range counts at once.
+        co.next_dispatch(0, &mut scheduler).unwrap();
+        assert_eq!(co.epochs_elapsed(&scheduler), 0.2);
+        co.completed(1, first);
+        assert_eq!(co.epochs_elapsed(&scheduler), 0.36);
+        // A re-queued range was counted when it was first served: parking
+        // it again takes nothing back out.
+        co.requeue(first, range(0, 16));
+        co.next_dispatch(1, &mut scheduler).unwrap();
+        assert_eq!(co.window(1), 2);
+        assert_eq!(co.epochs_elapsed(&scheduler), 0.36);
+        co.completed(1, second);
+        assert_eq!(co.epochs_elapsed(&scheduler), scheduler.epochs_elapsed());
+    }
+
     // --- The coordinator as a model-checked state machine (ROADMAP 5a) --------
 
     /// What the coordinator must be doing, written the obvious way: a FIFO
-    /// re-queue, one in-flight slot per worker, the ranges reported
-    /// complete, and each worker's batch thresholds as clamps left them.
+    /// re-queue, a FIFO window per worker, the ranges reported complete,
+    /// and each worker's batch thresholds as clamps left them.
     struct Reference {
         requeue: VecDeque<BatchRange>,
-        in_flight: Vec<Option<(u64, BatchRange)>>,
+        in_flight: Vec<VecDeque<Dispatched>>,
         done: Vec<BatchRange>,
         retired: Vec<bool>,
         bounds: Vec<(usize, usize)>,
         last_id: u64,
+        /// Fresh examples that were first in some worker's window, ever.
+        reached: u64,
     }
 
     /// The model test's three adaptive workers.
@@ -916,8 +1032,9 @@ mod tests {
     /// One operation of the interleaving, applied to the coordinator and to
     /// the reference, with the per-operation expectations checked. An
     /// operation the engines never issue in the current state (dispatch to
-    /// a busy or retired worker, complete with nothing in flight) is a
-    /// no-op. Worker 0 never retires, so the run can always be drained.
+    /// a worker whose window is full, complete with nothing in flight) is
+    /// a no-op; a dispatch to a retired worker must be refused. Worker 0
+    /// never retires, so the run can always be drained.
     fn apply<'a>(
         (op, w, arg): (u8, usize, usize),
         co: &mut Coordinator<'a>,
@@ -927,8 +1044,14 @@ mod tests {
     ) -> Result<(), TestCaseError> {
         let n = scheduler.len();
         match op {
-            // Dispatch.
-            0..=2 if !model.retired[w] && model.in_flight[w].is_none() => {
+            // A retired worker is never dispatched to, whatever is waiting.
+            0..=2 if model.retired[w] => {
+                let served = scheduler.examples_served();
+                prop_assert_eq!(co.next_dispatch(w, scheduler), None);
+                prop_assert_eq!(scheduler.examples_served(), served);
+            }
+            // Dispatch, behind whatever the worker already holds.
+            0..=2 if model.in_flight[w].len() < DISPATCH_WINDOW => {
                 let requeued = model.requeue.pop_front();
                 let served = scheduler.examples_served();
                 let Some((id, range)) = co.next_dispatch(w, scheduler) else {
@@ -955,20 +1078,24 @@ mod tests {
                         );
                     }
                 }
-                model.in_flight[w] = Some((id, range));
+                let fresh = requeued.is_none();
+                model.in_flight[w].push_back(Dispatched { id, range, fresh });
             }
-            // Complete.
+            // Complete = pop the front.
             3 | 4 => {
-                if let Some((_, range)) = model.in_flight[w].take() {
+                if let Some(d) = model.in_flight[w].pop_front() {
                     // Uneven credit walks Algorithm 2 through both resizes.
-                    co.credit(w, (arg % 5) as f64, range.len() as u64);
-                    co.completed(w);
-                    model.done.push(range);
+                    co.credit(w, (arg % 5) as f64, d.range.len() as u64);
+                    co.completed(w, d.id);
+                    model.done.push(d.range);
                 }
             }
-            // Complete with a leftover: the OOM-shrink protocol.
+            // Complete with a leftover: the OOM-shrink protocol. A range
+            // parked behind keeps the size it got before the clamp.
             5 => {
-                let Some((id, range)) = model.in_flight[w].filter(|(_, r)| r.len() > 1) else {
+                let Some(&Dispatched { id, range, .. }) =
+                    model.in_flight[w].front().filter(|d| d.range.len() > 1)
+                else {
                     return Ok(());
                 };
                 let fit = 1 + arg % (range.len() - 1);
@@ -985,19 +1112,19 @@ mod tests {
                 co.credit(w, 1.0, fit as u64);
                 co.controller.clamp_max_batch(w, fit);
                 co.requeue(id, tail);
-                co.completed(w);
-                model.in_flight[w] = None;
+                co.completed(w, id);
+                model.in_flight[w].pop_front();
                 model.done.push(head);
                 model.requeue.push_back(tail);
                 let (lo, hi) = model.bounds[w];
                 model.bounds[w] = (lo.min(fit), hi.min(fit));
             }
-            // Retire, twice: the second must re-queue nothing.
+            // Retire, twice: the whole window goes back, oldest first, and
+            // the second retire must re-queue nothing.
             6 if w > 0 => {
                 co.retire(w, &WorkerError::Panic("model".into()));
-                if let Some((_, range)) = model.in_flight[w].take() {
-                    model.requeue.push_back(range);
-                }
+                let window = std::mem::take(&mut model.in_flight[w]);
+                model.requeue.extend(window.iter().map(|d| d.range));
                 model.retired[w] = true;
                 let requeued = co.requeued_batches;
                 co.retire(w, &WorkerError::Disconnected("again".into()));
@@ -1010,8 +1137,8 @@ mod tests {
                 model.bounds[w] = (lo.min(limit), hi.min(limit));
             }
             // Capture → restore into a fresh coordinator, by the threaded
-            // engine's protocol: what was in flight at the capture goes on
-            // the resumed run's queue.
+            // engine's protocol: every range in a window at the capture,
+            // parked or not, goes on the resumed run's queue.
             8 => {
                 let image = Model::zeros_like(&hetero_nn::MlpSpec::tiny(4, 2));
                 let mut core = co.capture("model/v1", 0.0, &image);
@@ -1022,8 +1149,8 @@ mod tests {
                 *co = coordinator(train, data, ctx, &BOUNDS);
                 co.restore(core);
                 *scheduler = cursor;
-                for slot in &mut model.in_flight {
-                    model.requeue.extend(slot.take().map(|(_, r)| r));
+                for window in &mut model.in_flight {
+                    model.requeue.extend(window.drain(..).map(|d| d.range));
                 }
             }
             _ => {}
@@ -1031,8 +1158,9 @@ mod tests {
         // The coordinator's tables are the reference's…
         prop_assert_eq!(&co.requeue, &model.requeue);
         prop_assert_eq!(&co.in_flight, &model.in_flight);
-        // …and every example served so far is in exactly one of completed,
-        // in flight and re-queue: no gap, no overlap, nothing unserved.
+        // …every example served so far is in exactly one of completed, in
+        // flight (parked included) and re-queue: no gap, no overlap,
+        // nothing unserved…
         let served = scheduler.examples_served() as usize;
         let mut cover = vec![0u8; served];
         let held = co.in_flight().chain(co.requeue.iter().copied());
@@ -1044,16 +1172,29 @@ mod tests {
             }
         }
         prop_assert!(cover.iter().all(|&c| c == 1), "gap or overlap: {cover:?}");
+        // …and the epoch coordinate holds back exactly the fresh ranges no
+        // worker can be on yet, so it never steps backwards.
+        let parked = model.in_flight.iter().flat_map(|w| w.iter().skip(1));
+        let parked: usize = parked.filter(|d| d.fresh).map(|d| d.range.len()).sum();
+        let reached = (served - parked) as u64;
+        prop_assert_eq!(co.epochs_elapsed(scheduler), reached as f64 / n as f64);
+        prop_assert!(
+            reached >= model.reached,
+            "coordinate fell below {}",
+            model.reached
+        );
+        model.reached = reached;
         Ok(())
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Arbitrary interleavings of dispatch / complete / complete with a
-        /// leftover / retire / clamp / capture→restore keep the coordinator
-        /// equal to [`Reference`]; draining what is left then completes
-        /// every example of every epoch exactly once.
+        /// Arbitrary interleavings of dispatch (up to the window) /
+        /// complete / complete with a leftover / retire / clamp /
+        /// capture→restore keep the coordinator equal to [`Reference`];
+        /// draining what is left then completes every example of every
+        /// epoch exactly once.
         #[test]
         fn coordinator_matches_the_reference_model(
             n in 20usize..150,
@@ -1070,23 +1211,24 @@ mod tests {
             let mut scheduler = BatchScheduler::new(n, Some(epochs));
             let mut model = Reference {
                 requeue: VecDeque::new(),
-                in_flight: vec![None; BOUNDS.len()],
+                in_flight: vec![VecDeque::new(); BOUNDS.len()],
                 done: Vec::new(),
                 retired: vec![false; BOUNDS.len()],
                 bounds: BOUNDS.to_vec(),
                 last_id: 0,
+                reached: 0,
             };
             for op in ops {
                 apply(op, &mut co, &mut scheduler, &mut model, world)?;
             }
             // Drain: survivors alternate complete and dispatch until the
-            // schedule and the re-queue are both dry.
+            // schedule, the re-queue and every window are dry.
             while {
                 for w in 0..BOUNDS.len() {
                     apply((3, w, 1), &mut co, &mut scheduler, &mut model, world)?;
                     apply((0, w, 0), &mut co, &mut scheduler, &mut model, world)?;
                 }
-                model.in_flight.iter().any(Option::is_some)
+                model.in_flight.iter().any(|window| !window.is_empty())
             } {}
             // `apply` just showed completed ∪ in flight ∪ re-queue covers
             // the served prefix exactly once; both of the latter are empty

@@ -344,6 +344,12 @@ impl SimEngine {
             // sequence numbers preserve the original tie-breaking, so the
             // continuation is bit-identical to the uninterrupted run.
             for (at, ev) in s.pending {
+                if let Ev::Complete {
+                    id, worker, range, ..
+                } = &ev
+                {
+                    co.adopt(*worker, *id, *range);
+                }
                 queue.schedule_at(at, ev);
             }
         } else {
@@ -406,7 +412,7 @@ impl SimEngine {
             }
             match ev {
                 Ev::Eval => {
-                    let epochs = scheduler.epochs_elapsed();
+                    let epochs = co.epochs_elapsed(&scheduler);
                     co.eval_point(eval(t, epochs, &model, &mut eval_timeline), None);
                     last_eval_time = t;
                     let next = t + train.eval_interval;
@@ -451,10 +457,10 @@ impl SimEngine {
                     {
                         last_epoch_evaled = range.epoch + 1;
                         last_eval_time = t;
-                        let epochs = scheduler.epochs_elapsed();
+                        let epochs = co.epochs_elapsed(&scheduler);
                         co.eval_point(eval(t, epochs, &model, &mut eval_timeline), None);
                     }
-                    co.completed(worker);
+                    co.completed(worker, id);
                     self.assign(
                         &mut co,
                         worker,
@@ -471,7 +477,7 @@ impl SimEngine {
 
         // Final loss at the budget boundary.
         sink.set_virtual_now(budget);
-        let epochs = scheduler.epochs_elapsed();
+        let epochs = co.epochs_elapsed(&scheduler);
         let last = eval(budget, epochs, &model, &mut eval_timeline);
         // The sim applies every update serially on the virtual clock, so no
         // Hogwild write is ever lost: the measured serialization rate is

@@ -8,6 +8,12 @@
 //! read–modify–write) while the GPU worker trains a deep-copy replica on
 //! the software GPU ([`hetero_gpu::GpuDevice`]) and merges the delta back.
 //!
+//! Nothing on a worker's path is created per dispatch: the CPU worker's
+//! Hogwild lanes are threads that live as long as it does and park on a
+//! channel between sub-ranges (`cpu_worker`), and the coordinator keeps
+//! `DISPATCH_WINDOW` ranges with every worker, so the next one is
+//! already in the worker's queue when it reports the last (`top_up`).
+//!
 //! This engine runs on wall-clock time and real concurrency — it
 //! demonstrates that the algorithms are implementable exactly as §V
 //! describes. The deterministic counterpart for reproducing the paper's
@@ -23,10 +29,11 @@
 //!   that halves the batch until the step fits; the size that fit clamps
 //!   the adaptive controller's ceiling so the OOMed size is never
 //!   re-requested, and the unprocessed tail of the range is re-queued;
-//! - an **unrecoverable fault** (model doesn't fit at upload, a panic, a
-//!   dead channel) retires the worker: its slot is quarantined, its
-//!   in-flight batch is re-queued to survivors, and training degrades
-//!   gracefully to the remaining devices;
+//! - an **unrecoverable fault** (model doesn't fit at upload, a panic —
+//!   the worker's own or one of its lanes' — a dead channel) retires the
+//!   worker: its slot is quarantined, every range it held (the one it was
+//!   on and the one parked behind it) is re-queued to survivors, and
+//!   training degrades gracefully to the remaining devices;
 //! - when **every** worker is gone the run stops early and reports why in
 //!   [`TrainResult::aborted`] instead of hanging.
 
@@ -39,7 +46,7 @@ use hetero_data::{BatchScheduler, DenseDataset};
 use hetero_flight::Watchdog;
 use hetero_gpu::{GpuDevice, GpuMlp};
 use hetero_metrics::{HistHandle, Metric, MetricsHub};
-use hetero_mq::{channel_traced_lineage, Receiver, RecvTimeoutError, Sender};
+use hetero_mq::{channel, channel_traced_lineage, Receiver, RecvTimeoutError, Sender};
 use hetero_nn::{scan_model, MergeScan, MlpSpec, Model, SharedModel};
 use hetero_sim::{DeviceModel, GpuModel};
 use hetero_trace::{BatchPhases, CounterHandle, EventKind, TimeDomain, TraceSink, COORDINATOR};
@@ -150,22 +157,38 @@ fn live_beta(train: &TrainConfig, shared: &SharedModel) -> Option<f64> {
         .flatten()
 }
 
-/// Hand worker `w` its next batch. Returns `false` — after telling the
-/// worker to stop — once the schedule has nothing left for it.
-fn dispatch(
+/// Ranges a worker holds at once: the one it is on, and one parked behind
+/// it in its exec queue so that it never idles through a coordinator round
+/// trip (32–240 µs of `mq` ping-pong) or through most of an eval. A
+/// constant, not a setting: one value is in use, and a deeper window only
+/// sizes more ranges before Algorithm 2 has seen the updates in front of
+/// them.
+pub(crate) const DISPATCH_WINDOW: usize = 2;
+
+/// Fill worker `w`'s window. Returns `false` — after telling the worker to
+/// stop — once it holds nothing and the schedule has nothing left for it;
+/// a worker still on a range asks again when that one completes, so an
+/// OOM leftover re-queued in between still finds a taker.
+fn top_up(
     co: &mut Coordinator<'_>,
     scheduler: &mut BatchScheduler,
     tx: &Sender<CoordMsg>,
     w: usize,
 ) -> bool {
-    let Some((id, range)) = co.next_dispatch(w, scheduler) else {
-        let _ = tx.send(CoordMsg::Stop);
-        return false;
-    };
-    if tx.send(CoordMsg::Execute { id, range }).is_err() {
-        // The worker died without a fault message: quarantine the slot,
-        // which hands the range it never received to the survivors.
-        co.retire(w, &WorkerError::Disconnected("exec channel closed".into()));
+    while co.window(w) < DISPATCH_WINDOW {
+        let Some((id, range)) = co.next_dispatch(w, scheduler) else {
+            if co.window(w) == 0 {
+                let _ = tx.send(CoordMsg::Stop);
+                return false;
+            }
+            break;
+        };
+        if tx.send(CoordMsg::Execute { id, range }).is_err() {
+            // The worker died without a fault message: quarantine the slot,
+            // which hands the ranges it never received to the survivors.
+            co.retire(w, &WorkerError::Disconnected("exec channel closed".into()));
+            break;
+        }
     }
     true
 }
@@ -215,6 +238,13 @@ impl ThreadedEngine {
     /// Train on `dataset` until the wall-clock budget expires, observed
     /// and checkpointed as `ctx` says (see [`RunCtx`]; its sink should be
     /// in the wall-clock domain).
+    ///
+    /// Budget expiry: a worker is told to stop at its first completion
+    /// past the budget, and the range already parked behind that one still
+    /// runs — the scheduler counted it when it was dispatched, so dropping
+    /// it would lose its examples. The run therefore overshoots the budget
+    /// by at most one extra batch per worker, and every completion is
+    /// credited and traced before the result is assembled.
     pub fn run_with(&self, dataset: Arc<DenseDataset>, ctx: &RunCtx) -> TrainResult {
         let cfg = &self.cfg;
         let train = &cfg.train;
@@ -332,14 +362,14 @@ impl ThreadedEngine {
         let mut evaluator = Evaluator::new(&src, &eval_rows, spec);
         // One snapshot model for every eval of the run.
         let mut eval_model = Model::zeros_like(spec);
-        let mut eval = |scheduler: &BatchScheduler| -> LossPoint {
+        let mut eval = |epochs: f64| -> LossPoint {
             shared.snapshot_into(&mut eval_model);
             let (loss, accuracy) = gemm_pool.install(|| evaluator.score(&eval_model));
             LossPoint {
                 // `t_base` splices a resumed incarnation's curve onto the
                 // restored prefix's time axis.
                 time: t_base + t0.elapsed().as_secs_f64(),
-                epochs: scheduler.epochs_elapsed(),
+                epochs,
                 loss,
                 accuracy,
             }
@@ -348,14 +378,16 @@ impl ThreadedEngine {
         // The remaining budget is what the original run had not yet spent.
         let budget = Duration::from_secs_f64((train.time_budget - t_base).max(0.0));
         if !resumed {
-            co.initial_point(eval(&scheduler), beta());
+            co.initial_point(eval(co.epochs_elapsed(&scheduler)), beta());
         }
 
         // --- Coordinator loop ---------------------------------------------------
-        // Slots that were told to stop (budget spent or schedule dry); a
-        // slot is live until then unless it was retired.
+        // Slots that were told to stop (budget spent or schedule dry). A
+        // slot is live until it is stopped *and* its window has drained
+        // (a parked range still runs after the Stop behind it), unless it
+        // was retired.
         let mut stopped: Vec<bool> = (0..co.workers())
-            .map(|w| !dispatch(&mut co, &mut scheduler, &exec_txs[w], w))
+            .map(|w| !top_up(&mut co, &mut scheduler, &exec_txs[w], w))
             .collect();
         let eval_interval = Duration::from_secs_f64(train.eval_interval);
         let mut next_eval = eval_interval;
@@ -363,7 +395,7 @@ impl ThreadedEngine {
         // steady path beyond the serialized payload.
         let mut ckpt_model: Option<Model> = None;
 
-        while (0..co.workers()).any(|w| !stopped[w] && !co.retired(w)) {
+        while (0..co.workers()).any(|w| !co.retired(w) && (!stopped[w] || co.window(w) > 0)) {
             if co.poll_health() {
                 break;
             }
@@ -379,13 +411,14 @@ impl ThreadedEngine {
                 // Workers race the capture, so whatever is in flight goes
                 // back on the queue of the resumed run: the scheduler has
                 // already counted it, and no example is silently dropped.
+                // Parked ranges included.
                 core.requeue.extend(co.in_flight());
                 let scheduler = scheduler.clone();
                 co.save(t_train, &ThreadedCkpt { core, scheduler });
             }
             let now = t0.elapsed();
             if now >= next_eval {
-                co.eval_point(eval(&scheduler), beta());
+                co.eval_point(eval(co.epochs_elapsed(&scheduler)), beta());
                 // Advance past `now` in whole intervals: a stall longer
                 // than one interval must not leave `next_eval` behind the
                 // wall clock (which would starve batch dispatch with
@@ -414,11 +447,12 @@ impl ThreadedEngine {
                         WorkerKind::Gpu => cfg.gpu_perf.busy_utilization(out.batch),
                     };
                     co.busy(w, r.busy_start, r.busy_end, level);
-                    co.completed(w);
-                    if co.retired(w) {
-                        // A quarantined slot gets no more work.
+                    co.completed(w, r.id);
+                    if co.retired(w) || stopped[w] {
+                        // A quarantined slot gets no more work, and neither
+                        // does one draining its window after a Stop.
                     } else if t0.elapsed() < budget {
-                        stopped[w] = !dispatch(&mut co, &mut scheduler, &exec_txs[w], w);
+                        stopped[w] = !top_up(&mut co, &mut scheduler, &exec_txs[w], w);
                     } else {
                         let _ = exec_txs[w].send(CoordMsg::Stop);
                         stopped[w] = true;
@@ -450,7 +484,7 @@ impl ThreadedEngine {
                 co.retire(worker, &error);
             }
         }
-        let last = eval(&scheduler);
+        let last = eval(co.epochs_elapsed(&scheduler));
         // Total training time across incarnations, not just this one.
         let duration = t_base + t0.elapsed().as_secs_f64();
         co.finish(last, beta(), duration)
@@ -586,8 +620,15 @@ fn serve(
     Ok(())
 }
 
-/// The CPU worker: `threads` Hogwild lanes over a pinned pool. Builds the
-/// lanes, then hands `serve` the step that splits a dispatch across them.
+/// What a Hogwild lane is sent per dispatch: its sub-range `[s, e)` and
+/// the worker's batch counter.
+type LaneJob = (usize, usize, u64);
+
+/// The CPU worker: `threads` Hogwild lanes that live as long as the worker
+/// does. Lane 0 is this thread; lanes 1… are threads scoped to this call,
+/// each owning its [`CpuLane`] and parked on its job channel between
+/// dispatches. Hands `serve` the step that splits a dispatch across them
+/// and reports once every lane of the dispatch has answered.
 fn cpu_worker(
     slot: usize,
     threads: usize,
@@ -595,91 +636,105 @@ fn cpu_worker(
     env: &WorkerEnv,
     serve: impl FnOnce(&mut Step<'_>) -> Result<(), WorkerError>,
 ) -> Result<(), WorkerError> {
-    let (shared, src, train) = (&*env.shared, &*env.src, &env.train);
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .thread_name(|i| format!("hogwild-{i}"))
-        .build()
-        .map_err(|e| WorkerError::Panic(format!("cpu worker pool: {e}")))?;
-    let mut lanes: Vec<CpuLane> = (0..threads)
-        .map(|_| {
-            let local = shared.snapshot();
-            let scan = MergeScan::for_model(&local);
-            CpuLane {
-                local,
-                batch: Lane::new(shared.spec()),
-                scan,
-                phases: BatchPhases::default(),
-            }
-        })
-        .collect();
-    let poison_step = plan.poison_at(slot);
-    let stale_hist = env.hub.histogram(Metric::Staleness, slot as u32);
-    let rows_hist = env.hub.histogram(Metric::RowsTouched, slot as u32);
-    let skipped_ctr = env.sink.counter("engine.sparse_rows_skipped");
-    serve(&mut |_id, range, batches_done| {
-        let started = Instant::now();
-        let sub = range.len().div_ceil(threads);
-        let sub_ranges: Vec<(usize, usize)> = (0..threads)
-            .map(|i| {
+    let (shared, train) = (&*env.shared, &env.train);
+    let ctx = CpuStepCtx {
+        shared,
+        src: &env.src,
+        train,
+        watchdog: &env.watchdog,
+        slot,
+        stale_hist: &env.hub.histogram(Metric::Staleness, slot as u32),
+        rows_hist: &env.hub.histogram(Metric::RowsTouched, slot as u32),
+        skipped_ctr: &env.sink.counter("engine.sparse_rows_skipped"),
+        // Injected faults land in one lane each — one poisoned update or
+        // one dead lane is enough, and it keeps the site exact.
+        poison_step: plan.poison_at(slot),
+        lane_panic_step: plan.lane_panic_at(slot),
+    };
+    let ctx = &ctx;
+    std::thread::scope(|scope| {
+        // Lanes 1…, by their channels. What a lane thread blocks on is
+        // owned by this closure, so an unwind out of it (a panic in `serve`
+        // or in lane 0) hangs up on them before the scope joins them.
+        let mut lanes = Vec::new();
+        let mut handles = Vec::new();
+        for i in 1..threads {
+            let (job_tx, job_rx) = channel::<LaneJob>();
+            let (done_tx, done_rx) = channel::<BatchPhases>();
+            let handle = std::thread::Builder::new()
+                .name(format!("hogwild-{i}"))
+                .spawn_scoped(scope, move || {
+                    let mut lane = CpuLane::new(shared);
+                    while let Ok((s, e, batches_done)) = job_rx.recv() {
+                        cpu_lane_step(ctx, &mut lane, i, s, e, batches_done);
+                        if done_tx.send(lane.phases).is_err() {
+                            break;
+                        }
+                    }
+                })
+                .map_err(|e| WorkerError::Panic(format!("hogwild lane {i}: {e}")))?;
+            lanes.push((job_tx, done_rx));
+            handles.push(handle);
+        }
+        let mut lane0 = CpuLane::new(shared);
+        let served = serve(&mut |_id, range, batches_done| {
+            let started = Instant::now();
+            // Lane i's share of the range; the trailing lanes of a short
+            // range get none.
+            let sub = range.len().div_ceil(threads);
+            let n_updates = range.len().div_ceil(sub);
+            let share = |i: usize| {
                 let s = range.start + i * sub;
                 (s, (s + sub).min(range.end))
+            };
+            // A lane that is gone — it panicked — hangs up both of its
+            // channels; the join below has the reason.
+            let lane_died = |i: usize| WorkerError::Panic(format!("hogwild lane {i} died"));
+            // Each Hogwild lane: read the live shared model (racy
+            // snapshot), compute its sub-gradient, apply racily. Every
+            // lane owns its buffers, so they are reused without
+            // synchronization.
+            for i in 1..n_updates {
+                let (s, e) = share(i);
+                let job = (s, e, batches_done);
+                lanes[i - 1].0.send(job).map_err(|_| lane_died(i))?;
+            }
+            let (s, e) = share(0);
+            cpu_lane_step(ctx, &mut lane0, 0, s, e, batches_done);
+            // Lane phase timings are CPU-seconds summed across parallel
+            // lanes; project them onto the batch's wall busy span so
+            // attribution never exceeds elapsed.
+            let mut phases = lane0.phases;
+            for i in 1..n_updates {
+                phases.add(&lanes[i - 1].1.recv().map_err(|_| lane_died(i))?);
+            }
+            let busy_wall = started.elapsed().as_secs_f64();
+            let lane_total = phases.total();
+            if lane_total > busy_wall && lane_total > 0.0 {
+                phases.scale(busy_wall / lane_total);
+            }
+            // `t·β` crediting: the configured constant by default, the live
+            // estimate when the run measures β.
+            let measured = live_beta(train, shared);
+            Ok(StepOutcome {
+                batch: range.len(),
+                updates: n_updates,
+                credited: credit_updates(n_updates as u64, train.adaptive.beta, measured),
+                merge_scale: None,
+                shrunk_to: None,
+                leftover: None,
+                phases,
             })
-            .filter(|(s, e)| e > s)
-            .collect();
-        let n_updates = sub_ranges.len();
-        let step = CpuStepCtx {
-            shared,
-            src,
-            train,
-            watchdog: &env.watchdog,
-            slot,
-            batches_done,
-            stale_hist: &stale_hist,
-            rows_hist: &rows_hist,
-            skipped_ctr: &skipped_ctr,
-        };
-        // Each Hogwild lane: read the live shared model (racy snapshot),
-        // compute its sub-gradient, apply racily. Lane i owns lanes[i]
-        // exclusively (chunk size 1), so every buffer is reused without
-        // synchronization.
-        pool.install(|| {
-            use rayon::prelude::*;
-            lanes[..n_updates]
-                .par_chunks_mut(1)
-                .enumerate()
-                .for_each(|(i, lane)| {
-                    let (s, e) = sub_ranges[i];
-                    // Injected fault lands in lane 0 only — one poisoned
-                    // update is enough, and it keeps the site exact.
-                    let poison = i == 0 && poison_step == Some(batches_done);
-                    cpu_lane_step(&step, &mut lane[0], s, e, poison);
-                });
         });
-        // Lane phase timings are CPU-seconds summed across parallel lanes;
-        // project them onto the batch's wall busy span so attribution never
-        // exceeds elapsed.
-        let busy_wall = started.elapsed().as_secs_f64();
-        let mut phases = BatchPhases::default();
-        for lane in &lanes[..n_updates] {
-            phases.add(&lane.phases);
+        // Hang up, so the lane threads leave their loops; a lane that panicked
+        // is the reason the worker is going down, in its own words.
+        drop(lanes);
+        for handle in handles {
+            if let Err(payload) = handle.join() {
+                return Err(WorkerError::Panic(panic_message(&*payload)));
+            }
         }
-        let lane_total = phases.total();
-        if lane_total > busy_wall && lane_total > 0.0 {
-            phases.scale(busy_wall / lane_total);
-        }
-        // `t·β` crediting: the configured constant by default, the live
-        // estimate when the run measures β.
-        let measured = live_beta(train, shared);
-        Ok(StepOutcome {
-            batch: range.len(),
-            updates: n_updates,
-            credited: credit_updates(n_updates as u64, train.adaptive.beta, measured),
-            merge_scale: None,
-            shrunk_to: None,
-            leftover: None,
-            phases,
-        })
+        served
     })
 }
 
@@ -781,24 +836,49 @@ struct CpuLane {
     phases: BatchPhases,
 }
 
-/// Shared, read-only context of one CPU batch's lane steps.
+impl CpuLane {
+    fn new(shared: &SharedModel) -> Self {
+        let local = shared.snapshot();
+        CpuLane {
+            scan: MergeScan::for_model(&local),
+            local,
+            batch: Lane::new(shared.spec()),
+            phases: BatchPhases::default(),
+        }
+    }
+}
+
+/// Shared, read-only context of a CPU worker's lane steps.
 struct CpuStepCtx<'a> {
     shared: &'a SharedModel,
     src: &'a BatchSource<Arc<DenseDataset>>,
     train: &'a TrainConfig,
     watchdog: &'a Watchdog,
     slot: usize,
-    batches_done: u64,
     stale_hist: &'a HistHandle,
     rows_hist: &'a HistHandle,
     skipped_ctr: &'a CounterHandle,
+    /// Batch whose lane-0 gradient gets a NaN ([`FaultPlan::poison_at`]).
+    poison_step: Option<u64>,
+    /// Batch inside which lane 1 panics ([`FaultPlan::lane_panic_at`]).
+    lane_panic_step: Option<u64>,
 }
 
 /// One Hogwild lane step: racy snapshot → sub-gradient → racy apply.
 /// This is the CPU hot path the paper's speedup model assumes is cheap;
 /// the audit proves its steady state stays allocation-free (DESIGN.md §4j).
 // audit: no_alloc
-fn cpu_lane_step(ctx: &CpuStepCtx<'_>, lane: &mut CpuLane, s: usize, e: usize, poison: bool) {
+fn cpu_lane_step(
+    ctx: &CpuStepCtx<'_>,
+    lane: &mut CpuLane,
+    i: usize,
+    s: usize,
+    e: usize,
+    batches_done: u64,
+) {
+    if i == 1 && ctx.lane_panic_step == Some(batches_done) {
+        panic!("injected fault: hogwild lane {i} panicked in batch {batches_done}");
+    }
     let shared = ctx.shared;
     // Staleness = global updates applied between this lane's read and its
     // own write landing (minus the write itself).
@@ -813,13 +893,13 @@ fn cpu_lane_step(ctx: &CpuStepCtx<'_>, lane: &mut CpuLane, s: usize, e: usize, p
     lane.phases.transfer_secs = 0.0;
     // Injected fault: one NaN into this worker's gradient at the planned
     // step.
-    if poison {
+    if i == 0 && ctx.poison_step == Some(batches_done) {
         lane.batch.ws.grad_mut().layers_mut()[0].b[0] = f32::NAN;
     }
     if ctx.watchdog.enabled() {
         lane.scan.reset();
         scan_model(lane.batch.ws.grad(), &mut lane.scan);
-        observe_scan(ctx.watchdog, ctx.slot, ctx.batches_done, &lane.scan);
+        observe_scan(ctx.watchdog, ctx.slot, batches_done, &lane.scan);
     }
     let eta = ctx.train.lr_scaling.eta(ctx.train.lr, e - s);
     let t_merge = Instant::now();
@@ -1168,6 +1248,12 @@ mod tests {
         assert!(dispatched > 0, "no dispatches traced");
         assert_eq!(started, completed, "every started batch completes");
         assert!(completed > 0, "no completions traced");
+        // The budget ends this run, not the schedule: the range parked
+        // behind each worker's last one still ran, and every completion
+        // was credited before the result was assembled.
+        assert_eq!(dispatched, completed, "a parked range never ran");
+        let credited: u64 = r.workers.iter().map(|w| w.batches).sum();
+        assert_eq!(credited, completed, "a completion was never credited");
         assert!(phase_time > 0.0, "completions must carry phase breakdowns");
         assert!(merges > 0, "GPU merges not traced");
         assert!(evals >= 2, "expected initial + final eval, got {evals}");
@@ -1479,6 +1565,17 @@ mod tests {
             resume: true,
         })
         .unwrap();
+        // The capture folded every window whole into the re-queue, parked
+        // ranges included: what the workers had been credited with plus
+        // what waits for the resumed run is exactly what the schedule had
+        // served.
+        let state: ThreadedCkpt = reader.resume_state().expect("a valid generation");
+        let waiting: usize = state.core.requeue.iter().map(BatchRange::len).sum();
+        assert!(waiting > 0, "captured between two batches of every worker?");
+        assert_eq!(
+            state.core.examples_trained() + waiting as u64,
+            state.scheduler.examples_served()
+        );
         let resumed = ThreadedEngine::new(cfg).unwrap().run_with(
             data,
             &RunCtx {

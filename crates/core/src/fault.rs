@@ -26,6 +26,12 @@ pub enum FaultKind {
     /// replica delta poisoned with NaN — exercises the training-health
     /// watchdog's non-finite detection and abort-with-postmortem path.
     PoisonGradientAt(u64),
+    /// Hogwild lane 1 of the CPU worker — a lane thread, not the worker's
+    /// own — panics inside the worker's `k`th batch (0-based), while the
+    /// other lanes are mid-step — exercises the lane → worker → coordinator
+    /// fault path. Threaded engine only, and inert with fewer than two
+    /// lanes.
+    LanePanicAt(u64),
 }
 
 /// One scheduled fault: which worker, and what happens to it.
@@ -91,6 +97,16 @@ impl FaultPlan {
         self
     }
 
+    /// Schedule Hogwild lane 1 of CPU worker `w` to panic inside the
+    /// worker's `step`th batch (0-based).
+    pub fn panic_lane_at(mut self, w: usize, step: u64) -> Self {
+        self.faults.push(WorkerFault {
+            worker: w,
+            kind: FaultKind::LanePanicAt(step),
+        });
+        self
+    }
+
     /// Whether the plan schedules any fault at all.
     pub fn is_empty(&self) -> bool {
         self.faults.is_empty()
@@ -124,6 +140,15 @@ impl FaultPlan {
     pub fn poison_at(&self, w: usize) -> Option<u64> {
         self.faults.iter().find_map(|f| match f.kind {
             FaultKind::PoisonGradientAt(k) if f.worker == w => Some(k),
+            _ => None,
+        })
+    }
+
+    /// Batch index inside which lane 1 of CPU worker `w` is scheduled to
+    /// panic, if any.
+    pub fn lane_panic_at(&self, w: usize) -> Option<u64> {
+        self.faults.iter().find_map(|f| match f.kind {
+            FaultKind::LanePanicAt(k) if f.worker == w => Some(k),
             _ => None,
         })
     }

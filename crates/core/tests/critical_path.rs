@@ -110,7 +110,7 @@ fn sim_run_critical_path_attribution_is_deterministic_and_complete() {
     // Steps walk forward in time without overlap.
     assert!(!a.critical_path.steps.is_empty());
     for w in a.critical_path.steps.windows(2) {
-        assert!(w[0].completed_at <= w[1].dispatched_at + 1e-12);
+        assert!(w[0].completed_at <= w[1].ready_at + 1e-12);
     }
 
     // Both simulated workers (CPU socket + one GPU) report.

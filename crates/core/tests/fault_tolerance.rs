@@ -250,3 +250,91 @@ fn fault_plan_for_absent_worker_is_inert() {
     assert!(r.workers.iter().all(|w| w.retired.is_none()));
     assert!(r.final_loss() < r.initial_loss());
 }
+
+/// (e) A Hogwild lane that panics mid-dispatch takes its worker down as a
+/// typed fault — the worker must not wait forever on the dead lane's
+/// answer — and *both* ranges the worker held (the one it was on and the
+/// one parked behind it) go back to the queue, where the survivor trains
+/// them: the fixed work is still trained exactly once.
+#[test]
+fn lane_panic_is_a_typed_fault_and_the_survivor_trains_the_whole_window() {
+    let plan = FaultPlan::none().panic_lane_at(0, 1);
+    let mut cfg = config(AlgorithmKind::CpuGpuHogbatch, 30.0, plan);
+    cfg.train.max_epochs = Some(2);
+    let n = 400u64; // dataset() size
+    let r = with_timeout(60, move || ThreadedEngine::new(cfg).unwrap().run(dataset()));
+    let cpu = &r.workers[0];
+    assert_eq!(cpu.kind, WorkerKind::Cpu);
+    let reason = cpu.retired.as_deref().expect("CPU worker retired");
+    assert!(
+        reason.contains("panicked") && reason.contains("hogwild lane 1"),
+        "the lane's own panic message is the reason: {reason}"
+    );
+    assert_eq!(cpu.batches, 1, "the lane died inside the second batch");
+    assert_eq!(r.requeued_batches, 2, "current and parked range");
+    assert!(r.aborted.is_none());
+    assert!(gpu_stats(&r).retired.is_none());
+    let trained: u64 = r.workers.iter().map(|w| w.examples).sum();
+    assert_eq!(
+        trained,
+        2 * n,
+        "an in-flight range was lost or trained twice"
+    );
+    assert_eq!(r.epochs, 2.0);
+}
+
+/// (a′) An OOM shrink clamps the controller for the *next unassigned*
+/// range: the range already parked behind the one that OOMed keeps the
+/// size it was dispatched at, runs, and nothing of either is lost.
+#[test]
+fn oom_shrink_leaves_the_parked_range_at_its_dispatched_size() {
+    let plan = FaultPlan::none().oom_on_alloc(1, 14);
+    let mut cfg = config(AlgorithmKind::CpuGpuHogbatch, 30.0, plan);
+    cfg.train.max_epochs = Some(2);
+    let n = 400u64;
+    let sink = TraceSink::wall(RING);
+    let (r, trace) = with_timeout(60, move || {
+        let r = ThreadedEngine::new(cfg)
+            .unwrap()
+            .run_traced(dataset(), &sink);
+        (r, sink.drain())
+    });
+    assert_eq!(trace.total_dropped(), 0, "ring too small for the run");
+    assert!(r.aborted.is_none());
+    assert!(r.workers.iter().all(|w| w.retired.is_none()));
+    // The GPU worker's dispatches and completions, in time order, and the
+    // re-queues — which the coordinator emits as it applies the clamp, on
+    // the thread (and so the clock order) it emits dispatches on.
+    let (mut dispatched, mut completed, mut requeued) = (Vec::new(), Vec::new(), Vec::new());
+    for e in trace.events_sorted() {
+        match e.kind {
+            EventKind::BatchDispatched { id, batch } if e.worker == 1 => {
+                dispatched.push((e.t, id, batch))
+            }
+            EventKind::BatchCompleted { id, batch, .. } if e.worker == 1 => {
+                completed.push((id, batch))
+            }
+            EventKind::BatchRequeued { id, .. } => requeued.push((e.t, id)),
+            _ => {}
+        }
+    }
+    // The first step OOMed and fit at a smaller size…
+    let (first, fit) = completed[0];
+    assert_eq!(first, dispatched[0].1);
+    assert!(fit < dispatched[0].2, "first GPU step did not shrink");
+    assert_eq!(requeued.len(), 1, "{requeued:?}");
+    let (clamped_at, leftover_of) = requeued[0];
+    assert_eq!(leftover_of, first);
+    // …with the second range already parked behind it, sized before the
+    // clamp and above it; it completes whole.
+    let (parked_at, parked, size) = dispatched[1];
+    assert!(parked_at < clamped_at && size > fit, "no range was parked");
+    assert_eq!(completed[1], (parked, size));
+    // Everything sized after the clamp respects it.
+    assert!(dispatched[2..]
+        .iter()
+        .all(|&(t, _, batch)| t >= clamped_at && batch <= fit));
+    assert_eq!(gpu_stats(&r).final_batch, fit);
+    let trained: u64 = r.workers.iter().map(|w| w.examples).sum();
+    assert_eq!(trained, 2 * n, "the leftover or the parked range was lost");
+}

@@ -13,14 +13,21 @@
 //!
 //! - The run's elapsed time is the span between the first and last event
 //!   timestamp (engines emit from t≈0, so this matches run wall-clock).
+//! - A batch is **ready** when a worker could first have been on it: at
+//!   its dispatch, or — when the engine dispatched it ahead and it sat
+//!   parked behind the batch its worker was still running — at that
+//!   batch's completion. Parked is not starved: the wait before ready is
+//!   the worker being busy, and is already attributed to the batch in
+//!   front.
 //! - The **critical path** is walked backwards from the last batch to
 //!   complete: each step's enabling predecessor is the batch whose
-//!   completion most recently preceded the step's dispatch (that
-//!   completion is what freed the coordinator to dispatch it). Gaps
-//!   between a predecessor's completion and the next dispatch are
-//!   attributed to `coordinator`; time before the first dispatch is
-//!   `startup`; time after the last completion is `shutdown`.
-//! - Within a step, `dispatch → start` is `queue` wait, and the worker's
+//!   completion most recently preceded the moment the step became ready
+//!   (that completion is what freed the coordinator to dispatch it, or
+//!   the worker to start it). Gaps between a predecessor's completion and
+//!   the step becoming ready are attributed to `coordinator`; time before
+//!   the first step is ready is `startup`; time after the last completion
+//!   is `shutdown`.
+//! - Within a step, `ready → start` is `queue` wait, and the worker's
 //!   measured [`BatchPhases`] split the busy span into `stage`,
 //!   `compute`, `transfer`, and `merge`. Measured phases are clamped onto
 //!   the busy wall-clock span (never attributing more than elapsed); any
@@ -44,9 +51,9 @@ use crate::sink::Trace;
 /// time when produced by [`analyze`].
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct PhaseProfile {
-    /// Before the first dispatch on the critical path.
+    /// Before the first batch on the critical path is ready.
     pub startup_secs: f64,
-    /// Dispatch → worker start (channel latency + worker availability).
+    /// Ready → worker start (channel latency + worker availability).
     pub queue_secs: f64,
     /// Model snapshot + batch gather / CSR slice.
     pub stage_secs: f64,
@@ -133,6 +140,9 @@ pub struct BatchSpan {
     pub updates: usize,
     /// Dispatch timestamp.
     pub dispatched_at: f64,
+    /// When a worker could first have been on it: `dispatched_at`, or the
+    /// completion of the batch it was parked behind on the same worker.
+    pub ready_at: f64,
     /// When the worker dequeued it (= `dispatched_at` if never observed).
     pub started_at: f64,
     /// Completion timestamp, if the batch finished.
@@ -144,9 +154,9 @@ pub struct BatchSpan {
 }
 
 impl BatchSpan {
-    /// Queue wait (dispatch → start), clamped non-negative.
+    /// Queue wait (ready → start), clamped non-negative.
     pub fn queue_secs(&self) -> f64 {
-        (self.started_at - self.dispatched_at).max(0.0)
+        (self.started_at - self.ready_at).max(0.0)
     }
 
     /// Busy wall-clock (start → completion), `None` if unfinished.
@@ -164,6 +174,8 @@ pub struct CriticalStep {
     pub worker: u32,
     /// Dispatch timestamp.
     pub dispatched_at: f64,
+    /// When it became ready (see [`BatchSpan::ready_at`]).
+    pub ready_at: f64,
     /// Completion timestamp.
     pub completed_at: f64,
 }
@@ -258,9 +270,12 @@ pub struct RunAnalysis {
 }
 
 /// Rebuild one [`BatchSpan`] per observed dispatch, in dispatch order.
+/// `events` must be in time order.
 pub fn spans_from_events(events: &[Event]) -> Vec<BatchSpan> {
     let mut order: Vec<BatchId> = Vec::new();
     let mut by_id: HashMap<BatchId, BatchSpan> = HashMap::new();
+    // Each worker's latest completion so far.
+    let mut last_done: HashMap<u32, f64> = HashMap::new();
     for e in events {
         match &e.kind {
             EventKind::BatchDispatched { id, batch } => {
@@ -273,6 +288,7 @@ pub fn spans_from_events(events: &[Event]) -> Vec<BatchSpan> {
                         batch: *batch,
                         updates: 0,
                         dispatched_at: e.t,
+                        ready_at: e.t,
                         started_at: e.t,
                         completed_at: None,
                         phases: BatchPhases::default(),
@@ -286,6 +302,10 @@ pub fn spans_from_events(events: &[Event]) -> Vec<BatchSpan> {
                     // The dispatch event is stamped with the target worker,
                     // but the start is authoritative about who ran it.
                     s.worker = e.worker;
+                    // Dispatched while that worker was still on the batch
+                    // before it: parked until that one completed.
+                    let freed = last_done.get(&e.worker).copied();
+                    s.ready_at = freed.map_or(s.dispatched_at, |t| t.max(s.dispatched_at));
                 }
             }
             EventKind::BatchCompleted {
@@ -300,6 +320,7 @@ pub fn spans_from_events(events: &[Event]) -> Vec<BatchSpan> {
                     s.updates = *updates;
                     s.phases = *phases;
                     s.worker = e.worker;
+                    last_done.insert(e.worker, e.t);
                 }
             }
             EventKind::BatchRequeued { id, .. } => {
@@ -357,6 +378,7 @@ fn critical_path(spans: &[BatchSpan], t0: f64, t_end: f64) -> CriticalPath {
             id: cur.id,
             worker: cur.worker,
             dispatched_at: cur.dispatched_at,
+            ready_at: cur.ready_at,
             completed_at: cur.completed_at.unwrap(),
         });
         profile.queue_secs += cur.queue_secs();
@@ -365,7 +387,9 @@ fn critical_path(spans: &[BatchSpan], t0: f64, t_end: f64) -> CriticalPath {
         profile.residual_secs += residual;
 
         // Enabling predecessor: the completion that most recently preceded
-        // this dispatch. Its report is what let the coordinator schedule us.
+        // this batch becoming ready. Its report is what let the coordinator
+        // schedule us — or, for a batch that was parked, what freed our
+        // worker.
         // Only spans strictly earlier in completion order are candidates,
         // so the walk always makes progress even through ties (two
         // zero-length spans completing at the same instant).
@@ -373,14 +397,14 @@ fn critical_path(spans: &[BatchSpan], t0: f64, t_end: f64) -> CriticalPath {
             .iter()
             .enumerate()
             .rev()
-            .find(|(_, s)| s.completed_at.unwrap() <= cur.dispatched_at);
+            .find(|(_, s)| s.completed_at.unwrap() <= cur.ready_at);
         match pred {
             Some((i, p)) => {
-                profile.coordinator_secs += (cur.dispatched_at - p.completed_at.unwrap()).max(0.0);
+                profile.coordinator_secs += (cur.ready_at - p.completed_at.unwrap()).max(0.0);
                 cur_idx = i;
             }
             None => {
-                profile.startup_secs = (cur.dispatched_at - t0).max(0.0);
+                profile.startup_secs = (cur.ready_at - t0).max(0.0);
                 break;
             }
         }
@@ -766,6 +790,79 @@ mod tests {
         );
     }
 
+    /// A two-deep dispatch window: both workers are primed with two
+    /// batches each at t≈0, and topped up with one more at every
+    /// completion, so every batch but the first of each worker sits parked
+    /// behind the one before it. Exact virtual times again.
+    fn windowed_fixture() -> Trace {
+        let sink = TraceSink::virtual_time(256);
+        let done = |id, c: f64| EventKind::BatchCompleted {
+            id,
+            batch: 8,
+            updates: 1,
+            phases: BatchPhases {
+                compute_secs: c,
+                ..BatchPhases::default()
+            },
+        };
+        for (t, w, id) in [(0.0, 0, 1), (0.0, 0, 2), (0.1, 1, 3), (0.1, 1, 4)] {
+            sink.emit_at(t, w, EventKind::BatchDispatched { id, batch: 8 });
+        }
+        // Worker 0: batch 1 runs [0.2, 1.0]; batch 2, parked since 0.0,
+        // starts 0.05 after it and runs [1.05, 2.0]; batch 5 is the top-up
+        // for batch 1 (dispatched 1.1, behind batch 2) and runs [2.0, 2.5].
+        sink.emit_at(0.2, 0, EventKind::BatchStarted { id: 1 });
+        sink.emit_at(1.0, 0, done(1, 0.8));
+        sink.emit_at(1.05, 0, EventKind::BatchStarted { id: 2 });
+        sink.emit_at(1.1, 0, EventKind::BatchDispatched { id: 5, batch: 8 });
+        sink.emit_at(2.0, 0, done(2, 0.9));
+        sink.emit_at(2.0, 0, EventKind::BatchStarted { id: 5 });
+        sink.emit_at(2.5, 0, done(5, 0.5));
+        // Worker 1: batch 3 runs [0.3, 1.5]; batch 4 runs [1.5, 3.0] and
+        // is the last to complete. Its top-up never arrives: the schedule
+        // is dry.
+        sink.emit_at(0.3, 1, EventKind::BatchStarted { id: 3 });
+        sink.emit_at(1.5, 1, done(3, 1.2));
+        sink.emit_at(1.5, 1, EventKind::BatchStarted { id: 4 });
+        sink.emit_at(3.0, 1, done(4, 1.4));
+        sink.emit_at(3.2, COORDINATOR, EventKind::EvalPoint { loss: 0.3 });
+        sink.drain()
+    }
+
+    #[test]
+    fn a_parked_batch_is_ready_when_the_one_before_it_completes() {
+        let trace = windowed_fixture();
+        let spans = spans_from_events(&trace.events_sorted());
+        let ready: Vec<(BatchId, f64)> = spans.iter().map(|s| (s.id, s.ready_at)).collect();
+        assert_eq!(ready, [(1, 0.0), (2, 1.0), (3, 0.1), (4, 1.5), (5, 2.0)]);
+        // Batch 2 waited 1.05 s in the exec queue, 0.05 s of it with its
+        // worker free.
+        assert!((spans[1].queue_secs() - 0.05).abs() < 1e-12);
+
+        let a = analyze(&trace);
+        // The path is worker 1's chain: batch 4 became ready when batch 3
+        // completed — not "dispatched at 0.1, so enabled by nothing".
+        let steps: Vec<BatchId> = a.critical_path.steps.iter().map(|s| s.id).collect();
+        assert_eq!(steps, [3, 4]);
+        let p = &a.critical_path.profile;
+        // startup [0, 0.1]; queue [0.1, 0.3]; batch 3 busy 1.2, all
+        // compute; batch 4 ready and started at 1.5, busy 1.5 = 1.4
+        // compute + 0.1 residual; shutdown [3.0, 3.2]. Nothing waited on
+        // the coordinator.
+        assert!((p.startup_secs - 0.1).abs() < 1e-12);
+        assert!((p.queue_secs - 0.2).abs() < 1e-12);
+        assert!((p.compute_secs - 2.6).abs() < 1e-12);
+        assert!((p.residual_secs - 0.1).abs() < 1e-12);
+        assert_eq!(p.coordinator_secs, 0.0);
+        assert!((p.shutdown_secs - 0.2).abs() < 1e-12);
+        assert!((p.total() - a.wall_secs).abs() < 1e-9);
+        // Worker 0 was starved for 0.2 + 0.05 s, not for the 3.1 s its
+        // batches spent dispatched-but-parked.
+        let w0 = a.workers.iter().find(|r| r.worker == 0).unwrap();
+        assert!((w0.queue_secs - 0.25).abs() < 1e-12);
+        assert!((w0.busy_secs - 2.25).abs() < 1e-12);
+    }
+
     #[test]
     fn worker_reports_rank_stragglers_and_blame() {
         let a = analyze(&fixture());
@@ -811,7 +908,11 @@ mod tests {
     fn unfinished_and_requeued_spans_do_not_break_attribution() {
         let sink = TraceSink::virtual_time(64);
         sink.emit_at(0.0, 0, EventKind::BatchDispatched { id: 1, batch: 8 });
-        sink.emit_at(0.5, COORDINATOR, EventKind::BatchRequeued { id: 1, batch: 8 });
+        sink.emit_at(
+            0.5,
+            COORDINATOR,
+            EventKind::BatchRequeued { id: 1, batch: 8 },
+        );
         sink.emit_at(0.6, 1, EventKind::BatchDispatched { id: 2, batch: 8 });
         sink.emit_at(0.6, 1, EventKind::BatchStarted { id: 2 });
         sink.emit_at(

@@ -10,17 +10,19 @@ use hetero_trace::{BatchPhases, EventKind, TraceSink};
 use proptest::prelude::*;
 
 /// One generated batch lifecycle, relative to the previous completion:
-/// `(gap, queue, busy, measured_scale, worker, batch, finish)`. The
+/// `(gap, ahead, queue, busy, measured_scale, worker, batch, finish)`. The
 /// measured scale deliberately ranges past 1.0 so some spans report more
-/// phase time than their busy wall-clock and exercise the clamp.
-type GenSpan = (f64, f64, f64, f64, u32, usize, bool);
+/// phase time than their busy wall-clock and exercise the clamp. `ahead`
+/// moves the dispatch (not the start) back in time, past earlier
+/// completions: a range dispatched into a worker's window and parked.
+type GenSpan = (f64, f64, f64, f64, f64, u32, usize, bool);
 
 fn emit_spans(sink: &TraceSink, spans: &[GenSpan], tail: f64) {
     let mut t = 0.0f64;
-    for (i, &(gap, queue, busy, scale, worker, batch, finish)) in spans.iter().enumerate() {
+    for (i, &(gap, ahead, queue, busy, scale, worker, batch, finish)) in spans.iter().enumerate() {
         let id = i as u64 + 1;
-        let dispatched = t + gap;
-        let started = dispatched + queue;
+        let dispatched = (t + gap - ahead).max(0.0);
+        let started = t + gap + queue;
         let completed = started + busy;
         sink.emit_at(dispatched, worker, EventKind::BatchDispatched { id, batch });
         sink.emit_at(started, worker, EventKind::BatchStarted { id });
@@ -57,8 +59,9 @@ proptest! {
     fn attribution_is_nonnegative_and_covers_at_most_the_wall(
         spans in prop::collection::vec(
             (
-                // (coordinator gap before dispatch, queue wait)
-                (0.0f64..0.4, 0.0f64..0.2),
+                // (coordinator gap before the worker is free, how far
+                //  ahead of that the dispatch went out, queue wait)
+                (0.0f64..0.4, 0.0f64..2.0, 0.0f64..0.2),
                 // (busy wall-clock; 0 = degenerate span,
                 //  measured/busy ratio; >1 exercises the clamp)
                 (0.0f64..1.0, 0.0f64..1.5),
@@ -68,12 +71,17 @@ proptest! {
             0..24,
         ),
         finish_mask in 0u32..u32::MAX,
+        ahead_mask in 0u32..u32::MAX,
         tail in 0.0f64..0.5,
     ) {
         let spans: Vec<GenSpan> = spans
             .into_iter()
             .enumerate()
-            .map(|(i, ((g, q), (b, s), (w, n)))| (g, q, b, s, w, n, finish_mask >> (i % 32) & 1 == 1))
+            .map(|(i, ((g, a, q), (b, s), (w, n)))| {
+                let bit = |mask: u32| mask >> (i % 32) & 1 == 1;
+                let ahead = if bit(ahead_mask) { a } else { 0.0 };
+                (g, ahead, q, b, s, w, n, bit(finish_mask))
+            })
             .collect();
         let sink = TraceSink::virtual_time(1 << 10);
         emit_spans(&sink, &spans, tail);
@@ -114,7 +122,7 @@ proptest! {
         }
         // Steps walk forward in time and never overlap.
         for w in a.critical_path.steps.windows(2) {
-            prop_assert!(w[0].completed_at <= w[1].dispatched_at + 1e-12);
+            prop_assert!(w[0].completed_at <= w[1].ready_at + 1e-12);
         }
         // Worker reports stay sane for the same streams.
         for r in &a.workers {

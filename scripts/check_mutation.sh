@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Mutation checks: seeded concurrency bugs the loom suites must catch.
+# Mutation checks: seeded concurrency bugs the loom suites must catch, and
+# seeded bookkeeping bugs the coordinator's model test must catch.
 #
 # The publish edge in crates/mq/src/queue.rs has two halves:
 #   - the producer's `next`-pointer store must be `Release` (PUBLISH_ORD);
@@ -8,13 +9,18 @@
 # Building with `--cfg hetero_weak_publish` / `--cfg hetero_weak_consume`
 # weakens the respective side to `Relaxed`. In crates/nn/src/shared.rs a
 # merger must own a stripe before adding into it; `--cfg
-# hetero_unguarded_merge` lets it take every stripe without looking. This
-# script asserts that:
-#   1. the loom suites pass as written, and
+# hetero_unguarded_merge` lets it take every stripe without looking. In
+# crates/core/src/coordinator.rs a worker's window of dispatched ranges is a
+# FIFO that a completion pops the front of and a retirement re-queues whole;
+# `--cfg hetero_completed_pops_back` pops the newest range instead, `--cfg
+# hetero_retire_front_only` forgets the parked ones. This script asserts
+# that:
+#   1. the suites pass as written, and
 #   2. each suite FAILS under its mutation the way the bug would show (a
 #      data-race report for the queue, both two-merger models losing an
-#      update for the shared model),
-# i.e. the model checker genuinely guards the edge.
+#      update for the shared model, the coordinator disagreeing with its
+#      reference model about the window / the re-queue),
+# i.e. the checker genuinely guards the edge.
 #
 # Usage: scripts/check_mutation.sh   (from anywhere in the repo)
 set -u
@@ -25,11 +31,12 @@ mkdir -p target
 
 queue="-p hetero-mq --features loom --test loom_queue"
 shared="-p hetero-nn --features loom --test loom_shared"
+model="-p hetero-core --lib coordinator_matches_the_reference_model"
 
-echo "[1/4] baseline: loom queue and shared-model suites must pass as written"
+echo "[1/6] baseline: loom queue, shared-model and coordinator-model suites must pass as written"
 # shellcheck disable=SC2086
-if ! { cargo test $queue -q && cargo test $shared -q; } >"$log" 2>&1; then
-    echo "FAIL: baseline loom suite is red"
+if ! { cargo test $queue -q && cargo test $shared -q && cargo test $model -q; } >"$log" 2>&1; then
+    echo "FAIL: baseline suite is red"
     tail -40 "$log"
     exit 1
 fi
@@ -38,7 +45,7 @@ fi
 check_mutation() {
     local cfg="$1" desc="$2" step="$3" suite="$4"
     shift 4
-    echo "[$step/4] mutation: suite must FAIL with $desc"
+    echo "[$step/6] mutation: suite must FAIL with $desc"
     # shellcheck disable=SC2086
     if RUSTFLAGS="--cfg $cfg" cargo test $suite -q >"$log" 2>&1; then
         echo "FAIL: $desc mutation was NOT caught"
@@ -62,4 +69,12 @@ check_mutation hetero_weak_consume "consume load weakened Acquire->Relaxed" 3 \
 check_mutation hetero_unguarded_merge "mergers not owning their stripes" 4 \
     "$shared" "CAS merge lost an update" "stripe-owned merge lost an update"
 
-echo "OK: all three seeded mutations are caught by the loom suites"
+# A window served out of order trips the id check in `completed`; a
+# retirement that forgets the parked range leaves the re-queue short of the
+# reference's.
+check_mutation hetero_completed_pops_back "completed popping the back of the window" 5 \
+    "$model" "the front of its window was"
+check_mutation hetero_retire_front_only "retire re-queueing only the front range" 6 \
+    "$model" "co.requeue == &model.requeue"
+
+echo "OK: all five seeded mutations are caught"
