@@ -23,6 +23,7 @@
 //! bit-identical to an unobserved one.
 
 use std::collections::VecDeque;
+use std::time::Instant;
 
 use hetero_ckpt::Checkpointer;
 use hetero_data::batch::BatchRange;
@@ -567,6 +568,16 @@ impl<'a> Coordinator<'a> {
             },
         );
         self.curve.push(point);
+    }
+
+    /// The engine's clock starts now: publish the wall seconds since
+    /// `entered` (`run_with`'s first line) as `engine.startup_s` — model
+    /// initialisation and the sparse run's CSR compression, which no loss
+    /// point's `time` and no `TrainResult::duration` counts.
+    pub fn clock_starts(&self, entered: Instant) {
+        self.sink
+            .gauge("engine.startup_s")
+            .set(entered.elapsed().as_secs_f64());
     }
 
     /// The loss before any update (a resumed run restores its curve

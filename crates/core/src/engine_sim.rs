@@ -21,6 +21,8 @@
 //!    applied to the live model, update counts are credited, and the worker
 //!    immediately requests more work.
 
+use std::time::Instant;
+
 use hetero_data::batch::BatchRange;
 use hetero_data::{BatchScheduler, DenseDataset};
 use hetero_flight::Watchdog;
@@ -38,7 +40,7 @@ use crate::coordinator::{
     Setup,
 };
 use crate::fault::{FaultPlan, WorkerError};
-use crate::lane::{eval_subset, BatchSource, Evaluator, Lane};
+use crate::lane::{eval_subset, start_up, BatchSource, Evaluator, Lane};
 use crate::metrics::{LossPoint, TrainResult, WorkerKind, WorkerStats};
 
 /// Hardware and comparator parameters for a simulated run.
@@ -233,6 +235,7 @@ impl SimEngine {
     /// schedule, so the timeline and the math are bit-identical whatever
     /// is attached — only an explicit health-policy action changes a run.
     pub fn run_with(&self, dataset: &DenseDataset, ctx: &RunCtx) -> TrainResult {
+        let entered = Instant::now();
         // Pin the GEMM fan-out to `train.rayon_threads` (0 = host cores)
         // for the whole run; the sim is single-coordinator, so the only
         // oversubscription possible is the pool itself exceeding the host.
@@ -244,10 +247,16 @@ impl SimEngine {
             .map(|n| n.get())
             .unwrap_or(1);
         let oversubscribed = pool.current_num_threads().saturating_sub(host) as u64;
-        pool.install(|| self.run_inner(dataset, ctx, oversubscribed))
+        pool.install(|| self.run_inner(dataset, ctx, oversubscribed, entered))
     }
 
-    fn run_inner(&self, dataset: &DenseDataset, ctx: &RunCtx, oversubscribed: u64) -> TrainResult {
+    fn run_inner(
+        &self,
+        dataset: &DenseDataset,
+        ctx: &RunCtx,
+        oversubscribed: u64,
+        entered: Instant,
+    ) -> TrainResult {
         let cfg = &self.cfg;
         let train = &cfg.train;
         let algo = train.algorithm;
@@ -287,12 +296,23 @@ impl SimEngine {
         sink.counter("engine.pool_oversubscription")
             .add(oversubscribed);
 
-        let src = BatchSource::new(dataset, train.sparse_input);
         let mut eval_timeline = UtilizationTimeline::new();
         let obs = SimObs::new(&ctx.hub, devices.len());
 
-        // --- Model, schedule, eval subset --------------------------------------
-        let mut model = Model::new(spec.clone(), train.init, train.seed);
+        // --- Resume from the newest valid checkpoint ----------------------------
+        // Its model image is restored by start-up; the rest of it replaces
+        // the freshly initialized state below.
+        let (core, resume) = co
+            .load(SIM_CKPT_SCHEMA, |s: &SimCkpt| &s.core)
+            .map(|s| {
+                let cadence = (s.global_updates, s.last_epoch_evaled, s.last_eval_time);
+                (s.core, (s.scheduler, cadence, s.pending))
+            })
+            .unzip();
+
+        // --- Data, model, schedule, eval subset --------------------------------
+        let (src, mut model) = start_up(dataset, spec, train, &mut co, core);
+        co.clock_starts(entered);
         // Watchdog scratch: per-layer sumsq / non-finite counts of each
         // applied gradient, reused across every event.
         let mut health_scan = MergeScan::for_model(&model);
@@ -332,18 +352,13 @@ impl SimEngine {
         let mut last_epoch_evaled = 0usize;
         let mut last_eval_time = 0.0f64;
 
-        // --- Resume from the newest valid checkpoint ----------------------------
-        // Replaces the freshly initialized state wholesale.
-        if let Some(s) = co.load(SIM_CKPT_SCHEMA, |s: &SimCkpt| &s.core) {
-            model = co.restore(s.core);
-            scheduler = s.scheduler;
-            global_updates = s.global_updates;
-            last_epoch_evaled = s.last_epoch_evaled;
-            last_eval_time = s.last_eval_time;
+        if let Some((resumed_scheduler, cadence, pending)) = resume {
+            scheduler = resumed_scheduler;
+            (global_updates, last_epoch_evaled, last_eval_time) = cadence;
             // Re-schedule the in-flight events in pop order: fresh monotone
             // sequence numbers preserve the original tie-breaking, so the
             // continuation is bit-identical to the uninterrupted run.
-            for (at, ev) in s.pending {
+            for (at, ev) in pending {
                 if let Ev::Complete {
                     id, worker, range, ..
                 } = &ev

@@ -58,7 +58,7 @@ use crate::coordinator::{
     cpu_batch_state, gpu_batch_state, observe_scan, Coordinator, CoreCkpt, RunCtx, Setup,
 };
 use crate::fault::{panic_message, FaultPlan, WorkerError};
-use crate::lane::{eval_subset, BatchSource, Evaluator, Lane};
+use crate::lane::{eval_subset, start_up, BatchSource, Evaluator, Lane};
 use crate::metrics::{LossPoint, TrainResult, WorkerKind};
 
 /// Configuration of the threaded engine.
@@ -246,6 +246,7 @@ impl ThreadedEngine {
     /// by at most one extra batch per worker, and every completion is
     /// credited and traced before the result is assembled.
     pub fn run_with(&self, dataset: Arc<DenseDataset>, ctx: &RunCtx) -> TrainResult {
+        let entered = Instant::now();
         let cfg = &self.cfg;
         let train = &cfg.train;
         let algo = train.algorithm;
@@ -285,25 +286,23 @@ impl ThreadedEngine {
         // Training wall-seconds consumed by earlier incarnations: the
         // resumed run offsets its clock and shrinks its budget by this.
         let t_base = resume.as_ref().map_or(0.0, |s| s.core.t);
-        let init = match resume {
-            Some(s) => {
-                scheduler = s.scheduler;
-                let model = co.restore(s.core);
-                // A resumed run is a fresh set of threads: whoever had been
-                // quarantined when the checkpoint froze starts healthy.
-                for s in &mut co.stats {
-                    s.retired = None;
-                }
-                model
+        let core = resume.map(|s| {
+            scheduler = s.scheduler;
+            s.core
+        });
+        let (src, init) = start_up(Arc::clone(&dataset), spec, train, &mut co, core);
+        if resumed {
+            // A resumed run is a fresh set of threads: whoever had been
+            // quarantined when the checkpoint froze starts healthy.
+            for s in &mut co.stats {
+                s.retired = None;
             }
-            None => Model::new(spec.clone(), train.init, train.seed),
-        };
+        }
+        let src = Arc::new(src);
         let shared = Arc::new(SharedModel::new(&init));
 
-        // Built before the clock starts (see `BatchSource`).
-        let src = Arc::new(BatchSource::new(Arc::clone(&dataset), train.sparse_input));
-
         let t0 = Instant::now();
+        co.clock_starts(entered);
         let sink = co.sink.clone();
         let (ready_tx, ready_rx) =
             channel_traced_lineage::<WorkerMsg>(&sink, "ready", COORDINATOR, worker_msg_lineage);
@@ -360,11 +359,8 @@ impl ThreadedEngine {
 
         let eval_rows = eval_subset(dataset.len(), train.eval_subsample, train.seed);
         let mut evaluator = Evaluator::new(&src, &eval_rows, spec);
-        // One snapshot model for every eval of the run.
-        let mut eval_model = Model::zeros_like(spec);
-        let mut eval = |epochs: f64| -> LossPoint {
-            shared.snapshot_into(&mut eval_model);
-            let (loss, accuracy) = gemm_pool.install(|| evaluator.score(&eval_model));
+        let mut score = |model: &Model, epochs: f64| -> LossPoint {
+            let (loss, accuracy) = gemm_pool.install(|| evaluator.score(model));
             LossPoint {
                 // `t_base` splices a resumed incarnation's curve onto the
                 // restored prefix's time axis.
@@ -378,8 +374,18 @@ impl ThreadedEngine {
         // The remaining budget is what the original run had not yet spent.
         let budget = Duration::from_secs_f64((train.time_budget - t_base).max(0.0));
         if !resumed {
-            co.initial_point(eval(co.epochs_elapsed(&scheduler)), beta());
+            // Nobody has written `shared` yet, so `init` *is* its snapshot;
+            // nothing has been dispatched either (dispatching first only
+            // moves the eval's CPU time onto the workers' cores).
+            co.initial_point(score(&init, 0.0), beta());
         }
+        // One snapshot model for every later eval of the run: the initial
+        // model's buffers, already warm.
+        let mut eval_model = init;
+        let mut eval = |epochs: f64| -> LossPoint {
+            shared.snapshot_into(&mut eval_model);
+            score(&eval_model, epochs)
+        };
 
         // --- Coordinator loop ---------------------------------------------------
         // Slots that were told to stop (budget spent or schedule dry). A

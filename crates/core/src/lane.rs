@@ -17,18 +17,24 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
+use crate::config::TrainConfig;
+use crate::coordinator::{Coordinator, CoreCkpt};
+
 /// The training data of one run, in the format the run trains on. `D` is
 /// however the engine holds the dataset (`&DenseDataset`, or an `Arc` where
 /// worker threads outlive the borrow).
 pub(crate) struct BatchSource<D> {
     /// The dataset as loaded (labels, sizes, name).
     pub(crate) dataset: D,
-    /// CSR copy of the features on sparse runs: compressed once, before the
-    /// clock starts, so lanes slice CSR batches in O(nnz) instead of
-    /// rescanning the dense matrix per batch — an O(batch × features) cost
-    /// that is independent of density and would otherwise swamp the sparse
-    /// kernels' win. It is data preparation, the sparse counterpart of the
-    /// dense matrix already sitting in memory.
+    /// CSR copy of the features on sparse runs: compressed once per run,
+    /// in [`start_up`] — before the *engine's* clock starts, so neither
+    /// `TrainResult::duration` nor a loss point's `time` counts it, but a
+    /// caller timing `run()` pays for it (`engine.startup_s` says how
+    /// much). Lanes then slice CSR batches in O(nnz) instead of rescanning
+    /// the dense matrix per batch — an O(batch × features) cost that is
+    /// independent of density and would otherwise swamp the sparse kernels'
+    /// win. It is data preparation, the sparse counterpart of the dense
+    /// matrix already sitting in memory.
     csr: Option<CsrMatrix>,
 }
 
@@ -51,6 +57,54 @@ impl<D: Deref<Target = DenseDataset>> BatchSource<D> {
             None => Input::Dense(x),
         }
     }
+}
+
+/// Run start-up, written once for both engines: the run's [`BatchSource`]
+/// and the model it starts from — drawn from `train.seed`, or on a resumed
+/// run the image `resume` carries (restored into `co`).
+pub(crate) fn start_up<D>(
+    dataset: D,
+    spec: &MlpSpec,
+    train: &TrainConfig,
+    co: &mut Coordinator<'_>,
+    resume: Option<CoreCkpt>,
+) -> (BatchSource<D>, Model)
+where
+    D: Deref<Target = DenseDataset> + Send,
+{
+    source_beside(dataset, train.sparse_input, || match resume {
+        Some(core) => co.restore(core),
+        None => Model::new(spec.clone(), train.init, train.seed),
+    })
+}
+
+/// `model()` on the calling thread while, on a sparse run, a scoped thread
+/// compresses the CSR copy: the initialiser is compute-bound (Box–Muller
+/// per weight), the compression memory-bound (one scan of the dense
+/// matrix), and neither reads what the other writes, so side by side they
+/// cost the longer of the two (DESIGN.md §4k). A dense run spawns nothing.
+/// The scope joins before returning, so a panic in either half reaches the
+/// caller and no thread outlives the call.
+fn source_beside<D>(
+    dataset: D,
+    sparse: bool,
+    model: impl FnOnce() -> Model,
+) -> (BatchSource<D>, Model)
+where
+    D: Deref<Target = DenseDataset> + Send,
+{
+    if !sparse {
+        let model = model();
+        return (BatchSource::new(dataset, false), model);
+    }
+    std::thread::scope(|s| {
+        let src = s.spawn(move || BatchSource::new(dataset, true));
+        let model = model();
+        match src.join() {
+            Ok(src) => (src, model),
+            Err(panic) => std::panic::resume_unwind(panic),
+        }
+    })
 }
 
 /// One persistent scratch set per gradient lane — batch staging and the
@@ -226,9 +280,19 @@ fn gather(m: &Matrix, rows: &[usize]) -> Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adaptive::WorkerBatchState;
+    use crate::config::AlgorithmKind;
+    use crate::coordinator::{RunCtx, Setup};
+    use crate::engine_sim::{SimEngine, SimEngineConfig};
+    use crate::engine_threads::{ThreadedEngine, ThreadedEngineConfig};
+    use crate::fault::FaultPlan;
+    use crate::metrics::WorkerKind;
     use hetero_data::SynthConfig;
     use hetero_nn::InitScheme;
+    use hetero_sim::GpuModel;
+    use hetero_trace::{TimeDomain, TraceSink};
     use std::sync::Arc;
+    use std::time::Instant;
 
     type Source = BatchSource<Arc<DenseDataset>>;
 
@@ -337,5 +401,127 @@ mod tests {
         lane.apply_to(&mut via_lane, 0.5);
         reference.apply_gradient(lane.ws.grad(), 0.5);
         assert_eq!(via_lane, reference);
+    }
+
+    #[test]
+    fn start_up_returns_the_serial_model_and_csr_copy() {
+        let (dense, _) = sources();
+        let data: &DenseDataset = &dense.dataset;
+        let spec = MlpSpec::tiny(12, 2);
+        for sparse in [false, true] {
+            let train = TrainConfig {
+                sparse_input: sparse,
+                seed: 11,
+                ..TrainConfig::default()
+            };
+            let ctx = RunCtx::default();
+            let mut co = Coordinator::new(
+                Setup {
+                    engine: "test",
+                    domain: TimeDomain::Wall,
+                    algorithm: "test",
+                    train: &train,
+                    dataset: data,
+                    layers: spec.num_layers(),
+                    workers: vec![(WorkerKind::Cpu, WorkerBatchState::new(4, 4, 4))],
+                },
+                &ctx,
+            );
+            let (src, model) = start_up(data, &spec, &train, &mut co, None);
+            assert_eq!(model, Model::new(spec.clone(), train.init, train.seed));
+            assert_eq!(src.csr, sparse.then(|| data.to_csr()));
+            assert!(std::ptr::eq(src.dataset, data));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "initialiser blew up")]
+    fn panicking_model_half_panics_the_caller() {
+        let (dense, _) = sources();
+        source_beside(Arc::clone(&dense.dataset), true, || {
+            panic!("initialiser blew up")
+        });
+    }
+
+    /// A dataset handle whose every use panics — on the compression
+    /// thread, since nothing else touches it before the join.
+    struct Bomb;
+
+    impl Deref for Bomb {
+        type Target = DenseDataset;
+        fn deref(&self) -> &DenseDataset {
+            panic!("compression blew up")
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "compression blew up")]
+    fn panicking_compression_half_panics_the_caller() {
+        source_beside(Bomb, true, model);
+    }
+
+    /// The loss before any update depends on the seed, the spec and the
+    /// data — not on the engine, its schedule or its clock. Start-up is
+    /// outside that clock, and both engines say how long it took.
+    #[test]
+    fn sim_and_threaded_agree_on_the_initial_point() {
+        let (dense, _) = sources();
+        let data = Arc::clone(&dense.dataset);
+        let startup_s = |sink: &TraceSink| {
+            let gauges = sink.drain().counters;
+            let found = gauges.iter().find(|(name, _)| name == "engine.startup_s");
+            found.expect("engine.startup_s").1
+        };
+        for sparse in [false, true] {
+            let train = TrainConfig {
+                algorithm: AlgorithmKind::CpuGpuHogbatch,
+                sparse_input: sparse,
+                time_budget: 0.005,
+                eval_interval: 0.005,
+                eval_subsample: 40,
+                seed: 13,
+                ..TrainConfig::default()
+            };
+            let spec = MlpSpec::tiny(12, 2);
+            let ctx = |sink: &TraceSink| RunCtx {
+                sink: sink.clone(),
+                ..RunCtx::default()
+            };
+
+            let sink = TraceSink::virtual_time(1 << 14);
+            let sim = SimEngine::new(SimEngineConfig::paper_hardware(spec.clone(), train.clone()))
+                .unwrap()
+                .run_with(&data, &ctx(&sink));
+            assert!(startup_s(&sink) > 0.0);
+
+            let sink = TraceSink::wall(1 << 14);
+            let entered = Instant::now();
+            let threaded = ThreadedEngine::new(ThreadedEngineConfig {
+                spec,
+                train,
+                cpu_threads: 2,
+                gpu_perf: GpuModel::v100(),
+                gpu_workers: 1,
+                fault_plan: FaultPlan::none(),
+            })
+            .unwrap()
+            .run_with(data.clone(), &ctx(&sink));
+            let wall = entered.elapsed().as_secs_f64();
+            let startup = startup_s(&sink);
+            assert!(
+                startup > 0.0 && startup + threaded.duration <= wall,
+                "start-up {startup} + duration {} vs wall {wall}",
+                threaded.duration
+            );
+
+            let (a, b) = (sim.loss_curve[0], threaded.loss_curve[0]);
+            assert_eq!(a.loss.to_bits(), b.loss.to_bits(), "sparse {sparse}");
+            assert_eq!(
+                a.accuracy.to_bits(),
+                b.accuracy.to_bits(),
+                "sparse {sparse}"
+            );
+            assert_eq!((a.epochs, b.epochs), (0.0, 0.0));
+        }
     }
 }

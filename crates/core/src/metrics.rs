@@ -127,7 +127,10 @@ pub struct TrainResult {
     pub loss_curve: Vec<LossPoint>,
     /// Per-worker accounting, CPU first then GPUs.
     pub workers: Vec<WorkerStats>,
-    /// Total run duration (seconds).
+    /// Total run duration (seconds) on the engine's clock, which starts
+    /// after run start-up (model initialisation and, on a sparse run, the
+    /// CSR compression): a caller timing `run()` sees `duration` plus the
+    /// `engine.startup_s` gauge.
     pub duration: f64,
     /// Fractional epochs completed.
     pub epochs: f64,
