@@ -47,7 +47,7 @@ fn warm_cpu_sparse_step_is_allocation_free() {
         data.labels.slice_into(s, e, &mut labels);
         csr_all.slice_rows_into(s, e, &mut csr);
         ws.loss_and_gradient_into(&local, csr.view(), labels.as_targets(), false);
-        shared.apply_racy(ws.grad(), 0.01, ws.active_cols(), false);
+        shared.apply_racy(ws.grad(), 0.01, ws.active_cols());
     });
     assert_eq!(n, 0, "warm CPU sparse step allocated {n} times");
 }

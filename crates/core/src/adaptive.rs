@@ -18,20 +18,6 @@
 use hetero_trace::{EventKind, ResizeReason, TraceSink};
 use serde::{Deserialize, Serialize};
 
-/// Updates to credit a CPU worker for `t` Hogwild batch updates —
-/// Algorithm 2's `uᴱ ← uᴱ + t·β` rule.
-///
-/// `β` discounts racy CPU updates by the fraction that survive write
-/// collisions. The paper fixes it as a constant (`configured`); when
-/// `TrainConfig::measured_beta` is on the engines pass the live estimate
-/// from [`hetero_nn::SharedModel::beta_estimate`] as `measured`, which
-/// takes precedence. The estimate is clamped to `[0, 1]` — β is a
-/// survival fraction by definition, and clamping keeps a pathological
-/// estimate from ever crediting more than `t` or negative updates.
-pub fn credit_updates(t: u64, configured: f64, measured: Option<f64>) -> f64 {
-    t as f64 * measured.unwrap_or(configured).clamp(0.0, 1.0)
-}
-
 /// Per-worker adaptation state.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WorkerBatchState {
@@ -436,17 +422,6 @@ mod tests {
         // Raising the limit is a no-op.
         c.clamp_max_batch(0, 100_000);
         assert_eq!(c.batch(0), 100);
-    }
-
-    #[test]
-    fn credit_updates_prefers_measured_beta() {
-        // No measurement: the configured constant applies.
-        assert!((credit_updates(10, 0.5, None) - 5.0).abs() < 1e-12);
-        // Measurement present: it replaces the constant.
-        assert!((credit_updates(10, 0.5, Some(0.9)) - 9.0).abs() < 1e-12);
-        // Pathological estimates are clamped to the unit interval.
-        assert!((credit_updates(10, 0.5, Some(1.5)) - 10.0).abs() < 1e-12);
-        assert_eq!(credit_updates(10, 0.5, Some(-0.1)), 0.0);
     }
 
     #[test]

@@ -192,14 +192,6 @@ pub struct TrainConfig {
     /// host has is detected at engine start and reported on the
     /// `engine.pool_oversubscription` trace counter.
     pub rayon_threads: usize,
-    /// Measure the surviving-update fraction β instead of assuming
-    /// [`AdaptiveParams::beta`]. When on, CPU workers apply gradients
-    /// through a probing `SharedModel::apply_racy` (identical
-    /// Hogwild dynamics plus sparse conflict probes) and the adaptive
-    /// controller credits CPU batches with `t·β̂` from the live estimate.
-    /// **Default off** to preserve paper parity: the paper fixes β = 1
-    /// (DESIGN.md §4g documents the semantics and the caveat).
-    pub measured_beta: bool,
     /// Run the end-to-end sparse execution fast path: training batches are
     /// compressed to CSR, the first layer runs the sparse forward/backward
     /// kernels, and CPU applies / GPU merges touch only the layer-0 weight
@@ -235,7 +227,6 @@ impl Default for TrainConfig {
             max_epochs: None,
             staleness_discount: 0.0,
             rayon_threads: 0,
-            measured_beta: false,
             sparse_input: false,
             eval_interval: 0.05,
             eval_subsample: 2048,

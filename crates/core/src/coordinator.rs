@@ -265,9 +265,6 @@ pub(crate) struct Coordinator<'a> {
     worker_gauges: Vec<WorkerGauges>,
     g_loss: GaugeHandle,
     g_epochs: GaugeHandle,
-    /// Created only when β is actually measured, so dashboards can tell
-    /// "off" (gauge absent) from "measured 0".
-    g_beta_measured: Option<GaugeHandle>,
     g_ckpt_gen: GaugeHandle,
     g_ckpt_bytes: GaugeHandle,
     g_ckpt_age: GaugeHandle,
@@ -347,9 +344,6 @@ impl<'a> Coordinator<'a> {
             worker_gauges,
             g_loss: sink.gauge("engine.loss"),
             g_epochs: sink.gauge("engine.epochs"),
-            g_beta_measured: train
-                .measured_beta
-                .then(|| sink.gauge("engine.beta_measured")),
             g_ckpt_gen: sink.gauge("ckpt.generation"),
             g_ckpt_bytes: sink.gauge("ckpt.bytes"),
             g_ckpt_age: sink.gauge("ckpt.age_secs"),
@@ -448,10 +442,19 @@ impl<'a> Coordinator<'a> {
         );
     }
 
-    /// Credit worker `w` with one finished batch of `examples` rows:
-    /// `updates` (β-weighted for a CPU worker) goes to Algorithm 2's count
-    /// and to the worker's stats.
-    pub fn credit(&mut self, w: usize, updates: f64, examples: u64) {
+    /// Credit worker `w` with one finished batch of `examples` rows that
+    /// applied `updates` model updates. Algorithm 2's `uᴱ ← uᴱ + t·β`: a
+    /// CPU worker's Hogwild updates count `t·β` (β = `adaptive.beta`, the
+    /// surviving fraction), a GPU worker's count in full — in the
+    /// controller and in the worker's stats alike.
+    pub fn credit(&mut self, w: usize, updates: u64, examples: u64) {
+        // `hetero_credit_ignores_beta` is a mutation switch for
+        // `scripts/check_mutation.sh`.
+        let beta = match self.stats[w].kind {
+            WorkerKind::Cpu if !cfg!(hetero_credit_ignores_beta) => self.train.adaptive.beta,
+            _ => 1.0,
+        };
+        let updates = updates as f64 * beta;
         self.controller.report_updates(w, updates);
         let s = &mut self.stats[w];
         s.updates += updates;
@@ -555,12 +558,9 @@ impl<'a> Coordinator<'a> {
 
     // --- Loss curve and health ------------------------------------------------
 
-    fn record_point(&mut self, point: LossPoint, beta: Option<f64>) {
+    fn record_point(&mut self, point: LossPoint) {
         self.g_loss.set(point.loss as f64);
         self.g_epochs.set(point.epochs);
-        if let (Some(g), Some(beta)) = (&self.g_beta_measured, beta) {
-            g.set(beta);
-        }
         self.sink.emit(
             COORDINATOR,
             EventKind::EvalPoint {
@@ -583,16 +583,15 @@ impl<'a> Coordinator<'a> {
     /// The loss before any update (a resumed run restores its curve
     /// instead). Seeds the watchdog's divergence/stall baseline — the
     /// first observation never reacts.
-    pub fn initial_point(&mut self, point: LossPoint, beta: Option<f64>) {
-        self.record_point(point, beta);
+    pub fn initial_point(&mut self, point: LossPoint) {
+        self.record_point(point);
         self.watchdog.observe_eval(point.loss as f64);
     }
 
     /// One periodic loss evaluation: curve, gauges, the watchdog's loss
-    /// policy, and the recorder's controller-state snapshot. `beta` is the
-    /// live β̂ when the run measures it.
-    pub fn eval_point(&mut self, point: LossPoint, beta: Option<f64>) {
-        self.record_point(point, beta);
+    /// policy, and the recorder's controller-state snapshot.
+    pub fn eval_point(&mut self, point: LossPoint) {
+        self.record_point(point);
         let loss = point.loss as f64;
         match self.watchdog.observe_eval(loss) {
             HealthAction::Warn => {
@@ -621,7 +620,6 @@ impl<'a> Coordinator<'a> {
                 batches: (0..self.workers())
                     .map(|w| self.controller.batch(w))
                     .collect(),
-                beta,
                 staleness_p50: stale.as_ref().map(|s| s.p50),
                 staleness_p99: stale.as_ref().map(|s| s.p99),
                 grad_peak_norm: h.peak_grad_norm,
@@ -769,13 +767,8 @@ impl<'a> Coordinator<'a> {
     /// end (watchdog trip, a retired worker, the all-dead abort), and the
     /// [`TrainResult`]. `duration` is the total training time across
     /// incarnations.
-    pub fn finish(
-        mut self,
-        last: LossPoint,
-        measured_beta: Option<f64>,
-        duration: f64,
-    ) -> TrainResult {
-        self.record_point(last, measured_beta);
+    pub fn finish(mut self, last: LossPoint, duration: f64) -> TrainResult {
+        self.record_point(last);
         for (w, s) in self.stats.iter_mut().enumerate() {
             s.final_batch = self.controller.batch(w);
             s.summarize_timeline();
@@ -817,7 +810,6 @@ impl<'a> Coordinator<'a> {
             trace_path: None,
             requeued_batches: self.requeued_batches,
             aborted,
-            measured_beta,
             staleness: self.ctx.hub.summary(Metric::Staleness),
             health,
         }
@@ -905,7 +897,7 @@ mod tests {
         let (_, c) = co.next_dispatch(1, &mut scheduler).unwrap();
         assert_eq!((c.start, c.end), (4, 20));
         assert_eq!(scheduler.examples_served(), 20);
-        let r = co.finish(end_point(scheduler.epochs_elapsed()), None, 1.0);
+        let r = co.finish(end_point(scheduler.epochs_elapsed()), 1.0);
         assert_eq!(r.requeued_batches, 2);
         assert_eq!(r.epochs, 0.2);
     }
@@ -979,7 +971,7 @@ mod tests {
         co.retire(1, &WorkerError::Oom("model upload failed".into()));
         co.retire(1, &WorkerError::Disconnected("again".into()));
         co.retire(1, &WorkerError::Panic("late".into()));
-        let r = co.finish(end_point(0.0), None, 1.0);
+        let r = co.finish(end_point(0.0), 1.0);
         assert_eq!(
             r.workers[1].retired.as_deref(),
             Some("device OOM: model upload failed")
@@ -1025,11 +1017,13 @@ mod tests {
 
     /// What the coordinator must be doing, written the obvious way: a FIFO
     /// re-queue, a FIFO window per worker, the ranges reported complete,
-    /// and each worker's batch thresholds as clamps left them.
+    /// the raw updates credited to each worker, and each worker's batch
+    /// thresholds as clamps left them.
     struct Reference {
         requeue: VecDeque<BatchRange>,
         in_flight: Vec<VecDeque<Dispatched>>,
         done: Vec<BatchRange>,
+        raw_updates: Vec<u64>,
         retired: Vec<bool>,
         bounds: Vec<(usize, usize)>,
         last_id: u64,
@@ -1039,6 +1033,10 @@ mod tests {
 
     /// The model test's three adaptive workers.
     const BOUNDS: [(usize, usize); 3] = [(2, 16), (4, 32), (8, 64)];
+
+    /// The model test's β: a CPU update counts half (exact in `f64` for the
+    /// small integer counts credited below).
+    const BETA: f64 = 0.5;
 
     /// One operation of the interleaving, applied to the coordinator and to
     /// the reference, with the per-operation expectations checked. An
@@ -1096,8 +1094,9 @@ mod tests {
             3 | 4 => {
                 if let Some(d) = model.in_flight[w].pop_front() {
                     // Uneven credit walks Algorithm 2 through both resizes.
-                    co.credit(w, (arg % 5) as f64, d.range.len() as u64);
+                    co.credit(w, (arg % 5) as u64, d.range.len() as u64);
                     co.completed(w, d.id);
+                    model.raw_updates[w] += (arg % 5) as u64;
                     model.done.push(d.range);
                 }
             }
@@ -1120,7 +1119,8 @@ mod tests {
                         ..range
                     },
                 );
-                co.credit(w, 1.0, fit as u64);
+                co.credit(w, 1, fit as u64);
+                model.raw_updates[w] += 1;
                 co.controller.clamp_max_batch(w, fit);
                 co.requeue(id, tail);
                 co.completed(w, id);
@@ -1169,6 +1169,18 @@ mod tests {
         // The coordinator's tables are the reference's…
         prop_assert_eq!(&co.requeue, &model.requeue);
         prop_assert_eq!(&co.in_flight, &model.in_flight);
+        // …Algorithm 2 counted t·β for the CPU worker (0) and t for the
+        // GPUs, in the controller and in the stats alike…
+        for (w, &raw) in model.raw_updates.iter().enumerate() {
+            let want = raw as f64 * if w == 0 { BETA } else { 1.0 };
+            let got = (co.stats[w].updates, co.controller.updates(w));
+            prop_assert_eq!(
+                got,
+                (want, want),
+                "worker {} updates differ from the t·β credit",
+                w
+            );
+        }
         // …every example served so far is in exactly one of completed, in
         // flight (parked included) and re-queue: no gap, no overlap,
         // nothing unserved…
@@ -1212,11 +1224,9 @@ mod tests {
             epochs in 1usize..4,
             ops in prop::collection::vec((0u8..9, 0usize..3, 0usize..1000), 1..160),
         ) {
-            let (train, data, ctx) = (
-                TrainConfig::default(),
-                SynthConfig::small(n, 4, 2, 1).generate(),
-                RunCtx::default(),
-            );
+            let mut train = TrainConfig::default();
+            train.adaptive.beta = BETA;
+            let (data, ctx) = (SynthConfig::small(n, 4, 2, 1).generate(), RunCtx::default());
             let world = (&train, &data, &ctx);
             let mut co = coordinator(&train, &data, &ctx, &BOUNDS);
             let mut scheduler = BatchScheduler::new(n, Some(epochs));
@@ -1224,6 +1234,7 @@ mod tests {
                 requeue: VecDeque::new(),
                 in_flight: vec![VecDeque::new(); BOUNDS.len()],
                 done: Vec::new(),
+                raw_updates: vec![0; BOUNDS.len()],
                 retired: vec![false; BOUNDS.len()],
                 bounds: BOUNDS.to_vec(),
                 last_id: 0,

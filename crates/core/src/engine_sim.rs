@@ -369,7 +369,7 @@ impl SimEngine {
             }
         } else {
             // Initial loss (identical across algorithms per §VII-A).
-            co.initial_point(eval(0.0, 0.0, &model, &mut eval_timeline), None);
+            co.initial_point(eval(0.0, 0.0, &model, &mut eval_timeline));
             // Kick off every worker. (A resumed run's workers are already
             // in flight: their completion events came back with the
             // checkpoint.)
@@ -428,7 +428,7 @@ impl SimEngine {
             match ev {
                 Ev::Eval => {
                     let epochs = co.epochs_elapsed(&scheduler);
-                    co.eval_point(eval(t, epochs, &model, &mut eval_timeline), None);
+                    co.eval_point(eval(t, epochs, &model, &mut eval_timeline));
                     last_eval_time = t;
                     let next = t + train.eval_interval;
                     if next <= budget {
@@ -445,7 +445,7 @@ impl SimEngine {
                 } => {
                     let staleness = global_updates.saturating_sub(updates_at_snapshot);
                     obs.stale[worker].record(staleness);
-                    let (applied, credited) = self.apply_batch(
+                    let applied = self.apply_batch(
                         id,
                         worker,
                         &devices[worker],
@@ -462,7 +462,7 @@ impl SimEngine {
                         &mut health_scan,
                     );
                     global_updates += applied;
-                    co.credit(worker, credited, range.len() as u64);
+                    co.credit(worker, applied, range.len() as u64);
                     // Epoch-boundary loss evaluation (paper: "loss
                     // computation is always performed on the GPU at the
                     // end of the epoch").
@@ -473,7 +473,7 @@ impl SimEngine {
                         last_epoch_evaled = range.epoch + 1;
                         last_eval_time = t;
                         let epochs = co.epochs_elapsed(&scheduler);
-                        co.eval_point(eval(t, epochs, &model, &mut eval_timeline), None);
+                        co.eval_point(eval(t, epochs, &model, &mut eval_timeline));
                     }
                     co.completed(worker, id);
                     self.assign(
@@ -494,13 +494,9 @@ impl SimEngine {
         sink.set_virtual_now(budget);
         let epochs = co.epochs_elapsed(&scheduler);
         let last = eval(budget, epochs, &model, &mut eval_timeline);
-        // The sim applies every update serially on the virtual clock, so no
-        // Hogwild write is ever lost: the measured serialization rate is
-        // exactly 1 (the paper's idealized β), known only here at the end —
-        // the eval points above leave it unset. No in-flight work is lost
-        // on an injected death either (the worker dies at assignment
-        // time), so the result's re-queue count stays 0.
-        let mut result = co.finish(last, train.measured_beta.then_some(1.0), budget);
+        // No in-flight work is lost on an injected death (the worker dies
+        // at assignment time), so the result's re-queue count stays 0.
+        let mut result = co.finish(last, budget);
         // The epoch-end loss evaluations run on the GPU (§VII-B) but must
         // not perturb the worker schedules, so they live on a dedicated
         // timeline appended as a zero-update pseudo-worker.
@@ -615,9 +611,9 @@ impl SimEngine {
 
     /// `ExecuteWork` completion: compute the gradient(s) on the snapshot
     /// and apply them to the live model. Returns the number of raw updates
-    /// applied (for global staleness accounting) and the β-weighted count
-    /// to credit the worker with. `batches_done` is the worker's 0-based
-    /// batch counter (the fault plan's and the watchdog's step number).
+    /// applied (for global staleness accounting and Algorithm 2's credit).
+    /// `batches_done` is the worker's 0-based batch counter (the fault
+    /// plan's and the watchdog's step number).
     // audit: no_alloc
     #[allow(clippy::too_many_arguments)]
     fn apply_batch(
@@ -636,7 +632,7 @@ impl SimEngine {
         sink: &TraceSink,
         watchdog: &Watchdog,
         scan: &mut MergeScan,
-    ) -> (u64, f64) {
+    ) -> u64 {
         let train = &self.cfg.train;
         // Injected fault: one NaN into this worker's first applied gradient
         // at the planned step (0-based batch counter, like `death_after`).
@@ -644,7 +640,7 @@ impl SimEngine {
         // §VI-B staleness compensation: discount the learning rate for
         // gradients computed on an old snapshot.
         let discount = 1.0 / (1.0 + train.staleness_discount * staleness as f32);
-        let (n_updates, credited, merge_scale) = match device {
+        let (n_updates, merge_scale) = match device {
             Device::Cpu(c) => {
                 // Algorithm 2 CPU worker: split into t sub-batches, one
                 // Hogwild update each, all computed on the snapshot
@@ -711,7 +707,7 @@ impl SimEngine {
                     }
                     wave_base.copy_from(model);
                 }
-                (n_updates, n_updates as f64 * train.adaptive.beta, None)
+                (n_updates, None)
             }
             Device::Gpu(_) => {
                 let lane = &mut scratch.gpu;
@@ -727,7 +723,7 @@ impl SimEngine {
                 }
                 let eta = train.lr_scaling.eta(train.lr, range.len()) * discount;
                 lane.apply_to(model, eta);
-                (1, 1.0, Some(discount))
+                (1, Some(discount))
             }
         };
         if sink.enabled() {
@@ -752,7 +748,7 @@ impl SimEngine {
                 },
             );
         }
-        (n_updates as u64, credited)
+        n_updates as u64
     }
 
     /// Initial batch-size state of one worker (see
@@ -1310,17 +1306,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn sim_measured_beta_is_exactly_one() {
-        // Serial virtual-clock application loses no update, so the
-        // measured serialization rate is the idealized β = 1.
-        let data = tiny_dataset();
-        let mut cfg = tiny_config(AlgorithmKind::CpuGpuHogbatch, 0.02);
-        cfg.train.measured_beta = true;
-        let r = SimEngine::new(cfg).unwrap().run(&data);
-        assert_eq!(r.measured_beta, Some(1.0));
     }
 
     #[test]

@@ -52,7 +52,6 @@ use hetero_sim::{DeviceModel, GpuModel};
 use hetero_trace::{BatchPhases, CounterHandle, EventKind, TimeDomain, TraceSink, COORDINATOR};
 use serde::{Deserialize, Serialize};
 
-use crate::adaptive::credit_updates;
 use crate::config::{AlgorithmKind, TrainConfig};
 use crate::coordinator::{
     cpu_batch_state, gpu_batch_state, observe_scan, Coordinator, CoreCkpt, RunCtx, Setup,
@@ -147,15 +146,6 @@ struct ThreadedCkpt {
 
 /// Schema tag rejecting checkpoints from other engines or layouts.
 const THREADED_CKPT_SCHEMA: &str = "hetero-threaded-ckpt/v2";
-
-/// The live CAS-probe estimate β̂, when the run opted into measured β
-/// (DESIGN.md §4g).
-fn live_beta(train: &TrainConfig, shared: &SharedModel) -> Option<f64> {
-    train
-        .measured_beta
-        .then(|| shared.beta_estimate())
-        .flatten()
-}
 
 /// Ranges a worker holds at once: the one it is on, and one parked behind
 /// it in its exec queue so that it never idles through a coordinator round
@@ -370,14 +360,13 @@ impl ThreadedEngine {
                 accuracy,
             }
         };
-        let beta = || live_beta(train, &shared);
         // The remaining budget is what the original run had not yet spent.
         let budget = Duration::from_secs_f64((train.time_budget - t_base).max(0.0));
         if !resumed {
             // Nobody has written `shared` yet, so `init` *is* its snapshot;
             // nothing has been dispatched either (dispatching first only
             // moves the eval's CPU time onto the workers' cores).
-            co.initial_point(score(&init, 0.0), beta());
+            co.initial_point(score(&init, 0.0));
         }
         // One snapshot model for every later eval of the run: the initial
         // model's buffers, already warm.
@@ -424,7 +413,7 @@ impl ThreadedEngine {
             }
             let now = t0.elapsed();
             if now >= next_eval {
-                co.eval_point(eval(co.epochs_elapsed(&scheduler)), beta());
+                co.eval_point(eval(co.epochs_elapsed(&scheduler)));
                 // Advance past `now` in whole intervals: a stall longer
                 // than one interval must not leave `next_eval` behind the
                 // wall clock (which would starve batch dispatch with
@@ -437,7 +426,7 @@ impl ThreadedEngine {
             match ready_rx.recv_timeout(wait) {
                 Ok(WorkerMsg::Ready(r)) => {
                     let (w, out) = (r.worker, r.out);
-                    co.credit(w, out.credited, out.batch as u64);
+                    co.credit(w, out.updates as u64, out.batch as u64);
                     if let Some(fit) = out.shrunk_to {
                         // The device OOMed above `fit`: the adaptive loop
                         // must never re-request a size it already rejected.
@@ -493,7 +482,7 @@ impl ThreadedEngine {
         let last = eval(co.epochs_elapsed(&scheduler));
         // Total training time across incarnations, not just this one.
         let duration = t_base + t0.elapsed().as_secs_f64();
-        co.finish(last, beta(), duration)
+        co.finish(last, duration)
     }
 
     /// Start worker `slot`'s thread: its kind's body around the common
@@ -542,10 +531,8 @@ impl ThreadedEngine {
 struct StepOutcome {
     /// Examples processed (short of the dispatch after an OOM shrink).
     batch: usize,
-    /// Raw model updates applied.
+    /// Raw model updates applied (Algorithm 2's `t`).
     updates: usize,
-    /// What Algorithm 2 is credited with (`t·β` for Hogwild lanes).
-    credited: f64,
     /// Scale of the replica merge, on workers that merge one.
     merge_scale: Option<f32>,
     /// When a device OOM forced the step smaller, the batch size that
@@ -719,13 +706,9 @@ fn cpu_worker(
             if lane_total > busy_wall && lane_total > 0.0 {
                 phases.scale(busy_wall / lane_total);
             }
-            // `t·β` crediting: the configured constant by default, the live
-            // estimate when the run measures β.
-            let measured = live_beta(train, shared);
             Ok(StepOutcome {
                 batch: range.len(),
                 updates: n_updates,
-                credited: credit_updates(n_updates as u64, train.adaptive.beta, measured),
                 merge_scale: None,
                 shrunk_to: None,
                 leftover: None,
@@ -914,7 +897,7 @@ fn cpu_lane_step(
         let features = ctx.src.dataset.features();
         ctx.skipped_ctr.add((features - cols.len()) as u64);
     }
-    lane.batch.apply_racy(shared, eta, ctx.train.measured_beta);
+    lane.batch.apply_racy(shared, eta);
     lane.phases.merge_secs = t_merge.elapsed().as_secs_f64();
     if let Some(at) = stale_at {
         let now = shared.update_count();
@@ -1087,7 +1070,6 @@ fn gpu_batch_step(
     Ok(StepOutcome {
         batch: len,
         updates: 1,
-        credited: 1.0,
         merge_scale: Some(scale),
         shrunk_to,
         leftover,
@@ -1181,6 +1163,8 @@ mod tests {
         for w in &r.workers {
             assert!(w.batches > 0, "{:?} idle", w.kind);
         }
+        // The default `RunCtx` has no hub, so no staleness summary.
+        assert!(r.staleness.is_none());
     }
 
     #[test]
@@ -1290,8 +1274,7 @@ mod tests {
     fn observed_run_fills_histograms_and_dashboard_gauges() {
         let sink = TraceSink::wall(RING);
         let hub = MetricsHub::new();
-        let mut cfg = config(AlgorithmKind::AdaptiveHogbatch, 0.4);
-        cfg.train.measured_beta = true;
+        let cfg = config(AlgorithmKind::AdaptiveHogbatch, 0.4);
         let r = ThreadedEngine::new(cfg).unwrap().run_with(
             dataset(),
             &RunCtx {
@@ -1301,10 +1284,6 @@ mod tests {
             },
         );
         assert!(r.final_loss().is_finite());
-        // Measured β: the run opted in, so the estimate must be present
-        // and a valid survival fraction.
-        let beta = r.measured_beta.expect("measured β missing");
-        assert!((0.0..=1.0).contains(&beta), "β̂ = {beta}");
         // Staleness summary comes from the hub.
         let stale = r.staleness.expect("staleness summary missing");
         assert!(stale.count > 0);
@@ -1341,7 +1320,6 @@ mod tests {
         assert!(gauge("worker.0.updates").unwrap_or(0.0) > 0.0);
         assert!(gauge("worker.1.batch").unwrap_or(0.0) > 0.0);
         assert!(gauge("engine.loss").unwrap_or(f64::NAN).is_finite());
-        assert!(gauge("engine.beta_measured").is_some());
         // Timeline digests were filled in before returning.
         for w in &r.workers {
             assert!(w.timeline_summary.intervals > 0);
@@ -1355,7 +1333,6 @@ mod tests {
         let hub = MetricsHub::new();
         let mut cfg = config(AlgorithmKind::CpuGpuHogbatch, 0.5);
         cfg.train.sparse_input = true;
-        cfg.train.measured_beta = true; // exercise the sampled-cols apply
         let r = ThreadedEngine::new(cfg).unwrap().run_with(
             dataset(),
             &RunCtx {
@@ -1368,9 +1345,6 @@ mod tests {
         for w in &r.workers {
             assert!(w.batches > 0, "{:?} idle", w.kind);
         }
-        // β̂ still comes out of the sampled-cols CAS probes.
-        let beta = r.measured_beta.expect("measured β missing");
-        assert!((0.0..=1.0).contains(&beta), "β̂ = {beta}");
         // Sparse observability: rows-touched from both worker kinds, the
         // sparse-split merge-contention series from the GPU merge, the density
         // gauge, and the rows-skipped counter.
@@ -1465,17 +1439,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn paper_parity_run_reports_no_measured_beta() {
-        let r = ThreadedEngine::new(config(AlgorithmKind::CpuGpuHogbatch, 0.3))
-            .unwrap()
-            .run(dataset());
-        // Default config: β stays the configured constant and the result
-        // carries no estimate (and no hub → no staleness summary).
-        assert!(r.measured_beta.is_none());
-        assert!(r.staleness.is_none());
     }
 
     #[test]

@@ -175,11 +175,10 @@ impl Lane {
         }
     }
 
-    /// The Hogwild apply of the stored gradient; `probe` turns on the
-    /// measured-β conflict sampling (DESIGN.md §4g).
+    /// The Hogwild apply of the stored gradient.
     // audit: no_alloc
-    pub(crate) fn apply_racy(&self, shared: &SharedModel, eta: f32, probe: bool) {
-        shared.apply_racy(self.ws.grad(), eta, self.ws.active_cols(), probe);
+    pub(crate) fn apply_racy(&self, shared: &SharedModel, eta: f32) {
+        shared.apply_racy(self.ws.grad(), eta, self.ws.active_cols());
     }
 
     /// The merge twin of [`apply_racy`](Self::apply_racy), for a lane that
@@ -361,25 +360,6 @@ mod tests {
         let ((l1, a1), (l2, a2)) = (on_dense.score(&m), on_csr.score(&m));
         assert!((l1 - l2).abs() < 1e-5, "{l1} vs {l2}");
         assert!((a1 - a2).abs() < 1e-5, "{a1} vs {a2}");
-    }
-
-    #[test]
-    fn probe_changes_counters_not_parameters() {
-        let (_, csr) = sources();
-        let m = model();
-        let mut lane = Lane::new(m.spec());
-        lane.stage(&csr, 0, 16);
-        lane.gradient(&csr, &m, false);
-        let (plain, probed) = (SharedModel::new(&m), SharedModel::new(&m));
-        lane.apply_racy(&plain, 0.3, false);
-        lane.apply_racy(&probed, 0.3, true);
-        assert_eq!(plain.read_flat(), probed.read_flat());
-        assert_eq!(plain.conflict_counts(), (0, 0));
-        let (samples, losses) = probed.conflict_counts();
-        assert!(
-            samples > 0 && losses == 0,
-            "{samples} probes, {losses} lost"
-        );
     }
 
     /// A workspace that served a CSR batch and then a dense one holds a

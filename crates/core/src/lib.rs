@@ -49,7 +49,7 @@ pub mod fault;
 mod lane;
 pub mod metrics;
 
-pub use adaptive::{credit_updates, AdaptiveController};
+pub use adaptive::AdaptiveController;
 pub use config::{AdaptiveParams, AlgorithmKind, LrScaling, TrainConfig};
 pub use coordinator::RunCtx;
 pub use engine_sim::{SimEngine, SimEngineConfig};

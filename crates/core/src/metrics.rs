@@ -144,10 +144,6 @@ pub struct TrainResult {
     /// was retired by faults. The run still returns whatever progress was
     /// made; this records why it stopped short.
     pub aborted: Option<String>,
-    /// Measured serialization rate `β̂` from sampled CAS probes on the
-    /// shared model (see `TrainConfig::measured_beta` and DESIGN.md §4g).
-    /// `None` when the run did not measure β (the paper-parity default).
-    pub measured_beta: Option<f64>,
     /// Distribution of per-update gradient staleness (model versions
     /// applied between an update's read and its merge). `None` when the
     /// run had no metrics hub attached.
@@ -294,7 +290,6 @@ mod tests {
             trace_path: None,
             requeued_batches: 0,
             aborted: None,
-            measured_beta: None,
             staleness: None,
             health: None,
         }
@@ -350,7 +345,6 @@ mod tests {
             trace_path: None,
             requeued_batches: 0,
             aborted: None,
-            measured_beta: None,
             staleness: None,
             health: None,
         };
@@ -383,11 +377,10 @@ mod tests {
 
     #[test]
     fn new_fields_tolerate_missing_keys() {
-        // Results written before measured β / staleness existed must still
-        // load: the serde shim maps missing keys to `None` for Options.
+        // Results written before staleness existed must still load: the
+        // serde shim maps missing keys to `None` for Options.
         let json = serde_json::to_string(&result()).expect("serialize");
         let back: TrainResult = serde_json::from_str(&json).expect("deserialize");
-        assert!(back.measured_beta.is_none());
         assert!(back.staleness.is_none());
     }
 }

@@ -16,7 +16,7 @@
 //!   Table II statistics, per-dataset DNN depth (§VII-A), and a `scale`
 //!   knob to generate laptop-sized variants with the same proportions;
 //! - [`batch`] — the coordinator-side batch schedule: contiguous example
-//!   ranges handed out per worker request, with per-epoch reshuffling.
+//!   ranges handed out per worker request, epoch after epoch.
 
 #![warn(missing_docs)]
 
@@ -27,7 +27,7 @@ pub mod libsvm;
 pub mod sparse;
 pub mod synth;
 
-pub use batch::{BatchScheduler, ShuffledScheduler};
+pub use batch::BatchScheduler;
 pub use catalog::{DatasetStats, PaperDataset};
 pub use dataset::{DenseDataset, Labels};
 pub use sparse::SparseDataset;

@@ -1,7 +1,7 @@
 //! Property tests for dataset handling: LIBSVM round trips, shuffling,
 //! splitting, and the batch scheduler.
 
-use hetero_data::{libsvm, BatchScheduler, DenseDataset, Labels, ShuffledScheduler, SynthConfig};
+use hetero_data::{libsvm, BatchScheduler, DenseDataset, Labels, SynthConfig};
 use hetero_tensor::Matrix;
 use proptest::prelude::*;
 
@@ -99,26 +99,6 @@ proptest! {
         }
         prop_assert_eq!(s.examples_served(), served);
         prop_assert!((s.epochs_elapsed() - served as f64 / n as f64).abs() < 1e-12);
-    }
-
-    /// The shuffled scheduler's served-example totals are exact at every
-    /// step — including non-divisible `n`, where the short tail block is
-    /// handed out mid-epoch wherever the permutation places it.
-    #[test]
-    fn shuffled_scheduler_served_total_exact(
-        n in 1usize..300,
-        block in 1usize..40,
-        epochs in 1usize..4,
-        seed in any::<u64>(),
-    ) {
-        let mut s = ShuffledScheduler::new(n, block, seed, Some(epochs));
-        let mut served = 0u64;
-        while let Some(b) = s.next_block() {
-            served += b.len() as u64;
-            prop_assert_eq!(s.examples_served(), served, "mid-epoch drift");
-        }
-        prop_assert_eq!(served, (n * epochs) as u64);
-        prop_assert!((s.epochs_elapsed() - epochs as f64).abs() < 1e-9);
     }
 
     /// Synthetic multilabel generation: label matrix is 0/1 and every

@@ -126,14 +126,13 @@ pub fn render_report(b: &PostmortemBundle) -> String {
     line(String::new());
     if !b.snapshots.is_empty() {
         line(format!("snapshots ({} retained):", b.snapshots.len()));
-        line("  t          loss       epochs    beta    stale-p50  stale-p99  batches".into());
+        line("  t          loss       epochs    stale-p50  stale-p99  batches".into());
         for s in &b.snapshots {
             line(format!(
-                "  {:<10.4} {:<10.4} {:<9.3} {:<7} {:<10} {:<10} {:?}",
+                "  {:<10.4} {:<10.4} {:<9.3} {:<10} {:<10} {:?}",
                 s.t,
                 s.loss,
                 s.epochs,
-                fmt_opt(s.beta),
                 fmt_opt(s.staleness_p50),
                 fmt_opt(s.staleness_p99),
                 s.batches
@@ -226,7 +225,6 @@ mod tests {
                 loss: 0.7,
                 epochs: 1.5,
                 batches: vec![16, 64],
-                beta: Some(0.9),
                 staleness_p50: Some(2.0),
                 staleness_p99: Some(9.0),
                 grad_peak_norm: 2.5,

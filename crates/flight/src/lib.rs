@@ -8,7 +8,7 @@
 //!   retention window of recent trace events (by handing the engine a
 //!   bounded [`hetero_trace::TraceSink`] when the caller did not supply
 //!   one), a drop-oldest ring of periodic [`HealthSnapshot`]s (loss, batch
-//!   sizes, β̂, staleness quantiles, gradient norms), and run
+//!   sizes, staleness quantiles, gradient norms), and run
 //!   [`Provenance`] (serialized config, git sha, SIMD level). On any fault
 //!   path — worker retirement, abort, or watchdog trip — the engine dumps
 //!   a self-contained [`PostmortemBundle`] JSON that the
@@ -31,11 +31,9 @@
 pub mod bundle;
 pub mod policy;
 pub mod recorder;
-pub mod ring;
 pub mod watchdog;
 
 pub use bundle::{render_report, MetricRow, PostmortemBundle, SCHEMA};
 pub use policy::{HealthAction, HealthPolicy, HealthSummary, NonfiniteRecord};
 pub use recorder::{read_git_sha, FlightConfig, FlightRecorder, HealthSnapshot, Provenance};
-pub use ring::RetentionRing;
 pub use watchdog::{Watchdog, WatchdogState};

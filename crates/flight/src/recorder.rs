@@ -6,13 +6,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use hetero_metrics::{Metric, MetricsHub};
-use hetero_trace::{TimeDomain, Trace, TraceSink};
+use hetero_trace::{Ring, TimeDomain, Trace, TraceSink};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use crate::bundle::{MetricRow, PostmortemBundle, SCHEMA};
 use crate::policy::HealthPolicy;
-use crate::ring::RetentionRing;
 use crate::watchdog::Watchdog;
 
 /// Per-shard trace-ring capacity for recorder-created sinks: big enough to
@@ -76,8 +75,6 @@ pub struct HealthSnapshot {
     pub epochs: f64,
     /// Per-worker batch sizes (controller state).
     pub batches: Vec<usize>,
-    /// Measured β̂ so far, when the run measures it.
-    pub beta: Option<f64>,
     /// Staleness p50 from the metrics hub, when enabled.
     pub staleness_p50: Option<f64>,
     /// Staleness p99 from the metrics hub, when enabled.
@@ -93,7 +90,7 @@ struct RecorderInner {
     /// Newest crash-consistent checkpoint path, refreshed by the engine on
     /// every publish so a postmortem names where to resume from.
     resumable_from: Mutex<Option<String>>,
-    snapshots: Mutex<RetentionRing<HealthSnapshot>>,
+    snapshots: Mutex<Ring<HealthSnapshot>>,
     /// Distinguishes multiple dumps from one process (monotonic suffix).
     seq: AtomicU64,
     last_dump: Mutex<Option<String>>,
@@ -118,7 +115,8 @@ impl FlightRecorder {
         let watchdog = Watchdog::new(cfg.policy.clone());
         FlightRecorder {
             inner: Some(Arc::new(RecorderInner {
-                snapshots: Mutex::new(RetentionRing::new(cfg.snapshot_capacity)),
+                // At least one: a postmortem always shows the last state.
+                snapshots: Mutex::new(Ring::new(cfg.snapshot_capacity.max(1))),
                 cfg,
                 watchdog,
                 provenance: Mutex::new(None),
@@ -184,7 +182,7 @@ impl FlightRecorder {
     pub fn snapshots(&self) -> Vec<HealthSnapshot> {
         self.inner
             .as_deref()
-            .map(|i| i.snapshots.lock().to_vec())
+            .map(|i| i.snapshots.lock().peek())
             .unwrap_or_default()
     }
 
@@ -221,7 +219,7 @@ impl FlightRecorder {
             resumable_from: inner.resumable_from.lock().clone(),
             provenance: inner.provenance.lock().clone(),
             health: inner.watchdog.summary(),
-            snapshots: inner.snapshots.lock().to_vec(),
+            snapshots: inner.snapshots.lock().peek(),
             counters: trace.counters.clone(),
             metrics,
             phase_profile,
@@ -318,6 +316,29 @@ mod tests {
         assert_eq!(kept.len(), 2);
         assert_eq!(kept[0].t, 3.0);
         assert_eq!(kept[1].t, 4.0);
+        // A zero capacity still keeps the newest snapshot.
+        let r = FlightRecorder::new(FlightConfig {
+            snapshot_capacity: 0,
+            ..FlightConfig::default()
+        });
+        for i in 0..3 {
+            r.record_snapshot(HealthSnapshot {
+                t: i as f64,
+                ..HealthSnapshot::default()
+            });
+        }
+        assert_eq!(r.snapshots().iter().map(|s| s.t).collect::<Vec<_>>(), [2.0]);
+    }
+
+    #[test]
+    fn snapshot_with_the_retired_beta_key_still_parses() {
+        // Bundles dumped while runs could measure β carry a `beta` key; they
+        // stay readable under the same schema.
+        let old = r#"{"t":0.5,"loss":0.512,"epochs":1.25,"batches":[56,8192],
+            "beta":0.97,"staleness_p50":2,"staleness_p99":56,"grad_peak_norm":3}"#;
+        let s: HealthSnapshot = serde_json::from_str(old).expect("old snapshot parses");
+        assert_eq!((s.t, s.batches.as_slice()), (0.5, &[56, 8192][..]));
+        assert_eq!((s.staleness_p99, s.grad_peak_norm), (Some(56.0), 3.0));
     }
 
     #[test]

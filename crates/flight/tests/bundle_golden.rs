@@ -56,7 +56,6 @@ fn fixture_dump(test: &str) -> String {
         loss: 0.512,
         epochs: 1.25,
         batches: vec![56, 8192],
-        beta: Some(0.97),
         staleness_p50: Some(2.0),
         staleness_p99: Some(56.0),
         grad_peak_norm: 3.0,
@@ -177,7 +176,6 @@ fn bundle_schema_key_sets_are_stable() {
             "loss",
             "epochs",
             "batches",
-            "beta",
             "staleness_p50",
             "staleness_p99",
             "grad_peak_norm"

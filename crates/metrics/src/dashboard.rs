@@ -42,9 +42,6 @@ pub struct DashboardFrame {
     pub loss: f64,
     /// Fractional epochs completed (`engine.epochs` gauge).
     pub epochs: f64,
-    /// Measured surviving-update fraction β̂ (`engine.beta_measured`
-    /// gauge), if the run measures it.
-    pub measured_beta: Option<f64>,
     /// Input density of the training batches (`engine.sparse_density`
     /// gauge), published by runs on the sparse execution path.
     pub sparse_density: Option<f64>,
@@ -66,11 +63,11 @@ impl DashboardFrame {
     /// Gauge naming contract (what the engines publish when a sink is
     /// attached): `worker.<w>.kind` (0 = CPU, 1 = GPU), `worker.<w>.updates`,
     /// `worker.<w>.batch`, `worker.<w>.examples`, `worker.<w>.busy_secs`,
-    /// plus run-level `engine.loss`, `engine.epochs`, (measured-β runs)
-    /// `engine.beta_measured`, and (sparse runs) `engine.sparse_density`
-    /// plus the `engine.sparse_rows_skipped` counter. Staleness quantiles
-    /// come from the hub's [`Metric::Staleness`] series; rows-touched
-    /// quantiles from the merged [`Metric::RowsTouched`] series.
+    /// plus run-level `engine.loss`, `engine.epochs`, and (sparse runs)
+    /// `engine.sparse_density` plus the `engine.sparse_rows_skipped`
+    /// counter. Staleness quantiles come from the hub's
+    /// [`Metric::Staleness`] series; rows-touched quantiles from the merged
+    /// [`Metric::RowsTouched`] series.
     pub fn collect(sink: &TraceSink, hub: &MetricsHub, elapsed: f64) -> DashboardFrame {
         let typed = sink.snapshot_typed();
         let hub_snap = hub.snapshot();
@@ -78,7 +75,6 @@ impl DashboardFrame {
             elapsed,
             loss: f64::NAN,
             epochs: 0.0,
-            measured_beta: None,
             sparse_density: None,
             sparse_rows_skipped: None,
             rows_touched_p50: None,
@@ -119,7 +115,6 @@ impl DashboardFrame {
             match parts.as_slice() {
                 ["engine", "loss"] => frame.loss = *value,
                 ["engine", "epochs"] => frame.epochs = *value,
-                ["engine", "beta_measured"] => frame.measured_beta = Some(*value),
                 ["engine", "sparse_density"] => frame.sparse_density = Some(*value),
                 ["worker", w, field] => {
                     let Ok(w) = w.parse::<u32>() else { continue };
@@ -182,9 +177,6 @@ pub fn render_dashboard(
     } else {
         ("", String::new())
     };
-    let beta = frame
-        .measured_beta
-        .map_or(String::new(), |b| format!("  measured β {b:.4}"));
     let mut density = frame
         .sparse_density
         .map_or(String::new(), |d| format!("  sparse {:.3}%", 100.0 * d));
@@ -201,7 +193,7 @@ pub fn render_dashboard(
     };
     let _ = writeln!(
         out,
-        "hetero-scope · t={:7.2}s  loss {loss}  epochs {:.2}{beta}{density}{eol}",
+        "hetero-scope · t={:7.2}s  loss {loss}  epochs {:.2}{density}{eol}",
         frame.elapsed, frame.epochs
     );
     let _ = writeln!(
@@ -260,7 +252,6 @@ mod tests {
         let sink = TraceSink::wall(DEFAULT_RING_CAPACITY);
         sink.gauge("engine.loss").set(0.75);
         sink.gauge("engine.epochs").set(1.5);
-        sink.gauge("engine.beta_measured").set(0.93);
         sink.gauge("engine.sparse_density").set(0.0025);
         sink.counter("engine.sparse_rows_skipped").add(4200);
         sink.gauge("worker.0.kind").set(0.0);
@@ -281,7 +272,6 @@ mod tests {
         }
         let frame = DashboardFrame::collect(&sink, &hub, 1.0);
         assert_eq!(frame.loss, 0.75);
-        assert_eq!(frame.measured_beta, Some(0.93));
         assert_eq!(frame.sparse_density, Some(0.0025));
         assert_eq!(frame.sparse_rows_skipped, Some(4200));
         let (p50, p99) = (
@@ -303,7 +293,6 @@ mod tests {
             elapsed: 2.0,
             loss: 0.5,
             epochs: 0.8,
-            measured_beta: Some(0.99),
             sparse_density: Some(0.0025),
             sparse_rows_skipped: Some(4200),
             rows_touched_p50: Some(12.0),
@@ -320,7 +309,6 @@ mod tests {
             }],
         };
         let plain = render_dashboard(&frame, None, false);
-        assert!(plain.contains("measured β 0.9900"));
         assert!(plain.contains("sparse 0.250%"));
         assert!(plain.contains("rows-skipped 4200"));
         assert!(plain.contains("rows 50/99 12/300"));

@@ -15,7 +15,7 @@ fn live_exposition() -> String {
     sink.counter("engine.requeues").add(3);
     sink.counter("worker.0.faults").add(1);
     sink.gauge("engine.loss").set(0.625);
-    sink.gauge("engine.beta_measured").set(0.9998);
+    sink.gauge("engine.beta").set(0.5);
     sink.gauge("worker.0.updates").set(1234.0);
 
     let hub = MetricsHub::new();

@@ -281,18 +281,6 @@ impl Model {
             .iter()
             .all(|l| l.w.all_finite() && l.b.iter().all(|v| v.is_finite()))
     }
-
-    /// Save the model as JSON (spec + parameters) to `path`.
-    pub fn save(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        let json = serde_json::to_string(self).map_err(std::io::Error::other)?;
-        std::fs::write(path, json)
-    }
-
-    /// Load a model previously written by [`Model::save`].
-    pub fn load(path: impl AsRef<std::path::Path>) -> std::io::Result<Model> {
-        let json = std::fs::read_to_string(path)?;
-        serde_json::from_str(&json).map_err(std::io::Error::other)
-    }
 }
 
 #[cfg(test)]
@@ -404,17 +392,5 @@ mod tests {
     #[test]
     fn param_norm_zero_for_zero_model() {
         assert_eq!(Model::zeros_like(&spec()).param_norm(), 0.0);
-    }
-
-    #[test]
-    fn save_load_roundtrip() {
-        let dir = std::env::temp_dir().join("hetero_nn_ckpt");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("model.json");
-        let m = Model::new(spec(), InitScheme::Xavier, 99);
-        m.save(&path).unwrap();
-        let back = Model::load(&path).unwrap();
-        assert_eq!(m, back);
-        assert!(Model::load(dir.join("missing.json")).is_err());
     }
 }

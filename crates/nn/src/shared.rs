@@ -44,12 +44,6 @@ use crate::sync::{yield_now, AtomicBool, AtomicU32, AtomicU64, Ordering};
 // (`tests/loom_shared.rs`) checks that under all interleavings, and that the
 // racy path stays within its feasible envelope.
 
-/// Every how many parameters a probing racy apply checks for write
-/// conflicts (see [`SharedModel::apply_racy`]). Sparse on purpose: the probe
-/// is a strong CAS instead of a plain store, and the estimator only needs a
-/// sample, not a census.
-const CONFLICT_SAMPLE_STRIDE: usize = 16;
-
 /// Shared parameter store for concurrent SGD.
 pub struct SharedModel {
     spec: MlpSpec,
@@ -62,10 +56,6 @@ pub struct SharedModel {
     owned: Vec<AtomicBool>,
     /// Total number of model updates applied (any worker).
     updates: AtomicU64,
-    /// Parameter writes probed for conflicts by probing racy applies.
-    conflict_samples: AtomicU64,
-    /// Probed writes that observed a racing foreign write.
-    conflict_losses: AtomicU64,
 }
 
 impl SharedModel {
@@ -83,8 +73,6 @@ impl SharedModel {
             owned: stripes.iter().map(|_| AtomicBool::new(false)).collect(),
             stripes,
             updates: AtomicU64::new(0),
-            conflict_samples: AtomicU64::new(0),
-            conflict_losses: AtomicU64::new(0),
         }
     }
 
@@ -159,99 +147,35 @@ impl SharedModel {
     /// weights are **zero outside `l0_cols`**, so skipping the other
     /// columns changes nothing — it only skips `w ← w − eta·0` writes,
     /// which for bag-of-words inputs is almost all of layer 0.
-    ///
-    /// With `probe`, **conflict sampling**: identical model dynamics, but
-    /// every `CONFLICT_SAMPLE_STRIDE`-th (16th) *flat parameter index* is
-    /// written with a strong `compare_exchange` first. A probe that fails
-    /// observed a foreign write racing this one — exactly the event that
-    /// makes a Hogwild update partially "not survive" — and is tallied
-    /// into the measured-β estimator
-    /// ([`beta_estimate`](Self::beta_estimate)). On a failed probe the
-    /// value is stored anyway, preserving the racy last-writer-wins
-    /// semantics bit-for-bit. Sampling on the flat index keeps the probe
-    /// population the same with and without `l0_cols`, so β̂ remains
-    /// comparable across sparse and dense lanes.
     // audit: no_alloc,no_panic,no_block
-    pub fn apply_racy(&self, grad: &Model, eta: f32, l0_cols: Option<&[u32]>, probe: bool) {
-        // Two monomorphized bodies: the un-probed one has no CAS and no
-        // counters in its loop at all.
-        if probe {
-            self.apply_racy_body::<true>(grad, eta, l0_cols)
-        } else {
-            self.apply_racy_body::<false>(grad, eta, l0_cols)
-        }
-    }
-
-    /// [`apply_racy`](Self::apply_racy), dense and un-probed (kept: the
-    /// frozen `benchmark/` calls it).
-    pub fn apply_gradient_racy(&self, grad: &Model, eta: f32) {
-        self.apply_racy(grad, eta, None, false)
-    }
-
-    /// [`apply_racy`](Self::apply_racy) over `l0_cols`, un-probed (kept:
-    /// the frozen `benchmark/` calls it).
-    pub fn apply_gradient_racy_cols(&self, grad: &Model, eta: f32, l0_cols: &[u32]) {
-        self.apply_racy(grad, eta, Some(l0_cols), false)
-    }
-
-    /// The one racy read-modify-write loop behind
-    /// [`apply_racy`](Self::apply_racy).
-    fn apply_racy_body<const PROBE: bool>(&self, grad: &Model, eta: f32, l0_cols: Option<&[u32]>) {
+    pub fn apply_racy(&self, grad: &Model, eta: f32, l0_cols: Option<&[u32]>) {
         assert_eq!(grad.spec(), &self.spec, "gradient spec mismatch");
-        let (mut samples, mut losses) = (0u64, 0u64);
         for st in &self.stripes {
             let (params, g) = (&self.params[st.start..st.end], grad.stripe(st));
             st.walk(l0_cols, |i| {
                 let p = &params[i];
-                // Relaxed load/store pairs: the non-atomic read-modify-write
+                // Relaxed load/store pair: the non-atomic read-modify-write
                 // is the point — concurrent writers may overwrite each other
                 // (Hogwild lost-update semantics; module ordering note
-                // above). The sampled strong CAS also needs no ordering —
-                // only its success/failure verdict is used, as a conflict
-                // *observation*.
-                let cur = p.load(Ordering::Relaxed);
-                let next = (f32::from_bits(cur) - eta * g[i]).to_bits();
-                if PROBE && (st.start + i).is_multiple_of(CONFLICT_SAMPLE_STRIDE) {
-                    samples += 1;
-                    if p.compare_exchange(cur, next, Ordering::Relaxed, Ordering::Relaxed)
-                        .is_err()
-                    {
-                        losses += 1;
-                        // Relaxed: losing the probe still lands the racy
-                        // Hogwild store, same as the unsampled lane.
-                        p.store(next, Ordering::Relaxed);
-                    }
-                } else {
-                    p.store(next, Ordering::Relaxed);
-                }
+                // above).
+                let next = f32::from_bits(p.load(Ordering::Relaxed)) - eta * g[i];
+                p.store(next.to_bits(), Ordering::Relaxed);
             });
         }
-        // Relaxed: monitoring counters.
-        if PROBE {
-            self.conflict_samples.fetch_add(samples, Ordering::Relaxed);
-            if losses > 0 {
-                self.conflict_losses.fetch_add(losses, Ordering::Relaxed);
-            }
-        }
+        // Relaxed: monitoring counter.
         self.updates.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Probed and conflicting parameter writes accumulated by probing
-    /// [`apply_racy`](Self::apply_racy) calls: `(samples, losses)`.
-    pub fn conflict_counts(&self) -> (u64, u64) {
-        // Relaxed: monitoring counters.
-        let read = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
-        (read(&self.conflict_samples), read(&self.conflict_losses))
+    /// [`apply_racy`](Self::apply_racy), dense (kept: the frozen
+    /// `benchmark/` calls it).
+    pub fn apply_gradient_racy(&self, grad: &Model, eta: f32) {
+        self.apply_racy(grad, eta, None)
     }
 
-    /// Measured surviving-update fraction β̂ = 1 − losses/samples, from the
-    /// sampled conflict probes. `None` until at least one probe ran (e.g.
-    /// the run never asked for probing). The paper fixes β = 1 by
-    /// default; this estimator lets the adaptive controller credit CPU
-    /// batches with `t·β̂` instead when `TrainConfig::measured_beta` is on.
-    pub fn beta_estimate(&self) -> Option<f64> {
-        let (samples, losses) = self.conflict_counts();
-        (samples > 0).then(|| 1.0 - losses as f64 / samples as f64)
+    /// [`apply_racy`](Self::apply_racy) over `l0_cols` (kept: the frozen
+    /// `benchmark/` calls it).
+    pub fn apply_gradient_racy_cols(&self, grad: &Model, eta: f32, l0_cols: &[u32]) {
+        self.apply_racy(grad, eta, Some(l0_cols))
     }
 
     /// Lock-free exact update: per-element CAS loop; never loses a write.
@@ -464,7 +388,7 @@ mod tests {
         let mut grad = Model::zeros_like(m.spec());
         grad.layers_mut()[0].w.set(0, 1, 2.0);
         grad.layers_mut()[1].b[1] = -1.0;
-        s.apply_racy(&grad, 0.1, None, false);
+        s.apply_racy(&grad, 0.1, None);
         let mut out = Model::zeros_like(m.spec());
         s.snapshot_into(&mut out);
         assert_eq!(out, s.snapshot());
@@ -475,7 +399,7 @@ mod tests {
         let (m, s) = setup();
         let mut grad = Model::zeros_like(m.spec());
         grad.layers_mut()[0].w.set(0, 0, 1.0);
-        s.apply_racy(&grad, 0.1, None, false);
+        s.apply_racy(&grad, 0.1, None);
         let snap = s.snapshot();
         let expect = m.layers()[0].w.get(0, 0) - 0.1;
         assert!((snap.layers()[0].w.get(0, 0) - expect).abs() < 1e-6);
@@ -488,57 +412,9 @@ mod tests {
         let s2 = SharedModel::new(&m);
         let mut grad = Model::zeros_like(m.spec());
         grad.layers_mut()[1].b[0] = 2.0;
-        s1.apply_racy(&grad, 0.5, None, false);
+        s1.apply_racy(&grad, 0.5, None);
         s2.apply_gradient_atomic(&grad, 0.5);
         assert_eq!(s1.read_flat(), s2.read_flat());
-    }
-
-    #[test]
-    fn sampled_racy_matches_racy_and_measures_beta_one_when_serial() {
-        let (m, s1) = setup();
-        let s2 = SharedModel::new(&m);
-        let mut grad = Model::zeros_like(m.spec());
-        grad.layers_mut()[0].w.set(0, 0, 1.0);
-        grad.layers_mut()[1].b[0] = -0.5;
-        s1.apply_racy(&grad, 0.3, None, false);
-        s2.apply_racy(&grad, 0.3, None, true);
-        assert_eq!(s1.read_flat(), s2.read_flat());
-        assert_eq!(s2.update_count(), 1);
-        // Uncontended probes never observe a conflict: β̂ = 1 exactly.
-        let (samples, losses) = s2.conflict_counts();
-        assert!(samples >= 1);
-        assert_eq!(losses, 0);
-        assert_eq!(s2.beta_estimate(), Some(1.0));
-        // The plain racy path never probes, so it has no estimate.
-        assert_eq!(s1.beta_estimate(), None);
-    }
-
-    #[test]
-    fn sampled_racy_under_contention_keeps_beta_in_unit_interval() {
-        let (m, s) = setup();
-        let s = Arc::new(s);
-        let mut grad = Model::zeros_like(m.spec());
-        grad.layers_mut()[0].w.set(0, 0, 1e-6);
-        let grad = Arc::new(grad);
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let s = Arc::clone(&s);
-                let g = Arc::clone(&grad);
-                std::thread::spawn(move || {
-                    for _ in 0..2000 {
-                        s.apply_racy(&g, 1.0, None, true);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        let beta = s.beta_estimate().unwrap();
-        assert!((0.0..=1.0).contains(&beta), "beta {beta} out of range");
-        let (samples, losses) = s.conflict_counts();
-        assert!(samples >= 8000);
-        assert!(losses <= samples);
     }
 
     #[test]
@@ -578,28 +454,10 @@ mod tests {
         let s2 = SharedModel::new(&m);
         let cols = [0u32, 2];
         let grad = sparse_grad(&m, &cols);
-        s1.apply_racy(&grad, 0.3, None, false);
-        s2.apply_racy(&grad, 0.3, Some(&cols), false);
+        s1.apply_racy(&grad, 0.3, None);
+        s2.apply_racy(&grad, 0.3, Some(&cols));
         assert_eq!(s1.read_flat(), s2.read_flat());
         assert_eq!(s2.update_count(), 1);
-    }
-
-    #[test]
-    fn sampled_cols_matches_racy_cols_and_probes() {
-        let (m, s1) = setup();
-        let s2 = SharedModel::new(&m);
-        let cols = [1u32, 2];
-        let grad = sparse_grad(&m, &cols);
-        s1.apply_racy(&grad, 0.7, Some(&cols), false);
-        s2.apply_racy(&grad, 0.7, Some(&cols), true);
-        assert_eq!(s1.read_flat(), s2.read_flat());
-        // Flat index 0 is layer-0 weight (0, 0); with column 0 absent from
-        // `cols` the probe population comes from the dense tail (index 16
-        // etc.) — still nonzero for this spec, and uncontended ⇒ β̂ = 1.
-        let (samples, losses) = s2.conflict_counts();
-        assert!(samples >= 1);
-        assert_eq!(losses, 0);
-        assert_eq!(s2.beta_estimate(), Some(1.0));
     }
 
     #[test]
@@ -748,7 +606,7 @@ mod tests {
                 let g = Arc::clone(&grad);
                 std::thread::spawn(move || {
                     for _ in 0..per {
-                        s.apply_racy(&g, 1.0, None, false);
+                        s.apply_racy(&g, 1.0, None);
                     }
                 })
             })

@@ -88,7 +88,7 @@ fn racy_hogwild_updates_stay_in_feasible_envelope() {
             .map(|_| {
                 let s = Arc::clone(&shared);
                 let g = Arc::clone(&grad);
-                thread::spawn(move || s.apply_racy(&g, 1.0, None, false))
+                thread::spawn(move || s.apply_racy(&g, 1.0, None))
             })
             .collect();
         for h in handles {
@@ -176,7 +176,7 @@ fn merge_against_racy_lane_stays_in_feasible_envelope() {
         };
         let lane = {
             let s = Arc::clone(&shared);
-            thread::spawn(move || s.apply_racy(&grad, 1.0, None, false))
+            thread::spawn(move || s.apply_racy(&grad, 1.0, None))
         };
         assert_eq!(merger.join().unwrap(), 0, "a lane never owns a stripe");
         lane.join().unwrap();

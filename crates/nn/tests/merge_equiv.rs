@@ -171,7 +171,7 @@ fn concurrent_merges_land_their_exact_sum_beside_a_racy_lane() {
             let mut steps = 0u32;
             // Relaxed: a stop flag, nothing is published through it.
             while merging.load(Ordering::Relaxed) || steps < 100 {
-                shared.apply_racy(&grad, lane_eta, Some(&lane_cols), false);
+                shared.apply_racy(&grad, lane_eta, Some(&lane_cols));
                 steps += 1;
             }
             steps

@@ -240,10 +240,6 @@ pub struct Decision {
     pub window_queue_secs: f64,
     /// Phase breakdown accumulated over the window.
     pub window_phases: BatchPhases,
-    /// Updates the controller would have credited for the window under
-    /// the measured-β estimate (`window_updates × β̂`), when the run
-    /// published `engine.beta_measured`.
-    pub counterfactual_updates: Option<f64>,
 }
 
 /// Everything [`analyze`] produces.
@@ -259,8 +255,6 @@ pub struct RunAnalysis {
     pub completed: usize,
     /// Spans that were re-queued by the fault path.
     pub requeued: usize,
-    /// Measured surviving-update fraction β̂, when published.
-    pub measured_beta: Option<f64>,
     /// Critical path and attribution.
     pub critical_path: CriticalPath,
     /// Per-worker reports, worst utilization (biggest straggler) first.
@@ -477,11 +471,7 @@ fn worker_reports(spans: &[BatchSpan], wall: f64) -> Vec<WorkerReport> {
     out
 }
 
-fn decision_ledger(
-    events: &[Event],
-    spans: &[BatchSpan],
-    measured_beta: Option<f64>,
-) -> Vec<Decision> {
+fn decision_ledger(events: &[Event], spans: &[BatchSpan]) -> Vec<Decision> {
     // Per-worker completed spans in completion order for window slicing.
     let mut completed: HashMap<u32, Vec<&BatchSpan>> = HashMap::new();
     for s in spans {
@@ -509,7 +499,6 @@ fn decision_ledger(
             window_updates: 0,
             window_queue_secs: 0.0,
             window_phases: BatchPhases::default(),
-            counterfactual_updates: None,
         };
         if let Some(list) = completed.get(&e.worker) {
             for s in list {
@@ -523,15 +512,14 @@ fn decision_ledger(
                 }
             }
         }
-        d.counterfactual_updates = measured_beta.map(|b| d.window_updates as f64 * b);
         window_start.insert(e.worker, e.t);
         out.push(d);
     }
     out
 }
 
-/// Analyze a raw event stream plus a counter/gauge snapshot.
-pub fn analyze_events(events: &[Event], counters: &[(String, f64)]) -> RunAnalysis {
+/// Analyze a raw event stream.
+pub fn analyze_events(events: &[Event]) -> RunAnalysis {
     let (mut t0, mut t_end) = (f64::INFINITY, f64::NEG_INFINITY);
     for e in events {
         t0 = t0.min(e.t);
@@ -542,20 +530,15 @@ pub fn analyze_events(events: &[Event], counters: &[(String, f64)]) -> RunAnalys
     }
     let wall = (t_end - t0).max(0.0);
     let spans = spans_from_events(events);
-    let measured_beta = counters
-        .iter()
-        .find(|(n, _)| n == "engine.beta_measured")
-        .map(|(_, v)| *v);
     let critical_path = critical_path(&spans, t0, t_end);
     let workers = worker_reports(&spans, wall);
-    let decisions = decision_ledger(events, &spans, measured_beta);
+    let decisions = decision_ledger(events, &spans);
     RunAnalysis {
         t0,
         wall_secs: wall,
         spans: spans.len(),
         completed: spans.iter().filter(|s| s.completed_at.is_some()).count(),
         requeued: spans.iter().filter(|s| s.requeued).count(),
-        measured_beta,
         critical_path,
         workers,
         decisions,
@@ -564,32 +547,21 @@ pub fn analyze_events(events: &[Event], counters: &[(String, f64)]) -> RunAnalys
 
 /// Analyze a drained (or captured) trace.
 pub fn analyze(trace: &Trace) -> RunAnalysis {
-    analyze_events(&trace.events_sorted(), &trace.counters)
+    analyze_events(&trace.events_sorted())
 }
 
-/// Parsed JSONL export: the event stream plus the counter snapshot.
-pub type ParsedJsonl = (Vec<Event>, Vec<(String, f64)>);
-
 /// Parse a JSONL export (see [`crate::export::to_jsonl`]) back into the
-/// event stream and counter snapshot [`analyze_events`] consumes. The
-/// leading meta line is optional; unknown lines fail loudly.
-pub fn parse_jsonl(text: &str) -> Result<ParsedJsonl, String> {
+/// event stream [`analyze_events`] consumes. The leading meta line is
+/// optional and skipped; unknown lines fail loudly.
+pub fn parse_jsonl(text: &str) -> Result<Vec<Event>, String> {
     let mut events = Vec::new();
-    let mut counters = Vec::new();
     for (i, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
         }
         let v: Value =
             serde_json::from_str(line).map_err(|e| format!("line {}: {e:?}", i + 1))?;
-        if let Some(meta) = v.get("meta") {
-            if let Some(Value::Object(pairs)) = meta.get("counters") {
-                for (k, val) in pairs {
-                    if let Ok(x) = f64::from_value(val) {
-                        counters.push((k.clone(), x));
-                    }
-                }
-            }
+        if v.get("meta").is_some() {
             continue;
         }
         let event =
@@ -597,7 +569,7 @@ pub fn parse_jsonl(text: &str) -> Result<ParsedJsonl, String> {
         events.push(event);
     }
     events.sort_by(|a, b| a.t.total_cmp(&b.t));
-    Ok((events, counters))
+    Ok(events)
 }
 
 fn pct(part: f64, whole: f64) -> f64 {
@@ -615,14 +587,8 @@ pub fn render_report(a: &RunAnalysis) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "run: {:.4}s wall, {} spans ({} completed, {} requeued){}",
-        a.wall_secs,
-        a.spans,
-        a.completed,
-        a.requeued,
-        a.measured_beta
-            .map(|b| format!(", measured β̂ {b:.4}"))
-            .unwrap_or_default()
+        "run: {:.4}s wall, {} spans ({} completed, {} requeued)",
+        a.wall_secs, a.spans, a.completed, a.requeued
     );
     let _ = writeln!(
         out,
@@ -670,7 +636,7 @@ pub fn render_report(a: &RunAnalysis) -> String {
     if !a.decisions.is_empty() {
         let _ = writeln!(
             out,
-            "\ndecision ledger ({} resizes):\n  {:>10} {:>3} {:>7} {:>7} {:<8} {:>7} {:>9} {:>9} {:>9} {:>12}",
+            "\ndecision ledger ({} resizes):\n  {:>10} {:>3} {:>7} {:>7} {:<8} {:>7} {:>9} {:>9} {:>9}",
             a.decisions.len(),
             "t",
             "w",
@@ -680,13 +646,12 @@ pub fn render_report(a: &RunAnalysis) -> String {
             "batches",
             "queue_s",
             "compute_s",
-            "updates",
-            "cf-updates"
+            "updates"
         );
         for d in &a.decisions {
             let _ = writeln!(
                 out,
-                "  {:>10.4} {:>3} {:>7} {:>7} {:<8} {:>7} {:>9.4} {:>9.4} {:>9} {:>12}",
+                "  {:>10.4} {:>3} {:>7} {:>7} {:<8} {:>7} {:>9.4} {:>9.4} {:>9}",
                 d.t,
                 d.worker,
                 d.old,
@@ -695,10 +660,7 @@ pub fn render_report(a: &RunAnalysis) -> String {
                 d.window_batches,
                 d.window_queue_secs,
                 d.window_phases.compute_secs,
-                d.window_updates,
-                d.counterfactual_updates
-                    .map(|u| format!("{u:.1}"))
-                    .unwrap_or_else(|| "-".into())
+                d.window_updates
             );
         }
     }
@@ -761,7 +723,6 @@ mod tests {
         sink.emit_at(4.5, COORDINATOR, EventKind::EvalPoint { loss: 0.3 });
         // First event at t=0 pins startup time.
         sink.emit_at(0.0, COORDINATOR, EventKind::EvalPoint { loss: 0.9 });
-        sink.gauge("engine.beta_measured").set(0.9);
         sink.drain()
     }
 
@@ -878,7 +839,7 @@ mod tests {
     }
 
     #[test]
-    fn decision_ledger_pairs_resize_with_window_and_counterfactual() {
+    fn decision_ledger_pairs_resize_with_its_window() {
         let a = analyze(&fixture());
         assert_eq!(a.decisions.len(), 1);
         let d = &a.decisions[0];
@@ -887,7 +848,6 @@ mod tests {
         assert_eq!(d.window_batches, 1);
         assert_eq!(d.window_updates, 1);
         assert!((d.window_phases.compute_secs - 1.0).abs() < 1e-12);
-        assert!((d.counterfactual_updates.unwrap() - 0.9).abs() < 1e-12);
     }
 
     #[test]
@@ -895,8 +855,8 @@ mod tests {
         let trace = fixture();
         let direct = analyze(&trace);
         let jsonl = crate::export::to_jsonl(&trace);
-        let (events, counters) = parse_jsonl(&jsonl).expect("parses");
-        let via_jsonl = analyze_events(&events, &counters);
+        let events = parse_jsonl(&jsonl).expect("parses");
+        let via_jsonl = analyze_events(&events);
         assert_eq!(direct, via_jsonl);
         let report = render_report(&via_jsonl);
         assert!(report.contains("critical path"));
@@ -933,7 +893,7 @@ mod tests {
 
     #[test]
     fn empty_trace_analyzes_to_zeros() {
-        let a = analyze_events(&[], &[]);
+        let a = analyze_events(&[]);
         assert_eq!(a.wall_secs, 0.0);
         assert_eq!(a.spans, 0);
         assert!(a.critical_path.steps.is_empty());

@@ -49,14 +49,14 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let (events, counters) = match parse_jsonl(&text) {
+    let events = match parse_jsonl(&text) {
         Ok(parsed) => parsed,
         Err(e) => {
             eprintln!("hetero-analyze: {input}: {e}");
             return ExitCode::FAILURE;
         }
     };
-    let analysis = analyze_events(&events, &counters);
+    let analysis = analyze_events(&events);
     let rendered = if json {
         serde_json::to_string(&analysis.to_value()).expect("analysis serializes")
     } else {

@@ -47,5 +47,5 @@ pub mod utilization;
 
 pub use counters::{CounterHandle, GaugeHandle, Registry, TypedSnapshot};
 pub use event::{BatchId, BatchPhases, Event, EventKind, ResizeReason, COORDINATOR};
-pub use ring::EventRing;
+pub use ring::Ring;
 pub use sink::{ShardDump, TimeDomain, Trace, TraceSink, DEFAULT_RING_CAPACITY};

@@ -1,36 +1,35 @@
-//! Bounded drop-oldest event ring.
+//! Bounded drop-oldest ring.
 //!
-//! Each tracing thread gets its own ring (see `sink.rs`), so the mutex
-//! around a ring is effectively uncontended: the owning thread pushes, and
-//! the only cross-thread access is a drain at the end of a run (or an
-//! explicit snapshot). When the ring is full the *oldest* event is
+//! Each tracing thread gets its own ring of events (see `sink.rs`), so the
+//! mutex around a ring is effectively uncontended: the owning thread
+//! pushes, and the only cross-thread access is a drain at the end of a run
+//! (or an explicit snapshot). When the ring is full the *oldest* item is
 //! discarded and the `dropped` count incremented, so a long run keeps its
-//! most recent window of events and reports exactly how many fell off.
+//! most recent window and reports exactly how many fell off. The flight
+//! recorder keeps its periodic health snapshots in one too.
 
 use std::collections::VecDeque;
 
-use crate::event::Event;
-
-/// Fixed-capacity drop-oldest event buffer.
+/// Fixed-capacity drop-oldest buffer.
 #[derive(Debug)]
-pub struct EventRing {
-    buf: VecDeque<Event>,
+pub struct Ring<T> {
+    buf: VecDeque<T>,
     capacity: usize,
     dropped: u64,
 }
 
-impl EventRing {
-    /// A ring holding at most `capacity` events (capacity 0 drops all).
+impl<T> Ring<T> {
+    /// A ring holding at most `capacity` items (capacity 0 drops all).
     pub fn new(capacity: usize) -> Self {
-        EventRing {
+        Ring {
             buf: VecDeque::with_capacity(capacity.min(4096)),
             capacity,
             dropped: 0,
         }
     }
 
-    /// Append an event, evicting the oldest if the ring is full.
-    pub fn push(&mut self, event: Event) {
+    /// Append an item, evicting the oldest if the ring is full.
+    pub fn push(&mut self, item: T) {
         if self.capacity == 0 {
             self.dropped += 1;
             return;
@@ -39,22 +38,16 @@ impl EventRing {
             self.buf.pop_front();
             self.dropped += 1;
         }
-        self.buf.push_back(event);
+        self.buf.push_back(item);
     }
 
-    /// Take all buffered events, preserving push order. The dropped count
+    /// Take all buffered items, preserving push order. The dropped count
     /// is *not* reset: it keeps accumulating over the ring's lifetime.
-    pub fn drain(&mut self) -> Vec<Event> {
+    pub fn drain(&mut self) -> Vec<T> {
         self.buf.drain(..).collect()
     }
 
-    /// Copy all buffered events, preserving push order, without removing
-    /// them (a postmortem snapshot must not steal the caller's trace).
-    pub fn peek(&self) -> Vec<Event> {
-        self.buf.iter().cloned().collect()
-    }
-
-    /// Events currently buffered.
+    /// Items currently buffered.
     pub fn len(&self) -> usize {
         self.buf.len()
     }
@@ -64,14 +57,22 @@ impl EventRing {
         self.buf.is_empty()
     }
 
-    /// Total events evicted (or rejected by a zero-capacity ring) so far.
+    /// Total items evicted (or rejected by a zero-capacity ring) so far.
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
 
-    /// Maximum events held.
+    /// Maximum items held.
     pub fn capacity(&self) -> usize {
         self.capacity
+    }
+}
+
+impl<T: Clone> Ring<T> {
+    /// Copy all buffered items, preserving push order, without removing
+    /// them (a postmortem snapshot must not steal the caller's trace).
+    pub fn peek(&self) -> Vec<T> {
+        self.buf.iter().cloned().collect()
     }
 }
 
@@ -79,6 +80,7 @@ impl EventRing {
 mod tests {
     use super::*;
     use crate::event::{Event, EventKind};
+    use proptest::prelude::*;
 
     fn ev(i: usize) -> Event {
         Event {
@@ -90,7 +92,7 @@ mod tests {
 
     #[test]
     fn drop_oldest_keeps_newest_window() {
-        let mut r = EventRing::new(3);
+        let mut r = Ring::new(3);
         for i in 0..5 {
             r.push(ev(i));
         }
@@ -104,11 +106,28 @@ mod tests {
 
     #[test]
     fn zero_capacity_counts_everything_dropped() {
-        let mut r = EventRing::new(0);
+        let mut r = Ring::new(0);
         for i in 0..7 {
             r.push(ev(i));
         }
         assert_eq!(r.len(), 0);
         assert_eq!(r.dropped(), 7);
+    }
+
+    proptest! {
+        // The flight-recorder invariant: whatever the push sequence, the
+        // ring retains exactly the newest min(len, capacity) items, in
+        // order — it never drops the newest.
+        #[test]
+        fn retention_never_drops_newest(cap in 1usize..32, items in prop::collection::vec(0u32..1000, 0..100)) {
+            let mut r = Ring::new(cap);
+            for &v in &items {
+                r.push(v);
+            }
+            let keep = items.len().min(cap);
+            let expected: Vec<u32> = items[items.len() - keep..].to_vec();
+            prop_assert_eq!(r.peek(), expected);
+            prop_assert!(r.len() <= r.capacity());
+        }
     }
 }

@@ -4,7 +4,7 @@
 //! A sink is either *disabled* — a `None` inside, so every call is a branch
 //! on an `Option` and nothing else — or *enabled*, holding shared state
 //! behind an `Arc`. Enabled sinks give each emitting thread its own
-//! bounded [`EventRing`](crate::ring::EventRing) (registered lazily through
+//! bounded [`Ring`](crate::ring::Ring) (registered lazily through
 //! a thread-local), so the per-event cost is an uncontended mutex lock and
 //! a `VecDeque` push; threads never contend with each other, only with the
 //! end-of-run drain.
@@ -27,7 +27,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::counters::{CounterHandle, GaugeHandle, Registry};
 use crate::event::{Event, EventKind};
-use crate::ring::EventRing;
+use crate::ring::Ring;
 
 /// Which clock event timestamps come from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -63,7 +63,7 @@ thread_local! {
 #[derive(Debug)]
 struct Shard {
     label: String,
-    ring: Mutex<EventRing>,
+    ring: Mutex<Ring<Event>>,
 }
 
 #[derive(Debug)]
@@ -104,7 +104,7 @@ impl SinkInner {
                 .unwrap_or_else(|| format!("thread-{}", shards.len()));
             let shard = Arc::new(Shard {
                 label,
-                ring: Mutex::new(EventRing::new(self.ring_capacity)),
+                ring: Mutex::new(Ring::new(self.ring_capacity)),
             });
             shards.push(Arc::clone(&shard));
             drop(shards);

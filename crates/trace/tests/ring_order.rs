@@ -1,7 +1,7 @@
 //! Ring-buffer contract tests: drain preserves per-thread emit order and
 //! the `dropped` count equals exactly the number of overwritten events.
 
-use hetero_trace::{Event, EventKind, EventRing, TraceSink};
+use hetero_trace::{Event, EventKind, Ring, TraceSink};
 use proptest::prelude::*;
 
 fn ev(seq: usize) -> Event {
@@ -18,7 +18,7 @@ proptest! {
     /// counted as dropped.
     #[test]
     fn drain_is_newest_window_in_order(capacity in 0usize..48, n in 0usize..160) {
-        let mut ring = EventRing::new(capacity);
+        let mut ring = Ring::new(capacity);
         for i in 0..n {
             ring.push(ev(i));
         }
@@ -40,7 +40,7 @@ proptest! {
         rounds in 1usize..5,
         n in 0usize..40,
     ) {
-        let mut ring = EventRing::new(capacity);
+        let mut ring = Ring::new(capacity);
         let mut expect_dropped = 0u64;
         for _ in 0..rounds {
             for i in 0..n {

@@ -51,7 +51,6 @@ fn main() {
         algorithm: AlgorithmKind::AdaptiveHogbatch,
         time_budget: budget,
         rayon_threads: 0,
-        measured_beta: true,
         sparse_input: false,
         eval_interval: (budget / 10.0).max(0.05),
         eval_subsample: 1024,
@@ -134,10 +133,9 @@ fn main() {
     let frame = DashboardFrame::collect(&sink, &hub, t0.elapsed().as_secs_f64());
     println!("{}", render_dashboard(&frame, prev.as_ref(), false));
     println!(
-        "final loss {:.4} after {:.2} epochs; measured β = {:?}",
+        "final loss {:.4} after {:.2} epochs",
         result.final_loss(),
-        result.epochs,
-        result.measured_beta
+        result.epochs
     );
     if let Some(s) = &result.staleness {
         println!(

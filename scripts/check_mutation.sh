@@ -13,13 +13,14 @@
 # crates/core/src/coordinator.rs a worker's window of dispatched ranges is a
 # FIFO that a completion pops the front of and a retirement re-queues whole;
 # `--cfg hetero_completed_pops_back` pops the newest range instead, `--cfg
-# hetero_retire_front_only` forgets the parked ones. This script asserts
-# that:
+# hetero_retire_front_only` forgets the parked ones. And `Coordinator::credit`
+# is Algorithm 2's one `t·β` site; `--cfg hetero_credit_ignores_beta` credits
+# every worker its raw update count. This script asserts that:
 #   1. the suites pass as written, and
 #   2. each suite FAILS under its mutation the way the bug would show (a
 #      data-race report for the queue, both two-merger models losing an
 #      update for the shared model, the coordinator disagreeing with its
-#      reference model about the window / the re-queue),
+#      reference model about the window / the re-queue / the credit),
 # i.e. the checker genuinely guards the edge.
 #
 # Usage: scripts/check_mutation.sh   (from anywhere in the repo)
@@ -33,7 +34,7 @@ queue="-p hetero-mq --features loom --test loom_queue"
 shared="-p hetero-nn --features loom --test loom_shared"
 model="-p hetero-core --lib coordinator_matches_the_reference_model"
 
-echo "[1/6] baseline: loom queue, shared-model and coordinator-model suites must pass as written"
+echo "[1/7] baseline: loom queue, shared-model and coordinator-model suites must pass as written"
 # shellcheck disable=SC2086
 if ! { cargo test $queue -q && cargo test $shared -q && cargo test $model -q; } >"$log" 2>&1; then
     echo "FAIL: baseline suite is red"
@@ -45,7 +46,7 @@ fi
 check_mutation() {
     local cfg="$1" desc="$2" step="$3" suite="$4"
     shift 4
-    echo "[$step/6] mutation: suite must FAIL with $desc"
+    echo "[$step/7] mutation: suite must FAIL with $desc"
     # shellcheck disable=SC2086
     if RUSTFLAGS="--cfg $cfg" cargo test $suite -q >"$log" 2>&1; then
         echo "FAIL: $desc mutation was NOT caught"
@@ -76,5 +77,9 @@ check_mutation hetero_completed_pops_back "completed popping the back of the win
     "$model" "the front of its window was"
 check_mutation hetero_retire_front_only "retire re-queueing only the front range" 6 \
     "$model" "co.requeue == &model.requeue"
+# Crediting a CPU batch t instead of t·β leaves worker 0's count off the
+# reference's (the model test runs at β = 0.5).
+check_mutation hetero_credit_ignores_beta "a CPU batch credited without beta" 7 \
+    "$model" "updates differ from the t"
 
-echo "OK: all five seeded mutations are caught"
+echo "OK: all six seeded mutations are caught"

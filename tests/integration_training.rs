@@ -270,7 +270,7 @@ fn shared_model_concurrent_cpu_gpu_workers_raw() {
                 let (x, labels) = data.batch(start, start + 8);
                 let (_, g) =
                     hetero_sgd::nn::loss_and_gradient(&local, &x, labels.as_targets(), false);
-                shared.apply_racy(&g, 0.05, None, false);
+                shared.apply_racy(&g, 0.05, None);
             }
         }));
     }

@@ -70,7 +70,7 @@ proptest! {
         grad.layers_mut()[1].b[0] = -0.5;
         for (i, &eta) in etas.iter().enumerate() {
             if i % 2 == 0 {
-                shared.apply_racy(&grad, eta, None, false);
+                shared.apply_racy(&grad, eta, None);
             } else {
                 shared.apply_gradient_atomic(&grad, eta);
             }
@@ -99,7 +99,6 @@ proptest! {
             trace_path: None,
             requeued_batches: 0,
             aborted: None,
-            measured_beta: None,
             staleness: None,
             health: None,
         };
