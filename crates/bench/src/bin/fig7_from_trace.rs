@@ -65,7 +65,7 @@ fn main() {
 
     println!("algorithm,device,time_s,utilization");
     for algo in [
-        AlgorithmKind::HogwildCpu,
+        AlgorithmKind::HogbatchCpu,
         AlgorithmKind::MiniBatchGpu,
         AlgorithmKind::CpuGpuHogbatch,
         AlgorithmKind::AdaptiveHogbatch,

@@ -155,11 +155,6 @@ impl CkptStore {
         })
     }
 
-    /// The directory this store publishes into.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// All generations currently on disk, ascending. Files that merely
     /// *look* like checkpoints (right name shape) are listed without being
     /// verified — verification happens at load.

@@ -5,9 +5,8 @@ use serde::{Deserialize, Serialize};
 /// Which SGD algorithm to run (paper §VI–VII).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum AlgorithmKind {
-    /// Hogbatch CPU: CPU-only, one example per thread — pure Hogwild \[16\].
-    HogwildCpu,
-    /// CPU-only Hogbatch with a configurable per-thread sub-batch size.
+    /// Hogbatch CPU: CPU-only, `cpu_batch_per_thread` examples per thread;
+    /// at 1 (the default) this is pure Hogwild \[16\].
     HogbatchCpu,
     /// Hogbatch GPU: GPU-only large-batch mini-batch SGD.
     MiniBatchGpu,
@@ -26,7 +25,7 @@ impl AlgorithmKind {
     /// All algorithms in the paper's presentation order.
     pub fn all() -> [AlgorithmKind; 5] {
         [
-            AlgorithmKind::HogwildCpu,
+            AlgorithmKind::HogbatchCpu,
             AlgorithmKind::MiniBatchGpu,
             AlgorithmKind::TensorFlow,
             AlgorithmKind::CpuGpuHogbatch,
@@ -44,7 +43,7 @@ impl AlgorithmKind {
 
     /// Whether the algorithm uses GPU worker(s).
     pub fn uses_gpu(&self) -> bool {
-        !matches!(self, AlgorithmKind::HogwildCpu | AlgorithmKind::HogbatchCpu)
+        !matches!(self, AlgorithmKind::HogbatchCpu)
     }
 
     /// Whether batch sizes evolve at runtime.
@@ -55,8 +54,7 @@ impl AlgorithmKind {
     /// Display name matching the paper's figures.
     pub fn label(&self) -> &'static str {
         match self {
-            AlgorithmKind::HogwildCpu => "Hogbatch CPU",
-            AlgorithmKind::HogbatchCpu => "Hogbatch CPU (sub-batched)",
+            AlgorithmKind::HogbatchCpu => "Hogbatch CPU",
             AlgorithmKind::MiniBatchGpu => "Hogbatch GPU",
             AlgorithmKind::TensorFlow => "TensorFlow",
             AlgorithmKind::CpuGpuHogbatch => "CPU+GPU Hogbatch",
@@ -268,8 +266,8 @@ mod tests {
 
     #[test]
     fn algorithm_device_usage() {
-        assert!(AlgorithmKind::HogwildCpu.uses_cpu());
-        assert!(!AlgorithmKind::HogwildCpu.uses_gpu());
+        assert!(AlgorithmKind::HogbatchCpu.uses_cpu());
+        assert!(!AlgorithmKind::HogbatchCpu.uses_gpu());
         assert!(!AlgorithmKind::MiniBatchGpu.uses_cpu());
         assert!(AlgorithmKind::MiniBatchGpu.uses_gpu());
         assert!(AlgorithmKind::CpuGpuHogbatch.uses_cpu());
@@ -342,9 +340,30 @@ mod tests {
 
     #[test]
     fn labels_match_paper_naming() {
-        assert_eq!(AlgorithmKind::HogwildCpu.label(), "Hogbatch CPU");
+        assert_eq!(AlgorithmKind::HogbatchCpu.label(), "Hogbatch CPU");
         assert_eq!(AlgorithmKind::AdaptiveHogbatch.label(), "Adaptive Hogbatch");
-        assert_eq!(AlgorithmKind::all().len(), 5);
+    }
+
+    #[test]
+    fn all_lists_every_variant() {
+        // One list feeds an exhaustive match (a new variant does not
+        // compile until it is listed) and the comparison with `all()`.
+        macro_rules! every {
+            ($($v:ident),*) => {{
+                let _exhaustive = |a: AlgorithmKind| match a {
+                    $(AlgorithmKind::$v)|* => (),
+                };
+                [$(AlgorithmKind::$v),*]
+            }};
+        }
+        let every = every!(
+            HogbatchCpu,
+            MiniBatchGpu,
+            TensorFlow,
+            CpuGpuHogbatch,
+            AdaptiveHogbatch
+        );
+        assert_eq!(every, AlgorithmKind::all());
     }
 
     #[test]

@@ -54,8 +54,9 @@ pub struct RunCtx {
     /// with wall seconds since the sink was created) and
     /// [`TraceSink::virtual_time`] with the simulation engine (events are
     /// stamped with **virtual** seconds; tracing never feeds back into the schedule, so the run
-    /// stays deterministic). The live dashboard gauges (`worker.<w>.*`,
-    /// `engine.*`, `ckpt.*`, `health.*`) are published here too.
+    /// stays deterministic). The run's gauges (`worker.<w>.*`,
+    /// `engine.*`, `ckpt.*`, `health.*`) are published here too, and reach
+    /// the trace export and the postmortem bundle with its counters.
     pub sink: TraceSink,
     /// Per-worker histograms: batch latency, queue wait, H2D/D2H transfer
     /// time, merge wait/retries, gradient staleness (virtual-time
@@ -224,9 +225,9 @@ struct Dispatched {
     fresh: bool,
 }
 
-/// Live dashboard gauges of one worker (`worker.<w>.*`), resolved once and
-/// refreshed on every completion so a concurrent dashboard or scrape
-/// endpoint always reads a fresh picture; one naming for both engines.
+/// The gauges of one worker (`worker.<w>.*`), resolved once and refreshed
+/// on every completion, so a drained trace or a postmortem bundle taken at
+/// any moment reads current values; one naming for both engines.
 struct WorkerGauges {
     updates: GaugeHandle,
     batch: GaugeHandle,
@@ -464,7 +465,7 @@ impl<'a> Coordinator<'a> {
 
     /// Worker `w`'s dispatch `id` came back: it leaves the front of the
     /// window (a worker runs its ranges in the order it got them), and the
-    /// dashboard gauges are refreshed from the (already credited) stats.
+    /// worker gauges are refreshed from the (already credited) stats.
     pub fn completed(&mut self, w: usize, id: u64) {
         // `hetero_completed_pops_back` is a mutation switch for
         // `scripts/check_mutation.sh`.
@@ -624,8 +625,8 @@ impl<'a> Coordinator<'a> {
                 staleness_p99: stale.as_ref().map(|s| s.p99),
                 grad_peak_norm: h.peak_grad_norm,
             });
-            // Per-layer gradient-norm gauges for the dashboard /
-            // OpenMetrics endpoint.
+            // Per-layer gradient-norm gauges for the trace export and
+            // postmortems.
             if self.sink.enabled() {
                 for (l, n) in h.layer_peak_norms.iter().enumerate() {
                     self.sink

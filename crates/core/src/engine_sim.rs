@@ -1025,7 +1025,7 @@ mod tests {
     fn every_algorithm_reduces_loss() {
         let data = tiny_dataset();
         for algo in AlgorithmKind::all() {
-            let budget = if algo == AlgorithmKind::HogwildCpu {
+            let budget = if algo == AlgorithmKind::HogbatchCpu {
                 0.1
             } else {
                 0.05
@@ -1056,7 +1056,7 @@ mod tests {
     #[test]
     fn cpu_only_algorithm_has_only_cpu_updates() {
         let data = tiny_dataset();
-        let r = SimEngine::new(tiny_config(AlgorithmKind::HogwildCpu, 0.05))
+        let r = SimEngine::new(tiny_config(AlgorithmKind::HogbatchCpu, 0.05))
             .unwrap()
             .run(&data);
         assert_eq!(r.cpu_update_fraction(), 1.0);

@@ -321,7 +321,7 @@ impl ThreadedEngine {
         // The workers hold the only ready senders from here on.
         drop(env);
 
-        // Published only on sparse runs, so dashboards can tell "dense
+        // Published only on sparse runs, so a reader can tell "dense
         // path" (gauge absent) from a fully dense batch on the sparse path.
         if let Some(density) = src.density() {
             sink.gauge("engine.sparse_density").set(density);
@@ -1135,7 +1135,7 @@ mod tests {
 
     #[test]
     fn cpu_only_run_converges() {
-        let r = ThreadedEngine::new(config(AlgorithmKind::HogwildCpu, 0.4))
+        let r = ThreadedEngine::new(config(AlgorithmKind::HogbatchCpu, 0.4))
             .unwrap()
             .run(dataset());
         assert!(r.final_loss() < r.initial_loss(), "{:?}", r.loss_curve);
@@ -1271,7 +1271,7 @@ mod tests {
     }
 
     #[test]
-    fn observed_run_fills_histograms_and_dashboard_gauges() {
+    fn observed_run_fills_histograms_and_worker_gauges() {
         let sink = TraceSink::wall(RING);
         let hub = MetricsHub::new();
         let cfg = config(AlgorithmKind::AdaptiveHogbatch, 0.4);
@@ -1306,15 +1306,11 @@ mod tests {
             let s = snap.merged(m).expect("gpu series missing");
             assert!(s.count() > 0, "{m:?} empty");
         }
-        // Dashboard gauges were published through the sink.
-        let typed = sink.snapshot_typed();
-        let gauge = |name: &str| {
-            typed
-                .gauges
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, v)| *v)
-        };
+        // Worker gauges were published through the sink, so the trace
+        // export and the postmortem bundle carry them.
+        let counters: std::collections::HashMap<String, f64> =
+            sink.drain().counters.into_iter().collect();
+        let gauge = |name: &str| counters.get(name).copied();
         assert_eq!(gauge("worker.0.kind"), Some(0.0));
         assert_eq!(gauge("worker.1.kind"), Some(1.0));
         assert!(gauge("worker.0.updates").unwrap_or(0.0) > 0.0);
@@ -1357,16 +1353,12 @@ mod tests {
             .merged(Metric::MergeRetriesSparse)
             .expect("sparse merge-retry series missing");
         assert!(sparse_retries.count() > 0);
-        let typed = sink.snapshot_typed();
-        let density = typed
-            .gauges
-            .iter()
-            .find(|(n, _)| n == "engine.sparse_density")
-            .map(|(_, v)| *v)
+        let counters: std::collections::HashMap<String, f64> =
+            sink.drain().counters.into_iter().collect();
+        let density = *counters
+            .get("engine.sparse_density")
             .expect("density gauge missing");
         assert!(density > 0.0 && density <= 1.0, "density {density}");
-        let counters: std::collections::HashMap<String, f64> =
-            sink.drain().counters.iter().cloned().collect();
         assert!(
             counters.contains_key("engine.sparse_rows_skipped"),
             "rows-skipped counter missing"
@@ -1486,7 +1478,7 @@ mod tests {
         cfg.gpu_workers = 0;
         assert!(ThreadedEngine::new(cfg).is_err());
         // CPU-only algorithms don't care.
-        let mut cfg = config(AlgorithmKind::HogwildCpu, 0.1);
+        let mut cfg = config(AlgorithmKind::HogbatchCpu, 0.1);
         cfg.gpu_workers = 0;
         assert!(ThreadedEngine::new(cfg).is_ok());
     }

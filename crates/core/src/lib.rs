@@ -17,7 +17,7 @@
 //!
 //! | [`AlgorithmKind`] | description |
 //! |---|---|
-//! | `HogwildCpu` | Hogbatch CPU — 1 example/thread (pure Hogwild) |
+//! | `HogbatchCpu` | Hogbatch CPU — `cpu_batch_per_thread` examples/thread; 1 is pure Hogwild |
 //! | `MiniBatchGpu` | Hogbatch GPU — large-batch mini-batch SGD |
 //! | `TensorFlow` | comparator: synchronous mini-batch with op-granularity dispatch overhead and a slow multi-label path |
 //! | `CpuGpuHogbatch` | static small CPU batches + static large GPU batches, one shared model |

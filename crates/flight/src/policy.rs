@@ -7,7 +7,7 @@ use serde::{Deserialize, Serialize};
 pub enum HealthAction {
     /// Record the condition but take no action.
     Ignore,
-    /// Count a warning (surfaced via trace events and the dashboard).
+    /// Count a warning (surfaced via trace events and the health summary).
     Warn,
     /// Clamp the `AdaptiveController`'s batch growth at its current sizes
     /// (stops the controller from feeding a sick run bigger batches).

@@ -107,11 +107,6 @@ impl Watchdog {
         self.inner.is_some()
     }
 
-    /// The policy in force (`None` when disabled).
-    pub fn policy(&self) -> Option<&HealthPolicy> {
-        self.inner.as_deref().map(|i| &i.policy)
-    }
-
     /// Size the per-layer peak-norm table. Engines call this once at
     /// startup; growing is idempotent and never shrinks.
     pub fn ensure_layers(&self, n: usize) {

@@ -80,8 +80,8 @@ impl GpuDevice {
         }
     }
 
-    /// Create a device whose transfers, kernels, stalls, and memory usage
-    /// are observable through `sink`. Events are stamped with `worker`.
+    /// Create a device whose transfers, kernels and memory usage are
+    /// observable through `sink`. Events are stamped with `worker`.
     pub fn new_traced(perf: GpuModel, sink: &TraceSink, worker: u32) -> Self {
         Self::new_observed(perf, sink, worker, &MetricsHub::disabled())
     }
@@ -137,17 +137,6 @@ impl GpuDevice {
     /// A V100-modeled device (the paper's hardware).
     pub fn v100() -> Self {
         Self::new(GpuModel::v100())
-    }
-
-    /// The sink this device reports to (disabled unless built with
-    /// [`GpuDevice::new_traced`]).
-    pub fn trace_sink(&self) -> &TraceSink {
-        &self.trace.sink
-    }
-
-    /// Worker id stamped on this device's trace events.
-    pub fn trace_worker(&self) -> u32 {
-        self.trace.worker
     }
 
     /// Emit a [`EventKind::KernelLaunched`] marker if tracing is live.
@@ -367,6 +356,31 @@ mod tests {
         // Recorded nanoseconds match the perf model's transfer time.
         let expect_ns = (dev.perf().transfer_time(4 << 16) * 1e9) as u64;
         assert!(h2d.sum().abs_diff(expect_ns) <= 1);
+    }
+
+    #[test]
+    fn concurrent_device_transfers_consistent() {
+        let dev = std::sync::Arc::new(GpuDevice::v100());
+        let handles: Vec<_> = (0..6)
+            .map(|t| {
+                let dev = std::sync::Arc::clone(&dev);
+                std::thread::spawn(move || {
+                    for i in 0..100usize {
+                        let data = vec![(t * 1000 + i) as f32; 64];
+                        let buf = dev.h2d(&data).unwrap();
+                        assert_eq!(dev.d2h(buf), data, "transfer corrupted");
+                        dev.mem().free(buf).unwrap();
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert_eq!(dev.mem().used_bytes(), 0);
+        let stats = dev.transfer_stats();
+        assert_eq!((stats.h2d_count, stats.d2h_count), (600, 600));
+        assert_eq!(stats.h2d_bytes, 600 * 64 * 4);
     }
 
     #[test]

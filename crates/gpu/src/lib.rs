@@ -5,21 +5,18 @@
 //!
 //! The point of this crate is to preserve the *code path* of a real GPU
 //! worker, not to emulate silicon: model replicas must be deep copies,
-//! data must move through explicit host↔device transfers, work is issued
-//! as kernels on ordered asynchronous streams, and device memory is a
-//! finite tracked resource that can run out. All of those constraints
-//! shape the paper's algorithms (§V "GPU Workers", §VI-B), so all of them
-//! are real here:
+//! data must move through explicit host↔device transfers, and device
+//! memory is a finite tracked resource that can run out. Those constraints
+//! shape the paper's algorithms (§V "GPU Workers", §VI-B), so they are
+//! real here. Kernels run synchronously, on the calling worker's thread
+//! pool; what a V100 would take is *modelled*, not waited for:
 //!
 //! - [`alloc::DeviceMemory`] — a tracked allocator over the device's
 //!   global-memory capacity; allocation fails with OOM exactly like
 //!   `cudaMalloc`.
-//! - [`stream::Stream`] / [`stream::Event`] — ordered asynchronous kernel
-//!   execution on a dedicated thread, with host-visible events (the CUDA
-//!   stream/event model).
 //! - [`kernels`] — the linear-algebra kernels (GEMM variants, bias,
-//!   activations, softmax, SGD update) executed for real on a dedicated
-//!   thread pool standing in for the streaming multiprocessors.
+//!   activations, softmax, SGD update) executed for real on the caller's
+//!   rayon pool, which stands in for the streaming multiprocessors.
 //! - [`device::GpuDevice`] — the facade combining memory, transfers, and
 //!   kernel launch, with **virtual-time accounting** from the calibrated
 //!   [`hetero_sim::GpuModel`] so that a simulated V100 takes V100-like
@@ -33,9 +30,7 @@ pub mod alloc;
 pub mod device;
 pub mod kernels;
 pub mod mlp;
-pub mod stream;
 
 pub use alloc::{BufferId, DeviceMemory, OomError};
 pub use device::GpuDevice;
 pub use mlp::GpuMlp;
-pub use stream::{Event, Stream};

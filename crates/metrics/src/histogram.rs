@@ -240,11 +240,6 @@ impl HistogramSnapshot {
         }
     }
 
-    /// Per-bucket counts (length [`NUM_BUCKETS`]).
-    pub fn buckets(&self) -> &[u64] {
-        &self.buckets
-    }
-
     /// Merge `other` into `self` (plain bucket sums — associative and
     /// commutative, property-tested in `tests/histogram_props.rs`).
     pub fn merge(&mut self, other: &HistogramSnapshot) {
@@ -275,16 +270,6 @@ impl HistogramSnapshot {
             }
         }
         self.max
-    }
-
-    /// Number of observations with value ≤ `v`, up to bucket resolution:
-    /// counts every bucket at or below the bucket containing `v`, so
-    /// observations in `v`'s own bucket but above `v` are included. The
-    /// result is monotone in `v` and exact at bucket boundaries — the
-    /// OpenMetrics `le` ladders are built on this.
-    pub fn count_le(&self, v: u64) -> u64 {
-        let idx = bucket_index(v);
-        self.buckets[..=idx].iter().sum()
     }
 
     /// Compact serializable summary (what `TrainResult` persists).
@@ -375,23 +360,6 @@ mod tests {
         let p99 = s.quantile(0.99) as f64;
         assert!((p99 - 990.0).abs() <= 990.0 / 128.0 + 1.0, "p99 = {p99}");
         assert_eq!(s.quantile(1.0), 1000);
-    }
-
-    #[test]
-    fn count_le_is_monotone_and_total() {
-        let h = LogHistogram::new();
-        for v in [3u64, 50, 129, 4096, 70_000] {
-            h.record(v);
-        }
-        let s = h.snapshot();
-        let mut prev = 0;
-        for v in [0u64, 3, 49, 50, 128, 200, 5000, 100_000, u64::MAX] {
-            let c = s.count_le(v);
-            assert!(c >= prev, "count_le not monotone at {v}");
-            prev = c;
-        }
-        assert_eq!(s.count_le(u64::MAX), s.count());
-        assert_eq!(s.count_le(3), 1);
     }
 
     #[test]

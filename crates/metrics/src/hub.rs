@@ -50,7 +50,7 @@ pub enum Metric {
 }
 
 impl Metric {
-    /// Every metric, in export order.
+    /// Every metric, in declaration order.
     pub const ALL: [Metric; 10] = [
         Metric::BatchLatency,
         Metric::QueueWait,
@@ -78,38 +78,6 @@ impl Metric {
             Metric::RowsTouched => "rows_touched",
             Metric::MergeRetriesSparse => "merge_retries_sparse",
         }
-    }
-
-    /// One-line help text for the OpenMetrics exporter.
-    pub fn help(&self) -> &'static str {
-        match self {
-            Metric::BatchLatency => "Per-batch compute latency per worker",
-            Metric::QueueWait => "Time workers spent blocked on their work queue",
-            Metric::H2d => "Host-to-device transfer time per upload",
-            Metric::D2h => "Device-to-host transfer time per download",
-            Metric::MergeWait => "Time spent merging a delta into the shared model",
-            Metric::MergeRetries => {
-                "Stripes found owned by another merger per shared-model merge (contention)"
-            }
-            Metric::Staleness => "Foreign updates between gradient read and merge",
-            Metric::CkptWrite => "Wall time publishing one crash-consistency checkpoint",
-            Metric::RowsTouched => "Layer-0 columns touched per sparse merge/apply",
-            Metric::MergeRetriesSparse => {
-                "Stripes found owned by another merger per sparse shared-model merge"
-            }
-        }
-    }
-
-    /// Whether recorded values are nanoseconds (exported as seconds) or
-    /// plain counts.
-    pub fn is_duration(&self) -> bool {
-        !matches!(
-            self,
-            Metric::MergeRetries
-                | Metric::Staleness
-                | Metric::RowsTouched
-                | Metric::MergeRetriesSparse
-        )
     }
 }
 
@@ -177,7 +145,7 @@ impl MetricsHub {
     }
 
     /// Point-in-time copy of every registered series, sorted by
-    /// (export order, worker) for deterministic rendering.
+    /// ([`Metric::ALL`] order, worker) so snapshots compare deterministically.
     pub fn snapshot(&self) -> HubSnapshot {
         let mut series: Vec<HistogramSeries> = match &self.inner {
             None => Vec::new(),

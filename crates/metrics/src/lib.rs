@@ -8,14 +8,8 @@
 //!   log-bucketed histograms (≤1% relative quantile error);
 //! - [`MetricsHub`]: per-worker histogram registry the engines tick with
 //!   batch latency, queue wait, H2D/D2H transfer time, merge contention,
-//!   and per-update gradient staleness;
-//! - [`openmetrics`]: an OpenMetrics text exporter over the trace
-//!   counters/gauges plus the hub's histograms, with a strict format
-//!   validator and an optional `std::net::TcpListener` scrape endpoint
-//!   ([`ScrapeServer`]) — no async runtime;
-//! - [`render_dashboard`]: a live TTY dashboard frame (per-worker
-//!   updates/s, batch sizes, staleness quantiles, utilization bars)
-//!   driven by `examples/dashboard_run.rs`.
+//!   and per-update gradient staleness. Its summaries feed
+//!   `TrainResult::staleness` and the flight recorder's postmortems.
 //!
 //! ```
 //! use hetero_metrics::{Metric, MetricsHub};
@@ -29,18 +23,11 @@
 
 #![warn(missing_docs)]
 
-mod dashboard;
 mod histogram;
 mod hub;
 
-pub mod openmetrics;
-pub mod server;
-
-pub use dashboard::{render_dashboard, DashboardFrame, WorkerRow};
 pub use histogram::{
     bucket_index, bucket_lower, bucket_mid, bucket_width, HistogramSnapshot, LogHistogram, Summary,
     NUM_BUCKETS, SUB_BITS,
 };
 pub use hub::{HistHandle, HistogramSeries, HubSnapshot, Metric, MetricsHub, GLOBAL_WORKER};
-pub use openmetrics::{render, validate_openmetrics};
-pub use server::ScrapeServer;

@@ -109,11 +109,6 @@ impl Workspace {
         &mut self.grad
     }
 
-    /// The activations of the most recent forward pass.
-    pub fn pass(&self) -> &ForwardPass {
-        &self.pass
-    }
-
     /// Number of calls that had to grow an internal buffer. Stable across
     /// steps at a fixed batch size once warmed — the bench harness asserts
     /// this stays flat in steady state.

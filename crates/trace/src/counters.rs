@@ -67,41 +67,6 @@ impl Registry {
         out.sort_by(|a, b| a.0.cmp(&b.0));
         out
     }
-
-    /// Like [`Registry::snapshot`] but keeping counters and gauges apart
-    /// with their native types, so exporters that distinguish monotone
-    /// counters from gauges (e.g. OpenMetrics) don't have to guess from
-    /// names.
-    pub fn snapshot_typed(&self) -> TypedSnapshot {
-        // Relaxed loads: same racy-monitoring-snapshot argument as
-        // `snapshot` above.
-        let mut counters: Vec<(String, u64)> = self
-            .counters
-            .read()
-            .iter()
-            .map(|(name, cell)| (name.clone(), cell.load(Ordering::Relaxed)))
-            .collect();
-        let mut gauges: Vec<(String, f64)> = self
-            .gauges
-            .read()
-            .iter()
-            // Relaxed: same racy-monitoring-snapshot argument as above.
-            .map(|(name, cell)| (name.clone(), f64::from_bits(cell.load(Ordering::Relaxed))))
-            .collect();
-        counters.sort_by(|a, b| a.0.cmp(&b.0));
-        gauges.sort_by(|a, b| a.0.cmp(&b.0));
-        TypedSnapshot { counters, gauges }
-    }
-}
-
-/// A [`Registry::snapshot_typed`] result: counters and gauges separated,
-/// each sorted by name.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct TypedSnapshot {
-    /// Monotonic counters with their native `u64` values.
-    pub counters: Vec<(String, u64)>,
-    /// Gauges (`f64`, set/high-water-mark semantics).
-    pub gauges: Vec<(String, f64)>,
 }
 
 /// Handle to a monotonic counter; a disconnected handle (from a disabled

@@ -199,42 +199,6 @@ pub enum EventKind {
     },
 }
 
-impl EventKind {
-    /// Short category label used by exporters.
-    pub fn category(&self) -> &'static str {
-        match self {
-            EventKind::BatchDispatched { .. }
-            | EventKind::BatchStarted { .. }
-            | EventKind::BatchCompleted { .. }
-            | EventKind::BatchResized { .. }
-            | EventKind::BatchRequeued { .. } => "batch",
-            EventKind::WorkerFault { .. } | EventKind::WorkerRetired { .. } => "fault",
-            EventKind::HealthEvent { .. } => "health",
-            EventKind::QueuePushed { .. } | EventKind::QueuePopped { .. } => "queue",
-            EventKind::H2d { .. } | EventKind::D2h { .. } => "transfer",
-            EventKind::KernelLaunched { .. } => "kernel",
-            EventKind::ModelMerge { .. } => "merge",
-            EventKind::EvalPoint { .. } => "eval",
-        }
-    }
-
-    /// The batch lineage id this event belongs to, if any.
-    pub fn batch_id(&self) -> Option<BatchId> {
-        match self {
-            EventKind::BatchDispatched { id, .. }
-            | EventKind::BatchStarted { id }
-            | EventKind::BatchCompleted { id, .. }
-            | EventKind::BatchRequeued { id, .. } => Some(*id),
-            EventKind::QueuePushed { id, .. }
-            | EventKind::QueuePopped { id, .. }
-            | EventKind::H2d { id, .. }
-            | EventKind::D2h { id, .. }
-            | EventKind::ModelMerge { id, .. } => *id,
-            _ => None,
-        }
-    }
-}
-
 /// A stamped event: what happened, when, and to which worker.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Event {

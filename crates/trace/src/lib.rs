@@ -45,7 +45,7 @@ pub mod analyze;
 pub mod export;
 pub mod utilization;
 
-pub use counters::{CounterHandle, GaugeHandle, Registry, TypedSnapshot};
+pub use counters::{CounterHandle, GaugeHandle, Registry};
 pub use event::{BatchId, BatchPhases, Event, EventKind, ResizeReason, COORDINATOR};
 pub use ring::Ring;
 pub use sink::{ShardDump, TimeDomain, Trace, TraceSink, DEFAULT_RING_CAPACITY};

@@ -210,11 +210,6 @@ impl TraceSink {
         self.inner.is_some()
     }
 
-    /// This sink's time domain (`None` when disabled).
-    pub fn domain(&self) -> Option<TimeDomain> {
-        self.inner.as_ref().map(|i| i.domain)
-    }
-
     /// Seconds on this sink's clock (0.0 when disabled).
     pub fn now(&self) -> f64 {
         self.inner.as_ref().map_or(0.0, |i| i.now())
@@ -264,16 +259,6 @@ impl TraceSink {
         self.inner
             .as_ref()
             .map_or_else(GaugeHandle::disabled, |i| i.registry.gauge(name))
-    }
-
-    /// Point-in-time counters and gauges, kept apart with native types
-    /// (empty when disabled). The OpenMetrics exporter in `hetero-metrics`
-    /// renders counters as `counter` families and gauges as `gauge`
-    /// families from this.
-    pub fn snapshot_typed(&self) -> crate::counters::TypedSnapshot {
-        self.inner
-            .as_ref()
-            .map_or_else(Default::default, |i| i.registry.snapshot_typed())
     }
 
     /// Take every buffered event out of every thread's ring, together with

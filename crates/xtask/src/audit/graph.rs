@@ -39,7 +39,7 @@ use super::parse::FnDef;
 /// would bind to every workspace `Drop::drop` (and implicit
 /// drop-at-scope-end is invisible to the scanner anyway — documented false
 /// negative, DESIGN.md §4j).
-const NO_RESOLVE: &[&str] = &[
+pub const NO_RESOLVE: &[&str] = &[
     // Sink-pattern method names (the call-site pattern already fires).
     "clone",
     "collect",
@@ -234,6 +234,19 @@ impl<'a> Graph<'a> {
                 ))
         });
         out
+    }
+
+    /// Which functions some call chain from `roots` reaches (roots
+    /// included), indexed like `fns`.
+    pub fn reachable(&self, roots: impl IntoIterator<Item = usize>) -> Vec<bool> {
+        let mut seen = vec![false; self.fns.len()];
+        let mut stack: Vec<usize> = roots.into_iter().collect();
+        while let Some(u) = stack.pop() {
+            if !std::mem::replace(&mut seen[u], true) {
+                stack.extend(&self.callees[u]);
+            }
+        }
+        seen
     }
 
     /// Resolved callee indices of `i` (for tests).

@@ -15,9 +15,9 @@
 //! still has teeth before CI trusts its OK.
 
 mod allowlist;
-mod graph;
+pub(crate) mod graph;
 mod invariants;
-mod parse;
+pub(crate) mod parse;
 mod render;
 
 use std::path::Path;
@@ -91,7 +91,7 @@ pub fn audit_sources(files: &[(String, String)], allowlist_text: &str) -> Outcom
 }
 
 /// Load every auditable source file, sorted by path for determinism.
-fn load_workspace(root: &Path) -> Vec<(String, String)> {
+pub(crate) fn load_workspace(root: &Path) -> Vec<(String, String)> {
     let mut paths = Vec::new();
     crate::collect_rs_files(&root.join("crates"), &mut paths);
     let mut files = Vec::new();

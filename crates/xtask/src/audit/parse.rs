@@ -44,6 +44,10 @@ pub struct FnDef {
     pub name: String,
     /// Enclosing `impl` type (or trait, for default methods), if any.
     pub impl_type: Option<String>,
+    /// Declared plain `pub` (not `pub(crate)` and the like).
+    pub public: bool,
+    /// A method of an `impl Trait for Type` block, called through dispatch.
+    pub trait_impl: bool,
     /// 1-based line of the `fn` keyword.
     pub line: usize,
     /// Invariants declared by an `// audit:` marker above the signature.
@@ -86,8 +90,8 @@ pub fn parse_file(rel: &str, text: &str, errors: &mut Vec<MarkerError>) -> Vec<F
 
     // Brace-tracked parser state.
     let mut depth: i64 = 0;
-    // (type name, depth *inside* the impl block).
-    let mut impl_stack: Vec<(String, i64)> = Vec::new();
+    // (type name, trait impl?, depth *inside* the impl block).
+    let mut impl_stack: Vec<(String, bool, i64)> = Vec::new();
     // Innermost-first stack of open function bodies: (index into `out`,
     // depth inside the body).
     let mut fn_stack: Vec<(usize, i64)> = Vec::new();
@@ -95,7 +99,7 @@ pub fn parse_file(rel: &str, text: &str, errors: &mut Vec<MarkerError>) -> Vec<F
     // depth inside the signature)`.
     let mut pending_fn: Option<usize> = None;
     // An `impl` header seen, block brace not yet opened.
-    let mut pending_impl: Option<String> = None;
+    let mut pending_impl: Option<(String, bool)> = None;
 
     for (i, line) in lines.iter().enumerate() {
         let lineno = i + 1;
@@ -104,12 +108,13 @@ pub fn parse_file(rel: &str, text: &str, errors: &mut Vec<MarkerError>) -> Vec<F
         }
         let code = line.code.as_str();
 
-        // New `impl` header?
-        if pending_fn.is_none() && pending_impl.is_none() {
+        // New `impl` header? (Only at the start of an item: the `impl` of
+        // an `impl Trait` argument or return type opens no block.)
+        let item = code.trim_start();
+        let item = item.strip_prefix("unsafe ").unwrap_or(item);
+        if pending_fn.is_none() && pending_impl.is_none() && item.starts_with("impl") {
             if let Some(pos) = lexer::find_word(code, "impl", 0) {
-                if let Some(ty) = impl_type_name(&code[pos + 4..]) {
-                    pending_impl = Some(ty);
-                }
+                pending_impl = impl_type_name(&code[pos + 4..]);
             }
         }
 
@@ -119,12 +124,16 @@ pub fn parse_file(rel: &str, text: &str, errors: &mut Vec<MarkerError>) -> Vec<F
         if pending_fn.is_none() {
             if let Some(name_at) = fn_decl_name(code) {
                 let markers = collect_markers(&lines, i, rel, errors);
+                let (impl_type, trait_impl) = match (&pending_impl, impl_stack.last()) {
+                    (Some((t, tr)), _) | (None, Some((t, tr, _))) => (Some(t.clone()), *tr),
+                    (None, None) => (None, false),
+                };
                 out.push(FnDef {
                     file: rel.to_string(),
                     name: name_at,
-                    impl_type: pending_impl
-                        .clone()
-                        .or_else(|| impl_stack.last().map(|(t, _)| t.clone())),
+                    impl_type,
+                    public: is_pub_decl(code),
+                    trait_impl,
                     line: lineno,
                     markers,
                     calls: Vec::new(),
@@ -168,8 +177,8 @@ pub fn parse_file(rel: &str, text: &str, errors: &mut Vec<MarkerError>) -> Vec<F
                     depth += 1;
                     // A pending impl's block brace comes lexically before
                     // any pending fn's body brace (`impl A { fn go() .. }`).
-                    if let Some(ty) = pending_impl.take() {
-                        impl_stack.push((ty, depth));
+                    if let Some((ty, tr)) = pending_impl.take() {
+                        impl_stack.push((ty, tr, depth));
                     } else if let Some(fi) = pending_fn.take() {
                         fn_stack.push((fi, depth));
                         opened_fn_scan = Some((fi, pos + 1));
@@ -181,7 +190,7 @@ pub fn parse_file(rel: &str, text: &str, errors: &mut Vec<MarkerError>) -> Vec<F
                             fn_stack.pop();
                         }
                     }
-                    if let Some((_, d)) = impl_stack.last() {
+                    if let Some((_, _, d)) = impl_stack.last() {
                         if depth == *d {
                             impl_stack.pop();
                         }
@@ -223,6 +232,12 @@ pub fn parse_file(rel: &str, text: &str, errors: &mut Vec<MarkerError>) -> Vec<F
     out
 }
 
+/// Whether the `fn` declared on `code` is plain `pub`.
+fn is_pub_decl(code: &str) -> bool {
+    let head = &code[..lexer::find_word(code, "fn", 0).unwrap_or(0)];
+    lexer::has_word(head, "pub") && !head.contains("pub(")
+}
+
 /// If `code` declares a function, return its name.
 fn fn_decl_name(code: &str) -> Option<String> {
     let at = lexer::find_word(code, "fn", 0)?;
@@ -237,10 +252,11 @@ fn fn_decl_name(code: &str) -> Option<String> {
     Some(name)
 }
 
-/// Extract the self-type name from the text after an `impl` keyword:
-/// `<T: Send> BoundedSender<T> {` → `BoundedSender`,
-/// `std::fmt::Debug for SharedModel {` → `SharedModel`.
-fn impl_type_name(after: &str) -> Option<String> {
+/// Extract the self-type name from the text after an `impl` keyword, and
+/// whether the block implements a trait:
+/// `<T: Send> BoundedSender<T> {` → `(BoundedSender, false)`,
+/// `std::fmt::Debug for SharedModel {` → `(SharedModel, true)`.
+fn impl_type_name(after: &str) -> Option<(String, bool)> {
     let mut s = after.trim_start();
     // Skip the generic parameter list, if any.
     if s.starts_with('<') {
@@ -262,7 +278,8 @@ fn impl_type_name(after: &str) -> Option<String> {
         s = s[end..].trim_start();
     }
     // `impl Trait for Type` → the part after ` for `.
-    if let Some(pos) = lexer::find_word(s, "for", 0) {
+    let for_at = lexer::find_word(s, "for", 0);
+    if let Some(pos) = for_at {
         s = s[pos + 3..].trim_start();
     }
     // Up to `{`, `<`, `where`, or whitespace; take the last `::` segment.
@@ -279,7 +296,7 @@ fn impl_type_name(after: &str) -> Option<String> {
     if name.is_empty() || name.chars().next().is_some_and(|c| c.is_lowercase()) {
         None
     } else {
-        Some(name)
+        Some((name, for_at.is_some()))
     }
 }
 
@@ -574,6 +591,25 @@ fn generic<const N: usize>(
         let defs = parse(src);
         assert_eq!(defs[0].calls.len(), 1);
         assert_eq!(defs[0].calls[0].name, "helper");
+    }
+
+    #[test]
+    fn impl_trait_in_a_signature_opens_no_impl_block() {
+        let src = "\
+impl Matrix {
+    pub fn from_fn(f: impl FnMut(usize) -> f32) -> Self {
+        helper(f)
+    }
+}
+impl std::fmt::Debug for Matrix {
+    fn fmt(&self) {}
+}
+";
+        let defs = parse(src);
+        assert_eq!(defs[0].id(), "crates/demo/src/lib.rs::Matrix::from_fn");
+        assert!(defs[0].public && !defs[0].trait_impl);
+        assert_eq!(defs[0].calls[0].name, "helper");
+        assert!(!defs[1].public && defs[1].trait_impl);
     }
 
     #[test]

@@ -33,6 +33,7 @@ use std::path::{Path, PathBuf};
 
 mod audit;
 mod lexer;
+mod reach;
 
 use lexer::{has_word, preprocess, Line};
 
@@ -44,21 +45,14 @@ const ORDERING_ALLOWLIST: &[&str] = &[
     "crates/nn/src/shared.rs",   // Hogwild shared model (loom-checked)
     "crates/nn/src/sync.rs",     // atomic facade for the above
     "crates/trace/src/",         // monitoring counters/gauges (relaxed-only)
-    "crates/gpu/src/stream.rs",  // stream completion flags
     "crates/gpu/src/device.rs",  // batch-lineage slot (relaxed-only)
     "crates/tensor/src/simd.rs", // write-once dispatch memo (relaxed-only)
-    "crates/metrics/src/",       // histogram tallies + scrape shutdown flag (relaxed-only)
+    "crates/metrics/src/",       // histogram tallies (relaxed-only)
     "crates/flight/src/",        // health watchdog counters/peaks (relaxed-only)
 ];
 
-/// The places allowed to start OS threads: the worker supervision layer,
-/// and the simulated GPU stream's executor thread (a modeled device engine,
-/// owned and joined by `Stream::drop`).
-const SPAWN_ALLOWLIST: &[&str] = &[
-    "crates/core/src/engine_threads.rs",
-    "crates/gpu/src/stream.rs",
-    "crates/metrics/src/server.rs",
-];
+/// The one place allowed to start OS threads: the worker supervision layer.
+const SPAWN_ALLOWLIST: &[&str] = &["crates/core/src/engine_threads.rs"];
 
 /// How many lines above an `Ordering::` use a justification comment may
 /// sit. Generous on purpose: one comment may justify a small cluster
@@ -96,8 +90,11 @@ fn main() {
         Some("audit") => {
             std::process::exit(audit::run(&args[1..], &workspace_root()));
         }
+        Some("reach") => {
+            std::process::exit(reach::run(&args[1..], &workspace_root()));
+        }
         _ => {
-            eprintln!("usage: cargo xtask <lint [--self-check] | audit [--self-check]>");
+            eprintln!("usage: cargo xtask <lint [--self-check] | audit [--self-check] | reach>");
             std::process::exit(2);
         }
     }

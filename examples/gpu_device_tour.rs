@@ -1,12 +1,12 @@
 //! Tour of the software GPU substrate: tracked memory with real OOM,
-//! asynchronous streams with events, kernels, explicit transfers, and a
-//! device-resident MLP replica — the pieces §V's GPU worker is made of.
+//! explicit transfers, kernels, and a device-resident MLP replica — the
+//! pieces §V's GPU worker is made of.
 //!
 //! ```text
 //! cargo run --release --example gpu_device_tour
 //! ```
 
-use hetero_sgd::gpu::{GpuDevice, GpuMlp, Stream};
+use hetero_sgd::gpu::{GpuDevice, GpuMlp};
 use hetero_sgd::prelude::*;
 
 fn main() {
@@ -33,21 +33,13 @@ fn main() {
     }
     device.mem().free(a).unwrap();
 
-    // --- 3. Streams: ordered async execution + events (CUDA model).
-    let stream = Stream::new("tour");
-    let ev_mem = device.h2d(&[1.0f32, 2.0, 3.0, 4.0]).unwrap();
+    // --- 3. Transfers: explicit copies, accounted in virtual time.
+    let buf = device.h2d(&[1.0f32, 2.0, 3.0, 4.0]).unwrap();
     println!(
         "h2d of 16 B accounted {:.2} µs virtual",
         device.virtual_time() * 1e6
     );
-    stream.launch(|| println!("kernel 1 runs first"));
-    stream.launch(|| println!("kernel 2 runs second"));
-    let event = stream.record_event();
-    stream.launch(|| println!("kernel 3 runs third"));
-    event.wait();
-    println!("event observed after kernels 1-2 (query={})", event.query());
-    stream.synchronize();
-    device.mem().free(ev_mem).unwrap();
+    device.mem().free(buf).unwrap();
 
     // --- 4. A deep-copy MLP replica trained fully on-device.
     let spec = MlpSpec {

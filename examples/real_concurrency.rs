@@ -38,7 +38,7 @@ fn main() {
     println!("running CPU+GPU Hogbatch for {secs}s with {threads} Hogwild threads + 1 software-GPU worker");
 
     for algo in [
-        AlgorithmKind::HogwildCpu,
+        AlgorithmKind::HogbatchCpu,
         AlgorithmKind::MiniBatchGpu,
         AlgorithmKind::CpuGpuHogbatch,
         AlgorithmKind::AdaptiveHogbatch,

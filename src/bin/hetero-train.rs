@@ -109,7 +109,7 @@ fn parse_args() -> Result<Args, String> {
             }
             "--algorithm" => {
                 args.algorithm = match value.as_str() {
-                    "hogwild-cpu" | "hogbatch-cpu" => AlgorithmKind::HogwildCpu,
+                    "hogwild-cpu" | "hogbatch-cpu" => AlgorithmKind::HogbatchCpu,
                     "minibatch-gpu" | "hogbatch-gpu" => AlgorithmKind::MiniBatchGpu,
                     "tensorflow" | "tf" => AlgorithmKind::TensorFlow,
                     "cpu-gpu" | "cpu+gpu" => AlgorithmKind::CpuGpuHogbatch,

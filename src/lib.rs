@@ -16,10 +16,10 @@
 //! | [`nn`] | `hetero-nn` | MLP forward/backward, losses, shared Hogwild model |
 //! | [`data`] | `hetero-data` | LIBSVM parser, synthetic paper datasets, batch schedule |
 //! | [`sim`] | `hetero-sim` | virtual clock, V100/Xeon performance models |
-//! | [`gpu`] | `hetero-gpu` | software GPU: allocator, streams, kernels |
+//! | [`gpu`] | `hetero-gpu` | software GPU: allocator, modelled transfers, kernels |
 //! | [`core`] | `hetero-core` | coordinator/workers, Hogbatch algorithms, engines |
 //! | [`trace`] | `hetero-trace` | event tracing, counters, Chrome-trace export |
-//! | [`metrics`] | `hetero-metrics` | histograms, OpenMetrics export, live dashboard |
+//! | [`metrics`] | `hetero-metrics` | log-bucketed histograms, per-worker metrics hub |
 //! | [`flight`] | `hetero-flight` | black-box recorder, health watchdog, postmortems |
 //! | [`ckpt`] | `hetero-ckpt` | crash-consistent checkpoint/restore |
 //!
@@ -67,7 +67,7 @@ pub mod prelude {
     };
     pub use hetero_data::{BatchScheduler, DenseDataset, Labels, PaperDataset, SynthConfig};
     pub use hetero_flight::{FlightConfig, FlightRecorder};
-    pub use hetero_metrics::{DashboardFrame, Metric, MetricsHub, ScrapeServer, Summary};
+    pub use hetero_metrics::{Metric, MetricsHub, Summary};
     pub use hetero_nn::{Activation, InitScheme, LossKind, MlpSpec, Model, SharedModel, Targets};
     pub use hetero_sim::{CpuModel, DeviceModel, GpuModel};
     pub use hetero_tensor::Matrix;
