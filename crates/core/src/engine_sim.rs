@@ -192,7 +192,7 @@ struct SimCkpt {
 /// Schema tag sanity-checked at restore so a checkpoint from a different
 /// engine (or an older, incompatible layout) is rejected instead of
 /// half-applied.
-const SIM_CKPT_SCHEMA: &str = "hetero-sim-ckpt/v3";
+const SIM_CKPT_SCHEMA: &str = "hetero-sim-ckpt/v4";
 
 /// The discrete-event engine.
 pub struct SimEngine {
@@ -897,6 +897,42 @@ mod tests {
         );
     }
 
+    /// How layer 0 is stored is not arithmetic: a seeded sparse run on the
+    /// real-sim shape reproduces, bit for bit, the loss curve recorded when
+    /// layer 0 was stored `out × in` and every CSR step repacked it into a
+    /// transposed scratch copy — same kernels, same accumulation order, same
+    /// initial model. One table per dispatch level (the dense tail's GEMMs
+    /// and activations differ between them).
+    #[test]
+    fn sparse_run_reproduces_the_recorded_loss_curve() {
+        const AVX2: [u32; 29] = [
+            0x3f6a751b, 0x3f5bab0a, 0x3f34b13a, 0x3f3582b2, 0x3f278d60, 0x3f3fc095, 0x3f22c15e,
+            0x3f2e73bc, 0x3f0066c2, 0x3f00e158, 0x3edfb038, 0x3ec288a0, 0x3eacf5af, 0x3e8316e7,
+            0x3e55a025, 0x3e2f7b88, 0x3e12ffa1, 0x3e0dacaa, 0x3df706e7, 0x3dd26783, 0x3dc04f31,
+            0x3d9e3668, 0x3d8c3b9f, 0x3d7a532d, 0x3d619e33, 0x3d5ce97d, 0x3d4c6e0f, 0x3d3b7ae1,
+            0x3d32a6f6,
+        ];
+        const SCALAR: [u32; 29] = [
+            0x3f6a751b, 0x3f5bab0a, 0x3f34b13a, 0x3f3582b2, 0x3f278d60, 0x3f3fc095, 0x3f22c15d,
+            0x3f2e73bc, 0x3f0066c2, 0x3f00e158, 0x3edfb037, 0x3ec288a0, 0x3eacf5af, 0x3e8316e7,
+            0x3e55a026, 0x3e2f7b88, 0x3e12ffa1, 0x3e0dacaa, 0x3df706e7, 0x3dd26783, 0x3dc04f31,
+            0x3d9e3668, 0x3d8c3b9f, 0x3d7a532c, 0x3d619e32, 0x3d5ce97a, 0x3d4c6e0f, 0x3d3b7ae2,
+            0x3d32a6f4,
+        ];
+        let data = hetero_data::PaperDataset::RealSim.generate(0.01, 42);
+        let mut cfg = tiny_config(AlgorithmKind::CpuGpuHogbatch, 0.02);
+        cfg.spec = MlpSpec::tiny(data.features(), data.num_classes());
+        cfg.train.sparse_input = true;
+        let r = SimEngine::new(cfg).unwrap().run(&data);
+        let got: Vec<u32> = r.loss_curve.iter().map(|p| p.loss.to_bits()).collect();
+        let want = match hetero_tensor::simd::active_level() {
+            hetero_tensor::simd::SimdLevel::Avx2 => AVX2,
+            hetero_tensor::simd::SimdLevel::Scalar => SCALAR,
+        };
+        assert_eq!(got, want);
+        assert_eq!(r.total_updates(), 426.0);
+    }
+
     #[test]
     fn checkpointed_run_is_untouched_and_resume_is_bit_identical() {
         use hetero_ckpt::CkptConfig;
@@ -954,22 +990,12 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A checkpoint in the previous layout (`SimCkpt` still carried the
-    /// SVRG anchor pair, tag v2) must be refused whole by the schema tag:
-    /// the run starts fresh instead of half-applying it.
+    /// A checkpoint in the previous layout (tag v3: the model's layer 0
+    /// stored `out × in`) must be refused whole by the schema tag: the run
+    /// starts fresh instead of training on a transposed first layer.
     #[test]
     fn checkpoint_of_the_previous_schema_is_refused() {
         use hetero_ckpt::CkptConfig;
-        #[derive(Serialize)]
-        struct SimCkptV2 {
-            core: CoreCkpt,
-            scheduler: BatchScheduler,
-            global_updates: u64,
-            anchor: Option<(Model, Model)>,
-            last_epoch_evaled: usize,
-            last_eval_time: f64,
-            pending: Vec<(f64, Ev)>,
-        }
         let data = tiny_dataset();
         let cfg = tiny_config(AlgorithmKind::AdaptiveHogbatch, 0.02);
         let dir =
@@ -1004,18 +1030,10 @@ mod tests {
         assert_eq!(resumes(ckpt(true)), 1.0);
         // …the same state written the way the previous schema laid it out
         // does not.
-        let now: SimCkpt = ckpt(true).resume_state().expect("a checkpoint");
-        let mut core = now.core;
-        core.schema = "hetero-sim-ckpt/v2".into();
-        let old = SimCkptV2 {
-            core,
-            scheduler: now.scheduler,
-            global_updates: now.global_updates,
-            anchor: None,
-            last_epoch_evaled: now.last_epoch_evaled,
-            last_eval_time: now.last_eval_time,
-            pending: now.pending,
-        };
+        let mut old: SimCkpt = ckpt(true).resume_state().expect("a checkpoint");
+        old.core.schema = "hetero-sim-ckpt/v3".into();
+        let w0 = &mut old.core.model.layers_mut()[0].w;
+        *w0 = w0.transpose();
         assert!(ckpt(false).save(old.core.t, &old).is_some());
         assert_eq!(resumes(ckpt(true)), 0.0);
         let _ = std::fs::remove_dir_all(&dir);

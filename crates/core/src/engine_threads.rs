@@ -145,7 +145,7 @@ struct ThreadedCkpt {
 }
 
 /// Schema tag rejecting checkpoints from other engines or layouts.
-const THREADED_CKPT_SCHEMA: &str = "hetero-threaded-ckpt/v2";
+const THREADED_CKPT_SCHEMA: &str = "hetero-threaded-ckpt/v3";
 
 /// Ranges a worker holds at once: the one it is on, and one parked behind
 /// it in its exec queue so that it never idles through a coordinator round
@@ -1055,7 +1055,7 @@ fn gpu_batch_step(
             }
             // The host-trained replica would be `snapshot − η·∇`; its delta
             // is the gradient the lane still holds, over the lane's own
-            // layer-0 columns.
+            // layer-0 rows.
             let eta = ctx.train.lr_scaling.eta(ctx.train.lr, len);
             let found_owned = lane.merge_into(ctx.shared, eta * scale, scan);
             (found_owned, ctx.sparse_retries_hist)
@@ -1566,6 +1566,57 @@ mod tests {
         // The resumed run spent the restored time plus the remainder.
         assert!(resumed.duration > 0.5, "duration {}", resumed.duration);
         assert!(resumed.final_loss().is_finite());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The threaded twin of the simulator's test: a checkpoint in the
+    /// previous layout (tag v2: the model's layer 0 stored `out × in`) is
+    /// refused whole by the schema tag, and the run starts fresh.
+    #[test]
+    fn checkpoint_of_the_previous_schema_is_refused() {
+        use hetero_ckpt::CkptConfig;
+        let data = dataset();
+        let cfg = config(AlgorithmKind::HogbatchCpu, 0.15);
+        let dir =
+            std::env::temp_dir().join(format!("hetero-thr-ckpt-schema-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let ckpt = |resume| {
+            Checkpointer::new(CkptConfig {
+                dir: dir.clone(),
+                interval: 0.03,
+                retain: 2,
+                resume,
+            })
+            .unwrap()
+        };
+        // Runs with `ckpt` attached; returns how many times it resumed.
+        let resumes = |ckpt: Checkpointer| {
+            let sink = TraceSink::wall(RING);
+            let ctx = RunCtx {
+                sink: sink.clone(),
+                ckpt,
+                ..RunCtx::default()
+            };
+            ThreadedEngine::new(cfg.clone())
+                .unwrap()
+                .run_with(data.clone(), &ctx);
+            let counters = sink.drain().counters;
+            counters
+                .iter()
+                .find(|(name, _)| name == "ckpt.resumes")
+                .map_or(0.0, |(_, v)| *v)
+        };
+        assert_eq!(resumes(ckpt(false)), 0.0);
+        // The current layout resumes…
+        assert_eq!(resumes(ckpt(true)), 1.0);
+        // …the same state written the way the previous schema laid it out
+        // does not.
+        let mut old: ThreadedCkpt = ckpt(true).resume_state().expect("a checkpoint");
+        old.core.schema = "hetero-threaded-ckpt/v2".into();
+        let w0 = &mut old.core.model.layers_mut()[0].w;
+        *w0 = w0.transpose();
+        assert!(ckpt(false).save(old.core.t, &old).is_some());
+        assert_eq!(resumes(ckpt(true)), 0.0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

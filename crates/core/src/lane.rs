@@ -6,7 +6,8 @@
 //! [`Evaluator`] and never ask which format they are on. What each format
 //! buys is in `hetero_nn::sparse_input`: CSR pays off at layer 0 only, so a
 //! lane stages CSR rows in O(nnz), runs the sparse layer-0 kernels, and its
-//! applies walk only the layer-0 columns the batch touched.
+//! applies walk only the layer-0 rows of the input features the batch
+//! touched.
 
 use std::ops::Deref;
 
@@ -145,8 +146,8 @@ impl Lane {
     }
 
     /// Loss of the staged batch at `model`; its gradient stays in the
-    /// lane's workspace — globally exact in either format (true zeros at
-    /// layer-0 columns a CSR batch never touched), so clipping, poisoning
+    /// lane's workspace — globally exact in either format (true zeros in the
+    /// layer-0 rows of features a CSR batch never touched), so clipping, poisoning
     /// and health scans of `ws.grad()` need not know the format.
     // audit: no_alloc
     pub(crate) fn gradient<D>(&mut self, src: &BatchSource<D>, model: &Model, parallel: bool) -> f32
@@ -160,13 +161,14 @@ impl Lane {
             .0
     }
 
-    /// Layer-0 columns the stored gradient is confined to (`None`: dense).
+    /// Input features the stored gradient's layer 0 is confined to
+    /// (`None`: dense).
     pub(crate) fn active_cols(&self) -> Option<&[u32]> {
         self.ws.active_cols()
     }
 
     /// `model ← model − eta·∇`, walking only the gradient's own layer-0
-    /// columns when it is row-sparse (plus biases and the later layers).
+    /// rows when it is row-sparse (plus biases and the later layers).
     // audit: no_alloc
     pub(crate) fn apply_to(&self, model: &mut Model, eta: f32) {
         match self.ws.active_cols() {
@@ -182,7 +184,7 @@ impl Lane {
     }
 
     /// The merge twin of [`apply_racy`](Self::apply_racy), for a lane that
-    /// stands in for a GPU replica: the same gradient over the same columns,
+    /// stands in for a GPU replica: the same gradient over the same rows,
     /// added as a stripe-owning merger (exact against other mergers) and
     /// scanned into `scan` when given. Returns the stripes found owned.
     // audit: no_alloc
@@ -363,8 +365,8 @@ mod tests {
     }
 
     /// A workspace that served a CSR batch and then a dense one holds a
-    /// dense gradient: no column set describes it, and applying it through
-    /// the lane must reach every layer-0 column.
+    /// dense gradient: no row set describes it, and applying it through
+    /// the lane must reach every layer-0 row.
     #[test]
     fn dense_step_after_csr_step_forgets_the_csr_columns() {
         let (dense, csr) = sources();

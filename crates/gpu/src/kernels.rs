@@ -39,6 +39,29 @@ pub fn gemm_nt_bias(
     gemm::par_gemm_nt_bias_slices(1.0, &ar, &br, &biasr, &mut cw, m, k, n);
 }
 
+/// `C ← A·B + bias` where A is `m×k`, B is `k×n` and `bias` has `n`
+/// entries (layer 0's forward product: its weights are stored `in × out`).
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_nn_bias(
+    mem: &DeviceMemory,
+    a: BufferId,
+    b: BufferId,
+    bias: BufferId,
+    c: BufferId,
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    let (ah, bh, biash, ch) = (mem.get(a), mem.get(b), mem.get(bias), mem.get(c));
+    let (ar, br, biasr) = (ah.read(), bh.read(), biash.read());
+    let mut cw = ch.write();
+    assert_eq!(ar.len(), m * k, "A dims");
+    assert_eq!(br.len(), k * n, "B dims");
+    assert_eq!(biasr.len(), n, "bias dims");
+    assert_eq!(cw.len(), m * n, "C dims");
+    gemm::par_gemm_nn_bias_slices(1.0, &ar, &br, &biasr, &mut cw, m, k, n);
+}
+
 /// `C ← Aᵀ·B` where A is `k×m` and B is `k×n` (weight gradient).
 pub fn gemm_tn(
     mem: &DeviceMemory,
@@ -151,6 +174,17 @@ mod tests {
         let c = upload(&m, &[f32::NAN; 4]); // overwritten, never read
         gemm_nt_bias(&m, a, b, bias, c, 2, 2, 2);
         assert_eq!(&*m.get(c).read(), &[2.0, 1.0, 4.0, 3.0]);
+    }
+
+    #[test]
+    fn gemm_nn_bias_matches_host() {
+        let m = mem();
+        let a = upload(&m, &[1.0, 2.0, 3.0, 4.0]); // 2x2
+        let b = upload(&m, &[0.0, 1.0, 1.0, 0.0]); // 2x2 swap
+        let bias = upload(&m, &[1.0, -1.0]);
+        let c = upload(&m, &[f32::NAN; 4]); // overwritten, never read
+        gemm_nn_bias(&m, a, b, bias, c, 2, 2, 2);
+        assert_eq!(&*m.get(c).read(), &[3.0, 0.0, 5.0, 2.0]);
     }
 
     #[test]

@@ -240,16 +240,15 @@ impl<'d> GpuMlp<'d> {
             } else {
                 self.scratch.act(l - 1)
             };
-            kernels::gemm_nt_bias(
-                dev.mem(),
-                input,
-                self.weights[l],
-                self.biases[l],
-                act,
-                batch,
-                in_dim,
-                out_dim,
-            );
+            // Layer 0 is stored `in × out` (X·W), every later layer
+            // `out × in` (A·Wᵀ), as on the host.
+            let product = if l == 0 {
+                kernels::gemm_nn_bias
+            } else {
+                kernels::gemm_nt_bias
+            };
+            let (w, b) = (self.weights[l], self.biases[l]);
+            product(dev.mem(), input, w, b, act, batch, in_dim, out_dim);
             if l + 1 == n_layers {
                 match self.spec.loss {
                     LossKind::SoftmaxCrossEntropy => kernels::softmax_rows(dev.mem(), act, out_dim),
@@ -295,16 +294,13 @@ impl<'d> GpuMlp<'d> {
             } else {
                 self.scratch.act(l - 1)
             };
-            // ∇W = δᵀ·input, ∇b = colsum(δ)
-            kernels::gemm_tn(
-                dev.mem(),
-                delta,
-                input,
-                self.grad_w[l],
-                batch,
-                out_dim,
-                in_dim,
-            );
+            // ∇W = δᵀ·input (layer 0, stored `in × out`: Xᵀ·δ), ∇b = colsum(δ)
+            let (a, b, m, n) = if l == 0 {
+                (input, delta, in_dim, out_dim)
+            } else {
+                (delta, input, out_dim, in_dim)
+            };
+            kernels::gemm_tn(dev.mem(), a, b, self.grad_w[l], batch, m, n);
             kernels::col_sum(dev.mem(), delta, self.grad_b[l], out_dim);
             if l > 0 {
                 let prev =

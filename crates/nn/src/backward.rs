@@ -5,7 +5,8 @@
 //! softmax+CE and sigmoid+BCE are the canonical link/loss pairs. From there
 //! each layer needs two GEMMs:
 //!
-//! - weight gradient: `∇Wˡ = δˡᵀ · aˡ⁻¹`  (TN kernel)
+//! - weight gradient: `∇Wˡ = δˡᵀ · aˡ⁻¹`  (TN kernel; layer 0, stored
+//!   `in × out`, takes `∇W⁰ = Xᵀ · δ⁰`, the same kernel)
 //! - backprop:        `δˡ⁻¹ = (δˡ · Wˡ) ⊙ f'(aˡ⁻¹)`  (NN kernel)
 //!
 //! plus a column sum for the bias gradient.
@@ -76,7 +77,8 @@ pub fn backward(
 /// `delta`/`delta_next` are the ping-pong δ buffers (any shape; reshaped
 /// with [`Matrix::resize`]); `grad` must have the model's shape and is
 /// fully overwritten. Warmed buffers make this allocation-free. A CSR
-/// batch needs `sparse`: its layer-0 weight gradient is a scatter kernel.
+/// batch needs `sparse`, the support of the gradient `grad` holds: its
+/// layer-0 weight gradient is a scatter that re-zeroes only those rows.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn backward_with_scratch(
     model: &Model,
@@ -102,29 +104,23 @@ pub(crate) fn backward_with_scratch(
 
     output_delta_into(pass.probs(), targets, model.spec().loss, delta);
     for l in (0..n_layers).rev() {
-        // Input to layer l: the previous layer's activation, or the batch
-        // — whose format decides the layer-0 weight gradient, nothing else.
-        let dense_input: Option<&Matrix> = match (l, x) {
+        // ∇W = δᵀ·input (out × in) — at layer 0, stored in × out, Xᵀ·δ,
+        // where the batch's format decides the kernel and nothing else.
+        let tn = match (l, x) {
             (0, Input::Csr(x)) => {
                 let scratch = sparse.as_deref_mut().expect("CSR input needs scratch");
                 scratch.backward_l0(x, delta, grad);
                 None
             }
-            (0, Input::Dense(x)) => {
-                if let Some(scratch) = sparse.as_deref_mut() {
-                    scratch.note_dense_gradient();
-                }
-                Some(x)
-            }
-            _ => Some(&pass.activations[l - 1]),
+            (0, Input::Dense(x)) => Some((x, &*delta)),
+            _ => Some((&*delta, &pass.activations[l - 1])),
         };
-        // ∇W = δᵀ · input  — δ is batch×out, input is batch×in → out×in.
-        if let Some(input) = dense_input {
+        if let Some((a, b)) = tn {
             let gw = &mut grad.layers_mut()[l].w;
             if parallel {
-                gemm::par_gemm_tn(1.0, delta, input, 0.0, gw);
+                gemm::par_gemm_tn(1.0, a, b, 0.0, gw);
             } else {
-                gemm::gemm_tn(1.0, delta, input, 0.0, gw);
+                gemm::gemm_tn(1.0, a, b, 0.0, gw);
             }
         }
         // ∇b = column sum of δ, into the gradient's existing bias buffer.

@@ -1,9 +1,8 @@
 //! Batch forward pass, loss evaluation, and prediction (Eq. 1 of the paper).
 
-use hetero_tensor::{gemm, ops, CsrView, Matrix};
+use hetero_tensor::{gemm, ops, sparse, CsrView, Matrix};
 
 use crate::model::Model;
-use crate::sparse_input::SparseScratch;
 use crate::spec::LossKind;
 
 /// Floor applied inside `log` to keep the loss finite.
@@ -96,7 +95,7 @@ impl ForwardPass {
 /// through the same kernel sequence, so their results are bit-identical.
 pub fn forward(model: &Model, x: &Matrix, parallel: bool) -> ForwardPass {
     let mut activations = Vec::new();
-    forward_into_buffers(model, x.into(), parallel, &mut activations, None);
+    forward_into_buffers(model, x.into(), parallel, &mut activations);
     ForwardPass { activations }
 }
 
@@ -104,15 +103,16 @@ pub fn forward(model: &Model, x: &Matrix, parallel: bool) -> ForwardPass {
 ///
 /// `activations` is resized to one matrix per layer; each matrix is
 /// reshaped with [`Matrix::resize`], so a warmed buffer set incurs no
-/// allocation. The bias-add is fused into the NT GEMM epilogue
-/// ([`gemm::gemm_nt_bias`]) — one pass over each pre-activation. A CSR
-/// batch needs `sparse`, the layer-0 repack scratch.
+/// allocation. The bias-add is fused into every product's epilogue — one
+/// pass over each pre-activation. Layer 0 (stored `in × out`) is `X·W`:
+/// [`gemm::gemm_nn_bias`] for a dense batch, [`sparse::spmm_bias_into`]
+/// straight from the weights for a CSR one; every later layer is the NT
+/// [`gemm::gemm_nt_bias`].
 pub(crate) fn forward_into_buffers(
     model: &Model,
     x: Input<'_>,
     parallel: bool,
     activations: &mut Vec<Matrix>,
-    mut sparse: Option<&mut SparseScratch>,
 ) {
     let (batch, width) = x.dims();
     assert_eq!(
@@ -128,23 +128,25 @@ pub(crate) fn forward_into_buffers(
         // Split so we can read the previous activation while writing this one.
         let (head, tail) = activations.split_at_mut(l);
         let z = &mut tail[0];
-        // The one place the input format matters: a CSR batch takes the
-        // sparse layer-0 product; everything else is the dense NT GEMM.
-        let dense_input: Option<&Matrix> = match (l, x) {
-            (0, Input::Csr(x)) => {
-                let scratch = sparse.as_deref_mut().expect("CSR input needs scratch");
-                scratch.forward_l0(x, layer, z);
-                None
+        let (w, b) = (&layer.w, &layer.b);
+        match (l, x) {
+            // The one place the input format matters.
+            (0, Input::Csr(x)) => sparse::spmm_bias_into(x, w, b, z),
+            (0, Input::Dense(x)) => {
+                z.resize(batch, w.cols());
+                if parallel {
+                    gemm::par_gemm_nn_bias(1.0, x, w, b, z);
+                } else {
+                    gemm::gemm_nn_bias(1.0, x, w, b, z);
+                }
             }
-            (0, Input::Dense(x)) => Some(x),
-            _ => Some(&head[l - 1]),
-        };
-        if let Some(input) = dense_input {
-            z.resize(batch, layer.w.rows());
-            if parallel {
-                gemm::par_gemm_nt_bias(1.0, input, &layer.w, &layer.b, z);
-            } else {
-                gemm::gemm_nt_bias(1.0, input, &layer.w, &layer.b, z);
+            _ => {
+                z.resize(batch, w.rows());
+                if parallel {
+                    gemm::par_gemm_nt_bias(1.0, &head[l - 1], w, b, z);
+                } else {
+                    gemm::gemm_nt_bias(1.0, &head[l - 1], w, b, z);
+                }
             }
         }
         if l + 1 == n_layers {

@@ -44,15 +44,21 @@ impl InitScheme {
 
     /// Fill a weight buffer for a layer of shape `(fan_in, fan_out)`.
     pub fn fill(&self, fan_in: usize, fan_out: usize, seed: u64, buf: &mut [f32]) {
-        match self {
-            InitScheme::Constant(c) => buf.iter_mut().for_each(|v| *v = *c),
-            _ => {
-                let sigma = self.sigma(fan_in, fan_out).max(f32::MIN_POSITIVE);
-                let normal = Normal::new(0.0f32, sigma).expect("valid sigma");
-                let mut rng = StdRng::seed_from_u64(seed);
-                buf.iter_mut().for_each(|v| *v = normal.sample(&mut rng));
-            }
-        }
+        let mut draw = self.draws(fan_in, fan_out, seed);
+        buf.iter_mut().for_each(|v| *v = draw());
+    }
+
+    /// The stream [`fill`](Self::fill) writes, one weight per call, for a
+    /// caller that stores the draws in another order.
+    pub(crate) fn draws(&self, fan_in: usize, fan_out: usize, seed: u64) -> impl FnMut() -> f32 {
+        let sigma = self.sigma(fan_in, fan_out).max(f32::MIN_POSITIVE);
+        let normal = Normal::new(0.0f32, sigma).expect("valid sigma");
+        let mut rng = StdRng::seed_from_u64(seed);
+        let constant = match self {
+            InitScheme::Constant(c) => Some(*c),
+            _ => None,
+        };
+        move || constant.unwrap_or_else(|| normal.sample(&mut rng))
     }
 }
 

@@ -9,7 +9,8 @@
 //! The crate provides:
 //! - [`MlpSpec`] — network shape and loss configuration, with the paper's
 //!   per-dataset presets (512 units/hidden layer; 4/6/8 hidden layers).
-//! - [`Model`] — the dense parameters (row-major `W[out][in]` plus biases),
+//! - [`Model`] — the dense parameters (row-major `W[out][in]` plus biases;
+//!   layer 0, the one sparse batches touch by input feature, `W[in][out]`),
 //!   initialization schemes, flatten/unflatten.
 //! - [`mod@forward`]/[`mod@backward`] — batch forward pass, loss, and exact
 //!   back-propagated gradients (Eq. 1–3 of the paper).

@@ -4,17 +4,21 @@ use hetero_tensor::{ops, Matrix};
 use serde::{Deserialize, Serialize};
 
 use crate::init::InitScheme;
-use crate::sparse_input::walk_l0_cols;
 use crate::spec::MlpSpec;
 
-/// One fully-connected layer: row-major weights `w[out][in]` plus a bias
-/// vector of length `out`.
+/// One fully-connected layer: row-major weights plus a bias vector of
+/// length `out`.
 ///
-/// Storing `W` as `out×in` makes the forward product `A·Wᵀ` an NT GEMM
-/// (contiguous dot products) and the backprop product `δ·W` an NN GEMM.
+/// Layers 1… store `W` as `w[out][in]`, which makes the forward product
+/// `A·Wᵀ` an NT GEMM (contiguous dot products) and the backprop product
+/// `δ·W` an NN GEMM. Layer 0 — the only one that reads the input, and the
+/// one a sparse batch touches only at its active input features — stores
+/// `w[in][out]`: one input feature's weights are one contiguous row, which
+/// the CSR kernels gather from and scatter into directly. Its forward
+/// product is then `X·W` (NN) and its weight gradient `Xᵀ·δ` (TN).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Layer {
-    /// Weight matrix, shape `(out, in)`.
+    /// Weight matrix, shape `(out, in)`; layer 0: `(in, out)`.
     pub w: Matrix,
     /// Bias vector, length `out`.
     pub b: Vec<f32>,
@@ -29,7 +33,8 @@ pub struct Model {
 
 /// One weight row or one bias vector of a layer, located in the flat layout
 /// [`Model::flatten`] defines — the unit [`crate::SharedModel`]'s traversals
-/// walk and its mergers own.
+/// walk and its mergers own. Layer 0's weight rows come first: stripe `c`
+/// is input feature `c`'s row.
 pub(crate) struct Stripe {
     pub(crate) layer: usize,
     /// Where the row starts in its layer's weight slice; `None`: the bias.
@@ -40,31 +45,53 @@ pub(crate) struct Stripe {
 }
 
 impl Stripe {
-    /// Number of parameters in the stripe.
-    pub(crate) fn len(&self) -> usize {
-        self.end - self.start
-    }
-
     /// The stripe's range of its layer's weight slice; `None`: the bias.
     fn weight_span(&self) -> Option<std::ops::Range<usize>> {
-        self.row_at.map(|at| at..at + self.len())
-    }
-
-    /// Visit the stripe's element offsets in address order — in a layer-0
-    /// weight row only those of `l0_cols`, when given (ascending columns
-    /// make a whole-model traversal one forward sweep; any order visits the
-    /// same set). The per-row form of
-    /// [`walk_l0_cols`](crate::sparse_input::walk_l0_cols).
-    #[inline(always)]
-    pub(crate) fn walk(&self, l0_cols: Option<&[u32]>, mut visit: impl FnMut(usize)) {
-        match l0_cols {
-            Some(cols) if self.layer == 0 && self.row_at.is_some() => {
-                cols.iter().for_each(|&c| visit(c as usize))
-            }
-            _ => (0..self.len()).for_each(visit),
-        }
+        self.row_at.map(|at| at..at + (self.end - self.start))
     }
 }
+
+/// A zeroed weight matrix in layer `l`'s storage layout.
+fn weights(l: usize, fan_in: usize, fan_out: usize) -> Matrix {
+    if l == 0 {
+        Matrix::zeros(fan_in, fan_out)
+    } else {
+        Matrix::zeros(fan_out, fan_in)
+    }
+}
+
+/// Layer `l`'s initial weights in its storage layout. Every layer draws
+/// weight `(o, c)` as draw `o·in + c` of its stream; layer 0 stores it at
+/// `(c, o)`, taking [`INIT_TILE_ROWS`] output rows of draws at a time through a
+/// reused buffer so that each 64-byte line of its store is written once —
+/// no full-size `out × in` draw to transpose afterwards.
+fn initial_weights(
+    l: usize,
+    fan_in: usize,
+    fan_out: usize,
+    mut draw: impl FnMut() -> f32,
+) -> Matrix {
+    let mut w = weights(l, fan_in, fan_out);
+    if l > 0 {
+        w.as_mut_slice().iter_mut().for_each(|v| *v = draw());
+        return w;
+    }
+    let mut tile = vec![0.0; INIT_TILE_ROWS.min(fan_out) * fan_in];
+    for o0 in (0..fan_out).step_by(INIT_TILE_ROWS) {
+        let rows = INIT_TILE_ROWS.min(fan_out - o0);
+        let tile = &mut tile[..rows * fan_in];
+        tile.iter_mut().for_each(|v| *v = draw());
+        for (c, line) in w.as_mut_slice().chunks_exact_mut(fan_out).enumerate() {
+            for (r, v) in line[o0..o0 + rows].iter_mut().enumerate() {
+                *v = tile[r * fan_in + c];
+            }
+        }
+    }
+    w
+}
+
+/// Output rows of layer 0 drawn per tile: 16 floats fill a 64-byte line.
+const INIT_TILE_ROWS: usize = 16;
 
 impl Model {
     /// Every stripe of the flat layout, in order: per layer its weight rows,
@@ -73,8 +100,8 @@ impl Model {
         let mut stripes = Vec::new();
         let mut start = 0;
         for (layer, l) in self.layers.iter().enumerate() {
-            let (out, width) = l.w.shape();
-            let rows = (0..out).map(|o| (Some(o * width), width));
+            let (rows, width) = l.w.shape();
+            let rows = (0..rows).map(|r| (Some(r * width), width));
             for (row_at, len) in rows.chain([(None, l.b.len())]) {
                 let end = start + len;
                 stripes.push(Stripe {
@@ -112,6 +139,11 @@ impl Model {
     /// Each layer gets an independent deterministic stream derived from
     /// `seed`, so models are reproducible across runs and across replica
     /// deep-copies.
+    ///
+    /// The draw fills each layer's weights in logical `(out, in)` order —
+    /// weight `(o, c)` is draw `o·in + c` of its stream — whatever the
+    /// layer's storage, so the initial model is the same function of the
+    /// seed in either layout.
     pub fn new(spec: MlpSpec, scheme: InitScheme, seed: u64) -> Self {
         spec.validate().expect("invalid MlpSpec");
         let layers = spec
@@ -119,15 +151,11 @@ impl Model {
             .iter()
             .enumerate()
             .map(|(l, &(fan_in, fan_out))| {
-                let mut w = Matrix::zeros(fan_out, fan_in);
-                scheme.fill(
-                    fan_in,
-                    fan_out,
-                    seed.wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(l as u64 + 1)),
-                    w.as_mut_slice(),
-                );
+                let layer_seed =
+                    seed.wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(l as u64 + 1));
+                let draw = scheme.draws(fan_in, fan_out, layer_seed);
                 Layer {
-                    w,
+                    w: initial_weights(l, fan_in, fan_out, draw),
                     b: vec![0.0; fan_out],
                 }
             })
@@ -140,8 +168,9 @@ impl Model {
         let layers = spec
             .layer_dims()
             .iter()
-            .map(|&(fan_in, fan_out)| Layer {
-                w: Matrix::zeros(fan_out, fan_in),
+            .enumerate()
+            .map(|(l, &(fan_in, fan_out))| Layer {
+                w: weights(l, fan_in, fan_out),
                 b: vec![0.0; fan_out],
             })
             .collect();
@@ -227,26 +256,22 @@ impl Model {
     }
 
     /// In-place SGD update restricted to the sparse layer-0 support:
-    /// touches only the layer-0 weight columns listed in `l0_cols`, plus
-    /// every bias and all later layers in full.
+    /// touches only the layer-0 weight rows of the input features listed in
+    /// `l0_cols`, plus every bias and all later layers in full.
     ///
     /// Equivalent to [`Model::apply_gradient`] whenever the layer-0 weight
     /// gradient is exactly zero outside `l0_cols` — which the sparse
     /// backward pass guarantees (a batch column with no stored entry
-    /// contributes nothing to `∇W₁ = δᵀ·X`). Cost drops from
-    /// `O(out·in)` to `O(out·|l0_cols|)` on the first layer.
+    /// contributes nothing to `∇W₀ = Xᵀ·δ`). Each listed row is one
+    /// contiguous axpy, and any order of `l0_cols` gives the same result.
+    /// Cost drops from `O(in·out)` to `O(|l0_cols|·out)` on the first layer.
     pub fn apply_gradient_sparse(&mut self, grad: &Model, eta: f32, l0_cols: &[u32]) {
         assert_eq!(self.spec, grad.spec, "gradient for a different spec");
         {
-            let layer = &mut self.layers[0];
-            let g = &grad.layers[0];
-            let (out0, in0) = layer.w.shape();
-            let ws = layer.w.as_mut_slice();
-            let gs = g.w.as_slice();
-            walk_l0_cols(l0_cols, out0, |o, c| {
-                debug_assert!(c < in0, "active column {c} out of bounds");
-                ws[o * in0 + c] -= eta * gs[o * in0 + c];
-            });
+            let (layer, g) = (&mut self.layers[0], &grad.layers[0]);
+            for &c in l0_cols {
+                ops::axpy(-eta, g.w.row(c as usize), layer.w.row_mut(c as usize));
+            }
             ops::axpy(-eta, &g.b, &mut layer.b);
         }
         for (layer, g) in self.layers.iter_mut().zip(&grad.layers).skip(1) {
@@ -302,7 +327,7 @@ mod tests {
     fn new_model_has_spec_shapes() {
         let m = Model::new(spec(), InitScheme::PaperNormal, 0);
         assert_eq!(m.layers().len(), 3);
-        assert_eq!(m.layers()[0].w.shape(), (4, 3));
+        assert_eq!(m.layers()[0].w.shape(), (3, 4), "layer 0 is in × out");
         assert_eq!(m.layers()[1].w.shape(), (5, 4));
         assert_eq!(m.layers()[2].w.shape(), (2, 5));
         assert_eq!(m.layers()[2].b.len(), 2);
@@ -316,6 +341,31 @@ mod tests {
         let c = Model::new(spec(), InitScheme::PaperNormal, 8);
         assert_eq!(a, b);
         assert_ne!(a, c);
+    }
+
+    /// Only layer 0's store is transposed: its weight at logical `(o, c)`
+    /// is still draw `o·in + c` of the layer's stream, so a seed names the
+    /// same initial model in either layout.
+    #[test]
+    fn layer0_holds_the_logical_draw_transposed() {
+        for scheme in [InitScheme::PaperNormal, InitScheme::Xavier] {
+            let seed = 41;
+            let m = Model::new(spec(), scheme, seed);
+            let (fan_in, fan_out) = spec().layer_dims()[0];
+            let mut draw = vec![0.0; fan_in * fan_out];
+            let layer_seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            scheme.fill(fan_in, fan_out, layer_seed, &mut draw);
+            for o in 0..fan_out {
+                for c in 0..fan_in {
+                    let stored = m.layers()[0].w.get(c, o);
+                    assert_eq!(
+                        stored.to_bits(),
+                        draw[o * fan_in + c].to_bits(),
+                        "({o}, {c})"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -365,13 +415,11 @@ mod tests {
     fn apply_gradient_sparse_matches_dense_on_sparse_support() {
         let mut dense = Model::new(spec(), InitScheme::Xavier, 5);
         let mut sparse = dense.clone();
-        // Gradient whose layer-0 weights are non-zero only in columns {0, 2}.
+        // Gradient whose layer-0 weights are non-zero only for input
+        // features {0, 2}.
         let mut g = Model::new(spec(), InitScheme::Constant(0.5), 0);
-        let in0 = g.layers()[0].w.cols();
-        for o in 0..g.layers()[0].w.rows() {
-            g.layers_mut()[0].w.set(o, 1, 0.0);
-        }
-        assert_eq!(in0, 3);
+        assert_eq!(g.layers()[0].w.rows(), 3);
+        g.layers_mut()[0].w.row_mut(1).fill(0.0);
         dense.apply_gradient(&g, 0.3);
         sparse.apply_gradient_sparse(&g, 0.3, &[0, 2]);
         assert_eq!(dense, sparse);

@@ -134,33 +134,52 @@ impl SharedModel {
         }
     }
 
+    /// Indices of the stripes a gradient whose layer-0 weights are zero
+    /// outside the rows `l0_cols` can be non-zero in, in visiting order:
+    /// those rows (stripe `c` is input feature `c`'s row; a row past the
+    /// input width names no weights and is skipped), then every stripe from
+    /// layer 0's bias on. `None`: every stripe, in flat order.
+    fn visited<'a>(&'a self, l0_cols: Option<&'a [u32]>) -> impl Iterator<Item = usize> + 'a {
+        let n_in = self.spec.input_dim;
+        let (rows, tail): (&[u32], usize) = match l0_cols {
+            Some(rows) => (rows, n_in),
+            None => (&[], 0),
+        };
+        let rows = rows.iter().map(|&c| c as usize);
+        rows.filter(move |&c| {
+            debug_assert!(c < n_in, "layer-0 row {c} past input width {n_in}");
+            c < n_in
+        })
+        .chain(tail..self.stripes.len())
+    }
+
     /// Hogwild update: `w ← w − eta·g` with racy per-element load/store.
     ///
     /// Lost updates under contention are expected and tolerated — this is
     /// the paper's CPU-worker update path.
     ///
-    /// With `l0_cols` the layer-0 weight loop visits only those columns,
-    /// row by row in address order (any order is correct, ascending — what
-    /// [`Workspace::active_cols`](crate::Workspace::active_cols) yields —
-    /// is the fast one; duplicates must not appear); biases and all later
-    /// layers are applied densely. Caller contract: `grad`'s layer-0
-    /// weights are **zero outside `l0_cols`**, so skipping the other
-    /// columns changes nothing — it only skips `w ← w − eta·0` writes,
-    /// which for bag-of-words inputs is almost all of layer 0.
+    /// With `l0_cols` — the input features a sparse batch touched — only
+    /// those layer-0 weight rows are visited, each one contiguous stripe
+    /// (any order is correct and gives the same result;
+    /// [`Workspace::active_cols`](crate::Workspace::active_cols) yields them
+    /// ascending; duplicates must not appear); biases and all later layers
+    /// are applied densely. Caller contract: `grad`'s layer-0 weights are
+    /// **zero outside `l0_cols`**, so skipping the other rows changes
+    /// nothing — it only skips `w ← w − eta·0` writes, which for
+    /// bag-of-words inputs is almost all of layer 0.
     // audit: no_alloc,no_panic,no_block
     pub fn apply_racy(&self, grad: &Model, eta: f32, l0_cols: Option<&[u32]>) {
         assert_eq!(grad.spec(), &self.spec, "gradient spec mismatch");
-        for st in &self.stripes {
-            let (params, g) = (&self.params[st.start..st.end], grad.stripe(st));
-            st.walk(l0_cols, |i| {
-                let p = &params[i];
+        for s in self.visited(l0_cols) {
+            let st = &self.stripes[s];
+            for (p, g) in self.params[st.start..st.end].iter().zip(grad.stripe(st)) {
                 // Relaxed load/store pair: the non-atomic read-modify-write
                 // is the point — concurrent writers may overwrite each other
                 // (Hogwild lost-update semantics; module ordering note
                 // above).
-                let next = f32::from_bits(p.load(Ordering::Relaxed)) - eta * g[i];
+                let next = f32::from_bits(p.load(Ordering::Relaxed)) - eta * g;
                 p.store(next.to_bits(), Ordering::Relaxed);
-            });
+            }
         }
         // Relaxed: monitoring counter.
         self.updates.fetch_add(1, Ordering::Relaxed);
@@ -227,14 +246,14 @@ impl SharedModel {
     /// allocations. A non-finite delta is still merged (the poisoned run
     /// is the watchdog's problem to abort, not the merge's to mask).
     ///
-    /// With `l0_cols`, as in [`apply_racy`](Self::apply_racy), the layer-0
-    /// weight loop visits only those columns; the others are neither read,
-    /// observed, nor written. Caller contract: the delta is zero at every
-    /// other layer-0 weight. Then parameters *and* scan come out as from
-    /// the dense merge, which observes a zero delta as `sumsq += 0` and
-    /// never writes it — bit for bit, `f64` sums included, when `l0_cols`
-    /// ascends and no stripe is held back (the dense merge's own address
-    /// order); any other order can only move those sums in their last place.
+    /// With `l0_cols`, as in [`apply_racy`](Self::apply_racy), only those
+    /// layer-0 weight rows are visited; the others are neither read,
+    /// observed, nor written. Caller contract: the delta is zero in every
+    /// other layer-0 row. Then parameters *and* scan come out as from the
+    /// dense merge, which observes a zero delta as `sumsq += 0` and never
+    /// writes it — bit for bit, `f64` sums included, when `l0_cols` ascends
+    /// and no stripe is held back (the dense merge's own stripe order); any
+    /// other order can only move those sums in their last place.
     // audit: no_alloc,no_panic,no_block
     pub fn merge(
         &self,
@@ -309,7 +328,7 @@ impl SharedModel {
             let (params, vals) = (&self.params[st.start..st.end], src.map(|m| m.stripe(st)));
             // Stripe-local, so the scan's sums stay in registers.
             let mut seen = LayerScan::default();
-            st.walk(l0_cols, |i| {
+            for (i, p) in params.iter().enumerate() {
                 let delta = scale * diff(vals.map(|v| v[i]));
                 if scan.is_some() {
                     seen.observe(delta);
@@ -318,11 +337,10 @@ impl SharedModel {
                     // Relaxed load/add/store, the lanes' own: no other
                     // *merger* can be between the two (stripe owned), and a
                     // lane that is races this one like another lane would.
-                    let p = &params[i];
                     let sum = f32::from_bits(p.load(Ordering::Relaxed)) + delta;
                     p.store(sum.to_bits(), Ordering::Relaxed);
                 }
-            });
+            }
             // Release: publishes the adds above to the stripe's next owner.
             word.store(false, Ordering::Release);
             if let Some(scan) = scan.as_deref_mut() {
@@ -330,17 +348,29 @@ impl SharedModel {
             }
             true
         };
+        // Windows of 64 visited stripes: a stripe found owned is marked in
+        // the window's bitmask and revisited once at the window's end.
+        let mut order = self.visited(l0_cols);
+        let mut window = [0usize; 64];
         let mut found_owned = 0;
-        for window in (0..self.stripes.len()).step_by(64) {
+        loop {
+            let mut len = 0;
+            for s in order.by_ref().take(64) {
+                window[len] = s;
+                len += 1;
+            }
+            if len == 0 {
+                break;
+            }
             let mut held_back = 0u64;
-            for s in window..self.stripes.len().min(window + 64) {
+            for (j, &s) in window[..len].iter().enumerate() {
                 if !merge_stripe(s) {
-                    held_back |= 1 << (s - window);
+                    held_back |= 1 << j;
                 }
             }
             found_owned += u64::from(held_back.count_ones());
             while held_back != 0 {
-                let s = window + held_back.trailing_zeros() as usize;
+                let s = window[held_back.trailing_zeros() as usize];
                 while !merge_stripe(s) {
                     yield_now();
                 }
@@ -429,16 +459,15 @@ mod tests {
         assert!((s.snapshot().layers()[0].w.get(0, 1) - (old + 1.0)).abs() < 1e-6);
     }
 
-    /// A gradient that is zero outside the given layer-0 columns must apply
-    /// identically through the dense racy path and the column-sparse one.
+    /// A gradient that is zero outside the given layer-0 rows must apply
+    /// identically through the dense racy path and the row-sparse one.
     fn sparse_grad(m: &Model, cols: &[u32]) -> Model {
         let mut grad = Model::zeros_like(m.spec());
         {
             let w = &mut grad.layers_mut()[0].w;
-            let out0 = w.rows();
             for (i, &c) in cols.iter().enumerate() {
-                for o in 0..out0 {
-                    w.set(o, c as usize, 0.5 + (i + o) as f32);
+                for (o, g) in w.row_mut(c as usize).iter_mut().enumerate() {
+                    *g = 0.5 + (i + o) as f32;
                 }
             }
         }
@@ -466,15 +495,12 @@ mod tests {
         let s2 = SharedModel::new(&m);
         let base = m.clone();
         let mut replica = m.clone();
-        // Perturb exactly two layer-0 columns plus dense-tail params.
+        // Perturb exactly two layer-0 rows plus dense-tail params.
         let cols = [0u32, 2];
-        let out0 = replica.layers()[0].w.rows();
         for &c in &cols {
-            for o in 0..out0 {
-                let old = replica.layers()[0].w.get(o, c as usize);
-                replica.layers_mut()[0]
-                    .w
-                    .set(o, c as usize, old + 0.1 * (o + 1) as f32);
+            let row = replica.layers_mut()[0].w.row_mut(c as usize);
+            for (o, w) in row.iter_mut().enumerate() {
+                *w += 0.1 * (o + 1) as f32;
             }
         }
         replica.layers_mut()[0].b[0] += 0.5;

@@ -2,17 +2,22 @@
 //!
 //! For bag-of-words data like real-sim (~0.25% dense) only the **first**
 //! layer touches the input, so sparsity pays off exactly twice per step:
-//! the first forward product `X·W₁ᵀ` and the first weight gradient
-//! `∇W₁ = δ₁ᵀ·X`. Every other layer is dense regardless. This module plugs
+//! the first forward product `X·W₀` and the first weight gradient
+//! `∇W₀ = Xᵀ·δ₀`. Every other layer is dense regardless. This module plugs
 //! the CSR kernels of `hetero_tensor::sparse` into those two spots and
 //! reuses the dense pipeline everywhere else — making the paper's "process
 //! everything dense" decision (§VII-A) measurable rather than assumed.
 //!
 //! One API: the [`crate::Workspace`] passes take an [`crate::Input`],
 //! dense or CSR, and the shared forward/backward bodies call into this
-//! module at layer 0 only. All scratch (the transposed weight repack, the
-//! transposed gradient accumulator, the active-column bookkeeping) lives
-//! in the workspace and is sized once, so warm steps are allocation-free.
+//! module at layer 0 only. Layer 0 is stored `in × out`, the layout both
+//! CSR kernels read and write, so the forward gathers straight from the
+//! model and the backward scatters straight into the gradient: no repack,
+//! no transposed copy. What a CSR gradient does need is its *support* —
+//! the input features its batch touched, the only layer-0 rows that may be
+//! non-zero — which [`SparseScratch`] keeps, so that appliers walk only
+//! those rows and the next CSR gradient re-zeroes only them. It is sized by
+//! the spec alone, so warm steps are allocation-free.
 //! [`forward_sparse`] / [`loss_and_gradient_sparse`] are thin allocating
 //! wrappers for tests and one-off calls.
 //!
@@ -26,163 +31,69 @@ use hetero_tensor::{sparse, CsrMatrix, CsrView, Matrix};
 
 use crate::backward::Gradient;
 use crate::forward::{ForwardPass, Targets};
-use crate::model::{Layer, Model};
-use crate::spec::MlpSpec;
+use crate::model::Model;
 use crate::workspace::Workspace;
 
-/// Visit every layer-0 weight `(o, c)`, `c ∈ cols`, of a row-major
-/// `out0×in` matrix **in address order**: output row by output row, left to
-/// right within a row. With `cols` ascending the whole walk is one forward
-/// sweep; the column-outer order it replaces took a full-row stride (a
-/// cache and a TLB miss) per element. Any order of `cols` visits the same
-/// set, so callers whose per-element work is independent get identical
-/// results, merely fastest when ascending.
-#[inline(always)]
-pub(crate) fn walk_l0_cols(cols: &[u32], out0: usize, mut visit: impl FnMut(usize, usize)) {
-    for o in 0..out0 {
-        for &c in cols {
-            visit(o, c as usize);
-        }
-    }
-}
-
-/// L1 share one tile of [`walk_l0_cols_transposing`] may occupy on the
-/// transposed side (half of a 32 KB L1d).
-const L0_TILE_BYTES: usize = 16 * 1024;
-
-/// [`walk_l0_cols`] for visitors that also touch the *transposed*
-/// (`in×out0`) scratch at `(c, o)`: the columns go in tiles whose `tile ×
-/// out0` transposed rows fit [`L0_TILE_BYTES`], so every cache line of the
-/// transposed side serves its 16 output rows before it is evicted. Untiled,
-/// the transposed side misses on every element (DESIGN.md §4k has the sweep).
-#[inline(always)]
-fn walk_l0_cols_transposing(cols: &[u32], out0: usize, mut visit: impl FnMut(usize, usize)) {
-    let cols_per_tile = (L0_TILE_BYTES / (4 * out0.max(1))).max(1);
-    for tile in cols.chunks(cols_per_tile) {
-        walk_l0_cols(tile, out0, &mut visit);
-    }
-}
-
-/// Reusable layer-0 sparse scratch owned by a [`Workspace`].
-///
-/// Everything here is sized by the model spec alone (never by the batch),
-/// so the whole struct is fully allocated at creation and steady-state
-/// sparse steps never grow it.
+/// The layer-0 support of a workspace's stored CSR gradient. The workspace
+/// holds one exactly while its gradient came from a CSR batch; a dense
+/// gradient's support is every row, and a dense backward drops this.
 #[derive(Debug)]
 pub(crate) struct SparseScratch {
-    /// First-layer weights repacked transposed (`in×out₁`) so every CSR
-    /// entry reads one contiguous row; each forward refreshes the rows of
-    /// its batch's columns only (the kernel reads no others).
-    w1t: Matrix,
-    /// Transposed first-layer gradient accumulator (`in×out₁`); only rows
-    /// in the active set hold meaningful values.
-    grad_t: Matrix,
-    /// One bit per input column, all clear between calls (`collect_cols`).
-    col_mask: Vec<u64>,
-    /// Columns of the most recent forward batch (ascending).
-    fwd_cols: Vec<u32>,
-    /// Input columns with at least one stored entry in the most recent
-    /// gradient batch (ascending, duplicate-free).
-    active: Vec<u32>,
-    /// The active set of the previous sparse gradient — the `grad.w[0]`
-    /// columns that must be re-zeroed before the next scatter.
-    prev_active: Vec<u32>,
-    /// Zero all of `grad.w[0]` before the next scatter: set at creation and
-    /// whenever a dense backward overwrote the gradient in between — i.e.
-    /// exactly while `active` does *not* describe the stored gradient.
-    full_clear: bool,
+    /// One bit per input feature, all clear between calls (`collect_rows`).
+    mask: Vec<u64>,
+    /// The stored gradient's support: the input features its batch touched
+    /// (ascending, duplicate-free) — the only rows of `grad.w[0]` that may
+    /// be non-zero.
+    rows: Vec<u32>,
 }
 
 impl SparseScratch {
-    pub(crate) fn new(spec: &MlpSpec) -> Self {
-        let (in_dim, out0) = spec.layer_dims()[0];
+    /// Take over `grad`, whose layer-0 rows may all be non-zero (a dense
+    /// gradient's support is every row): they are re-zeroed here, so the
+    /// support starts empty.
+    pub(crate) fn new(grad: &mut Gradient) -> Self {
+        let w0 = &mut grad.layers_mut()[0].w;
+        if !cfg!(hetero_stale_l0_rows) {
+            w0.as_mut_slice().fill(0.0);
+        }
+        let in_dim = w0.rows();
         SparseScratch {
-            w1t: Matrix::zeros(in_dim, out0),
-            grad_t: Matrix::zeros(in_dim, out0),
-            col_mask: vec![0; in_dim.div_ceil(64)],
-            fwd_cols: Vec::with_capacity(in_dim),
-            active: Vec::with_capacity(in_dim),
-            prev_active: Vec::with_capacity(in_dim),
-            full_clear: true,
+            mask: vec![0; in_dim.div_ceil(64)],
+            rows: Vec::with_capacity(in_dim),
         }
     }
 
-    /// Support of the stored gradient's layer-0 weights, if the most recent
-    /// gradient was a sparse one (`None` after a dense pass: `active` then
-    /// still lists the batch before it).
-    pub(crate) fn active_cols(&self) -> Option<&[u32]> {
-        (!self.full_clear).then_some(&self.active)
-    }
-
-    /// A dense backward overwrote the shared gradient buffer: the next
-    /// sparse gradient must re-zero all of `grad.w[0]`, not just the
-    /// previously-active columns.
-    pub(crate) fn note_dense_gradient(&mut self) {
-        self.full_clear = true;
+    /// The stored gradient's support.
+    pub(crate) fn rows(&self) -> &[u32] {
+        &self.rows
     }
 
     /// Σ of buffer capacities (workspace growth tracking).
     pub(crate) fn capacity_fingerprint(&self) -> usize {
-        self.w1t.capacity()
-            + self.grad_t.capacity()
-            + self.col_mask.capacity()
-            + self.fwd_cols.capacity()
-            + self.active.capacity()
-            + self.prev_active.capacity()
+        self.mask.capacity() + self.rows.capacity()
     }
 
-    /// Layer-0 pre-activation of a CSR batch into `z`: repack the batch's
-    /// columns of W₁ transposed, then fused bias + per-nnz accumulate. The
-    /// repack is O(out₁·|cols|) and keeps the kernel's inner loop
-    /// contiguous on both operands.
-    pub(crate) fn forward_l0(&mut self, x: CsrView<'_>, l0: &Layer, z: &mut Matrix) {
-        let (out0, in0) = l0.w.shape();
-        collect_cols(x.indices(), &mut self.col_mask, &mut self.fwd_cols);
-        let (w, wt) = (l0.w.as_slice(), self.w1t.as_mut_slice());
-        walk_l0_cols_transposing(&self.fwd_cols, out0, |o, c| {
-            wt[c * out0 + o] = w[o * in0 + c]
-        });
-        sparse::spmm_bias_into(x, &self.w1t, &l0.b, z);
-    }
-
-    /// Layer-0 weight gradient `∇W₁ = δᵀ·X` at `O(nnz·out₁)`:
-    /// accumulate row-contiguously into the transposed scratch, then scatter
-    /// only the active columns back into `grad.w[0]` — re-zeroing the columns
-    /// the *previous* call touched so the dense gradient stays globally exact
-    /// (full-pass consumers like gradient clipping and the watchdog scan read
-    /// true zeros at inactive columns).
+    /// Layer-0 weight gradient `∇W₀ = Xᵀ·δ` at `O(nnz·out₀)`: re-zero the
+    /// previous support's rows, then scatter this batch straight into
+    /// `grad.w[0]`. The gradient stays globally exact — true zeros in every
+    /// row the batch never touched — so full-pass consumers (clipping, the
+    /// watchdog scan) need not know the format. `hetero_stale_l0_rows` is
+    /// the seeded bug of `scripts/check_mutation.sh`: no re-zero.
     pub(crate) fn backward_l0(&mut self, x: CsrView<'_>, delta: &Matrix, grad: &mut Gradient) {
-        // Remember the previous active set (its grad.w[0] columns hold stale
-        // values), then collect this batch's.
-        std::mem::swap(&mut self.prev_active, &mut self.active);
-        collect_cols(x.indices(), &mut self.col_mask, &mut self.active);
-
-        // Zero exactly the accumulator rows this batch will touch, accumulate,
-        // and write back.
-        for &c in self.active.iter() {
-            self.grad_t.row_mut(c as usize).fill(0.0);
-        }
-        sparse::spmm_tn_scatter(x, delta, &mut self.grad_t);
-
         let gw = &mut grad.layers_mut()[0].w;
-        let (out0, in0) = gw.shape();
-        let gws = gw.as_mut_slice();
-        if self.full_clear {
-            gws.fill(0.0);
-            self.full_clear = false;
-        } else {
-            walk_l0_cols(&self.prev_active, out0, |o, c| gws[o * in0 + c] = 0.0);
+        if !cfg!(hetero_stale_l0_rows) {
+            for &c in &self.rows {
+                gw.row_mut(c as usize).fill(0.0);
+            }
         }
-        let gt = self.grad_t.as_slice();
-        walk_l0_cols_transposing(&self.active, out0, |o, c| {
-            gws[o * in0 + c] = gt[c * out0 + o]
-        });
+        collect_rows(x.indices(), &mut self.mask, &mut self.rows);
+        sparse::spmm_tn_scatter(x, delta, gw);
     }
 }
 
 /// The distinct column indices of a batch, ascending, into `out`:
 /// `O(nnz + in/64)` through a bitmap that is left all-clear again.
-fn collect_cols(indices: &[u32], mask: &mut [u64], out: &mut Vec<u32>) {
+fn collect_rows(indices: &[u32], mask: &mut [u64], out: &mut Vec<u32>) {
     out.clear();
     for &c in indices {
         mask[c as usize / 64] |= 1 << (c % 64);
@@ -312,10 +223,10 @@ mod tests {
     }
 
     /// Successive sparse batches with *different* active sets must each
-    /// produce the exact gradient a fresh workspace would: the scatter
-    /// re-zeroes the previously-active columns, so no stale values leak.
+    /// produce the exact gradient a fresh workspace would: the backward
+    /// re-zeroes the previously-active rows, so no stale values leak.
     #[test]
-    fn reused_workspace_rezeroes_previous_active_columns() {
+    fn reused_workspace_rezeroes_previous_active_rows() {
         let spec = MlpSpec::tiny(16, 2);
         let model = Model::new(spec.clone(), InitScheme::Xavier, 6);
         let a = sparse_batch(5, 16, 31);
@@ -347,7 +258,8 @@ mod tests {
         let labels: Vec<u32> = (0..6).map(|i| (i % 2) as u32).collect();
         let mut ws = Workspace::new(&spec);
         // Sparse first (primes the active set), then dense (fills grad.w[0]
-        // densely), then sparse again — the last call must fully re-zero.
+        // densely), then sparse again — the last call must re-zero every
+        // row, the dense gradient's support.
         ws.loss_and_gradient_into(&model, csr.view(), Targets::Classes(&labels), false);
         ws.loss_and_gradient_into(&model, &dense, Targets::Classes(&labels), false);
         let (_, g) =

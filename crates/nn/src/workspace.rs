@@ -44,9 +44,10 @@ pub struct Workspace {
     /// Gradient accumulator, shaped like the model once and overwritten
     /// in place every step.
     grad: Gradient,
-    /// Layer-0 sparse scratch, created on the first CSR batch. Boxed so
-    /// dense-only workspaces pay one pointer; all its buffers are sized by
-    /// the spec alone, so creation is the only allocation it ever does.
+    /// The layer-0 support of `grad`: `Some` while it came from a CSR
+    /// batch, `None` while it is dense (or none was computed yet). Boxed so
+    /// dense-only workspaces pay one pointer; its buffers are sized by the
+    /// spec alone, so creation is the only allocation it ever does.
     sparse: Option<Box<SparseScratch>>,
     /// Largest batch size this workspace has already served.
     warmed_batch: usize,
@@ -130,28 +131,39 @@ impl Workspace {
             + self.sparse.as_ref().map_or(0, |s| s.capacity_fingerprint())
     }
 
-    /// Check `model` fits and, for a CSR batch, create the sparse scratch if
-    /// absent — before `track` runs, so the one-time creation never counts
-    /// against the steady-state invariant.
-    fn prepare(&mut self, model: &Model, x: Input<'_>) {
+    /// Panic unless `model` has the spec this workspace was built for.
+    fn check_spec(&self, model: &Model) {
         assert_eq!(
             *model.spec(),
             self.spec,
             "workspace was built for a different model spec"
         );
-        if matches!(x, Input::Csr(_)) && self.sparse.is_none() {
-            self.sparse = Some(Box::new(SparseScratch::new(&self.spec)));
+    }
+
+    /// Before a gradient of `x`, make `sparse` fit what the backward will
+    /// leave in `grad`: a dense backward overwrites every row (no support),
+    /// a CSR one needs the support of the gradient it replaces — created
+    /// here when absent, re-zeroing the dense rows it takes over. Runs
+    /// before `track`, so the one-time creation never counts against the
+    /// steady-state invariant.
+    fn prepare_gradient(&mut self, x: Input<'_>) {
+        match x {
+            Input::Dense(_) => self.sparse = None,
+            Input::Csr(_) if self.sparse.is_none() => {
+                self.sparse = Some(Box::new(SparseScratch::new(&mut self.grad)));
+            }
+            Input::Csr(_) => {}
         }
     }
 
-    /// The layer-0 input columns the stored gradient is confined to:
-    /// `Some` iff it came from a CSR batch, and then the exact support of
-    /// `grad().layers()[0].w` (ascending, duplicate-free). `None` means a
-    /// dense gradient (or none yet) — an applier handed this alongside
-    /// [`grad`](Self::grad) can never walk columns that describe some
-    /// earlier batch.
+    /// The input features the stored gradient's layer 0 is confined to —
+    /// its support, the rows of `grad().layers()[0].w` that may be non-zero:
+    /// `Some` iff it came from a CSR batch, ascending and duplicate-free.
+    /// `None` means a dense gradient (or none yet) — an applier handed this
+    /// alongside [`grad`](Self::grad) can never walk rows that describe
+    /// some earlier batch.
     pub fn active_cols(&self) -> Option<&[u32]> {
-        self.sparse.as_ref().and_then(|s| s.active_cols())
+        self.sparse.as_ref().map(|s| s.rows())
     }
 
     /// [`active_cols`](Self::active_cols), empty when the stored gradient
@@ -192,10 +204,9 @@ impl Workspace {
         parallel: bool,
     ) -> &ForwardPass {
         let x = x.into();
-        self.prepare(model, x);
+        self.check_spec(model);
         self.track(x.dims().0, |ws| {
-            let sparse = ws.sparse.as_deref_mut();
-            forward_into_buffers(model, x, parallel, &mut ws.pass.activations, sparse);
+            forward_into_buffers(model, x, parallel, &mut ws.pass.activations);
         });
         &self.pass
     }
@@ -205,10 +216,10 @@ impl Workspace {
     /// bit-identical to it (both run the same kernel sequence).
     ///
     /// For a CSR batch the stored gradient is still globally exact: layer-0
-    /// columns outside the batch support hold true zeros (the previous
-    /// call's columns are re-zeroed), so full-pass consumers (clipping,
-    /// merge scans) stay correct, while appliers may restrict themselves
-    /// to [`active_cols`](Self::active_cols).
+    /// rows outside the batch support hold true zeros (the previous call's
+    /// rows are re-zeroed), so full-pass consumers (clipping, merge scans)
+    /// stay correct, while appliers may restrict themselves to
+    /// [`active_cols`](Self::active_cols).
     // audit: no_alloc
     pub fn loss_and_gradient_into<'a>(
         &mut self,
@@ -218,11 +229,10 @@ impl Workspace {
         parallel: bool,
     ) -> (f32, &Gradient) {
         let x = x.into();
-        self.prepare(model, x);
+        self.check_spec(model);
+        self.prepare_gradient(x);
         let l = self.track(x.dims().0, |ws| {
-            let mut sparse = ws.sparse.as_deref_mut();
-            let acts = &mut ws.pass.activations;
-            forward_into_buffers(model, x, parallel, acts, sparse.as_deref_mut());
+            forward_into_buffers(model, x, parallel, &mut ws.pass.activations);
             let l = loss(ws.pass.probs(), targets, model.spec().loss);
             backward_with_scratch(
                 model,
@@ -233,7 +243,7 @@ impl Workspace {
                 &mut ws.delta,
                 &mut ws.delta_next,
                 &mut ws.grad,
-                sparse,
+                ws.sparse.as_deref_mut(),
             );
             l
         });

@@ -1,9 +1,10 @@
-//! The layer-0 column kernels visit independent elements, so the *order* of
-//! `l0_cols` must never show in the result: shuffled, descending and
-//! ascending column lists — at sizes on both sides of the transposing
-//! walk's tile — give bit-identical parameters, scan sums and update
-//! counts. And the workspace hands those kernels the
-//! fast order: `active_cols()` is ascending and duplicate-free.
+//! Layer 0 is stored `in × out`, so an active input feature is one
+//! contiguous weight row, and the row-sparse kernels visit whole rows that
+//! are independent of each other: the *order* of `l0_cols` must never show
+//! in the result. Shuffled, descending and ascending row lists — from none
+//! to every input feature — give bit-identical parameters, scan sums and
+//! update counts. And the workspace hands those kernels the dense merge's
+//! own order: `active_cols()` is ascending and duplicate-free.
 
 // The loom build swaps SharedModel's atomics for model-checked versions
 // that require a loom context; these std tests are compiled out there.
@@ -16,9 +17,7 @@ use hetero_tensor::simd::{self, SimdLevel};
 use hetero_tensor::{CsrMatrix, Matrix};
 
 const IN: usize = 600;
-/// The transposing walk tiles at `16 KB / (4 B · HIDDEN)` = 128 columns.
 const HIDDEN: usize = 32;
-const TILE: usize = 128;
 
 fn spec() -> MlpSpec {
     MlpSpec {
@@ -37,8 +36,8 @@ fn lcg(state: &mut u64) -> u64 {
     *state >> 33
 }
 
-/// `n` distinct columns of `0..IN`, ascending.
-fn ascending_cols(n: usize, seed: u64) -> Vec<u32> {
+/// `n` distinct input features of `0..IN`, ascending.
+fn ascending_rows(n: usize, seed: u64) -> Vec<u32> {
     let mut state = seed | 1;
     let mut all: Vec<u32> = (0..IN as u32).collect();
     for i in (1..all.len()).rev() {
@@ -60,20 +59,22 @@ fn orders(asc: &[u32]) -> [Vec<u32>; 3] {
     [asc.to_vec(), shuffled, descending]
 }
 
-/// A model-shaped delta that is zero at layer-0 weights outside `cols` and
-/// a small multiple of 2⁻⁶ everywhere else — dyadic, so every product and
+/// A model-shaped delta that is zero in layer-0 rows outside `rows` and a
+/// small multiple of 2⁻⁶ everywhere else — dyadic, so every product and
 /// every `f64` sum of squares below is exact whatever the visiting order.
-fn dyadic_on(cols: &[u32]) -> Model {
+fn dyadic_on(rows: &[u32]) -> Model {
     let mut g = Model::zeros_like(&spec());
     let mut k = 0u32;
     let mut next = move || {
         k += 1;
         ((k % 23) as f32 - 11.0) / 64.0
     };
-    for o in 0..HIDDEN {
-        for &c in cols {
-            g.layers_mut()[0].w.set(o, c as usize, next());
-        }
+    for &c in rows {
+        g.layers_mut()[0]
+            .w
+            .row_mut(c as usize)
+            .iter_mut()
+            .for_each(|w| *w = next());
     }
     for layer in g.layers_mut() {
         layer.b.iter_mut().for_each(|b| *b = next());
@@ -90,41 +91,43 @@ fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
-/// Column counts on both sides of one and two tiles, plus the extremes.
-const SIZES: [usize; 8] = [0, 1, TILE - 1, TILE, TILE + 1, 2 * TILE, 2 * TILE + 1, IN];
+/// Row counts from none through a few to every input feature.
+const SIZES: [usize; 7] = [0, 1, 2, 63, 64, 65, IN];
 
 #[test]
-fn racy_cols_kernels_ignore_column_order() {
+fn racy_row_kernels_ignore_row_order() {
     let init = Model::new(spec(), InitScheme::Xavier, 5);
     for n in SIZES {
-        let asc = ascending_cols(n, n as u64);
+        let asc = ascending_rows(n, n as u64);
         let grad = dyadic_on(&asc);
         let dense = SharedModel::new(&init);
         dense.apply_racy(&grad, 0.5, None);
-        for cols in orders(&asc) {
+        for rows in orders(&asc) {
             let shared = SharedModel::new(&init);
-            shared.apply_racy(&grad, 0.5, Some(&cols));
+            shared.apply_racy(&grad, 0.5, Some(&rows));
             assert_eq!(bits(&shared.read_flat()), bits(&dense.read_flat()), "n={n}");
             assert_eq!(shared.update_count(), 1);
         }
     }
 }
 
+/// Besides the order-independence, the merge's held-back windows are 64
+/// visited stripes long, so the sizes straddle one window of rows.
 #[test]
-fn sparse_merge_ignores_column_order_and_matches_dense_scan() {
+fn sparse_merge_ignores_row_order_and_matches_dense_scan() {
     // A dyadic base too, so `replica − base` is exact.
     let base = Model::new(spec(), InitScheme::Constant(0.25), 0);
     for n in SIZES {
-        let asc = ascending_cols(n, 100 + n as u64);
+        let asc = ascending_rows(n, 100 + n as u64);
         let mut replica = base.clone();
         replica.apply_gradient(&dyadic_on(&asc), -1.0);
         let dense = SharedModel::new(&base);
         let mut dense_scan = MergeScan::for_model(&base);
         dense.merge(&base, &replica, 0.5, None, Some(&mut dense_scan));
-        for cols in orders(&asc) {
+        for rows in orders(&asc) {
             let shared = SharedModel::new(&base);
             let mut scan = MergeScan::for_model(&base);
-            let retries = shared.merge(&base, &replica, 0.5, Some(&cols), Some(&mut scan));
+            let retries = shared.merge(&base, &replica, 0.5, Some(&rows), Some(&mut scan));
             assert_eq!(retries, 0);
             assert_eq!(shared.update_count(), 1);
             assert_eq!(bits(&shared.read_flat()), bits(&dense.read_flat()), "n={n}");
@@ -137,28 +140,28 @@ fn sparse_merge_ignores_column_order_and_matches_dense_scan() {
 }
 
 #[test]
-fn apply_gradient_sparse_ignores_column_order() {
+fn apply_gradient_sparse_ignores_row_order() {
     let init = Model::new(spec(), InitScheme::Xavier, 8);
     for n in SIZES {
-        let asc = ascending_cols(n, 200 + n as u64);
+        let asc = ascending_rows(n, 200 + n as u64);
         let grad = dyadic_on(&asc);
         let mut dense = init.clone();
         dense.apply_gradient(&grad, 0.25);
-        for cols in orders(&asc) {
+        for rows in orders(&asc) {
             let mut sparse = init.clone();
-            sparse.apply_gradient_sparse(&grad, 0.25, &cols);
+            sparse.apply_gradient_sparse(&grad, 0.25, &rows);
             assert_eq!(bits(&sparse.flatten()), bits(&dense.flatten()), "n={n}");
         }
     }
 }
 
-/// A batch of `rows` rows whose union of columns is exactly `cols`, every
-/// column used by one to three rows (so the CSR index stream repeats
-/// columns and is nowhere near globally sorted).
-fn batch_on(cols: &[u32], rows: usize, seed: u64) -> (CsrMatrix, Vec<u32>) {
+/// A batch of `rows` examples whose union of columns is exactly `support`,
+/// every column used by one to three examples (so the CSR index stream
+/// repeats columns and is nowhere near globally sorted).
+fn batch_on(support: &[u32], rows: usize, seed: u64) -> (CsrMatrix, Vec<u32>) {
     let mut state = seed | 1;
     let mut dense = Matrix::zeros(rows, IN);
-    for &c in cols {
+    for &c in support {
         for _ in 0..1 + lcg(&mut state) % 3 {
             let r = lcg(&mut state) as usize % rows;
             dense.set(r, c as usize, (lcg(&mut state) % 17) as f32 / 8.0 - 1.0625);
@@ -168,22 +171,21 @@ fn batch_on(cols: &[u32], rows: usize, seed: u64) -> (CsrMatrix, Vec<u32>) {
     (CsrMatrix::from_dense(&dense, 0.0), labels)
 }
 
-/// `active_cols()` is the batch's support, strictly ascending, for
-/// supports on both sides of the tile size — and a reused workspace (stale
-/// transposed rows, a previous active set to re-zero, an eval-style forward
-/// on other columns in between, a changed model) still produces exactly
+/// `active_cols()` is the batch's support, strictly ascending — and a
+/// reused workspace (a previous support to re-zero, an eval-style forward
+/// on other features in between, a changed model) still produces exactly
 /// what a fresh one does, under both dispatch levels.
 #[test]
-fn active_cols_ascending_and_reused_workspace_exact_across_tile_boundaries() {
+fn active_cols_ascending_and_reused_workspace_exact() {
     for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
         simd::with_level(level, || {
             let mut ws = Workspace::new(&spec());
             assert!(ws.active_cols().is_none());
-            for (step, n) in SIZES.into_iter().chain([TILE + 1, 3]).enumerate() {
+            for (step, n) in SIZES.into_iter().chain([65, 3]).enumerate() {
                 let model = Model::new(spec(), InitScheme::Xavier, step as u64);
-                let support = ascending_cols(n, 300 + step as u64);
+                let support = ascending_rows(n, 300 + step as u64);
                 let (x, labels) = batch_on(&support, 7, step as u64);
-                let other = batch_on(&ascending_cols(TILE + 5, 900 + step as u64), 4, 1).0;
+                let other = batch_on(&ascending_rows(133, 900 + step as u64), 4, 1).0;
                 ws.forward_into(&model, other.view(), false);
 
                 let (l, g) =
@@ -205,7 +207,7 @@ fn active_cols_ascending_and_reused_workspace_exact_across_tile_boundaries() {
                 // Globally exact: true zeros outside the support.
                 let gw = &g.layers()[0].w;
                 for c in (0..IN).filter(|c| !support.contains(&(*c as u32))) {
-                    assert!((0..HIDDEN).all(|o| gw.get(o, c) == 0.0), "col {c}");
+                    assert!(gw.row(c).iter().all(|&v| v == 0.0), "row {c}");
                 }
             }
         });

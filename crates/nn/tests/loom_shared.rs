@@ -26,18 +26,25 @@ fn scalar_spec() -> MlpSpec {
     }
 }
 
+/// One merger walks every stripe, the other only input feature 0's layer-0
+/// row plus the tail (the row-sparse path of a CSR gradient): they meet on
+/// the weight row, and neither add may be lost.
 #[test]
 fn concurrent_merge_delta_loses_nothing() {
     loom::model(|| {
         let base = Model::new(scalar_spec(), InitScheme::Constant(0.0), 0);
         let shared = Arc::new(SharedModel::new(&base));
         let mut replica = base.clone();
-        replica.layers_mut()[0].w.set(0, 0, 1.0);
-        let handles: Vec<_> = (0..2)
-            .map(|_| {
+        replica.layers_mut()[0].w.row_mut(0)[0] = 1.0;
+        let handles: Vec<_> = [None, Some(0u32)]
+            .into_iter()
+            .map(|row| {
                 let s = Arc::clone(&shared);
                 let (b, r) = (base.clone(), replica.clone());
-                thread::spawn(move || s.merge(&b, &r, 1.0, None, None))
+                thread::spawn(move || {
+                    let rows = row.as_ref().map(std::slice::from_ref);
+                    s.merge(&b, &r, 1.0, rows, None)
+                })
             })
             .collect();
         for h in handles {

@@ -1,8 +1,8 @@
 //! The stripe-owned merge against its references. Serially, the
 //! gradient-source merge, the replica-source merge of `base − η·g` and the
-//! per-element CAS apply are one update (dense, and over any order of
-//! `l0_cols`); on real threads, concurrent merges land their exact sum
-//! while a racy lane works on other parameters.
+//! per-element CAS apply are one update (dense, and over any order of the
+//! layer-0 rows in `l0_cols`); on real threads, concurrent merges land their
+//! exact sum while a racy lane works on other parameters.
 
 // The loom build swaps SharedModel's atomics for model-checked versions that
 // require a loom context; these std tests are compiled out there.
@@ -55,7 +55,7 @@ proptest! {
         // show in `replica − base` beyond the tolerances below.
         let mut base = Model::new(spec.clone(), InitScheme::Xavier, seed);
         base.scale(0.1);
-        // A shuffled subset of the layer-0 columns (possibly empty).
+        // A shuffled subset of the input features (possibly empty).
         let mut cols: Vec<u32> = (0..spec.input_dim as u32).collect();
         for i in (1..cols.len()).rev() {
             cols.swap(i, lcg(&mut state) as usize % (i + 1));
@@ -70,8 +70,9 @@ proptest! {
         for (l, layer) in grad.layers_mut().iter_mut().enumerate() {
             let width = layer.w.cols();
             for (i, g) in layer.w.as_mut_slice().iter_mut().enumerate() {
-                // The `l0_cols` contract: zero outside the listed columns.
-                if l > 0 || !sparse || cols.contains(&((i % width) as u32)) {
+                // The `l0_cols` contract: zero outside the listed layer-0
+                // rows (layer 0 is stored in × out: row i / width).
+                if l > 0 || !sparse || cols.contains(&((i / width) as u32)) {
                     *g = draw();
                 }
             }
@@ -110,11 +111,11 @@ proptest! {
     }
 }
 
-/// Four threads each merge a known delta 500 times into two layer-0
-/// columns while a fifth runs a racy lane over the *other* parameters (the
-/// remaining columns and the dense tail, which the mergers' zero deltas
-/// never write): the merged parameters hold the exact sum, and the lane's
-/// own parameters every one of its steps — the merge analogue of
+/// Four threads each merge a known delta 500 times into two layer-0 rows
+/// while a fifth runs a racy lane over the *other* parameters (the
+/// remaining rows and the dense tail, which the mergers' zero deltas never
+/// write): the merged parameters hold the exact sum, and the lane's own
+/// parameters every one of its steps — the merge analogue of
 /// `atomic_concurrent_updates_none_lost`.
 #[test]
 fn concurrent_merges_land_their_exact_sum_beside_a_racy_lane() {
@@ -124,20 +125,19 @@ fn concurrent_merges_land_their_exact_sum_beside_a_racy_lane() {
     // Dyadic values throughout, so every partial sum is exact in f32.
     let base = Model::new(spec.clone(), InitScheme::Constant(0.5), 0);
     let (merged_cols, lane_cols) = ([1u32, 4], [0u32, 2, 3, 5]);
-    let out0 = base.layers()[0].w.rows();
+    let out0 = base.layers()[0].w.cols();
     let mut replica = base.clone();
-    for o in 0..out0 {
-        for &c in &merged_cols {
-            replica.layers_mut()[0]
-                .w
-                .set(o, c as usize, 0.5 + (o + 1) as f32 / 64.0);
+    for &c in &merged_cols {
+        let row = replica.layers_mut()[0].w.row_mut(c as usize);
+        for (o, w) in row.iter_mut().enumerate() {
+            *w = 0.5 + (o + 1) as f32 / 64.0;
         }
     }
     let mut grad = Model::zeros_like(&spec);
     for (l, layer) in grad.layers_mut().iter_mut().enumerate() {
         let width = layer.w.cols();
         for (i, g) in layer.w.as_mut_slice().iter_mut().enumerate() {
-            if l > 0 || lane_cols.contains(&((i % width) as u32)) {
+            if l > 0 || lane_cols.contains(&((i / width) as u32)) {
                 *g = 1.0;
             }
         }
@@ -192,7 +192,7 @@ fn concurrent_merges_land_their_exact_sum_beside_a_racy_lane() {
             } else {
                 0.5 - steps as f32 * lane_eta
             };
-            assert_eq!(got.layers()[0].w.get(o, c as usize), expect, "w0[{o}][{c}]");
+            assert_eq!(got.layers()[0].w.get(c as usize, o), expect, "w0[{c}][{o}]");
         }
     }
     let b0 = base.layers()[0].b[0];

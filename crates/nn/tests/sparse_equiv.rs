@@ -114,10 +114,11 @@ proptest! {
         }
     }
 
-    /// The layer-0 gradient is exactly zero at every column the batch never
-    /// touches — the contract the row-sparse apply/merge paths rely on.
+    /// The layer-0 gradient is exactly zero in the row of every input
+    /// feature the batch never touches — the contract the row-sparse
+    /// apply/merge paths rely on.
     #[test]
-    fn untouched_columns_have_exactly_zero_gradient(
+    fn untouched_rows_have_exactly_zero_gradient(
         spec in arb_spec(),
         rows in 1usize..9,
         density in 0.0f64..0.3,
@@ -128,12 +129,11 @@ proptest! {
         let csr = CsrMatrix::from_dense(&x, 0.0);
         let (_, sg) = loss_and_gradient_sparse(&model, &csr, Targets::Classes(&y), false);
         let gw0 = &sg.layers()[0].w;
-        let (out0, in0) = gw0.shape();
-        for c in 0..in0 {
+        for c in 0..gw0.rows() {
             let touched = (0..rows).any(|r| x.get(r, c) != 0.0);
             if !touched {
-                for o in 0..out0 {
-                    prop_assert_eq!(gw0.get(o, c), 0.0, "col {} row {}", c, o);
+                for (o, &g) in gw0.row(c).iter().enumerate() {
+                    prop_assert_eq!(g, 0.0, "feature {} unit {}", c, o);
                 }
             }
         }

@@ -5,19 +5,22 @@
 //! | call | computes | used for | A as packed | B as packed |
 //! |---|---|---|---|---|
 //! | [`gemm_nn`] | `C ← α·A·B + β·C` | backprop `δ·W` | transposing | straight |
-//! | [`gemm_tn`] | `C ← α·Aᵀ·B + β·C` | weight gradient `∇W = δᵀ·X` | straight | straight |
-//! | [`gemm_nt`] | `C ← α·A·Bᵀ + β·C` | forward `X·Wᵀ` (row-major `W[out][in]`) | transposing | transposing |
-//! | [`gemm_nt_bias`] | `C ← α·A·Bᵀ + bias` | forward with the bias-add fused | transposing | transposing |
+//! | [`gemm_nn_bias`] | `C ← α·A·B + bias` | layer-0 forward `X·W` (`W[in][out]`) | transposing | straight |
+//! | [`gemm_tn`] | `C ← α·Aᵀ·B + β·C` | weight gradients `∇W = δᵀ·A`, layer 0 `Xᵀ·δ` | straight | straight |
+//! | [`gemm_nt`] | `C ← α·A·Bᵀ + β·C` | forward `A·Wᵀ` (row-major `W[out][in]`) | transposing | transposing |
+//! | [`gemm_nt_bias`] | `C ← α·A·Bᵀ + bias` | forward of layers ≥ 1, bias fused | transposing | transposing |
 //!
 //! Every call dispatches through [`crate::simd::active_level`]. On AVX2+FMA
-//! all four run the *same* 6×16 microkernel over BLIS-style packed panels
+//! all of them run the *same* 6×16 microkernel over BLIS-style packed panels
 //! (`crate::simd`): the table's last two columns — which of the four pack
 //! routines feeds each operand — are the only thing that differs between
-//! them. β = 0 and the bias row are applied when the first k-block is
+//! them, so an NN and an NT product over the same logical operands store the
+//! same bits. β = 0 and the bias row are applied when the first k-block is
 //! stored, so C is never pre-filled or re-read. Skinny NT shapes (few rows,
-//! or an output narrower than one vector) keep a dot-product body instead;
-//! the rule looks at the shape only. Off AVX2 (or with `HETERO_SIMD=0`) the
-//! portable scalar kernels below run; they are the reference semantics.
+//! or an output narrower than one vector) keep a dot-product body instead,
+//! skinny NN / TN shapes the portable kernels; the rule looks at the shape
+//! only. Off AVX2 (or with `HETERO_SIMD=0`) the portable scalar kernels
+//! below run; they are the reference semantics.
 //!
 //! Pack buffers are thread-local and grow on first use only, so
 //! steady-state GEMMs allocate nothing.
@@ -200,6 +203,25 @@ fn kernel_nt_bias_scalar(
     }
 }
 
+/// Scalar NN with the bias-add as an epilogue (`C = α·A·B + bias`).
+fn kernel_nn_bias_scalar(
+    alpha: f32,
+    a_rows: &[f32],
+    b: &[f32],
+    bias: &[f32],
+    n: usize,
+    k: usize,
+    c_rows: &mut [f32],
+) {
+    scale_c(0.0, c_rows);
+    kernel_nn_scalar(alpha, a_rows, b, n, k, c_rows);
+    for c_row in c_rows.chunks_exact_mut(n.max(1)) {
+        for (c, bv) in c_row.iter_mut().zip(bias) {
+            *c += bv;
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Dispatch
 // ---------------------------------------------------------------------------
@@ -213,7 +235,7 @@ enum Trans {
 }
 
 /// One product `C[m×n] ← α·op(A)·op(B) + β·C`, or `+ bias` per row when
-/// `bias` is non-empty (NT only; β is then ignored).
+/// `bias` is non-empty (NN and NT; β is then ignored).
 struct Call<'a> {
     trans: Trans,
     alpha: f32,
@@ -264,7 +286,10 @@ impl Call<'_> {
             }
         }
         if !bias.is_empty() {
-            return kernel_nt_bias_scalar(alpha, a_rows(), b, bias, n, k, c_rows);
+            return match trans {
+                Trans::Nn => kernel_nn_bias_scalar(alpha, a_rows(), b, bias, n, k, c_rows),
+                _ => kernel_nt_bias_scalar(alpha, a_rows(), b, bias, n, k, c_rows),
+            };
         }
         scale_c(beta, c_rows);
         match trans {
@@ -405,6 +430,40 @@ pub fn par_gemm_nn_slices(
     n: usize,
 ) {
     run_slices(Trans::Nn, true, alpha, a, b, beta, &[], c, (m, n, k));
+}
+
+/// `C ← α·A·B + bias` with the row-broadcast bias-add fused into the GEMM
+/// epilogue (β = 0 semantics: `C` is overwritten) — the forward product of
+/// a layer stored `in × out`.
+///
+/// # Panics
+/// Panics on shape mismatch or `bias.len() != b.cols()`.
+pub fn gemm_nn_bias(alpha: f32, a: &Matrix, b: &Matrix, bias: &[f32], c: &mut Matrix) {
+    let op = "gemm_nn_bias";
+    run_matrices(op, Trans::Nn, false, alpha, a, b, 0.0, Some(bias), c);
+}
+
+/// Parallel [`gemm_nn_bias`]: output rows split across the rayon pool.
+pub fn par_gemm_nn_bias(alpha: f32, a: &Matrix, b: &Matrix, bias: &[f32], c: &mut Matrix) {
+    let op = "par_gemm_nn_bias";
+    run_matrices(op, Trans::Nn, true, alpha, a, b, 0.0, Some(bias), c);
+}
+
+/// Slice-level [`par_gemm_nn_bias`]: `a` is `m×k`, `b` is `k×n`, `bias`
+/// has `n` entries, `c` is `m×n`, all row-major.
+#[allow(clippy::too_many_arguments)] // see gemm_nn_slices
+pub fn par_gemm_nn_bias_slices(
+    alpha: f32,
+    a: &[f32],
+    b: &[f32],
+    bias: &[f32],
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    assert_eq!(bias.len(), n, "par_gemm_nn_bias_slices: bias length");
+    run_slices(Trans::Nn, true, alpha, a, b, 0.0, bias, c, (m, n, k));
 }
 
 /// `C ← α·Aᵀ·B + β·C` (serial).
@@ -652,6 +711,40 @@ mod tests {
             let mut par = Matrix::full(m, n, f32::NAN);
             par_gemm_nt_bias(1.0, &a, &b, &bias, &mut par);
             assert_close(&par, &split, 1e-5);
+        }
+    }
+
+    /// The NN bias product matches the unfused one on both dispatch levels
+    /// (skinny and packed shapes); on AVX2, once packed, it stores exactly
+    /// the bits of the NT bias product over the transposed weights (the same
+    /// microkernel over the same packed panels).
+    #[test]
+    fn nn_bias_fusion_matches_unfused_and_packed_nt() {
+        use crate::simd::{with_level, SimdLevel};
+        for &(m, k, n) in &[(1, 3, 2), (3, 54, 64), (13, 29, 17), (33, 64, 40)] {
+            let a = rand_mat(m, k, 14);
+            let b = rand_mat(k, n, 15);
+            let bias: Vec<f32> = (0..n).map(|j| (j as f32 * 0.41).cos()).collect();
+            let mut split = Matrix::zeros(m, n);
+            gemm_nn(1.0, &a, &b, 0.0, &mut split);
+            crate::ops::add_row_broadcast(&mut split, &bias);
+            for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
+                with_level(level, || {
+                    let mut fused = Matrix::full(m, n, f32::NAN); // must be overwritten
+                    gemm_nn_bias(1.0, &a, &b, &bias, &mut fused);
+                    assert_close(&fused, &split, 1e-5);
+                    let mut par = Matrix::full(m, n, f32::NAN);
+                    par_gemm_nn_bias(1.0, &a, &b, &bias, &mut par);
+                    assert_eq!(par, fused);
+                });
+            }
+            if m >= 18 && crate::simd::active_level() == SimdLevel::Avx2 {
+                let mut nn = Matrix::zeros(m, n);
+                let mut nt = Matrix::zeros(m, n);
+                gemm_nn_bias(1.0, &a, &b, &bias, &mut nn);
+                gemm_nt_bias(1.0, &a, &b.transpose(), &bias, &mut nt);
+                assert_eq!(nn, nt, "{m}×{k}×{n}");
+            }
         }
     }
 

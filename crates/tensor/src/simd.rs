@@ -319,8 +319,8 @@ avx2_entry!(
 avx2_entry!(
     /// Sparse first-layer forward: for each CSR row `r`,
     /// `z[r,:] = bias + Σ v·wt[c,:]` over the row's stored `(c,v)` entries,
-    /// with `wt` pre-transposed to `cols×out` so every gather is a
-    /// contiguous row. Empty `bias` means all-zero. Mul+add in scalar
+    /// with `wt` the `cols×out` weights (layer 0's storage) so every gather
+    /// is a contiguous row. Empty `bias` means all-zero. Mul+add in scalar
     /// element order — bit-identical to the portable loop.
     spmm_csr(
         indptr: &[usize],
@@ -333,10 +333,10 @@ avx2_entry!(
     )
 );
 avx2_entry!(
-    /// Sparse first-layer weight gradient (transposed): for each stored
-    /// `(r,c,v)`, `grad_t[c,:] += v·delta[r,:]` — a contiguous-row scatter
-    /// into the `cols×out` accumulator. The caller pre-zeroes the rows of
-    /// `grad_t` whose columns appear in the batch. Mul+add in scalar
+    /// Sparse first-layer weight gradient: for each stored `(r,c,v)`,
+    /// `grad[c,:] += v·delta[r,:]` — a contiguous-row scatter into the
+    /// `cols×out` gradient (layer 0's storage). The caller pre-zeroes the
+    /// rows of `grad` whose columns appear in the batch. Mul+add in scalar
     /// element order — bit-identical to the portable loop.
     spmm_tn_csr(
         indptr: &[usize],
@@ -344,7 +344,7 @@ avx2_entry!(
         values: &[f32],
         delta: &[f32],
         out: usize,
-        grad_t: &mut [f32],
+        grad: &mut [f32],
     )
 );
 
@@ -844,7 +844,7 @@ mod imp {
         values: &[f32],
         delta: &[f32],
         out: usize,
-        grad_t: &mut [f32],
+        grad: &mut [f32],
     ) {
         let rows = indptr.len().saturating_sub(1);
         let n8 = out & !7;
@@ -854,7 +854,7 @@ mod imp {
                 let c = indices[p] as usize;
                 let v = values[p];
                 let vv = _mm256_set1_ps(v);
-                let g = &mut grad_t[c * out..(c + 1) * out];
+                let g = &mut grad[c * out..(c + 1) * out];
                 let mut q = 0;
                 while q < n8 {
                     let acc = _mm256_add_ps(load8(g, q), _mm256_mul_ps(vv, load8(d, q)));

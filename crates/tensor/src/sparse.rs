@@ -6,9 +6,9 @@
 //! trade-off is measurable: a CSR container plus
 //!
 //! - [`spmm_bias_into`] — `Z = X·W + b` with sparse `X` (the first-layer
-//!   forward product, with `W` pre-transposed to `in×out`), and
-//! - [`spmm_tn_scatter`] — `∇W₁ᵀ = Xᵀ·δ` with sparse `X` (the first-layer
-//!   weight gradient, accumulated row-contiguously in transposed layout),
+//!   forward product; the layer stores `W` as `in×out`), and
+//! - [`spmm_tn_scatter`] — `∇W = Xᵀ·δ` with sparse `X` (the first-layer
+//!   weight gradient, accumulated row-contiguously in the same layout),
 //!
 //! which are exactly the two places sparsity pays off in a fully-connected
 //! network (every later layer is dense). Both dispatch AVX2/scalar through
@@ -248,7 +248,7 @@ impl CsrMatrix {
     }
 
     /// `Z ← X·W` where `X` is this sparse `rows×cols` matrix and `W` is a
-    /// **dense `cols×out`** matrix (a pre-transposed weight matrix).
+    /// **dense `cols×out`** matrix (layer 0's weight layout).
     ///
     /// Complexity `O(nnz · out)` versus `O(rows · cols · out)` dense — the
     /// win is exactly the sparsity factor. Allocates the output; the hot
@@ -259,17 +259,15 @@ impl CsrMatrix {
         z
     }
 
-    /// `∇W ← δᵀ·X` where `δ` is dense `rows×out` and `X` is this sparse
-    /// matrix; the result is `out×cols` (row-major, matching layer weights).
+    /// `∇W ← Xᵀ·δ` where `X` is this sparse matrix and `δ` is dense
+    /// `rows×out`; the result is `cols×out` (layer 0's weight layout).
     ///
-    /// Allocates two matrices (transposed accumulator + result); the hot
-    /// training path uses [`spmm_tn_scatter`] into workspace buffers.
+    /// Allocates the result; the hot training path uses
+    /// [`spmm_tn_scatter`] into the workspace gradient.
     pub fn spmm_tn(&self, delta: &Matrix) -> Matrix {
         assert_eq!(delta.rows(), self.rows, "spmm_tn row count");
-        let mut grad_t = Matrix::zeros(self.cols, delta.cols());
-        spmm_tn_scatter(self.view(), delta, &mut grad_t);
-        let mut grad = Matrix::zeros(0, 0);
-        grad_t.transpose_into(&mut grad);
+        let mut grad = Matrix::zeros(self.cols, delta.cols());
+        spmm_tn_scatter(self.view(), delta, &mut grad);
         grad
     }
 }
@@ -385,17 +383,17 @@ impl CsrBatch {
     }
 }
 
-/// `Z ← X·Wᵀ₁ + b` — the sparse first-layer forward product.
+/// `Z ← X·W + b` — the sparse first-layer forward product.
 ///
-/// `wt` is dense `x.cols()×out` (the weight matrix pre-transposed so each
-/// CSR entry touches one contiguous `wt` row); `bias` has length `out`, or
+/// `w` is dense `x.cols()×out` (stored input-major, so each CSR entry
+/// touches one contiguous `w` row); `bias` has length `out`, or
 /// is empty to mean all-zero. `z` is reshaped to `x.rows()×out` and fully
 /// overwritten (allocation-free once its capacity suffices). Complexity
 /// `O(nnz·out)`. Both dispatch paths are bit-identical (separate mul/add in
 /// scalar element order — no FMA).
-pub fn spmm_bias_into(x: CsrView<'_>, wt: &Matrix, bias: &[f32], z: &mut Matrix) {
-    assert_eq!(wt.rows(), x.cols(), "spmm inner dimension");
-    let out = wt.cols();
+pub fn spmm_bias_into(x: CsrView<'_>, w: &Matrix, bias: &[f32], z: &mut Matrix) {
+    assert_eq!(w.rows(), x.cols(), "spmm inner dimension");
+    let out = w.cols();
     assert!(
         bias.is_empty() || bias.len() == out,
         "spmm bias width mismatch"
@@ -410,7 +408,7 @@ pub fn spmm_bias_into(x: CsrView<'_>, wt: &Matrix, bias: &[f32], z: &mut Matrix)
             x.indptr,
             x.indices,
             x.values,
-            wt.as_slice(),
+            w.as_slice(),
             bias,
             out,
             z.as_mut_slice(),
@@ -425,7 +423,7 @@ pub fn spmm_bias_into(x: CsrView<'_>, wt: &Matrix, bias: &[f32], z: &mut Matrix)
                 }
                 let (s, e) = (x.indptr[r], x.indptr[r + 1]);
                 for (&c, &v) in x.indices[s..e].iter().zip(&x.values[s..e]) {
-                    let wr = wt.row(c as usize);
+                    let wr = w.row(c as usize);
                     for (zo, wv) in zr.iter_mut().zip(wr) {
                         *zo += v * wv;
                     }
@@ -435,19 +433,19 @@ pub fn spmm_bias_into(x: CsrView<'_>, wt: &Matrix, bias: &[f32], z: &mut Matrix)
     }
 }
 
-/// `grad_t[c,:] += v·δ[r,:]` for every stored `(r,c,v)` of `x` — the
-/// transposed first-layer weight gradient `∇W₁ᵀ = Xᵀ·δ`, accumulated
-/// row-contiguously so the inner loop is a unit-stride axpy.
+/// `grad[c,:] += v·δ[r,:]` for every stored `(r,c,v)` of `x` — the
+/// first-layer weight gradient `∇W = Xᵀ·δ` in its `in×out` storage,
+/// accumulated row-contiguously so the inner loop is a unit-stride axpy.
 ///
-/// `grad_t` must be `x.cols()×delta.cols()`; only rows whose column index
-/// appears in `x` are touched, and the **caller must pre-zero exactly
-/// those rows** (the workspace tracks the active set — rows outside it are
-/// neither read nor written, which is what makes the row-sparse merge
-/// lossless). Both dispatch paths are bit-identical.
-pub fn spmm_tn_scatter(x: CsrView<'_>, delta: &Matrix, grad_t: &mut Matrix) {
+/// `grad` must be `x.cols()×delta.cols()`; only rows whose column index
+/// appears in `x` are touched, and the **caller must pre-zero those rows**
+/// (the workspace re-zeroes the previous batch's rows — rows outside the
+/// batch are neither read nor written, which is what makes the row-sparse
+/// merge lossless). Both dispatch paths are bit-identical.
+pub fn spmm_tn_scatter(x: CsrView<'_>, delta: &Matrix, grad: &mut Matrix) {
     assert_eq!(delta.rows(), x.rows(), "spmm_tn row count");
     assert_eq!(
-        grad_t.shape(),
+        grad.shape(),
         (x.cols(), delta.cols()),
         "spmm_tn output shape"
     );
@@ -462,14 +460,14 @@ pub fn spmm_tn_scatter(x: CsrView<'_>, delta: &Matrix, grad_t: &mut Matrix) {
             x.values,
             delta.as_slice(),
             out,
-            grad_t.as_mut_slice(),
+            grad.as_mut_slice(),
         ),
         SimdLevel::Scalar => {
             for r in 0..x.rows() {
                 let d = delta.row(r);
                 let (s, e) = (x.indptr[r], x.indptr[r + 1]);
                 for (&c, &v) in x.indices[s..e].iter().zip(&x.values[s..e]) {
-                    let g = grad_t.row_mut(c as usize);
+                    let g = grad.row_mut(c as usize);
                     for (go, dv) in g.iter_mut().zip(d) {
                         *go += v * dv;
                     }
@@ -585,8 +583,8 @@ mod tests {
         let sx = CsrMatrix::from_dense(&x, 0.0);
         let delta = Matrix::from_fn(3, 6, |i, j| ((i + j) as f32 * 0.7).cos());
         let sparse_g = sx.spmm_tn(&delta);
-        let mut dense_g = Matrix::zeros(6, 4);
-        gemm::gemm_tn(1.0, &delta, &x, 0.0, &mut dense_g);
+        let mut dense_g = Matrix::zeros(4, 6);
+        gemm::gemm_tn(1.0, &x, &delta, 0.0, &mut dense_g);
         assert!(sparse_g.approx_eq(&dense_g, 1e-5));
     }
 

@@ -15,12 +15,16 @@
 # `--cfg hetero_completed_pops_back` pops the newest range instead, `--cfg
 # hetero_retire_front_only` forgets the parked ones. And `Coordinator::credit`
 # is Algorithm 2's one `t·β` site; `--cfg hetero_credit_ignores_beta` credits
-# every worker its raw update count. This script asserts that:
+# every worker its raw update count. In crates/nn/src/sparse_input.rs a CSR
+# backward scatters straight into the stored gradient after re-zeroing the
+# rows its previous support left behind (every row after a dense gradient);
+# `--cfg hetero_stale_l0_rows` skips that re-zero. This script asserts that:
 #   1. the suites pass as written, and
 #   2. each suite FAILS under its mutation the way the bug would show (a
 #      data-race report for the queue, both two-merger models losing an
 #      update for the shared model, the coordinator disagreeing with its
-#      reference model about the window / the re-queue / the credit),
+#      reference model about the window / the re-queue / the credit, a
+#      reused workspace's gradient differing from a fresh one's),
 # i.e. the checker genuinely guards the edge.
 #
 # Usage: scripts/check_mutation.sh   (from anywhere in the repo)
@@ -33,10 +37,12 @@ mkdir -p target
 queue="-p hetero-mq --features loom --test loom_queue"
 shared="-p hetero-nn --features loom --test loom_shared"
 model="-p hetero-core --lib coordinator_matches_the_reference_model"
+support="-p hetero-nn --lib sparse_input::tests"
 
-echo "[1/7] baseline: loom queue, shared-model and coordinator-model suites must pass as written"
+echo "[1/8] baseline: loom queue, shared-model, coordinator-model and sparse-support suites must pass as written"
 # shellcheck disable=SC2086
-if ! { cargo test $queue -q && cargo test $shared -q && cargo test $model -q; } >"$log" 2>&1; then
+if ! { cargo test $queue -q && cargo test $shared -q && cargo test $model -q \
+    && cargo test $support -q; } >"$log" 2>&1; then
     echo "FAIL: baseline suite is red"
     tail -40 "$log"
     exit 1
@@ -46,7 +52,7 @@ fi
 check_mutation() {
     local cfg="$1" desc="$2" step="$3" suite="$4"
     shift 4
-    echo "[$step/7] mutation: suite must FAIL with $desc"
+    echo "[$step/8] mutation: suite must FAIL with $desc"
     # shellcheck disable=SC2086
     if RUSTFLAGS="--cfg $cfg" cargo test $suite -q >"$log" 2>&1; then
         echo "FAIL: $desc mutation was NOT caught"
@@ -81,5 +87,10 @@ check_mutation hetero_retire_front_only "retire re-queueing only the front range
 # reference's (the model test runs at β = 0.5).
 check_mutation hetero_credit_ignores_beta "a CPU batch credited without beta" 7 \
     "$model" "updates differ from the t"
+# Stale rows survive into the next CSR gradient: after another CSR batch,
+# and after a dense one.
+check_mutation hetero_stale_l0_rows "a CSR backward not re-zeroing the previous support" 8 \
+    "$support" "reused_workspace_rezeroes_previous_active_rows" \
+    "dense_then_sparse_on_one_workspace_is_exact"
 
-echo "OK: all six seeded mutations are caught"
+echo "OK: all seven seeded mutations are caught"
