@@ -20,7 +20,17 @@
 //! 4. at `now + batch_time`, the gradient(s) computed on the snapshot are
 //!    applied to the live model, update counts are credited, and the worker
 //!    immediately requests more work.
+//!
+//! A CPU batch is Algorithm 2's `t` Hogwild sub-batches, modelled in waves
+//! of 8 lanes that all read the same model (`SimScratch::run_waves`). The
+//! applies of a simulated wave lose nothing, so a wave's `k` lanes of `n`
+//! rows sum to one mini-batch step over their `k·n` rows at `k·η(n)` — the
+//! Hogbatch observation of "SGD on Highly-Parallel Architectures". The
+//! simulator computes one gradient per run of equal-length lanes (at most
+//! two per wave) and still credits one update per lane; the virtual clock
+//! is unchanged, only the gradient's summation order differs.
 
+use std::ops::Deref;
 use std::time::Instant;
 
 use hetero_data::batch::BatchRange;
@@ -30,7 +40,6 @@ use hetero_metrics::{HistHandle, Metric, MetricsHub};
 use hetero_nn::{scan_model, MergeScan, MlpSpec, Model};
 use hetero_sim::{CpuModel, DeviceModel, EventQueue, GpuModel, UtilizationTimeline};
 use hetero_trace::{BatchPhases, EventKind, TimeDomain, TraceSink};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use crate::adaptive::WorkerBatchState;
@@ -97,27 +106,92 @@ impl Device {
     }
 }
 
+/// Hogwild lanes of a simulated CPU batch that read the same model: the
+/// first wave sees the batch snapshot, each later one the model as the
+/// previous waves left it.
+const WAVE: usize = 8;
+
 /// Per-run scratch shared by every [`SimEngine::apply_batch`] call: one
-/// lane per concurrent Hogwild sub-batch, the wave base model, and a
-/// dedicated GPU lane. Reused across every event, so steady-state gradient
-/// computation allocates nothing.
+/// CPU lane that computes each run of a wave's lanes as one mini-batch
+/// gradient, the wave base model, a dedicated GPU lane, and the spare
+/// snapshots completed events hand back to `assign`. Reused across every
+/// event, so steady-state gradient computation allocates nothing.
 struct SimScratch {
-    lanes: Vec<Lane>,
+    cpu: Lane,
     base: Model,
     gpu: Lane,
-    /// Reused sub-batch range list for the CPU wave split (capacity grows
-    /// to the thread count once, then steady-state batches don't allocate).
-    sub_ranges: Vec<(usize, usize)>,
+    /// Snapshots of completed events, recycled by the next dispatches
+    /// (at most one per worker is ever in flight).
+    spares: Vec<Model>,
 }
 
 impl SimScratch {
     fn new(spec: &MlpSpec) -> Self {
         SimScratch {
-            lanes: Vec::new(),
+            cpu: Lane::new(spec),
             base: Model::zeros_like(spec),
             gpu: Lane::new(spec),
-            sub_ranges: Vec::new(),
+            spares: Vec::new(),
         }
+    }
+
+    /// Algorithm 2's CPU worker on rows `start..end` read from `snapshot`:
+    /// `lanes` Hogwild sub-batches of `⌈len / lanes⌉` rows (only the last
+    /// one shorter), applied to `model` in waves of [`WAVE`] that each read
+    /// the model the previous waves left. Hogwild threads read the live
+    /// model *during* their sub-batch, so this bounds the intra-batch
+    /// divergence by a wave rather than the whole batch.
+    ///
+    /// A wave's lanes read one model and their applies lose nothing, so
+    /// `Σ ηᵢ·gᵢ = k·η(n)·ḡ` over a run of `k` lanes of `n` rows, where `ḡ`
+    /// is the mean gradient over the run's `k·n` contiguous rows: each run
+    /// is one `stage` → `gradient` → `apply_to` at step `k·step(n)`, and a
+    /// wave has at most two runs. `inspect` sees every run's gradient
+    /// before it is applied. Returns the lanes applied — one update each.
+    #[allow(clippy::too_many_arguments)]
+    fn run_waves<D>(
+        &mut self,
+        src: &BatchSource<D>,
+        start: usize,
+        end: usize,
+        lanes: usize,
+        snapshot: &Model,
+        model: &mut Model,
+        step: impl Fn(usize) -> f32,
+        mut inspect: impl FnMut(&mut Lane),
+    ) -> usize
+    where
+        D: Deref<Target = DenseDataset>,
+    {
+        let sub = (end - start).div_ceil(lanes);
+        if sub == 0 {
+            return 0;
+        }
+        let SimScratch { cpu, base, .. } = self;
+        base.copy_from(snapshot);
+        let mut updates = 0;
+        for ws in (start..end).step_by(WAVE * sub) {
+            let we = (ws + WAVE * sub).min(end);
+            let split = ws + (we - ws) / sub * sub;
+            // The wave's full lanes, then the batch's short last lane.
+            for (s, e) in [(ws, split), (split, we)] {
+                if e == s {
+                    continue;
+                }
+                let n = (e - s).min(sub);
+                let k = (e - s) / n;
+                cpu.stage(src, s, e);
+                cpu.gradient(src, base, true);
+                inspect(cpu);
+                // `hetero_wave_unscaled` is a mutation switch for
+                // `scripts/check_mutation.sh`.
+                let scale = if cfg!(hetero_wave_unscaled) { 1 } else { k };
+                cpu.apply_to(model, scale as f32 * step(n));
+                updates += k;
+            }
+            base.copy_from(model);
+        }
+        updates
     }
 }
 
@@ -383,6 +457,7 @@ impl SimEngine {
                     &mut queue,
                     global_updates,
                     &obs,
+                    &mut scratch.spares,
                 );
             }
             queue.schedule_at(train.eval_interval.min(budget), Ev::Eval);
@@ -461,6 +536,7 @@ impl SimEngine {
                         &co.watchdog,
                         &mut health_scan,
                     );
+                    scratch.spares.push(snapshot);
                     global_updates += applied;
                     co.credit(worker, applied, range.len() as u64);
                     // Epoch-boundary loss evaluation (paper: "loss
@@ -485,6 +561,7 @@ impl SimEngine {
                         &mut queue,
                         global_updates,
                         &obs,
+                        &mut scratch.spares,
                     );
                 }
             }
@@ -508,7 +585,8 @@ impl SimEngine {
     }
 
     /// Coordinator `ScheduleWork`: compute the batch size, extract a range,
-    /// snapshot the model, and schedule the completion event.
+    /// snapshot the model (into a spare when one is left), and schedule the
+    /// completion event.
     #[allow(clippy::too_many_arguments)]
     fn assign(
         &self,
@@ -520,6 +598,7 @@ impl SimEngine {
         queue: &mut EventQueue<Ev>,
         global_updates: u64,
         obs: &SimObs,
+        spares: &mut Vec<Model>,
     ) {
         if queue.now() >= self.cfg.train.time_budget || co.retired(worker) {
             return;
@@ -568,13 +647,20 @@ impl SimEngine {
             Device::Gpu(g) => g.busy_utilization(range.len()),
         };
         co.busy(worker, start, start + cost, level);
+        let snapshot = match spares.pop() {
+            Some(mut spare) => {
+                spare.copy_from(model);
+                spare
+            }
+            None => model.clone(),
+        };
         queue.schedule_after(
             cost,
             Ev::Complete {
                 id,
                 worker,
                 range,
-                snapshot: model.clone(),
+                snapshot,
                 updates_at_snapshot: global_updates,
                 phases,
             },
@@ -637,92 +723,41 @@ impl SimEngine {
         // Injected fault: one NaN into this worker's first applied gradient
         // at the planned step (0-based batch counter, like `death_after`).
         let mut poison_pending = self.cfg.fault_plan.poison_at(worker) == Some(batches_done);
+        let mut inspect = |lane: &mut Lane| {
+            if poison_pending {
+                poison_pending = false;
+                lane.ws.grad_mut().layers_mut()[0].b[0] = f32::NAN;
+            }
+            if watchdog.enabled() {
+                scan.reset();
+                scan_model(lane.ws.grad(), scan);
+                observe_scan(watchdog, worker, batches_done, scan);
+            }
+        };
         // §VI-B staleness compensation: discount the learning rate for
         // gradients computed on an old snapshot.
         let discount = 1.0 / (1.0 + train.staleness_discount * staleness as f32);
+        let step = |rows: usize| train.lr_scaling.eta(train.lr, rows) * discount;
         let (n_updates, merge_scale) = match device {
             Device::Cpu(c) => {
-                // Algorithm 2 CPU worker: split into t sub-batches, one
-                // Hogwild update each, all computed on the snapshot
-                // (maximum intra-batch staleness — the conservative model).
-                let t = c.threads;
-                let sub = range.len().div_ceil(t);
-                scratch.sub_ranges.clear();
-                for i in 0..t {
-                    let s = range.start + i * sub;
-                    let e = (s + sub).min(range.end);
-                    if e > s {
-                        scratch.sub_ranges.push((s, e));
-                    }
-                }
-                // Hogwild threads read the live model *during* their
-                // sub-batch, so the effective staleness is far finer than
-                // one whole coordinator batch. Model that by processing the
-                // sub-batches in waves: each wave's gradients are computed
-                // on the model as updated by the previous waves (the first
-                // wave sees the batch snapshot), bounding the intra-batch
-                // divergence by a wave rather than the full batch.
-                const WAVE: usize = 8;
-                let mut n_updates = 0usize;
-                // Split the scratch borrows: the wave loop iterates the
-                // range list while mutating the lanes and the base model.
-                let SimScratch {
-                    lanes,
-                    base: wave_base,
-                    sub_ranges,
-                    ..
-                } = scratch;
-                wave_base.copy_from(snapshot);
-                for wave in sub_ranges.chunks(WAVE) {
-                    // Lanes are created during warm-up only; afterwards
-                    // every buffer in them is reused (chunk size 1 gives
-                    // lane i exclusive ownership of lanes[i]).
-                    while lanes.len() < wave.len() {
-                        lanes.push(Lane::new(model.spec()));
-                    }
-                    let base = &*wave_base;
-                    lanes[..wave.len()]
-                        .par_chunks_mut(1)
-                        .enumerate()
-                        .for_each(|(i, lane)| {
-                            let lane = &mut lane[0];
-                            let (s, e) = wave[i];
-                            lane.stage(src, s, e);
-                            lane.gradient(src, base, false);
-                        });
-                    n_updates += wave.len();
-                    for (i, &(s, e)) in wave.iter().enumerate() {
-                        let lane = &mut lanes[i];
-                        let eta = train.lr_scaling.eta(train.lr, e - s) * discount;
-                        if poison_pending {
-                            poison_pending = false;
-                            lane.ws.grad_mut().layers_mut()[0].b[0] = f32::NAN;
-                        }
-                        if watchdog.enabled() {
-                            scan.reset();
-                            scan_model(lane.ws.grad(), scan);
-                            observe_scan(watchdog, worker, batches_done, scan);
-                        }
-                        lane.apply_to(model, eta);
-                    }
-                    wave_base.copy_from(model);
-                }
-                (n_updates, None)
+                let n = scratch.run_waves(
+                    src,
+                    range.start,
+                    range.end,
+                    c.threads,
+                    snapshot,
+                    model,
+                    step,
+                    inspect,
+                );
+                (n, None)
             }
             Device::Gpu(_) => {
                 let lane = &mut scratch.gpu;
                 lane.stage(src, range.start, range.end);
                 lane.gradient(src, snapshot, true);
-                if poison_pending {
-                    lane.ws.grad_mut().layers_mut()[0].b[0] = f32::NAN;
-                }
-                if watchdog.enabled() {
-                    scan.reset();
-                    scan_model(lane.ws.grad(), scan);
-                    observe_scan(watchdog, worker, batches_done, scan);
-                }
-                let eta = train.lr_scaling.eta(train.lr, range.len()) * discount;
-                lane.apply_to(model, eta);
+                inspect(lane);
+                lane.apply_to(model, step(range.len()));
                 (1, Some(discount))
             }
         };
@@ -897,27 +932,29 @@ mod tests {
         );
     }
 
-    /// How layer 0 is stored is not arithmetic: a seeded sparse run on the
-    /// real-sim shape reproduces, bit for bit, the loss curve recorded when
-    /// layer 0 was stored `out × in` and every CSR step repacked it into a
-    /// transposed scratch copy — same kernels, same accumulation order, same
-    /// initial model. One table per dispatch level (the dense tail's GEMMs
-    /// and activations differ between them).
+    /// A seeded sparse run on the real-sim shape reproduces its recorded
+    /// loss curve bit for bit: it pins the CSR kernels' accumulation order,
+    /// the initial model and the simulator's wave arithmetic. One table per
+    /// dispatch level (the dense tail's GEMMs and activations differ between
+    /// them). The tables were re-recorded when a simulated wave's lanes
+    /// became one gradient per run of equal-length lanes: only the
+    /// summation order moved, by at most 8 f32 ulps (AVX2) and 5 (scalar)
+    /// from the previous tables over all 29 points, at the same 426 updates.
     #[test]
     fn sparse_run_reproduces_the_recorded_loss_curve() {
         const AVX2: [u32; 29] = [
-            0x3f6a751b, 0x3f5bab0a, 0x3f34b13a, 0x3f3582b2, 0x3f278d60, 0x3f3fc095, 0x3f22c15e,
-            0x3f2e73bc, 0x3f0066c2, 0x3f00e158, 0x3edfb038, 0x3ec288a0, 0x3eacf5af, 0x3e8316e7,
-            0x3e55a025, 0x3e2f7b88, 0x3e12ffa1, 0x3e0dacaa, 0x3df706e7, 0x3dd26783, 0x3dc04f31,
-            0x3d9e3668, 0x3d8c3b9f, 0x3d7a532d, 0x3d619e33, 0x3d5ce97d, 0x3d4c6e0f, 0x3d3b7ae1,
-            0x3d32a6f6,
+            0x3f6a751b, 0x3f5bab0a, 0x3f34b13a, 0x3f3582b3, 0x3f278d60, 0x3f3fc096, 0x3f22c15e,
+            0x3f2e73bd, 0x3f0066c2, 0x3f00e158, 0x3edfb038, 0x3ec2889f, 0x3eacf5af, 0x3e8316e7,
+            0x3e55a027, 0x3e2f7b89, 0x3e12ffa1, 0x3e0dacaa, 0x3df706e7, 0x3dd26783, 0x3dc04f2f,
+            0x3d9e3666, 0x3d8c3b9d, 0x3d7a5328, 0x3d619e2e, 0x3d5ce975, 0x3d4c6e0c, 0x3d3b7add,
+            0x3d32a6f0,
         ];
         const SCALAR: [u32; 29] = [
-            0x3f6a751b, 0x3f5bab0a, 0x3f34b13a, 0x3f3582b2, 0x3f278d60, 0x3f3fc095, 0x3f22c15d,
-            0x3f2e73bc, 0x3f0066c2, 0x3f00e158, 0x3edfb037, 0x3ec288a0, 0x3eacf5af, 0x3e8316e7,
-            0x3e55a026, 0x3e2f7b88, 0x3e12ffa1, 0x3e0dacaa, 0x3df706e7, 0x3dd26783, 0x3dc04f31,
-            0x3d9e3668, 0x3d8c3b9f, 0x3d7a532c, 0x3d619e32, 0x3d5ce97a, 0x3d4c6e0f, 0x3d3b7ae2,
-            0x3d32a6f4,
+            0x3f6a751b, 0x3f5bab0b, 0x3f34b13a, 0x3f3582b2, 0x3f278d60, 0x3f3fc096, 0x3f22c15d,
+            0x3f2e73bc, 0x3f0066c2, 0x3f00e158, 0x3edfb038, 0x3ec288a0, 0x3eacf5af, 0x3e8316e8,
+            0x3e55a028, 0x3e2f7b8a, 0x3e12ffa2, 0x3e0dacab, 0x3df706e9, 0x3dd26784, 0x3dc04f30,
+            0x3d9e3666, 0x3d8c3b9d, 0x3d7a5327, 0x3d619e2e, 0x3d5ce976, 0x3d4c6e0d, 0x3d3b7add,
+            0x3d32a6f1,
         ];
         let data = hetero_data::PaperDataset::RealSim.generate(0.01, 42);
         let mut cfg = tiny_config(AlgorithmKind::CpuGpuHogbatch, 0.02);
@@ -931,6 +968,89 @@ mod tests {
         };
         assert_eq!(got, want);
         assert_eq!(r.total_updates(), 426.0);
+    }
+
+    /// `run_waves` against the per-lane reference it replaces: every
+    /// non-empty sub-range, in order, staged, differentiated on the model
+    /// its wave started from, and applied at its own step.
+    fn per_lane<D: Deref<Target = DenseDataset>>(
+        src: &BatchSource<D>,
+        (start, end): (usize, usize),
+        lanes: usize,
+        snapshot: &Model,
+        step: impl Fn(usize) -> f32,
+    ) -> (Model, usize) {
+        let sub = (end - start).div_ceil(lanes);
+        let subs: Vec<(usize, usize)> = (0..lanes)
+            .map(|i| (start + i * sub, (start + i * sub + sub).min(end)))
+            .filter(|&(s, e)| e > s)
+            .collect();
+        let mut model = snapshot.clone();
+        let mut lane = Lane::new(snapshot.spec());
+        for wave in subs.chunks(WAVE) {
+            let base = model.clone();
+            for &(s, e) in wave {
+                lane.stage(src, s, e);
+                lane.gradient(src, &base, false);
+                lane.apply_to(&mut model, step(e - s));
+            }
+        }
+        (model, subs.len())
+    }
+
+    #[test]
+    fn a_wave_is_the_sum_of_its_lanes() {
+        // ~⅓ of the entries stored, so the CSR source has real gaps.
+        let mut data = tiny_dataset();
+        for (i, v) in data.x.as_mut_slice().iter_mut().enumerate() {
+            if i % 3 != 0 {
+                *v = 0.0;
+            }
+        }
+        let spec = MlpSpec::tiny(10, 2);
+        let snapshot = Model::new(spec.clone(), hetero_nn::InitScheme::Xavier, 3);
+        // A step that depends on the lane's rows, as `LrScaling::Sqrt` does.
+        let step = |rows: usize| 0.2 * (rows as f32).sqrt();
+        let cases = [
+            // 23 lanes of 9 rows, the last of 2: three waves, the last one
+            // six full lanes and the short one.
+            ((10, 210), 24),
+            // 16 equal lanes of 4: two full waves.
+            ((5, 69), 16),
+            // Fewer rows than lanes: 10 one-row lanes, waves of 8 and 2.
+            ((300, 310), 56),
+            // Eight full lanes, then a wave of only the short lane.
+            ((100, 143), 9),
+        ];
+        for sparse in [false, true] {
+            let src = BatchSource::new(&data, sparse);
+            let mut scratch = SimScratch::new(&spec);
+            for ((start, end), lanes) in cases {
+                let (want, lanes_run) = per_lane(&src, (start, end), lanes, &snapshot, step);
+                let mut got = snapshot.clone();
+                let mut runs = 0;
+                let updates =
+                    scratch.run_waves(&src, start, end, lanes, &snapshot, &mut got, step, |_| {
+                        runs += 1
+                    });
+                assert_eq!(
+                    updates, lanes_run,
+                    "sparse {sparse}, {start}..{end} / {lanes}"
+                );
+                assert!(runs < lanes_run, "one gradient per run, not per lane");
+                // Relative to the model's largest parameter: a parameter
+                // near zero keeps the rounding of the updates that crossed it.
+                let want = want.flatten();
+                let scale = want.iter().fold(0f32, |m, v| m.max(v.abs()));
+                for (a, b) in got.flatten().iter().zip(want) {
+                    assert!(
+                        (a - b).abs() <= 1e-6 * scale,
+                        "wave differs from its lanes (sparse {sparse}, \
+                         {start}..{end} / {lanes}): {a} vs {b}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

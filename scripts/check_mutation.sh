@@ -18,13 +18,17 @@
 # every worker its raw update count. In crates/nn/src/sparse_input.rs a CSR
 # backward scatters straight into the stored gradient after re-zeroing the
 # rows its previous support left behind (every row after a dense gradient);
-# `--cfg hetero_stale_l0_rows` skips that re-zero. This script asserts that:
+# `--cfg hetero_stale_l0_rows` skips that re-zero. In
+# crates/core/src/engine_sim.rs a run of k simulated Hogwild lanes is one
+# gradient applied at k times one lane's step; `--cfg hetero_wave_unscaled`
+# drops the k. This script asserts that:
 #   1. the suites pass as written, and
 #   2. each suite FAILS under its mutation the way the bug would show (a
 #      data-race report for the queue, both two-merger models losing an
 #      update for the shared model, the coordinator disagreeing with its
 #      reference model about the window / the re-queue / the credit, a
-#      reused workspace's gradient differing from a fresh one's),
+#      reused workspace's gradient differing from a fresh one's, a wave
+#      differing from its lanes applied one by one),
 # i.e. the checker genuinely guards the edge.
 #
 # Usage: scripts/check_mutation.sh   (from anywhere in the repo)
@@ -38,11 +42,12 @@ queue="-p hetero-mq --features loom --test loom_queue"
 shared="-p hetero-nn --features loom --test loom_shared"
 model="-p hetero-core --lib coordinator_matches_the_reference_model"
 support="-p hetero-nn --lib sparse_input::tests"
+wave="-p hetero-core --lib a_wave_is_the_sum_of_its_lanes"
 
-echo "[1/8] baseline: loom queue, shared-model, coordinator-model and sparse-support suites must pass as written"
+echo "[1/9] baseline: loom queue, shared-model, coordinator-model, sparse-support and sim-wave suites must pass as written"
 # shellcheck disable=SC2086
 if ! { cargo test $queue -q && cargo test $shared -q && cargo test $model -q \
-    && cargo test $support -q; } >"$log" 2>&1; then
+    && cargo test $support -q && cargo test $wave -q; } >"$log" 2>&1; then
     echo "FAIL: baseline suite is red"
     tail -40 "$log"
     exit 1
@@ -52,7 +57,7 @@ fi
 check_mutation() {
     local cfg="$1" desc="$2" step="$3" suite="$4"
     shift 4
-    echo "[$step/8] mutation: suite must FAIL with $desc"
+    echo "[$step/9] mutation: suite must FAIL with $desc"
     # shellcheck disable=SC2086
     if RUSTFLAGS="--cfg $cfg" cargo test $suite -q >"$log" 2>&1; then
         echo "FAIL: $desc mutation was NOT caught"
@@ -92,5 +97,8 @@ check_mutation hetero_credit_ignores_beta "a CPU batch credited without beta" 7 
 check_mutation hetero_stale_l0_rows "a CSR backward not re-zeroing the previous support" 8 \
     "$support" "reused_workspace_rezeroes_previous_active_rows" \
     "dense_then_sparse_on_one_workspace_is_exact"
+# A run applied at one lane's step moves the model less than its lanes did.
+check_mutation hetero_wave_unscaled "a run of simulated lanes applied without its lane count" 9 \
+    "$wave" "wave differs from its lanes"
 
-echo "OK: all seven seeded mutations are caught"
+echo "OK: all eight seeded mutations are caught"
