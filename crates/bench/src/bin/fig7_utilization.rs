@@ -12,6 +12,7 @@ use hetero_bench::plot::{write_chart, ChartConfig, Series};
 use hetero_bench::Harness;
 use hetero_core::{AlgorithmKind, WorkerKind};
 use hetero_data::PaperDataset;
+use hetero_sim::UtilizationTimeline;
 
 fn main() {
     let mut h = Harness::default();
@@ -42,13 +43,12 @@ fn main() {
 
         // Sample each worker's timeline on a grid covering the *active*
         // part of the run: the three epochs end when the last worker batch
-        // completes, well before the safety time budget. The eval pseudo-
-        // worker (batches == 0) is excluded from the horizon so the final
-        // budget-boundary evaluation does not pad the plot with idle time.
+        // completes, well before the safety time budget. The eval timeline
+        // is left out of the horizon so the final budget-boundary
+        // evaluation does not pad the plot with idle time.
         let horizon = r
             .workers
             .iter()
-            .filter(|w| w.batches > 0)
             .map(|w| w.timeline.horizon())
             .fold(0.0f64, f64::max)
             .max(1e-9);
@@ -56,34 +56,33 @@ fn main() {
         let mut cpu_avg = (0.0, 0);
         let mut gpu_avg = (0.0, 0);
         let mut svg_series = Vec::new();
+        // Print one device's samples and add it to the chart.
+        let mut plot = |device: String, timeline: &UtilizationTimeline| {
+            let samples = timeline.sample(horizon, dt);
+            for &(t, u) in &samples {
+                println!("{},{},{:.5},{:.4}", algo.label(), device, t, u);
+            }
+            svg_series.push(Series {
+                name: device,
+                points: samples.clone(),
+            });
+            samples
+        };
         for (i, w) in r.workers.iter().enumerate() {
             if w.timeline.segments().is_empty() {
                 continue;
             }
-            let device = match (w.kind, w.batches) {
-                (WorkerKind::Cpu, _) => "cpu".to_string(),
-                (WorkerKind::Gpu, 0) => "gpu-eval".to_string(),
-                (WorkerKind::Gpu, _) => format!("gpu{}", i),
+            let (device, avg) = match w.kind {
+                WorkerKind::Cpu => ("cpu".to_string(), &mut cpu_avg),
+                WorkerKind::Gpu => (format!("gpu{i}"), &mut gpu_avg),
             };
-            let samples = w.timeline.sample(horizon, dt);
-            svg_series.push(Series {
-                name: device.clone(),
-                points: samples.iter().map(|&(t, u)| (t, u)).collect(),
-            });
-            for (t, u) in samples {
-                println!("{},{},{:.5},{:.4}", algo.label(), device, t, u);
-                match w.kind {
-                    WorkerKind::Cpu => {
-                        cpu_avg.0 += u;
-                        cpu_avg.1 += 1;
-                    }
-                    WorkerKind::Gpu if w.batches > 0 => {
-                        gpu_avg.0 += u;
-                        gpu_avg.1 += 1;
-                    }
-                    _ => {}
-                }
+            for (_, u) in plot(device, &w.timeline) {
+                avg.0 += u;
+                avg.1 += 1;
             }
+        }
+        if !r.eval_timeline.segments().is_empty() {
+            plot("gpu-eval".to_string(), &r.eval_timeline);
         }
         let cfg = ChartConfig {
             title: format!("Fig. 7 — utilization over 3 epochs ({})", algo.label()),

@@ -97,7 +97,7 @@ fn warm_sparse_merge_step_is_allocation_free() {
     let mut labels = data.labels.slice(0, 1);
     let mut scan = MergeScan::new(spec.hidden.len() + 1);
     let (s, e) = (0, 64.min(data.len()));
-    // The exact per-batch sequence of `gpu_batch_step` on a CSR run, minus
+    // The exact per-batch sequence of `GpuWorker::batch_step` on a CSR run, minus
     // the rayon install (parallel=false keeps the measurement in one thread
     // — the kernels themselves are what is under test). Returns the stripes
     // the merge found owned by another merger.

@@ -194,7 +194,10 @@ pub(crate) enum Event {
     End,
 }
 
-/// How a worker ran one dispatch.
+/// How a worker ran one dispatch: the one record of a finished batch, from
+/// the worker (a threaded worker sends it down the ready channel) to
+/// [`Coordinator::run`].
+#[derive(Default)]
 pub(crate) struct Done {
     /// Examples trained: the dispatch's length, or less after an OOM
     /// shrink.
@@ -207,7 +210,8 @@ pub(crate) struct Done {
     /// After an OOM shrink, the unprocessed tail of the dispatch; it is
     /// re-queued.
     pub leftover: Option<BatchRange>,
-    /// Busy interval `(start, end)` in engine time…
+    /// Busy interval `(start, end)` in engine time (on the loss curve's
+    /// axis; its length is the batch latency)…
     pub busy: (f64, f64),
     /// …at this utilization level.
     pub level: f64,
@@ -267,7 +271,8 @@ struct WorkerCkpt {
 
 /// The checkpoint envelope common to every engine: what the coordinator
 /// owns, plus the model image. An engine embeds it in its own state struct
-/// next to its tail (schedule cursor, pending events, …).
+/// next to its tail (the simulator's pending events, …), or — the threaded
+/// engine — saves it alone.
 #[derive(Serialize, Deserialize)]
 pub(crate) struct CoreCkpt {
     /// Rejects checkpoints from another engine or layout whole.
@@ -275,6 +280,8 @@ pub(crate) struct CoreCkpt {
     /// Engine time of the capture, summed across incarnations.
     pub t: f64,
     pub model: Model,
+    /// The schedule cursor.
+    pub scheduler: BatchScheduler,
     controller: AdaptiveController,
     curve: Vec<LossPoint>,
     workers: Vec<WorkerCkpt>,
@@ -326,8 +333,8 @@ pub(crate) struct Coordinator<'a> {
     pub watchdog: Watchdog,
     pub stats: Vec<WorkerStats>,
     controller: AdaptiveController,
-    /// Where fresh ranges come from (a checkpoint's schedule cursor).
-    pub scheduler: BatchScheduler,
+    /// Where fresh ranges come from.
+    scheduler: BatchScheduler,
     curve: Vec<LossPoint>,
     requeue: VecDeque<BatchRange>,
     /// Per worker, oldest first: the range it is on, then the ranges
@@ -342,6 +349,9 @@ pub(crate) struct Coordinator<'a> {
     /// Level-weighted busy seconds per worker (running sum of what
     /// `busy` recorded — the timeline itself is O(segments) to total).
     busy_secs: Vec<f64>,
+    /// Per worker: the batch latency histogram, filled from each
+    /// completion's busy span.
+    latency: Vec<HistHandle>,
     aborted: Option<String>,
     worker_gauges: Vec<WorkerGauges>,
     g_loss: GaugeHandle,
@@ -422,6 +432,9 @@ impl<'a> Coordinator<'a> {
             requeued_batches: 0,
             next_batch_id: 1,
             busy_secs: vec![0.0; kinds.len()],
+            latency: (0..kinds.len())
+                .map(|w| ctx.hub.histogram(Metric::BatchLatency, w as u32))
+                .collect(),
             aborted: None,
             worker_gauges,
             g_loss: sink.gauge("engine.loss"),
@@ -439,6 +452,11 @@ impl<'a> Coordinator<'a> {
 
     pub fn workers(&self) -> usize {
         self.stats.len()
+    }
+
+    /// The epoch the schedule is serving.
+    pub fn schedule_epoch(&self) -> usize {
+        self.scheduler.epoch()
     }
 
     /// Whether worker `w` has been quarantined.
@@ -604,8 +622,9 @@ impl<'a> Coordinator<'a> {
     }
 
     /// Record worker `w`'s busy interval `[start, end]` at utilization
-    /// `level`.
+    /// `level`, and its length as the batch's latency.
     fn busy(&mut self, w: usize, start: f64, end: f64, level: f64) {
+        self.latency[w].record_secs(end - start);
         self.busy_secs[w] += record_busy(
             &mut self.stats[w].timeline,
             &self.timeline_rejects,
@@ -868,6 +887,7 @@ impl<'a> Coordinator<'a> {
             schema: schema.to_string(),
             t,
             model: model.clone(),
+            scheduler: self.scheduler.clone(),
             controller: self.controller.clone(),
             curve: self.curve.clone(),
             workers: self
@@ -916,6 +936,7 @@ impl<'a> Coordinator<'a> {
     /// Replace the freshly initialized coordinator state wholesale with a
     /// loaded envelope and hand back its model image.
     pub fn restore(&mut self, core: CoreCkpt) -> Model {
+        self.scheduler = core.scheduler;
         self.controller = core.controller;
         self.curve = core.curve;
         for (stat, w) in self.stats.iter_mut().zip(core.workers) {
@@ -978,6 +999,7 @@ impl<'a> Coordinator<'a> {
             dataset: self.dataset,
             loss_curve: self.curve,
             workers: self.stats,
+            eval_timeline: UtilizationTimeline::new(),
             duration,
             epochs: last.epochs,
             trace_path: None,
@@ -1392,12 +1414,9 @@ mod tests {
                 let image = Model::zeros_like(&hetero_nn::MlpSpec::tiny(4, 2));
                 let mut core = co.capture("model/v1", 0.0, &image);
                 core.requeue.extend(co.in_flight());
-                let json = serde_json::to_string(&(core, &co.scheduler)).unwrap();
-                let (core, cursor): (CoreCkpt, BatchScheduler) =
-                    serde_json::from_str(&json).unwrap();
+                let json = serde_json::to_string(&core).unwrap();
                 *co = coordinator(train, data, ctx, &BOUNDS);
-                co.restore(core);
-                co.scheduler = cursor;
+                co.restore(serde_json::from_str(&json).unwrap());
                 for window in &mut model.in_flight {
                     model.requeue.extend(window.drain(..).map(|d| d.range));
                 }

@@ -36,7 +36,7 @@ use std::ops::Deref;
 use std::time::Instant;
 
 use hetero_data::batch::BatchRange;
-use hetero_data::{BatchScheduler, DenseDataset};
+use hetero_data::DenseDataset;
 use hetero_flight::Watchdog;
 use hetero_metrics::{HistHandle, Metric, MetricsHub};
 use hetero_nn::{scan_model, MergeScan, MlpSpec, Model};
@@ -52,7 +52,7 @@ use crate::coordinator::{
 };
 use crate::fault::{FaultPlan, WorkerError};
 use crate::lane::{eval_subset, start_up, BatchSource, Evaluator, Lane};
-use crate::metrics::{LossPoint, TrainResult, WorkerKind, WorkerStats};
+use crate::metrics::{LossPoint, TrainResult, WorkerKind};
 
 /// Hardware and comparator parameters for a simulated run.
 #[derive(Debug, Clone)]
@@ -213,9 +213,8 @@ impl SimScratch {
 /// handle is a no-op when the hub is disabled, so the unobserved path pays
 /// one branch per record. The sim has no queue wait — workers are
 /// re-assigned the instant they complete — so that series is left to the
-/// threaded engine.
+/// threaded engine; batch latency is the coordinator's, from each busy span.
 struct SimObs {
-    lat: Vec<HistHandle>,
     stale: Vec<HistHandle>,
     h2d: Vec<HistHandle>,
     d2h: Vec<HistHandle>,
@@ -227,7 +226,6 @@ impl SimObs {
             (0..workers).map(|w| hub.histogram(m, w as u32)).collect()
         };
         SimObs {
-            lat: per(Metric::BatchLatency),
             stale: per(Metric::Staleness),
             h2d: per(Metric::H2d),
             d2h: per(Metric::D2h),
@@ -258,16 +256,15 @@ enum Ev {
 }
 
 /// Everything a [`SimEngine`] run is, frozen at one virtual instant: the
-/// common envelope (model, controller, loss curve, per-worker counters,
-/// watchdog tallies) plus this engine's tail — the batch-schedule cursor,
-/// eval cadence state, and every in-flight event.
+/// common envelope (model, schedule cursor, controller, loss curve,
+/// per-worker counters, watchdog tallies) plus this engine's tail — eval
+/// cadence state and every in-flight event.
 /// Restoring this state and re-running the event loop continues the
 /// original run bit-identically — the property `crates/ckpt/tests` locks
 /// in.
 #[derive(Serialize, Deserialize)]
 struct SimCkpt {
     core: CoreCkpt,
-    scheduler: BatchScheduler,
     global_updates: u64,
     last_epoch_evaled: usize,
     last_eval_time: f64,
@@ -280,7 +277,7 @@ struct SimCkpt {
 /// Schema tag sanity-checked at restore so a checkpoint from a different
 /// engine (or an older, incompatible layout) is rejected instead of
 /// half-applied.
-const SIM_CKPT_SCHEMA: &str = "hetero-sim-ckpt/v4";
+const SIM_CKPT_SCHEMA: &str = "hetero-sim-ckpt/v5";
 
 /// The discrete-event engine.
 pub struct SimEngine {
@@ -391,7 +388,7 @@ impl SimEngine {
             .load(SIM_CKPT_SCHEMA, |s: &SimCkpt| &s.core)
             .map(|s| {
                 let cadence = (s.global_updates, s.last_epoch_evaled, s.last_eval_time);
-                (s.core, (s.scheduler, cadence, s.pending))
+                (s.core, (cadence, s.pending))
             })
             .unzip();
 
@@ -421,8 +418,7 @@ impl SimEngine {
         // A reused sink may still hold a previous run's clock.
         sink.set_virtual_now(0.0);
         match resume {
-            Some((scheduler, cadence, pending)) => {
-                co.scheduler = scheduler;
+            Some((cadence, pending)) => {
                 (
                     sim.global_updates,
                     sim.last_epoch_evaled,
@@ -457,13 +453,7 @@ impl SimEngine {
         sink.set_virtual_now(budget);
         let last = sim.point(budget, co.epochs_elapsed());
         let mut result = co.finish(last, budget);
-        // The epoch-end loss evaluations run on the GPU (§VII-B) but must
-        // not perturb the worker schedules, so they live on a dedicated
-        // timeline appended as a zero-update pseudo-worker.
-        let mut eval_worker = WorkerStats::new(WorkerKind::Gpu);
-        eval_worker.timeline = sim.eval_timeline;
-        eval_worker.summarize_timeline();
-        result.workers.push(eval_worker);
+        result.eval_timeline = sim.eval_timeline;
         result
     }
 
@@ -546,13 +536,11 @@ impl Backend for SimBackend<'_> {
             }
         }
         let cost = self.batch_cost(&self.devices[w], range.len());
-        // The virtual clock decides latency, so the histogram is filled at
-        // assignment time with the modeled cost; GPU transfer components
-        // use the same formulas as `batch_cost`. The phase breakdown comes
-        // from the same decomposition: GPU cost = compute + replica
-        // transfers (merge is the apply inside compute in this model), CPU
-        // cost is pure lane compute.
-        self.obs.lat[w].record_secs(cost);
+        // The virtual clock decides latency, so the transfer histograms are
+        // filled at assignment time with the same formulas as `batch_cost`.
+        // The phase breakdown comes from the same decomposition: GPU cost =
+        // compute + replica transfers (merge is the apply inside compute in
+        // this model), CPU cost is pure lane compute.
         let mut phases = BatchPhases {
             compute_secs: cost,
             ..BatchPhases::default()
@@ -645,7 +633,7 @@ impl Backend for SimBackend<'_> {
                 // throttled so that datasets small enough to finish an
                 // epoch every few events do not flood the curve.
                 let eval = range.epoch >= self.last_epoch_evaled
-                    && co.scheduler.epoch() > range.epoch
+                    && co.schedule_epoch() > range.epoch
                     && t - self.last_eval_time >= train.eval_interval * 0.25;
                 if eval {
                     self.last_epoch_evaled = range.epoch + 1;
@@ -675,7 +663,6 @@ impl Backend for SimBackend<'_> {
     fn checkpoint(&mut self, co: &Coordinator<'_>, t: f64) {
         let state = SimCkpt {
             core: co.capture(SIM_CKPT_SCHEMA, t, &self.model),
-            scheduler: co.scheduler.clone(),
             global_updates: self.global_updates,
             last_epoch_evaled: self.last_epoch_evaled,
             last_eval_time: self.last_eval_time,
@@ -1142,9 +1129,9 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A checkpoint in the previous layout (tag v3: the model's layer 0
-    /// stored `out × in`) must be refused whole by the schema tag: the run
-    /// starts fresh instead of training on a transposed first layer.
+    /// A checkpoint tagged with the previous schema (v4: the schedule
+    /// cursor beside the envelope, not in it) is refused whole: the run
+    /// starts fresh instead of resuming a half-read state.
     #[test]
     fn checkpoint_of_the_previous_schema_is_refused() {
         use hetero_ckpt::CkptConfig;
@@ -1180,12 +1167,9 @@ mod tests {
         assert_eq!(resumes(ckpt(false)), 0.0);
         // The current layout resumes…
         assert_eq!(resumes(ckpt(true)), 1.0);
-        // …the same state written the way the previous schema laid it out
-        // does not.
+        // …the same state tagged with the previous schema does not.
         let mut old: SimCkpt = ckpt(true).resume_state().expect("a checkpoint");
-        old.core.schema = "hetero-sim-ckpt/v3".into();
-        let w0 = &mut old.core.model.layers_mut()[0].w;
-        *w0 = w0.transpose();
+        old.core.schema = "hetero-sim-ckpt/v4".into();
         assert!(ckpt(false).save(old.core.t, &old).is_some());
         assert_eq!(resumes(ckpt(true)), 0.0);
         let _ = std::fs::remove_dir_all(&dir);
@@ -1230,6 +1214,10 @@ mod tests {
             .unwrap()
             .run(&data);
         assert_eq!(r.cpu_update_fraction(), 1.0);
+        // The loss evaluations' GPU time has a field of its own, not a
+        // worker slot.
+        assert_eq!(r.workers.len(), 1);
+        assert!(r.eval_timeline.busy_time() > 0.0);
     }
 
     #[test]

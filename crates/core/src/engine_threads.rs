@@ -9,13 +9,16 @@
 //! the software GPU ([`hetero_gpu::GpuDevice`]) and merges the delta back.
 //! The coordinator thread runs the coordinator's one event loop
 //! ([`Coordinator::run`]) over `ThreadsBackend`: a wall clock, the exec
-//! channels it hands ranges down, and the ready channel it waits on.
+//! channels it hands ranges down, and the ready channel it waits on. A
+//! worker reports each finished batch on that channel as the loop's own
+//! [`Event::Completed`], carrying the [`Done`] its step built.
 //!
 //! Nothing on a worker's path is created per dispatch: the CPU worker's
 //! Hogwild lanes are threads that live as long as it does and park on a
-//! channel between sub-ranges (`cpu_worker`), and the coordinator keeps
-//! `DISPATCH_WINDOW` ranges with every worker, so the next one is
-//! already in the worker's queue when it reports the last.
+//! channel between sub-ranges (`cpu_worker`), a GPU worker is one
+//! `GpuWorker` built before its first dispatch, and the coordinator keeps
+//! `DISPATCH_WINDOW` ranges with every worker, so the next one is already
+//! in the worker's queue when it reports the last.
 //!
 //! This engine runs on wall-clock time and real concurrency — it
 //! demonstrates that the algorithms are implementable exactly as §V
@@ -46,15 +49,14 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use hetero_data::batch::BatchRange;
-use hetero_data::{BatchScheduler, DenseDataset};
+use hetero_data::DenseDataset;
 use hetero_flight::Watchdog;
 use hetero_gpu::{GpuDevice, GpuMlp};
 use hetero_metrics::{HistHandle, Metric, MetricsHub};
 use hetero_mq::{channel, channel_traced_lineage, Receiver, RecvTimeoutError, Sender};
 use hetero_nn::{scan_model, MergeScan, MlpSpec, Model, SharedModel};
 use hetero_sim::{DeviceModel, GpuModel};
-use hetero_trace::{BatchPhases, CounterHandle, EventKind, TimeDomain, TraceSink, COORDINATOR};
-use serde::{Deserialize, Serialize};
+use hetero_trace::{BatchPhases, EventKind, TimeDomain, TraceSink, COORDINATOR};
 
 use crate::config::{AlgorithmKind, TrainConfig};
 use crate::coordinator::{
@@ -92,28 +94,20 @@ struct Execute {
     range: BatchRange,
 }
 
-struct Ready {
-    worker: usize,
-    /// Lineage id of the completed dispatch.
-    id: u64,
-    busy_start: f64,
-    busy_end: f64,
-    out: StepOutcome,
+/// The engine's clock: wall seconds since `t0` plus the training seconds
+/// of earlier incarnations. The coordinator's `now` and every worker's busy
+/// span read it, so a resumed run's timelines continue on its loss curve's
+/// time axis.
+#[derive(Clone, Copy)]
+struct Clock {
+    t0: Instant,
+    t_base: f64,
 }
 
-/// Lineage extractor for the ready channel.
-fn worker_msg_lineage(m: &WorkerMsg) -> Option<u64> {
-    match m {
-        WorkerMsg::Ready(r) => Some(r.id),
-        WorkerMsg::Fault { .. } => None,
+impl Clock {
+    fn now(&self) -> f64 {
+        self.t_base + self.t0.elapsed().as_secs_f64()
     }
-}
-
-/// What a worker sends the coordinator: a completed batch, or a typed
-/// fault in place of a panic.
-enum WorkerMsg {
-    Ready(Ready),
-    Fault { worker: usize, error: WorkerError },
 }
 
 /// What every worker thread shares with the coordinator.
@@ -121,26 +115,21 @@ enum WorkerMsg {
 struct WorkerEnv {
     src: Arc<BatchSource<Arc<DenseDataset>>>,
     shared: Arc<SharedModel>,
-    ready: Sender<WorkerMsg>,
-    t0: Instant,
+    /// Where a worker reports: [`Event::Completed`] per finished batch, or
+    /// [`Event::Faulted`] in place of a panic.
+    ready: Sender<Event>,
+    clock: Clock,
     train: TrainConfig,
     sink: TraceSink,
     hub: MetricsHub,
     watchdog: Watchdog,
 }
 
-/// The threaded engine's checkpoint: the common envelope plus the schedule
-/// cursor. Ranges in flight at the capture are folded into the envelope's
-/// re-queue (see [`RunCtx::ckpt`] for why this engine's resume is
-/// statistical, not bit-identical).
-#[derive(Serialize, Deserialize)]
-struct ThreadedCkpt {
-    core: CoreCkpt,
-    scheduler: BatchScheduler,
-}
-
-/// Schema tag rejecting checkpoints from other engines or layouts.
-const THREADED_CKPT_SCHEMA: &str = "hetero-threaded-ckpt/v3";
+/// Schema tag rejecting checkpoints from other engines or layouts. The
+/// threaded checkpoint is the common envelope alone: ranges in flight at
+/// the capture are folded into its re-queue (see [`RunCtx::ckpt`] for why
+/// this engine's resume is statistical, not bit-identical).
+const THREADED_CKPT_SCHEMA: &str = "hetero-threaded-ckpt/v4";
 
 /// Ranges a worker holds at once: the one it is on, and one parked behind
 /// it in its exec queue so that it never idles through a coordinator round
@@ -237,16 +226,12 @@ impl ThreadedEngine {
         );
 
         // --- Resume from the newest valid checkpoint ----------------------------
-        let resume = co.load(THREADED_CKPT_SCHEMA, |s: &ThreadedCkpt| &s.core);
-        let resumed = resume.is_some();
+        let core = co.load(THREADED_CKPT_SCHEMA, |core: &CoreCkpt| core);
+        let resumed = core.is_some();
         // Training wall-seconds consumed by earlier incarnations: the
         // resumed run offsets its clock by this, so its budget is what the
         // original run had not yet spent.
-        let t_base = resume.as_ref().map_or(0.0, |s| s.core.t);
-        let core = resume.map(|s| {
-            co.scheduler = s.scheduler;
-            s.core
-        });
+        let t_base = core.as_ref().map_or(0.0, |c| c.t);
         let (src, init) = start_up(Arc::clone(&dataset), spec, train, &mut co, core);
         if resumed {
             // A resumed run is a fresh set of threads: whoever had been
@@ -258,16 +243,22 @@ impl ThreadedEngine {
         let src = Arc::new(src);
         let shared = Arc::new(SharedModel::new(&init));
 
-        let t0 = Instant::now();
+        let clock = Clock {
+            t0: Instant::now(),
+            t_base,
+        };
         co.clock_starts(entered);
         let sink = co.sink.clone();
         let (ready_tx, ready_rx) =
-            channel_traced_lineage::<WorkerMsg>(&sink, "ready", COORDINATOR, worker_msg_lineage);
+            channel_traced_lineage::<Event>(&sink, "ready", COORDINATOR, |e| match e {
+                Event::Completed { id, .. } => Some(*id),
+                _ => None,
+            });
         let env = WorkerEnv {
             src: Arc::clone(&src),
             shared: Arc::clone(&shared),
             ready: ready_tx,
-            t0,
+            clock,
             train: train.clone(),
             sink: sink.clone(),
             hub: ctx.hub.clone(),
@@ -317,9 +308,7 @@ impl ThreadedEngine {
         let eval_rows = eval_subset(dataset.len(), train.eval_subsample, train.seed);
         let eval_interval = Duration::from_secs_f64(train.eval_interval);
         let mut threads = ThreadsBackend {
-            cfg,
-            t0,
-            t_base,
+            clock,
             exec,
             ready: ready_rx,
             shared: &shared,
@@ -350,8 +339,8 @@ impl ThreadedEngine {
             let _ = h.join();
         }
         // Faults that raced the shutdown still deserve a retirement record.
-        while let Ok(msg) = threads.ready.try_recv() {
-            if let WorkerMsg::Fault { worker, error } = msg {
+        while let Ok(event) = threads.ready.try_recv() {
+            if let Event::Faulted { worker, error } = event {
                 co.retire(worker, &error);
             }
         }
@@ -363,8 +352,8 @@ impl ThreadedEngine {
 
     /// Start worker `slot`'s thread: its kind's body around the common
     /// [`serve`] loop. A body that does not end cleanly (the coordinator
-    /// hung up) — a typed error or a panic — becomes a
-    /// [`WorkerMsg::Fault`] instead of taking the process down.
+    /// hung up) — a typed error or a panic — becomes an
+    /// [`Event::Faulted`] instead of taking the process down.
     fn spawn_worker(
         &self,
         slot: usize,
@@ -382,7 +371,17 @@ impl ThreadedEngine {
                     let run = |step: &mut Step<'_>| serve(slot, &rx, &env, &plan, step);
                     match kind {
                         WorkerKind::Cpu => cpu_worker(slot, threads, &plan, &env, run),
-                        WorkerKind::Gpu => gpu_worker(slot, perf, &plan, &env, run),
+                        WorkerKind::Gpu => {
+                            // The observed device feeds H2D/D2H transfer
+                            // histograms on top of the trace events.
+                            let device =
+                                GpuDevice::new_observed(perf, &env.sink, slot as u32, &env.hub);
+                            let mut gpu = GpuWorker::new(slot, &device, &plan, &env)?;
+                            run(&mut |id, range, batches| gpu.batch_step(id, range, batches))
+                            // `gpu.on_device` (and its device buffers) drops
+                            // here — and on any unwind path above, via
+                            // GpuMlp's Drop impl.
+                        }
                     }
                 };
                 let error = match catch_unwind(AssertUnwindSafe(body)) {
@@ -392,34 +391,30 @@ impl ThreadedEngine {
                 };
                 // If the coordinator is already gone there is nobody left
                 // to tell.
-                let fault = WorkerMsg::Fault {
+                let _ = env.ready.send(Event::Faulted {
                     worker: slot,
                     error,
-                };
-                let _ = env.ready.send(fault);
+                });
             })
             .expect("spawn worker")
     }
 }
 
-/// The threaded engine as a [`Backend`]: wall-clock time since `t0` (plus
-/// earlier incarnations), the exec channels ranges go down, and the ready
-/// channel completions and faults come back on.
+/// The threaded engine as a [`Backend`]: the engine clock, the exec
+/// channels ranges go down, and the ready channel completions and faults
+/// come back on.
 struct ThreadsBackend<'a> {
-    cfg: &'a ThreadedEngineConfig,
-    t0: Instant,
-    /// Training seconds of earlier incarnations.
-    t_base: f64,
+    clock: Clock,
     /// One sender per worker slot; dropping them is the shutdown.
     exec: Vec<Sender<Execute>>,
-    ready: Receiver<WorkerMsg>,
+    ready: Receiver<Event>,
     shared: &'a SharedModel,
     evaluator: Evaluator,
     gemm_pool: rayon::ThreadPool,
     eval_model: Model,
     ckpt_model: Option<Model>,
     eval_interval: Duration,
-    /// Since `t0`.
+    /// Since `clock.t0`.
     next_eval: Duration,
 }
 
@@ -443,7 +438,7 @@ impl Backend for ThreadsBackend<'_> {
     const WINDOW: usize = DISPATCH_WINDOW;
 
     fn now(&self) -> f64 {
-        self.t_base + self.t0.elapsed().as_secs_f64()
+        self.clock.now()
     }
 
     fn start(
@@ -467,7 +462,7 @@ impl Backend for ThreadsBackend<'_> {
         if co.idle(self.now()) {
             return Event::End;
         }
-        let since = self.t0.elapsed();
+        let since = self.clock.t0.elapsed();
         if since >= self.next_eval {
             // Advance past `since` in whole intervals: a stall longer than
             // one interval must not leave `next_eval` behind the wall clock
@@ -479,29 +474,7 @@ impl Backend for ThreadsBackend<'_> {
         }
         let wait = (self.next_eval - since).min(Duration::from_millis(50));
         match self.ready.recv_timeout(wait) {
-            Ok(WorkerMsg::Ready(r)) => {
-                let (worker, out) = (r.worker, r.out);
-                let threads = self.cfg.cpu_threads;
-                let level = match co.stats[worker].kind {
-                    WorkerKind::Cpu => (out.batch.min(threads) as f64) / threads as f64,
-                    WorkerKind::Gpu => self.cfg.gpu_perf.busy_utilization(out.batch),
-                };
-                let done = Done {
-                    examples: out.batch,
-                    updates: out.updates as u64,
-                    shrunk_to: out.shrunk_to,
-                    leftover: out.leftover,
-                    busy: (r.busy_start, r.busy_end),
-                    level,
-                    eval: false,
-                };
-                Event::Completed {
-                    worker,
-                    id: r.id,
-                    done,
-                }
-            }
-            Ok(WorkerMsg::Fault { worker, error }) => Event::Faulted { worker, error },
+            Ok(event) => event,
             Err(RecvTimeoutError::Timeout) => (0..self.exec.len())
                 .find(|&w| !co.retired(w) && self.exec[w].is_disconnected())
                 .map_or(Event::Idle, |worker| Event::Faulted {
@@ -531,36 +504,16 @@ impl Backend for ThreadsBackend<'_> {
         self.shared.snapshot_into(m);
         let mut core = co.capture(THREADED_CKPT_SCHEMA, t, m);
         core.requeue.extend(co.in_flight());
-        let scheduler = co.scheduler.clone();
-        co.save(t, &ThreadedCkpt { core, scheduler });
+        co.save(t, &core);
     }
 }
 
-/// What a worker's step did with one dispatched range; [`serve`] traces
-/// it and sends it to the coordinator inside [`Ready`].
-struct StepOutcome {
-    /// Examples processed (short of the dispatch after an OOM shrink).
-    batch: usize,
-    /// Raw model updates applied (Algorithm 2's `t`).
-    updates: usize,
-    /// Scale of the replica merge, on workers that merge one.
-    merge_scale: Option<f32>,
-    /// When a device OOM forced the step smaller, the batch size that
-    /// actually fit — the coordinator clamps the controller's ceiling to it.
-    shrunk_to: Option<usize>,
-    /// The unprocessed tail of the dispatched range after an OOM shrink;
-    /// the coordinator re-queues it.
-    leftover: Option<BatchRange>,
-    /// Measured per-phase breakdown of the busy span.
-    phases: BatchPhases,
-}
-
-/// One worker kind's step: `(batch id, range, batches done before it)`.
-type Step<'a> = dyn FnMut(u64, BatchRange, u64) -> Result<StepOutcome, WorkerError> + 'a;
+/// One worker kind's step: `(batch id, range, batches done before it)` →
+/// the finished batch, already traced; [`serve`] stamps its busy span.
+type Step<'a> = dyn FnMut(u64, BatchRange, u64) -> Result<Done, WorkerError> + 'a;
 
 /// The loop every worker thread runs, whatever its device: wait for a
-/// dispatch, run `step` on it, report the outcome — until the coordinator
-/// hangs up.
+/// dispatch, run `step` on it, report it — until the coordinator hangs up.
 fn serve(
     slot: usize,
     rx: &Receiver<Execute>,
@@ -568,52 +521,30 @@ fn serve(
     plan: &FaultPlan,
     step: &mut Step<'_>,
 ) -> Result<(), WorkerError> {
-    let (sink, t0) = (&env.sink, env.t0);
-    // Histogram handles resolved once; recording is a few relaxed atomic
-    // adds, so the zero-alloc steady state of the steps is preserved.
-    let lat_hist = env.hub.histogram(Metric::BatchLatency, slot as u32);
+    // Resolved once; recording is a few relaxed atomic adds, so the
+    // zero-alloc steady state of the steps is preserved.
     let queue_hist = env.hub.histogram(Metric::QueueWait, slot as u32);
     let mut batches_done = 0u64;
     loop {
         let (msg, waited) = rx.recv_timed();
-        let Ok(msg) = msg else { break };
+        let Ok(Execute { id, range }) = msg else {
+            break;
+        };
         queue_hist.record_secs(waited.as_secs_f64());
-        let Execute { id, range } = msg;
-        sink.emit(slot as u32, EventKind::BatchStarted { id });
+        env.sink.emit(slot as u32, EventKind::BatchStarted { id });
         if plan.death_after(slot) == Some(batches_done) {
             panic!("injected fault: worker {slot} died after {batches_done} batches");
         }
-        let busy_start = t0.elapsed().as_secs_f64();
-        let out = step(id, range, batches_done)?;
-        let busy_end = t0.elapsed().as_secs_f64();
-        lat_hist.record_secs(busy_end - busy_start);
+        let start = env.clock.now();
+        let mut done = step(id, range, batches_done)?;
+        done.busy = (start, env.clock.now());
         batches_done += 1;
-        if let Some(scale) = out.merge_scale {
-            sink.emit(
-                slot as u32,
-                EventKind::ModelMerge {
-                    scale: scale as f64,
-                    id: Some(id),
-                },
-            );
-        }
-        sink.emit(
-            slot as u32,
-            EventKind::BatchCompleted {
-                id,
-                batch: out.batch,
-                updates: out.updates,
-                phases: out.phases,
-            },
-        );
-        let ready = Ready {
-            worker: slot,
-            id,
-            busy_start,
-            busy_end,
-            out,
-        };
-        if env.ready.send(WorkerMsg::Ready(ready)).is_err() {
+        let worker = slot;
+        if env
+            .ready
+            .send(Event::Completed { worker, id, done })
+            .is_err()
+        {
             break; // coordinator gone: nothing left to tell
         }
     }
@@ -636,16 +567,12 @@ fn cpu_worker(
     env: &WorkerEnv,
     serve: impl FnOnce(&mut Step<'_>) -> Result<(), WorkerError>,
 ) -> Result<(), WorkerError> {
-    let (shared, train) = (&*env.shared, &env.train);
+    let shared = &*env.shared;
     let ctx = CpuStepCtx {
-        shared,
-        src: &env.src,
-        train,
-        watchdog: &env.watchdog,
+        env,
         slot,
         stale_hist: &env.hub.histogram(Metric::Staleness, slot as u32),
         rows_hist: &env.hub.histogram(Metric::RowsTouched, slot as u32),
-        skipped_ctr: &env.sink.counter("engine.sparse_rows_skipped"),
         // Injected faults land in one lane each — one poisoned update or
         // one dead lane is enough, and it keeps the site exact.
         poison_step: plan.poison_at(slot),
@@ -677,7 +604,7 @@ fn cpu_worker(
             handles.push(handle);
         }
         let mut lane0 = CpuLane::new(shared);
-        let served = serve(&mut |_id, range, batches_done| {
+        let served = serve(&mut |id, range, batches_done| {
             let started = Instant::now();
             // Lane i's share of the range; the trailing lanes of a short
             // range get none.
@@ -713,13 +640,20 @@ fn cpu_worker(
             if lane_total > busy_wall && lane_total > 0.0 {
                 phases.scale(busy_wall / lane_total);
             }
-            Ok(StepOutcome {
-                batch: range.len(),
-                updates: n_updates,
-                merge_scale: None,
-                shrunk_to: None,
-                leftover: None,
+            let batch = range.len();
+            let updates = n_updates;
+            let completed = EventKind::BatchCompleted {
+                id,
+                batch,
+                updates,
                 phases,
+            };
+            env.sink.emit(slot as u32, completed);
+            Ok(Done {
+                examples: batch,
+                updates: updates as u64,
+                level: batch.min(threads) as f64 / threads as f64,
+                ..Done::default()
             })
         });
         // Hang up, so the lane threads leave their loops; a lane that panicked
@@ -732,89 +666,6 @@ fn cpu_worker(
         }
         served
     })
-}
-
-/// A GPU worker: one software device with a deep-copy replica of the
-/// model. Uploads the replica, then hands `serve` the step that trains it
-/// on a dispatch and merges the delta back.
-fn gpu_worker(
-    slot: usize,
-    perf: GpuModel,
-    plan: &FaultPlan,
-    env: &WorkerEnv,
-    serve: impl FnOnce(&mut Step<'_>) -> Result<(), WorkerError>,
-) -> Result<(), WorkerError> {
-    let (shared, src, train, hub) = (&*env.shared, &*env.src, &env.train, &env.hub);
-    // The observed device feeds H2D/D2H transfer histograms on top of the
-    // trace events.
-    let device = GpuDevice::new_observed(perf, &env.sink, slot as u32, hub);
-    let stale_hist = hub.histogram(Metric::Staleness, slot as u32);
-    let merge_hist = hub.histogram(Metric::MergeWait, slot as u32);
-    let retries_hist = hub.histogram(Metric::MergeRetries, slot as u32);
-    let rows_hist = hub.histogram(Metric::RowsTouched, slot as u32);
-    let sparse_retries_hist = hub.histogram(Metric::MergeRetriesSparse, slot as u32);
-    if plan.upload_oom(slot) {
-        device.inject_oom_at(0);
-    }
-    if let Some(n) = plan.oom_alloc_index(slot) {
-        device.inject_oom_at(n);
-    }
-    // Kernel-emulation GEMMs fan out to this pinned pool instead of
-    // grabbing every host core.
-    let gemm_pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(train.rayon_threads)
-        .build()
-        .map_err(|e| WorkerError::Panic(format!("gpu gemm pool: {e}")))?;
-    // Persistent host-side staging, reused across batches: snapshot/replica
-    // models and the batch buffers make the steady-state step loop
-    // allocation-free on the host (the device side reuses `GpuMlp`'s
-    // scratch pool).
-    let snapshot = shared.snapshot();
-    // Where the replica trains: on the device, or — CSR batches — on the
-    // host's sparse kernels, with nothing uploaded (the software device has
-    // no CSR kernels) and no second model held. An OOM here is
-    // unrecoverable — there is no batch to shrink when the parameters
-    // themselves don't fit.
-    let on_device = (src.density().is_none())
-        .then(|| GpuMlp::upload(&device, &snapshot))
-        .transpose()
-        .map_err(|e| WorkerError::Oom(format!("model upload failed: {e}")))?
-        .map(|mlp| (mlp, Model::zeros_like(shared.spec())));
-    let mut replica = GpuReplica {
-        on_device,
-        lane: Lane::new(shared.spec()),
-        // Watchdog scratch: per-layer sumsq / non-finite counts of the
-        // merged delta, filled *inside* the merge's element loop (no extra
-        // pass over the model).
-        merge_scan: MergeScan::for_model(&snapshot),
-        snapshot,
-    };
-    let poison_step = plan.poison_at(slot);
-    serve(&mut |id, range, batches_done| {
-        // Transfers the device emits while this batch runs carry its
-        // lineage id.
-        device.set_active_batch(Some(id));
-        let step = GpuStepCtx {
-            shared,
-            src,
-            gemm_pool: &gemm_pool,
-            train,
-            watchdog: &env.watchdog,
-            slot,
-            batches_done,
-            stale_hist: &stale_hist,
-            merge_hist: &merge_hist,
-            retries_hist: &retries_hist,
-            rows_hist: &rows_hist,
-            sparse_retries_hist: &sparse_retries_hist,
-        };
-        let poison = poison_step == Some(batches_done);
-        let out = gpu_batch_step(&step, &mut replica, range, poison)?;
-        device.set_active_batch(None);
-        Ok(out)
-    })
-    // `replica.on_device` (and its device buffers) drops here — and on any unwind
-    // path above, via GpuMlp's Drop impl.
 }
 
 /// One Hogwild lane: its racy model snapshot beside the shared [`Lane`]
@@ -846,14 +697,10 @@ impl CpuLane {
 
 /// Shared, read-only context of a CPU worker's lane steps.
 struct CpuStepCtx<'a> {
-    shared: &'a SharedModel,
-    src: &'a BatchSource<Arc<DenseDataset>>,
-    train: &'a TrainConfig,
-    watchdog: &'a Watchdog,
+    env: &'a WorkerEnv,
     slot: usize,
     stale_hist: &'a HistHandle,
     rows_hist: &'a HistHandle,
-    skipped_ctr: &'a CounterHandle,
     /// Batch whose lane-0 gradient gets a NaN ([`FaultPlan::poison_at`]).
     poison_step: Option<u64>,
     /// Batch inside which lane 1 panics ([`FaultPlan::lane_panic_at`]).
@@ -875,16 +722,16 @@ fn cpu_lane_step(
     if i == 1 && ctx.lane_panic_step == Some(batches_done) {
         panic!("injected fault: hogwild lane {i} panicked in batch {batches_done}");
     }
-    let shared = ctx.shared;
+    let (shared, src, train) = (&*ctx.env.shared, &*ctx.env.src, &ctx.env.train);
     // Staleness = global updates applied between this lane's read and its
     // own write landing (minus the write itself).
     let stale_at = (!ctx.stale_hist.is_disabled()).then(|| shared.update_count());
     let t_stage = Instant::now();
     shared.snapshot_into(&mut lane.local);
-    lane.batch.stage(ctx.src, s, e);
+    lane.batch.stage(src, s, e);
     let t_compute = Instant::now();
     lane.phases.stage_secs = (t_compute - t_stage).as_secs_f64();
-    lane.batch.gradient(ctx.src, &lane.local, false);
+    lane.batch.gradient(src, &lane.local, false);
     lane.phases.compute_secs = t_compute.elapsed().as_secs_f64();
     lane.phases.transfer_secs = 0.0;
     // Injected fault: one NaN into this worker's gradient at the planned
@@ -892,17 +739,15 @@ fn cpu_lane_step(
     if i == 0 && ctx.poison_step == Some(batches_done) {
         lane.batch.ws.grad_mut().layers_mut()[0].b[0] = f32::NAN;
     }
-    if ctx.watchdog.enabled() {
+    if ctx.env.watchdog.enabled() {
         lane.scan.reset();
         scan_model(lane.batch.ws.grad(), &mut lane.scan);
-        observe_scan(ctx.watchdog, ctx.slot, batches_done, &lane.scan);
+        observe_scan(&ctx.env.watchdog, ctx.slot, batches_done, &lane.scan);
     }
-    let eta = ctx.train.lr_scaling.eta(ctx.train.lr, e - s);
+    let eta = train.lr_scaling.eta(train.lr, e - s);
     let t_merge = Instant::now();
     if let Some(cols) = lane.batch.active_cols() {
         ctx.rows_hist.record(cols.len() as u64);
-        let features = ctx.src.dataset.features();
-        ctx.skipped_ctr.add((features - cols.len()) as u64);
     }
     lane.batch.apply_racy(shared, eta);
     lane.phases.merge_secs = t_merge.elapsed().as_secs_f64();
@@ -912,176 +757,245 @@ fn cpu_lane_step(
     }
 }
 
-/// Shared, read-only context of one GPU batch step (bundled so the step
-/// function's signature stays reviewable).
-struct GpuStepCtx<'a> {
-    shared: &'a SharedModel,
-    src: &'a BatchSource<Arc<DenseDataset>>,
-    gemm_pool: &'a rayon::ThreadPool,
-    train: &'a TrainConfig,
-    watchdog: &'a Watchdog,
+/// A GPU worker: one software device with a deep-copy replica of the
+/// model, and everything a step of it reuses. Built once, before the first
+/// dispatch: the snapshot/replica models and the batch buffers make the
+/// steady-state step allocation-free on the host (the device side reuses
+/// `GpuMlp`'s scratch pool).
+struct GpuWorker<'a> {
     slot: usize,
-    batches_done: u64,
-    stale_hist: &'a HistHandle,
-    merge_hist: &'a HistHandle,
-    retries_hist: &'a HistHandle,
-    rows_hist: &'a HistHandle,
-    sparse_retries_hist: &'a HistHandle,
-}
-
-/// A GPU worker's deep-copy replica and everything one step of it reuses.
-struct GpuReplica<'d> {
+    env: &'a WorkerEnv,
+    device: &'a GpuDevice,
+    /// Kernel-emulation GEMMs fan out to this pinned pool instead of
+    /// grabbing every host core.
+    gemm_pool: rayon::ThreadPool,
     /// The device-resident copy and the host model it is downloaded into;
     /// `None` when the replica trains on the host instead (CSR runs) —
     /// there it is one gradient step from `snapshot`, so the lane's
     /// gradient is its whole delta and no second model is kept.
-    on_device: Option<(GpuMlp<'d>, Model)>,
+    on_device: Option<(GpuMlp<'a>, Model)>,
     snapshot: Model,
     lane: Lane,
+    /// Watchdog scratch: per-layer sumsq / non-finite counts of the merged
+    /// delta, filled *inside* the merge's element loop (no extra pass over
+    /// the model).
     merge_scan: MergeScan,
+    /// Batch whose delta gets a NaN ([`FaultPlan::poison_at`]).
+    poison_step: Option<u64>,
+    stale_hist: HistHandle,
+    merge_hist: HistHandle,
+    retries_hist: HistHandle,
+    rows_hist: HistHandle,
 }
 
-/// One GPU batch step: snapshot → train the replica one step →
-/// staleness-discounted delta merge (§V/§VI-B).
-/// In the outcome's phase breakdown staging (snapshot + batch gather),
-/// transfer (model refresh + delta download), compute (the step), and
-/// merge are wall-timed separately, accumulated across OOM retries.
-///
-/// The steady-state path is allocation-free on the host; the `format!`
-/// calls on the unrecoverable-OOM branch are reviewed allowlist entries
-/// (the worker retires immediately after).
-// audit: no_alloc
-fn gpu_batch_step(
-    ctx: &GpuStepCtx<'_>,
-    rep: &mut GpuReplica<'_>,
-    range: BatchRange,
-    poison: bool,
-) -> Result<StepOutcome, WorkerError> {
-    let GpuReplica {
-        on_device,
-        snapshot,
-        lane,
-        merge_scan,
-    } = rep;
-    let mut phases = BatchPhases::default();
-    // Deep-copy replica of the current global model (§V).
-    let updates_at_snapshot = ctx.shared.update_count();
-    let t_stage = Instant::now();
-    ctx.shared.snapshot_into(snapshot);
-    phases.stage_secs += t_stage.elapsed().as_secs_f64();
-    // Train the replica one step — the first of the two places the
-    // worker's modes differ (the other is where the delta comes from).
-    let (len, shrunk_to) = match on_device {
-        Some((mlp, replica)) => {
-            // Bounded retry: halve the batch until the step fits on the
-            // device (a mid-step OOM leaves the replica partially updated,
-            // so refresh before every try).
-            let mut len = range.len();
-            let mut shrunk_to = None;
-            loop {
-                let t_refresh = Instant::now();
-                mlp.refresh(snapshot);
-                phases.transfer_secs += t_refresh.elapsed().as_secs_f64();
-                let t_batch = Instant::now();
-                lane.stage(ctx.src, range.start, range.start + len);
-                phases.stage_secs += t_batch.elapsed().as_secs_f64();
-                let eta = ctx.train.lr_scaling.eta(ctx.train.lr, len);
-                let t_compute = Instant::now();
-                let step = ctx
-                    .gemm_pool
-                    .install(|| mlp.train_step(&lane.x, lane.labels.as_targets(), eta));
-                phases.compute_secs += t_compute.elapsed().as_secs_f64();
-                match step {
-                    Ok(_) => break,
-                    Err(_) if len > 1 => {
-                        len /= 2;
-                        shrunk_to = Some(len);
-                    }
-                    Err(e) => {
-                        return Err(WorkerError::Oom(format!("single-example step failed: {e}")));
+impl<'a> GpuWorker<'a> {
+    /// Arm `plan`'s faults on `device`, snapshot the shared model and
+    /// place the replica: on the device, or — CSR batches — on the host's
+    /// sparse kernels, with nothing uploaded (the software device has no
+    /// CSR kernels) and no second model held. An upload OOM is
+    /// unrecoverable — there is no batch to shrink when the parameters
+    /// themselves don't fit.
+    fn new(
+        slot: usize,
+        device: &'a GpuDevice,
+        plan: &FaultPlan,
+        env: &'a WorkerEnv,
+    ) -> Result<Self, WorkerError> {
+        if plan.upload_oom(slot) {
+            device.inject_oom_at(0);
+        }
+        if let Some(n) = plan.oom_alloc_index(slot) {
+            device.inject_oom_at(n);
+        }
+        let gemm_pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(env.train.rayon_threads)
+            .build()
+            .map_err(|e| WorkerError::Panic(format!("gpu gemm pool: {e}")))?;
+        let spec = env.shared.spec();
+        let snapshot = env.shared.snapshot();
+        let on_device = (env.src.density().is_none())
+            .then(|| GpuMlp::upload(device, &snapshot))
+            .transpose()
+            .map_err(|e| WorkerError::Oom(format!("model upload failed: {e}")))?
+            .map(|mlp| (mlp, Model::zeros_like(spec)));
+        let hist = |m| env.hub.histogram(m, slot as u32);
+        Ok(GpuWorker {
+            slot,
+            env,
+            device,
+            gemm_pool,
+            on_device,
+            lane: Lane::new(spec),
+            merge_scan: MergeScan::for_model(&snapshot),
+            snapshot,
+            poison_step: plan.poison_at(slot),
+            stale_hist: hist(Metric::Staleness),
+            merge_hist: hist(Metric::MergeWait),
+            retries_hist: hist(Metric::MergeRetries),
+            rows_hist: hist(Metric::RowsTouched),
+        })
+    }
+
+    /// One GPU batch step: snapshot → train the replica one step →
+    /// staleness-discounted delta merge (§V/§VI-B), traced as the batch's
+    /// `ModelMerge` and `BatchCompleted`. In the phase breakdown staging
+    /// (snapshot + batch gather), transfer (model refresh + delta
+    /// download), compute (the step), and merge are wall-timed separately,
+    /// accumulated across OOM retries.
+    ///
+    /// The steady-state path is allocation-free on the host; the `format!`
+    /// calls on the unrecoverable-OOM branch are reviewed allowlist entries
+    /// (the worker retires immediately after).
+    // audit: no_alloc
+    fn batch_step(
+        &mut self,
+        id: u64,
+        range: BatchRange,
+        batches_done: u64,
+    ) -> Result<Done, WorkerError> {
+        let GpuWorker {
+            on_device,
+            snapshot,
+            lane,
+            merge_scan,
+            ..
+        } = self;
+        let (env, device) = (self.env, self.device);
+        let (shared, src, train) = (&*env.shared, &*env.src, &env.train);
+        // Transfers the device emits while this batch runs carry its
+        // lineage id.
+        device.set_active_batch(Some(id));
+        let mut phases = BatchPhases::default();
+        // Deep-copy replica of the current global model (§V).
+        let updates_at_snapshot = shared.update_count();
+        let t_stage = Instant::now();
+        shared.snapshot_into(snapshot);
+        phases.stage_secs += t_stage.elapsed().as_secs_f64();
+        // Train the replica one step — the first of the two places the
+        // worker's modes differ (the other is where the delta comes from).
+        let (len, shrunk_to) = match on_device {
+            Some((mlp, replica)) => {
+                // Bounded retry: halve the batch until the step fits on the
+                // device (a mid-step OOM leaves the replica partially updated,
+                // so refresh before every try).
+                let mut len = range.len();
+                let mut shrunk_to = None;
+                loop {
+                    let t_refresh = Instant::now();
+                    mlp.refresh(snapshot);
+                    phases.transfer_secs += t_refresh.elapsed().as_secs_f64();
+                    let t_batch = Instant::now();
+                    lane.stage(src, range.start, range.start + len);
+                    phases.stage_secs += t_batch.elapsed().as_secs_f64();
+                    let eta = train.lr_scaling.eta(train.lr, len);
+                    let t_compute = Instant::now();
+                    let step = self
+                        .gemm_pool
+                        .install(|| mlp.train_step(&lane.x, lane.labels.as_targets(), eta));
+                    phases.compute_secs += t_compute.elapsed().as_secs_f64();
+                    match step {
+                        Ok(_) => break,
+                        Err(_) if len > 1 => {
+                            len /= 2;
+                            shrunk_to = Some(len);
+                        }
+                        Err(e) => {
+                            return Err(WorkerError::Oom(format!(
+                                "single-example step failed: {e}"
+                            )));
+                        }
                     }
                 }
+                let t_download = Instant::now();
+                mlp.download_into(replica);
+                phases.transfer_secs += t_download.elapsed().as_secs_f64();
+                (len, shrunk_to)
             }
-            let t_download = Instant::now();
-            mlp.download_into(replica);
-            phases.transfer_secs += t_download.elapsed().as_secs_f64();
-            (len, shrunk_to)
-        }
-        None => {
-            // Host memory can't OOM-shrink, so the whole range always
-            // processes, and nothing crosses a device link. The step itself
-            // is never taken on a copy: its gradient at the snapshot is all
-            // the merge needs.
-            let t_stage = Instant::now();
-            lane.stage(ctx.src, range.start, range.end);
-            phases.stage_secs += t_stage.elapsed().as_secs_f64();
-            let t_compute = Instant::now();
-            ctx.gemm_pool
-                .install(|| lane.gradient(ctx.src, snapshot, true));
-            phases.compute_secs = t_compute.elapsed().as_secs_f64();
-            let rows = lane.active_cols().map_or(0, <[u32]>::len);
-            ctx.rows_hist.record(rows as u64);
-            (range.len(), None)
-        }
-    };
-    let leftover = (len < range.len()).then_some(BatchRange {
-        start: range.start + len,
-        end: range.end,
-        epoch: range.epoch,
-    });
-    // Merge the replica's delta into the global model without clobbering
-    // concurrent CPU updates. §VI-B: the delta is discounted by how stale
-    // its base snapshot became while the replica was training.
-    let staleness = ctx
-        .shared
-        .update_count()
-        .saturating_sub(updates_at_snapshot);
-    let scale = 1.0 / (1.0 + ctx.train.staleness_discount * staleness as f32);
-    ctx.stale_hist.record(staleness);
-    let merge_start = Instant::now();
-    // The scan rides in the merge loop, and only a watchdog reads it.
-    merge_scan.reset();
-    let scan = ctx.watchdog.enabled().then_some(&mut *merge_scan);
-    // Injected fault (`poison`): one NaN into this worker's delta at the
-    // planned step (the merge carries it into the shared model — detection
-    // is the watchdog's job, not the merge's). The bias is part of a
-    // row-sparse merge's dense tail, so the NaN reaches the shared model
-    // either way. Each arm also says where its merge's contention is
-    // tallied.
-    let (found_owned, owned_hist) = match on_device {
-        Some((_, replica)) => {
-            if poison {
-                replica.layers_mut()[0].b[0] = f32::NAN;
+            None => {
+                // Host memory can't OOM-shrink, so the whole range always
+                // processes, and nothing crosses a device link. The step itself
+                // is never taken on a copy: its gradient at the snapshot is all
+                // the merge needs.
+                let t_stage = Instant::now();
+                lane.stage(src, range.start, range.end);
+                phases.stage_secs += t_stage.elapsed().as_secs_f64();
+                let t_compute = Instant::now();
+                self.gemm_pool
+                    .install(|| lane.gradient(src, snapshot, true));
+                phases.compute_secs = t_compute.elapsed().as_secs_f64();
+                let rows = lane.active_cols().map_or(0, <[u32]>::len);
+                self.rows_hist.record(rows as u64);
+                (range.len(), None)
             }
-            let found_owned = ctx.shared.merge(snapshot, replica, scale, None, scan);
-            (found_owned, ctx.retries_hist)
-        }
-        None => {
-            if poison {
-                lane.ws.grad_mut().layers_mut()[0].b[0] = f32::NAN;
+        };
+        let leftover = (len < range.len()).then_some(BatchRange {
+            start: range.start + len,
+            end: range.end,
+            epoch: range.epoch,
+        });
+        // Merge the replica's delta into the global model without clobbering
+        // concurrent CPU updates. §VI-B: the delta is discounted by how stale
+        // its base snapshot became while the replica was training.
+        let staleness = shared.update_count().saturating_sub(updates_at_snapshot);
+        let scale = 1.0 / (1.0 + train.staleness_discount * staleness as f32);
+        self.stale_hist.record(staleness);
+        let merge_start = Instant::now();
+        // The scan rides in the merge loop, and only a watchdog reads it.
+        merge_scan.reset();
+        let scan = env.watchdog.enabled().then_some(&mut *merge_scan);
+        // Injected fault: one NaN into this worker's delta at the planned
+        // step (the merge carries it into the shared model — detection is
+        // the watchdog's job, not the merge's). The bias is part of a
+        // row-sparse merge's dense tail, so the NaN reaches the shared
+        // model either way.
+        let poison = self.poison_step == Some(batches_done);
+        let found_owned = match on_device {
+            Some((_, replica)) => {
+                if poison {
+                    replica.layers_mut()[0].b[0] = f32::NAN;
+                }
+                shared.merge(snapshot, replica, scale, None, scan)
             }
-            // The host-trained replica would be `snapshot − η·∇`; its delta
-            // is the gradient the lane still holds, over the lane's own
-            // layer-0 rows.
-            let eta = ctx.train.lr_scaling.eta(ctx.train.lr, len);
-            let found_owned = lane.merge_into(ctx.shared, eta * scale, scan);
-            (found_owned, ctx.sparse_retries_hist)
+            None => {
+                if poison {
+                    lane.ws.grad_mut().layers_mut()[0].b[0] = f32::NAN;
+                }
+                // The host-trained replica would be `snapshot − η·∇`; its
+                // delta is the gradient the lane still holds, over the
+                // lane's own layer-0 rows.
+                let eta = train.lr_scaling.eta(train.lr, len);
+                lane.merge_into(shared, eta * scale, scan)
+            }
+        };
+        if env.watchdog.enabled() {
+            observe_scan(&env.watchdog, self.slot, batches_done, merge_scan);
         }
-    };
-    if ctx.watchdog.enabled() {
-        observe_scan(ctx.watchdog, ctx.slot, ctx.batches_done, merge_scan);
+        phases.merge_secs = merge_start.elapsed().as_secs_f64();
+        self.merge_hist.record_secs(phases.merge_secs);
+        self.retries_hist.record(found_owned);
+        device.set_active_batch(None);
+        let worker = self.slot as u32;
+        let merged = EventKind::ModelMerge {
+            scale: scale as f64,
+            id: Some(id),
+        };
+        env.sink.emit(worker, merged);
+        let completed = EventKind::BatchCompleted {
+            id,
+            batch: len,
+            updates: 1,
+            phases,
+        };
+        env.sink.emit(worker, completed);
+        Ok(Done {
+            examples: len,
+            updates: 1,
+            shrunk_to,
+            leftover,
+            level: device.perf().busy_utilization(len),
+            ..Done::default()
+        })
     }
-    phases.merge_secs = merge_start.elapsed().as_secs_f64();
-    ctx.merge_hist.record_secs(phases.merge_secs);
-    owned_hist.record(found_owned);
-    Ok(StepOutcome {
-        batch: len,
-        updates: 1,
-        merge_scale: Some(scale),
-        shrunk_to,
-        leftover,
-        phases,
-    })
 }
 
 #[cfg(test)]
@@ -1348,94 +1262,82 @@ mod tests {
         for w in &r.workers {
             assert!(w.batches > 0, "{:?} idle", w.kind);
         }
-        // Sparse observability: rows-touched from both worker kinds, the
-        // sparse-split merge-contention series from the GPU merge, the density
-        // gauge, and the rows-skipped counter.
+        // Sparse observability: rows-touched from both worker kinds (never
+        // more than the input width), the merge-contention series from the
+        // GPU's row-sparse merge, and the density gauge that says which
+        // path the merges took.
         let snap = hub.snapshot();
         let rows = snap
             .merged(Metric::RowsTouched)
             .expect("rows_touched series missing");
         assert!(rows.count() > 0);
-        let sparse_retries = snap
-            .merged(Metric::MergeRetriesSparse)
-            .expect("sparse merge-retry series missing");
-        assert!(sparse_retries.count() > 0);
+        assert!(rows.max() <= 8, "touched {} of 8 rows", rows.max());
+        let retries = snap
+            .merged(Metric::MergeRetries)
+            .expect("merge-retry series missing");
+        assert!(retries.count() > 0);
         let counters: std::collections::HashMap<String, f64> =
             sink.drain().counters.into_iter().collect();
         let density = *counters
             .get("engine.sparse_density")
             .expect("density gauge missing");
         assert!(density > 0.0 && density <= 1.0, "density {density}");
-        assert!(
-            counters.contains_key("engine.sparse_rows_skipped"),
-            "rows-skipped counter missing"
-        );
     }
 
     /// One GPU batch step of each arm (device replica on dense batches,
     /// host-trained gradient on CSR ones) with and without a watchdog:
-    /// the merge fills the caller's scan only when something reads it.
+    /// the merge fills the caller's scan only when something reads it, and
+    /// both arms tally their contention on the one merge-retry series.
     #[test]
     fn gpu_merge_scans_only_under_a_watchdog() {
         let data = dataset();
-        let train = config(AlgorithmKind::CpuGpuHogbatch, 0.1).train;
+        let mut train = config(AlgorithmKind::CpuGpuHogbatch, 0.1).train;
+        train.rayon_threads = 1;
         let model = Model::new(MlpSpec::tiny(8, 2), hetero_nn::InitScheme::Xavier, 1);
-        let gemm_pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(1)
-            .build()
-            .unwrap();
         let device = GpuDevice::new(GpuModel::v100());
-        let off = HistHandle::disabled();
         for sparse in [false, true] {
             for watched in [false, true] {
-                let shared = SharedModel::new(&model);
-                let src = BatchSource::new(Arc::clone(&data), sparse);
                 let watchdog = if watched {
                     Watchdog::new(Default::default())
                 } else {
                     Watchdog::disabled()
                 };
                 watchdog.ensure_layers(model.layers().len());
-                let ctx = GpuStepCtx {
-                    shared: &shared,
-                    src: &src,
-                    gemm_pool: &gemm_pool,
-                    train: &train,
-                    watchdog: &watchdog,
-                    slot: 0,
-                    batches_done: 0,
-                    stale_hist: &off,
-                    merge_hist: &off,
-                    retries_hist: &off,
-                    rows_hist: &off,
-                    sparse_retries_hist: &off,
+                let env = WorkerEnv {
+                    src: Arc::new(BatchSource::new(Arc::clone(&data), sparse)),
+                    shared: Arc::new(SharedModel::new(&model)),
+                    ready: channel().0,
+                    clock: Clock {
+                        t0: Instant::now(),
+                        t_base: 0.0,
+                    },
+                    train: train.clone(),
+                    sink: TraceSink::disabled(),
+                    hub: MetricsHub::new(),
+                    watchdog,
                 };
-                let snapshot = shared.snapshot();
-                let on_device = (!sparse).then(|| {
-                    let mlp = GpuMlp::upload(&device, &snapshot).unwrap();
-                    (mlp, Model::zeros_like(shared.spec()))
-                });
-                let mut rep = GpuReplica {
-                    on_device,
-                    lane: Lane::new(shared.spec()),
-                    merge_scan: MergeScan::for_model(&snapshot),
-                    snapshot,
-                };
+                let mut gpu = GpuWorker::new(0, &device, &FaultPlan::none(), &env).unwrap();
                 let range = BatchRange {
                     start: 0,
                     end: 64,
                     epoch: 0,
                 };
-                let out = gpu_batch_step(&ctx, &mut rep, range, false).unwrap();
-                assert_eq!((out.batch, out.updates), (64, 1));
-                assert_ne!(shared.snapshot(), model, "sparse={sparse}: nothing merged");
+                let done = gpu.batch_step(1, range, 0).unwrap();
+                assert_eq!((done.examples, done.updates), (64, 1));
+                assert_ne!(
+                    env.shared.snapshot(),
+                    model,
+                    "sparse={sparse}: nothing merged"
+                );
                 let reset = MergeScan::for_model(&model);
                 assert_eq!(
-                    rep.merge_scan != reset,
+                    gpu.merge_scan != reset,
                     watched,
                     "sparse={sparse} watched={watched}: {:?}",
-                    rep.merge_scan
+                    gpu.merge_scan
                 );
+                let retries = env.hub.snapshot().merged(Metric::MergeRetries);
+                assert_eq!(retries.map(|s| s.count()), Some(1), "sparse={sparse}");
             }
         }
     }
@@ -1537,11 +1439,11 @@ mod tests {
         // ranges included: what the workers had been credited with plus
         // what waits for the resumed run is exactly what the schedule had
         // served.
-        let state: ThreadedCkpt = reader.resume_state().expect("a valid generation");
-        let waiting: usize = state.core.requeue.iter().map(BatchRange::len).sum();
+        let state: CoreCkpt = reader.resume_state().expect("a valid generation");
+        let waiting: usize = state.requeue.iter().map(BatchRange::len).sum();
         assert!(waiting > 0, "captured between two batches of every worker?");
         assert_eq!(
-            state.core.examples_trained() + waiting as u64,
+            state.examples_trained() + waiting as u64,
             state.scheduler.examples_served()
         );
         let resumed = ThreadedEngine::new(cfg).unwrap().run_with(
@@ -1570,15 +1472,26 @@ mod tests {
             resumed.loss_curve[n_prefix..].iter().all(|p| p.time > t_ck),
             "resumed points must continue past the checkpoint"
         );
+        // The resumed workers' timelines continue on the same axis: no busy
+        // span of the new incarnation starts before the restored time.
+        let mut busy = resumed
+            .workers
+            .iter()
+            .filter_map(|w| w.timeline.segments().first());
+        assert!(
+            busy.all(|s| s.start >= state.t),
+            "a timeline restarted at 0"
+        );
+        assert!(resumed.workers.iter().any(|w| w.batches > 0));
         // The resumed run spent the restored time plus the remainder.
         assert!(resumed.duration > 0.5, "duration {}", resumed.duration);
         assert!(resumed.final_loss().is_finite());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// The threaded twin of the simulator's test: a checkpoint in the
-    /// previous layout (tag v2: the model's layer 0 stored `out × in`) is
-    /// refused whole by the schema tag, and the run starts fresh.
+    /// The threaded twin of the simulator's test: a checkpoint tagged with
+    /// the previous schema (v3: the envelope wrapped beside the schedule
+    /// cursor) is refused whole, and the run starts fresh.
     #[test]
     fn checkpoint_of_the_previous_schema_is_refused() {
         use hetero_ckpt::CkptConfig;
@@ -1616,13 +1529,10 @@ mod tests {
         assert_eq!(resumes(ckpt(false)), 0.0);
         // The current layout resumes…
         assert_eq!(resumes(ckpt(true)), 1.0);
-        // …the same state written the way the previous schema laid it out
-        // does not.
-        let mut old: ThreadedCkpt = ckpt(true).resume_state().expect("a checkpoint");
-        old.core.schema = "hetero-threaded-ckpt/v2".into();
-        let w0 = &mut old.core.model.layers_mut()[0].w;
-        *w0 = w0.transpose();
-        assert!(ckpt(false).save(old.core.t, &old).is_some());
+        // …the same state tagged with the previous schema does not.
+        let mut old: CoreCkpt = ckpt(true).resume_state().expect("a checkpoint");
+        old.schema = "hetero-threaded-ckpt/v3".into();
+        assert!(ckpt(false).save(old.t, &old).is_some());
         assert_eq!(resumes(ckpt(true)), 0.0);
         let _ = std::fs::remove_dir_all(&dir);
     }

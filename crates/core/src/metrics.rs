@@ -127,6 +127,12 @@ pub struct TrainResult {
     pub loss_curve: Vec<LossPoint>,
     /// Per-worker accounting, CPU first then GPUs.
     pub workers: Vec<WorkerStats>,
+    /// The simulator's loss evaluations, modelled on the first GPU (Figure
+    /// 7's spikes) and kept off every worker's timeline. Empty on the
+    /// threaded engine, which evaluates on the coordinator's host threads.
+    /// Skipped in serialization like the workers' raw timelines.
+    #[serde(skip)]
+    pub eval_timeline: UtilizationTimeline,
     /// Total run duration (seconds) on the engine's clock, which starts
     /// after run start-up (model initialisation and, on a sparse run, the
     /// CSR compression): a caller timing `run()` sees `duration` plus the
@@ -285,6 +291,7 @@ mod tests {
                     timeline_summary: TimelineSummary::default(),
                 },
             ],
+            eval_timeline: UtilizationTimeline::new(),
             duration: 3.0,
             epochs: 1.5,
             trace_path: None,
@@ -340,6 +347,7 @@ mod tests {
             dataset: "y".into(),
             loss_curve: vec![],
             workers: vec![],
+            eval_timeline: UtilizationTimeline::new(),
             duration: 0.0,
             epochs: 0.0,
             trace_path: None,

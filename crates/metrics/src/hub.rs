@@ -33,7 +33,9 @@ pub enum Metric {
     /// Time spent inside `SharedModel::merge` per merge (ns).
     MergeWait,
     /// Stripes found owned by another merger while merging one delta
-    /// (count; merger ↔ merger contention).
+    /// (count; merger ↔ merger contention). Dense and row-sparse merges
+    /// alike: a run's GPU merges all take one path, and the
+    /// `engine.sparse_density` gauge says which.
     MergeRetries,
     /// Gradient staleness per applied update: shared-model version at merge
     /// minus version at read (count of interleaved foreign updates).
@@ -44,14 +46,11 @@ pub enum Metric {
     /// Layer-0 weight columns touched by one sparse merge/apply (count;
     /// the batch's active-column set size — the row-sparsity measure).
     RowsTouched,
-    /// Stripes found owned by another merger while merging one delta via
-    /// the **sparse** merge path (count; compare with `MergeRetries`).
-    MergeRetriesSparse,
 }
 
 impl Metric {
     /// Every metric, in declaration order.
-    pub const ALL: [Metric; 10] = [
+    pub const ALL: [Metric; 9] = [
         Metric::BatchLatency,
         Metric::QueueWait,
         Metric::H2d,
@@ -61,7 +60,6 @@ impl Metric {
         Metric::Staleness,
         Metric::CkptWrite,
         Metric::RowsTouched,
-        Metric::MergeRetriesSparse,
     ];
 
     /// Stable snake_case name (without unit suffix).
@@ -76,7 +74,6 @@ impl Metric {
             Metric::Staleness => "staleness",
             Metric::CkptWrite => "ckpt_write",
             Metric::RowsTouched => "rows_touched",
-            Metric::MergeRetriesSparse => "merge_retries_sparse",
         }
     }
 }

@@ -53,7 +53,8 @@ use crate::sink::Trace;
 pub struct PhaseProfile {
     /// Before the first batch on the critical path is ready.
     pub startup_secs: f64,
-    /// Ready → worker start (channel latency + worker availability).
+    /// Range ready to run → worker start (channel latency + worker
+    /// availability).
     pub queue_secs: f64,
     /// Model snapshot + batch gather / CSR slice.
     pub stage_secs: f64,

@@ -33,6 +33,7 @@ use std::path::{Path, PathBuf};
 
 mod audit;
 mod lexer;
+mod loc;
 mod reach;
 
 use lexer::{has_word, preprocess, Line};
@@ -93,8 +94,13 @@ fn main() {
         Some("reach") => {
             std::process::exit(reach::run(&args[1..], &workspace_root()));
         }
+        Some("loc") => {
+            std::process::exit(loc::run(&args[1..], &workspace_root()));
+        }
         _ => {
-            eprintln!("usage: cargo xtask <lint [--self-check] | audit [--self-check] | reach>");
+            eprintln!(
+                "usage: cargo xtask <lint [--self-check] | audit [--self-check] | reach | loc>"
+            );
             std::process::exit(2);
         }
     }

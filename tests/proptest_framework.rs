@@ -94,6 +94,7 @@ proptest! {
                 LossPoint { time: 1.0, epochs: 1.0, loss: basis, accuracy: 0.0 },
             ],
             workers: vec![],
+            eval_timeline: Default::default(),
             duration: 1.0,
             epochs: 1.0,
             trace_path: None,
