@@ -256,6 +256,7 @@ impl TrainConfig {
             // converged run.
             return Err("eval subsample must be positive".into());
         }
+        self.init.validate()?;
         self.adaptive.validate()
     }
 }

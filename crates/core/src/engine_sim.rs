@@ -955,25 +955,28 @@ mod tests {
     /// loss curve bit for bit: it pins the CSR kernels' accumulation order,
     /// the initial model and the simulator's wave arithmetic. One table per
     /// dispatch level (the dense tail's GEMMs and activations differ between
-    /// them). The tables were re-recorded when a simulated wave's lanes
-    /// became one gradient per run of equal-length lanes: only the
-    /// summation order moved, by at most 8 f32 ulps (AVX2) and 5 (scalar)
-    /// from the previous tables over all 29 points, at the same 426 updates.
+    /// them); both start at the same initial loss, because the initial model
+    /// is bit-identical at both levels. The tables were re-recorded when the
+    /// initial model became the counter-based normal stream (every weight a
+    /// pure function of seed, layer and storage index, no longer draw
+    /// `o·in + c` of a sequential Box–Muller stream): a new initial model,
+    /// so every point moved (initial loss 0.916 → 0.763, final 0.0436 →
+    /// 0.0451), at the same 426 updates.
     #[test]
     fn sparse_run_reproduces_the_recorded_loss_curve() {
         const AVX2: [u32; 29] = [
-            0x3f6a751b, 0x3f5bab0a, 0x3f34b13a, 0x3f3582b3, 0x3f278d60, 0x3f3fc096, 0x3f22c15e,
-            0x3f2e73bd, 0x3f0066c2, 0x3f00e158, 0x3edfb038, 0x3ec2889f, 0x3eacf5af, 0x3e8316e7,
-            0x3e55a027, 0x3e2f7b89, 0x3e12ffa1, 0x3e0dacaa, 0x3df706e7, 0x3dd26783, 0x3dc04f2f,
-            0x3d9e3666, 0x3d8c3b9d, 0x3d7a5328, 0x3d619e2e, 0x3d5ce975, 0x3d4c6e0c, 0x3d3b7add,
-            0x3d32a6f0,
+            0x3f435c17, 0x3f37a3bb, 0x3f30aad6, 0x3f33c9bc, 0x3f2ddae6, 0x3f6167ba, 0x3f2a4172,
+            0x3f46d99c, 0x3f0b5253, 0x3f0ee7a4, 0x3ef5a6c7, 0x3edd1bcc, 0x3ebc3b63, 0x3e90298f,
+            0x3e6a9679, 0x3e3f6d9a, 0x3e1ef8cb, 0x3e19fc21, 0x3e054747, 0x3de2b8aa, 0x3dce96e8,
+            0x3da88c49, 0x3d94aa84, 0x3d84057c, 0x3d6cee80, 0x3d675b99, 0x3d5597ae, 0x3d42c19c,
+            0x3d38aec1,
         ];
         const SCALAR: [u32; 29] = [
-            0x3f6a751b, 0x3f5bab0b, 0x3f34b13a, 0x3f3582b2, 0x3f278d60, 0x3f3fc096, 0x3f22c15d,
-            0x3f2e73bc, 0x3f0066c2, 0x3f00e158, 0x3edfb038, 0x3ec288a0, 0x3eacf5af, 0x3e8316e8,
-            0x3e55a028, 0x3e2f7b8a, 0x3e12ffa2, 0x3e0dacab, 0x3df706e9, 0x3dd26784, 0x3dc04f30,
-            0x3d9e3666, 0x3d8c3b9d, 0x3d7a5327, 0x3d619e2e, 0x3d5ce976, 0x3d4c6e0d, 0x3d3b7add,
-            0x3d32a6f1,
+            0x3f435c17, 0x3f37a3bb, 0x3f30aad6, 0x3f33c9bc, 0x3f2ddae6, 0x3f6167b9, 0x3f2a4172,
+            0x3f46d99d, 0x3f0b5253, 0x3f0ee7a4, 0x3ef5a6c7, 0x3edd1bcb, 0x3ebc3b63, 0x3e90298f,
+            0x3e6a9679, 0x3e3f6d9a, 0x3e1ef8cb, 0x3e19fc21, 0x3e054747, 0x3de2b8a9, 0x3dce96e8,
+            0x3da88c48, 0x3d94aa84, 0x3d84057c, 0x3d6cee80, 0x3d675b9a, 0x3d5597ae, 0x3d42c19c,
+            0x3d38aec2,
         ];
         let data = hetero_data::PaperDataset::RealSim.generate(0.01, 42);
         let mut cfg = tiny_config(AlgorithmKind::CpuGpuHogbatch, 0.02);
@@ -1331,6 +1334,20 @@ mod tests {
         cfg.train.max_epochs = Some(2);
         let r = SimEngine::new(cfg).unwrap().run(&data);
         assert!(r.epochs <= 2.01, "epochs {}", r.epochs);
+    }
+
+    #[test]
+    fn rejects_an_init_that_draws_no_model() {
+        use hetero_nn::InitScheme;
+        for init in [
+            InitScheme::Normal(-0.1),
+            InitScheme::Normal(f32::NAN),
+            InitScheme::Constant(f32::INFINITY),
+        ] {
+            let mut cfg = tiny_config(AlgorithmKind::CpuGpuHogbatch, 1.0);
+            cfg.train.init = init;
+            assert!(SimEngine::new(cfg).is_err(), "{init:?}");
+        }
     }
 
     #[test]

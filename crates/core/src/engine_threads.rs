@@ -1393,6 +1393,20 @@ mod tests {
     }
 
     #[test]
+    fn rejects_an_init_that_draws_no_model() {
+        use hetero_nn::InitScheme;
+        for init in [
+            InitScheme::Normal(-0.1),
+            InitScheme::Normal(f32::NAN),
+            InitScheme::Constant(f32::INFINITY),
+        ] {
+            let mut cfg = config(AlgorithmKind::CpuGpuHogbatch, 0.1);
+            cfg.train.init = init;
+            assert!(ThreadedEngine::new(cfg).is_err(), "{init:?}");
+        }
+    }
+
+    #[test]
     fn tensorflow_rejected() {
         assert!(ThreadedEngine::new(config(AlgorithmKind::TensorFlow, 0.1)).is_err());
     }

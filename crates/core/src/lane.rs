@@ -80,10 +80,10 @@ where
 }
 
 /// `model()` on the calling thread while, on a sparse run, a scoped thread
-/// compresses the CSR copy: the initialiser is compute-bound (Box–Muller
-/// per weight), the compression memory-bound (one scan of the dense
-/// matrix), and neither reads what the other writes, so side by side they
-/// cost the longer of the two (DESIGN.md §4k). A dense run spawns nothing.
+/// compresses the CSR copy: neither reads what the other writes, so side by
+/// side they cost the longer of the two — the compression, one scan of the
+/// dense matrix, against a few milliseconds of vectorised normal draws
+/// (DESIGN.md §4k). A dense run spawns nothing.
 /// The scope joins before returning, so a panic in either half reaches the
 /// caller and no thread outlives the call.
 fn source_beside<D>(

@@ -60,39 +60,6 @@ fn weights(l: usize, fan_in: usize, fan_out: usize) -> Matrix {
     }
 }
 
-/// Layer `l`'s initial weights in its storage layout. Every layer draws
-/// weight `(o, c)` as draw `o·in + c` of its stream; layer 0 stores it at
-/// `(c, o)`, taking [`INIT_TILE_ROWS`] output rows of draws at a time through a
-/// reused buffer so that each 64-byte line of its store is written once —
-/// no full-size `out × in` draw to transpose afterwards.
-fn initial_weights(
-    l: usize,
-    fan_in: usize,
-    fan_out: usize,
-    mut draw: impl FnMut() -> f32,
-) -> Matrix {
-    let mut w = weights(l, fan_in, fan_out);
-    if l > 0 {
-        w.as_mut_slice().iter_mut().for_each(|v| *v = draw());
-        return w;
-    }
-    let mut tile = vec![0.0; INIT_TILE_ROWS.min(fan_out) * fan_in];
-    for o0 in (0..fan_out).step_by(INIT_TILE_ROWS) {
-        let rows = INIT_TILE_ROWS.min(fan_out - o0);
-        let tile = &mut tile[..rows * fan_in];
-        tile.iter_mut().for_each(|v| *v = draw());
-        for (c, line) in w.as_mut_slice().chunks_exact_mut(fan_out).enumerate() {
-            for (r, v) in line[o0..o0 + rows].iter_mut().enumerate() {
-                *v = tile[r * fan_in + c];
-            }
-        }
-    }
-    w
-}
-
-/// Output rows of layer 0 drawn per tile: 16 floats fill a 64-byte line.
-const INIT_TILE_ROWS: usize = 16;
-
 impl Model {
     /// Every stripe of the flat layout, in order: per layer its weight rows,
     /// then its bias.
@@ -136,26 +103,25 @@ impl Model {
 
     /// Allocate and initialize a model for `spec`.
     ///
-    /// Each layer gets an independent deterministic stream derived from
-    /// `seed`, so models are reproducible across runs and across replica
-    /// deep-copies.
+    /// Every weight is a pure function of `seed`, its layer and its index in
+    /// the layer's storage ([`InitScheme`]'s stream), so a model is the same
+    /// across runs, replica deep-copies and dispatch levels. Biases start at
+    /// zero.
     ///
-    /// The draw fills each layer's weights in logical `(out, in)` order —
-    /// weight `(o, c)` is draw `o·in + c` of its stream — whatever the
-    /// layer's storage, so the initial model is the same function of the
-    /// seed in either layout.
+    /// # Panics
+    /// Panics if `spec` or `scheme` is invalid.
     pub fn new(spec: MlpSpec, scheme: InitScheme, seed: u64) -> Self {
         spec.validate().expect("invalid MlpSpec");
+        scheme.validate().expect("invalid InitScheme");
         let layers = spec
             .layer_dims()
             .iter()
             .enumerate()
             .map(|(l, &(fan_in, fan_out))| {
-                let layer_seed =
-                    seed.wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(l as u64 + 1));
-                let draw = scheme.draws(fan_in, fan_out, layer_seed);
+                let mut w = weights(l, fan_in, fan_out);
+                scheme.fill_layer(seed, l, fan_in, fan_out, w.as_mut_slice());
                 Layer {
-                    w: initial_weights(l, fan_in, fan_out, draw),
+                    w,
                     b: vec![0.0; fan_out],
                 }
             })
@@ -341,31 +307,6 @@ mod tests {
         let c = Model::new(spec(), InitScheme::PaperNormal, 8);
         assert_eq!(a, b);
         assert_ne!(a, c);
-    }
-
-    /// Only layer 0's store is transposed: its weight at logical `(o, c)`
-    /// is still draw `o·in + c` of the layer's stream, so a seed names the
-    /// same initial model in either layout.
-    #[test]
-    fn layer0_holds_the_logical_draw_transposed() {
-        for scheme in [InitScheme::PaperNormal, InitScheme::Xavier] {
-            let seed = 41;
-            let m = Model::new(spec(), scheme, seed);
-            let (fan_in, fan_out) = spec().layer_dims()[0];
-            let mut draw = vec![0.0; fan_in * fan_out];
-            let layer_seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            scheme.fill(fan_in, fan_out, layer_seed, &mut draw);
-            for o in 0..fan_out {
-                for c in 0..fan_in {
-                    let stored = m.layers()[0].w.get(c, o);
-                    assert_eq!(
-                        stored.to_bits(),
-                        draw[o * fan_in + c].to_bits(),
-                        "({o}, {c})"
-                    );
-                }
-            }
-        }
     }
 
     #[test]

@@ -340,6 +340,133 @@ pub fn sumsq_nonfinite(x: &[f32]) -> (f64, u64) {
     (sumsq, nonfinite)
 }
 
+/// Fill `out` with positions `first..first + out.len()` of the normal stream
+/// keyed by `key`, scaled by `sigma` — the initial-weight draw.
+///
+/// Position `j` is a pure function of `(key, j)`: the two counters of pair
+/// `j / 2` hash to two 24-bit uniforms, and an f32 Box–Muller turns them into
+/// `σ·r·cos θ` (even `j`) and `σ·r·sin θ` (odd `j`). Any sub-range can be
+/// drawn alone, in any order, on any thread, and equals the same positions
+/// of one long draw. `ln` and `sincos` are short polynomials in separate
+/// mul and add — no libm, no FMA — so both dispatch levels give the same
+/// bits. Every value lies within `σ·√(2·ln 2²⁴)` (to f32 rounding).
+///
+/// # Panics
+/// Panics if the range reaches past position 2³² (the counters are 32-bit).
+pub fn normal_fill(key: u64, first: u64, sigma: f32, out: &mut [f32]) {
+    let end = first.checked_add(out.len() as u64);
+    assert!(
+        end.is_some_and(|e| e <= 1 << 32),
+        "normal stream ends past 2^32"
+    );
+    let key = [key as u32, (key >> 32) as u32];
+    let mut pair = (first / 2) as u32;
+    let (head, out) = out.split_at_mut(((first % 2) as usize).min(out.len()));
+    if let [z] = head {
+        *z = normal_pair(key, pair, sigma)[1];
+        pair += 1;
+    }
+    let (pairs, tail) = out.split_at_mut(out.len() & !1);
+    match simd::active_level() {
+        SimdLevel::Avx2 => simd::normal_pairs(key, pair, sigma, pairs),
+        SimdLevel::Scalar => normal_pairs(key, pair, sigma, pairs),
+    }
+    if let [z] = tail {
+        *z = normal_pair(key, pair + (pairs.len() / 2) as u32, sigma)[0];
+    }
+}
+
+/// Stream pairs `pair, pair + 1, …` into `out` (even length), both halves
+/// kept: the portable body of [`normal_fill`], and the AVX2 body's tail.
+pub(crate) fn normal_pairs(key: [u32; 2], pair: u32, sigma: f32, out: &mut [f32]) {
+    for (p, z) in (pair..).zip(out.chunks_exact_mut(2)) {
+        z.copy_from_slice(&normal_pair(key, p, sigma));
+    }
+}
+
+// The normal stream's constants, shared with its AVX2 twin in `simd.rs`.
+/// Multipliers of `mix32` (Wellons' `lowbias32`, a bijection on `u32`).
+pub(crate) const MIX: [u32; 2] = [0x7feb_352d, 0x846c_a68b];
+/// `2⁻²⁴`: a 24-bit integer to a uniform.
+pub(crate) const TWO_POW_M24: f32 = 1.0 / 16_777_216.0;
+/// `2π / 2²⁴`: one step of a 24-bit angle.
+pub(crate) const ANGLE_STEP: f32 = std::f32::consts::PI / 8_388_608.0;
+/// `ln 2` in two parts, the high one exact in a few bits (Cephes `logf`).
+pub(crate) const LN2: [f32; 2] = [0.693_359_4, -2.121_944_4e-4];
+/// Cephes `logf` on `z = m − 1`, `m ∈ [√½, √2)`, highest degree first.
+pub(crate) const LN_POLY: [f32; 9] = [
+    7.037_683_6e-2,
+    -1.151_461e-1,
+    1.167_699_84e-1,
+    -1.242_014_1e-1,
+    1.424_932_3e-1,
+    -1.666_805_7e-1,
+    2.000_071_4e-1,
+    -2.499_999_4e-1,
+    3.333_333e-1,
+];
+/// Cephes `sinf` / `cosf` on `φ ∈ [−π/4, π/4]`, highest degree first.
+pub(crate) const SIN_POLY: [f32; 3] = [-1.951_529_6e-4, 8.332_161e-3, -1.666_665_5e-1];
+pub(crate) const COS_POLY: [f32; 3] = [2.443_315_7e-5, -1.388_731_6e-3, 4.166_664_6e-2];
+
+/// Wellons' `lowbias32` integer hash.
+#[inline(always)]
+fn mix32(x: u32) -> u32 {
+    let x = (x ^ (x >> 16)).wrapping_mul(MIX[0]);
+    let x = (x ^ (x >> 15)).wrapping_mul(MIX[1]);
+    x ^ (x >> 16)
+}
+
+/// Stream pair `pair` under `key`: `[σ·r·cos θ, σ·r·sin θ]`. Counter `2·pair`
+/// gives the radius, `2·pair + 1` the angle.
+#[inline(always)]
+pub(crate) fn normal_pair([k0, k1]: [u32; 2], pair: u32, sigma: f32) -> [f32; 2] {
+    let hash = |c: u32| mix32(mix32(c ^ k0) ^ k1);
+    let (a, b) = (hash(2 * pair), hash(2 * pair + 1));
+    // r = √(−2·ln u), u = (a₂₄ + 1)·2⁻²⁴ ∈ [2⁻²⁴, 1], exact in f32.
+    let u = ((a >> 8) + 1) as f32 * TWO_POW_M24;
+    let sr = sigma * (ln_poly(u) * -2.0).sqrt();
+    // θ = b₂₄ steps = q·π/2 + φ with φ ∈ [−π/4, π/4): quadrant `q` swaps
+    // and negates the two halves exactly.
+    let w = ((b >> 8) + (1 << 21)) & 0xff_ffff;
+    let phi = ((w & 0x3f_ffff) as i32 - (1 << 21)) as f32 * ANGLE_STEP;
+    let (s, c) = sincos_poly(phi);
+    let q = w >> 22;
+    let (c, s) = if q & 1 == 1 { (s, c) } else { (c, s) };
+    let cos = f32::from_bits(c.to_bits() ^ (((q + 1) & 2) << 30));
+    let sin = f32::from_bits(s.to_bits() ^ ((q & 2) << 30));
+    [sr * cos, sr * sin]
+}
+
+/// `ln u` for a normal `u > 0`: exponent and mantissa `m ∈ [√½, √2)`, then
+/// Cephes' polynomial in `m − 1`.
+#[inline(always)]
+fn ln_poly(u: f32) -> f32 {
+    let bits = u.to_bits();
+    let m = f32::from_bits((bits & 0x007f_ffff) | 0x3f00_0000);
+    let e = (bits >> 23) as i32 - 126;
+    let low = m < std::f32::consts::FRAC_1_SQRT_2;
+    let (e, m) = if low { (e - 1, m + m) } else { (e, m) };
+    let (z, e) = (m - 1.0, e as f32);
+    let z2 = z * z;
+    let p = LN_POLY[1..].iter().fold(LN_POLY[0], |y, &c| y * z + c);
+    let y = p * z * z2;
+    let y = e * LN2[1] + y;
+    let y = z2 * -0.5 + y;
+    e * LN2[0] + (z + y)
+}
+
+/// `(sin φ, cos φ)` for `|φ| ≤ π/4`.
+#[inline(always)]
+fn sincos_poly(phi: f32) -> (f32, f32) {
+    let z = phi * phi;
+    let ps = SIN_POLY[1..].iter().fold(SIN_POLY[0], |y, &c| y * z + c);
+    let pc = COS_POLY[1..].iter().fold(COS_POLY[0], |y, &c| y * z + c);
+    let sin = ps * z * phi + phi;
+    let cos = pc * z * z + z * -0.5 + 1.0;
+    (sin, cos)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -37,6 +37,15 @@
 //! any packing and run the portable kernels in [`crate::gemm`]. All three
 //! choices read the shape of the whole product only (`is_skinny`).
 //!
+//! The element-wise kernels, and how each compares with its portable loop:
+//!
+//! | kernels | polynomials | against the portable loop |
+//! |---|---|---|
+//! | `axpy`, `axpby`, `scale`, `hadamard*`, `add_row_broadcast`, `col_sum_into`, `relu`, the three `mul_*_deriv`, `spmm_csr`, `spmm_tn_csr` | — | bit-identical |
+//! | `sigmoid`, `tanh` | `exp8` (FMA) | within ~1e-6 (the loop calls libm) |
+//! | `normal_pairs` (the initial-weight stream) | `ln8`, `sincos8` (mul + add, never FMA) | bit-identical |
+//! | `sumsq_nonfinite` | — | to f64 rounding (lane-parallel sum) |
+//!
 //! Safety discipline: every `unsafe` block in this module carries a SAFETY
 //! comment, and every function that touches an intrinsic is annotated
 //! `#[target_feature(enable = "avx2,fma")]` — `cargo xtask lint` enforces
@@ -348,12 +357,21 @@ avx2_entry!(
     )
 );
 
+avx2_entry!(
+    /// Pairs `pair, pair + 1, …` of the normal stream into `out` (even
+    /// length), eight pairs per step: the same integer hash and the same
+    /// separate mul/add sequence as `ops::normal_pair`, which draws the
+    /// tail — bit-identical to the portable loop.
+    normal_pairs(key: [u32; 2], pair: u32, sigma: f32, out: &mut [f32])
+);
+
 #[cfg(target_arch = "x86_64")]
 mod imp {
     #[cfg(target_arch = "x86_64")]
     use core::arch::x86_64::*;
 
     use super::{Operand, PackBufs, MR};
+    use crate::ops::{ANGLE_STEP, COS_POLY, LN2, LN_POLY, MIX, SIN_POLY, TWO_POW_M24};
 
     /// Columns of the register tile: two ymm vectors.
     const NR: usize = 16;
@@ -1010,6 +1028,120 @@ mod imp {
             _mm256_set1_epi32(0x7f),
         )));
         _mm256_mul_ps(y, pow2)
+    }
+
+    /// `a·b + c` rounded twice, the portable twin's order. `--cfg
+    /// hetero_init_fma` fuses it — a seeded mutation the cross-level test
+    /// of the normal stream must catch.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    fn madd(a: __m256, b: __m256, c: __m256) -> __m256 {
+        #[cfg(not(hetero_init_fma))]
+        let y = _mm256_add_ps(_mm256_mul_ps(a, b), c);
+        #[cfg(hetero_init_fma)]
+        let y = _mm256_fmadd_ps(a, b, c);
+        y
+    }
+
+    /// Horner's rule over `coef` (highest degree first) through [`madd`].
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    fn horner(coef: &[f32], z: __m256) -> __m256 {
+        coef[1..].iter().fold(_mm256_set1_ps(coef[0]), |y, &c| {
+            madd(y, z, _mm256_set1_ps(c))
+        })
+    }
+
+    /// `ops::mix32` on eight lanes.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    fn mix8(x: __m256i) -> __m256i {
+        let x = _mm256_xor_si256(x, _mm256_srli_epi32::<16>(x));
+        let x = _mm256_mullo_epi32(x, _mm256_set1_epi32(MIX[0] as i32));
+        let x = _mm256_xor_si256(x, _mm256_srli_epi32::<15>(x));
+        let x = _mm256_mullo_epi32(x, _mm256_set1_epi32(MIX[1] as i32));
+        _mm256_xor_si256(x, _mm256_srli_epi32::<16>(x))
+    }
+
+    /// `ops::ln_poly` on eight lanes.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    fn ln8(u: __m256) -> __m256 {
+        let bits = _mm256_castps_si256(u);
+        let m = _mm256_castsi256_ps(_mm256_or_si256(
+            _mm256_and_si256(bits, _mm256_set1_epi32(0x007f_ffff)),
+            _mm256_set1_epi32(0x3f00_0000),
+        ));
+        let e = _mm256_sub_epi32(_mm256_srli_epi32::<23>(bits), _mm256_set1_epi32(126));
+        let low = _mm256_cmp_ps::<_CMP_LT_OQ>(m, _mm256_set1_ps(std::f32::consts::FRAC_1_SQRT_2));
+        // `low` is −1 in its lanes: e − 1 and m + m there, e and m + 0 elsewhere.
+        let e = _mm256_cvtepi32_ps(_mm256_add_epi32(e, _mm256_castps_si256(low)));
+        let m = _mm256_add_ps(m, _mm256_and_ps(low, m));
+        let z = _mm256_sub_ps(m, _mm256_set1_ps(1.0));
+        let z2 = _mm256_mul_ps(z, z);
+        let y = _mm256_mul_ps(_mm256_mul_ps(horner(&LN_POLY, z), z), z2);
+        let y = madd(e, _mm256_set1_ps(LN2[1]), y);
+        let y = madd(z2, _mm256_set1_ps(-0.5), y);
+        madd(e, _mm256_set1_ps(LN2[0]), _mm256_add_ps(z, y))
+    }
+
+    /// `ops::sincos_poly` on eight lanes.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    fn sincos8(phi: __m256) -> (__m256, __m256) {
+        let z = _mm256_mul_ps(phi, phi);
+        let sin = madd(_mm256_mul_ps(horner(&SIN_POLY, z), z), phi, phi);
+        let cos = madd(
+            _mm256_mul_ps(horner(&COS_POLY, z), z),
+            z,
+            _mm256_mul_ps(z, _mm256_set1_ps(-0.5)),
+        );
+        (sin, _mm256_add_ps(cos, _mm256_set1_ps(1.0)))
+    }
+
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) fn normal_pairs(key: [u32; 2], pair: u32, sigma: f32, out: &mut [f32]) {
+        let n16 = out.len() & !15;
+        let i32x8 = |v: u32| _mm256_set1_epi32(v as i32);
+        let (one, two) = (i32x8(1), i32x8(2));
+        let hash = |c: __m256i| {
+            mix8(_mm256_xor_si256(
+                mix8(_mm256_xor_si256(c, i32x8(key[0]))),
+                i32x8(key[1]),
+            ))
+        };
+        let mut p = 0;
+        while p < n16 {
+            let first = 2 * (pair + (p / 2) as u32);
+            let ca = _mm256_add_epi32(i32x8(first), _mm256_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14));
+            let (a, b) = (hash(ca), hash(_mm256_add_epi32(ca, one)));
+            let m = _mm256_add_epi32(_mm256_srli_epi32::<8>(a), one);
+            let u = _mm256_mul_ps(_mm256_cvtepi32_ps(m), _mm256_set1_ps(TWO_POW_M24));
+            let r = _mm256_sqrt_ps(_mm256_mul_ps(ln8(u), _mm256_set1_ps(-2.0)));
+            let sr = _mm256_mul_ps(_mm256_set1_ps(sigma), r);
+            let w = _mm256_and_si256(
+                _mm256_add_epi32(_mm256_srli_epi32::<8>(b), i32x8(1 << 21)),
+                i32x8(0xff_ffff),
+            );
+            let frac = _mm256_sub_epi32(_mm256_and_si256(w, i32x8(0x3f_ffff)), i32x8(1 << 21));
+            let (s, c) = sincos8(_mm256_mul_ps(
+                _mm256_cvtepi32_ps(frac),
+                _mm256_set1_ps(ANGLE_STEP),
+            ));
+            let q = _mm256_srli_epi32::<22>(w);
+            let swap = _mm256_castsi256_ps(_mm256_cmpeq_epi32(_mm256_and_si256(q, one), one));
+            let (c, s) = (_mm256_blendv_ps(c, s, swap), _mm256_blendv_ps(s, c, swap));
+            let cos_sign = _mm256_slli_epi32::<30>(_mm256_and_si256(_mm256_add_epi32(q, one), two));
+            let sin_sign = _mm256_slli_epi32::<30>(_mm256_and_si256(q, two));
+            let zc = _mm256_mul_ps(sr, _mm256_xor_ps(c, _mm256_castsi256_ps(cos_sign)));
+            let zs = _mm256_mul_ps(sr, _mm256_xor_ps(s, _mm256_castsi256_ps(sin_sign)));
+            // [c0 s0 c1 s1 | c4 s4 c5 s5] and [c2 s2 c3 s3 | c6 s6 c7 s7].
+            let (lo, hi) = (_mm256_unpacklo_ps(zc, zs), _mm256_unpackhi_ps(zc, zs));
+            store8(out, p, _mm256_permute2f128_ps::<0x20>(lo, hi));
+            store8(out, p + 8, _mm256_permute2f128_ps::<0x31>(lo, hi));
+            p += 16;
+        }
+        crate::ops::normal_pairs(key, pair + (n16 / 2) as u32, sigma, &mut out[n16..]);
     }
 
     #[target_feature(enable = "avx2,fma")]

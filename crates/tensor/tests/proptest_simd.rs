@@ -177,6 +177,50 @@ proptest! {
         prop_assert_eq!(run(SimdLevel::Scalar), run(SimdLevel::Avx2));
     }
 
+    /// The normal stream is bit-exact across levels from any start, at any
+    /// length: odd heads and tails, and part-filled blocks of eight pairs.
+    #[test]
+    fn normal_fill_bit_exact_across_levels(
+        key in any::<u64>(),
+        first in 0u64..100,
+        len in 0usize..100,
+        sigma in 0.0f32..4.0,
+    ) {
+        let run = |level: SimdLevel| {
+            let mut z = vec![0.0f32; len];
+            simd::with_level(level, || ops::normal_fill(key, first, sigma, &mut z));
+            z.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        };
+        prop_assert_eq!(run(SimdLevel::Scalar), run(SimdLevel::Avx2));
+    }
+
+    /// Any split of a range, drawn piece by piece in reverse order, equals
+    /// one draw of the whole range, at both levels.
+    #[test]
+    fn normal_fill_pieces_equal_the_whole(
+        key in any::<u64>(),
+        first in 0u64..40,
+        cuts in proptest::collection::vec(0usize..120, 0..6),
+    ) {
+        let len = 120;
+        for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
+            simd::with_level(level, || {
+                let mut whole = vec![0.0f32; len];
+                ops::normal_fill(key, first, 1.0, &mut whole);
+                let mut bounds = cuts.clone();
+                bounds.extend([0, len]);
+                bounds.sort_unstable();
+                let mut pieces = vec![f32::NAN; len];
+                for w in bounds.windows(2).rev() {
+                    let (s, e) = (w[0], w[1]);
+                    ops::normal_fill(key, first + s as u64, 1.0, &mut pieces[s..e]);
+                }
+                let bits = |z: &[f32]| z.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&pieces), bits(&whole), "{level:?}");
+            });
+        }
+    }
+
     /// Activations with a polynomial-exp SIMD path agree to float tolerance
     /// (they are NOT bit-exact by design) and preserve range invariants.
     #[test]

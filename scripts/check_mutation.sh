@@ -26,7 +26,10 @@
 # `--cfg hetero_stale_l0_rows` skips that re-zero. In
 # crates/core/src/engine_sim.rs a run of k simulated Hogwild lanes is one
 # gradient applied at k times one lane's step; `--cfg hetero_wave_unscaled`
-# drops the k. This script asserts that:
+# drops the k. In crates/tensor/src/simd.rs the AVX2 draw of the initial
+# weights' normal stream rounds every polynomial step twice, as its portable
+# twin does; `--cfg hetero_init_fma` fuses them with `_mm256_fmadd_ps`. This
+# script asserts that:
 #   1. the suites pass as written, and
 #   2. each suite FAILS under its mutation the way the bug would show (a
 #      data-race report for the queue, both two-merger models losing an
@@ -34,7 +37,8 @@
 #      reference model about the window / the re-queue / the credit / the
 #      batch size, a scripted run ending with ranges never trained, a
 #      reused workspace's gradient differing from a fresh one's, a wave
-#      differing from its lanes applied one by one),
+#      differing from its lanes applied one by one, the two dispatch levels
+#      drawing different initial weights),
 # i.e. the checker genuinely guards the edge.
 #
 # Usage: scripts/check_mutation.sh   (from anywhere in the repo)
@@ -50,11 +54,13 @@ model="-p hetero-core --lib coordinator_matches_the_reference_model"
 run="-p hetero-core --lib coordinator::tests::run_"
 support="-p hetero-nn --lib sparse_input::tests"
 wave="-p hetero-core --lib a_wave_is_the_sum_of_its_lanes"
+init="-p hetero-tensor --test proptest_simd normal_fill"
 
-echo "[1/11] baseline: loom queue, shared-model, coordinator-model, event-loop, sparse-support and sim-wave suites must pass as written"
+echo "[1/12] baseline: loom queue, shared-model, coordinator-model, event-loop, sparse-support, sim-wave and init-stream suites must pass as written"
 # shellcheck disable=SC2086
 if ! { cargo test $queue -q && cargo test $shared -q && cargo test $model -q \
-    && cargo test $run -q && cargo test $support -q && cargo test $wave -q; } >"$log" 2>&1; then
+    && cargo test $run -q && cargo test $support -q && cargo test $wave -q \
+    && cargo test $init -q; } >"$log" 2>&1; then
     echo "FAIL: baseline suite is red"
     tail -40 "$log"
     exit 1
@@ -64,7 +70,7 @@ fi
 check_mutation() {
     local cfg="$1" desc="$2" step="$3" suite="$4"
     shift 4
-    echo "[$step/11] mutation: suite must FAIL with $desc"
+    echo "[$step/12] mutation: suite must FAIL with $desc"
     # shellcheck disable=SC2086
     if RUSTFLAGS="--cfg $cfg" cargo test $suite -q >"$log" 2>&1; then
         echo "FAIL: $desc mutation was NOT caught"
@@ -114,5 +120,9 @@ check_mutation hetero_stale_l0_rows "a CSR backward not re-zeroing the previous 
 # A run applied at one lane's step moves the model less than its lanes did.
 check_mutation hetero_wave_unscaled "a run of simulated lanes applied without its lane count" 11 \
     "$wave" "wave differs from its lanes"
+# A fused AVX2 polynomial step rounds once where the portable twin rounds
+# twice, so the two levels stop drawing the same initial weights.
+check_mutation hetero_init_fma "an AVX2 normal draw fusing its polynomial steps" 12 \
+    "$init" "normal_fill_bit_exact_across_levels"
 
-echo "OK: all ten seeded mutations are caught"
+echo "OK: all eleven seeded mutations are caught"
