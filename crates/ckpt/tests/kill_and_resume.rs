@@ -60,8 +60,6 @@ fn sim_config(seed: u64) -> SimEngineConfig {
         train,
         cpu,
         gpus: vec![gpu],
-        tf_op_overhead: 20e-6,
-        tf_multilabel_penalty: 3.0,
         fault_plan: FaultPlan::none(),
     }
 }

@@ -15,6 +15,10 @@
 //! window is filled again, so a range a retired worker gives back goes to
 //! the first survivor with room — also to one that had run out of work.
 //!
+//! Around the loop, [`run_engine`] is the one run skeleton: it sets every
+//! run up, scores it and closes it. An engine brings only its [`Engine`]
+//! facts, its workers and its clock.
+//!
 //! Time stamps: the coordinator always emits with [`TraceSink::emit`], so
 //! events carry the sink's own clock — wall seconds since the sink was
 //! created on the threaded engine, and on the simulation engine the
@@ -25,7 +29,8 @@
 //! is why an observed simulation is bit-identical to an unobserved one.
 
 use std::collections::VecDeque;
-use std::time::Instant;
+use std::ops::Deref;
+use std::time::{Duration, Instant};
 
 use hetero_ckpt::Checkpointer;
 use hetero_data::batch::BatchRange;
@@ -34,7 +39,7 @@ use hetero_flight::{
     FlightRecorder, HealthAction, HealthSnapshot, Provenance, Watchdog, WatchdogState,
 };
 use hetero_metrics::{HistHandle, Metric, MetricsHub, GLOBAL_WORKER};
-use hetero_nn::{MergeScan, Model};
+use hetero_nn::{MergeScan, MlpSpec, Model};
 use hetero_sim::UtilizationTimeline;
 use hetero_trace::{CounterHandle, EventKind, GaugeHandle, TimeDomain, TraceSink, COORDINATOR};
 use serde::{Deserialize, Serialize};
@@ -42,6 +47,7 @@ use serde::{Deserialize, Serialize};
 use crate::adaptive::{AdaptiveController, WorkerBatchState};
 use crate::config::TrainConfig;
 use crate::fault::WorkerError;
+use crate::lane::{eval_subset, BatchSource, Evaluator};
 use crate::metrics::{LossPoint, TrainResult, WorkerKind, WorkerStats};
 
 /// Everything optional about a run: where its events, metrics, health
@@ -103,49 +109,24 @@ impl Default for RunCtx {
     }
 }
 
-/// What an engine tells [`Coordinator::new`] about the run it is starting.
-pub(crate) struct Setup<'a> {
-    /// Provenance name of the engine (`threaded` / `sim`).
-    pub engine: &'static str,
+/// What only an engine knows about the run it is starting; [`run_engine`]
+/// sets up everything else.
+pub(crate) struct Engine<'a> {
+    /// Provenance name (`threaded` / `sim`).
+    pub name: &'static str,
     /// Clock the engine runs on (picks the recorder's fallback sink).
     pub domain: TimeDomain,
-    /// Label for [`TrainResult::algorithm`].
-    pub algorithm: &'a str,
+    /// Tag of the engine's checkpoint layout.
+    pub schema: &'static str,
+    pub spec: &'a MlpSpec,
     pub train: &'a TrainConfig,
-    pub dataset: &'a DenseDataset,
-    /// Layers of the network (sizes the watchdog's per-layer table).
-    pub layers: usize,
-    /// One slot per worker with its initial batch-size state.
-    pub workers: Vec<(WorkerKind, WorkerBatchState)>,
-}
-
-/// Initial batch state of a CPU worker with `lanes` Hogwild threads over
-/// `n` examples. Paper §VI: an adaptive run starts the CPU at its *lower*
-/// threshold (one example per thread = Hogwild); a static run pins it at
-/// `cpu_batch_per_thread` per lane.
-pub(crate) fn cpu_batch_state(train: &TrainConfig, lanes: usize, n: usize) -> WorkerBatchState {
-    let n = n.max(1);
-    if train.algorithm.is_adaptive() {
-        let min_b = train.adaptive.cpu_min_batch.max(lanes).min(n);
-        WorkerBatchState::new(min_b, min_b, train.adaptive.cpu_max_batch.max(min_b))
-    } else {
-        let b = (train.cpu_batch_per_thread * lanes).min(n).max(1);
-        WorkerBatchState::new(b, b, b)
-    }
-}
-
-/// Initial batch state of a GPU worker whose device memory holds at most
-/// `mem_cap` examples (§VI-B). An adaptive run starts the GPU at its
-/// *upper* threshold; a static run pins it at `gpu_batch`.
-pub(crate) fn gpu_batch_state(train: &TrainConfig, mem_cap: usize) -> WorkerBatchState {
-    if train.algorithm.is_adaptive() {
-        let max_b = train.adaptive.gpu_max_batch.min(mem_cap).max(1);
-        let min_b = train.adaptive.gpu_min_batch.min(max_b).max(1);
-        WorkerBatchState::new(max_b, min_b, max_b)
-    } else {
-        let b = train.gpu_batch.min(mem_cap).max(1);
-        WorkerBatchState::new(b, b, b)
-    }
+    /// Hogwild lanes of the CPU worker.
+    pub cpu_lanes: usize,
+    /// Per GPU worker: the most examples its device memory holds.
+    pub gpu_caps: Vec<usize>,
+    /// Threads the workers keep runnable, as `(own, pooled)`: their own,
+    /// and those that each fan GEMMs out to a `train.rayon_threads` pool.
+    pub runnable: (usize, usize),
 }
 
 /// Feed one per-layer gradient scan to the watchdog. `step` is the
@@ -243,9 +224,6 @@ pub(crate) trait Backend {
         range: BatchRange,
     ) -> Result<(), WorkerError>;
 
-    /// Called once, after every worker's first dispatches.
-    fn primed(&mut self) {}
-
     /// Wait for the next thing that happens.
     fn next_event(&mut self, co: &Coordinator<'_>) -> Event;
 
@@ -256,6 +234,12 @@ pub(crate) trait Backend {
     /// ([`Coordinator::capture`] plus the backend's tail, through
     /// [`Coordinator::save`]).
     fn checkpoint(&mut self, co: &Coordinator<'_>, t: f64);
+
+    /// The loop is over: stop the workers and leave [`Backend::now`] at the
+    /// run's end. Returns the faults workers reported on their way out.
+    fn close(&mut self) -> Vec<(usize, WorkerError)> {
+        Vec::new()
+    }
 }
 
 /// Per-worker counters a resumed run continues from. The watchdog's
@@ -366,26 +350,26 @@ pub(crate) struct Coordinator<'a> {
 }
 
 impl<'a> Coordinator<'a> {
-    pub fn new(setup: Setup<'a>, ctx: &'a RunCtx) -> Self {
-        let Setup {
-            engine,
-            domain,
-            algorithm,
-            train,
-            dataset,
-            layers,
-            workers,
-        } = setup;
+    /// A fresh run of `engine` over `dataset`, with one slot per entry of
+    /// `workers` and its initial batch-size state.
+    pub fn new(
+        engine: &Engine<'a>,
+        dataset: &DenseDataset,
+        workers: Vec<(WorkerKind, WorkerBatchState)>,
+        ctx: &'a RunCtx,
+    ) -> Self {
+        let train = engine.train;
+        let algorithm = train.algorithm.label();
         let sink = if ctx.flight.enabled() && !ctx.sink.enabled() {
-            ctx.flight.make_sink(domain)
+            ctx.flight.make_sink(engine.domain)
         } else {
             ctx.sink.clone()
         };
         let watchdog = ctx.flight.watchdog();
-        watchdog.ensure_layers(layers);
+        watchdog.ensure_layers(engine.spec.num_layers());
         if ctx.flight.enabled() {
             ctx.flight.set_provenance(Provenance {
-                engine: engine.into(),
+                engine: engine.name.into(),
                 algorithm: algorithm.to_string(),
                 dataset: dataset.name.clone(),
                 workers: workers.len(),
@@ -471,7 +455,6 @@ impl<'a> Coordinator<'a> {
     /// health policy and checkpoint when one is due.
     pub fn run<B: Backend>(&mut self, backend: &mut B) {
         self.top_up(backend, 0);
-        backend.primed();
         loop {
             if self.poll_health() {
                 break;
@@ -762,14 +745,25 @@ impl<'a> Coordinator<'a> {
         self.curve.push(point);
     }
 
-    /// The engine's clock starts now: publish the wall seconds since
-    /// `entered` (`run_with`'s first line) as `engine.startup_s` — model
-    /// initialisation and the sparse run's CSR compression, which no loss
-    /// point's `time` and no `TrainResult::duration` counts.
-    pub fn clock_starts(&self, entered: Instant) {
+    /// Start-up is over and the engine's clock has started: publish the
+    /// wall seconds it took as `engine.startup_s` — model initialisation,
+    /// CSR compression and (threaded) the shared model's copy, which no
+    /// loss point's `time` and no `TrainResult::duration` counts.
+    fn clock_starts(&self, startup: Duration) {
         self.sink
             .gauge("engine.startup_s")
-            .set(entered.elapsed().as_secs_f64());
+            .set(startup.as_secs_f64());
+    }
+
+    /// The run's eval batch: the seeded subsample ([`eval_subset`]) of `src`
+    /// every loss point scores. An engine gathers it once its clock runs.
+    pub fn evaluator<D>(&self, src: &BatchSource<D>, spec: &MlpSpec) -> Evaluator
+    where
+        D: Deref<Target = DenseDataset>,
+    {
+        let train = self.train;
+        let rows = eval_subset(src.dataset.len(), train.eval_subsample, train.seed);
+        Evaluator::new(src, &rows, spec)
     }
 
     /// The loss before any update (a resumed run restores its curve
@@ -922,17 +916,6 @@ impl<'a> Coordinator<'a> {
         }
     }
 
-    /// The newest valid checkpoint, when the run was asked to resume and
-    /// the file is this engine's: the schema tag rejects another engine's
-    /// (or an older layout's) file, the worker-count guard a differently
-    /// shaped run's. `core` picks the envelope out of the engine's state.
-    pub fn load<T: Deserialize>(&self, schema: &str, core: impl Fn(&T) -> &CoreCkpt) -> Option<T> {
-        self.ctx.ckpt.resume_state::<T>().filter(|s| {
-            let c = core(s);
-            c.schema == schema && c.workers.len() == self.workers()
-        })
-    }
-
     /// Replace the freshly initialized coordinator state wholesale with a
     /// loaded envelope and hand back its model image.
     pub fn restore(&mut self, core: CoreCkpt) -> Model {
@@ -1011,11 +994,142 @@ impl<'a> Coordinator<'a> {
     }
 }
 
+// --- The run skeleton ---------------------------------------------------------
+
+/// One run, set up, resumed, scored and closed the same way on every
+/// engine. The engine brings its [`Engine`] facts; `split`, which takes
+/// its checkpoint state `T` apart into its tail `X` and the envelope; and
+/// `build`, which starts its clock and its workers, gathers the eval batch
+/// ([`Coordinator::evaluator`]) once the clock runs, and returns its
+/// [`Backend`] with the instant its clock started. The skeleton does the
+/// rest, in this order: the worker slots ([`slots`]) and the
+/// [`Coordinator`]; resume; start-up ([`source_beside`]); the sparse
+/// density; `build`; `engine.startup_s`, from entry to the clock's start;
+/// the GEMM pool; the initial point, unless the run resumed (its curve
+/// came back with the checkpoint); the loop; closing the backend, retiring
+/// the faults its workers reported on the way out; and the final point, at
+/// the backend's clock — the run's duration. Returns the result and the
+/// backend, for what only the engine adds.
+pub(crate) fn run_engine<D: Deref<Target = DenseDataset> + Send, T: Deserialize, X, B: Backend>(
+    engine: Engine<'_>,
+    dataset: D,
+    ctx: &RunCtx,
+    split: impl FnOnce(T) -> (X, CoreCkpt),
+    build: impl FnOnce(&mut Coordinator<'_>, BatchSource<D>, Model, Option<X>) -> (B, Instant),
+) -> (TrainResult, B) {
+    let entered = Instant::now();
+    let (train, spec) = (engine.train, engine.spec);
+    assert_eq!(dataset.features(), spec.input_dim, "feature width");
+    let mut co = Coordinator::new(&engine, &dataset, slots(&engine, dataset.len()), ctx);
+    // Resume from the newest valid checkpoint: another engine's (or an
+    // older layout's) file, or a differently shaped run's, is refused.
+    let (tail, core) = (ctx.ckpt.resume_state::<T>().map(split))
+        .filter(|(_, c)| c.schema == engine.schema && c.workers.len() == co.workers())
+        .unzip();
+    let resumed = core.is_some();
+    let (src, model) = source_beside(dataset, train.sparse_input, || match core {
+        Some(core) => co.restore(core),
+        None => Model::new(spec.clone(), train.init, train.seed),
+    });
+    // Only on sparse runs, so a reader can tell the dense path (gauge
+    // absent) from a fully dense batch on the sparse path.
+    if let Some(density) = src.density() {
+        co.sink.gauge("engine.sparse_density").set(density);
+    }
+    let (mut backend, started) = build(&mut co, src, model, tail);
+    co.clock_starts(started - entered);
+    // The GEMM pool, pinned to `train.rayon_threads` (0 = one per host core)
+    // and installed around the rest of the run, which runs on one of its
+    // threads: the simulator's gradients and every eval fan out to it. The
+    // run oversubscribes the host by `own + pooled × pool` runnable threads
+    // ([`Engine::runnable`]) less its cores.
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(train.rayon_threads)
+        .build()
+        .expect("gemm pool");
+    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let (own, pooled) = engine.runnable;
+    let requested = own + pooled * pool.current_num_threads();
+    co.sink
+        .counter("engine.pool_oversubscription")
+        .add(requested.saturating_sub(host) as u64);
+    pool.install(|| {
+        // `hetero_point_on_resume` is a mutation switch for
+        // `scripts/check_mutation.sh`.
+        if !resumed || cfg!(hetero_point_on_resume) {
+            co.initial_point(backend.score(0.0));
+        }
+        co.run(&mut backend);
+        for (worker, error) in backend.close() {
+            co.retire(worker, &error);
+        }
+        let last = backend.score(co.epochs_elapsed());
+        let duration = backend.now();
+        (co.finish(last, duration), backend)
+    })
+}
+
+/// The run's worker slots — the CPU first when the algorithm uses one,
+/// then one per GPU — with their initial batch states (paper §VI). An
+/// adaptive run starts the CPU at its *lower* threshold (one example per
+/// lane = Hogwild) and each GPU at its *upper* one, bounded by what its
+/// memory holds (§VI-B); a static run pins the CPU at
+/// `cpu_batch_per_thread` per lane and each GPU at `gpu_batch`.
+fn slots(engine: &Engine<'_>, n: usize) -> Vec<(WorkerKind, WorkerBatchState)> {
+    let (train, lanes, n) = (engine.train, engine.cpu_lanes, n.max(1));
+    let (algo, a) = (train.algorithm, &train.adaptive);
+    let pinned = |b: usize| WorkerBatchState::new(b, b, b);
+    let cpu = if algo.is_adaptive() {
+        let min_b = a.cpu_min_batch.max(lanes).min(n);
+        WorkerBatchState::new(min_b, min_b, a.cpu_max_batch.max(min_b))
+    } else {
+        pinned((train.cpu_batch_per_thread * lanes).min(n).max(1))
+    };
+    let gpu = |&cap: &usize| {
+        let max_b = a.gpu_max_batch.min(cap).max(1);
+        let state = if algo.is_adaptive() {
+            WorkerBatchState::new(max_b, a.gpu_min_batch.min(max_b).max(1), max_b)
+        } else {
+            pinned(train.gpu_batch.min(cap).max(1))
+        };
+        (WorkerKind::Gpu, state)
+    };
+    let cpu = algo.uses_cpu().then_some((WorkerKind::Cpu, cpu));
+    let gpus = engine.gpu_caps.iter().filter(|_| algo.uses_gpu());
+    cpu.into_iter().chain(gpus.map(gpu)).collect()
+}
+
+/// `model()` on the calling thread while, on a sparse run, a scoped thread
+/// compresses the CSR copy: neither reads what the other writes, so side by
+/// side they cost the longer of the two — the compression, one scan of the
+/// dense matrix, against a few milliseconds of vectorised normal draws
+/// (DESIGN.md §4k). A dense run spawns nothing.
+/// The scope joins before returning, so a panic in either half reaches the
+/// caller and no thread outlives the call.
+fn source_beside<D: Deref<Target = DenseDataset> + Send>(
+    dataset: D,
+    sparse: bool,
+    model: impl FnOnce() -> Model,
+) -> (BatchSource<D>, Model) {
+    if !sparse {
+        return (BatchSource::new(dataset, false), model());
+    }
+    std::thread::scope(|s| {
+        let src = s.spawn(move || BatchSource::new(dataset, true));
+        let model = model();
+        match src.join() {
+            Ok(src) => (src, model),
+            Err(panic) => std::panic::resume_unwind(panic),
+        }
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine_threads::DISPATCH_WINDOW;
     use hetero_data::SynthConfig;
+    use hetero_nn::{Activation, LossKind};
     use proptest::prelude::*;
 
     fn range(start: usize, end: usize) -> BatchRange {
@@ -1028,6 +1142,30 @@ mod tests {
 
     /// Two pinned workers (CPU 4, GPU 16).
     const PINNED: [(usize, usize); 2] = [(4, 4), (16, 16)];
+
+    /// The network the coordinator tests pretend to train: it sizes the
+    /// watchdog's table and nothing else.
+    static SPEC: MlpSpec = MlpSpec {
+        input_dim: 4,
+        hidden: Vec::new(),
+        classes: 2,
+        activation: Activation::Sigmoid,
+        loss: LossKind::SoftmaxCrossEntropy,
+    };
+
+    /// The facts of a test engine with `gpus` GPU workers.
+    fn engine(train: &TrainConfig, gpus: usize) -> Engine<'_> {
+        Engine {
+            name: "test",
+            domain: TimeDomain::Virtual,
+            schema: "test/v1",
+            spec: &SPEC,
+            train,
+            cpu_lanes: 4,
+            gpu_caps: vec![16; gpus],
+            runnable: (0, 1),
+        }
+    }
 
     /// One CPU worker, then GPU workers, with the given `[min_b, max_b]`,
     /// started the way the engines start them: the CPU at its floor, the
@@ -1042,18 +1180,8 @@ mod tests {
             0 => (WorkerKind::Cpu, WorkerBatchState::new(lo, lo, hi)),
             _ => (WorkerKind::Gpu, WorkerBatchState::new(hi, lo, hi)),
         });
-        Coordinator::new(
-            Setup {
-                engine: "test",
-                domain: TimeDomain::Virtual,
-                algorithm: "test",
-                train,
-                dataset: data,
-                layers: 2,
-                workers: workers.collect(),
-            },
-            ctx,
-        )
+        let engine = engine(train, bounds.len() - 1);
+        Coordinator::new(&engine, data, workers.collect(), ctx)
     }
 
     fn end_point(epochs: f64) -> LossPoint {
@@ -1608,6 +1736,69 @@ mod tests {
             trained,
             vec![range(0, 4), range(4, 8), range(8, 24), range(24, 40)]
         );
+    }
+
+    /// A fresh run of the skeleton starts from the seeded model and, on a
+    /// sparse run, a CSR copy; scores it before the loop and after it; and
+    /// trains the whole schedule through the engine's backend.
+    #[test]
+    fn run_engine_starts_from_the_seeded_model() {
+        let data = SynthConfig::small(40, 4, 2, 1).generate();
+        for sparse in [false, true] {
+            let train = TrainConfig {
+                sparse_input: sparse,
+                seed: 11,
+                ..model_train(1)
+            };
+            let build = |co: &mut Coordinator<'_>,
+                         src: BatchSource<&DenseDataset>,
+                         model,
+                         resume: Option<()>| {
+                assert!(resume.is_none());
+                assert_eq!(model, Model::new(SPEC.clone(), train.init, train.seed));
+                assert_eq!(src.csr, sparse.then(|| data.to_csr()));
+                assert!(
+                    std::ptr::eq(src.dataset, &data),
+                    "the caller's dataset, not a copy"
+                );
+                let script = Script {
+                    steps: Vec::new().into_iter(),
+                    held: vec![VecDeque::new(); co.workers()],
+                    trained: Vec::new(),
+                };
+                (script, Instant::now())
+            };
+            let split = |core: CoreCkpt| ((), core);
+            let ctx = RunCtx::default();
+            let (r, script) = run_engine(engine(&train, 1), &data, &ctx, split, build);
+            assert_eq!(r.loss_curve.len(), 2, "initial and final point");
+            let trained: usize = script.trained.iter().map(BatchRange::len).sum();
+            assert_eq!((trained, r.epochs), (40, 1.0));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "initialiser blew up")]
+    fn panicking_model_half_panics_the_caller() {
+        let data = SynthConfig::small(40, 4, 2, 1).generate();
+        source_beside(&data, true, || panic!("initialiser blew up"));
+    }
+
+    /// A dataset handle whose every use panics — on the compression
+    /// thread, since nothing else touches it before the join.
+    struct Bomb;
+
+    impl Deref for Bomb {
+        type Target = DenseDataset;
+        fn deref(&self) -> &DenseDataset {
+            panic!("compression blew up")
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "compression blew up")]
+    fn panicking_compression_half_panics_the_caller() {
+        source_beside(Bomb, true, || Model::zeros_like(&SPEC));
     }
 
     proptest! {

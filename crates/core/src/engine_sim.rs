@@ -44,15 +44,14 @@ use hetero_sim::{CpuModel, DeviceModel, EventQueue, GpuModel, UtilizationTimelin
 use hetero_trace::{BatchPhases, CounterHandle, EventKind, TimeDomain, TraceSink};
 use serde::{Deserialize, Serialize};
 
-use crate::adaptive::WorkerBatchState;
 use crate::config::{AlgorithmKind, TrainConfig};
 use crate::coordinator::{
-    cpu_batch_state, gpu_batch_state, observe_scan, record_busy, Backend, Coordinator, CoreCkpt,
-    Done, Event, RunCtx, Setup,
+    observe_scan, record_busy, run_engine, Backend, Coordinator, CoreCkpt, Done, Engine, Event,
+    RunCtx,
 };
 use crate::fault::{FaultPlan, WorkerError};
-use crate::lane::{eval_subset, start_up, BatchSource, Evaluator, Lane};
-use crate::metrics::{LossPoint, TrainResult, WorkerKind};
+use crate::lane::{BatchSource, Evaluator, Lane};
+use crate::metrics::{LossPoint, TrainResult, WorkerKind, WorkerStats};
 
 /// Hardware and comparator parameters for a simulated run.
 #[derive(Debug, Clone)]
@@ -66,13 +65,6 @@ pub struct SimEngineConfig {
     /// GPU models; the paper evaluates with one V100, more are supported
     /// (the paper's multi-GPU future work).
     pub gpus: Vec<GpuModel>,
-    /// TensorFlow comparator: per-primitive dispatch overhead (§II —
-    /// "scheduling primitives instead of the complete SGD has more
-    /// overhead").
-    pub tf_op_overhead: f64,
-    /// TensorFlow comparator: slowdown factor on multi-label losses
-    /// (§VII-B: delicious "is much slower in TensorFlow").
-    pub tf_multilabel_penalty: f64,
     /// Deterministic fault injection (empty = fault-free run). The sim
     /// honours [`crate::FaultKind::DieAfterBatches`] and
     /// [`crate::FaultKind::PoisonGradientAt`]; the OOM and lane kinds need
@@ -89,12 +81,19 @@ impl SimEngineConfig {
             train,
             cpu: CpuModel::xeon_pair(),
             gpus: vec![GpuModel::v100()],
-            tf_op_overhead: 20e-6,
-            tf_multilabel_penalty: 3.0,
             fault_plan: FaultPlan::none(),
         }
     }
 }
+
+/// TensorFlow comparator: dispatch overhead of each of a step's ~8
+/// primitives per layer (§II: "scheduling primitives instead of the
+/// complete SGD has more overhead").
+const TF_OP_OVERHEAD: f64 = 20e-6;
+
+/// TensorFlow comparator: slowdown of a step on a multi-label loss
+/// (§VII-B: delicious "is much slower in TensorFlow").
+const TF_MULTILABEL_PENALTY: f64 = 3.0;
 
 enum Device {
     Cpu(CpuModel),
@@ -102,13 +101,6 @@ enum Device {
 }
 
 impl Device {
-    fn kind(&self) -> WorkerKind {
-        match self {
-            Device::Cpu(_) => WorkerKind::Cpu,
-            Device::Gpu(_) => WorkerKind::Gpu,
-        }
-    }
-
     /// Modelled utilization while the device runs a batch of `batch`
     /// examples.
     fn busy_utilization(&self, batch: usize) -> f64 {
@@ -320,160 +312,97 @@ impl SimEngine {
     /// schedule, so the timeline and the math are bit-identical whatever
     /// is attached — only an explicit health-policy action changes a run.
     pub fn run_with(&self, dataset: &DenseDataset, ctx: &RunCtx) -> TrainResult {
-        let entered = Instant::now();
-        // Pin the GEMM fan-out to `train.rayon_threads` (0 = host cores)
-        // for the whole run; the sim is single-coordinator, so the only
-        // oversubscription possible is the pool itself exceeding the host.
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(self.cfg.train.rayon_threads)
-            .build()
-            .expect("sim gemm pool");
-        let host = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let oversubscribed = pool.current_num_threads().saturating_sub(host) as u64;
-        pool.install(|| self.run_inner(dataset, ctx, oversubscribed, entered))
-    }
-
-    fn run_inner(
-        &self,
-        dataset: &DenseDataset,
-        ctx: &RunCtx,
-        oversubscribed: u64,
-        entered: Instant,
-    ) -> TrainResult {
         let cfg = &self.cfg;
-        let train = &cfg.train;
-        let algo = train.algorithm;
-        let spec = &cfg.spec;
-        assert_eq!(
-            dataset.features(),
-            spec.input_dim,
-            "dataset features != network input_dim"
-        );
-
-        // --- Devices & workers -------------------------------------------------
-        let mut devices: Vec<Device> = Vec::new();
-        if algo.uses_cpu() {
-            devices.push(Device::Cpu(cfg.cpu.clone()));
-        }
-        if algo.uses_gpu() {
-            for g in &cfg.gpus {
-                devices.push(Device::Gpu(g.clone()));
-            }
-        }
-        let mut co = Coordinator::new(
-            Setup {
-                engine: "sim",
-                domain: TimeDomain::Virtual,
-                algorithm: algo.label(),
-                train,
-                dataset,
-                layers: spec.num_layers(),
-                workers: devices
-                    .iter()
-                    .map(|d| (d.kind(), self.initial_batch(d, dataset.len())))
-                    .collect(),
-            },
-            ctx,
-        );
-        let sink = co.sink.clone();
-        sink.counter("engine.pool_oversubscription")
-            .add(oversubscribed);
-
-        // --- Resume from the newest valid checkpoint ----------------------------
-        // Its model image is restored by start-up; the rest of it replaces
-        // the freshly initialized state below.
-        let (core, resume) = co
-            .load(SIM_CKPT_SCHEMA, |s: &SimCkpt| &s.core)
-            .map(|s| {
-                let cadence = (s.global_updates, s.last_epoch_evaled, s.last_eval_time);
-                (s.core, (cadence, s.pending))
-            })
-            .unzip();
-
-        // --- Data, model, eval subset -------------------------------------------
-        let (src, model) = start_up(dataset, spec, train, &mut co, core);
-        co.clock_starts(entered);
-        let eval_rows = eval_subset(dataset.len(), train.eval_subsample, train.seed);
-        let evaluator = Evaluator::new(&src, &eval_rows, spec);
-        let mut sim = SimBackend {
-            cfg,
-            obs: SimObs::new(&ctx.hub, devices.len()),
-            devices,
-            health_scan: MergeScan::for_model(&model),
-            src,
-            model,
-            evaluator,
-            eval_timeline: UtilizationTimeline::new(),
-            queue: EventQueue::new(),
-            global_updates: 0,
-            scratch: SimScratch::new(spec),
-            sink: sink.clone(),
-            timeline_rejects: co.timeline_rejects.clone(),
-            last_epoch_evaled: 0,
-            last_eval_time: 0.0,
-            first_eval: None,
+        let engine = Engine {
+            name: "sim",
+            domain: TimeDomain::Virtual,
+            schema: SIM_CKPT_SCHEMA,
+            spec: &cfg.spec,
+            train: &cfg.train,
+            cpu_lanes: cfg.cpu.threads,
+            gpu_caps: cfg.gpus.iter().map(|g| self.mem_cap(g)).collect(),
+            // One host thread runs every simulated worker and fans its
+            // GEMMs out to the pool.
+            runnable: (0, 1),
         };
-        // A reused sink may still hold a previous run's clock.
-        sink.set_virtual_now(0.0);
-        match resume {
-            Some((cadence, pending)) => {
-                (
-                    sim.global_updates,
-                    sim.last_epoch_evaled,
-                    sim.last_eval_time,
-                ) = cadence;
-                // Re-schedule the in-flight events in pop order: fresh
-                // monotone sequence numbers preserve the original
-                // tie-breaking, so the continuation is bit-identical to the
-                // uninterrupted run. (Its workers are already in flight:
-                // their completion events came back with the checkpoint.)
-                for (at, ev) in pending {
-                    if let Ev::Complete {
-                        id, worker, range, ..
-                    } = &ev
-                    {
-                        co.adopt(*worker, *id, *range);
-                    }
-                    sim.queue.schedule_at(at, ev);
+        let split = |s: SimCkpt| {
+            let cadence = (s.global_updates, s.last_epoch_evaled, s.last_eval_time);
+            ((cadence, s.pending), s.core)
+        };
+        // The backend over `co`'s worker slots at virtual time zero: a fresh
+        // run's, or — `resume` carries the checkpoint's cadence and pending
+        // events — the continuation of a captured one.
+        let build = |co: &mut Coordinator<'_>, src, model: Model, resume: Option<SimTail>| {
+            // The virtual clock starts once start-up is over.
+            let started = Instant::now();
+            let mut gpus = cfg.gpus.iter().cloned();
+            let mut device = |s: &WorkerStats| match s.kind {
+                WorkerKind::Cpu => Device::Cpu(cfg.cpu.clone()),
+                WorkerKind::Gpu => Device::Gpu(gpus.next().expect("one model per GPU slot")),
+            };
+            let devices: Vec<Device> = co.stats.iter().map(&mut device).collect();
+            // A fresh run is a resumed one with nothing done and nothing
+            // pending, plus its first periodic eval.
+            let first_eval = resume
+                .is_none()
+                .then(|| cfg.train.eval_interval.min(cfg.train.time_budget));
+            let ((global_updates, last_epoch_evaled, last_eval_time), pending) =
+                resume.unwrap_or_default();
+            let evaluator = co.evaluator(&src, &cfg.spec);
+            let mut sim = SimBackend {
+                cfg,
+                obs: SimObs::new(&ctx.hub, devices.len()),
+                devices,
+                health_scan: MergeScan::for_model(&model),
+                src,
+                model,
+                evaluator,
+                eval_timeline: UtilizationTimeline::new(),
+                queue: EventQueue::new(),
+                global_updates,
+                scratch: SimScratch::new(&cfg.spec),
+                sink: co.sink.clone(),
+                timeline_rejects: co.timeline_rejects.clone(),
+                last_epoch_evaled,
+                last_eval_time,
+                first_eval,
+                closed: false,
+            };
+            // A reused sink may still hold a previous run's clock.
+            sim.sink.set_virtual_now(0.0);
+            // Re-schedule the in-flight events in pop order: fresh monotone
+            // sequence numbers preserve the original tie-breaking, so the run
+            // continues bit-identically. (Its workers are already in flight:
+            // their completion events came back with the checkpoint.)
+            for (at, ev) in pending {
+                if let Ev::Complete {
+                    id, worker, range, ..
+                } = &ev
+                {
+                    co.adopt(*worker, *id, *range);
                 }
+                sim.queue.schedule_at(at, ev);
             }
-            None => {
-                // Initial loss (identical across algorithms per §VII-A).
-                co.initial_point(sim.point(0.0, 0.0));
-                sim.first_eval = Some(train.eval_interval.min(train.time_budget));
-            }
-        }
-
-        co.run(&mut sim);
-
-        // Final loss at the budget boundary.
-        let budget = train.time_budget;
-        sink.set_virtual_now(budget);
-        let last = sim.point(budget, co.epochs_elapsed());
-        let mut result = co.finish(last, budget);
+            (sim, started)
+        };
+        let (mut result, sim) = run_engine(engine, dataset, ctx, split, build);
         result.eval_timeline = sim.eval_timeline;
         result
     }
 
-    /// Initial batch-size state of one worker (see
-    /// [`cpu_batch_state`] / [`gpu_batch_state`] for the paper's rule).
-    fn initial_batch(&self, device: &Device, n: usize) -> WorkerBatchState {
-        let train = &self.cfg.train;
+    /// §VI-B: device memory bounds the batch size — the most examples `g`
+    /// holds beside the model.
+    fn mem_cap(&self, g: &GpuModel) -> usize {
         let spec = &self.cfg.spec;
-        match device {
-            Device::Cpu(c) => cpu_batch_state(train, c.threads, n),
-            Device::Gpu(g) => {
-                // §VI-B: device memory bounds the batch size.
-                let example_bytes = 4 * spec.input_dim as u64;
-                let activation_bytes = 8 * spec.hidden.iter().sum::<usize>() as u64;
-                let mem_cap = g.max_batch(example_bytes + activation_bytes, spec.param_bytes());
-                gpu_batch_state(train, mem_cap.max(1))
-            }
-        }
+        let example_bytes = 4 * spec.input_dim as u64;
+        let activation_bytes = 8 * spec.hidden.iter().sum::<usize>() as u64;
+        g.max_batch(example_bytes + activation_bytes, spec.param_bytes())
     }
 }
+
+/// A [`SimCkpt`] beside its envelope: `(global_updates, last_epoch_evaled,
+/// last_eval_time)` and the pending events.
+type SimTail = ((u64, usize, f64), Vec<(f64, Ev)>);
 
 /// The simulator as a [`Backend`]: a virtual clock (the event queue),
 /// device cost models that decide when a batch lands, and the real
@@ -507,6 +436,9 @@ struct SimBackend<'a> {
     /// dispatches are, so that same-instant events pop in the order they
     /// always have.
     first_eval: Option<f64>,
+    /// Closed: the run ended at its budget, whatever the queue's last event
+    /// was.
+    closed: bool,
 }
 
 impl Backend for SimBackend<'_> {
@@ -514,7 +446,11 @@ impl Backend for SimBackend<'_> {
     const WINDOW: usize = 1;
 
     fn now(&self) -> f64 {
-        self.queue.now()
+        if self.closed {
+            self.cfg.train.time_budget
+        } else {
+            self.queue.now()
+        }
     }
 
     /// `ExecuteWork` begins: snapshot the model (into a spare when one is
@@ -579,14 +515,13 @@ impl Backend for SimBackend<'_> {
         Ok(())
     }
 
-    fn primed(&mut self) {
+    fn next_event(&mut self, co: &Coordinator<'_>) -> Event {
+        let train = &self.cfg.train;
+        // The loop asks for the first event once every worker has its first
+        // range.
         if let Some(at) = self.first_eval.take() {
             self.queue.schedule_at(at, Ev::Eval);
         }
-    }
-
-    fn next_event(&mut self, co: &Coordinator<'_>) -> Event {
-        let train = &self.cfg.train;
         let Some((t, ev)) = self.queue.pop() else {
             return Event::End;
         };
@@ -643,11 +578,10 @@ impl Backend for SimBackend<'_> {
                 let done = Done {
                     examples: range.len(),
                     updates,
-                    shrunk_to: None,
-                    leftover: None,
                     busy: (t - self.batch_cost(device, range.len()), t),
                     level: device.busy_utilization(range.len()),
                     eval,
+                    ..Done::default()
                 };
                 Event::Completed { worker, id, done }
             }
@@ -655,7 +589,7 @@ impl Backend for SimBackend<'_> {
     }
 
     fn score(&mut self, epochs: f64) -> LossPoint {
-        self.point(self.queue.now(), epochs)
+        self.point(self.now(), epochs)
     }
 
     /// Captured *between* events — the only instants at which the queue's
@@ -674,6 +608,12 @@ impl Backend for SimBackend<'_> {
                 .collect(),
         };
         co.save(t, &state);
+    }
+
+    fn close(&mut self) -> Vec<(usize, WorkerError)> {
+        self.closed = true;
+        self.sink.set_virtual_now(self.cfg.train.time_budget);
+        Vec::new()
     }
 }
 
@@ -717,9 +657,9 @@ impl SimBackend<'_> {
                     // Op-granularity scheduling: ~8 primitives per layer
                     // per step, each paying a dispatch overhead.
                     let ops = 8.0 * spec.num_layers() as f64;
-                    t += ops * self.cfg.tf_op_overhead;
+                    t += ops * TF_OP_OVERHEAD;
                     if spec.loss == hetero_nn::LossKind::MultiLabelBce {
-                        t *= self.cfg.tf_multilabel_penalty;
+                        t *= TF_MULTILABEL_PENALTY;
                     }
                 }
                 t
@@ -885,8 +825,6 @@ mod tests {
             train,
             cpu,
             gpus: vec![gpu],
-            tf_op_overhead: 20e-6,
-            tf_multilabel_penalty: 3.0,
             fault_plan: FaultPlan::none(),
         }
     }

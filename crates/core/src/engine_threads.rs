@@ -60,11 +60,10 @@ use hetero_trace::{BatchPhases, EventKind, TimeDomain, TraceSink, COORDINATOR};
 
 use crate::config::{AlgorithmKind, TrainConfig};
 use crate::coordinator::{
-    cpu_batch_state, gpu_batch_state, observe_scan, Backend, Coordinator, CoreCkpt, Done, Event,
-    RunCtx, Setup,
+    observe_scan, run_engine, Backend, Coordinator, CoreCkpt, Done, Engine, Event, RunCtx,
 };
 use crate::fault::{panic_message, FaultPlan, WorkerError};
-use crate::lane::{eval_subset, start_up, BatchSource, Evaluator, Lane};
+use crate::lane::{BatchSource, Evaluator, Lane};
 use crate::metrics::{LossPoint, TrainResult, WorkerKind};
 
 /// Configuration of the threaded engine.
@@ -192,162 +191,86 @@ impl ThreadedEngine {
     /// extra batch per worker, and every completion is credited and traced
     /// before the result is assembled.
     pub fn run_with(&self, dataset: Arc<DenseDataset>, ctx: &RunCtx) -> TrainResult {
-        let entered = Instant::now();
         let cfg = &self.cfg;
-        let train = &cfg.train;
-        let algo = train.algorithm;
-        let spec = &cfg.spec;
-        assert_eq!(dataset.features(), spec.input_dim, "feature width");
-
-        // Worker slots: CPU first (if used), then GPU.
-        let mut workers = Vec::new();
-        if algo.uses_cpu() {
-            let state = cpu_batch_state(train, cfg.cpu_threads, dataset.len());
-            workers.push((WorkerKind::Cpu, state));
-        }
-        if algo.uses_gpu() {
-            for _ in 0..cfg.gpu_workers.max(1) {
-                // The software device reports OOM at run time instead of
-                // bounding the batch up front.
-                workers.push((WorkerKind::Gpu, gpu_batch_state(train, usize::MAX)));
-            }
-        }
-        let mut co = Coordinator::new(
-            Setup {
-                engine: "threaded",
-                domain: TimeDomain::Wall,
-                algorithm: algo.label(),
-                train,
-                dataset: &dataset,
-                layers: spec.num_layers(),
-                workers,
-            },
-            ctx,
-        );
-
-        // --- Resume from the newest valid checkpoint ----------------------------
-        let core = co.load(THREADED_CKPT_SCHEMA, |core: &CoreCkpt| core);
-        let resumed = core.is_some();
-        // Training wall-seconds consumed by earlier incarnations: the
-        // resumed run offsets its clock by this, so its budget is what the
+        let algo = cfg.train.algorithm;
+        let gpus = cfg.gpu_workers.max(1);
+        let engine = Engine {
+            name: "threaded",
+            domain: TimeDomain::Wall,
+            schema: THREADED_CKPT_SCHEMA,
+            spec: &cfg.spec,
+            train: &cfg.train,
+            cpu_lanes: cfg.cpu_threads,
+            // The software device reports an OOM when it happens.
+            gpu_caps: vec![usize::MAX; gpus],
+            // Every Hogwild lane, beside every GPU worker's GEMM fan-out.
+            runnable: (
+                if algo.uses_cpu() { cfg.cpu_threads } else { 0 },
+                if algo.uses_gpu() { gpus } else { 0 },
+            ),
+        };
+        // The checkpoint is the envelope alone. A resumed run's clock
+        // continues from the capture's time, so its budget is what the
         // original run had not yet spent.
-        let t_base = core.as_ref().map_or(0.0, |c| c.t);
-        let (src, init) = start_up(Arc::clone(&dataset), spec, train, &mut co, core);
-        if resumed {
-            // A resumed run is a fresh set of threads: whoever had been
-            // quarantined when the checkpoint froze starts healthy.
-            for s in &mut co.stats {
-                s.retired = None;
+        let split = |core: CoreCkpt| (core.t, core);
+        // A clock over a shared model of `init`, and one thread per slot.
+        let build = |co: &mut Coordinator<'_>, src, init: Model, t_base: Option<f64>| {
+            // A run is a fresh set of threads: whoever had been quarantined
+            // when a resumed run's checkpoint froze starts healthy.
+            co.stats.iter_mut().for_each(|s| s.retired = None);
+            let shared = Arc::new(SharedModel::new(&init));
+            // The clock starts once the shared model is built: its copy of
+            // the model is start-up, not training time.
+            let clock = Clock {
+                t0: Instant::now(),
+                t_base: t_base.unwrap_or(0.0),
+            };
+            let sink = co.sink.clone();
+            let (ready_tx, ready_rx) =
+                channel_traced_lineage::<Event>(&sink, "ready", COORDINATOR, |e| match e {
+                    Event::Completed { id, .. } => Some(*id),
+                    _ => None,
+                });
+            // The workers hold the only ready senders once `env` drops.
+            let env = WorkerEnv {
+                src: Arc::new(src),
+                shared: Arc::clone(&shared),
+                ready: ready_tx,
+                clock,
+                train: cfg.train.clone(),
+                sink: sink.clone(),
+                hub: ctx.hub.clone(),
+                watchdog: co.watchdog.clone(),
+            };
+            let mut exec = Vec::new();
+            let mut workers = Vec::new();
+            for (slot, stat) in co.stats.iter().enumerate() {
+                let (tx, rx) = channel_traced_lineage::<Execute>(
+                    &sink,
+                    &format!("exec{slot}"),
+                    slot as u32,
+                    |m| Some(m.id),
+                );
+                exec.push(tx);
+                workers.push(self.spawn_worker(slot, stat.kind, rx, env.clone()));
             }
-        }
-        let src = Arc::new(src);
-        let shared = Arc::new(SharedModel::new(&init));
-
-        let clock = Clock {
-            t0: Instant::now(),
-            t_base,
+            let evaluator = co.evaluator(&env.src, &cfg.spec);
+            let eval_interval = Duration::from_secs_f64(cfg.train.eval_interval);
+            let backend = ThreadsBackend {
+                clock,
+                exec,
+                ready: ready_rx,
+                workers,
+                shared,
+                evaluator,
+                eval_model: init,
+                dispatched: false,
+                eval_interval,
+                next_eval: eval_interval,
+            };
+            (backend, clock.t0)
         };
-        co.clock_starts(entered);
-        let sink = co.sink.clone();
-        let (ready_tx, ready_rx) =
-            channel_traced_lineage::<Event>(&sink, "ready", COORDINATOR, |e| match e {
-                Event::Completed { id, .. } => Some(*id),
-                _ => None,
-            });
-        let env = WorkerEnv {
-            src: Arc::clone(&src),
-            shared: Arc::clone(&shared),
-            ready: ready_tx,
-            clock,
-            train: train.clone(),
-            sink: sink.clone(),
-            hub: ctx.hub.clone(),
-            watchdog: co.watchdog.clone(),
-        };
-        let mut exec = Vec::new();
-        let mut handles = Vec::new();
-        for (slot, stat) in co.stats.iter().enumerate() {
-            let (tx, rx) = channel_traced_lineage::<Execute>(
-                &sink,
-                &format!("exec{slot}"),
-                slot as u32,
-                |m| Some(m.id),
-            );
-            exec.push(tx);
-            handles.push(self.spawn_worker(slot, stat.kind, rx, env.clone()));
-        }
-        // The workers hold the only ready senders from here on.
-        drop(env);
-
-        // Published only on sparse runs, so a reader can tell "dense
-        // path" (gauge absent) from a fully dense batch on the sparse path.
-        if let Some(density) = src.density() {
-            sink.gauge("engine.sparse_density").set(density);
-        }
-
-        // Coordinator-side GEMM pool, pinned to `train.rayon_threads`
-        // (0 = one thread per host core): loss evaluations fan their
-        // parallel forward pass out to this pool instead of whatever
-        // `available_parallelism` says, so evals don't steal every core
-        // from the Hogwild lanes. Report how far the run as a whole
-        // oversubscribes the host: lanes plus per-GPU-worker GEMM fan-out
-        // can all be runnable at once.
-        let gemm_pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(train.rayon_threads)
-            .build()
-            .expect("coordinator gemm pool");
-        let host_threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let cpu_lanes = if algo.uses_cpu() { cfg.cpu_threads } else { 0 };
-        let gpu_slots = co.workers() - usize::from(algo.uses_cpu());
-        let requested = cpu_lanes + gpu_slots * gemm_pool.current_num_threads();
-        sink.counter("engine.pool_oversubscription")
-            .add(requested.saturating_sub(host_threads) as u64);
-
-        let eval_rows = eval_subset(dataset.len(), train.eval_subsample, train.seed);
-        let eval_interval = Duration::from_secs_f64(train.eval_interval);
-        let mut threads = ThreadsBackend {
-            clock,
-            exec,
-            ready: ready_rx,
-            shared: &shared,
-            evaluator: Evaluator::new(&src, &eval_rows, spec),
-            gemm_pool,
-            // One snapshot model for every eval of the run: the initial
-            // model's buffers, already warm.
-            eval_model: init,
-            // Reused so a checkpoint allocates nothing on the coordinator's
-            // steady path beyond the serialized payload.
-            ckpt_model: None,
-            eval_interval,
-            next_eval: eval_interval,
-        };
-        if !resumed {
-            // Nobody has written `shared` yet, so `init` *is* its snapshot;
-            // nothing has been dispatched either (dispatching first only
-            // moves the eval's CPU time onto the workers' cores).
-            co.initial_point(threads.point(0.0));
-        }
-
-        co.run(&mut threads);
-
-        // Shut down: hanging up the exec channels ends every worker's loop
-        // once it has trained what it was sent.
-        threads.exec.clear();
-        for h in handles {
-            let _ = h.join();
-        }
-        // Faults that raced the shutdown still deserve a retirement record.
-        while let Ok(event) = threads.ready.try_recv() {
-            if let Event::Faulted { worker, error } = event {
-                co.retire(worker, &error);
-            }
-        }
-        let last = threads.score(co.epochs_elapsed());
-        // Total training time across incarnations, not just this one.
-        let duration = threads.now();
-        co.finish(last, duration)
+        run_engine(engine, dataset, ctx, split, build).0
     }
 
     /// Start worker `slot`'s thread: its kind's body around the common
@@ -403,38 +326,26 @@ impl ThreadedEngine {
 /// The threaded engine as a [`Backend`]: the engine clock, the exec
 /// channels ranges go down, and the ready channel completions and faults
 /// come back on.
-struct ThreadsBackend<'a> {
+struct ThreadsBackend {
     clock: Clock,
     /// One sender per worker slot; dropping them is the shutdown.
     exec: Vec<Sender<Execute>>,
     ready: Receiver<Event>,
-    shared: &'a SharedModel,
+    workers: Vec<std::thread::JoinHandle<()>>,
+    shared: Arc<SharedModel>,
     evaluator: Evaluator,
-    gemm_pool: rayon::ThreadPool,
+    /// The one snapshot every eval scores and every checkpoint saves (both
+    /// run on the coordinator thread): the initial model's buffers, warm.
     eval_model: Model,
-    ckpt_model: Option<Model>,
+    /// Whether a range has gone out. Until one has, nobody has written
+    /// `shared`, and `eval_model` still is the initial model.
+    dispatched: bool,
     eval_interval: Duration,
     /// Since `clock.t0`.
     next_eval: Duration,
 }
 
-impl ThreadsBackend<'_> {
-    /// The loss point of `eval_model` as it stands.
-    fn point(&mut self, epochs: f64) -> LossPoint {
-        let (evaluator, model) = (&mut self.evaluator, &self.eval_model);
-        let (loss, accuracy) = self.gemm_pool.install(|| evaluator.score(model));
-        LossPoint {
-            // `t_base` splices a resumed incarnation's curve onto the
-            // restored prefix's time axis.
-            time: self.now(),
-            epochs,
-            loss,
-            accuracy,
-        }
-    }
-}
-
-impl Backend for ThreadsBackend<'_> {
+impl Backend for ThreadsBackend {
     const WINDOW: usize = DISPATCH_WINDOW;
 
     fn now(&self) -> f64 {
@@ -448,6 +359,7 @@ impl Backend for ThreadsBackend<'_> {
         id: u64,
         range: BatchRange,
     ) -> Result<(), WorkerError> {
+        self.dispatched = true;
         // A worker that died without a fault message hung up its end.
         self.exec[w]
             .send(Execute { id, range })
@@ -486,9 +398,20 @@ impl Backend for ThreadsBackend<'_> {
         }
     }
 
+    /// The loss point of a racy snapshot of the shared model, on the
+    /// engine clock (`t_base` splices a resumed incarnation's curve onto
+    /// the restored prefix's time axis).
     fn score(&mut self, epochs: f64) -> LossPoint {
-        self.shared.snapshot_into(&mut self.eval_model);
-        self.point(epochs)
+        if self.dispatched {
+            self.shared.snapshot_into(&mut self.eval_model);
+        }
+        let (loss, accuracy) = self.evaluator.score(&self.eval_model);
+        LossPoint {
+            time: self.now(),
+            epochs,
+            loss,
+            accuracy,
+        }
     }
 
     /// The model image is a racy `snapshot_into` read — the Hogwild lanes
@@ -498,13 +421,26 @@ impl Backend for ThreadsBackend<'_> {
     /// resumed run: the scheduler has already counted it, and no example
     /// is silently dropped.
     fn checkpoint(&mut self, co: &Coordinator<'_>, t: f64) {
-        let m = self
-            .ckpt_model
-            .get_or_insert_with(|| Model::zeros_like(self.shared.spec()));
-        self.shared.snapshot_into(m);
-        let mut core = co.capture(THREADED_CKPT_SCHEMA, t, m);
+        self.shared.snapshot_into(&mut self.eval_model);
+        let mut core = co.capture(THREADED_CKPT_SCHEMA, t, &self.eval_model);
         core.requeue.extend(co.in_flight());
         co.save(t, &core);
+    }
+
+    /// Hanging up the exec channels ends every worker's loop once it has
+    /// trained what it was sent; faults that raced the shutdown still
+    /// deserve a retirement record.
+    fn close(&mut self) -> Vec<(usize, WorkerError)> {
+        self.exec.clear();
+        for worker in self.workers.drain(..) {
+            let _ = worker.join();
+        }
+        std::iter::from_fn(|| self.ready.try_recv().ok())
+            .filter_map(|event| match event {
+                Event::Faulted { worker, error } => Some((worker, error)),
+                _ => None,
+            })
+            .collect()
     }
 }
 
@@ -1413,19 +1349,20 @@ mod tests {
 
     #[test]
     fn checkpoint_and_resume_continues_the_run() {
-        use hetero_ckpt::CkptConfig;
+        use hetero_ckpt::{CkptConfig, CkptStore};
         let data = dataset();
         let dir = std::env::temp_dir().join(format!("hetero-thr-ckpt-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
 
         // First incarnation: train 0.4s of a 0.8s budget, checkpointing
         // every 50ms, then stop (simulating a crash after the last save).
-        let mut cfg = config(AlgorithmKind::CpuGpuHogbatch, 0.4);
-        cfg.train.time_budget = 0.4;
+        // Every generation it writes stays on disk.
+        let budget = 0.4;
+        let mut cfg = config(AlgorithmKind::CpuGpuHogbatch, budget);
         let writer = Checkpointer::new(CkptConfig {
             dir: dir.clone(),
             interval: 0.05,
-            retain: 2,
+            retain: 64,
             resume: false,
         })
         .unwrap();
@@ -1439,6 +1376,37 @@ mod tests {
         assert!(writer.latest_path().is_some(), "no checkpoint written");
         assert!(first.final_loss() < first.initial_loss());
 
+        // Every capture folded every window whole into the re-queue, parked
+        // ranges included: what the workers had been credited with plus
+        // what waits for a resumed run is exactly what the schedule had
+        // served. A capture before the budget ran out holds work: the loop
+        // captures between events, and until the budget it fills every
+        // window after each one (no worker retires, the schedule is
+        // endless), so only a capture in the drain after the budget can
+        // find every window empty. The first capture is due at 0.05 s, and
+        // the loop looks at least every 50 ms.
+        let mut before_budget = 0;
+        for (_, path) in CkptStore::open(&dir, 64).unwrap().generations() {
+            let state: CoreCkpt = CkptStore::load_path(&path).unwrap();
+            let waiting: usize = state.requeue.iter().map(BatchRange::len).sum();
+            assert_eq!(
+                state.examples_trained() + waiting as u64,
+                state.scheduler.examples_served()
+            );
+            if state.t < budget {
+                assert!(
+                    waiting > 0,
+                    "captured at {} with every window empty",
+                    state.t
+                );
+                before_budget += 1;
+            }
+        }
+        assert!(
+            before_budget > 0,
+            "no generation captured before the budget"
+        );
+
         // Second incarnation: same config with a larger budget resumes
         // from the newest generation and finishes the remaining time.
         cfg.train.time_budget = 0.7;
@@ -1449,17 +1417,7 @@ mod tests {
             resume: true,
         })
         .unwrap();
-        // The capture folded every window whole into the re-queue, parked
-        // ranges included: what the workers had been credited with plus
-        // what waits for the resumed run is exactly what the schedule had
-        // served.
         let state: CoreCkpt = reader.resume_state().expect("a valid generation");
-        let waiting: usize = state.requeue.iter().map(BatchRange::len).sum();
-        assert!(waiting > 0, "captured between two batches of every worker?");
-        assert_eq!(
-            state.examples_trained() + waiting as u64,
-            state.scheduler.examples_served()
-        );
         let resumed = ThreadedEngine::new(cfg).unwrap().run_with(
             data,
             &RunCtx {

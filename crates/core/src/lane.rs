@@ -1,7 +1,8 @@
 //! The run's batch input and the scratch one worker lane steps it through.
 //!
 //! Whether batches reach the network dense or as CSR rows is decided once
-//! per run, when the engine builds its [`BatchSource`]; from then on the
+//! per run, when the run skeleton (`coordinator::run_engine`) builds its
+//! [`BatchSource`] at start-up and hands it to the engine; from then on the
 //! engines stage, differentiate, apply and evaluate through [`Lane`] and
 //! [`Evaluator`] and never ask which format they are on. What each format
 //! buys is in `hetero_nn::sparse_input`: CSR pays off at layer 0 only, so a
@@ -18,9 +19,6 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use crate::config::TrainConfig;
-use crate::coordinator::{Coordinator, CoreCkpt};
-
 /// The training data of one run, in the format the run trains on. `D` is
 /// however the engine holds the dataset (`&DenseDataset`, or an `Arc` where
 /// worker threads outlive the borrow).
@@ -28,7 +26,7 @@ pub(crate) struct BatchSource<D> {
     /// The dataset as loaded (labels, sizes, name).
     pub(crate) dataset: D,
     /// CSR copy of the features on sparse runs: compressed once per run,
-    /// in [`start_up`] — before the *engine's* clock starts, so neither
+    /// at start-up — before the *engine's* clock starts, so neither
     /// `TrainResult::duration` nor a loss point's `time` counts it, but a
     /// caller timing `run()` pays for it (`engine.startup_s` says how
     /// much). Lanes then slice CSR batches in O(nnz) instead of rescanning
@@ -36,7 +34,7 @@ pub(crate) struct BatchSource<D> {
     /// independent of density and would otherwise swamp the sparse kernels'
     /// win. It is data preparation, the sparse counterpart of the dense
     /// matrix already sitting in memory.
-    csr: Option<CsrMatrix>,
+    pub(crate) csr: Option<CsrMatrix>,
 }
 
 impl<D: Deref<Target = DenseDataset>> BatchSource<D> {
@@ -58,54 +56,6 @@ impl<D: Deref<Target = DenseDataset>> BatchSource<D> {
             None => Input::Dense(x),
         }
     }
-}
-
-/// Run start-up, written once for both engines: the run's [`BatchSource`]
-/// and the model it starts from — drawn from `train.seed`, or on a resumed
-/// run the image `resume` carries (restored into `co`).
-pub(crate) fn start_up<D>(
-    dataset: D,
-    spec: &MlpSpec,
-    train: &TrainConfig,
-    co: &mut Coordinator<'_>,
-    resume: Option<CoreCkpt>,
-) -> (BatchSource<D>, Model)
-where
-    D: Deref<Target = DenseDataset> + Send,
-{
-    source_beside(dataset, train.sparse_input, || match resume {
-        Some(core) => co.restore(core),
-        None => Model::new(spec.clone(), train.init, train.seed),
-    })
-}
-
-/// `model()` on the calling thread while, on a sparse run, a scoped thread
-/// compresses the CSR copy: neither reads what the other writes, so side by
-/// side they cost the longer of the two — the compression, one scan of the
-/// dense matrix, against a few milliseconds of vectorised normal draws
-/// (DESIGN.md §4k). A dense run spawns nothing.
-/// The scope joins before returning, so a panic in either half reaches the
-/// caller and no thread outlives the call.
-fn source_beside<D>(
-    dataset: D,
-    sparse: bool,
-    model: impl FnOnce() -> Model,
-) -> (BatchSource<D>, Model)
-where
-    D: Deref<Target = DenseDataset> + Send,
-{
-    if !sparse {
-        let model = model();
-        return (BatchSource::new(dataset, false), model);
-    }
-    std::thread::scope(|s| {
-        let src = s.spawn(move || BatchSource::new(dataset, true));
-        let model = model();
-        match src.join() {
-            Ok(src) => (src, model),
-            Err(panic) => std::panic::resume_unwind(panic),
-        }
-    })
 }
 
 /// One persistent scratch set per gradient lane — batch staging and the
@@ -281,17 +231,15 @@ fn gather(m: &Matrix, rows: &[usize]) -> Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adaptive::WorkerBatchState;
-    use crate::config::AlgorithmKind;
-    use crate::coordinator::{RunCtx, Setup};
+    use crate::config::{AlgorithmKind, TrainConfig};
+    use crate::coordinator::RunCtx;
     use crate::engine_sim::{SimEngine, SimEngineConfig};
     use crate::engine_threads::{ThreadedEngine, ThreadedEngineConfig};
     use crate::fault::FaultPlan;
-    use crate::metrics::WorkerKind;
     use hetero_data::SynthConfig;
     use hetero_nn::InitScheme;
     use hetero_sim::GpuModel;
-    use hetero_trace::{TimeDomain, TraceSink};
+    use hetero_trace::TraceSink;
     use std::sync::Arc;
     use std::time::Instant;
 
@@ -385,74 +333,23 @@ mod tests {
         assert_eq!(via_lane, reference);
     }
 
-    #[test]
-    fn start_up_returns_the_serial_model_and_csr_copy() {
-        let (dense, _) = sources();
-        let data: &DenseDataset = &dense.dataset;
-        let spec = MlpSpec::tiny(12, 2);
-        for sparse in [false, true] {
-            let train = TrainConfig {
-                sparse_input: sparse,
-                seed: 11,
-                ..TrainConfig::default()
-            };
-            let ctx = RunCtx::default();
-            let mut co = Coordinator::new(
-                Setup {
-                    engine: "test",
-                    domain: TimeDomain::Wall,
-                    algorithm: "test",
-                    train: &train,
-                    dataset: data,
-                    layers: spec.num_layers(),
-                    workers: vec![(WorkerKind::Cpu, WorkerBatchState::new(4, 4, 4))],
-                },
-                &ctx,
-            );
-            let (src, model) = start_up(data, &spec, &train, &mut co, None);
-            assert_eq!(model, Model::new(spec.clone(), train.init, train.seed));
-            assert_eq!(src.csr, sparse.then(|| data.to_csr()));
-            assert!(std::ptr::eq(src.dataset, data));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "initialiser blew up")]
-    fn panicking_model_half_panics_the_caller() {
-        let (dense, _) = sources();
-        source_beside(Arc::clone(&dense.dataset), true, || {
-            panic!("initialiser blew up")
-        });
-    }
-
-    /// A dataset handle whose every use panics — on the compression
-    /// thread, since nothing else touches it before the join.
-    struct Bomb;
-
-    impl Deref for Bomb {
-        type Target = DenseDataset;
-        fn deref(&self) -> &DenseDataset {
-            panic!("compression blew up")
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "compression blew up")]
-    fn panicking_compression_half_panics_the_caller() {
-        source_beside(Bomb, true, model);
-    }
-
     /// The loss before any update depends on the seed, the spec and the
     /// data — not on the engine, its schedule or its clock. Start-up is
-    /// outside that clock, and both engines say how long it took.
+    /// outside that clock, and both engines say how long it took; both
+    /// publish the density of a sparse run's CSR copy, and only of a
+    /// sparse run's.
     #[test]
     fn sim_and_threaded_agree_on_the_initial_point() {
         let (dense, _) = sources();
         let data = Arc::clone(&dense.dataset);
-        let startup_s = |sink: &TraceSink| {
+        // `(engine.startup_s, engine.sparse_density)` of a finished run.
+        let gauges = |sink: &TraceSink| {
             let gauges = sink.drain().counters;
-            let found = gauges.iter().find(|(name, _)| name == "engine.startup_s");
-            found.expect("engine.startup_s").1
+            let gauge = |want: &str| gauges.iter().find(|(name, _)| name == want).map(|g| g.1);
+            (
+                gauge("engine.startup_s").expect("engine.startup_s"),
+                gauge("engine.sparse_density"),
+            )
         };
         for sparse in [false, true] {
             let train = TrainConfig {
@@ -474,7 +371,8 @@ mod tests {
             let sim = SimEngine::new(SimEngineConfig::paper_hardware(spec.clone(), train.clone()))
                 .unwrap()
                 .run_with(&data, &ctx(&sink));
-            assert!(startup_s(&sink) > 0.0);
+            let (startup, sim_density) = gauges(&sink);
+            assert!(startup > 0.0);
 
             let sink = TraceSink::wall(1 << 14);
             let entered = Instant::now();
@@ -489,7 +387,7 @@ mod tests {
             .unwrap()
             .run_with(data.clone(), &ctx(&sink));
             let wall = entered.elapsed().as_secs_f64();
-            let startup = startup_s(&sink);
+            let (startup, threaded_density) = gauges(&sink);
             assert!(
                 startup > 0.0 && startup + threaded.duration <= wall,
                 "start-up {startup} + duration {} vs wall {wall}",
@@ -504,6 +402,8 @@ mod tests {
                 "sparse {sparse}"
             );
             assert_eq!((a.epochs, b.epochs), (0.0, 0.0));
+            assert_eq!(sim_density.is_some(), sparse, "sim");
+            assert_eq!(sim_density, threaded_density);
         }
     }
 }

@@ -31,13 +31,15 @@
 //!   message queue, a [`hetero_nn::SharedModel`] updated Hogwild-style and
 //!   a software-GPU worker; wall-clock time.
 //!
-//! Both are backends of one coordinator event loop (dispatch, crediting,
-//! re-queue, lineage ids, health policy, checkpoint envelope, result
-//! epilogue) and differ only in their clock, in how a batch executes and
-//! in how the model is scored. Each has one entry point,
-//! `run_with(dataset, &RunCtx)`, plus `run(dataset)` for the default
-//! [`RunCtx`] — tracing, metrics, flight recorder and checkpointing all
-//! disabled — and produces the same [`metrics::TrainResult`] shape.
+//! Every run of either is one run skeleton around one coordinator event
+//! loop: the skeleton sets the run up (worker slots, resume, start-up,
+//! GEMM pool, the eval batch an engine gathers on its clock) and scores
+//! and closes it; the loop dispatches,
+//! credits, re-queues, applies the health policy and checkpoints. An
+//! engine brings only its workers, its clock, how it scores the model and
+//! its checkpoint's tail. Each has one entry point, `run_with(dataset,
+//! &RunCtx)`, plus `run(dataset)` for the default [`RunCtx`] (everything
+//! off), and both produce a [`metrics::TrainResult`].
 
 #![warn(missing_docs)]
 

@@ -65,8 +65,6 @@ fn config() -> SimEngineConfig {
         },
         cpu,
         gpus: vec![gpu],
-        tf_op_overhead: 20e-6,
-        tf_multilabel_penalty: 3.0,
         fault_plan: FaultPlan::none(),
     }
 }

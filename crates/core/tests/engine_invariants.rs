@@ -63,8 +63,6 @@ fn config(algo: AlgorithmKind, seed: u64) -> SimEngineConfig {
         },
         cpu,
         gpus: vec![gpu],
-        tf_op_overhead: 20e-6,
-        tf_multilabel_penalty: 3.0,
         fault_plan: FaultPlan::none(),
     }
 }

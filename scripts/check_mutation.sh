@@ -28,8 +28,11 @@
 # gradient applied at k times one lane's step; `--cfg hetero_wave_unscaled`
 # drops the k. In crates/tensor/src/simd.rs the AVX2 draw of the initial
 # weights' normal stream rounds every polynomial step twice, as its portable
-# twin does; `--cfg hetero_init_fma` fuses them with `_mm256_fmadd_ps`. This
-# script asserts that:
+# twin does; `--cfg hetero_init_fma` fuses them with `_mm256_fmadd_ps`. In
+# crates/core/src/coordinator.rs the run skeleton records the initial point
+# of a fresh run only — a resumed run's curve came back with its
+# checkpoint; `--cfg hetero_point_on_resume` records one on a resumed run
+# too. This script asserts that:
 #   1. the suites pass as written, and
 #   2. each suite FAILS under its mutation the way the bug would show (a
 #      data-race report for the queue, both two-merger models losing an
@@ -38,7 +41,8 @@
 #      batch size, a scripted run ending with ranges never trained, a
 #      reused workspace's gradient differing from a fresh one's, a wave
 #      differing from its lanes applied one by one, the two dispatch levels
-#      drawing different initial weights),
+#      drawing different initial weights, a resumed simulation's loss curve
+#      differing from the uninterrupted one's),
 # i.e. the checker genuinely guards the edge.
 #
 # Usage: scripts/check_mutation.sh   (from anywhere in the repo)
@@ -55,12 +59,13 @@ run="-p hetero-core --lib coordinator::tests::run_"
 support="-p hetero-nn --lib sparse_input::tests"
 wave="-p hetero-core --lib a_wave_is_the_sum_of_its_lanes"
 init="-p hetero-tensor --test proptest_simd normal_fill"
+resume="-p hetero-core --lib checkpointed_run_is_untouched_and_resume_is_bit_identical"
 
-echo "[1/12] baseline: loom queue, shared-model, coordinator-model, event-loop, sparse-support, sim-wave and init-stream suites must pass as written"
+echo "[1/13] baseline: loom queue, shared-model, coordinator-model, event-loop, sparse-support, sim-wave, init-stream and sim-resume suites must pass as written"
 # shellcheck disable=SC2086
 if ! { cargo test $queue -q && cargo test $shared -q && cargo test $model -q \
     && cargo test $run -q && cargo test $support -q && cargo test $wave -q \
-    && cargo test $init -q; } >"$log" 2>&1; then
+    && cargo test $init -q && cargo test $resume -q; } >"$log" 2>&1; then
     echo "FAIL: baseline suite is red"
     tail -40 "$log"
     exit 1
@@ -70,7 +75,7 @@ fi
 check_mutation() {
     local cfg="$1" desc="$2" step="$3" suite="$4"
     shift 4
-    echo "[$step/12] mutation: suite must FAIL with $desc"
+    echo "[$step/13] mutation: suite must FAIL with $desc"
     # shellcheck disable=SC2086
     if RUSTFLAGS="--cfg $cfg" cargo test $suite -q >"$log" 2>&1; then
         echo "FAIL: $desc mutation was NOT caught"
@@ -124,5 +129,9 @@ check_mutation hetero_wave_unscaled "a run of simulated lanes applied without it
 # twice, so the two levels stop drawing the same initial weights.
 check_mutation hetero_init_fma "an AVX2 normal draw fusing its polynomial steps" 12 \
     "$init" "normal_fill_bit_exact_across_levels"
+# An initial point recorded on a resumed run is one point the uninterrupted
+# run never had.
+check_mutation hetero_point_on_resume "an initial point recorded on a resumed run" 13 \
+    "$resume" "checkpointed_run_is_untouched_and_resume_is_bit_identical"
 
-echo "OK: all eleven seeded mutations are caught"
+echo "OK: all twelve seeded mutations are caught"

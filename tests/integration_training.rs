@@ -61,8 +61,6 @@ fn sim_config(
         },
         cpu,
         gpus: vec![gpu],
-        tf_op_overhead: 20e-6,
-        tf_multilabel_penalty: 3.0,
         fault_plan: FaultPlan::none(),
     }
 }
