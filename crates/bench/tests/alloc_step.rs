@@ -24,8 +24,8 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 fn sparse_fixture() -> (hetero_data::DenseDataset, CsrMatrix, MlpSpec) {
     let data = PaperDataset::RealSim.generate(0.01, 42);
-    // Engines compress the feature matrix once per run and slice batches
-    // from the CSR copy; the step under test mirrors that staging.
+    // The real-sim stand-in is stored as CSR and engines slice batches
+    // from that store; the step under test mirrors that staging.
     let csr_all = data.to_csr();
     let spec = MlpSpec::tiny(data.features(), data.num_classes());
     (data, csr_all, spec)

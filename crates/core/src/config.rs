@@ -191,7 +191,8 @@ pub struct TrainConfig {
     /// `engine.pool_oversubscription` trace counter.
     pub rayon_threads: usize,
     /// Run the end-to-end sparse execution fast path: training batches are
-    /// compressed to CSR, the first layer runs the sparse forward/backward
+    /// CSR rows (sliced from the dataset's CSR store, or from a copy made at
+    /// start-up when it is stored dense), the first layer runs the sparse forward/backward
     /// kernels, and CPU applies / GPU merges touch only the layer-0 weight
     /// columns the batch activated. Exact on the dense tail by construction
     /// (same kernels); layer 0 differs from dense only in float summation

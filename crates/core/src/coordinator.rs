@@ -746,9 +746,10 @@ impl<'a> Coordinator<'a> {
     }
 
     /// Start-up is over and the engine's clock has started: publish the
-    /// wall seconds it took as `engine.startup_s` — model initialisation,
-    /// CSR compression and (threaded) the shared model's copy, which no
-    /// loss point's `time` and no `TrainResult::duration` counts.
+    /// wall seconds it took as `engine.startup_s` — model initialisation
+    /// (or restore), the CSR copy of a dense-stored dataset on a sparse run,
+    /// and (threaded) the shared model's copy, which no loss point's `time`
+    /// and no `TrainResult::duration` counts.
     fn clock_starts(&self, startup: Duration) {
         self.sink
             .gauge("engine.startup_s")
@@ -1003,14 +1004,14 @@ impl<'a> Coordinator<'a> {
 /// ([`Coordinator::evaluator`]) once the clock runs, and returns its
 /// [`Backend`] with the instant its clock started. The skeleton does the
 /// rest, in this order: the worker slots ([`slots`]) and the
-/// [`Coordinator`]; resume; start-up ([`source_beside`]); the sparse
-/// density; `build`; `engine.startup_s`, from entry to the clock's start;
+/// [`Coordinator`]; resume; start-up (the initial model and the
+/// [`BatchSource`]); the sparse density; `build`; `engine.startup_s`, from entry to the clock's start;
 /// the GEMM pool; the initial point, unless the run resumed (its curve
 /// came back with the checkpoint); the loop; closing the backend, retiring
 /// the faults its workers reported on the way out; and the final point, at
 /// the backend's clock — the run's duration. Returns the result and the
 /// backend, for what only the engine adds.
-pub(crate) fn run_engine<D: Deref<Target = DenseDataset> + Send, T: Deserialize, X, B: Backend>(
+pub(crate) fn run_engine<D: Deref<Target = DenseDataset>, T: Deserialize, X, B: Backend>(
     engine: Engine<'_>,
     dataset: D,
     ctx: &RunCtx,
@@ -1027,10 +1028,11 @@ pub(crate) fn run_engine<D: Deref<Target = DenseDataset> + Send, T: Deserialize,
         .filter(|(_, c)| c.schema == engine.schema && c.workers.len() == co.workers())
         .unzip();
     let resumed = core.is_some();
-    let (src, model) = source_beside(dataset, train.sparse_input, || match core {
+    let model = match core {
         Some(core) => co.restore(core),
         None => Model::new(spec.clone(), train.init, train.seed),
-    });
+    };
+    let src = BatchSource::new(dataset, train.sparse_input);
     // Only on sparse runs, so a reader can tell the dense path (gauge
     // absent) from a fully dense batch on the sparse path.
     if let Some(density) = src.density() {
@@ -1097,31 +1099,6 @@ fn slots(engine: &Engine<'_>, n: usize) -> Vec<(WorkerKind, WorkerBatchState)> {
     let cpu = algo.uses_cpu().then_some((WorkerKind::Cpu, cpu));
     let gpus = engine.gpu_caps.iter().filter(|_| algo.uses_gpu());
     cpu.into_iter().chain(gpus.map(gpu)).collect()
-}
-
-/// `model()` on the calling thread while, on a sparse run, a scoped thread
-/// compresses the CSR copy: neither reads what the other writes, so side by
-/// side they cost the longer of the two — the compression, one scan of the
-/// dense matrix, against a few milliseconds of vectorised normal draws
-/// (DESIGN.md §4k). A dense run spawns nothing.
-/// The scope joins before returning, so a panic in either half reaches the
-/// caller and no thread outlives the call.
-fn source_beside<D: Deref<Target = DenseDataset> + Send>(
-    dataset: D,
-    sparse: bool,
-    model: impl FnOnce() -> Model,
-) -> (BatchSource<D>, Model) {
-    if !sparse {
-        return (BatchSource::new(dataset, false), model());
-    }
-    std::thread::scope(|s| {
-        let src = s.spawn(move || BatchSource::new(dataset, true));
-        let model = model();
-        match src.join() {
-            Ok(src) => (src, model),
-            Err(panic) => std::panic::resume_unwind(panic),
-        }
-    })
 }
 
 #[cfg(test)]
@@ -1739,12 +1716,14 @@ mod tests {
     }
 
     /// A fresh run of the skeleton starts from the seeded model and, on a
-    /// sparse run, a CSR copy; scores it before the loop and after it; and
-    /// trains the whole schedule through the engine's backend.
+    /// sparse run, CSR features — the dataset's own store when it has one;
+    /// scores it before the loop and after it; and trains the whole
+    /// schedule through the engine's backend.
     #[test]
     fn run_engine_starts_from_the_seeded_model() {
-        let data = SynthConfig::small(40, 4, 2, 1).generate();
-        for sparse in [false, true] {
+        let dense = SynthConfig::small(40, 4, 2, 1).generate();
+        let stored = DenseDataset::from_csr("csr", dense.to_csr(), dense.labels.clone());
+        for (data, sparse) in [(&dense, false), (&dense, true), (&stored, true)] {
             let train = TrainConfig {
                 sparse_input: sparse,
                 seed: 11,
@@ -1756,9 +1735,15 @@ mod tests {
                          resume: Option<()>| {
                 assert!(resume.is_none());
                 assert_eq!(model, Model::new(SPEC.clone(), train.init, train.seed));
-                assert_eq!(src.csr, sparse.then(|| data.to_csr()));
+                assert_eq!(src.csr(), sparse.then(|| data.to_csr()).as_ref());
+                if let Some(store) = data.csr_store() {
+                    assert!(
+                        std::ptr::eq(src.csr().unwrap(), store),
+                        "a copy of the store"
+                    );
+                }
                 assert!(
-                    std::ptr::eq(src.dataset, &data),
+                    std::ptr::eq(src.dataset, data),
                     "the caller's dataset, not a copy"
                 );
                 let script = Script {
@@ -1770,35 +1755,11 @@ mod tests {
             };
             let split = |core: CoreCkpt| ((), core);
             let ctx = RunCtx::default();
-            let (r, script) = run_engine(engine(&train, 1), &data, &ctx, split, build);
+            let (r, script) = run_engine(engine(&train, 1), data, &ctx, split, build);
             assert_eq!(r.loss_curve.len(), 2, "initial and final point");
             let trained: usize = script.trained.iter().map(BatchRange::len).sum();
             assert_eq!((trained, r.epochs), (40, 1.0));
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "initialiser blew up")]
-    fn panicking_model_half_panics_the_caller() {
-        let data = SynthConfig::small(40, 4, 2, 1).generate();
-        source_beside(&data, true, || panic!("initialiser blew up"));
-    }
-
-    /// A dataset handle whose every use panics — on the compression
-    /// thread, since nothing else touches it before the join.
-    struct Bomb;
-
-    impl Deref for Bomb {
-        type Target = DenseDataset;
-        fn deref(&self) -> &DenseDataset {
-            panic!("compression blew up")
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "compression blew up")]
-    fn panicking_compression_half_panics_the_caller() {
-        source_beside(Bomb, true, || Model::zeros_like(&SPEC));
     }
 
     proptest! {

@@ -930,6 +930,42 @@ mod tests {
         assert_eq!(r.total_updates(), 426.0);
     }
 
+    /// The store is not an input of training: the same data stored dense
+    /// and as CSR gives the same loss curve, bit for bit, on a dense run
+    /// and on a sparse one, and a sparse run reports the same density.
+    #[test]
+    fn training_does_not_depend_on_the_store() {
+        let on_csr = hetero_data::PaperDataset::RealSim.generate(0.01, 42);
+        let (x, labels) = on_csr.batch(0, on_csr.len());
+        let on_dense = DenseDataset::new(on_csr.name.clone(), x, labels);
+        assert!(on_csr.csr_store().is_some() && on_dense.csr_store().is_none());
+        let mut cfg = tiny_config(AlgorithmKind::CpuGpuHogbatch, 0.01);
+        cfg.spec = MlpSpec::tiny(on_csr.features(), on_csr.num_classes());
+        for sparse in [false, true] {
+            cfg.train.sparse_input = sparse;
+            let run = |data: &DenseDataset| {
+                let sink = TraceSink::virtual_time(1 << 16);
+                let ctx = RunCtx {
+                    sink: sink.clone(),
+                    ..RunCtx::default()
+                };
+                let r = SimEngine::new(cfg.clone()).unwrap().run_with(data, &ctx);
+                let curve: Vec<u32> = r.loss_curve.iter().map(|p| p.loss.to_bits()).collect();
+                let density = sink
+                    .drain()
+                    .counters
+                    .into_iter()
+                    .find(|(name, _)| name == "engine.sparse_density")
+                    .map(|(_, v)| v);
+                (curve, r.total_updates(), density)
+            };
+            let (a, b) = (run(&on_dense), run(&on_csr));
+            assert!(a.0.len() > 2, "too short a curve: {:?}", a.0);
+            assert_eq!(a, b, "sparse_input {sparse}");
+            assert_eq!(a.2.is_some(), sparse);
+        }
+    }
+
     /// `run_waves` against the per-lane reference it replaces: every
     /// non-empty sub-range, in order, staged, differentiated on the model
     /// its wave started from, and applied at its own step.
@@ -961,12 +997,13 @@ mod tests {
     #[test]
     fn a_wave_is_the_sum_of_its_lanes() {
         // ~⅓ of the entries stored, so the CSR source has real gaps.
-        let mut data = tiny_dataset();
-        for (i, v) in data.x.as_mut_slice().iter_mut().enumerate() {
+        let (mut x, labels) = tiny_dataset().batch(0, 600);
+        for (i, v) in x.as_mut_slice().iter_mut().enumerate() {
             if i % 3 != 0 {
                 *v = 0.0;
             }
         }
+        let data = DenseDataset::new("tiny", x, labels);
         let spec = MlpSpec::tiny(10, 2);
         let snapshot = Model::new(spec.clone(), hetero_nn::InitScheme::Xavier, 3);
         // A step that depends on the lane's rows, as `LrScaling::Sqrt` does.

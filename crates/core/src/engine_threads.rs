@@ -1000,6 +1000,24 @@ mod tests {
         assert!(r.workers[0].batches > 0);
     }
 
+    /// A dense run on a CSR-stored dataset stages densified rows on both
+    /// worker kinds, the device replica's included, and learns.
+    #[test]
+    fn dense_run_on_csr_stored_data_converges() {
+        let mut cfg = SynthConfig::small(400, 8, 2, 5);
+        (cfg.separability, cfg.density) = (3.0, 0.6);
+        let mut d = cfg.generate();
+        d.scale_to_unit_variance();
+        assert!(d.csr_store().is_some());
+        let r = ThreadedEngine::new(config(AlgorithmKind::CpuGpuHogbatch, 0.4))
+            .unwrap()
+            .run(Arc::new(d));
+        assert!(r.final_loss() < r.initial_loss(), "{:?}", r.loss_curve);
+        for w in &r.workers {
+            assert!(w.batches > 0, "{:?} idle", w.kind);
+        }
+    }
+
     #[test]
     fn gpu_only_run_converges() {
         let r = ThreadedEngine::new(config(AlgorithmKind::MiniBatchGpu, 0.4))

@@ -22,38 +22,53 @@ use rand::SeedableRng;
 /// The training data of one run, in the format the run trains on. `D` is
 /// however the engine holds the dataset (`&DenseDataset`, or an `Arc` where
 /// worker threads outlive the borrow).
+///
+/// A sparse run reads the dataset's own CSR store, so lanes slice CSR
+/// batches in O(nnz) and nothing dense is built, scanned or copied. A dense
+/// run stages rows through [`DenseDataset::batch_into`], which densifies
+/// the rows of a CSR store.
 pub(crate) struct BatchSource<D> {
-    /// The dataset as loaded (labels, sizes, name).
+    /// The dataset as loaded (features, labels, sizes, name).
     pub(crate) dataset: D,
-    /// CSR copy of the features on sparse runs: compressed once per run,
-    /// at start-up — before the *engine's* clock starts, so neither
-    /// `TrainResult::duration` nor a loss point's `time` counts it, but a
-    /// caller timing `run()` pays for it (`engine.startup_s` says how
-    /// much). Lanes then slice CSR batches in O(nnz) instead of rescanning
-    /// the dense matrix per batch — an O(batch × features) cost that is
-    /// independent of density and would otherwise swamp the sparse kernels'
-    /// win. It is data preparation, the sparse counterpart of the dense
-    /// matrix already sitting in memory.
-    pub(crate) csr: Option<CsrMatrix>,
+    /// `TrainConfig::sparse_input`.
+    sparse: bool,
+    /// The CSR copy a sparse run makes of a dataset stored dense, at
+    /// start-up — before the engine's clock, so `engine.startup_s` counts
+    /// it and `TrainResult::duration` does not. No benchmark workload
+    /// takes this path.
+    compressed: Option<CsrMatrix>,
 }
 
 impl<D: Deref<Target = DenseDataset>> BatchSource<D> {
     /// Wrap `dataset`; `sparse` is `TrainConfig::sparse_input`.
     pub(crate) fn new(dataset: D, sparse: bool) -> Self {
-        let csr = sparse.then(|| dataset.to_csr());
-        BatchSource { dataset, csr }
+        let compressed = (sparse && dataset.csr_store().is_none()).then(|| dataset.to_csr());
+        BatchSource {
+            dataset,
+            sparse,
+            compressed,
+        }
     }
 
-    /// Stored-entry fraction of the CSR copy; `None` on a dense run.
+    /// The CSR features a sparse run trains on; `None` on a dense run.
+    pub(crate) fn csr(&self) -> Option<&CsrMatrix> {
+        if !self.sparse {
+            return None;
+        }
+        self.compressed.as_ref().or(self.dataset.csr_store())
+    }
+
+    /// Stored-entry fraction of the CSR features; `None` on a dense run.
     pub(crate) fn density(&self) -> Option<f64> {
-        self.csr.as_ref().map(CsrMatrix::density)
+        self.csr().map(CsrMatrix::density)
     }
 
     /// Whichever of a lane's two staging buffers this run fills.
     fn input<'a>(&self, x: &'a Matrix, csr: &'a CsrBatch) -> Input<'a> {
-        match self.csr {
-            Some(_) => Input::Csr(csr.view()),
-            None => Input::Dense(x),
+        if self.sparse {
+            Input::Csr(csr.view())
+        } else {
+            Input::Dense(x)
         }
     }
 }
@@ -86,7 +101,7 @@ impl Lane {
     where
         D: Deref<Target = DenseDataset>,
     {
-        match &src.csr {
+        match src.csr() {
             Some(csr) => {
                 src.dataset.labels.slice_into(s, e, &mut self.labels);
                 csr.slice_rows_into(s, e, &mut self.csr);
@@ -170,7 +185,7 @@ pub(crate) struct Evaluator {
     /// On sparse runs the eval forward goes through the CSR kernels too: a
     /// dense eval over a wide sparse batch would cost more than the training
     /// steps it measures and stall the coordinator's dispatch. Its rows are
-    /// picked from the run's CSR copy, so nothing scans the dense matrix.
+    /// picked from the run's CSR features, so nothing dense is touched.
     csr: Option<CsrMatrix>,
     labels: Labels,
 }
@@ -186,9 +201,9 @@ impl Evaluator {
             Labels::Classes(v) => Labels::Classes(rows.iter().map(|&r| v[r]).collect()),
             Labels::MultiHot(m) => Labels::MultiHot(gather(m, rows)),
         };
-        let (x, csr) = match &src.csr {
+        let (x, csr) = match src.csr() {
             Some(csr) => (Matrix::zeros(0, 0), Some(csr.select_rows(rows))),
-            None => (gather(&data.x, rows), None),
+            None => (data.gather(rows), None),
         };
         Evaluator {
             ws: Workspace::new(spec),
@@ -219,7 +234,7 @@ impl Evaluator {
     }
 }
 
-/// Scattered rows of `m`, stacked in the order given.
+/// Scattered rows of a multi-hot label matrix, stacked in the order given.
 fn gather(m: &Matrix, rows: &[usize]) -> Matrix {
     let mut out = Matrix::zeros(rows.len(), m.cols());
     for (i, &r) in rows.iter().enumerate() {
@@ -245,15 +260,20 @@ mod tests {
 
     type Source = BatchSource<Arc<DenseDataset>>;
 
-    /// A ~30 %-dense dataset plus a dense and a CSR source over it.
-    fn sources() -> (Source, Source) {
-        let mut d = SynthConfig::small(60, 12, 2, 7).generate();
-        for (i, v) in d.x.as_mut_slice().iter_mut().enumerate() {
+    /// `d` with two entries in three zeroed, stored dense.
+    fn third_dense(d: &DenseDataset) -> DenseDataset {
+        let (mut x, labels) = d.batch(0, d.len());
+        for (i, v) in x.as_mut_slice().iter_mut().enumerate() {
             if i % 3 != 0 {
                 *v = 0.0;
             }
         }
-        let d = Arc::new(d);
+        DenseDataset::new(d.name.clone(), x, labels)
+    }
+
+    /// A ~⅓-dense dataset plus a dense and a CSR source over it.
+    fn sources() -> (Source, Source) {
+        let d = Arc::new(third_dense(&SynthConfig::small(60, 12, 2, 7).generate()));
         (
             BatchSource::new(Arc::clone(&d), false),
             BatchSource::new(d, true),
@@ -296,6 +316,46 @@ mod tests {
         }
     }
 
+    /// A run trains and scores the same on a dense and a CSR store; a
+    /// sparse run on a CSR store reads that store, not a copy.
+    #[test]
+    fn either_store_trains_and_scores_alike() {
+        let (dense, compressed) = sources();
+        let d = &dense.dataset;
+        let stored = Arc::new(DenseDataset::from_csr("csr", d.to_csr(), d.labels.clone()));
+        let on_csr = BatchSource::new(Arc::clone(&stored), false);
+        let sparse_on_csr = BatchSource::new(Arc::clone(&stored), true);
+        assert!(on_csr.csr().is_none());
+        assert!(
+            std::ptr::eq(sparse_on_csr.csr().unwrap(), stored.csr_store().unwrap()),
+            "the dataset's own store, not a copy"
+        );
+        assert_eq!(sparse_on_csr.csr(), compressed.csr());
+        assert_eq!(sparse_on_csr.density(), compressed.density());
+        let m = model();
+        let rows = eval_subset(d.len(), 24, 9);
+        for (a, b) in [(&dense, &on_csr), (&compressed, &sparse_on_csr)] {
+            let (mut la, mut lb) = (Lane::new(m.spec()), Lane::new(m.spec()));
+            // A smaller batch after a larger one: the reused buffers must
+            // not leak rows of the first into the second.
+            for (s, e) in [(10, 40), (41, 47)] {
+                la.stage(a, s, e);
+                lb.stage(b, s, e);
+                let (x, y) = (la.gradient(a, &m, false), lb.gradient(b, &m, false));
+                assert_eq!(x.to_bits(), y.to_bits(), "{s}..{e}");
+                assert_eq!(la.ws.grad(), lb.ws.grad());
+            }
+            let (x, y) = (
+                Evaluator::new(a, &rows, m.spec()).score(&m),
+                Evaluator::new(b, &rows, m.spec()).score(&m),
+            );
+            assert_eq!(
+                (x.0.to_bits(), x.1.to_bits()),
+                (y.0.to_bits(), y.1.to_bits())
+            );
+        }
+    }
+
     #[test]
     fn evaluator_agrees_across_formats() {
         let (dense, csr) = sources();
@@ -305,7 +365,7 @@ mod tests {
         let mut on_csr = Evaluator::new(&csr, &rows, m.spec());
         assert_eq!(on_dense.rows(), 24);
         for (i, &r) in rows.iter().enumerate() {
-            assert_eq!(on_dense.x.row(i), dense.dataset.x.row(r));
+            assert_eq!(on_dense.x.row(i), dense.dataset.batch(r, r + 1).0.row(0));
         }
         let ((l1, a1), (l2, a2)) = (on_dense.score(&m), on_csr.score(&m));
         assert!((l1 - l2).abs() < 1e-5, "{l1} vs {l2}");

@@ -134,9 +134,9 @@ pub struct TrainResult {
     #[serde(skip)]
     pub eval_timeline: UtilizationTimeline,
     /// Total run duration (seconds) on the engine's clock, which starts
-    /// after run start-up (model initialisation and, on a sparse run, the
-    /// CSR compression): a caller timing `run()` sees `duration` plus the
-    /// `engine.startup_s` gauge.
+    /// after run start-up (model initialisation, and the CSR copy a sparse
+    /// run makes of a dataset stored dense): a caller timing `run()` sees
+    /// `duration` plus the `engine.startup_s` gauge.
     pub duration: f64,
     /// Fractional epochs completed.
     pub epochs: f64,

@@ -256,15 +256,16 @@ mod tests {
         // fix it was only variance-scaled (column means stayed positive).
         let d = PaperDataset::Covtype.generate(0.002, 7);
         let (rows, cols) = (d.len(), d.features());
+        let x = d.batch(0, rows).0;
         for c in 0..cols {
             let mut mean = 0.0f64;
             let mut var = 0.0f64;
             for r in 0..rows {
-                mean += d.x.get(r, c) as f64;
+                mean += x.get(r, c) as f64;
             }
             mean /= rows as f64;
             for r in 0..rows {
-                let dv = d.x.get(r, c) as f64 - mean;
+                let dv = x.get(r, c) as f64 - mean;
                 var += dv * dv;
             }
             var /= rows as f64;
@@ -288,7 +289,7 @@ mod tests {
     fn generation_is_deterministic() {
         let a = PaperDataset::Covtype.generate(0.001, 5);
         let b = PaperDataset::Covtype.generate(0.001, 5);
-        assert_eq!(a.x, b.x);
+        assert_eq!(a, b);
     }
 
     #[test]

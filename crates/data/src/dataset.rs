@@ -1,10 +1,14 @@
-//! In-memory dense dataset.
+//! In-memory dataset.
 //!
-//! The paper processes every dataset "in dense format" (§VII-A), so the
-//! feature matrix is a dense row-major [`Matrix`] even for nominally sparse
-//! sources like real-sim.
+//! The paper processes every dataset "in dense format" (§VII-A); here a
+//! dataset keeps its features in whichever format it was built in. Dense
+//! sources (covtype, a parsed file run through [`crate::libsvm::densify`])
+//! are a row-major [`Matrix`]; sparse ones (the `density < 1` synthetic
+//! stand-ins, [`crate::libsvm::sparsify`]) are CSR from birth, so a
+//! bag-of-words dataset like real-sim is never dense in memory unless a
+//! caller asks for dense rows ([`DenseDataset::batch`]).
 
-use hetero_tensor::Matrix;
+use hetero_tensor::{CsrMatrix, Matrix};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -98,23 +102,126 @@ impl Labels {
     }
 }
 
-/// A dense dataset: feature matrix plus labels.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// A dataset: features plus labels.
+///
+/// The features live in one private store, chosen when the dataset is
+/// built: a dense row-major [`Matrix`] ([`new`](Self::new)) or a
+/// [`CsrMatrix`] ([`from_csr`](Self::from_csr)) — what the sparse
+/// generators and [`crate::libsvm::sparsify`] produce. Every method gives
+/// the same answer on either store; a caller that wants the CSR store
+/// itself asks [`csr_store`](Self::csr_store), so there is never a second
+/// copy of the features to fall out of step with the first.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DenseDataset {
     /// Feature matrix, `examples × features`.
-    pub x: Matrix,
+    x: Features,
     /// Labels, one entry/row per example.
     pub labels: Labels,
     /// Human-readable dataset name.
     pub name: String,
 }
 
+/// The one store of a dataset's features.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+enum Features {
+    Dense(Matrix),
+    Csr(CsrMatrix),
+}
+
+impl Features {
+    fn rows(&self) -> usize {
+        match self {
+            Features::Dense(m) => m.rows(),
+            Features::Csr(m) => m.rows(),
+        }
+    }
+
+    fn cols(&self) -> usize {
+        match self {
+            Features::Dense(m) => m.cols(),
+            Features::Csr(m) => m.cols(),
+        }
+    }
+
+    /// Rows `start..end`, in the same store.
+    fn slice_rows(&self, start: usize, end: usize) -> Features {
+        match self {
+            Features::Dense(m) => Features::Dense(m.slice_rows(start, end)),
+            Features::Csr(m) => Features::Csr(m.slice_rows(start, end)),
+        }
+    }
+
+    /// Row `i`, dense, into `out` (`cols` long).
+    fn row_into(&self, i: usize, out: &mut [f32]) {
+        match self {
+            Features::Dense(m) => out.copy_from_slice(m.row(i)),
+            Features::Csr(m) => {
+                // `hetero_densify_stale` is a mutation switch for
+                // `scripts/check_mutation.sh`: a reused buffer keeps the
+                // entries of the row it held before.
+                if !cfg!(hetero_densify_stale) {
+                    out.fill(0.0);
+                }
+                for (c, v) in m.row_iter(i) {
+                    out[c] = v;
+                }
+            }
+        }
+    }
+
+    /// Visit every stored `(column, value)` in row order — the order the
+    /// dense column sums run in. A dense store visits its zeros too, which
+    /// add nothing to a sum of values or of squares.
+    fn for_each_entry(&self, mut f: impl FnMut(usize, f32)) {
+        match self {
+            Features::Dense(m) => {
+                for r in m.rows_iter() {
+                    r.iter().enumerate().for_each(|(c, &v)| f(c, v));
+                }
+            }
+            Features::Csr(m) => {
+                for i in 0..m.rows() {
+                    m.row_iter(i).for_each(|(c, v)| f(c, v));
+                }
+            }
+        }
+    }
+}
+
+/// Equal when names, labels and every feature value agree, whichever
+/// store holds the features.
+impl PartialEq for DenseDataset {
+    fn eq(&self, other: &Self) -> bool {
+        let features = match (&self.x, &other.x) {
+            (Features::Dense(a), Features::Dense(b)) => a == b,
+            (Features::Csr(a), Features::Csr(b)) => a == b,
+            _ => self.batch(0, self.len()).0 == other.batch(0, other.len()).0,
+        };
+        self.name == other.name && self.labels == other.labels && features
+    }
+}
+
 impl DenseDataset {
-    /// Construct, validating that features and labels agree.
+    /// Construct from a dense feature matrix, validating that features and
+    /// labels agree.
     ///
     /// # Panics
     /// Panics if row counts disagree.
     pub fn new(name: impl Into<String>, x: Matrix, labels: Labels) -> Self {
+        Self::stored(name, Features::Dense(x), labels)
+    }
+
+    /// Construct from a CSR feature matrix, which becomes the dataset's
+    /// store: nothing dense is ever built from it unless a caller asks for
+    /// dense rows.
+    ///
+    /// # Panics
+    /// Panics if row counts disagree.
+    pub fn from_csr(name: impl Into<String>, x: CsrMatrix, labels: Labels) -> Self {
+        Self::stored(name, Features::Csr(x), labels)
+    }
+
+    fn stored(name: impl Into<String>, x: Features, labels: Labels) -> Self {
         assert_eq!(x.rows(), labels.len(), "feature rows != label rows");
         DenseDataset {
             x,
@@ -143,20 +250,63 @@ impl DenseDataset {
         self.labels.num_classes()
     }
 
-    /// Batch view: features and labels for rows `start..end`.
-    pub fn batch(&self, start: usize, end: usize) -> (Matrix, Labels) {
-        (self.x.slice_rows(start, end), self.labels.slice(start, end))
+    /// The CSR store itself, when the features are stored that way
+    /// (`None` for a dense store).
+    pub fn csr_store(&self) -> Option<&CsrMatrix> {
+        match &self.x {
+            Features::Csr(m) => Some(m),
+            Features::Dense(_) => None,
+        }
     }
 
-    /// Copy rows `start..end` into reused buffers — the allocation-free
-    /// counterpart of [`batch`](Self::batch): once `x`/`labels` have served
-    /// a batch at least this large, subsequent calls allocate nothing.
+    /// Batch view: features (dense) and labels for rows `start..end`.
+    pub fn batch(&self, start: usize, end: usize) -> (Matrix, Labels) {
+        let x = match self.x.slice_rows(start, end) {
+            Features::Dense(m) => m,
+            Features::Csr(m) => m.to_dense(),
+        };
+        (x, self.labels.slice(start, end))
+    }
+
+    /// Copy rows `start..end` into reused buffers, densifying CSR rows —
+    /// the allocation-free counterpart of [`batch`](Self::batch): once
+    /// `x`/`labels` have served a batch at least this large, subsequent
+    /// calls allocate nothing.
     pub fn batch_into(&self, start: usize, end: usize, x: &mut Matrix, labels: &mut Labels) {
-        x.resize(end - start, self.x.cols());
-        for (i, row) in (start..end).enumerate() {
-            x.row_mut(i).copy_from_slice(self.x.row(row));
-        }
+        x.resize(end - start, self.features());
+        self.rows_into(start..end, x);
         self.labels.slice_into(start, end, labels);
+    }
+
+    /// Dense features of the listed rows (any order, repeats allowed),
+    /// stacked in the order given.
+    pub fn gather(&self, rows: &[usize]) -> Matrix {
+        let mut x = Matrix::zeros(rows.len(), self.features());
+        self.rows_into(rows.iter().copied(), &mut x);
+        x
+    }
+
+    /// `f(column, value)` for every non-zero feature of row `i`, in
+    /// ascending column order, until `f` fails.
+    pub(crate) fn try_for_each_nonzero<E>(
+        &self,
+        i: usize,
+        mut f: impl FnMut(usize, f32) -> Result<(), E>,
+    ) -> Result<(), E> {
+        match &self.x {
+            Features::Dense(m) => (m.row(i).iter().enumerate())
+                .filter(|(_, &v)| v != 0.0)
+                .try_for_each(|(c, &v)| f(c, v)),
+            Features::Csr(m) => m.row_iter(i).try_for_each(|(c, v)| f(c, v)),
+        }
+    }
+
+    /// The dense features of `rows`, stacked into `x`, already shaped
+    /// `rows × features`.
+    fn rows_into(&self, rows: impl Iterator<Item = usize>, x: &mut Matrix) {
+        for (i, r) in rows.enumerate() {
+            self.x.row_into(r, x.row_mut(i));
+        }
     }
 
     /// Deterministically shuffle examples in place (Fisher–Yates on a
@@ -164,29 +314,35 @@ impl DenseDataset {
     pub fn shuffle(&mut self, seed: u64) {
         let mut perm: Vec<usize> = (0..self.len()).collect();
         perm.shuffle(&mut StdRng::seed_from_u64(seed));
-        let mut x = Matrix::zeros(self.x.rows(), self.x.cols());
-        for (new, &old) in perm.iter().enumerate() {
-            x.row_mut(new).copy_from_slice(self.x.row(old));
+        match &mut self.x {
+            Features::Dense(m) => permute_rows(m, &perm),
+            Features::Csr(m) => *m = m.select_rows(&perm),
         }
-        self.x = x;
         self.labels = self.labels.permute(&perm);
     }
 
-    /// Split into (train, test) with `test_fraction` of the tail held out.
+    /// Split into (train, test) with `test_fraction` of the tail held out;
+    /// both halves keep this dataset's store.
     pub fn split(&self, test_fraction: f32) -> (DenseDataset, DenseDataset) {
         assert!((0.0..1.0).contains(&test_fraction), "fraction in [0,1)");
         let n_test = (self.len() as f32 * test_fraction).round() as usize;
         let n_train = self.len() - n_test;
-        let (tx, tl) = self.batch(0, n_train);
-        let (ex, el) = self.batch(n_train, self.len());
-        (
-            DenseDataset::new(format!("{}-train", self.name), tx, tl),
-            DenseDataset::new(format!("{}-test", self.name), ex, el),
-        )
+        let part = |start: usize, end: usize, suffix: &str| DenseDataset {
+            x: self.x.slice_rows(start, end),
+            labels: self.labels.slice(start, end),
+            name: format!("{}-{suffix}", self.name),
+        };
+        (part(0, n_train, "train"), part(n_train, self.len(), "test"))
     }
 
     /// Scale every feature column to zero mean / unit variance (in place).
     /// Constant columns are left centered at zero.
+    ///
+    /// Centring fills the zeros in, so a CSR store becomes dense here. Its
+    /// sums run over the same values in the same row order as on a dense
+    /// store (each CSR row densified into one reused row), and the dense
+    /// matrix is written once, already standardized, so the result is bit
+    /// for bit the dense store's.
     pub fn standardize(&mut self) {
         let n = self.len();
         if n == 0 {
@@ -194,17 +350,23 @@ impl DenseDataset {
         }
         let d = self.features();
         let mut mean = vec![0.0f64; d];
-        for r in self.x.rows_iter() {
-            for (m, v) in mean.iter_mut().zip(r) {
-                *m += *v as f64;
-            }
-        }
+        self.x.for_each_entry(|c, v| mean[c] += v as f64);
         mean.iter_mut().for_each(|m| *m /= n as f64);
         let mut var = vec![0.0f64; d];
-        for r in self.x.rows_iter() {
+        let mut add_row = |r: &[f32]| {
             for ((s, v), m) in var.iter_mut().zip(r).zip(&mean) {
                 let c = *v as f64 - m;
                 *s += c * c;
+            }
+        };
+        match &self.x {
+            Features::Dense(x) => x.rows_iter().for_each(add_row),
+            Features::Csr(_) => {
+                let mut row = vec![0.0f32; d];
+                for i in 0..n {
+                    self.x.row_into(i, &mut row);
+                    add_row(&row);
+                }
             }
         }
         let inv_std: Vec<f32> = var
@@ -219,29 +381,46 @@ impl DenseDataset {
             })
             .collect();
         let mean32: Vec<f32> = mean.iter().map(|&m| m as f32).collect();
-        let cols = d;
-        for r in self.x.as_mut_slice().chunks_exact_mut(cols) {
-            for ((v, m), s) in r.iter_mut().zip(&mean32).zip(&inv_std) {
-                *v = (*v - m) * s;
+        match &mut self.x {
+            Features::Dense(x) => {
+                for r in x.as_mut_slice().chunks_exact_mut(d) {
+                    for ((v, m), s) in r.iter_mut().zip(&mean32).zip(&inv_std) {
+                        *v = (*v - m) * s;
+                    }
+                }
+            }
+            Features::Csr(csr) => {
+                // Every unstored entry of a column standardizes to the same
+                // value, computed as the dense pass computes it.
+                let zero: Vec<f32> = (mean32.iter().zip(&inv_std))
+                    .map(|(m, s)| (0.0 - m) * s)
+                    .collect();
+                let mut x = Vec::with_capacity(n * d);
+                for i in 0..n {
+                    let start = x.len();
+                    x.extend_from_slice(&zero);
+                    let row = &mut x[start..];
+                    for (c, v) in csr.row_iter(i) {
+                        row[c] = (v - mean32[c]) * inv_std[c];
+                    }
+                }
+                self.x = Features::Dense(Matrix::from_vec(n, d, x));
             }
         }
     }
 
     /// Scale every feature column to unit variance **without centering**
     /// (in place). This preserves sparsity — the right normalization for
-    /// bag-of-words-like data where zero means "absent".
+    /// bag-of-words-like data where zero means "absent" — and a CSR store
+    /// stays CSR.
     pub fn scale_to_unit_variance(&mut self) {
         let n = self.len();
         if n == 0 {
             return;
         }
-        let d = self.features();
-        let mut sq = vec![0.0f64; d];
-        for r in self.x.rows_iter() {
-            for (s, v) in sq.iter_mut().zip(r) {
-                *s += (*v as f64) * (*v as f64);
-            }
-        }
+        let mut sq = vec![0.0f64; self.features()];
+        self.x
+            .for_each_entry(|c, v| sq[c] += (v as f64) * (v as f64));
         let inv_rms: Vec<f32> = sq
             .iter()
             .map(|&s| {
@@ -253,28 +432,69 @@ impl DenseDataset {
                 }
             })
             .collect();
-        let cols = d;
-        for r in self.x.as_mut_slice().chunks_exact_mut(cols) {
-            for (v, s) in r.iter_mut().zip(&inv_rms) {
-                *v *= s;
+        match &mut self.x {
+            Features::Dense(x) => {
+                for r in x.as_mut_slice().chunks_exact_mut(inv_rms.len()) {
+                    for (v, s) in r.iter_mut().zip(&inv_rms) {
+                        *v *= s;
+                    }
+                }
             }
+            Features::Csr(x) => x.scale_cols(&inv_rms),
         }
     }
 
-    /// Compressed-sparse-row view of the feature matrix (exact zeros are
-    /// dropped). Pairs with [`hetero_nn::loss_and_gradient_sparse`] for
-    /// bag-of-words datasets like real-sim.
-    pub fn to_csr(&self) -> hetero_tensor::CsrMatrix {
-        hetero_tensor::CsrMatrix::from_dense(&self.x, 0.0)
+    /// Compressed-sparse-row copy of the feature matrix (exact zeros are
+    /// dropped): a compression of a dense store, a clone of a CSR one.
+    /// Pairs with [`hetero_nn::loss_and_gradient_sparse`] for bag-of-words
+    /// datasets like real-sim.
+    pub fn to_csr(&self) -> CsrMatrix {
+        match &self.x {
+            Features::Dense(m) => CsrMatrix::from_dense(m, 0.0),
+            Features::Csr(m) => m.clone(),
+        }
     }
 
     /// Fraction of exactly-zero feature entries (density diagnostics).
     pub fn sparsity(&self) -> f32 {
-        if self.x.is_empty() {
+        let total = self.len() * self.features();
+        if total == 0 {
             return 0.0;
         }
-        let zeros = self.x.as_slice().iter().filter(|&&v| v == 0.0).count();
-        zeros as f32 / self.x.len() as f32
+        let zeros = match &self.x {
+            Features::Dense(m) => m.as_slice().iter().filter(|&&v| v == 0.0).count(),
+            Features::Csr(m) => {
+                let mut stored_zeros = 0;
+                self.x
+                    .for_each_entry(|_, v| stored_zeros += usize::from(v == 0.0));
+                total - m.nnz() + stored_zeros
+            }
+        };
+        zeros as f32 / total as f32
+    }
+}
+
+/// Reorder `m`'s rows in place so row `i` becomes old row `perm[i]`: each
+/// cycle of the permutation is walked once with one row saved aside, so no
+/// second matrix is allocated.
+fn permute_rows(m: &mut Matrix, perm: &[usize]) {
+    let d = m.cols();
+    let mut placed = vec![false; perm.len()];
+    let mut saved = vec![0.0f32; d];
+    for start in 0..perm.len() {
+        if placed[start] {
+            continue;
+        }
+        saved.copy_from_slice(m.row(start));
+        let mut i = start;
+        while perm[i] != start {
+            let src = perm[i];
+            m.as_mut_slice().copy_within(src * d..(src + 1) * d, i * d);
+            placed[i] = true;
+            i = src;
+        }
+        m.row_mut(i).copy_from_slice(&saved);
+        placed[i] = true;
     }
 }
 
@@ -286,6 +506,87 @@ mod tests {
         let x = Matrix::from_fn(10, 3, |i, j| (i * 3 + j) as f32);
         let labels = Labels::Classes((0..10).map(|i| (i % 2) as u32).collect());
         DenseDataset::new("toy", x, labels)
+    }
+
+    /// The whole feature matrix, dense.
+    fn dense(d: &DenseDataset) -> Matrix {
+        d.batch(0, d.len()).0
+    }
+
+    /// The same ~⅓-dense data in both stores; neighbouring rows store
+    /// different columns.
+    fn both_stores() -> (DenseDataset, DenseDataset) {
+        let x = Matrix::from_fn(12, 5, |i, j| {
+            if (i + j) % 3 == 0 {
+                (i * 5 + j) as f32 * 0.5 - 7.0
+            } else {
+                0.0
+            }
+        });
+        let labels = Labels::Classes((0..12).map(|i| (i % 3) as u32).collect());
+        let csr = CsrMatrix::from_dense(&x, 0.0);
+        (
+            DenseDataset::new("s", x, labels.clone()),
+            DenseDataset::from_csr("s", csr, labels),
+        )
+    }
+
+    /// Bitwise equality of the dense views (`==` on `f32` would let
+    /// `-0.0` pass for `0.0`).
+    fn same_bits(a: &DenseDataset, b: &DenseDataset) -> bool {
+        let bits = |d: &DenseDataset| -> Vec<u32> {
+            dense(d).as_slice().iter().map(|v| v.to_bits()).collect()
+        };
+        a.labels == b.labels && bits(a) == bits(b)
+    }
+
+    #[test]
+    fn csr_store_answers_like_the_dense_store() {
+        let (on_dense, on_csr) = both_stores();
+        assert!(on_dense.csr_store().is_none());
+        assert_eq!(on_csr.csr_store(), Some(&on_dense.to_csr()));
+        assert_eq!(on_csr, on_dense);
+        assert_eq!((on_csr.len(), on_csr.features()), (12, 5));
+        assert_eq!(on_csr.sparsity(), on_dense.sparsity());
+        assert_eq!(on_csr.to_csr(), on_dense.to_csr());
+        let rows = [7, 0, 7, 11, 3];
+        assert_eq!(on_csr.gather(&rows), on_dense.gather(&rows));
+
+        let (mut a, mut b) = (on_dense.clone(), on_csr.clone());
+        a.shuffle(5);
+        b.shuffle(5);
+        assert!(b.csr_store().is_some(), "shuffle keeps the store");
+        assert!(same_bits(&a, &b));
+        let ((a_train, a_test), (b_train, b_test)) = (a.split(0.25), b.split(0.25));
+        assert!(b_train.csr_store().is_some() && b_test.csr_store().is_some());
+        assert!(same_bits(&a_train, &b_train) && same_bits(&a_test, &b_test));
+        assert_eq!((b_train.name.as_str(), b_test.len()), ("s-train", 3));
+
+        let (mut a, mut b) = (on_dense.clone(), on_csr.clone());
+        a.scale_to_unit_variance();
+        b.scale_to_unit_variance();
+        assert!(b.csr_store().is_some(), "scaling keeps the store");
+        assert!(same_bits(&a, &b));
+
+        let (mut a, mut b) = (on_dense.clone(), on_csr.clone());
+        a.standardize();
+        b.standardize();
+        assert!(b.csr_store().is_none(), "centring fills the zeros in");
+        assert!(same_bits(&a, &b));
+    }
+
+    #[test]
+    fn csr_batch_into_clears_the_reused_buffer() {
+        let (on_dense, on_csr) = both_stores();
+        let mut x = Matrix::zeros(0, 0);
+        let mut labels = Labels::Classes(Vec::new());
+        // Each batch puts rows into buffer rows that held other columns.
+        for (s, e) in [(0, 6), (1, 7), (6, 12), (2, 4)] {
+            on_csr.batch_into(s, e, &mut x, &mut labels);
+            let (x_ref, l_ref) = on_dense.batch(s, e);
+            assert_eq!(x, x_ref, "{s}..{e}");
+            assert_eq!(labels, l_ref);
+        }
     }
 
     #[test]
@@ -351,7 +652,7 @@ mod tests {
         // Mark each row's identity in column 0 = row index * 3.
         d.shuffle(99);
         for i in 0..d.len() {
-            let orig_row = (d.x.get(i, 0) / 3.0) as u32;
+            let orig_row = (dense(&d).get(i, 0) / 3.0) as u32;
             match &d.labels {
                 Labels::Classes(v) => assert_eq!(v[i], orig_row % 2, "row {i} decoupled"),
                 _ => panic!(),
@@ -360,11 +661,11 @@ mod tests {
         // Deterministic per seed.
         let mut d2 = toy();
         d2.shuffle(99);
-        assert_eq!(d.x, d2.x);
+        assert_eq!(d, d2);
         // Different seed gives a different order (overwhelmingly likely).
         let mut d3 = toy();
         d3.shuffle(100);
-        assert_ne!(d.x, d3.x);
+        assert_ne!(dense(&d), dense(&d3));
     }
 
     #[test]
@@ -381,7 +682,7 @@ mod tests {
         let mut d = toy();
         d.standardize();
         for j in 0..d.features() {
-            let col = d.x.col(j);
+            let col = dense(&d).col(j);
             let mean: f32 = col.iter().sum::<f32>() / col.len() as f32;
             let var: f32 = col.iter().map(|v| (v - mean).powi(2)).sum::<f32>() / col.len() as f32;
             assert!(mean.abs() < 1e-4, "col {j} mean {mean}");
@@ -394,8 +695,9 @@ mod tests {
         let x = Matrix::full(5, 2, 3.0);
         let mut d = DenseDataset::new("const", x, Labels::Classes(vec![0; 5]));
         d.standardize();
-        assert!(d.x.all_finite());
-        assert!(d.x.as_slice().iter().all(|&v| v == 0.0));
+        let x = dense(&d);
+        assert!(x.all_finite());
+        assert!(x.as_slice().iter().all(|&v| v == 0.0));
     }
 
     #[test]
@@ -407,7 +709,7 @@ mod tests {
         assert_eq!(d.sparsity(), before);
         // Column RMS should be 1 after scaling.
         for j in 0..2 {
-            let col = d.x.col(j);
+            let col = dense(&d).col(j);
             let rms = (col.iter().map(|v| v * v).sum::<f32>() / col.len() as f32).sqrt();
             assert!((rms - 1.0).abs() < 1e-4, "col {j} rms {rms}");
         }

@@ -24,11 +24,9 @@ pub mod batch;
 pub mod catalog;
 pub mod dataset;
 pub mod libsvm;
-pub mod sparse;
 pub mod synth;
 
 pub use batch::BatchScheduler;
 pub use catalog::{DatasetStats, PaperDataset};
 pub use dataset::{DenseDataset, Labels};
-pub use sparse::SparseDataset;
 pub use synth::SynthConfig;

@@ -5,7 +5,8 @@
 //! carry comma-separated label lists: `3,7,12 5:0.3 ...`.
 //!
 //! When the real paper datasets are present on disk they can be loaded with
-//! [`parse_file`]; everything is densified (the paper also trains dense).
+//! [`parse_file`], then stored dense ([`densify`], as the paper trains) or
+//! as CSR ([`sparsify`]).
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::path::Path;
@@ -13,7 +14,6 @@ use std::path::Path;
 use hetero_tensor::Matrix;
 
 use crate::dataset::{DenseDataset, Labels};
-use crate::sparse::SparseDataset;
 
 /// Parse error with 1-based line information.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -185,18 +185,18 @@ pub fn densify(
     DenseDataset::new(name, x, labels)
 }
 
-/// Build a [`SparseDataset`] straight from parsed examples — the sparse
-/// counterpart of [`densify`]: same label mapping (contiguous class ids in
-/// sorted raw-label order) and the same `min_features` padding, but the
-/// feature matrix goes directly into CSR, so the dense `examples × features`
-/// matrix is **never materialized** (for real-sim that is the difference
-/// between ~5 GB dense and ~50 MB sparse).
+/// Build a CSR-stored [`DenseDataset`] straight from parsed examples — the
+/// sparse counterpart of [`densify`]: same label mapping (contiguous class
+/// ids in sorted raw-label order) and the same `min_features` padding, but
+/// the feature matrix goes directly into CSR, so the dense `examples ×
+/// features` matrix is **never materialized** (for real-sim that is the
+/// difference between ~5 GB dense and ~50 MB sparse).
 pub fn sparsify(
     name: &str,
     examples: &[SparseExample],
     multilabel: bool,
     min_features: usize,
-) -> SparseDataset {
+) -> DenseDataset {
     let d = examples
         .iter()
         .flat_map(|e| e.features.iter().map(|&(i, _)| i + 1))
@@ -236,7 +236,7 @@ pub fn sparsify(
                 .collect(),
         )
     };
-    SparseDataset::new(name, x, labels)
+    DenseDataset::from_csr(name, x, labels)
 }
 
 /// Write a dataset back to LIBSVM text (zeros omitted).
@@ -262,11 +262,7 @@ pub fn write<W: Write>(dataset: &DenseDataset, mut w: W) -> std::io::Result<()> 
                 // on round-trip and flip a label bit.
             }
         }
-        for (j, &v) in dataset.x.row(i).iter().enumerate() {
-            if v != 0.0 {
-                write!(w, " {}:{}", j + 1, v)?;
-            }
-        }
+        dataset.try_for_each_nonzero(i, |j, v| write!(w, " {}:{}", j + 1, v))?;
         writeln!(w)?;
     }
     Ok(())
@@ -275,6 +271,7 @@ pub fn write<W: Write>(dataset: &DenseDataset, mut w: W) -> std::io::Result<()> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hetero_tensor::CsrMatrix;
 
     #[test]
     fn parse_single_label() {
@@ -325,8 +322,8 @@ mod tests {
             Labels::Classes(v) => assert_eq!(v, &vec![1, 0, 1]), // -1 -> 0, +1 -> 1
             _ => panic!(),
         }
-        assert_eq!(d.x.get(1, 1), 1.0);
-        assert_eq!(d.x.get(1, 0), 0.0);
+        let (x, _) = d.batch(1, 2);
+        assert_eq!(x.row(0)[..2], [0.0, 1.0]);
     }
 
     #[test]
@@ -352,8 +349,8 @@ mod tests {
         let dense = densify("t", &ex, false, 6);
         let sparse = sparsify("t", &ex, false, 6);
         assert_eq!(sparse.features(), 6);
-        assert_eq!(sparse.to_dense(), dense);
-        assert_eq!(sparse.x.nnz(), 5);
+        assert_eq!(sparse, dense);
+        assert_eq!(sparse.csr_store().map(CsrMatrix::nnz), Some(5));
     }
 
     #[test]
@@ -361,7 +358,8 @@ mod tests {
         let ex = parse_reader("3,7 1:1\n7 2:1\n".as_bytes()).unwrap();
         let dense = densify("t", &ex, true, 0);
         let sparse = sparsify("t", &ex, true, 0);
-        assert_eq!(sparse.to_dense(), dense);
+        assert!(sparse.csr_store().is_some());
+        assert_eq!(sparse, dense);
     }
 
     #[test]
@@ -379,7 +377,7 @@ mod tests {
         write(&d, &mut buf).unwrap();
         let ex2 = parse_reader(buf.as_slice()).unwrap();
         let d2 = densify("t", &ex2, false, d.features());
-        assert_eq!(d.x, d2.x);
+        assert_eq!(d, d2);
     }
 
     #[test]
@@ -416,7 +414,7 @@ mod tests {
             }
             _ => panic!(),
         }
-        assert_eq!(d.x, d2.x);
+        assert_eq!(d.batch(0, 3).0, d2.batch(0, 3).0);
     }
 
     #[test]

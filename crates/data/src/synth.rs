@@ -15,7 +15,7 @@
 //! Multi-label data (delicious-like) draws `avg_labels` labels per example
 //! and sums the corresponding label centers before adding noise.
 
-use hetero_tensor::Matrix;
+use hetero_tensor::{CsrMatrix, Matrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rand_distr::{Distribution, Normal};
@@ -75,7 +75,8 @@ impl SynthConfig {
         Ok(())
     }
 
-    /// Generate the dataset.
+    /// Generate the dataset. A `density < 1` dataset is born CSR: only the
+    /// active entries are stored, and the dense matrix is never built.
     pub fn generate(&self) -> DenseDataset {
         self.validate().expect("invalid SynthConfig");
         let mut rng = StdRng::seed_from_u64(self.seed);
@@ -93,17 +94,17 @@ impl SynthConfig {
             .collect();
 
         let noise = Normal::new(0.0f32, self.noise).expect("valid normal");
-        let mut x = Matrix::zeros(self.examples, self.features);
+        let mut x = Rows::new(self);
 
         match self.avg_labels {
             None => {
                 let mut labels = Vec::with_capacity(self.examples);
-                for i in 0..self.examples {
+                for _ in 0..self.examples {
                     let y = rng.gen_range(0..self.classes);
                     labels.push(y as u32);
-                    self.fill_row(&mut rng, &noise, &centers[y], x.row_mut(i));
+                    x.push(self, &mut rng, &noise, &centers[y]);
                 }
-                DenseDataset::new("synthetic", x, Labels::Classes(labels))
+                x.into_dataset(self, "synthetic", Labels::Classes(labels))
             }
             Some(avg) => {
                 let mut y = Matrix::zeros(self.examples, self.classes);
@@ -127,27 +128,87 @@ impl SynthConfig {
                         y.set(i, c, 1.0);
                         sum_center.copy_from_slice(&centers[c]);
                     }
-                    self.fill_row(&mut rng, &noise, &sum_center, x.row_mut(i));
+                    x.push(self, &mut rng, &noise, &sum_center);
                 }
-                DenseDataset::new("synthetic-multilabel", x, Labels::MultiHot(y))
+                x.into_dataset(self, "synthetic-multilabel", Labels::MultiHot(y))
+            }
+        }
+    }
+}
+
+/// The generated feature rows, in the store the dataset will keep: dense
+/// when every feature is active, CSR arrays otherwise.
+enum Rows {
+    Dense(Vec<f32>),
+    Csr {
+        indptr: Vec<usize>,
+        indices: Vec<u32>,
+        values: Vec<f32>,
+    },
+}
+
+impl Rows {
+    fn new(cfg: &SynthConfig) -> Self {
+        if cfg.density >= 1.0 {
+            return Rows::Dense(Vec::with_capacity(cfg.examples * cfg.features));
+        }
+        // Room for the expected entry count and then some (its spread is
+        // about its square root), so the arrays are allocated once.
+        let expected = (cfg.examples * cfg.features) as f64 * cfg.density as f64;
+        let nnz = (expected + 4.0 * expected.sqrt()) as usize + 64;
+        let mut indptr = Vec::with_capacity(cfg.examples + 1);
+        indptr.push(0);
+        Rows::Csr {
+            indptr,
+            indices: Vec::with_capacity(nnz),
+            values: Vec::with_capacity(nnz),
+        }
+    }
+
+    /// Draw one example around `center`.
+    fn push(&mut self, cfg: &SynthConfig, rng: &mut StdRng, noise: &Normal<f32>, center: &[f32]) {
+        match self {
+            Rows::Dense(x) => x.extend(center.iter().map(|c| c + noise.sample(rng))),
+            Rows::Csr {
+                indptr,
+                indices,
+                values,
+            } => {
+                // Sparse bag-of-words-like pattern: only a random subset of
+                // coordinates is active; inactive ones are exactly zero and
+                // not stored. One uniform per coordinate, then one normal
+                // per active one, in coordinate order: the values are those
+                // a dense fill of the same stream writes (the tests hold
+                // every preset against one).
+                for (j, c) in center.iter().enumerate() {
+                    if rng.gen::<f32>() < cfg.density {
+                        let v = c + noise.sample(rng);
+                        // An exact zero is no entry, as in `to_csr`.
+                        if v != 0.0 {
+                            indices.push(j as u32);
+                            values.push(v);
+                        }
+                    }
+                }
+                indptr.push(indices.len());
             }
         }
     }
 
-    fn fill_row(&self, rng: &mut StdRng, noise: &Normal<f32>, center: &[f32], row: &mut [f32]) {
-        if self.density >= 1.0 {
-            for (r, c) in row.iter_mut().zip(center) {
-                *r = c + noise.sample(rng);
-            }
-        } else {
-            // Sparse bag-of-words-like pattern: only a random subset of
-            // coordinates is active; inactive ones are exactly zero.
-            for (r, c) in row.iter_mut().zip(center) {
-                if rng.gen::<f32>() < self.density {
-                    *r = c + noise.sample(rng);
-                } else {
-                    *r = 0.0;
-                }
+    fn into_dataset(self, cfg: &SynthConfig, name: &str, labels: Labels) -> DenseDataset {
+        match self {
+            Rows::Dense(x) => DenseDataset::new(
+                name,
+                Matrix::from_vec(cfg.examples, cfg.features, x),
+                labels,
+            ),
+            Rows::Csr {
+                indptr,
+                indices,
+                values,
+            } => {
+                let x = CsrMatrix::from_parts(cfg.features, indptr, indices, values);
+                DenseDataset::from_csr(name, x, labels)
             }
         }
     }
@@ -156,14 +217,143 @@ impl SynthConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalog::PaperDataset;
+
+    /// The dense generator every stored dataset must reproduce: each row
+    /// drawn into a full dense matrix, zeros and all.
+    fn reference(cfg: &SynthConfig) -> (Matrix, Labels) {
+        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let unit = Normal::new(0.0f32, 1.0).unwrap();
+        let centers: Vec<Vec<f32>> = (0..cfg.classes)
+            .map(|_| {
+                let mut c: Vec<f32> = (0..cfg.features).map(|_| unit.sample(&mut rng)).collect();
+                let norm = c.iter().map(|v| v * v).sum::<f32>().sqrt().max(1e-6);
+                let s = cfg.separability / norm;
+                c.iter_mut().for_each(|v| *v *= s);
+                c
+            })
+            .collect();
+        let noise = Normal::new(0.0f32, cfg.noise).unwrap();
+        let fill_row = |rng: &mut StdRng, center: &[f32], row: &mut [f32]| {
+            if cfg.density >= 1.0 {
+                for (r, c) in row.iter_mut().zip(center) {
+                    *r = c + noise.sample(rng);
+                }
+            } else {
+                for (r, c) in row.iter_mut().zip(center) {
+                    if rng.gen::<f32>() < cfg.density {
+                        *r = c + noise.sample(rng);
+                    } else {
+                        *r = 0.0;
+                    }
+                }
+            }
+        };
+        let mut x = Matrix::zeros(cfg.examples, cfg.features);
+        match cfg.avg_labels {
+            None => {
+                let mut labels = Vec::with_capacity(cfg.examples);
+                for i in 0..cfg.examples {
+                    let y = rng.gen_range(0..cfg.classes);
+                    labels.push(y as u32);
+                    fill_row(&mut rng, &centers[y], x.row_mut(i));
+                }
+                (x, Labels::Classes(labels))
+            }
+            Some(avg) => {
+                let mut y = Matrix::zeros(cfg.examples, cfg.classes);
+                let p_label = (avg / cfg.classes as f32).clamp(0.0, 1.0);
+                let mut sum_center = vec![0.0f32; cfg.features];
+                for i in 0..cfg.examples {
+                    sum_center.iter_mut().for_each(|v| *v = 0.0);
+                    let mut any = false;
+                    for (c, center) in centers.iter().enumerate().take(cfg.classes) {
+                        if rng.gen::<f32>() < p_label {
+                            y.set(i, c, 1.0);
+                            for (s, v) in sum_center.iter_mut().zip(center) {
+                                *s += v;
+                            }
+                            any = true;
+                        }
+                    }
+                    if !any {
+                        let c = rng.gen_range(0..cfg.classes);
+                        y.set(i, c, 1.0);
+                        sum_center.copy_from_slice(&centers[c]);
+                    }
+                    fill_row(&mut rng, &sum_center, x.row_mut(i));
+                }
+                (x, Labels::MultiHot(y))
+            }
+        }
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Sparse configs are stored as CSR and hold exactly the reference's
+    /// non-zeros; densified, they are the reference bit for bit — and so
+    /// is every preset after its preprocessing, which on covtype densifies
+    /// the CSR store inside `standardize`.
+    #[test]
+    fn generated_data_is_the_dense_reference_bit_for_bit() {
+        let presets = PaperDataset::all()
+            .into_iter()
+            .flat_map(|p| [0.002, 0.01].map(|scale| (Some(p), p.synth_config(scale, 9))));
+        let benchmark_shaped = SynthConfig {
+            examples: 64,
+            features: 20_958,
+            classes: 2,
+            avg_labels: None,
+            separability: 2.5,
+            density: 0.0025,
+            noise: 1.0,
+            seed: 1,
+        };
+        let dense = SynthConfig::small(40, 7, 3, 2);
+        let cases = presets.chain([(None, benchmark_shaped), (None, dense)]);
+        for (preset, cfg) in cases {
+            let (x_ref, labels_ref) = reference(&cfg);
+            let d = cfg.generate();
+            if cfg.density < 1.0 {
+                assert_eq!(
+                    d.csr_store(),
+                    Some(&CsrMatrix::from_dense(&x_ref, 0.0)),
+                    "{cfg:?}"
+                );
+            } else {
+                assert!(d.csr_store().is_none());
+            }
+            let (x, labels) = d.batch(0, d.len());
+            assert!(bits(&x) == bits(&x_ref), "{cfg:?}");
+            assert_eq!(labels, labels_ref);
+
+            // `PaperDataset::generate`'s preprocessing, on either store.
+            let Some(p) = preset else { continue };
+            let preprocessed = |mut d: DenseDataset| {
+                if p.stats().dense {
+                    d.standardize();
+                } else {
+                    d.scale_to_unit_variance();
+                }
+                d.batch(0, d.len()).0
+            };
+            let want = preprocessed(DenseDataset::new("ref", x_ref, labels_ref));
+            assert!(bits(&preprocessed(d)) == bits(&want), "{p:?} preprocessed");
+        }
+    }
 
     #[test]
     fn deterministic_per_seed() {
         let cfg = SynthConfig::small(50, 10, 3, 7);
-        assert_eq!(cfg.generate().x, cfg.generate().x);
+        assert_eq!(cfg.generate(), cfg.generate());
         let mut cfg2 = cfg.clone();
         cfg2.seed = 8;
-        assert_ne!(cfg.generate().x, cfg2.generate().x);
+        assert_ne!(
+            cfg.generate().batch(0, 50).0,
+            cfg2.generate().batch(0, 50).0
+        );
     }
 
     #[test]
@@ -214,6 +404,7 @@ mod tests {
         cfg.separability = 5.0;
         cfg.noise = 0.5;
         let d = cfg.generate();
+        let x = d.batch(0, d.len()).0;
         let labels = match &d.labels {
             Labels::Classes(v) => v.clone(),
             _ => panic!(),
@@ -223,7 +414,7 @@ mod tests {
         for (i, &label) in labels.iter().enumerate() {
             let c = label as usize;
             counts[c] += 1;
-            for (m, v) in means[c].iter_mut().zip(d.x.row(i)) {
+            for (m, v) in means[c].iter_mut().zip(x.row(i)) {
                 *m += v;
             }
         }
@@ -235,7 +426,7 @@ mod tests {
         let mut correct = 0;
         for (i, &label) in labels.iter().enumerate() {
             let dist =
-                |m: &[f32]| -> f32 { d.x.row(i).iter().zip(m).map(|(a, b)| (a - b).powi(2)).sum() };
+                |m: &[f32]| -> f32 { x.row(i).iter().zip(m).map(|(a, b)| (a - b).powi(2)).sum() };
             let pred = if dist(&means[0]) < dist(&means[1]) {
                 0
             } else {

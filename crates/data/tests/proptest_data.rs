@@ -39,7 +39,7 @@ proptest! {
         libsvm::write(&d, &mut buf).unwrap();
         let parsed = libsvm::parse_reader(buf.as_slice()).unwrap();
         let back = libsvm::densify("prop", &parsed, false, d.features());
-        prop_assert_eq!(&back.x, &d.x);
+        prop_assert_eq!(back.batch(0, back.len()).0, d.batch(0, d.len()).0);
         // Labels are remapped to contiguous ids in sorted order; since ours
         // are already 0..k, they must round-trip identically.
         match (&back.labels, &d.labels) {
@@ -64,9 +64,10 @@ proptest! {
         prop_assert_eq!(shuffled.len(), d.len());
         // Sort row signatures and compare.
         let sig = |ds: &DenseDataset| {
+            let x = ds.batch(0, ds.len()).0;
             let mut rows: Vec<Vec<u32>> = (0..ds.len())
                 .map(|i| {
-                    let mut v: Vec<u32> = ds.x.row(i).iter().map(|f| f.to_bits()).collect();
+                    let mut v: Vec<u32> = x.row(i).iter().map(|f| f.to_bits()).collect();
                     if let Labels::Classes(c) = &ds.labels {
                         v.push(c[i]);
                     }

@@ -130,6 +130,46 @@ impl CsrMatrix {
         }
     }
 
+    /// Assemble from its three arrays: `indptr` (`rows + 1` offsets, from
+    /// 0 to `nnz`, non-decreasing), and each stored entry's column
+    /// (ascending within a row, below `cols`) and value. The path for a
+    /// producer that writes rows straight into CSR and knows its size, as
+    /// the sparse generators do.
+    ///
+    /// # Panics
+    /// Panics if the arrays do not describe such a matrix.
+    pub fn from_parts(
+        cols: usize,
+        indptr: Vec<usize>,
+        indices: Vec<u32>,
+        values: Vec<f32>,
+    ) -> Self {
+        assert_eq!(indices.len(), values.len(), "one column per value");
+        assert!(
+            indptr.first() == Some(&0) && indptr.last() == Some(&indices.len()),
+            "indptr must run from 0 to nnz"
+        );
+        for w in indptr.windows(2) {
+            assert!(w[0] <= w[1], "indptr must be non-decreasing");
+            let row = &indices[w[0]..w[1]];
+            assert!(
+                row.windows(2).all(|c| c[0] < c[1]),
+                "column indices must be ascending within a row"
+            );
+            assert!(
+                row.last().is_none_or(|&c| (c as usize) < cols),
+                "column out of bounds (cols {cols})"
+            );
+        }
+        CsrMatrix {
+            rows: indptr.len() - 1,
+            cols,
+            indptr,
+            indices,
+            values,
+        }
+    }
+
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -172,6 +212,18 @@ impl CsrMatrix {
             .iter()
             .zip(&self.values[s..e])
             .map(|(&c, &v)| (c as usize, v))
+    }
+
+    /// Multiply every stored entry of column `c` by `scale[c]`, in place:
+    /// column scaling that keeps the sparsity pattern.
+    ///
+    /// # Panics
+    /// Panics unless `scale` holds one factor per column.
+    pub fn scale_cols(&mut self, scale: &[f32]) {
+        assert_eq!(scale.len(), self.cols, "one factor per column");
+        for (v, &c) in self.values.iter_mut().zip(&self.indices) {
+            *v *= scale[c as usize];
+        }
     }
 
     /// Convert back to dense.
@@ -511,6 +563,38 @@ mod tests {
         let v = s.view();
         assert_eq!(v.row_iter(0).collect::<Vec<_>>(), row0);
         assert_eq!((v.rows(), v.cols(), v.nnz()), (3, 4, 4));
+    }
+
+    #[test]
+    fn from_parts_assembles_and_checks_its_arrays() {
+        let s = CsrMatrix::from_dense(&sample_dense(), 0.0);
+        let parts = |s: &CsrMatrix| (s.indptr.clone(), s.indices.clone(), s.values.clone());
+        let (indptr, indices, values) = parts(&s);
+        assert_eq!(CsrMatrix::from_parts(4, indptr, indices, values), s);
+        let bad = [
+            (vec![0, 2, 2, 5], vec![0, 2, 1, 3], vec![1.0; 4]),
+            (vec![0, 2, 1, 4], vec![0, 2, 1, 3], vec![1.0; 4]),
+            (vec![0, 2, 2, 4], vec![2, 0, 1, 3], vec![1.0; 4]),
+            (vec![0, 2, 2, 4], vec![0, 2, 1, 4], vec![1.0; 4]),
+            (vec![0, 2, 2, 4], vec![0, 2, 1, 3], vec![1.0; 3]),
+        ];
+        for (indptr, indices, values) in bad {
+            let built = std::panic::catch_unwind(|| {
+                CsrMatrix::from_parts(4, indptr.clone(), indices.clone(), values.clone())
+            });
+            assert!(built.is_err(), "{indptr:?} {indices:?} {values:?} accepted");
+        }
+    }
+
+    #[test]
+    fn scale_cols_matches_dense_column_scaling() {
+        let d = sample_dense();
+        let mut s = CsrMatrix::from_dense(&d, 0.0);
+        let scale = [0.5, 3.0, -2.0, 0.25];
+        s.scale_cols(&scale);
+        let want = Matrix::from_fn(3, 4, |i, j| d.get(i, j) * scale[j]);
+        assert_eq!(s.to_dense(), want);
+        assert_eq!(s.nnz(), 4);
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! difference. It then runs the threaded engine end to end on full-width
 //! real-sim rows (the shape of the repo benchmark's
 //! `threaded-sparse-realsim`) and splits each run's wall into start-up —
-//! model initialisation beside the CSR compression, before the engine's
-//! clock — and training (`TrainResult::duration`).
+//! model initialisation, before the engine's clock; the data is born CSR,
+//! so there is nothing to compress — and training
+//! (`TrainResult::duration`).
 //!
 //! ```text
 //! cargo run --release --example sparse_realsim

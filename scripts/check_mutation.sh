@@ -32,7 +32,9 @@
 # crates/core/src/coordinator.rs the run skeleton records the initial point
 # of a fresh run only — a resumed run's curve came back with its
 # checkpoint; `--cfg hetero_point_on_resume` records one on a resumed run
-# too. This script asserts that:
+# too. In crates/data/src/dataset.rs a CSR row densified into a reused batch
+# buffer first clears the row; `--cfg hetero_densify_stale` skips that, so
+# a row keeps the previous batch's entries. This script asserts that:
 #   1. the suites pass as written, and
 #   2. each suite FAILS under its mutation the way the bug would show (a
 #      data-race report for the queue, both two-merger models losing an
@@ -42,7 +44,8 @@
 #      reused workspace's gradient differing from a fresh one's, a wave
 #      differing from its lanes applied one by one, the two dispatch levels
 #      drawing different initial weights, a resumed simulation's loss curve
-#      differing from the uninterrupted one's),
+#      differing from the uninterrupted one's, a dense run's loss curve
+#      depending on whether its data is stored dense or as CSR),
 # i.e. the checker genuinely guards the edge.
 #
 # Usage: scripts/check_mutation.sh   (from anywhere in the repo)
@@ -60,12 +63,13 @@ support="-p hetero-nn --lib sparse_input::tests"
 wave="-p hetero-core --lib a_wave_is_the_sum_of_its_lanes"
 init="-p hetero-tensor --test proptest_simd normal_fill"
 resume="-p hetero-core --lib checkpointed_run_is_untouched_and_resume_is_bit_identical"
+store="-p hetero-core --lib training_does_not_depend_on_the_store"
 
-echo "[1/13] baseline: loom queue, shared-model, coordinator-model, event-loop, sparse-support, sim-wave, init-stream and sim-resume suites must pass as written"
+echo "[1/14] baseline: loom queue, shared-model, coordinator-model, event-loop, sparse-support, sim-wave, init-stream, sim-resume and store suites must pass as written"
 # shellcheck disable=SC2086
 if ! { cargo test $queue -q && cargo test $shared -q && cargo test $model -q \
     && cargo test $run -q && cargo test $support -q && cargo test $wave -q \
-    && cargo test $init -q && cargo test $resume -q; } >"$log" 2>&1; then
+    && cargo test $init -q && cargo test $resume -q && cargo test $store -q; } >"$log" 2>&1; then
     echo "FAIL: baseline suite is red"
     tail -40 "$log"
     exit 1
@@ -75,7 +79,7 @@ fi
 check_mutation() {
     local cfg="$1" desc="$2" step="$3" suite="$4"
     shift 4
-    echo "[$step/13] mutation: suite must FAIL with $desc"
+    echo "[$step/14] mutation: suite must FAIL with $desc"
     # shellcheck disable=SC2086
     if RUSTFLAGS="--cfg $cfg" cargo test $suite -q >"$log" 2>&1; then
         echo "FAIL: $desc mutation was NOT caught"
@@ -133,5 +137,9 @@ check_mutation hetero_init_fma "an AVX2 normal draw fusing its polynomial steps"
 # run never had.
 check_mutation hetero_point_on_resume "an initial point recorded on a resumed run" 13 \
     "$resume" "checkpointed_run_is_untouched_and_resume_is_bit_identical"
+# A densified CSR row that keeps the previous batch's entries trains a
+# dense run on other data than the same rows stored dense.
+check_mutation hetero_densify_stale "a CSR row densified into an uncleared buffer" 14 \
+    "$store" "training_does_not_depend_on_the_store" "sparse_input false"
 
-echo "OK: all twelve seeded mutations are caught"
+echo "OK: all thirteen seeded mutations are caught"
