@@ -1,26 +1,43 @@
 //! Measured (not asserted-by-inspection) allocation-freedom of a warm
 //! training step. Sparse: CSR batch staging, the sparse loss+gradient
-//! pass, the column-restricted racy apply, and the row-sparse scanned
-//! gradient merge (uncontended, and beside a second merger). Dense: the serial loss+gradient pass and the plain apply the
-//! CPU Hogwild lanes run (the rayon path necessarily allocates —
-//! scoped-thread spawns — and is excluded by design). None may touch the
-//! heap once buffers are warmed — they run per batch inside every
-//! engine's hot loop.
+//! pass, the column-restricted racy apply, and the GPU worker's step —
+//! device-ledger reservation and transfer accounting around the row-sparse
+//! scanned gradient merge (uncontended, and beside a second merger). Dense:
+//! the serial loss+gradient pass and the plain apply the CPU Hogwild lanes
+//! run, and the GPU worker's step on dense batches (the rayon path
+//! necessarily allocates — scoped-thread spawns — and is excluded by
+//! design). None may touch the heap once buffers are warmed — they run per
+//! batch inside every engine's hot loop.
 //!
 //! Lives in its own integration-test binary because `#[global_allocator]`
 //! is process-wide: mixing a counting allocator into the unit-test binary
 //! would perturb every other test's numbers.
 
 use hetero_bench::alloc_count::{allocs_in, CountingAlloc};
-use hetero_data::PaperDataset;
+use hetero_data::{PaperDataset, SynthConfig};
+use hetero_gpu::{Footprint, GpuDevice};
+use hetero_metrics::MetricsHub;
 use hetero_nn::{
     Activation, InitScheme, LossKind, MergeScan, MlpSpec, Model, SharedModel, Targets, Workspace,
 };
+use hetero_sim::GpuModel;
 use hetero_tensor::{CsrBatch, CsrMatrix, Matrix};
+use hetero_trace::TraceSink;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
+
+/// A GPU worker's device as a run builds it: an observed ledger with live
+/// transfer histograms.
+fn observed_device() -> GpuDevice {
+    GpuDevice::new_observed(
+        GpuModel::v100(),
+        &TraceSink::disabled(),
+        1,
+        &MetricsHub::new(),
+    )
+}
 
 fn sparse_fixture() -> (hetero_data::DenseDataset, CsrMatrix, MlpSpec) {
     let data = PaperDataset::RealSim.generate(0.01, 42);
@@ -87,6 +104,43 @@ fn warm_dense_step_is_allocation_free() {
 }
 
 #[test]
+fn warm_dense_gpu_step_is_allocation_free() {
+    let data = SynthConfig::small(400, 8, 2, 5).generate();
+    let spec = MlpSpec::tiny(8, 2);
+    let shared = SharedModel::new(&Model::new(spec.clone(), InitScheme::Xavier, 3));
+    let mut snapshot = Model::zeros_like(&spec);
+    let mut ws = Workspace::new(&spec);
+    let (mut x, mut labels) = data.batch(0, 1);
+    let mut scan = MergeScan::new(spec.hidden.len() + 1);
+    let (device, fp) = (observed_device(), Footprint::of(&spec));
+    let _resident = device.mem().alloc(fp.resident_bytes()).unwrap();
+    let (s, e) = (32, 96);
+    // The exact per-batch sequence of `GpuWorker::batch_step` on a dense
+    // run at a steady size, minus the rayon install.
+    let n = allocs_in(|| {
+        device.set_active_batch(Some(1));
+        shared.snapshot_into(&mut snapshot);
+        let held = device.mem().alloc(fp.step_bytes(e - s)).unwrap();
+        data.batch_into(s, e, &mut x, &mut labels);
+        device.account_h2d(fp.batch_bytes(e - s));
+        device.account_h2d(fp.model);
+        ws.loss_and_gradient_into(&snapshot, &x, labels.as_targets(), false);
+        device.account_step(fp.flops, e - s);
+        device.account_d2h(fp.model);
+        device.mem().free(held).unwrap();
+        scan.reset();
+        shared.merge_gradient(ws.grad(), 0.05, None, Some(&mut scan));
+        device.set_active_batch(None);
+    });
+    assert_eq!(n, 0, "warm dense GPU step allocated {n} times");
+    assert_eq!(
+        device.transfer_stats().d2h_count,
+        2,
+        "warm-up + counted step"
+    );
+}
+
+#[test]
 fn warm_sparse_merge_step_is_allocation_free() {
     let (data, csr_all, spec) = sparse_fixture();
     let model = Model::new(spec.clone(), InitScheme::Xavier, 11);
@@ -97,17 +151,28 @@ fn warm_sparse_merge_step_is_allocation_free() {
     let mut labels = data.labels.slice(0, 1);
     let mut scan = MergeScan::new(spec.hidden.len() + 1);
     let (s, e) = (0, 64.min(data.len()));
+    let (device, fp) = (observed_device(), Footprint::of(&spec));
+    let _resident = device.mem().alloc(fp.resident_bytes()).unwrap();
     // The exact per-batch sequence of `GpuWorker::batch_step` on a CSR run, minus
     // the rayon install (parallel=false keeps the measurement in one thread
     // — the kernels themselves are what is under test). Returns the stripes
     // the merge found owned by another merger.
     let mut step = || {
+        device.set_active_batch(Some(1));
         shared.snapshot_into(&mut snapshot);
+        let held = device.mem().alloc(fp.step_bytes(e - s)).unwrap();
         data.labels.slice_into(s, e, &mut labels);
         csr_all.slice_rows_into(s, e, &mut csr);
+        device.account_h2d(fp.batch_bytes(e - s));
+        device.account_h2d(fp.model);
         ws.loss_and_gradient_into(&snapshot, csr.view(), labels.as_targets(), false);
+        device.account_step(fp.flops, e - s);
+        device.account_d2h(fp.model);
+        device.mem().free(held).unwrap();
         scan.reset();
-        shared.merge_gradient(ws.grad(), 0.05, ws.active_cols(), Some(&mut scan))
+        let found = shared.merge_gradient(ws.grad(), 0.05, ws.active_cols(), Some(&mut scan));
+        device.set_active_batch(None);
+        found
     };
     let n = allocs_in(|| {
         step();

@@ -38,6 +38,7 @@ use std::time::Instant;
 use hetero_data::batch::BatchRange;
 use hetero_data::DenseDataset;
 use hetero_flight::Watchdog;
+use hetero_gpu::Footprint;
 use hetero_metrics::{HistHandle, Metric, MetricsHub};
 use hetero_nn::{scan_model, MergeScan, MlpSpec, Model};
 use hetero_sim::{CpuModel, DeviceModel, EventQueue, GpuModel, UtilizationTimeline};
@@ -122,7 +123,7 @@ const WAVE: usize = 8;
 /// snapshots completed events hand back to `SimBackend::start`. Reused
 /// across every event, so steady-state gradient computation allocates
 /// nothing.
-struct SimScratch {
+pub(crate) struct SimScratch {
     cpu: Lane,
     base: Model,
     gpu: Lane,
@@ -132,7 +133,7 @@ struct SimScratch {
 }
 
 impl SimScratch {
-    fn new(spec: &MlpSpec) -> Self {
+    pub(crate) fn new(spec: &MlpSpec) -> Self {
         SimScratch {
             cpu: Lane::new(spec),
             base: Model::zeros_like(spec),
@@ -198,6 +199,30 @@ impl SimScratch {
             base.copy_from(model);
         }
         updates
+    }
+
+    /// A GPU worker's batch: one gradient at `snapshot` over `range`, seen
+    /// by `inspect`, applied to `model` at `eta` — the update the threaded
+    /// GPU worker merges into its shared model. Returns its one update.
+    // audit: no_alloc
+    pub(crate) fn run_gpu<D>(
+        &mut self,
+        src: &BatchSource<D>,
+        range: &BatchRange,
+        snapshot: &Model,
+        model: &mut Model,
+        eta: f32,
+        inspect: impl FnOnce(&mut Lane),
+    ) -> usize
+    where
+        D: Deref<Target = DenseDataset>,
+    {
+        let lane = &mut self.gpu;
+        lane.stage(src, range.start, range.end);
+        lane.gradient(src, snapshot, true);
+        inspect(lane);
+        lane.apply_to(model, eta);
+        1
     }
 }
 
@@ -313,6 +338,7 @@ impl SimEngine {
     /// is attached — only an explicit health-policy action changes a run.
     pub fn run_with(&self, dataset: &DenseDataset, ctx: &RunCtx) -> TrainResult {
         let cfg = &self.cfg;
+        let footprint = Footprint::of(&cfg.spec);
         let engine = Engine {
             name: "sim",
             domain: TimeDomain::Virtual,
@@ -320,7 +346,8 @@ impl SimEngine {
             spec: &cfg.spec,
             train: &cfg.train,
             cpu_lanes: cfg.cpu.threads,
-            gpu_caps: cfg.gpus.iter().map(|g| self.mem_cap(g)).collect(),
+            // §VI-B: device memory bounds the batch size.
+            gpu_caps: cfg.gpus.iter().map(|g| footprint.max_batch(g)).collect(),
             // One host thread runs every simulated worker and fans its
             // GEMMs out to the pool.
             runnable: (0, 1),
@@ -351,6 +378,7 @@ impl SimEngine {
             let evaluator = co.evaluator(&src, &cfg.spec);
             let mut sim = SimBackend {
                 cfg,
+                footprint,
                 obs: SimObs::new(&ctx.hub, devices.len()),
                 devices,
                 health_scan: MergeScan::for_model(&model),
@@ -389,15 +417,6 @@ impl SimEngine {
         result.eval_timeline = sim.eval_timeline;
         result
     }
-
-    /// §VI-B: device memory bounds the batch size — the most examples `g`
-    /// holds beside the model.
-    fn mem_cap(&self, g: &GpuModel) -> usize {
-        let spec = &self.cfg.spec;
-        let example_bytes = 4 * spec.input_dim as u64;
-        let activation_bytes = 8 * spec.hidden.iter().sum::<usize>() as u64;
-        g.max_batch(example_bytes + activation_bytes, spec.param_bytes())
-    }
 }
 
 /// A [`SimCkpt`] beside its envelope: `(global_updates, last_epoch_evaled,
@@ -410,6 +429,9 @@ type SimTail = ((u64, usize, f64), Vec<(f64, Ev)>);
 /// when it was handed out.
 struct SimBackend<'a> {
     cfg: &'a SimEngineConfig,
+    /// What a GPU batch holds and moves, charged by the same rule the
+    /// threaded GPU worker accounts.
+    footprint: Footprint,
     devices: Vec<Device>,
     src: BatchSource<&'a DenseDataset>,
     /// The live model: every completion's update lands here.
@@ -482,10 +504,7 @@ impl Backend for SimBackend<'_> {
             ..BatchPhases::default()
         };
         if let Device::Gpu(g) = &self.devices[w] {
-            let batch_bytes = (4 * self.cfg.spec.input_dim * range.len()) as u64;
-            let model_bytes = self.cfg.spec.param_bytes();
-            let h2d = g.transfer_time(batch_bytes) + g.transfer_time(model_bytes);
-            let d2h = g.transfer_time(model_bytes);
+            let (h2d, d2h) = self.footprint.transfer_secs(g, range.len());
             self.obs.h2d[w].record_secs(h2d);
             self.obs.d2h[w].record_secs(d2h);
             phases.transfer_secs = h2d + d2h;
@@ -643,16 +662,11 @@ impl SimBackend<'_> {
     /// replica transfers and the TensorFlow comparator overheads.
     fn batch_cost(&self, device: &Device, batch: usize) -> f64 {
         let spec = &self.cfg.spec;
-        let fpe = spec.train_flops_per_example();
         match device {
-            Device::Cpu(c) => c.batch_time(fpe, batch),
+            Device::Cpu(c) => c.batch_time(self.footprint.flops, batch),
             Device::Gpu(g) => {
-                let batch_bytes = (4 * spec.input_dim * batch) as u64;
                 // Deep-copy replica: model in (H2D) + model out (D2H), §VI-B.
-                let model_bytes = spec.param_bytes();
-                let mut t = g.batch_time(fpe, batch)
-                    + g.transfer_time(batch_bytes)
-                    + 2.0 * g.transfer_time(model_bytes);
+                let mut t = self.footprint.step_secs(g, batch);
                 if self.cfg.train.algorithm == AlgorithmKind::TensorFlow {
                     // Op-granularity scheduling: ~8 primitives per layer
                     // per step, each paying a dispatch overhead.
@@ -699,7 +713,7 @@ impl SimBackend<'_> {
         // Injected fault: one NaN into this worker's first applied gradient
         // at the planned step (0-based batch counter, like `death_after`).
         let mut poison_pending = cfg.fault_plan.poison_at(worker) == Some(batches_done);
-        let mut inspect = |lane: &mut Lane| {
+        let inspect = |lane: &mut Lane| {
             if poison_pending {
                 poison_pending = false;
                 lane.ws.grad_mut().layers_mut()[0].b[0] = f32::NAN;
@@ -729,12 +743,9 @@ impl SimBackend<'_> {
                 (n, None)
             }
             Device::Gpu(_) => {
-                let lane = &mut scratch.gpu;
-                lane.stage(src, range.start, range.end);
-                lane.gradient(src, snapshot, true);
-                inspect(lane);
-                lane.apply_to(model, step(range.len()));
-                (1, Some(discount))
+                let eta = step(range.len());
+                let n = scratch.run_gpu(src, range, snapshot, model, eta, inspect);
+                (n, Some(discount))
             }
         };
         if sink.enabled() {

@@ -5,8 +5,10 @@
 //! communicating over the custom asynchronous message queue
 //! ([`hetero_mq::channel()`]); the global model is a
 //! [`hetero_nn::SharedModel`] that CPU threads update Hogwild-style (racy
-//! read–modify–write) while the GPU worker trains a deep-copy replica on
-//! the software GPU ([`hetero_gpu::GpuDevice`]) and merges the delta back.
+//! read–modify–write) while the GPU worker takes a deep-copy snapshot,
+//! computes its one-step delta on the host lane, and merges it back, with
+//! the device memory and transfers it would use accounted on the software
+//! GPU ([`hetero_gpu::GpuDevice`]) by the rule the simulator charges.
 //! The coordinator thread runs the coordinator's one event loop
 //! ([`Coordinator::run`]) over `ThreadsBackend`: a wall clock, the exec
 //! channels it hands ranges down, and the ready channel it waits on. A
@@ -51,7 +53,7 @@ use std::time::{Duration, Instant};
 use hetero_data::batch::BatchRange;
 use hetero_data::DenseDataset;
 use hetero_flight::Watchdog;
-use hetero_gpu::{GpuDevice, GpuMlp};
+use hetero_gpu::{Footprint, GpuDevice};
 use hetero_metrics::{HistHandle, Metric, MetricsHub};
 use hetero_mq::{channel, channel_traced_lineage, Receiver, RecvTimeoutError, Sender};
 use hetero_nn::{scan_model, MergeScan, MlpSpec, Model, SharedModel};
@@ -201,8 +203,9 @@ impl ThreadedEngine {
             spec: &cfg.spec,
             train: &cfg.train,
             cpu_lanes: cfg.cpu_threads,
-            // The software device reports an OOM when it happens.
-            gpu_caps: vec![usize::MAX; gpus],
+            // §VI-B: what the device holds beside the model, by the rule
+            // the simulator caps its GPU batch with.
+            gpu_caps: vec![Footprint::of(&cfg.spec).max_batch(&cfg.gpu_perf); gpus],
             // Every Hogwild lane, beside every GPU worker's GEMM fan-out.
             runnable: (
                 if algo.uses_cpu() { cfg.cpu_threads } else { 0 },
@@ -301,9 +304,6 @@ impl ThreadedEngine {
                                 GpuDevice::new_observed(perf, &env.sink, slot as u32, &env.hub);
                             let mut gpu = GpuWorker::new(slot, &device, &plan, &env)?;
                             run(&mut |id, range, batches| gpu.batch_step(id, range, batches))
-                            // `gpu.on_device` (and its device buffers) drops
-                            // here — and on any unwind path above, via
-                            // GpuMlp's Drop impl.
                         }
                     }
                 };
@@ -693,23 +693,20 @@ fn cpu_lane_step(
     }
 }
 
-/// A GPU worker: one software device with a deep-copy replica of the
-/// model, and everything a step of it reuses. Built once, before the first
-/// dispatch: the snapshot/replica models and the batch buffers make the
-/// steady-state step allocation-free on the host (the device side reuses
-/// `GpuMlp`'s scratch pool).
+/// A GPU worker: one software device, the deep-copy snapshot its replica
+/// starts every step from, and everything a step reuses. Built once,
+/// before the first dispatch, so the steady-state step is allocation-free;
+/// the device ledger holds the model's resident bytes for the worker's
+/// life.
 struct GpuWorker<'a> {
     slot: usize,
     env: &'a WorkerEnv,
     device: &'a GpuDevice,
-    /// Kernel-emulation GEMMs fan out to this pinned pool instead of
-    /// grabbing every host core.
+    /// What a step holds on the device and moves over its link.
+    footprint: Footprint,
+    /// The step's GEMMs fan out to this pinned pool instead of grabbing
+    /// every host core.
     gemm_pool: rayon::ThreadPool,
-    /// The device-resident copy and the host model it is downloaded into;
-    /// `None` when the replica trains on the host instead (CSR runs) —
-    /// there it is one gradient step from `snapshot`, so the lane's
-    /// gradient is its whole delta and no second model is kept.
-    on_device: Option<(GpuMlp<'a>, Model)>,
     snapshot: Model,
     lane: Lane,
     /// Watchdog scratch: per-layer sumsq / non-finite counts of the merged
@@ -725,12 +722,10 @@ struct GpuWorker<'a> {
 }
 
 impl<'a> GpuWorker<'a> {
-    /// Arm `plan`'s faults on `device`, snapshot the shared model and
-    /// place the replica: on the device, or — CSR batches — on the host's
-    /// sparse kernels, with nothing uploaded (the software device has no
-    /// CSR kernels) and no second model held. An upload OOM is
-    /// unrecoverable — there is no batch to shrink when the parameters
-    /// themselves don't fit.
+    /// Arm `plan`'s faults on `device`, upload the model — reserve its
+    /// resident bytes — and snapshot it. An upload OOM is unrecoverable:
+    /// there is no batch to shrink when the parameters themselves don't
+    /// fit.
     fn new(
         slot: usize,
         device: &'a GpuDevice,
@@ -738,29 +733,29 @@ impl<'a> GpuWorker<'a> {
         env: &'a WorkerEnv,
     ) -> Result<Self, WorkerError> {
         if plan.upload_oom(slot) {
-            device.inject_oom_at(0);
+            device.mem().inject_oom_at(0);
         }
         if let Some(n) = plan.oom_alloc_index(slot) {
-            device.inject_oom_at(n);
+            device.mem().inject_oom_at(n);
         }
         let gemm_pool = rayon::ThreadPoolBuilder::new()
             .num_threads(env.train.rayon_threads)
             .build()
             .map_err(|e| WorkerError::Panic(format!("gpu gemm pool: {e}")))?;
         let spec = env.shared.spec();
+        let footprint = Footprint::of(spec);
+        device
+            .mem()
+            .alloc(footprint.resident_bytes())
+            .map_err(|e| WorkerError::Oom(format!("model upload failed: {e}")))?;
         let snapshot = env.shared.snapshot();
-        let on_device = (env.src.density().is_none())
-            .then(|| GpuMlp::upload(device, &snapshot))
-            .transpose()
-            .map_err(|e| WorkerError::Oom(format!("model upload failed: {e}")))?
-            .map(|mlp| (mlp, Model::zeros_like(spec)));
         let hist = |m| env.hub.histogram(m, slot as u32);
         Ok(GpuWorker {
             slot,
             env,
             device,
+            footprint,
             gemm_pool,
-            on_device,
             lane: Lane::new(spec),
             merge_scan: MergeScan::for_model(&snapshot),
             snapshot,
@@ -772,16 +767,19 @@ impl<'a> GpuWorker<'a> {
         })
     }
 
-    /// One GPU batch step: snapshot → train the replica one step →
-    /// staleness-discounted delta merge (§V/§VI-B), traced as the batch's
-    /// `ModelMerge` and `BatchCompleted`. In the phase breakdown staging
-    /// (snapshot + batch gather), transfer (model refresh + delta
-    /// download), compute (the step), and merge are wall-timed separately,
-    /// accumulated across OOM retries.
+    /// One GPU batch step (§V/§VI-B): snapshot the global model, reserve
+    /// the step's device bytes (halving the batch until they fit), stage
+    /// the batch, upload it and the snapshot, take the gradient at the
+    /// snapshot, download the delta, and merge it discounted by how stale
+    /// the snapshot became. A replica trained one step is `snapshot − η·∇`,
+    /// so the gradient is its whole delta. Traced as the batch's
+    /// `ModelMerge` and `BatchCompleted`; the phases time staging
+    /// (snapshot + batch gather), the transfer accounting, the step and
+    /// the merge.
     ///
     /// The steady-state path is allocation-free on the host; the `format!`
-    /// calls on the unrecoverable-OOM branch are reviewed allowlist entries
-    /// (the worker retires immediately after).
+    /// on the unrecoverable-OOM branch is a reviewed allowlist entry (the
+    /// worker retires immediately after).
     // audit: no_alloc
     fn batch_step(
         &mut self,
@@ -790,7 +788,7 @@ impl<'a> GpuWorker<'a> {
         batches_done: u64,
     ) -> Result<Done, WorkerError> {
         let GpuWorker {
-            on_device,
+            footprint: fp,
             snapshot,
             lane,
             merge_scan,
@@ -798,7 +796,7 @@ impl<'a> GpuWorker<'a> {
         } = self;
         let (env, device) = (self.env, self.device);
         let (shared, src, train) = (&*env.shared, &*env.src, &env.train);
-        // Transfers the device emits while this batch runs carry its
+        // Transfers the device accounts while this batch runs carry its
         // lineage id.
         device.set_active_batch(Some(id));
         let mut phases = BatchPhases::default();
@@ -806,103 +804,63 @@ impl<'a> GpuWorker<'a> {
         let updates_at_snapshot = shared.update_count();
         let t_stage = Instant::now();
         shared.snapshot_into(snapshot);
-        phases.stage_secs += t_stage.elapsed().as_secs_f64();
-        // Train the replica one step — the first of the two places the
-        // worker's modes differ (the other is where the delta comes from).
-        let (len, shrunk_to) = match on_device {
-            Some((mlp, replica)) => {
-                // Bounded retry: halve the batch until the step fits on the
-                // device (a mid-step OOM leaves the replica partially updated,
-                // so refresh before every try).
-                let mut len = range.len();
-                let mut shrunk_to = None;
-                loop {
-                    let t_refresh = Instant::now();
-                    mlp.refresh(snapshot);
-                    phases.transfer_secs += t_refresh.elapsed().as_secs_f64();
-                    let t_batch = Instant::now();
-                    lane.stage(src, range.start, range.start + len);
-                    phases.stage_secs += t_batch.elapsed().as_secs_f64();
-                    let eta = train.lr_scaling.eta(train.lr, len);
-                    let t_compute = Instant::now();
-                    let step = self
-                        .gemm_pool
-                        .install(|| mlp.train_step(&lane.x, lane.labels.as_targets(), eta));
-                    phases.compute_secs += t_compute.elapsed().as_secs_f64();
-                    match step {
-                        Ok(_) => break,
-                        Err(_) if len > 1 => {
-                            len /= 2;
-                            shrunk_to = Some(len);
-                        }
-                        Err(e) => {
-                            return Err(WorkerError::Oom(format!(
-                                "single-example step failed: {e}"
-                            )));
-                        }
-                    }
+        // The step's device bytes, held until the delta is down: halve the
+        // batch until they fit. (`hetero_gpu_no_reserve` is a mutation
+        // switch for `scripts/check_mutation.sh`.)
+        let mut len = range.len();
+        #[cfg(not(hetero_gpu_no_reserve))]
+        let held = loop {
+            match device.mem().alloc(fp.step_bytes(len)) {
+                Ok(held) => break held,
+                Err(_) if len > 1 => len /= 2,
+                Err(e) => {
+                    return Err(WorkerError::Oom(format!("single-example step failed: {e}")));
                 }
-                let t_download = Instant::now();
-                mlp.download_into(replica);
-                phases.transfer_secs += t_download.elapsed().as_secs_f64();
-                (len, shrunk_to)
-            }
-            None => {
-                // Host memory can't OOM-shrink, so the whole range always
-                // processes, and nothing crosses a device link. The step itself
-                // is never taken on a copy: its gradient at the snapshot is all
-                // the merge needs.
-                let t_stage = Instant::now();
-                lane.stage(src, range.start, range.end);
-                phases.stage_secs += t_stage.elapsed().as_secs_f64();
-                let t_compute = Instant::now();
-                self.gemm_pool
-                    .install(|| lane.gradient(src, snapshot, true));
-                phases.compute_secs = t_compute.elapsed().as_secs_f64();
-                let rows = lane.active_cols().map_or(0, <[u32]>::len);
-                self.rows_hist.record(rows as u64);
-                (range.len(), None)
             }
         };
+        lane.stage(src, range.start, range.start + len);
+        let t_h2d = Instant::now();
+        phases.stage_secs = (t_h2d - t_stage).as_secs_f64();
+        device.account_h2d(fp.batch_bytes(len));
+        device.account_h2d(fp.model);
+        let t_compute = Instant::now();
+        self.gemm_pool
+            .install(|| lane.gradient(src, snapshot, true));
+        device.account_step(fp.flops, len);
+        let t_d2h = Instant::now();
+        phases.compute_secs = (t_d2h - t_compute).as_secs_f64();
+        device.account_d2h(fp.model);
+        #[cfg(not(hetero_gpu_no_reserve))]
+        let _ = device.mem().free(held);
+        phases.transfer_secs = (t_compute - t_h2d + t_d2h.elapsed()).as_secs_f64();
+        if let Some(cols) = lane.active_cols() {
+            self.rows_hist.record(cols.len() as u64);
+        }
         let leftover = (len < range.len()).then_some(BatchRange {
             start: range.start + len,
             end: range.end,
             epoch: range.epoch,
         });
-        // Merge the replica's delta into the global model without clobbering
+        // Merge the delta into the global model without clobbering
         // concurrent CPU updates. §VI-B: the delta is discounted by how stale
         // its base snapshot became while the replica was training.
         let staleness = shared.update_count().saturating_sub(updates_at_snapshot);
         let scale = 1.0 / (1.0 + train.staleness_discount * staleness as f32);
         self.stale_hist.record(staleness);
-        let merge_start = Instant::now();
-        // The scan rides in the merge loop, and only a watchdog reads it.
-        merge_scan.reset();
-        let scan = env.watchdog.enabled().then_some(&mut *merge_scan);
         // Injected fault: one NaN into this worker's delta at the planned
         // step (the merge carries it into the shared model — detection is
         // the watchdog's job, not the merge's). The bias is part of a
         // row-sparse merge's dense tail, so the NaN reaches the shared
         // model either way.
-        let poison = self.poison_step == Some(batches_done);
-        let found_owned = match on_device {
-            Some((_, replica)) => {
-                if poison {
-                    replica.layers_mut()[0].b[0] = f32::NAN;
-                }
-                shared.merge(snapshot, replica, scale, None, scan)
-            }
-            None => {
-                if poison {
-                    lane.ws.grad_mut().layers_mut()[0].b[0] = f32::NAN;
-                }
-                // The host-trained replica would be `snapshot − η·∇`; its
-                // delta is the gradient the lane still holds, over the
-                // lane's own layer-0 rows.
-                let eta = train.lr_scaling.eta(train.lr, len);
-                lane.merge_into(shared, eta * scale, scan)
-            }
-        };
+        if self.poison_step == Some(batches_done) {
+            lane.ws.grad_mut().layers_mut()[0].b[0] = f32::NAN;
+        }
+        let merge_start = Instant::now();
+        // The scan rides in the merge loop, and only a watchdog reads it.
+        merge_scan.reset();
+        let scan = env.watchdog.enabled().then_some(&mut *merge_scan);
+        let eta = train.lr_scaling.eta(train.lr, len);
+        let found_owned = lane.merge_into(shared, eta * scale, scan);
         if env.watchdog.enabled() {
             observe_scan(&env.watchdog, self.slot, batches_done, merge_scan);
         }
@@ -926,7 +884,7 @@ impl<'a> GpuWorker<'a> {
         Ok(Done {
             examples: len,
             updates: 1,
-            shrunk_to,
+            shrunk_to: (len < range.len()).then_some(len),
             leftover,
             level: device.perf().busy_utilization(len),
             ..Done::default()
@@ -1242,6 +1200,172 @@ mod tests {
     /// host-trained gradient on CSR ones) with and without a watchdog:
     /// the merge fills the caller's scan only when something reads it, and
     /// both arms tally their contention on the one merge-retry series.
+    /// What a worker of `model` on `data` shares, outside a run.
+    fn worker_env(
+        data: &Arc<DenseDataset>,
+        sparse: bool,
+        model: &Model,
+        train: &TrainConfig,
+        sink: TraceSink,
+        watchdog: Watchdog,
+    ) -> WorkerEnv {
+        WorkerEnv {
+            src: Arc::new(BatchSource::new(Arc::clone(data), sparse)),
+            shared: Arc::new(SharedModel::new(model)),
+            ready: channel().0,
+            clock: Clock {
+                t0: Instant::now(),
+                t_base: 0.0,
+            },
+            train: train.clone(),
+            sink,
+            hub: MetricsHub::new(),
+            watchdog,
+        }
+    }
+
+    /// Both engines compute a GPU worker's update with the same code: one
+    /// threaded step merged into a shared model leaves the parameters the
+    /// simulator's GPU arm leaves applying it to a model, bit for bit
+    /// (`axpy(−η, g)` and the merge's `step·(−g)` round alike). κ = 0, so
+    /// the threaded merge's scale is exactly 1.
+    #[test]
+    fn one_gpu_update_is_bit_identical_on_both_engines() {
+        let data = dataset();
+        let mut train = config(AlgorithmKind::CpuGpuHogbatch, 0.1).train;
+        train.rayon_threads = 2;
+        assert_eq!(train.staleness_discount, 0.0);
+        let spec = MlpSpec::tiny(8, 2);
+        let snapshot = Model::new(spec.clone(), hetero_nn::InitScheme::Xavier, 9);
+        let (start, end) = (40, 137);
+        let eta = train.lr_scaling.eta(train.lr, end - start);
+        for sparse in [false, true] {
+            let env = worker_env(
+                &data,
+                sparse,
+                &snapshot,
+                &train,
+                TraceSink::disabled(),
+                Watchdog::disabled(),
+            );
+            let device = GpuDevice::new(GpuModel::v100());
+            let mut gpu = GpuWorker::new(0, &device, &FaultPlan::none(), &env).unwrap();
+            let range = BatchRange {
+                start,
+                end,
+                epoch: 0,
+            };
+            gpu.batch_step(1, range, 0).unwrap();
+            let mut sim = snapshot.clone();
+            let mut scratch = crate::engine_sim::SimScratch::new(&spec);
+            scratch.run_gpu(&*env.src, &range, &snapshot, &mut sim, eta, |_| {});
+            assert_ne!(sim, snapshot, "sparse={sparse}: nothing applied");
+            assert_eq!(env.shared.snapshot(), sim, "sparse={sparse}");
+        }
+    }
+
+    /// One step accounts exactly the footprint's transfers, tagged with
+    /// the batch, and marks its compute as a kernel launch.
+    #[test]
+    fn a_traced_gpu_step_moves_the_footprints_bytes() {
+        let data = dataset();
+        let train = config(AlgorithmKind::CpuGpuHogbatch, 0.1).train;
+        let spec = MlpSpec::tiny(8, 2);
+        let fp = Footprint::of(&spec);
+        let model = Model::new(spec, hetero_nn::InitScheme::Xavier, 1);
+        for sparse in [false, true] {
+            let sink = TraceSink::wall(RING);
+            let env = worker_env(
+                &data,
+                sparse,
+                &model,
+                &train,
+                sink.clone(),
+                Watchdog::disabled(),
+            );
+            let device =
+                GpuDevice::new_observed(GpuModel::v100(), &sink, 0, &MetricsHub::disabled());
+            let mut gpu = GpuWorker::new(0, &device, &FaultPlan::none(), &env).unwrap();
+            let range = BatchRange {
+                start: 0,
+                end: 50,
+                epoch: 0,
+            };
+            gpu.batch_step(7, range, 0).unwrap();
+            let stats = device.transfer_stats();
+            let want = hetero_gpu::device::TransferStats {
+                h2d_bytes: fp.batch_bytes(50) + fp.model,
+                d2h_bytes: fp.model,
+                h2d_count: 2,
+                d2h_count: 1,
+            };
+            assert_eq!(stats, want, "sparse={sparse}");
+            assert_eq!(
+                device.mem().used_bytes(),
+                fp.resident_bytes(),
+                "step bytes still held"
+            );
+            let trace = sink.drain();
+            let (mut transfers, mut kernels) = (0, 0);
+            for e in trace.events_sorted() {
+                match e.kind {
+                    EventKind::H2d { id, .. } | EventKind::D2h { id, .. } => {
+                        assert_eq!(id, Some(7));
+                        transfers += 1;
+                    }
+                    EventKind::KernelLaunched { .. } => kernels += 1,
+                    _ => {}
+                }
+            }
+            assert_eq!((transfers, kernels), (3, 1), "sparse={sparse}");
+        }
+    }
+
+    /// The GPU batch is capped by one footprint rule on both engines: a
+    /// device that holds fewer examples than `gpu_batch` gets batches of
+    /// what it holds from the first one on — the threaded worker never
+    /// meets an OOM, so nothing is shrunk or re-queued.
+    #[test]
+    fn both_engines_cap_the_gpu_batch_by_one_footprint() {
+        let mut cfg = config(AlgorithmKind::CpuGpuHogbatch, 0.2);
+        let fp = Footprint::of(&cfg.spec);
+        cfg.gpu_perf.memory = fp.resident_bytes() + fp.step_bytes(20);
+        let cap = fp.max_batch(&cfg.gpu_perf);
+        assert!(cap < cfg.train.gpu_batch);
+        let first_gpu_batch = |sink: &TraceSink| {
+            let trace = sink.drain();
+            assert_eq!(trace.total_dropped(), 0);
+            trace.events_sorted().iter().find_map(|e| match e.kind {
+                EventKind::BatchCompleted { batch, .. } if e.worker == 1 => Some(batch),
+                _ => None,
+            })
+        };
+        let sink = TraceSink::wall(RING);
+        let r = ThreadedEngine::new(cfg.clone())
+            .unwrap()
+            .run_traced(dataset(), &sink);
+        assert!(r.workers.iter().all(|w| w.retired.is_none()));
+        assert_eq!(r.requeued_batches, 0, "an OOM shrank a GPU step");
+        let threaded = first_gpu_batch(&sink).expect("a GPU batch completed");
+        let sim_cfg = crate::engine_sim::SimEngineConfig {
+            spec: cfg.spec.clone(),
+            train: TrainConfig {
+                time_budget: 0.01,
+                ..cfg.train.clone()
+            },
+            cpu: hetero_sim::CpuModel::xeon_pair(),
+            gpus: vec![cfg.gpu_perf.clone()],
+            fault_plan: FaultPlan::none(),
+        };
+        let sink = TraceSink::virtual_time(RING);
+        crate::engine_sim::SimEngine::new(sim_cfg)
+            .unwrap()
+            .run_traced(&dataset(), &sink);
+        let sim = first_gpu_batch(&sink).expect("a simulated GPU batch completed");
+        assert!(threaded <= cap, "{threaded} > {cap}");
+        assert_eq!(threaded, sim);
+    }
+
     #[test]
     fn gpu_merge_scans_only_under_a_watchdog() {
         let data = dataset();
@@ -1257,19 +1381,14 @@ mod tests {
                     Watchdog::disabled()
                 };
                 watchdog.ensure_layers(model.layers().len());
-                let env = WorkerEnv {
-                    src: Arc::new(BatchSource::new(Arc::clone(&data), sparse)),
-                    shared: Arc::new(SharedModel::new(&model)),
-                    ready: channel().0,
-                    clock: Clock {
-                        t0: Instant::now(),
-                        t_base: 0.0,
-                    },
-                    train: train.clone(),
-                    sink: TraceSink::disabled(),
-                    hub: MetricsHub::new(),
+                let env = worker_env(
+                    &data,
+                    sparse,
+                    &model,
+                    &train,
+                    TraceSink::disabled(),
                     watchdog,
-                };
+                );
                 let mut gpu = GpuWorker::new(0, &device, &FaultPlan::none(), &env).unwrap();
                 let range = BatchRange {
                     start: 0,

@@ -17,7 +17,9 @@ pub enum FaultKind {
     DieAfterBatches(u64),
     /// The worker's device fails its `n`th allocation attempt (0-based,
     /// counted from device creation) with OOM — exercises the batch-halving
-    /// retry path. Threaded engine only (the sim has no device allocator).
+    /// retry path. Attempt 0 is the model upload and every GPU step makes
+    /// one more (plus one per halving), so attempt 1 is the first step.
+    /// Threaded engine only (the sim has no device ledger).
     OomOnAlloc(u64),
     /// The worker's device rejects the very first model upload — exercises
     /// the unrecoverable-OOM retirement path. Threaded engine only.
@@ -69,7 +71,8 @@ impl FaultPlan {
         self
     }
 
-    /// Schedule worker `w`'s device to OOM on its `n`th allocation attempt.
+    /// Schedule worker `w`'s device to OOM on its `n`th allocation attempt
+    /// (see [`FaultKind::OomOnAlloc`] for how attempts are counted).
     pub fn oom_on_alloc(mut self, w: usize, n: u64) -> Self {
         self.faults.push(WorkerFault {
             worker: w,

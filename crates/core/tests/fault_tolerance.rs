@@ -89,10 +89,9 @@ fn gpu_stats(r: &TrainResult) -> &hetero_core::WorkerStats {
 /// ceiling is clamped so the OOMed size is never requested again.
 #[test]
 fn oom_retry_halves_batch_and_clamps_controller() {
-    // MlpSpec::tiny has 3 layers → upload takes 12 allocations (weights,
-    // biases, grad_w, grad_b per layer); attempt 14 lands inside the first
-    // training step, after the batch transfer.
-    let plan = FaultPlan::none().oom_on_alloc(1, 14);
+    // The upload is the device's reservation 0; attempt 1 is the first
+    // training step's reservation.
+    let plan = FaultPlan::none().oom_on_alloc(1, 1);
     let sink = TraceSink::wall(RING);
     let r = with_timeout(60, move || {
         ThreadedEngine::new(config(AlgorithmKind::CpuGpuHogbatch, 0.4, plan))
@@ -248,7 +247,7 @@ fn lane_panic_is_a_typed_fault_and_the_survivor_trains_the_whole_window() {
 /// not escalated.
 #[test]
 fn oom_shrink_leaves_the_parked_range_at_its_dispatched_size() {
-    let plan = FaultPlan::none().oom_on_alloc(1, 14);
+    let plan = FaultPlan::none().oom_on_alloc(1, 1);
     let mut cfg = config(AlgorithmKind::CpuGpuHogbatch, 30.0, plan);
     cfg.train.max_epochs = Some(2);
     let n = 400u64;

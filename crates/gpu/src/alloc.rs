@@ -1,18 +1,17 @@
-//! Tracked device-memory allocator.
+//! Device-memory ledger.
 //!
 //! Device global memory is a finite resource (16 GB on the V100, Table I)
 //! that bounds the GPU batch size (§VI-B: "the GPU memory capacity imposes
-//! an upper bound on the size"). This allocator enforces the budget: every
-//! buffer is counted, allocation beyond capacity fails with [`OomError`],
-//! and a peak-usage watermark supports capacity planning in the benches.
-
-use std::collections::HashMap;
-use std::sync::Arc;
+//! an upper bound on the size"). This ledger enforces the budget without
+//! holding a byte of it: every reservation is counted, one beyond capacity
+//! fails with [`OomError`] exactly like `cudaMalloc`, and a peak-usage
+//! watermark supports capacity planning in the benches. What would live in
+//! the reserved bytes stays on the host, where the worker computes on it.
 
 use hetero_trace::GaugeHandle;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 
-/// Opaque handle to a device buffer.
+/// Opaque handle to a reservation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BufferId(u64);
 
@@ -40,7 +39,8 @@ impl std::fmt::Display for OomError {
 impl std::error::Error for OomError {}
 
 struct Inner {
-    buffers: HashMap<u64, Arc<RwLock<Vec<f32>>>>,
+    /// Live reservations as `(id, bytes)`.
+    live: Vec<(u64, u64)>,
     used: u64,
     peak: u64,
     next_id: u64,
@@ -52,7 +52,7 @@ struct Inner {
     forced_oom: Vec<u64>,
 }
 
-/// Thread-safe tracked memory pool for one device.
+/// Thread-safe byte ledger for one device.
 pub struct DeviceMemory {
     capacity: u64,
     inner: Mutex<Inner>,
@@ -61,18 +61,18 @@ pub struct DeviceMemory {
 }
 
 impl DeviceMemory {
-    /// Pool with `capacity` bytes of global memory.
+    /// Ledger over `capacity` bytes of global memory.
     pub fn new(capacity: u64) -> Self {
         Self::with_gauge(capacity, GaugeHandle::disabled())
     }
 
-    /// Pool that mirrors its bytes-in-use into `bytes_gauge` on every
+    /// Ledger that mirrors its bytes-in-use into `bytes_gauge` on every
     /// allocation and free, so a trace snapshot always sees current usage.
     pub fn with_gauge(capacity: u64, bytes_gauge: GaugeHandle) -> Self {
         DeviceMemory {
             capacity,
             inner: Mutex::new(Inner {
-                buffers: HashMap::new(),
+                live: Vec::new(),
                 used: 0,
                 peak: 0,
                 next_id: 1,
@@ -92,21 +92,16 @@ impl DeviceMemory {
         self.inner.lock().forced_oom.push(n);
     }
 
-    /// Allocate a zero-initialized buffer of `len` f32 elements.
-    pub fn alloc(&self, len: usize) -> Result<BufferId, OomError> {
-        let bytes = 4 * len as u64;
+    /// Reserve `bytes` of device memory.
+    pub fn alloc(&self, bytes: u64) -> Result<BufferId, OomError> {
         let mut inner = self.inner.lock();
         let attempt = inner.attempts;
         inner.attempts += 1;
-        if let Some(slot) = inner.forced_oom.iter().position(|&n| n == attempt) {
+        let forced = inner.forced_oom.iter().position(|&n| n == attempt);
+        if let Some(slot) = forced {
             inner.forced_oom.swap_remove(slot);
-            return Err(OomError {
-                requested: bytes,
-                used: inner.used,
-                capacity: self.capacity,
-            });
         }
-        if inner.used + bytes > self.capacity {
+        if forced.is_some() || inner.used + bytes > self.capacity {
             return Err(OomError {
                 requested: bytes,
                 used: inner.used,
@@ -117,56 +112,29 @@ impl DeviceMemory {
         inner.next_id += 1;
         inner.used += bytes;
         inner.peak = inner.peak.max(inner.used);
+        inner.live.push((id, bytes));
         self.bytes_gauge.set(inner.used as f64);
-        inner
-            .buffers
-            .insert(id, Arc::new(RwLock::new(vec![0.0; len])));
         Ok(BufferId(id))
     }
 
-    /// Free a buffer. Freeing an unknown id is an error (double free).
+    /// Return a reservation. Freeing an unknown id is an error (double
+    /// free).
     pub fn free(&self, id: BufferId) -> Result<(), String> {
         let mut inner = self.inner.lock();
-        match inner.buffers.remove(&id.0) {
-            Some(buf) => {
-                inner.used -= 4 * buf.read().len() as u64;
-                self.bytes_gauge.set(inner.used as f64);
-                Ok(())
-            }
-            None => Err(format!("free of unknown buffer {:?}", id)),
-        }
+        let Some(slot) = inner.live.iter().position(|&(live, _)| live == id.0) else {
+            return Err(format!("free of unknown buffer {id:?}"));
+        };
+        inner.used -= inner.live.swap_remove(slot).1;
+        self.bytes_gauge.set(inner.used as f64);
+        Ok(())
     }
 
-    /// Shared handle to a buffer's storage.
-    ///
-    /// # Panics
-    /// Panics on an unknown (freed) id — the moral equivalent of a CUDA
-    /// invalid-device-pointer fault.
-    pub fn get(&self, id: BufferId) -> Arc<RwLock<Vec<f32>>> {
-        self.inner
-            .lock()
-            .buffers
-            .get(&id.0)
-            .cloned()
-            .unwrap_or_else(|| panic!("use of invalid device buffer {id:?}"))
-    }
-
-    /// Element count of a buffer.
-    pub fn len(&self, id: BufferId) -> usize {
-        self.get(id).read().len()
-    }
-
-    /// Whether the given buffer is zero-length.
-    pub fn is_empty(&self, id: BufferId) -> bool {
-        self.len(id) == 0
-    }
-
-    /// Bytes currently allocated.
+    /// Bytes currently reserved.
     pub fn used_bytes(&self) -> u64 {
         self.inner.lock().used
     }
 
-    /// High-water mark of allocated bytes.
+    /// High-water mark of reserved bytes.
     pub fn peak_bytes(&self) -> u64 {
         self.inner.lock().peak
     }
@@ -176,32 +144,23 @@ impl DeviceMemory {
         self.capacity
     }
 
-    /// Number of live buffers.
+    /// Number of live reservations.
     pub fn live_buffers(&self) -> usize {
-        self.inner.lock().buffers.len()
-    }
-}
-
-impl std::fmt::Debug for DeviceMemory {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DeviceMemory")
-            .field("capacity", &self.capacity)
-            .field("used", &self.used_bytes())
-            .field("buffers", &self.live_buffers())
-            .finish()
+        self.inner.lock().live.len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn alloc_tracks_usage() {
         let mem = DeviceMemory::new(1024);
-        let a = mem.alloc(100).unwrap(); // 400 B
+        let a = mem.alloc(400).unwrap();
         assert_eq!(mem.used_bytes(), 400);
-        let b = mem.alloc(100).unwrap(); // 800 B total
+        let b = mem.alloc(400).unwrap();
         assert_eq!(mem.used_bytes(), 800);
         assert_eq!(mem.peak_bytes(), 800);
         mem.free(a).unwrap();
@@ -214,8 +173,8 @@ mod tests {
     #[test]
     fn oom_when_capacity_exceeded() {
         let mem = DeviceMemory::new(1000);
-        let _a = mem.alloc(200).unwrap(); // 800 B
-        let err = mem.alloc(100).unwrap_err(); // would be 1200 B
+        let _a = mem.alloc(800).unwrap();
+        let err = mem.alloc(400).unwrap_err(); // would be 1200 B
         assert_eq!(err.requested, 400);
         assert_eq!(err.used, 800);
         assert_eq!(err.capacity, 1000);
@@ -225,55 +184,39 @@ mod tests {
     #[test]
     fn freed_memory_is_reusable() {
         let mem = DeviceMemory::new(800);
-        let a = mem.alloc(200).unwrap();
-        assert!(mem.alloc(1).is_err());
+        let a = mem.alloc(800).unwrap();
+        assert!(mem.alloc(4).is_err());
         mem.free(a).unwrap();
-        assert!(mem.alloc(200).is_ok());
+        assert!(mem.alloc(800).is_ok());
     }
 
     #[test]
     fn double_free_is_detected() {
         let mem = DeviceMemory::new(1024);
-        let a = mem.alloc(10).unwrap();
+        let a = mem.alloc(40).unwrap();
         mem.free(a).unwrap();
         assert!(mem.free(a).is_err());
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid device buffer")]
-    fn use_after_free_panics() {
-        let mem = DeviceMemory::new(1024);
-        let a = mem.alloc(10).unwrap();
-        mem.free(a).unwrap();
-        mem.get(a);
-    }
-
-    #[test]
-    fn buffers_zero_initialized() {
-        let mem = DeviceMemory::new(1024);
-        let a = mem.alloc(16).unwrap();
-        assert!(mem.get(a).read().iter().all(|&v| v == 0.0));
-        assert_eq!(mem.len(a), 16);
+        assert_eq!(mem.used_bytes(), 0);
     }
 
     #[test]
     fn injected_oom_fires_once_at_target_index() {
         let mem = DeviceMemory::new(1 << 20);
         mem.inject_oom_at(1);
-        let a = mem.alloc(8).unwrap(); // attempt 0: fine
-        let err = mem.alloc(8).unwrap_err(); // attempt 1: injected
+        let a = mem.alloc(32).unwrap(); // attempt 0: fine
+        let err = mem.alloc(32).unwrap_err(); // attempt 1: injected
         assert_eq!(err.requested, 32);
-        assert!(mem.alloc(8).is_ok()); // attempt 2: injection consumed
+        assert!(mem.alloc(32).is_ok()); // attempt 2: injection consumed
         mem.free(a).unwrap();
     }
 
     #[test]
     fn injected_oom_in_the_past_never_fires() {
         let mem = DeviceMemory::new(1 << 20);
-        let _ = mem.alloc(4).unwrap();
+        let _ = mem.alloc(16).unwrap();
         mem.inject_oom_at(0); // attempt 0 already elapsed
         for _ in 0..4 {
-            assert!(mem.alloc(4).is_ok());
+            assert!(mem.alloc(16).is_ok());
         }
     }
 
@@ -285,7 +228,7 @@ mod tests {
                 let mem = Arc::clone(&mem);
                 std::thread::spawn(move || {
                     for _ in 0..200 {
-                        let b = mem.alloc(32).unwrap();
+                        let b = mem.alloc(128).unwrap();
                         mem.free(b).unwrap();
                     }
                 })

@@ -1,4 +1,5 @@
-//! The GPU device facade: memory + transfers + virtual-time accounting.
+//! The GPU device facade: the memory ledger, transfer accounting and
+//! virtual-time accounting.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -7,33 +8,10 @@ use hetero_sim::{DeviceModel, GpuModel};
 use hetero_trace::{EventKind, GaugeHandle, TraceSink};
 use parking_lot::Mutex;
 
-/// Sentinel meaning "no batch active" in [`GpuDevice`]'s lineage slot.
-const NO_BATCH: u64 = u64::MAX;
-
 use crate::alloc::{BufferId, DeviceMemory, OomError};
 
-/// Pre-resolved tracing state for one device.
-struct GpuTrace {
-    sink: TraceSink,
-    /// Worker id stamped on emitted transfer/kernel events.
-    worker: u32,
-    /// Per-upload transfer-time histogram (`hetero-metrics`; disabled
-    /// unless built with [`GpuDevice::new_observed`]).
-    h2d_hist: HistHandle,
-    /// Per-download transfer-time histogram.
-    d2h_hist: HistHandle,
-}
-
-impl GpuTrace {
-    fn disabled() -> Self {
-        GpuTrace {
-            sink: TraceSink::disabled(),
-            worker: 0,
-            h2d_hist: HistHandle::disabled(),
-            d2h_hist: HistHandle::disabled(),
-        }
-    }
-}
+/// Sentinel meaning "no batch active" in [`GpuDevice`]'s lineage slot.
+const NO_BATCH: u64 = u64::MAX;
 
 /// Cumulative transfer statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -48,18 +26,22 @@ pub struct TransferStats {
     pub d2h_count: u64,
 }
 
-/// A software GPU: tracked global memory, explicit transfers, and a
-/// calibrated performance model accumulating *virtual* busy time.
+/// A software GPU: a ledger over its global memory, accounted transfers,
+/// and a calibrated performance model accumulating *virtual* busy time.
 ///
-/// The math inside kernels runs on host cores for real; `virtual_time`
-/// answers "how long would this have taken on the modeled V100", which is
-/// what the simulation engine advances its clock by.
+/// The math of a step runs on host cores, on host memory; `virtual_time`
+/// answers "how long would this have taken on the modeled V100".
 pub struct GpuDevice {
     mem: DeviceMemory,
     perf: GpuModel,
     busy: Mutex<f64>,
     transfers: Mutex<TransferStats>,
-    trace: GpuTrace,
+    sink: TraceSink,
+    /// Worker id stamped on emitted transfer/kernel events.
+    worker: u32,
+    /// Per-transfer modelled-time histograms (disabled without a hub).
+    h2d_hist: HistHandle,
+    d2h_hist: HistHandle,
     /// Lineage id of the batch currently being processed ([`NO_BATCH`]
     /// when idle); stamped onto emitted transfer events so trace analysis
     /// can attribute transfer time to individual batches.
@@ -70,51 +52,34 @@ impl GpuDevice {
     /// Create a device with the given performance model; memory capacity
     /// comes from the model.
     pub fn new(perf: GpuModel) -> Self {
-        GpuDevice {
-            mem: DeviceMemory::new(perf.memory),
-            perf,
-            busy: Mutex::new(0.0),
-            transfers: Mutex::new(TransferStats::default()),
-            trace: GpuTrace::disabled(),
-            active_batch: AtomicU64::new(NO_BATCH),
-        }
+        Self::new_observed(perf, &TraceSink::disabled(), 0, &MetricsHub::disabled())
     }
 
-    /// Create a device whose transfers, kernels and memory usage are
-    /// observable through `sink`. Events are stamped with `worker`.
-    pub fn new_traced(perf: GpuModel, sink: &TraceSink, worker: u32) -> Self {
-        Self::new_observed(perf, sink, worker, &MetricsHub::disabled())
-    }
-
-    /// Like [`GpuDevice::new_traced`], additionally recording every
-    /// transfer's modeled duration into `hub`'s per-worker `H2d`/`D2h`
-    /// histograms. With a disabled hub this is exactly `new_traced`.
+    /// A device whose transfers, steps and memory usage are observable
+    /// through `sink` (events stamped with `worker`), and whose transfers'
+    /// modelled durations fill `hub`'s per-worker `H2d`/`D2h` histograms.
     pub fn new_observed(perf: GpuModel, sink: &TraceSink, worker: u32, hub: &MetricsHub) -> Self {
-        let trace = if sink.enabled() || hub.is_enabled() {
-            GpuTrace {
-                sink: sink.clone(),
-                worker,
-                h2d_hist: hub.histogram(Metric::H2d, worker),
-                d2h_hist: hub.histogram(Metric::D2h, worker),
-            }
+        let gauge = if sink.enabled() {
+            sink.gauge(&format!("gpu.w{worker}.mem_used_bytes"))
         } else {
-            GpuTrace::disabled()
+            GaugeHandle::disabled()
         };
         GpuDevice {
-            mem: DeviceMemory::with_gauge(
-                perf.memory,
-                if sink.enabled() {
-                    sink.gauge(&format!("gpu.w{worker}.mem_used_bytes"))
-                } else {
-                    GaugeHandle::disabled()
-                },
-            ),
+            mem: DeviceMemory::with_gauge(perf.memory, gauge),
             perf,
             busy: Mutex::new(0.0),
             transfers: Mutex::new(TransferStats::default()),
-            trace,
+            sink: sink.clone(),
+            worker,
+            h2d_hist: hub.histogram(Metric::H2d, worker),
+            d2h_hist: hub.histogram(Metric::D2h, worker),
             active_batch: AtomicU64::new(NO_BATCH),
         }
+    }
+
+    /// A V100-modeled device (the paper's hardware).
+    pub fn v100() -> Self {
+        Self::new(GpuModel::v100())
     }
 
     /// Declare which batch the device is working on (`None` to clear).
@@ -134,30 +99,16 @@ impl GpuDevice {
         }
     }
 
-    /// A V100-modeled device (the paper's hardware).
-    pub fn v100() -> Self {
-        Self::new(GpuModel::v100())
-    }
-
-    /// Emit a [`EventKind::KernelLaunched`] marker if tracing is live.
-    pub fn note_kernel(&self, name: &'static str) {
-        if self.trace.sink.enabled() {
-            self.trace
-                .sink
-                .emit(self.trace.worker, EventKind::KernelLaunched { name });
+    /// Emit `kind` as this device's worker if tracing is live.
+    fn emit(&self, kind: EventKind) {
+        if self.sink.enabled() {
+            self.sink.emit(self.worker, kind);
         }
     }
 
-    /// The device memory pool.
+    /// The device memory ledger.
     pub fn mem(&self) -> &DeviceMemory {
         &self.mem
-    }
-
-    /// Force the `n`th allocation attempt on this device to fail with OOM
-    /// (see [`DeviceMemory::inject_oom_at`]). Deterministic fault injection
-    /// for supervision tests.
-    pub fn inject_oom_at(&self, n: u64) {
-        self.mem.inject_oom_at(n);
     }
 
     /// The performance model.
@@ -165,81 +116,52 @@ impl GpuDevice {
         &self.perf
     }
 
-    /// Copy host data into a fresh device buffer, accounting transfer time.
+    /// Reserve a buffer for `data` and account its upload.
     pub fn h2d(&self, data: &[f32]) -> Result<BufferId, OomError> {
-        let buf = self.mem.alloc(data.len())?;
+        let buf = self.mem.alloc(4 * data.len() as u64)?;
         self.h2d_into(data, buf);
         Ok(buf)
     }
 
-    /// Copy host data into an existing buffer (sizes must match).
-    pub fn h2d_into(&self, data: &[f32], buf: BufferId) {
-        let h = self.mem.get(buf);
-        let mut w = h.write();
-        assert_eq!(w.len(), data.len(), "h2d size mismatch");
-        w.copy_from_slice(data);
-        drop(w);
-        let bytes = 4 * data.len() as u64;
+    /// Account an upload of `data` into a buffer already reserved for it.
+    pub fn h2d_into(&self, data: &[f32], _buf: BufferId) {
+        self.account_h2d(4 * data.len() as u64);
+    }
+
+    /// Account a host→device transfer of `bytes`: its count, its modelled
+    /// seconds, the `H2d` histogram and a trace event with the active
+    /// batch's lineage id. Nothing is copied.
+    pub fn account_h2d(&self, bytes: u64) {
+        let secs = self.perf.transfer_time(bytes);
         let mut t = self.transfers.lock();
         t.h2d_bytes += bytes;
         t.h2d_count += 1;
         drop(t);
-        let secs = self.perf.transfer_time(bytes);
         *self.busy.lock() += secs;
-        self.trace.h2d_hist.record_secs(secs);
-        if self.trace.sink.enabled() {
-            self.trace.sink.emit(
-                self.trace.worker,
-                EventKind::H2d {
-                    bytes: bytes as usize,
-                    secs,
-                    id: self.active_batch(),
-                },
-            );
-        }
+        self.h2d_hist.record_secs(secs);
+        let (bytes, id) = (bytes as usize, self.active_batch());
+        self.emit(EventKind::H2d { bytes, secs, id });
     }
 
-    /// Copy a device buffer back to the host, accounting transfer time.
-    pub fn d2h(&self, buf: BufferId) -> Vec<f32> {
-        let h = self.mem.get(buf);
-        let mut out = vec![0.0; h.read().len()];
-        self.d2h_into(buf, &mut out);
-        out
-    }
-
-    /// Copy a device buffer into an existing host slice (sizes must match),
-    /// accounting transfer time. The allocation-free counterpart of
-    /// [`d2h`](Self::d2h) used by steady-state training.
-    pub fn d2h_into(&self, buf: BufferId, out: &mut [f32]) {
-        let h = self.mem.get(buf);
-        let r = h.read();
-        assert_eq!(r.len(), out.len(), "d2h size mismatch");
-        out.copy_from_slice(&r);
-        drop(r);
-        let bytes = 4 * out.len() as u64;
+    /// Account a device→host transfer of `bytes`, as
+    /// [`account_h2d`](Self::account_h2d) does the other way.
+    pub fn account_d2h(&self, bytes: u64) {
+        let secs = self.perf.transfer_time(bytes);
         let mut t = self.transfers.lock();
         t.d2h_bytes += bytes;
         t.d2h_count += 1;
         drop(t);
-        let secs = self.perf.transfer_time(bytes);
         *self.busy.lock() += secs;
-        self.trace.d2h_hist.record_secs(secs);
-        if self.trace.sink.enabled() {
-            self.trace.sink.emit(
-                self.trace.worker,
-                EventKind::D2h {
-                    bytes: bytes as usize,
-                    secs,
-                    id: self.active_batch(),
-                },
-            );
-        }
+        self.d2h_hist.record_secs(secs);
+        let (bytes, id) = (bytes as usize, self.active_batch());
+        self.emit(EventKind::D2h { bytes, secs, id });
     }
 
     /// Account the virtual cost of one training step over `batch` examples
-    /// at `flops_per_example`.
+    /// at `flops_per_example`, marked in the trace as a kernel launch.
     pub fn account_step(&self, flops_per_example: u64, batch: usize) {
         *self.busy.lock() += self.perf.batch_time(flops_per_example, batch);
+        self.emit(EventKind::KernelLaunched { name: "train_step" });
     }
 
     /// Total virtual busy seconds accumulated so far.
@@ -253,40 +175,30 @@ impl GpuDevice {
     }
 }
 
-impl std::fmt::Debug for GpuDevice {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("GpuDevice")
-            .field("perf", &self.perf.name)
-            .field("mem_used", &self.mem.used_bytes())
-            .field("virtual_time", &self.virtual_time())
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn h2d_d2h_roundtrip() {
+    fn transfers_are_accounted_not_copied() {
         let dev = GpuDevice::v100();
-        let data = vec![1.0, 2.0, 3.0];
-        let buf = dev.h2d(&data).unwrap();
-        assert_eq!(dev.d2h(buf), data);
+        let buf = dev.h2d(&[1.0, 2.0, 3.0]).unwrap();
+        assert_eq!(dev.mem().used_bytes(), 12);
+        dev.account_d2h(12);
         let s = dev.transfer_stats();
-        assert_eq!(s.h2d_bytes, 12);
-        assert_eq!(s.d2h_bytes, 12);
+        assert_eq!((s.h2d_bytes, s.d2h_bytes), (12, 12));
         assert_eq!((s.h2d_count, s.d2h_count), (1, 1));
+        dev.mem().free(buf).unwrap();
     }
 
     #[test]
     fn transfers_accumulate_virtual_time() {
         let dev = GpuDevice::v100();
         assert_eq!(dev.virtual_time(), 0.0);
-        let buf = dev.h2d(&vec![0.0; 1 << 20]).unwrap();
+        let _buf = dev.h2d(&vec![0.0; 1 << 20]).unwrap();
         let t1 = dev.virtual_time();
         assert!(t1 > 0.0);
-        let _ = dev.d2h(buf);
+        dev.account_d2h(4 << 20);
         assert!(dev.virtual_time() > t1);
     }
 
@@ -301,12 +213,12 @@ mod tests {
     #[test]
     fn traced_device_emits_transfer_events_and_gauges() {
         let sink = hetero_trace::TraceSink::wall(256);
-        let dev = GpuDevice::new_traced(GpuModel::v100(), &sink, 2);
+        let dev = GpuDevice::new_observed(GpuModel::v100(), &sink, 2, &MetricsHub::disabled());
         dev.set_active_batch(Some(11));
-        let buf = dev.h2d(&vec![1.0f32; 256]).unwrap();
+        let _buf = dev.h2d(&vec![1.0f32; 256]).unwrap();
+        dev.account_step(1_000, 8);
         dev.set_active_batch(None);
-        let _ = dev.d2h(buf);
-        dev.note_kernel("unit_test_kernel");
+        dev.account_d2h(1024);
         let trace = sink.drain();
         let mut h2d = 0;
         let mut d2h = 0;
@@ -327,7 +239,7 @@ mod tests {
                     d2h += 1;
                 }
                 hetero_trace::EventKind::KernelLaunched { name } => {
-                    assert_eq!(name, "unit_test_kernel");
+                    assert_eq!(name, "train_step");
                     kernels += 1;
                 }
                 ref other => panic!("unexpected event {other:?}"),
@@ -345,9 +257,8 @@ mod tests {
         let sink = hetero_trace::TraceSink::wall(256);
         let hub = MetricsHub::new();
         let dev = GpuDevice::new_observed(GpuModel::v100(), &sink, 1, &hub);
-        let buf = dev.h2d(&vec![1.0f32; 1 << 16]).unwrap();
-        let mut out = vec![0.0f32; 1 << 16];
-        dev.d2h_into(buf, &mut out);
+        dev.account_h2d(4 << 16);
+        dev.account_d2h(4 << 16);
         let snap = hub.snapshot();
         let h2d = snap.series_for(Metric::H2d, 1).unwrap();
         let d2h = snap.series_for(Metric::D2h, 1).unwrap();
@@ -362,13 +273,12 @@ mod tests {
     fn concurrent_device_transfers_consistent() {
         let dev = std::sync::Arc::new(GpuDevice::v100());
         let handles: Vec<_> = (0..6)
-            .map(|t| {
+            .map(|_| {
                 let dev = std::sync::Arc::clone(&dev);
                 std::thread::spawn(move || {
-                    for i in 0..100usize {
-                        let data = vec![(t * 1000 + i) as f32; 64];
-                        let buf = dev.h2d(&data).unwrap();
-                        assert_eq!(dev.d2h(buf), data, "transfer corrupted");
+                    for _ in 0..100 {
+                        let buf = dev.h2d(&[0.5; 64]).unwrap();
+                        dev.account_d2h(256);
                         dev.mem().free(buf).unwrap();
                     }
                 })
@@ -384,19 +294,11 @@ mod tests {
     }
 
     #[test]
-    fn oom_propagates_from_allocator() {
+    fn oom_propagates_from_the_ledger() {
         let mut small = GpuModel::v100();
         small.memory = 1024; // 256 floats
         let dev = GpuDevice::new(small);
-        assert!(dev.h2d(&vec![0.0; 200]).is_ok());
-        assert!(dev.h2d(&vec![0.0; 200]).is_err());
-    }
-
-    #[test]
-    #[should_panic(expected = "h2d size mismatch")]
-    fn h2d_into_size_mismatch_panics() {
-        let dev = GpuDevice::v100();
-        let buf = dev.mem().alloc(4).unwrap();
-        dev.h2d_into(&[1.0, 2.0], buf);
+        assert!(dev.h2d(&[0.0; 200]).is_ok());
+        assert!(dev.h2d(&[0.0; 200]).is_err());
     }
 }

@@ -3,34 +3,33 @@
 //! A software GPU device — the substitute for the paper's V100 + CUDA +
 //! cuBLAS stack (see DESIGN.md §2).
 //!
-//! The point of this crate is to preserve the *code path* of a real GPU
-//! worker, not to emulate silicon: model replicas must be deep copies,
-//! data must move through explicit host↔device transfers, and device
-//! memory is a finite tracked resource that can run out. Those constraints
-//! shape the paper's algorithms (§V "GPU Workers", §VI-B), so they are
-//! real here. Kernels run synchronously, on the calling worker's thread
-//! pool; what a V100 would take is *modelled*, not waited for:
+//! The paper's GPU worker matters for what it *models*, not for whose
+//! kernels run (§V "GPU Workers", §VI-B): it keeps a deep-copy replica,
+//! pays an explicit transfer for everything that crosses the link, and has
+//! a finite memory that bounds its batch and can run out. This crate keeps
+//! exactly those constraints; the worker's step itself is the host's
+//! gradient, run by the engine on the worker's own thread pool.
 //!
-//! - [`alloc::DeviceMemory`] — a tracked allocator over the device's
-//!   global-memory capacity; allocation fails with OOM exactly like
-//!   `cudaMalloc`.
-//! - [`kernels`] — the linear-algebra kernels (GEMM variants, bias,
-//!   activations, softmax, SGD update) executed for real on the caller's
-//!   rayon pool, which stands in for the streaming multiprocessors.
-//! - [`device::GpuDevice`] — the facade combining memory, transfers, and
-//!   kernel launch, with **virtual-time accounting** from the calibrated
-//!   [`hetero_sim::GpuModel`] so that a simulated V100 takes V100-like
-//!   time even though the math runs on host cores.
-//! - [`mlp::GpuMlp`] — a device-resident MLP replica supporting upload /
-//!   download / train-step, the unit of work a GPU worker executes.
+//! - [`alloc::DeviceMemory`] — a byte ledger over the device's global
+//!   memory; a reservation beyond capacity fails with OOM exactly like
+//!   `cudaMalloc`, and fault injection can force one to.
+//! - [`device::GpuDevice`] — the ledger plus transfer and step accounting:
+//!   bytes, modelled seconds from the calibrated [`hetero_sim::GpuModel`],
+//!   `H2d`/`D2h` histograms, and trace events tagged with the batch's
+//!   lineage id.
+//! - [`footprint::Footprint`] — the one rule for the bytes a step of a
+//!   network holds and moves, which both engines charge.
+//! - [`mlp::GpuMlp`] — a replica on the ledger, kept only for the frozen
+//!   benchmark.
 
 #![warn(missing_docs)]
 
 pub mod alloc;
 pub mod device;
-pub mod kernels;
+pub mod footprint;
 pub mod mlp;
 
 pub use alloc::{BufferId, DeviceMemory, OomError};
 pub use device::GpuDevice;
+pub use footprint::Footprint;
 pub use mlp::GpuMlp;

@@ -45,15 +45,6 @@ pub trait DeviceModel: Send + Sync {
 
     /// True for accelerators that need deep-copy model replicas.
     fn is_accelerator(&self) -> bool;
-
-    /// Largest batch that fits in device memory for a network whose
-    /// activations cost `bytes_per_example` and whose parameters cost
-    /// `model_bytes` (model + gradient + workspace ≈ 3× parameters).
-    fn max_batch(&self, bytes_per_example: u64, model_bytes: u64) -> usize {
-        let reserve = 3 * model_bytes;
-        let avail = self.memory_capacity().saturating_sub(reserve);
-        (avail / bytes_per_example.max(1)) as usize
-    }
 }
 
 /// V100-like accelerator model.
@@ -324,16 +315,6 @@ mod tests {
         // 56/64 = 0.875 — the "hovers around 80%" of Figure 7.
         assert!((cpu.busy_utilization(10_000) - 0.875).abs() < 1e-9);
         assert!(cpu.busy_utilization(28) < 0.5);
-    }
-
-    #[test]
-    fn max_batch_respects_memory() {
-        let gpu = GpuModel::v100();
-        // 1 MB per example, 1 GB model: (16 - 3) GB / 1 MB = ~13312.
-        let mb = gpu.max_batch(1 << 20, 1 << 30);
-        assert!((13_000..14_000).contains(&mb), "max_batch {mb}");
-        // CPU memory is much larger.
-        assert!(CpuModel::xeon_pair().max_batch(1 << 20, 1 << 30) > 400_000);
     }
 
     #[test]

@@ -350,36 +350,18 @@ fn run_matrices(
     if let Some(bias) = bias {
         assert_eq!(bias.len(), n, "{op}: bias length {} != {n}", bias.len());
     }
-    let bias = bias.unwrap_or(&[]);
-    let (a, b, c) = (a.as_slice(), b.as_slice(), c.as_mut_slice());
-    run_slices(trans, parallel, alpha, a, b, beta, bias, c, (m, n, k));
-}
-
-/// Run a slice-level call (lengths are checked by [`Call::run`]).
-#[allow(clippy::too_many_arguments)]
-fn run_slices(
-    trans: Trans,
-    parallel: bool,
-    alpha: f32,
-    a: &[f32],
-    b: &[f32],
-    beta: f32,
-    bias: &[f32],
-    c: &mut [f32],
-    (m, n, k): (usize, usize, usize),
-) {
     Call {
         trans,
         alpha,
-        a,
-        b,
+        a: a.as_slice(),
+        b: b.as_slice(),
         beta,
-        bias,
+        bias: bias.unwrap_or(&[]),
         m,
         n,
         k,
     }
-    .run(parallel, c);
+    .run(parallel, c.as_mut_slice());
 }
 
 // ---------------------------------------------------------------------------
@@ -399,39 +381,6 @@ pub fn par_gemm_nn(alpha: f32, a: &Matrix, b: &Matrix, beta: f32, c: &mut Matrix
     run_matrices("par_gemm_nn", Trans::Nn, true, alpha, a, b, beta, None, c);
 }
 
-/// Slice-level `C ← α·A·B + β·C`: `a` is `m×k`, `b` is `k×n`, `c` is `m×n`,
-/// all row-major. Lets callers that own raw buffers (the software GPU)
-/// reach the dispatched kernels without copying into a [`Matrix`].
-#[allow(clippy::too_many_arguments)] // BLAS-style slice API: the 8 args ARE the interface
-pub fn gemm_nn_slices(
-    alpha: f32,
-    a: &[f32],
-    b: &[f32],
-    beta: f32,
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    run_slices(Trans::Nn, false, alpha, a, b, beta, &[], c, (m, n, k));
-}
-
-/// Parallel [`gemm_nn_slices`]: same layout contract, rows split across
-/// the rayon pool (serial below [`PAR_MIN_MADDS`]).
-#[allow(clippy::too_many_arguments)] // see gemm_nn_slices
-pub fn par_gemm_nn_slices(
-    alpha: f32,
-    a: &[f32],
-    b: &[f32],
-    beta: f32,
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    run_slices(Trans::Nn, true, alpha, a, b, beta, &[], c, (m, n, k));
-}
-
 /// `C ← α·A·B + bias` with the row-broadcast bias-add fused into the GEMM
 /// epilogue (β = 0 semantics: `C` is overwritten) — the forward product of
 /// a layer stored `in × out`.
@@ -449,23 +398,6 @@ pub fn par_gemm_nn_bias(alpha: f32, a: &Matrix, b: &Matrix, bias: &[f32], c: &mu
     run_matrices(op, Trans::Nn, true, alpha, a, b, 0.0, Some(bias), c);
 }
 
-/// Slice-level [`par_gemm_nn_bias`]: `a` is `m×k`, `b` is `k×n`, `bias`
-/// has `n` entries, `c` is `m×n`, all row-major.
-#[allow(clippy::too_many_arguments)] // see gemm_nn_slices
-pub fn par_gemm_nn_bias_slices(
-    alpha: f32,
-    a: &[f32],
-    b: &[f32],
-    bias: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    assert_eq!(bias.len(), n, "par_gemm_nn_bias_slices: bias length");
-    run_slices(Trans::Nn, true, alpha, a, b, 0.0, bias, c, (m, n, k));
-}
-
 /// `C ← α·Aᵀ·B + β·C` (serial).
 ///
 /// `A` is `k×m`, `B` is `k×n`, `C` is `m×n`.
@@ -476,38 +408,6 @@ pub fn gemm_tn(alpha: f32, a: &Matrix, b: &Matrix, beta: f32, c: &mut Matrix) {
 /// `C ← α·Aᵀ·B + β·C`, output rows split across the rayon pool.
 pub fn par_gemm_tn(alpha: f32, a: &Matrix, b: &Matrix, beta: f32, c: &mut Matrix) {
     run_matrices("par_gemm_tn", Trans::Tn, true, alpha, a, b, beta, None, c);
-}
-
-/// Slice-level `C ← α·Aᵀ·B + β·C`: `a` is `k×m`, `b` is `k×n`, `c` is
-/// `m×n`, all row-major.
-#[allow(clippy::too_many_arguments)] // see gemm_nn_slices
-pub fn gemm_tn_slices(
-    alpha: f32,
-    a: &[f32],
-    b: &[f32],
-    beta: f32,
-    c: &mut [f32],
-    k: usize,
-    m: usize,
-    n: usize,
-) {
-    run_slices(Trans::Tn, false, alpha, a, b, beta, &[], c, (m, n, k));
-}
-
-/// Parallel [`gemm_tn_slices`]: same layout contract, rows split across
-/// the rayon pool (serial below [`PAR_MIN_MADDS`]).
-#[allow(clippy::too_many_arguments)] // see gemm_nn_slices
-pub fn par_gemm_tn_slices(
-    alpha: f32,
-    a: &[f32],
-    b: &[f32],
-    beta: f32,
-    c: &mut [f32],
-    k: usize,
-    m: usize,
-    n: usize,
-) {
-    run_slices(Trans::Tn, true, alpha, a, b, beta, &[], c, (m, n, k));
 }
 
 /// `C ← α·A·Bᵀ + β·C` (serial).
@@ -521,22 +421,6 @@ pub fn gemm_nt(alpha: f32, a: &Matrix, b: &Matrix, beta: f32, c: &mut Matrix) {
 /// `C ← α·A·Bᵀ + β·C`, output rows split across the rayon pool.
 pub fn par_gemm_nt(alpha: f32, a: &Matrix, b: &Matrix, beta: f32, c: &mut Matrix) {
     run_matrices("par_gemm_nt", Trans::Nt, true, alpha, a, b, beta, None, c);
-}
-
-/// Slice-level `C ← α·A·Bᵀ + β·C`: `a` is `m×k`, `b` is `n×k`, `c` is
-/// `m×n`, all row-major.
-#[allow(clippy::too_many_arguments)] // see gemm_nn_slices
-pub fn gemm_nt_slices(
-    alpha: f32,
-    a: &[f32],
-    b: &[f32],
-    beta: f32,
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    run_slices(Trans::Nt, false, alpha, a, b, beta, &[], c, (m, n, k));
 }
 
 /// `C ← α·A·Bᵀ + bias` with the row-broadcast bias-add fused into the GEMM
@@ -572,23 +456,6 @@ pub fn par_gemm_nt_bias(alpha: f32, a: &Matrix, b: &Matrix, bias: &[f32], c: &mu
         Some(bias),
         c,
     );
-}
-
-/// Slice-level [`par_gemm_nt_bias`]: `a` is `m×k`, `b` is `n×k`, `bias`
-/// has `n` entries, `c` is `m×n`, all row-major.
-#[allow(clippy::too_many_arguments)] // see gemm_nn_slices
-pub fn par_gemm_nt_bias_slices(
-    alpha: f32,
-    a: &[f32],
-    b: &[f32],
-    bias: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    assert_eq!(bias.len(), n, "par_gemm_nt_bias_slices: bias length");
-    run_slices(Trans::Nt, true, alpha, a, b, 0.0, bias, c, (m, n, k));
 }
 
 /// Reference implementation used by tests: naive triple loop, `C = α·op(A)·op(B) + β·C`.
@@ -746,60 +613,6 @@ mod tests {
                 assert_eq!(nn, nt, "{m}×{k}×{n}");
             }
         }
-    }
-
-    #[test]
-    fn slice_entry_points_match_matrix_api() {
-        let (m, k, n) = (9, 14, 11);
-        let a = rand_mat(m, k, 30);
-        let b = rand_mat(k, n, 31);
-        let mut c1 = rand_mat(m, n, 32);
-        let mut c2 = c1.clone();
-        gemm_nn(0.6, &a, &b, 0.4, &mut c1);
-        gemm_nn_slices(
-            0.6,
-            a.as_slice(),
-            b.as_slice(),
-            0.4,
-            c2.as_mut_slice(),
-            m,
-            k,
-            n,
-        );
-        assert_eq!(c1, c2);
-
-        let bt = b.transpose(); // n×k
-        let mut c3 = rand_mat(m, n, 34);
-        let mut c3_ref = c3.clone();
-        gemm_nt(0.8, &a, &bt, 0.2, &mut c3_ref);
-        gemm_nt_slices(
-            0.8,
-            a.as_slice(),
-            bt.as_slice(),
-            0.2,
-            c3.as_mut_slice(),
-            m,
-            k,
-            n,
-        );
-        assert_eq!(c3, c3_ref);
-
-        // A is m×k used transposed: result is k×n from a (m×n) right operand.
-        let x = rand_mat(m, n, 33);
-        let mut c4 = Matrix::zeros(k, n);
-        let mut c4_ref = Matrix::zeros(k, n);
-        gemm_tn(1.0, &a, &x, 0.0, &mut c4_ref);
-        gemm_tn_slices(
-            1.0,
-            a.as_slice(),
-            x.as_slice(),
-            0.0,
-            c4.as_mut_slice(),
-            m,
-            k,
-            n,
-        );
-        assert_eq!(c4, c4_ref);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! | [`nn`] | `hetero-nn` | MLP forward/backward, losses, shared Hogwild model |
 //! | [`data`] | `hetero-data` | LIBSVM parser, synthetic paper datasets, batch schedule |
 //! | [`sim`] | `hetero-sim` | virtual clock, V100/Xeon performance models |
-//! | [`gpu`] | `hetero-gpu` | software GPU: allocator, modelled transfers, kernels |
+//! | [`gpu`] | `hetero-gpu` | software GPU device model: memory ledger, accounted transfers, step footprint |
 //! | [`core`] | `hetero-core` | coordinator/workers, Hogbatch algorithms, engines |
 //! | [`trace`] | `hetero-trace` | event tracing, counters, Chrome-trace export |
 //! | [`metrics`] | `hetero-metrics` | log-bucketed histograms, per-worker metrics hub |

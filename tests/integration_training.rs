@@ -278,18 +278,22 @@ fn shared_model_concurrent_cpu_gpu_workers_raw() {
         let data = Arc::clone(&data);
         handles.push(std::thread::spawn(move || {
             let device = hetero_sgd::gpu::GpuDevice::v100();
-            let base = shared.snapshot();
-            let mut mlp = hetero_sgd::gpu::GpuMlp::upload(&device, &base).unwrap();
+            let fp = hetero_sgd::gpu::Footprint::of(shared.spec());
+            let resident = device.mem().alloc(fp.resident_bytes()).unwrap();
+            let mut ws = hetero_sgd::nn::Workspace::new(shared.spec());
             for i in 0..20 {
                 let snapshot = shared.snapshot();
-                mlp.refresh(&snapshot);
                 let start = (i * 29) % (data.len() - 64);
                 let (x, labels) = data.batch(start, start + 64);
-                mlp.train_step(&x, labels.as_targets(), 0.1).unwrap();
-                let replica = mlp.download();
-                shared.merge(&snapshot, &replica, 1.0, None, None);
+                let held = device.mem().alloc(fp.step_bytes(x.rows())).unwrap();
+                device.account_h2d(fp.batch_bytes(x.rows()));
+                device.account_h2d(fp.model);
+                let (_, g) = ws.loss_and_gradient_into(&snapshot, &x, labels.as_targets(), false);
+                device.account_d2h(fp.model);
+                device.mem().free(held).unwrap();
+                shared.merge_gradient(g, 0.1, None, None);
             }
-            mlp.destroy();
+            device.mem().free(resident).unwrap();
         }));
     }
     for h in handles {
