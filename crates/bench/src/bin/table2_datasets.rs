@@ -30,7 +30,7 @@ fn main() {
             d.len(),
             d.features(),
             d.num_classes(),
-            d.sparsity()
+            1.0 - d.density_at_most(1.0).unwrap_or(1.0)
         );
         eprintln!(
             "{}: {} examples x {} features ({}% of paper examples)",

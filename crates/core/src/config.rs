@@ -190,15 +190,11 @@ pub struct TrainConfig {
     /// host has is detected at engine start and reported on the
     /// `engine.pool_oversubscription` trace counter.
     pub rayon_threads: usize,
-    /// Run the end-to-end sparse execution fast path: training batches are
-    /// CSR rows (sliced from the dataset's CSR store, or from a copy made at
-    /// start-up when it is stored dense), the first layer runs the sparse forward/backward
-    /// kernels, and CPU applies / GPU merges touch only the layer-0 weight
-    /// columns the batch activated. Exact on the dense tail by construction
-    /// (same kernels); layer 0 differs from dense only in float summation
-    /// order. Worth ~`1/density` on the first layer for bag-of-words data
-    /// like real-sim (~0.25% dense). Default off (the paper trains dense,
-    /// §VII-A).
+    /// Pinned; read by nothing. A run trains layer 0 on CSR rows when its
+    /// data is no denser than `lane::CSR_MAX_DENSITY` (the measured
+    /// dense/CSR crossover) and dense otherwise, whatever this says. It
+    /// stays only because the frozen `benchmark/` sets it; ROADMAP item 7
+    /// (ruler v2) deletes it.
     #[serde(default)]
     pub sparse_input: bool,
     /// Seconds between loss evaluations (plus one at every epoch end).

@@ -1032,10 +1032,10 @@ pub(crate) fn run_engine<D: Deref<Target = DenseDataset>, T: Deserialize, X, B: 
         Some(core) => co.restore(core),
         None => Model::new(spec.clone(), train.init, train.seed),
     };
-    let src = BatchSource::new(dataset, train.sparse_input);
-    // Only on sparse runs, so a reader can tell the dense path (gauge
-    // absent) from a fully dense batch on the sparse path.
-    if let Some(density) = src.density() {
+    let src = BatchSource::new(dataset);
+    // Only on runs that train CSR rows, so a reader can tell the dense
+    // path (gauge absent) from a fully dense batch on the sparse path.
+    if let Some(density) = src.csr().map(|csr| csr.density()) {
         co.sink.gauge("engine.sparse_density").set(density);
     }
     let (mut backend, started) = build(&mut co, src, model, tail);
@@ -1715,17 +1715,24 @@ mod tests {
         );
     }
 
-    /// A fresh run of the skeleton starts from the seeded model and, on a
-    /// sparse run, CSR features — the dataset's own store when it has one;
-    /// scores it before the loop and after it; and trains the whole
-    /// schedule through the engine's backend.
+    /// A fresh run of the skeleton starts from the seeded model and, on
+    /// data below the dense/CSR crossover, CSR features — the dataset's own
+    /// store when it has one; scores it before the loop and after it; and
+    /// trains the whole schedule through the engine's backend.
     #[test]
     fn run_engine_starts_from_the_seeded_model() {
         let dense = SynthConfig::small(40, 4, 2, 1).generate();
-        let stored = DenseDataset::from_csr("csr", dense.to_csr(), dense.labels.clone());
-        for (data, sparse) in [(&dense, false), (&dense, true), (&stored, true)] {
+        // An eighth of the entries kept: 0.125 dense, below the crossover.
+        let (mut x, labels) = dense.batch(0, dense.len());
+        for (i, v) in x.as_mut_slice().iter_mut().enumerate() {
+            if i % 8 != 0 {
+                *v = 0.0;
+            }
+        }
+        let thin = DenseDataset::new("thin", x, labels);
+        let stored = DenseDataset::from_csr("csr", thin.to_csr(), thin.labels.clone());
+        for (data, sparse) in [(&dense, false), (&thin, true), (&stored, true)] {
             let train = TrainConfig {
-                sparse_input: sparse,
                 seed: 11,
                 ..model_train(1)
             };

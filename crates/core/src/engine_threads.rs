@@ -916,6 +916,19 @@ mod tests {
         Arc::new(d)
     }
 
+    /// `dataset()`'s task at an eighth of its density, stored CSR: below
+    /// the dense/CSR crossover, so a run on it trains CSR rows.
+    fn sparse_dataset() -> Arc<DenseDataset> {
+        let mut cfg = SynthConfig {
+            density: 0.12,
+            ..SynthConfig::small(400, 8, 2, 5)
+        };
+        cfg.separability = 3.0;
+        let mut d = cfg.generate();
+        d.scale_to_unit_variance();
+        Arc::new(d)
+    }
+
     fn config(algo: AlgorithmKind, secs: f64) -> ThreadedEngineConfig {
         ThreadedEngineConfig {
             spec: MlpSpec::tiny(8, 2),
@@ -1157,13 +1170,12 @@ mod tests {
     }
 
     #[test]
-    fn sparse_input_run_converges_and_reports_sparse_metrics() {
+    fn sparse_run_converges_and_reports_sparse_metrics() {
         let sink = TraceSink::wall(RING);
         let hub = MetricsHub::new();
-        let mut cfg = config(AlgorithmKind::CpuGpuHogbatch, 0.5);
-        cfg.train.sparse_input = true;
+        let cfg = config(AlgorithmKind::CpuGpuHogbatch, 0.5);
         let r = ThreadedEngine::new(cfg).unwrap().run_with(
-            dataset(),
+            sparse_dataset(),
             &RunCtx {
                 sink: sink.clone(),
                 hub: hub.clone(),
@@ -1196,11 +1208,8 @@ mod tests {
         assert!(density > 0.0 && density <= 1.0, "density {density}");
     }
 
-    /// One GPU batch step of each arm (device replica on dense batches,
-    /// host-trained gradient on CSR ones) with and without a watchdog:
-    /// the merge fills the caller's scan only when something reads it, and
-    /// both arms tally their contention on the one merge-retry series.
-    /// What a worker of `model` on `data` shares, outside a run.
+    /// What a worker of `model` on `data` shares, outside a run; `sparse`
+    /// picks the format its batches reach layer 0 in.
     fn worker_env(
         data: &Arc<DenseDataset>,
         sparse: bool,
@@ -1210,7 +1219,7 @@ mod tests {
         watchdog: Watchdog,
     ) -> WorkerEnv {
         WorkerEnv {
-            src: Arc::new(BatchSource::new(Arc::clone(data), sparse)),
+            src: Arc::new(BatchSource::in_format(Arc::clone(data), sparse)),
             shared: Arc::new(SharedModel::new(model)),
             ready: channel().0,
             clock: Clock {

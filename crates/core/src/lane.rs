@@ -1,12 +1,13 @@
 //! The run's batch input and the scratch one worker lane steps it through.
 //!
 //! Whether batches reach the network dense or as CSR rows is decided once
-//! per run, when the run skeleton (`coordinator::run_engine`) builds its
-//! [`BatchSource`] at start-up and hands it to the engine; from then on the
-//! engines stage, differentiate, apply and evaluate through [`Lane`] and
-//! [`Evaluator`] and never ask which format they are on. What each format
-//! buys is in `hetero_nn::sparse_input`: CSR pays off at layer 0 only, so a
-//! lane stages CSR rows in O(nnz), runs the sparse layer-0 kernels, and its
+//! per run, from the density of the data ([`CSR_MAX_DENSITY`]), when the
+//! run skeleton (`coordinator::run_engine`) builds its [`BatchSource`] at
+//! start-up and hands it to the engine; from then on the engines stage,
+//! differentiate, apply and evaluate through [`Lane`] and [`Evaluator`] and
+//! never ask which format they are on. What each format buys is in
+//! `hetero_nn::sparse_input`: CSR pays off at layer 0 only, so a lane
+//! stages CSR rows in O(nnz), runs the sparse layer-0 kernels, and its
 //! applies walk only the layer-0 rows of the input features the batch
 //! touched.
 
@@ -19,29 +20,55 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
+/// The highest input density at which a run trains layer 0 on CSR rows;
+/// denser data trains dense. The crossover, measured as CSR step ÷ dense
+/// step (`Workspace::loss_and_gradient_into`, batch 256, AVX2, on
+/// `SynthConfig` data of each density):
+///
+/// | layer 0 | 1 % | 3 % | 6 % | 10 % | 15 % | 25 % | 40 % |
+/// |---|---|---|---|---|---|---|---|
+/// | 54 → 64 | 0.75 | 0.76 | 0.84 | 0.85 | 0.95 | 1.03 | 1.20 |
+/// | 300 → 192 | 0.54 | 0.62 | 0.69 | 0.73 | 0.93 | 0.97 | 1.19 |
+/// | 500 → 512 | 0.71 | 0.62 | 0.68 | 0.86 | 0.87 | 1.07 | 1.37 |
+/// | 20958 → 64 | 0.08 | 0.18 | 0.51 | | | | |
+///
+/// Every width crosses 1.0 between 15 % and 25 %.
+pub(crate) const CSR_MAX_DENSITY: f64 = 0.15;
+
 /// The training data of one run, in the format the run trains on. `D` is
 /// however the engine holds the dataset (`&DenseDataset`, or an `Arc` where
 /// worker threads outlive the borrow).
 ///
-/// A sparse run reads the dataset's own CSR store, so lanes slice CSR
-/// batches in O(nnz) and nothing dense is built, scanned or copied. A dense
-/// run stages rows through [`DenseDataset::batch_into`], which densifies
-/// the rows of a CSR store.
+/// A sparse run — data no denser than [`CSR_MAX_DENSITY`] — reads CSR
+/// features, so lanes slice CSR batches in O(nnz): the dataset's own CSR
+/// store, or one copy of a dense store made at start-up. A dense run
+/// stages rows through [`DenseDataset::batch_into`], which densifies the
+/// rows of a CSR store.
 pub(crate) struct BatchSource<D> {
     /// The dataset as loaded (features, labels, sizes, name).
     pub(crate) dataset: D,
-    /// `TrainConfig::sparse_input`.
+    /// Whether batches reach layer 0 as CSR rows.
     sparse: bool,
-    /// The CSR copy a sparse run makes of a dataset stored dense, at
-    /// start-up — before the engine's clock, so `engine.startup_s` counts
-    /// it and `TrainResult::duration` does not. No benchmark workload
-    /// takes this path.
+    /// The CSR copy a sparse run makes of a dataset stored dense (the
+    /// benchmark's two w8a workloads), at start-up — before the engine's
+    /// clock, so `engine.startup_s` counts it and `TrainResult::duration`
+    /// does not.
     compressed: Option<CsrMatrix>,
 }
 
 impl<D: Deref<Target = DenseDataset>> BatchSource<D> {
-    /// Wrap `dataset`; `sparse` is `TrainConfig::sparse_input`.
-    pub(crate) fn new(dataset: D, sparse: bool) -> Self {
+    /// Wrap `dataset` in the format its density calls for.
+    pub(crate) fn new(dataset: D) -> Self {
+        // `hetero_format_ignores_density` is a mutation switch for
+        // `scripts/check_mutation.sh`: every run trains dense.
+        let sparse = !cfg!(hetero_format_ignores_density)
+            && dataset.density_at_most(CSR_MAX_DENSITY).is_some();
+        Self::in_format(dataset, sparse)
+    }
+
+    /// Wrap `dataset` in the format given (`sparse`: CSR rows), whatever
+    /// its density — for comparing the two formats on the same data.
+    pub(crate) fn in_format(dataset: D, sparse: bool) -> Self {
         let compressed = (sparse && dataset.csr_store().is_none()).then(|| dataset.to_csr());
         BatchSource {
             dataset,
@@ -56,11 +83,6 @@ impl<D: Deref<Target = DenseDataset>> BatchSource<D> {
             return None;
         }
         self.compressed.as_ref().or(self.dataset.csr_store())
-    }
-
-    /// Stored-entry fraction of the CSR features; `None` on a dense run.
-    pub(crate) fn density(&self) -> Option<f64> {
-        self.csr().map(CsrMatrix::density)
     }
 
     /// Whichever of a lane's two staging buffers this run fills.
@@ -260,11 +282,11 @@ mod tests {
 
     type Source = BatchSource<Arc<DenseDataset>>;
 
-    /// `d` with two entries in three zeroed, stored dense.
-    fn third_dense(d: &DenseDataset) -> DenseDataset {
+    /// `d` with all but one entry in `every` zeroed, stored dense.
+    fn thinned(d: &DenseDataset, every: usize) -> DenseDataset {
         let (mut x, labels) = d.batch(0, d.len());
         for (i, v) in x.as_mut_slice().iter_mut().enumerate() {
-            if i % 3 != 0 {
+            if i % every != 0 {
                 *v = 0.0;
             }
         }
@@ -273,11 +295,54 @@ mod tests {
 
     /// A ~⅓-dense dataset plus a dense and a CSR source over it.
     fn sources() -> (Source, Source) {
-        let d = Arc::new(third_dense(&SynthConfig::small(60, 12, 2, 7).generate()));
+        let d = Arc::new(thinned(&SynthConfig::small(60, 12, 2, 7).generate(), 3));
         (
-            BatchSource::new(Arc::clone(&d), false),
-            BatchSource::new(d, true),
+            BatchSource::in_format(Arc::clone(&d), false),
+            BatchSource::in_format(d, true),
         )
+    }
+
+    /// `SynthConfig::small` data of the given width and density, born CSR
+    /// (below a density of 1).
+    fn synth(features: usize, density: f32) -> DenseDataset {
+        SynthConfig {
+            density,
+            ..SynthConfig::small(200, features, 2, 3)
+        }
+        .generate()
+    }
+
+    /// The format follows the data's density, whichever store holds it:
+    /// w8a-like data stored dense trains CSR through its one start-up copy,
+    /// real-sim-like data trains its own CSR store, and data above the
+    /// crossover — stored CSR, or standardised covtype — trains dense.
+    #[test]
+    fn the_format_follows_the_density() {
+        let w8a = synth(300, 0.04);
+        let (x, labels) = w8a.batch(0, w8a.len());
+        let stored_dense = DenseDataset::new("w8a", x, labels);
+        let on_dense = BatchSource::new(&stored_dense);
+        assert!(on_dense.dataset.csr_store().is_none());
+        assert!(on_dense.compressed.is_some(), "one start-up copy");
+        assert_eq!(on_dense.csr(), w8a.csr_store());
+        let density = on_dense.csr().unwrap().density();
+        assert!(density > 0.02 && density < 0.06, "{density}");
+
+        let real_sim = synth(4000, 0.0025);
+        let on_csr = BatchSource::new(&real_sim);
+        assert!(on_csr.compressed.is_none());
+        assert!(
+            std::ptr::eq(on_csr.csr().unwrap(), real_sim.csr_store().unwrap()),
+            "the dataset's own store, not a copy"
+        );
+
+        let denser = synth(40, 0.6);
+        assert!(denser.csr_store().is_some());
+        let covtype = hetero_data::PaperDataset::Covtype.generate(0.001, 1);
+        for data in [&denser, &covtype] {
+            let src = BatchSource::new(data);
+            assert!(src.csr().is_none(), "{}", data.name);
+        }
     }
 
     fn model() -> Model {
@@ -323,15 +388,14 @@ mod tests {
         let (dense, compressed) = sources();
         let d = &dense.dataset;
         let stored = Arc::new(DenseDataset::from_csr("csr", d.to_csr(), d.labels.clone()));
-        let on_csr = BatchSource::new(Arc::clone(&stored), false);
-        let sparse_on_csr = BatchSource::new(Arc::clone(&stored), true);
+        let on_csr = BatchSource::in_format(Arc::clone(&stored), false);
+        let sparse_on_csr = BatchSource::in_format(Arc::clone(&stored), true);
         assert!(on_csr.csr().is_none());
         assert!(
             std::ptr::eq(sparse_on_csr.csr().unwrap(), stored.csr_store().unwrap()),
             "the dataset's own store, not a copy"
         );
         assert_eq!(sparse_on_csr.csr(), compressed.csr());
-        assert_eq!(sparse_on_csr.density(), compressed.density());
         let m = model();
         let rows = eval_subset(d.len(), 24, 9);
         for (a, b) in [(&dense, &on_csr), (&compressed, &sparse_on_csr)] {
@@ -396,12 +460,12 @@ mod tests {
     /// The loss before any update depends on the seed, the spec and the
     /// data — not on the engine, its schedule or its clock. Start-up is
     /// outside that clock, and both engines say how long it took; both
-    /// publish the density of a sparse run's CSR copy, and only of a
-    /// sparse run's.
+    /// publish the density of a sparse run's CSR features, and only of a
+    /// sparse run's: here the ⅓-dense data trains dense and a tenth-dense
+    /// copy of it trains CSR.
     #[test]
     fn sim_and_threaded_agree_on_the_initial_point() {
-        let (dense, _) = sources();
-        let data = Arc::clone(&dense.dataset);
+        let raw = SynthConfig::small(60, 12, 2, 7).generate();
         // `(engine.startup_s, engine.sparse_density)` of a finished run.
         let gauges = |sink: &TraceSink| {
             let gauges = sink.drain().counters;
@@ -411,10 +475,10 @@ mod tests {
                 gauge("engine.sparse_density"),
             )
         };
-        for sparse in [false, true] {
+        for (every, sparse) in [(3, false), (10, true)] {
+            let data = Arc::new(thinned(&raw, every));
             let train = TrainConfig {
                 algorithm: AlgorithmKind::CpuGpuHogbatch,
-                sparse_input: sparse,
                 time_budget: 0.005,
                 eval_interval: 0.005,
                 eval_subsample: 40,

@@ -7,9 +7,11 @@ use hetero_core::{
     AdaptiveParams, AlgorithmKind, FaultPlan, LrScaling, RunCtx, SimEngine, SimEngineConfig,
     ThreadedEngine, ThreadedEngineConfig, TrainConfig, TrainResult, WorkerKind,
 };
-use hetero_data::SynthConfig;
+use hetero_data::{DenseDataset, SynthConfig};
 use hetero_nn::MlpSpec;
 use hetero_sim::{CpuModel, GpuModel};
+use hetero_tensor::CsrMatrix;
+use hetero_trace::TraceSink;
 
 fn hardware() -> (CpuModel, GpuModel) {
     (
@@ -177,26 +179,65 @@ fn time_budget_scales_work_linearly() {
 }
 
 /// Real-sim-shaped synthetic data: wide, ~0.25% nonzero — the regime the
-/// CSR fast path (`TrainConfig::sparse_input`) exists for.
-fn sparse_dataset() -> hetero_data::DenseDataset {
+/// CSR path exists for, so a run on it trains CSR rows.
+fn sparse_dataset() -> DenseDataset {
     hetero_data::PaperDataset::RealSim.generate(0.005, 9)
+}
+
+/// `d`'s values in a CSR store that also stores explicit zeros in the
+/// first fifth of every row's columns. Its stored density is then above
+/// the dense/CSR crossover, so a run on it trains dense: the same data on
+/// the other path.
+fn stored_above_the_crossover(d: &DenseDataset) -> DenseDataset {
+    let csr = d.csr_store().expect("born CSR");
+    let pad = d.features() / 5;
+    let (mut indptr, mut indices, mut values) = (vec![0], Vec::new(), Vec::new());
+    for i in 0..d.len() {
+        let mut row: Vec<(u32, f32)> = (0..pad as u32).map(|c| (c, 0.0)).collect();
+        for (c, v) in csr.row_iter(i) {
+            if c < pad {
+                row[c].1 = v;
+            } else {
+                row.push((c as u32, v));
+            }
+        }
+        indices.extend(row.iter().map(|e| e.0));
+        values.extend(row.iter().map(|e| e.1));
+        indptr.push(indices.len());
+    }
+    let x = CsrMatrix::from_parts(d.features(), indptr, indices, values);
+    DenseDataset::from_csr(d.name.clone(), x, d.labels.clone())
 }
 
 #[test]
 fn sparse_sim_run_matches_dense() {
-    // Same engine, schedule, and seed; the only difference is the execution
-    // path. The sim applies batches deterministically, so sparse and dense
-    // runs see identical data order and the final losses must agree up to
-    // accumulation-order float noise in the kernels.
+    // Same engine, schedule, seed and values; the only difference is the
+    // execution path. The sim applies batches deterministically, so sparse
+    // and dense runs see identical data order and the final losses must
+    // agree up to accumulation-order float noise in the kernels.
     let data = sparse_dataset();
-    let run = |sparse: bool| {
+    let padded = stored_above_the_crossover(&data);
+    assert_eq!(padded.batch(0, 64), data.batch(0, 64), "the same values");
+    let run = |data: &DenseDataset| {
+        let sink = TraceSink::virtual_time(1 << 16);
         let mut c = config(AlgorithmKind::CpuGpuHogbatch, 12);
         c.spec = MlpSpec::tiny(data.features(), data.num_classes());
-        c.train.sparse_input = sparse;
-        SimEngine::new(c).unwrap().run(&data)
+        let ctx = RunCtx {
+            sink: sink.clone(),
+            ..RunCtx::default()
+        };
+        let r = SimEngine::new(c).unwrap().run_with(data, &ctx);
+        let sparse =
+            (sink.drain().counters.iter()).any(|(name, _)| name == "engine.sparse_density");
+        (r, sparse)
     };
-    let dense = run(false);
-    let sparse = run(true);
+    let (dense, on_dense_path) = run(&padded);
+    let (sparse, on_sparse_path) = run(&data);
+    assert_eq!(
+        (on_dense_path, on_sparse_path),
+        (false, true),
+        "the two paths"
+    );
     assert!(sparse.total_updates() > 0.0, "sparse path made no updates");
     assert_eq!(
         sparse.total_updates(),
@@ -218,7 +259,6 @@ fn sparse_threaded_run_trains() {
     let data = Arc::new(sparse_dataset());
     let base = config(AlgorithmKind::CpuGpuHogbatch, 13);
     let mut train = base.train;
-    train.sparse_input = true;
     train.time_budget = 0.3;
     train.cpu_batch_per_thread = 8;
     train.eval_interval = 0.05;

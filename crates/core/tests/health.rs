@@ -40,6 +40,19 @@ fn dataset() -> DenseDataset {
     d
 }
 
+/// The same task at an eighth of the density, stored CSR: below the
+/// dense/CSR crossover, so a run on it trains CSR rows.
+fn sparse_dataset() -> DenseDataset {
+    let mut cfg = SynthConfig {
+        density: 0.12,
+        ..SynthConfig::small(400, 8, 2, 5)
+    };
+    cfg.separability = 3.0;
+    let mut d = cfg.generate();
+    d.scale_to_unit_variance();
+    d
+}
+
 fn train(algo: AlgorithmKind, secs: f64) -> TrainConfig {
     TrainConfig {
         algorithm: algo,
@@ -171,21 +184,19 @@ fn poisoned_gradient_aborts_naming_layer_and_step() {
     let _ = std::fs::remove_dir(&dir);
 }
 
-/// The same on real threads, for the delta a GPU worker merges — from a
-/// device replica on a dense run, from the host-trained gradient on a
-/// `sparse_input` one. GPU-only, so the first non-finite observation cannot
-/// be a CPU lane that read the poisoned model back.
+/// The same on real threads, for the delta a GPU worker merges, on a dense
+/// run and on a sparse one (data below the dense/CSR crossover). GPU-only,
+/// so the first non-finite observation cannot be a CPU lane that read the
+/// poisoned model back.
 #[test]
 fn poisoned_gpu_delta_aborts_naming_worker_layer_and_step() {
-    for sparse_input in [false, true] {
+    for sparse in [false, true] {
         let (flight, dir) = recorder("poison-gpu", HealthPolicy::default());
         let f2 = flight.clone();
         let r = with_timeout(60, move || {
-            let mut train = train(AlgorithmKind::MiniBatchGpu, 0.4);
-            train.sparse_input = sparse_input;
             ThreadedEngine::new(ThreadedEngineConfig {
                 spec: MlpSpec::tiny(8, 2),
-                train,
+                train: train(AlgorithmKind::MiniBatchGpu, 0.4),
                 cpu_threads: 1,
                 gpu_perf: GpuModel::v100(),
                 gpu_workers: 1,
@@ -193,7 +204,7 @@ fn poisoned_gpu_delta_aborts_naming_worker_layer_and_step() {
             })
             .unwrap()
             .run_with(
-                Arc::new(dataset()),
+                Arc::new(if sparse { sparse_dataset() } else { dataset() }),
                 &RunCtx {
                     hub: MetricsHub::new(),
                     flight: f2.clone(),
@@ -208,7 +219,7 @@ fn poisoned_gpu_delta_aborts_naming_worker_layer_and_step() {
         assert_eq!(
             (first.worker, first.layer, first.step),
             (0, 0, 2),
-            "sparse_input={sparse_input}"
+            "sparse={sparse}"
         );
         let (bundle, path) = read_bundle(&r);
         assert!(bundle.reason.contains("layer 0"), "{}", bundle.reason);

@@ -446,7 +446,7 @@ impl DenseDataset {
 
     /// Compressed-sparse-row copy of the feature matrix (exact zeros are
     /// dropped): a compression of a dense store, a clone of a CSR one.
-    /// Pairs with [`hetero_nn::loss_and_gradient_sparse`] for bag-of-words
+    /// Pairs with the CSR input of [`hetero_nn::Workspace`] for bag-of-words
     /// datasets like real-sim.
     pub fn to_csr(&self) -> CsrMatrix {
         match &self.x {
@@ -455,22 +455,20 @@ impl DenseDataset {
         }
     }
 
-    /// Fraction of exactly-zero feature entries (density diagnostics).
-    pub fn sparsity(&self) -> f32 {
-        let total = self.len() * self.features();
-        if total == 0 {
-            return 0.0;
-        }
-        let zeros = match &self.x {
-            Features::Dense(m) => m.as_slice().iter().filter(|&&v| v == 0.0).count(),
-            Features::Csr(m) => {
-                let mut stored_zeros = 0;
-                self.x
-                    .for_each_entry(|_, v| stored_zeros += usize::from(v == 0.0));
-                total - m.nnz() + stored_zeros
-            }
+    /// Density of the features (non-zeros of a dense store, stored entries
+    /// of a CSR one, over `examples × features`) if it is at most `bound`.
+    /// A dense store stops counting at the row where its count passes
+    /// `bound`, so dense data pays a partial scan, not a full one.
+    pub fn density_at_most(&self, bound: f64) -> Option<f64> {
+        let total = (self.len() * self.features()).max(1) as f64;
+        let nnz = match &self.x {
+            Features::Csr(m) => m.nnz(),
+            Features::Dense(m) => m.rows_iter().try_fold(0, |nnz, r| {
+                let nnz = nnz + r.iter().filter(|&&v| v != 0.0).count();
+                (nnz as f64 / total <= bound).then_some(nnz)
+            })?,
         };
-        zeros as f32 / total as f32
+        Some(nnz as f64 / total).filter(|&density| density <= bound)
     }
 }
 
@@ -547,7 +545,6 @@ mod tests {
         assert_eq!(on_csr.csr_store(), Some(&on_dense.to_csr()));
         assert_eq!(on_csr, on_dense);
         assert_eq!((on_csr.len(), on_csr.features()), (12, 5));
-        assert_eq!(on_csr.sparsity(), on_dense.sparsity());
         assert_eq!(on_csr.to_csr(), on_dense.to_csr());
         let rows = [7, 0, 7, 11, 3];
         assert_eq!(on_csr.gather(&rows), on_dense.gather(&rows));
@@ -704,9 +701,9 @@ mod tests {
     fn scale_to_unit_variance_preserves_zeros() {
         let x = Matrix::from_rows(&[&[0.0, 4.0], &[0.0, 0.0], &[3.0, 0.0]]);
         let mut d = DenseDataset::new("s", x, Labels::Classes(vec![0, 1, 0]));
-        let before = d.sparsity();
+        let before = d.density_at_most(1.0);
         d.scale_to_unit_variance();
-        assert_eq!(d.sparsity(), before);
+        assert_eq!(d.density_at_most(1.0), before);
         // Column RMS should be 1 after scaling.
         for j in 0..2 {
             let col = dense(&d).col(j);
@@ -726,10 +723,21 @@ mod tests {
     }
 
     #[test]
-    fn sparsity_counts_zeros() {
+    fn density_is_the_same_on_either_store_and_stops_at_the_bound() {
         let x = Matrix::from_rows(&[&[0.0, 1.0], &[0.0, 0.0]]);
         let d = DenseDataset::new("s", x, Labels::Classes(vec![0, 1]));
-        assert!((d.sparsity() - 0.75).abs() < 1e-6);
+        assert_eq!(d.density_at_most(1.0), Some(0.25));
+        let (on_dense, on_csr) = both_stores();
+        let density = on_csr.csr_store().unwrap().density();
+        assert!(density > 0.2 && density < 0.4, "{density}");
+        for d in [&on_dense, &on_csr] {
+            assert_eq!(d.density_at_most(1.0), Some(density));
+            assert_eq!(d.density_at_most(density), Some(density));
+            assert_eq!(d.density_at_most(density - 1e-9), None);
+            assert_eq!(d.density_at_most(0.0), None);
+        }
+        let zeros = DenseDataset::new("z", Matrix::zeros(3, 4), Labels::Classes(vec![0; 3]));
+        assert_eq!(zeros.density_at_most(0.0), Some(0.0));
     }
 
     #[test]

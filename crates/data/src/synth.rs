@@ -369,11 +369,10 @@ mod tests {
     fn density_controls_sparsity() {
         let mut cfg = SynthConfig::small(200, 50, 2, 3);
         cfg.density = 0.1;
-        let d = cfg.generate();
-        let s = d.sparsity();
-        assert!(s > 0.8 && s < 0.97, "sparsity {s}");
+        let d = cfg.generate().density_at_most(1.0).unwrap();
+        assert!(d > 0.03 && d < 0.2, "density {d}");
         cfg.density = 1.0;
-        assert!(cfg.generate().sparsity() < 0.01);
+        assert!(cfg.generate().density_at_most(0.99).is_none());
     }
 
     #[test]

@@ -35,7 +35,9 @@ pub enum Metric {
     /// Stripes found owned by another merger while merging one delta
     /// (count; merger ↔ merger contention). Dense and row-sparse merges
     /// alike: a run's GPU merges all take one path, and the
-    /// `engine.sparse_density` gauge says which.
+    /// `engine.sparse_density` gauge — published on every run that trains
+    /// CSR rows, i.e. whose data is below the dense/CSR crossover — says
+    /// which.
     MergeRetries,
     /// Gradient staleness per applied update: shared-model version at merge
     /// minus version at read (count of interleaved foreign updates).

@@ -18,8 +18,7 @@
 //! non-zero — which [`SparseScratch`] keeps, so that appliers walk only
 //! those rows and the next CSR gradient re-zeroes only them. It is sized by
 //! the spec alone, so warm steps are allocation-free.
-//! [`forward_sparse`] / [`loss_and_gradient_sparse`] are thin allocating
-//! wrappers for tests and one-off calls.
+//! [`forward_sparse`] is a thin allocating wrapper for one-off calls.
 //!
 //! The layers after the first run the *same* code as for a dense batch, so
 //! sparse/dense parity there holds by construction. The layer-0
@@ -30,7 +29,7 @@
 use hetero_tensor::{sparse, CsrMatrix, CsrView, Matrix};
 
 use crate::backward::Gradient;
-use crate::forward::{ForwardPass, Targets};
+use crate::forward::ForwardPass;
 use crate::model::Model;
 use crate::workspace::Workspace;
 
@@ -116,29 +115,25 @@ pub fn forward_sparse(model: &Model, x: &CsrMatrix, parallel: bool) -> ForwardPa
     ws.forward_into(model, x.view(), parallel).clone()
 }
 
-/// Loss + exact gradient for a sparse batch.
-///
-/// Produces the same gradient as densifying `x` and calling
-/// [`crate::loss_and_gradient`], at `O(nnz)` cost in the input layer. Thin
-/// allocating wrapper over
-/// [`Workspace::loss_and_gradient_into`](crate::Workspace::loss_and_gradient_into).
-pub fn loss_and_gradient_sparse(
-    model: &Model,
-    x: &CsrMatrix,
-    targets: Targets<'_>,
-    parallel: bool,
-) -> (f32, Gradient) {
-    let mut ws = Workspace::new(model.spec());
-    let (l, g) = ws.loss_and_gradient_into(model, x.view(), targets, parallel);
-    (l, g.clone())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::backward::loss_and_gradient;
+    use crate::forward::Targets;
     use crate::init::InitScheme;
     use crate::spec::MlpSpec;
+
+    /// Loss and gradient of a CSR batch through a fresh workspace.
+    fn loss_and_gradient_sparse(
+        model: &Model,
+        x: &CsrMatrix,
+        targets: Targets<'_>,
+        parallel: bool,
+    ) -> (f32, Gradient) {
+        let mut ws = Workspace::new(model.spec());
+        let (l, g) = ws.loss_and_gradient_into(model, x.view(), targets, parallel);
+        (l, g.clone())
+    }
 
     fn sparse_batch(rows: usize, cols: usize, seed: u64) -> Matrix {
         let mut state = seed | 1;

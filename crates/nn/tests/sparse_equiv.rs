@@ -16,12 +16,25 @@
 #![cfg(not(feature = "loom"))]
 
 use hetero_nn::{
-    forward, forward_sparse, loss_and_gradient, loss_and_gradient_sparse, Activation, InitScheme,
-    LossKind, MlpSpec, Model, Targets,
+    forward, forward_sparse, loss_and_gradient, Activation, Gradient, InitScheme, LossKind,
+    MlpSpec, Model, Targets, Workspace,
 };
 use hetero_tensor::simd::{self, SimdLevel};
 use hetero_tensor::{CsrMatrix, Matrix};
 use proptest::prelude::*;
+
+/// Loss and gradient of a CSR batch through the engines' entry point,
+/// `Workspace::loss_and_gradient_into`, on a fresh workspace.
+fn loss_and_gradient_sparse(
+    model: &Model,
+    x: &CsrMatrix,
+    targets: Targets<'_>,
+    parallel: bool,
+) -> (f32, Gradient) {
+    let mut ws = Workspace::new(model.spec());
+    let (l, g) = ws.loss_and_gradient_into(model, x.view(), targets, parallel);
+    (l, g.clone())
+}
 
 fn arb_spec() -> impl Strategy<Value = MlpSpec> {
     (

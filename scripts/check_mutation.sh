@@ -37,8 +37,10 @@
 # a row keeps the previous batch's entries. In
 # crates/core/src/engine_threads.rs a GPU step reserves its device bytes on
 # the device ledger before it runs, which is where an injected OOM reaches
-# it; `--cfg hetero_gpu_no_reserve` skips the reservation. This script
-# asserts that:
+# it; `--cfg hetero_gpu_no_reserve` skips the reservation. In
+# crates/core/src/lane.rs a run trains CSR rows when its data is below the
+# dense/CSR crossover; `--cfg hetero_format_ignores_density` trains every
+# run dense. This script asserts that:
 #   1. the suites pass as written, and
 #   2. each suite FAILS under its mutation the way the bug would show (a
 #      data-race report for the queue, both two-merger models losing an
@@ -50,7 +52,8 @@
 #      drawing different initial weights, a resumed simulation's loss curve
 #      differing from the uninterrupted one's, a dense run's loss curve
 #      depending on whether its data is stored dense or as CSR, an
-#      injected GPU OOM that never halves a batch),
+#      injected GPU OOM that never halves a batch, sparse data trained
+#      dense),
 # i.e. the checker genuinely guards the edge.
 #
 # Usage: scripts/check_mutation.sh   (from anywhere in the repo)
@@ -70,13 +73,14 @@ init="-p hetero-tensor --test proptest_simd normal_fill"
 resume="-p hetero-core --lib checkpointed_run_is_untouched_and_resume_is_bit_identical"
 store="-p hetero-core --lib training_does_not_depend_on_the_store"
 oom="-p hetero-core --test fault_tolerance oom_retry_halves_batch_and_clamps_controller"
+format="-p hetero-core --lib the_format_follows_the_density"
 
-echo "[1/15] baseline: loom queue, shared-model, coordinator-model, event-loop, sparse-support, sim-wave, init-stream, sim-resume, store and GPU-OOM suites must pass as written"
+echo "[1/16] baseline: loom queue, shared-model, coordinator-model, event-loop, sparse-support, sim-wave, init-stream, sim-resume, store, GPU-OOM and input-format suites must pass as written"
 # shellcheck disable=SC2086
 if ! { cargo test $queue -q && cargo test $shared -q && cargo test $model -q \
     && cargo test $run -q && cargo test $support -q && cargo test $wave -q \
     && cargo test $init -q && cargo test $resume -q && cargo test $store -q \
-    && cargo test $oom -q; } >"$log" 2>&1; then
+    && cargo test $oom -q && cargo test $format -q; } >"$log" 2>&1; then
     echo "FAIL: baseline suite is red"
     tail -40 "$log"
     exit 1
@@ -86,7 +90,7 @@ fi
 check_mutation() {
     local cfg="$1" desc="$2" step="$3" suite="$4"
     shift 4
-    echo "[$step/15] mutation: suite must FAIL with $desc"
+    echo "[$step/16] mutation: suite must FAIL with $desc"
     # shellcheck disable=SC2086
     if RUSTFLAGS="--cfg $cfg" cargo test $suite -q >"$log" 2>&1; then
         echo "FAIL: $desc mutation was NOT caught"
@@ -147,10 +151,14 @@ check_mutation hetero_point_on_resume "an initial point recorded on a resumed ru
 # A densified CSR row that keeps the previous batch's entries trains a
 # dense run on other data than the same rows stored dense.
 check_mutation hetero_densify_stale "a CSR row densified into an uncleared buffer" 14 \
-    "$store" "training_does_not_depend_on_the_store" "sparse_input false"
+    "$store" "training_does_not_depend_on_the_store" "sparse run: false"
 # A GPU step that reserves nothing never meets the injected OOM, so no batch
 # is halved and nothing is re-queued.
 check_mutation hetero_gpu_no_reserve "a GPU step skipping its device reservation" 15 \
     "$oom" "oom_retry_halves_batch_and_clamps_controller" "no requeue recorded"
+# A run that ignores its data's density trains w8a-like data dense, so the
+# dense-stored 4 % dataset makes no start-up CSR copy.
+check_mutation hetero_format_ignores_density "every run trained dense whatever its density" 16 \
+    "$format" "the_format_follows_the_density" "one start-up copy"
 
-echo "OK: all fourteen seeded mutations are caught"
+echo "OK: all fifteen seeded mutations are caught"

@@ -9,7 +9,7 @@
 //!              [--alpha 2.0] [--beta 1.0] [--kappa 0.0]
 //!              [--ckpt-dir results/ckpt] [--ckpt-interval 0.05]
 //!              [--ckpt-retain 2] [--resume]
-//!              [--sparse] [--seed 42] [--json]
+//!              [--seed 42] [--json]
 //! ```
 //!
 //! With `--ckpt-dir` the run publishes crash-consistent checkpoints every
@@ -50,7 +50,6 @@ struct Args {
     ckpt_interval: f64,
     ckpt_retain: usize,
     resume: bool,
-    sparse: bool,
     seed: u64,
     json: bool,
 }
@@ -73,7 +72,6 @@ fn parse_args() -> Result<Args, String> {
         ckpt_interval: 0.05,
         ckpt_retain: 2,
         resume: false,
-        sparse: false,
         seed: 42,
         json: false,
     };
@@ -88,11 +86,6 @@ fn parse_args() -> Result<Args, String> {
         }
         if flag == "--resume" {
             args.resume = true;
-            i += 1;
-            continue;
-        }
-        if flag == "--sparse" {
-            args.sparse = true;
             i += 1;
             continue;
         }
@@ -170,7 +163,7 @@ fn main() {
                  \t[--engine {ENGINES}] [--scale F] [--width N] [--depth N] [--budget S] \\\n\
                  \t[--lr F] [--gpu-batch N] [--alpha F] [--beta F] [--kappa F] \\\n\
                  \t[--ckpt-dir DIR] [--ckpt-interval S] [--ckpt-retain N] [--resume] \\\n\
-                 \t[--sparse] [--seed N] [--json]"
+                 \t[--seed N] [--json]"
             );
             std::process::exit(if e == "help" { 0 } else { 2 });
         }
@@ -224,7 +217,6 @@ fn main() {
         },
         time_budget: args.budget,
         staleness_discount: args.kappa,
-        sparse_input: args.sparse,
         eval_interval: args.budget / 20.0,
         seed: args.seed,
         ..TrainConfig::default()
