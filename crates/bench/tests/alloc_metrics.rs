@@ -1,6 +1,7 @@
 //! Measured (not asserted-by-inspection) allocation-freedom of the
 //! metrics hot paths: once a histogram exists and a `HistHandle` is
-//! resolved, recording observations must never touch the heap — workers
+//! resolved through a `TraceSink`, recording observations must never touch
+//! the heap — workers
 //! call it inside the training loop, where PR 4 established a
 //! zero-steady-state-allocation regime.
 //!
@@ -9,7 +10,7 @@
 //! would perturb every other test's numbers.
 
 use hetero_bench::alloc_count::{allocs_in, CountingAlloc};
-use hetero_metrics::{HubSnapshot, LogHistogram, Metric, MetricsHub};
+use hetero_trace::{LogHistogram, Metric, TraceSink};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -32,10 +33,10 @@ fn histogram_record_path_is_allocation_free() {
 
 #[test]
 fn resolved_hist_handle_record_is_allocation_free() {
-    let hub = MetricsHub::new();
+    let sink = TraceSink::wall(16);
     // Resolving a handle registers the series (allocates, once) …
-    let lat = hub.histogram(Metric::BatchLatency, 0);
-    let stale = hub.histogram(Metric::Staleness, 1);
+    let lat = sink.histogram(Metric::BatchLatency, 0);
+    let stale = sink.histogram(Metric::Staleness, 1);
     // … but recording through it afterwards must not.
     let n = allocs_in(|| {
         for i in 0..10_000u64 {
@@ -44,13 +45,12 @@ fn resolved_hist_handle_record_is_allocation_free() {
         }
     });
     assert_eq!(n, 0, "HistHandle record path allocated {n} times");
-    assert!(hub.summary(Metric::BatchLatency).is_some());
+    assert!(sink.summary(Metric::BatchLatency).is_some());
 }
 
 #[test]
 fn disabled_handle_record_is_allocation_free() {
-    let hub = MetricsHub::disabled();
-    let h = hub.histogram(Metric::QueueWait, 3);
+    let h = TraceSink::disabled().histogram(Metric::QueueWait, 3);
     let n = allocs_in(|| {
         for i in 0..10_000u64 {
             h.record(i);
@@ -61,19 +61,17 @@ fn disabled_handle_record_is_allocation_free() {
 
 #[test]
 fn snapshot_queries_do_not_allocate_per_quantile() {
-    let hub = MetricsHub::new();
-    let h = hub.histogram(Metric::MergeWait, 0);
+    let h = LogHistogram::new();
     for i in 1..1000u64 {
         h.record(i * 1000);
     }
     // Snapshotting allocates (it copies the bucket array — that is fine;
     // it happens at summary cadence, not per update). Quantile
     // queries on an existing snapshot must not.
-    let snap: HubSnapshot = hub.snapshot();
-    let merged = snap.merged(Metric::MergeWait).expect("series exists");
+    let snap = h.snapshot();
     let n = allocs_in(|| {
         for q in [0.5, 0.9, 0.99, 1.0] {
-            std::hint::black_box(merged.quantile(q));
+            std::hint::black_box(snap.quantile(q));
         }
     });
     assert_eq!(n, 0, "snapshot quantile queries allocated {n} times");

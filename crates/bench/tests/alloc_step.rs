@@ -16,7 +16,6 @@
 use hetero_bench::alloc_count::{allocs_in, CountingAlloc};
 use hetero_data::{PaperDataset, SynthConfig};
 use hetero_gpu::{Footprint, GpuDevice};
-use hetero_metrics::MetricsHub;
 use hetero_nn::{
     Activation, InitScheme, LossKind, MergeScan, MlpSpec, Model, SharedModel, Targets, Workspace,
 };
@@ -28,15 +27,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// A GPU worker's device as a run builds it: an observed ledger with live
-/// transfer histograms.
+/// A GPU worker's device as a traced run builds it: an observed ledger
+/// whose transfers emit events and fill live histograms, all through one
+/// enabled sink (its ring is preallocated, so a warm push never grows it).
 fn observed_device() -> GpuDevice {
-    GpuDevice::new_observed(
-        GpuModel::v100(),
-        &TraceSink::disabled(),
-        1,
-        &MetricsHub::new(),
-    )
+    GpuDevice::new_observed(GpuModel::v100(), &TraceSink::wall(1 << 10), 1)
 }
 
 fn sparse_fixture() -> (hetero_data::DenseDataset, CsrMatrix, MlpSpec) {

@@ -38,10 +38,12 @@ use hetero_data::{BatchScheduler, DenseDataset};
 use hetero_flight::{
     FlightRecorder, HealthAction, HealthSnapshot, Provenance, Watchdog, WatchdogState,
 };
-use hetero_metrics::{HistHandle, Metric, MetricsHub, GLOBAL_WORKER};
 use hetero_nn::{MergeScan, MlpSpec, Model};
 use hetero_sim::UtilizationTimeline;
-use hetero_trace::{CounterHandle, EventKind, GaugeHandle, TimeDomain, TraceSink, COORDINATOR};
+use hetero_trace::{
+    CounterHandle, EventKind, GaugeHandle, HistHandle, Metric, TimeDomain, TraceSink, COORDINATOR,
+    GLOBAL_WORKER,
+};
 use serde::{Deserialize, Serialize};
 
 use crate::adaptive::{AdaptiveController, WorkerBatchState};
@@ -50,9 +52,9 @@ use crate::fault::WorkerError;
 use crate::lane::{eval_subset, BatchSource, Evaluator};
 use crate::metrics::{LossPoint, TrainResult, WorkerKind, WorkerStats};
 
-/// Everything optional about a run: where its events, metrics, health
-/// record and checkpoints go. `RunCtx::default()` disables all four, and a
-/// disabled field is exactly the run without it — `run_with(dataset,
+/// Everything optional about a run: where its events and metrics, health
+/// record and checkpoints go. `RunCtx::default()` disables all three, and
+/// a disabled field is exactly the run without it — `run_with(dataset,
 /// &RunCtx::default())` is `run(dataset)`.
 pub struct RunCtx {
     /// Structured tracing: every batch dispatch/start/completion, adaptive
@@ -64,13 +66,13 @@ pub struct RunCtx {
     /// stamped with **virtual** seconds; tracing never feeds back into the schedule, so the run
     /// stays deterministic). The run's gauges (`worker.<w>.*`,
     /// `engine.*`, `ckpt.*`, `health.*`) are published here too, and reach
-    /// the trace export and the postmortem bundle with its counters.
+    /// the trace export and the postmortem bundle with its counters. So
+    /// are its per-worker histograms ([`TraceSink::histogram`]): batch
+    /// latency, queue wait, H2D/D2H transfer time, merge wait/retries,
+    /// gradient staleness (virtual-time durations on the simulation
+    /// engine), and the checkpoint write latency; their summaries fill
+    /// [`TrainResult::staleness`] and the postmortem's metric rows.
     pub sink: TraceSink,
-    /// Per-worker histograms: batch latency, queue wait, H2D/D2H transfer
-    /// time, merge wait/retries, gradient staleness (virtual-time
-    /// durations on the simulation engine), and the checkpoint write
-    /// latency. Fills [`TrainResult::staleness`].
-    pub hub: MetricsHub,
     /// Black-box flight recorder. Its watchdog observes per-layer
     /// gradient norms and NaN/±Inf counts from every worker hot path and
     /// the loss at every eval point, enforcing its
@@ -82,8 +84,8 @@ pub struct RunCtx {
     /// path lands in [`hetero_flight::HealthSummary::postmortem`]. When
     /// `sink` is disabled the recorder supplies its own bounded
     /// drop-oldest sink, so a postmortem always embeds the recent-event
-    /// window. Observation alone never changes a run; only an explicit
-    /// policy *action* (clamp, abort) does.
+    /// window and the run's histograms. Observation alone never changes a
+    /// run; only an explicit policy *action* (clamp, abort) does.
     pub flight: FlightRecorder,
     /// Crash-consistent checkpointing at the checkpointer's cadence, in
     /// the engine's clock. With `resume: true` the newest valid generation
@@ -102,7 +104,6 @@ impl Default for RunCtx {
     fn default() -> Self {
         RunCtx {
             sink: TraceSink::disabled(),
-            hub: MetricsHub::disabled(),
             flight: FlightRecorder::disabled(),
             ckpt: Checkpointer::disabled(),
         }
@@ -417,7 +418,7 @@ impl<'a> Coordinator<'a> {
             next_batch_id: 1,
             busy_secs: vec![0.0; kinds.len()],
             latency: (0..kinds.len())
-                .map(|w| ctx.hub.histogram(Metric::BatchLatency, w as u32))
+                .map(|w| sink.histogram(Metric::BatchLatency, w as u32))
                 .collect(),
             aborted: None,
             worker_gauges,
@@ -426,7 +427,7 @@ impl<'a> Coordinator<'a> {
             g_ckpt_gen: sink.gauge("ckpt.generation"),
             g_ckpt_bytes: sink.gauge("ckpt.bytes"),
             g_ckpt_age: sink.gauge("ckpt.age_secs"),
-            ckpt_write: ctx.hub.histogram(Metric::CkptWrite, GLOBAL_WORKER),
+            ckpt_write: sink.histogram(Metric::CkptWrite, GLOBAL_WORKER),
             faults: sink.counter("engine.faults"),
             requeues: sink.counter("engine.requeues"),
             timeline_rejects: sink.counter("engine.timeline_rejects"),
@@ -798,7 +799,7 @@ impl<'a> Coordinator<'a> {
                 .set(point.time - ckpt.last_saved_at().unwrap_or(0.0));
         }
         if flight.enabled() {
-            let stale = self.ctx.hub.summary(Metric::Staleness);
+            let stale = self.sink.summary(Metric::Staleness);
             let h = self.watchdog.summary();
             flight.record_snapshot(HealthSnapshot {
                 t: point.time,
@@ -971,9 +972,7 @@ impl<'a> Coordinator<'a> {
         let mut health = self.watchdog.enabled().then(|| self.watchdog.summary());
         if flight.enabled() && (aborted.is_some() || any_retired) {
             let reason = aborted.as_deref().unwrap_or("worker retirement");
-            // `capture` copies the retained window without draining, so
-            // the caller's own `drain` still sees the full trace.
-            let path = flight.dump(reason, self.sink.capture(), &self.ctx.hub);
+            let path = flight.dump(reason, &self.sink);
             if let (Some(h), Some(p)) = (health.as_mut(), path) {
                 h.postmortem = Some(p);
             }
@@ -989,7 +988,7 @@ impl<'a> Coordinator<'a> {
             trace_path: None,
             requeued_batches: self.requeued_batches,
             aborted,
-            staleness: self.ctx.hub.summary(Metric::Staleness),
+            staleness: self.sink.summary(Metric::Staleness),
             health,
         }
     }

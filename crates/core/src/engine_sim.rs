@@ -39,10 +39,11 @@ use hetero_data::batch::BatchRange;
 use hetero_data::DenseDataset;
 use hetero_flight::Watchdog;
 use hetero_gpu::Footprint;
-use hetero_metrics::{HistHandle, Metric, MetricsHub};
 use hetero_nn::{scan_model, MergeScan, MlpSpec, Model};
 use hetero_sim::{CpuModel, DeviceModel, EventQueue, GpuModel, UtilizationTimeline};
-use hetero_trace::{BatchPhases, CounterHandle, EventKind, TimeDomain, TraceSink};
+use hetero_trace::{
+    BatchPhases, CounterHandle, EventKind, HistHandle, Metric, TimeDomain, TraceSink,
+};
 use serde::{Deserialize, Serialize};
 
 use crate::config::{AlgorithmKind, TrainConfig};
@@ -227,7 +228,7 @@ impl SimScratch {
 }
 
 /// Pre-resolved per-worker histogram handles for an observed run. Every
-/// handle is a no-op when the hub is disabled, so the unobserved path pays
+/// handle is a no-op when the sink is disabled, so the unobserved path pays
 /// one branch per record. The sim has no queue wait — workers are
 /// re-assigned the instant they complete — so that series is left to the
 /// threaded engine; batch latency is the coordinator's, from each busy span.
@@ -238,9 +239,9 @@ struct SimObs {
 }
 
 impl SimObs {
-    fn new(hub: &MetricsHub, workers: usize) -> Self {
+    fn new(sink: &TraceSink, workers: usize) -> Self {
         let per = |m: Metric| -> Vec<HistHandle> {
-            (0..workers).map(|w| hub.histogram(m, w as u32)).collect()
+            (0..workers).map(|w| sink.histogram(m, w as u32)).collect()
         };
         SimObs {
             stale: per(Metric::Staleness),
@@ -379,7 +380,7 @@ impl SimEngine {
             let mut sim = SimBackend {
                 cfg,
                 footprint,
-                obs: SimObs::new(&ctx.hub, devices.len()),
+                obs: SimObs::new(&co.sink, devices.len()),
                 devices,
                 health_scan: MergeScan::for_model(&model),
                 src,
@@ -1410,13 +1411,11 @@ mod tests {
     fn observed_sim_run_fills_histograms_without_perturbing_the_schedule() {
         let data = tiny_dataset();
         let cfg = tiny_config(AlgorithmKind::AdaptiveHogbatch, 0.03);
-        let hub = MetricsHub::new();
         let sink = TraceSink::virtual_time(1 << 14);
         let observed = SimEngine::new(cfg.clone()).unwrap().run_with(
             &data,
             &RunCtx {
                 sink: sink.clone(),
-                hub: hub.clone(),
                 ..RunCtx::default()
             },
         );
@@ -1427,18 +1426,18 @@ mod tests {
             assert_eq!(a.loss, b.loss);
             assert_eq!(a.time, b.time);
         }
-        let snap = hub.snapshot();
-        // CPU (0) and GPU (1) both filled latency; GPU filled transfers.
-        for w in [0u32, 1u32] {
-            assert!(snap.series_for(Metric::BatchLatency, w).unwrap().count() > 0);
-        }
-        assert!(snap.series_for(Metric::H2d, 1).unwrap().count() > 0);
-        assert!(snap.series_for(Metric::D2h, 1).unwrap().count() > 0);
-        assert!(snap.merged(Metric::Staleness).unwrap().count() > 0);
+        // Every completion filled the latency histogram, the CPU's (0) and
+        // the GPU's (1) alike; the GPU filled the transfer series.
+        assert!(observed.workers.iter().all(|w| w.batches > 0));
+        let batches: u64 = observed.workers.iter().map(|w| w.batches).sum();
+        let lat = sink.summary(Metric::BatchLatency).unwrap();
+        assert_eq!(lat.count, batches);
+        assert!(sink.summary(Metric::H2d).unwrap().count > 0);
+        assert!(sink.summary(Metric::D2h).unwrap().count > 0);
+        assert!(sink.summary(Metric::Staleness).unwrap().count > 0);
         // Latency histograms hold the modeled virtual costs (sub-second ns
         // values, never zero).
-        let lat = snap.merged(Metric::BatchLatency).unwrap();
-        assert!(lat.max() > 0 && lat.max() < 1_000_000_000);
+        assert!(lat.max > 0.0 && lat.max < 1e9);
         assert!(observed.staleness.is_some());
         // The per-worker digests round-trip what the raw timelines say.
         for w in &observed.workers {

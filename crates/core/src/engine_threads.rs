@@ -54,11 +54,12 @@ use hetero_data::batch::BatchRange;
 use hetero_data::DenseDataset;
 use hetero_flight::Watchdog;
 use hetero_gpu::{Footprint, GpuDevice};
-use hetero_metrics::{HistHandle, Metric, MetricsHub};
 use hetero_mq::{channel, channel_traced_lineage, Receiver, RecvTimeoutError, Sender};
 use hetero_nn::{scan_model, MergeScan, MlpSpec, Model, SharedModel};
 use hetero_sim::{DeviceModel, GpuModel};
-use hetero_trace::{BatchPhases, EventKind, TimeDomain, TraceSink, COORDINATOR};
+use hetero_trace::{
+    BatchPhases, EventKind, HistHandle, Metric, TimeDomain, TraceSink, COORDINATOR,
+};
 
 use crate::config::{AlgorithmKind, TrainConfig};
 use crate::coordinator::{
@@ -122,7 +123,6 @@ struct WorkerEnv {
     clock: Clock,
     train: TrainConfig,
     sink: TraceSink,
-    hub: MetricsHub,
     watchdog: Watchdog,
 }
 
@@ -242,7 +242,6 @@ impl ThreadedEngine {
                 clock,
                 train: cfg.train.clone(),
                 sink: sink.clone(),
-                hub: ctx.hub.clone(),
                 watchdog: co.watchdog.clone(),
             };
             let mut exec = Vec::new();
@@ -300,8 +299,7 @@ impl ThreadedEngine {
                         WorkerKind::Gpu => {
                             // The observed device feeds H2D/D2H transfer
                             // histograms on top of the trace events.
-                            let device =
-                                GpuDevice::new_observed(perf, &env.sink, slot as u32, &env.hub);
+                            let device = GpuDevice::new_observed(perf, &env.sink, slot as u32);
                             let mut gpu = GpuWorker::new(slot, &device, &plan, &env)?;
                             run(&mut |id, range, batches| gpu.batch_step(id, range, batches))
                         }
@@ -459,7 +457,7 @@ fn serve(
 ) -> Result<(), WorkerError> {
     // Resolved once; recording is a few relaxed atomic adds, so the
     // zero-alloc steady state of the steps is preserved.
-    let queue_hist = env.hub.histogram(Metric::QueueWait, slot as u32);
+    let queue_hist = env.sink.histogram(Metric::QueueWait, slot as u32);
     let mut batches_done = 0u64;
     loop {
         let (msg, waited) = rx.recv_timed();
@@ -507,8 +505,8 @@ fn cpu_worker(
     let ctx = CpuStepCtx {
         env,
         slot,
-        stale_hist: &env.hub.histogram(Metric::Staleness, slot as u32),
-        rows_hist: &env.hub.histogram(Metric::RowsTouched, slot as u32),
+        stale_hist: &env.sink.histogram(Metric::Staleness, slot as u32),
+        rows_hist: &env.sink.histogram(Metric::RowsTouched, slot as u32),
         // Injected faults land in one lane each — one poisoned update or
         // one dead lane is enough, and it keeps the site exact.
         poison_step: plan.poison_at(slot),
@@ -749,7 +747,7 @@ impl<'a> GpuWorker<'a> {
             .alloc(footprint.resident_bytes())
             .map_err(|e| WorkerError::Oom(format!("model upload failed: {e}")))?;
         let snapshot = env.shared.snapshot();
-        let hist = |m| env.hub.histogram(m, slot as u32);
+        let hist = |m| env.sink.histogram(m, slot as u32);
         Ok(GpuWorker {
             slot,
             env,
@@ -1009,7 +1007,7 @@ mod tests {
         for w in &r.workers {
             assert!(w.batches > 0, "{:?} idle", w.kind);
         }
-        // The default `RunCtx` has no hub, so no staleness summary.
+        // The default `RunCtx` observes nothing, so no staleness summary.
         assert!(r.staleness.is_none());
     }
 
@@ -1119,38 +1117,31 @@ mod tests {
     #[test]
     fn observed_run_fills_histograms_and_worker_gauges() {
         let sink = TraceSink::wall(RING);
-        let hub = MetricsHub::new();
         let cfg = config(AlgorithmKind::AdaptiveHogbatch, 0.4);
-        let r = ThreadedEngine::new(cfg).unwrap().run_with(
-            dataset(),
-            &RunCtx {
-                sink: sink.clone(),
-                hub: hub.clone(),
-                ..RunCtx::default()
-            },
-        );
+        let r = ThreadedEngine::new(cfg)
+            .unwrap()
+            .run_traced(dataset(), &sink);
         assert!(r.final_loss().is_finite());
-        // Staleness summary comes from the hub.
+        // Staleness summary comes from the sink.
         let stale = r.staleness.expect("staleness summary missing");
         assert!(stale.count > 0);
         assert!(stale.p50 <= stale.p99);
-        // Both workers filled latency + queue-wait histograms; the GPU
-        // additionally filled transfer + merge series.
-        let snap = hub.snapshot();
-        for w in [0u32, 1u32] {
-            for m in [Metric::BatchLatency, Metric::QueueWait] {
-                let s = snap.series_for(m, w).expect("series missing");
-                assert!(s.count() > 0, "{m:?} empty for worker {w}");
-            }
-        }
+        // Both workers filled latency + queue-wait histograms: one latency
+        // observation per completed batch, and one queue wait per batch a
+        // worker started. The GPU additionally filled transfer + merge
+        // series.
+        assert!(r.workers.iter().all(|w| w.batches > 0));
+        let batches: u64 = r.workers.iter().map(|w| w.batches).sum();
+        let count = |m| sink.summary(m).map_or(0, |s| s.count);
+        assert_eq!(count(Metric::BatchLatency), batches);
+        assert!(count(Metric::QueueWait) >= batches);
         for m in [
             Metric::H2d,
             Metric::D2h,
             Metric::MergeWait,
             Metric::MergeRetries,
         ] {
-            let s = snap.merged(m).expect("gpu series missing");
-            assert!(s.count() > 0, "{m:?} empty");
+            assert!(count(m) > 0, "{m:?} empty");
         }
         // Worker gauges were published through the sink, so the trace
         // export and the postmortem bundle carry them.
@@ -1172,16 +1163,10 @@ mod tests {
     #[test]
     fn sparse_run_converges_and_reports_sparse_metrics() {
         let sink = TraceSink::wall(RING);
-        let hub = MetricsHub::new();
         let cfg = config(AlgorithmKind::CpuGpuHogbatch, 0.5);
-        let r = ThreadedEngine::new(cfg).unwrap().run_with(
-            sparse_dataset(),
-            &RunCtx {
-                sink: sink.clone(),
-                hub: hub.clone(),
-                ..RunCtx::default()
-            },
-        );
+        let r = ThreadedEngine::new(cfg)
+            .unwrap()
+            .run_traced(sparse_dataset(), &sink);
         assert!(r.final_loss() < r.initial_loss(), "{:?}", r.loss_curve);
         for w in &r.workers {
             assert!(w.batches > 0, "{:?} idle", w.kind);
@@ -1190,16 +1175,15 @@ mod tests {
         // more than the input width), the merge-contention series from the
         // GPU's row-sparse merge, and the density gauge that says which
         // path the merges took.
-        let snap = hub.snapshot();
-        let rows = snap
-            .merged(Metric::RowsTouched)
+        let rows = sink
+            .summary(Metric::RowsTouched)
             .expect("rows_touched series missing");
-        assert!(rows.count() > 0);
-        assert!(rows.max() <= 8, "touched {} of 8 rows", rows.max());
-        let retries = snap
-            .merged(Metric::MergeRetries)
+        assert!(rows.count > 0);
+        assert!(rows.max <= 8.0, "touched {} of 8 rows", rows.max);
+        let retries = sink
+            .summary(Metric::MergeRetries)
             .expect("merge-retry series missing");
-        assert!(retries.count() > 0);
+        assert!(retries.count > 0);
         let counters: std::collections::HashMap<String, f64> =
             sink.drain().counters.into_iter().collect();
         let density = *counters
@@ -1228,7 +1212,6 @@ mod tests {
             },
             train: train.clone(),
             sink,
-            hub: MetricsHub::new(),
             watchdog,
         }
     }
@@ -1292,8 +1275,7 @@ mod tests {
                 sink.clone(),
                 Watchdog::disabled(),
             );
-            let device =
-                GpuDevice::new_observed(GpuModel::v100(), &sink, 0, &MetricsHub::disabled());
+            let device = GpuDevice::new_observed(GpuModel::v100(), &sink, 0);
             let mut gpu = GpuWorker::new(0, &device, &FaultPlan::none(), &env).unwrap();
             let range = BatchRange {
                 start: 0,
@@ -1395,7 +1377,7 @@ mod tests {
                     sparse,
                     &model,
                     &train,
-                    TraceSink::disabled(),
+                    TraceSink::wall(RING),
                     watchdog,
                 );
                 let mut gpu = GpuWorker::new(0, &device, &FaultPlan::none(), &env).unwrap();
@@ -1418,8 +1400,8 @@ mod tests {
                     "sparse={sparse} watched={watched}: {:?}",
                     gpu.merge_scan
                 );
-                let retries = env.hub.snapshot().merged(Metric::MergeRetries);
-                assert_eq!(retries.map(|s| s.count()), Some(1), "sparse={sparse}");
+                let retries = env.sink.summary(Metric::MergeRetries);
+                assert_eq!(retries.map(|s| s.count), Some(1), "sparse={sparse}");
             }
         }
     }

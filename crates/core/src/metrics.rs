@@ -5,8 +5,8 @@
 //! Figure 7 the per-worker utilization timelines, Figure 8 the per-worker
 //! update counts.
 
-use hetero_metrics::Summary;
 use hetero_sim::UtilizationTimeline;
+use hetero_trace::Summary;
 use serde::{Deserialize, Serialize};
 
 /// One point on the loss curve.
@@ -151,8 +151,10 @@ pub struct TrainResult {
     /// made; this records why it stopped short.
     pub aborted: Option<String>,
     /// Distribution of per-update gradient staleness (model versions
-    /// applied between an update's read and its merge). `None` when the
-    /// run had no metrics hub attached.
+    /// applied between an update's read and its merge). `Some` whenever
+    /// the run was observed — through an enabled `RunCtx::sink`, or
+    /// through a flight recorder, whose fallback sink then holds the
+    /// histograms — and merged at least one update; `None` otherwise.
     pub staleness: Option<Summary>,
     /// Training-health record from the `hetero-flight` watchdog: NaN/Inf
     /// events, peak per-layer gradient norms, divergence/stall flags, and

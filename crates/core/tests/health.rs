@@ -13,7 +13,6 @@ use hetero_core::{
 };
 use hetero_data::{DenseDataset, SynthConfig};
 use hetero_flight::{render_report, FlightConfig, FlightRecorder, HealthPolicy, PostmortemBundle};
-use hetero_metrics::MetricsHub;
 use hetero_nn::MlpSpec;
 use hetero_sim::GpuModel;
 
@@ -120,7 +119,6 @@ fn threaded_worker_death_dumps_renderable_bundle() {
         .run_with(
             Arc::new(dataset()),
             &RunCtx {
-                hub: MetricsHub::new(),
                 flight: f2.clone(),
                 ..RunCtx::default()
             },
@@ -143,6 +141,64 @@ fn threaded_worker_death_dumps_renderable_bundle() {
     let _ = std::fs::remove_dir(&dir);
 }
 
+/// A run observed by its flight recorder alone still carries its
+/// distributions: the recorder's fallback sink holds the histograms, so the
+/// postmortem has metric rows and the retained snapshots staleness
+/// quantiles — on both engines.
+#[test]
+fn flight_only_run_carries_its_distributions() {
+    let (flight, dir) = recorder("flight-only", HealthPolicy::default());
+    let f2 = flight.clone();
+    let threaded = with_timeout(60, move || {
+        ThreadedEngine::new(ThreadedEngineConfig {
+            spec: MlpSpec::tiny(8, 2),
+            train: train(AlgorithmKind::CpuGpuHogbatch, 0.4),
+            cpu_threads: 2,
+            gpu_perf: GpuModel::v100(),
+            gpu_workers: 1,
+            fault_plan: FaultPlan::none().die_after(1, 2),
+        })
+        .unwrap()
+        .run_with(
+            Arc::new(dataset()),
+            &RunCtx {
+                flight: f2,
+                ..RunCtx::default()
+            },
+        )
+    });
+    let f2 = flight.clone();
+    let sim = with_timeout(60, move || {
+        let mut cfg = SimEngineConfig::paper_hardware(
+            MlpSpec::tiny(8, 2),
+            train(AlgorithmKind::CpuGpuHogbatch, 0.05),
+        );
+        cfg.fault_plan = FaultPlan::none().die_after(1, 3);
+        cfg.train.eval_interval = 0.01;
+        SimEngine::new(cfg).unwrap().run_with(
+            &dataset(),
+            &RunCtx {
+                flight: f2,
+                ..RunCtx::default()
+            },
+        )
+    });
+    for r in [threaded, sim] {
+        let stale = r.staleness.expect("a flight-observed run has staleness");
+        assert!(stale.count > 0);
+        let (bundle, path) = read_bundle(&r);
+        let rows: Vec<&str> = bundle.metrics.iter().map(|m| &m.metric[..]).collect();
+        for metric in ["batch_latency", "staleness"] {
+            assert!(rows.contains(&metric), "no {metric} row in {rows:?}");
+        }
+        let last = bundle.snapshots.last().expect("snapshots retained");
+        assert!(last.staleness_p50.is_some() && last.staleness_p99.is_some());
+        assert!(last.staleness_p50 <= last.staleness_p99);
+        let _ = std::fs::remove_file(path);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A poisoned gradient aborts the run via the default policy, and both the
 /// result and the bundle name the poisoned worker, layer, and step.
 #[test]
@@ -160,7 +216,6 @@ fn poisoned_gradient_aborts_naming_layer_and_step() {
         SimEngine::new(cfg).unwrap().run_with(
             &dataset(),
             &RunCtx {
-                hub: MetricsHub::new(),
                 flight: f2.clone(),
                 ..RunCtx::default()
             },
@@ -206,7 +261,6 @@ fn poisoned_gpu_delta_aborts_naming_worker_layer_and_step() {
             .run_with(
                 Arc::new(if sparse { sparse_dataset() } else { dataset() }),
                 &RunCtx {
-                    hub: MetricsHub::new(),
                     flight: f2.clone(),
                     ..RunCtx::default()
                 },
@@ -248,7 +302,6 @@ fn stall_clamps_adaptive_controller_without_aborting() {
             .run_with(
                 &dataset(),
                 &RunCtx {
-                    hub: MetricsHub::new(),
                     flight: f2.clone(),
                     ..RunCtx::default()
                 },
@@ -289,7 +342,6 @@ fn watchdog_does_not_perturb_training() {
         SimEngine::new(cfg()).unwrap().run_with(
             &dataset(),
             &RunCtx {
-                hub: MetricsHub::new(),
                 flight: f2.clone(),
                 ..RunCtx::default()
             },

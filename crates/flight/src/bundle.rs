@@ -2,8 +2,7 @@
 //! everything needed to diagnose a dead run, plus the human-readable
 //! report renderer behind the `hetero-postmortem` binary.
 
-use hetero_metrics::Summary;
-use hetero_trace::Trace;
+use hetero_trace::{Summary, Trace};
 use serde::{Deserialize, Serialize};
 
 use crate::policy::HealthSummary;
@@ -15,7 +14,7 @@ pub const SCHEMA: &str = "hetero-postmortem/v1";
 /// Merged histogram summary for one metric at dump time.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MetricRow {
-    /// Stable metric name (see `hetero_metrics::Metric::name`).
+    /// Stable metric name (see `hetero_trace::Metric::name`).
     pub metric: String,
     /// Merged summary across all workers.
     pub summary: Summary,
@@ -41,7 +40,7 @@ pub struct PostmortemBundle {
     pub snapshots: Vec<HealthSnapshot>,
     /// Trace counters and gauges at dump time (flattened to f64).
     pub counters: Vec<(String, f64)>,
-    /// Merged histogram summaries from the metrics hub.
+    /// Merged histogram summaries from the run's sink.
     pub metrics: Vec<MetricRow>,
     /// Critical-path phase attribution of the retained trace window
     /// (`hetero_trace::analyze`), computed at dump time so the report can

@@ -1,7 +1,7 @@
 //! # hetero-flight
 //!
-//! The third observability leg of the workspace, after structured tracing
-//! (`hetero-trace`) and live metrics (`hetero-metrics`): **forensics and
+//! The second observability leg of the workspace, after structured
+//! tracing, counters and histograms (`hetero-trace`): **forensics and
 //! automated judgment** for asynchronous CPU+GPU training runs.
 //!
 //! - [`FlightRecorder`] — an always-on black box. It keeps a bounded

@@ -5,8 +5,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use hetero_metrics::{Metric, MetricsHub};
-use hetero_trace::{Ring, TimeDomain, Trace, TraceSink};
+use hetero_trace::{Metric, Ring, TimeDomain, TraceSink};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
@@ -75,9 +74,9 @@ pub struct HealthSnapshot {
     pub epochs: f64,
     /// Per-worker batch sizes (controller state).
     pub batches: Vec<usize>,
-    /// Staleness p50 from the metrics hub, when enabled.
+    /// Staleness p50 from the run's sink, once an update was merged.
     pub staleness_p50: Option<f64>,
-    /// Staleness p99 from the metrics hub, when enabled.
+    /// Staleness p99 from the run's sink, once an update was merged.
     pub staleness_p99: Option<f64>,
     /// Peak per-layer gradient norm seen so far.
     pub grad_peak_norm: f64,
@@ -193,17 +192,20 @@ impl FlightRecorder {
             .and_then(|i| i.last_dump.lock().clone())
     }
 
-    /// Dump a self-contained postmortem bundle for `reason`, embedding the
-    /// drained `trace` and the metric summaries from `hub`. Returns the
+    /// Dump a self-contained postmortem bundle for `reason`, embedding
+    /// `sink`'s retained event window, counters and metric summaries. The
+    /// window is copied, not drained, so the sink's owner still gets the
+    /// full trace from its own [`TraceSink::drain`] later. Returns the
     /// bundle path, or `None` when disabled or when the write failed (a
     /// postmortem must never turn a fault into a crash — failures are
     /// reported on stderr instead).
-    pub fn dump(&self, reason: &str, trace: Trace, hub: &MetricsHub) -> Option<String> {
+    pub fn dump(&self, reason: &str, sink: &TraceSink) -> Option<String> {
         let inner = self.inner.as_deref()?;
+        let trace = sink.capture();
         let metrics: Vec<MetricRow> = Metric::ALL
             .iter()
             .filter_map(|m| {
-                hub.summary(*m).map(|summary| MetricRow {
+                sink.summary(*m).map(|summary| MetricRow {
                     metric: m.name().to_string(),
                     summary,
                 })
@@ -295,8 +297,7 @@ mod tests {
         assert!(!r.make_sink(TimeDomain::Wall).enabled());
         r.record_snapshot(HealthSnapshot::default());
         assert!(r.snapshots().is_empty());
-        let trace = TraceSink::disabled().drain();
-        assert_eq!(r.dump("x", trace, &MetricsHub::disabled()), None);
+        assert_eq!(r.dump("x", &TraceSink::disabled()), None);
     }
 
     #[test]
@@ -357,9 +358,8 @@ mod tests {
         let sink = r.make_sink(TimeDomain::Wall);
         sink.emit(0, EventKind::EvalPoint { loss: 0.5 });
         sink.counter("test.count").add(3);
-        let path = r
-            .dump("unit test", sink.drain(), &MetricsHub::disabled())
-            .expect("dump path");
+        sink.histogram(Metric::Staleness, 0).record(4);
+        let path = r.dump("unit test", &sink).expect("dump path");
         assert_eq!(r.last_dump().as_deref(), Some(path.as_str()));
         let text = std::fs::read_to_string(&path).unwrap();
         let bundle: PostmortemBundle = serde_json::from_str(&text).unwrap();
@@ -367,6 +367,11 @@ mod tests {
         assert_eq!(bundle.reason, "unit test");
         assert_eq!(bundle.provenance.as_ref().unwrap().engine, "test");
         assert_eq!(bundle.trace.len(), 1);
+        assert_eq!(bundle.counters, [("test.count".to_string(), 3.0)]);
+        let metrics: Vec<_> = bundle.metrics.iter().map(|m| &m.metric[..]).collect();
+        assert_eq!(metrics, ["staleness"]);
+        // Dumping copies the window: the sink still holds the event.
+        assert_eq!(sink.drain().len(), 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -11,8 +11,7 @@ use hetero_flight::{
     render_report, FlightConfig, FlightRecorder, HealthSnapshot, PostmortemBundle, Provenance,
     SCHEMA,
 };
-use hetero_metrics::{Metric, MetricsHub};
-use hetero_trace::{BatchPhases, EventKind, TimeDomain, COORDINATOR};
+use hetero_trace::{BatchPhases, EventKind, Metric, TimeDomain, COORDINATOR};
 use serde_json::Value;
 
 const GOLDEN_PATH: &str = concat!(
@@ -88,11 +87,10 @@ fn fixture_dump(test: &str) -> String {
         },
     );
     sink.counter("mq.ready.pushes").add(3);
-    let hub = MetricsHub::new();
-    hub.histogram(Metric::BatchLatency, 0).record(1_000_000);
-    hub.histogram(Metric::BatchLatency, 1).record(2_000_000);
+    sink.histogram(Metric::BatchLatency, 0).record(1_000_000);
+    sink.histogram(Metric::BatchLatency, 1).record(2_000_000);
     let path = flight
-        .dump("fixture: seeded fault", sink.capture(), &hub)
+        .dump("fixture: seeded fault", &sink)
         .expect("enabled recorder dumps");
     let json = std::fs::read_to_string(&path).expect("bundle written");
     let _ = std::fs::remove_file(&path);

@@ -3,9 +3,8 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use hetero_metrics::{HistHandle, Metric, MetricsHub};
 use hetero_sim::{DeviceModel, GpuModel};
-use hetero_trace::{EventKind, GaugeHandle, TraceSink};
+use hetero_trace::{EventKind, GaugeHandle, HistHandle, Metric, TraceSink};
 use parking_lot::Mutex;
 
 use crate::alloc::{BufferId, DeviceMemory, OomError};
@@ -39,7 +38,7 @@ pub struct GpuDevice {
     sink: TraceSink,
     /// Worker id stamped on emitted transfer/kernel events.
     worker: u32,
-    /// Per-transfer modelled-time histograms (disabled without a hub).
+    /// Per-transfer modelled-time histograms (no-ops on a disabled sink).
     h2d_hist: HistHandle,
     d2h_hist: HistHandle,
     /// Lineage id of the batch currently being processed ([`NO_BATCH`]
@@ -52,13 +51,13 @@ impl GpuDevice {
     /// Create a device with the given performance model; memory capacity
     /// comes from the model.
     pub fn new(perf: GpuModel) -> Self {
-        Self::new_observed(perf, &TraceSink::disabled(), 0, &MetricsHub::disabled())
+        Self::new_observed(perf, &TraceSink::disabled(), 0)
     }
 
     /// A device whose transfers, steps and memory usage are observable
     /// through `sink` (events stamped with `worker`), and whose transfers'
-    /// modelled durations fill `hub`'s per-worker `H2d`/`D2h` histograms.
-    pub fn new_observed(perf: GpuModel, sink: &TraceSink, worker: u32, hub: &MetricsHub) -> Self {
+    /// modelled durations fill `sink`'s per-worker `H2d`/`D2h` histograms.
+    pub fn new_observed(perf: GpuModel, sink: &TraceSink, worker: u32) -> Self {
         let gauge = if sink.enabled() {
             sink.gauge(&format!("gpu.w{worker}.mem_used_bytes"))
         } else {
@@ -71,8 +70,8 @@ impl GpuDevice {
             transfers: Mutex::new(TransferStats::default()),
             sink: sink.clone(),
             worker,
-            h2d_hist: hub.histogram(Metric::H2d, worker),
-            d2h_hist: hub.histogram(Metric::D2h, worker),
+            h2d_hist: sink.histogram(Metric::H2d, worker),
+            d2h_hist: sink.histogram(Metric::D2h, worker),
             active_batch: AtomicU64::new(NO_BATCH),
         }
     }
@@ -213,7 +212,7 @@ mod tests {
     #[test]
     fn traced_device_emits_transfer_events_and_gauges() {
         let sink = hetero_trace::TraceSink::wall(256);
-        let dev = GpuDevice::new_observed(GpuModel::v100(), &sink, 2, &MetricsHub::disabled());
+        let dev = GpuDevice::new_observed(GpuModel::v100(), &sink, 2);
         dev.set_active_batch(Some(11));
         let _buf = dev.h2d(&vec![1.0f32; 256]).unwrap();
         dev.account_step(1_000, 8);
@@ -255,18 +254,16 @@ mod tests {
     #[test]
     fn observed_device_fills_transfer_histograms() {
         let sink = hetero_trace::TraceSink::wall(256);
-        let hub = MetricsHub::new();
-        let dev = GpuDevice::new_observed(GpuModel::v100(), &sink, 1, &hub);
+        let dev = GpuDevice::new_observed(GpuModel::v100(), &sink, 1);
         dev.account_h2d(4 << 16);
         dev.account_d2h(4 << 16);
-        let snap = hub.snapshot();
-        let h2d = snap.series_for(Metric::H2d, 1).unwrap();
-        let d2h = snap.series_for(Metric::D2h, 1).unwrap();
-        assert_eq!(h2d.count(), 1);
-        assert_eq!(d2h.count(), 1);
+        let h2d = sink.summary(Metric::H2d).unwrap();
+        let d2h = sink.summary(Metric::D2h).unwrap();
+        assert_eq!(h2d.count, 1);
+        assert_eq!(d2h.count, 1);
         // Recorded nanoseconds match the perf model's transfer time.
         let expect_ns = (dev.perf().transfer_time(4 << 16) * 1e9) as u64;
-        assert!(h2d.sum().abs_diff(expect_ns) <= 1);
+        assert!((h2d.mean as u64).abs_diff(expect_ns) <= 1);
     }
 
     #[test]

@@ -388,7 +388,7 @@ impl<T: Send> Receiver<T> {
     /// Blocking receive that also reports how long the call waited —
     /// near-zero when a message was already queued, the park duration
     /// otherwise. Worker loops feed the wait into the `QueueWait`
-    /// histogram (`hetero-metrics`) to expose queue-starvation
+    /// histogram (`hetero-trace`) to expose queue-starvation
     /// distributions without re-deriving them from raw traces.
     pub fn recv_timed(&self) -> (Result<T, RecvError>, Duration) {
         let start = std::time::Instant::now();

@@ -1,21 +1,97 @@
-//! Atomic counter/gauge registry, snapshottable at any time.
+//! Atomic counter/gauge/histogram registry, snapshottable at any time.
 //!
 //! Counters are monotonically increasing `u64`s (events dropped, stall
 //! nanoseconds); gauges are `f64`s with set/high-water-mark semantics
-//! (queue depth HWM, allocator bytes in use, examples/sec, β estimate).
-//! Hot paths should resolve a [`CounterHandle`]/[`GaugeHandle`] once and
-//! update through it, skipping the name lookup.
+//! (queue depth HWM, allocator bytes in use, examples/sec, β estimate);
+//! histograms are one [`LogHistogram`] per `(`[`Metric`]`, worker)` series
+//! (batch latency, queue wait, transfer time, merge contention, gradient
+//! staleness). Hot paths should resolve a
+//! [`CounterHandle`]/[`GaugeHandle`]/[`HistHandle`] once and update
+//! through it, skipping the lookup.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-/// Name → atomic cell registry.
+use crate::histogram::{HistogramSnapshot, LogHistogram, Summary};
+
+/// Worker id used for histogram series that are not attributable to a
+/// single worker (e.g. the coordinator's checkpoint writes).
+pub const GLOBAL_WORKER: u32 = u32::MAX;
+
+/// The distributional quantities the engines aggregate (DESIGN.md §4g).
+///
+/// Durations are recorded in **nanoseconds**; `Staleness` and
+/// `MergeRetries` are raw counts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Metric {
+    /// Wall/virtual time a worker spent computing one batch (ns).
+    BatchLatency,
+    /// Time a worker waited on its work queue between batches (ns).
+    QueueWait,
+    /// Host-to-device transfer time per upload (ns).
+    H2d,
+    /// Device-to-host transfer time per download (ns).
+    D2h,
+    /// Time spent inside `SharedModel::merge` per merge (ns).
+    MergeWait,
+    /// Stripes found owned by another merger while merging one delta
+    /// (count; merger ↔ merger contention), dense and row-sparse merges
+    /// alike: the `engine.sparse_density` gauge, published on every run
+    /// that trains CSR rows, says which path a run's merges took.
+    MergeRetries,
+    /// Gradient staleness per applied update: shared-model version at merge
+    /// minus version at read (count of interleaved foreign updates).
+    Staleness,
+    /// Wall time spent publishing one crash-consistency checkpoint:
+    /// serialize + write + fsync + atomic rename (ns).
+    CkptWrite,
+    /// Layer-0 weight columns touched by one sparse merge/apply (count;
+    /// the batch's active-column set size — the row-sparsity measure).
+    RowsTouched,
+}
+
+impl Metric {
+    /// Every metric, in declaration order.
+    pub const ALL: [Metric; 9] = [
+        Metric::BatchLatency,
+        Metric::QueueWait,
+        Metric::H2d,
+        Metric::D2h,
+        Metric::MergeWait,
+        Metric::MergeRetries,
+        Metric::Staleness,
+        Metric::CkptWrite,
+        Metric::RowsTouched,
+    ];
+
+    /// Stable snake_case name (without unit suffix).
+    pub fn name(&self) -> &'static str {
+        match self {
+            Metric::BatchLatency => "batch_latency",
+            Metric::QueueWait => "queue_wait",
+            Metric::H2d => "h2d_transfer",
+            Metric::D2h => "d2h_transfer",
+            Metric::MergeWait => "merge_wait",
+            Metric::MergeRetries => "merge_retries",
+            Metric::Staleness => "staleness",
+            Metric::CkptWrite => "ckpt_write",
+            Metric::RowsTouched => "rows_touched",
+        }
+    }
+}
+
+/// Histogram series, keyed by (metric, worker).
+type Series = Vec<((Metric, u32), Arc<LogHistogram>)>;
+
+/// Name → atomic cell registry, plus the histogram series.
 #[derive(Debug, Default)]
 pub struct Registry {
     counters: RwLock<Vec<(String, Arc<AtomicU64>)>>,
     gauges: RwLock<Vec<(String, Arc<AtomicU64>)>>,
+    /// Resolved once per worker at start-up: a linear scan is enough.
+    histograms: RwLock<Series>,
 }
 
 impl Registry {
@@ -49,6 +125,37 @@ impl Registry {
         GaugeHandle {
             cell: Some(Self::get_or_insert(&self.gauges, name)),
         }
+    }
+
+    /// Handle to the histogram for `metric` on `worker` (created on first
+    /// use); recording through it is lock-free.
+    pub fn histogram(&self, metric: Metric, worker: u32) -> HistHandle {
+        let key = (metric, worker);
+        if let Some((_, h)) = self.histograms.read().iter().find(|(k, _)| *k == key) {
+            return HistHandle {
+                hist: Some(Arc::clone(h)),
+            };
+        }
+        let mut w = self.histograms.write();
+        let hist = match w.iter().find(|(k, _)| *k == key) {
+            Some((_, h)) => Arc::clone(h),
+            None => {
+                let h = Arc::new(LogHistogram::new());
+                w.push((key, Arc::clone(&h)));
+                h
+            }
+        };
+        HistHandle { hist: Some(hist) }
+    }
+
+    /// Every worker's series for `metric`, merged into one summary; `None`
+    /// when no series of it holds an observation.
+    pub fn summary(&self, metric: Metric) -> Option<Summary> {
+        let mut merged = HistogramSnapshot::empty();
+        for (_, h) in self.histograms.read().iter().filter(|(k, _)| k.0 == metric) {
+            merged.merge(&h.snapshot());
+        }
+        (merged.count() > 0).then(|| merged.summary())
     }
 
     /// Point-in-time values of every counter and gauge, sorted by name.
@@ -163,6 +270,49 @@ impl GaugeHandle {
     }
 }
 
+/// Pre-resolved recording handle for one `(metric, worker)` series.
+/// Cloneable and `Sync`: rayon lanes inside one worker may share it.
+#[derive(Clone)]
+pub struct HistHandle {
+    hist: Option<Arc<LogHistogram>>,
+}
+
+impl HistHandle {
+    /// A handle that records nowhere (what a disabled sink hands out).
+    pub fn disabled() -> Self {
+        HistHandle { hist: None }
+    }
+
+    /// Whether recording through this handle is a no-op.
+    pub fn is_disabled(&self) -> bool {
+        self.hist.is_none()
+    }
+
+    /// Record one observation (no-op when disabled).
+    #[inline]
+    pub fn record(&self, v: u64) {
+        if let Some(h) = &self.hist {
+            h.record(v);
+        }
+    }
+
+    /// Record a duration in seconds, stored as whole nanoseconds.
+    #[inline]
+    pub fn record_secs(&self, secs: f64) {
+        if self.hist.is_some() && secs >= 0.0 {
+            self.record((secs * 1e9) as u64);
+        }
+    }
+}
+
+impl std::fmt::Debug for HistHandle {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("HistHandle")
+            .field("enabled", &self.hist.is_some())
+            .finish()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -200,6 +350,45 @@ mod tests {
         g.set(1.0);
         g.fetch_max(2.0);
         assert_eq!(g.get(), 0.0);
+        let h = HistHandle::disabled();
+        assert!(h.is_disabled());
+        h.record(42);
+        h.record_secs(0.5);
+    }
+
+    #[test]
+    fn handles_resolve_to_the_same_series() {
+        let r = Registry::new();
+        let a = r.histogram(Metric::Staleness, 3);
+        let b = r.histogram(Metric::Staleness, 3);
+        a.record(10);
+        b.record(20);
+        assert_eq!(r.histograms.read().len(), 1);
+        assert_eq!(r.summary(Metric::Staleness).unwrap().count, 2);
+    }
+
+    #[test]
+    fn summary_merges_across_workers() {
+        let r = Registry::new();
+        r.histogram(Metric::QueueWait, 0).record(100);
+        r.histogram(Metric::QueueWait, 1).record(300);
+        r.histogram(Metric::BatchLatency, 0).record(7);
+        let s = r.summary(Metric::QueueWait).unwrap();
+        assert_eq!((s.count, s.mean, s.max), (2, 200.0, 300.0));
+        assert!(r.summary(Metric::D2h).is_none());
+        // A registered series with nothing in it has no summary either.
+        r.histogram(Metric::H2d, 0);
+        assert!(r.summary(Metric::H2d).is_none());
+    }
+
+    #[test]
+    fn record_secs_converts_to_nanoseconds() {
+        let r = Registry::new();
+        let h = r.histogram(Metric::H2d, 0);
+        h.record_secs(1.5e-6);
+        h.record_secs(-1.0);
+        let s = r.summary(Metric::H2d).unwrap();
+        assert_eq!((s.count, s.mean), (1, 1500.0));
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //!
 //! Values are raw `u64`s; callers pick the unit (the engines record
 //! durations in nanoseconds and staleness/retries as raw counts — see
-//! [`crate::hub::Metric`]).
+//! [`Metric`](crate::Metric)).
 
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -35,7 +35,7 @@ const SUBS: usize = 1 << SUB_BITS;
 
 /// Total bucket count covering all of `u64`:
 /// one linear block for `v < 2^SUB_BITS` plus `64 - SUB_BITS` octave blocks.
-pub const NUM_BUCKETS: usize = (64 - SUB_BITS as usize + 1) * SUBS;
+const NUM_BUCKETS: usize = (64 - SUB_BITS as usize + 1) * SUBS;
 
 /// Index of the bucket containing `v`.
 ///
@@ -56,7 +56,7 @@ pub fn bucket_index(v: u64) -> usize {
 
 /// Inclusive lower bound of bucket `idx` (the smallest value mapping to it).
 #[inline]
-pub fn bucket_lower(idx: usize) -> u64 {
+fn bucket_lower(idx: usize) -> u64 {
     if idx < SUBS {
         idx as u64
     } else {
@@ -69,7 +69,7 @@ pub fn bucket_lower(idx: usize) -> u64 {
 
 /// Width of bucket `idx` (number of distinct values it covers).
 #[inline]
-pub fn bucket_width(idx: usize) -> u64 {
+fn bucket_width(idx: usize) -> u64 {
     if idx < SUBS {
         1
     } else {
@@ -83,7 +83,7 @@ pub fn bucket_width(idx: usize) -> u64 {
 /// quantile queries. The true value lies in the same bucket, so the error
 /// is at most one bucket width: `max(1, value * 2^-SUB_BITS)`.
 #[inline]
-pub fn bucket_mid(idx: usize) -> u64 {
+fn bucket_mid(idx: usize) -> u64 {
     bucket_lower(idx) + bucket_width(idx) / 2
 }
 
@@ -137,25 +137,6 @@ impl LogHistogram {
     pub fn sum(&self) -> u64 {
         // Relaxed: monotone tally, nothing is published through it.
         self.sum.load(Ordering::Relaxed)
-    }
-
-    /// Add every observation of `other` into `self` (lock-free; both sides
-    /// may be recorded into concurrently — merging is a plain bucket sum).
-    pub fn merge(&self, other: &LogHistogram) {
-        // Relaxed: bucket counts are commutative tallies; see `record`.
-        for (dst, src) in self.buckets.iter().zip(other.buckets.iter()) {
-            let n = src.load(Ordering::Relaxed);
-            if n != 0 {
-                dst.fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        self.count
-            .fetch_add(other.count.load(Ordering::Relaxed), Ordering::Relaxed);
-        // Relaxed: same commutative-tally argument as the buckets above.
-        self.sum
-            .fetch_add(other.sum.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.max
-            .fetch_max(other.max.load(Ordering::Relaxed), Ordering::Relaxed);
     }
 
     /// A consistent-enough point-in-time copy for queries. The count is
@@ -303,21 +284,6 @@ pub struct Summary {
     pub max: f64,
 }
 
-impl Summary {
-    /// Scale every value field by `s` (e.g. `1e-9` to convert a summary
-    /// recorded in nanoseconds to seconds). `count` is unchanged.
-    pub fn scaled(self, s: f64) -> Summary {
-        Summary {
-            count: self.count,
-            mean: self.mean * s,
-            p50: self.p50 * s,
-            p90: self.p90 * s,
-            p99: self.p99 * s,
-            max: self.max * s,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -360,34 +326,5 @@ mod tests {
         let p99 = s.quantile(0.99) as f64;
         assert!((p99 - 990.0).abs() <= 990.0 / 128.0 + 1.0, "p99 = {p99}");
         assert_eq!(s.quantile(1.0), 1000);
-    }
-
-    #[test]
-    fn merge_matches_combined_recording() {
-        let a = LogHistogram::new();
-        let b = LogHistogram::new();
-        let both = LogHistogram::new();
-        for v in [1u64, 10, 100, 1000] {
-            a.record(v);
-            both.record(v);
-        }
-        for v in [5u64, 50, 500_000] {
-            b.record(v);
-            both.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.snapshot(), both.snapshot());
-    }
-
-    #[test]
-    fn summary_roundtrips_scaling() {
-        let h = LogHistogram::new();
-        for v in 0..100u64 {
-            h.record(v * 1_000_000);
-        }
-        let s = h.snapshot().summary().scaled(1e-9);
-        assert_eq!(s.count, 100);
-        assert!(s.max <= 0.1 && s.max > 0.0);
-        assert!(s.p50 <= s.p90 && s.p90 <= s.p99 && s.p99 <= s.max);
     }
 }

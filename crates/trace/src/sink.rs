@@ -25,8 +25,9 @@ use std::time::Instant;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
-use crate::counters::{CounterHandle, GaugeHandle, Registry};
+use crate::counters::{CounterHandle, GaugeHandle, HistHandle, Metric, Registry};
 use crate::event::{Event, EventKind};
+use crate::histogram::Summary;
 use crate::ring::Ring;
 
 /// Which clock event timestamps come from.
@@ -261,6 +262,21 @@ impl TraceSink {
             .map_or_else(GaugeHandle::disabled, |i| i.registry.gauge(name))
     }
 
+    /// Handle to the histogram for `metric` on `worker` (no-op when
+    /// disabled). Resolve once per worker outside the hot loop; recording
+    /// through the handle is lock-free and allocation-free.
+    pub fn histogram(&self, metric: Metric, worker: u32) -> HistHandle {
+        self.inner.as_ref().map_or_else(HistHandle::disabled, |i| {
+            i.registry.histogram(metric, worker)
+        })
+    }
+
+    /// Every worker's series for `metric`, merged into one summary; `None`
+    /// when disabled or when nothing was recorded.
+    pub fn summary(&self, metric: Metric) -> Option<Summary> {
+        self.inner.as_ref()?.registry.summary(metric)
+    }
+
     /// Take every buffered event out of every thread's ring, together with
     /// per-ring dropped counts and a counter snapshot. Rings stay
     /// registered, so tracing can continue after a drain.
@@ -333,6 +349,10 @@ mod tests {
         assert!(!sink.enabled());
         sink.emit(0, EventKind::QueuePushed { depth: 1, id: None });
         sink.counter("x").add(5);
+        let h = sink.histogram(Metric::Staleness, 0);
+        assert!(h.is_disabled());
+        h.record(3);
+        assert!(sink.summary(Metric::Staleness).is_none());
         assert!(sink.drain().is_empty());
     }
 
@@ -408,6 +428,18 @@ mod tests {
                 .collect();
             assert_eq!(depths, (0..100).collect::<Vec<_>>());
         }
+    }
+
+    #[test]
+    fn histograms_stay_out_of_the_drained_trace() {
+        let sink = TraceSink::wall(16);
+        sink.histogram(Metric::BatchLatency, 0).record(1_000);
+        sink.histogram(Metric::BatchLatency, 1).record(3_000);
+        let trace = sink.drain();
+        assert!(trace.counters.is_empty() && trace.is_empty());
+        // Draining leaves the series in place.
+        let s = sink.summary(Metric::BatchLatency).unwrap();
+        assert_eq!((s.count, s.max), (2, 3_000.0));
     }
 
     #[test]

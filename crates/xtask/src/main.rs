@@ -45,10 +45,9 @@ const ORDERING_ALLOWLIST: &[&str] = &[
     "crates/mq/src/",            // lock-free queue + channels (loom-checked)
     "crates/nn/src/shared.rs",   // Hogwild shared model (loom-checked)
     "crates/nn/src/sync.rs",     // atomic facade for the above
-    "crates/trace/src/",         // monitoring counters/gauges (relaxed-only)
+    "crates/trace/src/",         // counters/gauges/histogram tallies (relaxed-only)
     "crates/gpu/src/device.rs",  // batch-lineage slot (relaxed-only)
     "crates/tensor/src/simd.rs", // write-once dispatch memo (relaxed-only)
-    "crates/metrics/src/",       // histogram tallies (relaxed-only)
     "crates/flight/src/",        // health watchdog counters/peaks (relaxed-only)
 ];
 

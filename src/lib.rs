@@ -18,8 +18,7 @@
 //! | [`sim`] | `hetero-sim` | virtual clock, V100/Xeon performance models |
 //! | [`gpu`] | `hetero-gpu` | software GPU device model: memory ledger, accounted transfers, step footprint |
 //! | [`core`] | `hetero-core` | coordinator/workers, Hogbatch algorithms, engines |
-//! | [`trace`] | `hetero-trace` | event tracing, counters, Chrome-trace export |
-//! | [`metrics`] | `hetero-metrics` | log-bucketed histograms, per-worker metrics hub |
+//! | [`trace`] | `hetero-trace` | event tracing, counters, gauges, log-bucketed histograms, Chrome-trace export |
 //! | [`flight`] | `hetero-flight` | black-box recorder, health watchdog, postmortems |
 //! | [`ckpt`] | `hetero-ckpt` | crash-consistent checkpoint/restore |
 //!
@@ -50,7 +49,6 @@ pub use hetero_core as core;
 pub use hetero_data as data;
 pub use hetero_flight as flight;
 pub use hetero_gpu as gpu;
-pub use hetero_metrics as metrics;
 pub use hetero_mq as mq;
 pub use hetero_nn as nn;
 pub use hetero_sim as sim;
@@ -67,8 +65,8 @@ pub mod prelude {
     };
     pub use hetero_data::{BatchScheduler, DenseDataset, Labels, PaperDataset, SynthConfig};
     pub use hetero_flight::{FlightConfig, FlightRecorder};
-    pub use hetero_metrics::{Metric, MetricsHub, Summary};
     pub use hetero_nn::{Activation, InitScheme, LossKind, MlpSpec, Model, SharedModel, Targets};
     pub use hetero_sim::{CpuModel, DeviceModel, GpuModel};
     pub use hetero_tensor::Matrix;
+    pub use hetero_trace::{Metric, Summary};
 }
