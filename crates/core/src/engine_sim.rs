@@ -889,22 +889,26 @@ mod tests {
     /// pure function of seed, layer and storage index, no longer draw
     /// `o·in + c` of a sequential Box–Muller stream): a new initial model,
     /// so every point moved (initial loss 0.916 → 0.763, final 0.0436 →
-    /// 0.0451), at the same 426 updates.
+    /// 0.0451), at the same 426 updates. They were re-recorded again when
+    /// sparse stand-ins began to be drawn by geometric gaps: the same task
+    /// (class centers) and law, a new sample of it, so every point moved
+    /// (initial loss 0.763 → 0.790, final 0.0451 → 0.0332), at the same 426
+    /// updates.
     #[test]
     fn sparse_run_reproduces_the_recorded_loss_curve() {
         const AVX2: [u32; 29] = [
-            0x3f435c17, 0x3f37a3bb, 0x3f30aad6, 0x3f33c9bc, 0x3f2ddae6, 0x3f6167ba, 0x3f2a4172,
-            0x3f46d99c, 0x3f0b5253, 0x3f0ee7a4, 0x3ef5a6c7, 0x3edd1bcc, 0x3ebc3b63, 0x3e90298f,
-            0x3e6a9679, 0x3e3f6d9a, 0x3e1ef8cb, 0x3e19fc21, 0x3e054747, 0x3de2b8aa, 0x3dce96e8,
-            0x3da88c49, 0x3d94aa84, 0x3d84057c, 0x3d6cee80, 0x3d675b99, 0x3d5597ae, 0x3d42c19c,
-            0x3d38aec1,
+            0x3f4a479c, 0x3f39ff28, 0x3f3d66e6, 0x3f4e52e5, 0x3f2f073a, 0x3f2a3022, 0x3f255787,
+            0x3f366246, 0x3f0d5b3b, 0x3f09db31, 0x3ef59f6f, 0x3ed09162, 0x3ebcefc4, 0x3e8a7359,
+            0x3e5a681f, 0x3e2bb3bf, 0x3e09850c, 0x3e029763, 0x3ddf97a5, 0x3db944af, 0x3da5fcfe,
+            0x3d84617e, 0x3d65d329, 0x3d4969a6, 0x3d32e885, 0x3d2dabbc, 0x3d20098d, 0x3d107283,
+            0x3d080696,
         ];
         const SCALAR: [u32; 29] = [
-            0x3f435c17, 0x3f37a3bb, 0x3f30aad6, 0x3f33c9bc, 0x3f2ddae6, 0x3f6167b9, 0x3f2a4172,
-            0x3f46d99d, 0x3f0b5253, 0x3f0ee7a4, 0x3ef5a6c7, 0x3edd1bcb, 0x3ebc3b63, 0x3e90298f,
-            0x3e6a9679, 0x3e3f6d9a, 0x3e1ef8cb, 0x3e19fc21, 0x3e054747, 0x3de2b8a9, 0x3dce96e8,
-            0x3da88c48, 0x3d94aa84, 0x3d84057c, 0x3d6cee80, 0x3d675b9a, 0x3d5597ae, 0x3d42c19c,
-            0x3d38aec2,
+            0x3f4a479c, 0x3f39ff28, 0x3f3d66e6, 0x3f4e52e5, 0x3f2f073a, 0x3f2a3022, 0x3f255787,
+            0x3f366246, 0x3f0d5b3b, 0x3f09db31, 0x3ef59f6f, 0x3ed09162, 0x3ebcefc4, 0x3e8a7359,
+            0x3e5a681f, 0x3e2bb3bf, 0x3e09850c, 0x3e029763, 0x3ddf97a4, 0x3db944af, 0x3da5fcfe,
+            0x3d84617e, 0x3d65d329, 0x3d4969a6, 0x3d32e883, 0x3d2dabbb, 0x3d20098e, 0x3d107282,
+            0x3d080696,
         ];
         let data = hetero_data::PaperDataset::RealSim.generate(0.01, 42);
         let mut cfg = tiny_config(AlgorithmKind::CpuGpuHogbatch, 0.02);

@@ -40,7 +40,9 @@
 # it; `--cfg hetero_gpu_no_reserve` skips the reservation. In
 # crates/core/src/lane.rs a run trains CSR rows when its data is below the
 # dense/CSR crossover; `--cfg hetero_format_ignores_density` trains every
-# run dense. This script asserts that:
+# run dense. In crates/data/src/synth.rs a sparse row is walked by geometric
+# gaps, every feature independently active; `--cfg hetero_synth_gap_skips_one`
+# steps past the feature after each active one. This script asserts that:
 #   1. the suites pass as written, and
 #   2. each suite FAILS under its mutation the way the bug would show (a
 #      data-race report for the queue, both two-merger models losing an
@@ -53,7 +55,7 @@
 #      differing from the uninterrupted one's, a dense run's loss curve
 #      depending on whether its data is stored dense or as CSR, an
 #      injected GPU OOM that never halves a batch, sparse data trained
-#      dense),
+#      dense, generated data with no two neighbouring features active),
 # i.e. the checker genuinely guards the edge.
 #
 # Usage: scripts/check_mutation.sh   (from anywhere in the repo)
@@ -74,13 +76,14 @@ resume="-p hetero-core --lib checkpointed_run_is_untouched_and_resume_is_bit_ide
 store="-p hetero-core --lib training_does_not_depend_on_the_store"
 oom="-p hetero-core --test fault_tolerance oom_retry_halves_batch_and_clamps_controller"
 format="-p hetero-core --lib the_format_follows_the_density"
+synth="-p hetero-data --lib synth::tests"
 
-echo "[1/16] baseline: loom queue, shared-model, coordinator-model, event-loop, sparse-support, sim-wave, init-stream, sim-resume, store, GPU-OOM and input-format suites must pass as written"
+echo "[1/17] baseline: loom queue, shared-model, coordinator-model, event-loop, sparse-support, sim-wave, init-stream, sim-resume, store, GPU-OOM, input-format and generator-law suites must pass as written"
 # shellcheck disable=SC2086
 if ! { cargo test $queue -q && cargo test $shared -q && cargo test $model -q \
     && cargo test $run -q && cargo test $support -q && cargo test $wave -q \
     && cargo test $init -q && cargo test $resume -q && cargo test $store -q \
-    && cargo test $oom -q && cargo test $format -q; } >"$log" 2>&1; then
+    && cargo test $oom -q && cargo test $format -q && cargo test $synth -q; } >"$log" 2>&1; then
     echo "FAIL: baseline suite is red"
     tail -40 "$log"
     exit 1
@@ -90,7 +93,7 @@ fi
 check_mutation() {
     local cfg="$1" desc="$2" step="$3" suite="$4"
     shift 4
-    echo "[$step/16] mutation: suite must FAIL with $desc"
+    echo "[$step/17] mutation: suite must FAIL with $desc"
     # shellcheck disable=SC2086
     if RUSTFLAGS="--cfg $cfg" cargo test $suite -q >"$log" 2>&1; then
         echo "FAIL: $desc mutation was NOT caught"
@@ -160,5 +163,9 @@ check_mutation hetero_gpu_no_reserve "a GPU step skipping its device reservation
 # dense-stored 4 % dataset makes no start-up CSR copy.
 check_mutation hetero_format_ignores_density "every run trained dense whatever its density" 16 \
     "$format" "the_format_follows_the_density" "one start-up copy"
+# A gap walk that steps past the feature after every active one never
+# stores two neighbouring features, far below the density² pair rate.
+check_mutation hetero_synth_gap_skips_one "a gap walk skipping the feature after each active one" 17 \
+    "$synth" "adjacent_active_pairs_are_independent" "adjacent active pairs"
 
-echo "OK: all fifteen seeded mutations are caught"
+echo "OK: all sixteen seeded mutations are caught"
