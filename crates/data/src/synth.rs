@@ -20,9 +20,8 @@
 //! sparse (`density < 1`) row is then drawn in O(its entries): the active
 //! coordinates are walked by geometric gaps ([`Gaps`]), each coordinate
 //! independently active with probability `density`, and only those draw a
-//! value. Sparse multi-label rows choose their labels the same way over the
-//! classes. Dense configs draw every coordinate, and one uniform per class
-//! for their labels.
+//! value. Multi-label rows choose their labels the same way over the
+//! classes. Dense configs draw every coordinate.
 
 use hetero_tensor::{CsrMatrix, Matrix};
 use rand::rngs::StdRng;
@@ -118,11 +117,7 @@ impl SynthConfig {
                 let mut on = Vec::new();
                 for i in 0..self.examples {
                     on.clear();
-                    if self.density < 1.0 {
-                        label_gaps.walk(&mut rng, self.classes, |_, c| on.push(c));
-                    } else {
-                        on.extend((0..self.classes).filter(|_| rng.gen::<f32>() < p_label));
-                    }
+                    label_gaps.walk(&mut rng, self.classes, |_, c| on.push(c));
                     if on.is_empty() {
                         // Guarantee ≥1 label, like real multi-label corpora.
                         on.push(rng.gen_range(0..self.classes));
@@ -303,55 +298,24 @@ mod tests {
             .collect()
     }
 
-    /// The dense generator a `density == 1` dataset must reproduce: every
-    /// coordinate of every row drawn, one uniform per class for the labels.
+    /// The dense generator a single-label `density == 1` dataset must
+    /// reproduce: every coordinate of every row drawn.
     fn dense_reference(cfg: &SynthConfig) -> (Matrix, Labels) {
         assert_eq!(cfg.density, 1.0);
+        assert_eq!(cfg.avg_labels, None);
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let centers = reference_centers(cfg, &mut rng);
         let noise = Normal::new(0.0f32, cfg.noise).unwrap();
-        let fill_row = |rng: &mut StdRng, center: &[f32], row: &mut [f32]| {
-            for (r, c) in row.iter_mut().zip(center) {
-                *r = c + noise.sample(rng);
-            }
-        };
         let mut x = Matrix::zeros(cfg.examples, cfg.features);
-        match cfg.avg_labels {
-            None => {
-                let mut labels = Vec::with_capacity(cfg.examples);
-                for i in 0..cfg.examples {
-                    let y = rng.gen_range(0..cfg.classes);
-                    labels.push(y as u32);
-                    fill_row(&mut rng, &centers[y], x.row_mut(i));
-                }
-                (x, Labels::Classes(labels))
-            }
-            Some(avg) => {
-                let mut y = Matrix::zeros(cfg.examples, cfg.classes);
-                let p_label = (avg / cfg.classes as f32).clamp(0.0, 1.0);
-                let mut sum_center = vec![0.0f32; cfg.features];
-                for i in 0..cfg.examples {
-                    sum_center.iter_mut().for_each(|v| *v = 0.0);
-                    let mut any = false;
-                    for (c, center) in centers.iter().enumerate() {
-                        if rng.gen::<f32>() < p_label {
-                            y.set(i, c, 1.0);
-                            for (s, v) in sum_center.iter_mut().zip(center) {
-                                *s += v;
-                            }
-                            any = true;
-                        }
-                    }
-                    if !any {
-                        let c = rng.gen_range(0..cfg.classes);
-                        y.set(i, c, 1.0);
-                        sum_center.copy_from_slice(&centers[c]);
-                    }
-                    fill_row(&mut rng, &sum_center, x.row_mut(i));
-                }
-                (x, Labels::MultiHot(y))
+        let mut labels = Vec::with_capacity(cfg.examples);
+        for i in 0..cfg.examples {
+            let y = rng.gen_range(0..cfg.classes);
+            labels.push(y as u32);
+            for (r, c) in x.row_mut(i).iter_mut().zip(&centers[y]) {
+                *r = c + noise.sample(&mut rng);
             }
         }
+        (x, Labels::Classes(labels))
     }
 
     fn bits(m: &Matrix) -> Vec<u32> {
@@ -423,22 +387,17 @@ mod tests {
         }
     }
 
-    /// Dense configs are untouched by the gap walk: single- and multi-label,
-    /// they are the dense reference bit for bit.
+    /// Dense single-label configs are untouched by the gap walk: they are
+    /// the dense reference bit for bit.
     #[test]
     fn generated_data_is_the_dense_reference_bit_for_bit() {
-        let multilabel = SynthConfig {
-            avg_labels: Some(2.0),
-            ..SynthConfig::small(60, 9, 6, 5)
-        };
-        for cfg in [SynthConfig::small(40, 7, 3, 2), multilabel] {
-            let (x_ref, labels_ref) = dense_reference(&cfg);
-            let d = cfg.generate();
-            assert!(d.csr_store().is_none());
-            let (x, labels) = d.batch(0, d.len());
-            assert!(bits(&x) == bits(&x_ref), "{cfg:?}");
-            assert_eq!(labels, labels_ref);
-        }
+        let cfg = SynthConfig::small(40, 7, 3, 2);
+        let (x_ref, labels_ref) = dense_reference(&cfg);
+        let d = cfg.generate();
+        assert!(d.csr_store().is_none());
+        let (x, labels) = d.batch(0, d.len());
+        assert!(bits(&x) == bits(&x_ref));
+        assert_eq!(labels, labels_ref);
     }
 
     /// `PaperDataset::generate`'s preprocessing gives the same bits on the
@@ -563,10 +522,15 @@ mod tests {
 
     /// A multi-label row carries each class with probability
     /// `p = avg_labels / classes`, plus its share of the one-label fallback
-    /// when it drew none: `p + (1 − p)^classes / classes`.
+    /// when it drew none: `p + (1 − p)^classes / classes`. Dense rows choose
+    /// their labels by the same walk.
     #[test]
     fn labels_are_chosen_per_class_at_their_rate() {
-        for cfg in sparse_cases() {
+        let dense = SynthConfig {
+            avg_labels: Some(3.0),
+            ..SynthConfig::small(2_000, 10, 20, 5)
+        };
+        for cfg in sparse_cases().into_iter().chain([dense]) {
             let Some(avg) = cfg.avg_labels else { continue };
             let Labels::MultiHot(y) = cfg.generate().labels else {
                 panic!("multi-label configs make multi-hot labels")

@@ -52,10 +52,12 @@ for engine in sim threads; do
 done
 # real-sim at the paper's full shape (72 309 × 20 958, 0.25 % dense), with
 # its own arguments: the stand-in is drawn in O(stored entries), so this
-# takes well under a second; drawn per (row, feature) it took seconds.
-if ! "$bin" --dataset real-sim --scale 1 --engine sim --budget 0.001 --json 2>/dev/null \
+# takes about 0.4 s on a 2-vCPU host; drawn per (row, feature) it took
+# 4.4 s there, so `timeout 3` fails the step if the draw slows back down.
+# Its stderr stays in the log.
+if ! timeout 3 "$bin" --dataset real-sim --scale 1 --engine sim --budget 0.001 --json \
     | python3 -m json.tool >/dev/null; then
-    echo "FAIL: full-width real-sim did not exit 0 with valid JSON"
+    echo "FAIL: full-width real-sim did not exit 0 with valid JSON within 3 s"
     fail=1
 fi
 expect_refused "expected sim|threads" --engine ps
