@@ -10,8 +10,10 @@
 //!   fastest;
 //! - Hogbatch/Hogwild CPU is orders of magnitude slower per epoch
 //!   (236–317×) and barely moves within the budget;
-//! - TensorFlow tracks Hogbatch GPU closely — except on `delicious`,
-//!   where its multi-label path makes it clearly worse;
+//! - TensorFlow tracks Hogbatch GPU closely. The paper's exception,
+//!   `delicious`, where TensorFlow is clearly worse, is not reproduced:
+//!   the paper blames TensorFlow's implementation of the multi-label loss,
+//!   which this comparator does not have;
 //! - Adaptive beats CPU+GPU on `real-sim` (high-dimensional data suffers
 //!   more from conflicting updates).
 //!

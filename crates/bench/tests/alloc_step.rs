@@ -54,7 +54,7 @@ fn warm_cpu_sparse_step_is_allocation_free() {
     let mut labels = data.labels.slice(0, 1);
     let (s, e) = (0, 64.min(data.len()));
     let n = allocs_in(|| {
-        // The exact per-batch sequence of `cpu_lane_step` on the sparse path.
+        // The exact per-batch sequence of `HogwildLane::lane_step` on the sparse path.
         shared.snapshot_into(&mut local);
         data.labels.slice_into(s, e, &mut labels);
         csr_all.slice_rows_into(s, e, &mut csr);

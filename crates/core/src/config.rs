@@ -11,7 +11,9 @@ pub enum AlgorithmKind {
     /// Hogbatch GPU: GPU-only large-batch mini-batch SGD.
     MiniBatchGpu,
     /// TensorFlow comparator: synchronous mini-batch with per-op dispatch
-    /// overhead and a slow multi-label loss path (§II, §VII-B).
+    /// overhead (§II). §VII-B's slower delicious run is not reproduced: the
+    /// paper blames TensorFlow's implementation, which this repo does not
+    /// have.
     TensorFlow,
     /// CPU+GPU Hogbatch (§VI-B): static small CPU batches + static large
     /// GPU batches updating one shared model asynchronously.

@@ -38,7 +38,7 @@ use hetero_data::{BatchScheduler, DenseDataset};
 use hetero_flight::{
     FlightRecorder, HealthAction, HealthSnapshot, Provenance, Watchdog, WatchdogState,
 };
-use hetero_nn::{MergeScan, MlpSpec, Model};
+use hetero_nn::{MlpSpec, Model};
 use hetero_sim::UtilizationTimeline;
 use hetero_trace::{
     CounterHandle, EventKind, GaugeHandle, HistHandle, Metric, TimeDomain, TraceSink, COORDINATOR,
@@ -128,16 +128,6 @@ pub(crate) struct Engine<'a> {
     /// Threads the workers keep runnable, as `(own, pooled)`: their own,
     /// and those that each fan GEMMs out to a `train.rayon_threads` pool.
     pub runnable: (usize, usize),
-}
-
-/// Feed one per-layer gradient scan to the watchdog. `step` is the
-/// worker's 0-based batch counter, named in the postmortem when this
-/// observation trips the policy. Called from the audited worker hot paths:
-/// it must stay allocation-free.
-pub(crate) fn observe_scan(watchdog: &Watchdog, worker: usize, step: u64, scan: &MergeScan) {
-    for (l, ls) in scan.layers().iter().enumerate() {
-        watchdog.observe_layer(worker as u32, l, step, ls.sumsq, ls.nonfinite);
-    }
 }
 
 /// Record a busy interval on `timeline`, clamped monotone (wall-clock

@@ -39,7 +39,7 @@ use hetero_data::batch::BatchRange;
 use hetero_data::DenseDataset;
 use hetero_flight::Watchdog;
 use hetero_gpu::Footprint;
-use hetero_nn::{scan_model, MergeScan, MlpSpec, Model};
+use hetero_nn::{MlpSpec, Model};
 use hetero_sim::{CpuModel, DeviceModel, EventQueue, GpuModel, UtilizationTimeline};
 use hetero_trace::{
     BatchPhases, CounterHandle, EventKind, HistHandle, Metric, TimeDomain, TraceSink,
@@ -48,11 +48,10 @@ use serde::{Deserialize, Serialize};
 
 use crate::config::{AlgorithmKind, TrainConfig};
 use crate::coordinator::{
-    observe_scan, record_busy, run_engine, Backend, Coordinator, CoreCkpt, Done, Engine, Event,
-    RunCtx,
+    record_busy, run_engine, Backend, Coordinator, CoreCkpt, Done, Engine, Event, RunCtx,
 };
 use crate::fault::{FaultPlan, WorkerError};
-use crate::lane::{BatchSource, Evaluator, Lane};
+use crate::lane::{lane_split, BatchSource, Evaluator, Lane};
 use crate::metrics::{LossPoint, TrainResult, WorkerKind, WorkerStats};
 
 /// Hardware and comparator parameters for a simulated run.
@@ -90,12 +89,10 @@ impl SimEngineConfig {
 
 /// TensorFlow comparator: dispatch overhead of each of a step's ~8
 /// primitives per layer (§II: "scheduling primitives instead of the
-/// complete SGD has more overhead").
+/// complete SGD has more overhead"). §VII-B's slower delicious run is not
+/// modelled: the paper blames TensorFlow's implementation of the
+/// multi-label loss, which this repository does not have.
 const TF_OP_OVERHEAD: f64 = 20e-6;
-
-/// TensorFlow comparator: slowdown of a step on a multi-label loss
-/// (§VII-B: delicious "is much slower in TensorFlow").
-const TF_MULTILABEL_PENALTY: f64 = 3.0;
 
 enum Device {
     Cpu(CpuModel),
@@ -144,20 +141,21 @@ impl SimScratch {
     }
 
     /// Algorithm 2's CPU worker on rows `start..end` read from `snapshot`:
-    /// `lanes` Hogwild sub-batches of `⌈len / lanes⌉` rows (only the last
-    /// one shorter), applied to `model` in waves of [`WAVE`] that each read
-    /// the model the previous waves left. Hogwild threads read the live
-    /// model *during* their sub-batch, so this bounds the intra-batch
-    /// divergence by a wave rather than the whole batch.
+    /// the Hogwild sub-batches of [`lane_split`], applied to `model` in
+    /// waves of [`WAVE`] that each read the model the previous waves left.
+    /// Hogwild threads read the live model *during* their sub-batch, so
+    /// this bounds the intra-batch divergence by a wave rather than the
+    /// whole batch.
     ///
     /// A wave's lanes read one model and their applies lose nothing, so
     /// `Σ ηᵢ·gᵢ = k·η(n)·ḡ` over a run of `k` lanes of `n` rows, where `ḡ`
     /// is the mean gradient over the run's `k·n` contiguous rows: each run
     /// is one `stage` → `gradient` → `apply_to` at step `k·step(n)`, and a
     /// wave has at most two runs. `inspect` sees every run's gradient
-    /// before it is applied. Returns the lanes applied — one update each.
+    /// before it is applied. Returns the lanes that trained — one update
+    /// each.
     #[allow(clippy::too_many_arguments)]
-    fn run_waves<D>(
+    pub(crate) fn run_waves<D>(
         &mut self,
         src: &BatchSource<D>,
         start: usize,
@@ -171,13 +169,9 @@ impl SimScratch {
     where
         D: Deref<Target = DenseDataset>,
     {
-        let sub = (end - start).div_ceil(lanes);
-        if sub == 0 {
-            return 0;
-        }
+        let (sub, trained) = lane_split(end - start, lanes);
         let SimScratch { cpu, base, .. } = self;
         base.copy_from(snapshot);
-        let mut updates = 0;
         for ws in (start..end).step_by(WAVE * sub) {
             let we = (ws + WAVE * sub).min(end);
             let split = ws + (we - ws) / sub * sub;
@@ -195,11 +189,10 @@ impl SimScratch {
                 // `scripts/check_mutation.sh`.
                 let scale = if cfg!(hetero_wave_unscaled) { 1 } else { k };
                 cpu.apply_to(model, scale as f32 * step(n));
-                updates += k;
             }
             base.copy_from(model);
         }
-        updates
+        trained
     }
 
     /// A GPU worker's batch: one gradient at `snapshot` over `range`, seen
@@ -382,7 +375,6 @@ impl SimEngine {
                 footprint,
                 obs: SimObs::new(&co.sink, devices.len()),
                 devices,
-                health_scan: MergeScan::for_model(&model),
                 src,
                 model,
                 evaluator,
@@ -447,9 +439,6 @@ struct SimBackend<'a> {
     /// Reused gradient-lane buffers: warmed during the first events,
     /// allocation-free thereafter.
     scratch: SimScratch,
-    /// Watchdog scratch: per-layer sumsq / non-finite counts of each
-    /// applied gradient, reused across every event.
-    health_scan: MergeScan,
     obs: SimObs,
     sink: TraceSink,
     timeline_rejects: CounterHandle,
@@ -662,7 +651,6 @@ impl SimBackend<'_> {
     /// Virtual cost of one batch on a device, including the GPU deep-copy
     /// replica transfers and the TensorFlow comparator overheads.
     fn batch_cost(&self, device: &Device, batch: usize) -> f64 {
-        let spec = &self.cfg.spec;
         match device {
             Device::Cpu(c) => c.batch_time(self.footprint.flops, batch),
             Device::Gpu(g) => {
@@ -671,11 +659,7 @@ impl SimBackend<'_> {
                 if self.cfg.train.algorithm == AlgorithmKind::TensorFlow {
                     // Op-granularity scheduling: ~8 primitives per layer
                     // per step, each paying a dispatch overhead.
-                    let ops = 8.0 * spec.num_layers() as f64;
-                    t += ops * TF_OP_OVERHEAD;
-                    if spec.loss == hetero_nn::LossKind::MultiLabelBce {
-                        t *= TF_MULTILABEL_PENALTY;
-                    }
+                    t += 8.0 * self.cfg.spec.num_layers() as f64 * TF_OP_OVERHEAD;
                 }
                 t
             }
@@ -706,24 +690,15 @@ impl SimBackend<'_> {
             src,
             model,
             scratch,
-            health_scan: scan,
             sink,
             ..
         } = self;
         let train = &cfg.train;
         // Injected fault: one NaN into this worker's first applied gradient
         // at the planned step (0-based batch counter, like `death_after`).
-        let mut poison_pending = cfg.fault_plan.poison_at(worker) == Some(batches_done);
+        let mut poison = cfg.fault_plan.poison_at(worker) == Some(batches_done);
         let inspect = |lane: &mut Lane| {
-            if poison_pending {
-                poison_pending = false;
-                lane.ws.grad_mut().layers_mut()[0].b[0] = f32::NAN;
-            }
-            if watchdog.enabled() {
-                scan.reset();
-                scan_model(lane.ws.grad(), scan);
-                observe_scan(watchdog, worker, batches_done, scan);
-            }
+            lane.inspect(std::mem::take(&mut poison), watchdog, worker, batches_done)
         };
         // §VI-B staleness compensation: discount the learning rate for
         // gradients computed on an old snapshot.

@@ -55,18 +55,16 @@ use hetero_data::DenseDataset;
 use hetero_flight::Watchdog;
 use hetero_gpu::{Footprint, GpuDevice};
 use hetero_mq::{channel, channel_traced_lineage, Receiver, RecvTimeoutError, Sender};
-use hetero_nn::{scan_model, MergeScan, MlpSpec, Model, SharedModel};
+use hetero_nn::{MlpSpec, Model, SharedModel};
 use hetero_sim::{DeviceModel, GpuModel};
 use hetero_trace::{
     BatchPhases, EventKind, HistHandle, Metric, TimeDomain, TraceSink, COORDINATOR,
 };
 
 use crate::config::{AlgorithmKind, TrainConfig};
-use crate::coordinator::{
-    observe_scan, run_engine, Backend, Coordinator, CoreCkpt, Done, Engine, Event, RunCtx,
-};
+use crate::coordinator::{run_engine, Backend, Coordinator, CoreCkpt, Done, Engine, Event, RunCtx};
 use crate::fault::{panic_message, FaultPlan, WorkerError};
-use crate::lane::{BatchSource, Evaluator, Lane};
+use crate::lane::{lane_split, BatchSource, Evaluator, Lane};
 use crate::metrics::{LossPoint, TrainResult, WorkerKind};
 
 /// Configuration of the threaded engine.
@@ -485,15 +483,12 @@ fn serve(
     Ok(())
 }
 
-/// What a Hogwild lane is sent per dispatch: its sub-range `[s, e)` and
-/// the worker's batch counter.
-type LaneJob = (usize, usize, u64);
-
 /// The CPU worker: `threads` Hogwild lanes that live as long as the worker
 /// does. Lane 0 is this thread; lanes 1… are threads scoped to this call,
-/// each owning its [`CpuLane`] and parked on its job channel between
-/// dispatches. Hands `serve` the step that splits a dispatch across them
-/// and reports once every lane of the dispatch has answered.
+/// each owning its [`HogwildLane`] and parked on its job channel between
+/// dispatches. Hands `serve` the step that shares a dispatch out to them
+/// ([`lane_split`]) and reports once every lane of the dispatch has
+/// answered.
 fn cpu_worker(
     slot: usize,
     threads: usize,
@@ -501,34 +496,22 @@ fn cpu_worker(
     env: &WorkerEnv,
     serve: impl FnOnce(&mut Step<'_>) -> Result<(), WorkerError>,
 ) -> Result<(), WorkerError> {
-    let shared = &*env.shared;
-    let ctx = CpuStepCtx {
-        env,
-        slot,
-        stale_hist: &env.sink.histogram(Metric::Staleness, slot as u32),
-        rows_hist: &env.sink.histogram(Metric::RowsTouched, slot as u32),
-        // Injected faults land in one lane each — one poisoned update or
-        // one dead lane is enough, and it keeps the site exact.
-        poison_step: plan.poison_at(slot),
-        lane_panic_step: plan.lane_panic_at(slot),
-    };
-    let ctx = &ctx;
     std::thread::scope(|scope| {
-        // Lanes 1…, by their channels. What a lane thread blocks on is
+        // Lanes 1…, by their channels: rows and the worker's batch counter
+        // down, the lane's phases back. What a lane thread blocks on is
         // owned by this closure, so an unwind out of it (a panic in `serve`
         // or in lane 0) hangs up on them before the scope joins them.
         let mut lanes = Vec::new();
         let mut handles = Vec::new();
         for i in 1..threads {
-            let (job_tx, job_rx) = channel::<LaneJob>();
+            let (job_tx, job_rx) = channel::<((usize, usize), u64)>();
             let (done_tx, done_rx) = channel::<BatchPhases>();
             let handle = std::thread::Builder::new()
                 .name(format!("hogwild-{i}"))
                 .spawn_scoped(scope, move || {
-                    let mut lane = CpuLane::new(shared);
-                    while let Ok((s, e, batches_done)) = job_rx.recv() {
-                        cpu_lane_step(ctx, &mut lane, i, s, e, batches_done);
-                        if done_tx.send(lane.phases).is_err() {
+                    let mut lane = HogwildLane::new(env, slot, i, plan);
+                    while let Ok((rows, batches_done)) = job_rx.recv() {
+                        if done_tx.send(lane.lane_step(rows, batches_done)).is_err() {
                             break;
                         }
                     }
@@ -537,13 +520,10 @@ fn cpu_worker(
             lanes.push((job_tx, done_rx));
             handles.push(handle);
         }
-        let mut lane0 = CpuLane::new(shared);
+        let mut lane0 = HogwildLane::new(env, slot, 0, plan);
         let served = serve(&mut |id, range, batches_done| {
             let started = Instant::now();
-            // Lane i's share of the range; the trailing lanes of a short
-            // range get none.
-            let sub = range.len().div_ceil(threads);
-            let n_updates = range.len().div_ceil(sub);
+            let (sub, updates) = lane_split(range.len(), threads);
             let share = |i: usize| {
                 let s = range.start + i * sub;
                 (s, (s + sub).min(range.end))
@@ -551,31 +531,23 @@ fn cpu_worker(
             // A lane that is gone — it panicked — hangs up both of its
             // channels; the join below has the reason.
             let lane_died = |i: usize| WorkerError::Panic(format!("hogwild lane {i} died"));
-            // Each Hogwild lane: read the live shared model (racy
-            // snapshot), compute its sub-gradient, apply racily. Every
-            // lane owns its buffers, so they are reused without
-            // synchronization.
-            for i in 1..n_updates {
-                let (s, e) = share(i);
-                let job = (s, e, batches_done);
-                lanes[i - 1].0.send(job).map_err(|_| lane_died(i))?;
+            for (i, (job, _)) in (1..updates).zip(&lanes) {
+                job.send((share(i), batches_done))
+                    .map_err(|_| lane_died(i))?;
             }
-            let (s, e) = share(0);
-            cpu_lane_step(ctx, &mut lane0, 0, s, e, batches_done);
+            let mut phases = lane0.lane_step(share(0), batches_done);
+            for (i, (_, done)) in (1..updates).zip(&lanes) {
+                phases.add(&done.recv().map_err(|_| lane_died(i))?);
+            }
             // Lane phase timings are CPU-seconds summed across parallel
             // lanes; project them onto the batch's wall busy span so
             // attribution never exceeds elapsed.
-            let mut phases = lane0.phases;
-            for i in 1..n_updates {
-                phases.add(&lanes[i - 1].1.recv().map_err(|_| lane_died(i))?);
-            }
             let busy_wall = started.elapsed().as_secs_f64();
             let lane_total = phases.total();
             if lane_total > busy_wall && lane_total > 0.0 {
                 phases.scale(busy_wall / lane_total);
             }
             let batch = range.len();
-            let updates = n_updates;
             let completed = EventKind::BatchCompleted {
                 id,
                 batch,
@@ -586,7 +558,8 @@ fn cpu_worker(
             Ok(Done {
                 examples: batch,
                 updates: updates as u64,
-                level: batch.min(threads) as f64 / threads as f64,
+                // The lanes that trained, of the worker's threads.
+                level: updates as f64 / threads as f64,
                 ..Done::default()
             })
         });
@@ -602,92 +575,78 @@ fn cpu_worker(
     })
 }
 
-/// One Hogwild lane: its racy model snapshot beside the shared [`Lane`]
-/// scratch, all reused across batches.
-struct CpuLane {
-    local: Model,
-    batch: Lane,
-    /// Watchdog scratch: per-layer sumsq / non-finite counts of the lane's
-    /// own gradient, reused every batch (lane-local, so no
-    /// synchronization).
-    scan: MergeScan,
-    /// This lane's stage/compute/merge split of its last step
-    /// (lane-local CPU seconds; the worker projects the lane sum onto the
-    /// batch's wall busy span before reporting).
-    phases: BatchPhases,
-}
-
-impl CpuLane {
-    fn new(shared: &SharedModel) -> Self {
-        let local = shared.snapshot();
-        CpuLane {
-            scan: MergeScan::for_model(&local),
-            local,
-            batch: Lane::new(shared.spec()),
-            phases: BatchPhases::default(),
-        }
-    }
-}
-
-/// Shared, read-only context of a CPU worker's lane steps.
-struct CpuStepCtx<'a> {
+/// One Hogwild lane `i` of CPU worker `slot`: the [`Lane`] scratch, the
+/// racy snapshot its gradients are taken at, the worker's histograms and
+/// the faults planned for this lane — all its own, so a lane synchronizes
+/// with nothing but the shared model.
+struct HogwildLane<'a> {
     env: &'a WorkerEnv,
     slot: usize,
-    stale_hist: &'a HistHandle,
-    rows_hist: &'a HistHandle,
-    /// Batch whose lane-0 gradient gets a NaN ([`FaultPlan::poison_at`]).
-    poison_step: Option<u64>,
-    /// Batch inside which lane 1 panics ([`FaultPlan::lane_panic_at`]).
-    lane_panic_step: Option<u64>,
+    lane: Lane,
+    local: Model,
+    stale_hist: HistHandle,
+    rows_hist: HistHandle,
+    /// Batch whose gradient gets a NaN ([`FaultPlan::poison_at`]; lane 0
+    /// only — one poisoned update keeps the site exact).
+    poison_at: Option<u64>,
+    /// Batch inside which this lane panics ([`FaultPlan::lane_panic_at`];
+    /// lane 1 only).
+    panic_at: Option<u64>,
 }
 
-/// One Hogwild lane step: racy snapshot → sub-gradient → racy apply.
-/// This is the CPU hot path the paper's speedup model assumes is cheap;
-/// the audit proves its steady state stays allocation-free (DESIGN.md §4j).
-// audit: no_alloc
-fn cpu_lane_step(
-    ctx: &CpuStepCtx<'_>,
-    lane: &mut CpuLane,
-    i: usize,
-    s: usize,
-    e: usize,
-    batches_done: u64,
-) {
-    if i == 1 && ctx.lane_panic_step == Some(batches_done) {
-        panic!("injected fault: hogwild lane {i} panicked in batch {batches_done}");
+impl<'a> HogwildLane<'a> {
+    fn new(env: &'a WorkerEnv, slot: usize, i: usize, plan: &FaultPlan) -> Self {
+        let hist = |m| env.sink.histogram(m, slot as u32);
+        HogwildLane {
+            env,
+            slot,
+            lane: Lane::new(env.shared.spec()),
+            local: env.shared.snapshot(),
+            stale_hist: hist(Metric::Staleness),
+            rows_hist: hist(Metric::RowsTouched),
+            poison_at: plan.poison_at(slot).filter(|_| i == 0),
+            panic_at: plan.lane_panic_at(slot).filter(|_| i == 1),
+        }
     }
-    let (shared, src, train) = (&*ctx.env.shared, &*ctx.env.src, &ctx.env.train);
-    // Staleness = global updates applied between this lane's read and its
-    // own write landing (minus the write itself).
-    let stale_at = (!ctx.stale_hist.is_disabled()).then(|| shared.update_count());
-    let t_stage = Instant::now();
-    shared.snapshot_into(&mut lane.local);
-    lane.batch.stage(src, s, e);
-    let t_compute = Instant::now();
-    lane.phases.stage_secs = (t_compute - t_stage).as_secs_f64();
-    lane.batch.gradient(src, &lane.local, false);
-    lane.phases.compute_secs = t_compute.elapsed().as_secs_f64();
-    lane.phases.transfer_secs = 0.0;
-    // Injected fault: one NaN into this worker's gradient at the planned
-    // step.
-    if i == 0 && ctx.poison_step == Some(batches_done) {
-        lane.batch.ws.grad_mut().layers_mut()[0].b[0] = f32::NAN;
-    }
-    if ctx.env.watchdog.enabled() {
-        lane.scan.reset();
-        scan_model(lane.batch.ws.grad(), &mut lane.scan);
-        observe_scan(&ctx.env.watchdog, ctx.slot, batches_done, &lane.scan);
-    }
-    let eta = train.lr_scaling.eta(train.lr, e - s);
-    let t_merge = Instant::now();
-    if let Some(cols) = lane.batch.active_cols() {
-        ctx.rows_hist.record(cols.len() as u64);
-    }
-    lane.batch.apply_racy(shared, eta);
-    lane.phases.merge_secs = t_merge.elapsed().as_secs_f64();
-    if let Some(at) = stale_at {
-        let now = shared.update_count();
-        ctx.stale_hist.record(now.saturating_sub(at + 1));
+
+    /// The lane's share `s..e` of the worker's batch number `batches_done`:
+    /// racy snapshot → [`Lane::gradient`] → [`Lane::inspect`] → racy apply.
+    /// Returns its stage/compute/merge split in lane-local CPU seconds. This
+    /// is the CPU hot path the paper's speedup model assumes is cheap; the
+    /// audit proves its steady state allocation-free (DESIGN.md §4j).
+    // audit: no_alloc
+    fn lane_step(&mut self, (s, e): (usize, usize), batches_done: u64) -> BatchPhases {
+        if self.panic_at == Some(batches_done) {
+            panic!("injected fault: hogwild lane 1 panicked in batch {batches_done}");
+        }
+        let (shared, src, train) = (&*self.env.shared, &*self.env.src, &self.env.train);
+        let lane = &mut self.lane;
+        // Staleness = global updates applied between this lane's read and its
+        // own write landing (minus the write itself).
+        let stale_at = (!self.stale_hist.is_disabled()).then(|| shared.update_count());
+        let t_stage = Instant::now();
+        shared.snapshot_into(&mut self.local);
+        lane.stage(src, s, e);
+        let t_compute = Instant::now();
+        lane.gradient(src, &self.local, false);
+        let poison = self.poison_at == Some(batches_done);
+        lane.inspect(poison, &self.env.watchdog, self.slot, batches_done);
+        let t_merge = Instant::now();
+        if let Some(cols) = lane.active_cols() {
+            self.rows_hist.record(cols.len() as u64);
+        }
+        lane.apply_racy(shared, train.lr_scaling.eta(train.lr, e - s));
+        let merge_secs = t_merge.elapsed().as_secs_f64();
+        if let Some(at) = stale_at {
+            let now = shared.update_count();
+            self.stale_hist.record(now.saturating_sub(at + 1));
+        }
+        BatchPhases {
+            stage_secs: (t_compute - t_stage).as_secs_f64(),
+            compute_secs: (t_merge - t_compute).as_secs_f64(),
+            merge_secs,
+            ..BatchPhases::default()
+        }
     }
 }
 
@@ -707,10 +666,6 @@ struct GpuWorker<'a> {
     gemm_pool: rayon::ThreadPool,
     snapshot: Model,
     lane: Lane,
-    /// Watchdog scratch: per-layer sumsq / non-finite counts of the merged
-    /// delta, filled *inside* the merge's element loop (no extra pass over
-    /// the model).
-    merge_scan: MergeScan,
     /// Batch whose delta gets a NaN ([`FaultPlan::poison_at`]).
     poison_step: Option<u64>,
     stale_hist: HistHandle,
@@ -755,7 +710,6 @@ impl<'a> GpuWorker<'a> {
             footprint,
             gemm_pool,
             lane: Lane::new(spec),
-            merge_scan: MergeScan::for_model(&snapshot),
             snapshot,
             poison_step: plan.poison_at(slot),
             stale_hist: hist(Metric::Staleness),
@@ -789,7 +743,6 @@ impl<'a> GpuWorker<'a> {
             footprint: fp,
             snapshot,
             lane,
-            merge_scan,
             ..
         } = self;
         let (env, device) = (self.env, self.device);
@@ -847,21 +800,12 @@ impl<'a> GpuWorker<'a> {
         self.stale_hist.record(staleness);
         // Injected fault: one NaN into this worker's delta at the planned
         // step (the merge carries it into the shared model — detection is
-        // the watchdog's job, not the merge's). The bias is part of a
-        // row-sparse merge's dense tail, so the NaN reaches the shared
-        // model either way.
-        if self.poison_step == Some(batches_done) {
-            lane.ws.grad_mut().layers_mut()[0].b[0] = f32::NAN;
-        }
+        // the watchdog's job, not the merge's).
+        let poison = self.poison_step == Some(batches_done);
         let merge_start = Instant::now();
-        // The scan rides in the merge loop, and only a watchdog reads it.
-        merge_scan.reset();
-        let scan = env.watchdog.enabled().then_some(&mut *merge_scan);
-        let eta = train.lr_scaling.eta(train.lr, len);
-        let found_owned = lane.merge_into(shared, eta * scale, scan);
-        if env.watchdog.enabled() {
-            observe_scan(&env.watchdog, self.slot, batches_done, merge_scan);
-        }
+        let eta = train.lr_scaling.eta(train.lr, len) * scale;
+        let found_owned =
+            lane.merge_into(shared, eta, poison, &env.watchdog, self.slot, batches_done);
         phases.merge_secs = merge_start.elapsed().as_secs_f64();
         self.merge_hist.record_secs(phases.merge_secs);
         self.retries_hist.record(found_owned);
@@ -1256,6 +1200,91 @@ mod tests {
         }
     }
 
+    /// Both engines run a CPU batch through the same lane code. On one lane
+    /// the threaded lane step's racy apply to a shared model leaves the
+    /// parameters the simulator's `run_waves` leaves, bit for bit. On 3 and
+    /// 8 lanes (one wave) every threaded lane reads the batch snapshot, as
+    /// a wave's lanes do, and the lanes' deltas sum to the wave's update
+    /// within 1e-6 of the largest parameter: the wave applies each run of
+    /// equal lanes as one scaled mean gradient.
+    #[test]
+    fn one_cpu_batch_is_bit_identical_on_both_engines() {
+        let data = dataset();
+        let train = config(AlgorithmKind::HogbatchCpu, 0.1).train;
+        let spec = MlpSpec::tiny(8, 2);
+        let snapshot = Model::new(spec.clone(), hetero_nn::InitScheme::Xavier, 9);
+        let (start, end) = (40, 137);
+        let step = |rows: usize| train.lr_scaling.eta(train.lr, rows);
+        let base = snapshot.flatten();
+        for sparse in [false, true] {
+            let src = BatchSource::in_format(Arc::clone(&data), sparse);
+            for lanes in [1, 3, 8] {
+                let mut sim = snapshot.clone();
+                let mut scratch = crate::engine_sim::SimScratch::new(&spec);
+                let updates =
+                    scratch.run_waves(&src, start, end, lanes, &snapshot, &mut sim, step, |_| {});
+                let (sub, trained) = lane_split(end - start, lanes);
+                assert_eq!(updates, trained, "sparse={sparse} lanes={lanes}");
+                // Each lane on its own shared model of the snapshot; its
+                // delta is what it applied.
+                let mut threaded = base.clone();
+                let mut last = snapshot.clone();
+                for i in 0..trained {
+                    let env = worker_env(
+                        &data,
+                        sparse,
+                        &snapshot,
+                        &train,
+                        TraceSink::disabled(),
+                        Watchdog::disabled(),
+                    );
+                    let mut lane = HogwildLane::new(&env, 0, i, &FaultPlan::none());
+                    let s = start + i * sub;
+                    lane.lane_step((s, (s + sub).min(end)), 0);
+                    last = env.shared.snapshot();
+                    for ((t, a), b) in threaded.iter_mut().zip(last.flatten()).zip(&base) {
+                        *t += a - b;
+                    }
+                }
+                assert_ne!(sim, snapshot, "sparse={sparse}: nothing applied");
+                if lanes == 1 {
+                    assert_eq!(last, sim, "sparse={sparse}");
+                    continue;
+                }
+                let want = sim.flatten();
+                let scale = want.iter().fold(0f32, |m, v| m.max(v.abs()));
+                for (a, b) in threaded.iter().zip(&want) {
+                    assert!(
+                        (a - b).abs() <= 1e-6 * scale,
+                        "sparse={sparse} lanes={lanes}: {a} vs {b}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A CPU batch's utilization is the share of the worker's lanes that
+    /// trained: a 400-row epoch in batches of 6 on 3 lanes ends in a 4-row
+    /// batch, which trains 2 lanes of 2 rows.
+    #[test]
+    fn a_short_cpu_batch_reports_the_lanes_that_trained() {
+        let mut cfg = config(AlgorithmKind::HogbatchCpu, 30.0);
+        cfg.cpu_threads = 3;
+        cfg.train.cpu_batch_per_thread = 2;
+        cfg.train.max_epochs = Some(1);
+        let r = ThreadedEngine::new(cfg).unwrap().run(dataset());
+        let levels: Vec<f64> = r.workers[0]
+            .timeline
+            .segments()
+            .iter()
+            .map(|s| s.level)
+            .collect();
+        assert!(
+            levels.iter().any(|&l| (l - 2.0 / 3.0).abs() < 1e-12),
+            "no segment at 2/3: {levels:?}"
+        );
+    }
+
     /// One step accounts exactly the footprint's transfers, tagged with
     /// the batch, and marks its compute as a kernel launch.
     #[test]
@@ -1393,12 +1422,12 @@ mod tests {
                     model,
                     "sparse={sparse}: nothing merged"
                 );
-                let reset = MergeScan::for_model(&model);
+                let reset = hetero_nn::MergeScan::for_model(&model);
                 assert_eq!(
-                    gpu.merge_scan != reset,
+                    gpu.lane.scan != reset,
                     watched,
                     "sparse={sparse} watched={watched}: {:?}",
-                    gpu.merge_scan
+                    gpu.lane.scan
                 );
                 let retries = env.sink.summary(Metric::MergeRetries);
                 assert_eq!(retries.map(|s| s.count), Some(1), "sparse={sparse}");

@@ -10,11 +10,17 @@
 //! stages CSR rows in O(nnz), runs the sparse layer-0 kernels, and its
 //! applies walk only the layer-0 rows of the input features the batch
 //! touched.
+//!
+//! A [`Lane`] is also the one description of what a Hogbatch CPU lane does
+//! on either engine: [`lane_split`] shares a batch out to the lanes, and
+//! [`Lane::inspect`] runs the fault plan's poison and the watchdog's scan on
+//! each gradient before it is applied.
 
 use std::ops::Deref;
 
 use hetero_data::{DenseDataset, Labels};
-use hetero_nn::{Input, MergeScan, MlpSpec, Model, SharedModel, Workspace};
+use hetero_flight::Watchdog;
+use hetero_nn::{scan_model, Input, MergeScan, MlpSpec, Model, SharedModel, Workspace};
 use hetero_tensor::{CsrBatch, CsrMatrix, Matrix};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -95,16 +101,37 @@ impl<D: Deref<Target = DenseDataset>> BatchSource<D> {
     }
 }
 
-/// One persistent scratch set per gradient lane — batch staging and the
-/// forward/backward workspace, all reused across batches, so a steady-state
-/// lane performs zero heap allocations (DESIGN.md §4j).
+/// A Hogbatch CPU batch of `len` rows on `lanes` Hogwild lanes: `(rows
+/// per lane, lanes that train)`. Lane `i` takes rows `i·sub..(i + 1)·sub`
+/// of the batch, so every lane gets ⌈len / lanes⌉ rows but the last one,
+/// which gets what is left, and the trailing lanes of a short batch get
+/// none. Each lane that trains is one update (Algorithm 2's `t`).
+pub(crate) fn lane_split(len: usize, lanes: usize) -> (usize, usize) {
+    let sub = len.div_ceil(lanes).max(1);
+    // `hetero_split_drops_short_lane` is a mutation switch for
+    // `scripts/check_mutation.sh`: the short last lane never trains.
+    let trained = if cfg!(hetero_split_drops_short_lane) {
+        len / sub
+    } else {
+        len.div_ceil(sub)
+    };
+    (sub, trained)
+}
+
+/// One persistent scratch set per gradient lane — batch staging, the
+/// forward/backward workspace and the health scan, all reused across
+/// batches, so a steady-state lane performs zero heap allocations
+/// (DESIGN.md §4j).
 pub(crate) struct Lane {
-    pub(crate) ws: Workspace,
+    ws: Workspace,
     /// Dense staging; stays empty on sparse runs.
-    pub(crate) x: Matrix,
+    x: Matrix,
     /// CSR staging; stays empty on dense runs.
     csr: CsrBatch,
-    pub(crate) labels: Labels,
+    labels: Labels,
+    /// Per-layer sumsq / non-finite counts of the last gradient inspected
+    /// or delta merged under a watchdog.
+    pub(crate) scan: MergeScan,
 }
 
 impl Lane {
@@ -114,6 +141,7 @@ impl Lane {
             x: Matrix::zeros(0, 0),
             csr: CsrBatch::new(),
             labels: Labels::Classes(Vec::new()),
+            scan: MergeScan::new(spec.num_layers()),
         }
     }
 
@@ -154,6 +182,36 @@ impl Lane {
         self.ws.active_cols()
     }
 
+    /// The checks every gradient gets before it is applied: the fault
+    /// plan's NaN when `poison`, then, under an enabled watchdog, the
+    /// gradient's per-layer scan, observed as `worker`'s batch `step`.
+    // audit: no_alloc
+    pub(crate) fn inspect(&mut self, poison: bool, watchdog: &Watchdog, worker: usize, step: u64) {
+        if poison {
+            self.poison();
+        }
+        if watchdog.enabled() {
+            self.scan.reset();
+            scan_model(self.ws.grad(), &mut self.scan);
+            self.report_scan(watchdog, worker, step);
+        }
+    }
+
+    /// One NaN into the stored gradient. The bias is part of a row-sparse
+    /// apply's dense tail, so the NaN reaches the model whatever the
+    /// format.
+    fn poison(&mut self) {
+        self.ws.grad_mut().layers_mut()[0].b[0] = f32::NAN;
+    }
+
+    /// Hand the scan to the watchdog, layer by layer; `step` is named in
+    /// the postmortem when an observation trips the policy.
+    fn report_scan(&self, watchdog: &Watchdog, worker: usize, step: u64) {
+        for (l, ls) in self.scan.layers().iter().enumerate() {
+            watchdog.observe_layer(worker as u32, l, step, ls.sumsq, ls.nonfinite);
+        }
+    }
+
     /// `model ← model − eta·∇`, walking only the gradient's own layer-0
     /// rows when it is row-sparse (plus biases and the later layers).
     // audit: no_alloc
@@ -172,16 +230,31 @@ impl Lane {
 
     /// The merge twin of [`apply_racy`](Self::apply_racy), for a lane that
     /// stands in for a GPU replica: the same gradient over the same rows,
-    /// added as a stripe-owning merger (exact against other mergers) and
-    /// scanned into `scan` when given. Returns the stripes found owned.
+    /// poisoned first when `poison`, added at `eta` as a stripe-owning
+    /// merger (exact against other mergers). Under an enabled watchdog the
+    /// merged delta is scanned inside the merge's element loop — no extra
+    /// pass — and observed as `worker`'s batch `step`. Returns the stripes
+    /// found owned.
     // audit: no_alloc
     pub(crate) fn merge_into(
-        &self,
+        &mut self,
         shared: &SharedModel,
-        step: f32,
-        scan: Option<&mut MergeScan>,
+        eta: f32,
+        poison: bool,
+        watchdog: &Watchdog,
+        worker: usize,
+        step: u64,
     ) -> u64 {
-        shared.merge_gradient(self.ws.grad(), step, self.ws.active_cols(), scan)
+        if poison {
+            self.poison();
+        }
+        self.scan.reset();
+        let scan = watchdog.enabled().then_some(&mut self.scan);
+        let owned = shared.merge_gradient(self.ws.grad(), eta, self.ws.active_cols(), scan);
+        if watchdog.enabled() {
+            self.report_scan(watchdog, worker, step);
+        }
+        owned
     }
 }
 
@@ -347,6 +420,36 @@ mod tests {
 
     fn model() -> Model {
         Model::new(MlpSpec::tiny(12, 2), InitScheme::Xavier, 5)
+    }
+
+    /// `lane_split`'s law on every batch of up to 40 rows on up to 12
+    /// lanes: the shares tile the batch in order, there are at most `lanes`
+    /// of them, every share but the last has ⌈len / lanes⌉ rows, and a
+    /// batch shorter than its lanes gets one-row shares.
+    #[test]
+    fn lane_split_shares_tile_the_batch() {
+        for lanes in 1..=12 {
+            for len in 0..=40 {
+                let (sub, trained) = lane_split(len, lanes);
+                let shares: Vec<(usize, usize)> = (0..trained)
+                    .map(|i| (i * sub, ((i + 1) * sub).min(len)))
+                    .collect();
+                let case = format!("{len} rows on {lanes} lanes: {shares:?}");
+                let end = shares
+                    .iter()
+                    .try_fold(0, |at, &(s, e)| (s == at && e > s).then_some(e));
+                assert_eq!(end, Some(len), "shares do not tile: {case}");
+                assert!(trained <= lanes, "{case}");
+                if let Some((_, head)) = shares.split_last() {
+                    let full = len.div_ceil(lanes);
+                    assert!(head.iter().all(|&(s, e)| e - s == full), "{case}");
+                }
+                if len < lanes {
+                    assert_eq!(trained, len, "{case}");
+                    assert!(shares.iter().all(|&(s, e)| e - s == 1), "{case}");
+                }
+            }
+        }
     }
 
     #[test]

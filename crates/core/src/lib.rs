@@ -19,7 +19,7 @@
 //! |---|---|
 //! | `HogbatchCpu` | Hogbatch CPU — `cpu_batch_per_thread` examples/thread; 1 is pure Hogwild |
 //! | `MiniBatchGpu` | Hogbatch GPU — large-batch mini-batch SGD |
-//! | `TensorFlow` | comparator: synchronous mini-batch with op-granularity dispatch overhead and a slow multi-label path |
+//! | `TensorFlow` | comparator: synchronous mini-batch with op-granularity dispatch overhead (its slower delicious run, blamed on TensorFlow's implementation, is not reproduced) |
 //! | `CpuGpuHogbatch` | static small CPU batches + static large GPU batches, one shared model |
 //! | `AdaptiveHogbatch` | Algorithm 2: batch sizes doubled/halved at runtime to bound the update-count gap |
 //!

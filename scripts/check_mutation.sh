@@ -42,7 +42,10 @@
 # dense/CSR crossover; `--cfg hetero_format_ignores_density` trains every
 # run dense. In crates/data/src/synth.rs a sparse row is walked by geometric
 # gaps, every feature independently active; `--cfg hetero_synth_gap_skips_one`
-# steps past the feature after each active one. This script asserts that:
+# steps past the feature after each active one. In crates/core/src/lane.rs a
+# Hogbatch CPU batch is shared out to ⌈len/sub⌉ lanes, the last one short;
+# `--cfg hetero_split_drops_short_lane` counts ⌊len/sub⌋, so the short lane
+# never trains. This script asserts that:
 #   1. the suites pass as written, and
 #   2. each suite FAILS under its mutation the way the bug would show (a
 #      data-race report for the queue, both two-merger models losing an
@@ -55,7 +58,8 @@
 #      differing from the uninterrupted one's, a dense run's loss curve
 #      depending on whether its data is stored dense or as CSR, an
 #      injected GPU OOM that never halves a batch, sparse data trained
-#      dense, generated data with no two neighbouring features active),
+#      dense, generated data with no two neighbouring features active, lane
+#      shares that leave the end of a batch untrained),
 # i.e. the checker genuinely guards the edge.
 #
 # Usage: scripts/check_mutation.sh   (from anywhere in the repo)
@@ -77,13 +81,15 @@ store="-p hetero-core --lib training_does_not_depend_on_the_store"
 oom="-p hetero-core --test fault_tolerance oom_retry_halves_batch_and_clamps_controller"
 format="-p hetero-core --lib the_format_follows_the_density"
 synth="-p hetero-data --lib synth::tests"
+split="-p hetero-core --lib lane_split_shares_tile_the_batch"
 
-echo "[1/17] baseline: loom queue, shared-model, coordinator-model, event-loop, sparse-support, sim-wave, init-stream, sim-resume, store, GPU-OOM, input-format and generator-law suites must pass as written"
+echo "[1/18] baseline: loom queue, shared-model, coordinator-model, event-loop, sparse-support, sim-wave, init-stream, sim-resume, store, GPU-OOM, input-format, generator-law and lane-split suites must pass as written"
 # shellcheck disable=SC2086
 if ! { cargo test $queue -q && cargo test $shared -q && cargo test $model -q \
     && cargo test $run -q && cargo test $support -q && cargo test $wave -q \
     && cargo test $init -q && cargo test $resume -q && cargo test $store -q \
-    && cargo test $oom -q && cargo test $format -q && cargo test $synth -q; } >"$log" 2>&1; then
+    && cargo test $oom -q && cargo test $format -q && cargo test $synth -q \
+    && cargo test $split -q; } >"$log" 2>&1; then
     echo "FAIL: baseline suite is red"
     tail -40 "$log"
     exit 1
@@ -93,7 +99,7 @@ fi
 check_mutation() {
     local cfg="$1" desc="$2" step="$3" suite="$4"
     shift 4
-    echo "[$step/17] mutation: suite must FAIL with $desc"
+    echo "[$step/18] mutation: suite must FAIL with $desc"
     # shellcheck disable=SC2086
     if RUSTFLAGS="--cfg $cfg" cargo test $suite -q >"$log" 2>&1; then
         echo "FAIL: $desc mutation was NOT caught"
@@ -167,5 +173,9 @@ check_mutation hetero_format_ignores_density "every run trained dense whatever i
 # stores two neighbouring features, far below the density² pair rate.
 check_mutation hetero_synth_gap_skips_one "a gap walk skipping the feature after each active one" 17 \
     "$synth" "adjacent_active_pairs_are_independent" "adjacent active pairs"
+# A split that drops the short last lane leaves the end of the batch
+# untrained, so the shares stop tiling it.
+check_mutation hetero_split_drops_short_lane "a lane split dropping the short last lane" 18 \
+    "$split" "lane_split_shares_tile_the_batch" "shares do not tile"
 
-echo "OK: all sixteen seeded mutations are caught"
+echo "OK: all seventeen seeded mutations are caught"
