@@ -10,38 +10,13 @@
 //! `fig7_utilization`, which reads the simulator timelines directly.
 //!
 //! Output: CSV `algorithm,device,time_s,utilization` plus a stderr
-//! summary of total busy fractions from [`hetero_trace::utilization`].
+//! summary of each device's busy fraction from
+//! [`hetero_trace::analyze`]'s worker reports.
 
 use hetero_bench::Harness;
 use hetero_core::{AlgorithmKind, WorkerKind};
 use hetero_data::PaperDataset;
-use hetero_trace::{utilization::utilization, EventKind, COORDINATOR};
-
-/// Busy intervals per worker, reconstructed from dispatch/completion pairs.
-fn busy_intervals(trace: &hetero_trace::Trace) -> Vec<(u32, Vec<(f64, f64)>)> {
-    let mut pending: std::collections::HashMap<u32, f64> = std::collections::HashMap::new();
-    let mut spans: std::collections::HashMap<u32, Vec<(f64, f64)>> =
-        std::collections::HashMap::new();
-    for event in trace.events_sorted() {
-        if event.worker == COORDINATOR {
-            continue;
-        }
-        match event.kind {
-            EventKind::BatchDispatched { .. } | EventKind::BatchStarted { .. } => {
-                pending.insert(event.worker, event.t);
-            }
-            EventKind::BatchCompleted { .. } => {
-                if let Some(t0) = pending.remove(&event.worker) {
-                    spans.entry(event.worker).or_default().push((t0, event.t));
-                }
-            }
-            _ => {}
-        }
-    }
-    let mut out: Vec<_> = spans.into_iter().collect();
-    out.sort_by_key(|(w, _)| *w);
-    out
-}
+use hetero_trace::analyze::{analyze, spans_from_events};
 
 /// Fraction of `[t0, t0 + dt)` covered by the (sorted, per-worker serial)
 /// busy intervals.
@@ -77,14 +52,22 @@ fn main() {
             None => format!("w{w}"),
         };
 
-        let horizon = trace
-            .events_sorted()
-            .last()
-            .map(|e| e.t)
-            .unwrap_or(h.budget)
-            .max(1e-9);
+        let events = trace.events_sorted();
+        let horizon = events.last().map(|e| e.t).unwrap_or(h.budget).max(1e-9);
         let dt = horizon / 60.0;
-        for (w, intervals) in busy_intervals(&trace) {
+        let spans = spans_from_events(&events);
+        let mut workers: Vec<u32> = spans.iter().map(|s| s.worker).collect();
+        workers.sort_unstable();
+        workers.dedup();
+        for w in workers {
+            let intervals: Vec<(f64, f64)> = spans
+                .iter()
+                .filter(|s| s.worker == w)
+                .filter_map(|s| Some((s.started_at, s.completed_at?)))
+                .collect();
+            if intervals.is_empty() {
+                continue;
+            }
             let name = device(w);
             for i in 0..60 {
                 let t = i as f64 * dt;
@@ -98,12 +81,12 @@ fn main() {
             }
         }
 
-        let totals = utilization(&trace);
+        let totals = analyze(&trace).workers;
         let fmt = |kind: WorkerKind| {
             let (busy, n): (f64, usize) = totals
                 .iter()
                 .filter(|u| r.workers.get(u.worker as usize).map(|s| s.kind) == Some(kind))
-                .map(|u| u.busy_fraction)
+                .map(|u| u.utilization)
                 .fold((0.0, 0), |(s, n), f| (s + f, n + 1));
             if n > 0 {
                 100.0 * busy / n as f64

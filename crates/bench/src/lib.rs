@@ -256,9 +256,9 @@ mod tests {
         assert!(r.final_loss().is_finite());
         assert!(!trace.is_empty());
         assert_eq!(trace.domain, hetero_trace::TimeDomain::Virtual);
-        let util = hetero_trace::utilization::utilization(&trace);
-        assert!(!util.is_empty());
-        assert!(util.iter().any(|w| w.busy_secs > 0.0));
+        let workers = hetero_trace::analyze::analyze(&trace).workers;
+        assert!(!workers.is_empty());
+        assert!(workers.iter().any(|w| w.busy_secs > 0.0));
     }
 
     #[test]

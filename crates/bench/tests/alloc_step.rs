@@ -1,7 +1,7 @@
 //! Measured (not asserted-by-inspection) allocation-freedom of a warm
 //! training step. Sparse: CSR batch staging, the sparse loss+gradient
 //! pass, the column-restricted racy apply, and the GPU worker's step —
-//! device-ledger reservation and transfer accounting around the row-sparse
+//! device-ledger reservation and the link's charge around the row-sparse
 //! scanned gradient merge (uncontended, and beside a second merger). Dense:
 //! the serial loss+gradient pass and the plain apply the CPU Hogwild lanes
 //! run, and the GPU worker's step on dense batches (the rayon path
@@ -15,7 +15,7 @@
 
 use hetero_bench::alloc_count::{allocs_in, CountingAlloc};
 use hetero_data::{PaperDataset, SynthConfig};
-use hetero_gpu::{Footprint, GpuDevice};
+use hetero_gpu::{DeviceMemory, Footprint, Link};
 use hetero_nn::{
     Activation, InitScheme, LossKind, MergeScan, MlpSpec, Model, SharedModel, Targets, Workspace,
 };
@@ -27,11 +27,14 @@ use std::sync::atomic::{AtomicBool, Ordering};
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// A GPU worker's device as a traced run builds it: an observed ledger
-/// whose transfers emit events and fill live histograms, all through one
-/// enabled sink (its ring is preallocated, so a warm push never grows it).
-fn observed_device() -> GpuDevice {
-    GpuDevice::new_observed(GpuModel::v100(), &TraceSink::wall(1 << 10), 1)
+/// A GPU worker's device as a traced run builds it: a ledger mirrored into
+/// its gauge and a link whose charges emit events and fill live
+/// histograms, all through one enabled sink (its ring is preallocated, so
+/// a warm push never grows it).
+fn observed_device(sink: &TraceSink) -> (DeviceMemory, Link) {
+    let gauge = sink.gauge("gpu.w1.mem_used_bytes");
+    let mem = DeviceMemory::with_gauge(GpuModel::v100().memory, gauge);
+    (mem, Link::new(sink, 1))
 }
 
 fn sparse_fixture() -> (hetero_data::DenseDataset, CsrMatrix, MlpSpec) {
@@ -107,32 +110,29 @@ fn warm_dense_gpu_step_is_allocation_free() {
     let mut ws = Workspace::new(&spec);
     let (mut x, mut labels) = data.batch(0, 1);
     let mut scan = MergeScan::new(spec.hidden.len() + 1);
-    let (device, fp) = (observed_device(), Footprint::of(&spec));
-    let _resident = device.mem().alloc(fp.resident_bytes()).unwrap();
+    let sink = TraceSink::wall(1 << 10);
+    let ((mem, link), fp, g) = (
+        observed_device(&sink),
+        Footprint::of(&spec),
+        GpuModel::v100(),
+    );
+    let _resident = mem.alloc(fp.resident_bytes()).unwrap();
     let (s, e) = (32, 96);
     // The exact per-batch sequence of `GpuWorker::batch_step` on a dense
     // run at a steady size, minus the rayon install.
     let n = allocs_in(|| {
-        device.set_active_batch(Some(1));
         shared.snapshot_into(&mut snapshot);
-        let held = device.mem().alloc(fp.step_bytes(e - s)).unwrap();
+        let held = mem.alloc(fp.step_bytes(e - s)).unwrap();
         data.batch_into(s, e, &mut x, &mut labels);
-        device.account_h2d(fp.batch_bytes(e - s));
-        device.account_h2d(fp.model);
+        link.charge(&fp, &g, e - s, 1);
         ws.loss_and_gradient_into(&snapshot, &x, labels.as_targets(), false);
-        device.account_step(fp.flops, e - s);
-        device.account_d2h(fp.model);
-        device.mem().free(held).unwrap();
+        mem.free(held).unwrap();
         scan.reset();
         shared.merge_gradient(ws.grad(), 0.05, None, Some(&mut scan));
-        device.set_active_batch(None);
     });
     assert_eq!(n, 0, "warm dense GPU step allocated {n} times");
-    assert_eq!(
-        device.transfer_stats().d2h_count,
-        2,
-        "warm-up + counted step"
-    );
+    let d2h = sink.summary(hetero_trace::Metric::D2h).unwrap().count;
+    assert_eq!(d2h, 2, "warm-up + counted step");
 }
 
 #[test]
@@ -146,28 +146,27 @@ fn warm_sparse_merge_step_is_allocation_free() {
     let mut labels = data.labels.slice(0, 1);
     let mut scan = MergeScan::new(spec.hidden.len() + 1);
     let (s, e) = (0, 64.min(data.len()));
-    let (device, fp) = (observed_device(), Footprint::of(&spec));
-    let _resident = device.mem().alloc(fp.resident_bytes()).unwrap();
+    let sink = TraceSink::wall(1 << 10);
+    let ((mem, link), fp, g) = (
+        observed_device(&sink),
+        Footprint::of(&spec),
+        GpuModel::v100(),
+    );
+    let _resident = mem.alloc(fp.resident_bytes()).unwrap();
     // The exact per-batch sequence of `GpuWorker::batch_step` on a CSR run, minus
     // the rayon install (parallel=false keeps the measurement in one thread
     // — the kernels themselves are what is under test). Returns the stripes
     // the merge found owned by another merger.
     let mut step = || {
-        device.set_active_batch(Some(1));
         shared.snapshot_into(&mut snapshot);
-        let held = device.mem().alloc(fp.step_bytes(e - s)).unwrap();
+        let held = mem.alloc(fp.step_bytes(e - s)).unwrap();
         data.labels.slice_into(s, e, &mut labels);
         csr_all.slice_rows_into(s, e, &mut csr);
-        device.account_h2d(fp.batch_bytes(e - s));
-        device.account_h2d(fp.model);
+        link.charge(&fp, &g, e - s, 1);
         ws.loss_and_gradient_into(&snapshot, csr.view(), labels.as_targets(), false);
-        device.account_step(fp.flops, e - s);
-        device.account_d2h(fp.model);
-        device.mem().free(held).unwrap();
+        mem.free(held).unwrap();
         scan.reset();
-        let found = shared.merge_gradient(ws.grad(), 0.05, ws.active_cols(), Some(&mut scan));
-        device.set_active_batch(None);
-        found
+        shared.merge_gradient(ws.grad(), 0.05, ws.active_cols(), Some(&mut scan))
     };
     let n = allocs_in(|| {
         step();

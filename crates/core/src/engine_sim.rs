@@ -38,7 +38,7 @@ use std::time::Instant;
 use hetero_data::batch::BatchRange;
 use hetero_data::DenseDataset;
 use hetero_flight::Watchdog;
-use hetero_gpu::Footprint;
+use hetero_gpu::{Footprint, Link};
 use hetero_nn::{MlpSpec, Model};
 use hetero_sim::{CpuModel, DeviceModel, EventQueue, GpuModel, UtilizationTimeline};
 use hetero_trace::{
@@ -220,26 +220,24 @@ impl SimScratch {
     }
 }
 
-/// Pre-resolved per-worker histogram handles for an observed run. Every
-/// handle is a no-op when the sink is disabled, so the unobserved path pays
-/// one branch per record. The sim has no queue wait — workers are
-/// re-assigned the instant they complete — so that series is left to the
-/// threaded engine; batch latency is the coordinator's, from each busy span.
+/// Pre-resolved per-worker histogram handles and links for an observed
+/// run. Every handle is a no-op when the sink is disabled, so the
+/// unobserved path pays one branch per record. The sim has no queue wait —
+/// workers are re-assigned the instant they complete — so that series is
+/// left to the threaded engine; batch latency is the coordinator's, from
+/// each busy span.
 struct SimObs {
     stale: Vec<HistHandle>,
-    h2d: Vec<HistHandle>,
-    d2h: Vec<HistHandle>,
+    links: Vec<Link>,
 }
 
 impl SimObs {
     fn new(sink: &TraceSink, workers: usize) -> Self {
-        let per = |m: Metric| -> Vec<HistHandle> {
-            (0..workers).map(|w| sink.histogram(m, w as u32)).collect()
-        };
         SimObs {
-            stale: per(Metric::Staleness),
-            h2d: per(Metric::H2d),
-            d2h: per(Metric::D2h),
+            stale: (0..workers as u32)
+                .map(|w| sink.histogram(Metric::Staleness, w))
+                .collect(),
+            links: (0..workers as u32).map(|w| Link::new(sink, w)).collect(),
         }
     }
 }
@@ -484,9 +482,12 @@ impl Backend for SimBackend<'_> {
             }
         }
         let cost = self.batch_cost(&self.devices[w], range.len());
-        // The virtual clock decides latency, so the transfer histograms are
-        // filled at assignment time with the same formulas as `batch_cost`.
-        // The phase breakdown comes from the same decomposition: GPU cost =
+        // The simulated worker begins immediately — assignment happens
+        // on completion of its previous batch, so queue wait is zero.
+        self.sink.emit(w as u32, EventKind::BatchStarted { id });
+        // The virtual clock decides latency, so a GPU step's link is
+        // charged at assignment time, by the rule `batch_cost` prices. The
+        // phase breakdown comes from the same decomposition: GPU cost =
         // compute + replica transfers (merge is the apply inside compute in
         // this model), CPU cost is pure lane compute.
         let mut phases = BatchPhases {
@@ -494,15 +495,10 @@ impl Backend for SimBackend<'_> {
             ..BatchPhases::default()
         };
         if let Device::Gpu(g) = &self.devices[w] {
-            let (h2d, d2h) = self.footprint.transfer_secs(g, range.len());
-            self.obs.h2d[w].record_secs(h2d);
-            self.obs.d2h[w].record_secs(d2h);
+            let (h2d, d2h) = self.obs.links[w].charge(&self.footprint, g, range.len(), id);
             phases.transfer_secs = h2d + d2h;
             phases.compute_secs = (cost - phases.transfer_secs).max(0.0);
         }
-        // The simulated worker begins immediately — assignment happens
-        // on completion of its previous batch, so queue wait is zero.
-        self.sink.emit(w as u32, EventKind::BatchStarted { id });
         let snapshot = match self.scratch.spares.pop() {
             Some(mut spare) => {
                 spare.copy_from(&self.model);
@@ -1427,6 +1423,58 @@ mod tests {
                     w.timeline.segments().len() as u64
                 );
             }
+        }
+    }
+
+    /// Every simulated GPU batch charges its link once each way, by the
+    /// rule the threaded worker charges: one `H2d` of the batch and the
+    /// snapshot and one `D2h` of the delta, at the footprint's modelled
+    /// seconds, tagged with the batch — on a dense run and on a CSR one.
+    #[test]
+    fn a_traced_gpu_batch_charges_its_link_once_each_way() {
+        let real_sim = hetero_data::PaperDataset::RealSim.generate(0.01, 42);
+        for (data, sparse) in [(tiny_dataset(), false), (real_sim, true)] {
+            let mut cfg = tiny_config(AlgorithmKind::CpuGpuHogbatch, 0.01);
+            cfg.spec = MlpSpec::tiny(data.features(), data.num_classes());
+            let (fp, g) = (Footprint::of(&cfg.spec), cfg.gpus[0].clone());
+            let sink = TraceSink::virtual_time(1 << 16);
+            SimEngine::new(cfg).unwrap().run_traced(&data, &sink);
+            let trace = sink.drain();
+            assert_eq!(trace.total_dropped(), 0);
+            assert_eq!(
+                trace
+                    .counters
+                    .iter()
+                    .any(|(n, _)| n == "engine.sparse_density"),
+                sparse
+            );
+            let (mut want, mut got) = (Vec::new(), Vec::new());
+            for e in trace.events_sorted() {
+                match e.kind {
+                    EventKind::BatchDispatched { id, batch } if e.worker == 1 => {
+                        let (h2d, d2h) = fp.transfer_secs(&g, batch);
+                        let up = (fp.batch_bytes(batch) + fp.model) as usize;
+                        want.push(EventKind::H2d {
+                            bytes: up,
+                            secs: h2d,
+                            id: Some(id),
+                        });
+                        let down = fp.model as usize;
+                        want.push(EventKind::D2h {
+                            bytes: down,
+                            secs: d2h,
+                            id: Some(id),
+                        });
+                    }
+                    EventKind::H2d { .. } | EventKind::D2h { .. } => {
+                        assert_eq!(e.worker, 1, "a CPU batch crossed the link");
+                        got.push(e.kind);
+                    }
+                    _ => {}
+                }
+            }
+            assert!(want.len() > 2, "sparse={sparse}: too few GPU batches");
+            assert_eq!(got, want, "sparse={sparse}");
         }
     }
 

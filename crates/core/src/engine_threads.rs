@@ -7,8 +7,9 @@
 //! [`hetero_nn::SharedModel`] that CPU threads update Hogwild-style (racy
 //! read–modify–write) while the GPU worker takes a deep-copy snapshot,
 //! computes its one-step delta on the host lane, and merges it back, with
-//! the device memory and transfers it would use accounted on the software
-//! GPU ([`hetero_gpu::GpuDevice`]) by the rule the simulator charges.
+//! the device memory it would hold reserved on its ledger
+//! ([`hetero_gpu::DeviceMemory`]) and the transfers it would make charged
+//! through its [`hetero_gpu::Link`], by the rule the simulator charges.
 //! The coordinator thread runs the coordinator's one event loop
 //! ([`Coordinator::run`]) over `ThreadsBackend`: a wall clock, the exec
 //! channels it hands ranges down, and the ready channel it waits on. A
@@ -53,7 +54,7 @@ use std::time::{Duration, Instant};
 use hetero_data::batch::BatchRange;
 use hetero_data::DenseDataset;
 use hetero_flight::Watchdog;
-use hetero_gpu::{Footprint, GpuDevice};
+use hetero_gpu::{DeviceMemory, Footprint, Link};
 use hetero_mq::{channel, channel_traced_lineage, Receiver, RecvTimeoutError, Sender};
 use hetero_nn::{MlpSpec, Model, SharedModel};
 use hetero_sim::{DeviceModel, GpuModel};
@@ -295,10 +296,7 @@ impl ThreadedEngine {
                     match kind {
                         WorkerKind::Cpu => cpu_worker(slot, threads, &plan, &env, run),
                         WorkerKind::Gpu => {
-                            // The observed device feeds H2D/D2H transfer
-                            // histograms on top of the trace events.
-                            let device = GpuDevice::new_observed(perf, &env.sink, slot as u32);
-                            let mut gpu = GpuWorker::new(slot, &device, &plan, &env)?;
+                            let mut gpu = GpuWorker::new(slot, perf, &plan, &env)?;
                             run(&mut |id, range, batches| gpu.batch_step(id, range, batches))
                         }
                     }
@@ -650,15 +648,19 @@ impl<'a> HogwildLane<'a> {
     }
 }
 
-/// A GPU worker: one software device, the deep-copy snapshot its replica
-/// starts every step from, and everything a step reuses. Built once,
-/// before the first dispatch, so the steady-state step is allocation-free;
-/// the device ledger holds the model's resident bytes for the worker's
-/// life.
+/// A GPU worker: its device's ledger, model and link, the deep-copy
+/// snapshot its replica starts every step from, and everything a step
+/// reuses. Built once, before the first dispatch, so the steady-state step
+/// is allocation-free; the ledger holds the model's resident bytes for the
+/// worker's life.
 struct GpuWorker<'a> {
     slot: usize,
     env: &'a WorkerEnv,
-    device: &'a GpuDevice,
+    /// The device's global memory, mirrored into the
+    /// `gpu.w<slot>.mem_used_bytes` gauge.
+    mem: DeviceMemory,
+    perf: GpuModel,
+    link: Link,
     /// What a step holds on the device and moves over its link.
     footprint: Footprint,
     /// The step's GEMMs fan out to this pinned pool instead of grabbing
@@ -675,21 +677,23 @@ struct GpuWorker<'a> {
 }
 
 impl<'a> GpuWorker<'a> {
-    /// Arm `plan`'s faults on `device`, upload the model — reserve its
-    /// resident bytes — and snapshot it. An upload OOM is unrecoverable:
-    /// there is no batch to shrink when the parameters themselves don't
-    /// fit.
+    /// A device modelled by `perf`: arm `plan`'s faults on its ledger,
+    /// upload the model — reserve its resident bytes — and snapshot it. An
+    /// upload OOM is unrecoverable: there is no batch to shrink when the
+    /// parameters themselves don't fit.
     fn new(
         slot: usize,
-        device: &'a GpuDevice,
+        perf: GpuModel,
         plan: &FaultPlan,
         env: &'a WorkerEnv,
     ) -> Result<Self, WorkerError> {
+        let gauge = env.sink.gauge(&format!("gpu.w{slot}.mem_used_bytes"));
+        let mem = DeviceMemory::with_gauge(perf.memory, gauge);
         if plan.upload_oom(slot) {
-            device.mem().inject_oom_at(0);
+            mem.inject_oom_at(0);
         }
         if let Some(n) = plan.oom_alloc_index(slot) {
-            device.mem().inject_oom_at(n);
+            mem.inject_oom_at(n);
         }
         let gemm_pool = rayon::ThreadPoolBuilder::new()
             .num_threads(env.train.rayon_threads)
@@ -697,16 +701,16 @@ impl<'a> GpuWorker<'a> {
             .map_err(|e| WorkerError::Panic(format!("gpu gemm pool: {e}")))?;
         let spec = env.shared.spec();
         let footprint = Footprint::of(spec);
-        device
-            .mem()
-            .alloc(footprint.resident_bytes())
+        mem.alloc(footprint.resident_bytes())
             .map_err(|e| WorkerError::Oom(format!("model upload failed: {e}")))?;
         let snapshot = env.shared.snapshot();
         let hist = |m| env.sink.histogram(m, slot as u32);
         Ok(GpuWorker {
             slot,
             env,
-            device,
+            mem,
+            perf,
+            link: Link::new(&env.sink, slot as u32),
             footprint,
             gemm_pool,
             lane: Lane::new(spec),
@@ -721,13 +725,13 @@ impl<'a> GpuWorker<'a> {
 
     /// One GPU batch step (§V/§VI-B): snapshot the global model, reserve
     /// the step's device bytes (halving the batch until they fit), stage
-    /// the batch, upload it and the snapshot, take the gradient at the
-    /// snapshot, download the delta, and merge it discounted by how stale
-    /// the snapshot became. A replica trained one step is `snapshot − η·∇`,
-    /// so the gradient is its whole delta. Traced as the batch's
-    /// `ModelMerge` and `BatchCompleted`; the phases time staging
-    /// (snapshot + batch gather), the transfer accounting, the step and
-    /// the merge.
+    /// the batch, charge its link (the batch and the snapshot up, the delta
+    /// down), take the gradient at the snapshot, and merge it discounted by
+    /// how stale the snapshot became. A replica trained one step is
+    /// `snapshot − η·∇`, so the gradient is its whole delta. Traced as the
+    /// batch's `H2d`, `D2h`, `ModelMerge` and `BatchCompleted`; the phases
+    /// time staging (snapshot + batch gather), the charge, the step and the
+    /// merge.
     ///
     /// The steady-state path is allocation-free on the host; the `format!`
     /// on the unrecoverable-OOM branch is a reviewed allowlist entry (the
@@ -741,15 +745,14 @@ impl<'a> GpuWorker<'a> {
     ) -> Result<Done, WorkerError> {
         let GpuWorker {
             footprint: fp,
+            mem,
+            perf,
             snapshot,
             lane,
             ..
         } = self;
-        let (env, device) = (self.env, self.device);
+        let env = self.env;
         let (shared, src, train) = (&*env.shared, &*env.src, &env.train);
-        // Transfers the device accounts while this batch runs carry its
-        // lineage id.
-        device.set_active_batch(Some(id));
         let mut phases = BatchPhases::default();
         // Deep-copy replica of the current global model (§V).
         let updates_at_snapshot = shared.update_count();
@@ -761,7 +764,7 @@ impl<'a> GpuWorker<'a> {
         let mut len = range.len();
         #[cfg(not(hetero_gpu_no_reserve))]
         let held = loop {
-            match device.mem().alloc(fp.step_bytes(len)) {
+            match mem.alloc(fp.step_bytes(len)) {
                 Ok(held) => break held,
                 Err(_) if len > 1 => len /= 2,
                 Err(e) => {
@@ -770,20 +773,16 @@ impl<'a> GpuWorker<'a> {
             }
         };
         lane.stage(src, range.start, range.start + len);
-        let t_h2d = Instant::now();
-        phases.stage_secs = (t_h2d - t_stage).as_secs_f64();
-        device.account_h2d(fp.batch_bytes(len));
-        device.account_h2d(fp.model);
+        let t_charge = Instant::now();
+        phases.stage_secs = (t_charge - t_stage).as_secs_f64();
+        self.link.charge(fp, perf, len, id);
         let t_compute = Instant::now();
+        phases.transfer_secs = (t_compute - t_charge).as_secs_f64();
         self.gemm_pool
             .install(|| lane.gradient(src, snapshot, true));
-        device.account_step(fp.flops, len);
-        let t_d2h = Instant::now();
-        phases.compute_secs = (t_d2h - t_compute).as_secs_f64();
-        device.account_d2h(fp.model);
+        phases.compute_secs = t_compute.elapsed().as_secs_f64();
         #[cfg(not(hetero_gpu_no_reserve))]
-        let _ = device.mem().free(held);
-        phases.transfer_secs = (t_compute - t_h2d + t_d2h.elapsed()).as_secs_f64();
+        let _ = mem.free(held);
         if let Some(cols) = lane.active_cols() {
             self.rows_hist.record(cols.len() as u64);
         }
@@ -809,7 +808,6 @@ impl<'a> GpuWorker<'a> {
         phases.merge_secs = merge_start.elapsed().as_secs_f64();
         self.merge_hist.record_secs(phases.merge_secs);
         self.retries_hist.record(found_owned);
-        device.set_active_batch(None);
         let worker = self.slot as u32;
         let merged = EventKind::ModelMerge {
             scale: scale as f64,
@@ -828,7 +826,7 @@ impl<'a> GpuWorker<'a> {
             updates: 1,
             shrunk_to: (len < range.len()).then_some(len),
             leftover,
-            level: device.perf().busy_utilization(len),
+            level: perf.busy_utilization(len),
             ..Done::default()
         })
     }
@@ -1184,8 +1182,7 @@ mod tests {
                 TraceSink::disabled(),
                 Watchdog::disabled(),
             );
-            let device = GpuDevice::new(GpuModel::v100());
-            let mut gpu = GpuWorker::new(0, &device, &FaultPlan::none(), &env).unwrap();
+            let mut gpu = GpuWorker::new(0, GpuModel::v100(), &FaultPlan::none(), &env).unwrap();
             let range = BatchRange {
                 start,
                 end,
@@ -1285,14 +1282,18 @@ mod tests {
         );
     }
 
-    /// One step accounts exactly the footprint's transfers, tagged with
-    /// the batch, and marks its compute as a kernel launch.
+    /// One step charges its link once each way, by the footprint: one
+    /// `H2d` and one `D2h` histogram sample, and exactly the two transfer
+    /// events, tagged with the batch. Its bytes are released once the
+    /// delta is down.
     #[test]
     fn a_traced_gpu_step_moves_the_footprints_bytes() {
         let data = dataset();
         let train = config(AlgorithmKind::CpuGpuHogbatch, 0.1).train;
         let spec = MlpSpec::tiny(8, 2);
         let fp = Footprint::of(&spec);
+        let g = GpuModel::v100();
+        let (h2d, d2h) = fp.transfer_secs(&g, 50);
         let model = Model::new(spec, hetero_nn::InitScheme::Xavier, 1);
         for sparse in [false, true] {
             let sink = TraceSink::wall(RING);
@@ -1304,40 +1305,45 @@ mod tests {
                 sink.clone(),
                 Watchdog::disabled(),
             );
-            let device = GpuDevice::new_observed(GpuModel::v100(), &sink, 0);
-            let mut gpu = GpuWorker::new(0, &device, &FaultPlan::none(), &env).unwrap();
+            let mut gpu = GpuWorker::new(0, g.clone(), &FaultPlan::none(), &env).unwrap();
             let range = BatchRange {
                 start: 0,
                 end: 50,
                 epoch: 0,
             };
             gpu.batch_step(7, range, 0).unwrap();
-            let stats = device.transfer_stats();
-            let want = hetero_gpu::device::TransferStats {
-                h2d_bytes: fp.batch_bytes(50) + fp.model,
-                d2h_bytes: fp.model,
-                h2d_count: 2,
-                d2h_count: 1,
-            };
-            assert_eq!(stats, want, "sparse={sparse}");
             assert_eq!(
-                device.mem().used_bytes(),
+                gpu.mem.used_bytes(),
                 fp.resident_bytes(),
                 "step bytes still held"
             );
-            let trace = sink.drain();
-            let (mut transfers, mut kernels) = (0, 0);
-            for e in trace.events_sorted() {
-                match e.kind {
-                    EventKind::H2d { id, .. } | EventKind::D2h { id, .. } => {
-                        assert_eq!(id, Some(7));
-                        transfers += 1;
-                    }
-                    EventKind::KernelLaunched { .. } => kernels += 1,
-                    _ => {}
-                }
+            for m in [Metric::H2d, Metric::D2h] {
+                assert_eq!(sink.summary(m).unwrap().count, 1, "sparse={sparse} {m:?}");
             }
-            assert_eq!((transfers, kernels), (3, 1), "sparse={sparse}");
+            let transfers: Vec<EventKind> = sink
+                .drain()
+                .events_sorted()
+                .into_iter()
+                .filter(|e| {
+                    use EventKind::{D2h, H2d, KernelLaunched};
+                    matches!(e.kind, H2d { .. } | D2h { .. } | KernelLaunched { .. })
+                })
+                .map(|e| e.kind)
+                .collect();
+            let id = Some(7);
+            let want = [
+                EventKind::H2d {
+                    bytes: (fp.batch_bytes(50) + fp.model) as usize,
+                    secs: h2d,
+                    id,
+                },
+                EventKind::D2h {
+                    bytes: fp.model as usize,
+                    secs: d2h,
+                    id,
+                },
+            ];
+            assert_eq!(transfers, want, "sparse={sparse}");
         }
     }
 
@@ -1392,7 +1398,6 @@ mod tests {
         let mut train = config(AlgorithmKind::CpuGpuHogbatch, 0.1).train;
         train.rayon_threads = 1;
         let model = Model::new(MlpSpec::tiny(8, 2), hetero_nn::InitScheme::Xavier, 1);
-        let device = GpuDevice::new(GpuModel::v100());
         for sparse in [false, true] {
             for watched in [false, true] {
                 let watchdog = if watched {
@@ -1409,7 +1414,8 @@ mod tests {
                     TraceSink::wall(RING),
                     watchdog,
                 );
-                let mut gpu = GpuWorker::new(0, &device, &FaultPlan::none(), &env).unwrap();
+                let mut gpu =
+                    GpuWorker::new(0, GpuModel::v100(), &FaultPlan::none(), &env).unwrap();
                 let range = BatchRange {
                     start: 0,
                     end: 64,

@@ -240,4 +240,23 @@ mod tests {
         assert_eq!(mem.used_bytes(), 0);
         assert_eq!(mem.live_buffers(), 0);
     }
+
+    #[test]
+    fn the_gauge_mirrors_the_live_bytes() {
+        let sink = hetero_trace::TraceSink::wall(8);
+        let mem = DeviceMemory::with_gauge(1 << 20, sink.gauge("gpu.w2.mem_used_bytes"));
+        let a = mem.alloc(1024).unwrap();
+        let b = mem.alloc(512).unwrap();
+        mem.free(a).unwrap();
+        let gauge = || {
+            let counters = sink.drain().counters;
+            counters
+                .into_iter()
+                .find(|(n, _)| n == "gpu.w2.mem_used_bytes")
+                .map(|(_, v)| v)
+        };
+        assert_eq!(gauge(), Some(512.0));
+        mem.free(b).unwrap();
+        assert_eq!(gauge(), Some(0.0));
+    }
 }

@@ -1,10 +1,12 @@
 //! The one rule for what a GPU step of a network costs its device: the
 //! bytes it holds and the bytes it moves. The simulator charges a batch by
-//! it and the threaded GPU worker reserves and accounts by it, so both
-//! engines cap the GPU batch at the same size and pay the same transfers.
+//! it and the threaded GPU worker reserves by it, and both charge a step's
+//! transfers through one [`Link`], so both engines cap the GPU batch at the
+//! same size and record the same transfers.
 
 use hetero_nn::MlpSpec;
 use hetero_sim::{DeviceModel, GpuModel};
+use hetero_trace::{EventKind, HistHandle, Metric, TraceSink};
 
 /// Device bytes and link bytes of one network's GPU steps (§V, §VI-B).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,6 +70,56 @@ impl Footprint {
         g.batch_time(self.flops, len)
             + g.transfer_time(self.batch_bytes(len))
             + 2.0 * g.transfer_time(self.model)
+    }
+}
+
+/// One GPU worker's link to the host: where its steps' transfers are
+/// recorded. Nothing is copied; a transfer is its modelled seconds.
+pub struct Link {
+    sink: TraceSink,
+    worker: u32,
+    h2d: HistHandle,
+    d2h: HistHandle,
+}
+
+impl Link {
+    /// The link of `worker`, recording into `sink`'s per-worker
+    /// `H2d`/`D2h` histograms (no-ops on a disabled sink).
+    pub fn new(sink: &TraceSink, worker: u32) -> Self {
+        Link {
+            sink: sink.clone(),
+            worker,
+            h2d: sink.histogram(Metric::H2d, worker),
+            d2h: sink.histogram(Metric::D2h, worker),
+        }
+    }
+
+    /// Charge the transfers of batch `id`'s step over `len` examples on
+    /// `g`: one H2D (the batch and the snapshot) and one D2H (the delta),
+    /// each one histogram sample at [`Footprint::transfer_secs`] and, on a
+    /// traced run, one event carrying `id`. Returns the modelled
+    /// `(H2D, D2H)` seconds.
+    // audit: no_alloc
+    pub fn charge(&self, fp: &Footprint, g: &GpuModel, len: usize, id: u64) -> (f64, f64) {
+        let (h2d, d2h) = fp.transfer_secs(g, len);
+        self.h2d.record_secs(h2d);
+        self.d2h.record_secs(d2h);
+        if self.sink.enabled() {
+            let id = Some(id);
+            let up = EventKind::H2d {
+                bytes: (fp.batch_bytes(len) + fp.model) as usize,
+                secs: h2d,
+                id,
+            };
+            let down = EventKind::D2h {
+                bytes: fp.model as usize,
+                secs: d2h,
+                id,
+            };
+            self.sink.emit(self.worker, up);
+            self.sink.emit(self.worker, down);
+        }
+        (h2d, d2h)
     }
 }
 

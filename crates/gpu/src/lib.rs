@@ -13,14 +13,15 @@
 //! - [`alloc::DeviceMemory`] — a byte ledger over the device's global
 //!   memory; a reservation beyond capacity fails with OOM exactly like
 //!   `cudaMalloc`, and fault injection can force one to.
-//! - [`device::GpuDevice`] — the ledger plus transfer and step accounting:
-//!   bytes, modelled seconds from the calibrated [`hetero_sim::GpuModel`],
-//!   `H2d`/`D2h` histograms, and trace events tagged with the batch's
-//!   lineage id.
 //! - [`footprint::Footprint`] — the one rule for the bytes a step of a
 //!   network holds and moves, which both engines charge.
-//! - [`mlp::GpuMlp`] — a replica on the ledger, kept only for the frozen
-//!   benchmark.
+//! - [`footprint::Link`] — a worker's link: every GPU step, on both
+//!   engines, is one H2D (batch + snapshot) and one D2H (delta) sample in
+//!   its `H2d`/`D2h` histograms at the modelled seconds of the calibrated
+//!   [`hetero_sim::GpuModel`], and on a traced run one event each way
+//!   tagged with the batch's lineage id.
+//! - [`device::GpuDevice`] and [`mlp::GpuMlp`] — a ledger plus a model,
+//!   and a replica on it, pinned only for the frozen benchmark.
 
 #![warn(missing_docs)]
 
@@ -31,5 +32,5 @@ pub mod mlp;
 
 pub use alloc::{BufferId, DeviceMemory, OomError};
 pub use device::GpuDevice;
-pub use footprint::Footprint;
+pub use footprint::{Footprint, Link};
 pub use mlp::GpuMlp;

@@ -1,11 +1,11 @@
 //! `GpuMlp`: a deep-copy replica on the device ledger, kept as a pinned
 //! delegate because the frozen benchmark times it (its `gpu.*` layer rows
 //! and GPU replay). ROADMAP item 7 deletes it; the engines' GPU worker
-//! computes its update on the host `Lane` and accounts the same footprint.
+//! computes its update on the host `Lane` and reserves the same footprint.
 
 use std::cell::RefCell;
 
-use hetero_nn::{MlpSpec, Model, Targets, Workspace};
+use hetero_nn::{Model, Targets, Workspace};
 use hetero_tensor::Matrix;
 
 use crate::alloc::{BufferId, OomError};
@@ -29,7 +29,6 @@ impl<'d> GpuMlp<'d> {
     pub fn upload(device: &'d GpuDevice, model: &Model) -> Result<Self, OomError> {
         let footprint = Footprint::of(model.spec());
         let resident = device.mem().alloc(footprint.resident_bytes())?;
-        device.account_h2d(footprint.model);
         Ok(GpuMlp {
             device,
             footprint,
@@ -39,28 +38,14 @@ impl<'d> GpuMlp<'d> {
         })
     }
 
-    /// The network specification.
-    pub fn spec(&self) -> &MlpSpec {
-        self.ws.spec()
-    }
-
-    /// Read the replica back to the host.
-    pub fn download(&self) -> Model {
-        let mut model = Model::zeros_like(self.spec());
-        self.download_into(&mut model);
-        model
-    }
-
     /// Read the replica into an existing host model.
     pub fn download_into(&self, model: &mut Model) {
         model.copy_from(&self.replica.borrow());
-        self.device.account_d2h(self.footprint.model);
     }
 
     /// Overwrite the replica from a host model.
     pub fn refresh(&self, model: &Model) {
         self.replica.borrow_mut().copy_from(model);
-        self.device.account_h2d(self.footprint.model);
     }
 
     /// One SGD step of the replica over batch `x`; returns the batch loss.
@@ -72,19 +57,14 @@ impl<'d> GpuMlp<'d> {
         targets: Targets<'_>,
         eta: f32,
     ) -> Result<f32, OomError> {
-        let (fp, device) = (self.footprint, self.device);
-        let step = device.mem().alloc(fp.step_bytes(x.rows()))?;
-        device.account_h2d(fp.batch_bytes(x.rows()));
+        let mem = self.device.mem();
+        let step = mem.alloc(self.footprint.step_bytes(x.rows()))?;
         let replica = self.replica.get_mut();
         let loss = self.ws.loss_and_gradient_into(replica, x, targets, true).0;
         replica.apply_gradient(self.ws.grad(), eta);
-        device.account_step(fp.flops, x.rows());
-        let _ = device.mem().free(step);
+        let _ = mem.free(step);
         Ok(loss)
     }
-
-    /// Free the replica's device memory now (dropping has the same effect).
-    pub fn destroy(self) {}
 }
 
 impl Drop for GpuMlp<'_> {
@@ -96,10 +76,16 @@ impl Drop for GpuMlp<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hetero_nn::InitScheme;
+    use hetero_nn::{InitScheme, MlpSpec};
 
     fn host_model() -> Model {
         Model::new(MlpSpec::tiny(4, 3), InitScheme::Xavier, 21)
+    }
+
+    fn download(gpu: &GpuMlp<'_>) -> Model {
+        let mut model = Model::zeros_like(gpu.ws.spec());
+        gpu.download_into(&mut model);
+        model
     }
 
     #[test]
@@ -107,23 +93,21 @@ mod tests {
         let dev = GpuDevice::v100();
         let m1 = host_model();
         let gpu = GpuMlp::upload(&dev, &m1).unwrap();
-        assert_eq!(gpu.download(), m1);
+        assert_eq!(download(&gpu), m1);
         let m2 = Model::new(m1.spec().clone(), InitScheme::Constant(0.5), 0);
         gpu.refresh(&m2);
-        assert_eq!(gpu.download(), m2);
-        gpu.destroy();
+        assert_eq!(download(&gpu), m2);
+        drop(gpu);
         assert_eq!(dev.mem().used_bytes(), 0);
     }
 
     #[test]
-    fn steps_reduce_loss_and_account_virtual_time() {
+    fn steps_reduce_loss() {
         let dev = GpuDevice::v100();
         let mut gpu = GpuMlp::upload(&dev, &host_model()).unwrap();
         let x = Matrix::from_fn(6, 4, |i, j| ((i * 4 + j) as f32 * 0.37).sin());
         let y = [0, 1, 2, 0, 1, 2];
-        let t0 = dev.virtual_time();
         let first = gpu.train_step(&x, Targets::Classes(&y), 0.5).unwrap();
-        assert!(dev.virtual_time() > t0);
         let mut last = first;
         for _ in 0..80 {
             last = gpu.train_step(&x, Targets::Classes(&y), 0.5).unwrap();
@@ -143,7 +127,7 @@ mod tests {
         let y = vec![0; 2000];
         assert!(gpu.train_step(&x, Targets::Classes(&y), 0.1).is_err());
         assert_eq!(dev.mem().used_bytes(), base, "leak after failed step");
-        assert_eq!(gpu.download(), host, "a failed step moved the replica");
+        assert_eq!(download(&gpu), host, "a failed step moved the replica");
         drop(gpu);
         assert_eq!(dev.mem().used_bytes(), 0);
     }

@@ -645,8 +645,7 @@ mod tests {
             id: Option<u64>,
         }
         let sink = hetero_trace::TraceSink::wall(1024);
-        let (tx, rx) =
-            channel_traced_lineage::<Msg>(&sink, "coord", 7, |m: &Msg| m.id);
+        let (tx, rx) = channel_traced_lineage::<Msg>(&sink, "coord", 7, |m: &Msg| m.id);
         tx.send(Msg { id: Some(41) }).unwrap();
         tx.send(Msg { id: None }).unwrap();
         assert!(rx.recv().is_ok());

@@ -232,23 +232,6 @@ impl Matrix {
         t
     }
 
-    /// Transposed copy written into a caller-owned matrix (allocation-free
-    /// once `out` has capacity for `cols × rows`). `out` is reshaped and
-    /// fully overwritten.
-    pub fn transpose_into(&self, out: &mut Matrix) {
-        out.resize(self.cols, self.rows);
-        const B: usize = 32;
-        for ib in (0..self.rows).step_by(B) {
-            for jb in (0..self.cols).step_by(B) {
-                for i in ib..(ib + B).min(self.rows) {
-                    for j in jb..(jb + B).min(self.cols) {
-                        out.data[j * self.rows + i] = self.data[i * self.cols + j];
-                    }
-                }
-            }
-        }
-    }
-
     /// True iff every element is finite.
     pub fn all_finite(&self) -> bool {
         self.data.iter().all(|v| v.is_finite())
@@ -318,18 +301,6 @@ mod tests {
         assert_eq!(t.shape(), (7, 5));
         assert_eq!(t.transpose(), m);
         assert_eq!(t.get(3, 2), m.get(2, 3));
-    }
-
-    #[test]
-    fn transpose_into_matches_transpose() {
-        let m = Matrix::from_fn(5, 7, |i, j| (i * 7 + j) as f32);
-        let mut t = Matrix::zeros(0, 0);
-        m.transpose_into(&mut t);
-        assert_eq!(t, m.transpose());
-        // Reuse without reallocation when capacity suffices.
-        let cap = t.capacity();
-        m.transpose_into(&mut t);
-        assert_eq!(t.capacity(), cap);
     }
 
     #[test]

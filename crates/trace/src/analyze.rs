@@ -560,13 +560,11 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<Event>, String> {
         if line.trim().is_empty() {
             continue;
         }
-        let v: Value =
-            serde_json::from_str(line).map_err(|e| format!("line {}: {e:?}", i + 1))?;
+        let v: Value = serde_json::from_str(line).map_err(|e| format!("line {}: {e:?}", i + 1))?;
         if v.get("meta").is_some() {
             continue;
         }
-        let event =
-            Event::from_value(&v).map_err(|e| format!("line {}: bad event: {e}", i + 1))?;
+        let event = Event::from_value(&v).map_err(|e| format!("line {}: bad event: {e}", i + 1))?;
         events.push(event);
     }
     events.sort_by(|a, b| a.t.total_cmp(&b.t));
@@ -747,7 +745,11 @@ mod tests {
         assert!((p.total() - a.wall_secs).abs() < 1e-9);
         assert!(a.critical_path.coverage > 0.95);
         assert_eq!(
-            a.critical_path.steps.iter().map(|s| s.id).collect::<Vec<_>>(),
+            a.critical_path
+                .steps
+                .iter()
+                .map(|s| s.id)
+                .collect::<Vec<_>>(),
             vec![1, 2]
         );
     }
@@ -819,7 +821,9 @@ mod tests {
         assert!((p.shutdown_secs - 0.2).abs() < 1e-12);
         assert!((p.total() - a.wall_secs).abs() < 1e-9);
         // Worker 0 was starved for 0.2 + 0.05 s, not for the 3.1 s its
-        // batches spent dispatched-but-parked.
+        // batches spent dispatched-but-parked. It was busy 0.8 + 0.95 +
+        // 0.5 s: batch 5's dispatch (1.1) lands after batch 2 started
+        // (1.05) and does not restart batch 2's busy span.
         let w0 = a.workers.iter().find(|r| r.worker == 0).unwrap();
         assert!((w0.queue_secs - 0.25).abs() < 1e-12);
         assert!((w0.busy_secs - 2.25).abs() < 1e-12);

@@ -135,8 +135,7 @@ pub enum EventKind {
         bytes: usize,
         /// Modeled transfer time in seconds.
         secs: f64,
-        /// Lineage id of the batch the transfer served, when one was
-        /// active (model-warmup uploads have none).
+        /// Lineage id of the batch the transfer served, if any.
         id: Option<BatchId>,
     },
     /// Device-to-host transfer completed.
@@ -145,11 +144,11 @@ pub enum EventKind {
         bytes: usize,
         /// Modeled transfer time in seconds.
         secs: f64,
-        /// Lineage id of the batch the transfer served, when one was
-        /// active.
+        /// Lineage id of the batch the transfer served, if any.
         id: Option<BatchId>,
     },
-    /// A device kernel was launched.
+    /// A device kernel was launched. No engine emits it: a GPU step's
+    /// compute is in its `BatchCompleted` phases. Kept for the exporter.
     KernelLaunched {
         /// Kernel name. A static string so that emitting a kernel marker
         /// never allocates on the launch path (`xtask audit`: `no_alloc`).

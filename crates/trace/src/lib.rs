@@ -50,7 +50,6 @@ mod sink;
 
 pub mod analyze;
 pub mod export;
-pub mod utilization;
 
 pub use counters::{CounterHandle, GaugeHandle, HistHandle, Metric, Registry, GLOBAL_WORKER};
 pub use event::{BatchId, BatchPhases, Event, EventKind, ResizeReason, COORDINATOR};

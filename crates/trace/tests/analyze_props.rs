@@ -48,7 +48,11 @@ fn emit_spans(sink: &TraceSink, spans: &[GenSpan], tail: f64) {
         // Unfinished spans leave the cursor alone: the next dispatch can
         // overlap their (never-reported) busy window.
     }
-    sink.emit_at(t + tail, hetero_trace::COORDINATOR, EventKind::EvalPoint { loss: 0.5 });
+    sink.emit_at(
+        t + tail,
+        hetero_trace::COORDINATOR,
+        EventKind::EvalPoint { loss: 0.5 },
+    );
 }
 
 proptest! {

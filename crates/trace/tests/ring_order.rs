@@ -8,7 +8,10 @@ fn ev(seq: usize) -> Event {
     Event {
         t: seq as f64,
         worker: 0,
-        kind: EventKind::QueuePushed { depth: seq, id: None },
+        kind: EventKind::QueuePushed {
+            depth: seq,
+            id: None,
+        },
     }
 }
 

@@ -3,19 +3,26 @@
 //! Resolution is name-based (no type inference). Calls are resolved in
 //! narrowing order:
 //!
-//! 1. `Type::method(..)` / `Self::method(..)` — the `(type, name)` index
-//!    only; unresolved means the type is external (std, rayon) and the
-//!    call is ignored.
+//! 1. Any path-qualified call, `Type::method(..)`, `Self::method(..)` or
+//!    `module::f(..)` — the `(qualifier, name)` index only; the qualifier
+//!    is read as a type, so one that names no workspace impl (std, rayon,
+//!    or a module such as `gemm::`, `ops::`, `sparse::`) resolves to
+//!    nothing and the call is ignored.
 //! 2. `self.method(..)` — candidates on the caller's impl type first; if
 //!    none, fall back to every workspace function with that name (the
 //!    receiver may be a field whose method we also define).
-//! 3. Bare / module-qualified `name(..)` — every workspace function with
-//!    that name (over-approximate: a violation in *any* same-named
-//!    function is reported; precision is recovered case-by-case via the
-//!    allowlist).
+//! 3. Bare `name(..)` and other method calls `x.name(..)` — every
+//!    workspace function with that name (over-approximate: a violation in
+//!    *any* same-named function is reported; precision is recovered
+//!    case-by-case via the allowlist).
 //!
-//! Unresolved names (std/external) are ignored — the documented
-//! false-negative class (DESIGN.md §4j).
+//! Unresolved names (std/external) and module-qualified calls are ignored
+//! — the documented false-negative classes (DESIGN.md §4j). A root stops
+//! at every `gemm::`/`ops::`/`sparse::` call: the kernels behind them are
+//! covered by the counting allocator of `crates/bench/tests/alloc_step.rs`,
+//! not by this graph. (Following such calls name-wide is no fix: method
+//! names then over-resolve — `.run(` binds `SimEngine::run` — and the
+//! workspace reads well over a thousand false violations.)
 //!
 //! Exception to rule 3: unqualified calls whose name is in [`NO_RESOLVE`]
 //! skip the name-wide fallback. These are std method names that are either
@@ -234,19 +241,6 @@ impl<'a> Graph<'a> {
                 ))
         });
         out
-    }
-
-    /// Which functions some call chain from `roots` reaches (roots
-    /// included), indexed like `fns`.
-    pub fn reachable(&self, roots: impl IntoIterator<Item = usize>) -> Vec<bool> {
-        let mut seen = vec![false; self.fns.len()];
-        let mut stack: Vec<usize> = roots.into_iter().collect();
-        while let Some(u) = stack.pop() {
-            if !std::mem::replace(&mut seen[u], true) {
-                stack.extend(&self.callees[u]);
-            }
-        }
-        seen
     }
 
     /// Resolved callee indices of `i` (for tests).

@@ -15,9 +15,9 @@
 //! still has teeth before CI trusts its OK.
 
 mod allowlist;
-pub(crate) mod graph;
+mod graph;
 mod invariants;
-pub(crate) mod parse;
+mod parse;
 mod render;
 
 use std::path::Path;
@@ -91,7 +91,7 @@ pub fn audit_sources(files: &[(String, String)], allowlist_text: &str) -> Outcom
 }
 
 /// Load every auditable source file, sorted by path for determinism.
-pub(crate) fn load_workspace(root: &Path) -> Vec<(String, String)> {
+fn load_workspace(root: &Path) -> Vec<(String, String)> {
     let mut paths = Vec::new();
     crate::collect_rs_files(&root.join("crates"), &mut paths);
     let mut files = Vec::new();

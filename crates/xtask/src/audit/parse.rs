@@ -44,10 +44,6 @@ pub struct FnDef {
     pub name: String,
     /// Enclosing `impl` type (or trait, for default methods), if any.
     pub impl_type: Option<String>,
-    /// Declared plain `pub` (not `pub(crate)` and the like).
-    pub public: bool,
-    /// A method of an `impl Trait for Type` block, called through dispatch.
-    pub trait_impl: bool,
     /// 1-based line of the `fn` keyword.
     pub line: usize,
     /// Invariants declared by an `// audit:` marker above the signature.
@@ -90,8 +86,8 @@ pub fn parse_file(rel: &str, text: &str, errors: &mut Vec<MarkerError>) -> Vec<F
 
     // Brace-tracked parser state.
     let mut depth: i64 = 0;
-    // (type name, trait impl?, depth *inside* the impl block).
-    let mut impl_stack: Vec<(String, bool, i64)> = Vec::new();
+    // (type name, depth *inside* the impl block).
+    let mut impl_stack: Vec<(String, i64)> = Vec::new();
     // Innermost-first stack of open function bodies: (index into `out`,
     // depth inside the body).
     let mut fn_stack: Vec<(usize, i64)> = Vec::new();
@@ -99,7 +95,7 @@ pub fn parse_file(rel: &str, text: &str, errors: &mut Vec<MarkerError>) -> Vec<F
     // depth inside the signature)`.
     let mut pending_fn: Option<usize> = None;
     // An `impl` header seen, block brace not yet opened.
-    let mut pending_impl: Option<(String, bool)> = None;
+    let mut pending_impl: Option<String> = None;
 
     for (i, line) in lines.iter().enumerate() {
         let lineno = i + 1;
@@ -124,16 +120,14 @@ pub fn parse_file(rel: &str, text: &str, errors: &mut Vec<MarkerError>) -> Vec<F
         if pending_fn.is_none() {
             if let Some(name_at) = fn_decl_name(code) {
                 let markers = collect_markers(&lines, i, rel, errors);
-                let (impl_type, trait_impl) = match (&pending_impl, impl_stack.last()) {
-                    (Some((t, tr)), _) | (None, Some((t, tr, _))) => (Some(t.clone()), *tr),
-                    (None, None) => (None, false),
+                let impl_type = match (&pending_impl, impl_stack.last()) {
+                    (Some(t), _) | (None, Some((t, _))) => Some(t.clone()),
+                    (None, None) => None,
                 };
                 out.push(FnDef {
                     file: rel.to_string(),
                     name: name_at,
                     impl_type,
-                    public: is_pub_decl(code),
-                    trait_impl,
                     line: lineno,
                     markers,
                     calls: Vec::new(),
@@ -177,8 +171,8 @@ pub fn parse_file(rel: &str, text: &str, errors: &mut Vec<MarkerError>) -> Vec<F
                     depth += 1;
                     // A pending impl's block brace comes lexically before
                     // any pending fn's body brace (`impl A { fn go() .. }`).
-                    if let Some((ty, tr)) = pending_impl.take() {
-                        impl_stack.push((ty, tr, depth));
+                    if let Some(ty) = pending_impl.take() {
+                        impl_stack.push((ty, depth));
                     } else if let Some(fi) = pending_fn.take() {
                         fn_stack.push((fi, depth));
                         opened_fn_scan = Some((fi, pos + 1));
@@ -190,7 +184,7 @@ pub fn parse_file(rel: &str, text: &str, errors: &mut Vec<MarkerError>) -> Vec<F
                             fn_stack.pop();
                         }
                     }
-                    if let Some((_, _, d)) = impl_stack.last() {
+                    if let Some((_, d)) = impl_stack.last() {
                         if depth == *d {
                             impl_stack.pop();
                         }
@@ -232,12 +226,6 @@ pub fn parse_file(rel: &str, text: &str, errors: &mut Vec<MarkerError>) -> Vec<F
     out
 }
 
-/// Whether the `fn` declared on `code` is plain `pub`.
-fn is_pub_decl(code: &str) -> bool {
-    let head = &code[..lexer::find_word(code, "fn", 0).unwrap_or(0)];
-    lexer::has_word(head, "pub") && !head.contains("pub(")
-}
-
 /// If `code` declares a function, return its name.
 fn fn_decl_name(code: &str) -> Option<String> {
     let at = lexer::find_word(code, "fn", 0)?;
@@ -252,11 +240,10 @@ fn fn_decl_name(code: &str) -> Option<String> {
     Some(name)
 }
 
-/// Extract the self-type name from the text after an `impl` keyword, and
-/// whether the block implements a trait:
-/// `<T: Send> BoundedSender<T> {` → `(BoundedSender, false)`,
-/// `std::fmt::Debug for SharedModel {` → `(SharedModel, true)`.
-fn impl_type_name(after: &str) -> Option<(String, bool)> {
+/// Extract the self-type name from the text after an `impl` keyword:
+/// `<T: Send> BoundedSender<T> {` → `BoundedSender`,
+/// `std::fmt::Debug for SharedModel {` → `SharedModel`.
+fn impl_type_name(after: &str) -> Option<String> {
     let mut s = after.trim_start();
     // Skip the generic parameter list, if any.
     if s.starts_with('<') {
@@ -278,8 +265,7 @@ fn impl_type_name(after: &str) -> Option<(String, bool)> {
         s = s[end..].trim_start();
     }
     // `impl Trait for Type` → the part after ` for `.
-    let for_at = lexer::find_word(s, "for", 0);
-    if let Some(pos) = for_at {
+    if let Some(pos) = lexer::find_word(s, "for", 0) {
         s = s[pos + 3..].trim_start();
     }
     // Up to `{`, `<`, `where`, or whitespace; take the last `::` segment.
@@ -296,7 +282,7 @@ fn impl_type_name(after: &str) -> Option<(String, bool)> {
     if name.is_empty() || name.chars().next().is_some_and(|c| c.is_lowercase()) {
         None
     } else {
-        Some((name, for_at.is_some()))
+        Some(name)
     }
 }
 
@@ -607,9 +593,8 @@ impl std::fmt::Debug for Matrix {
 ";
         let defs = parse(src);
         assert_eq!(defs[0].id(), "crates/demo/src/lib.rs::Matrix::from_fn");
-        assert!(defs[0].public && !defs[0].trait_impl);
         assert_eq!(defs[0].calls[0].name, "helper");
-        assert!(!defs[1].public && defs[1].trait_impl);
+        assert_eq!(defs[1].id(), "crates/demo/src/lib.rs::Matrix::fmt");
     }
 
     #[test]

@@ -34,7 +34,6 @@ use std::path::{Path, PathBuf};
 mod audit;
 mod lexer;
 mod loc;
-mod reach;
 
 use lexer::{has_word, preprocess, Line};
 
@@ -46,7 +45,6 @@ const ORDERING_ALLOWLIST: &[&str] = &[
     "crates/nn/src/shared.rs",   // Hogwild shared model (loom-checked)
     "crates/nn/src/sync.rs",     // atomic facade for the above
     "crates/trace/src/",         // counters/gauges/histogram tallies (relaxed-only)
-    "crates/gpu/src/device.rs",  // batch-lineage slot (relaxed-only)
     "crates/tensor/src/simd.rs", // write-once dispatch memo (relaxed-only)
     "crates/flight/src/",        // health watchdog counters/peaks (relaxed-only)
 ];
@@ -90,16 +88,11 @@ fn main() {
         Some("audit") => {
             std::process::exit(audit::run(&args[1..], &workspace_root()));
         }
-        Some("reach") => {
-            std::process::exit(reach::run(&args[1..], &workspace_root()));
-        }
         Some("loc") => {
             std::process::exit(loc::run(&args[1..], &workspace_root()));
         }
         _ => {
-            eprintln!(
-                "usage: cargo xtask <lint [--self-check] | audit [--self-check] | reach | loc>"
-            );
+            eprintln!("usage: cargo xtask <lint [--self-check] | audit [--self-check] | loc>");
             std::process::exit(2);
         }
     }

@@ -1,50 +1,45 @@
-//! Tour of the software GPU: a memory ledger with real OOM, accounted
-//! transfers, and the footprint of one GPU-worker step — the pieces §V's
-//! GPU worker is made of. The step's math runs on the host; the device
-//! model says what it would hold, move and cost on a V100.
+//! Tour of the software GPU as the engines use it: a memory ledger with
+//! real OOM, a link that charges every step's transfers, and the footprint
+//! of one GPU-worker step — the pieces §V's GPU worker is made of. The
+//! step's math runs on the host; the device model says what it would hold,
+//! move and cost on a V100.
 //!
 //! ```text
 //! cargo run --release --example gpu_device_tour
 //! ```
 
-use hetero_sgd::gpu::{Footprint, GpuDevice};
+use hetero_sgd::gpu::{DeviceMemory, Footprint, Link};
 use hetero_sgd::nn::Workspace;
 use hetero_sgd::prelude::*;
+use hetero_sgd::trace::{Metric, TraceSink};
 
 fn main() {
-    // --- 1. Device with V100-like capacity and performance model.
-    let device = GpuDevice::v100();
+    // --- 1. A V100-like model and a ledger over its global memory.
+    let gpu = GpuModel::v100();
+    let mem = DeviceMemory::new(gpu.memory);
     println!(
         "device: {}  global memory {} GB  peak {:.1} TFLOP/s",
-        device.perf().name,
-        device.mem().capacity() >> 30,
-        device.perf().peak_flops / 1e12
+        gpu.name,
+        mem.capacity() >> 30,
+        gpu.peak_flops / 1e12
     );
 
     // --- 2. Memory: reservations are counted; overcommit fails like cudaMalloc.
-    let a = device.mem().alloc(4 << 20).unwrap();
+    let a = mem.alloc(4 << 20).unwrap();
     println!(
         "reserved 4 MiB -> used {} B, peak {} B",
-        device.mem().used_bytes(),
-        device.mem().peak_bytes()
+        mem.used_bytes(),
+        mem.peak_bytes()
     );
-    match device.mem().alloc(device.mem().capacity()) {
+    match mem.alloc(mem.capacity()) {
         Err(e) => println!("overcommit correctly rejected: {e}"),
         Ok(_) => unreachable!("allocation should have failed"),
     }
-    device.mem().free(a).unwrap();
+    mem.free(a).unwrap();
 
-    // --- 3. Transfers: accounted in bytes and virtual time, never copied.
-    let buf = device.h2d(&[1.0f32, 2.0, 3.0, 4.0]).unwrap();
-    println!(
-        "h2d of 16 B accounted {:.2} µs virtual",
-        device.virtual_time() * 1e6
-    );
-    device.mem().free(buf).unwrap();
-
-    // --- 4. A GPU worker's steps: reserve the model, then per step reserve
-    //        the batch's bytes, upload batch + snapshot, take the gradient
-    //        at the snapshot, download the delta and merge it.
+    // --- 3. A GPU worker's steps: reserve the model, then per step reserve
+    //        the batch's bytes, charge the link (batch + snapshot up, delta
+    //        down), take the gradient at the snapshot and merge it.
     let spec = MlpSpec {
         input_dim: 16,
         hidden: vec![64, 64],
@@ -53,14 +48,16 @@ fn main() {
         loss: LossKind::SoftmaxCrossEntropy,
     };
     let fp = Footprint::of(&spec);
+    let sink = TraceSink::wall(1 << 10);
+    let link = Link::new(&sink, 1);
     let host_model = Model::new(spec.clone(), InitScheme::Xavier, 7);
     let shared = SharedModel::new(&host_model);
-    let resident = device.mem().alloc(fp.resident_bytes()).unwrap();
+    let resident = mem.alloc(fp.resident_bytes()).unwrap();
     println!(
         "\nuploaded model replica: {} params, device now holds {} B; a V100 fits {} examples per step",
         spec.num_params(),
-        device.mem().used_bytes(),
-        fp.max_batch(device.perf())
+        mem.used_bytes(),
+        fp.max_batch(&gpu)
     );
 
     // Synthetic batch.
@@ -71,13 +68,10 @@ fn main() {
     let mut losses = Vec::new();
     for step in 0..30 {
         shared.snapshot_into(&mut snapshot);
-        let held = device.mem().alloc(fp.step_bytes(x.rows())).unwrap();
-        device.account_h2d(fp.batch_bytes(x.rows()));
-        device.account_h2d(fp.model);
+        let held = mem.alloc(fp.step_bytes(x.rows())).unwrap();
+        link.charge(&fp, &gpu, x.rows(), step);
         let (l, grad) = ws.loss_and_gradient_into(&snapshot, &x, Targets::Classes(&labels), true);
-        device.account_step(fp.flops, x.rows());
-        device.account_d2h(fp.model);
-        device.mem().free(held).unwrap();
+        mem.free(held).unwrap();
         shared.merge_gradient(grad, 0.5, None, None);
         if step % 10 == 0 {
             losses.push(l);
@@ -94,16 +88,20 @@ fn main() {
         .sum::<f32>()
         .sqrt();
     println!("merged 30 deltas; parameter L2 moved {moved:.4}");
-    let stats = device.transfer_stats();
+    let (h2d, d2h) = fp.transfer_secs(&gpu, x.rows());
+    let count = |m| sink.summary(m).map_or(0, |s| s.count);
     println!(
-        "transfer totals: {} H2D ({} B), {} D2H ({} B); virtual busy {:.3} ms",
-        stats.h2d_count,
-        stats.h2d_bytes,
-        stats.d2h_count,
-        stats.d2h_bytes,
-        device.virtual_time() * 1e3
+        "link: {} H2D of {} B ({:.2} µs each), {} D2H of {} B ({:.2} µs each), {:.3} ms of a {:.3} ms step",
+        count(Metric::H2d),
+        fp.batch_bytes(x.rows()) + fp.model,
+        h2d * 1e6,
+        count(Metric::D2h),
+        fp.model,
+        d2h * 1e6,
+        (h2d + d2h) * 1e3,
+        fp.step_secs(&gpu, x.rows()) * 1e3
     );
-    device.mem().free(resident).unwrap();
-    assert_eq!(device.mem().used_bytes(), 0, "all device memory returned");
+    mem.free(resident).unwrap();
+    assert_eq!(mem.used_bytes(), 0, "all device memory returned");
     println!("device memory fully reclaimed");
 }

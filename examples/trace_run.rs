@@ -86,13 +86,15 @@ fn main() {
         trace.total_dropped(),
         resizes
     );
-    for u in hetero_sgd::trace::utilization::utilization(&trace) {
+    let mut workers = hetero_sgd::trace::analyze::analyze(&trace).workers;
+    workers.sort_by_key(|w| w.worker);
+    for w in workers {
         println!(
             "  worker {:>2}: {:5.1}% busy, {:>5} batches, {:>8} examples",
-            u.worker,
-            100.0 * u.busy_fraction,
-            u.batches,
-            u.examples
+            w.worker,
+            100.0 * w.utilization,
+            w.batches,
+            w.examples
         );
     }
     for (name, value) in &trace.counters {

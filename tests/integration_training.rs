@@ -252,23 +252,23 @@ fn shared_model_concurrent_cpu_gpu_workers_raw() {
         let shared = Arc::clone(&shared);
         let data = Arc::clone(&data);
         handles.push(std::thread::spawn(move || {
-            let device = hetero_sgd::gpu::GpuDevice::v100();
+            let gpu = hetero_sgd::sim::GpuModel::v100();
+            let mem = hetero_sgd::gpu::DeviceMemory::new(gpu.memory);
+            let link = hetero_sgd::gpu::Link::new(&hetero_sgd::trace::TraceSink::disabled(), 2);
             let fp = hetero_sgd::gpu::Footprint::of(shared.spec());
-            let resident = device.mem().alloc(fp.resident_bytes()).unwrap();
+            let resident = mem.alloc(fp.resident_bytes()).unwrap();
             let mut ws = hetero_sgd::nn::Workspace::new(shared.spec());
             for i in 0..20 {
                 let snapshot = shared.snapshot();
                 let start = (i * 29) % (data.len() - 64);
                 let (x, labels) = data.batch(start, start + 64);
-                let held = device.mem().alloc(fp.step_bytes(x.rows())).unwrap();
-                device.account_h2d(fp.batch_bytes(x.rows()));
-                device.account_h2d(fp.model);
+                let held = mem.alloc(fp.step_bytes(x.rows())).unwrap();
+                link.charge(&fp, &gpu, x.rows(), i as u64);
                 let (_, g) = ws.loss_and_gradient_into(&snapshot, &x, labels.as_targets(), false);
-                device.account_d2h(fp.model);
-                device.mem().free(held).unwrap();
+                mem.free(held).unwrap();
                 shared.merge_gradient(g, 0.1, None, None);
             }
-            device.mem().free(resident).unwrap();
+            mem.free(resident).unwrap();
         }));
     }
     for h in handles {
