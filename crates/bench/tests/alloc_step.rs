@@ -4,10 +4,9 @@
 //! device-ledger reservation and the link's charge around the row-sparse
 //! scanned gradient merge (uncontended, and beside a second merger). Dense:
 //! the serial loss+gradient pass and the plain apply the CPU Hogwild lanes
-//! run, and the GPU worker's step on dense batches (the rayon path
-//! necessarily allocates — scoped-thread spawns — and is excluded by
-//! design). None may touch the heap once buffers are warmed — they run per
-//! batch inside every engine's hot loop.
+//! run, and the GPU worker's step on dense batches. None may touch the heap
+//! once buffers are warmed — they run per batch inside every engine's hot
+//! loop.
 //!
 //! Lives in its own integration-test binary because `#[global_allocator]`
 //! is process-wide: mixing a counting allocator into the unit-test binary
@@ -119,13 +118,15 @@ fn warm_dense_gpu_step_is_allocation_free() {
     let _resident = mem.alloc(fp.resident_bytes()).unwrap();
     let (s, e) = (32, 96);
     // The exact per-batch sequence of `GpuWorker::batch_step` on a dense
-    // run at a steady size, minus the rayon install.
+    // run at a steady size.
     let n = allocs_in(|| {
         shared.snapshot_into(&mut snapshot);
         let held = mem.alloc(fp.step_bytes(e - s)).unwrap();
         data.batch_into(s, e, &mut x, &mut labels);
-        link.charge(&fp, &g, e - s, 1);
+        let charge = link.charge(&fp, &g, e - s, 1);
+        link.uploaded(&charge, sink.now());
         ws.loss_and_gradient_into(&snapshot, &x, labels.as_targets(), false);
+        link.downloaded(&charge, sink.now());
         mem.free(held).unwrap();
         scan.reset();
         shared.merge_gradient(ws.grad(), 0.05, None, Some(&mut scan));
@@ -153,17 +154,17 @@ fn warm_sparse_merge_step_is_allocation_free() {
         GpuModel::v100(),
     );
     let _resident = mem.alloc(fp.resident_bytes()).unwrap();
-    // The exact per-batch sequence of `GpuWorker::batch_step` on a CSR run, minus
-    // the rayon install (parallel=false keeps the measurement in one thread
-    // — the kernels themselves are what is under test). Returns the stripes
-    // the merge found owned by another merger.
+    // The exact per-batch sequence of `GpuWorker::batch_step` on a CSR
+    // run. Returns the stripes the merge found owned by another merger.
     let mut step = || {
         shared.snapshot_into(&mut snapshot);
         let held = mem.alloc(fp.step_bytes(e - s)).unwrap();
         data.labels.slice_into(s, e, &mut labels);
         csr_all.slice_rows_into(s, e, &mut csr);
-        link.charge(&fp, &g, e - s, 1);
+        let charge = link.charge(&fp, &g, e - s, 1);
+        link.uploaded(&charge, sink.now());
         ws.loss_and_gradient_into(&snapshot, csr.view(), labels.as_targets(), false);
+        link.downloaded(&charge, sink.now());
         mem.free(held).unwrap();
         scan.reset();
         shared.merge_gradient(ws.grad(), 0.05, ws.active_cols(), Some(&mut scan))

@@ -43,7 +43,6 @@ fn sim_config(seed: u64) -> SimEngineConfig {
         time_budget: budget,
         eval_interval: budget / 8.0,
         eval_subsample: 128,
-        rayon_threads: 0,
         seed,
         ..TrainConfig::default()
     };
@@ -189,7 +188,6 @@ fn faultplan_killed_threaded_run_resumes_to_target_loss() {
         time_budget: budget,
         eval_interval: budget / 8.0,
         eval_subsample: 200,
-        rayon_threads: 0,
         seed: 3,
         ..TrainConfig::default()
     };

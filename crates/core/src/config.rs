@@ -184,13 +184,11 @@ pub struct TrainConfig {
     /// snapshot is `s` model-updates old is applied with
     /// `eta / (1 + κ·s)`; κ = 0 (default) disables compensation.
     pub staleness_discount: f32,
-    /// Rayon pool size for intra-op (GEMM) parallelism: forward/backward
-    /// passes run with `parallel = true` (coordinator evals, GPU kernel
-    /// emulation) fan out to at most this many threads. `0` = one thread
-    /// per available host core. Pinning this below the core count leaves
-    /// headroom for the Hogwild lanes; requesting more threads than the
-    /// host has is detected at engine start and reported on the
-    /// `engine.pool_oversubscription` trace counter.
+    /// Pinned; read by nothing. Every step and eval runs on the thread of
+    /// the worker (or the simulator) that owns it, and no engine fans a
+    /// GEMM out to a pool of any size. It stays only because the frozen
+    /// `benchmark/` sets it; ROADMAP item 7 (ruler v2) deletes it.
+    #[serde(default)]
     pub rayon_threads: usize,
     /// Pinned; read by nothing. A run trains layer 0 on CSR rows when its
     /// data is no denser than `lane::CSR_MAX_DENSITY` (the measured

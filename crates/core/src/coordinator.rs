@@ -125,9 +125,6 @@ pub(crate) struct Engine<'a> {
     pub cpu_lanes: usize,
     /// Per GPU worker: the most examples its device memory holds.
     pub gpu_caps: Vec<usize>,
-    /// Threads the workers keep runnable, as `(own, pooled)`: their own,
-    /// and those that each fan GEMMs out to a `train.rayon_threads` pool.
-    pub runnable: (usize, usize),
 }
 
 /// Record a busy interval on `timeline`, clamped monotone (wall-clock
@@ -994,12 +991,14 @@ impl<'a> Coordinator<'a> {
 /// [`Backend`] with the instant its clock started. The skeleton does the
 /// rest, in this order: the worker slots ([`slots`]) and the
 /// [`Coordinator`]; resume; start-up (the initial model and the
-/// [`BatchSource`]); the sparse density; `build`; `engine.startup_s`, from entry to the clock's start;
-/// the GEMM pool; the initial point, unless the run resumed (its curve
-/// came back with the checkpoint); the loop; closing the backend, retiring
-/// the faults its workers reported on the way out; and the final point, at
-/// the backend's clock — the run's duration. Returns the result and the
-/// backend, for what only the engine adds.
+/// [`BatchSource`]); the sparse density; `build`; `engine.startup_s`,
+/// from entry to the clock's start; the initial point, unless the run
+/// resumed (its curve came back with the checkpoint); the loop; closing
+/// the backend, retiring the faults its workers reported on the way out;
+/// and the final point, at the backend's clock — the run's duration. All
+/// of it runs on the calling thread, which spawns none for a step or an
+/// eval. Returns the result and the backend, for what only the engine
+/// adds.
 pub(crate) fn run_engine<D: Deref<Target = DenseDataset>, T: Deserialize, X, B: Backend>(
     engine: Engine<'_>,
     dataset: D,
@@ -1029,35 +1028,18 @@ pub(crate) fn run_engine<D: Deref<Target = DenseDataset>, T: Deserialize, X, B: 
     }
     let (mut backend, started) = build(&mut co, src, model, tail);
     co.clock_starts(started - entered);
-    // The GEMM pool, pinned to `train.rayon_threads` (0 = one per host core)
-    // and installed around the rest of the run, which runs on one of its
-    // threads: the simulator's gradients and every eval fan out to it. The
-    // run oversubscribes the host by `own + pooled × pool` runnable threads
-    // ([`Engine::runnable`]) less its cores.
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(train.rayon_threads)
-        .build()
-        .expect("gemm pool");
-    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let (own, pooled) = engine.runnable;
-    let requested = own + pooled * pool.current_num_threads();
-    co.sink
-        .counter("engine.pool_oversubscription")
-        .add(requested.saturating_sub(host) as u64);
-    pool.install(|| {
-        // `hetero_point_on_resume` is a mutation switch for
-        // `scripts/check_mutation.sh`.
-        if !resumed || cfg!(hetero_point_on_resume) {
-            co.initial_point(backend.score(0.0));
-        }
-        co.run(&mut backend);
-        for (worker, error) in backend.close() {
-            co.retire(worker, &error);
-        }
-        let last = backend.score(co.epochs_elapsed());
-        let duration = backend.now();
-        (co.finish(last, duration), backend)
-    })
+    // `hetero_point_on_resume` is a mutation switch for
+    // `scripts/check_mutation.sh`.
+    if !resumed || cfg!(hetero_point_on_resume) {
+        co.initial_point(backend.score(0.0));
+    }
+    co.run(&mut backend);
+    for (worker, error) in backend.close() {
+        co.retire(worker, &error);
+    }
+    let last = backend.score(co.epochs_elapsed());
+    let duration = backend.now();
+    (co.finish(last, duration), backend)
 }
 
 /// The run's worker slots — the CPU first when the algorithm uses one,
@@ -1129,7 +1111,6 @@ mod tests {
             train,
             cpu_lanes: 4,
             gpu_caps: vec![16; gpus],
-            runnable: (0, 1),
         }
     }
 

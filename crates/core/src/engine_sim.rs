@@ -183,7 +183,7 @@ impl SimScratch {
                 let n = (e - s).min(sub);
                 let k = (e - s) / n;
                 cpu.stage(src, s, e);
-                cpu.gradient(src, base, true);
+                cpu.gradient(src, base);
                 inspect(cpu);
                 // `hetero_wave_unscaled` is a mutation switch for
                 // `scripts/check_mutation.sh`.
@@ -213,7 +213,7 @@ impl SimScratch {
     {
         let lane = &mut self.gpu;
         lane.stage(src, range.start, range.end);
-        lane.gradient(src, snapshot, true);
+        lane.gradient(src, snapshot);
         inspect(lane);
         lane.apply_to(model, eta);
         1
@@ -340,9 +340,6 @@ impl SimEngine {
             cpu_lanes: cfg.cpu.threads,
             // §VI-B: device memory bounds the batch size.
             gpu_caps: cfg.gpus.iter().map(|g| footprint.max_batch(g)).collect(),
-            // One host thread runs every simulated worker and fans its
-            // GEMMs out to the pool.
-            runnable: (0, 1),
         };
         let split = |s: SimCkpt| {
             let cadence = (s.global_updates, s.last_epoch_evaled, s.last_eval_time);
@@ -485,17 +482,15 @@ impl Backend for SimBackend<'_> {
         // The simulated worker begins immediately — assignment happens
         // on completion of its previous batch, so queue wait is zero.
         self.sink.emit(w as u32, EventKind::BatchStarted { id });
-        // The virtual clock decides latency, so a GPU step's link is
-        // charged at assignment time, by the rule `batch_cost` prices. The
-        // phase breakdown comes from the same decomposition: GPU cost =
-        // compute + replica transfers (merge is the apply inside compute in
-        // this model), CPU cost is pure lane compute.
+        // The phase breakdown comes from the decomposition `batch_cost`
+        // prices: GPU cost = compute + replica transfers (merge is the apply
+        // inside compute in this model), CPU cost is pure lane compute.
         let mut phases = BatchPhases {
             compute_secs: cost,
             ..BatchPhases::default()
         };
         if let Device::Gpu(g) = &self.devices[w] {
-            let (h2d, d2h) = self.obs.links[w].charge(&self.footprint, g, range.len(), id);
+            let (h2d, d2h) = self.footprint.transfer_secs(g, range.len());
             phases.transfer_secs = h2d + d2h;
             phases.compute_secs = (cost - phases.transfer_secs).max(0.0);
         }
@@ -663,8 +658,10 @@ impl SimBackend<'_> {
     }
 
     /// `ExecuteWork` completion: compute the gradient(s) on the snapshot
-    /// and apply them to the live model. Returns the number of raw updates
-    /// applied (for global staleness accounting and Algorithm 2's credit).
+    /// and apply them to the live model; a GPU batch charges its link here,
+    /// its upload landed `h2d` after the batch started and its download
+    /// with the completion. Returns the number of raw updates applied (for
+    /// global staleness accounting and Algorithm 2's credit).
     /// `batches_done` is the worker's 0-based batch counter (the fault
     /// plan's and the watchdog's step number).
     // audit: no_alloc
@@ -687,6 +684,8 @@ impl SimBackend<'_> {
             model,
             scratch,
             sink,
+            obs,
+            footprint,
             ..
         } = self;
         let train = &cfg.train;
@@ -714,9 +713,15 @@ impl SimBackend<'_> {
                 );
                 (n, None)
             }
-            Device::Gpu(_) => {
+            Device::Gpu(g) => {
                 let eta = step(range.len());
                 let n = scratch.run_gpu(src, range, snapshot, model, eta, inspect);
+                let link = &obs.links[worker];
+                let charge = link.charge(footprint, g, range.len(), id);
+                let now = sink.now();
+                let started = now - phases.compute_secs - phases.transfer_secs;
+                link.uploaded(&charge, started + charge.h2d);
+                link.downloaded(&charge, now);
                 (n, Some(discount))
             }
         };
@@ -957,7 +962,7 @@ mod tests {
             let base = model.clone();
             for &(s, e) in wave {
                 lane.stage(src, s, e);
-                lane.gradient(src, &base, false);
+                lane.gradient(src, &base);
                 lane.apply_to(&mut model, step(e - s));
             }
         }
@@ -1426,10 +1431,12 @@ mod tests {
         }
     }
 
-    /// Every simulated GPU batch charges its link once each way, by the
-    /// rule the threaded worker charges: one `H2d` of the batch and the
-    /// snapshot and one `D2h` of the delta, at the footprint's modelled
-    /// seconds, tagged with the batch — on a dense run and on a CSR one.
+    /// Every completed simulated GPU batch charges its link once each
+    /// way, by the rule the threaded worker charges: one `H2d` of the
+    /// batch and the snapshot and one `D2h` of the delta, at the
+    /// footprint's modelled seconds, tagged with the batch — on a dense run
+    /// and on a CSR one. A batch still in flight at the budget moved
+    /// nothing yet.
     #[test]
     fn a_traced_gpu_batch_charges_its_link_once_each_way() {
         let real_sim = hetero_data::PaperDataset::RealSim.generate(0.01, 42);
@@ -1451,7 +1458,7 @@ mod tests {
             let (mut want, mut got) = (Vec::new(), Vec::new());
             for e in trace.events_sorted() {
                 match e.kind {
-                    EventKind::BatchDispatched { id, batch } if e.worker == 1 => {
+                    EventKind::BatchCompleted { id, batch, .. } if e.worker == 1 => {
                         let (h2d, d2h) = fp.transfer_secs(&g, batch);
                         let up = (fp.batch_bytes(batch) + fp.model) as usize;
                         want.push(EventKind::H2d {

@@ -193,7 +193,6 @@ impl ThreadedEngine {
     /// before the result is assembled.
     pub fn run_with(&self, dataset: Arc<DenseDataset>, ctx: &RunCtx) -> TrainResult {
         let cfg = &self.cfg;
-        let algo = cfg.train.algorithm;
         let gpus = cfg.gpu_workers.max(1);
         let engine = Engine {
             name: "threaded",
@@ -205,11 +204,6 @@ impl ThreadedEngine {
             // §VI-B: what the device holds beside the model, by the rule
             // the simulator caps its GPU batch with.
             gpu_caps: vec![Footprint::of(&cfg.spec).max_batch(&cfg.gpu_perf); gpus],
-            // Every Hogwild lane, beside every GPU worker's GEMM fan-out.
-            runnable: (
-                if algo.uses_cpu() { cfg.cpu_threads } else { 0 },
-                if algo.uses_gpu() { gpus } else { 0 },
-            ),
         };
         // The checkpoint is the envelope alone. A resumed run's clock
         // continues from the capture's time, so its budget is what the
@@ -626,7 +620,7 @@ impl<'a> HogwildLane<'a> {
         shared.snapshot_into(&mut self.local);
         lane.stage(src, s, e);
         let t_compute = Instant::now();
-        lane.gradient(src, &self.local, false);
+        lane.gradient(src, &self.local);
         let poison = self.poison_at == Some(batches_done);
         lane.inspect(poison, &self.env.watchdog, self.slot, batches_done);
         let t_merge = Instant::now();
@@ -663,9 +657,6 @@ struct GpuWorker<'a> {
     link: Link,
     /// What a step holds on the device and moves over its link.
     footprint: Footprint,
-    /// The step's GEMMs fan out to this pinned pool instead of grabbing
-    /// every host core.
-    gemm_pool: rayon::ThreadPool,
     snapshot: Model,
     lane: Lane,
     /// Batch whose delta gets a NaN ([`FaultPlan::poison_at`]).
@@ -695,10 +686,6 @@ impl<'a> GpuWorker<'a> {
         if let Some(n) = plan.oom_alloc_index(slot) {
             mem.inject_oom_at(n);
         }
-        let gemm_pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(env.train.rayon_threads)
-            .build()
-            .map_err(|e| WorkerError::Panic(format!("gpu gemm pool: {e}")))?;
         let spec = env.shared.spec();
         let footprint = Footprint::of(spec);
         mem.alloc(footprint.resident_bytes())
@@ -712,7 +699,6 @@ impl<'a> GpuWorker<'a> {
             perf,
             link: Link::new(&env.sink, slot as u32),
             footprint,
-            gemm_pool,
             lane: Lane::new(spec),
             snapshot,
             poison_step: plan.poison_at(slot),
@@ -729,9 +715,10 @@ impl<'a> GpuWorker<'a> {
     /// down), take the gradient at the snapshot, and merge it discounted by
     /// how stale the snapshot became. A replica trained one step is
     /// `snapshot − η·∇`, so the gradient is its whole delta. Traced as the
-    /// batch's `H2d`, `D2h`, `ModelMerge` and `BatchCompleted`; the phases
-    /// time staging (snapshot + batch gather), the charge, the step and the
-    /// merge.
+    /// batch's `H2d` (once staged), `D2h` (once the gradient is taken),
+    /// `ModelMerge` and `BatchCompleted`; the phases time staging (snapshot,
+    /// batch gather and the charge), the step and the merge. The host has
+    /// no link, so no second of the run is transfer.
     ///
     /// The steady-state path is allocation-free on the host; the `format!`
     /// on the unrecoverable-OOM branch is a reviewed allowlist entry (the
@@ -773,14 +760,13 @@ impl<'a> GpuWorker<'a> {
             }
         };
         lane.stage(src, range.start, range.start + len);
-        let t_charge = Instant::now();
-        phases.stage_secs = (t_charge - t_stage).as_secs_f64();
-        self.link.charge(fp, perf, len, id);
+        let charge = self.link.charge(fp, perf, len, id);
+        self.link.uploaded(&charge, env.sink.now());
         let t_compute = Instant::now();
-        phases.transfer_secs = (t_compute - t_charge).as_secs_f64();
-        self.gemm_pool
-            .install(|| lane.gradient(src, snapshot, true));
+        phases.stage_secs = (t_compute - t_stage).as_secs_f64();
+        lane.gradient(src, snapshot);
         phases.compute_secs = t_compute.elapsed().as_secs_f64();
+        self.link.downloaded(&charge, env.sink.now());
         #[cfg(not(hetero_gpu_no_reserve))]
         let _ = mem.free(held);
         if let Some(cols) = lane.active_cols() {
@@ -1166,8 +1152,7 @@ mod tests {
     #[test]
     fn one_gpu_update_is_bit_identical_on_both_engines() {
         let data = dataset();
-        let mut train = config(AlgorithmKind::CpuGpuHogbatch, 0.1).train;
-        train.rayon_threads = 2;
+        let train = config(AlgorithmKind::CpuGpuHogbatch, 0.1).train;
         assert_eq!(train.staleness_discount, 0.0);
         let spec = MlpSpec::tiny(8, 2);
         let snapshot = Model::new(spec.clone(), hetero_nn::InitScheme::Xavier, 9);
@@ -1324,10 +1309,7 @@ mod tests {
                 .drain()
                 .events_sorted()
                 .into_iter()
-                .filter(|e| {
-                    use EventKind::{D2h, H2d, KernelLaunched};
-                    matches!(e.kind, H2d { .. } | D2h { .. } | KernelLaunched { .. })
-                })
+                .filter(|e| matches!(e.kind, EventKind::H2d { .. } | EventKind::D2h { .. }))
                 .map(|e| e.kind)
                 .collect();
             let id = Some(7);
@@ -1344,6 +1326,54 @@ mod tests {
                 },
             ];
             assert_eq!(transfers, want, "sparse={sparse}");
+        }
+    }
+
+    /// The host has no link, so a threaded GPU step spends none of its
+    /// wall on transfer: its phases are staging (snapshot, gather and the
+    /// link's charge), compute and merge, and together they are the step.
+    /// The network is wide enough that the timed phases dwarf the
+    /// bookkeeping between them.
+    #[test]
+    fn a_threaded_gpu_steps_phases_are_its_wall_with_no_transfer() {
+        let data = dataset();
+        let train = config(AlgorithmKind::CpuGpuHogbatch, 0.1).train;
+        let spec = MlpSpec {
+            hidden: vec![128, 128],
+            ..MlpSpec::tiny(8, 2)
+        };
+        let model = Model::new(spec, hetero_nn::InitScheme::Xavier, 1);
+        for sparse in [false, true] {
+            let sink = TraceSink::wall(RING);
+            let env = worker_env(
+                &data,
+                sparse,
+                &model,
+                &train,
+                sink.clone(),
+                Watchdog::disabled(),
+            );
+            let mut gpu = GpuWorker::new(0, GpuModel::v100(), &FaultPlan::none(), &env).unwrap();
+            let range = BatchRange {
+                start: 0,
+                end: 64,
+                epoch: 0,
+            };
+            let t0 = Instant::now();
+            gpu.batch_step(3, range, 0).unwrap();
+            let wall = t0.elapsed().as_secs_f64();
+            let phases = (sink.drain().events_sorted().into_iter())
+                .find_map(|e| match e.kind {
+                    EventKind::BatchCompleted { phases, .. } => Some(phases),
+                    _ => None,
+                })
+                .expect("no BatchCompleted");
+            assert_eq!(phases.transfer_secs, 0.0, "sparse={sparse}");
+            let sum = phases.total();
+            assert!(
+                sum <= wall && sum >= 0.9 * wall,
+                "sparse={sparse}: phases {sum} s of a {wall} s step"
+            );
         }
     }
 
@@ -1395,8 +1425,7 @@ mod tests {
     #[test]
     fn gpu_merge_scans_only_under_a_watchdog() {
         let data = dataset();
-        let mut train = config(AlgorithmKind::CpuGpuHogbatch, 0.1).train;
-        train.rayon_threads = 1;
+        let train = config(AlgorithmKind::CpuGpuHogbatch, 0.1).train;
         let model = Model::new(MlpSpec::tiny(8, 2), hetero_nn::InitScheme::Xavier, 1);
         for sparse in [false, true] {
             for watched in [false, true] {
@@ -1439,26 +1468,6 @@ mod tests {
                 assert_eq!(retries.map(|s| s.count), Some(1), "sparse={sparse}");
             }
         }
-    }
-
-    #[test]
-    fn pool_oversubscription_counter_reports_excess_threads() {
-        // Deliberately request far more GEMM threads than any host has:
-        // the counter must report the excess (lanes + GPU GEMM fan-out
-        // beyond the host's cores).
-        let mut cfg = config(AlgorithmKind::CpuGpuHogbatch, 0.2);
-        cfg.train.rayon_threads = 1024;
-        let sink = TraceSink::wall(RING);
-        let _ = ThreadedEngine::new(cfg)
-            .unwrap()
-            .run_traced(dataset(), &sink);
-        let counters: std::collections::HashMap<String, f64> =
-            sink.drain().counters.iter().cloned().collect();
-        let over = counters
-            .get("engine.pool_oversubscription")
-            .copied()
-            .expect("counter missing");
-        assert!(over >= 512.0, "oversubscription not reported: {over}");
     }
 
     #[test]

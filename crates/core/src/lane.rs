@@ -165,15 +165,13 @@ impl Lane {
     /// layer-0 rows of features a CSR batch never touched), so clipping, poisoning
     /// and health scans of `ws.grad()` need not know the format.
     // audit: no_alloc
-    pub(crate) fn gradient<D>(&mut self, src: &BatchSource<D>, model: &Model, parallel: bool) -> f32
+    pub(crate) fn gradient<D>(&mut self, src: &BatchSource<D>, model: &Model) -> f32
     where
         D: Deref<Target = DenseDataset>,
     {
         let x = src.input(&self.x, &self.csr);
         let targets = self.labels.as_targets();
-        self.ws
-            .loss_and_gradient_into(model, x, targets, parallel)
-            .0
+        self.ws.loss_and_gradient_into(model, x, targets, false).0
     }
 
     /// Input features the stored gradient's layer 0 is confined to
@@ -313,14 +311,14 @@ impl Evaluator {
         self.labels.len()
     }
 
-    /// `(loss, accuracy)` of `model` on the eval batch. The forward pass
-    /// fans out to whatever rayon pool the caller installed.
+    /// `(loss, accuracy)` of `model` on the eval batch, on the calling
+    /// thread.
     pub(crate) fn score(&mut self, model: &Model) -> (f32, f32) {
         let x = match &self.csr {
             Some(csr) => Input::Csr(csr.view()),
             None => Input::Dense(&self.x),
         };
-        let probs = self.ws.forward_into(model, x, true).probs();
+        let probs = self.ws.forward_into(model, x, false).probs();
         let targets = self.labels.as_targets();
         (
             hetero_nn::loss(probs, targets, model.spec().loss),
@@ -470,7 +468,7 @@ mod tests {
         let (mut a, mut b) = (Lane::new(m.spec()), Lane::new(m.spec()));
         a.stage(&dense, 10, 40);
         b.stage(&csr, 10, 40);
-        let (la, lb) = (a.gradient(&dense, &m, false), b.gradient(&csr, &m, false));
+        let (la, lb) = (a.gradient(&dense, &m), b.gradient(&csr, &m));
         assert!((la - lb).abs() < 1e-4, "{la} vs {lb}");
         assert!(a.active_cols().is_none() && b.active_cols().is_some());
         for (x, y) in a.ws.grad().flatten().iter().zip(b.ws.grad().flatten()) {
@@ -508,7 +506,7 @@ mod tests {
             for (s, e) in [(10, 40), (41, 47)] {
                 la.stage(a, s, e);
                 lb.stage(b, s, e);
-                let (x, y) = (la.gradient(a, &m, false), lb.gradient(b, &m, false));
+                let (x, y) = (la.gradient(a, &m), lb.gradient(b, &m));
                 assert_eq!(x.to_bits(), y.to_bits(), "{s}..{e}");
                 assert_eq!(la.ws.grad(), lb.ws.grad());
             }
@@ -548,10 +546,10 @@ mod tests {
         let m = model();
         let mut lane = Lane::new(m.spec());
         lane.stage(&csr, 0, 4);
-        lane.gradient(&csr, &m, false);
+        lane.gradient(&csr, &m);
         assert!(lane.active_cols().is_some_and(|c| !c.is_empty()));
         lane.stage(&dense, 20, 50);
-        lane.gradient(&dense, &m, false);
+        lane.gradient(&dense, &m);
         assert!(lane.ws.active_cols().is_none());
         assert!(lane.ws.sparse_active_cols().is_empty());
         let (mut via_lane, mut reference) = (m.clone(), m.clone());

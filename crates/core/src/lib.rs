@@ -33,9 +33,10 @@
 //!
 //! Every run of either is one run skeleton around one coordinator event
 //! loop: the skeleton sets the run up (worker slots, resume, start-up,
-//! GEMM pool, the eval batch an engine gathers on its clock) and scores
-//! and closes it; the loop dispatches,
-//! credits, re-queues, applies the health policy and checkpoints. An
+//! the eval batch an engine gathers on its clock) and scores and closes
+//! it; the loop dispatches, credits, re-queues, applies the health policy
+//! and checkpoints. No step or eval spawns a thread: a worker computes
+//! its batch on its own thread, the simulator all of them on one. An
 //! engine brings only its workers, its clock, how it scores the model and
 //! its checkpoint's tail. Each has one entry point, `run_with(dataset,
 //! &RunCtx)`, plus `run(dataset)` for the default [`RunCtx`] (everything

@@ -2,16 +2,21 @@
 //! virtual time domain yields an exactly reproducible analysis, with the
 //! full wall-clock attributed across phases (the "≥95% attributed"
 //! acceptance bar is met structurally — here it is 100% up to float
-//! rounding) and the adaptive-controller ledger populated.
+//! rounding) and the adaptive-controller ledger populated. Beside it, the
+//! timeline both engines draw a GPU batch's transfers on.
+
+use std::collections::HashMap;
+use std::sync::Arc;
 
 use hetero_core::{
-    AdaptiveParams, AlgorithmKind, FaultPlan, LrScaling, SimEngine, SimEngineConfig, TrainConfig,
+    AdaptiveParams, AlgorithmKind, FaultPlan, LrScaling, SimEngine, SimEngineConfig,
+    ThreadedEngine, ThreadedEngineConfig, TrainConfig,
 };
-use hetero_data::SynthConfig;
+use hetero_data::{DenseDataset, SynthConfig};
 use hetero_nn::MlpSpec;
 use hetero_sim::{CpuModel, GpuModel};
 use hetero_trace::analyze::{analyze, render_report, RunAnalysis};
-use hetero_trace::TraceSink;
+use hetero_trace::{EventKind, TraceSink};
 
 fn hardware() -> (CpuModel, GpuModel) {
     (
@@ -69,13 +74,19 @@ fn config() -> SimEngineConfig {
     }
 }
 
-fn analyzed_run() -> RunAnalysis {
+fn dataset() -> DenseDataset {
     let mut cfg = SynthConfig::small(500, 8, 3, 7);
     cfg.separability = 2.5;
     let mut data = cfg.generate();
     data.standardize();
+    data
+}
+
+fn analyzed_run() -> RunAnalysis {
     let sink = TraceSink::virtual_time(1 << 14);
-    let _ = SimEngine::new(config()).unwrap().run_traced(&data, &sink);
+    let _ = SimEngine::new(config())
+        .unwrap()
+        .run_traced(&dataset(), &sink);
     analyze(&sink.drain())
 }
 
@@ -136,4 +147,89 @@ fn sim_run_analysis_is_bit_identical_across_runs() {
     let a = analyzed_run();
     let b = analyzed_run();
     assert_eq!(a, b);
+}
+
+/// Every GPU batch's transfers sit inside it on the timeline, on both
+/// engines. A transfer event marks a transfer completed and is drawn as
+/// `[t − secs, t]`, so the batch's `H2d` lands no later than its `D2h`
+/// slice begins, and both land within the batch's `[start, completion]`.
+/// The threaded GPU worker's transfers are modelled seconds stamped at the
+/// real instants they would complete (staged, gradient taken), so its
+/// network is wide enough that a step's gradient outlasts its modelled
+/// download.
+#[test]
+fn a_gpu_batchs_transfers_sit_inside_it_on_both_engines() {
+    let data = dataset();
+    let sim = TraceSink::virtual_time(1 << 14);
+    let _ = SimEngine::new(config()).unwrap().run_traced(&data, &sim);
+    let sim_cfg = config();
+    let threaded = ThreadedEngineConfig {
+        spec: MlpSpec {
+            hidden: vec![128, 128],
+            ..sim_cfg.spec
+        },
+        train: TrainConfig {
+            algorithm: AlgorithmKind::CpuGpuHogbatch,
+            time_budget: 0.3,
+            eval_interval: 0.1,
+            ..sim_cfg.train
+        },
+        cpu_threads: 2,
+        gpu_perf: sim_cfg.gpus[0].clone(),
+        gpu_workers: 1,
+        fault_plan: FaultPlan::none(),
+    };
+    let threads = TraceSink::wall(1 << 20);
+    let _ = ThreadedEngine::new(threaded)
+        .unwrap()
+        .run_traced(Arc::new(data), &threads);
+    for (engine, sink) in [("sim", sim), ("threads", threads)] {
+        let trace = sink.drain();
+        assert_eq!(trace.total_dropped(), 0, "{engine}");
+        // Per batch id: start, H2D stamp, D2H (stamp, secs), completion.
+        let mut batches: HashMap<u64, [Option<(f64, f64)>; 4]> = HashMap::new();
+        let mut put = |id: u64, slot: usize, at: (f64, f64)| {
+            let b = batches.entry(id).or_default();
+            assert!(
+                b[slot].is_none(),
+                "{engine}: batch {id} twice in slot {slot}"
+            );
+            b[slot] = Some(at);
+        };
+        for e in trace.events_sorted() {
+            match e.kind {
+                EventKind::BatchStarted { id } => put(id, 0, (e.t, 0.0)),
+                EventKind::H2d { id: Some(id), .. } => put(id, 1, (e.t, 0.0)),
+                EventKind::D2h {
+                    id: Some(id), secs, ..
+                } => put(id, 2, (e.t, secs)),
+                EventKind::BatchCompleted { id, .. } => put(id, 3, (e.t, 0.0)),
+                _ => {}
+            }
+        }
+        let mut gpu_batches = 0;
+        for (id, b) in &batches {
+            let [Some((start, _)), Some((h2d, _)), Some((d2h, d2h_secs)), Some((done, _))] = *b
+            else {
+                assert!(
+                    b[1].is_none() && b[2].is_none(),
+                    "{engine}: batch {id} crossed the link but did not complete: {b:?}"
+                );
+                continue;
+            };
+            gpu_batches += 1;
+            assert!(
+                h2d <= d2h - d2h_secs,
+                "{engine}: batch {id}'s D2H slice [{}, {d2h}] begins before its H2D lands at {h2d}",
+                d2h - d2h_secs
+            );
+            for t in [h2d, d2h] {
+                assert!(
+                    start <= t && t <= done,
+                    "{engine}: batch {id}'s transfer at {t} outside [{start}, {done}]"
+                );
+            }
+        }
+        assert!(gpu_batches > 2, "{engine}: {gpu_batches} GPU batches");
+    }
 }

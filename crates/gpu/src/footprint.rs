@@ -82,6 +82,19 @@ pub struct Link {
     d2h: HistHandle,
 }
 
+/// One step's transfers on its [`Link`]: the modelled seconds each way,
+/// and what their trace events carry.
+#[derive(Debug, Clone, Copy)]
+pub struct Charge {
+    /// H2D seconds: the batch and the snapshot.
+    pub h2d: f64,
+    /// D2H seconds: the delta.
+    pub d2h: f64,
+    id: u64,
+    up: usize,
+    down: usize,
+}
+
 impl Link {
     /// The link of `worker`, recording into `sink`'s per-worker
     /// `H2d`/`D2h` histograms (no-ops on a disabled sink).
@@ -96,30 +109,39 @@ impl Link {
 
     /// Charge the transfers of batch `id`'s step over `len` examples on
     /// `g`: one H2D (the batch and the snapshot) and one D2H (the delta),
-    /// each one histogram sample at [`Footprint::transfer_secs`] and, on a
-    /// traced run, one event carrying `id`. Returns the modelled
-    /// `(H2D, D2H)` seconds.
+    /// each one histogram sample at [`Footprint::transfer_secs`]. Their
+    /// events wait for [`uploaded`](Self::uploaded) and
+    /// [`downloaded`](Self::downloaded), which say when each landed.
     // audit: no_alloc
-    pub fn charge(&self, fp: &Footprint, g: &GpuModel, len: usize, id: u64) -> (f64, f64) {
+    pub fn charge(&self, fp: &Footprint, g: &GpuModel, len: usize, id: u64) -> Charge {
         let (h2d, d2h) = fp.transfer_secs(g, len);
         self.h2d.record_secs(h2d);
         self.d2h.record_secs(d2h);
-        if self.sink.enabled() {
-            let id = Some(id);
-            let up = EventKind::H2d {
-                bytes: (fp.batch_bytes(len) + fp.model) as usize,
-                secs: h2d,
-                id,
-            };
-            let down = EventKind::D2h {
-                bytes: fp.model as usize,
-                secs: d2h,
-                id,
-            };
-            self.sink.emit(self.worker, up);
-            self.sink.emit(self.worker, down);
+        Charge {
+            h2d,
+            d2h,
+            id,
+            up: (fp.batch_bytes(len) + fp.model) as usize,
+            down: fp.model as usize,
         }
-        (h2d, d2h)
+    }
+
+    /// On a traced run, `c`'s H2D completed at `t` on the sink's clock:
+    /// its slice is drawn as `[t − h2d, t]`.
+    // audit: no_alloc
+    pub fn uploaded(&self, c: &Charge, t: f64) {
+        let (bytes, secs, id) = (c.up, c.h2d, Some(c.id));
+        self.sink
+            .emit_at(t, self.worker, EventKind::H2d { bytes, secs, id });
+    }
+
+    /// On a traced run, `c`'s D2H completed at `t` on the sink's clock —
+    /// never before the gradient it carries back.
+    // audit: no_alloc
+    pub fn downloaded(&self, c: &Charge, t: f64) {
+        let (bytes, secs, id) = (c.down, c.d2h, Some(c.id));
+        self.sink
+            .emit_at(t, self.worker, EventKind::D2h { bytes, secs, id });
     }
 }
 

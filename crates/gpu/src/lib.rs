@@ -8,7 +8,7 @@
 //! pays an explicit transfer for everything that crosses the link, and has
 //! a finite memory that bounds its batch and can run out. This crate keeps
 //! exactly those constraints; the worker's step itself is the host's
-//! gradient, run by the engine on the worker's own thread pool.
+//! gradient, run by the engine on the worker's own thread.
 //!
 //! - [`alloc::DeviceMemory`] — a byte ledger over the device's global
 //!   memory; a reservation beyond capacity fails with OOM exactly like
@@ -19,7 +19,8 @@
 //!   engines, is one H2D (batch + snapshot) and one D2H (delta) sample in
 //!   its `H2d`/`D2h` histograms at the modelled seconds of the calibrated
 //!   [`hetero_sim::GpuModel`], and on a traced run one event each way
-//!   tagged with the batch's lineage id.
+//!   tagged with the batch's lineage id, stamped where that transfer
+//!   completed: the upload before the step's gradient, the download after.
 //! - [`device::GpuDevice`] and [`mlp::GpuMlp`] — a ledger plus a model,
 //!   and a replica on it, pinned only for the frozen benchmark.
 
@@ -32,5 +33,5 @@ pub mod mlp;
 
 pub use alloc::{BufferId, DeviceMemory, OomError};
 pub use device::GpuDevice;
-pub use footprint::{Footprint, Link};
+pub use footprint::{Charge, Footprint, Link};
 pub use mlp::GpuMlp;

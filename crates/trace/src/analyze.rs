@@ -60,7 +60,9 @@ pub struct PhaseProfile {
     pub stage_secs: f64,
     /// Forward/backward compute.
     pub compute_secs: f64,
-    /// Host↔device transfers (model refresh + delta download).
+    /// Host↔device link seconds on the run's clock (snapshot and batch
+    /// upload + delta download): modelled on the simulator, and 0 on the
+    /// threaded engine, whose host has no link.
     pub transfer_secs: f64,
     /// Shared-model merge (lock + apply).
     pub merge_secs: f64,

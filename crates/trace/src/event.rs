@@ -35,7 +35,9 @@ pub struct BatchPhases {
     pub stage_secs: f64,
     /// Forward/backward compute (kernels on GPU, lane steps on CPU).
     pub compute_secs: f64,
-    /// Host↔device transfer (model refresh upload + delta download).
+    /// Host↔device link seconds on the run's clock (the model refresh
+    /// upload and the delta download): modelled on the simulator, 0 on the
+    /// threaded engine, whose host has no link.
     pub transfer_secs: f64,
     /// Merging the worker's delta into the shared model (lock + apply).
     pub merge_secs: f64,
@@ -129,7 +131,8 @@ pub enum EventKind {
         /// Lineage id when the message carried a batch.
         id: Option<BatchId>,
     },
-    /// Host-to-device transfer completed.
+    /// Host-to-device transfer completed at the event's stamp (drawn as
+    /// `[t − secs, t]`).
     H2d {
         /// Payload size.
         bytes: usize,
@@ -138,7 +141,8 @@ pub enum EventKind {
         /// Lineage id of the batch the transfer served, if any.
         id: Option<BatchId>,
     },
-    /// Device-to-host transfer completed.
+    /// Device-to-host transfer completed at the event's stamp (drawn as
+    /// `[t − secs, t]`).
     D2h {
         /// Payload size.
         bytes: usize,
@@ -146,13 +150,6 @@ pub enum EventKind {
         secs: f64,
         /// Lineage id of the batch the transfer served, if any.
         id: Option<BatchId>,
-    },
-    /// A device kernel was launched. No engine emits it: a GPU step's
-    /// compute is in its `BatchCompleted` phases. Kept for the exporter.
-    KernelLaunched {
-        /// Kernel name. A static string so that emitting a kernel marker
-        /// never allocates on the launch path (`xtask audit`: `no_alloc`).
-        name: &'static str,
     },
     /// GPU replica merged into the shared model.
     ModelMerge {

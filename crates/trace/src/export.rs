@@ -249,14 +249,6 @@ pub fn to_chrome_json(trace: &Trace) -> String {
                     ],
                 ));
             }
-            EventKind::KernelLaunched { name } => {
-                events.push(instant(
-                    "kernel",
-                    "kernel",
-                    event,
-                    vec![("kernel", Value::Str(name.to_string()))],
-                ));
-            }
             EventKind::ModelMerge { scale, id } => {
                 events.push(instant(
                     "model_merge",

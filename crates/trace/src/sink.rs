@@ -228,17 +228,15 @@ impl TraceSink {
     // audit: no_alloc,no_panic
     #[inline]
     pub fn emit(&self, worker: u32, kind: EventKind) {
-        let Some(inner) = &self.inner else { return };
-        let t = inner.now();
-        inner
-            .shard_for_this_thread()
-            .ring
-            .lock()
-            .push(Event { t, worker, kind });
+        if let Some(inner) = &self.inner {
+            self.emit_at(inner.now(), worker, kind);
+        }
     }
 
-    /// Record `kind` for `worker` at an explicit timestamp (used by the
-    /// simulation when scheduling events at times other than "now").
+    /// Record `kind` for `worker` at an explicit timestamp on this sink's
+    /// clock (an event that completed at another instant than "now").
+    // audit: no_alloc,no_panic
+    #[inline]
     pub fn emit_at(&self, t: f64, worker: u32, kind: EventKind) {
         let Some(inner) = &self.inner else { return };
         inner

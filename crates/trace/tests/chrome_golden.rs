@@ -45,7 +45,6 @@ fn fixture_trace() -> hetero_trace::Trace {
             id: Some(2),
         },
     );
-    sink.emit_at(0.012, 1, EventKind::KernelLaunched { name: "forward" });
     sink.emit_at(
         0.050,
         0,

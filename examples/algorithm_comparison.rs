@@ -56,7 +56,6 @@ fn main() {
                 ..AdaptiveParams::default()
             },
             time_budget: budget,
-            rayon_threads: 0,
             eval_interval: budget / 12.0,
             eval_subsample: 1024,
             ..TrainConfig::default()

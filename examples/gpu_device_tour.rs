@@ -69,8 +69,10 @@ fn main() {
     for step in 0..30 {
         shared.snapshot_into(&mut snapshot);
         let held = mem.alloc(fp.step_bytes(x.rows())).unwrap();
-        link.charge(&fp, &gpu, x.rows(), step);
-        let (l, grad) = ws.loss_and_gradient_into(&snapshot, &x, Targets::Classes(&labels), true);
+        let charge = link.charge(&fp, &gpu, x.rows(), step);
+        link.uploaded(&charge, sink.now());
+        let (l, grad) = ws.loss_and_gradient_into(&snapshot, &x, Targets::Classes(&labels), false);
+        link.downloaded(&charge, sink.now());
         mem.free(held).unwrap();
         shared.merge_gradient(grad, 0.5, None, None);
         if step % 10 == 0 {

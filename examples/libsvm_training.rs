@@ -63,7 +63,6 @@ fn main() {
         },
         gpu_batch: 256,
         time_budget: 0.2,
-        rayon_threads: 0,
         eval_interval: 0.02,
         eval_subsample: 1024,
         ..TrainConfig::default()

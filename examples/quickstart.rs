@@ -43,7 +43,6 @@ fn main() {
             max_lr: 0.5,
         },
         time_budget: 0.25, // virtual seconds — several epochs on this scale
-        rayon_threads: 0,
         eval_interval: 0.025,
         eval_subsample: 1024,
         adaptive: AdaptiveParams {

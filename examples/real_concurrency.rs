@@ -62,7 +62,6 @@ fn main() {
                     ..AdaptiveParams::default()
                 },
                 time_budget: secs,
-                rayon_threads: 0,
                 eval_interval: secs / 8.0,
                 eval_subsample: 1000,
                 ..TrainConfig::default()

@@ -147,7 +147,6 @@ fn engine_startup_vs_training() {
                 time_budget: 60.0,
                 eval_interval: 0.03,
                 eval_subsample: 1024,
-                rayon_threads: 1,
                 seed: 1000 + trial,
                 ..TrainConfig::default()
             },

@@ -36,7 +36,6 @@ fn main() {
     let train = TrainConfig {
         algorithm: AlgorithmKind::AdaptiveHogbatch,
         time_budget: budget,
-        rayon_threads: 0,
         eval_interval: budget / 10.0,
         eval_subsample: 1024,
         adaptive: AdaptiveParams {

@@ -2,8 +2,9 @@
 # CLI surface smoke for `hetero-train`: every engine × algorithm the usage
 # text advertises must exit 0 and print JSON that parses — and so must a
 # real-sim run on both engines, whose ~0.25 %-dense data is below the
-# dense/CSR crossover and so trains CSR rows, and one real-sim run at the
-# paper's full width; what it does not advertise
+# dense/CSR crossover and so trains CSR rows, one real-sim run at the
+# paper's full width and one 2 %-scale w8a sim run, both timed; what it
+# does not advertise
 # must be refused with exit 2 and a
 # message naming what is accepted. Nothing else in CI runs the binary
 # outside the kill-and-resume job, which is how usage text, parser and
@@ -58,6 +59,16 @@ done
 if ! timeout 3 "$bin" --dataset real-sim --scale 1 --engine sim --budget 0.001 --json \
     | python3 -m json.tool >/dev/null; then
     echo "FAIL: full-width real-sim did not exit 0 with valid JSON within 3 s"
+    fail=1
+fi
+# w8a on the simulator at 2 % scale, with its own arguments: every step
+# and eval runs on the simulator's one thread, 1.5–2.1 s on a 2-vCPU host
+# (median 1.7 s). With each GEMM fanned out to threads spawned per call it
+# took 6.6–12 s there, so `timeout 6` fails the step if a per-call fan-out
+# comes back. Its stderr stays in the log.
+if ! timeout 6 "$bin" --engine sim --dataset w8a --scale 0.02 --budget 0.2 --json \
+    | python3 -m json.tool >/dev/null; then
+    echo "FAIL: sim w8a at 2 % scale did not exit 0 with valid JSON within 6 s"
     fail=1
 fi
 expect_refused "expected sim|threads" --engine ps

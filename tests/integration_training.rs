@@ -148,7 +148,6 @@ fn both_engines_agree_on_update_accounting() {
             lr: 0.02,
             gpu_batch: 64,
             time_budget: 0.3,
-            rayon_threads: 0,
             eval_interval: 0.1,
             eval_subsample: 300,
             ..TrainConfig::default()
