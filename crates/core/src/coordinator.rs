@@ -58,14 +58,14 @@ use crate::metrics::{LossPoint, TrainResult, WorkerKind, WorkerStats};
 /// &RunCtx::default())` is `run(dataset)`.
 pub struct RunCtx {
     /// Structured tracing: every batch dispatch/start/completion, adaptive
-    /// resize, queue operation, GPU transfer/kernel, model merge, eval
-    /// point and worker fault flows through this sink. Use
+    /// resize, queue operation, GPU transfer, model merge, eval point,
+    /// health reaction and worker retirement flows through this sink. Use
     /// [`TraceSink::wall`] with the threaded engine (events are stamped
     /// with wall seconds since the sink was created) and
     /// [`TraceSink::virtual_time`] with the simulation engine (events are
     /// stamped with **virtual** seconds; tracing never feeds back into the schedule, so the run
     /// stays deterministic). The run's gauges (`worker.<w>.*`,
-    /// `engine.*`, `ckpt.*`, `health.*`) are published here too, and reach
+    /// `engine.*`, `ckpt.*`) are published here too, and reach
     /// the trace export and the postmortem bundle with its counters. So
     /// are its per-worker histograms ([`TraceSink::histogram`]): batch
     /// latency, queue wait, H2D/D2H transfer time, merge wait/retries,
@@ -76,8 +76,9 @@ pub struct RunCtx {
     /// Black-box flight recorder. Its watchdog observes per-layer
     /// gradient norms and NaN/±Inf counts from every worker hot path and
     /// the loss at every eval point, enforcing its
-    /// [`hetero_flight::HealthPolicy`]: warnings are traced as health
-    /// events, clamps freeze the adaptive controller at the current batch
+    /// [`hetero_flight::HealthPolicy`] once per condition, at the
+    /// coordinator's health poll: each reaction is traced as a health
+    /// event, a clamp freezes the adaptive controller at the current batch
     /// sizes, an abort stops the run with the reason in
     /// [`TrainResult::aborted`]. Any abnormal end (watchdog trip, worker
     /// retirement, all-workers-dead abort) dumps a postmortem bundle whose
@@ -269,6 +270,11 @@ impl CoreCkpt {
     /// Examples the workers had been credited with at the capture.
     pub fn examples_trained(&self) -> u64 {
         self.workers.iter().map(|w| w.examples).sum()
+    }
+
+    /// The health record a resumed run's watchdog starts from.
+    pub fn watchdog_mut(&mut self) -> &mut WatchdogState {
+        &mut self.watchdog
     }
 }
 
@@ -701,12 +707,6 @@ impl<'a> Coordinator<'a> {
         self.stats[w].retired = Some(reason.clone());
         self.faults.add(1);
         if self.sink.enabled() {
-            self.sink.emit(
-                w as u32,
-                EventKind::WorkerFault {
-                    reason: reason.clone(),
-                },
-            );
             self.sink
                 .emit(w as u32, EventKind::WorkerRetired { reason });
         }
@@ -764,22 +764,13 @@ impl<'a> Coordinator<'a> {
     }
 
     /// One periodic loss evaluation: curve, gauges, the watchdog's loss
-    /// policy, and the recorder's controller-state snapshot.
+    /// policy (a stall freezes the controller at this very eval), and the
+    /// recorder's controller-state snapshot.
     fn eval_point(&mut self, point: LossPoint) {
         self.record_point(point);
         let loss = point.loss as f64;
-        match self.watchdog.observe_eval(loss) {
-            HealthAction::Warn => {
-                self.health_event("warn", format!("eval health warning at loss {loss:.4}"));
-            }
-            HealthAction::Clamp => {
-                self.freeze_batches(format!("batch growth frozen at loss {loss:.4}"));
-            }
-            // Abort: the trip flag is set; the next `poll_health` turns it
-            // into the abort.
-            HealthAction::Ignore | HealthAction::Abort => {}
-        }
-        self.poll_clamp_request();
+        self.watchdog.observe_eval(loss);
+        self.poll_health();
         let (flight, ckpt) = (&self.ctx.flight, &self.ctx.ckpt);
         if ckpt.enabled() {
             self.g_ckpt_age
@@ -787,7 +778,6 @@ impl<'a> Coordinator<'a> {
         }
         if flight.enabled() {
             let stale = self.sink.summary(Metric::Staleness);
-            let h = self.watchdog.summary();
             flight.record_snapshot(HealthSnapshot {
                 t: point.time,
                 loss,
@@ -797,67 +787,42 @@ impl<'a> Coordinator<'a> {
                     .collect(),
                 staleness_p50: stale.as_ref().map(|s| s.p50),
                 staleness_p99: stale.as_ref().map(|s| s.p99),
-                grad_peak_norm: h.peak_grad_norm,
+                grad_peak_norm: self.watchdog.summary().peak_grad_norm,
             });
-            // Per-layer gradient-norm gauges for the trace export and
-            // postmortems.
-            if self.sink.enabled() {
-                for (l, n) in h.layer_peak_norms.iter().enumerate() {
-                    self.sink
-                        .gauge(&format!("health.layer.{l}.grad_norm"))
-                        .set(*n);
-                }
-                self.sink
-                    .gauge("health.nonfinite")
-                    .set(h.nonfinite_events as f64);
-            }
         }
     }
 
-    /// Health policy enforcement between events. Returns `true` when the
-    /// run must stop: an abort raised from any worker hot path (or an
-    /// earlier eval) has tripped the watchdog. A pending clamp request
-    /// freezes the adaptive controller at the current batch sizes.
+    /// Enforce the health policy: every reaction the watchdog queued (from
+    /// a worker's gradient scan or an eval) is traced as one health event;
+    /// a clamp freezes the adaptive controller at the current batch sizes
+    /// and an abort stops the run. The one place a reaction takes effect.
+    /// Returns whether the run must stop.
     fn poll_health(&mut self) -> bool {
-        if self.poll_trip() {
-            return true;
-        }
-        self.poll_clamp_request();
-        false
-    }
-
-    fn poll_trip(&mut self) -> bool {
-        if self.aborted.is_none() {
-            if let Some(reason) = self.watchdog.tripped() {
-                self.aborted = Some(format!("health watchdog: {reason}"));
-                self.health_event("abort", reason);
-            }
+        for (action, detail) in self.watchdog.take_reactions() {
+            let label = match action {
+                HealthAction::Ignore => unreachable!("the watchdog queues no Ignore"),
+                HealthAction::Warn => "warn",
+                HealthAction::Clamp => {
+                    for w in 0..self.workers() {
+                        self.controller.clamp_max_batch(w, self.controller.batch(w));
+                    }
+                    "clamp"
+                }
+                HealthAction::Abort => {
+                    self.aborted
+                        .get_or_insert_with(|| format!("health watchdog: {detail}"));
+                    "abort"
+                }
+            };
+            self.sink.emit(
+                COORDINATOR,
+                EventKind::HealthEvent {
+                    action: label.to_string(),
+                    detail,
+                },
+            );
         }
         self.aborted.is_some()
-    }
-
-    fn poll_clamp_request(&mut self) {
-        if self.watchdog.take_clamp_request() {
-            self.freeze_batches("batch growth frozen on worker health report".to_string());
-        }
-    }
-
-    fn freeze_batches(&mut self, detail: String) {
-        for w in 0..self.workers() {
-            self.controller.clamp_max_batch(w, self.controller.batch(w));
-        }
-        self.watchdog.note_clamp();
-        self.health_event("clamp", detail);
-    }
-
-    fn health_event(&self, action: &str, detail: String) {
-        self.sink.emit(
-            COORDINATOR,
-            EventKind::HealthEvent {
-                action: action.to_string(),
-                detail,
-            },
-        );
     }
 
     // --- Checkpoint -------------------------------------------------------------
@@ -946,8 +911,8 @@ impl<'a> Coordinator<'a> {
                 .set(examples as f64 / duration.max(1e-9));
             self.sink.gauge("engine.beta").set(self.train.adaptive.beta);
         }
-        // A trip raised by the very last batch has not been polled yet.
-        self.poll_trip();
+        // A reaction raised by the very last batch has not been polled yet.
+        self.poll_health();
         let any_retired = self.stats.iter().any(|s| s.retired.is_some());
         let aborted = self.aborted.take().or_else(|| {
             self.stats

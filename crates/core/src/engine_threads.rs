@@ -826,8 +826,8 @@ mod tests {
     use hetero_data::SynthConfig;
 
     /// Per-thread trace ring sized for a whole test run. The busiest
-    /// thread (the GPU worker: start, transfers, kernels, merge, complete
-    /// per batch) emits 80–150 k events in a 0.4 s release-mode run; a
+    /// thread (the GPU worker: start, transfers, merge, complete per
+    /// batch) emits 80–150 k events in a 0.4 s release-mode run; a
     /// drop-oldest ring smaller than that cuts mid-batch, and a test then
     /// sees a completion whose start was evicted. Rings only grow as they
     /// fill, so the headroom is free. Tests that count events assert
@@ -998,7 +998,7 @@ mod tests {
                     assert!(id.is_some(), "GPU merge must carry batch lineage");
                     merges += 1;
                 }
-                EventKind::WorkerFault { ref reason } | EventKind::WorkerRetired { ref reason } => {
+                EventKind::WorkerRetired { ref reason } => {
                     panic!("fault-free run traced a fault: {reason}")
                 }
                 EventKind::BatchRequeued { .. } => {

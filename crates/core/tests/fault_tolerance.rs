@@ -267,7 +267,7 @@ fn oom_shrink_leaves_the_parked_range_at_its_dispatched_size() {
     let (mut dispatched, mut completed, mut requeued) = (Vec::new(), Vec::new(), Vec::new());
     for e in trace.events_sorted() {
         match e.kind {
-            EventKind::WorkerFault { .. } | EventKind::WorkerRetired { .. } => {
+            EventKind::WorkerRetired { .. } => {
                 panic!("a recoverable OOM retired worker {}", e.worker)
             }
             EventKind::BatchDispatched { id, batch } if e.worker == 1 => {

@@ -12,9 +12,16 @@ use hetero_core::{
     ThreadedEngine, ThreadedEngineConfig, TrainConfig,
 };
 use hetero_data::{DenseDataset, SynthConfig};
-use hetero_flight::{render_report, FlightConfig, FlightRecorder, HealthPolicy, PostmortemBundle};
+use hetero_flight::{
+    render_report, FlightConfig, FlightRecorder, HealthAction, HealthPolicy, PostmortemBundle,
+};
 use hetero_nn::MlpSpec;
 use hetero_sim::GpuModel;
+use hetero_trace::{EventKind, Trace, TraceSink};
+
+/// Trace ring for the tests that count health events: sized for a whole
+/// sim run (rings only grow as they fill), checked with `total_dropped`.
+const RING: usize = 1 << 20;
 
 /// Per-test watchdog thread (same rationale as `fault_tolerance.rs`).
 fn with_timeout<T: Send + 'static>(secs: u64, f: impl FnOnce() -> T + Send + 'static) -> T {
@@ -84,9 +91,20 @@ fn recorder(tag: &str, policy: HealthPolicy) -> (FlightRecorder, PathBuf) {
     let flight = FlightRecorder::new(FlightConfig {
         policy,
         dir: dir.clone(),
-        ..FlightConfig::default()
     });
     (flight, dir)
+}
+
+/// The details of `trace`'s health events with `action`, in time order.
+fn health_events(trace: &Trace, action: &str) -> Vec<String> {
+    trace
+        .events_sorted()
+        .into_iter()
+        .filter_map(|e| match e.kind {
+            EventKind::HealthEvent { action: a, detail } if a == action => Some(detail),
+            _ => None,
+        })
+        .collect()
 }
 
 fn read_bundle(r: &hetero_core::TrainResult) -> (PostmortemBundle, String) {
@@ -283,16 +301,18 @@ fn poisoned_gpu_delta_aborts_naming_worker_layer_and_step() {
 }
 
 /// A stalled run (learning rate too small to ever improve) triggers the
-/// Clamp action: batch growth freezes, the run completes un-aborted, and
-/// the health summary records the stall + clamp.
+/// Clamp action once: batch growth freezes at the eval that saw the stall,
+/// the trace carries one `clamp` health event, and the run completes
+/// un-aborted with the stall and the one clamp in its health summary.
 #[test]
-fn stall_clamps_adaptive_controller_without_aborting() {
+fn a_stall_clamps_once() {
     let policy = HealthPolicy {
         stall_evals: 2,
         ..HealthPolicy::default()
     };
-    let (flight, dir) = recorder("stall", policy);
-    let f2 = flight.clone();
+    let (flight, dir) = recorder("stall-once", policy);
+    let sink = TraceSink::virtual_time(RING);
+    let s2 = sink.clone();
     let r = with_timeout(60, move || {
         let mut cfg = train(AlgorithmKind::AdaptiveHogbatch, 0.08);
         cfg.eval_interval = 0.01; // 8 evals: plenty past stall_evals = 2
@@ -302,11 +322,14 @@ fn stall_clamps_adaptive_controller_without_aborting() {
             .run_with(
                 &dataset(),
                 &RunCtx {
-                    flight: f2.clone(),
+                    sink: s2,
+                    flight,
                     ..RunCtx::default()
                 },
             )
     });
+    let trace = sink.drain();
+    assert_eq!(trace.total_dropped(), 0, "ring too small for the run");
     assert!(
         r.aborted.is_none(),
         "stall must clamp, not abort: {:?}",
@@ -314,10 +337,58 @@ fn stall_clamps_adaptive_controller_without_aborting() {
     );
     let health = r.health.as_ref().unwrap();
     assert!(health.stalled, "stall not detected: {health:?}");
-    assert!(health.clamps >= 1, "controller never clamped: {health:?}");
+    assert_eq!(health.clamps, 1, "{health:?}");
     assert!(health.tripped.is_none());
     // Healthy completion (no fault, no abort) leaves no bundle behind.
     assert!(health.postmortem.is_none());
+    let clamps = health_events(&trace, "clamp");
+    assert_eq!(clamps.len(), 1, "{clamps:?}");
+    assert!(clamps[0].contains("stall"), "{}", clamps[0]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A reaction raised on a worker's gradient scan reaches the trace like
+/// one raised at an eval, and once: every later scan of the poisoned model
+/// finds non-finite elements too, but the condition warns one time, and
+/// every warning the health record counts is a traced one.
+#[test]
+fn a_worker_side_warning_is_traced_once() {
+    let policy = HealthPolicy {
+        on_nonfinite: HealthAction::Warn,
+        ..HealthPolicy::default()
+    };
+    let (flight, dir) = recorder("warn-once", policy);
+    let sink = TraceSink::virtual_time(RING);
+    let s2 = sink.clone();
+    let r = with_timeout(60, move || {
+        let mut cfg = SimEngineConfig::paper_hardware(
+            MlpSpec::tiny(8, 2),
+            train(AlgorithmKind::AdaptiveHogbatch, 0.05),
+        );
+        cfg.fault_plan = FaultPlan::none().poison_gradient_at(0, 2);
+        cfg.train.eval_interval = 0.01;
+        SimEngine::new(cfg).unwrap().run_with(
+            &dataset(),
+            &RunCtx {
+                sink: s2,
+                flight,
+                ..RunCtx::default()
+            },
+        )
+    });
+    let trace = sink.drain();
+    assert_eq!(trace.total_dropped(), 0, "ring too small for the run");
+    assert!(
+        r.aborted.is_none(),
+        "a warning must not abort: {:?}",
+        r.aborted
+    );
+    let health = r.health.as_ref().unwrap();
+    assert!(health.nonfinite_events > 1, "{health:?}");
+    let warns = health_events(&trace, "warn");
+    assert_eq!(warns.len() as u64, health.warnings, "{warns:?}");
+    let nonfinite = warns.iter().filter(|d| d.starts_with("non-finite")).count();
+    assert_eq!(nonfinite, 1, "{warns:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -19,7 +19,10 @@
 //!   (computed by SIMD scans or fused into the shared-model merge loop),
 //!   plus loss divergence and stall detectors evaluated at every eval
 //!   point. A configurable [`HealthPolicy`] maps each condition to Warn →
-//!   clamp-the-adaptive-controller → abort-with-postmortem.
+//!   clamp-the-adaptive-controller → abort-with-postmortem. Each
+//!   condition reacts at most once per run; the watchdog queues the
+//!   reaction and the coordinator enforces it at its health poll
+//!   ([`Watchdog::take_reactions`]), nowhere else.
 //!
 //! Both follow the workspace's disabled-by-default observability pattern:
 //! a disabled recorder/watchdog is an `Option::None` wrapper whose every

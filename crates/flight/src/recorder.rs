@@ -16,7 +16,10 @@ use crate::watchdog::Watchdog;
 /// Per-shard trace-ring capacity for recorder-created sinks: big enough to
 /// hold the recent-event window of a real run, small enough to bound the
 /// black box's memory (events are ~64 B, so this is ≈¼ MiB per thread).
-pub const DEFAULT_RETENTION_EVENTS: usize = 1 << 12;
+pub const RETENTION_EVENTS: usize = 1 << 12;
+
+/// How many periodic [`HealthSnapshot`]s a recorder retains (drop-oldest).
+pub const SNAPSHOT_CAPACITY: usize = 256;
 
 /// Flight-recorder configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -25,11 +28,6 @@ pub struct FlightConfig {
     pub policy: HealthPolicy,
     /// Directory postmortem bundles are written into.
     pub dir: PathBuf,
-    /// How many periodic [`HealthSnapshot`]s to retain (drop-oldest).
-    pub snapshot_capacity: usize,
-    /// Per-shard capacity of recorder-created trace sinks (drop-oldest
-    /// rings: the retention window of recent events).
-    pub retention_events: usize,
 }
 
 impl Default for FlightConfig {
@@ -37,8 +35,6 @@ impl Default for FlightConfig {
         FlightConfig {
             policy: HealthPolicy::default(),
             dir: PathBuf::from("results/postmortem"),
-            snapshot_capacity: 256,
-            retention_events: DEFAULT_RETENTION_EVENTS,
         }
     }
 }
@@ -83,7 +79,8 @@ pub struct HealthSnapshot {
 }
 
 struct RecorderInner {
-    cfg: FlightConfig,
+    /// Where bundles are written.
+    dir: PathBuf,
     watchdog: Watchdog,
     provenance: Mutex<Option<Provenance>>,
     /// Newest crash-consistent checkpoint path, refreshed by the engine on
@@ -111,13 +108,11 @@ impl FlightRecorder {
 
     /// An active recorder with `cfg`.
     pub fn new(cfg: FlightConfig) -> Self {
-        let watchdog = Watchdog::new(cfg.policy.clone());
         FlightRecorder {
             inner: Some(Arc::new(RecorderInner {
-                // At least one: a postmortem always shows the last state.
-                snapshots: Mutex::new(Ring::new(cfg.snapshot_capacity.max(1))),
-                cfg,
-                watchdog,
+                snapshots: Mutex::new(Ring::new(SNAPSHOT_CAPACITY)),
+                dir: cfg.dir,
+                watchdog: Watchdog::new(cfg.policy),
                 provenance: Mutex::new(None),
                 resumable_from: Mutex::new(None),
                 seq: AtomicU64::new(0),
@@ -145,12 +140,12 @@ impl FlightRecorder {
     /// supply an enabled sink of their own, so a postmortem always has a
     /// trace to embed. Returns a disabled sink on a disabled recorder.
     pub fn make_sink(&self, domain: TimeDomain) -> TraceSink {
-        let Some(inner) = &self.inner else {
+        if !self.enabled() {
             return TraceSink::disabled();
-        };
+        }
         match domain {
-            TimeDomain::Wall => TraceSink::wall(inner.cfg.retention_events),
-            TimeDomain::Virtual => TraceSink::virtual_time(inner.cfg.retention_events),
+            TimeDomain::Wall => TraceSink::wall(RETENTION_EVENTS),
+            TimeDomain::Virtual => TraceSink::virtual_time(RETENTION_EVENTS),
         }
     }
 
@@ -231,9 +226,9 @@ impl FlightRecorder {
         // ordering with the bundle contents (those travel by value above).
         let seq = inner.seq.fetch_add(1, Ordering::Relaxed);
         let name = format!("postmortem-{}-{}.json", std::process::id(), seq);
-        let path = inner.cfg.dir.join(name);
+        let path = inner.dir.join(name);
         let write = || -> std::io::Result<()> {
-            std::fs::create_dir_all(&inner.cfg.dir)?;
+            std::fs::create_dir_all(&inner.dir)?;
             let json = serde_json::to_string_pretty(&bundle)
                 .map_err(|e| std::io::Error::other(format!("{e:?}")))?;
             std::fs::write(&path, json)
@@ -302,33 +297,20 @@ mod tests {
 
     #[test]
     fn snapshots_retain_newest() {
-        let cfg = FlightConfig {
-            snapshot_capacity: 2,
-            ..FlightConfig::default()
-        };
-        let r = FlightRecorder::new(cfg);
-        for i in 0..5 {
+        let r = FlightRecorder::new(FlightConfig::default());
+        for i in 0..SNAPSHOT_CAPACITY + 3 {
             r.record_snapshot(HealthSnapshot {
                 t: i as f64,
                 ..HealthSnapshot::default()
             });
         }
         let kept = r.snapshots();
-        assert_eq!(kept.len(), 2);
+        assert_eq!(kept.len(), SNAPSHOT_CAPACITY);
         assert_eq!(kept[0].t, 3.0);
-        assert_eq!(kept[1].t, 4.0);
-        // A zero capacity still keeps the newest snapshot.
-        let r = FlightRecorder::new(FlightConfig {
-            snapshot_capacity: 0,
-            ..FlightConfig::default()
-        });
-        for i in 0..3 {
-            r.record_snapshot(HealthSnapshot {
-                t: i as f64,
-                ..HealthSnapshot::default()
-            });
-        }
-        assert_eq!(r.snapshots().iter().map(|s| s.t).collect::<Vec<_>>(), [2.0]);
+        assert_eq!(
+            kept[SNAPSHOT_CAPACITY - 1].t,
+            (SNAPSHOT_CAPACITY + 2) as f64
+        );
     }
 
     #[test]

@@ -163,14 +163,10 @@ pub enum EventKind {
         /// Training loss at this point.
         loss: f64,
     },
-    /// A worker reported a fault (device OOM it could not recover from, a
-    /// caught panic, or a dead channel) to the coordinator.
-    WorkerFault {
-        /// Human-readable fault description.
-        reason: String,
-    },
-    /// The coordinator quarantined a worker: its slot is inactive for the
-    /// rest of the run and its in-flight work was re-queued.
+    /// The coordinator quarantined a faulted worker (a device OOM it could
+    /// not recover from, a caught panic, or a dead channel): its slot is
+    /// inactive for the rest of the run and its in-flight work was
+    /// re-queued.
     WorkerRetired {
         /// Why the worker was retired.
         reason: String,

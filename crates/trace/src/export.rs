@@ -270,14 +270,6 @@ pub fn to_chrome_json(trace: &Trace) -> String {
                     vec![args(vec![("loss", Value::F64(*loss))])],
                 ));
             }
-            EventKind::WorkerFault { reason } => {
-                events.push(instant(
-                    "worker_fault",
-                    "fault",
-                    event,
-                    vec![("reason", Value::Str(reason.clone()))],
-                ));
-            }
             EventKind::WorkerRetired { reason } => {
                 events.push(instant(
                     "worker_retired",
