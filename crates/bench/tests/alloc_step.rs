@@ -1,12 +1,14 @@
 //! Measured (not asserted-by-inspection) allocation-freedom of a warm
-//! training step. Sparse: CSR batch staging, the sparse loss+gradient
-//! pass, the column-restricted racy apply, and the GPU worker's step —
-//! device-ledger reservation and the link's charge around the row-sparse
-//! scanned gradient merge (uncontended, and beside a second merger). Dense:
-//! the serial loss+gradient pass and the plain apply the CPU Hogwild lanes
-//! run, and the GPU worker's step on dense batches. None may touch the heap
-//! once buffers are warmed — they run per batch inside every engine's hot
-//! loop.
+//! training step. Sparse: CSR batch staging, the read of the batch's
+//! support from the shared model, the sparse loss+gradient pass at it, the
+//! support-restricted racy apply, and the GPU worker's step — device-ledger
+//! reservation and the link's charge around the row-sparse scanned
+//! gradient merge (uncontended, and beside a second merger). A batch whose
+//! support outgrows every earlier one grows the two layer-0 buffers sized
+//! by it once, and is allocation-free when repeated. Dense: the serial
+//! loss+gradient pass and the plain apply the CPU Hogwild lanes run, and
+//! the GPU worker's step on dense batches. None may touch the heap once
+//! buffers are warmed — they run per batch inside every engine's hot loop.
 //!
 //! Lives in its own integration-test binary because `#[global_allocator]`
 //! is process-wide: mixing a counting allocator into the unit-test binary
@@ -16,7 +18,8 @@ use hetero_bench::alloc_count::{allocs_in, CountingAlloc};
 use hetero_data::{PaperDataset, SynthConfig};
 use hetero_gpu::{DeviceMemory, Footprint, Link};
 use hetero_nn::{
-    Activation, InitScheme, LossKind, MergeScan, MlpSpec, Model, SharedModel, Targets, Workspace,
+    Activation, InitScheme, LossKind, MergeScan, MlpSpec, Model, SharedModel, SupportRead, Targets,
+    Workspace,
 };
 use hetero_sim::GpuModel;
 use hetero_tensor::{CsrBatch, CsrMatrix, Matrix};
@@ -50,20 +53,75 @@ fn warm_cpu_sparse_step_is_allocation_free() {
     let (data, csr_all, spec) = sparse_fixture();
     let model = Model::new(spec.clone(), InitScheme::Xavier, 7);
     let shared = SharedModel::new(&model);
-    let mut local = Model::zeros_like(&spec);
+    let mut at = SupportRead::new(&spec);
     let mut ws = Workspace::new(&spec);
     let mut csr = CsrBatch::new();
     let mut labels = data.labels.slice(0, 1);
     let (s, e) = (0, 64.min(data.len()));
     let n = allocs_in(|| {
         // The exact per-batch sequence of `HogwildLane::lane_step` on the sparse path.
-        shared.snapshot_into(&mut local);
         data.labels.slice_into(s, e, &mut labels);
         csr_all.slice_rows_into(s, e, &mut csr);
-        ws.loss_and_gradient_into(&local, csr.view(), labels.as_targets(), false);
-        shared.apply_racy(ws.grad(), 0.01, ws.active_cols());
+        at.read_csr(&shared, &mut csr);
+        ws.loss_and_gradient_into(at.model(), csr.view(), labels.as_targets(), false);
+        shared.apply_racy(ws.grad(), 0.01, at.support());
     });
     assert_eq!(n, 0, "warm CPU sparse step allocated {n} times");
+}
+
+/// Distinct columns of rows `s..e`.
+fn support_of(csr: &CsrMatrix, s: usize, e: usize) -> usize {
+    let mut cols: Vec<usize> = (s..e)
+        .flat_map(|r| csr.row_iter(r).map(|(c, _)| c))
+        .collect();
+    cols.sort_unstable();
+    cols.dedup();
+    cols.len()
+}
+
+/// A batch whose support outgrows every earlier one — past the quarter of
+/// headroom layer 0 keeps — grows the read's and the gradient's layer 0,
+/// one allocation each and nothing else, and repeating it allocates
+/// nothing. The batch buffers are sized for the larger batch up front, and
+/// the kernels' per-thread scratch is warmed at it on buffers of its own.
+#[test]
+fn a_larger_support_grows_once() {
+    let (data, csr_all, spec) = sparse_fixture();
+    let (warm, larger) = (16, 64);
+    let (k_warm, k_larger) = (
+        support_of(&csr_all, 0, warm),
+        support_of(&csr_all, 0, larger),
+    );
+    assert!(4 * k_larger > 5 * k_warm, "{k_larger} rows vs {k_warm}");
+    let shared = SharedModel::new(&Model::new(spec.clone(), InitScheme::Xavier, 5));
+    let mut csr = CsrBatch::new();
+    csr.reserve(larger, csr_all.nnz());
+    let mut labels = data.labels.slice(0, larger);
+    let mut step = |at: &mut SupportRead, ws: &mut Workspace, e: usize| {
+        data.labels.slice_into(0, e, &mut labels);
+        csr_all.slice_rows_into(0, e, &mut csr);
+        at.read_csr(&shared, &mut csr);
+        ws.loss_and_gradient_into(at.model(), csr.view(), labels.as_targets(), false);
+        shared.apply_racy(ws.grad(), 0.01, at.support());
+    };
+    let fresh = || {
+        (
+            SupportRead::new(&spec),
+            Workspace::with_batch_capacity(&spec, larger),
+        )
+    };
+    let (mut at, mut ws) = fresh();
+    step(&mut at, &mut ws, larger);
+    // Warm at the small batch, then count the larger one's first step.
+    let (mut at, mut ws) = fresh();
+    let mut calls = 0;
+    let grown = allocs_in(|| {
+        step(&mut at, &mut ws, if calls == 0 { warm } else { larger });
+        calls += 1;
+    });
+    assert_eq!(grown, 2, "growing the support allocated {grown} times");
+    let n = allocs_in(|| step(&mut at, &mut ws, larger));
+    assert_eq!(n, 0, "a repeated larger support allocated {n} times");
 }
 
 #[test]
@@ -105,7 +163,7 @@ fn warm_dense_gpu_step_is_allocation_free() {
     let data = SynthConfig::small(400, 8, 2, 5).generate();
     let spec = MlpSpec::tiny(8, 2);
     let shared = SharedModel::new(&Model::new(spec.clone(), InitScheme::Xavier, 3));
-    let mut snapshot = Model::zeros_like(&spec);
+    let mut at = SupportRead::new(&spec);
     let mut ws = Workspace::new(&spec);
     let (mut x, mut labels) = data.batch(0, 1);
     let mut scan = MergeScan::new(spec.hidden.len() + 1);
@@ -120,16 +178,16 @@ fn warm_dense_gpu_step_is_allocation_free() {
     // The exact per-batch sequence of `GpuWorker::batch_step` on a dense
     // run at a steady size.
     let n = allocs_in(|| {
-        shared.snapshot_into(&mut snapshot);
         let held = mem.alloc(fp.step_bytes(e - s)).unwrap();
         data.batch_into(s, e, &mut x, &mut labels);
+        at.read_all(&shared);
         let charge = link.charge(&fp, &g, e - s, 1);
         link.uploaded(&charge, sink.now());
-        ws.loss_and_gradient_into(&snapshot, &x, labels.as_targets(), false);
+        ws.loss_and_gradient_into(at.model(), &x, labels.as_targets(), false);
         link.downloaded(&charge, sink.now());
         mem.free(held).unwrap();
         scan.reset();
-        shared.merge_gradient(ws.grad(), 0.05, None, Some(&mut scan));
+        shared.merge_gradient(ws.grad(), 0.05, at.support(), Some(&mut scan));
     });
     assert_eq!(n, 0, "warm dense GPU step allocated {n} times");
     let d2h = sink.summary(hetero_trace::Metric::D2h).unwrap().count;
@@ -141,7 +199,7 @@ fn warm_sparse_merge_step_is_allocation_free() {
     let (data, csr_all, spec) = sparse_fixture();
     let model = Model::new(spec.clone(), InitScheme::Xavier, 11);
     let shared = SharedModel::new(&model);
-    let mut snapshot = Model::zeros_like(&spec);
+    let mut at = SupportRead::new(&spec);
     let mut ws = Workspace::new(&spec);
     let mut csr = CsrBatch::new();
     let mut labels = data.labels.slice(0, 1);
@@ -157,17 +215,17 @@ fn warm_sparse_merge_step_is_allocation_free() {
     // The exact per-batch sequence of `GpuWorker::batch_step` on a CSR
     // run. Returns the stripes the merge found owned by another merger.
     let mut step = || {
-        shared.snapshot_into(&mut snapshot);
         let held = mem.alloc(fp.step_bytes(e - s)).unwrap();
         data.labels.slice_into(s, e, &mut labels);
         csr_all.slice_rows_into(s, e, &mut csr);
+        at.read_csr(&shared, &mut csr);
         let charge = link.charge(&fp, &g, e - s, 1);
         link.uploaded(&charge, sink.now());
-        ws.loss_and_gradient_into(&snapshot, csr.view(), labels.as_targets(), false);
+        ws.loss_and_gradient_into(at.model(), csr.view(), labels.as_targets(), false);
         link.downloaded(&charge, sink.now());
         mem.free(held).unwrap();
         scan.reset();
-        shared.merge_gradient(ws.grad(), 0.05, ws.active_cols(), Some(&mut scan))
+        shared.merge_gradient(ws.grad(), 0.05, at.support(), Some(&mut scan))
     };
     let n = allocs_in(|| {
         step();

@@ -56,7 +56,7 @@ use hetero_data::DenseDataset;
 use hetero_flight::Watchdog;
 use hetero_gpu::{DeviceMemory, Footprint, Link};
 use hetero_mq::{channel, channel_traced_lineage, Receiver, RecvTimeoutError, Sender};
-use hetero_nn::{MlpSpec, Model, SharedModel};
+use hetero_nn::{MlpSpec, Model, SharedModel, SupportRead};
 use hetero_sim::{DeviceModel, GpuModel};
 use hetero_trace::{
     BatchPhases, EventKind, HistHandle, Metric, TimeDomain, TraceSink, COORDINATOR,
@@ -568,14 +568,14 @@ fn cpu_worker(
 }
 
 /// One Hogwild lane `i` of CPU worker `slot`: the [`Lane`] scratch, the
-/// racy snapshot its gradients are taken at, the worker's histograms and
-/// the faults planned for this lane — all its own, so a lane synchronizes
-/// with nothing but the shared model.
+/// racy read of its batch's support its gradients are taken at, the
+/// worker's histograms and the faults planned for this lane — all its own,
+/// so a lane synchronizes with nothing but the shared model.
 struct HogwildLane<'a> {
     env: &'a WorkerEnv,
     slot: usize,
     lane: Lane,
-    local: Model,
+    at: SupportRead,
     stale_hist: HistHandle,
     rows_hist: HistHandle,
     /// Batch whose gradient gets a NaN ([`FaultPlan::poison_at`]; lane 0
@@ -593,7 +593,7 @@ impl<'a> HogwildLane<'a> {
             env,
             slot,
             lane: Lane::new(env.shared.spec()),
-            local: env.shared.snapshot(),
+            at: SupportRead::new(env.shared.spec()),
             stale_hist: hist(Metric::Staleness),
             rows_hist: hist(Metric::RowsTouched),
             poison_at: plan.poison_at(slot).filter(|_| i == 0),
@@ -602,32 +602,33 @@ impl<'a> HogwildLane<'a> {
     }
 
     /// The lane's share `s..e` of the worker's batch number `batches_done`:
-    /// racy snapshot → [`Lane::gradient`] → [`Lane::inspect`] → racy apply.
-    /// Returns its stage/compute/merge split in lane-local CPU seconds. This
-    /// is the CPU hot path the paper's speedup model assumes is cheap; the
-    /// audit proves its steady state allocation-free (DESIGN.md §4j).
+    /// stage → racy read of the batch's support ([`Lane::read_support`]) →
+    /// [`Lane::gradient`] → [`Lane::inspect`] → racy apply. Returns its
+    /// stage/compute/merge split in lane-local CPU seconds. This is the CPU
+    /// hot path the paper's speedup model assumes is cheap; the audit
+    /// proves its steady state allocation-free (DESIGN.md §4j).
     // audit: no_alloc
     fn lane_step(&mut self, (s, e): (usize, usize), batches_done: u64) -> BatchPhases {
         if self.panic_at == Some(batches_done) {
             panic!("injected fault: hogwild lane 1 panicked in batch {batches_done}");
         }
         let (shared, src, train) = (&*self.env.shared, &*self.env.src, &self.env.train);
-        let lane = &mut self.lane;
+        let (lane, at) = (&mut self.lane, &mut self.at);
+        let t_stage = Instant::now();
+        lane.stage(src, s, e);
         // Staleness = global updates applied between this lane's read and its
         // own write landing (minus the write itself).
         let stale_at = (!self.stale_hist.is_disabled()).then(|| shared.update_count());
-        let t_stage = Instant::now();
-        shared.snapshot_into(&mut self.local);
-        lane.stage(src, s, e);
+        lane.read_support(src, shared, at);
         let t_compute = Instant::now();
-        lane.gradient(src, &self.local);
+        lane.gradient(src, at.model());
         let poison = self.poison_at == Some(batches_done);
         lane.inspect(poison, &self.env.watchdog, self.slot, batches_done);
         let t_merge = Instant::now();
-        if let Some(cols) = lane.active_cols() {
-            self.rows_hist.record(cols.len() as u64);
+        if let Some(rows) = at.support() {
+            self.rows_hist.record(rows.len() as u64);
         }
-        lane.apply_racy(shared, train.lr_scaling.eta(train.lr, e - s));
+        lane.apply_racy(shared, train.lr_scaling.eta(train.lr, e - s), at);
         let merge_secs = t_merge.elapsed().as_secs_f64();
         if let Some(at) = stale_at {
             let now = shared.update_count();
@@ -642,11 +643,11 @@ impl<'a> HogwildLane<'a> {
     }
 }
 
-/// A GPU worker: its device's ledger, model and link, the deep-copy
-/// snapshot its replica starts every step from, and everything a step
-/// reuses. Built once, before the first dispatch, so the steady-state step
-/// is allocation-free; the ledger holds the model's resident bytes for the
-/// worker's life.
+/// A GPU worker: its device's ledger, model and link, the deep copy of its
+/// batch's support its replica starts every step from, and everything a
+/// step reuses. Built once, before the first dispatch, so the steady-state
+/// step is allocation-free; the ledger holds the model's resident bytes
+/// for the worker's life.
 struct GpuWorker<'a> {
     slot: usize,
     env: &'a WorkerEnv,
@@ -657,7 +658,7 @@ struct GpuWorker<'a> {
     link: Link,
     /// What a step holds on the device and moves over its link.
     footprint: Footprint,
-    snapshot: Model,
+    at: SupportRead,
     lane: Lane,
     /// Batch whose delta gets a NaN ([`FaultPlan::poison_at`]).
     poison_step: Option<u64>,
@@ -668,10 +669,10 @@ struct GpuWorker<'a> {
 }
 
 impl<'a> GpuWorker<'a> {
-    /// A device modelled by `perf`: arm `plan`'s faults on its ledger,
-    /// upload the model — reserve its resident bytes — and snapshot it. An
-    /// upload OOM is unrecoverable: there is no batch to shrink when the
-    /// parameters themselves don't fit.
+    /// A device modelled by `perf`: arm `plan`'s faults on its ledger and
+    /// upload the model — reserve its resident bytes. An upload OOM is
+    /// unrecoverable: there is no batch to shrink when the parameters
+    /// themselves don't fit.
     fn new(
         slot: usize,
         perf: GpuModel,
@@ -690,7 +691,6 @@ impl<'a> GpuWorker<'a> {
         let footprint = Footprint::of(spec);
         mem.alloc(footprint.resident_bytes())
             .map_err(|e| WorkerError::Oom(format!("model upload failed: {e}")))?;
-        let snapshot = env.shared.snapshot();
         let hist = |m| env.sink.histogram(m, slot as u32);
         Ok(GpuWorker {
             slot,
@@ -700,7 +700,7 @@ impl<'a> GpuWorker<'a> {
             link: Link::new(&env.sink, slot as u32),
             footprint,
             lane: Lane::new(spec),
-            snapshot,
+            at: SupportRead::new(spec),
             poison_step: plan.poison_at(slot),
             stale_hist: hist(Metric::Staleness),
             merge_hist: hist(Metric::MergeWait),
@@ -709,16 +709,17 @@ impl<'a> GpuWorker<'a> {
         })
     }
 
-    /// One GPU batch step (§V/§VI-B): snapshot the global model, reserve
-    /// the step's device bytes (halving the batch until they fit), stage
-    /// the batch, charge its link (the batch and the snapshot up, the delta
-    /// down), take the gradient at the snapshot, and merge it discounted by
-    /// how stale the snapshot became. A replica trained one step is
-    /// `snapshot − η·∇`, so the gradient is its whole delta. Traced as the
-    /// batch's `H2d` (once staged), `D2h` (once the gradient is taken),
-    /// `ModelMerge` and `BatchCompleted`; the phases time staging (snapshot,
-    /// batch gather and the charge), the step and the merge. The host has
-    /// no link, so no second of the run is transfer.
+    /// One GPU batch step (§V/§VI-B): reserve the step's device bytes
+    /// (halving the batch until they fit), stage the batch, deep-copy what
+    /// it touches of the global model ([`Lane::read_support`]), charge its
+    /// link (the batch and the model up, the delta down), take the gradient
+    /// at the copy, and merge it discounted by how stale the copy became. A
+    /// replica trained one step is `copy − η·∇`, so the gradient is its
+    /// whole delta. Traced as the batch's `H2d` (once staged), `D2h` (once
+    /// the gradient is taken), `ModelMerge` and `BatchCompleted`; the
+    /// phases time staging (batch gather, the read and the charge), the
+    /// step and the merge. The host has no link, so no second of the run is
+    /// transfer.
     ///
     /// The steady-state path is allocation-free on the host; the `format!`
     /// on the unrecoverable-OOM branch is a reviewed allowlist entry (the
@@ -734,17 +735,14 @@ impl<'a> GpuWorker<'a> {
             footprint: fp,
             mem,
             perf,
-            snapshot,
+            at,
             lane,
             ..
         } = self;
         let env = self.env;
         let (shared, src, train) = (&*env.shared, &*env.src, &env.train);
         let mut phases = BatchPhases::default();
-        // Deep-copy replica of the current global model (§V).
-        let updates_at_snapshot = shared.update_count();
         let t_stage = Instant::now();
-        shared.snapshot_into(snapshot);
         // The step's device bytes, held until the delta is down: halve the
         // batch until they fit. (`hetero_gpu_no_reserve` is a mutation
         // switch for `scripts/check_mutation.sh`.)
@@ -760,17 +758,20 @@ impl<'a> GpuWorker<'a> {
             }
         };
         lane.stage(src, range.start, range.start + len);
+        // Deep-copy replica of what the batch touches of the global model (§V).
+        let updates_at_read = shared.update_count();
+        lane.read_support(src, shared, at);
         let charge = self.link.charge(fp, perf, len, id);
         self.link.uploaded(&charge, env.sink.now());
         let t_compute = Instant::now();
         phases.stage_secs = (t_compute - t_stage).as_secs_f64();
-        lane.gradient(src, snapshot);
+        lane.gradient(src, at.model());
         phases.compute_secs = t_compute.elapsed().as_secs_f64();
         self.link.downloaded(&charge, env.sink.now());
         #[cfg(not(hetero_gpu_no_reserve))]
         let _ = mem.free(held);
-        if let Some(cols) = lane.active_cols() {
-            self.rows_hist.record(cols.len() as u64);
+        if let Some(rows) = at.support() {
+            self.rows_hist.record(rows.len() as u64);
         }
         let leftover = (len < range.len()).then_some(BatchRange {
             start: range.start + len,
@@ -779,8 +780,8 @@ impl<'a> GpuWorker<'a> {
         });
         // Merge the delta into the global model without clobbering
         // concurrent CPU updates. §VI-B: the delta is discounted by how stale
-        // its base snapshot became while the replica was training.
-        let staleness = shared.update_count().saturating_sub(updates_at_snapshot);
+        // its base copy became while the replica was training.
+        let staleness = shared.update_count().saturating_sub(updates_at_read);
         let scale = 1.0 / (1.0 + train.staleness_discount * staleness as f32);
         self.stale_hist.record(staleness);
         // Injected fault: one NaN into this worker's delta at the planned
@@ -789,8 +790,15 @@ impl<'a> GpuWorker<'a> {
         let poison = self.poison_step == Some(batches_done);
         let merge_start = Instant::now();
         let eta = train.lr_scaling.eta(train.lr, len) * scale;
-        let found_owned =
-            lane.merge_into(shared, eta, poison, &env.watchdog, self.slot, batches_done);
+        let found_owned = lane.merge_into(
+            shared,
+            at,
+            eta,
+            poison,
+            &env.watchdog,
+            self.slot,
+            batches_done,
+        );
         phases.merge_secs = merge_start.elapsed().as_secs_f64();
         self.merge_hist.record_secs(phases.merge_secs);
         self.retries_hist.record(found_owned);
@@ -824,6 +832,7 @@ mod tests {
     use crate::config::{AdaptiveParams, LrScaling};
     use hetero_ckpt::Checkpointer;
     use hetero_data::SynthConfig;
+    use hetero_nn::Workspace;
 
     /// Per-thread trace ring sized for a whole test run. The busiest
     /// thread (the GPU worker: start, transfers, merge, complete per
@@ -1241,6 +1250,102 @@ mod tests {
                         "sparse={sparse} lanes={lanes}: {a} vs {b}"
                     );
                 }
+            }
+        }
+    }
+
+    /// A threaded step reads, differentiates and writes only its batch's
+    /// support, and that changes no bit: one CSR lane step (racy apply) and
+    /// one GPU step (merge), each on its own shared model, leave it exactly
+    /// as the full-snapshot sequence leaves a second one — snapshot,
+    /// gradient at the snapshot, apply over the gradient's own rows — on
+    /// the same batch. Real-sim-shaped batches of 256 and 512 rows (the
+    /// second's support outgrows the first's), then 128 (it shrinks); on
+    /// w8a-shaped data a 512-row batch whose support is every row.
+    #[test]
+    fn a_support_read_step_is_bit_identical_to_a_full_snapshot_step() {
+        let train = config(AlgorithmKind::CpuGpuHogbatch, 0.1).train;
+        assert_eq!(train.staleness_discount, 0.0, "merge scale 1");
+        let shaped = |features: usize, density: f32| {
+            let mut d = SynthConfig {
+                density,
+                ..SynthConfig::small(1024, features, 2, 17)
+            }
+            .generate();
+            d.scale_to_unit_variance();
+            Arc::new(d)
+        };
+        let cases = [
+            (
+                shaped(20_958, 0.0025),
+                &[(0, 256), (256, 768), (768, 896)][..],
+            ),
+            (shaped(300, 0.04), &[(100, 612)][..]),
+        ];
+        for (data, batches) in cases {
+            let spec = MlpSpec {
+                hidden: vec![64],
+                ..MlpSpec::tiny(data.features(), 2)
+            };
+            let n_in = spec.input_dim;
+            let model = Model::new(spec.clone(), hetero_nn::InitScheme::Xavier, 9);
+            let env = |sink| worker_env(&data, true, &model, &train, sink, Watchdog::disabled());
+            let (cpu_env, gpu_env) = (env(TraceSink::disabled()), env(TraceSink::disabled()));
+            let (cpu_ref, gpu_ref) = (SharedModel::new(&model), SharedModel::new(&model));
+            let mut lane = HogwildLane::new(&cpu_env, 0, 0, &FaultPlan::none());
+            let mut gpu =
+                GpuWorker::new(0, GpuModel::v100(), &FaultPlan::none(), &gpu_env).unwrap();
+            let (mut full, mut ws, mut csr) = (
+                Model::zeros_like(&spec),
+                Workspace::new(&spec),
+                hetero_tensor::CsrBatch::new(),
+            );
+            let mut widest = 0;
+            for (i, &(s, e)) in batches.iter().enumerate() {
+                let case = format!("{n_in} features, rows {s}..{e}");
+                let eta = train.lr_scaling.eta(train.lr, e - s);
+                lane.lane_step((s, e), i as u64);
+                let range = BatchRange {
+                    start: s,
+                    end: e,
+                    epoch: 0,
+                };
+                gpu.batch_step(i as u64, range, i as u64).unwrap();
+                // The full-snapshot sequence, on the reference models.
+                let labels = data.labels.slice(s, e);
+                cpu_env.src.csr().unwrap().slice_rows_into(s, e, &mut csr);
+                for (reference, merge) in [(&cpu_ref, false), (&gpu_ref, true)] {
+                    reference.snapshot_into(&mut full);
+                    ws.loss_and_gradient_into(&full, csr.view(), labels.as_targets(), false);
+                    if merge {
+                        reference.merge_gradient(ws.grad(), eta, ws.active_cols(), None);
+                    } else {
+                        reference.apply_racy(ws.grad(), eta, ws.active_cols());
+                    }
+                }
+                let support = ws.active_cols().unwrap();
+                for (worker, at, shared, reference) in [
+                    ("lane", &lane.at, &cpu_env.shared, &cpu_ref),
+                    ("gpu", &gpu.at, &gpu_env.shared, &gpu_ref),
+                ] {
+                    assert_eq!(at.support(), Some(support), "{worker}: {case}");
+                    let w0 = &at.model().layers()[0].w;
+                    assert_eq!(w0.rows(), support.len(), "{worker}: {case}");
+                    let bits = |m: &SharedModel| -> Vec<u32> {
+                        m.read_flat().iter().map(|v| v.to_bits()).collect()
+                    };
+                    assert!(bits(shared) == bits(reference), "{worker}: {case}");
+                    assert_ne!(shared.snapshot(), model, "{worker}: nothing applied");
+                    if n_in > 300 {
+                        assert!(w0.capacity() < n_in * 64, "{worker}: {case}");
+                    } else {
+                        assert_eq!(support.len(), n_in, "every row: {case}");
+                    }
+                }
+                if i == 1 {
+                    assert!(support.len() > widest, "{case}: outgrows {widest}");
+                }
+                widest = widest.max(support.len());
             }
         }
     }

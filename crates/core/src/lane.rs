@@ -20,7 +20,9 @@ use std::ops::Deref;
 
 use hetero_data::{DenseDataset, Labels};
 use hetero_flight::Watchdog;
-use hetero_nn::{scan_model, Input, MergeScan, MlpSpec, Model, SharedModel, Workspace};
+use hetero_nn::{
+    scan_model, Input, MergeScan, MlpSpec, Model, SharedModel, SupportRead, Workspace,
+};
 use hetero_tensor::{CsrBatch, CsrMatrix, Matrix};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -174,10 +176,24 @@ impl Lane {
         self.ws.loss_and_gradient_into(model, x, targets, false).0
     }
 
-    /// Input features the stored gradient's layer 0 is confined to
-    /// (`None`: dense).
-    pub(crate) fn active_cols(&self) -> Option<&[u32]> {
-        self.ws.active_cols()
+    /// Read what the staged batch touches of `shared` into `at`, the model
+    /// a threaded step takes its [`gradient`](Self::gradient) at: a CSR
+    /// batch's support rows — renumbering the staged batch onto them — plus
+    /// every later stripe; every row for a dense batch.
+    // audit: no_alloc
+    pub(crate) fn read_support<D>(
+        &mut self,
+        src: &BatchSource<D>,
+        shared: &SharedModel,
+        at: &mut SupportRead,
+    ) where
+        D: Deref<Target = DenseDataset>,
+    {
+        if src.sparse {
+            at.read_csr(shared, &mut self.csr);
+        } else {
+            at.read_all(shared);
+        }
     }
 
     /// The checks every gradient gets before it is applied: the fault
@@ -220,10 +236,11 @@ impl Lane {
         }
     }
 
-    /// The Hogwild apply of the stored gradient.
+    /// The Hogwild apply of the stored gradient, taken at `at`: its rows
+    /// are those `at` read.
     // audit: no_alloc
-    pub(crate) fn apply_racy(&self, shared: &SharedModel, eta: f32) {
-        shared.apply_racy(self.ws.grad(), eta, self.ws.active_cols());
+    pub(crate) fn apply_racy(&self, shared: &SharedModel, eta: f32, at: &SupportRead) {
+        shared.apply_racy(self.ws.grad(), eta, at.support());
     }
 
     /// The merge twin of [`apply_racy`](Self::apply_racy), for a lane that
@@ -234,9 +251,11 @@ impl Lane {
     /// pass — and observed as `worker`'s batch `step`. Returns the stripes
     /// found owned.
     // audit: no_alloc
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn merge_into(
         &mut self,
         shared: &SharedModel,
+        at: &SupportRead,
         eta: f32,
         poison: bool,
         watchdog: &Watchdog,
@@ -248,7 +267,7 @@ impl Lane {
         }
         self.scan.reset();
         let scan = watchdog.enabled().then_some(&mut self.scan);
-        let owned = shared.merge_gradient(self.ws.grad(), eta, self.ws.active_cols(), scan);
+        let owned = shared.merge_gradient(self.ws.grad(), eta, at.support(), scan);
         if watchdog.enabled() {
             self.report_scan(watchdog, worker, step);
         }
@@ -470,7 +489,7 @@ mod tests {
         b.stage(&csr, 10, 40);
         let (la, lb) = (a.gradient(&dense, &m), b.gradient(&csr, &m));
         assert!((la - lb).abs() < 1e-4, "{la} vs {lb}");
-        assert!(a.active_cols().is_none() && b.active_cols().is_some());
+        assert!(a.ws.active_cols().is_none() && b.ws.active_cols().is_some());
         for (x, y) in a.ws.grad().flatten().iter().zip(b.ws.grad().flatten()) {
             assert!((x - y).abs() < 1e-4, "{x} vs {y}");
         }
@@ -547,7 +566,7 @@ mod tests {
         let mut lane = Lane::new(m.spec());
         lane.stage(&csr, 0, 4);
         lane.gradient(&csr, &m);
-        assert!(lane.active_cols().is_some_and(|c| !c.is_empty()));
+        assert!(lane.ws.active_cols().is_some_and(|c| !c.is_empty()));
         lane.stage(&dense, 20, 50);
         lane.gradient(&dense, &m);
         assert!(lane.ws.active_cols().is_none());

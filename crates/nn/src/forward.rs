@@ -114,13 +114,13 @@ pub(crate) fn forward_into_buffers(
     parallel: bool,
     activations: &mut Vec<Matrix>,
 ) {
+    // Layer 0 holds one row per input feature — every one, or a batch
+    // support's after its columns were renumbered onto it.
     let (batch, width) = x.dims();
+    let rows = model.layers()[0].w.rows();
     assert_eq!(
-        width,
-        model.spec().input_dim,
-        "batch feature width {} != input_dim {}",
-        width,
-        model.spec().input_dim
+        width, rows,
+        "batch feature width {width} != input_dim {rows} (layer-0 rows)"
     );
     let n_layers = model.layers().len();
     activations.resize_with(n_layers, || Matrix::zeros(0, 0));

@@ -35,6 +35,7 @@ pub struct Model {
 /// [`Model::flatten`] defines — the unit [`crate::SharedModel`]'s traversals
 /// walk and its mergers own. Layer 0's weight rows come first: stripe `c`
 /// is input feature `c`'s row.
+#[derive(Clone, Copy, Default)]
 pub(crate) struct Stripe {
     pub(crate) layer: usize,
     /// Where the row starts in its layer's weight slice; `None`: the bias.
@@ -45,6 +46,15 @@ pub(crate) struct Stripe {
 }
 
 impl Stripe {
+    /// This layer-0 row moved to row `i` of its layer: where a model that
+    /// holds only some rows ([`Model::fit_l0`]) keeps it.
+    pub(crate) fn at_row(&self, i: usize) -> Stripe {
+        Stripe {
+            row_at: Some(i * (self.end - self.start)),
+            ..*self
+        }
+    }
+
     /// The stripe's range of its layer's weight slice; `None`: the bias.
     fn weight_span(&self) -> Option<std::ops::Range<usize>> {
         self.row_at.map(|at| at..at + (self.end - self.start))
@@ -131,12 +141,18 @@ impl Model {
 
     /// Zero-valued model with the same shape (used for gradients/accumulators).
     pub fn zeros_like(spec: &MlpSpec) -> Self {
+        Self::zeros_with_l0_rows(spec, spec.input_dim)
+    }
+
+    /// [`zeros_like`](Self::zeros_like) with `rows` layer-0 weight rows (see
+    /// [`fit_l0`](Self::fit_l0)).
+    pub(crate) fn zeros_with_l0_rows(spec: &MlpSpec, rows: usize) -> Self {
         let layers = spec
             .layer_dims()
             .iter()
             .enumerate()
             .map(|(l, &(fan_in, fan_out))| Layer {
-                w: weights(l, fan_in, fan_out),
+                w: weights(l, if l == 0 { rows } else { fan_in }, fan_out),
                 b: vec![0.0; fan_out],
             })
             .collect();
@@ -144,6 +160,35 @@ impl Model {
             spec: spec.clone(),
             layers,
         }
+    }
+
+    /// Make layer 0 hold `rows` weight rows — `spec.input_dim` for a whole
+    /// model; a model read or differentiated at a batch's support holds
+    /// one row per feature of the support ([`crate::SupportRead`]). The
+    /// values of the rows are left to the caller, who overwrites or zeroes
+    /// them. Past its capacity the buffer is replaced by fresh zeros (no
+    /// old row copied, no page written) with room for a quarter more rows,
+    /// at most `input_dim`: a run's slowly rising largest support then
+    /// reallocates once or twice rather than at every new high, each freed
+    /// buffer a hole the allocator keeps resident (+10 MB of peak RSS on
+    /// the real-sim benchmark workload, 2-vCPU host, when it did). Returns
+    /// whether it reallocated; otherwise the rows kept keep their values
+    /// and the rows added are zero.
+    pub(crate) fn fit_l0(&mut self, rows: usize) -> bool {
+        let Some(w) = self.layers.first_mut().map(|l| &mut l.w) else {
+            return false;
+        };
+        let (held, cols) = w.shape();
+        if rows * cols > w.capacity() {
+            let room = (rows + rows / 4).min(self.spec.input_dim).max(rows);
+            *w = Matrix::zeros(room, cols);
+            w.resize(rows, cols);
+            return true;
+        }
+        if held != rows {
+            w.resize(rows, cols);
+        }
+        false
     }
 
     /// The network specification.

@@ -8,7 +8,8 @@
 //! In Rust, "benign" data races are still UB on plain `f32`, so the storage
 //! is a flat `Vec<AtomicU32>` holding f32 bit patterns accessed with
 //! `Relaxed` ordering, cut into **stripes**: one weight row or one bias
-//! vector of a layer. Three update flavours are provided:
+//! vector of a layer. Four accesses are provided — three updates and a
+//! read:
 //!
 //! - [`SharedModel::apply_racy`] — load/compute/store per element.
 //!   Concurrent writers can overwrite each other, which is *exactly* the
@@ -24,6 +25,15 @@
 //! - [`SharedModel::apply_gradient_atomic`] — per-element CAS loop; no
 //!   update is ever lost. The exact reference of the tests, and the way to
 //!   study lost updates (the paper's β is the "surviving fraction").
+//! - [`SharedModel::read_rows`] — what a worker's step reads: the layer-0
+//!   rows of its batch's support, into a local model that holds only
+//!   those rows ([`SupportRead`](crate::SupportRead)), plus every stripe
+//!   from layer 0's bias on; every stripe for a dense batch
+//!   ([`snapshot_into`](SharedModel::snapshot_into)). Plain `Relaxed`
+//!   loads, racing lanes and mergers like any reader: each value read is
+//!   one its parameter held, a stripe may mix values from before and after
+//!   a concurrent write. The applies and merges take a gradient in the
+//!   same compact shape, writing its row `i` to model row `support[i]`.
 
 use crate::model::{Model, Stripe};
 use crate::scan::{LayerScan, MergeScan};
@@ -42,7 +52,8 @@ use crate::sync::{yield_now, AtomicBool, AtomicU32, AtomicU64, Ordering};
 // build on them — that edge is all of "mergers lose nothing", and why the
 // parameters themselves still need no ordering. The loom suite
 // (`tests/loom_shared.rs`) checks that under all interleavings, and that the
-// racy path stays within its feasible envelope.
+// racy path stays within its feasible envelope, and that a support read
+// beside both sees only values the parameters held.
 
 /// Shared parameter store for concurrent SGD.
 pub struct SharedModel {
@@ -50,6 +61,10 @@ pub struct SharedModel {
     params: Vec<AtomicU32>,
     /// Where each stripe lies in `params`, in flat order; read-only.
     stripes: Vec<Stripe>,
+    /// Floats per layer-0 row: stripe `c < input_dim` lies at
+    /// `c·l0_width..(c + 1)·l0_width`, so a row-sparse traversal need not
+    /// look it up.
+    l0_width: usize,
     /// One ownership word per stripe (set: a merger is adding into it),
     /// touched by mergers only. Kept apart from `stripes` so the lanes,
     /// which read the geometry, share no cache line with the swaps.
@@ -71,6 +86,7 @@ impl SharedModel {
             spec: model.spec().clone(),
             params,
             owned: stripes.iter().map(|_| AtomicBool::new(false)).collect(),
+            l0_width: stripes.first().map_or(0, |st| st.end - st.start),
             stripes,
             updates: AtomicU64::new(0),
         }
@@ -107,15 +123,43 @@ impl SharedModel {
 
     /// Read the current parameters into an existing model, reusing its
     /// buffers — the allocation-free counterpart of
-    /// [`snapshot`](Self::snapshot) used by steady-state worker loops.
-    // audit: no_alloc,no_panic,no_block
+    /// [`snapshot`](Self::snapshot): [`read_rows`](Self::read_rows) of
+    /// every row.
     pub fn snapshot_into(&self, model: &mut Model) {
-        assert_eq!(model.spec(), &self.spec, "snapshot spec mismatch");
-        // Relaxed: snapshot may interleave with writers by design; each
-        // element is still read tear-free (see module ordering note).
-        for st in &self.stripes {
+        self.read_rows(None, model);
+    }
+
+    /// Read the stripes a gradient confined to the layer-0 rows `l0_rows`
+    /// can touch into `local`, which then holds only those rows: feature
+    /// `l0_rows[i]`'s weights become local row `i` (its layer 0 is fitted
+    /// to `l0_rows.len()` rows by `Model::fit_l0`), and every stripe from
+    /// layer 0's bias on is read whole. `None` reads
+    /// every row: a full snapshot. The kernels run on the compact model
+    /// unchanged once the batch's columns are renumbered the same way
+    /// ([`SupportRead`](crate::SupportRead)), and its gradient goes back
+    /// through [`apply_racy`](Self::apply_racy) or
+    /// [`merge_gradient`](Self::merge_gradient) with the same `l0_rows`.
+    /// `l0_rows` must ascend, be duplicate-free and lie below the input
+    /// width.
+    // audit: no_alloc,no_panic,no_block
+    pub fn read_rows(&self, l0_rows: Option<&[u32]>, local: &mut Model) {
+        assert_eq!(local.spec(), &self.spec, "snapshot spec mismatch");
+        local.fit_l0(l0_rows.map_or(self.spec.input_dim, <[u32]>::len));
+        // `hetero_support_read_skips_tail` is the seeded bug of
+        // `scripts/check_mutation.sh`: only the support rows are read.
+        let end = if cfg!(hetero_support_read_skips_tail) && l0_rows.is_some() {
+            self.spec.input_dim
+        } else {
+            self.stripes.len()
+        };
+        for Visit { s, row } in self.visited(l0_rows).take_while(|v| v.s < end) {
+            let st = self.stripe_at(s);
             let params = &self.params[st.start..st.end];
-            for (v, p) in model.stripe_mut(st).iter_mut().zip(params) {
+            // Relaxed: the read may interleave with lanes and mergers by
+            // design — each element is read tear-free, a stripe may mix
+            // values from before and after a concurrent add, and no value
+            // read guards other memory (module ordering note).
+            for (v, p) in held_mut(local, &st, row).iter_mut().zip(params) {
                 *v = f32::from_bits(p.load(Ordering::Relaxed));
             }
         }
@@ -134,23 +178,43 @@ impl SharedModel {
         }
     }
 
-    /// Indices of the stripes a gradient whose layer-0 weights are zero
-    /// outside the rows `l0_cols` can be non-zero in, in visiting order:
-    /// those rows (stripe `c` is input feature `c`'s row; a row past the
-    /// input width names no weights and is skipped), then every stripe from
-    /// layer 0's bias on. `None`: every stripe, in flat order.
-    fn visited<'a>(&'a self, l0_cols: Option<&'a [u32]>) -> impl Iterator<Item = usize> + 'a {
+    /// The stripes a gradient whose layer-0 weights are zero outside the
+    /// rows `l0_cols` can be non-zero in, in visiting order: those rows
+    /// (stripe `c` is input feature `c`'s row; a row past the input width
+    /// names no weights and is skipped), each with its index `i` in
+    /// `l0_cols`, then every stripe from layer 0's bias on. `None`: every
+    /// stripe, in flat order.
+    fn visited<'a>(&'a self, l0_cols: Option<&'a [u32]>) -> impl Iterator<Item = Visit> + 'a {
         let n_in = self.spec.input_dim;
         let (rows, tail): (&[u32], usize) = match l0_cols {
             Some(rows) => (rows, n_in),
             None => (&[], 0),
         };
-        let rows = rows.iter().map(|&c| c as usize);
-        rows.filter(move |&c| {
+        let rows = rows.iter().enumerate().map(|(i, &c)| (c as usize, i));
+        let rows = rows.filter(move |&(c, _)| {
             debug_assert!(c < n_in, "layer-0 row {c} past input width {n_in}");
             c < n_in
-        })
-        .chain(tail..self.stripes.len())
+        });
+        let row_stripe = |(c, i): (usize, usize)| Visit { s: c, row: Some(i) };
+        let tail = (tail..self.stripes.len()).map(|s| Visit { s, row: None });
+        rows.map(row_stripe).chain(tail)
+    }
+
+    /// Where stripe `s` lies: a layer-0 row from `l0_width`, without a
+    /// lookup; any other from `stripes`.
+    #[inline]
+    fn stripe_at(&self, s: usize) -> Stripe {
+        if s < self.spec.input_dim {
+            let (start, end) = (s * self.l0_width, (s + 1) * self.l0_width);
+            Stripe {
+                layer: 0,
+                row_at: Some(start),
+                start,
+                end,
+            }
+        } else {
+            self.stripes[s]
+        }
     }
 
     /// Hogwild update: `w ← w − eta·g` with racy per-element load/store.
@@ -170,9 +234,13 @@ impl SharedModel {
     // audit: no_alloc,no_panic,no_block
     pub fn apply_racy(&self, grad: &Model, eta: f32, l0_cols: Option<&[u32]>) {
         assert_eq!(grad.spec(), &self.spec, "gradient spec mismatch");
-        for s in self.visited(l0_cols) {
-            let st = &self.stripes[s];
-            for (p, g) in self.params[st.start..st.end].iter().zip(grad.stripe(st)) {
+        debug_assert!(fits(grad, l0_cols), "compact gradient without its rows");
+        for Visit { s, row } in self.visited(l0_cols) {
+            let st = self.stripe_at(s);
+            for (p, g) in self.params[st.start..st.end]
+                .iter()
+                .zip(held(grad, &st, row))
+            {
                 // Relaxed load/store pair: the non-atomic read-modify-write
                 // is the point — concurrent writers may overwrite each other
                 // (Hogwild lost-update semantics; module ordering note
@@ -313,10 +381,14 @@ impl SharedModel {
     ) -> u64 {
         for model in src {
             assert_eq!(model.spec(), &self.spec, "merge source spec mismatch");
+            debug_assert!(
+                fits(model, l0_cols),
+                "compact merge source without its rows"
+            );
         }
         assert!(scale.is_finite() && scale >= 0.0, "bad merge scale");
         // Merge stripe `s` if it can be owned right now; `false`: it is taken.
-        let mut merge_stripe = |s: usize| {
+        let mut merge_stripe = |Visit { s, row }: Visit| {
             // Acquire: pairs with the previous owner's `Release`, so the
             // loads below see its adds. `hetero_unguarded_merge` is the
             // seeded bug of `scripts/check_mutation.sh`: no exclusion.
@@ -324,8 +396,11 @@ impl SharedModel {
             if !cfg!(hetero_unguarded_merge) && word.swap(true, Ordering::Acquire) {
                 return false;
             }
-            let st = &self.stripes[s];
-            let (params, vals) = (&self.params[st.start..st.end], src.map(|m| m.stripe(st)));
+            let st = self.stripe_at(s);
+            let (params, vals) = (
+                &self.params[st.start..st.end],
+                src.map(|m| held(m, &st, row)),
+            );
             // Stripe-local, so the scan's sums stay in registers.
             let mut seen = LayerScan::default();
             for (i, p) in params.iter().enumerate() {
@@ -351,7 +426,7 @@ impl SharedModel {
         // Windows of 64 visited stripes: a stripe found owned is marked in
         // the window's bitmask and revisited once at the window's end.
         let mut order = self.visited(l0_cols);
-        let mut window = [0usize; 64];
+        let mut window = [Visit::default(); 64];
         let mut found_owned = 0;
         loop {
             let mut len = 0;
@@ -380,6 +455,50 @@ impl SharedModel {
         // Relaxed: monitoring counter.
         self.updates.fetch_add(1, Ordering::Relaxed);
         found_owned
+    }
+}
+
+/// One stripe of a traversal (`SharedModel::visited`): its index `s` and,
+/// for a layer-0 row of `l0_cols`, its index there — where a compact model
+/// keeps it.
+#[derive(Clone, Copy, Default)]
+struct Visit {
+    s: usize,
+    row: Option<usize>,
+}
+
+/// How many layer-0 weight rows `m` holds.
+fn l0_rows(m: &Model) -> usize {
+    m.layers().first().map_or(0, |l| l.w.shape().0)
+}
+
+/// Whether `m`'s layer 0 holds only some rows: those of a read or a
+/// gradient at a batch's support, one per feature, in the support's order.
+fn compact(m: &Model) -> bool {
+    l0_rows(m) < m.spec().input_dim
+}
+
+/// Whether `m` can be walked over the layer-0 rows `l0_cols`: it holds every
+/// row, or exactly one per entry of `l0_cols`.
+fn fits(m: &Model, l0_cols: Option<&[u32]>) -> bool {
+    !compact(m) || l0_cols.is_some_and(|c| c.len() == l0_rows(m))
+}
+
+/// Where `m` keeps stripe `st`, visited as entry `row` of the layer-0 rows
+/// (see `SharedModel::visited`): a compact model keeps entry `i` as its
+/// row `i`, a whole one keeps every stripe in place.
+fn held<'m>(m: &'m Model, st: &Stripe, row: Option<usize>) -> &'m [f32] {
+    match row {
+        Some(i) if compact(m) => m.stripe(&st.at_row(i)),
+        _ => m.stripe(st),
+    }
+}
+
+/// [`held`], writable.
+fn held_mut<'m>(m: &'m mut Model, st: &Stripe, row: Option<usize>) -> &'m mut [f32] {
+    match row {
+        Some(i) if compact(m) => m.stripe_mut(&st.at_row(i)),
+        _ => m.stripe_mut(st),
     }
 }
 

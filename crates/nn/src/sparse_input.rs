@@ -18,6 +18,9 @@
 //! non-zero — which [`SparseScratch`] keeps, so that appliers walk only
 //! those rows and the next CSR gradient re-zeroes only them. It is sized by
 //! the spec alone, so warm steps are allocation-free.
+//! [`SupportRead`] takes the same support before the step, on the worker
+//! side: it reads only those rows of the shared model, so a threaded step
+//! reads, differentiates and writes layer 0 at the size of its batch.
 //! [`forward_sparse`] is a thin allocating wrapper for one-off calls.
 //!
 //! The layers after the first run the *same* code as for a dense batch, so
@@ -26,11 +29,13 @@
 //! levels — the only divergence from the dense path is float summation
 //! order over the input features.
 
-use hetero_tensor::{sparse, CsrMatrix, CsrView, Matrix};
+use hetero_tensor::{sparse, CsrBatch, CsrMatrix, CsrView, Matrix};
 
 use crate::backward::Gradient;
 use crate::forward::ForwardPass;
 use crate::model::Model;
+use crate::shared::SharedModel;
+use crate::spec::MlpSpec;
 use crate::workspace::Workspace;
 
 /// The layer-0 support of a workspace's stored CSR gradient. The workspace
@@ -47,15 +52,9 @@ pub(crate) struct SparseScratch {
 }
 
 impl SparseScratch {
-    /// Take over `grad`, whose layer-0 rows may all be non-zero (a dense
-    /// gradient's support is every row): they are re-zeroed here, so the
-    /// support starts empty.
-    pub(crate) fn new(grad: &mut Gradient) -> Self {
-        let w0 = &mut grad.layers_mut()[0].w;
-        if !cfg!(hetero_stale_l0_rows) {
-            w0.as_mut_slice().fill(0.0);
-        }
-        let in_dim = w0.rows();
+    /// An empty support for batches `in_dim` features wide: the gradient
+    /// it is handed must hold zeros in every layer-0 row.
+    pub(crate) fn new(in_dim: usize) -> Self {
         SparseScratch {
             mask: vec![0; in_dim.div_ceil(64)],
             rows: Vec::with_capacity(in_dim),
@@ -76,17 +75,106 @@ impl SparseScratch {
     /// previous support's rows, then scatter this batch straight into
     /// `grad.w[0]`. The gradient stays globally exact — true zeros in every
     /// row the batch never touched — so full-pass consumers (clipping, the
-    /// watchdog scan) need not know the format. `hetero_stale_l0_rows` is
-    /// the seeded bug of `scripts/check_mutation.sh`: no re-zero.
+    /// watchdog scan) need not know the format. A gradient at a batch's
+    /// support ([`crate::SupportRead`]) may have fewer rows than before:
+    /// a row it no longer has is re-zeroed when it grows back
+    /// ([`Model::fit_l0`]). `hetero_stale_l0_rows` is the seeded bug of
+    /// `scripts/check_mutation.sh`: no re-zero.
     pub(crate) fn backward_l0(&mut self, x: CsrView<'_>, delta: &Matrix, grad: &mut Gradient) {
         let gw = &mut grad.layers_mut()[0].w;
         if !cfg!(hetero_stale_l0_rows) {
-            for &c in &self.rows {
+            let held = gw.rows();
+            for &c in self.rows.iter().filter(|&&c| (c as usize) < held) {
                 gw.row_mut(c as usize).fill(0.0);
             }
         }
         collect_rows(x.indices(), &mut self.mask, &mut self.rows);
         sparse::spmm_tn_scatter(x, delta, gw);
+    }
+}
+
+/// A worker's read of the global model at the size of its batch (§V: CPU
+/// workers use the global model by reference, GPU workers copy only what
+/// they train on).
+///
+/// For a CSR batch, [`read_csr`](Self::read_csr) takes the batch's
+/// *support* — the input features it touches, ascending, as the backward
+/// collects them — renumbers the batch's column indices onto it (feature
+/// `support[i]` becomes column `i`) and reads from the shared model only
+/// those layer-0 rows, local row `i` holding feature `support[i]`'s
+/// weights, plus every stripe from layer 0's bias on
+/// ([`SharedModel::read_rows`]). The kernels run on the compact model
+/// unchanged and meet the same values in the same order, so the loss and
+/// the gradient are bit-identical to a full snapshot's, the gradient
+/// holding only the support's rows; [`SharedModel::apply_racy`] and
+/// [`SharedModel::merge_gradient`], handed [`support`](Self::support),
+/// write gradient row `i` to model row `support[i]`. A dense batch's
+/// support is every row: [`read_all`](Self::read_all) is a full snapshot.
+///
+/// Nothing is read at construction. Layer 0 holds `k × out` for a support
+/// of `k` features and grows only when a support outgrows its capacity, to
+/// a quarter more rows than that support (at most `input_dim`); the
+/// scratch is sized by the spec, so a warm read is allocation-free.
+#[derive(Debug)]
+pub struct SupportRead {
+    local: Model,
+    /// The last CSR read's support; meaningless after a dense read.
+    support: Vec<u32>,
+    /// Whether the last read was dense: every row.
+    every_row: bool,
+    /// One bit per input feature, all clear between calls (`collect_rows`).
+    mask: Vec<u64>,
+    /// Input feature → its local row; meaningful on the support only.
+    slot: Vec<u32>,
+}
+
+impl SupportRead {
+    /// An empty read for models of shape `spec`.
+    pub fn new(spec: &MlpSpec) -> Self {
+        let in_dim = spec.input_dim;
+        SupportRead {
+            local: Model::zeros_with_l0_rows(spec, 0),
+            support: Vec::with_capacity(in_dim),
+            every_row: false,
+            mask: vec![0; in_dim.div_ceil(64)],
+            slot: vec![0; in_dim],
+        }
+    }
+
+    /// Read what the CSR `batch` touches of `shared`, renumbering the
+    /// batch's columns onto its support (see the type docs).
+    // audit: no_alloc
+    pub fn read_csr(&mut self, shared: &SharedModel, batch: &mut CsrBatch) {
+        collect_rows(batch.view().indices(), &mut self.mask, &mut self.support);
+        // A support of every feature numbers them as they are.
+        if self.support.len() < batch.cols() {
+            for (i, &c) in self.support.iter().enumerate() {
+                self.slot[c as usize] = i as u32;
+            }
+            let slot = &self.slot;
+            batch.renumber_cols(self.support.len(), |c| slot[c as usize]);
+        }
+        self.every_row = false;
+        shared.read_rows(Some(&self.support), &mut self.local);
+    }
+
+    /// Read every row of `shared`: the support of a dense batch.
+    // audit: no_alloc
+    pub fn read_all(&mut self, shared: &SharedModel) {
+        self.every_row = true;
+        shared.read_rows(None, &mut self.local);
+    }
+
+    /// The model read, at the size of the last batch.
+    pub fn model(&self) -> &Model {
+        &self.local
+    }
+
+    /// The input features the read model's layer 0 holds, in its row
+    /// order (ascending): `Some` after a CSR read, `None` — every row —
+    /// after a dense one. What an apply of a gradient at the read takes.
+    pub fn support(&self) -> Option<&[u32]> {
+        (!self.every_row).then_some(&self.support)
     }
 }
 
@@ -280,6 +368,47 @@ mod tests {
         let mut cols = ws.active_cols().expect("CSR gradient").to_vec();
         cols.sort_unstable();
         assert_eq!(cols, vec![1, 5]);
+    }
+
+    /// A support read holds the batch's rows and renumbers the batch onto
+    /// them; a gradient at it, applied through its support, moves the
+    /// shared model exactly as the full-snapshot gradient does — across
+    /// batches whose supports grow and shrink on one workspace.
+    #[test]
+    fn support_read_steps_match_full_snapshot_steps() {
+        let spec = MlpSpec::tiny(40, 2);
+        let model = Model::new(spec.clone(), InitScheme::Xavier, 12);
+        let (via_read, via_snapshot) = (SharedModel::new(&model), SharedModel::new(&model));
+        let (mut at, mut full) = (SupportRead::new(&spec), Model::zeros_like(&spec));
+        let (mut ws_read, mut ws_full) = (Workspace::new(&spec), Workspace::new(&spec));
+        let all = CsrMatrix::from_dense(&sparse_batch(24, 40, 5), 0.0);
+        let mut batch = CsrBatch::new();
+        for (s, e) in [(0, 3), (3, 15), (15, 17), (0, 24)] {
+            let labels: Vec<u32> = (s..e).map(|i| (i % 2) as u32).collect();
+            let targets = Targets::Classes(&labels);
+            all.slice_rows_into(s, e, &mut batch);
+            via_snapshot.snapshot_into(&mut full);
+            ws_full.loss_and_gradient_into(&full, batch.view(), targets, false);
+            via_snapshot.apply_racy(ws_full.grad(), 0.5, ws_full.active_cols());
+            let support = ws_full.active_cols().unwrap().to_vec();
+            at.read_csr(&via_read, &mut batch);
+            assert_eq!(at.support(), Some(&support[..]), "rows {s}..{e}");
+            assert_eq!(batch.cols(), support.len());
+            for (i, &c) in support.iter().enumerate() {
+                let local = at.model().layers()[0].w.row(i);
+                assert_eq!(local, full.layers()[0].w.row(c as usize));
+            }
+            let (_, g) = ws_read.loss_and_gradient_into(at.model(), batch.view(), targets, false);
+            assert_eq!(g.layers()[0].w.rows(), support.len());
+            via_read.apply_racy(g, 0.5, at.support());
+            assert_eq!(
+                via_read.read_flat(),
+                via_snapshot.read_flat(),
+                "rows {s}..{e}"
+            );
+        }
+        at.read_all(&via_read);
+        assert_eq!((at.model(), at.support()), (&via_read.snapshot(), None));
     }
 
     #[test]

@@ -41,8 +41,9 @@ pub struct Workspace {
     /// Backprop δ ping-pong buffers.
     delta: Matrix,
     delta_next: Matrix,
-    /// Gradient accumulator, shaped like the model once and overwritten
-    /// in place every step.
+    /// Gradient accumulator, overwritten in place every step. Its layer 0
+    /// takes the rows of the model differentiated — every input feature's,
+    /// or a batch support's — so it holds no row before the first step.
     grad: Gradient,
     /// The layer-0 support of `grad`: `Some` while it came from a CSR
     /// batch, `None` while it is dense (or none was computed yet). Boxed so
@@ -68,7 +69,7 @@ impl Workspace {
             },
             delta: Matrix::zeros(0, 0),
             delta_next: Matrix::zeros(0, 0),
-            grad: Model::zeros_like(spec),
+            grad: Model::zeros_with_l0_rows(spec, 0),
             sparse: None,
             warmed_batch: 0,
             growth_events: 0,
@@ -140,17 +141,24 @@ impl Workspace {
         );
     }
 
-    /// Before a gradient of `x`, make `sparse` fit what the backward will
-    /// leave in `grad`: a dense backward overwrites every row (no support),
-    /// a CSR one needs the support of the gradient it replaces — created
-    /// here when absent, re-zeroing the dense rows it takes over. Runs
-    /// before `track`, so the one-time creation never counts against the
-    /// steady-state invariant.
-    fn prepare_gradient(&mut self, x: Input<'_>) {
+    /// Before a gradient of `x` at `model`, give `grad`'s layer 0 the rows
+    /// `model`'s has (all of them, or a batch's support), and make `sparse`
+    /// fit what the backward will leave in `grad`: a dense backward
+    /// overwrites every row (no support), a CSR one needs the support of
+    /// the gradient it replaces — created here when absent, re-zeroing
+    /// the rows a dense backward wrote (a layer just grown is fresh zeros,
+    /// as a new workspace's is). Runs before `track`, so the one-time
+    /// creation never counts against the steady-state invariant.
+    fn prepare_gradient(&mut self, model: &Model, x: Input<'_>) {
+        let fresh = self.grad.fit_l0(model.layers()[0].w.rows());
         match x {
             Input::Dense(_) => self.sparse = None,
             Input::Csr(_) if self.sparse.is_none() => {
-                self.sparse = Some(Box::new(SparseScratch::new(&mut self.grad)));
+                if !fresh && !cfg!(hetero_stale_l0_rows) {
+                    self.grad.layers_mut()[0].w.as_mut_slice().fill(0.0);
+                }
+                let scratch = SparseScratch::new(self.spec.input_dim);
+                self.sparse = Some(Box::new(scratch));
             }
             Input::Csr(_) => {}
         }
@@ -230,7 +238,7 @@ impl Workspace {
     ) -> (f32, &Gradient) {
         let x = x.into();
         self.check_spec(model);
-        self.prepare_gradient(x);
+        self.prepare_gradient(model, x);
         let l = self.track(x.dims().0, |ws| {
             forward_into_buffers(model, x, parallel, &mut ws.pass.activations);
             let l = loss(ws.pass.probs(), targets, model.spec().loss);

@@ -3,7 +3,8 @@
 //! lose an update in any interleaving, and the racy Hogwild path — against
 //! another lane or against a merge — must stay inside its documented
 //! lost-update envelope (values from a feasible serialization, never
-//! corruption). `scripts/check_mutation.sh` rebuilds this suite with
+//! corruption), and a read of a batch's support beside both must see only
+//! values the parameters held. `scripts/check_mutation.sh` rebuilds this suite with
 //! `--cfg hetero_unguarded_merge` (mergers skip stripe acquisition) and
 //! requires the two-merger models to fail.
 #![cfg(feature = "loom")]
@@ -197,4 +198,62 @@ fn merge_against_racy_lane_stays_in_feasible_envelope() {
         assert_eq!(shared.snapshot().layers()[0].b[0], 0.0);
         assert_eq!(shared.update_count(), 2);
     });
+}
+
+/// A read of a batch's support races a stripe-owning merger and a racy
+/// lane over the same rows. Input feature 1 of 2 is the support, so the
+/// read's layer 0 holds one row, feature 1's. Every value read must be one
+/// the parameter held at some point: a weight of 0 (neither write), +1
+/// (the merge), −2 (the lane), or −1 (both); a bias of 0 or +0.5 (the
+/// merge's) — never a torn or invented one. Some schedules must read
+/// before either write and some after, or nothing raced.
+#[test]
+fn support_read_sees_only_values_the_parameters_held() {
+    let seen = Arc::new([AtomicU64::new(0), AtomicU64::new(0)]);
+    let tally = Arc::clone(&seen);
+    loom::model(move || {
+        let spec = MlpSpec {
+            input_dim: 2,
+            ..scalar_spec()
+        };
+        let base = Model::new(spec.clone(), InitScheme::Constant(0.0), 0);
+        let shared = Arc::new(SharedModel::new(&base));
+        let support: &[u32] = &[1];
+        let mut merged = Model::zeros_like(&spec);
+        merged.layers_mut()[0].w.row_mut(1)[0] = -1.0;
+        merged.layers_mut()[0].b[0] = -0.5;
+        let mut raced = Model::zeros_like(&spec);
+        raced.layers_mut()[0].w.row_mut(1)[0] = 2.0;
+        let merger = {
+            let s = Arc::clone(&shared);
+            thread::spawn(move || s.merge_gradient(&merged, 1.0, Some(support), None))
+        };
+        let lane = {
+            let s = Arc::clone(&shared);
+            thread::spawn(move || s.apply_racy(&raced, 1.0, Some(support)))
+        };
+        let mut local = Model::zeros_like(&spec);
+        shared.read_rows(Some(support), &mut local);
+        merger.join().unwrap();
+        lane.join().unwrap();
+        let (w, b) = (&local.layers()[0].w, local.layers()[0].b[0]);
+        assert_eq!(w.rows(), 1, "the read holds the support's row only");
+        let w = w.get(0, 0);
+        assert!(
+            [0.0, 1.0, -2.0, -1.0].contains(&w),
+            "support read saw a weight {w} the parameter never held"
+        );
+        assert!(
+            b == 0.0 || b == 0.5,
+            "support read saw a bias {b} the parameter never held"
+        );
+        assert_eq!(shared.snapshot().layers()[0].w.get(0, 0), 0.0);
+        // Plain std atomic on purpose: a tally across schedules.
+        tally[usize::from(w != 0.0)].fetch_add(1, Ordering::Relaxed);
+    });
+    let [before, after] = &*seen;
+    assert!(
+        before.load(Ordering::Relaxed) > 0 && after.load(Ordering::Relaxed) > 0,
+        "the read never raced the writes"
+    );
 }

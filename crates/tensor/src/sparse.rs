@@ -427,6 +427,17 @@ impl CsrBatch {
         self.indptr.capacity() + self.indices.capacity() + self.values.capacity()
     }
 
+    /// Renumber the batch's columns: every stored index `c` becomes
+    /// `map(c)`, and the batch is `cols` wide. `map` must increase strictly
+    /// over the indices present, so each row stays ascending, and land in
+    /// `0..cols` — e.g. the rank of `c` among the columns the batch touches.
+    pub fn renumber_cols(&mut self, cols: usize, map: impl Fn(u32) -> u32) {
+        self.cols = cols;
+        for c in &mut self.indices {
+            *c = map(*c);
+        }
+    }
+
     /// Pre-reserve buffer capacity for `rows` rows and `nnz` stored entries.
     pub fn reserve(&mut self, rows: usize, nnz: usize) {
         self.indptr.reserve(rows + 1);

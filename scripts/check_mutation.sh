@@ -45,7 +45,10 @@
 # steps past the feature after each active one. In crates/core/src/lane.rs a
 # Hogbatch CPU batch is shared out to ⌈len/sub⌉ lanes, the last one short;
 # `--cfg hetero_split_drops_short_lane` counts ⌊len/sub⌋, so the short lane
-# never trains. This script asserts that:
+# never trains. In crates/nn/src/shared.rs a threaded step's read of its
+# batch's support copies the support's layer-0 rows and every stripe from
+# layer 0's bias on; `--cfg hetero_support_read_skips_tail` copies the rows
+# only. This script asserts that:
 #   1. the suites pass as written, and
 #   2. each suite FAILS under its mutation the way the bug would show (a
 #      data-race report for the queue, both two-merger models losing an
@@ -59,7 +62,8 @@
 #      depending on whether its data is stored dense or as CSR, an
 #      injected GPU OOM that never halves a batch, sparse data trained
 #      dense, generated data with no two neighbouring features active, lane
-#      shares that leave the end of a batch untrained),
+#      shares that leave the end of a batch untrained, a threaded step at a
+#      support read differing from the full-snapshot step),
 # i.e. the checker genuinely guards the edge.
 #
 # Usage: scripts/check_mutation.sh   (from anywhere in the repo)
@@ -82,14 +86,15 @@ oom="-p hetero-core --test fault_tolerance oom_retry_halves_batch_and_clamps_con
 format="-p hetero-core --lib the_format_follows_the_density"
 synth="-p hetero-data --lib synth::tests"
 split="-p hetero-core --lib lane_split_shares_tile_the_batch"
+read="-p hetero-core --lib a_support_read_step_is_bit_identical_to_a_full_snapshot_step"
 
-echo "[1/18] baseline: loom queue, shared-model, coordinator-model, event-loop, sparse-support, sim-wave, init-stream, sim-resume, store, GPU-OOM, input-format, generator-law and lane-split suites must pass as written"
+echo "[1/19] baseline: loom queue, shared-model, coordinator-model, event-loop, sparse-support, sim-wave, init-stream, sim-resume, store, GPU-OOM, input-format, generator-law, lane-split and support-read suites must pass as written"
 # shellcheck disable=SC2086
 if ! { cargo test $queue -q && cargo test $shared -q && cargo test $model -q \
     && cargo test $run -q && cargo test $support -q && cargo test $wave -q \
     && cargo test $init -q && cargo test $resume -q && cargo test $store -q \
     && cargo test $oom -q && cargo test $format -q && cargo test $synth -q \
-    && cargo test $split -q; } >"$log" 2>&1; then
+    && cargo test $split -q && cargo test $read -q; } >"$log" 2>&1; then
     echo "FAIL: baseline suite is red"
     tail -40 "$log"
     exit 1
@@ -99,7 +104,7 @@ fi
 check_mutation() {
     local cfg="$1" desc="$2" step="$3" suite="$4"
     shift 4
-    echo "[$step/18] mutation: suite must FAIL with $desc"
+    echo "[$step/19] mutation: suite must FAIL with $desc"
     # shellcheck disable=SC2086
     if RUSTFLAGS="--cfg $cfg" cargo test $suite -q >"$log" 2>&1; then
         echo "FAIL: $desc mutation was NOT caught"
@@ -178,4 +183,9 @@ check_mutation hetero_synth_gap_skips_one "a gap walk skipping the feature after
 check_mutation hetero_split_drops_short_lane "a lane split dropping the short last lane" 18 \
     "$split" "lane_split_shares_tile_the_batch" "shares do not tile"
 
-echo "OK: all seventeen seeded mutations are caught"
+# A support read that skips the bias and the later layers trains the step
+# on zeros there, so its update differs from the full-snapshot step's.
+check_mutation hetero_support_read_skips_tail "a support read skipping every stripe after the support rows" 19 \
+    "$read" "a_support_read_step_is_bit_identical_to_a_full_snapshot_step" "features, rows"
+
+echo "OK: all eighteen seeded mutations are caught"
