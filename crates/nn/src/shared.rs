@@ -369,6 +369,51 @@ impl SharedModel {
         self.merge(base, replica, scale, Some(l0_cols), Some(scan))
     }
 
+    /// Merge stripe `s` of [`merge_core`](Self::merge_core) if it can be
+    /// owned right now; `false`: it is taken. A method inlined into both
+    /// call sites rather than a closure over the merge's state: merging the
+    /// gradient of a 512-row real-sim batch (15 056 layer-0 rows) took
+    /// 1.9–2.0 ms through such a closure and 1.4–1.6 ms through this
+    /// method (2-vCPU AVX2 Xeon).
+    #[inline(always)]
+    fn try_merge_stripe<const N: usize>(
+        &self,
+        Visit { s, row }: Visit,
+        src: &[&Model; N],
+        scale: f32,
+        diff: &impl Fn([f32; N]) -> f32,
+        scan: Option<&mut MergeScan>,
+    ) -> bool {
+        // Acquire: pairs with the previous owner's `Release`, so the loads
+        // below see its adds. `hetero_unguarded_merge` is the seeded bug of
+        // `scripts/check_mutation.sh`: no exclusion.
+        let word = &self.owned[s];
+        if !cfg!(hetero_unguarded_merge) && word.swap(true, Ordering::Acquire) {
+            return false;
+        }
+        let st = self.stripe_at(s);
+        let params = &self.params[st.start..st.end];
+        // Each source cut to the stripe's length: indexing it needs no
+        // bounds check.
+        let vals = src.map(|m| &held(m, &st, row)[..params.len()]);
+        let deltas = (0..params.len()).map(|i| scale * diff(vals.map(|v| v[i])));
+        match scan {
+            // Stripe-local, so the scan's sums stay in registers.
+            Some(scan) => {
+                let mut seen = LayerScan::default();
+                for (p, delta) in params.iter().zip(deltas) {
+                    seen.observe(delta);
+                    add_delta(p, delta);
+                }
+                scan.add(st.layer, seen);
+            }
+            None => params.iter().zip(deltas).for_each(|(p, d)| add_delta(p, d)),
+        }
+        // Release: publishes the adds above to the stripe's next owner.
+        word.store(false, Ordering::Release);
+        true
+    }
+
     /// The one merge body: adds `scale·diff(src values)` into each stripe as
     /// it owns it; `scan` observes every delta visited, unwritten zeros too.
     fn merge_core<const N: usize>(
@@ -387,42 +432,6 @@ impl SharedModel {
             );
         }
         assert!(scale.is_finite() && scale >= 0.0, "bad merge scale");
-        // Merge stripe `s` if it can be owned right now; `false`: it is taken.
-        let mut merge_stripe = |Visit { s, row }: Visit| {
-            // Acquire: pairs with the previous owner's `Release`, so the
-            // loads below see its adds. `hetero_unguarded_merge` is the
-            // seeded bug of `scripts/check_mutation.sh`: no exclusion.
-            let word = &self.owned[s];
-            if !cfg!(hetero_unguarded_merge) && word.swap(true, Ordering::Acquire) {
-                return false;
-            }
-            let st = self.stripe_at(s);
-            let (params, vals) = (
-                &self.params[st.start..st.end],
-                src.map(|m| held(m, &st, row)),
-            );
-            // Stripe-local, so the scan's sums stay in registers.
-            let mut seen = LayerScan::default();
-            for (i, p) in params.iter().enumerate() {
-                let delta = scale * diff(vals.map(|v| v[i]));
-                if scan.is_some() {
-                    seen.observe(delta);
-                }
-                if delta != 0.0 {
-                    // Relaxed load/add/store, the lanes' own: no other
-                    // *merger* can be between the two (stripe owned), and a
-                    // lane that is races this one like another lane would.
-                    let sum = f32::from_bits(p.load(Ordering::Relaxed)) + delta;
-                    p.store(sum.to_bits(), Ordering::Relaxed);
-                }
-            }
-            // Release: publishes the adds above to the stripe's next owner.
-            word.store(false, Ordering::Release);
-            if let Some(scan) = scan.as_deref_mut() {
-                scan.add(st.layer, seen);
-            }
-            true
-        };
         // Windows of 64 visited stripes: a stripe found owned is marked in
         // the window's bitmask and revisited once at the window's end.
         let mut order = self.visited(l0_cols);
@@ -439,14 +448,14 @@ impl SharedModel {
             }
             let mut held_back = 0u64;
             for (j, &s) in window[..len].iter().enumerate() {
-                if !merge_stripe(s) {
+                if !self.try_merge_stripe(s, &src, scale, &diff, scan.as_deref_mut()) {
                     held_back |= 1 << j;
                 }
             }
             found_owned += u64::from(held_back.count_ones());
             while held_back != 0 {
                 let s = window[held_back.trailing_zeros() as usize];
-                while !merge_stripe(s) {
+                while !self.try_merge_stripe(s, &src, scale, &diff, scan.as_deref_mut()) {
                     yield_now();
                 }
                 held_back &= held_back - 1;
@@ -455,6 +464,19 @@ impl SharedModel {
         // Relaxed: monitoring counter.
         self.updates.fetch_add(1, Ordering::Relaxed);
         found_owned
+    }
+}
+
+/// A merger's add of `delta` into a parameter of a stripe it owns; a zero
+/// delta is not written.
+#[inline]
+fn add_delta(p: &AtomicU32, delta: f32) {
+    if delta != 0.0 {
+        // Relaxed load/add/store, the lanes' own: no other *merger* can be
+        // between the two (stripe owned), and a lane that is races this one
+        // like another lane would.
+        let sum = f32::from_bits(p.load(Ordering::Relaxed)) + delta;
+        p.store(sum.to_bits(), Ordering::Relaxed);
     }
 }
 
