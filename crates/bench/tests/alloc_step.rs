@@ -7,8 +7,10 @@
 //! support outgrows every earlier one grows the two layer-0 buffers sized
 //! by it once, and is allocation-free when repeated. Dense: the serial
 //! loss+gradient pass and the plain apply the CPU Hogwild lanes run, and
-//! the GPU worker's step on dense batches. None may touch the heap once
-//! buffers are warmed — they run per batch inside every engine's hot loop.
+//! the GPU worker's step on dense batches. Eval: the threaded evaluator's
+//! score of the shared model, layer 0 read where it lives, on a sparse run.
+//! None may touch the heap once buffers are warmed — they run per batch or
+//! per eval inside every engine's hot loop.
 //!
 //! Lives in its own integration-test binary because `#[global_allocator]`
 //! is process-wide: mixing a counting allocator into the unit-test binary
@@ -18,8 +20,8 @@ use hetero_bench::alloc_count::{allocs_in, CountingAlloc};
 use hetero_data::{PaperDataset, SynthConfig};
 use hetero_gpu::{DeviceMemory, Footprint, Link};
 use hetero_nn::{
-    Activation, InitScheme, LossKind, MergeScan, MlpSpec, Model, SharedModel, SupportRead, Targets,
-    Workspace,
+    Activation, ColumnBatch, InitScheme, Layer0, LossKind, MergeScan, MlpSpec, Model, SharedModel,
+    SupportRead, Targets, Workspace,
 };
 use hetero_sim::GpuModel;
 use hetero_tensor::{CsrBatch, CsrMatrix, Matrix};
@@ -67,6 +69,34 @@ fn warm_cpu_sparse_step_is_allocation_free() {
         shared.apply_racy(ws.grad(), 0.01, at.support());
     });
     assert_eq!(n, 0, "warm CPU sparse step allocated {n} times");
+}
+
+/// A warm eval of the shared model on a sparse run — its tail read, the
+/// tiled column forward over the eval rows with layer 0 read by reference,
+/// loss and accuracy — allocates nothing.
+#[test]
+fn warm_sparse_eval_is_allocation_free() {
+    let (data, csr_all, spec) = sparse_fixture();
+    let shared = SharedModel::drawn(spec.clone(), InitScheme::Xavier, 13);
+    let rows: Vec<usize> = (0..data.len()).step_by(3).collect();
+    let hetero_data::Labels::Classes(classes) = &data.labels else {
+        panic!("real-sim is single-label")
+    };
+    let classes: Vec<u32> = rows.iter().map(|&r| classes[r]).collect();
+    let mut x = ColumnBatch::new(csr_all.view(), &rows);
+    let mut held = Model::zeros_with_l0_rows(&spec, 0);
+    let mut ws = Workspace::new(&spec);
+    // The exact per-eval sequence of the threaded `Evaluator::score_shared`.
+    let n = allocs_in(|| {
+        shared.read_rows(Some(&[]), &mut held);
+        let probs = ws
+            .forward_columns_into(Layer0::Shared(&shared), &held, &mut x)
+            .probs();
+        let targets = Targets::Classes(&classes);
+        hetero_nn::loss(probs, targets, spec.loss);
+        hetero_nn::accuracy(probs, targets);
+    });
+    assert_eq!(n, 0, "warm sparse eval allocated {n} times");
 }
 
 /// Distinct columns of rows `s..e`.

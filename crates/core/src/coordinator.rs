@@ -38,7 +38,7 @@ use hetero_data::{BatchScheduler, DenseDataset};
 use hetero_flight::{
     FlightRecorder, HealthAction, HealthSnapshot, Provenance, Watchdog, WatchdogState,
 };
-use hetero_nn::{MlpSpec, Model};
+use hetero_nn::{InitScheme, MlpSpec, Model, SharedModel};
 use hetero_sim::UtilizationTimeline;
 use hetero_trace::{
     CounterHandle, EventKind, GaugeHandle, HistHandle, Metric, TimeDomain, TraceSink, COORDINATOR,
@@ -948,6 +948,38 @@ impl<'a> Coordinator<'a> {
 
 // --- The run skeleton ---------------------------------------------------------
 
+/// What a run's model starts from, handed to the engine's `build`, which
+/// builds it in the form it trains: a fresh run's seeded draw, or a
+/// resumed run's restored model.
+#[derive(Debug, PartialEq)]
+pub(crate) enum Start {
+    /// Draw `Model::new(spec, scheme, seed)`.
+    Draw { scheme: InitScheme, seed: u64 },
+    /// Continue from the checkpoint's model.
+    Restored(Model),
+}
+
+impl Start {
+    /// The start as a [`Model`] — what the simulator trains.
+    pub(crate) fn into_model(self, spec: &MlpSpec) -> Model {
+        match self {
+            Start::Draw { scheme, seed } => Model::new(spec.clone(), scheme, seed),
+            Start::Restored(model) => model,
+        }
+    }
+
+    /// The start as the threaded engine's global model: a draw is made in
+    /// place ([`SharedModel::drawn`]), so a fresh run allocates and
+    /// first-touches one model-sized buffer; a restored model is copied
+    /// once.
+    pub(crate) fn into_shared(self, spec: &MlpSpec) -> SharedModel {
+        match self {
+            Start::Draw { scheme, seed } => SharedModel::drawn(spec.clone(), scheme, seed),
+            Start::Restored(model) => SharedModel::new(&model),
+        }
+    }
+}
+
 /// One run, set up, resumed, scored and closed the same way on every
 /// engine. The engine brings its [`Engine`] facts; `split`, which takes
 /// its checkpoint state `T` apart into its tail `X` and the envelope; and
@@ -955,7 +987,8 @@ impl<'a> Coordinator<'a> {
 /// ([`Coordinator::evaluator`]) once the clock runs, and returns its
 /// [`Backend`] with the instant its clock started. The skeleton does the
 /// rest, in this order: the worker slots ([`slots`]) and the
-/// [`Coordinator`]; resume; start-up (the initial model and the
+/// [`Coordinator`]; resume; start-up (what the model starts from, a
+/// [`Start`] the engine builds its model of in `build`, and the
 /// [`BatchSource`]); the sparse density; `build`; `engine.startup_s`,
 /// from entry to the clock's start; the initial point, unless the run
 /// resumed (its curve came back with the checkpoint); the loop; closing
@@ -969,7 +1002,7 @@ pub(crate) fn run_engine<D: Deref<Target = DenseDataset>, T: Deserialize, X, B: 
     dataset: D,
     ctx: &RunCtx,
     split: impl FnOnce(T) -> (X, CoreCkpt),
-    build: impl FnOnce(&mut Coordinator<'_>, BatchSource<D>, Model, Option<X>) -> (B, Instant),
+    build: impl FnOnce(&mut Coordinator<'_>, BatchSource<D>, Start, Option<X>) -> (B, Instant),
 ) -> (TrainResult, B) {
     let entered = Instant::now();
     let (train, spec) = (engine.train, engine.spec);
@@ -981,9 +1014,12 @@ pub(crate) fn run_engine<D: Deref<Target = DenseDataset>, T: Deserialize, X, B: 
         .filter(|(_, c)| c.schema == engine.schema && c.workers.len() == co.workers())
         .unzip();
     let resumed = core.is_some();
-    let model = match core {
-        Some(core) => co.restore(core),
-        None => Model::new(spec.clone(), train.init, train.seed),
+    let start = match core {
+        Some(core) => Start::Restored(co.restore(core)),
+        None => Start::Draw {
+            scheme: train.init,
+            seed: train.seed,
+        },
     };
     let src = BatchSource::new(dataset);
     // Only on runs that train CSR rows, so a reader can tell the dense
@@ -991,7 +1027,7 @@ pub(crate) fn run_engine<D: Deref<Target = DenseDataset>, T: Deserialize, X, B: 
     if let Some(density) = src.csr().map(|csr| csr.density()) {
         co.sink.gauge("engine.sparse_density").set(density);
     }
-    let (mut backend, started) = build(&mut co, src, model, tail);
+    let (mut backend, started) = build(&mut co, src, start, tail);
     co.clock_starts(started - entered);
     // `hetero_point_on_resume` is a mutation switch for
     // `scripts/check_mutation.sh`.
@@ -1650,7 +1686,7 @@ mod tests {
         );
     }
 
-    /// A fresh run of the skeleton starts from the seeded model and, on
+    /// A fresh run of the skeleton starts from the seeded draw and, on
     /// data below the dense/CSR crossover, CSR features — the dataset's own
     /// store when it has one; scores it before the loop and after it; and
     /// trains the whole schedule through the engine's backend.
@@ -1673,10 +1709,18 @@ mod tests {
             };
             let build = |co: &mut Coordinator<'_>,
                          src: BatchSource<&DenseDataset>,
-                         model,
+                         start: Start,
                          resume: Option<()>| {
                 assert!(resume.is_none());
-                assert_eq!(model, Model::new(SPEC.clone(), train.init, train.seed));
+                let draw = || Start::Draw {
+                    scheme: train.init,
+                    seed: train.seed,
+                };
+                assert_eq!(start, draw());
+                // Either engine's form of the draw is the seeded model.
+                let seeded = Model::new(SPEC.clone(), train.init, train.seed);
+                assert_eq!(start.into_model(&SPEC), seeded);
+                assert_eq!(draw().into_shared(&SPEC).snapshot(), seeded);
                 assert_eq!(src.csr(), sparse.then(|| data.to_csr()).as_ref());
                 if let Some(store) = data.csr_store() {
                     assert!(

@@ -48,7 +48,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::config::{AlgorithmKind, TrainConfig};
 use crate::coordinator::{
-    record_busy, run_engine, Backend, Coordinator, CoreCkpt, Done, Engine, Event, RunCtx,
+    record_busy, run_engine, Backend, Coordinator, CoreCkpt, Done, Engine, Event, RunCtx, Start,
 };
 use crate::fault::{FaultPlan, WorkerError};
 use crate::lane::{lane_split, BatchSource, Evaluator, Lane};
@@ -348,7 +348,8 @@ impl SimEngine {
         // The backend over `co`'s worker slots at virtual time zero: a fresh
         // run's, or — `resume` carries the checkpoint's cadence and pending
         // events — the continuation of a captured one.
-        let build = |co: &mut Coordinator<'_>, src, model: Model, resume: Option<SimTail>| {
+        let build = |co: &mut Coordinator<'_>, src, start: Start, resume: Option<SimTail>| {
+            let model = start.into_model(&cfg.spec);
             // The virtual clock starts once start-up is over.
             let started = Instant::now();
             let mut gpus = cfg.gpus.iter().cloned();

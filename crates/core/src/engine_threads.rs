@@ -56,14 +56,16 @@ use hetero_data::DenseDataset;
 use hetero_flight::Watchdog;
 use hetero_gpu::{DeviceMemory, Footprint, Link};
 use hetero_mq::{channel, channel_traced_lineage, Receiver, RecvTimeoutError, Sender};
-use hetero_nn::{MlpSpec, Model, SharedModel, SupportRead};
+use hetero_nn::{MlpSpec, SharedModel, SupportRead};
 use hetero_sim::{DeviceModel, GpuModel};
 use hetero_trace::{
     BatchPhases, EventKind, HistHandle, Metric, TimeDomain, TraceSink, COORDINATOR,
 };
 
 use crate::config::{AlgorithmKind, TrainConfig};
-use crate::coordinator::{run_engine, Backend, Coordinator, CoreCkpt, Done, Engine, Event, RunCtx};
+use crate::coordinator::{
+    run_engine, Backend, Coordinator, CoreCkpt, Done, Engine, Event, RunCtx, Start,
+};
 use crate::fault::{panic_message, FaultPlan, WorkerError};
 use crate::lane::{lane_split, BatchSource, Evaluator, Lane};
 use crate::metrics::{LossPoint, TrainResult, WorkerKind};
@@ -209,14 +211,15 @@ impl ThreadedEngine {
         // continues from the capture's time, so its budget is what the
         // original run had not yet spent.
         let split = |core: CoreCkpt| (core.t, core);
-        // A clock over a shared model of `init`, and one thread per slot.
-        let build = |co: &mut Coordinator<'_>, src, init: Model, t_base: Option<f64>| {
+        // A clock over the shared model `start` builds, and one thread per
+        // slot.
+        let build = |co: &mut Coordinator<'_>, src, start: Start, t_base: Option<f64>| {
             // A run is a fresh set of threads: whoever had been quarantined
             // when a resumed run's checkpoint froze starts healthy.
             co.stats.iter_mut().for_each(|s| s.retired = None);
-            let shared = Arc::new(SharedModel::new(&init));
-            // The clock starts once the shared model is built: its copy of
-            // the model is start-up, not training time.
+            let shared = Arc::new(start.into_shared(&cfg.spec));
+            // The clock starts once the shared model is built: its draw
+            // (or a resumed run's copy) is start-up, not training time.
             let clock = Clock {
                 t0: Instant::now(),
                 t_base: t_base.unwrap_or(0.0),
@@ -258,10 +261,9 @@ impl ThreadedEngine {
                 workers,
                 shared,
                 evaluator,
-                eval_model: init,
-                dispatched: false,
                 eval_interval,
                 next_eval: eval_interval,
+                evaluated: false,
             };
             (backend, clock.t0)
         };
@@ -321,16 +323,13 @@ struct ThreadsBackend {
     ready: Receiver<Event>,
     workers: Vec<std::thread::JoinHandle<()>>,
     shared: Arc<SharedModel>,
+    /// Scores the shared model where it lives, on the coordinator thread.
     evaluator: Evaluator,
-    /// The one snapshot every eval scores and every checkpoint saves (both
-    /// run on the coordinator thread): the initial model's buffers, warm.
-    eval_model: Model,
-    /// Whether a range has gone out. Until one has, nobody has written
-    /// `shared`, and `eval_model` still is the initial model.
-    dispatched: bool,
     eval_interval: Duration,
     /// Since `clock.t0`.
     next_eval: Duration,
+    /// Whether the last event handed out was a periodic eval.
+    evaluated: bool,
 }
 
 impl Backend for ThreadsBackend {
@@ -347,7 +346,6 @@ impl Backend for ThreadsBackend {
         id: u64,
         range: BatchRange,
     ) -> Result<(), WorkerError> {
-        self.dispatched = true;
         // A worker that died without a fault message hung up its end.
         self.exec[w]
             .send(Execute { id, range })
@@ -363,16 +361,25 @@ impl Backend for ThreadsBackend {
             return Event::End;
         }
         let since = self.clock.t0.elapsed();
-        if since >= self.next_eval {
+        // An eval slower than its interval finds the next one due at once,
+        // so the call after an eval looks at the ready channel first,
+        // without waiting: back-to-back evals would never read it, and the
+        // ranges the workers finished would never complete.
+        let evaluated = std::mem::take(&mut self.evaluated);
+        if since >= self.next_eval && !evaluated {
             // Advance past `since` in whole intervals: a stall longer than
             // one interval must not leave `next_eval` behind the wall clock
             // (which would starve dispatch with back-to-back evals until it
             // caught up).
             let behind = (since - self.next_eval).as_secs_f64() / self.eval_interval.as_secs_f64();
             self.next_eval += self.eval_interval * (behind.floor() as u32 + 1);
+            self.evaluated = true;
             return Event::EvalDue;
         }
-        let wait = (self.next_eval - since).min(Duration::from_millis(50));
+        let wait = self
+            .next_eval
+            .saturating_sub(since)
+            .min(Duration::from_millis(50));
         match self.ready.recv_timeout(wait) {
             Ok(event) => event,
             Err(RecvTimeoutError::Timeout) => (0..self.exec.len())
@@ -386,14 +393,13 @@ impl Backend for ThreadsBackend {
         }
     }
 
-    /// The loss point of a racy snapshot of the shared model, on the
-    /// engine clock (`t_base` splices a resumed incarnation's curve onto
-    /// the restored prefix's time axis).
+    /// The loss point of the shared model, read racily as the workers
+    /// train it, on the engine clock (`t_base` splices a resumed
+    /// incarnation's curve onto the restored prefix's time axis). Before
+    /// the first dispatch nobody has written it: the initial point scores
+    /// the start itself.
     fn score(&mut self, epochs: f64) -> LossPoint {
-        if self.dispatched {
-            self.shared.snapshot_into(&mut self.eval_model);
-        }
-        let (loss, accuracy) = self.evaluator.score(&self.eval_model);
+        let (loss, accuracy) = self.evaluator.score_shared(&self.shared);
         LossPoint {
             time: self.now(),
             epochs,
@@ -402,15 +408,14 @@ impl Backend for ThreadsBackend {
         }
     }
 
-    /// The model image is a racy `snapshot_into` read — the Hogwild lanes
-    /// and the GPU merges never stall — and everything else captured is
+    /// The model image is a racy `snapshot` — the Hogwild lanes and the
+    /// GPU merges never stall — and everything else captured is
     /// coordinator-owned state. Workers race the capture, so whatever is
     /// in flight, parked ranges included, goes back on the queue of the
     /// resumed run: the scheduler has already counted it, and no example
     /// is silently dropped.
     fn checkpoint(&mut self, co: &Coordinator<'_>, t: f64) {
-        self.shared.snapshot_into(&mut self.eval_model);
-        let mut core = co.capture(THREADED_CKPT_SCHEMA, t, &self.eval_model);
+        let mut core = co.capture(THREADED_CKPT_SCHEMA, t, &self.shared.snapshot());
         core.requeue.extend(co.in_flight());
         co.save(t, &core);
     }
@@ -832,7 +837,7 @@ mod tests {
     use crate::config::{AdaptiveParams, LrScaling};
     use hetero_ckpt::Checkpointer;
     use hetero_data::SynthConfig;
-    use hetero_nn::Workspace;
+    use hetero_nn::{Model, Workspace};
 
     /// Per-thread trace ring sized for a whole test run. The busiest
     /// thread (the GPU worker: start, transfers, merge, complete per
@@ -922,6 +927,30 @@ mod tests {
         for w in &r.workers {
             assert!(w.batches > 0, "{:?} idle", w.kind);
         }
+    }
+
+    /// Evals slower than their interval — every eval here, at a
+    /// nanosecond interval — still leave the coordinator time to read what
+    /// the workers report: the run trains its ranges and ends. Were the
+    /// next eval due as soon as the last one ended, the coordinator would
+    /// evaluate back to back, never read the ready channel, and never end.
+    #[test]
+    fn evals_slower_than_their_interval_let_the_run_end() {
+        let mut cfg = config(AlgorithmKind::CpuGpuHogbatch, 0.05);
+        cfg.train.eval_interval = 1e-9;
+        // On a thread of its own, so that a stalled run fails the test
+        // instead of hanging it.
+        let (done, result) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = done.send(ThreadedEngine::new(cfg).unwrap().run(sparse_dataset()));
+        });
+        let r = result
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the run stalled");
+        for w in &r.workers {
+            assert!(w.batches > 0, "{:?} idle", w.kind);
+        }
+        assert!(r.loss_curve.len() > 2, "{:?}", r.loss_curve);
     }
 
     #[test]

@@ -21,7 +21,8 @@ use std::ops::Deref;
 use hetero_data::{DenseDataset, Labels};
 use hetero_flight::Watchdog;
 use hetero_nn::{
-    scan_model, Input, MergeScan, MlpSpec, Model, SharedModel, SupportRead, Workspace,
+    scan_model, ColumnBatch, Input, Layer0, MergeScan, MlpSpec, Model, SharedModel, SupportRead,
+    Workspace,
 };
 use hetero_tensor::{CsrBatch, CsrMatrix, Matrix};
 use rand::rngs::StdRng;
@@ -290,16 +291,36 @@ pub(crate) fn eval_subset(n: usize, k: usize, seed: u64) -> Vec<usize> {
 }
 
 /// The run's loss/accuracy probe: a fixed eval batch in the run's format
-/// plus one workspace reused by every eval.
+/// plus one workspace reused by every eval, on either engine.
+///
+/// On a sparse run the batch is stored by input feature once
+/// ([`ColumnBatch`]), and every eval reads layer 0 where it lives — the
+/// simulator's model, or the threaded engine's shared one with relaxed
+/// loads — a few KB of support rows at a time, scattering each tile into
+/// the pre-activations. That is bit-identical to the row form's CSR
+/// forward, and nothing model-sized is copied: a threaded eval reads only
+/// layer 0's bias and the later layers into `held`. A dense run's inputs
+/// are narrow (the density rule keeps wide sparse data off the dense
+/// path), so a threaded eval still copies the whole model into `held`.
+/// A dense eval over a wide sparse batch would cost more than the training
+/// steps it measures and stall the coordinator's dispatch; the CSR eval
+/// rows are picked from the run's CSR features, so nothing dense is
+/// touched.
 pub(crate) struct Evaluator {
     ws: Workspace,
-    x: Matrix,
-    /// On sparse runs the eval forward goes through the CSR kernels too: a
-    /// dense eval over a wide sparse batch would cost more than the training
-    /// steps it measures and stall the coordinator's dispatch. Its rows are
-    /// picked from the run's CSR features, so nothing dense is touched.
-    csr: Option<CsrMatrix>,
+    x: EvalBatch,
     labels: Labels,
+    /// What a threaded eval reads of the shared model before it scores:
+    /// every stripe from layer 0's bias on (no layer-0 row) on a sparse
+    /// run, every stripe on a dense one. Unused by the simulator, which
+    /// scores its own model.
+    held: Model,
+}
+
+/// The eval rows, in the run's format.
+enum EvalBatch {
+    Dense(Matrix),
+    Columns(ColumnBatch),
 }
 
 impl Evaluator {
@@ -313,15 +334,15 @@ impl Evaluator {
             Labels::Classes(v) => Labels::Classes(rows.iter().map(|&r| v[r]).collect()),
             Labels::MultiHot(m) => Labels::MultiHot(gather(m, rows)),
         };
-        let (x, csr) = match src.csr() {
-            Some(csr) => (Matrix::zeros(0, 0), Some(csr.select_rows(rows))),
-            None => (data.gather(rows), None),
+        let x = match src.csr() {
+            Some(csr) => EvalBatch::Columns(ColumnBatch::new(csr.view(), rows)),
+            None => EvalBatch::Dense(data.gather(rows)),
         };
         Evaluator {
             ws: Workspace::new(spec),
             x,
-            csr,
             labels,
+            held: Model::zeros_with_l0_rows(spec, 0),
         }
     }
 
@@ -333,17 +354,48 @@ impl Evaluator {
     /// `(loss, accuracy)` of `model` on the eval batch, on the calling
     /// thread.
     pub(crate) fn score(&mut self, model: &Model) -> (f32, f32) {
-        let x = match &self.csr {
-            Some(csr) => Input::Csr(csr.view()),
-            None => Input::Dense(&self.x),
-        };
-        let probs = self.ws.forward_into(model, x, false).probs();
-        let targets = self.labels.as_targets();
-        (
-            hetero_nn::loss(probs, targets, model.spec().loss),
-            hetero_nn::accuracy(probs, targets),
+        score_batch(
+            &mut self.ws,
+            &mut self.x,
+            &self.labels,
+            Layer0::Model(model),
+            model,
         )
     }
+
+    /// `(loss, accuracy)` of the shared model on the eval batch, read as
+    /// the workers train it, on the calling thread.
+    // audit: no_alloc
+    pub(crate) fn score_shared(&mut self, shared: &SharedModel) -> (f32, f32) {
+        let rows: Option<&[u32]> = match self.x {
+            EvalBatch::Columns(_) => Some(&[]),
+            EvalBatch::Dense(_) => None,
+        };
+        shared.read_rows(rows, &mut self.held);
+        let l0 = Layer0::Shared(shared);
+        score_batch(&mut self.ws, &mut self.x, &self.labels, l0, &self.held)
+    }
+}
+
+/// `(loss, accuracy)` on `x`: layer 0's weights from `l0` on a sparse
+/// batch, everything else — and layer 0 too on a dense one — from `tail`.
+fn score_batch(
+    ws: &mut Workspace,
+    x: &mut EvalBatch,
+    labels: &Labels,
+    l0: Layer0<'_>,
+    tail: &Model,
+) -> (f32, f32) {
+    let probs = match x {
+        EvalBatch::Columns(x) => ws.forward_columns_into(l0, tail, x),
+        EvalBatch::Dense(x) => ws.forward_into(tail, &*x, false),
+    }
+    .probs();
+    let targets = labels.as_targets();
+    (
+        hetero_nn::loss(probs, targets, tail.spec().loss),
+        hetero_nn::accuracy(probs, targets),
+    )
 }
 
 /// Scattered rows of a multi-hot label matrix, stacked in the order given.
@@ -548,8 +600,11 @@ mod tests {
         let mut on_dense = Evaluator::new(&dense, &rows, m.spec());
         let mut on_csr = Evaluator::new(&csr, &rows, m.spec());
         assert_eq!(on_dense.rows(), 24);
+        let EvalBatch::Dense(x) = &on_dense.x else {
+            panic!("a dense run's eval batch is dense")
+        };
         for (i, &r) in rows.iter().enumerate() {
-            assert_eq!(on_dense.x.row(i), dense.dataset.batch(r, r + 1).0.row(0));
+            assert_eq!(x.row(i), dense.dataset.batch(r, r + 1).0.row(0));
         }
         let ((l1, a1), (l2, a2)) = (on_dense.score(&m), on_csr.score(&m));
         assert!((l1 - l2).abs() < 1e-5, "{l1} vs {l2}");
@@ -575,6 +630,62 @@ mod tests {
         lane.apply_to(&mut via_lane, 0.5);
         reference.apply_gradient(lane.ws.grad(), 0.5);
         assert_eq!(via_lane, reference);
+    }
+
+    /// A threaded run's initial point reads the shared model it drew in
+    /// place — layer 0 by reference on a sparse run — and is the row-form
+    /// score of the seeded model, bit for bit, in either format: the ⅓-dense
+    /// data trains dense, a tenth-dense copy of it CSR.
+    #[test]
+    fn a_threaded_runs_initial_point_scores_the_seeded_model() {
+        let raw = SynthConfig::small(60, 12, 2, 7).generate();
+        for (every, sparse) in [(3, false), (10, true)] {
+            let data = Arc::new(thinned(&raw, every));
+            let train = TrainConfig {
+                algorithm: AlgorithmKind::CpuGpuHogbatch,
+                time_budget: 0.005,
+                eval_interval: 0.005,
+                eval_subsample: 40,
+                seed: 21,
+                ..TrainConfig::default()
+            };
+            let spec = MlpSpec::tiny(12, 2);
+            let seeded = Model::new(spec.clone(), train.init, train.seed);
+            let rows = eval_subset(data.len(), train.eval_subsample, train.seed);
+            let mut ws = Workspace::new(&spec);
+            let subset = data.to_csr().select_rows(&rows);
+            let gathered = data.gather(&rows);
+            let x = match sparse {
+                true => Input::Csr(subset.view()),
+                false => Input::Dense(&gathered),
+            };
+            let probs = ws.forward_into(&seeded, x, false).probs();
+            let Labels::Classes(labels) = &data.labels else {
+                panic!("single-label data")
+            };
+            let labels: Vec<u32> = rows.iter().map(|&r| labels[r]).collect();
+            let targets = hetero_nn::Targets::Classes(&labels);
+            let expect = (
+                hetero_nn::loss(probs, targets, spec.loss),
+                hetero_nn::accuracy(probs, targets),
+            );
+            let run = ThreadedEngine::new(ThreadedEngineConfig {
+                spec,
+                train,
+                cpu_threads: 2,
+                gpu_perf: GpuModel::v100(),
+                gpu_workers: 1,
+                fault_plan: FaultPlan::none(),
+            })
+            .unwrap()
+            .run_with(data, &RunCtx::default());
+            let first = run.loss_curve[0];
+            assert_eq!(
+                (first.loss.to_bits(), first.accuracy.to_bits()),
+                (expect.0.to_bits(), expect.1.to_bits()),
+                "sparse {sparse}"
+            );
+        }
     }
 
     /// The loss before any update depends on the seed, the spec and the

@@ -107,7 +107,7 @@ pub fn forward(model: &Model, x: &Matrix, parallel: bool) -> ForwardPass {
 /// pass over each pre-activation. Layer 0 (stored `in × out`) is `X·W`:
 /// [`gemm::gemm_nn_bias`] for a dense batch, [`sparse::spmm_bias_into`]
 /// straight from the weights for a CSR one; every later layer is the NT
-/// [`gemm::gemm_nt_bias`].
+/// [`gemm::gemm_nt_bias`] ([`forward_after_l0`]).
 pub(crate) fn forward_into_buffers(
     model: &Model,
     x: Input<'_>,
@@ -122,31 +122,43 @@ pub(crate) fn forward_into_buffers(
         width, rows,
         "batch feature width {width} != input_dim {rows} (layer-0 rows)"
     );
+    activations.resize_with(model.layers().len(), || Matrix::zeros(0, 0));
+    let (w, b) = (&model.layers()[0].w, &model.layers()[0].b);
+    let z = &mut activations[0];
+    // The one place the input format matters.
+    match x {
+        Input::Csr(x) => sparse::spmm_bias_into(x, w, b, z),
+        Input::Dense(x) => {
+            z.resize(batch, w.cols());
+            if parallel {
+                gemm::par_gemm_nn_bias(1.0, x, w, b, z);
+            } else {
+                gemm::gemm_nn_bias(1.0, x, w, b, z);
+            }
+        }
+    }
+    forward_after_l0(model, parallel, activations);
+}
+
+/// The forward pass from layer 0's pre-activation on: `activations[0]`
+/// holds `X·W₀ + b₀`, however layer 0 was read, and one matrix per layer
+/// follows it. Applies layer 0's activation, then runs every later layer
+/// of `model` — whose layer-0 weights it never reads — ending with the
+/// output probabilities.
+pub(crate) fn forward_after_l0(model: &Model, parallel: bool, activations: &mut [Matrix]) {
+    let batch = activations[0].rows();
     let n_layers = model.layers().len();
-    activations.resize_with(n_layers, || Matrix::zeros(0, 0));
     for (l, layer) in model.layers().iter().enumerate() {
         // Split so we can read the previous activation while writing this one.
         let (head, tail) = activations.split_at_mut(l);
         let z = &mut tail[0];
-        let (w, b) = (&layer.w, &layer.b);
-        match (l, x) {
-            // The one place the input format matters.
-            (0, Input::Csr(x)) => sparse::spmm_bias_into(x, w, b, z),
-            (0, Input::Dense(x)) => {
-                z.resize(batch, w.cols());
-                if parallel {
-                    gemm::par_gemm_nn_bias(1.0, x, w, b, z);
-                } else {
-                    gemm::gemm_nn_bias(1.0, x, w, b, z);
-                }
-            }
-            _ => {
-                z.resize(batch, w.rows());
-                if parallel {
-                    gemm::par_gemm_nt_bias(1.0, &head[l - 1], w, b, z);
-                } else {
-                    gemm::gemm_nt_bias(1.0, &head[l - 1], w, b, z);
-                }
+        if l > 0 {
+            let (w, b) = (&layer.w, &layer.b);
+            z.resize(batch, w.rows());
+            if parallel {
+                gemm::par_gemm_nt_bias(1.0, &head[l - 1], w, b, z);
+            } else {
+                gemm::gemm_nt_bias(1.0, &head[l - 1], w, b, z);
             }
         }
         if l + 1 == n_layers {

@@ -62,18 +62,23 @@ impl InitScheme {
     }
 
     /// Layer `l`'s weights, of shape `(fan_in, fan_out)`, for a model drawn
-    /// from `seed`, written in `w`'s storage order.
+    /// from `seed`, from index `first` of the layer's storage on: `w[i]` is
+    /// the weight at index `first + i`. Any range of a layer draws the same
+    /// bits as the whole layer does there.
     pub(crate) fn fill_layer(
         &self,
         seed: u64,
         l: usize,
-        fan_in: usize,
-        fan_out: usize,
+        (fan_in, fan_out): (usize, usize),
+        first: usize,
         w: &mut [f32],
     ) {
         match *self {
             InitScheme::Constant(c) => w.fill(c),
-            _ => ops::normal_fill(layer_key(seed, l), 0, self.sigma(fan_in, fan_out), w),
+            _ => {
+                let sigma = self.sigma(fan_in, fan_out);
+                ops::normal_fill(layer_key(seed, l), first as u64, sigma, w)
+            }
         }
     }
 }
@@ -106,7 +111,7 @@ mod tests {
     fn a_layer_is_a_function_of_seed_and_layer() {
         let draw = |seed, l| {
             let mut w = vec![0.0; 64];
-            InitScheme::PaperNormal.fill_layer(seed, l, 8, 8, &mut w);
+            InitScheme::PaperNormal.fill_layer(seed, l, (8, 8), 0, &mut w);
             w
         };
         assert_eq!(draw(42, 0), draw(42, 0));
@@ -117,7 +122,7 @@ mod tests {
     #[test]
     fn constant_fill() {
         let mut a = vec![0.0; 4];
-        InitScheme::Constant(0.5).fill_layer(0, 0, 2, 2, &mut a);
+        InitScheme::Constant(0.5).fill_layer(0, 0, (2, 2), 0, &mut a);
         assert_eq!(a, vec![0.5; 4]);
     }
 
@@ -144,7 +149,7 @@ mod tests {
     fn real_sim_layer0(seed: u64) -> (Vec<f32>, f32) {
         let (fan_in, fan_out) = WIDTH;
         let mut w = vec![0.0; fan_in * fan_out];
-        InitScheme::Xavier.fill_layer(seed, 0, fan_in, fan_out, &mut w);
+        InitScheme::Xavier.fill_layer(seed, 0, WIDTH, 0, &mut w);
         (w, InitScheme::Xavier.sigma(fan_in, fan_out))
     }
 

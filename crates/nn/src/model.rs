@@ -70,29 +70,33 @@ fn weights(l: usize, fan_in: usize, fan_out: usize) -> Matrix {
     }
 }
 
-impl Model {
-    /// Every stripe of the flat layout, in order: per layer its weight rows,
-    /// then its bias.
-    pub(crate) fn stripes(&self) -> Vec<Stripe> {
-        let mut stripes = Vec::new();
-        let mut start = 0;
-        for (layer, l) in self.layers.iter().enumerate() {
-            let (rows, width) = l.w.shape();
-            let rows = (0..rows).map(|r| (Some(r * width), width));
-            for (row_at, len) in rows.chain([(None, l.b.len())]) {
-                let end = start + len;
-                stripes.push(Stripe {
-                    layer,
-                    row_at,
-                    start,
-                    end,
-                });
-                start = end;
-            }
+/// Every stripe of `spec`'s flat layout from layer 0's bias on, in order:
+/// per layer its weight rows, then its bias. Layer 0's weight rows, one per
+/// input feature, come before them, all of one width, and are placed by
+/// arithmetic ([`crate::SharedModel`] keeps no entry for them).
+pub(crate) fn tail_stripes(spec: &MlpSpec) -> Vec<Stripe> {
+    let dims = spec.layer_dims();
+    let (in0, out0) = dims[0];
+    let mut stripes = Vec::new();
+    let mut start = in0 * out0;
+    for (layer, &(fan_in, fan_out)) in dims.iter().enumerate() {
+        // Every layer after 0 is stored `out × in`: `fan_out` rows of `fan_in`.
+        let rows = if layer == 0 { 0 } else { fan_out };
+        let rows = (0..rows).map(|r| (Some(r * fan_in), fan_in));
+        for (row_at, len) in rows.chain([(None, fan_out)]) {
+            stripes.push(Stripe {
+                layer,
+                row_at,
+                start,
+                end: start + len,
+            });
+            start += len;
         }
-        stripes
     }
+    stripes
+}
 
+impl Model {
     /// This model's values in stripe `st` (of a model of the same spec).
     pub(crate) fn stripe(&self, st: &Stripe) -> &[f32] {
         let layer = &self.layers[st.layer];
@@ -129,7 +133,7 @@ impl Model {
             .enumerate()
             .map(|(l, &(fan_in, fan_out))| {
                 let mut w = weights(l, fan_in, fan_out);
-                scheme.fill_layer(seed, l, fan_in, fan_out, w.as_mut_slice());
+                scheme.fill_layer(seed, l, (fan_in, fan_out), 0, w.as_mut_slice());
                 Layer {
                     w,
                     b: vec![0.0; fan_out],
@@ -145,8 +149,10 @@ impl Model {
     }
 
     /// [`zeros_like`](Self::zeros_like) with `rows` layer-0 weight rows (see
-    /// [`fit_l0`](Self::fit_l0)).
-    pub(crate) fn zeros_with_l0_rows(spec: &MlpSpec, rows: usize) -> Self {
+    /// [`fit_l0`](Self::fit_l0)). With 0 rows: everything of a model but
+    /// layer 0's weights, which a reader that takes those by reference
+    /// ([`crate::ColumnBatch`]) does not copy.
+    pub fn zeros_with_l0_rows(spec: &MlpSpec, rows: usize) -> Self {
         let layers = spec
             .layer_dims()
             .iter()

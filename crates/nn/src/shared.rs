@@ -8,8 +8,8 @@
 //! In Rust, "benign" data races are still UB on plain `f32`, so the storage
 //! is a flat `Vec<AtomicU32>` holding f32 bit patterns accessed with
 //! `Relaxed` ordering, cut into **stripes**: one weight row or one bias
-//! vector of a layer. Four accesses are provided — three updates and a
-//! read:
+//! vector of a layer. Five accesses are provided — three updates and two
+//! reads:
 //!
 //! - [`SharedModel::apply_racy`] — load/compute/store per element.
 //!   Concurrent writers can overwrite each other, which is *exactly* the
@@ -34,8 +34,15 @@
 //!   one its parameter held, a stripe may mix values from before and after
 //!   a concurrent write. The applies and merges take a gradient in the
 //!   same compact shape, writing its row `i` to model row `support[i]`.
+//! - [`SharedModel::read_l0_tile`] — the evaluator's read of layer 0 where
+//!   it lives: a few KB of layer-0 rows at a time, scattered into the eval
+//!   batch's pre-activations before the next tile is read
+//!   ([`ColumnBatch`](crate::ColumnBatch)), so an eval copies no
+//!   model-sized layer 0. The same `Relaxed` loads as `read_rows`, with the
+//!   same guarantee: each value read is one its parameter held.
 
-use crate::model::{Model, Stripe};
+use crate::init::InitScheme;
+use crate::model::{tail_stripes, Model, Stripe};
 use crate::scan::{LayerScan, MergeScan};
 use crate::spec::MlpSpec;
 use crate::sync::{yield_now, AtomicBool, AtomicU32, AtomicU64, Ordering};
@@ -52,18 +59,22 @@ use crate::sync::{yield_now, AtomicBool, AtomicU32, AtomicU64, Ordering};
 // build on them — that edge is all of "mergers lose nothing", and why the
 // parameters themselves still need no ordering. The loom suite
 // (`tests/loom_shared.rs`) checks that under all interleavings, and that the
-// racy path stays within its feasible envelope, and that a support read
-// beside both sees only values the parameters held.
+// racy path stays within its feasible envelope, and that a support read and
+// an eval's tile read beside both see only values the parameters held.
+
+/// Weights drawn per chunk by [`SharedModel::drawn`]: 16 KB of stack.
+const DRAW_CHUNK: usize = 4096;
 
 /// Shared parameter store for concurrent SGD.
 pub struct SharedModel {
     spec: MlpSpec,
     params: Vec<AtomicU32>,
-    /// Where each stripe lies in `params`, in flat order; read-only.
+    /// Where each stripe from layer 0's bias on lies in `params`, in flat
+    /// order — stripe `input_dim + i` is entry `i`; read-only. Layer 0's
+    /// rows, one per input feature, are placed by `stripe_at` alone.
     stripes: Vec<Stripe>,
     /// Floats per layer-0 row: stripe `c < input_dim` lies at
-    /// `c·l0_width..(c + 1)·l0_width`, so a row-sparse traversal need not
-    /// look it up.
+    /// `c·l0_width..(c + 1)·l0_width`, so no traversal looks it up.
     l0_width: usize,
     /// One ownership word per stripe (set: a merger is adding into it),
     /// touched by mergers only. Kept apart from `stripes` so the lanes,
@@ -74,19 +85,61 @@ pub struct SharedModel {
 }
 
 impl SharedModel {
-    /// Wrap an initial model into shared storage.
+    /// Copy a model into shared storage — a resumed run's restored model,
+    /// or any model a test builds.
     pub fn new(model: &Model) -> Self {
-        let stripes = model.stripes();
-        // Filled stripe by stripe from the model itself: no flat temporary.
+        // Filled layer by layer from the model itself: no flat temporary.
         let mut params = Vec::with_capacity(model.num_params());
-        for st in &stripes {
-            params.extend(model.stripe(st).iter().map(|v| AtomicU32::new(v.to_bits())));
+        for layer in model.layers() {
+            let values = layer.w.as_slice().iter().chain(&layer.b);
+            params.extend(values.map(|v| AtomicU32::new(v.to_bits())));
         }
+        Self::with_params(model.spec().clone(), params)
+    }
+
+    /// The model `Model::new(spec, scheme, seed)` draws, drawn straight into
+    /// shared storage, bit for bit: no intermediate [`Model`], so a fresh
+    /// run allocates and first-touches one model-sized buffer, not two.
+    ///
+    /// # Panics
+    /// Panics if `spec` or `scheme` is invalid.
+    pub fn drawn(spec: MlpSpec, scheme: InitScheme, seed: u64) -> Self {
+        Self::drawn_in_chunks(spec, scheme, seed, DRAW_CHUNK)
+    }
+
+    /// [`drawn`](Self::drawn), `chunk` weights at a time through a stack
+    /// buffer: the stream draws any range of a layer with the same bits, so
+    /// the chunk size (odd ones too, which start mid-pair) changes nothing.
+    fn drawn_in_chunks(spec: MlpSpec, scheme: InitScheme, seed: u64, chunk: usize) -> Self {
+        spec.validate().expect("invalid MlpSpec");
+        scheme.validate().expect("invalid InitScheme");
+        assert!(chunk > 0 && chunk <= DRAW_CHUNK, "draw chunk {chunk}");
+        let mut buf = [0.0f32; DRAW_CHUNK];
+        let mut params = Vec::with_capacity(spec.num_params());
+        for (l, &dims) in spec.layer_dims().iter().enumerate() {
+            let weights = dims.0 * dims.1;
+            for first in (0..weights).step_by(chunk) {
+                let w = &mut buf[..chunk.min(weights - first)];
+                scheme.fill_layer(seed, l, dims, first, w);
+                params.extend(w.iter().map(|v| AtomicU32::new(v.to_bits())));
+            }
+            // Biases start at zero.
+            params.extend((0..dims.1).map(|_| AtomicU32::new(0)));
+        }
+        Self::with_params(spec, params)
+    }
+
+    /// Shared storage over `params`, `spec`'s flat layout.
+    fn with_params(spec: MlpSpec, params: Vec<AtomicU32>) -> Self {
+        assert_eq!(params.len(), spec.num_params(), "flat parameter length");
+        let stripes = tail_stripes(&spec);
         SharedModel {
-            spec: model.spec().clone(),
+            l0_width: spec.layer_dims()[0].1,
+            owned: (0..spec.input_dim + stripes.len())
+                .map(|_| AtomicBool::new(false))
+                .collect(),
+            spec,
             params,
-            owned: stripes.iter().map(|_| AtomicBool::new(false)).collect(),
-            l0_width: stripes.first().map_or(0, |st| st.end - st.start),
             stripes,
             updates: AtomicU64::new(0),
         }
@@ -150,7 +203,7 @@ impl SharedModel {
         let end = if cfg!(hetero_support_read_skips_tail) && l0_rows.is_some() {
             self.spec.input_dim
         } else {
-            self.stripes.len()
+            self.n_stripes()
         };
         for Visit { s, row } in self.visited(l0_rows).take_while(|v| v.s < end) {
             let st = self.stripe_at(s);
@@ -165,14 +218,35 @@ impl SharedModel {
         }
     }
 
+    /// The layer-0 weight rows of input features `rows` into `tile`, row
+    /// `i` (`tile`'s `i`-th run of layer-0 width) taking feature `rows[i]`'s
+    /// — what an eval reads of layer 0, a tile at a time
+    /// ([`ColumnBatch`](crate::ColumnBatch)). `rows` must lie below the
+    /// input width.
+    // audit: no_alloc,no_panic,no_block
+    pub fn read_l0_tile(&self, rows: &[u32], tile: &mut [f32]) {
+        for (&c, out) in rows.iter().zip(tile.chunks_exact_mut(self.l0_width)) {
+            debug_assert!((c as usize) < self.spec.input_dim, "row {c}");
+            let st = self.stripe_at(c as usize);
+            // Relaxed: the eval reads the model the workers are training, as
+            // `read_rows` does — each element tear-free, a row may mix
+            // values from before and after a concurrent add, and no value
+            // read guards other memory (module ordering note).
+            for (v, p) in out.iter_mut().zip(&self.params[st.start..st.end]) {
+                *v = f32::from_bits(p.load(Ordering::Relaxed));
+            }
+        }
+    }
+
     /// Overwrite the stored parameters from a model (merging a deep replica
     /// back; concurrent readers may observe a mix of old and new values).
     pub fn store(&self, model: &Model) {
         assert_eq!(model.spec(), &self.spec, "replica spec mismatch");
         // Relaxed: overwrite is allowed to interleave with concurrent
         // readers/writers (see module ordering note).
-        for st in &self.stripes {
-            for (p, v) in self.params[st.start..st.end].iter().zip(model.stripe(st)) {
+        for Visit { s, .. } in self.visited(None) {
+            let st = self.stripe_at(s);
+            for (p, v) in self.params[st.start..st.end].iter().zip(model.stripe(&st)) {
                 p.store(v.to_bits(), Ordering::Relaxed);
             }
         }
@@ -196,15 +270,22 @@ impl SharedModel {
             c < n_in
         });
         let row_stripe = |(c, i): (usize, usize)| Visit { s: c, row: Some(i) };
-        let tail = (tail..self.stripes.len()).map(|s| Visit { s, row: None });
+        let tail = (tail..self.n_stripes()).map(|s| Visit { s, row: None });
         rows.map(row_stripe).chain(tail)
+    }
+
+    /// How many stripes the model has: one per input feature, then
+    /// `stripes`.
+    fn n_stripes(&self) -> usize {
+        self.spec.input_dim + self.stripes.len()
     }
 
     /// Where stripe `s` lies: a layer-0 row from `l0_width`, without a
     /// lookup; any other from `stripes`.
     #[inline]
     fn stripe_at(&self, s: usize) -> Stripe {
-        if s < self.spec.input_dim {
+        let n_in = self.spec.input_dim;
+        if s < n_in {
             let (start, end) = (s * self.l0_width, (s + 1) * self.l0_width);
             Stripe {
                 layer: 0,
@@ -213,7 +294,7 @@ impl SharedModel {
                 end,
             }
         } else {
-            self.stripes[s]
+            self.stripes[s - n_in]
         }
     }
 
@@ -269,8 +350,9 @@ impl SharedModel {
     // audit: no_alloc,no_panic,no_block
     pub fn apply_gradient_atomic(&self, grad: &Model, eta: f32) {
         assert_eq!(grad.spec(), &self.spec, "gradient spec mismatch");
-        for st in &self.stripes {
-            for (p, g) in self.params[st.start..st.end].iter().zip(grad.stripe(st)) {
+        for Visit { s, .. } in self.visited(None) {
+            let st = self.stripe_at(s);
+            for (p, g) in self.params[st.start..st.end].iter().zip(grad.stripe(&st)) {
                 // Relaxed CAS loop: atomicity of each compare_exchange is
                 // what guarantees no lost update; ordering is irrelevant
                 // because the value is pure data (module ordering note).
@@ -544,6 +626,65 @@ mod tests {
         let m = Model::new(MlpSpec::tiny(3, 2), InitScheme::Xavier, 9);
         let s = SharedModel::new(&m);
         (m, s)
+    }
+
+    /// Every scheme, drawn in place, is the model `Model::new` draws, bit
+    /// for bit: at real-sim width (20 958 → 64 → 2), and on layers of odd
+    /// sizes in chunks of odd sizes, so that chunks start mid-pair.
+    #[test]
+    fn a_drawn_model_is_the_seeded_model() {
+        let schemes = [
+            InitScheme::PaperNormal,
+            InitScheme::Xavier,
+            InitScheme::XavierSigmoid,
+            InitScheme::Normal(0.3),
+            InitScheme::Constant(0.25),
+        ];
+        let bits = |m: &Model| m.flatten().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let real_sim = MlpSpec {
+            hidden: vec![64],
+            ..MlpSpec::tiny(20_958, 2)
+        };
+        let odd = MlpSpec {
+            hidden: vec![7, 5],
+            ..MlpSpec::tiny(13, 3)
+        };
+        for scheme in schemes {
+            let seeded = Model::new(real_sim.clone(), scheme, 17);
+            let drawn = SharedModel::drawn(real_sim.clone(), scheme, 17);
+            assert!(bits(&drawn.snapshot()) == bits(&seeded), "{scheme:?}");
+            let seeded = Model::new(odd.clone(), scheme, 4);
+            for chunk in [1, 3, 7, 64, DRAW_CHUNK] {
+                let drawn = SharedModel::drawn_in_chunks(odd.clone(), scheme, 4, chunk);
+                let case = format!("{scheme:?}, chunk {chunk}");
+                assert!(bits(&drawn.snapshot()) == bits(&seeded), "{case}");
+            }
+        }
+    }
+
+    /// Layer 0's rows are placed by arithmetic: the stripe table holds
+    /// only what follows them, and every stripe is where the model's flat
+    /// layout puts it.
+    #[test]
+    fn the_stripe_table_holds_no_layer0_row() {
+        let spec = MlpSpec {
+            hidden: vec![4, 3],
+            ..MlpSpec::tiny(50, 2)
+        };
+        let s = SharedModel::drawn(spec.clone(), InitScheme::Xavier, 1);
+        // Layer 0's bias, then 3 rows + bias of layer 1, 2 rows + bias.
+        assert_eq!(s.stripes.len(), 1 + 4 + 3);
+        assert_eq!(s.owned.len(), s.n_stripes());
+        let model = s.snapshot();
+        let flat = model.flatten();
+        let mut at = 0;
+        for Visit { s: i, .. } in s.visited(None) {
+            let st = s.stripe_at(i);
+            assert_eq!(st.start, at, "stripe {i}");
+            assert_eq!(model.stripe(&st), &flat[st.start..st.end], "stripe {i}");
+            at = st.end;
+        }
+        assert_eq!(at, s.num_params());
     }
 
     #[test]

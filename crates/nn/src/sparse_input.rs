@@ -21,6 +21,8 @@
 //! [`SupportRead`] takes the same support before the step, on the worker
 //! side: it reads only those rows of the shared model, so a threaded step
 //! reads, differentiates and writes layer 0 at the size of its batch.
+//! [`ColumnBatch`] is the evaluator's fixed batch stored by feature, whose
+//! forward reads layer 0 where it lives, a tile of support rows at a time.
 //! [`forward_sparse`] is a thin allocating wrapper for one-off calls.
 //!
 //! The layers after the first run the *same* code as for a dense batch, so
@@ -189,6 +191,162 @@ fn collect_rows(indices: &[u32], mask: &mut [u64], out: &mut Vec<u32>) {
         while *word != 0 {
             out.push(w as u32 * 64 + word.trailing_zeros());
             *word &= *word - 1;
+        }
+    }
+}
+
+/// Where a forward over a [`ColumnBatch`] reads layer 0's weight rows
+/// from, a tile at a time: a whole model, or the shared one by reference.
+#[derive(Clone, Copy, Debug)]
+pub enum Layer0<'a> {
+    /// A model holding every layer-0 row (plain reads).
+    Model(&'a Model),
+    /// The global model ([`SharedModel::read_l0_tile`]'s `Relaxed` loads).
+    Shared(&'a SharedModel),
+}
+
+impl<'a> Layer0<'a> {
+    /// The layer-0 rows of input features `rows` into `tile`, row `i`
+    /// taking feature `rows[i]`'s.
+    // audit: no_alloc
+    fn read_tile(self, rows: &[u32], tile: &mut Matrix) {
+        match self {
+            Layer0::Model(m) => {
+                let w = &m.layers()[0].w;
+                for (&c, out) in rows
+                    .iter()
+                    .zip(tile.as_mut_slice().chunks_exact_mut(w.cols()))
+                {
+                    out.copy_from_slice(w.row(c as usize));
+                }
+            }
+            Layer0::Shared(s) => s.read_l0_tile(rows, tile.as_mut_slice()),
+        }
+    }
+
+    pub(crate) fn spec(self) -> &'a MlpSpec {
+        match self {
+            Layer0::Model(m) => m.spec(),
+            Layer0::Shared(s) => s.spec(),
+        }
+    }
+}
+
+/// Floats of layer-0 rows one tile of a [`ColumnBatch`] forward reads:
+/// 4 KB, well inside L1 beside the pre-activation rows it adds into.
+const TILE_FLOATS: usize = 1024;
+
+/// Layer-0 rows per tile at layer-0 width `out`.
+pub fn tile_rows(out: usize) -> usize {
+    (TILE_FLOATS / out.max(1)).max(1)
+}
+
+/// A fixed CSR batch stored by input feature — the evaluator's, which is
+/// scored on the same rows at every eval point. It holds the batch's
+/// support (ascending) and, for each support feature, the (row, value)
+/// entries that read it. Its layer-0 forward
+/// ([`Workspace::forward_columns_into`]) reads the model's layer 0 where it
+/// lives, a few KB of support rows at a time ([`tile_rows`]), and scatters
+/// each tile into the pre-activations with the backward's mul-then-add
+/// kernel ([`sparse::spmm_tn_scatter`]), after seeding them with the bias.
+/// Each output row then receives its terms in ascending-feature order —
+/// the order [`sparse::spmm_bias_into`] adds a CSR row's — so the forward
+/// is bit-identical to the row form's, and no model-sized copy of layer 0
+/// is made. Reading layer 0 per stored entry instead (a row per entry, by
+/// reference) measured twice as slow as a full copy.
+#[derive(Debug)]
+pub struct ColumnBatch {
+    /// Examples in the batch.
+    rows: usize,
+    /// Input features of the batch.
+    cols: usize,
+    /// The input features the batch stores an entry of, ascending.
+    support: Vec<u32>,
+    /// Row `i`: the entries of feature `support[i]` — the batch rows that
+    /// store it (ascending) and their values.
+    by_feature: CsrMatrix,
+    /// One tile of layer-0 rows, reused across tiles and calls.
+    tile: Matrix,
+}
+
+impl ColumnBatch {
+    /// Rows `rows` of `x`, in that order, stored by feature.
+    ///
+    /// # Panics
+    /// Panics if a row lies past `x`'s.
+    pub fn new(x: CsrView<'_>, rows: &[usize]) -> Self {
+        let mut count = vec![0usize; x.cols()];
+        for &r in rows {
+            for (c, _) in x.row_iter(r) {
+                count[c] += 1;
+            }
+        }
+        // `count[c]` becomes where feature `c`'s entries start.
+        let mut support = Vec::new();
+        let mut indptr = vec![0];
+        let mut at = 0;
+        for (c, n) in count.iter_mut().enumerate() {
+            if *n > 0 {
+                support.push(c as u32);
+                (*n, at) = (at, at + *n);
+                indptr.push(at);
+            }
+        }
+        let (mut indices, mut values) = (vec![0u32; at], vec![0.0f32; at]);
+        for (i, &r) in rows.iter().enumerate() {
+            for (c, v) in x.row_iter(r) {
+                let p = &mut count[c];
+                (indices[*p], values[*p]) = (i as u32, v);
+                *p += 1;
+            }
+        }
+        ColumnBatch {
+            rows: rows.len(),
+            cols: x.cols(),
+            support,
+            by_feature: CsrMatrix::from_parts(rows.len(), indptr, indices, values),
+            tile: Matrix::zeros(0, 0),
+        }
+    }
+
+    /// Examples in the batch.
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Input features of the batch.
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// The input features the batch stores an entry of, ascending.
+    pub fn support(&self) -> &[u32] {
+        &self.support
+    }
+
+    /// `z ← X·W₀ + bias`, `W₀` read from `l0` one tile of support rows at a
+    /// time (see the type docs); `z` is reshaped to `rows × bias.len()`.
+    // audit: no_alloc
+    pub(crate) fn l0_into(&mut self, l0: Layer0<'_>, bias: &[f32], z: &mut Matrix) {
+        let out = bias.len();
+        z.resize(self.rows, out);
+        for r in 0..self.rows {
+            z.row_mut(r).copy_from_slice(bias);
+        }
+        let (n, per) = (self.support.len(), tile_rows(out));
+        // `hetero_eval_skips_last_tile` is the seeded bug of
+        // `scripts/check_mutation.sh`: a final partial tile is dropped.
+        let end = if cfg!(hetero_eval_skips_last_tile) {
+            n - n % per
+        } else {
+            n
+        };
+        let by_feature = self.by_feature.view();
+        for s in (0..end).step_by(per) {
+            let e = (s + per).min(n);
+            self.tile.resize(e - s, out);
+            l0.read_tile(&self.support[s..e], &mut self.tile);
+            sparse::spmm_tn_scatter(by_feature.row_range(s, e), &self.tile, z);
         }
     }
 }

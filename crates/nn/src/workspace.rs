@@ -27,9 +27,9 @@
 use hetero_tensor::{CsrView, Matrix};
 
 use crate::backward::{backward_with_scratch, Gradient};
-use crate::forward::{forward_into_buffers, loss, ForwardPass, Input, Targets};
+use crate::forward::{forward_after_l0, forward_into_buffers, loss, ForwardPass, Input, Targets};
 use crate::model::Model;
-use crate::sparse_input::SparseScratch;
+use crate::sparse_input::{ColumnBatch, Layer0, SparseScratch};
 use crate::spec::MlpSpec;
 
 /// Reusable forward/backward buffers for one worker (see module docs).
@@ -215,6 +215,35 @@ impl Workspace {
         self.check_spec(model);
         self.track(x.dims().0, |ws| {
             forward_into_buffers(model, x, parallel, &mut ws.pass.activations);
+        });
+        &self.pass
+    }
+
+    /// Forward pass of a [`ColumnBatch`]: layer 0's weights read from `l0`
+    /// a tile at a time, everything else — layer 0's bias and every later
+    /// layer — from `tail`, whose layer-0 weights are never read (it may
+    /// hold none: `Model::zeros_with_l0_rows(spec, 0)`). Bit-identical to
+    /// [`forward_into`](Self::forward_into) of the same rows in CSR form on
+    /// a model holding both; allocation-free once warmed.
+    ///
+    /// # Panics
+    /// Panics if `l0`, `tail` or `x` is not of this workspace's spec.
+    // audit: no_alloc
+    pub fn forward_columns_into(
+        &mut self,
+        l0: Layer0<'_>,
+        tail: &Model,
+        x: &mut ColumnBatch,
+    ) -> &ForwardPass {
+        self.check_spec(tail);
+        assert_eq!(l0.spec(), &self.spec, "layer-0 source spec mismatch");
+        assert_eq!(x.cols(), self.spec.input_dim, "column batch width");
+        let layers = self.spec.num_layers();
+        self.track(x.rows(), |ws| {
+            let activations = &mut ws.pass.activations;
+            activations.resize_with(layers, || Matrix::zeros(0, 0));
+            x.l0_into(l0, &tail.layers()[0].b, &mut activations[0]);
+            forward_after_l0(tail, false, activations);
         });
         &self.pass
     }

@@ -3,8 +3,9 @@
 //! lose an update in any interleaving, and the racy Hogwild path — against
 //! another lane or against a merge — must stay inside its documented
 //! lost-update envelope (values from a feasible serialization, never
-//! corruption), and a read of a batch's support beside both must see only
-//! values the parameters held. `scripts/check_mutation.sh` rebuilds this suite with
+//! corruption), and a read of a batch's support, or an eval's read of a
+//! tile of layer-0 rows, beside both must see only values the parameters
+//! held. `scripts/check_mutation.sh` rebuilds this suite with
 //! `--cfg hetero_unguarded_merge` (mergers skip stripe acquisition) and
 //! requires the two-merger models to fail.
 #![cfg(feature = "loom")]
@@ -246,6 +247,59 @@ fn support_read_sees_only_values_the_parameters_held() {
         assert!(
             b == 0.0 || b == 0.5,
             "support read saw a bias {b} the parameter never held"
+        );
+        assert_eq!(shared.snapshot().layers()[0].w.get(0, 0), 0.0);
+        // Plain std atomic on purpose: a tally across schedules.
+        tally[usize::from(w != 0.0)].fetch_add(1, Ordering::Relaxed);
+    });
+    let [before, after] = &*seen;
+    assert!(
+        before.load(Ordering::Relaxed) > 0 && after.load(Ordering::Relaxed) > 0,
+        "the read never raced the writes"
+    );
+}
+
+/// An eval's tile read of layer 0 races a stripe-owning merger and a racy
+/// lane over the same row. Input feature 1 of 2 is the tile, read by
+/// reference into a one-row buffer. Every value read must be one the
+/// parameter held: 0 (neither write), +1 (the merge), −2 (the lane), or −1
+/// (both) — never a torn or invented one. Some schedules must read before
+/// either write and some after, or nothing raced.
+#[test]
+fn eval_tile_read_sees_only_values_the_parameter_held() {
+    let seen = Arc::new([AtomicU64::new(0), AtomicU64::new(0)]);
+    let tally = Arc::clone(&seen);
+    loom::model(move || {
+        let spec = MlpSpec {
+            input_dim: 2,
+            ..scalar_spec()
+        };
+        let shared = Arc::new(SharedModel::drawn(
+            spec.clone(),
+            InitScheme::Constant(0.0),
+            0,
+        ));
+        let support: &[u32] = &[1];
+        let mut merged = Model::zeros_like(&spec);
+        merged.layers_mut()[0].w.row_mut(1)[0] = -1.0;
+        let mut raced = Model::zeros_like(&spec);
+        raced.layers_mut()[0].w.row_mut(1)[0] = 2.0;
+        let merger = {
+            let s = Arc::clone(&shared);
+            thread::spawn(move || s.merge_gradient(&merged, 1.0, Some(support), None))
+        };
+        let lane = {
+            let s = Arc::clone(&shared);
+            thread::spawn(move || s.apply_racy(&raced, 1.0, Some(support)))
+        };
+        let mut tile = [f32::NAN];
+        shared.read_l0_tile(support, &mut tile);
+        merger.join().unwrap();
+        lane.join().unwrap();
+        let w = tile[0];
+        assert!(
+            [0.0, 1.0, -2.0, -1.0].contains(&w),
+            "tile read saw a weight {w} the parameter never held"
         );
         assert_eq!(shared.snapshot().layers()[0].w.get(0, 0), 0.0);
         // Plain std atomic on purpose: a tally across schedules.

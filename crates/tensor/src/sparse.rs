@@ -325,11 +325,14 @@ impl CsrMatrix {
 }
 
 /// Borrowed CSR view — the input type of every sparse kernel, served by
-/// both [`CsrMatrix::view`] and [`CsrBatch::view`].
+/// both [`CsrMatrix::view`] and [`CsrBatch::view`], and by
+/// [`CsrView::row_range`] for a range of rows.
 #[derive(Clone, Copy, Debug)]
 pub struct CsrView<'a> {
     rows: usize,
     cols: usize,
+    /// `rows + 1` offsets into `indices`/`values`: row `r` is
+    /// `indptr[r]..indptr[r + 1]`. A sliced view's first need not be 0.
     indptr: &'a [usize],
     indices: &'a [u32],
     values: &'a [f32],
@@ -351,13 +354,29 @@ impl<'a> CsrView<'a> {
     /// Stored (non-zero) entry count.
     #[inline]
     pub fn nnz(&self) -> usize {
-        self.values.len()
+        self.indptr[self.rows] - self.indptr[0]
     }
 
     /// Column index of every stored entry, row-major (ascending per row).
     #[inline]
     pub fn indices(&self) -> &'a [u32] {
-        self.indices
+        &self.indices[self.indptr[0]..self.indptr[self.rows]]
+    }
+
+    /// Rows `start..end` of this view, borrowed: no entry is copied.
+    ///
+    /// # Panics
+    /// Panics unless `start <= end <= rows`.
+    #[inline]
+    pub fn row_range(&self, start: usize, end: usize) -> CsrView<'a> {
+        assert!(start <= end && end <= self.rows, "csr slice out of range");
+        CsrView {
+            rows: end - start,
+            cols: self.cols,
+            indptr: &self.indptr[start..=end],
+            indices: self.indices,
+            values: self.values,
+        }
     }
 
     /// Iterate over `(col, value)` pairs of row `i`.

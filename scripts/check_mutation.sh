@@ -48,7 +48,10 @@
 # never trains. In crates/nn/src/shared.rs a threaded step's read of its
 # batch's support copies the support's layer-0 rows and every stripe from
 # layer 0's bias on; `--cfg hetero_support_read_skips_tail` copies the rows
-# only. This script asserts that:
+# only. In crates/nn/src/sparse_input.rs an eval's column forward reads
+# layer 0 a tile of support rows at a time, the last tile partial; `--cfg
+# hetero_eval_skips_last_tile` drops that partial tile. This script asserts
+# that:
 #   1. the suites pass as written, and
 #   2. each suite FAILS under its mutation the way the bug would show (a
 #      data-race report for the queue, both two-merger models losing an
@@ -63,7 +66,8 @@
 #      injected GPU OOM that never halves a batch, sparse data trained
 #      dense, generated data with no two neighbouring features active, lane
 #      shares that leave the end of a batch untrained, a threaded step at a
-#      support read differing from the full-snapshot step),
+#      support read differing from the full-snapshot step, an eval's column
+#      forward differing from the row form's),
 # i.e. the checker genuinely guards the edge.
 #
 # Usage: scripts/check_mutation.sh   (from anywhere in the repo)
@@ -87,14 +91,15 @@ format="-p hetero-core --lib the_format_follows_the_density"
 synth="-p hetero-data --lib synth::tests"
 split="-p hetero-core --lib lane_split_shares_tile_the_batch"
 read="-p hetero-core --lib a_support_read_step_is_bit_identical_to_a_full_snapshot_step"
+eval="-p hetero-nn --test column_eval"
 
-echo "[1/19] baseline: loom queue, shared-model, coordinator-model, event-loop, sparse-support, sim-wave, init-stream, sim-resume, store, GPU-OOM, input-format, generator-law, lane-split and support-read suites must pass as written"
+echo "[1/20] baseline: loom queue, shared-model, coordinator-model, event-loop, sparse-support, sim-wave, init-stream, sim-resume, store, GPU-OOM, input-format, generator-law, lane-split, support-read and column-eval suites must pass as written"
 # shellcheck disable=SC2086
 if ! { cargo test $queue -q && cargo test $shared -q && cargo test $model -q \
     && cargo test $run -q && cargo test $support -q && cargo test $wave -q \
     && cargo test $init -q && cargo test $resume -q && cargo test $store -q \
     && cargo test $oom -q && cargo test $format -q && cargo test $synth -q \
-    && cargo test $split -q && cargo test $read -q; } >"$log" 2>&1; then
+    && cargo test $split -q && cargo test $read -q && cargo test $eval -q; } >"$log" 2>&1; then
     echo "FAIL: baseline suite is red"
     tail -40 "$log"
     exit 1
@@ -104,7 +109,7 @@ fi
 check_mutation() {
     local cfg="$1" desc="$2" step="$3" suite="$4"
     shift 4
-    echo "[$step/19] mutation: suite must FAIL with $desc"
+    echo "[$step/20] mutation: suite must FAIL with $desc"
     # shellcheck disable=SC2086
     if RUSTFLAGS="--cfg $cfg" cargo test $suite -q >"$log" 2>&1; then
         echo "FAIL: $desc mutation was NOT caught"
@@ -188,4 +193,10 @@ check_mutation hetero_split_drops_short_lane "a lane split dropping the short la
 check_mutation hetero_support_read_skips_tail "a support read skipping every stripe after the support rows" 19 \
     "$read" "a_support_read_step_is_bit_identical_to_a_full_snapshot_step" "features, rows"
 
-echo "OK: all eighteen seeded mutations are caught"
+# An eval that drops its last partial tile of support rows leaves those
+# features out of the pre-activations, so the column form stops being the
+# row form.
+check_mutation hetero_eval_skips_last_tile "an eval's column forward dropping its last partial tile" 20 \
+    "$eval" "supports_at_the_tile_edges_score_bit_identically" "layer 0 differs"
+
+echo "OK: all nineteen seeded mutations are caught"

@@ -3,9 +3,8 @@
 # text advertises must exit 0 and print JSON that parses — and so must a
 # real-sim run on both engines, whose ~0.25 %-dense data is below the
 # dense/CSR crossover and so trains CSR rows, one real-sim run at the
-# paper's full width and one 2 %-scale w8a sim run, both timed; what it
-# does not advertise
-# must be refused with exit 2 and a
+# paper's full width on each engine and one 2 %-scale w8a sim run, all
+# timed; what it does not advertise must be refused with exit 2 and a
 # message naming what is accepted. Nothing else in CI runs the binary
 # outside the kill-and-resume job, which is how usage text, parser and
 # `AlgorithmKind` once drifted apart.
@@ -59,6 +58,17 @@ done
 if ! timeout 3 "$bin" --dataset real-sim --scale 1 --engine sim --budget 0.001 --json \
     | python3 -m json.tool >/dev/null; then
     echo "FAIL: full-width real-sim did not exit 0 with valid JSON within 3 s"
+    fail=1
+fi
+# The same full-width real-sim on the threaded engine: the one CI run of
+# the evaluator's tiled read of layer 0 at the width it exists for (20 958
+# features), scoring the shared model where it lives. About 0.6 s on a
+# 2-vCPU host; when the coordinator let evals slower than their interval
+# follow each other without reading the workers' reports, this run
+# evaluated for minutes, so `timeout 5` fails the step if that comes back.
+if ! timeout 5 "$bin" --dataset real-sim --scale 1 --engine threads --budget 0.05 --json \
+    | python3 -m json.tool >/dev/null; then
+    echo "FAIL: full-width threaded real-sim did not exit 0 with valid JSON within 5 s"
     fail=1
 fi
 # w8a on the simulator at 2 % scale, with its own arguments: every step
