@@ -56,7 +56,7 @@ use hetero_data::DenseDataset;
 use hetero_flight::Watchdog;
 use hetero_gpu::{DeviceMemory, Footprint, Link};
 use hetero_mq::{channel, channel_traced_lineage, Receiver, RecvTimeoutError, Sender};
-use hetero_nn::{MlpSpec, SharedModel, SupportRead};
+use hetero_nn::{MlpSpec, Model, SharedModel, SupportRead};
 use hetero_sim::{DeviceModel, GpuModel};
 use hetero_trace::{
     BatchPhases, EventKind, HistHandle, Metric, TimeDomain, TraceSink, COORDINATOR,
@@ -261,6 +261,7 @@ impl ThreadedEngine {
                 workers,
                 shared,
                 evaluator,
+                eval_tail: Model::zeros_with_l0_rows(&cfg.spec, 0),
                 eval_interval,
                 next_eval: eval_interval,
                 evaluated: false,
@@ -325,6 +326,10 @@ struct ThreadsBackend {
     shared: Arc<SharedModel>,
     /// Scores the shared model where it lives, on the coordinator thread.
     evaluator: Evaluator,
+    /// What an eval copies of the shared model before it scores: every
+    /// stripe from layer 0's bias on, no layer-0 row, on a sparse run; the
+    /// whole model on a dense one ([`Evaluator::score_shared`]).
+    eval_tail: Model,
     eval_interval: Duration,
     /// Since `clock.t0`.
     next_eval: Duration,
@@ -397,9 +402,14 @@ impl Backend for ThreadsBackend {
     /// train it, on the engine clock (`t_base` splices a resumed
     /// incarnation's curve onto the restored prefix's time axis). Before
     /// the first dispatch nobody has written it: the initial point scores
-    /// the start itself.
+    /// the start itself. A periodic point on a sparse run reads layer 0 as
+    /// it scores, so it may mix values from before and after a concurrent
+    /// update; the final point follows `close`, and reads a model nobody
+    /// writes.
     fn score(&mut self, epochs: f64) -> LossPoint {
-        let (loss, accuracy) = self.evaluator.score_shared(&self.shared);
+        let (loss, accuracy) = self
+            .evaluator
+            .score_shared(&self.shared, &mut self.eval_tail);
         LossPoint {
             time: self.now(),
             epochs,
@@ -408,12 +418,13 @@ impl Backend for ThreadsBackend {
         }
     }
 
-    /// The model image is a racy `snapshot` — the Hogwild lanes and the
-    /// GPU merges never stall — and everything else captured is
-    /// coordinator-owned state. Workers race the capture, so whatever is
-    /// in flight, parked ranges included, goes back on the queue of the
-    /// resumed run: the scheduler has already counted it, and no example
-    /// is silently dropped.
+    /// The model image is a racy `snapshot` of its own, allocated per
+    /// checkpoint: the run keeps no model-sized buffer between them. The
+    /// Hogwild lanes and the GPU merges never stall, and everything else
+    /// captured is coordinator-owned state. Workers race the capture, so
+    /// whatever is in flight, parked ranges included, goes back on the
+    /// queue of the resumed run: the scheduler has already counted it, and
+    /// no example is silently dropped.
     fn checkpoint(&mut self, co: &Coordinator<'_>, t: f64) {
         let mut core = co.capture(THREADED_CKPT_SCHEMA, t, &self.shared.snapshot());
         core.requeue.extend(co.in_flight());
@@ -837,7 +848,7 @@ mod tests {
     use crate::config::{AdaptiveParams, LrScaling};
     use hetero_ckpt::Checkpointer;
     use hetero_data::SynthConfig;
-    use hetero_nn::{Model, Workspace};
+    use hetero_nn::Workspace;
 
     /// Per-thread trace ring sized for a whole test run. The busiest
     /// thread (the GPU worker: start, transfers, merge, complete per

@@ -298,10 +298,11 @@ pub(crate) fn eval_subset(n: usize, k: usize, seed: u64) -> Vec<usize> {
 /// simulator's model, or the threaded engine's shared one with relaxed
 /// loads — a few KB of support rows at a time, scattering each tile into
 /// the pre-activations. That is bit-identical to the row form's CSR
-/// forward, and nothing model-sized is copied: a threaded eval reads only
-/// layer 0's bias and the later layers into `held`. A dense run's inputs
-/// are narrow (the density rule keeps wide sparse data off the dense
-/// path), so a threaded eval still copies the whole model into `held`.
+/// forward, and nothing model-sized is copied: a threaded eval copies only
+/// layer 0's bias and the later layers into the caller's tail model. A
+/// dense run's inputs are narrow (the density rule keeps wide sparse data
+/// off the dense path), so a threaded eval still copies the whole model
+/// into it.
 /// A dense eval over a wide sparse batch would cost more than the training
 /// steps it measures and stall the coordinator's dispatch; the CSR eval
 /// rows are picked from the run's CSR features, so nothing dense is
@@ -310,11 +311,6 @@ pub(crate) struct Evaluator {
     ws: Workspace,
     x: EvalBatch,
     labels: Labels,
-    /// What a threaded eval reads of the shared model before it scores:
-    /// every stripe from layer 0's bias on (no layer-0 row) on a sparse
-    /// run, every stripe on a dense one. Unused by the simulator, which
-    /// scores its own model.
-    held: Model,
 }
 
 /// The eval rows, in the run's format.
@@ -342,7 +338,6 @@ impl Evaluator {
             ws: Workspace::new(spec),
             x,
             labels,
-            held: Model::zeros_with_l0_rows(spec, 0),
         }
     }
 
@@ -364,16 +359,19 @@ impl Evaluator {
     }
 
     /// `(loss, accuracy)` of the shared model on the eval batch, read as
-    /// the workers train it, on the calling thread.
+    /// the workers train it, on the calling thread. `held` takes what the
+    /// eval copies of the shared model before it scores: every stripe from
+    /// layer 0's bias on (no layer-0 row) on a sparse run, every stripe on
+    /// a dense one; it may start as `Model::zeros_with_l0_rows(spec, 0)`.
     // audit: no_alloc
-    pub(crate) fn score_shared(&mut self, shared: &SharedModel) -> (f32, f32) {
+    pub(crate) fn score_shared(&mut self, shared: &SharedModel, held: &mut Model) -> (f32, f32) {
         let rows: Option<&[u32]> = match self.x {
             EvalBatch::Columns(_) => Some(&[]),
             EvalBatch::Dense(_) => None,
         };
-        shared.read_rows(rows, &mut self.held);
+        shared.read_rows(rows, held);
         let l0 = Layer0::Shared(shared);
-        score_batch(&mut self.ws, &mut self.x, &self.labels, l0, &self.held)
+        score_batch(&mut self.ws, &mut self.x, &self.labels, l0, held)
     }
 }
 

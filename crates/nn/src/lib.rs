@@ -46,6 +46,6 @@ pub use init::InitScheme;
 pub use model::Model;
 pub use scan::{scan_model, LayerScan, MergeScan};
 pub use shared::SharedModel;
-pub use sparse_input::{forward_sparse, tile_rows, ColumnBatch, Layer0, SupportRead};
+pub use sparse_input::{forward_sparse, ColumnBatch, Layer0, SupportRead};
 pub use spec::{LossKind, MlpSpec};
 pub use workspace::Workspace;

@@ -237,7 +237,7 @@ impl<'a> Layer0<'a> {
 const TILE_FLOATS: usize = 1024;
 
 /// Layer-0 rows per tile at layer-0 width `out`.
-pub fn tile_rows(out: usize) -> usize {
+fn tile_rows(out: usize) -> usize {
     (TILE_FLOATS / out.max(1)).max(1)
 }
 
@@ -310,18 +310,13 @@ impl ColumnBatch {
     }
 
     /// Examples in the batch.
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         self.rows
     }
 
     /// Input features of the batch.
-    pub fn cols(&self) -> usize {
+    pub(crate) fn cols(&self) -> usize {
         self.cols
-    }
-
-    /// The input features the batch stores an entry of, ascending.
-    pub fn support(&self) -> &[u32] {
-        &self.support
     }
 
     /// `z ← X·W₀ + bias`, `W₀` read from `l0` one tile of support rows at a
@@ -359,6 +354,190 @@ impl ColumnBatch {
 pub fn forward_sparse(model: &Model, x: &CsrMatrix, parallel: bool) -> ForwardPass {
     let mut ws = Workspace::new(model.spec());
     ws.forward_into(model, x.view(), parallel).clone()
+}
+
+/// The evaluator's column form against the row form, bit for bit.
+///
+/// A [`ColumnBatch`] forward reads layer 0 a tile of support rows at a time
+/// and scatters each tile into the pre-activations; the row form
+/// ([`Workspace::forward_into`] on the same rows in CSR) gathers each row's
+/// entries from the whole layer. Both add a row's terms in ascending-feature
+/// order with the same mul-then-add, so every activation — and the loss —
+/// must agree to the bit, whether layer 0 is read from a [`Model`] or from
+/// a [`SharedModel`], at both SIMD dispatch levels.
+///
+/// `scripts/check_mutation.sh` rebuilds this suite with `--cfg
+/// hetero_eval_skips_last_tile` (the forward drops a final partial tile)
+/// and requires it to fail.
+// The loom build swaps SharedModel's atomics for model-checked versions
+// that require a loom context; these std tests are compiled out there.
+#[cfg(all(test, not(feature = "loom")))]
+mod column_eval {
+    use hetero_tensor::simd::{with_level, SimdLevel};
+    use hetero_tensor::{CsrMatrix, Matrix};
+
+    use super::{tile_rows, ColumnBatch, Layer0};
+    use crate::{
+        Activation, InitScheme, LossKind, MlpSpec, Model, SharedModel, Targets, Workspace,
+    };
+
+    fn spec(input_dim: usize, hidden: usize) -> MlpSpec {
+        MlpSpec {
+            input_dim,
+            hidden: vec![hidden],
+            classes: 2,
+            activation: Activation::Sigmoid,
+            loss: LossKind::SoftmaxCrossEntropy,
+        }
+    }
+
+    /// `rows` CSR rows over `cols` features: row `r` stores the features
+    /// `row(r)` returns (sorted and deduplicated here), with values off a
+    /// seeded LCG.
+    fn csr(rows: usize, cols: usize, mut row: impl FnMut(usize) -> Vec<u32>) -> CsrMatrix {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut value = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 40) as f32 / (1u64 << 24) as f32) * 2.0 - 0.9
+        };
+        let entries = (0..rows).map(|r| {
+            let mut cs = row(r);
+            cs.sort_unstable();
+            cs.dedup();
+            cs.into_iter().map(|c| (c, value())).collect::<Vec<_>>()
+        });
+        CsrMatrix::from_row_entries(cols, entries.collect::<Vec<_>>())
+    }
+
+    /// A seeded LCG over `0..n`.
+    fn picker(seed: u64, n: usize) -> impl FnMut() -> u32 {
+        let mut state = seed | 1;
+        move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 33) % n as u64) as u32
+        }
+    }
+
+    /// Every activation of the eval subset `rows` of `x` at `model`, through
+    /// the row form, the column form on the model, and the column form on the
+    /// shared model with only its tail read — equal bit for bit at both
+    /// dispatch levels, and so is the loss. Returns the subset's support size.
+    fn assert_column_form_is_the_row_form(model: &Model, x: &CsrMatrix, rows: &[usize]) -> usize {
+        let spec = model.spec();
+        let shared = SharedModel::new(model);
+        let mut tail = Model::zeros_with_l0_rows(spec, 0);
+        shared.read_rows(Some(&[]), &mut tail);
+        assert_eq!(
+            tail.layers()[0].w.rows(),
+            0,
+            "the tail holds no layer-0 row"
+        );
+        let labels: Vec<u32> = rows.iter().map(|&r| (r % 2) as u32).collect();
+        let targets = Targets::Classes(&labels);
+        let loss = |probs: &Matrix| crate::loss(probs, targets, spec.loss).to_bits();
+        let mut cols = ColumnBatch::new(x.view(), rows);
+        for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
+            with_level(level, || {
+                let subset = x.select_rows(rows);
+                let mut ws = Workspace::new(spec);
+                let row_form = ws.forward_into(model, subset.view(), false).clone();
+                let expect = loss(row_form.probs());
+                for (name, l0, tail) in [
+                    ("model", Layer0::Model(model), model),
+                    ("shared", Layer0::Shared(&shared), &tail),
+                ] {
+                    // Twice on one batch and workspace: a warm call too.
+                    let mut ws = Workspace::new(spec);
+                    for call in 0..2 {
+                        let pass = ws.forward_columns_into(l0, tail, &mut cols);
+                        for (l, (a, b)) in pass
+                            .activations
+                            .iter()
+                            .zip(&row_form.activations)
+                            .enumerate()
+                        {
+                            assert_eq!(a.shape(), b.shape(), "{name} layer {l}");
+                            let same = a
+                                .as_slice()
+                                .iter()
+                                .zip(b.as_slice())
+                                .all(|(p, q)| p.to_bits() == q.to_bits());
+                            assert!(same, "{name}, {level:?}, call {call}: layer {l} differs");
+                        }
+                        assert_eq!(loss(pass.probs()), expect, "{name}, {level:?}: loss");
+                    }
+                }
+            })
+        }
+        cols.support.len()
+    }
+
+    /// Real-sim's shape: 1 024 eval rows of ~51 entries over 20 958 features,
+    /// a 64-wide layer 0 — a support of thousands of rows whose last tile is
+    /// partial.
+    #[test]
+    fn a_real_sim_shaped_subset_scores_bit_identically() {
+        let features = 20_958;
+        let mut pick = picker(7, features);
+        let x = csr(2_048, features, |r| {
+            (0..40 + r % 23).map(|_| pick()).collect()
+        });
+        let rows: Vec<usize> = (0..2_048).step_by(2).collect();
+        let model = Model::new(spec(features, 64), InitScheme::Xavier, 3);
+        let support = assert_column_form_is_the_row_form(&model, &x, &rows);
+        assert!(support > 10_000, "support {support}");
+        assert_ne!(support % tile_rows(64), 0, "the last tile is partial");
+    }
+
+    /// w8a's shape: 300 features and a subset whose support is every one of
+    /// them.
+    #[test]
+    fn a_subset_whose_support_is_every_feature_scores_bit_identically() {
+        let features = 300;
+        let mut pick = picker(11, features);
+        let x = csr(500, features, |r| {
+            let mut cs: Vec<u32> = (0..12).map(|_| pick()).collect();
+            cs.push((r % features) as u32);
+            cs
+        });
+        let rows: Vec<usize> = (0..500).collect();
+        let model = Model::new(spec(features, 100), InitScheme::PaperNormal, 5);
+        assert_eq!(assert_column_form_is_the_row_form(&model, &x, &rows), 300);
+    }
+
+    /// A row with no entry is its bias alone, in both forms.
+    #[test]
+    fn a_subset_with_an_empty_row_scores_bit_identically() {
+        let x = csr(6, 40, |r| match r {
+            2 => vec![],
+            _ => vec![r as u32, (r * 7 + 3) as u32 % 40, 39],
+        });
+        let model = Model::new(spec(40, 8), InitScheme::Xavier, 2);
+        assert_column_form_is_the_row_form(&model, &x, &[0, 2, 3, 5]);
+        assert_column_form_is_the_row_form(&model, &x, &[2]);
+    }
+
+    /// Supports of one row, exactly one tile, and one tile and one row: the
+    /// tile loop's edges. Each row stores a window of consecutive features, so
+    /// the support is `0..k`.
+    #[test]
+    fn supports_at_the_tile_edges_score_bit_identically() {
+        let per = tile_rows(64);
+        for k in [1, per, per + 1] {
+            let x = csr(9, 200, |r| {
+                (0..k as u32)
+                    .filter(|c| !(c + r as u32).is_multiple_of(3))
+                    .collect()
+            });
+            let model = Model::new(spec(200, 64), InitScheme::Xavier, k as u64);
+            let rows: Vec<usize> = (0..9).collect();
+            assert_eq!(assert_column_form_is_the_row_form(&model, &x, &rows), k);
+        }
+    }
 }
 
 #[cfg(test)]

@@ -91,7 +91,7 @@ format="-p hetero-core --lib the_format_follows_the_density"
 synth="-p hetero-data --lib synth::tests"
 split="-p hetero-core --lib lane_split_shares_tile_the_batch"
 read="-p hetero-core --lib a_support_read_step_is_bit_identical_to_a_full_snapshot_step"
-eval="-p hetero-nn --test column_eval"
+eval="-p hetero-nn --lib sparse_input::column_eval"
 
 echo "[1/20] baseline: loom queue, shared-model, coordinator-model, event-loop, sparse-support, sim-wave, init-stream, sim-resume, store, GPU-OOM, input-format, generator-law, lane-split, support-read and column-eval suites must pass as written"
 # shellcheck disable=SC2086
