@@ -893,7 +893,7 @@ mod tests {
         let r = SimEngine::new(cfg).unwrap().run(&data);
         let got: Vec<u32> = r.loss_curve.iter().map(|p| p.loss.to_bits()).collect();
         let want = match hetero_tensor::simd::active_level() {
-            hetero_tensor::simd::SimdLevel::Avx2 => AVX2,
+            hetero_tensor::simd::SimdLevel::Avx2 | hetero_tensor::simd::SimdLevel::Avx512 => AVX2,
             hetero_tensor::simd::SimdLevel::Scalar => SCALAR,
         };
         assert_eq!(got, want);

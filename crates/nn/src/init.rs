@@ -228,13 +228,16 @@ mod tests {
     }
 
     #[test]
-    fn both_simd_levels_draw_the_same_bits() {
-        use hetero_tensor::simd::{with_level, SimdLevel};
+    fn every_simd_level_draws_the_same_bits() {
+        use hetero_tensor::simd::{host_levels, with_level, SimdLevel};
         let bits = |level| {
             let (w, _) = with_level(level, || real_sim_layer0(11));
             w.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
         };
-        assert!(bits(SimdLevel::Scalar) == bits(SimdLevel::Avx2));
+        let scalar = bits(SimdLevel::Scalar);
+        for level in host_levels() {
+            assert!(bits(level) == scalar, "{level:?}");
+        }
     }
 
     /// Layer 0's stripes — one input feature's 64 outputs each — drawn one

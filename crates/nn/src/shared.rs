@@ -382,11 +382,12 @@ impl SharedModel {
     /// load/add/store: concurrent merges each land in full, whereas a lane
     /// writing the same parameter in between may overwrite the add or be
     /// overwritten by it. A stripe found owned is not waited for: it is
-    /// marked in its 64-stripe window's bitmask (a `u64`, no allocation),
-    /// the merge carries on, and at the window's end revisits it — exactly
-    /// once — and only then yields until its owner lets go. A merger holds
-    /// one stripe at a time and never waits while holding it, so mergers
-    /// cannot deadlock. Returns the number of stripes found owned (merger ↔
+    /// recorded (up to 64 at a time, on the stack, no allocation), the merge
+    /// carries on, and once 64 wait or the walk is over revisits each —
+    /// exactly once — and only then yields until its owner lets go. A
+    /// merger holds one stripe at a time and never waits while holding it,
+    /// so mergers cannot deadlock. A stripe whose deltas are all zero is
+    /// not written. Returns the number of stripes found owned (merger ↔
     /// merger contention; 0 uncontended), which feeds `MergeRetries`.
     ///
     /// With `scan`, the training-health scan is fused into the merge loop:
@@ -400,10 +401,11 @@ impl SharedModel {
     /// layer-0 weight rows are visited; the others are neither read,
     /// observed, nor written. Caller contract: the delta is zero in every
     /// other layer-0 row. Then parameters *and* scan come out as from the
-    /// dense merge, which observes a zero delta as `sumsq += 0` and never
-    /// writes it — bit for bit, `f64` sums included, when `l0_cols` ascends
-    /// and no stripe is held back (the dense merge's own stripe order); any
-    /// other order can only move those sums in their last place.
+    /// dense merge, to whose scan a zero delta adds nothing and which never
+    /// writes an all-zero row — bit for bit, `f64` sums included, when
+    /// `l0_cols` ascends and no stripe is held back (the dense merge's own
+    /// stripe order); any other order can only move those sums in their
+    /// last place.
     // audit: no_alloc,no_panic,no_block
     pub fn merge(
         &self,
@@ -475,21 +477,36 @@ impl SharedModel {
         }
         let st = self.stripe_at(s);
         let params = &self.params[st.start..st.end];
-        // Each source cut to the stripe's length: indexing it needs no
-        // bounds check.
+        // Each source cut to the stripe's length. The loops zip over the
+        // first source and index the others, so with one source — the
+        // gradient of `merge_gradient`, the GPU step's merge — no element is
+        // bounds-checked and the loop unrolls like `apply_racy`'s (indexing
+        // it too kept a check per element and took ~1.4× the time).
         let vals = src.map(|m| &held(m, &st, row)[..params.len()]);
-        let deltas = (0..params.len()).map(|i| scale * diff(vals.map(|v| v[i])));
-        match scan {
-            // Stripe-local, so the scan's sums stay in registers.
-            Some(scan) => {
-                let mut seen = LayerScan::default();
-                for (p, delta) in params.iter().zip(deltas) {
-                    seen.observe(delta);
-                    add_delta(p, delta);
+        let at = |i: usize, x0: f32| std::array::from_fn(|k| if k == 0 { x0 } else { vals[k][i] });
+        let delta = |i: usize, x0: f32| scale * diff(at(i, x0));
+        let written = params.iter().zip(vals[0]).enumerate();
+        // A stripe whose deltas are all zero — a layer-0 row outside the
+        // batch's support, on a dense merge — is neither written nor
+        // observed (a zero adds nothing to a scan); any other is written
+        // whole, with no per-element branch.
+        let nonzero = vals[0]
+            .iter()
+            .enumerate()
+            .any(|(i, &x0)| delta(i, x0) != 0.0);
+        if nonzero {
+            match scan {
+                // Stripe-local, so the scan's sums stay in registers.
+                Some(scan) => {
+                    let mut seen = LayerScan::default();
+                    for (i, (p, &x0)) in written {
+                        seen.observe(delta(i, x0));
+                        add_delta(p, delta(i, x0));
+                    }
+                    scan.add(st.layer, seen);
                 }
-                scan.add(st.layer, seen);
+                None => written.for_each(|(i, (p, &x0))| add_delta(p, delta(i, x0))),
             }
-            None => params.iter().zip(deltas).for_each(|(p, d)| add_delta(p, d)),
         }
         // Release: publishes the adds above to the stripe's next owner.
         word.store(false, Ordering::Release);
@@ -497,7 +514,7 @@ impl SharedModel {
     }
 
     /// The one merge body: adds `scale·diff(src values)` into each stripe as
-    /// it owns it; `scan` observes every delta visited, unwritten zeros too.
+    /// it owns it; `scan` observes every delta visited (a zero adds nothing).
     fn merge_core<const N: usize>(
         &self,
         src: [&Model; N],
@@ -514,33 +531,32 @@ impl SharedModel {
             );
         }
         assert!(scale.is_finite() && scale >= 0.0, "bad merge scale");
-        // Windows of 64 visited stripes: a stripe found owned is marked in
-        // the window's bitmask and revisited once at the window's end.
-        let mut order = self.visited(l0_cols);
-        let mut window = [Visit::default(); 64];
-        let mut found_owned = 0;
+        // A stripe found owned is recorded — only then — and revisited once
+        // `HELD_BACK` of them wait or the walk is over.
+        let mut held_back = [Visit::default(); HELD_BACK];
+        let (mut waiting, mut found_owned) = (0, 0);
+        let mut visits = self.visited(l0_cols);
         loop {
-            let mut len = 0;
-            for s in order.by_ref().take(64) {
-                window[len] = s;
-                len += 1;
-            }
-            if len == 0 {
-                break;
-            }
-            let mut held_back = 0u64;
-            for (j, &s) in window[..len].iter().enumerate() {
-                if !self.try_merge_stripe(s, &src, scale, &diff, scan.as_deref_mut()) {
-                    held_back |= 1 << j;
+            let next = visits.next();
+            if let Some(s) = next {
+                if self.try_merge_stripe(s, &src, scale, &diff, scan.as_deref_mut()) {
+                    continue;
+                }
+                held_back[waiting] = s;
+                waiting += 1;
+                found_owned += 1;
+                if waiting < HELD_BACK {
+                    continue;
                 }
             }
-            found_owned += u64::from(held_back.count_ones());
-            while held_back != 0 {
-                let s = window[held_back.trailing_zeros() as usize];
+            for &s in &held_back[..waiting] {
                 while !self.try_merge_stripe(s, &src, scale, &diff, scan.as_deref_mut()) {
                     yield_now();
                 }
-                held_back &= held_back - 1;
+            }
+            waiting = 0;
+            if next.is_none() {
+                break;
             }
         }
         // Relaxed: monitoring counter.
@@ -549,17 +565,18 @@ impl SharedModel {
     }
 }
 
-/// A merger's add of `delta` into a parameter of a stripe it owns; a zero
-/// delta is not written.
+/// Stripes a merge holds back before it revisits them: a `Visit` array on
+/// the stack, no allocation.
+const HELD_BACK: usize = 64;
+
+/// A merger's add of `delta` into a parameter of a stripe it owns.
 #[inline]
 fn add_delta(p: &AtomicU32, delta: f32) {
-    if delta != 0.0 {
-        // Relaxed load/add/store, the lanes' own: no other *merger* can be
-        // between the two (stripe owned), and a lane that is races this one
-        // like another lane would.
-        let sum = f32::from_bits(p.load(Ordering::Relaxed)) + delta;
-        p.store(sum.to_bits(), Ordering::Relaxed);
-    }
+    // Relaxed load/add/store, the lanes' own: no other *merger* can be
+    // between the two (stripe owned), and a lane that is races this one
+    // like another lane would.
+    let sum = f32::from_bits(p.load(Ordering::Relaxed)) + delta;
+    p.store(sum.to_bits(), Ordering::Relaxed);
 }
 
 /// One stripe of a traversal (`SharedModel::visited`): its index `s` and,

@@ -364,7 +364,7 @@ pub fn forward_sparse(model: &Model, x: &CsrMatrix, parallel: bool) -> ForwardPa
 /// entries from the whole layer. Both add a row's terms in ascending-feature
 /// order with the same mul-then-add, so every activation — and the loss —
 /// must agree to the bit, whether layer 0 is read from a [`Model`] or from
-/// a [`SharedModel`], at both SIMD dispatch levels.
+/// a [`SharedModel`], at every SIMD dispatch level the host has.
 ///
 /// `scripts/check_mutation.sh` rebuilds this suite with `--cfg
 /// hetero_eval_skips_last_tile` (the forward drops a final partial tile)
@@ -373,7 +373,7 @@ pub fn forward_sparse(model: &Model, x: &CsrMatrix, parallel: bool) -> ForwardPa
 // that require a loom context; these std tests are compiled out there.
 #[cfg(all(test, not(feature = "loom")))]
 mod column_eval {
-    use hetero_tensor::simd::{with_level, SimdLevel};
+    use hetero_tensor::simd::{host_levels, with_level};
     use hetero_tensor::{CsrMatrix, Matrix};
 
     use super::{tile_rows, ColumnBatch, Layer0};
@@ -424,8 +424,8 @@ mod column_eval {
 
     /// Every activation of the eval subset `rows` of `x` at `model`, through
     /// the row form, the column form on the model, and the column form on the
-    /// shared model with only its tail read — equal bit for bit at both
-    /// dispatch levels, and so is the loss. Returns the subset's support size.
+    /// shared model with only its tail read — equal bit for bit at every
+    /// dispatch level the host has, and so is the loss. Returns the subset's support size.
     fn assert_column_form_is_the_row_form(model: &Model, x: &CsrMatrix, rows: &[usize]) -> usize {
         let spec = model.spec();
         let shared = SharedModel::new(model);
@@ -440,7 +440,7 @@ mod column_eval {
         let targets = Targets::Classes(&labels);
         let loss = |probs: &Matrix| crate::loss(probs, targets, spec.loss).to_bits();
         let mut cols = ColumnBatch::new(x.view(), rows);
-        for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
+        for level in host_levels() {
             with_level(level, || {
                 let subset = x.select_rows(rows);
                 let mut ws = Workspace::new(spec);

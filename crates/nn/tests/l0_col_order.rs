@@ -13,7 +13,7 @@
 use hetero_nn::{
     Activation, InitScheme, LossKind, MergeScan, MlpSpec, Model, SharedModel, Targets, Workspace,
 };
-use hetero_tensor::simd::{self, SimdLevel};
+use hetero_tensor::simd;
 use hetero_tensor::{CsrMatrix, Matrix};
 
 const IN: usize = 600;
@@ -111,8 +111,8 @@ fn racy_row_kernels_ignore_row_order() {
     }
 }
 
-/// Besides the order-independence, the merge's held-back windows are 64
-/// visited stripes long, so the sizes straddle one window of rows.
+/// Besides the order-independence, the sizes straddle 64 rows, the most
+/// stripes a merge holds back before it revisits them.
 #[test]
 fn sparse_merge_ignores_row_order_and_matches_dense_scan() {
     // A dyadic base too, so `replica − base` is exact.
@@ -174,10 +174,10 @@ fn batch_on(support: &[u32], rows: usize, seed: u64) -> (CsrMatrix, Vec<u32>) {
 /// `active_cols()` is the batch's support, strictly ascending — and a
 /// reused workspace (a previous support to re-zero, an eval-style forward
 /// on other features in between, a changed model) still produces exactly
-/// what a fresh one does, under both dispatch levels.
+/// what a fresh one does, under every dispatch level the host has.
 #[test]
 fn active_cols_ascending_and_reused_workspace_exact() {
-    for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
+    for level in simd::host_levels() {
         simd::with_level(level, || {
             let mut ws = Workspace::new(&spec());
             assert!(ws.active_cols().is_none());

@@ -1,9 +1,9 @@
 //! Property tests pinning the sparse fast path to the dense semantics.
 //!
-//! Every property runs under *both* forced SIMD dispatch levels via
-//! [`simd::with_level`] — on hosts without AVX2 the forced-Avx2 run clamps
-//! to scalar and the property degenerates to scalar==scalar, so the suite
-//! is portable and only *bites* on x86-64.
+//! Every property runs under every SIMD dispatch level the host has
+//! ([`simd::host_levels`], forced via [`simd::with_level`]) — on hosts
+//! without AVX2 that is scalar alone, so the suite is portable and only
+//! *bites* on x86-64.
 //!
 //! The sparse path is exact on the dense tail by construction (it runs the
 //! same GEMMs); what these properties pin is the layer-0 CSR kernels:
@@ -19,7 +19,7 @@ use hetero_nn::{
     forward, forward_sparse, loss_and_gradient, Activation, Gradient, InitScheme, LossKind,
     MlpSpec, Model, Targets, Workspace,
 };
-use hetero_tensor::simd::{self, SimdLevel};
+use hetero_tensor::simd;
 use hetero_tensor::{CsrMatrix, Matrix};
 use proptest::prelude::*;
 
@@ -82,7 +82,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Sparse forward activations match the dense forward within 1e-5
-    /// under both dispatch levels.
+    /// under every dispatch level the host has.
     #[test]
     fn sparse_forward_matches_dense_both_levels(
         spec in arb_spec(),
@@ -94,7 +94,7 @@ proptest! {
         let (x, _) = sparse_batch(rows, spec.input_dim, density, seed);
         let csr = CsrMatrix::from_dense(&x, 0.0);
         let dense = forward(&model, &x, false);
-        for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
+        for level in simd::host_levels() {
             let sparse = simd::with_level(level, || forward_sparse(&model, &csr, false));
             prop_assert_eq!(dense.probs().shape(), sparse.probs().shape());
             for (d, s) in dense.probs().as_slice().iter().zip(sparse.probs().as_slice()) {
@@ -104,7 +104,7 @@ proptest! {
     }
 
     /// Sparse loss and full gradient (∇W₁ included) match the dense path
-    /// within 1e-5 under both dispatch levels.
+    /// within 1e-5 under every dispatch level the host has.
     #[test]
     fn sparse_gradient_matches_dense_both_levels(
         spec in arb_spec(),
@@ -116,7 +116,7 @@ proptest! {
         let (x, y) = sparse_batch(rows, spec.input_dim, density, seed);
         let csr = CsrMatrix::from_dense(&x, 0.0);
         let (dl, dg) = loss_and_gradient(&model, &x, Targets::Classes(&y), false);
-        for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
+        for level in simd::host_levels() {
             let (sl, sg) = simd::with_level(level, || {
                 loss_and_gradient_sparse(&model, &csr, Targets::Classes(&y), false)
             });

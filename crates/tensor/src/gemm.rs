@@ -12,21 +12,23 @@
 //!
 //! Every call dispatches through [`crate::simd::active_level`]. On AVX2+FMA
 //! all of them run the *same* 6×16 microkernel over BLIS-style packed panels
-//! (`crate::simd`): the table's last two columns — which of the four pack
-//! routines feeds each operand — are the only thing that differs between
-//! them, so an NN and an NT product over the same logical operands store the
-//! same bits. β = 0 and the bias row are applied when the first k-block is
-//! stored, so C is never pre-filled or re-read. Skinny NT shapes (few rows,
-//! or an output narrower than one vector) keep a dot-product body instead,
-//! skinny NN / TN shapes the portable kernels; the rule looks at the shape
-//! only. Off AVX2 (or with `HETERO_SIMD=0`) the portable scalar kernels
-//! below run; they are the reference semantics.
+//! (`crate::simd`), on AVX-512 the same 12×32 one, which stores the 6×16
+//! one's bits: the table's last two columns — which of the pack routines
+//! feeds each operand — are the only thing that differs between them, so an
+//! NN and an NT product over the same logical operands store the same bits.
+//! β = 0 and the bias row are applied when the first k-block is stored, so
+//! C is never pre-filled or re-read. Skinny NT shapes (few rows, or an
+//! output narrower than one vector) keep a dot-product body instead, skinny
+//! NN / TN shapes the portable kernels; the rule looks at the shape only,
+//! never the level. Off AVX2 (or with `HETERO_SIMD=0`) the portable scalar
+//! kernels below run; they are the reference semantics.
 //!
 //! Pack buffers are thread-local and grow on first use only, so
 //! steady-state GEMMs allocate nothing.
 //!
 //! The `par_*` wrappers hand each thread of the installed rayon pool one
-//! contiguous row range of C, aligned to the 6-row tile; tasks write
+//! contiguous row range of C, aligned to the 6-row AVX2 tile (half the
+//! AVX-512 tile, which then may split across two ranges); tasks write
 //! disjoint rows, so the parallelism is race-free by construction, and
 //! every element is computed exactly as the serial call computes it (the
 //! results are bit-identical for any thread count). With one pool thread
@@ -59,7 +61,7 @@ pub const PAR_MIN_MADDS: usize = 64 * 64 * 64;
 const PAR_MIN_ROWS: usize = 32;
 
 thread_local! {
-    /// Reused packed-panel storage of the AVX2 path (< 1 MiB per thread).
+    /// Reused packed-panel storage of the SIMD paths (< 1 MiB per thread).
     static PACK: RefCell<PackBufs> = const { RefCell::new(PackBufs::new()) };
 }
 
@@ -266,7 +268,8 @@ impl Call<'_> {
         // The same rows of a row-major A (NN / NT; TN indexes A by column).
         let a_rows = || &a[r0 * k..(r0 + rows) * k];
         let nt = matches!(trans, Trans::Nt);
-        if simd::active_level() == SimdLevel::Avx2 && k > 0 {
+        let level = simd::active_level();
+        if level != SimdLevel::Scalar && k > 0 {
             // The path is picked from the whole product's shape, never from
             // this row range, so any split computes what the serial call does.
             if !simd::is_skinny(nt, m, n) {
@@ -277,8 +280,12 @@ impl Call<'_> {
                 };
                 let pa = operand(a, m, !matches!(trans, Trans::Tn));
                 let pb = operand(b, n, nt);
+                let packed = match level {
+                    SimdLevel::Avx512 => simd::gemm_packed_avx512,
+                    _ => simd::gemm_packed,
+                };
                 return PACK.with_borrow_mut(|bufs| {
-                    simd::gemm_packed(alpha, pa, r0, pb, beta, bias, rows, n, k, c_rows, bufs)
+                    packed(alpha, pa, r0, pb, beta, bias, rows, n, k, c_rows, bufs)
                 });
             }
             if nt {
@@ -581,13 +588,13 @@ mod tests {
         }
     }
 
-    /// The NN bias product matches the unfused one on both dispatch levels
-    /// (skinny and packed shapes); on AVX2, once packed, it stores exactly
-    /// the bits of the NT bias product over the transposed weights (the same
-    /// microkernel over the same packed panels).
+    /// The NN bias product matches the unfused one at every dispatch level
+    /// (skinny and packed shapes); on AVX2 or AVX-512, once packed, it
+    /// stores exactly the bits of the NT bias product over the transposed
+    /// weights (the same microkernel over the same packed panels).
     #[test]
     fn nn_bias_fusion_matches_unfused_and_packed_nt() {
-        use crate::simd::{with_level, SimdLevel};
+        use crate::simd::{host_levels, with_level, SimdLevel};
         for &(m, k, n) in &[(1, 3, 2), (3, 54, 64), (13, 29, 17), (33, 64, 40)] {
             let a = rand_mat(m, k, 14);
             let b = rand_mat(k, n, 15);
@@ -595,7 +602,7 @@ mod tests {
             let mut split = Matrix::zeros(m, n);
             gemm_nn(1.0, &a, &b, 0.0, &mut split);
             crate::ops::add_row_broadcast(&mut split, &bias);
-            for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
+            for level in host_levels() {
                 with_level(level, || {
                     let mut fused = Matrix::full(m, n, f32::NAN); // must be overwritten
                     gemm_nn_bias(1.0, &a, &b, &bias, &mut fused);
@@ -605,7 +612,7 @@ mod tests {
                     assert_eq!(par, fused);
                 });
             }
-            if m >= 18 && crate::simd::active_level() == SimdLevel::Avx2 {
+            if m >= 18 && crate::simd::active_level() != SimdLevel::Scalar {
                 let mut nn = Matrix::zeros(m, n);
                 let mut nt = Matrix::zeros(m, n);
                 gemm_nn_bias(1.0, &a, &b, &bias, &mut nn);

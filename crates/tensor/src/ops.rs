@@ -23,7 +23,7 @@ use crate::Matrix;
 pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
     assert_eq!(x.len(), y.len(), "axpy length mismatch");
     match simd::active_level() {
-        SimdLevel::Avx2 => simd::axpy(alpha, x, y),
+        SimdLevel::Avx2 | SimdLevel::Avx512 => simd::axpy(alpha, x, y),
         SimdLevel::Scalar => {
             for (yi, xi) in y.iter_mut().zip(x) {
                 *yi += alpha * xi;
@@ -36,7 +36,7 @@ pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
 pub fn axpby(alpha: f32, x: &[f32], beta: f32, y: &mut [f32]) {
     assert_eq!(x.len(), y.len(), "axpby length mismatch");
     match simd::active_level() {
-        SimdLevel::Avx2 => simd::axpby(alpha, x, beta, y),
+        SimdLevel::Avx2 | SimdLevel::Avx512 => simd::axpby(alpha, x, beta, y),
         SimdLevel::Scalar => {
             for (yi, xi) in y.iter_mut().zip(x) {
                 *yi = alpha * xi + beta * *yi;
@@ -48,7 +48,7 @@ pub fn axpby(alpha: f32, x: &[f32], beta: f32, y: &mut [f32]) {
 /// Scale a slice in place.
 pub fn scale(alpha: f32, x: &mut [f32]) {
     match simd::active_level() {
-        SimdLevel::Avx2 => simd::scale(alpha, x),
+        SimdLevel::Avx2 | SimdLevel::Avx512 => simd::scale(alpha, x),
         SimdLevel::Scalar => x.iter_mut().for_each(|v| *v *= alpha),
     }
 }
@@ -64,7 +64,9 @@ pub fn hadamard(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     assert_eq!(a.shape(), b.shape(), "hadamard shape mismatch");
     assert_eq!(a.shape(), out.shape(), "hadamard output shape mismatch");
     match simd::active_level() {
-        SimdLevel::Avx2 => simd::hadamard(a.as_slice(), b.as_slice(), out.as_mut_slice()),
+        SimdLevel::Avx2 | SimdLevel::Avx512 => {
+            simd::hadamard(a.as_slice(), b.as_slice(), out.as_mut_slice())
+        }
         SimdLevel::Scalar => {
             for ((o, x), y) in out
                 .as_mut_slice()
@@ -82,7 +84,9 @@ pub fn hadamard(a: &Matrix, b: &Matrix, out: &mut Matrix) {
 pub fn hadamard_assign(a: &mut Matrix, b: &Matrix) {
     assert_eq!(a.shape(), b.shape(), "hadamard shape mismatch");
     match simd::active_level() {
-        SimdLevel::Avx2 => simd::hadamard_assign(a.as_mut_slice(), b.as_slice()),
+        SimdLevel::Avx2 | SimdLevel::Avx512 => {
+            simd::hadamard_assign(a.as_mut_slice(), b.as_slice())
+        }
         SimdLevel::Scalar => {
             for (x, y) in a.as_mut_slice().iter_mut().zip(b.as_slice()) {
                 *x *= y;
@@ -112,7 +116,7 @@ pub fn add_row_broadcast_slice(m: &mut [f32], cols: usize, row: &[f32]) {
     }
     assert_eq!(m.len() % cols, 0, "broadcast matrix dims");
     match simd::active_level() {
-        SimdLevel::Avx2 => simd::add_row_broadcast(m, cols, row),
+        SimdLevel::Avx2 | SimdLevel::Avx512 => simd::add_row_broadcast(m, cols, row),
         SimdLevel::Scalar => {
             for r in m.chunks_exact_mut(cols) {
                 for (v, b) in r.iter_mut().zip(row) {
@@ -151,7 +155,7 @@ pub fn col_sum_slice(m: &[f32], cols: usize, out: &mut [f32]) {
     }
     assert_eq!(m.len() % cols, 0, "col_sum matrix dims");
     match simd::active_level() {
-        SimdLevel::Avx2 => simd::col_sum_into(m, cols, out),
+        SimdLevel::Avx2 | SimdLevel::Avx512 => simd::col_sum_into(m, cols, out),
         SimdLevel::Scalar => {
             for r in m.chunks_exact(cols) {
                 for (o, v) in out.iter_mut().zip(r) {
@@ -208,7 +212,7 @@ pub fn sigmoid_inplace(m: &mut Matrix) {
 /// devices run the identical dispatched kernel).
 pub fn sigmoid_slice(xs: &mut [f32]) {
     match simd::active_level() {
-        SimdLevel::Avx2 => simd::sigmoid(xs),
+        SimdLevel::Avx2 | SimdLevel::Avx512 => simd::sigmoid(xs),
         SimdLevel::Scalar => xs.iter_mut().for_each(|v| {
             let x = *v;
             *v = if x >= 0.0 {
@@ -224,7 +228,7 @@ pub fn sigmoid_slice(xs: &mut [f32]) {
 /// Hyperbolic tangent applied element-wise in place.
 pub fn tanh_inplace(m: &mut Matrix) {
     match simd::active_level() {
-        SimdLevel::Avx2 => simd::tanh(m.as_mut_slice()),
+        SimdLevel::Avx2 | SimdLevel::Avx512 => simd::tanh(m.as_mut_slice()),
         SimdLevel::Scalar => map_inplace(m, f32::tanh),
     }
 }
@@ -232,7 +236,7 @@ pub fn tanh_inplace(m: &mut Matrix) {
 /// ReLU applied element-wise in place: `max(x, 0)`.
 pub fn relu_inplace(m: &mut Matrix) {
     match simd::active_level() {
-        SimdLevel::Avx2 => simd::relu(m.as_mut_slice()),
+        SimdLevel::Avx2 | SimdLevel::Avx512 => simd::relu(m.as_mut_slice()),
         SimdLevel::Scalar => map_inplace(m, |x| x.max(0.0)),
     }
 }
@@ -248,7 +252,7 @@ pub fn mul_sigmoid_derivative(output: &Matrix, delta: &mut Matrix) {
 pub fn mul_sigmoid_derivative_slice(output: &[f32], delta: &mut [f32]) {
     assert_eq!(output.len(), delta.len(), "derivative dims");
     match simd::active_level() {
-        SimdLevel::Avx2 => simd::mul_sigmoid_deriv(output, delta),
+        SimdLevel::Avx2 | SimdLevel::Avx512 => simd::mul_sigmoid_deriv(output, delta),
         SimdLevel::Scalar => {
             for (d, a) in delta.iter_mut().zip(output) {
                 *d *= a * (1.0 - a);
@@ -261,7 +265,9 @@ pub fn mul_sigmoid_derivative_slice(output: &[f32], delta: &mut [f32]) {
 pub fn mul_tanh_derivative(output: &Matrix, delta: &mut Matrix) {
     assert_eq!(output.shape(), delta.shape(), "derivative shape mismatch");
     match simd::active_level() {
-        SimdLevel::Avx2 => simd::mul_tanh_deriv(output.as_slice(), delta.as_mut_slice()),
+        SimdLevel::Avx2 | SimdLevel::Avx512 => {
+            simd::mul_tanh_deriv(output.as_slice(), delta.as_mut_slice())
+        }
         SimdLevel::Scalar => {
             for (d, a) in delta.as_mut_slice().iter_mut().zip(output.as_slice()) {
                 *d *= 1.0 - a * a;
@@ -275,7 +281,9 @@ pub fn mul_tanh_derivative(output: &Matrix, delta: &mut Matrix) {
 pub fn mul_relu_derivative(output: &Matrix, delta: &mut Matrix) {
     assert_eq!(output.shape(), delta.shape(), "derivative shape mismatch");
     match simd::active_level() {
-        SimdLevel::Avx2 => simd::mul_relu_deriv(output.as_slice(), delta.as_mut_slice()),
+        SimdLevel::Avx2 | SimdLevel::Avx512 => {
+            simd::mul_relu_deriv(output.as_slice(), delta.as_mut_slice())
+        }
         SimdLevel::Scalar => {
             for (d, a) in delta.as_mut_slice().iter_mut().zip(output.as_slice()) {
                 if *a <= 0.0 {
@@ -326,7 +334,7 @@ pub fn sumsq_nonfinite(x: &[f32]) -> (f64, u64) {
     let mut sumsq = 0.0f64;
     let mut nonfinite = 0u64;
     match simd::active_level() {
-        SimdLevel::Avx2 => simd::sumsq_nonfinite(x, &mut sumsq, &mut nonfinite),
+        SimdLevel::Avx2 | SimdLevel::Avx512 => simd::sumsq_nonfinite(x, &mut sumsq, &mut nonfinite),
         SimdLevel::Scalar => {
             for &v in x {
                 if v.is_finite() {
@@ -368,7 +376,7 @@ pub fn normal_fill(key: u64, first: u64, sigma: f32, out: &mut [f32]) {
     }
     let (pairs, tail) = out.split_at_mut(out.len() & !1);
     match simd::active_level() {
-        SimdLevel::Avx2 => simd::normal_pairs(key, pair, sigma, pairs),
+        SimdLevel::Avx2 | SimdLevel::Avx512 => simd::normal_pairs(key, pair, sigma, pairs),
         SimdLevel::Scalar => normal_pairs(key, pair, sigma, pairs),
     }
     if let [z] = tail {
@@ -682,7 +690,7 @@ mod tests {
     }
     #[test]
     fn sumsq_nonfinite_counts_and_sums() {
-        use crate::simd::{with_level, SimdLevel};
+        use crate::simd::{host_levels, with_level};
         // 19 elements: vector body (16) + scalar tail (3), with poisoned
         // lanes in both regions.
         let mut x: Vec<f32> = (0..19).map(|i| (i as f32 - 9.0) / 4.0).collect();
@@ -694,7 +702,7 @@ mod tests {
             .filter(|v| v.is_finite())
             .map(|&v| v as f64 * v as f64)
             .sum();
-        for lvl in [SimdLevel::Scalar, SimdLevel::Avx2] {
+        for lvl in host_levels() {
             let (s, bad) = with_level(lvl, || sumsq_nonfinite(&x));
             assert_eq!(bad, 3, "{lvl:?}");
             assert!(

@@ -1,10 +1,19 @@
-//! Runtime-dispatched SIMD kernels (AVX2 + FMA) with scalar fallbacks.
+//! Runtime-dispatched SIMD kernels (AVX2 + FMA, AVX-512F) with scalar
+//! fallbacks.
 //!
-//! The GEMM and element-wise hot loops in [`crate::gemm`] and [`crate::ops`]
-//! dispatch through [`active_level`]: on an x86-64 host where
-//! `is_x86_feature_detected!` confirms AVX2 and FMA they run the explicit
-//! 8-lane (`f32x8`) microkernels in this module; everywhere else they run
-//! the portable scalar kernels that live next to the call sites.
+//! The GEMM and element-wise hot loops in [`crate::gemm`], [`crate::ops`]
+//! and [`crate::sparse`] dispatch through [`active_level`]: on an x86-64
+//! host where `is_x86_feature_detected!` confirms AVX2 and FMA they run the
+//! explicit 8-lane (`f32x8`) kernels in this module, and where it also
+//! confirms AVX-512F the GEMM microkernel and the two CSR kernels run
+//! 16-lane (`f32x16`) bodies instead; everywhere else they run the portable
+//! scalar kernels that live next to the call sites.
+//!
+//! | level | chosen when | kernels |
+//! |---|---|---|
+//! | [`SimdLevel::Scalar`] | no AVX2+FMA, or `HETERO_SIMD=0` | the portable loops (the reference semantics) |
+//! | [`SimdLevel::Avx2`] | AVX2+FMA but no AVX-512F, or `HETERO_SIMD=avx2` | every ymm kernel below |
+//! | [`SimdLevel::Avx512`] | AVX-512F (auto) | zmm `tile_12x32`, `spmm_csr`, `spmm_tn_csr`; the ymm kernels for the rest |
 //!
 //! Dispatch is resolved once per process (a relaxed atomic memo) from CPU
 //! detection plus the `HETERO_SIMD` environment variable:
@@ -12,30 +21,44 @@
 //! | `HETERO_SIMD` | effect |
 //! |---|---|
 //! | `0` / `off` / `scalar` | force the portable scalar path |
-//! | `1` / `on` / `avx2` | request AVX2 (clamped to what the CPU supports) |
-//! | unset / anything else | auto: use AVX2 iff detected |
+//! | `avx2` | cap the process at AVX2 (clamped to what the CPU supports) |
+//! | `avx512` | request AVX-512 (clamped to what the CPU supports) |
+//! | unset / `1` / `on` / anything else | auto: the highest level the CPU supports |
 //!
-//! Tests and benches that need *both* paths in one process use
+//! Tests and benches that need several levels in one process use
 //! [`with_level`], a thread-scoped override (the global memo is shared
-//! state; a scoped override keeps concurrently-running tests independent).
+//! state; a scoped override keeps concurrently-running tests independent),
+//! and [`host_levels`] to walk every level the host has.
 //!
-//! Dense GEMM has exactly two AVX2 inner loops:
+//! **The zmm bodies store the ymm bodies' bits.** Which level runs changes
+//! hardware efficiency only, never a loss curve:
+//!
+//! | kernel | zmm body | why the bits are the AVX2 body's |
+//! |---|---|---|
+//! | packed GEMM tile | `tile_12x32` over 12-row A and 32-column B panels | each C element is the same FMA chain over k within the same `KC` blocks, then `×α` and `+β·C` (or `+ bias`) |
+//! | `spmm_csr`, `spmm_tn_csr` | 16 lanes, masked tail | mul + add per element in the scalar loop's order (also the scalar bits) |
+//! | `dot_block`, `sumsq_nonfinite` | none | reductions: their bits depend on the lane count |
+//! | element-wise kernels | none | memory-bound; the ymm body runs at both levels |
+//!
+//! Dense GEMM has exactly two AVX2 inner loops and one AVX-512 one:
 //!
 //! | loop | shape | registers | used for |
 //! |---|---|---|---|
-//! | `tile_6x16` | 6×16 tile of C over one packed `kc×6` A panel and one packed `kc×16` B panel | 12 accumulators + 2 B vectors + 1 broadcast of 16 ymm | every NN / TN / NT product that is not skinny |
-//! | `dot_block` | 4×2 (or 1×4) full-length row·row dots, tail by masked load | 8 (4) accumulators | NT with fewer than 18 rows or fewer than 8 output columns |
+//! | `tile_6x16` | 6×16 tile of C over one packed `kc×6` A panel and one packed `kc×16` B panel | 12 accumulators + 2 B vectors + 1 broadcast of 16 ymm | every NN / TN / NT product that is not skinny (AVX2) |
+//! | `tile_12x32` | 12×32 tile of C over one packed `kc×12` A panel and one packed `kc×32` B panel | 24 accumulators + 2 B vectors + 1 broadcast of 32 zmm | the same products at the AVX-512 level |
+//! | `dot_block` | 4×2 (or 1×4) full-length row·row dots, tail by masked load | 8 (4) accumulators | NT with fewer than 18 rows or fewer than 8 output columns (both levels) |
 //!
 //! The packed path is BLIS-shaped: B is packed `KC×NC` at a time into
-//! 16-column panels, A `MC×KC` at a time into 6-row panels, both
-//! zero-padded to whole panels, so the microkernel has no edge cases — row
-//! edges are not stored, column edges are masked stores. NN, TN and NT
-//! differ only in which of the four packers (`pack::<6|16>`, straight or
-//! 8×8-transposing) feeds each operand. β·C or the fused bias row is added
+//! 16-column panels, A `MC×KC` at a time into 6-row panels (32 and 12 at
+//! AVX-512), both zero-padded to whole panels, so the microkernel has no
+//! edge cases — row edges are not stored, column edges are masked stores.
+//! NN, TN and NT differ only in which of the packers (`pack::<W>`, straight
+//! or 8×8-transposing) feeds each operand. β·C or the fused bias row is added
 //! when the first k-block is stored (β = 0 stores without reading C); later
 //! k-blocks accumulate. NN / TN with fewer than 4 output rows cannot repay
 //! any packing and run the portable kernels in [`crate::gemm`]. All three
-//! choices read the shape of the whole product only (`is_skinny`).
+//! choices read the shape of the whole product only (`is_skinny`), never
+//! the level.
 //!
 //! The element-wise kernels, and how each compares with its portable loop:
 //!
@@ -48,8 +71,8 @@
 //!
 //! Safety discipline: every `unsafe` block in this module carries a SAFETY
 //! comment, and every function that touches an intrinsic is annotated
-//! `#[target_feature(enable = "avx2,fma")]` — `cargo xtask lint` enforces
-//! both rules.
+//! `#[target_feature(enable = "avx2,fma")]` (`"avx512f,avx2,fma"` for the
+//! zmm bodies) — `cargo xtask lint` enforces both rules.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -61,11 +84,15 @@ pub enum SimdLevel {
     Scalar,
     /// AVX2 + FMA microkernels in this module.
     Avx2,
+    /// AVX-512F bodies for the GEMM tile and the CSR kernels, the AVX2
+    /// kernels for everything else; the same bits as [`SimdLevel::Avx2`].
+    Avx512,
 }
 
 const UNRESOLVED: u8 = 0;
 const LEVEL_SCALAR: u8 = 1;
 const LEVEL_AVX2: u8 = 2;
+const LEVEL_AVX512: u8 = 3;
 
 // Ordering discipline for this file: `GLOBAL_LEVEL` is a write-once memo of
 // a pure function of the host CPU and the `HETERO_SIMD` variable. Racing
@@ -91,10 +118,33 @@ pub fn host_supports_avx2() -> bool {
     }
 }
 
+/// True when the running CPU supports the AVX-512F bodies (and with them
+/// the AVX2+FMA kernels the level keeps for everything else).
+pub fn host_supports_avx512() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        host_supports_avx2() && std::arch::is_x86_feature_detected!("avx512f")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// The highest level at or below `level` that the host supports.
 fn clamp_to_host(level: SimdLevel) -> u8 {
     match level {
-        SimdLevel::Avx2 if host_supports_avx2() => LEVEL_AVX2,
+        SimdLevel::Avx512 if host_supports_avx512() => LEVEL_AVX512,
+        SimdLevel::Avx512 | SimdLevel::Avx2 if host_supports_avx2() => LEVEL_AVX2,
         _ => LEVEL_SCALAR,
+    }
+}
+
+fn level_of(raw: u8) -> SimdLevel {
+    match raw {
+        LEVEL_AVX512 => SimdLevel::Avx512,
+        LEVEL_AVX2 => SimdLevel::Avx2,
+        _ => SimdLevel::Scalar,
     }
 }
 
@@ -102,7 +152,8 @@ fn clamp_to_host(level: SimdLevel) -> u8 {
 fn resolve_global() -> u8 {
     let requested = match std::env::var("HETERO_SIMD").as_deref() {
         Ok("0") | Ok("off") | Ok("scalar") => SimdLevel::Scalar,
-        _ => SimdLevel::Avx2, // auto and explicit "on" both clamp to the host
+        Ok("avx2") => SimdLevel::Avx2,
+        _ => SimdLevel::Avx512, // auto, "on" and "avx512" all clamp to the host
     };
     let level = clamp_to_host(requested);
     // Relaxed store: see the ordering note at the top of the file.
@@ -126,20 +177,24 @@ pub fn active_level() -> SimdLevel {
             resolved => resolved,
         }
     };
-    if raw == LEVEL_AVX2 {
-        SimdLevel::Avx2
-    } else {
-        SimdLevel::Scalar
-    }
+    level_of(raw)
+}
+
+/// Every level the host can run, lowest first: what a test that compares
+/// the levels walks. Always starts with [`SimdLevel::Scalar`].
+pub fn host_levels() -> impl Iterator<Item = SimdLevel> {
+    [SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512]
+        .into_iter()
+        .filter(|&l| level_of(clamp_to_host(l)) == l)
 }
 
 /// Run `f` with the dispatch level forced for the current thread.
 ///
-/// Requests for [`SimdLevel::Avx2`] are clamped to what the host supports,
-/// so the closure can never execute instructions the CPU lacks. The
-/// override does not propagate to threads spawned inside `f` (rayon tasks
-/// fall back to the global resolution); use `HETERO_SIMD` to force a whole
-/// process.
+/// Requests are clamped to the highest level at or below them that the
+/// host supports, so the closure can never execute instructions the CPU
+/// lacks. The override does not propagate to threads spawned inside `f`
+/// (rayon tasks fall back to the global resolution); use `HETERO_SIMD` to
+/// force a whole process.
 pub fn with_level<R>(level: SimdLevel, f: impl FnOnce() -> R) -> R {
     struct Restore(u8);
     impl Drop for Restore {
@@ -154,26 +209,29 @@ pub fn with_level<R>(level: SimdLevel, f: impl FnOnce() -> R) -> R {
 }
 
 // ---------------------------------------------------------------------------
-// Safe crate-internal entry points. `gemm`/`ops` call these only after
-// `active_level()` returned `Avx2`, which implies the CPUID check passed.
+// Safe crate-internal entry points. `gemm`/`ops`/`sparse` call a kernel
+// only after `active_level()` returned the level it is written for: `Avx2`
+// or `Avx512` for the ymm kernels, `Avx512` for the `_avx512` ones.
 // ---------------------------------------------------------------------------
 
-macro_rules! avx2_entry {
+macro_rules! simd_entry {
     ($(#[$doc:meta])* $name:ident ( $($arg:ident : $ty:ty),* $(,)? )) => {
         $(#[$doc])*
         #[cfg(target_arch = "x86_64")]
         #[allow(clippy::too_many_arguments)]
         pub(crate) fn $name($($arg: $ty),*) {
             // SAFETY: callers dispatch here only when `active_level()`
-            // returned `Avx2`, which requires `is_x86_feature_detected!`
-            // to have confirmed both AVX2 and FMA on this CPU.
+            // returned the kernel's level, which requires
+            // `is_x86_feature_detected!` to have confirmed every feature
+            // its `#[target_feature]` enables (AVX2 and FMA; AVX-512F too
+            // for an `_avx512` kernel) on this CPU.
             unsafe { imp::$name($($arg),*) }
         }
         $(#[$doc])*
         #[cfg(not(target_arch = "x86_64"))]
         #[allow(clippy::too_many_arguments)]
         pub(crate) fn $name($(_: $ty),*) {
-            unreachable!("AVX2 kernels are never dispatched off x86-64")
+            unreachable!("SIMD kernels are never dispatched off x86-64")
         }
     };
 }
@@ -206,8 +264,9 @@ impl PackBufs {
     }
 }
 
-/// Rows of the register tile (and of a packed A panel). The `par_gemm_*`
-/// wrappers align their per-thread row ranges to it.
+/// Rows of the AVX2 register tile (and of its packed A panels; the AVX-512
+/// tile has twice as many). The `par_gemm_*` wrappers align their
+/// per-thread row ranges to it.
 pub(crate) const MR: usize = 6;
 
 /// NT keeps the dot-product body below three row tiles (measured crossover).
@@ -229,10 +288,10 @@ pub(crate) fn is_skinny(nt: bool, m: usize, n: usize) -> bool {
     }
 }
 
-avx2_entry!(
+simd_entry!(
     /// `C[m×n] ← α·op(A)·op(B) + β·C`, or `+ bias` per row when `bias` is
     /// non-empty (then β is ignored): the packed 6×16 path behind every
-    /// dense GEMM. `a`'s C-side index starts at `i0` (a row range of a
+    /// dense GEMM at AVX2. `a`'s C-side index starts at `i0` (a row range of a
     /// larger product); `c` holds exactly the `m` output rows.
     gemm_packed(
         alpha: f32,
@@ -248,7 +307,7 @@ avx2_entry!(
         bufs: &mut PackBufs,
     )
 );
-avx2_entry!(
+simd_entry!(
     /// Skinny-shape NT: `C[rows×n] ← α·A[rows×k]·B[n×k]ᵀ + β·C` (or
     /// `+ bias` when `bias` is non-empty) by row-against-row dot products,
     /// no packing.
@@ -263,61 +322,61 @@ avx2_entry!(
         c_rows: &mut [f32],
     )
 );
-avx2_entry!(
+simd_entry!(
     /// `y += α·x` (mul+add, bit-identical to the scalar loop).
     axpy(alpha: f32, x: &[f32], y: &mut [f32])
 );
-avx2_entry!(
+simd_entry!(
     /// `y = α·x + β·y` (bit-identical to the scalar loop).
     axpby(alpha: f32, x: &[f32], beta: f32, y: &mut [f32])
 );
-avx2_entry!(
+simd_entry!(
     /// `x *= α`.
     scale(alpha: f32, x: &mut [f32])
 );
-avx2_entry!(
+simd_entry!(
     /// `a *= b` element-wise.
     hadamard_assign(a: &mut [f32], b: &[f32])
 );
-avx2_entry!(
+simd_entry!(
     /// `out = a ⊙ b` element-wise.
     hadamard(a: &[f32], b: &[f32], out: &mut [f32])
 );
-avx2_entry!(
+simd_entry!(
     /// Add `row` to every `cols`-wide row of `m`.
     add_row_broadcast(m: &mut [f32], cols: usize, row: &[f32])
 );
-avx2_entry!(
+simd_entry!(
     /// Accumulate every `cols`-wide row of `m` into `out` (adds in row
     /// order, bit-identical to the scalar column sum).
     col_sum_into(m: &[f32], cols: usize, out: &mut [f32])
 );
-avx2_entry!(
+simd_entry!(
     /// In-place logistic sigmoid via the polynomial `exp` (≈1e-7 relative
     /// accuracy; *not* bit-identical to the scalar libm path).
     sigmoid(xs: &mut [f32])
 );
-avx2_entry!(
+simd_entry!(
     /// In-place tanh via the polynomial `exp` (≈1e-6 absolute accuracy).
     tanh(xs: &mut [f32])
 );
-avx2_entry!(
+simd_entry!(
     /// In-place ReLU: `x = max(x, 0)`.
     relu(xs: &mut [f32])
 );
-avx2_entry!(
+simd_entry!(
     /// `delta *= a·(1−a)` — sigmoid derivative from the stored output.
     mul_sigmoid_deriv(out: &[f32], delta: &mut [f32])
 );
-avx2_entry!(
+simd_entry!(
     /// `delta *= 1−a²` — tanh derivative from the stored output.
     mul_tanh_deriv(out: &[f32], delta: &mut [f32])
 );
-avx2_entry!(
+simd_entry!(
     /// `delta` zeroed wherever `a ≤ 0` — ReLU derivative.
     mul_relu_deriv(out: &[f32], delta: &mut [f32])
 );
-avx2_entry!(
+simd_entry!(
     /// Health-scan reduction: adds `Σ x²` (finite lanes only, f64
     /// accumulators, lane-parallel order — *not* bit-identical to the
     /// sequential scalar sum) into `sumsq` and the number of NaN/±Inf
@@ -325,7 +384,7 @@ avx2_entry!(
     /// shared buffers without perturbing training math.
     sumsq_nonfinite(x: &[f32], sumsq: &mut f64, nonfinite: &mut u64)
 );
-avx2_entry!(
+simd_entry!(
     /// Sparse first-layer forward: for each CSR row `r`,
     /// `z[r,:] = bias + Σ v·wt[c,:]` over the row's stored `(c,v)` entries,
     /// with `wt` the `cols×out` weights (layer 0's storage) so every gather
@@ -341,7 +400,7 @@ avx2_entry!(
         z: &mut [f32],
     )
 );
-avx2_entry!(
+simd_entry!(
     /// Sparse first-layer weight gradient: for each stored `(r,c,v)`,
     /// `grad[c,:] += v·delta[r,:]` — a contiguous-row scatter into the
     /// `cols×out` gradient (layer 0's storage). The caller pre-zeroes the
@@ -356,8 +415,50 @@ avx2_entry!(
         grad: &mut [f32],
     )
 );
+simd_entry!(
+    /// [`gemm_packed`] through the 12×32 zmm tile over 12-row A and
+    /// 32-column B panels: the same bits, every element the same FMA chain
+    /// in the same k-blocks.
+    gemm_packed_avx512(
+        alpha: f32,
+        a: Operand<'_>,
+        i0: usize,
+        b: Operand<'_>,
+        beta: f32,
+        bias: &[f32],
+        m: usize,
+        n: usize,
+        k: usize,
+        c: &mut [f32],
+        bufs: &mut PackBufs,
+    )
+);
+simd_entry!(
+    /// [`spmm_csr`] 16 lanes at a time, each row's pre-activations held in
+    /// registers across its entries: the same bits.
+    spmm_csr_avx512(
+        indptr: &[usize],
+        indices: &[u32],
+        values: &[f32],
+        wt: &[f32],
+        bias: &[f32],
+        out: usize,
+        z: &mut [f32],
+    )
+);
+simd_entry!(
+    /// [`spmm_tn_csr`] 16 lanes at a time: the same bits.
+    spmm_tn_csr_avx512(
+        indptr: &[usize],
+        indices: &[u32],
+        values: &[f32],
+        delta: &[f32],
+        out: usize,
+        grad: &mut [f32],
+    )
+);
 
-avx2_entry!(
+simd_entry!(
     /// Pairs `pair, pair + 1, …` of the normal stream into `out` (even
     /// length), eight pairs per step: the same integer hash and the same
     /// separate mul/add sequence as `ops::normal_pair`, which draws the
@@ -373,19 +474,33 @@ mod imp {
     use super::{Operand, PackBufs, MR};
     use crate::ops::{ANGLE_STEP, COS_POLY, LN2, LN_POLY, MIX, SIN_POLY, TWO_POW_M24};
 
-    /// Columns of the register tile: two ymm vectors.
+    /// Columns of the AVX2 register tile: two ymm vectors.
     const NR: usize = 16;
+    /// Rows of the AVX-512 register tile (and of its packed A panels).
+    const MR512: usize = 12;
+    /// Columns of the AVX-512 register tile: two zmm vectors.
+    const NR512: usize = 32;
     /// Reduction-block depth. One `KC×NR` B panel (24 KiB) plus two `KC×MR`
     /// A panels (9 KiB each, the one in use and the one streaming in) fit a
     /// 48 KiB L1d, and the benchmark networks' widest layer (k = 300) is a
-    /// single block, so C is stored once and never re-read.
+    /// single block, so C is stored once and never re-read. Both tiles
+    /// block k here: a C element's FMA chain restarts at the same places at
+    /// both levels, which is what makes their bits equal.
     const KC: usize = 384;
-    /// Rows of A packed per block: 16 panels, `MC·KC` floats = 144 KiB of L2.
+    /// Rows of A packed per block: 16 6-row (8 12-row) panels, `MC·KC`
+    /// floats = 144 KiB of L2.
     const MC: usize = 96;
-    /// Columns of B packed per block: 32 panels — the paper's 512-wide
-    /// layers in one block; `KC·NC` floats = 768 KiB at most (the buffers
-    /// grow only to what a call needs: 230 KiB for 300×192).
+    /// Columns of B packed per block: 32 16-column (16 32-column) panels —
+    /// the paper's 512-wide layers in one block; `KC·NC` floats = 768 KiB at
+    /// most (the buffers grow only to what a call needs: 230 KiB for
+    /// 300×192).
     const NC: usize = 512;
+    const _: () = assert!(
+        MC.is_multiple_of(MR)
+            && MC.is_multiple_of(MR512)
+            && NC.is_multiple_of(NR)
+            && NC.is_multiple_of(NR512)
+    );
 
     // --- tiny helpers ------------------------------------------------------
 
@@ -562,7 +677,7 @@ mod imp {
         }
     }
 
-    // --- packed GEMM: four packers, one 6×16 microkernel --------------------
+    // --- packed GEMM: the packers and the 6×16 / 12×32 microkernels --------
 
     /// In-register transpose of an 8×8 block of floats.
     #[inline]
@@ -599,9 +714,10 @@ mod imp {
     /// Pack the `xlen × kc` block of `op` starting at `(x0, p0)` into
     /// `W`-wide panels: panel `q` holds `dst[q·kc·W + p·W + c] =
     /// op(x0 + q·W + c, p0 + p)`, zero where `x` runs past the block, so
-    /// the microkernel never sees an edge. `W = MR` packs A, `W = NR` packs
-    /// B; `k_contig` picks the transposing or the straight copy — these four
-    /// instantiations are the only place NN, NT and TN differ.
+    /// the microkernel never sees an edge. `W = MR` (or `MR512`) packs A,
+    /// `W = NR` (or `NR512`) packs B; `k_contig` picks the transposing or
+    /// the straight copy — these instantiations are the only place NN, NT
+    /// and TN differ.
     #[target_feature(enable = "avx2,fma")]
     fn pack<const W: usize>(
         op: Operand<'_>,
@@ -682,7 +798,7 @@ mod imp {
         }
     }
 
-    /// The one dense-GEMM inner loop: a 6×16 tile of `Σ_p A[i,p]·B[p,j]`
+    /// The AVX2 dense-GEMM inner loop: a 6×16 tile of `Σ_p A[i,p]·B[p,j]`
     /// over one packed A panel and one packed B panel — 12 accumulators,
     /// 2 B vectors and 1 broadcast fill 15 of the 16 ymm registers. Then
     /// `C ← α·acc + β·add` on the tile's valid `mr×nr` corner; a null `add`
@@ -745,6 +861,81 @@ mod imp {
         }
     }
 
+    /// The AVX-512 dense-GEMM inner loop: a 12×32 tile over one packed
+    /// `kc×12` A panel and one packed `kc×32` B panel — 24 accumulators, 2 B
+    /// vectors and 1 broadcast fill 27 of the 32 zmm registers, and each k
+    /// step loads 14 vectors for 24 FMAs. Each lane computes what
+    /// [`tile_6x16`]'s lane for the same element computes — `acc = fma(a,
+    /// b, acc)` from zero over the block's k in order, then `α·acc` and `+
+    /// β·add` by one more FMA — so the two tiles store the same bits.
+    ///
+    /// # Safety
+    /// As [`tile_6x16`], with `MR512` / `NR512` for `MR` / `NR`; the CPU
+    /// must support AVX-512F.
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    #[allow(clippy::too_many_arguments)]
+    // SAFETY: contract above; the body reads `kc` whole lines of each panel
+    // and touches C / `add` only through masks enabling `nr` lanes of the
+    // first `mr` rows.
+    unsafe fn tile_12x32(
+        kc: usize,
+        mut ap: *const f32,
+        mut bp: *const f32,
+        alpha: f32,
+        beta: f32,
+        add: *const f32,
+        add_ld: usize,
+        c: *mut f32,
+        ldc: usize,
+        mr: usize,
+        nr: usize,
+    ) {
+        let mut acc = [[_mm512_setzero_ps(); 2]; MR512];
+        for _ in 0..kc {
+            let b0 = _mm512_loadu_ps(bp);
+            let b1 = _mm512_loadu_ps(bp.add(16));
+            for (r, acc_r) in acc.iter_mut().enumerate() {
+                let a = _mm512_set1_ps(*ap.add(r));
+                acc_r[0] = _mm512_fmadd_ps(a, b0, acc_r[0]);
+                acc_r[1] = _mm512_fmadd_ps(a, b1, acc_r[1]);
+            }
+            ap = ap.add(MR512);
+            bp = bp.add(NR512);
+        }
+        // `hetero_avx512_edge_mask` is the seeded bug of
+        // `scripts/check_mutation.sh`: an edge tile drops its last column.
+        let nr = if cfg!(hetero_avx512_edge_mask) && nr < NR512 {
+            nr - 1
+        } else {
+            nr
+        };
+        // A masked-off lane is neither read nor written (nor faults), so the
+        // high half's address may lie past the row (hence `wrapping_add`).
+        let (lo, hi) = (mask16(nr), mask16(nr.saturating_sub(16)));
+        let (alpha, beta) = (_mm512_set1_ps(alpha), _mm512_set1_ps(beta));
+        for (r, acc_r) in acc.iter().enumerate() {
+            if r >= mr {
+                break;
+            }
+            let mut v0 = _mm512_mul_ps(acc_r[0], alpha);
+            let mut v1 = _mm512_mul_ps(acc_r[1], alpha);
+            if !add.is_null() {
+                let src = add.wrapping_add(r * add_ld);
+                v0 = _mm512_fmadd_ps(_mm512_maskz_loadu_ps(lo, src), beta, v0);
+                v1 = _mm512_fmadd_ps(_mm512_maskz_loadu_ps(hi, src.wrapping_add(16)), beta, v1);
+            }
+            let dst = c.wrapping_add(r * ldc);
+            _mm512_mask_storeu_ps(dst, lo, v0);
+            _mm512_mask_storeu_ps(dst.wrapping_add(16), hi, v1);
+        }
+    }
+
+    /// Mask with the first `lanes` (saturating at 16) of 16 lanes enabled.
+    #[inline]
+    fn mask16(lanes: usize) -> __mmask16 {
+        ((1u32 << lanes.min(16)) - 1) as __mmask16
+    }
+
     #[target_feature(enable = "avx2,fma")]
     #[allow(clippy::too_many_arguments)]
     pub(super) fn gemm_packed(
@@ -760,6 +951,62 @@ mod imp {
         c: &mut [f32],
         bufs: &mut PackBufs,
     ) {
+        // SAFETY: 16-column panels run `tile_6x16`, which needs only the
+        // AVX2+FMA this function is compiled for.
+        unsafe { blocked::<MR, NR>(alpha, a, i0, b, beta, bias, m, n, k, c, bufs) }
+    }
+
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    #[allow(clippy::too_many_arguments)]
+    pub(super) fn gemm_packed_avx512(
+        alpha: f32,
+        a: Operand<'_>,
+        i0: usize,
+        b: Operand<'_>,
+        beta: f32,
+        bias: &[f32],
+        m: usize,
+        n: usize,
+        k: usize,
+        c: &mut [f32],
+        bufs: &mut PackBufs,
+    ) {
+        // SAFETY: 32-column panels run `tile_12x32`, whose AVX-512F this
+        // function is compiled for.
+        unsafe { blocked::<MR512, NR512>(alpha, a, i0, b, beta, bias, m, n, k, c, bufs) }
+    }
+
+    /// The BLIS loops around the register tile: B packed into `W`-column
+    /// panels and A into `M`-row ones, one tile per pair of panels —
+    /// `tile_6x16` for `(MR, NR)`, `tile_12x32` for `(MR512, NR512)`, the
+    /// only two instantiations.
+    ///
+    /// # Safety
+    /// With `W = NR512` the CPU must support AVX-512F.
+    #[target_feature(enable = "avx2,fma")]
+    #[allow(clippy::too_many_arguments)]
+    // SAFETY: contract above; every pointer handed to a tile is checked
+    // where it is made (see the call).
+    unsafe fn blocked<const M: usize, const W: usize>(
+        alpha: f32,
+        a: Operand<'_>,
+        i0: usize,
+        b: Operand<'_>,
+        beta: f32,
+        bias: &[f32],
+        m: usize,
+        n: usize,
+        k: usize,
+        c: &mut [f32],
+        bufs: &mut PackBufs,
+    ) {
+        const {
+            assert!(if W == NR512 {
+                M == MR512
+            } else {
+                M == MR && W == NR
+            })
+        };
         assert_eq!(c.len(), m * n, "gemm_packed: C length");
         assert!(
             bias.is_empty() || bias.len() == n,
@@ -769,39 +1016,54 @@ mod imp {
             let nc = NC.min(n - jc);
             for pc in (0..k).step_by(KC) {
                 let kc = KC.min(k - pc);
-                pack::<NR>(b, jc, nc, pc, kc, &mut bufs.b);
+                pack::<W>(b, jc, nc, pc, kc, &mut bufs.b);
                 for ic in (0..m).step_by(MC) {
                     let mc = MC.min(m - ic);
-                    pack::<MR>(a, i0 + ic, mc, pc, kc, &mut bufs.a);
-                    for jr in (0..nc).step_by(NR) {
-                        let nr = NR.min(nc - jr);
-                        let bp = bufs.b[jr * kc..][..kc * NR].as_ptr();
-                        for ir in (0..mc).step_by(MR) {
-                            let mr = MR.min(mc - ir);
-                            let ap = bufs.a[ir * kc..][..kc * MR].as_ptr();
-                            let (row, col) = (ic + ir, jc + jr);
-                            let tile = &mut c[row * n + col..(row + mr - 1) * n + col + nr];
-                            let cp = tile.as_mut_ptr();
-                            // First k-block: β·C, the bias row, or nothing;
-                            // later blocks accumulate onto what it stored.
-                            let (add, add_ld, beta) = if pc > 0 {
-                                (cp.cast_const(), n, 1.0)
-                            } else if !bias.is_empty() {
-                                (bias[col..col + nr].as_ptr(), 0, 1.0)
-                            } else if beta != 0.0 {
-                                (cp.cast_const(), n, beta)
+                    pack::<M>(a, i0 + ic, mc, pc, kc, &mut bufs.a);
+                    let (tiles_m, tiles_n) = (mc.div_ceil(M), nc.div_ceil(W));
+                    for t in 0..tiles_m * tiles_n {
+                        // The ymm tile walks down a column of tiles, its
+                        // 16-column B panel (24 KiB at KC) held in L1 across
+                        // the A panels; a 32-column one (48 KiB) would not
+                        // fit beside them, so the zmm tile walks along a row,
+                        // its A panel held and the B panels streamed from L2.
+                        let (ti, tj) = if W == NR512 {
+                            (t / tiles_n, t % tiles_n)
+                        } else {
+                            (t % tiles_m, t / tiles_m)
+                        };
+                        let (ir, jr) = (ti * M, tj * W);
+                        let (mr, nr) = (M.min(mc - ir), W.min(nc - jr));
+                        let ap = bufs.a[ir * kc..][..kc * M].as_ptr();
+                        let bp = bufs.b[jr * kc..][..kc * W].as_ptr();
+                        let (row, col) = (ic + ir, jc + jr);
+                        let tile = &mut c[row * n + col..(row + mr - 1) * n + col + nr];
+                        let cp = tile.as_mut_ptr();
+                        // First k-block: β·C, the bias row, or nothing;
+                        // later blocks accumulate onto what it stored.
+                        let (add, add_ld, beta) = if pc > 0 {
+                            (cp.cast_const(), n, 1.0)
+                        } else if !bias.is_empty() {
+                            (bias[col..col + nr].as_ptr(), 0, 1.0)
+                        } else if beta != 0.0 {
+                            (cp.cast_const(), n, beta)
+                        } else {
+                            (std::ptr::null(), 0, 0.0)
+                        };
+                        // SAFETY: `ap` / `bp` were just sliced to one whole
+                        // `kc·M` / `kc·W` panel; `tile` spans rows
+                        // `row..row+mr` × columns `col..col+nr` of C
+                        // (bounds-checked above), which is what the kernel
+                        // writes and, through `add = cp`, reads; the bias
+                        // slice holds `nr` floats and is re-read for every
+                        // row (`add_ld = 0`); `mr ≤ M` and `nr ≤ W` by the
+                        // `min`s, and `(M, W)` is the tile's own shape (the
+                        // const assert); the zmm tile runs only with
+                        // `W = NR512`, on AVX-512F (the caller's contract).
+                        unsafe {
+                            if W == NR512 {
+                                tile_12x32(kc, ap, bp, alpha, beta, add, add_ld, cp, n, mr, nr);
                             } else {
-                                (std::ptr::null(), 0, 0.0)
-                            };
-                            // SAFETY: `ap` / `bp` were just sliced to one
-                            // whole `kc·MR` / `kc·NR` panel; `tile` spans
-                            // rows `row..row+mr` × columns `col..col+nr` of
-                            // C (bounds-checked above), which is what the
-                            // kernel writes and, through `add = cp`, reads;
-                            // the bias slice holds `nr` floats and is re-read
-                            // for every row (`add_ld = 0`); `mr ≤ MR` and
-                            // `nr ≤ NR` by the `min`s.
-                            unsafe {
                                 tile_6x16(kc, ap, bp, alpha, beta, add, add_ld, cp, n, mr, nr);
                             }
                         }
@@ -881,6 +1143,132 @@ mod imp {
                 }
                 for q in n8..out {
                     g[q] += v * d[q];
+                }
+            }
+        }
+    }
+
+    /// Pre-activation columns [`spmm_csr_avx512`] holds in registers per
+    /// pass over a row's entries: 12 zmm, a 192-wide (w8a) row whole.
+    const SPMM_VECS: usize = 12;
+
+    /// Unaligned 16-lane load from `s[off..off+16]`.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    fn load16(s: &[f32], off: usize) -> __m512 {
+        debug_assert!(off + 16 <= s.len());
+        // SAFETY: every caller advances `off` in steps of 16 while
+        // `off + 16 <= s.len()` (debug-asserted); `loadu` needs no alignment.
+        unsafe { _mm512_loadu_ps(s.as_ptr().add(off)) }
+    }
+
+    /// Unaligned 16-lane store to `s[off..off+16]`.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    fn store16(s: &mut [f32], off: usize, v: __m512) {
+        debug_assert!(off + 16 <= s.len());
+        // SAFETY: same bounds discipline as `load16`.
+        unsafe { _mm512_storeu_ps(s.as_mut_ptr().add(off), v) }
+    }
+
+    /// Masked 16-lane load from `s[off..]`; disabled lanes read as zero.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    fn load16_masked(s: &[f32], off: usize, mask: __mmask16) -> __m512 {
+        debug_assert!(off + mask.count_ones() as usize <= s.len());
+        // SAFETY: every caller passes a `mask16` prefix mask enabling only
+        // lanes inside `s` from `off` (debug-asserted); a disabled lane is
+        // neither read nor faults.
+        unsafe { _mm512_maskz_loadu_ps(mask, s.as_ptr().add(off)) }
+    }
+
+    /// Masked 16-lane store to `s[off..]`; disabled lanes are not written.
+    /// (A masked store does not forward to a later load of the same line:
+    /// loops that re-read what they store use it for the tail only.)
+    #[inline]
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    fn store16_masked(s: &mut [f32], off: usize, mask: __mmask16, v: __m512) {
+        debug_assert!(off + mask.count_ones() as usize <= s.len());
+        // SAFETY: same bounds discipline as `load16_masked`.
+        unsafe { _mm512_mask_storeu_ps(s.as_mut_ptr().add(off), mask, v) }
+    }
+
+    /// [`spmm_csr`] in 16-lane vectors: a row's pre-activations, up to
+    /// `16·SPMM_VECS` columns at a time, stay in registers while the row's
+    /// entries are added in order, and are stored once. Each element is the
+    /// same `z + v·w` sequence, so the bits are the ymm body's.
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    pub(super) fn spmm_csr_avx512(
+        indptr: &[usize],
+        indices: &[u32],
+        values: &[f32],
+        wt: &[f32],
+        bias: &[f32],
+        out: usize,
+        z: &mut [f32],
+    ) {
+        let rows = indptr.len().saturating_sub(1);
+        for r in 0..rows {
+            let zr = &mut z[r * out..(r + 1) * out];
+            for q0 in (0..out).step_by(16 * SPMM_VECS) {
+                let width = (out - q0).min(16 * SPMM_VECS);
+                let vecs = width.div_ceil(16);
+                let mut mask = [0; SPMM_VECS];
+                for (j, m) in mask.iter_mut().enumerate() {
+                    *m = mask16(width.saturating_sub(16 * j));
+                }
+                let mut acc = [_mm512_setzero_ps(); SPMM_VECS];
+                if !bias.is_empty() {
+                    for j in 0..vecs {
+                        acc[j] = load16_masked(bias, q0 + 16 * j, mask[j]);
+                    }
+                }
+                for p in indptr[r]..indptr[r + 1] {
+                    let vv = _mm512_set1_ps(values[p]);
+                    let wr = &wt[indices[p] as usize * out + q0..][..width];
+                    for j in 0..SPMM_VECS {
+                        if j < vecs {
+                            let vw = _mm512_mul_ps(vv, load16_masked(wr, 16 * j, mask[j]));
+                            acc[j] = _mm512_add_ps(acc[j], vw);
+                        }
+                    }
+                }
+                for j in 0..vecs {
+                    store16_masked(zr, q0 + 16 * j, mask[j], acc[j]);
+                }
+            }
+        }
+    }
+
+    /// [`spmm_tn_csr`] in 16-lane vectors, the tail masked: the same `g +
+    /// v·δ` per element in the same order, so the ymm body's bits.
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    pub(super) fn spmm_tn_csr_avx512(
+        indptr: &[usize],
+        indices: &[u32],
+        values: &[f32],
+        delta: &[f32],
+        out: usize,
+        grad: &mut [f32],
+    ) {
+        let rows = indptr.len().saturating_sub(1);
+        let n16 = out & !15;
+        for r in 0..rows {
+            let d = &delta[r * out..(r + 1) * out];
+            for p in indptr[r]..indptr[r + 1] {
+                let c = indices[p] as usize;
+                let vv = _mm512_set1_ps(values[p]);
+                let g = &mut grad[c * out..(c + 1) * out];
+                let mut q = 0;
+                while q < n16 {
+                    let acc = _mm512_add_ps(load16(g, q), _mm512_mul_ps(vv, load16(d, q)));
+                    store16(g, q, acc);
+                    q += 16;
+                }
+                if n16 < out {
+                    let m = mask16(out - n16);
+                    let vd = _mm512_mul_ps(vv, load16_masked(d, n16, m));
+                    store16_masked(g, n16, m, _mm512_add_ps(load16_masked(g, n16, m), vd));
                 }
             }
         }
@@ -1336,5 +1724,42 @@ mod tests {
                 assert_eq!(active_level(), SimdLevel::Scalar);
             }
         });
+    }
+
+    /// An AVX-512 request runs the highest level the host has at or below
+    /// it, and `host_levels` lists exactly the levels that run as asked.
+    #[test]
+    fn avx512_requests_clamp_to_host() {
+        let best = if host_supports_avx512() {
+            SimdLevel::Avx512
+        } else if host_supports_avx2() {
+            SimdLevel::Avx2
+        } else {
+            SimdLevel::Scalar
+        };
+        assert_eq!(with_level(SimdLevel::Avx512, active_level), best);
+        let levels: Vec<_> = host_levels().collect();
+        assert_eq!(levels.first(), Some(&SimdLevel::Scalar));
+        assert_eq!(levels.last(), Some(&best));
+        for level in levels {
+            assert_eq!(with_level(level, active_level), level);
+        }
+    }
+
+    /// The process-wide level is what `HETERO_SIMD` asks for, clamped to
+    /// the host; the test prints it (CI's SIMD legs run it with
+    /// `--nocapture` to show which kernels they tested).
+    #[test]
+    fn the_process_level_follows_hetero_simd() {
+        let var = std::env::var("HETERO_SIMD").ok();
+        let asked = match var.as_deref() {
+            Some("0" | "off" | "scalar") => SimdLevel::Scalar,
+            Some("avx2") => SimdLevel::Avx2,
+            _ => SimdLevel::Avx512,
+        };
+        // A fresh thread: no `with_level` override of another test applies.
+        let level = std::thread::spawn(active_level).join().unwrap();
+        eprintln!("resolved SIMD level: {level:?} (HETERO_SIMD={var:?})");
+        assert_eq!(level, with_level(asked, active_level));
     }
 }

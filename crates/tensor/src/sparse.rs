@@ -11,10 +11,11 @@
 //!   weight gradient, accumulated row-contiguously in the same layout),
 //!
 //! which are exactly the two places sparsity pays off in a fully-connected
-//! network (every later layer is dense). Both dispatch AVX2/scalar through
-//! [`crate::simd::active_level`] like the dense kernels; the SIMD paths use
-//! separate mul/add in scalar element order, so the two dispatch paths are
-//! bit-identical.
+//! network (every later layer is dense). Both dispatch through
+//! [`crate::simd::active_level`] like the dense kernels — a 16-lane body at
+//! AVX-512, an 8-lane one at AVX2, the portable loop otherwise; the SIMD
+//! paths use separate mul/add in scalar element order, so every dispatch
+//! path is bit-identical.
 //!
 //! Three container shapes serve the kernels:
 //!
@@ -486,6 +487,15 @@ pub fn spmm_bias_into(x: CsrView<'_>, w: &Matrix, bias: &[f32], z: &mut Matrix) 
         return;
     }
     match simd::active_level() {
+        SimdLevel::Avx512 => simd::spmm_csr_avx512(
+            x.indptr,
+            x.indices,
+            x.values,
+            w.as_slice(),
+            bias,
+            out,
+            z.as_mut_slice(),
+        ),
         SimdLevel::Avx2 => simd::spmm_csr(
             x.indptr,
             x.indices,
@@ -536,6 +546,14 @@ pub fn spmm_tn_scatter(x: CsrView<'_>, delta: &Matrix, grad: &mut Matrix) {
         return;
     }
     match simd::active_level() {
+        SimdLevel::Avx512 => simd::spmm_tn_csr_avx512(
+            x.indptr,
+            x.indices,
+            x.values,
+            delta.as_slice(),
+            out,
+            grad.as_mut_slice(),
+        ),
         SimdLevel::Avx2 => simd::spmm_tn_csr(
             x.indptr,
             x.indices,
@@ -563,7 +581,7 @@ pub fn spmm_tn_scatter(x: CsrView<'_>, delta: &Matrix, grad: &mut Matrix) {
 mod tests {
     use super::*;
     use crate::gemm;
-    use crate::simd::with_level;
+    use crate::simd::{host_levels, with_level};
 
     fn sample_dense() -> Matrix {
         Matrix::from_rows(&[
@@ -715,9 +733,9 @@ mod tests {
         assert!(z.approx_eq(&expect, 1e-6));
     }
 
-    /// The sparse kernels are linear (mul+add in scalar order), so the two
-    /// dispatch paths must agree bit-for-bit — same contract as the dense
-    /// linear kernels.
+    /// The sparse kernels are linear (mul+add in scalar order), so every
+    /// dispatch level the host has must agree with the scalar loops
+    /// bit-for-bit — same contract as the dense linear kernels.
     #[test]
     fn sparse_dispatch_paths_bit_identical() {
         let x = Matrix::from_fn(17, 43, |i, j| {
@@ -728,8 +746,9 @@ mod tests {
             }
         });
         let sx = CsrMatrix::from_dense(&x, 0.0);
-        // Odd `out` widths exercise the vector tail.
-        for out in [1usize, 8, 19] {
+        // Odd `out` widths exercise the vector tails; past 192 the zmm
+        // forward holds a row in two register blocks.
+        for out in [1usize, 8, 16, 19, 33, 192, 207] {
             let w = Matrix::from_fn(43, out, |i, j| ((i * out + j) as f32 * 0.07).cos());
             let bias: Vec<f32> = (0..out).map(|j| (j as f32 * 0.3).sin()).collect();
             let delta = Matrix::from_fn(17, out, |i, j| ((i * out + j) as f32 * 0.11).sin());
@@ -743,9 +762,11 @@ mod tests {
                 })
             };
             let (zs, gs) = run(SimdLevel::Scalar);
-            let (zv, gv) = run(SimdLevel::Avx2);
-            assert_eq!(zs.as_slice(), zv.as_slice(), "spmm out={out}");
-            assert_eq!(gs.as_slice(), gv.as_slice(), "spmm_tn out={out}");
+            for level in host_levels() {
+                let (zv, gv) = run(level);
+                assert_eq!(zs.as_slice(), zv.as_slice(), "spmm out={out} {level:?}");
+                assert_eq!(gs.as_slice(), gv.as_slice(), "spmm_tn out={out} {level:?}");
+            }
         }
     }
 

@@ -1,24 +1,29 @@
-//! Property tests pinning the AVX2 microkernels to the scalar semantics.
+//! Property tests pinning the SIMD kernels to the scalar semantics, and
+//! the AVX-512 bodies to the AVX2 ones bit for bit.
 //!
-//! Every test runs the kernel under *both* forced dispatch levels via
-//! [`simd::with_level`]. On hosts without AVX2 the forced-Avx2 run clamps
-//! to scalar, so the properties degenerate to scalar==scalar and still pass
-//! — the suite is portable, it just only *bites* on x86-64.
+//! Every test runs the kernel under every dispatch level the host has
+//! ([`simd::host_levels`], forced via [`simd::with_level`]). On hosts
+//! without AVX2 that is scalar alone, so the properties degenerate to
+//! scalar==scalar and still pass — the suite is portable, it just only
+//! *bites* on x86-64; the AVX-512-against-AVX2 tests print that they were
+//! skipped on a host without AVX-512.
 //!
 //! Shape strategy deliberately includes odd / non-multiple-of-tile sizes so
-//! the microkernel edge handling (zero-padded 6-row / 16-column panels,
-//! masked stores, k-loop tails) is exercised, not just the fast interior;
-//! [`every_tile_boundary_matches_reference`] then walks each dimension
-//! across every boundary of the packed path deterministically, and
-//! [`par_gemm_is_bit_identical_to_serial`] pins the property the
-//! simulator's same-seed check rests on.
+//! the microkernel edge handling (zero-padded 6- or 12-row / 16- or
+//! 32-column panels, masked stores, k-loop tails) is exercised, not just
+//! the fast interior; [`every_tile_boundary_matches_reference`] then walks
+//! each dimension across every boundary of the packed path
+//! deterministically (and holds the AVX-512 tile to the AVX2 tile's bits
+//! there), and [`par_gemm_is_bit_identical_to_serial`] pins the property
+//! the simulator's same-seed check rests on.
 
 use hetero_tensor::simd::{self, SimdLevel};
-use hetero_tensor::{gemm, ops, Matrix};
+use hetero_tensor::{gemm, ops, sparse, CsrMatrix, Matrix};
 use proptest::prelude::*;
 
-/// Shapes that straddle the 6×16 register tile and the skinny-shape
-/// crossovers (4 and 18 rows, 8 columns), including 1 and primes.
+/// Shapes that straddle the 6×16 and 12×32 register tiles and the
+/// skinny-shape crossovers (4 and 18 rows, 8 columns), including 1 and
+/// primes.
 fn dims() -> impl Strategy<Value = (usize, usize, usize)> {
     (1usize..40, 1usize..40, 1usize..40)
 }
@@ -66,12 +71,12 @@ fn check_gemm_level(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// NN matches the reference with dispatch forced each way.
+    /// NN matches the reference at every level the host has.
     #[test]
     fn gemm_nn_matches_reference_both_levels((m, k, n) in dims(), seed in any::<u64>()) {
         let a = seeded(m, k, seed);
         let b = seeded(k, n, seed ^ 1);
-        for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
+        for level in simd::host_levels() {
             prop_assert!(
                 check_gemm_level(level, gemm::gemm_nn, &a, false, &b, false, m, n, seed),
                 "gemm_nn diverged from reference at {level:?} for {m}x{k}x{n}"
@@ -79,12 +84,12 @@ proptest! {
         }
     }
 
-    /// NT (A·Bᵀ) matches the reference with dispatch forced each way.
+    /// NT (A·Bᵀ) matches the reference at every level the host has.
     #[test]
     fn gemm_nt_matches_reference_both_levels((m, k, n) in dims(), seed in any::<u64>()) {
         let a = seeded(m, k, seed);
         let bt = seeded(n, k, seed ^ 2);
-        for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
+        for level in simd::host_levels() {
             prop_assert!(
                 check_gemm_level(level, gemm::gemm_nt, &a, false, &bt, true, m, n, seed),
                 "gemm_nt diverged from reference at {level:?} for {m}x{k}x{n}"
@@ -92,12 +97,12 @@ proptest! {
         }
     }
 
-    /// TN (Aᵀ·B) matches the reference with dispatch forced each way.
+    /// TN (Aᵀ·B) matches the reference at every level the host has.
     #[test]
     fn gemm_tn_matches_reference_both_levels((m, k, n) in dims(), seed in any::<u64>()) {
         let at = seeded(k, m, seed);
         let b = seeded(k, n, seed ^ 3);
-        for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
+        for level in simd::host_levels() {
             prop_assert!(
                 check_gemm_level(level, gemm::gemm_tn, &at, true, &b, false, m, n, seed),
                 "gemm_tn diverged from reference at {level:?} for {m}x{k}x{n}"
@@ -116,7 +121,7 @@ proptest! {
         let mut expect = Matrix::zeros(m, n);
         gemm::gemm_reference(1.0, &a, false, &bt, true, 0.0, &mut expect);
         ops::add_row_broadcast(&mut expect, &bias);
-        for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
+        for level in simd::host_levels() {
             let mut c = Matrix::zeros(m, n);
             simd::with_level(level, || gemm::gemm_nt_bias(1.0, &a, &bt, &bias, &mut c));
             prop_assert!(
@@ -203,7 +208,7 @@ proptest! {
         cuts in proptest::collection::vec(0usize..120, 0..6),
     ) {
         let len = 120;
-        for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
+        for level in simd::host_levels() {
             simd::with_level(level, || {
                 let mut whole = vec![0.0f32; len];
                 ops::normal_fill(key, first, 1.0, &mut whole);
@@ -306,17 +311,18 @@ fn operands(m: usize, k: usize, n: usize, a_t: bool, b_t: bool, seed: u64) -> (M
 }
 
 /// Every dimension walked across every boundary of the packed path — the
-/// 6-row / 16-column tile, the 4- and 18-row skinny crossovers, the 96-row
-/// A block, the 384-deep k block and the 512-wide column block (and the
-/// scalar kernels' 256) — plus the benchmark's layer widths, for all four
-/// flavours, α ≠ 1, β ∈ {0, 1, −0.5} with C pre-filled with NaN wherever it
-/// must be overwritten, under both levels. The same call twice must also
-/// be bit-identical.
+/// 6-row / 16-column and 12-row / 32-column tiles, the 4- and 18-row skinny
+/// crossovers, the 96-row A block, the 384-deep k block and the 512-wide
+/// column block (and the scalar kernels' 256) — plus the benchmark's layer
+/// widths, for all four flavours, α ≠ 1, β ∈ {0, 1, −0.5} with C pre-filled
+/// with NaN wherever it must be overwritten, under every level the host
+/// has. The same call twice must also be bit-identical, and the AVX-512
+/// level must store exactly the AVX2 level's bits.
 #[test]
 fn every_tile_boundary_matches_reference() {
-    const EDGES: [usize; 29] = [
-        1, 3, 4, 5, 6, 7, 11, 12, 13, 15, 16, 17, 18, 19, 54, 95, 96, 97, 192, 255, 256, 257, 300,
-        383, 384, 385, 511, 512, 513,
+    const EDGES: [usize; 34] = [
+        1, 3, 4, 5, 6, 7, 11, 12, 13, 15, 16, 17, 18, 19, 24, 25, 31, 32, 33, 54, 95, 96, 97, 192,
+        255, 256, 257, 300, 383, 384, 385, 511, 512, 513,
     ];
     let alpha = 0.75;
     // One dimension on an edge, the other two off every boundary (and large
@@ -331,6 +337,7 @@ fn every_tile_boundary_matches_reference() {
         }
     }
     shapes.push([97, 385, 513]);
+    let bits = |m: &Matrix| -> Vec<u32> { m.as_slice().iter().map(|v| v.to_bits()).collect() };
     for (name, kernel, _, a_t, b_t, fused) in FLAVOURS {
         for &[m, k, n] in &shapes {
             let seed = (m * 31 + k * 7 + n) as u64;
@@ -355,7 +362,8 @@ fn every_tile_boundary_matches_reference() {
                 if fused {
                     ops::add_row_broadcast(&mut expect, &bias);
                 }
-                for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
+                let mut avx2 = None;
+                for level in simd::host_levels() {
                     let run = || {
                         let mut c = c0.clone();
                         simd::with_level(level, || kernel(alpha, &a, &b, beta, &bias, &mut c));
@@ -366,18 +374,117 @@ fn every_tile_boundary_matches_reference() {
                         close(&c, &expect, 5e-4),
                         "gemm_{name} {m}x{k}x{n} beta={beta} diverged at {level:?}"
                     );
-                    let bits = |m: &Matrix| -> Vec<u32> {
-                        m.as_slice().iter().map(|v| v.to_bits()).collect()
-                    };
                     assert_eq!(
                         bits(&c),
                         bits(&run()),
                         "gemm_{name} {m}x{k}x{n} beta={beta} not repeatable at {level:?}"
                     );
+                    match level {
+                        SimdLevel::Avx2 => avx2 = Some(bits(&c)),
+                        SimdLevel::Avx512 => assert!(
+                            avx2.as_ref() == Some(&bits(&c)),
+                            "gemm_{name} {m}x{k}x{n} beta={beta}: Avx512 bits differ from Avx2"
+                        ),
+                        SimdLevel::Scalar => {}
+                    }
                 }
             }
         }
     }
+}
+
+/// Runs `f` unless the host lacks AVX-512, in which case it says so: the
+/// AVX-512-against-AVX2 tests have nothing to compare there.
+fn on_avx512(test: &str, f: impl FnOnce()) {
+    if simd::host_supports_avx512() {
+        f();
+    } else {
+        eprintln!("{test}: skipped, this host has no AVX-512");
+    }
+}
+
+/// A small LCG over `lo..hi`, so the random shapes below repeat run to run.
+fn draws(seed: u64) -> impl FnMut(usize, usize) -> usize {
+    let mut state = seed | 1;
+    move |lo, hi| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        lo + (state >> 33) as usize % (hi - lo)
+    }
+}
+
+/// The zmm GEMM tile stores the ymm tile's bits on random shapes — depths
+/// on both sides of the 384-deep k block, so the second block's accumulate
+/// path runs too — for NN, TN, NT (β = 0, β = 1, β ≠ 0, 1) and the fused
+/// bias.
+#[test]
+fn avx512_gemm_stores_the_avx2_bits() {
+    on_avx512("avx512_gemm_stores_the_avx2_bits", || {
+        let mut draw = draws(0xa512);
+        for case in 0..24 {
+            let (m, k, n) = (draw(1, 70), draw(1, 900), draw(1, 90));
+            let seed = case as u64;
+            for (name, kernel, _, a_t, b_t, _) in FLAVOURS {
+                let (a, b) = operands(m, k, n, a_t, b_t, seed);
+                let bias: Vec<f32> = seeded(1, n, seed ^ 2).as_slice().to_vec();
+                for beta in [0.0, 1.0, -0.5] {
+                    let run = |level| {
+                        let mut c = seeded(m, n, seed ^ 3);
+                        simd::with_level(level, || kernel(1.25, &a, &b, beta, &bias, &mut c));
+                        c.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+                    };
+                    assert!(
+                        run(SimdLevel::Avx512) == run(SimdLevel::Avx2),
+                        "gemm_{name} {m}x{k}x{n} beta={beta}: Avx512 bits differ from Avx2"
+                    );
+                }
+            }
+        }
+    });
+}
+
+/// The zmm CSR kernels store the ymm kernels' bits: random supports, rows
+/// with no entry, widths below, on and past a vector, and past the 192
+/// columns the forward holds in registers at once.
+#[test]
+fn avx512_csr_kernels_store_the_avx2_bits() {
+    on_avx512("avx512_csr_kernels_store_the_avx2_bits", || {
+        let mut draw = draws(0xc5a);
+        for case in 0..40 {
+            let (rows, cols) = (draw(1, 30), draw(1, 60));
+            let out = [1, 15, 16, 17, 64, 191, 192, 193, 300][case % 9];
+            let density = draw(0, 60) as f32 / 100.0;
+            let probe = seeded(rows, cols, case as u64 ^ 9);
+            let x = Matrix::from_fn(rows, cols, |i, j| {
+                let v = probe.as_slice()[i * cols + j];
+                if (v + 1.0) / 2.0 < density {
+                    v
+                } else {
+                    0.0
+                }
+            });
+            let csr = CsrMatrix::from_dense(&x, 0.0);
+            let wt = seeded(cols, out, case as u64);
+            let bias: Vec<f32> = seeded(1, out, case as u64 ^ 1).as_slice().to_vec();
+            let delta = seeded(rows, out, case as u64 ^ 2);
+            let run = |level| {
+                simd::with_level(level, || {
+                    let mut z = Matrix::zeros(0, 0);
+                    sparse::spmm_bias_into(csr.view(), &wt, &bias, &mut z);
+                    let mut z0 = Matrix::zeros(0, 0);
+                    sparse::spmm_bias_into(csr.view(), &wt, &[], &mut z0);
+                    let mut g = seeded(cols, out, case as u64 ^ 3);
+                    sparse::spmm_tn_scatter(csr.view(), &delta, &mut g);
+                    [z, z0, g].map(|m| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>())
+                })
+            };
+            assert!(
+                run(SimdLevel::Avx512) == run(SimdLevel::Avx2),
+                "{rows}x{cols} CSR at width {out}: Avx512 bits differ from Avx2"
+            );
+        }
+    });
 }
 
 /// `par_gemm_*` on a pool of 1, 2 or 3 threads returns exactly the serial

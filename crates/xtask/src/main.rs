@@ -19,10 +19,11 @@
 //!    non-test code must be handled, not `.unwrap()`/`.expect()`ed: a dead
 //!    peer is an expected event the fault-tolerance layer handles.
 //! 5. **SIMD target-feature** — any function whose body calls an x86 SIMD
-//!    intrinsic (`_mm…`/`_mm256…`) must be annotated `#[target_feature]`:
-//!    combined with rule 1 this means every unsafe SIMD block carries both
-//!    a SAFETY comment *and* sits under an explicit feature gate, so a
-//!    refactor can never silently move AVX2 code onto an unguarded path.
+//!    intrinsic (`_mm…`/`_mm256…`/`_mm512…`) must be annotated
+//!    `#[target_feature]`: combined with rule 1 this means every unsafe
+//!    SIMD block carries both a SAFETY comment *and* sits under an explicit
+//!    feature gate, so a refactor can never silently move AVX2 or AVX-512
+//!    code onto an unguarded path.
 //!
 //! Test code (`tests/`, `benches/`, `examples/`, `#[cfg(test)]` modules),
 //! the vendored shims, and xtask itself are exempt. Run `cargo xtask lint
@@ -255,7 +256,7 @@ fn lint_source(rel: &str, text: &str) -> Vec<Violation> {
 
 /// True when the (comment-stripped) code calls an x86 SIMD intrinsic:
 /// an identifier starting with `_mm` at a word boundary (`_mm_add_ps`,
-/// `_mm256_fmadd_ps`, …).
+/// `_mm256_fmadd_ps`, `_mm512_mask_storeu_ps`, …).
 fn uses_simd_intrinsic(code: &str) -> bool {
     let mut start = 0;
     while let Some(pos) = code[start..].find("_mm") {

@@ -50,8 +50,11 @@
 # layer 0's bias on; `--cfg hetero_support_read_skips_tail` copies the rows
 # only. In crates/nn/src/sparse_input.rs an eval's column forward reads
 # layer 0 a tile of support rows at a time, the last tile partial; `--cfg
-# hetero_eval_skips_last_tile` drops that partial tile. This script asserts
-# that:
+# hetero_eval_skips_last_tile` drops that partial tile. In
+# crates/tensor/src/simd.rs the AVX-512 GEMM tile stores an edge tile's
+# `nr` columns through a lane mask; `--cfg hetero_avx512_edge_mask` drops
+# its last column (checked only on a host with AVX-512, the one place the
+# tile runs). This script asserts that:
 #   1. the suites pass as written, and
 #   2. each suite FAILS under its mutation the way the bug would show (a
 #      data-race report for the queue, both two-merger models losing an
@@ -67,7 +70,8 @@
 #      dense, generated data with no two neighbouring features active, lane
 #      shares that leave the end of a batch untrained, a threaded step at a
 #      support read differing from the full-snapshot step, an eval's column
-#      forward differing from the row form's),
+#      forward differing from the row form's, a GEMM at the AVX-512 level
+#      diverging from the reference at a tile edge),
 # i.e. the checker genuinely guards the edge.
 #
 # Usage: scripts/check_mutation.sh   (from anywhere in the repo)
@@ -92,14 +96,16 @@ synth="-p hetero-data --lib synth::tests"
 split="-p hetero-core --lib lane_split_shares_tile_the_batch"
 read="-p hetero-core --lib a_support_read_step_is_bit_identical_to_a_full_snapshot_step"
 eval="-p hetero-nn --lib sparse_input::column_eval"
+tile="-p hetero-tensor --test proptest_simd every_tile_boundary_matches_reference"
 
-echo "[1/20] baseline: loom queue, shared-model, coordinator-model, event-loop, sparse-support, sim-wave, init-stream, sim-resume, store, GPU-OOM, input-format, generator-law, lane-split, support-read and column-eval suites must pass as written"
+echo "[1/21] baseline: loom queue, shared-model, coordinator-model, event-loop, sparse-support, sim-wave, init-stream, sim-resume, store, GPU-OOM, input-format, generator-law, lane-split, support-read, column-eval and tile-boundary suites must pass as written"
 # shellcheck disable=SC2086
 if ! { cargo test $queue -q && cargo test $shared -q && cargo test $model -q \
     && cargo test $run -q && cargo test $support -q && cargo test $wave -q \
     && cargo test $init -q && cargo test $resume -q && cargo test $store -q \
     && cargo test $oom -q && cargo test $format -q && cargo test $synth -q \
-    && cargo test $split -q && cargo test $read -q && cargo test $eval -q; } >"$log" 2>&1; then
+    && cargo test $split -q && cargo test $read -q && cargo test $eval -q \
+    && cargo test $tile -q; } >"$log" 2>&1; then
     echo "FAIL: baseline suite is red"
     tail -40 "$log"
     exit 1
@@ -109,7 +115,7 @@ fi
 check_mutation() {
     local cfg="$1" desc="$2" step="$3" suite="$4"
     shift 4
-    echo "[$step/20] mutation: suite must FAIL with $desc"
+    echo "[$step/21] mutation: suite must FAIL with $desc"
     # shellcheck disable=SC2086
     if RUSTFLAGS="--cfg $cfg" cargo test $suite -q >"$log" 2>&1; then
         echo "FAIL: $desc mutation was NOT caught"
@@ -199,4 +205,13 @@ check_mutation hetero_support_read_skips_tail "a support read skipping every str
 check_mutation hetero_eval_skips_last_tile "an eval's column forward dropping its last partial tile" 20 \
     "$eval" "supports_at_the_tile_edges_score_bit_identically" "layer 0 differs"
 
-echo "OK: all nineteen seeded mutations are caught"
+# An edge tile that drops its last column leaves it NaN (β = 0) or stale,
+# so the walk's AVX-512 run stops matching the reference there.
+if grep -qw avx512f /proc/cpuinfo 2>/dev/null; then
+    check_mutation hetero_avx512_edge_mask "an AVX-512 GEMM tile dropping its last edge column" 21 \
+        "$tile" "every_tile_boundary_matches_reference" "diverged at Avx512"
+    echo "OK: all twenty seeded mutations are caught"
+else
+    echo "[21/21] skipped: this host has no AVX-512, where the zmm tile never runs"
+    echo "OK: all nineteen seeded mutations that can run on this host are caught"
+fi

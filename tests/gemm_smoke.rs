@@ -2,10 +2,11 @@
 //! fused-bias forward) at the benchmark's own layer shapes — the w8a net
 //! 300-192-192-2 and the covtype net 54-64-64-2 at batch 1 (Hogwild), 64
 //! (a Hogbatch lane) and 256 (the adaptive CPU cap) — against the f64
-//! reference, under both SIMD levels. Every path the shape rule can pick
-//! (packed 6×16, dot body, portable kernels) is hit by at least one of them.
+//! reference, under every SIMD level the host has. Every path the shape
+//! rule can pick (packed 6×16 or 12×32, dot body, portable kernels) is hit
+//! by at least one of them.
 
-use hetero_tensor::simd::{self, SimdLevel};
+use hetero_tensor::simd;
 use hetero_tensor::{gemm, ops, Matrix};
 
 fn seeded(rows: usize, cols: usize, seed: u64) -> Matrix {
@@ -48,7 +49,7 @@ fn layer_shapes_match_reference_at_both_levels() {
                 let mut grad = Matrix::zeros(fan_out, fan_in);
                 gemm::gemm_reference(1.0, &delta, true, &x, false, 0.0, &mut grad);
 
-                for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
+                for level in simd::host_levels() {
                     let tag = |op: &str| format!("{op} {fan_in}->{fan_out} b{batch} {level:?}");
                     simd::with_level(level, || {
                         // NaN-filled outputs: β = 0 must overwrite, not read.
