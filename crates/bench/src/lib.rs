@@ -29,10 +29,11 @@ pub mod alloc_count;
 pub mod plot;
 
 use hetero_core::{
-    AdaptiveParams, AlgorithmKind, LrScaling, SimEngine, SimEngineConfig, TrainConfig, TrainResult,
+    AdaptiveParams, AlgorithmKind, SimEngine, SimEngineConfig, TrainConfig, TrainResult,
 };
 use hetero_data::{DenseDataset, PaperDataset};
 use hetero_nn::{Activation, LossKind, MlpSpec};
+use hetero_sim::CpuModel;
 
 /// Knobs every experiment binary shares.
 #[derive(Debug, Clone)]
@@ -112,34 +113,19 @@ impl Harness {
     }
 
     /// The shared training configuration (§VII-A methodology): identical
-    /// hyperparameters for every algorithm on the same hardware, lr ∝
-    /// batch, CPU at 1 example/thread, GPU batch up to 8192 (clamped by
-    /// the dataset size at small scales).
+    /// hyperparameters for every algorithm on the same hardware, the
+    /// default lr ∝ √batch, and the paper's thresholds for its 56-thread
+    /// host with the GPU batch up to 8192 (clamped by the dataset size at
+    /// small scales).
     pub fn train_config(&self, algo: AlgorithmKind, dataset: &DenseDataset) -> TrainConfig {
-        let n = dataset.len();
-        let gpu_max = 8192.min(n.max(64));
-        let gpu_min = (gpu_max / 16).max(16);
+        let gpu_max = 8192.min(dataset.len().max(64));
         TrainConfig {
             init: hetero_nn::InitScheme::XavierSigmoid,
             algorithm: algo,
-            lr: 0.01,
-            lr_scaling: LrScaling::Sqrt {
-                ref_batch: 1,
-                max_lr: 0.5,
-            },
             gpu_batch: gpu_max,
-            adaptive: AdaptiveParams {
-                alpha: 2.0,
-                beta: 1.0,
-                cpu_min_batch: 56,
-                // The paper's upper threshold: 64 examples per thread.
-                cpu_max_batch: 56 * 64,
-                gpu_min_batch: gpu_min,
-                gpu_max_batch: gpu_max,
-            },
+            adaptive: AdaptiveParams::paper(CpuModel::xeon_pair().threads, gpu_max),
             time_budget: self.budget,
             eval_interval: self.budget / 24.0,
-            eval_subsample: 2048,
             seed: self.seed,
             ..TrainConfig::default()
         }

@@ -125,19 +125,29 @@ pub struct AdaptiveParams {
 }
 
 impl Default for AdaptiveParams {
+    /// The paper's thresholds on its own host: the 56 worker threads of
+    /// `CpuModel::xeon_pair()` and GPU batches up to 8 192.
     fn default() -> Self {
-        AdaptiveParams {
-            alpha: 2.0,
-            beta: 1.0,
-            cpu_min_batch: 56,      // 1 example × 56 threads
-            cpu_max_batch: 56 * 64, // 64 examples per thread (§VII-A)
-            gpu_min_batch: 512,
-            gpu_max_batch: 8192,
-        }
+        AdaptiveParams::paper(hetero_sim::CpuModel::xeon_pair().threads, 8192)
     }
 }
 
 impl AdaptiveParams {
+    /// The paper's thresholds (§VII-A) for a CPU worker of `lanes` threads
+    /// and GPU batches up to `gpu_max`: the CPU runs 1–64 examples per
+    /// lane, the GPU from a sixteenth of its cap (at least 16, at most the
+    /// cap) up to the cap; α 2 and β 1.
+    pub fn paper(lanes: usize, gpu_max: usize) -> Self {
+        AdaptiveParams {
+            alpha: 2.0,
+            beta: 1.0,
+            cpu_min_batch: lanes,
+            cpu_max_batch: 64 * lanes,
+            gpu_min_batch: (gpu_max / 16).max(16).min(gpu_max),
+            gpu_max_batch: gpu_max,
+        }
+    }
+
     /// Validate parameter sanity.
     pub fn validate(&self) -> Result<(), String> {
         if self.alpha <= 1.0 {
@@ -167,7 +177,8 @@ pub struct TrainConfig {
     pub init: hetero_nn::InitScheme,
     /// Base learning rate (grid-searched in powers of 10, §VII-A).
     pub lr: f32,
-    /// Batch-dependent learning-rate scaling.
+    /// Batch-dependent learning-rate scaling (default: `lr · √batch`,
+    /// capped at 0.5).
     pub lr_scaling: LrScaling,
     /// Examples per CPU thread in the static algorithms (paper: 1–64).
     pub cpu_batch_per_thread: usize,
@@ -211,9 +222,9 @@ impl Default for TrainConfig {
             algorithm: AlgorithmKind::AdaptiveHogbatch,
             init: hetero_nn::InitScheme::Xavier,
             lr: 0.01,
-            lr_scaling: LrScaling::Linear {
+            lr_scaling: LrScaling::Sqrt {
                 ref_batch: 1,
-                max_lr: 1.0,
+                max_lr: 0.5,
             },
             cpu_batch_per_thread: 1,
             gpu_batch: 8192,
@@ -289,6 +300,38 @@ mod tests {
         };
         assert!((sq.eta(0.1, 16) - 0.2).abs() < 1e-6);
         assert_eq!(LrScaling::None.eta(0.3, 9999), 0.3);
+    }
+
+    #[test]
+    fn paper_thresholds_follow_the_lanes() {
+        let d = AdaptiveParams::default();
+        assert_eq!(
+            d,
+            AdaptiveParams::paper(hetero_sim::CpuModel::xeon_pair().threads, 8192)
+        );
+        assert_eq!((d.cpu_min_batch, d.cpu_max_batch), (56, 3584));
+        assert_eq!((d.gpu_min_batch, d.gpu_max_batch), (512, 8192));
+        assert_eq!((d.alpha, d.beta), (2.0, 1.0));
+        for lanes in [1, 2, 56] {
+            let p = AdaptiveParams::paper(lanes, 8192);
+            assert_eq!((p.cpu_min_batch, p.cpu_max_batch), (lanes, 64 * lanes));
+            assert!(p.validate().is_ok());
+        }
+        // A GPU cap below the floor of 16 is both thresholds.
+        let p = AdaptiveParams::paper(2, 8);
+        assert_eq!((p.gpu_min_batch, p.gpu_max_batch), (8, 8));
+        assert!(p.validate().is_ok());
+    }
+
+    #[test]
+    fn default_lr_rule_is_sqrt_capped_at_half() {
+        assert_eq!(
+            TrainConfig::default().lr_scaling,
+            LrScaling::Sqrt {
+                ref_batch: 1,
+                max_lr: 0.5
+            }
+        );
     }
 
     #[test]

@@ -44,17 +44,8 @@ fn main() {
     for algo in AlgorithmKind::all() {
         let train = TrainConfig {
             algorithm: algo,
-            lr: 0.01,
-            lr_scaling: LrScaling::Sqrt {
-                ref_batch: 1,
-                max_lr: 0.5,
-            },
             gpu_batch: 1024,
-            adaptive: AdaptiveParams {
-                gpu_min_batch: 64,
-                gpu_max_batch: 1024,
-                ..AdaptiveParams::default()
-            },
+            adaptive: AdaptiveParams::paper(CpuModel::xeon_pair().threads, 1024),
             time_budget: budget,
             eval_interval: budget / 12.0,
             eval_subsample: 1024,

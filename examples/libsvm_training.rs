@@ -56,11 +56,6 @@ fn main() {
     };
     let train = TrainConfig {
         algorithm: AlgorithmKind::CpuGpuHogbatch,
-        lr: 0.01,
-        lr_scaling: LrScaling::Sqrt {
-            ref_batch: 1,
-            max_lr: 0.5,
-        },
         gpu_batch: 256,
         time_budget: 0.2,
         eval_interval: 0.02,

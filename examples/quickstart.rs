@@ -37,19 +37,10 @@ fn main() {
     //    hardware models: 2×Xeon + V100, virtual time.
     let train = TrainConfig {
         algorithm: AlgorithmKind::AdaptiveHogbatch,
-        lr: 0.01,
-        lr_scaling: LrScaling::Sqrt {
-            ref_batch: 1,
-            max_lr: 0.5,
-        },
         time_budget: 0.25, // virtual seconds — several epochs on this scale
         eval_interval: 0.025,
         eval_subsample: 1024,
-        adaptive: AdaptiveParams {
-            gpu_min_batch: 64,
-            gpu_max_batch: 1024,
-            ..AdaptiveParams::default()
-        },
+        adaptive: AdaptiveParams::paper(CpuModel::xeon_pair().threads, 1024),
         ..TrainConfig::default()
     };
     let engine = SimEngine::new(SimEngineConfig::paper_hardware(spec, train)).unwrap();

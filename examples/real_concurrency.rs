@@ -48,18 +48,10 @@ fn main() {
             train: TrainConfig {
                 algorithm: algo,
                 lr: 0.05,
-                lr_scaling: LrScaling::Sqrt {
-                    ref_batch: 1,
-                    max_lr: 0.5,
-                },
-                cpu_batch_per_thread: 1,
                 gpu_batch: 512,
                 adaptive: AdaptiveParams {
-                    cpu_min_batch: threads,
-                    cpu_max_batch: threads * 64,
                     gpu_min_batch: 64,
-                    gpu_max_batch: 512,
-                    ..AdaptiveParams::default()
+                    ..AdaptiveParams::paper(threads, 512)
                 },
                 time_budget: secs,
                 eval_interval: secs / 8.0,

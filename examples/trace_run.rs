@@ -38,11 +38,7 @@ fn main() {
         time_budget: budget,
         eval_interval: budget / 10.0,
         eval_subsample: 1024,
-        adaptive: AdaptiveParams {
-            gpu_min_batch: (gpu_max / 16).max(16),
-            gpu_max_batch: gpu_max,
-            ..AdaptiveParams::default()
-        },
+        adaptive: AdaptiveParams::paper(CpuModel::xeon_pair().threads, gpu_max),
         ..TrainConfig::default()
     };
     println!(

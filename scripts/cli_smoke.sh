@@ -72,13 +72,24 @@ if ! timeout 5 "$bin" --dataset real-sim --scale 1 --engine threads --budget 0.0
     fail=1
 fi
 # w8a on the simulator at 2 % scale, with its own arguments: every step
-# and eval runs on the simulator's one thread, 1.5–2.1 s on a 2-vCPU host
-# (median 1.7 s). With each GEMM fanned out to threads spawned per call it
-# took 6.6–12 s there, so `timeout 6` fails the step if a per-call fan-out
-# comes back. Its stderr stays in the log.
+# and eval runs on the simulator's one thread, 1.3–1.7 s on a 2-vCPU host
+# (median 1.4 s) with the sim modelling that host's 2 lanes. With each GEMM
+# fanned out to threads spawned per call it took 6.6–12 s there, so
+# `timeout 6` fails the step if a per-call fan-out comes back. Its stderr
+# stays in the log.
 if ! timeout 6 "$bin" --engine sim --dataset w8a --scale 0.02 --budget 0.2 --json \
     | python3 -m json.tool >/dev/null; then
     echo "FAIL: sim w8a at 2 % scale did not exit 0 with valid JSON within 6 s"
+    fail=1
+fi
+# A GPU batch below the lower threshold's floor of 16 is both thresholds.
+expect_json --gpu-batch 8
+# Both engines run on the same CPU lanes, and the stderr header names them.
+lanes() { "$bin" "$@" "${common[@]}" 2>&1 >/dev/null | grep -o '[0-9]* CPU lanes'; }
+sim_lanes=$(lanes --engine sim)
+threads_lanes=$(lanes --engine threads)
+if [ -z "$sim_lanes" ] || [ "$sim_lanes" != "$threads_lanes" ]; then
+    echo "FAIL: sim ran on '$sim_lanes', threads on '$threads_lanes'"
     fail=1
 fi
 expect_refused "expected sim|threads" --engine ps

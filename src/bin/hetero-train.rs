@@ -16,6 +16,12 @@
 //! `--ckpt-interval` seconds (virtual for sim, wall for threads) and
 //! `--resume` continues from the newest valid generation in that directory.
 //!
+//! Both engines run on this host's CPU lanes (every hardware thread but
+//! two, at least 2; the stderr header names the count) with the paper's
+//! 1–64 examples per lane: the threaded engine starts that many lanes, and
+//! the sim models that many threads at the paper's per-thread speeds. The
+//! figure harness in `crates/bench` still runs the paper's 56-thread host.
+//!
 //! Prints a human-readable summary, or the full `TrainResult` as JSON with
 //! `--json` (for piping into plotting scripts).
 
@@ -35,47 +41,45 @@ enum Engine {
 
 struct Args {
     dataset: PaperDataset,
-    algorithm: AlgorithmKind,
     engine: Engine,
     scale: f64,
     width: usize,
     depth: Option<usize>,
-    budget: f64,
-    lr: f32,
-    gpu_batch: usize,
-    alpha: f64,
-    beta: f64,
-    kappa: f32,
+    /// What the flags set of `TrainConfig::default()`.
+    train: TrainConfig,
     ckpt_dir: Option<String>,
     ckpt_interval: f64,
     ckpt_retain: usize,
     resume: bool,
-    seed: u64,
     json: bool,
 }
 
-fn parse_args() -> Result<Args, String> {
+/// `value` parsed as `flag`'s number.
+fn num<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    value.parse().map_err(|e| format!("{flag}: {e}"))
+}
+
+/// Parse `argv`, the arguments after the program name.
+fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut args = Args {
         dataset: PaperDataset::Covtype,
-        algorithm: AlgorithmKind::AdaptiveHogbatch,
         engine: Engine::Sim,
         scale: 0.005,
         width: 64,
         depth: None,
-        budget: 0.2,
-        lr: 0.01,
-        gpu_batch: 8192,
-        alpha: 2.0,
-        beta: 1.0,
-        kappa: 0.0,
+        train: TrainConfig {
+            time_budget: 0.2,
+            ..TrainConfig::default()
+        },
         ckpt_dir: None,
         ckpt_interval: 0.05,
         ckpt_retain: 2,
         resume: false,
-        seed: 42,
         json: false,
     };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < argv.len() {
         let flag = argv[i].as_str();
@@ -101,7 +105,7 @@ fn parse_args() -> Result<Args, String> {
                     .ok_or_else(|| format!("unknown dataset '{value}'"))?;
             }
             "--algorithm" => {
-                args.algorithm = match value.as_str() {
+                args.train.algorithm = match value.as_str() {
                     "hogwild-cpu" | "hogbatch-cpu" => AlgorithmKind::HogbatchCpu,
                     "minibatch-gpu" | "hogbatch-gpu" => AlgorithmKind::MiniBatchGpu,
                     "tensorflow" | "tf" => AlgorithmKind::TensorFlow,
@@ -121,28 +125,24 @@ fn parse_args() -> Result<Args, String> {
                     other => return Err(format!("unknown engine '{other}' (expected {ENGINES})")),
                 };
             }
-            "--scale" => args.scale = value.parse().map_err(|e| format!("--scale: {e}"))?,
-            "--width" => args.width = value.parse().map_err(|e| format!("--width: {e}"))?,
-            "--depth" => args.depth = Some(value.parse().map_err(|e| format!("--depth: {e}"))?),
-            "--budget" => args.budget = value.parse().map_err(|e| format!("--budget: {e}"))?,
-            "--lr" => args.lr = value.parse().map_err(|e| format!("--lr: {e}"))?,
-            "--gpu-batch" => {
-                args.gpu_batch = value.parse().map_err(|e| format!("--gpu-batch: {e}"))?
-            }
-            "--alpha" => args.alpha = value.parse().map_err(|e| format!("--alpha: {e}"))?,
-            "--beta" => args.beta = value.parse().map_err(|e| format!("--beta: {e}"))?,
-            "--kappa" => args.kappa = value.parse().map_err(|e| format!("--kappa: {e}"))?,
+            "--scale" => args.scale = num(flag, value)?,
+            "--width" => args.width = num(flag, value)?,
+            "--depth" => args.depth = Some(num(flag, value)?),
+            "--budget" => args.train.time_budget = num(flag, value)?,
+            "--lr" => args.train.lr = num(flag, value)?,
+            "--gpu-batch" => args.train.gpu_batch = num(flag, value)?,
+            "--alpha" => args.train.adaptive.alpha = num(flag, value)?,
+            "--beta" => args.train.adaptive.beta = num(flag, value)?,
+            "--kappa" => args.train.staleness_discount = num(flag, value)?,
             "--ckpt-dir" => args.ckpt_dir = Some(value.clone()),
             "--ckpt-interval" => {
-                args.ckpt_interval = value.parse().map_err(|e| format!("--ckpt-interval: {e}"))?;
+                args.ckpt_interval = num(flag, value)?;
                 if args.ckpt_interval <= 0.0 || !args.ckpt_interval.is_finite() {
                     return Err("--ckpt-interval must be positive and finite".into());
                 }
             }
-            "--ckpt-retain" => {
-                args.ckpt_retain = value.parse().map_err(|e| format!("--ckpt-retain: {e}"))?
-            }
-            "--seed" => args.seed = value.parse().map_err(|e| format!("--seed: {e}"))?,
+            "--ckpt-retain" => args.ckpt_retain = num(flag, value)?,
+            "--seed" => args.train.seed = num(flag, value)?,
             other => return Err(format!("unknown flag '{other}'")),
         }
         i += 2;
@@ -150,8 +150,59 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
+/// A run's engine and its configuration.
+enum EngineConfig {
+    Sim(SimEngineConfig),
+    Threads(ThreadedEngineConfig),
+}
+
+/// The engine `args` names on `lanes` CPU lanes, with the paper's
+/// thresholds at `lanes` and a GPU cap no larger than the `n`-row dataset
+/// (at least 64).
+fn engine_config(args: &Args, spec: MlpSpec, n: usize, lanes: usize) -> EngineConfig {
+    let gpu_max = args.train.gpu_batch.min(n.max(64));
+    let train = TrainConfig {
+        init: InitScheme::XavierSigmoid,
+        gpu_batch: gpu_max,
+        adaptive: AdaptiveParams {
+            alpha: args.train.adaptive.alpha,
+            beta: args.train.adaptive.beta,
+            ..AdaptiveParams::paper(lanes, gpu_max)
+        },
+        eval_interval: args.train.time_budget / 20.0,
+        ..args.train.clone()
+    };
+    match args.engine {
+        Engine::Sim => EngineConfig::Sim(SimEngineConfig {
+            cpu: CpuModel {
+                threads: lanes,
+                hw_threads: lanes,
+                ..CpuModel::xeon_pair()
+            },
+            ..SimEngineConfig::paper_hardware(spec, train)
+        }),
+        Engine::Threads => EngineConfig::Threads(ThreadedEngineConfig {
+            spec,
+            train,
+            cpu_threads: lanes,
+            gpu_perf: GpuModel::v100(),
+            gpu_workers: 1,
+            fault_plan: FaultPlan::none(),
+        }),
+    }
+}
+
+/// The engine, or exit 2 naming what is wrong with its config.
+fn or_exit<T>(engine: Result<T, String>) -> T {
+    engine.unwrap_or_else(|e| {
+        eprintln!("config error: {e}");
+        std::process::exit(2);
+    })
+}
+
 fn main() {
-    let args = match parse_args() {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = match parse_args(&argv) {
         Ok(a) => a,
         Err(e) => {
             if e != "help" {
@@ -172,7 +223,7 @@ fn main() {
     let stats = args.dataset.stats();
     let dataset = args
         .dataset
-        .generate(args.scale.clamp(1e-6, 1.0), args.seed);
+        .generate(args.scale.clamp(1e-6, 1.0), args.train.seed);
     let depth = args.depth.unwrap_or(stats.hidden_layers);
     let spec = MlpSpec {
         input_dim: dataset.features(),
@@ -185,42 +236,22 @@ fn main() {
             LossKind::SoftmaxCrossEntropy
         },
     };
+    // Every hardware thread but the coordinator's and the GPU worker's.
+    let lanes = std::thread::available_parallelism()
+        .map(|v| v.get().saturating_sub(2).max(2))
+        .unwrap_or(4);
     eprintln!(
-        "{}: {} examples × {} features, {} classes | {} hidden layers × {} units | {}",
+        "{}: {} examples × {} features, {} classes | {} hidden layers × {} units | {} | {} CPU lanes",
         dataset.name,
         dataset.len(),
         dataset.features(),
         dataset.num_classes(),
         depth,
         args.width,
-        args.algorithm.label()
+        args.train.algorithm.label(),
+        lanes
     );
-
-    let n = dataset.len();
-    let gpu_max = args.gpu_batch.min(n.max(64));
-    let train = TrainConfig {
-        init: hetero_nn::InitScheme::XavierSigmoid,
-        algorithm: args.algorithm,
-        lr: args.lr,
-        lr_scaling: LrScaling::Sqrt {
-            ref_batch: 1,
-            max_lr: 0.5,
-        },
-        gpu_batch: gpu_max,
-        adaptive: AdaptiveParams {
-            alpha: args.alpha,
-            beta: args.beta,
-            cpu_min_batch: 56,
-            cpu_max_batch: 56 * 256,
-            gpu_min_batch: (gpu_max / 16).max(16),
-            gpu_max_batch: gpu_max,
-        },
-        time_budget: args.budget,
-        staleness_discount: args.kappa,
-        eval_interval: args.budget / 20.0,
-        seed: args.seed,
-        ..TrainConfig::default()
-    };
+    let config = engine_config(&args, spec, dataset.len(), lanes);
 
     // Crash-consistency checkpointing, when a directory was given.
     let ckpt = match &args.ckpt_dir {
@@ -247,32 +278,10 @@ fn main() {
         ..RunCtx::default()
     };
 
-    let result = match args.engine {
-        Engine::Sim => {
-            let engine = SimEngine::new(SimEngineConfig::paper_hardware(spec, train))
-                .unwrap_or_else(|e| {
-                    eprintln!("config error: {e}");
-                    std::process::exit(2);
-                });
-            engine.run_with(&dataset, &ctx)
-        }
-        Engine::Threads => {
-            let threads = std::thread::available_parallelism()
-                .map(|v| v.get().saturating_sub(2).max(2))
-                .unwrap_or(4);
-            let engine = ThreadedEngine::new(ThreadedEngineConfig {
-                spec,
-                train,
-                cpu_threads: threads,
-                gpu_perf: GpuModel::v100(),
-                gpu_workers: 1,
-                fault_plan: FaultPlan::none(),
-            })
-            .unwrap_or_else(|e| {
-                eprintln!("config error: {e}");
-                std::process::exit(2);
-            });
-            engine.run_with(Arc::new(dataset), &ctx)
+    let result = match config {
+        EngineConfig::Sim(cfg) => or_exit(SimEngine::new(cfg)).run_with(&dataset, &ctx),
+        EngineConfig::Threads(cfg) => {
+            or_exit(ThreadedEngine::new(cfg)).run_with(Arc::new(dataset), &ctx)
         }
     };
 
@@ -305,5 +314,49 @@ fn main() {
                 100.0 * result.cpu_update_fraction()
             );
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn config(flags: &str, lanes: usize) -> EngineConfig {
+        let argv: Vec<String> = flags.split_whitespace().map(String::from).collect();
+        let spec = MlpSpec {
+            input_dim: 8,
+            hidden: vec![4],
+            classes: 2,
+            activation: Activation::Sigmoid,
+            loss: LossKind::SoftmaxCrossEntropy,
+        };
+        engine_config(&parse_args(&argv).unwrap(), spec, 10_000, lanes)
+    }
+
+    #[test]
+    fn both_engines_run_on_the_same_lanes() {
+        for lanes in [2, 6] {
+            let EngineConfig::Sim(s) = config("--engine sim", lanes) else {
+                panic!("--engine sim built another engine");
+            };
+            let EngineConfig::Threads(t) = config("--engine threads", lanes) else {
+                panic!("--engine threads built another engine");
+            };
+            assert_eq!((s.cpu.threads, s.cpu.hw_threads), (lanes, lanes));
+            assert_eq!(t.cpu_threads, lanes);
+            assert_eq!(s.train, t.train);
+            let a = t.train.adaptive;
+            assert_eq!((a.cpu_min_batch, a.cpu_max_batch), (lanes, 64 * lanes));
+            assert_eq!((a.gpu_min_batch, a.gpu_max_batch), (512, 8192));
+        }
+    }
+
+    #[test]
+    fn gpu_cap_below_the_floor_is_accepted() {
+        let EngineConfig::Sim(s) = config("--gpu-batch 8", 2) else {
+            panic!("--engine sim built another engine");
+        };
+        assert_eq!((s.train.adaptive.gpu_min_batch, s.train.gpu_batch), (8, 8));
+        assert!(SimEngine::new(s).is_ok());
     }
 }
