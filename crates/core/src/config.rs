@@ -208,7 +208,8 @@ pub struct TrainConfig {
     /// (ruler v2) deletes it.
     #[serde(default)]
     pub sparse_input: bool,
-    /// Seconds between loss evaluations (plus one at every epoch end).
+    /// Seconds between loss evaluations on the engine's clock (the
+    /// simulator adds one at each epoch end; the threaded engine does not).
     pub eval_interval: f64,
     /// Max examples used per loss evaluation (subsampled for speed).
     pub eval_subsample: usize,

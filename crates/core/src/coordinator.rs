@@ -10,10 +10,11 @@
 //! (`Instant` vs `EventQueue`), how a batch executes, how the model is
 //! scored, and its tail of the checkpoint. The loop hands ranges out with
 //! [`Backend::start`], asks [`Backend::next_event`] what happened and
-//! reacts: a completion is credited, a fault retires its worker, an eval
-//! scores the model. After every completion or fault each live worker's
-//! window is filled again, so a range a retired worker gives back goes to
-//! the first survivor with room — also to one that had run out of work.
+//! reacts: a completion is credited, a fault retires its worker; after
+//! either, once the periodic eval's deadline has passed, it scores the
+//! model. After every completion or fault each live worker's window is
+//! filled again, so a range a retired worker gives back goes to the first
+//! survivor with room — also to one that had run out of work.
 //!
 //! Around the loop, [`run_engine`] is the one run skeleton: it sets every
 //! run up, scores it and closes it. An engine brings only its [`Engine`]
@@ -156,9 +157,8 @@ pub(crate) enum Event {
     /// Worker `worker` cannot go on: it is retired, and its window goes
     /// back to the queue.
     Faulted { worker: usize, error: WorkerError },
-    /// A periodic loss evaluation is due.
-    EvalDue,
-    /// Nothing happened before the backend stopped waiting; ask again.
+    /// Nothing happened before the backend stopped waiting — a wait ran
+    /// out, or the clock reached [`Coordinator::eval_deadline`]; ask again.
     Idle,
     /// The run is over: its budget is spent, or nothing is left to happen.
     End,
@@ -213,10 +213,19 @@ pub(crate) trait Backend {
         range: BatchRange,
     ) -> Result<(), WorkerError>;
 
-    /// Wait for the next thing that happens.
+    /// Start the clock and the workers, once the initial point is scored;
+    /// returns the instant the clock started.
+    fn launch(&mut self, _: &Coordinator<'_>) -> Instant {
+        Instant::now()
+    }
+
+    /// Wait for the next thing that happens, returning no later than
+    /// engine time [`Coordinator::eval_deadline`] (with [`Event::Idle`] if
+    /// nothing happened by then).
     fn next_event(&mut self, co: &Coordinator<'_>) -> Event;
 
-    /// The loss point of the current model at epoch coordinate `epochs`.
+    /// The loss point of the current model at epoch coordinate `epochs`,
+    /// stamped with the backend's clock.
     fn score(&mut self, epochs: f64) -> LossPoint;
 
     /// Publish a checkpoint of the run at engine time `t`
@@ -263,6 +272,7 @@ pub(crate) struct CoreCkpt {
     requeued_batches: u64,
     next_batch_id: u64,
     watchdog: WatchdogState,
+    next_eval: f64,
 }
 
 #[cfg(test)]
@@ -324,6 +334,8 @@ pub(crate) struct Coordinator<'a> {
     /// "unset" marker in diagnostics; a resumed run continues past the
     /// ids of its previous incarnation so a trace never sees one reused.
     next_batch_id: u64,
+    /// Engine time at which the next periodic loss evaluation is due.
+    next_eval: f64,
     /// Level-weighted busy seconds per worker (running sum of what
     /// `busy` recorded — the timeline itself is O(segments) to total).
     busy_secs: Vec<f64>,
@@ -409,6 +421,7 @@ impl<'a> Coordinator<'a> {
             in_flight: vec![VecDeque::new(); kinds.len()],
             requeued_batches: 0,
             next_batch_id: 1,
+            next_eval: train.eval_interval,
             busy_secs: vec![0.0; kinds.len()],
             latency: (0..kinds.len())
                 .map(|w| sink.histogram(Metric::BatchLatency, w as u32))
@@ -442,11 +455,22 @@ impl<'a> Coordinator<'a> {
         self.stats[w].retired.is_some()
     }
 
+    /// Engine time at which the next periodic loss evaluation is due.
+    pub fn eval_deadline(&self) -> f64 {
+        self.next_eval
+    }
+
+    /// Engine time of the newest loss point (0 before the first).
+    pub fn last_point(&self) -> f64 {
+        self.curve.last().map_or(0.0, |p| p.time)
+    }
+
     // --- The event loop -------------------------------------------------------
 
     /// Train until the backend reports [`Event::End`] or the watchdog
     /// aborts: fill every worker's window, then, between events, poll the
-    /// health policy and checkpoint when one is due.
+    /// health policy, checkpoint when one is due and score the model when
+    /// a periodic eval is.
     pub fn run<B: Backend>(&mut self, backend: &mut B) {
         self.top_up(backend, 0);
         loop {
@@ -485,11 +509,26 @@ impl<'a> Coordinator<'a> {
                         self.top_up(backend, worker);
                     }
                 }
-                Event::EvalDue => self.score(backend),
                 Event::Idle => {}
                 Event::End => break,
             }
+            self.eval_if_due(backend);
         }
+    }
+
+    /// The periodic eval: once engine time reaches the deadline, move the
+    /// deadline past it in whole intervals, then score. A score slower than
+    /// an interval leaves the next one due at once, and the loop handles
+    /// one event before it scores again.
+    fn eval_if_due(&mut self, backend: &mut impl Backend) {
+        let now = backend.now();
+        if now < self.next_eval {
+            return;
+        }
+        let interval = self.train.eval_interval;
+        let behind = ((now - self.next_eval) / interval).floor();
+        self.next_eval += interval * (behind + 1.0);
+        self.score(backend);
     }
 
     /// One loss evaluation at the current epoch coordinate.
@@ -736,8 +775,9 @@ impl<'a> Coordinator<'a> {
     /// Start-up is over and the engine's clock has started: publish the
     /// wall seconds it took as `engine.startup_s` — model initialisation
     /// (or restore), the CSR copy of a dense-stored dataset on a sparse run,
-    /// and (threaded) the shared model's copy, which no loss point's `time`
-    /// and no `TrainResult::duration` counts.
+    /// (threaded) the shared model's draw or copy, the eval batch and the
+    /// initial point's score, which no loss point's `time` and no
+    /// `TrainResult::duration` counts.
     fn clock_starts(&self, startup: Duration) {
         self.sink
             .gauge("engine.startup_s")
@@ -745,7 +785,8 @@ impl<'a> Coordinator<'a> {
     }
 
     /// The run's eval batch: the seeded subsample ([`eval_subset`]) of `src`
-    /// every loss point scores. An engine gathers it once its clock runs.
+    /// every loss point scores. An engine gathers it in start-up, before
+    /// its clock starts.
     pub fn evaluator<D>(&self, src: &BatchSource<D>, spec: &MlpSpec) -> Evaluator
     where
         D: Deref<Target = DenseDataset>,
@@ -755,11 +796,11 @@ impl<'a> Coordinator<'a> {
         Evaluator::new(src, &rows, spec)
     }
 
-    /// The loss before any update (a resumed run restores its curve
-    /// instead). Seeds the watchdog's divergence/stall baseline — the
+    /// The loss before any update, stamped 0 (a resumed run restores its
+    /// curve instead). Seeds the watchdog's divergence/stall baseline — the
     /// first observation never reacts.
     pub fn initial_point(&mut self, point: LossPoint) {
-        self.record_point(point);
+        self.record_point(LossPoint { time: 0.0, ..point });
         self.watchdog.observe_eval(point.loss as f64);
     }
 
@@ -852,6 +893,7 @@ impl<'a> Coordinator<'a> {
             requeued_batches: self.requeued_batches,
             next_batch_id: self.next_batch_id,
             watchdog: self.watchdog.export_state(),
+            next_eval: self.next_eval,
         }
     }
 
@@ -885,6 +927,7 @@ impl<'a> Coordinator<'a> {
         self.requeue = core.requeue.into();
         self.requeued_batches = core.requeued_batches;
         self.next_batch_id = core.next_batch_id;
+        self.next_eval = core.next_eval;
         self.watchdog.restore_state(&core.watchdog);
         self.ctx.ckpt.resume_mark(core.t);
         self.sink.counter("ckpt.resumes").add(1);
@@ -894,12 +937,15 @@ impl<'a> Coordinator<'a> {
     // --- Epilogue -----------------------------------------------------------------
 
     /// Close the run: the final loss `last` (its `epochs` is the run's),
+    /// stamped at `duration`, the total training time across incarnations;
     /// final gauges, the abort reason, the black-box dump on any abnormal
     /// end (watchdog trip, a retired worker, the all-dead abort), and the
-    /// [`TrainResult`]. `duration` is the total training time across
-    /// incarnations.
+    /// [`TrainResult`].
     pub fn finish(mut self, last: LossPoint, duration: f64) -> TrainResult {
-        self.record_point(last);
+        self.record_point(LossPoint {
+            time: duration,
+            ..last
+        });
         for (w, s) in self.stats.iter_mut().enumerate() {
             s.final_batch = self.controller.batch(w);
             s.summarize_timeline();
@@ -983,26 +1029,26 @@ impl Start {
 /// One run, set up, resumed, scored and closed the same way on every
 /// engine. The engine brings its [`Engine`] facts; `split`, which takes
 /// its checkpoint state `T` apart into its tail `X` and the envelope; and
-/// `build`, which starts its clock and its workers, gathers the eval batch
-/// ([`Coordinator::evaluator`]) once the clock runs, and returns its
-/// [`Backend`] with the instant its clock started. The skeleton does the
-/// rest, in this order: the worker slots ([`slots`]) and the
-/// [`Coordinator`]; resume; start-up (what the model starts from, a
-/// [`Start`] the engine builds its model of in `build`, and the
-/// [`BatchSource`]); the sparse density; `build`; `engine.startup_s`,
-/// from entry to the clock's start; the initial point, unless the run
-/// resumed (its curve came back with the checkpoint); the loop; closing
-/// the backend, retiring the faults its workers reported on the way out;
-/// and the final point, at the backend's clock — the run's duration. All
-/// of it runs on the calling thread, which spawns none for a step or an
-/// eval. Returns the result and the backend, for what only the engine
-/// adds.
+/// `build`, which builds its model and gathers the eval batch
+/// ([`Coordinator::evaluator`]) into a [`Backend`] whose clock and
+/// workers have not started. The skeleton does the rest, in this order:
+/// the worker slots ([`slots`]) and the [`Coordinator`]; resume; start-up
+/// (what the model starts from, a [`Start`] the engine builds its model of
+/// in `build`, and the [`BatchSource`]); the sparse density; `build`; the
+/// initial point, stamped 0, unless the run resumed (its curve came back
+/// with the checkpoint); [`Backend::launch`]; `engine.startup_s`, from
+/// entry to the clock's start; the loop; closing the backend, retiring the
+/// faults its workers reported on the way out; the run's duration, read
+/// off the backend's clock; and the final point, stamped at it. So the
+/// clock measures training alone. All of it runs on the calling thread,
+/// which spawns none for a step or an eval. Returns the result and the
+/// backend, for what only the engine adds.
 pub(crate) fn run_engine<D: Deref<Target = DenseDataset>, T: Deserialize, X, B: Backend>(
     engine: Engine<'_>,
     dataset: D,
     ctx: &RunCtx,
     split: impl FnOnce(T) -> (X, CoreCkpt),
-    build: impl FnOnce(&mut Coordinator<'_>, BatchSource<D>, Start, Option<X>) -> (B, Instant),
+    build: impl FnOnce(&mut Coordinator<'_>, BatchSource<D>, Start, Option<X>) -> B,
 ) -> (TrainResult, B) {
     let entered = Instant::now();
     let (train, spec) = (engine.train, engine.spec);
@@ -1027,19 +1073,20 @@ pub(crate) fn run_engine<D: Deref<Target = DenseDataset>, T: Deserialize, X, B: 
     if let Some(density) = src.csr().map(|csr| csr.density()) {
         co.sink.gauge("engine.sparse_density").set(density);
     }
-    let (mut backend, started) = build(&mut co, src, start, tail);
-    co.clock_starts(started - entered);
+    let mut backend = build(&mut co, src, start, tail);
     // `hetero_point_on_resume` is a mutation switch for
     // `scripts/check_mutation.sh`.
     if !resumed || cfg!(hetero_point_on_resume) {
         co.initial_point(backend.score(0.0));
     }
+    let started = backend.launch(&co);
+    co.clock_starts(started - entered);
     co.run(&mut backend);
     for (worker, error) in backend.close() {
         co.retire(worker, &error);
     }
-    let last = backend.score(co.epochs_elapsed());
     let duration = backend.now();
+    let last = backend.score(co.epochs_elapsed());
     (co.finish(last, duration), backend)
 }
 
@@ -1686,6 +1733,113 @@ mod tests {
         );
     }
 
+    /// A backend on a scripted clock: each `next_event` moves it `step`
+    /// closer to the eval deadline, and never past it, as a real backend
+    /// returns by the deadline; each score takes `score_secs`. Its workers
+    /// finish nothing. It logs every `next_event` with the deadline it was
+    /// given (`'e'`) and every score with the time it began (`'s'`), and
+    /// ends the run once its clock reaches `end`.
+    struct Ticker {
+        now: f64,
+        step: f64,
+        score_secs: f64,
+        end: f64,
+        log: Vec<(char, f64)>,
+    }
+
+    impl Backend for Ticker {
+        const WINDOW: usize = 1;
+
+        fn now(&self) -> f64 {
+            self.now
+        }
+
+        fn start(
+            &mut self,
+            _: &Coordinator<'_>,
+            _: usize,
+            _: u64,
+            _: BatchRange,
+        ) -> Result<(), WorkerError> {
+            Ok(())
+        }
+
+        fn next_event(&mut self, co: &Coordinator<'_>) -> Event {
+            if self.now >= self.end {
+                return Event::End;
+            }
+            let due = co.eval_deadline();
+            self.log.push(('e', due));
+            self.now = (self.now + self.step).min(due).max(self.now);
+            Event::Idle
+        }
+
+        fn score(&mut self, epochs: f64) -> LossPoint {
+            self.log.push(('s', self.now));
+            self.now += self.score_secs;
+            LossPoint {
+                time: self.now,
+                ..end_point(epochs)
+            }
+        }
+
+        fn checkpoint(&mut self, _: &Coordinator<'_>, _: f64) {}
+    }
+
+    /// [`Coordinator::run`] on a [`Ticker`] at a 1 s eval interval; returns
+    /// the ticker's log and the loss points' times.
+    fn tick(step: f64, score_secs: f64, end: f64) -> (Vec<(char, f64)>, Vec<f64>) {
+        let train = TrainConfig {
+            eval_interval: 1.0,
+            ..TrainConfig::default()
+        };
+        let (data, ctx) = (
+            SynthConfig::small(100, 4, 2, 1).generate(),
+            RunCtx::default(),
+        );
+        let mut co = coordinator(&train, &data, &ctx, &PINNED);
+        let mut ticker = Ticker {
+            now: 0.0,
+            step,
+            score_secs,
+            end,
+            log: Vec::new(),
+        };
+        co.run(&mut ticker);
+        let times = co.curve.iter().map(|p| p.time).collect();
+        (ticker.log, times)
+    }
+
+    /// The loop scores once per deadline the clock reaches, at the
+    /// deadline, and no more: a clock that stops on every deadline gets a
+    /// point at each whole second and nothing between.
+    #[test]
+    fn the_loop_scores_once_per_deadline_crossed() {
+        let (log, times) = tick(0.3, 0.0, 10.0);
+        assert_eq!(times, (1..=10).map(f64::from).collect::<Vec<_>>());
+        let scores = log.iter().filter(|(kind, _)| *kind == 's').count();
+        assert_eq!(scores, 10);
+    }
+
+    /// A score slower than the interval (2.5 s at 1 s) leaves the next
+    /// deadline behind the clock: the loop moves it to the first whole
+    /// interval past the clock as the score began, and asks the backend for
+    /// one event before it scores again — so a backend always reads its
+    /// workers between two evals, however slow they are.
+    #[test]
+    fn a_slow_score_catches_up_in_whole_intervals() {
+        let (log, times) = tick(0.25, 2.5, 10.0);
+        assert_eq!(times, vec![3.5, 6.0, 8.5, 11.0]);
+        #[rustfmt::skip]
+        let want = vec![
+            ('e', 1.0), ('e', 1.0), ('e', 1.0), ('e', 1.0), ('s', 1.0),
+            ('e', 2.0), ('s', 3.5),
+            ('e', 4.0), ('s', 6.0),
+            ('e', 7.0), ('s', 8.5),
+        ];
+        assert_eq!(log, want);
+    }
+
     /// A fresh run of the skeleton starts from the seeded draw and, on
     /// data below the dense/CSR crossover, CSR features — the dataset's own
     /// store when it has one; scores it before the loop and after it; and
@@ -1732,12 +1886,11 @@ mod tests {
                     std::ptr::eq(src.dataset, data),
                     "the caller's dataset, not a copy"
                 );
-                let script = Script {
+                Script {
                     steps: Vec::new().into_iter(),
                     held: vec![VecDeque::new(); co.workers()],
                     trained: Vec::new(),
-                };
-                (script, Instant::now())
+                }
             };
             let split = |core: CoreCkpt| ((), core);
             let ctx = RunCtx::default();

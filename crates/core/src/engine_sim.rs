@@ -33,7 +33,6 @@
 //! is unchanged, only the gradient's summation order differs.
 
 use std::ops::Deref;
-use std::time::Instant;
 
 use hetero_data::batch::BatchRange;
 use hetero_data::DenseDataset;
@@ -242,32 +241,30 @@ impl SimObs {
     }
 }
 
-/// A pending event of the simulation. Serializable as is: an in-flight
-/// completion carries its full model snapshot into a checkpoint, because
-/// the gradient a resumed run computes for it must come from the exact
-/// weights the original schedule assigned, or bit-identity is lost.
+/// The pending event of the simulation: a batch's completion. Serializable
+/// as is: it carries its full model snapshot into a checkpoint, because the
+/// gradient a resumed run computes for it must come from the exact weights
+/// the original schedule assigned, or bit-identity is lost.
 #[derive(Clone, Serialize, Deserialize)]
-enum Ev {
-    Complete {
-        /// Lineage id stamped on the batch's dispatch/start/complete events.
-        id: u64,
-        worker: usize,
-        range: BatchRange,
-        snapshot: Model,
-        /// Global update count when the snapshot was taken — the gradient's
-        /// staleness is measured against this (§VI-B).
-        updates_at_snapshot: u64,
-        /// Modeled phase breakdown, fixed at assignment time from the same
-        /// cost formulas that set the completion's virtual latency.
-        phases: BatchPhases,
-    },
-    Eval,
+struct Completion {
+    /// Lineage id stamped on the batch's dispatch/start/complete events.
+    id: u64,
+    worker: usize,
+    range: BatchRange,
+    snapshot: Model,
+    /// Global update count when the snapshot was taken — the gradient's
+    /// staleness is measured against this (§VI-B).
+    updates_at_snapshot: u64,
+    /// Modeled phase breakdown, fixed at assignment time from the same
+    /// cost formulas that set the completion's virtual latency.
+    phases: BatchPhases,
 }
 
 /// Everything a [`SimEngine`] run is, frozen at one virtual instant: the
 /// common envelope (model, schedule cursor, controller, loss curve,
-/// per-worker counters, watchdog tallies) plus this engine's tail — eval
-/// cadence state and every in-flight event.
+/// per-worker counters, watchdog tallies, eval deadline) plus this
+/// engine's tail — the epoch-end eval's state and every in-flight
+/// completion.
 /// Restoring this state and re-running the event loop continues the
 /// original run bit-identically — the property `crates/ckpt/tests` locks
 /// in.
@@ -276,17 +273,16 @@ struct SimCkpt {
     core: CoreCkpt,
     global_updates: u64,
     last_epoch_evaled: usize,
-    last_eval_time: f64,
-    /// Pending events with their scheduled virtual times, in pop order:
-    /// re-scheduling in this order reproduces the queue's tie-breaking
-    /// exactly (see [`EventQueue::pending_in_order`]).
-    pending: Vec<(f64, Ev)>,
+    /// Pending completions with their scheduled virtual times, in pop
+    /// order: re-scheduling in this order reproduces the queue's
+    /// tie-breaking exactly (see [`EventQueue::pending_in_order`]).
+    pending: Vec<(f64, Completion)>,
 }
 
 /// Schema tag sanity-checked at restore so a checkpoint from a different
 /// engine (or an older, incompatible layout) is rejected instead of
 /// half-applied.
-const SIM_CKPT_SCHEMA: &str = "hetero-sim-ckpt/v5";
+const SIM_CKPT_SCHEMA: &str = "hetero-sim-ckpt/v6";
 
 /// The discrete-event engine.
 pub struct SimEngine {
@@ -342,16 +338,14 @@ impl SimEngine {
             gpu_caps: cfg.gpus.iter().map(|g| footprint.max_batch(g)).collect(),
         };
         let split = |s: SimCkpt| {
-            let cadence = (s.global_updates, s.last_epoch_evaled, s.last_eval_time);
-            ((cadence, s.pending), s.core)
+            let tail = ((s.global_updates, s.last_epoch_evaled), s.pending);
+            (tail, s.core)
         };
         // The backend over `co`'s worker slots at virtual time zero: a fresh
-        // run's, or — `resume` carries the checkpoint's cadence and pending
-        // events — the continuation of a captured one.
+        // run's, or — `resume` carries the checkpoint's counters and pending
+        // completions — the continuation of a captured one.
         let build = |co: &mut Coordinator<'_>, src, start: Start, resume: Option<SimTail>| {
             let model = start.into_model(&cfg.spec);
-            // The virtual clock starts once start-up is over.
-            let started = Instant::now();
             let mut gpus = cfg.gpus.iter().cloned();
             let mut device = |s: &WorkerStats| match s.kind {
                 WorkerKind::Cpu => Device::Cpu(cfg.cpu.clone()),
@@ -359,12 +353,8 @@ impl SimEngine {
             };
             let devices: Vec<Device> = co.stats.iter().map(&mut device).collect();
             // A fresh run is a resumed one with nothing done and nothing
-            // pending, plus its first periodic eval.
-            let first_eval = resume
-                .is_none()
-                .then(|| cfg.train.eval_interval.min(cfg.train.time_budget));
-            let ((global_updates, last_epoch_evaled, last_eval_time), pending) =
-                resume.unwrap_or_default();
+            // pending.
+            let ((global_updates, last_epoch_evaled), pending) = resume.unwrap_or_default();
             let evaluator = co.evaluator(&src, &cfg.spec);
             let mut sim = SimBackend {
                 cfg,
@@ -381,26 +371,19 @@ impl SimEngine {
                 sink: co.sink.clone(),
                 timeline_rejects: co.timeline_rejects.clone(),
                 last_epoch_evaled,
-                last_eval_time,
-                first_eval,
                 closed: false,
             };
             // A reused sink may still hold a previous run's clock.
             sim.sink.set_virtual_now(0.0);
-            // Re-schedule the in-flight events in pop order: fresh monotone
-            // sequence numbers preserve the original tie-breaking, so the run
-            // continues bit-identically. (Its workers are already in flight:
-            // their completion events came back with the checkpoint.)
-            for (at, ev) in pending {
-                if let Ev::Complete {
-                    id, worker, range, ..
-                } = &ev
-                {
-                    co.adopt(*worker, *id, *range);
-                }
-                sim.queue.schedule_at(at, ev);
+            // Re-schedule the in-flight completions in pop order: fresh
+            // monotone sequence numbers preserve the original tie-breaking,
+            // so the run continues bit-identically. (Its workers are already
+            // in flight: their completions came back with the checkpoint.)
+            for (at, done) in pending {
+                co.adopt(done.worker, done.id, done.range);
+                sim.queue.schedule_at(at, done);
             }
-            (sim, started)
+            sim
         };
         let (mut result, sim) = run_engine(engine, dataset, ctx, split, build);
         result.eval_timeline = sim.eval_timeline;
@@ -408,9 +391,9 @@ impl SimEngine {
     }
 }
 
-/// A [`SimCkpt`] beside its envelope: `(global_updates, last_epoch_evaled,
-/// last_eval_time)` and the pending events.
-type SimTail = ((u64, usize, f64), Vec<(f64, Ev)>);
+/// A [`SimCkpt`] beside its envelope: `(global_updates,
+/// last_epoch_evaled)` and the pending completions.
+type SimTail = ((u64, usize), Vec<(f64, Completion)>);
 
 /// The simulator as a [`Backend`]: a virtual clock (the event queue),
 /// device cost models that decide when a batch lands, and the real
@@ -429,7 +412,7 @@ struct SimBackend<'a> {
     /// The loss evaluations' GPU time (Figure 7's spikes), kept off the
     /// workers' timelines.
     eval_timeline: UtilizationTimeline,
-    queue: EventQueue<Ev>,
+    queue: EventQueue<Completion>,
     /// Updates applied to `model` so far; staleness is counted in them.
     global_updates: u64,
     /// Reused gradient-lane buffers: warmed during the first events,
@@ -438,12 +421,8 @@ struct SimBackend<'a> {
     obs: SimObs,
     sink: TraceSink,
     timeline_rejects: CounterHandle,
+    /// The epoch after the last one whose end was scored.
     last_epoch_evaled: usize,
-    last_eval_time: f64,
-    /// A fresh run's first periodic eval, scheduled once the first
-    /// dispatches are, so that same-instant events pop in the order they
-    /// always have.
-    first_eval: Option<f64>,
     /// Closed: the run ended at its budget, whatever the queue's last event
     /// was.
     closed: bool,
@@ -504,7 +483,7 @@ impl Backend for SimBackend<'_> {
         };
         self.queue.schedule_after(
             cost,
-            Ev::Complete {
+            Completion {
                 id,
                 worker: w,
                 range,
@@ -516,14 +495,17 @@ impl Backend for SimBackend<'_> {
         Ok(())
     }
 
+    /// The next completion, or — when none lands by a periodic eval's
+    /// deadline within the budget — the clock moved to that deadline.
     fn next_event(&mut self, co: &Coordinator<'_>) -> Event {
         let train = &self.cfg.train;
-        // The loop asks for the first event once every worker has its first
-        // range.
-        if let Some(at) = self.first_eval.take() {
-            self.queue.schedule_at(at, Ev::Eval);
+        let due = co.eval_deadline();
+        if due <= train.time_budget && self.queue.peek_time().is_none_or(|t| t > due) {
+            self.queue.advance_to(due);
+            self.sink.set_virtual_now(due);
+            return Event::Idle;
         }
-        let Some((t, ev)) = self.queue.pop() else {
+        let Some((t, done)) = self.queue.pop() else {
             return Event::End;
         };
         if t > train.time_budget {
@@ -532,98 +514,57 @@ impl Backend for SimBackend<'_> {
         // Publish the virtual clock so events emitted while handling this
         // step (merges, resizes, completions) are stamped at `t`.
         self.sink.set_virtual_now(t);
-        match ev {
-            Ev::Eval => {
-                self.last_eval_time = t;
-                let next = t + train.eval_interval;
-                if next <= train.time_budget {
-                    self.queue.schedule_at(next, Ev::Eval);
-                }
-                Event::EvalDue
-            }
-            Ev::Complete {
-                id,
-                worker,
-                range,
-                snapshot,
-                updates_at_snapshot,
-                phases,
-            } => {
-                let staleness = self.global_updates.saturating_sub(updates_at_snapshot);
-                self.obs.stale[worker].record(staleness);
-                let batches_done = co.stats[worker].batches;
-                let updates = self.apply_batch(
-                    id,
-                    worker,
-                    &range,
-                    &snapshot,
-                    batches_done,
-                    staleness,
-                    phases,
-                    &co.watchdog,
-                );
-                self.scratch.spares.push(snapshot);
-                self.global_updates += updates;
-                // Epoch-boundary loss evaluation (paper: "loss computation
-                // is always performed on the GPU at the end of the epoch"),
-                // throttled so that datasets small enough to finish an
-                // epoch every few events do not flood the curve.
-                let eval = range.epoch >= self.last_epoch_evaled
-                    && co.schedule_epoch() > range.epoch
-                    && t - self.last_eval_time >= train.eval_interval * 0.25;
-                if eval {
-                    self.last_epoch_evaled = range.epoch + 1;
-                    self.last_eval_time = t;
-                }
-                let device = &self.devices[worker];
-                let done = Done {
-                    examples: range.len(),
-                    updates,
-                    busy: (t - self.batch_cost(device, range.len()), t),
-                    level: device.busy_utilization(range.len()),
-                    eval,
-                    ..Done::default()
-                };
-                Event::Completed { worker, id, done }
-            }
+        let Completion {
+            id,
+            worker,
+            range,
+            snapshot,
+            updates_at_snapshot,
+            phases,
+        } = done;
+        let staleness = self.global_updates.saturating_sub(updates_at_snapshot);
+        self.obs.stale[worker].record(staleness);
+        let batches_done = co.stats[worker].batches;
+        let updates = self.apply_batch(
+            id,
+            worker,
+            &range,
+            &snapshot,
+            batches_done,
+            staleness,
+            phases,
+            &co.watchdog,
+        );
+        self.scratch.spares.push(snapshot);
+        self.global_updates += updates;
+        // Epoch-boundary loss evaluation (paper: "loss computation is
+        // always performed on the GPU at the end of the epoch"), throttled
+        // against the newest loss point so that datasets small enough to
+        // finish an epoch every few events do not flood the curve.
+        let eval = range.epoch >= self.last_epoch_evaled
+            && co.schedule_epoch() > range.epoch
+            && t - co.last_point() >= train.eval_interval * 0.25;
+        if eval {
+            self.last_epoch_evaled = range.epoch + 1;
         }
-    }
-
-    fn score(&mut self, epochs: f64) -> LossPoint {
-        self.point(self.now(), epochs)
-    }
-
-    /// Captured *between* events — the only instants at which the queue's
-    /// pending set plus the coordinator state is the complete run state.
-    fn checkpoint(&mut self, co: &Coordinator<'_>, t: f64) {
-        let state = SimCkpt {
-            core: co.capture(SIM_CKPT_SCHEMA, t, &self.model),
-            global_updates: self.global_updates,
-            last_epoch_evaled: self.last_epoch_evaled,
-            last_eval_time: self.last_eval_time,
-            pending: self
-                .queue
-                .pending_in_order()
-                .into_iter()
-                .map(|(at, ev)| (at, ev.clone()))
-                .collect(),
+        let device = &self.devices[worker];
+        let done = Done {
+            examples: range.len(),
+            updates,
+            busy: (t - self.batch_cost(device, range.len()), t),
+            level: device.busy_utilization(range.len()),
+            eval,
+            ..Done::default()
         };
-        co.save(t, &state);
+        Event::Completed { worker, id, done }
     }
 
-    fn close(&mut self) -> Vec<(usize, WorkerError)> {
-        self.closed = true;
-        self.sink.set_virtual_now(self.cfg.train.time_budget);
-        Vec::new()
-    }
-}
-
-impl SimBackend<'_> {
-    /// The loss point of the live model at virtual time `t`. The paper
-    /// runs the loss evaluation on the GPU, which shows up as a
-    /// utilization spike (Figure 7); it is accounted on a dedicated
-    /// timeline so the worker schedules are not perturbed.
-    fn point(&mut self, t: f64, epochs: f64) -> LossPoint {
+    /// The loss point of the live model, now. The paper runs the loss
+    /// evaluation on the GPU, which shows up as a utilization spike
+    /// (Figure 7); it is accounted on a dedicated timeline so the worker
+    /// schedules are not perturbed.
+    fn score(&mut self, epochs: f64) -> LossPoint {
+        let t = self.now();
         let (loss, accuracy) = self.evaluator.score(&self.model);
         if let Some(g) = self.cfg.gpus.first() {
             let fwd = self.model.spec().forward_flops_per_example();
@@ -640,6 +581,31 @@ impl SimBackend<'_> {
         }
     }
 
+    /// Captured *between* events — the only instants at which the queue's
+    /// pending set plus the coordinator state is the complete run state.
+    fn checkpoint(&mut self, co: &Coordinator<'_>, t: f64) {
+        let state = SimCkpt {
+            core: co.capture(SIM_CKPT_SCHEMA, t, &self.model),
+            global_updates: self.global_updates,
+            last_epoch_evaled: self.last_epoch_evaled,
+            pending: self
+                .queue
+                .pending_in_order()
+                .into_iter()
+                .map(|(at, done)| (at, done.clone()))
+                .collect(),
+        };
+        co.save(t, &state);
+    }
+
+    fn close(&mut self) -> Vec<(usize, WorkerError)> {
+        self.closed = true;
+        self.sink.set_virtual_now(self.cfg.train.time_budget);
+        Vec::new()
+    }
+}
+
+impl SimBackend<'_> {
     /// Virtual cost of one batch on a device, including the GPU deep-copy
     /// replica transfers and the TensorFlow comparator overheads.
     fn batch_cost(&self, device: &Device, batch: usize) -> f64 {
@@ -1083,9 +1049,10 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A checkpoint tagged with the previous schema (v4: the schedule
-    /// cursor beside the envelope, not in it) is refused whole: the run
-    /// starts fresh instead of resuming a half-read state.
+    /// A checkpoint tagged with the previous schema (v5: the periodic
+    /// eval a pending event of the tail, not a deadline in the envelope)
+    /// is refused whole: the run starts fresh instead of resuming a
+    /// half-read state.
     #[test]
     fn checkpoint_of_the_previous_schema_is_refused() {
         use hetero_ckpt::CkptConfig;
@@ -1123,7 +1090,7 @@ mod tests {
         assert_eq!(resumes(ckpt(true)), 1.0);
         // …the same state tagged with the previous schema does not.
         let mut old: SimCkpt = ckpt(true).resume_state().expect("a checkpoint");
-        old.core.schema = "hetero-sim-ckpt/v4".into();
+        old.core.schema = "hetero-sim-ckpt/v5".into();
         assert!(ckpt(false).save(old.core.t, &old).is_some());
         assert_eq!(resumes(ckpt(true)), 0.0);
         let _ = std::fs::remove_dir_all(&dir);
@@ -1331,6 +1298,25 @@ mod tests {
             assert!(pair[1].epochs >= pair[0].epochs);
         }
         assert!(r.loss_curve.len() >= 3);
+    }
+
+    /// The first point is stamped 0, a periodic point sits on every
+    /// deadline up to the budget (the clock stops there when no completion
+    /// lands first), and the last point on the run's duration: the budget.
+    #[test]
+    fn points_sit_on_the_deadlines_and_the_last_on_the_duration() {
+        let data = tiny_dataset();
+        let cfg = tiny_config(AlgorithmKind::AdaptiveHogbatch, 0.03);
+        let (interval, budget) = (cfg.train.eval_interval, cfg.train.time_budget);
+        let r = SimEngine::new(cfg).unwrap().run(&data);
+        let curve = &r.loss_curve;
+        assert_eq!(curve[0].time, 0.0);
+        assert_eq!((curve[curve.len() - 1].time, r.duration), (budget, budget));
+        let mut due = interval;
+        while due <= budget {
+            assert!(curve.iter().any(|p| p.time == due), "no point at {due}");
+            due += interval;
+        }
     }
 
     #[test]

@@ -131,7 +131,7 @@ struct WorkerEnv {
 /// threaded checkpoint is the common envelope alone: ranges in flight at
 /// the capture are folded into its re-queue (see [`RunCtx::ckpt`] for why
 /// this engine's resume is statistical, not bit-identical).
-const THREADED_CKPT_SCHEMA: &str = "hetero-threaded-ckpt/v4";
+const THREADED_CKPT_SCHEMA: &str = "hetero-threaded-ckpt/v5";
 
 /// Ranges a worker holds at once: the one it is on, and one parked behind
 /// it in its exec queue so that it never idles through a coordinator round
@@ -211,15 +211,14 @@ impl ThreadedEngine {
         // continues from the capture's time, so its budget is what the
         // original run had not yet spent.
         let split = |core: CoreCkpt| (core.t, core);
-        // A clock over the shared model `start` builds, and one thread per
-        // slot.
+        // The shared model `start` builds, the eval batch, and one channel
+        // per slot; the clock and the threads start at `launch`.
         let build = |co: &mut Coordinator<'_>, src, start: Start, t_base: Option<f64>| {
             // A run is a fresh set of threads: whoever had been quarantined
             // when a resumed run's checkpoint froze starts healthy.
             co.stats.iter_mut().for_each(|s| s.retired = None);
             let shared = Arc::new(start.into_shared(&cfg.spec));
-            // The clock starts once the shared model is built: its draw
-            // (or a resumed run's copy) is start-up, not training time.
+            // Until `launch` restarts it, the clock only carries `t_base`.
             let clock = Clock {
                 t0: Instant::now(),
                 t_base: t_base.unwrap_or(0.0),
@@ -230,7 +229,6 @@ impl ThreadedEngine {
                     Event::Completed { id, .. } => Some(*id),
                     _ => None,
                 });
-            // The workers hold the only ready senders once `env` drops.
             let env = WorkerEnv {
                 src: Arc::new(src),
                 shared: Arc::clone(&shared),
@@ -240,33 +238,22 @@ impl ThreadedEngine {
                 sink: sink.clone(),
                 watchdog: co.watchdog.clone(),
             };
-            let mut exec = Vec::new();
-            let mut workers = Vec::new();
-            for (slot, stat) in co.stats.iter().enumerate() {
-                let (tx, rx) = channel_traced_lineage::<Execute>(
-                    &sink,
-                    &format!("exec{slot}"),
-                    slot as u32,
-                    |m| Some(m.id),
-                );
-                exec.push(tx);
-                workers.push(self.spawn_worker(slot, stat.kind, rx, env.clone()));
-            }
-            let evaluator = co.evaluator(&env.src, &cfg.spec);
-            let eval_interval = Duration::from_secs_f64(cfg.train.eval_interval);
-            let backend = ThreadsBackend {
+            let exec_channel = |slot: usize| {
+                let name = format!("exec{slot}");
+                channel_traced_lineage::<Execute>(&sink, &name, slot as u32, |m| Some(m.id))
+            };
+            let (exec, receivers) = (0..co.workers()).map(exec_channel).unzip();
+            ThreadsBackend {
+                engine: self,
                 clock,
                 exec,
                 ready: ready_rx,
-                workers,
+                evaluator: co.evaluator(&env.src, &cfg.spec),
+                to_spawn: Some((env, receivers)),
+                workers: Vec::new(),
                 shared,
-                evaluator,
                 eval_tail: Model::zeros_with_l0_rows(&cfg.spec, 0),
-                eval_interval,
-                next_eval: eval_interval,
-                evaluated: false,
-            };
-            (backend, clock.t0)
+            }
         };
         run_engine(engine, dataset, ctx, split, build).0
     }
@@ -317,11 +304,15 @@ impl ThreadedEngine {
 /// The threaded engine as a [`Backend`]: the engine clock, the exec
 /// channels ranges go down, and the ready channel completions and faults
 /// come back on.
-struct ThreadsBackend {
+struct ThreadsBackend<'a> {
+    engine: &'a ThreadedEngine,
     clock: Clock,
     /// One sender per worker slot; dropping them is the shutdown.
     exec: Vec<Sender<Execute>>,
     ready: Receiver<Event>,
+    /// Until [`Backend::launch`]: what the workers share, and each slot's
+    /// exec receiver. Then the workers hold the only ready senders.
+    to_spawn: Option<(WorkerEnv, Vec<Receiver<Execute>>)>,
     workers: Vec<std::thread::JoinHandle<()>>,
     shared: Arc<SharedModel>,
     /// Scores the shared model where it lives, on the coordinator thread.
@@ -330,18 +321,25 @@ struct ThreadsBackend {
     /// stripe from layer 0's bias on, no layer-0 row, on a sparse run; the
     /// whole model on a dense one ([`Evaluator::score_shared`]).
     eval_tail: Model,
-    eval_interval: Duration,
-    /// Since `clock.t0`.
-    next_eval: Duration,
-    /// Whether the last event handed out was a periodic eval.
-    evaluated: bool,
 }
 
-impl Backend for ThreadsBackend {
+impl Backend for ThreadsBackend<'_> {
     const WINDOW: usize = DISPATCH_WINDOW;
 
     fn now(&self) -> f64 {
         self.clock.now()
+    }
+
+    /// The clock starts, then one thread per slot, which copies it.
+    fn launch(&mut self, co: &Coordinator<'_>) -> Instant {
+        let (mut env, exec) = self.to_spawn.take().expect("a run launches once");
+        self.clock.t0 = Instant::now();
+        env.clock = self.clock;
+        let kinds = co.stats.iter().map(|s| s.kind);
+        self.workers = (kinds.zip(exec).enumerate())
+            .map(|(slot, (kind, rx))| self.engine.spawn_worker(slot, kind, rx, env.clone()))
+            .collect();
+        self.clock.t0
     }
 
     fn start(
@@ -358,34 +356,17 @@ impl Backend for ThreadsBackend {
     }
 
     /// A wall-clock run ends as soon as nothing is left to run. Until then
-    /// the coordinator thread blocks on the ready channel, waking for the
-    /// next eval, and at least every 50 ms to look for workers that died
-    /// without managing to send a fault (their exec receiver is gone).
+    /// the coordinator thread blocks on the ready channel until the next
+    /// eval is due, and at least every 50 ms to look for workers that died
+    /// without managing to send a fault (their exec receiver is gone). With
+    /// an eval already due it only looks.
     fn next_event(&mut self, co: &Coordinator<'_>) -> Event {
-        if co.idle(self.now()) {
+        let now = self.now();
+        if co.idle(now) {
             return Event::End;
         }
-        let since = self.clock.t0.elapsed();
-        // An eval slower than its interval finds the next one due at once,
-        // so the call after an eval looks at the ready channel first,
-        // without waiting: back-to-back evals would never read it, and the
-        // ranges the workers finished would never complete.
-        let evaluated = std::mem::take(&mut self.evaluated);
-        if since >= self.next_eval && !evaluated {
-            // Advance past `since` in whole intervals: a stall longer than
-            // one interval must not leave `next_eval` behind the wall clock
-            // (which would starve dispatch with back-to-back evals until it
-            // caught up).
-            let behind = (since - self.next_eval).as_secs_f64() / self.eval_interval.as_secs_f64();
-            self.next_eval += self.eval_interval * (behind.floor() as u32 + 1);
-            self.evaluated = true;
-            return Event::EvalDue;
-        }
-        let wait = self
-            .next_eval
-            .saturating_sub(since)
-            .min(Duration::from_millis(50));
-        match self.ready.recv_timeout(wait) {
+        let wait = (co.eval_deadline() - now).clamp(0.0, 0.05);
+        match self.ready.recv_timeout(Duration::from_secs_f64(wait)) {
             Ok(event) => event,
             Err(RecvTimeoutError::Timeout) => (0..self.exec.len())
                 .find(|&w| !co.retired(w) && self.exec[w].is_disconnected())
@@ -399,13 +380,13 @@ impl Backend for ThreadsBackend {
     }
 
     /// The loss point of the shared model, read racily as the workers
-    /// train it, on the engine clock (`t_base` splices a resumed
-    /// incarnation's curve onto the restored prefix's time axis). Before
-    /// the first dispatch nobody has written it: the initial point scores
-    /// the start itself. A periodic point on a sparse run reads layer 0 as
-    /// it scores, so it may mix values from before and after a concurrent
-    /// update; the final point follows `close`, and reads a model nobody
-    /// writes.
+    /// train it, stamped on the engine clock once scored (`t_base` splices
+    /// a resumed incarnation's curve onto the restored prefix's time axis).
+    /// A periodic point on a sparse run reads layer 0 as it scores, mixing
+    /// values from before and after concurrent updates; its loss measures
+    /// at or below that of the model as the score began, so the end stamp
+    /// is the conservative one. The initial point precedes the workers and
+    /// the final one follows `close`: both read a model nobody writes.
     fn score(&mut self, epochs: f64) -> LossPoint {
         let (loss, accuracy) = self
             .evaluator
@@ -846,6 +827,7 @@ impl<'a> GpuWorker<'a> {
 mod tests {
     use super::*;
     use crate::config::{AdaptiveParams, LrScaling};
+    use crate::lane::eval_subset;
     use hetero_ckpt::Checkpointer;
     use hetero_data::SynthConfig;
     use hetero_nn::Workspace;
@@ -962,6 +944,49 @@ mod tests {
             assert!(w.batches > 0, "{:?} idle", w.kind);
         }
         assert!(r.loss_curve.len() > 2, "{:?}", r.loss_curve);
+    }
+
+    /// The clock measures training alone. The initial point is scored
+    /// before the clock starts and stamped 0; the final point is stamped at
+    /// the run's duration, read before its score. With an eval that costs
+    /// many batches (a 64→512→512→2 net on 2 000 rows), the first worker's
+    /// first batch starts well inside one eval's duration on the engine
+    /// clock, which an initial score on the clock would have delayed it
+    /// past.
+    #[test]
+    fn the_clock_starts_after_the_initial_point_and_stops_before_the_final_one() {
+        let mut data = SynthConfig::small(2000, 64, 2, 5).generate();
+        data.standardize();
+        let data = Arc::new(data);
+        let mut cfg = config(AlgorithmKind::CpuGpuHogbatch, 0.05);
+        cfg.spec = MlpSpec {
+            hidden: vec![512, 512],
+            ..MlpSpec::tiny(64, 2)
+        };
+        (cfg.train.eval_subsample, cfg.train.eval_interval) = (2000, 1.0);
+        // One eval of the same batch and model, at best of three.
+        let src = BatchSource::new(Arc::clone(&data));
+        let rows = eval_subset(data.len(), cfg.train.eval_subsample, cfg.train.seed);
+        let mut evaluator = Evaluator::new(&src, &rows, &cfg.spec);
+        let shared = SharedModel::new(&Model::new(cfg.spec.clone(), cfg.train.init, 1));
+        let mut tail = Model::zeros_with_l0_rows(&cfg.spec, 0);
+        let eval_secs = (0..3)
+            .map(|_| {
+                let t = Instant::now();
+                evaluator.score_shared(&shared, &mut tail);
+                t.elapsed().as_secs_f64()
+            })
+            .fold(f64::INFINITY, f64::min);
+        let r = ThreadedEngine::new(cfg).unwrap().run(data);
+        let (first, last) = (r.loss_curve[0], *r.loss_curve.last().unwrap());
+        assert_eq!(first.time, 0.0);
+        assert_eq!(last.time, r.duration);
+        let segments = r.workers[0].timeline.segments();
+        let busy = segments.first().map_or(f64::INFINITY, |s| s.start);
+        assert!(
+            busy < eval_secs / 2.0,
+            "first batch at {busy} s on the clock, one eval takes {eval_secs} s"
+        );
     }
 
     #[test]
@@ -1779,8 +1804,8 @@ mod tests {
     }
 
     /// The threaded twin of the simulator's test: a checkpoint tagged with
-    /// the previous schema (v3: the envelope wrapped beside the schedule
-    /// cursor) is refused whole, and the run starts fresh.
+    /// the previous schema (v4: no eval deadline in the envelope) is
+    /// refused whole, and the run starts fresh.
     #[test]
     fn checkpoint_of_the_previous_schema_is_refused() {
         use hetero_ckpt::CkptConfig;
@@ -1820,7 +1845,7 @@ mod tests {
         assert_eq!(resumes(ckpt(true)), 1.0);
         // …the same state tagged with the previous schema does not.
         let mut old: CoreCkpt = ckpt(true).resume_state().expect("a checkpoint");
-        old.schema = "hetero-threaded-ckpt/v3".into();
+        old.schema = "hetero-threaded-ckpt/v4".into();
         assert!(ckpt(false).save(old.t, &old).is_some());
         assert_eq!(resumes(ckpt(true)), 0.0);
         let _ = std::fs::remove_dir_all(&dir);

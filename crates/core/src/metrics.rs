@@ -134,9 +134,11 @@ pub struct TrainResult {
     #[serde(skip)]
     pub eval_timeline: UtilizationTimeline,
     /// Total run duration (seconds) on the engine's clock, which starts
-    /// after run start-up (model initialisation, and the CSR copy a sparse
-    /// run makes of a dataset stored dense): a caller timing `run()` sees
-    /// `duration` plus the `engine.startup_s` gauge.
+    /// after run start-up (model initialisation, the CSR copy a sparse run
+    /// makes of a dataset stored dense, the eval batch and the initial
+    /// point's score) and is read before the final point's score, which is
+    /// stamped with it: a caller timing `run()` sees `duration` plus the
+    /// `engine.startup_s` gauge plus the final score.
     pub duration: f64,
     /// Fractional epochs completed.
     pub epochs: f64,

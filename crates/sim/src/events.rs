@@ -97,7 +97,28 @@ impl<T> EventQueue<T> {
         })
     }
 
-    /// Current virtual time (time of the last popped event).
+    /// Time of the earliest pending event, without popping it.
+    pub fn peek_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|e| e.time)
+    }
+
+    /// Move the clock to `time` without popping anything: an instant at
+    /// which the caller acts although no event is due.
+    ///
+    /// # Panics
+    /// Panics if `time` is earlier than the current time or later than the
+    /// earliest pending event.
+    pub fn advance_to(&mut self, time: SimTime) {
+        assert!(time >= self.now, "cannot advance into the past");
+        assert!(
+            self.peek_time().is_none_or(|next| time <= next),
+            "cannot advance past a pending event"
+        );
+        self.now = time;
+    }
+
+    /// Current virtual time: the time of the last popped event, or the
+    /// last [`EventQueue::advance_to`].
     pub fn now(&self) -> SimTime {
         self.now
     }
@@ -231,6 +252,31 @@ mod tests {
             popped,
             vec![(1.0, "tie-a"), (1.0, "tie-b"), (2.0, "mid"), (3.0, "late")]
         );
+    }
+
+    #[test]
+    fn advance_moves_the_clock_and_pops_nothing() {
+        let mut q = EventQueue::new();
+        q.schedule_at(3.0, "c");
+        assert_eq!(q.peek_time(), Some(3.0));
+        q.advance_to(2.0);
+        assert_eq!((q.now(), q.len(), q.processed()), (2.0, 1, 0));
+        // Delays count from the advanced clock.
+        q.schedule_after(0.5, "b");
+        assert_eq!(q.pop(), Some((2.5, "b")));
+        q.advance_to(3.0);
+        assert_eq!(q.pop(), Some((3.0, "c")));
+        assert_eq!(q.peek_time(), None);
+        q.advance_to(7.0);
+        assert_eq!(q.now(), 7.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "past a pending event")]
+    fn advancing_past_a_pending_event_panics() {
+        let mut q = EventQueue::new();
+        q.schedule_at(1.0, ());
+        q.advance_to(2.0);
     }
 
     #[test]
