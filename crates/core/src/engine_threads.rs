@@ -600,7 +600,8 @@ impl<'a> HogwildLane<'a> {
 
     /// The lane's share `s..e` of the worker's batch number `batches_done`:
     /// stage → racy read of the batch's support ([`Lane::read_support`]) →
-    /// [`Lane::gradient`] → [`Lane::inspect`] → racy apply. Returns its
+    /// [`Lane::gradient_at`] the read, in its layer-0 buffer →
+    /// [`Lane::inspect`] → racy apply. Returns its
     /// stage/compute/merge split in lane-local CPU seconds. This is the CPU
     /// hot path the paper's speedup model assumes is cheap; the audit
     /// proves its steady state allocation-free (DESIGN.md §4j).
@@ -618,7 +619,7 @@ impl<'a> HogwildLane<'a> {
         let stale_at = (!self.stale_hist.is_disabled()).then(|| shared.update_count());
         lane.read_support(src, shared, at);
         let t_compute = Instant::now();
-        lane.gradient(src, at.model());
+        lane.gradient_at(src, at);
         let poison = self.poison_at == Some(batches_done);
         lane.inspect(poison, &self.env.watchdog, self.slot, batches_done);
         let t_merge = Instant::now();
@@ -711,8 +712,9 @@ impl<'a> GpuWorker<'a> {
     /// it touches of the global model ([`Lane::read_support`]), charge its
     /// link (the batch and the model up, the delta down), take the gradient
     /// at the copy, and merge it discounted by how stale the copy became. A
-    /// replica trained one step is `copy − η·∇`, so the gradient is its
-    /// whole delta. Traced as the batch's `H2d` (once staged), `D2h` (once
+    /// replica trained one step is `copy − η·∇`, so the gradient — which
+    /// takes the copy's layer-0 buffer over once the forward is done
+    /// ([`Lane::gradient_at`]) — is its whole delta. Traced as the batch's `H2d` (once staged), `D2h` (once
     /// the gradient is taken), `ModelMerge` and `BatchCompleted`; the
     /// phases time staging (batch gather, the read and the charge), the
     /// step and the merge. The host has no link, so no second of the run is
@@ -762,7 +764,7 @@ impl<'a> GpuWorker<'a> {
         self.link.uploaded(&charge, env.sink.now());
         let t_compute = Instant::now();
         phases.stage_secs = (t_compute - t_stage).as_secs_f64();
-        lane.gradient(src, at.model());
+        lane.gradient_at(src, at);
         phases.compute_secs = t_compute.elapsed().as_secs_f64();
         self.link.downloaded(&charge, env.sink.now());
         #[cfg(not(hetero_gpu_no_reserve))]
@@ -1389,12 +1391,19 @@ mod tests {
                     }
                 }
                 let support = ws.active_cols().unwrap();
-                for (worker, at, shared, reference) in [
-                    ("lane", &lane.at, &cpu_env.shared, &cpu_ref),
-                    ("gpu", &gpu.at, &gpu_env.shared, &gpu_ref),
+                for (worker, at, grad, shared, reference) in [
+                    (
+                        "lane",
+                        &lane.at,
+                        lane.lane.grad(),
+                        &cpu_env.shared,
+                        &cpu_ref,
+                    ),
+                    ("gpu", &gpu.at, gpu.lane.grad(), &gpu_env.shared, &gpu_ref),
                 ] {
                     assert_eq!(at.support(), Some(support), "{worker}: {case}");
-                    let w0 = &at.model().layers()[0].w;
+                    // The read's layer 0, taken over by the gradient.
+                    let w0 = &grad.layers()[0].w;
                     assert_eq!(w0.rows(), support.len(), "{worker}: {case}");
                     let bits = |m: &SharedModel| -> Vec<u32> {
                         m.read_flat().iter().map(|v| v.to_bits()).collect()
@@ -1411,6 +1420,66 @@ mod tests {
                     assert!(support.len() > widest, "{case}: outgrows {widest}");
                 }
                 widest = widest.max(support.len());
+            }
+        }
+    }
+
+    /// A warm worker step holds one layer-0 buffer: the gradient takes the
+    /// read's over and the next read takes it back. After every step of a
+    /// CPU lane and of a GPU worker, on CSR and on dense batches, the read
+    /// holds no layer-0 storage, and the gradient's layer 0 is the buffer
+    /// the first step grew, at the batch's support.
+    #[test]
+    fn a_warm_worker_step_holds_one_layer0_buffer() {
+        let train = config(AlgorithmKind::CpuGpuHogbatch, 0.1).train;
+        let data = {
+            let mut d = SynthConfig {
+                density: 0.01,
+                ..SynthConfig::small(512, 2_000, 2, 23)
+            }
+            .generate();
+            d.scale_to_unit_variance();
+            Arc::new(d)
+        };
+        let spec = MlpSpec {
+            hidden: vec![32],
+            ..MlpSpec::tiny(data.features(), 2)
+        };
+        let model = Model::new(spec.clone(), hetero_nn::InitScheme::Xavier, 4);
+        // The first batch grows the buffer; the later ones, no wider, fit it.
+        let batches = [(0, 128), (128, 192), (192, 320), (320, 448), (448, 470)];
+        for sparse in [true, false] {
+            let env = || {
+                let sink = TraceSink::disabled();
+                worker_env(&data, sparse, &model, &train, sink, Watchdog::disabled())
+            };
+            let (cpu_env, gpu_env) = (env(), env());
+            let mut lane = HogwildLane::new(&cpu_env, 0, 0, &FaultPlan::none());
+            let mut gpu =
+                GpuWorker::new(0, GpuModel::v100(), &FaultPlan::none(), &gpu_env).unwrap();
+            let mut buffers = None;
+            for (i, &(s, e)) in batches.iter().enumerate() {
+                lane.lane_step((s, e), i as u64);
+                let range = BatchRange {
+                    start: s,
+                    end: e,
+                    epoch: 0,
+                };
+                gpu.batch_step(i as u64, range, i as u64).unwrap();
+                let case = format!("sparse={sparse}, rows {s}..{e}");
+                let held = [
+                    ("lane", &lane.at, lane.lane.grad()),
+                    ("gpu", &gpu.at, gpu.lane.grad()),
+                ]
+                .map(|(worker, at, grad)| {
+                    let read = &at.model().layers()[0].w;
+                    assert_eq!(read.capacity(), 0, "{worker}: {case}: the read holds one");
+                    let w0 = &grad.layers()[0].w;
+                    let rows = at.support().map_or(spec.input_dim, <[u32]>::len);
+                    assert_eq!(w0.rows(), rows, "{worker}: {case}");
+                    w0.as_slice().as_ptr()
+                });
+                assert_eq!(*buffers.get_or_insert(held), held, "{case}: reallocated");
             }
         }
     }

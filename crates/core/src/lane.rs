@@ -177,10 +177,33 @@ impl Lane {
         self.ws.loss_and_gradient_into(model, x, targets, false).0
     }
 
+    /// [`gradient`](Self::gradient) of the staged batch at the model `at`
+    /// read ([`read_support`](Self::read_support)), bit for bit; the
+    /// gradient takes the read's layer-0 buffer over
+    /// (`Workspace::loss_and_gradient_at`), so `at` holds no layer-0 row
+    /// until the next read.
+    // audit: no_alloc
+    pub(crate) fn gradient_at<D>(&mut self, src: &BatchSource<D>, at: &mut SupportRead) -> f32
+    where
+        D: Deref<Target = DenseDataset>,
+    {
+        let x = src.input(&self.x, &self.csr);
+        let targets = self.labels.as_targets();
+        self.ws.loss_and_gradient_at(at, x, targets, false).0
+    }
+
+    /// The stored gradient (tests read its layer-0 buffer).
+    #[cfg(test)]
+    pub(crate) fn grad(&self) -> &Model {
+        self.ws.grad()
+    }
+
     /// Read what the staged batch touches of `shared` into `at`, the model
-    /// a threaded step takes its [`gradient`](Self::gradient) at: a CSR
+    /// a threaded step takes its [`gradient_at`](Self::gradient_at): a CSR
     /// batch's support rows — renumbering the staged batch onto them — plus
-    /// every later stripe; every row for a dense batch.
+    /// every later stripe; every row for a dense batch. The read fills the
+    /// layer-0 buffer the last gradient took over: a threaded lane holds
+    /// that one buffer.
     // audit: no_alloc
     pub(crate) fn read_support<D>(
         &mut self,
@@ -191,9 +214,9 @@ impl Lane {
         D: Deref<Target = DenseDataset>,
     {
         if src.sparse {
-            at.read_csr(shared, &mut self.csr);
+            at.read_csr(&mut self.ws, shared, &mut self.csr);
         } else {
-            at.read_all(shared);
+            at.read_all(&mut self.ws, shared);
         }
     }
 

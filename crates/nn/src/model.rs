@@ -197,6 +197,15 @@ impl Model {
         false
     }
 
+    /// Take `from`'s layer-0 weight buffer, uncopied, and leave it this
+    /// one's, emptied (no row; a layer grown back from it is zeros): how a
+    /// threaded worker's one layer-0 buffer passes between its read and its
+    /// gradient ([`crate::SupportRead`]).
+    pub(crate) fn take_l0(&mut self, from: &mut Model) {
+        std::mem::swap(&mut self.layers[0].w, &mut from.layers[0].w);
+        from.fit_l0(0);
+    }
+
     /// The network specification.
     pub fn spec(&self) -> &MlpSpec {
         &self.spec

@@ -20,7 +20,10 @@
 //! the spec alone, so warm steps are allocation-free.
 //! [`SupportRead`] takes the same support before the step, on the worker
 //! side: it reads only those rows of the shared model, so a threaded step
-//! reads, differentiates and writes layer 0 at the size of its batch.
+//! reads, differentiates and writes layer 0 at the size of its batch — in
+//! one buffer, which the gradient takes over from the read once the
+//! forward is done ([`Workspace::loss_and_gradient_at`]) and the next read
+//! takes back.
 //! [`ColumnBatch`] is the evaluator's fixed batch stored by feature, whose
 //! forward reads layer 0 where it lives, a tile of support rows at a time.
 //! [`forward_sparse`] is a thin allocating wrapper for one-off calls.
@@ -66,6 +69,12 @@ impl SparseScratch {
     /// The stored gradient's support.
     pub(crate) fn rows(&self) -> &[u32] {
         &self.rows
+    }
+
+    /// Forget the support: the gradient's layer 0 was replaced by one that
+    /// is zero already ([`crate::Workspace::loss_and_gradient_at`]).
+    pub(crate) fn forget_rows(&mut self) {
+        self.rows.clear();
     }
 
     /// Σ of buffer capacities (workspace growth tracking).
@@ -117,6 +126,13 @@ impl SparseScratch {
 /// of `k` features and grows only when a support outgrows its capacity, to
 /// a quarter more rows than that support (at most `input_dim`); the
 /// scratch is sized by the spec, so a warm read is allocation-free.
+///
+/// That layer-0 buffer is the only one a worker holds. Layer 0 has no
+/// input gradient, so the read's rows are dead once the forward has run:
+/// [`Workspace::loss_and_gradient_at`] takes the buffer over as the
+/// gradient's layer 0, zeroes its rows and scatters `Xᵀ·δ` into them, the
+/// apply or merge consumes it, and the next read takes it back from the
+/// workspace it is handed before filling it.
 #[derive(Debug)]
 pub struct SupportRead {
     local: Model,
@@ -144,9 +160,11 @@ impl SupportRead {
     }
 
     /// Read what the CSR `batch` touches of `shared`, renumbering the
-    /// batch's columns onto its support (see the type docs).
+    /// batch's columns onto its support (see the type docs), into the
+    /// layer-0 buffer taken back from `ws`: its gradient is consumed.
     // audit: no_alloc
-    pub fn read_csr(&mut self, shared: &SharedModel, batch: &mut CsrBatch) {
+    pub fn read_csr(&mut self, ws: &mut Workspace, shared: &SharedModel, batch: &mut CsrBatch) {
+        self.reclaim(ws);
         collect_rows(batch.view().indices(), &mut self.mask, &mut self.support);
         // A support of every feature numbers them as they are.
         if self.support.len() < batch.cols() {
@@ -160,14 +178,32 @@ impl SupportRead {
         shared.read_rows(Some(&self.support), &mut self.local);
     }
 
-    /// Read every row of `shared`: the support of a dense batch.
+    /// Read every row of `shared`, the support of a dense batch, into the
+    /// layer-0 buffer taken back from `ws`: its gradient is consumed.
     // audit: no_alloc
-    pub fn read_all(&mut self, shared: &SharedModel) {
+    pub fn read_all(&mut self, ws: &mut Workspace, shared: &SharedModel) {
+        self.reclaim(ws);
         self.every_row = true;
         shared.read_rows(None, &mut self.local);
     }
 
-    /// The model read, at the size of the last batch.
+    /// Take back the layer-0 buffer a gradient at the last read took over,
+    /// so that this read fills it rather than growing one of its own.
+    // audit: no_alloc
+    fn reclaim(&mut self, ws: &mut Workspace) {
+        self.local.take_l0(ws.grad_mut());
+    }
+
+    /// Hand the read's layer-0 buffer to `grad` once the forward has run
+    /// ([`Workspace::loss_and_gradient_at`]). The read is left holding no
+    /// layer-0 row until the next read, so a second gradient at it fails
+    /// the forward's width check.
+    pub(crate) fn lend_l0(&mut self, grad: &mut Gradient) {
+        grad.take_l0(&mut self.local);
+    }
+
+    /// The model read, at the size of the last batch; after a gradient at
+    /// it its layer 0 holds no row ([`Workspace::loss_and_gradient_at`]).
     pub fn model(&self) -> &Model {
         &self.local
     }
@@ -544,7 +580,7 @@ mod column_eval {
 mod tests {
     use super::*;
     use crate::backward::loss_and_gradient;
-    use crate::forward::Targets;
+    use crate::forward::{Input, Targets};
     use crate::init::InitScheme;
     use crate::spec::MlpSpec;
 
@@ -728,7 +764,7 @@ mod tests {
             ws_full.loss_and_gradient_into(&full, batch.view(), targets, false);
             via_snapshot.apply_racy(ws_full.grad(), 0.5, ws_full.active_cols());
             let support = ws_full.active_cols().unwrap().to_vec();
-            at.read_csr(&via_read, &mut batch);
+            at.read_csr(&mut ws_read, &via_read, &mut batch);
             assert_eq!(at.support(), Some(&support[..]), "rows {s}..{e}");
             assert_eq!(batch.cols(), support.len());
             for (i, &c) in support.iter().enumerate() {
@@ -744,8 +780,139 @@ mod tests {
                 "rows {s}..{e}"
             );
         }
-        at.read_all(&via_read);
+        at.read_all(&mut ws_read, &via_read);
         assert_eq!((at.model(), at.support()), (&via_read.snapshot(), None));
+    }
+
+    /// A gradient that takes the read's layer 0 over is the two-buffer
+    /// gradient at the read, bit for bit — loss and every gradient value —
+    /// and so is the model each one's apply leaves, on one handoff
+    /// workspace and read through CSR supports that grow, shrink, hold one
+    /// row and hold every feature, a dense batch and CSR again, at every
+    /// dispatch level the host has. The read keeps no layer-0 storage
+    /// after a handoff.
+    ///
+    /// `scripts/check_mutation.sh` rebuilds this suite with `--cfg
+    /// hetero_stale_l0_rows` (the rows taken over are not zeroed) and
+    /// requires this test to fail.
+    #[test]
+    fn a_gradient_at_the_read_is_the_two_buffer_gradient() {
+        use hetero_tensor::simd::{host_levels, with_level};
+
+        let spec = MlpSpec::tiny(40, 2);
+        let model = Model::new(spec.clone(), InitScheme::Xavier, 21);
+        // `rows` rows, row `i` storing the features `keep(i, j)` picks.
+        let batch = |rows: usize, keep: &dyn Fn(usize, usize) -> bool| {
+            Matrix::from_fn(rows, 40, |i, j| {
+                let v = ((i * 40 + j) as f32 * 0.37).sin();
+                if keep(i, j) {
+                    v
+                } else {
+                    0.0
+                }
+            })
+        };
+        let cases: [(&str, Matrix, bool); 7] = [
+            (
+                "5 features",
+                batch(6, &|i, j| j < 5 && (i + j) % 2 == 0),
+                true,
+            ),
+            (
+                "grown to 20",
+                batch(9, &|i, j| j < 20 && j % 2 == i % 2),
+                true,
+            ),
+            (
+                "shrunk to 3",
+                batch(4, &|i, j| [7, 11, 30][i % 3] == j),
+                true,
+            ),
+            ("one row", batch(5, &|_, j| j == 13), true),
+            (
+                "every feature",
+                batch(8, &|i, j| (i * 40 + j) % 3 != 0),
+                true,
+            ),
+            ("dense", sparse_batch(7, 40, 19), false),
+            (
+                "CSR after dense",
+                batch(9, &|i, j| j < 20 && j % 2 == i % 2),
+                true,
+            ),
+        ];
+        // Read batch `x` — its CSR rows into `staged` when `csr` — of
+        // `shared` into `at`, taking its buffer back from `ws`: the input a
+        // gradient at the read takes.
+        fn read<'b>(
+            (shared, ws): (&SharedModel, &mut Workspace),
+            at: &mut SupportRead,
+            (x, all, csr): (&'b Matrix, &CsrMatrix, bool),
+            staged: &'b mut CsrBatch,
+        ) -> Input<'b> {
+            if !csr {
+                at.read_all(ws, shared);
+                return Input::Dense(x);
+            }
+            all.slice_rows_into(0, x.rows(), staged);
+            at.read_csr(ws, shared, staged);
+            Input::Csr(staged.view())
+        }
+        for level in host_levels() {
+            with_level(level, || {
+                let (one, two) = (SharedModel::new(&model), SharedModel::new(&model));
+                let (mut at, mut read_two) = (SupportRead::new(&spec), SupportRead::new(&spec));
+                let (mut ws_at, mut ws) = (Workspace::new(&spec), Workspace::new(&spec));
+                // The two-buffer read's own: `ws` keeps its gradient.
+                let mut ws_read_two = Workspace::new(&spec);
+                let (mut staged, mut staged_two) = (CsrBatch::new(), CsrBatch::new());
+                for (name, x, csr) in &cases {
+                    let labels: Vec<u32> = (0..x.rows()).map(|i| (i % 2) as u32).collect();
+                    let targets = Targets::Classes(&labels);
+                    let all = CsrMatrix::from_dense(x, 0.0);
+                    let input = read((&one, &mut ws_at), &mut at, (x, &all, *csr), &mut staged);
+                    let support = at.support().map(<[u32]>::to_vec);
+                    let (l_at, g_at) = ws_at.loss_and_gradient_at(&mut at, input, targets, false);
+                    let (l_at, g_at) = (l_at, g_at.clone());
+                    let two_at = (&two, &mut ws_read_two);
+                    let input = read(two_at, &mut read_two, (x, &all, *csr), &mut staged_two);
+                    let (l, g) = ws.loss_and_gradient_into(read_two.model(), input, targets, false);
+                    let case = format!("{name}, {level:?}");
+                    assert_eq!(l_at.to_bits(), l.to_bits(), "{case}: loss");
+                    for (a, b) in g_at.layers().iter().zip(g.layers()) {
+                        assert_eq!(a.w.shape(), b.w.shape(), "{case}");
+                        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert!(
+                            bits(a.w.as_slice()) == bits(b.w.as_slice()),
+                            "{case}: weights"
+                        );
+                        assert!(bits(&a.b) == bits(&b.b), "{case}: bias");
+                    }
+                    assert_eq!(at.model().layers()[0].w.capacity(), 0, "{case}: read kept");
+                    one.apply_racy(&g_at, 0.5, support.as_deref());
+                    two.apply_racy(g, 0.5, read_two.support());
+                    assert!(one.read_flat() == two.read_flat(), "{case}: applied");
+                }
+            })
+        }
+    }
+
+    /// The gradient leaves the read without layer-0 rows: a second gradient
+    /// at one read, without a read between, fails the forward's width check
+    /// rather than running the first gradient as weights.
+    #[test]
+    #[should_panic(expected = "layer-0 rows")]
+    fn a_second_gradient_at_one_read_panics() {
+        let spec = MlpSpec::tiny(40, 2);
+        let shared = SharedModel::new(&Model::new(spec.clone(), InitScheme::Xavier, 3));
+        let (mut at, mut ws) = (SupportRead::new(&spec), Workspace::new(&spec));
+        let mut batch = CsrBatch::new();
+        CsrMatrix::from_dense(&sparse_batch(6, 40, 8), 0.0).slice_rows_into(0, 6, &mut batch);
+        at.read_csr(&mut ws, &shared, &mut batch);
+        let labels = [0u32, 1, 0, 1, 0, 1];
+        let targets = Targets::Classes(&labels);
+        ws.loss_and_gradient_at(&mut at, batch.view(), targets, false);
+        ws.loss_and_gradient_at(&mut at, batch.view(), targets, false);
     }
 
     #[test]

@@ -29,7 +29,7 @@ use hetero_tensor::{CsrView, Matrix};
 use crate::backward::{backward_with_scratch, Gradient};
 use crate::forward::{forward_after_l0, forward_into_buffers, loss, ForwardPass, Input, Targets};
 use crate::model::Model;
-use crate::sparse_input::{ColumnBatch, Layer0, SparseScratch};
+use crate::sparse_input::{ColumnBatch, Layer0, SparseScratch, SupportRead};
 use crate::spec::MlpSpec;
 
 /// Reusable forward/backward buffers for one worker (see module docs).
@@ -147,10 +147,12 @@ impl Workspace {
     /// overwrites every row (no support), a CSR one needs the support of
     /// the gradient it replaces — created here when absent, re-zeroing
     /// the rows a dense backward wrote (a layer just grown is fresh zeros,
-    /// as a new workspace's is). Runs before `track`, so the one-time
+    /// as a new workspace's is). A gradient that `takes_over` the read's
+    /// layer 0 ([`loss_and_gradient_at`](Self::loss_and_gradient_at))
+    /// leaves `grad`'s as it is. Runs before `track`, so the one-time
     /// creation never counts against the steady-state invariant.
-    fn prepare_gradient(&mut self, model: &Model, x: Input<'_>) {
-        let fresh = self.grad.fit_l0(model.layers()[0].w.rows());
+    fn prepare_gradient(&mut self, model: &Model, x: Input<'_>, takes_over: bool) {
+        let fresh = takes_over || self.grad.fit_l0(model.layers()[0].w.rows());
         match x {
             Input::Dense(_) => self.sparse = None,
             Input::Csr(_) if self.sparse.is_none() => {
@@ -267,21 +269,80 @@ impl Workspace {
     ) -> (f32, &Gradient) {
         let x = x.into();
         self.check_spec(model);
-        self.prepare_gradient(model, x);
+        self.prepare_gradient(model, x, false);
         let l = self.track(x.dims().0, |ws| {
-            forward_into_buffers(model, x, parallel, &mut ws.pass.activations);
-            let l = loss(ws.pass.probs(), targets, model.spec().loss);
-            backward_with_scratch(
-                model,
-                x,
-                &ws.pass,
-                targets,
-                parallel,
-                &mut ws.delta,
-                &mut ws.delta_next,
-                &mut ws.grad,
-                ws.sparse.as_deref_mut(),
-            );
+            let l = ws.forward_loss(model, x, targets, parallel);
+            ws.backprop(model, x, targets, parallel);
+            l
+        });
+        (l, &self.grad)
+    }
+
+    /// Forward pass of `x` at `model` into the activations; its loss.
+    fn forward_loss(
+        &mut self,
+        model: &Model,
+        x: Input<'_>,
+        targets: Targets<'_>,
+        parallel: bool,
+    ) -> f32 {
+        forward_into_buffers(model, x, parallel, &mut self.pass.activations);
+        loss(self.pass.probs(), targets, self.spec.loss)
+    }
+
+    /// Backward pass of the last forward into the gradient; it reads no
+    /// layer-0 weight of `model`, only the later layers' and the spec.
+    fn backprop(&mut self, model: &Model, x: Input<'_>, targets: Targets<'_>, parallel: bool) {
+        backward_with_scratch(
+            model,
+            x,
+            &self.pass,
+            targets,
+            parallel,
+            &mut self.delta,
+            &mut self.delta_next,
+            &mut self.grad,
+            self.sparse.as_deref_mut(),
+        );
+    }
+
+    /// [`loss_and_gradient_into`](Self::loss_and_gradient_into) at the
+    /// model `at` read, bit for bit, holding one layer-0 buffer rather than
+    /// two. Layer 0 has no input gradient, so the read's layer-0 rows are
+    /// dead once the forward has run: the gradient then takes that storage
+    /// over as its own layer 0 — a CSR batch's rows zeroed here, a dense
+    /// batch's overwritten by its product — and the backward scatters
+    /// `Xᵀ·δ` into it. The gradient's row `i` is then feature
+    /// `at.support()[i]`'s, what `SharedModel::apply_racy` and
+    /// `merge_gradient` take with that support. `at` holds no layer-0 row
+    /// until its next read takes the buffer back from this workspace.
+    ///
+    /// # Panics
+    /// Panics if `at` was not read since the last gradient at it (unless
+    /// its batch touches no feature), or is of another spec.
+    // audit: no_alloc
+    pub fn loss_and_gradient_at<'a>(
+        &mut self,
+        at: &mut SupportRead,
+        x: impl Into<Input<'a>>,
+        targets: Targets<'_>,
+        parallel: bool,
+    ) -> (f32, &Gradient) {
+        let x = x.into();
+        self.check_spec(at.model());
+        self.prepare_gradient(at.model(), x, true);
+        let l = self.track(x.dims().0, |ws| {
+            let l = ws.forward_loss(at.model(), x, targets, parallel);
+            at.lend_l0(&mut ws.grad);
+            // A CSR backward re-zeroes only its previous support's rows;
+            // every row taken over holds a weight of the read.
+            if let Some(s) = ws.sparse.as_deref_mut() {
+                if !cfg!(hetero_stale_l0_rows) {
+                    ws.grad.layers_mut()[0].w.as_mut_slice().fill(0.0);
+                }
+                s.forget_rows();
+            }
+            ws.backprop(at.model(), x, targets, parallel);
             l
         });
         (l, &self.grad)

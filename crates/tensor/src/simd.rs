@@ -38,7 +38,8 @@
 //! | packed GEMM tile | `tile_12x32` over 12-row A and 32-column B panels | each C element is the same FMA chain over k within the same `KC` blocks, then `×α` and `+β·C` (or `+ bias`) |
 //! | `spmm_csr`, `spmm_tn_csr` | 16 lanes, masked tail | mul + add per element in the scalar loop's order (also the scalar bits) |
 //! | `dot_block`, `sumsq_nonfinite` | none | reductions: their bits depend on the lane count |
-//! | element-wise kernels | none | memory-bound; the ymm body runs at both levels |
+//! | element-wise kernels, `keep_mask` | none | memory-bound; the ymm body runs at both levels |
+//! | `normal_pairs` | none | drawn once per run: a 16-pair body saved ~1.3 ms of a ~35 ms real-sim run, inside the run-to-run spread |
 //!
 //! Dense GEMM has exactly two AVX2 inner loops and one AVX-512 one:
 //!
@@ -67,6 +68,7 @@
 //! | `axpy`, `axpby`, `scale`, `hadamard*`, `add_row_broadcast`, `col_sum_into`, `relu`, the three `mul_*_deriv`, `spmm_csr`, `spmm_tn_csr` | — | bit-identical |
 //! | `sigmoid`, `tanh` | `exp8` (FMA) | within ~1e-6 (the loop calls libm) |
 //! | `normal_pairs` (the initial-weight stream) | `ln8`, `sincos8` (mul + add, never FMA) | bit-identical |
+//! | `keep_mask` (the CSR compaction) | — | bit-identical |
 //! | `sumsq_nonfinite` | — | to f64 rounding (lane-parallel sum) |
 //!
 //! Safety discipline: every `unsafe` block in this module carries a SAFETY
@@ -456,6 +458,13 @@ simd_entry!(
         out: usize,
         grad: &mut [f32],
     )
+);
+
+simd_entry!(
+    /// Bit `c % 64` of `keep[c / 64]` set iff `row[c]` is stored by
+    /// `CsrMatrix::from_dense` — `v != 0 && |v| ≥ threshold`, so never
+    /// `±0.0` or NaN — and every other bit clear; eight lanes per compare.
+    keep_mask(row: &[f32], threshold: f32, keep: &mut [u64])
 );
 
 simd_entry!(
@@ -1271,6 +1280,28 @@ mod imp {
                     store16_masked(g, n16, m, _mm512_add_ps(load16_masked(g, n16, m), vd));
                 }
             }
+        }
+    }
+
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) fn keep_mask(row: &[f32], threshold: f32, keep: &mut [u64]) {
+        keep.fill(0);
+        let n8 = row.len() & !7;
+        let (zero, t) = (_mm256_setzero_ps(), _mm256_set1_ps(threshold));
+        let magnitude = _mm256_castsi256_ps(_mm256_set1_epi32(0x7fff_ffff));
+        let mut p = 0;
+        while p < n8 {
+            let v = load8(row, p);
+            // `v != 0` is unordered-true for NaN, and `|v| ≥ t` ordered-false.
+            let nonzero = _mm256_cmp_ps::<_CMP_NEQ_UQ>(v, zero);
+            let large = _mm256_cmp_ps::<_CMP_GE_OQ>(_mm256_and_ps(v, magnitude), t);
+            let bits = _mm256_movemask_ps(_mm256_and_ps(nonzero, large)) as u8;
+            // Eight-lane groups never straddle a 64-bit word.
+            keep[p / 64] |= u64::from(bits) << (p % 64);
+            p += 8;
+        }
+        for (c, &v) in row.iter().enumerate().skip(n8) {
+            keep[c / 64] |= u64::from(v != 0.0 && v.abs() >= threshold) << (c % 64);
         }
     }
 

@@ -31,6 +31,21 @@ use serde::{Deserialize, Serialize};
 use crate::simd::{self, SimdLevel};
 use crate::Matrix;
 
+/// [`CsrMatrix::from_dense`]'s stored entries of `row` as bits of `keep`
+/// (`keep[c / 64]`, bit `c % 64`): `v != 0 && |v| ≥ threshold`, so `±0.0`
+/// and NaN never. Every dispatch level sets the same bits.
+fn keep_mask(row: &[f32], threshold: f32, keep: &mut [u64]) {
+    match simd::active_level() {
+        SimdLevel::Avx2 | SimdLevel::Avx512 => simd::keep_mask(row, threshold, keep),
+        SimdLevel::Scalar => {
+            keep.fill(0);
+            for (c, &v) in row.iter().enumerate() {
+                keep[c / 64] |= u64::from(v != 0.0 && v.abs() >= threshold) << (c % 64);
+            }
+        }
+    }
+}
+
 /// Compressed sparse row matrix of `f32`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CsrMatrix {
@@ -53,28 +68,25 @@ impl CsrMatrix {
     /// dropped" contract of `DenseDataset::to_csr`. A value exactly at a
     /// positive threshold is kept (`>=`, not `>`).
     pub fn from_dense(dense: &Matrix, threshold: f32) -> Self {
-        // Lanes tested at once before the per-element filter. At bag-of-words
-        // densities almost every group is all-zero, and OR-ing the bit
-        // patterns with the sign shifted out (so `-0.0` counts as zero, NaN
-        // does not) vectorizes where the per-element branch cannot. A group
-        // that fails the test takes the exact per-element path, so the
-        // output is the same for any group width.
-        const GROUP: usize = 16;
         let (rows, cols) = dense.shape();
         let mut indptr = Vec::with_capacity(rows + 1);
         let mut indices = Vec::new();
         let mut values = Vec::new();
         indptr.push(0);
+        // One bit per column of a row, set where the entry is stored: a
+        // vector compare per 8 entries, then one step per stored
+        // entry, in column order — no per-entry branch on the data.
+        let mut keep = vec![0u64; cols.div_ceil(64)];
         for i in 0..rows {
-            for (g, group) in dense.row(i).chunks(GROUP).enumerate() {
-                if group.iter().fold(0, |acc, v| acc | (v.to_bits() << 1)) == 0 {
-                    continue;
-                }
-                for (j, &v) in group.iter().enumerate() {
-                    if v != 0.0 && v.abs() >= threshold {
-                        indices.push((g * GROUP + j) as u32);
-                        values.push(v);
-                    }
+            let row = dense.row(i);
+            keep_mask(row, threshold, &mut keep);
+            for (w, &word) in keep.iter().enumerate() {
+                let mut word = word;
+                while word != 0 {
+                    let c = w * 64 + word.trailing_zeros() as usize;
+                    indices.push(c as u32);
+                    values.push(row[c]);
+                    word &= word - 1;
                 }
             }
             indptr.push(indices.len());
@@ -791,12 +803,13 @@ mod tests {
         assert_eq!(z.nnz(), 0, "exact zeros are dropped at threshold 0");
     }
 
-    /// The zero-group skip is only a shortcut: for every row width around
-    /// the group size, with `-0.0`, NaN, ±Inf and sub-threshold entries in
-    /// otherwise empty groups, the result equals the plain per-element
-    /// filter.
+    /// The compaction's bit masks are only a shortcut: at every dispatch
+    /// level, for every row width around the vector and mask-word widths,
+    /// with `-0.0`, NaN, ±Inf and sub-threshold entries among zeros, and at
+    /// thresholds that are zero, positive, negative or NaN, the result
+    /// equals the plain per-element filter.
     #[test]
-    fn from_dense_group_skip_matches_per_element_filter() {
+    fn from_dense_matches_the_per_element_filter_at_every_level() {
         let specials = [
             -0.0f32,
             f32::NAN,
@@ -805,21 +818,21 @@ mod tests {
             0.5,
             -2.0,
             1.0e-40,
+            f32::NEG_INFINITY,
         ];
-        for cols in [1usize, 15, 16, 17, 31, 32, 33, 50] {
-            let d = Matrix::from_fn(9, cols, |i, j| {
-                // Rows 0–6 hold one special value each at a moving column;
-                // row 7 is dense, row 8 empty.
+        for cols in [1usize, 7, 8, 9, 15, 16, 17, 31, 32, 33, 50, 63, 64, 65, 129] {
+            let d = Matrix::from_fn(10, cols, |i, j| {
+                // Rows 0–7 hold one special value each at a moving column;
+                // row 8 is dense, row 9 empty.
                 match i {
-                    7 => (j as f32 + 1.0) * 0.25,
-                    8 => 0.0,
+                    8 => (j as f32 + 1.0) * 0.25,
+                    9 => 0.0,
                     _ if j == (i * 7 + cols / 2) % cols => specials[i],
                     _ => 0.0,
                 }
             });
-            for threshold in [0.0f32, 0.01, 1.0] {
-                let got = CsrMatrix::from_dense(&d, threshold);
-                let mut want = vec![Vec::new(); 9];
+            for threshold in [0.0f32, 0.01, 1.0, -1.0, f32::NAN] {
+                let mut want = vec![Vec::new(); 10];
                 for (i, row) in want.iter_mut().enumerate() {
                     for (j, &v) in d.row(i).iter().enumerate() {
                         if v != 0.0 && v.abs() >= threshold {
@@ -827,11 +840,17 @@ mod tests {
                         }
                     }
                 }
-                for (i, row) in want.iter().enumerate() {
-                    let have: Vec<_> = got.row_iter(i).map(|(j, v)| (j, v.to_bits())).collect();
-                    assert_eq!(&have, row, "cols={cols} threshold={threshold} row={i}");
+                for level in host_levels() {
+                    let got = with_level(level, || CsrMatrix::from_dense(&d, threshold));
+                    for (i, row) in want.iter().enumerate() {
+                        let have: Vec<_> = got.row_iter(i).map(|(j, v)| (j, v.to_bits())).collect();
+                        assert_eq!(
+                            &have, row,
+                            "{level:?} cols={cols} threshold={threshold} row={i}"
+                        );
+                    }
+                    assert_eq!((got.rows(), got.cols()), (10, cols));
                 }
-                assert_eq!((got.rows(), got.cols()), (9, cols));
             }
         }
     }

@@ -22,8 +22,10 @@
 # worker's ranges reach an idle survivor; `--cfg hetero_no_top_up_on_fault`
 # skips that. In crates/nn/src/sparse_input.rs a CSR
 # backward scatters straight into the stored gradient after re-zeroing the
-# rows its previous support left behind (every row after a dense gradient);
-# `--cfg hetero_stale_l0_rows` skips that re-zero. In
+# rows its previous support left behind (every row after a dense gradient),
+# and crates/nn/src/workspace.rs zeroes every row a gradient takes over
+# from a threaded worker's read (the read's weights); `--cfg
+# hetero_stale_l0_rows` skips both. In
 # crates/core/src/engine_sim.rs a run of k simulated Hogwild lanes is one
 # gradient applied at k times one lane's step; `--cfg hetero_wave_unscaled`
 # drops the k. In crates/tensor/src/simd.rs the AVX2 draw of the initial
@@ -61,8 +63,9 @@
 #      update for the shared model, the coordinator disagreeing with its
 #      reference model about the window / the re-queue / the credit / the
 #      batch size, a scripted run ending with ranges never trained, a
-#      reused workspace's gradient differing from a fresh one's, a wave
-#      differing from its lanes applied one by one, the two dispatch levels
+#      gradient at a read or a reused workspace's differing from a fresh
+#      two-buffer one's, a wave differing from its lanes applied one by
+#      one, the two dispatch levels
 #      drawing different initial weights, a resumed simulation's loss curve
 #      differing from the uninterrupted one's, a dense run's loss curve
 #      depending on whether its data is stored dense or as CSR, an
@@ -157,10 +160,11 @@ check_mutation hetero_resize_inverted "Algorithm 2's resize inverted" 8 \
 # survivor has run out of work.
 check_mutation hetero_no_top_up_on_fault "a retired worker's ranges left for the next report" 9 \
     "$run" "served ranges never trained" "run_hands_a_dead_workers_range_to_an_idle_survivor"
-# Stale rows survive into the next CSR gradient: after another CSR batch,
-# and after a dense one.
-check_mutation hetero_stale_l0_rows "a CSR backward not re-zeroing the previous support" 10 \
-    "$support" "reused_workspace_rezeroes_previous_active_rows" \
+# Stale rows survive into the next CSR gradient: the read's weights in a
+# layer taken over, and after another CSR batch or a dense one.
+check_mutation hetero_stale_l0_rows "a CSR gradient not zeroing the rows it took over or the previous support" 10 \
+    "$support" "a_gradient_at_the_read_is_the_two_buffer_gradient" \
+    "reused_workspace_rezeroes_previous_active_rows" \
     "dense_then_sparse_on_one_workspace_is_exact"
 # A run applied at one lane's step moves the model less than its lanes did.
 check_mutation hetero_wave_unscaled "a run of simulated lanes applied without its lane count" 11 \
