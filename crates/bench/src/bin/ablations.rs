@@ -14,28 +14,27 @@
 //! Output: one CSV block per sweep on stdout, summary on stderr.
 
 use hetero_bench::Harness;
-use hetero_core::{AlgorithmKind, LrScaling, SimEngine, SimEngineConfig};
+use hetero_core::{AlgorithmKind, LrScaling, RunCtx, TrainConfig, TrainResult};
 use hetero_data::PaperDataset;
 
 fn main() {
-    let h = Harness::default();
-    let p = PaperDataset::Covtype;
-    let dataset = h.dataset(p);
-    let spec = h.network(p, &dataset);
+    let h = Harness::new(PaperDataset::Covtype);
     eprintln!(
-        "ablations on covtype: scale={} width={} budget={}s",
-        h.scale, h.width, h.budget
+        "ablations on {} | budget {}s",
+        h.task.line(&h.data),
+        h.budget
     );
+    let run = |train: TrainConfig| -> TrainResult {
+        h.run_on(h.engine_config(train), &RunCtx::default())
+    };
 
     // --- 1. α sweep ----------------------------------------------------------
     println!("# alpha sweep (Adaptive Hogbatch)");
     println!("alpha,final_loss,cpu_fraction,gpu_final_batch");
     for alpha in [1.25, 1.5, 2.0, 4.0, 8.0] {
-        let mut train = h.train_config(AlgorithmKind::AdaptiveHogbatch, &dataset);
+        let mut train = h.train_config(AlgorithmKind::AdaptiveHogbatch);
         train.adaptive.alpha = alpha;
-        let r = SimEngine::new(SimEngineConfig::paper_hardware(spec.clone(), train))
-            .unwrap()
-            .run(&dataset);
+        let r = run(train);
         let gpu_batch = r
             .workers
             .iter()
@@ -58,11 +57,9 @@ fn main() {
     println!("# beta sweep (Adaptive Hogbatch)");
     println!("beta,final_loss,cpu_fraction");
     for beta in [0.25, 0.5, 0.75, 1.0] {
-        let mut train = h.train_config(AlgorithmKind::AdaptiveHogbatch, &dataset);
+        let mut train = h.train_config(AlgorithmKind::AdaptiveHogbatch);
         train.adaptive.beta = beta;
-        let r = SimEngine::new(SimEngineConfig::paper_hardware(spec.clone(), train))
-            .unwrap()
-            .run(&dataset);
+        let r = run(train);
         println!(
             "{beta},{:.5},{:.4}",
             r.final_loss(),
@@ -78,14 +75,12 @@ fn main() {
     // --- 3. GPU lower-threshold sweep -----------------------------------------
     println!("# gpu lower-threshold sweep (Adaptive Hogbatch)");
     println!("gpu_min_batch,final_loss,mean_gpu_util");
-    let base = h.train_config(AlgorithmKind::AdaptiveHogbatch, &dataset);
+    let base = h.train_config(AlgorithmKind::AdaptiveHogbatch);
     for div in [2usize, 4, 8, 16, 32] {
         let mut train = base.clone();
         train.adaptive.gpu_min_batch = (train.adaptive.gpu_max_batch / div).max(1);
         let min_b = train.adaptive.gpu_min_batch;
-        let r = SimEngine::new(SimEngineConfig::paper_hardware(spec.clone(), train))
-            .unwrap()
-            .run(&dataset);
+        let r = run(train);
         let gpu = r
             .workers
             .iter()
@@ -124,11 +119,9 @@ fn main() {
             },
         ),
     ] {
-        let mut train = h.train_config(AlgorithmKind::CpuGpuHogbatch, &dataset);
+        let mut train = h.train_config(AlgorithmKind::CpuGpuHogbatch);
         train.lr_scaling = scaling;
-        let r = SimEngine::new(SimEngineConfig::paper_hardware(spec.clone(), train))
-            .unwrap()
-            .run(&dataset);
+        let r = run(train);
         println!("{name},{:.5},{:.5}", r.final_loss(), r.min_loss());
         eprintln!(
             "lr scaling {name:6}: final loss {:.5} (min {:.5})",
@@ -141,11 +134,9 @@ fn main() {
     println!("# staleness compensation sweep (CPU+GPU Hogbatch)");
     println!("kappa,final_loss,min_loss");
     for kappa in [0.0f32, 0.001, 0.01, 0.1] {
-        let mut train = h.train_config(AlgorithmKind::CpuGpuHogbatch, &dataset);
+        let mut train = h.train_config(AlgorithmKind::CpuGpuHogbatch);
         train.staleness_discount = kappa;
-        let r = SimEngine::new(SimEngineConfig::paper_hardware(spec.clone(), train))
-            .unwrap()
-            .run(&dataset);
+        let r = run(train);
         println!("{kappa},{:.5},{:.5}", r.final_loss(), r.min_loss());
         eprintln!(
             "kappa {kappa:6}: final {:.5} (min {:.5})",
@@ -158,11 +149,11 @@ fn main() {
     println!("# multi-GPU scaling (CPU+GPU Hogbatch)");
     println!("gpus,epochs,final_loss,total_updates");
     for n_gpus in [1usize, 2, 4] {
-        let train = h.train_config(AlgorithmKind::CpuGpuHogbatch, &dataset);
-        let mut cfg = SimEngineConfig::paper_hardware(spec.clone(), train);
+        let train = h.train_config(AlgorithmKind::CpuGpuHogbatch);
+        let mut cfg = h.engine_config(train);
         let g = cfg.gpus[0].clone();
         cfg.gpus = (0..n_gpus).map(|_| g.clone()).collect();
-        let r = SimEngine::new(cfg).unwrap().run(&dataset);
+        let r = h.run_on(cfg, &RunCtx::default());
         println!(
             "{n_gpus},{:.3},{:.5},{:.0}",
             r.epochs,

@@ -33,11 +33,6 @@ use hetero_core::AlgorithmKind;
 use hetero_data::PaperDataset;
 
 fn main() {
-    let h = Harness::default();
-    eprintln!(
-        "fig5+6: scale={} width={} budget={}s depth_factor={}",
-        h.scale, h.width, h.budget, h.depth_factor
-    );
     std::fs::create_dir_all("results").expect("results dir");
     let mut f5 = std::fs::File::create("results/fig5.csv").expect("fig5 csv");
     let mut f6 = std::fs::File::create("results/fig6.csv").expect("fig6 csv");
@@ -45,13 +40,16 @@ fn main() {
     writeln!(f6, "dataset,algorithm,epochs,normalized_loss").unwrap();
 
     for p in PaperDataset::all() {
-        let dataset = h.dataset(p);
-        let results: Vec<_> = AlgorithmKind::all()
-            .into_iter()
-            .map(|a| h.run_on(p, &dataset, a))
-            .collect();
+        let h = Harness::new(p);
+        let dataset = &h.data;
+        let results: Vec<_> = AlgorithmKind::all().into_iter().map(|a| h.run(a)).collect();
         let basis = normalization_basis(&results);
-        eprintln!("\n== {} (basis loss {:.5}) ==", dataset.name, basis);
+        eprintln!(
+            "\n== {} | budget {}s (basis loss {:.5}) ==",
+            h.task.line(&h.data),
+            h.budget,
+            basis
+        );
         let mut time_series = Vec::new();
         let mut epoch_series = Vec::new();
         for r in &results {

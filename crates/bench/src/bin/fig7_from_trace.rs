@@ -30,12 +30,11 @@ fn coverage(intervals: &[(f64, f64)], t0: f64, dt: f64) -> f64 {
 }
 
 fn main() {
-    let h = Harness::default();
-    let p = PaperDataset::Covtype;
-    let dataset = h.dataset(p);
+    let h = Harness::new(PaperDataset::Covtype);
     eprintln!(
-        "fig7_from_trace: covtype scale={} width={} budget={}s virtual",
-        h.scale, h.width, h.budget
+        "fig7_from_trace: {} | budget {}s virtual",
+        h.task.line(&h.data),
+        h.budget
     );
 
     println!("algorithm,device,time_s,utilization");
@@ -45,7 +44,7 @@ fn main() {
         AlgorithmKind::CpuGpuHogbatch,
         AlgorithmKind::AdaptiveHogbatch,
     ] {
-        let (r, trace) = h.run_on_traced(p, &dataset, algo);
+        let (r, trace) = h.run_traced(algo);
         let device = |w: u32| match r.workers.get(w as usize).map(|s| s.kind) {
             Some(WorkerKind::Cpu) => "cpu".to_string(),
             Some(WorkerKind::Gpu) => format!("gpu{w}"),

@@ -10,19 +10,14 @@
 
 use hetero_bench::plot::{write_chart, ChartConfig, Series};
 use hetero_bench::Harness;
-use hetero_core::{AlgorithmKind, WorkerKind};
+use hetero_core::{AlgorithmKind, RunCtx, WorkerKind};
 use hetero_data::PaperDataset;
 use hetero_sim::UtilizationTimeline;
 
 fn main() {
-    let mut h = Harness::default();
+    let mut h = Harness::new(PaperDataset::Covtype);
     // Three epochs of covtype: cap the budget by epochs instead of time.
-    let p = PaperDataset::Covtype;
-    let dataset = h.dataset(p);
-    eprintln!(
-        "fig7: covtype scale={} width={} — 3 epochs per algorithm",
-        h.scale, h.width
-    );
+    eprintln!("fig7: {} — 3 epochs per algorithm", h.task.line(&h.data));
     // Give a long time budget; the epoch cap stops the run.
     h.budget *= 4.0;
 
@@ -33,13 +28,9 @@ fn main() {
         AlgorithmKind::CpuGpuHogbatch,
         AlgorithmKind::AdaptiveHogbatch,
     ] {
-        let spec = h.network(p, &dataset);
-        let mut train = h.train_config(algo, &dataset);
+        let mut train = h.train_config(algo);
         train.max_epochs = Some(3);
-        let engine =
-            hetero_core::SimEngine::new(hetero_core::SimEngineConfig::paper_hardware(spec, train))
-                .unwrap();
-        let r = engine.run(&dataset);
+        let r = h.run_on(h.engine_config(train), &RunCtx::default());
 
         // Sample each worker's timeline on a grid covering the *active*
         // part of the run: the three epochs end when the last worker batch

@@ -12,19 +12,16 @@ use hetero_core::{AlgorithmKind, WorkerKind};
 use hetero_data::PaperDataset;
 
 fn main() {
-    let h = Harness::default();
-    eprintln!(
-        "fig8: scale={} width={} budget={}s",
-        h.scale, h.width, h.budget
-    );
     println!("dataset,algorithm,cpu_updates,gpu_updates,cpu_fraction");
     for p in PaperDataset::all() {
-        let dataset = h.dataset(p);
+        let h = Harness::new(p);
+        let dataset = &h.data;
+        eprintln!("fig8: {} | budget {}s", h.task.line(&h.data), h.budget);
         for algo in [
             AlgorithmKind::CpuGpuHogbatch,
             AlgorithmKind::AdaptiveHogbatch,
         ] {
-            let r = h.run_on(p, &dataset, algo);
+            let r = h.run(algo);
             let cpu: f64 = r
                 .workers
                 .iter()

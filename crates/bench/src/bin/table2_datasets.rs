@@ -7,8 +7,6 @@ use hetero_bench::Harness;
 use hetero_data::PaperDataset;
 
 fn main() {
-    let h = Harness::default();
-
     println!("# Table II: datasets (paper, full size)");
     println!("dataset,examples,features,classes,multilabel,hidden_layers");
     for p in PaperDataset::all() {
@@ -20,10 +18,14 @@ fn main() {
     }
 
     println!();
-    println!("# generated stand-ins at scale {}", h.scale);
+    println!(
+        "# generated stand-ins at HETERO_SCALE, floored at {} examples",
+        hetero_data::task::MIN_ROWS
+    );
     println!("dataset,examples,features,classes,sparsity");
     for p in PaperDataset::all() {
-        let d = h.dataset(p);
+        let h = Harness::new(p);
+        let d = &h.data;
         println!(
             "{},{},{},{},{:.4}",
             d.name,
@@ -32,12 +34,6 @@ fn main() {
             d.num_classes(),
             1.0 - d.density_at_most(1.0).unwrap_or(1.0)
         );
-        eprintln!(
-            "{}: {} examples x {} features ({}% of paper examples)",
-            d.name,
-            d.len(),
-            d.features(),
-            (100.0 * d.len() as f64 / p.stats().examples as f64).round()
-        );
+        eprintln!("{}", h.task.line(d));
     }
 }

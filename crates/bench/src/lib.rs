@@ -13,58 +13,40 @@
 //! | `ablations` | α/β/threshold/lr-scaling sweeps (§VI design choices) |
 //!
 //! All binaries print CSV to stdout (plus rendered SVG charts under
-//! `results/`) and a human-readable summary to stderr, and honor four
-//! environment variables so the fidelity/runtime trade-off is explicit:
+//! `results/`) and a human-readable summary to stderr (each dataset's
+//! [`Task::line`] first), and honor four environment variables so the
+//! fidelity/runtime trade-off is explicit:
 //!
 //! - `HETERO_SCALE` — dataset scale vs Table II full size (default `0.005`,
-//!   floored at ~1000 examples per dataset)
-//! - `HETERO_WIDTH` — hidden-layer width (default `192`; the paper uses 512)
+//!   floored at [`hetero_data::task::MIN_ROWS`] = 4 096 examples)
+//! - `HETERO_WIDTH` — hidden-layer width (default `64`, at the paper's
+//!   depth; the paper uses 512)
 //! - `HETERO_BUDGET` — virtual-seconds budget per run (default `0.2`)
-//! - `HETERO_DEPTH_FACTOR` — multiplier on the paper's hidden-layer counts
-//!   (default `0.5`; `1` = the paper's 6/8/8/4 at much larger budgets)
+//! - `HETERO_SEED` — data, init and shuffle seed (default `42`)
 
 #![warn(missing_docs)]
 
 pub mod alloc_count;
 pub mod plot;
 
-use hetero_core::{
-    AdaptiveParams, AlgorithmKind, SimEngine, SimEngineConfig, TrainConfig, TrainResult,
-};
-use hetero_data::{DenseDataset, PaperDataset};
-use hetero_nn::{Activation, LossKind, MlpSpec};
+use hetero_core::{AlgorithmKind, RunCtx, SimEngine, SimEngineConfig, TrainConfig, TrainResult};
+use hetero_data::{DenseDataset, PaperDataset, Task};
 use hetero_sim::CpuModel;
+use hetero_trace::{Trace, TraceSink, DEFAULT_RING_CAPACITY};
 
-/// Knobs every experiment binary shares.
+/// One dataset's cell of the evaluation: its task, its data, and the run
+/// knobs every algorithm on it shares.
 #[derive(Debug, Clone)]
 pub struct Harness {
-    /// Dataset scale relative to Table II full size.
-    pub scale: f64,
-    /// Hidden-layer width (paper: 512).
-    pub width: usize,
+    /// The dataset at its scale, and the network trained on it.
+    pub task: Task,
+    /// The task's stand-in, generated once so that every algorithm starts
+    /// from the same data and model.
+    pub data: DenseDataset,
     /// Virtual-time budget per run, seconds.
     pub budget: f64,
-    /// Multiplier on the paper's per-dataset hidden-layer count
-    /// (default 0.5: depth 3/4/4/2 instead of 6/8/8/4). Plain SGD needs
-    /// far more epochs than the default budget affords to push the paper's
-    /// full-depth sigmoid stacks off the uniform-prediction plateau; set
-    /// `HETERO_DEPTH_FACTOR=1` together with a larger budget for full
-    /// fidelity.
-    pub depth_factor: f64,
     /// RNG seed.
     pub seed: u64,
-}
-
-impl Default for Harness {
-    fn default() -> Self {
-        Harness {
-            scale: env_f64("HETERO_SCALE", 0.005),
-            width: env_usize("HETERO_WIDTH", 192),
-            budget: env_f64("HETERO_BUDGET", 0.2),
-            depth_factor: env_f64("HETERO_DEPTH_FACTOR", 0.5),
-            seed: env_usize("HETERO_SEED", 42) as u64,
-        }
-    }
 }
 
 fn env_f64(key: &str, default: f64) -> f64 {
@@ -82,96 +64,75 @@ fn env_usize(key: &str, default: usize) -> usize {
 }
 
 impl Harness {
-    /// Generate the scaled stand-in for a paper dataset.
-    ///
-    /// A floor of ~1000 examples is applied so that the smaller Table II
-    /// datasets (delicious: 16k full size) do not collapse to a handful of
-    /// rows at small scales — adaptation needs multiple batches per epoch
-    /// to act on.
-    pub fn dataset(&self, which: PaperDataset) -> DenseDataset {
-        let full = which.stats().examples as f64;
-        let eff = self.scale.max(1000.0 / full).min(1.0);
-        which.generate(eff, self.seed)
+    /// The cell for `which` at the environment's knobs; exits 2 naming
+    /// `HETERO_SCALE` when it is outside (0, 1].
+    pub fn new(which: PaperDataset) -> Harness {
+        let mut task = Task::new(which, env_f64("HETERO_SCALE", 0.005)).unwrap_or_else(|e| {
+            eprintln!("HETERO_SCALE: {e}");
+            std::process::exit(2);
+        });
+        task.width = env_usize("HETERO_WIDTH", task.width);
+        Harness::on(
+            task,
+            env_f64("HETERO_BUDGET", 0.2),
+            env_usize("HETERO_SEED", 42) as u64,
+        )
     }
 
-    /// The paper's network for a dataset (§VII-A): hidden depth from the
-    /// dataset preset, width from the harness (512 in the paper).
-    pub fn network(&self, which: PaperDataset, dataset: &DenseDataset) -> MlpSpec {
-        let stats = which.stats();
-        let depth = ((stats.hidden_layers as f64 * self.depth_factor).round() as usize).max(1);
-        MlpSpec {
-            input_dim: dataset.features(),
-            hidden: vec![self.width; depth],
-            classes: dataset.num_classes(),
-            activation: Activation::Sigmoid,
-            loss: if stats.multilabel {
-                LossKind::MultiLabelBce
-            } else {
-                LossKind::SoftmaxCrossEntropy
-            },
+    /// The cell for `task`, its data drawn from `seed`.
+    pub fn on(task: Task, budget: f64, seed: u64) -> Harness {
+        Harness {
+            data: task.generate(seed),
+            task,
+            budget,
+            seed,
         }
     }
 
     /// The shared training configuration (§VII-A methodology): identical
-    /// hyperparameters for every algorithm on the same hardware, the
-    /// default lr ∝ √batch, and the paper's thresholds for its 56-thread
-    /// host with the GPU batch up to 8192 (clamped by the dataset size at
-    /// small scales).
-    pub fn train_config(&self, algo: AlgorithmKind, dataset: &DenseDataset) -> TrainConfig {
-        let gpu_max = 8192.min(dataset.len().max(64));
+    /// hyperparameters for every algorithm on the same hardware, sized for
+    /// this cell's data on the paper's 56-thread host.
+    pub fn train_config(&self, algo: AlgorithmKind) -> TrainConfig {
         TrainConfig {
-            init: hetero_nn::InitScheme::XavierSigmoid,
             algorithm: algo,
-            gpu_batch: gpu_max,
-            adaptive: AdaptiveParams::paper(CpuModel::xeon_pair().threads, gpu_max),
             time_budget: self.budget,
-            eval_interval: self.budget / 24.0,
             seed: self.seed,
             ..TrainConfig::default()
         }
+        .sized(self.data.len(), CpuModel::xeon_pair().threads)
     }
 
-    /// Run one (dataset, algorithm) cell on the paper's hardware models.
-    pub fn run(&self, which: PaperDataset, algo: AlgorithmKind) -> TrainResult {
-        let dataset = self.dataset(which);
-        let spec = self.network(which, &dataset);
-        let train = self.train_config(algo, &dataset);
-        let engine = SimEngine::new(SimEngineConfig::paper_hardware(spec, train))
-            .expect("valid experiment config");
-        engine.run(&dataset)
+    /// The paper's hardware models training this cell's net with `train`.
+    pub fn engine_config(&self, train: TrainConfig) -> SimEngineConfig {
+        SimEngineConfig::paper_hardware(self.task.net(&self.data), train)
     }
 
-    /// Run one algorithm against a pre-generated dataset (reuse across
-    /// algorithms so every curve starts from the same data and model).
-    pub fn run_on(
-        &self,
-        which: PaperDataset,
-        dataset: &DenseDataset,
-        algo: AlgorithmKind,
-    ) -> TrainResult {
-        let spec = self.network(which, dataset);
-        let train = self.train_config(algo, dataset);
-        let engine = SimEngine::new(SimEngineConfig::paper_hardware(spec, train))
-            .expect("valid experiment config");
-        engine.run(dataset)
+    /// Run `cfg` on this cell's data.
+    pub fn run_on(&self, cfg: SimEngineConfig, ctx: &RunCtx) -> TrainResult {
+        SimEngine::new(cfg)
+            .expect("valid experiment config")
+            .run_with(&self.data, ctx)
     }
 
-    /// Like [`Harness::run_on`] but with a trace sink attached: returns the
-    /// drained virtual-time event trace alongside the result, so figure
-    /// binaries can derive utilization (and anything else) from events
-    /// instead of the engine's built-in timelines.
-    pub fn run_on_traced(
-        &self,
-        which: PaperDataset,
-        dataset: &DenseDataset,
-        algo: AlgorithmKind,
-    ) -> (TrainResult, hetero_trace::Trace) {
-        let spec = self.network(which, dataset);
-        let train = self.train_config(algo, dataset);
-        let engine = SimEngine::new(SimEngineConfig::paper_hardware(spec, train))
-            .expect("valid experiment config");
-        let sink = hetero_trace::TraceSink::virtual_time(hetero_trace::DEFAULT_RING_CAPACITY);
-        let result = engine.run_traced(dataset, &sink);
+    /// Run `algo` with the shared configuration.
+    pub fn run(&self, algo: AlgorithmKind) -> TrainResult {
+        self.run_on(
+            self.engine_config(self.train_config(algo)),
+            &RunCtx::default(),
+        )
+    }
+
+    /// [`Harness::run`] with a virtual-time trace sink attached: returns
+    /// the drained event trace alongside the result, so figure binaries
+    /// can derive utilization (and anything else) from events instead of
+    /// the engine's built-in timelines.
+    pub fn run_traced(&self, algo: AlgorithmKind) -> (TrainResult, Trace) {
+        let sink = TraceSink::virtual_time(DEFAULT_RING_CAPACITY);
+        let ctx = RunCtx {
+            sink: sink.clone(),
+            ..RunCtx::default()
+        };
+        let result = self.run_on(self.engine_config(self.train_config(algo)), &ctx);
         (result, sink.drain())
     }
 }
@@ -189,56 +150,44 @@ pub fn normalization_basis(results: &[TrainResult]) -> f32 {
 mod tests {
     use super::*;
 
+    fn tiny(which: PaperDataset) -> Harness {
+        let mut task = Task::new(which, 0.0005).unwrap();
+        task.width = 16;
+        Harness::on(task, 0.02, 1)
+    }
+
+    /// The environment's defaults (none of the `HETERO_*` knobs set) make
+    /// a sane cell: a positive budget, a usable width, the floored task.
     #[test]
     fn harness_defaults_sane() {
-        let h = Harness::default();
-        assert!(h.scale > 0.0 && h.scale <= 1.0);
-        assert!(h.width >= 8);
+        let h = Harness::new(PaperDataset::W8a);
         assert!(h.budget > 0.0);
+        assert!(h.task.width >= 8);
+        assert!(h.data.len() >= hetero_data::task::MIN_ROWS);
     }
 
     #[test]
     fn tiny_cell_runs() {
-        let h = Harness {
-            scale: 0.0005,
-            width: 16,
-            budget: 0.02,
-            depth_factor: 0.5,
-            seed: 1,
-        };
-        let r = h.run(PaperDataset::W8a, AlgorithmKind::MiniBatchGpu);
+        let r = tiny(PaperDataset::W8a).run(AlgorithmKind::MiniBatchGpu);
         assert!(r.final_loss().is_finite());
         assert!(r.total_updates() > 0.0);
     }
 
     #[test]
-    fn network_matches_paper_depths() {
-        let mut h = Harness {
-            depth_factor: 1.0,
-            ..Harness::default()
-        };
-        let d = h.dataset(PaperDataset::Covtype);
-        let s = h.network(PaperDataset::Covtype, &d);
-        assert_eq!(s.hidden.len(), 6);
-        let d = h.dataset(PaperDataset::RealSim);
-        let s = h.network(PaperDataset::RealSim, &d);
-        assert_eq!(s.hidden.len(), 4);
-        h.depth_factor = 0.5;
-        let s = h.network(PaperDataset::RealSim, &d);
-        assert_eq!(s.hidden.len(), 2);
+    fn a_cell_trains_the_paper_depth_on_the_floored_task() {
+        for (p, depth) in [(PaperDataset::Covtype, 6), (PaperDataset::RealSim, 4)] {
+            let h = tiny(p);
+            assert!(h.data.len() >= hetero_data::task::MIN_ROWS);
+            let spec = h
+                .engine_config(h.train_config(AlgorithmKind::AdaptiveHogbatch))
+                .spec;
+            assert_eq!(spec.hidden, vec![16; depth]);
+        }
     }
 
     #[test]
     fn traced_cell_yields_virtual_time_events() {
-        let h = Harness {
-            scale: 0.0005,
-            width: 16,
-            budget: 0.02,
-            depth_factor: 0.5,
-            seed: 1,
-        };
-        let d = h.dataset(PaperDataset::W8a);
-        let (r, trace) = h.run_on_traced(PaperDataset::W8a, &d, AlgorithmKind::AdaptiveHogbatch);
+        let (r, trace) = tiny(PaperDataset::W8a).run_traced(AlgorithmKind::AdaptiveHogbatch);
         assert!(r.final_loss().is_finite());
         assert!(!trace.is_empty());
         assert_eq!(trace.domain, hetero_trace::TimeDomain::Virtual);
@@ -249,16 +198,9 @@ mod tests {
 
     #[test]
     fn normalization_picks_global_min() {
-        let h = Harness {
-            scale: 0.0005,
-            width: 16,
-            budget: 0.02,
-            depth_factor: 0.5,
-            seed: 1,
-        };
-        let d = h.dataset(PaperDataset::W8a);
-        let a = h.run_on(PaperDataset::W8a, &d, AlgorithmKind::MiniBatchGpu);
-        let b = h.run_on(PaperDataset::W8a, &d, AlgorithmKind::CpuGpuHogbatch);
+        let h = tiny(PaperDataset::W8a);
+        let a = h.run(AlgorithmKind::MiniBatchGpu);
+        let b = h.run(AlgorithmKind::CpuGpuHogbatch);
         let basis = normalization_basis(&[a.clone(), b.clone()]);
         assert!(basis <= a.min_loss() && basis <= b.min_loss());
     }

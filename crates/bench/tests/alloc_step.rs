@@ -166,7 +166,7 @@ fn warm_dense_step_is_allocation_free() {
         loss: LossKind::SoftmaxCrossEntropy,
     };
     let batch = 256;
-    let mut model = Model::new(spec.clone(), InitScheme::default(), 7);
+    let mut model = Model::new(spec.clone(), InitScheme::PaperNormal, 7);
     let x = Matrix::from_fn(batch, spec.input_dim, |r, c| {
         ((r * 31 + c * 17) % 97) as f32 / 48.5 - 1.0
     });

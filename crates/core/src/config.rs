@@ -171,9 +171,10 @@ impl AdaptiveParams {
 pub struct TrainConfig {
     /// Which algorithm to run.
     pub algorithm: AlgorithmKind,
-    /// Weight initialization. Defaults to Xavier — the width-scaled normal
-    /// the paper describes (§VII-A) reads as σ ∝ layer width, and Xavier is
-    /// the variant that keeps deep sigmoid stacks trainable.
+    /// Weight initialization. Defaults to Xavier with the sigmoid gain —
+    /// the width-scaled normal the paper describes (§VII-A) reads as σ ∝
+    /// layer width, and this is the variant that takes the paper's 4–8
+    /// sigmoid layers off the uniform-prediction plateau.
     pub init: hetero_nn::InitScheme,
     /// Base learning rate (grid-searched in powers of 10, §VII-A).
     pub lr: f32,
@@ -221,7 +222,7 @@ impl Default for TrainConfig {
     fn default() -> Self {
         TrainConfig {
             algorithm: AlgorithmKind::AdaptiveHogbatch,
-            init: hetero_nn::InitScheme::Xavier,
+            init: hetero_nn::InitScheme::XavierSigmoid,
             lr: 0.01,
             lr_scaling: LrScaling::Sqrt {
                 ref_batch: 1,
@@ -243,6 +244,25 @@ impl Default for TrainConfig {
 }
 
 impl TrainConfig {
+    /// This configuration sized for an `n`-row dataset and a CPU worker of
+    /// `lanes` threads — the one rule every entry point runs a task by. The
+    /// GPU batch is capped at an eighth of an epoch, the adaptive
+    /// thresholds are the paper's for `lanes` and that cap (α and β kept),
+    /// and the loss is scored twenty times over the budget.
+    pub fn sized(self, n: usize, lanes: usize) -> TrainConfig {
+        let gpu_batch = self.gpu_batch.min(n / 8);
+        TrainConfig {
+            gpu_batch,
+            adaptive: AdaptiveParams {
+                alpha: self.adaptive.alpha,
+                beta: self.adaptive.beta,
+                ..AdaptiveParams::paper(lanes, gpu_batch)
+            },
+            eval_interval: self.time_budget / 20.0,
+            ..self
+        }
+    }
+
     /// Validate the configuration.
     pub fn validate(&self) -> Result<(), String> {
         if self.lr <= 0.0 || !self.lr.is_finite() {
@@ -251,11 +271,12 @@ impl TrainConfig {
         if self.cpu_batch_per_thread == 0 || self.gpu_batch == 0 {
             return Err("batch sizes must be positive".into());
         }
-        if self.time_budget <= 0.0 {
-            return Err("time budget must be positive".into());
+        // A NaN or infinite budget never ends a run.
+        if !(self.time_budget.is_finite() && self.time_budget > 0.0) {
+            return Err("time budget must be positive and finite".into());
         }
-        if self.eval_interval <= 0.0 {
-            return Err("eval interval must be positive".into());
+        if !(self.eval_interval.is_finite() && self.eval_interval > 0.0) {
+            return Err("eval interval must be positive and finite".into());
         }
         if self.staleness_discount < 0.0 || !self.staleness_discount.is_finite() {
             return Err("staleness discount must be finite and non-negative".into());
@@ -336,6 +357,34 @@ mod tests {
     }
 
     #[test]
+    fn sizing_caps_the_gpu_at_an_eighth_of_an_epoch() {
+        let base = TrainConfig {
+            time_budget: 0.4,
+            adaptive: AdaptiveParams {
+                alpha: 3.0,
+                beta: 0.5,
+                ..AdaptiveParams::default()
+            },
+            ..TrainConfig::default()
+        };
+        let c = base.clone().sized(4096, 2);
+        assert_eq!(c.gpu_batch, 512);
+        let a = c.adaptive;
+        assert_eq!((a.gpu_min_batch, a.gpu_max_batch), (32, 512));
+        assert_eq!((a.cpu_min_batch, a.cpu_max_batch), (2, 128));
+        assert_eq!((a.alpha, a.beta), (3.0, 0.5));
+        assert_eq!(c.eval_interval, 0.02);
+        assert!(c.validate().is_ok());
+        // A cap below an eighth of the epoch stays.
+        let c = TrainConfig {
+            gpu_batch: 8,
+            ..base
+        }
+        .sized(100_000, 2);
+        assert_eq!(c.gpu_batch, 8);
+    }
+
+    #[test]
     fn adaptive_params_validation() {
         assert!(AdaptiveParams::default().validate().is_ok());
         let p = AdaptiveParams {
@@ -368,6 +417,18 @@ mod tests {
             ..TrainConfig::default()
         };
         assert!(c.validate().is_err());
+        for bad in [f64::NAN, f64::INFINITY] {
+            let budget = TrainConfig {
+                time_budget: bad,
+                ..TrainConfig::default()
+            };
+            let interval = TrainConfig {
+                eval_interval: bad,
+                ..TrainConfig::default()
+            };
+            assert!(budget.validate().is_err(), "budget {bad}");
+            assert!(interval.validate().is_err(), "interval {bad}");
+        }
         let c = TrainConfig {
             gpu_batch: 0,
             ..TrainConfig::default()

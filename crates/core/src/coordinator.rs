@@ -517,9 +517,11 @@ impl<'a> Coordinator<'a> {
     }
 
     /// The periodic eval: once engine time reaches the deadline, move the
-    /// deadline past it in whole intervals, then score. A score slower than
-    /// an interval leaves the next one due at once, and the loop handles
-    /// one event before it scores again.
+    /// deadline past it in whole intervals, then score. A score that runs
+    /// past the new deadline (one slower than an interval; never on the
+    /// sim, whose score takes no virtual time) moves it to a whole interval
+    /// after the score ends, so the workers always train for at least an
+    /// interval between two scores.
     fn eval_if_due(&mut self, backend: &mut impl Backend) {
         let now = backend.now();
         if now < self.next_eval {
@@ -529,6 +531,10 @@ impl<'a> Coordinator<'a> {
         let behind = ((now - self.next_eval) / interval).floor();
         self.next_eval += interval * (behind + 1.0);
         self.score(backend);
+        let after = backend.now();
+        if after > self.next_eval {
+            self.next_eval = after + interval;
+        }
     }
 
     /// One loss evaluation at the current epoch coordinate.
@@ -1821,21 +1827,19 @@ mod tests {
         assert_eq!(scores, 10);
     }
 
-    /// A score slower than the interval (2.5 s at 1 s) leaves the next
-    /// deadline behind the clock: the loop moves it to the first whole
-    /// interval past the clock as the score began, and asks the backend for
-    /// one event before it scores again — so a backend always reads its
-    /// workers between two evals, however slow they are.
+    /// A score slower than the interval (2.5 s at 1 s) ends past the next
+    /// deadline: the loop moves it to a whole interval after the score
+    /// ended, so the backend serves its workers for a full interval before
+    /// the next score, however slow the scores are.
     #[test]
-    fn a_slow_score_catches_up_in_whole_intervals() {
+    fn a_slow_score_leaves_the_workers_a_whole_interval() {
         let (log, times) = tick(0.25, 2.5, 10.0);
-        assert_eq!(times, vec![3.5, 6.0, 8.5, 11.0]);
+        assert_eq!(times, vec![3.5, 7.0, 10.5]);
         #[rustfmt::skip]
         let want = vec![
             ('e', 1.0), ('e', 1.0), ('e', 1.0), ('e', 1.0), ('s', 1.0),
-            ('e', 2.0), ('s', 3.5),
-            ('e', 4.0), ('s', 6.0),
-            ('e', 7.0), ('s', 8.5),
+            ('e', 4.5), ('e', 4.5), ('e', 4.5), ('e', 4.5), ('s', 4.5),
+            ('e', 8.0), ('e', 8.0), ('e', 8.0), ('e', 8.0), ('s', 8.0),
         ];
         assert_eq!(log, want);
     }

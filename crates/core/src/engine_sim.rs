@@ -856,6 +856,8 @@ mod tests {
         let data = hetero_data::PaperDataset::RealSim.generate(0.01, 42);
         let mut cfg = tiny_config(AlgorithmKind::CpuGpuHogbatch, 0.02);
         cfg.spec = MlpSpec::tiny(data.features(), data.num_classes());
+        // The init the curve was recorded with.
+        cfg.train.init = hetero_nn::InitScheme::Xavier;
         let r = SimEngine::new(cfg).unwrap().run(&data);
         let got: Vec<u32> = r.loss_curve.iter().map(|p| p.loss.to_bits()).collect();
         let want = match hetero_tensor::simd::active_level() {

@@ -15,6 +15,8 @@
 //! - [`catalog`] — the four paper datasets as named presets carrying their
 //!   Table II statistics, per-dataset DNN depth (§VII-A), and a `scale`
 //!   knob to generate laptop-sized variants with the same proportions;
+//! - [`task`] — the one task every entry point trains: a preset at a scale,
+//!   floored at [`task::MIN_ROWS`] rows, and its §VII-A network;
 //! - [`batch`] — the coordinator-side batch schedule: contiguous example
 //!   ranges handed out per worker request, epoch after epoch.
 
@@ -25,8 +27,10 @@ pub mod catalog;
 pub mod dataset;
 pub mod libsvm;
 pub mod synth;
+pub mod task;
 
 pub use batch::BatchScheduler;
 pub use catalog::{DatasetStats, PaperDataset};
 pub use dataset::{DenseDataset, Labels};
 pub use synth::SynthConfig;
+pub use task::Task;

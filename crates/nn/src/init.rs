@@ -16,10 +16,9 @@ use hetero_tensor::ops;
 use serde::{Deserialize, Serialize};
 
 /// How to draw initial weights. Biases always start at zero.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum InitScheme {
     /// Normal with σ = 1 / fan_out — the paper's width-scaled initializer.
-    #[default]
     PaperNormal,
     /// Glorot/Xavier: σ = sqrt(2 / (fan_in + fan_out)).
     Xavier,

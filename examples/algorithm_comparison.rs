@@ -5,7 +5,8 @@
 //! cargo run --release --example algorithm_comparison [dataset] [scale]
 //! ```
 //! `dataset` ∈ {covtype, w8a, delicious, real-sim} (default covtype),
-//! `scale` shrinks the synthetic stand-in (default 0.002).
+//! `scale` shrinks the synthetic stand-in (default 0.002, floored at
+//! 4 096 rows).
 
 use hetero_sgd::prelude::*;
 
@@ -17,40 +18,24 @@ fn main() {
         eprintln!("unknown dataset '{name}', expected covtype|w8a|delicious|real-sim");
         std::process::exit(1);
     });
-    let dataset = paper.generate(scale, 42);
-    let loss_kind = if paper.stats().multilabel {
-        LossKind::MultiLabelBce
-    } else {
-        LossKind::SoftmaxCrossEntropy
-    };
-    let spec = MlpSpec {
-        input_dim: dataset.features(),
-        hidden: vec![64; 3],
-        classes: dataset.num_classes(),
-        activation: Activation::Sigmoid,
-        loss: loss_kind,
-    };
-    println!(
-        "{}: {} examples × {} features, {} classes — {} hidden layers in the paper",
-        dataset.name,
-        dataset.len(),
-        dataset.features(),
-        dataset.num_classes(),
-        paper.hidden_layers()
-    );
+    let task = Task::new(paper, scale).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(1);
+    });
+    let dataset = task.generate(42);
+    let spec = task.net(&dataset);
+    println!("{}", task.line(&dataset));
 
     let budget = 0.3;
     let mut results: Vec<TrainResult> = Vec::new();
     for algo in AlgorithmKind::all() {
         let train = TrainConfig {
             algorithm: algo,
-            gpu_batch: 1024,
-            adaptive: AdaptiveParams::paper(CpuModel::xeon_pair().threads, 1024),
             time_budget: budget,
-            eval_interval: budget / 12.0,
             eval_subsample: 1024,
             ..TrainConfig::default()
-        };
+        }
+        .sized(dataset.len(), CpuModel::xeon_pair().threads);
         let engine = SimEngine::new(SimEngineConfig::paper_hardware(spec.clone(), train)).unwrap();
         let r = engine.run(&dataset);
         println!(

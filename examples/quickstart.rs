@@ -8,24 +8,12 @@
 use hetero_sgd::prelude::*;
 
 fn main() {
-    // 1. Data: a scaled-down covtype stand-in (Table II shape, ~1.2k rows).
-    let dataset = PaperDataset::Covtype.generate(0.002, 42);
-    println!(
-        "dataset {:10}  examples={}  features={}  classes={}",
-        dataset.name,
-        dataset.len(),
-        dataset.features(),
-        dataset.num_classes()
-    );
-
-    // 2. Network: fully-connected sigmoid MLP (small variant of §VII-A).
-    let spec = MlpSpec {
-        input_dim: dataset.features(),
-        hidden: vec![64, 64],
-        classes: dataset.num_classes(),
-        activation: Activation::Sigmoid,
-        loss: LossKind::SoftmaxCrossEntropy,
-    };
+    // 1. Task: a scaled-down covtype stand-in (Table II shape, floored at
+    //    4 096 rows) and its §VII-A network, the paper's 6 sigmoid layers.
+    let task = Task::new(PaperDataset::Covtype, 0.002).unwrap();
+    let dataset = task.generate(42);
+    let spec = task.net(&dataset);
+    println!("{}", task.line(&dataset));
     println!(
         "network  layers={}  params={}  flops/example={}",
         spec.num_layers(),
@@ -33,20 +21,19 @@ fn main() {
         spec.train_flops_per_example()
     );
 
-    // 3. Train with Adaptive Hogbatch (Algorithm 2) on the paper's
+    // 2. Train with Adaptive Hogbatch (Algorithm 2) on the paper's
     //    hardware models: 2×Xeon + V100, virtual time.
     let train = TrainConfig {
         algorithm: AlgorithmKind::AdaptiveHogbatch,
         time_budget: 0.25, // virtual seconds — several epochs on this scale
-        eval_interval: 0.025,
         eval_subsample: 1024,
-        adaptive: AdaptiveParams::paper(CpuModel::xeon_pair().threads, 1024),
         ..TrainConfig::default()
-    };
+    }
+    .sized(dataset.len(), CpuModel::xeon_pair().threads);
     let engine = SimEngine::new(SimEngineConfig::paper_hardware(spec, train)).unwrap();
     let result = engine.run(&dataset);
 
-    // 4. Report.
+    // 3. Report.
     println!("\n  time(s)   epochs     loss");
     for p in &result.loss_curve {
         println!("  {:7.3}  {:7.2}  {:8.5}", p.time, p.epochs, p.loss);

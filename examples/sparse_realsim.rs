@@ -40,7 +40,7 @@ fn main() {
         activation: Activation::Sigmoid,
         loss: LossKind::SoftmaxCrossEntropy,
     };
-    let model0 = Model::new(spec, InitScheme::XavierSigmoid, 3);
+    let model0 = Model::new(spec, TrainConfig::default().init, 3);
     let steps = 20;
     let batch = 256.min(dataset.len());
     let (x_dense, labels) = dataset.batch(0, batch);

@@ -22,28 +22,20 @@ fn env_f64(key: &str, default: f64) -> f64 {
 }
 
 fn main() {
-    let scale = env_f64("HETERO_SCALE", 0.002);
+    let task = Task::new(PaperDataset::Covtype, env_f64("HETERO_SCALE", 0.002)).unwrap();
     let budget = env_f64("HETERO_BUDGET", 0.2);
-    let dataset = PaperDataset::Covtype.generate(scale.max(1000.0 / 581_012.0), 42);
-    let spec = MlpSpec {
-        input_dim: dataset.features(),
-        hidden: vec![48; 2],
-        classes: dataset.num_classes(),
-        activation: Activation::Sigmoid,
-        loss: LossKind::SoftmaxCrossEntropy,
-    };
-    let gpu_max = 8192.min(dataset.len().max(64));
+    let dataset = task.generate(42);
+    let spec = task.net(&dataset);
     let train = TrainConfig {
         algorithm: AlgorithmKind::AdaptiveHogbatch,
         time_budget: budget,
-        eval_interval: budget / 10.0,
         eval_subsample: 1024,
-        adaptive: AdaptiveParams::paper(CpuModel::xeon_pair().threads, gpu_max),
         ..TrainConfig::default()
-    };
+    }
+    .sized(dataset.len(), CpuModel::xeon_pair().threads);
     println!(
-        "trace_run: covtype ({} examples), adaptive Hogbatch, {budget}s virtual budget",
-        dataset.len()
+        "trace_run: {} | adaptive Hogbatch, {budget}s virtual budget",
+        task.line(&dataset)
     );
 
     // Virtual-time sink: the simulated engine publishes its clock, so every

@@ -13,16 +13,19 @@
 set -u -o pipefail
 cd "$(dirname "$0")/.."
 
-cargo build --release --bin hetero-train || exit 1
+cargo build --release -p hetero-sgd -p hetero-bench \
+    --bin hetero-train --bin table2_datasets || exit 1
 bin=./target/release/hetero-train
 common=(--scale 0.001 --width 16 --budget 0.05 --json)
 fail=0
 
-# expect_refused <stderr needle> <args...>: exit 2, needle on stderr.
+# expect_refused <stderr needle> <args...>: exit 2, needle on stderr. The
+# args come after `common`, so a bad `--scale` or `--budget` is the one
+# the binary reads.
 expect_refused() {
     local needle="$1" err code
     shift
-    err=$("$bin" "$@" "${common[@]}" 2>&1 >/dev/null)
+    err=$("$bin" "${common[@]}" "$@" 2>&1 >/dev/null)
     code=$?
     if [ "$code" -ne 2 ] || ! grep -qF -- "$needle" <<<"$err"; then
         echo "FAIL: '$*' should exit 2 naming '$needle' (exit $code): $err"
@@ -72,8 +75,10 @@ if ! timeout 5 "$bin" --dataset real-sim --scale 1 --engine threads --budget 0.0
     fail=1
 fi
 # w8a on the simulator at 2 % scale, with its own arguments: every step
-# and eval runs on the simulator's one thread, 1.3–1.7 s on a 2-vCPU host
-# (median 1.4 s) with the sim modelling that host's 2 lanes. With each GEMM
+# and eval runs on the simulator's one thread, about 1.2 s on a 2-vCPU host
+# with the sim modelling that host's 2 lanes and the GPU batch capped at an
+# eighth of the 4 096-row task (1.3–1.7 s when it could grow to the whole
+# 995-row dataset). With each GEMM
 # fanned out to threads spawned per call it took 6.6–12 s there, so
 # `timeout 6` fails the step if a per-call fan-out comes back. Its stderr
 # stays in the log.
@@ -93,6 +98,30 @@ if [ -z "$sim_lanes" ] || [ "$sim_lanes" != "$threads_lanes" ]; then
     fail=1
 fi
 expect_refused "expected sim|threads" --engine ps
+# A scale outside (0, 1] is refused, not clamped; a NaN or infinite
+# budget, which never ends a sim run, is refused by the config check.
+for scale in nan 0 5; do
+    expect_refused "scale must be in (0, 1]" --scale "$scale"
+done
+for budget in nan inf; do
+    expect_refused "time budget" --budget "$budget"
+done
+# The CLI and the figure harness train one task: the CLI's header starts
+# with the task line the harness prints for the same dataset and scale.
+task_line=$(env -u HETERO_WIDTH HETERO_SCALE=0.001 ./target/release/table2_datasets 2>&1 >/dev/null \
+    | grep '^w8a: ')
+header=$("$bin" --dataset w8a --scale 0.001 --budget 0.001 --json 2>&1 >/dev/null | head -n 1)
+if [ -z "$task_line" ] || [[ "$header" != "$task_line |"* ]]; then
+    echo "FAIL: CLI header '$header' does not start with the harness's task line '$task_line'"
+    fail=1
+fi
+# The harness refuses a bad scale the way the CLI does.
+err=$(HETERO_SCALE=nan ./target/release/table2_datasets 2>&1 >/dev/null)
+code=$?
+if [ "$code" -ne 2 ] || ! grep -qF "HETERO_SCALE: scale must be in (0, 1]" <<<"$err"; then
+    echo "FAIL: HETERO_SCALE=nan should exit 2 naming the scale (exit $code): $err"
+    fail=1
+fi
 expect_refused "expected hogwild-cpu|minibatch-gpu|tensorflow|cpu-gpu|adaptive" --algorithm omnivore
 
 [ "$fail" -eq 0 ] && echo "OK: hetero-train CLI surface"

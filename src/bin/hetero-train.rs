@@ -12,6 +12,12 @@
 //!              [--seed 42] [--json]
 //! ```
 //!
+//! `--dataset` and `--scale` name a `Task`: the scale must be in (0, 1]
+//! and is raised to 4 096 rows, and the net is `--depth` (default: the
+//! paper's) sigmoid layers of `--width` units. The figure harness trains
+//! the same task, and the run is sized by the same rule
+//! (`TrainConfig::sized`: a GPU batch of at most an eighth of an epoch).
+//!
 //! With `--ckpt-dir` the run publishes crash-consistent checkpoints every
 //! `--ckpt-interval` seconds (virtual for sim, wall for threads) and
 //! `--resume` continues from the newest valid generation in that directory.
@@ -40,11 +46,9 @@ enum Engine {
 }
 
 struct Args {
-    dataset: PaperDataset,
+    /// The dataset, scale and net the flags name.
+    task: Task,
     engine: Engine,
-    scale: f64,
-    width: usize,
-    depth: Option<usize>,
     /// What the flags set of `TrainConfig::default()`.
     train: TrainConfig,
     ckpt_dir: Option<String>,
@@ -64,12 +68,12 @@ where
 
 /// Parse `argv`, the arguments after the program name.
 fn parse_args(argv: &[String]) -> Result<Args, String> {
+    let mut dataset = PaperDataset::Covtype;
+    let mut scale = 0.005;
+    let (mut width, mut depth) = (None, None);
     let mut args = Args {
-        dataset: PaperDataset::Covtype,
+        task: Task::new(dataset, scale)?,
         engine: Engine::Sim,
-        scale: 0.005,
-        width: 64,
-        depth: None,
         train: TrainConfig {
             time_budget: 0.2,
             ..TrainConfig::default()
@@ -101,7 +105,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             .ok_or_else(|| format!("missing value for {flag}"))?;
         match flag {
             "--dataset" => {
-                args.dataset = PaperDataset::from_name(value)
+                dataset = PaperDataset::from_name(value)
                     .ok_or_else(|| format!("unknown dataset '{value}'"))?;
             }
             "--algorithm" => {
@@ -125,9 +129,9 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                     other => return Err(format!("unknown engine '{other}' (expected {ENGINES})")),
                 };
             }
-            "--scale" => args.scale = num(flag, value)?,
-            "--width" => args.width = num(flag, value)?,
-            "--depth" => args.depth = Some(num(flag, value)?),
+            "--scale" => scale = num(flag, value)?,
+            "--width" => width = Some(num(flag, value)?),
+            "--depth" => depth = Some(num(flag, value)?),
             "--budget" => args.train.time_budget = num(flag, value)?,
             "--lr" => args.train.lr = num(flag, value)?,
             "--gpu-batch" => args.train.gpu_batch = num(flag, value)?,
@@ -147,6 +151,9 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         }
         i += 2;
     }
+    args.task = Task::new(dataset, scale).map_err(|e| format!("--scale: {e}"))?;
+    args.task.width = width.unwrap_or(args.task.width);
+    args.task.depth = depth.unwrap_or(args.task.depth);
     Ok(args)
 }
 
@@ -156,22 +163,10 @@ enum EngineConfig {
     Threads(ThreadedEngineConfig),
 }
 
-/// The engine `args` names on `lanes` CPU lanes, with the paper's
-/// thresholds at `lanes` and a GPU cap no larger than the `n`-row dataset
-/// (at least 64).
+/// The engine `args` names on `lanes` CPU lanes, its training sized for
+/// an `n`-row dataset.
 fn engine_config(args: &Args, spec: MlpSpec, n: usize, lanes: usize) -> EngineConfig {
-    let gpu_max = args.train.gpu_batch.min(n.max(64));
-    let train = TrainConfig {
-        init: InitScheme::XavierSigmoid,
-        gpu_batch: gpu_max,
-        adaptive: AdaptiveParams {
-            alpha: args.train.adaptive.alpha,
-            beta: args.train.adaptive.beta,
-            ..AdaptiveParams::paper(lanes, gpu_max)
-        },
-        eval_interval: args.train.time_budget / 20.0,
-        ..args.train.clone()
-    };
+    let train = args.train.clone().sized(n, lanes);
     match args.engine {
         Engine::Sim => EngineConfig::Sim(SimEngineConfig {
             cpu: CpuModel {
@@ -220,38 +215,18 @@ fn main() {
         }
     };
 
-    let stats = args.dataset.stats();
-    let dataset = args
-        .dataset
-        .generate(args.scale.clamp(1e-6, 1.0), args.train.seed);
-    let depth = args.depth.unwrap_or(stats.hidden_layers);
-    let spec = MlpSpec {
-        input_dim: dataset.features(),
-        hidden: vec![args.width; depth],
-        classes: dataset.num_classes(),
-        activation: Activation::Sigmoid,
-        loss: if stats.multilabel {
-            LossKind::MultiLabelBce
-        } else {
-            LossKind::SoftmaxCrossEntropy
-        },
-    };
+    let dataset = args.task.generate(args.train.seed);
     // Every hardware thread but the coordinator's and the GPU worker's.
     let lanes = std::thread::available_parallelism()
         .map(|v| v.get().saturating_sub(2).max(2))
         .unwrap_or(4);
     eprintln!(
-        "{}: {} examples × {} features, {} classes | {} hidden layers × {} units | {} | {} CPU lanes",
-        dataset.name,
-        dataset.len(),
-        dataset.features(),
-        dataset.num_classes(),
-        depth,
-        args.width,
+        "{} | {} | {} CPU lanes",
+        args.task.line(&dataset),
         args.train.algorithm.label(),
         lanes
     );
-    let config = engine_config(&args, spec, dataset.len(), lanes);
+    let config = engine_config(&args, args.task.net(&dataset), dataset.len(), lanes);
 
     // Crash-consistency checkpointing, when a directory was given.
     let ckpt = match &args.ckpt_dir {
@@ -347,7 +322,49 @@ mod tests {
             assert_eq!(s.train, t.train);
             let a = t.train.adaptive;
             assert_eq!((a.cpu_min_batch, a.cpu_max_batch), (lanes, 64 * lanes));
-            assert_eq!((a.gpu_min_batch, a.gpu_max_batch), (512, 8192));
+            // The GPU is capped at an eighth of the 10 000-row epoch.
+            assert_eq!((a.gpu_min_batch, a.gpu_max_batch), (78, 1250));
+        }
+    }
+
+    #[test]
+    fn every_gpu_batch_is_at_most_an_eighth_of_an_epoch_at_default_flags() {
+        for name in ["covtype", "w8a", "delicious", "real-sim"] {
+            let data = parse_args(&["--dataset".into(), name.into()])
+                .unwrap()
+                .task
+                .generate(42);
+            let n = data.len();
+            for engine in ["sim", "threads"] {
+                let flags = format!("--dataset {name} --engine {engine}");
+                let argv: Vec<String> = flags.split_whitespace().map(String::from).collect();
+                let args = parse_args(&argv).unwrap();
+                let train = match engine_config(&args, args.task.net(&data), n, 2) {
+                    EngineConfig::Sim(s) => s.train,
+                    EngineConfig::Threads(t) => t.train,
+                };
+                let a = train.adaptive;
+                assert!(
+                    train.gpu_batch <= n / 8 && a.gpu_max_batch <= n / 8,
+                    "{flags}: GPU cap {} / {} on {n} rows",
+                    train.gpu_batch,
+                    a.gpu_max_batch
+                );
+                assert!(
+                    a.gpu_min_batch >= 32,
+                    "{flags}: GPU floor {}",
+                    a.gpu_min_batch
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_scale_outside_the_unit_interval_is_refused() {
+        for bad in ["0", "5", "NaN", "-1"] {
+            let argv = vec!["--scale".to_string(), bad.to_string()];
+            let e = parse_args(&argv).err().expect("refused");
+            assert!(e.contains("--scale"), "{bad}: {e}");
         }
     }
 

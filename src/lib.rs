@@ -63,7 +63,7 @@ pub mod prelude {
         LrScaling, RunCtx, SimEngine, SimEngineConfig, ThreadedEngine, ThreadedEngineConfig,
         TrainConfig, TrainResult, WorkerError, WorkerKind,
     };
-    pub use hetero_data::{BatchScheduler, DenseDataset, Labels, PaperDataset, SynthConfig};
+    pub use hetero_data::{BatchScheduler, DenseDataset, Labels, PaperDataset, SynthConfig, Task};
     pub use hetero_flight::{FlightConfig, FlightRecorder};
     pub use hetero_nn::{Activation, InitScheme, LossKind, MlpSpec, Model, SharedModel, Targets};
     pub use hetero_sim::{CpuModel, DeviceModel, GpuModel};
