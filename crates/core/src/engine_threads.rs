@@ -56,7 +56,7 @@ use hetero_data::DenseDataset;
 use hetero_flight::Watchdog;
 use hetero_gpu::{DeviceMemory, Footprint, Link};
 use hetero_mq::{channel, channel_traced_lineage, Receiver, RecvTimeoutError, Sender};
-use hetero_nn::{MlpSpec, Model, SharedModel, SupportRead};
+use hetero_nn::{MlpSpec, Model, SharedModel};
 use hetero_sim::{DeviceModel, GpuModel};
 use hetero_trace::{
     BatchPhases, EventKind, HistHandle, Metric, TimeDomain, TraceSink, COORDINATOR,
@@ -67,7 +67,7 @@ use crate::coordinator::{
     run_engine, Backend, Coordinator, CoreCkpt, Done, Engine, Event, RunCtx, Start,
 };
 use crate::fault::{panic_message, FaultPlan, WorkerError};
-use crate::lane::{lane_split, BatchSource, Evaluator, Lane};
+use crate::lane::{lane_split, BatchSource, Evaluator, Lane, SharedRead, StepWrite};
 use crate::metrics::{LossPoint, TrainResult, WorkerKind};
 
 /// Configuration of the threaded engine.
@@ -564,15 +564,15 @@ fn cpu_worker(
     })
 }
 
-/// One Hogwild lane `i` of CPU worker `slot`: the [`Lane`] scratch, the
-/// racy read of its batch's support its gradients are taken at, the
-/// worker's histograms and the faults planned for this lane — all its own,
-/// so a lane synchronizes with nothing but the shared model.
+/// One Hogwild lane `i` of CPU worker `slot`: the [`Lane`] scratch, what
+/// it reads of the shared model racily ([`SharedRead`]), the worker's
+/// histograms and the faults planned for this lane — all its own, so a
+/// lane synchronizes with nothing but the shared model.
 struct HogwildLane<'a> {
     env: &'a WorkerEnv,
     slot: usize,
     lane: Lane,
-    at: SupportRead,
+    at: SharedRead,
     stale_hist: HistHandle,
     rows_hist: HistHandle,
     /// Batch whose gradient gets a NaN ([`FaultPlan::poison_at`]; lane 0
@@ -590,7 +590,7 @@ impl<'a> HogwildLane<'a> {
             env,
             slot,
             lane: Lane::new(env.shared.spec()),
-            at: SupportRead::new(env.shared.spec()),
+            at: SharedRead::new(&env.src, env.shared.spec()),
             stale_hist: hist(Metric::Staleness),
             rows_hist: hist(Metric::RowsTouched),
             poison_at: plan.poison_at(slot).filter(|_| i == 0),
@@ -599,51 +599,46 @@ impl<'a> HogwildLane<'a> {
     }
 
     /// The lane's share `s..e` of the worker's batch number `batches_done`:
-    /// stage → racy read of the batch's support ([`Lane::read_support`]) →
-    /// [`Lane::gradient_at`] the read, in its layer-0 buffer →
-    /// [`Lane::inspect`] → racy apply. Returns its
-    /// stage/compute/merge split in lane-local CPU seconds. This is the CPU
-    /// hot path the paper's speedup model assumes is cheap; the audit
-    /// proves its steady state allocation-free (DESIGN.md §4j).
+    /// [`Lane::step_shared`] as a racy writer — stage, read what the share
+    /// needs of the shared model, take its gradient there, inspect and
+    /// apply it. Returns its stage/compute/merge split in lane-local CPU
+    /// seconds. This is the CPU hot path the paper's speedup model assumes
+    /// is cheap; the audit proves its steady state allocation-free
+    /// (DESIGN.md §4j).
     // audit: no_alloc
     fn lane_step(&mut self, (s, e): (usize, usize), batches_done: u64) -> BatchPhases {
         if self.panic_at == Some(batches_done) {
             panic!("injected fault: hogwild lane 1 panicked in batch {batches_done}");
         }
         let (shared, src, train) = (&*self.env.shared, &*self.env.src, &self.env.train);
-        let (lane, at) = (&mut self.lane, &mut self.at);
-        let t_stage = Instant::now();
-        lane.stage(src, s, e);
-        // Staleness = global updates applied between this lane's read and its
-        // own write landing (minus the write itself).
-        let stale_at = (!self.stale_hist.is_disabled()).then(|| shared.update_count());
-        lane.read_support(src, shared, at);
-        let t_compute = Instant::now();
-        lane.gradient_at(src, at);
-        let poison = self.poison_at == Some(batches_done);
-        lane.inspect(poison, &self.env.watchdog, self.slot, batches_done);
-        let t_merge = Instant::now();
-        if let Some(rows) = at.support() {
-            self.rows_hist.record(rows.len() as u64);
+        let how = StepWrite {
+            merge: false,
+            poison: self.poison_at == Some(batches_done),
+            watchdog: &self.env.watchdog,
+            worker: self.slot,
+            step: batches_done,
+        };
+        let eta = train.lr_scaling.eta(train.lr, e - s);
+        let step = self
+            .lane
+            .step_shared(src, (s, e), shared, &mut self.at, how, || {}, |_| eta);
+        if let Some(rows) = step.rows {
+            self.rows_hist.record(rows as u64);
         }
-        lane.apply_racy(shared, train.lr_scaling.eta(train.lr, e - s), at);
-        let merge_secs = t_merge.elapsed().as_secs_f64();
-        if let Some(at) = stale_at {
+        // Staleness = global updates applied between this lane's read and
+        // its own write landing (minus the write itself).
+        if !self.stale_hist.is_disabled() {
             let now = shared.update_count();
-            self.stale_hist.record(now.saturating_sub(at + 1));
+            let since = now.saturating_sub(step.updates_at_read + 1);
+            self.stale_hist.record(since);
         }
-        BatchPhases {
-            stage_secs: (t_compute - t_stage).as_secs_f64(),
-            compute_secs: (t_merge - t_compute).as_secs_f64(),
-            merge_secs,
-            ..BatchPhases::default()
-        }
+        step.phases
     }
 }
 
-/// A GPU worker: its device's ledger, model and link, the deep copy of its
-/// batch's support its replica starts every step from, and everything a
-/// step reuses. Built once, before the first dispatch, so the steady-state
+/// A GPU worker: its device's ledger, model and link, what it reads of the
+/// global model for its replica ([`SharedRead`]), and everything a step
+/// reuses. Built once, before the first dispatch, so the steady-state
 /// step is allocation-free; the ledger holds the model's resident bytes
 /// for the worker's life.
 struct GpuWorker<'a> {
@@ -656,7 +651,7 @@ struct GpuWorker<'a> {
     link: Link,
     /// What a step holds on the device and moves over its link.
     footprint: Footprint,
-    at: SupportRead,
+    at: SharedRead,
     lane: Lane,
     /// Batch whose delta gets a NaN ([`FaultPlan::poison_at`]).
     poison_step: Option<u64>,
@@ -698,7 +693,7 @@ impl<'a> GpuWorker<'a> {
             link: Link::new(&env.sink, slot as u32),
             footprint,
             lane: Lane::new(spec),
-            at: SupportRead::new(spec),
+            at: SharedRead::new(&env.src, spec),
             poison_step: plan.poison_at(slot),
             stale_hist: hist(Metric::Staleness),
             merge_hist: hist(Metric::MergeWait),
@@ -708,17 +703,19 @@ impl<'a> GpuWorker<'a> {
     }
 
     /// One GPU batch step (§V/§VI-B): reserve the step's device bytes
-    /// (halving the batch until they fit), stage the batch, deep-copy what
-    /// it touches of the global model ([`Lane::read_support`]), charge its
-    /// link (the batch and the model up, the delta down), take the gradient
-    /// at the copy, and merge it discounted by how stale the copy became. A
-    /// replica trained one step is `copy − η·∇`, so the gradient — which
-    /// takes the copy's layer-0 buffer over once the forward is done
-    /// ([`Lane::gradient_at`]) — is its whole delta. Traced as the batch's `H2d` (once staged), `D2h` (once
-    /// the gradient is taken), `ModelMerge` and `BatchCompleted`; the
+    /// (halving the batch until they fit), then [`Lane::step_shared`] as a
+    /// merger — stage the batch, copy what it touches of the global model
+    /// (a CSR batch's support a block at a time), charge the link (the
+    /// batch and the model up, the delta down), take the gradient there,
+    /// and merge it discounted by how stale the copy became between the
+    /// read and the first write. A replica trained one step is
+    /// `copy − η·∇`, so the gradient is its whole delta. Traced as the
+    /// batch's `H2d` (once staged), `D2h` (once the gradient is taken,
+    /// before the first write), `ModelMerge` and `BatchCompleted`; the
     /// phases time staging (batch gather, the read and the charge), the
-    /// step and the merge. The host has no link, so no second of the run is
-    /// transfer.
+    /// step (with a CSR batch's block scatters) and the merge (the block
+    /// writes and the tail's). The host has no link, so no second of the
+    /// run is transfer.
     ///
     /// The steady-state path is allocation-free on the host; the `format!`
     /// on the unrecoverable-OOM branch is a reviewed allowlist entry (the
@@ -734,14 +731,13 @@ impl<'a> GpuWorker<'a> {
             footprint: fp,
             mem,
             perf,
+            link,
             at,
             lane,
             ..
         } = self;
         let env = self.env;
         let (shared, src, train) = (&*env.shared, &*env.src, &env.train);
-        let mut phases = BatchPhases::default();
-        let t_stage = Instant::now();
         // The step's device bytes, held until the delta is down: halve the
         // batch until they fit. (`hetero_gpu_no_reserve` is a mutation
         // switch for `scripts/check_mutation.sh`.)
@@ -756,51 +752,50 @@ impl<'a> GpuWorker<'a> {
                 }
             }
         };
-        lane.stage(src, range.start, range.start + len);
-        // Deep-copy replica of what the batch touches of the global model (§V).
-        let updates_at_read = shared.update_count();
-        lane.read_support(src, shared, at);
-        let charge = self.link.charge(fp, perf, len, id);
-        self.link.uploaded(&charge, env.sink.now());
-        let t_compute = Instant::now();
-        phases.stage_secs = (t_compute - t_stage).as_secs_f64();
-        lane.gradient_at(src, at);
-        phases.compute_secs = t_compute.elapsed().as_secs_f64();
-        self.link.downloaded(&charge, env.sink.now());
-        #[cfg(not(hetero_gpu_no_reserve))]
-        let _ = mem.free(held);
-        if let Some(rows) = at.support() {
-            self.rows_hist.record(rows.len() as u64);
+        let charge = link.charge(fp, perf, len, id);
+        let how = StepWrite {
+            merge: true,
+            // Injected fault: one NaN into this worker's delta at the
+            // planned step (the merge carries it into the shared model —
+            // detection is the watchdog's job, not the merge's).
+            poison: self.poison_step == Some(batches_done),
+            watchdog: &env.watchdog,
+            worker: self.slot,
+            step: batches_done,
+        };
+        let mut scale = 1.0;
+        let stale_hist = &self.stale_hist;
+        let rows = (range.start, range.start + len);
+        // Deep-copy replica of what the batch touches of the global model
+        // (§V), merged without clobbering concurrent CPU updates. §VI-B:
+        // the delta is discounted by how stale its base copy became while
+        // the replica was training.
+        let step = lane.step_shared(
+            src,
+            rows,
+            shared,
+            at,
+            how,
+            || link.uploaded(&charge, env.sink.now()),
+            |staleness| {
+                link.downloaded(&charge, env.sink.now());
+                #[cfg(not(hetero_gpu_no_reserve))]
+                let _ = mem.free(held);
+                scale = 1.0 / (1.0 + train.staleness_discount * staleness as f32);
+                stale_hist.record(staleness);
+                train.lr_scaling.eta(train.lr, len) * scale
+            },
+        );
+        if let Some(rows) = step.rows {
+            self.rows_hist.record(rows as u64);
         }
+        self.merge_hist.record_secs(step.phases.merge_secs);
+        self.retries_hist.record(step.found_owned);
         let leftover = (len < range.len()).then_some(BatchRange {
             start: range.start + len,
             end: range.end,
             epoch: range.epoch,
         });
-        // Merge the delta into the global model without clobbering
-        // concurrent CPU updates. §VI-B: the delta is discounted by how stale
-        // its base copy became while the replica was training.
-        let staleness = shared.update_count().saturating_sub(updates_at_read);
-        let scale = 1.0 / (1.0 + train.staleness_discount * staleness as f32);
-        self.stale_hist.record(staleness);
-        // Injected fault: one NaN into this worker's delta at the planned
-        // step (the merge carries it into the shared model — detection is
-        // the watchdog's job, not the merge's).
-        let poison = self.poison_step == Some(batches_done);
-        let merge_start = Instant::now();
-        let eta = train.lr_scaling.eta(train.lr, len) * scale;
-        let found_owned = lane.merge_into(
-            shared,
-            at,
-            eta,
-            poison,
-            &env.watchdog,
-            self.slot,
-            batches_done,
-        );
-        phases.merge_secs = merge_start.elapsed().as_secs_f64();
-        self.merge_hist.record_secs(phases.merge_secs);
-        self.retries_hist.record(found_owned);
         let worker = self.slot as u32;
         let merged = EventKind::ModelMerge {
             scale: scale as f64,
@@ -811,7 +806,7 @@ impl<'a> GpuWorker<'a> {
             id,
             batch: len,
             updates: 1,
-            phases,
+            phases: step.phases,
         };
         env.sink.emit(worker, completed);
         Ok(Done {
@@ -1322,32 +1317,24 @@ mod tests {
     }
 
     /// A threaded step reads, differentiates and writes only its batch's
-    /// support, and that changes no bit: one CSR lane step (racy apply) and
-    /// one GPU step (merge), each on its own shared model, leave it exactly
-    /// as the full-snapshot sequence leaves a second one — snapshot,
-    /// gradient at the snapshot, apply over the gradient's own rows — on
-    /// the same batch. Real-sim-shaped batches of 256 and 512 rows (the
-    /// second's support outgrows the first's), then 128 (it shrinks); on
-    /// w8a-shaped data a 512-row batch whose support is every row.
+    /// support, a block of it at a time, and that changes no bit: one sparse
+    /// lane step (racy apply) and one GPU step (merge), each on its own
+    /// shared model, leave it exactly as the full-snapshot sequence leaves a
+    /// second one — snapshot, gradient at the snapshot, apply over the
+    /// gradient's own rows — on the same batch. Real-sim-shaped batches of
+    /// 256 and 512 rows (the second's support outgrows the first's; both
+    /// span many blocks), then 128 (it shrinks); on w8a-shaped data a
+    /// 512-row batch whose support is every row, one block.
     #[test]
-    fn a_support_read_step_is_bit_identical_to_a_full_snapshot_step() {
+    fn a_sparse_step_on_the_shared_model_is_bit_identical_to_a_full_snapshot_step() {
         let train = config(AlgorithmKind::CpuGpuHogbatch, 0.1).train;
         assert_eq!(train.staleness_discount, 0.0, "merge scale 1");
-        let shaped = |features: usize, density: f32| {
-            let mut d = SynthConfig {
-                density,
-                ..SynthConfig::small(1024, features, 2, 17)
-            }
-            .generate();
-            d.scale_to_unit_variance();
-            Arc::new(d)
-        };
         let cases = [
             (
-                shaped(20_958, 0.0025),
+                shaped(20_958, 0.0025, 1024, 17),
                 &[(0, 256), (256, 768), (768, 896)][..],
             ),
-            (shaped(300, 0.04), &[(100, 612)][..]),
+            (shaped(300, 0.04, 1024, 17), &[(100, 612)][..]),
         ];
         for (data, batches) in cases {
             let spec = MlpSpec {
@@ -1391,28 +1378,17 @@ mod tests {
                     }
                 }
                 let support = ws.active_cols().unwrap();
-                for (worker, at, grad, shared, reference) in [
-                    (
-                        "lane",
-                        &lane.at,
-                        lane.lane.grad(),
-                        &cpu_env.shared,
-                        &cpu_ref,
-                    ),
-                    ("gpu", &gpu.at, gpu.lane.grad(), &gpu_env.shared, &gpu_ref),
+                for (worker, at, shared, reference) in [
+                    ("lane", &lane.at, &cpu_env.shared, &cpu_ref),
+                    ("gpu", &gpu.at, &gpu_env.shared, &gpu_ref),
                 ] {
-                    assert_eq!(at.support(), Some(support), "{worker}: {case}");
-                    // The read's layer 0, taken over by the gradient.
-                    let w0 = &grad.layers()[0].w;
-                    assert_eq!(w0.rows(), support.len(), "{worker}: {case}");
+                    assert_eq!(at.csr().support(), support, "{worker}: {case}");
                     let bits = |m: &SharedModel| -> Vec<u32> {
                         m.read_flat().iter().map(|v| v.to_bits()).collect()
                     };
                     assert!(bits(shared) == bits(reference), "{worker}: {case}");
                     assert_ne!(shared.snapshot(), model, "{worker}: nothing applied");
-                    if n_in > 300 {
-                        assert!(w0.capacity() < n_in * 64, "{worker}: {case}");
-                    } else {
+                    if n_in == 300 {
                         assert_eq!(support.len(), n_in, "every row: {case}");
                     }
                 }
@@ -1424,62 +1400,61 @@ mod tests {
         }
     }
 
-    /// A warm worker step holds one layer-0 buffer: the gradient takes the
-    /// read's over and the next read takes it back. After every step of a
-    /// CPU lane and of a GPU worker, on CSR and on dense batches, the read
-    /// holds no layer-0 storage, and the gradient's layer 0 is the buffer
-    /// the first step grew, at the batch's support.
+    /// `examples` rows of `features`-wide data at `density`, born CSR and
+    /// scaled to unit variance.
+    fn shaped(features: usize, density: f32, examples: usize, seed: u64) -> Arc<DenseDataset> {
+        let mut d = SynthConfig {
+            density,
+            ..SynthConfig::small(examples, features, 2, seed)
+        }
+        .generate();
+        d.scale_to_unit_variance();
+        Arc::new(d)
+    }
+
+    /// A warm sparse worker step holds no support-sized copy of layer 0:
+    /// after every step of a CPU lane and of a GPU worker on real-sim-wide
+    /// batches, whose supports span many blocks and grow and shrink, the
+    /// only layer-0 rows either holds are its step's tile, at most one
+    /// block's; its gradient and its read tail hold none.
     #[test]
-    fn a_warm_worker_step_holds_one_layer0_buffer() {
+    fn a_warm_sparse_worker_step_holds_no_layer0_copy_past_one_block() {
         let train = config(AlgorithmKind::CpuGpuHogbatch, 0.1).train;
-        let data = {
-            let mut d = SynthConfig {
-                density: 0.01,
-                ..SynthConfig::small(512, 2_000, 2, 23)
-            }
-            .generate();
-            d.scale_to_unit_variance();
-            Arc::new(d)
-        };
+        let data = shaped(20_958, 0.0025, 1024, 23);
         let spec = MlpSpec {
-            hidden: vec![32],
+            hidden: vec![64],
             ..MlpSpec::tiny(data.features(), 2)
         };
+        let block = hetero_nn::L0_BLOCK_BYTES / std::mem::size_of::<f32>();
         let model = Model::new(spec.clone(), hetero_nn::InitScheme::Xavier, 4);
-        // The first batch grows the buffer; the later ones, no wider, fit it.
-        let batches = [(0, 128), (128, 192), (192, 320), (320, 448), (448, 470)];
-        for sparse in [true, false] {
-            let env = || {
-                let sink = TraceSink::disabled();
-                worker_env(&data, sparse, &model, &train, sink, Watchdog::disabled())
+        let env = || {
+            let sink = TraceSink::disabled();
+            worker_env(&data, true, &model, &train, sink, Watchdog::disabled())
+        };
+        let (cpu_env, gpu_env) = (env(), env());
+        let mut lane = HogwildLane::new(&cpu_env, 0, 0, &FaultPlan::none());
+        let mut gpu = GpuWorker::new(0, GpuModel::v100(), &FaultPlan::none(), &gpu_env).unwrap();
+        let batches = [(0, 512), (512, 640), (640, 1024), (0, 300)];
+        for (i, &(s, e)) in batches.iter().enumerate() {
+            lane.lane_step((s, e), i as u64);
+            let range = BatchRange {
+                start: s,
+                end: e,
+                epoch: 0,
             };
-            let (cpu_env, gpu_env) = (env(), env());
-            let mut lane = HogwildLane::new(&cpu_env, 0, 0, &FaultPlan::none());
-            let mut gpu =
-                GpuWorker::new(0, GpuModel::v100(), &FaultPlan::none(), &gpu_env).unwrap();
-            let mut buffers = None;
-            for (i, &(s, e)) in batches.iter().enumerate() {
-                lane.lane_step((s, e), i as u64);
-                let range = BatchRange {
-                    start: s,
-                    end: e,
-                    epoch: 0,
-                };
-                gpu.batch_step(i as u64, range, i as u64).unwrap();
-                let case = format!("sparse={sparse}, rows {s}..{e}");
-                let held = [
-                    ("lane", &lane.at, lane.lane.grad()),
-                    ("gpu", &gpu.at, gpu.lane.grad()),
-                ]
-                .map(|(worker, at, grad)| {
-                    let read = &at.model().layers()[0].w;
-                    assert_eq!(read.capacity(), 0, "{worker}: {case}: the read holds one");
-                    let w0 = &grad.layers()[0].w;
-                    let rows = at.support().map_or(spec.input_dim, <[u32]>::len);
-                    assert_eq!(w0.rows(), rows, "{worker}: {case}");
-                    w0.as_slice().as_ptr()
-                });
-                assert_eq!(*buffers.get_or_insert(held), held, "{case}: reallocated");
+            gpu.batch_step(i as u64, range, i as u64).unwrap();
+            for (worker, at, l) in [("lane", &lane.at, &lane.lane), ("gpu", &gpu.at, &gpu.lane)] {
+                let case = format!("{worker}, rows {s}..{e}");
+                let step = at.csr();
+                let support = step.support().len();
+                assert!(support > 2 * block / 64, "{case}: support {support}");
+                assert!(
+                    step.l0_capacity() <= block,
+                    "{case}: {}",
+                    step.l0_capacity()
+                );
+                assert_eq!(l.grad().layers()[0].w.capacity(), 0, "{case}: gradient");
+                assert_eq!(step.tail().layers()[0].w.capacity(), 0, "{case}: tail");
             }
         }
     }

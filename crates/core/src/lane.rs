@@ -14,17 +14,21 @@
 //! A [`Lane`] is also the one description of what a Hogbatch CPU lane does
 //! on either engine: [`lane_split`] shares a batch out to the lanes, and
 //! [`Lane::inspect`] runs the fault plan's poison and the watchdog's scan on
-//! each gradient before it is applied.
+//! each gradient before it is applied. On the threaded engine both kinds of
+//! worker take their step on the shared model through one method,
+//! [`Lane::step_shared`].
 
 use std::ops::Deref;
+use std::time::Instant;
 
 use hetero_data::{DenseDataset, Labels};
 use hetero_flight::Watchdog;
 use hetero_nn::{
-    scan_model, ColumnBatch, Input, Layer0, MergeScan, MlpSpec, Model, SharedModel, SupportRead,
-    Workspace,
+    scan_model, ColumnBatch, CsrStep, Input, L0Write, Layer0, MergeScan, MlpSpec, Model,
+    SharedModel, SupportRead, Workspace,
 };
 use hetero_tensor::{CsrBatch, CsrMatrix, Matrix};
+use hetero_trace::BatchPhases;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -177,46 +181,108 @@ impl Lane {
         self.ws.loss_and_gradient_into(model, x, targets, false).0
     }
 
-    /// [`gradient`](Self::gradient) of the staged batch at the model `at`
-    /// read ([`read_support`](Self::read_support)), bit for bit; the
-    /// gradient takes the read's layer-0 buffer over
-    /// (`Workspace::loss_and_gradient_at`), so `at` holds no layer-0 row
-    /// until the next read.
-    // audit: no_alloc
-    pub(crate) fn gradient_at<D>(&mut self, src: &BatchSource<D>, at: &mut SupportRead) -> f32
-    where
-        D: Deref<Target = DenseDataset>,
-    {
-        let x = src.input(&self.x, &self.csr);
-        let targets = self.labels.as_targets();
-        self.ws.loss_and_gradient_at(at, x, targets, false).0
-    }
-
     /// The stored gradient (tests read its layer-0 buffer).
     #[cfg(test)]
     pub(crate) fn grad(&self) -> &Model {
         self.ws.grad()
     }
 
-    /// Read what the staged batch touches of `shared` into `at`, the model
-    /// a threaded step takes its [`gradient_at`](Self::gradient_at): a CSR
-    /// batch's support rows — renumbering the staged batch onto them — plus
-    /// every later stripe; every row for a dense batch. The read fills the
-    /// layer-0 buffer the last gradient took over: a threaded lane holds
-    /// that one buffer.
+    /// One threaded step on the shared model, the same for a Hogwild lane
+    /// and a GPU worker. Stage rows `s..e`, then read what they need of
+    /// `shared` into `at` and call `staged` (stage phase); take the loss and
+    /// gradient there (compute); then call `eta` with the updates counted
+    /// since the read, for the step size every write takes, and write:
+    /// `how.merge` as a stripe-owning merger, else racy (merge phase).
+    ///
+    /// A CSR batch is read, differentiated and written one block of its
+    /// support's layer-0 rows at a time ([`CsrStep`]), each block scattered
+    /// (compute) and written (merge) before the next; then its tail — layer
+    /// 0's bias and every later layer — is written. A dense batch is one
+    /// full snapshot in the buffer its gradient takes over
+    /// ([`SupportRead`]), written whole. Before the tail (every stripe, on
+    /// a dense batch) is written, the fault plan's NaN goes into layer 0's
+    /// bias when `how.poison`; under an enabled watchdog a merge scans what
+    /// it adds in its loop, a lane each block as it is scattered and the
+    /// tail before it writes it, and the scan is observed as `how.worker`'s
+    /// batch `how.step`. The phases sum to the step's wall. The tail write
+    /// counts the step's one update.
     // audit: no_alloc
-    pub(crate) fn read_support<D>(
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn step_shared<D>(
         &mut self,
         src: &BatchSource<D>,
+        (s, e): (usize, usize),
         shared: &SharedModel,
-        at: &mut SupportRead,
-    ) where
+        at: &mut SharedRead,
+        how: StepWrite<'_>,
+        staged: impl FnOnce(),
+        eta: impl FnOnce(u64) -> f32,
+    ) -> Stepped
+    where
         D: Deref<Target = DenseDataset>,
     {
-        if src.sparse {
-            at.read_csr(&mut self.ws, shared, &mut self.csr);
+        let t_stage = Instant::now();
+        self.stage(src, s, e);
+        let updates_at_read = shared.update_count();
+        match at {
+            SharedRead::Dense(read) => read.read_all(&mut self.ws, shared),
+            SharedRead::Csr(step) => step.read(shared, &mut self.csr),
+        }
+        staged();
+        let t_compute = Instant::now();
+        let targets = self.labels.as_targets();
+        match at {
+            SharedRead::Dense(read) => {
+                self.ws.loss_and_gradient_at(read, &self.x, targets, false);
+            }
+            SharedRead::Csr(step) => {
+                let x = self.csr.view();
+                self.ws.loss_and_gradient_blocks(step, shared, x, targets);
+            }
+        }
+        let step = eta(shared.update_count().saturating_sub(updates_at_read));
+        let watched = how.watchdog.enabled();
+        self.scan.reset();
+        let (mut merge_secs, mut found_owned, mut rows) = (0.0, 0, None);
+        // The tail's layer-0 rows: none after a CSR batch's blocks.
+        let mut tail_rows = None;
+        if let SharedRead::Csr(at) = at {
+            let scan = watched.then_some(&mut self.scan);
+            let to = match how.merge {
+                true => L0Write::Merge(scan),
+                false => L0Write::Racy(scan),
+            };
+            (merge_secs, found_owned) = at.write_l0(&self.ws, shared, self.csr.view(), step, to);
+            (rows, tail_rows) = (Some(at.support().len()), Some(&[][..]));
+        }
+        if how.poison {
+            self.poison();
+        }
+        if watched && !how.merge {
+            scan_model(self.ws.grad(), &mut self.scan);
+        }
+        let t_tail = Instant::now();
+        if how.merge {
+            let scan = watched.then_some(&mut self.scan);
+            found_owned += shared.merge_gradient(self.ws.grad(), step, tail_rows, scan);
         } else {
-            at.read_all(&mut self.ws, shared);
+            shared.apply_racy(self.ws.grad(), step, tail_rows);
+        }
+        let end = Instant::now();
+        merge_secs += (end - t_tail).as_secs_f64();
+        if watched {
+            self.report_scan(how.watchdog, how.worker, how.step);
+        }
+        Stepped {
+            phases: BatchPhases {
+                stage_secs: (t_compute - t_stage).as_secs_f64(),
+                compute_secs: (end - t_compute).as_secs_f64() - merge_secs,
+                merge_secs,
+                ..BatchPhases::default()
+            },
+            updates_at_read,
+            rows,
+            found_owned,
         }
     }
 
@@ -259,44 +325,65 @@ impl Lane {
             None => model.apply_gradient(self.ws.grad(), eta),
         }
     }
+}
 
-    /// The Hogwild apply of the stored gradient, taken at `at`: its rows
-    /// are those `at` read.
-    // audit: no_alloc
-    pub(crate) fn apply_racy(&self, shared: &SharedModel, eta: f32, at: &SupportRead) {
-        shared.apply_racy(self.ws.grad(), eta, at.support());
+/// What a threaded worker reads of the shared model, in the run's format:
+/// a CSR batch's support and tail, its layer 0 read, differentiated and
+/// written a block at a time ([`CsrStep`]); or a dense batch's full
+/// snapshot, in the one layer-0 buffer its gradient takes over
+/// ([`SupportRead`]).
+pub(crate) enum SharedRead {
+    Dense(SupportRead),
+    Csr(CsrStep),
+}
+
+impl SharedRead {
+    /// The read of `src`'s format, for models of shape `spec`.
+    pub(crate) fn new<D>(src: &BatchSource<D>, spec: &MlpSpec) -> Self
+    where
+        D: Deref<Target = DenseDataset>,
+    {
+        match src.sparse {
+            true => SharedRead::Csr(CsrStep::new(spec)),
+            false => SharedRead::Dense(SupportRead::new(spec)),
+        }
     }
 
-    /// The merge twin of [`apply_racy`](Self::apply_racy), for a lane that
-    /// stands in for a GPU replica: the same gradient over the same rows,
-    /// poisoned first when `poison`, added at `eta` as a stripe-owning
-    /// merger (exact against other mergers). Under an enabled watchdog the
-    /// merged delta is scanned inside the merge's element loop — no extra
-    /// pass — and observed as `worker`'s batch `step`. Returns the stripes
-    /// found owned.
-    // audit: no_alloc
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn merge_into(
-        &mut self,
-        shared: &SharedModel,
-        at: &SupportRead,
-        eta: f32,
-        poison: bool,
-        watchdog: &Watchdog,
-        worker: usize,
-        step: u64,
-    ) -> u64 {
-        if poison {
-            self.poison();
+    /// The CSR step (tests of a sparse run's workers).
+    #[cfg(test)]
+    pub(crate) fn csr(&self) -> &CsrStep {
+        match self {
+            SharedRead::Csr(step) => step,
+            SharedRead::Dense(_) => panic!("a dense run's read"),
         }
-        self.scan.reset();
-        let scan = watchdog.enabled().then_some(&mut self.scan);
-        let owned = shared.merge_gradient(self.ws.grad(), eta, at.support(), scan);
-        if watchdog.enabled() {
-            self.report_scan(watchdog, worker, step);
-        }
-        owned
     }
+}
+
+/// How a threaded step writes into the shared model, and the checks its
+/// gradient gets first ([`Lane::step_shared`]).
+pub(crate) struct StepWrite<'w> {
+    /// A stripe-owning merger's add (a GPU worker); else a Hogwild lane's
+    /// racy apply.
+    pub(crate) merge: bool,
+    /// The fault plan's NaN into layer 0's bias.
+    pub(crate) poison: bool,
+    pub(crate) watchdog: &'w Watchdog,
+    /// The worker and batch a scan is observed as.
+    pub(crate) worker: usize,
+    pub(crate) step: u64,
+}
+
+/// What a threaded step reports ([`Lane::step_shared`]).
+pub(crate) struct Stepped {
+    /// Stage, compute and merge seconds: together, the step's wall.
+    pub(crate) phases: BatchPhases,
+    /// The shared model's update count just before the read.
+    pub(crate) updates_at_read: u64,
+    /// Layer-0 rows the step read and wrote: its batch's support on CSR,
+    /// `None` (every row) on dense.
+    pub(crate) rows: Option<usize>,
+    /// Stripes a merge found owned by another merger.
+    pub(crate) found_owned: u64,
 }
 
 /// Deterministic evaluation subset: `k` rows sampled without replacement.
@@ -388,11 +475,10 @@ impl Evaluator {
     /// a dense one; it may start as `Model::zeros_with_l0_rows(spec, 0)`.
     // audit: no_alloc
     pub(crate) fn score_shared(&mut self, shared: &SharedModel, held: &mut Model) -> (f32, f32) {
-        let rows: Option<&[u32]> = match self.x {
-            EvalBatch::Columns(_) => Some(&[]),
-            EvalBatch::Dense(_) => None,
-        };
-        shared.read_rows(rows, held);
+        match self.x {
+            EvalBatch::Columns(_) => shared.read_tail(held),
+            EvalBatch::Dense(_) => shared.snapshot_into(held),
+        }
         let l0 = Layer0::Shared(shared);
         score_batch(&mut self.ws, &mut self.x, &self.labels, l0, held)
     }

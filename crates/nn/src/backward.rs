@@ -77,8 +77,11 @@ pub fn backward(
 /// `delta`/`delta_next` are the ping-pong δ buffers (any shape; reshaped
 /// with [`Matrix::resize`]); `grad` must have the model's shape and is
 /// fully overwritten. Warmed buffers make this allocation-free. A CSR
-/// batch needs `sparse`, the support of the gradient `grad` holds: its
-/// layer-0 weight gradient is a scatter that re-zeroes only those rows.
+/// batch's layer-0 weight gradient is a scatter into `grad` over `sparse`,
+/// the support of the gradient it holds, that re-zeroes only those rows;
+/// with `sparse` `None` it is left to the caller, who takes δ₀ a block at a
+/// time ([`crate::CsrStep::write_l0`]) — `grad`'s layer 0 then holds no
+/// row. Returns whether δ₀ ended in `delta_next` (else `delta`).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn backward_with_scratch(
     model: &Model,
@@ -90,7 +93,7 @@ pub(crate) fn backward_with_scratch(
     delta_next: &mut Matrix,
     grad: &mut Gradient,
     mut sparse: Option<&mut SparseScratch>,
-) {
+) -> bool {
     let n_layers = model.layers().len();
     assert_eq!(pass.activations.len(), n_layers, "stale forward pass");
 
@@ -108,8 +111,9 @@ pub(crate) fn backward_with_scratch(
         // where the batch's format decides the kernel and nothing else.
         let tn = match (l, x) {
             (0, Input::Csr(x)) => {
-                let scratch = sparse.as_deref_mut().expect("CSR input needs scratch");
-                scratch.backward_l0(x, delta, grad);
+                if let Some(scratch) = sparse.as_deref_mut() {
+                    scratch.backward_l0(x, delta, grad);
+                }
                 None
             }
             (0, Input::Dense(x)) => Some((x, &*delta)),
@@ -146,6 +150,7 @@ pub(crate) fn backward_with_scratch(
     if swapped {
         std::mem::swap(delta, delta_next);
     }
+    swapped
 }
 
 /// One-call loss + gradient for a batch — the worker-side "compute the

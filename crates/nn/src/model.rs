@@ -46,15 +46,6 @@ pub(crate) struct Stripe {
 }
 
 impl Stripe {
-    /// This layer-0 row moved to row `i` of its layer: where a model that
-    /// holds only some rows ([`Model::fit_l0`]) keeps it.
-    pub(crate) fn at_row(&self, i: usize) -> Stripe {
-        Stripe {
-            row_at: Some(i * (self.end - self.start)),
-            ..*self
-        }
-    }
-
     /// The stripe's range of its layer's weight slice; `None`: the bias.
     fn weight_span(&self) -> Option<std::ops::Range<usize>> {
         self.row_at.map(|at| at..at + (self.end - self.start))
@@ -148,10 +139,10 @@ impl Model {
         Self::zeros_with_l0_rows(spec, spec.input_dim)
     }
 
-    /// [`zeros_like`](Self::zeros_like) with `rows` layer-0 weight rows (see
-    /// [`fit_l0`](Self::fit_l0)). With 0 rows: everything of a model but
-    /// layer 0's weights, which a reader that takes those by reference
-    /// ([`crate::ColumnBatch`]) does not copy.
+    /// [`zeros_like`](Self::zeros_like) with `rows` layer-0 weight rows. With
+    /// 0 rows: everything of a model but layer 0's weights — what a reader
+    /// that takes those by reference ([`crate::ColumnBatch`],
+    /// [`crate::CsrStep`]) holds, and a gradient before its first step.
     pub fn zeros_with_l0_rows(spec: &MlpSpec, rows: usize) -> Self {
         let layers = spec
             .layer_dims()
@@ -168,39 +159,30 @@ impl Model {
         }
     }
 
-    /// Make layer 0 hold `rows` weight rows — `spec.input_dim` for a whole
-    /// model; a model read or differentiated at a batch's support holds
-    /// one row per feature of the support ([`crate::SupportRead`]). The
-    /// values of the rows are left to the caller, who overwrites or zeroes
-    /// them. Past its capacity the buffer is replaced by fresh zeros (no
-    /// old row copied, no page written) with room for a quarter more rows,
-    /// at most `input_dim`: a run's slowly rising largest support then
-    /// reallocates once or twice rather than at every new high, each freed
-    /// buffer a hole the allocator keeps resident (+10 MB of peak RSS on
-    /// the real-sim benchmark workload, 2-vCPU host, when it did). Returns
-    /// whether it reallocated; otherwise the rows kept keep their values
-    /// and the rows added are zero.
+    /// Make layer 0 hold `rows` weight rows: every input feature's, or none
+    /// (a gradient of layer 0's bias and the later layers only, or a read
+    /// whose buffer a gradient took over). The values of the rows are left
+    /// to the caller, who overwrites or zeroes them. Past its capacity the
+    /// buffer is replaced by fresh zeros (no old row copied, no page
+    /// written). Returns whether it reallocated; otherwise the rows kept
+    /// keep their values and the rows added are zero.
     pub(crate) fn fit_l0(&mut self, rows: usize) -> bool {
         let Some(w) = self.layers.first_mut().map(|l| &mut l.w) else {
             return false;
         };
-        let (held, cols) = w.shape();
+        let cols = w.cols();
         if rows * cols > w.capacity() {
-            let room = (rows + rows / 4).min(self.spec.input_dim).max(rows);
-            *w = Matrix::zeros(room, cols);
-            w.resize(rows, cols);
+            *w = Matrix::zeros(rows, cols);
             return true;
         }
-        if held != rows {
-            w.resize(rows, cols);
-        }
+        w.resize(rows, cols);
         false
     }
 
     /// Take `from`'s layer-0 weight buffer, uncopied, and leave it this
     /// one's, emptied (no row; a layer grown back from it is zeros): how a
-    /// threaded worker's one layer-0 buffer passes between its read and its
-    /// gradient ([`crate::SupportRead`]).
+    /// threaded worker's one layer-0 buffer passes between its read of a
+    /// dense batch and its gradient ([`crate::SupportRead`]).
     pub(crate) fn take_l0(&mut self, from: &mut Model) {
         std::mem::swap(&mut self.layers[0].w, &mut from.layers[0].w);
         from.fit_l0(0);

@@ -8,8 +8,7 @@
 //! In Rust, "benign" data races are still UB on plain `f32`, so the storage
 //! is a flat `Vec<AtomicU32>` holding f32 bit patterns accessed with
 //! `Relaxed` ordering, cut into **stripes**: one weight row or one bias
-//! vector of a layer. Five accesses are provided — three updates and two
-//! reads:
+//! vector of a layer. The updates and reads:
 //!
 //! - [`SharedModel::apply_racy`] — load/compute/store per element.
 //!   Concurrent writers can overwrite each other, which is *exactly* the
@@ -25,21 +24,25 @@
 //! - [`SharedModel::apply_gradient_atomic`] — per-element CAS loop; no
 //!   update is ever lost. The exact reference of the tests, and the way to
 //!   study lost updates (the paper's β is the "surviving fraction").
-//! - [`SharedModel::read_rows`] — what a worker's step reads: the layer-0
-//!   rows of its batch's support, into a local model that holds only
-//!   those rows ([`SupportRead`](crate::SupportRead)), plus every stripe
-//!   from layer 0's bias on; every stripe for a dense batch
-//!   ([`snapshot_into`](SharedModel::snapshot_into)). Plain `Relaxed`
-//!   loads, racing lanes and mergers like any reader: each value read is
-//!   one its parameter held, a stripe may mix values from before and after
-//!   a concurrent write. The applies and merges take a gradient in the
-//!   same compact shape, writing its row `i` to model row `support[i]`.
-//! - [`SharedModel::read_l0_tile`] — the evaluator's read of layer 0 where
-//!   it lives: a few KB of layer-0 rows at a time, scattered into the eval
-//!   batch's pre-activations before the next tile is read
-//!   ([`ColumnBatch`](crate::ColumnBatch)), so an eval copies no
-//!   model-sized layer 0. The same `Relaxed` loads as `read_rows`, with the
-//!   same guarantee: each value read is one its parameter held.
+//! - [`SharedModel::snapshot_into`] — every stripe, what a worker's step
+//!   on a dense batch reads ([`SupportRead`](crate::SupportRead)); and
+//!   [`SharedModel::read_tail`], every stripe from layer 0's bias on. Plain
+//!   `Relaxed` loads, racing lanes and mergers like any reader: each value
+//!   read is one its parameter held, a stripe may mix values from before
+//!   and after a concurrent write.
+//! - [`SharedModel::read_l0_tile`] — layer 0 read where it lives, a block
+//!   of rows at a time, with the same loads and the same guarantee. A CSR
+//!   step ([`CsrStep`](crate::CsrStep)) reads its batch's support this
+//!   way, one block before the next, beside its tail read; an eval reads
+//!   its fixed batch's support a few KB at a time
+//!   ([`ColumnBatch`](crate::ColumnBatch)). Neither copies a model-sized
+//!   or support-sized layer 0.
+//! - [`SharedModel::apply_l0_tile`] / [`SharedModel::merge_l0_tile`] — a
+//!   CSR step's write of one block of layer-0 gradient rows: `apply_racy`'s
+//!   load/subtract/store and `merge_gradient`'s stripe-owning add, row `i`
+//!   of the block to the `i`-th row it names. They count no update: the
+//!   step's write of its tail through `apply_racy` / `merge_gradient`
+//!   (layer-0 rows `Some(&[])`) counts its one.
 
 use crate::init::InitScheme;
 use crate::model::{tail_stripes, Model, Stripe};
@@ -59,8 +62,9 @@ use crate::sync::{yield_now, AtomicBool, AtomicU32, AtomicU64, Ordering};
 // build on them — that edge is all of "mergers lose nothing", and why the
 // parameters themselves still need no ordering. The loom suite
 // (`tests/loom_shared.rs`) checks that under all interleavings, and that the
-// racy path stays within its feasible envelope, and that a support read and
-// an eval's tile read beside both see only values the parameters held.
+// racy path stays within its feasible envelope, and that a CSR step's block
+// and tail reads and an eval's tile read beside both see only values the
+// parameters held.
 
 /// Weights drawn per chunk by [`SharedModel::drawn`]: 16 KB of stack.
 const DRAW_CHUNK: usize = 4096;
@@ -176,43 +180,35 @@ impl SharedModel {
 
     /// Read the current parameters into an existing model, reusing its
     /// buffers — the allocation-free counterpart of
-    /// [`snapshot`](Self::snapshot): [`read_rows`](Self::read_rows) of
-    /// every row.
+    /// [`snapshot`](Self::snapshot). A model whose layer 0 holds no row
+    /// (its buffer lent to a gradient) gets every row back first.
     pub fn snapshot_into(&self, model: &mut Model) {
-        self.read_rows(None, model);
+        self.check_spec(model, "snapshot");
+        model.fit_l0(self.spec.input_dim);
+        self.read_stripes(0, model);
     }
 
-    /// Read the stripes a gradient confined to the layer-0 rows `l0_rows`
-    /// can touch into `local`, which then holds only those rows: feature
-    /// `l0_rows[i]`'s weights become local row `i` (its layer 0 is fitted
-    /// to `l0_rows.len()` rows by `Model::fit_l0`), and every stripe from
-    /// layer 0's bias on is read whole. `None` reads
-    /// every row: a full snapshot. The kernels run on the compact model
-    /// unchanged once the batch's columns are renumbered the same way
-    /// ([`SupportRead`](crate::SupportRead)), and its gradient goes back
-    /// through [`apply_racy`](Self::apply_racy) or
-    /// [`merge_gradient`](Self::merge_gradient) with the same `l0_rows`.
-    /// `l0_rows` must ascend, be duplicate-free and lie below the input
-    /// width.
+    /// Read every stripe from layer 0's bias on into `local`, leaving its
+    /// layer-0 weights as they are (it may hold none): the tail a CSR step
+    /// ([`CsrStep`](crate::CsrStep)) or a sparse eval reads beside layer
+    /// 0's rows, which they read a block at a time
+    /// ([`read_l0_tile`](Self::read_l0_tile)).
+    pub fn read_tail(&self, local: &mut Model) {
+        self.check_spec(local, "snapshot");
+        self.read_stripes(self.spec.input_dim, local);
+    }
+
+    /// Read stripes `first..` into `local`, which holds each of them.
     // audit: no_alloc,no_panic,no_block
-    pub fn read_rows(&self, l0_rows: Option<&[u32]>, local: &mut Model) {
-        assert_eq!(local.spec(), &self.spec, "snapshot spec mismatch");
-        local.fit_l0(l0_rows.map_or(self.spec.input_dim, <[u32]>::len));
-        // `hetero_support_read_skips_tail` is the seeded bug of
-        // `scripts/check_mutation.sh`: only the support rows are read.
-        let end = if cfg!(hetero_support_read_skips_tail) && l0_rows.is_some() {
-            self.spec.input_dim
-        } else {
-            self.n_stripes()
-        };
-        for Visit { s, row } in self.visited(l0_rows).take_while(|v| v.s < end) {
+    fn read_stripes(&self, first: usize, local: &mut Model) {
+        for s in first..self.n_stripes() {
             let st = self.stripe_at(s);
-            let params = &self.params[st.start..st.end];
+            let params = self.params_of(&st);
             // Relaxed: the read may interleave with lanes and mergers by
             // design — each element is read tear-free, a stripe may mix
             // values from before and after a concurrent add, and no value
             // read guards other memory (module ordering note).
-            for (v, p) in held_mut(local, &st, row).iter_mut().zip(params) {
+            for (v, p) in local.stripe_mut(&st).iter_mut().zip(params) {
                 *v = f32::from_bits(p.load(Ordering::Relaxed));
             }
         }
@@ -220,19 +216,19 @@ impl SharedModel {
 
     /// The layer-0 weight rows of input features `rows` into `tile`, row
     /// `i` (`tile`'s `i`-th run of layer-0 width) taking feature `rows[i]`'s
-    /// — what an eval reads of layer 0, a tile at a time
-    /// ([`ColumnBatch`](crate::ColumnBatch)). `rows` must lie below the
-    /// input width.
+    /// — what a CSR step and an eval read of layer 0, a block at a time
+    /// ([`CsrStep`](crate::CsrStep), [`ColumnBatch`](crate::ColumnBatch)).
+    /// `rows` must lie below the input width.
     // audit: no_alloc,no_panic,no_block
     pub fn read_l0_tile(&self, rows: &[u32], tile: &mut [f32]) {
         for (&c, out) in rows.iter().zip(tile.chunks_exact_mut(self.l0_width)) {
             debug_assert!((c as usize) < self.spec.input_dim, "row {c}");
             let st = self.stripe_at(c as usize);
-            // Relaxed: the eval reads the model the workers are training, as
-            // `read_rows` does — each element tear-free, a row may mix
-            // values from before and after a concurrent add, and no value
-            // read guards other memory (module ordering note).
-            for (v, p) in out.iter_mut().zip(&self.params[st.start..st.end]) {
+            // Relaxed: the step or eval reads the model the workers are
+            // training, as `read_stripes` does — each element tear-free, a
+            // row may mix values from before and after a concurrent add,
+            // and no value read guards other memory (module ordering note).
+            for (v, p) in out.iter_mut().zip(self.params_of(&st)) {
                 *v = f32::from_bits(p.load(Ordering::Relaxed));
             }
         }
@@ -241,12 +237,12 @@ impl SharedModel {
     /// Overwrite the stored parameters from a model (merging a deep replica
     /// back; concurrent readers may observe a mix of old and new values).
     pub fn store(&self, model: &Model) {
-        assert_eq!(model.spec(), &self.spec, "replica spec mismatch");
+        self.check_spec(model, "replica");
         // Relaxed: overwrite is allowed to interleave with concurrent
         // readers/writers (see module ordering note).
-        for Visit { s, .. } in self.visited(None) {
+        for s in self.visited(None) {
             let st = self.stripe_at(s);
-            for (p, v) in self.params[st.start..st.end].iter().zip(model.stripe(&st)) {
+            for (p, v) in self.params_of(&st).iter().zip(model.stripe(&st)) {
                 p.store(v.to_bits(), Ordering::Relaxed);
             }
         }
@@ -255,29 +251,37 @@ impl SharedModel {
     /// The stripes a gradient whose layer-0 weights are zero outside the
     /// rows `l0_cols` can be non-zero in, in visiting order: those rows
     /// (stripe `c` is input feature `c`'s row; a row past the input width
-    /// names no weights and is skipped), each with its index `i` in
-    /// `l0_cols`, then every stripe from layer 0's bias on. `None`: every
-    /// stripe, in flat order.
-    fn visited<'a>(&'a self, l0_cols: Option<&'a [u32]>) -> impl Iterator<Item = Visit> + 'a {
+    /// names no weights and is skipped), then every stripe from layer 0's
+    /// bias on. `None`: every stripe, in flat order.
+    fn visited<'a>(&'a self, l0_cols: Option<&'a [u32]>) -> impl Iterator<Item = usize> + 'a {
         let n_in = self.spec.input_dim;
         let (rows, tail): (&[u32], usize) = match l0_cols {
             Some(rows) => (rows, n_in),
             None => (&[], 0),
         };
-        let rows = rows.iter().enumerate().map(|(i, &c)| (c as usize, i));
-        let rows = rows.filter(move |&(c, _)| {
+        let rows = rows.iter().map(|&c| c as usize).filter(move |&c| {
             debug_assert!(c < n_in, "layer-0 row {c} past input width {n_in}");
             c < n_in
         });
-        let row_stripe = |(c, i): (usize, usize)| Visit { s: c, row: Some(i) };
-        let tail = (tail..self.n_stripes()).map(|s| Visit { s, row: None });
-        rows.map(row_stripe).chain(tail)
+        rows.chain(tail..self.n_stripes())
     }
 
     /// How many stripes the model has: one per input feature, then
     /// `stripes`.
     fn n_stripes(&self) -> usize {
         self.spec.input_dim + self.stripes.len()
+    }
+
+    /// The parameters of stripe `st` (one `stripe_at` gave).
+    #[inline]
+    fn params_of(&self, st: &Stripe) -> &[AtomicU32] {
+        &self.params[st.start..st.end]
+    }
+
+    /// Panic unless `model` has this model's spec: the guard of every
+    /// access that walks a caller's model by this model's stripes.
+    fn check_spec(&self, model: &Model, what: &str) {
+        assert_eq!(model.spec(), &self.spec, "{what} spec mismatch");
     }
 
     /// Where stripe `s` lies: a layer-0 row from `l0_width`, without a
@@ -314,23 +318,29 @@ impl SharedModel {
     /// bag-of-words inputs is almost all of layer 0.
     // audit: no_alloc,no_panic,no_block
     pub fn apply_racy(&self, grad: &Model, eta: f32, l0_cols: Option<&[u32]>) {
-        assert_eq!(grad.spec(), &self.spec, "gradient spec mismatch");
-        debug_assert!(fits(grad, l0_cols), "compact gradient without its rows");
-        for Visit { s, row } in self.visited(l0_cols) {
+        self.check_spec(grad, "gradient");
+        for s in self.visited(l0_cols) {
             let st = self.stripe_at(s);
-            for (p, g) in self.params[st.start..st.end]
-                .iter()
-                .zip(held(grad, &st, row))
-            {
-                // Relaxed load/store pair: the non-atomic read-modify-write
-                // is the point — concurrent writers may overwrite each other
-                // (Hogwild lost-update semantics; module ordering note
-                // above).
-                let next = f32::from_bits(p.load(Ordering::Relaxed)) - eta * g;
-                p.store(next.to_bits(), Ordering::Relaxed);
-            }
+            racy_sub(self.params_of(&st), grad.stripe(&st), eta);
         }
-        // Relaxed: monitoring counter.
+        self.count_update();
+    }
+
+    /// [`apply_racy`](Self::apply_racy) of one block of layer-0 gradient
+    /// rows: `tile`'s `i`-th run of layer-0 width is feature `rows[i]`'s
+    /// gradient row (a CSR step's block, [`CsrStep`](crate::CsrStep)).
+    /// Counts no update. `rows` must lie below the input width.
+    // audit: no_alloc,no_panic,no_block
+    pub fn apply_l0_tile(&self, rows: &[u32], tile: &[f32], eta: f32) {
+        for (&c, g) in rows.iter().zip(tile.chunks_exact(self.l0_width)) {
+            let st = self.stripe_at(c as usize);
+            racy_sub(self.params_of(&st), g, eta);
+        }
+    }
+
+    /// One update more on the monitoring counter.
+    fn count_update(&self) {
+        // Relaxed: monitoring counter (module ordering note).
         self.updates.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -349,10 +359,10 @@ impl SharedModel {
     /// Lock-free exact update: per-element CAS loop; never loses a write.
     // audit: no_alloc,no_panic,no_block
     pub fn apply_gradient_atomic(&self, grad: &Model, eta: f32) {
-        assert_eq!(grad.spec(), &self.spec, "gradient spec mismatch");
-        for Visit { s, .. } in self.visited(None) {
+        self.check_spec(grad, "gradient");
+        for s in self.visited(None) {
             let st = self.stripe_at(s);
-            for (p, g) in self.params[st.start..st.end].iter().zip(grad.stripe(&st)) {
+            for (p, g) in self.params_of(&st).iter().zip(grad.stripe(&st)) {
                 // Relaxed CAS loop: atomicity of each compare_exchange is
                 // what guarantees no lost update; ordering is irrelevant
                 // because the value is pure data (module ordering note).
@@ -366,8 +376,7 @@ impl SharedModel {
                 }
             }
         }
-        // Relaxed: monitoring counter.
-        self.updates.fetch_add(1, Ordering::Relaxed);
+        self.count_update();
     }
 
     /// Merge a deep replica by adding its delta from `base`, scaled:
@@ -415,7 +424,7 @@ impl SharedModel {
         l0_cols: Option<&[u32]>,
         scan: Option<&mut MergeScan>,
     ) -> u64 {
-        self.merge_core([base, replica], scale, |[b, r]| r - b, l0_cols, scan)
+        self.merge_models([base, replica], scale, |[b, r]| r - b, l0_cols, scan)
     }
 
     /// [`merge`](Self::merge) of a replica one gradient step from its base,
@@ -431,7 +440,24 @@ impl SharedModel {
         l0_cols: Option<&[u32]>,
         scan: Option<&mut MergeScan>,
     ) -> u64 {
-        self.merge_core([grad], step, |[g]| -g, l0_cols, scan)
+        self.merge_models([grad], step, |[g]| -g, l0_cols, scan)
+    }
+
+    /// [`merge_gradient`](Self::merge_gradient) of one block of layer-0
+    /// gradient rows, as [`apply_l0_tile`](Self::apply_l0_tile) takes it:
+    /// the same stripe-owning add, scanned into `scan` row by row in the
+    /// order of `rows`. Counts no update. Returns the stripes found owned.
+    // audit: no_alloc,no_panic,no_block
+    pub fn merge_l0_tile(
+        &self,
+        rows: &[u32],
+        tile: &[f32],
+        step: f32,
+        scan: Option<&mut MergeScan>,
+    ) -> u64 {
+        let rows = rows.iter().map(|&c| c as usize);
+        let visits = rows.zip(tile.chunks_exact(self.l0_width).map(|g| [g]));
+        self.merge_core(visits, step, |[g]| -g, scan)
     }
 
     /// [`merge`](Self::merge), dense and unscanned (kept: the frozen
@@ -462,8 +488,7 @@ impl SharedModel {
     #[inline(always)]
     fn try_merge_stripe<const N: usize>(
         &self,
-        Visit { s, row }: Visit,
-        src: &[&Model; N],
+        (s, src): Visit<'_, N>,
         scale: f32,
         diff: &impl Fn([f32; N]) -> f32,
         scan: Option<&mut MergeScan>,
@@ -476,13 +501,13 @@ impl SharedModel {
             return false;
         }
         let st = self.stripe_at(s);
-        let params = &self.params[st.start..st.end];
+        let params = self.params_of(&st);
         // Each source cut to the stripe's length. The loops zip over the
         // first source and index the others, so with one source — the
         // gradient of `merge_gradient`, the GPU step's merge — no element is
         // bounds-checked and the loop unrolls like `apply_racy`'s (indexing
         // it too kept a check per element and took ~1.4× the time).
-        let vals = src.map(|m| &held(m, &st, row)[..params.len()]);
+        let vals = src.map(|v| &v[..params.len()]);
         let at = |i: usize, x0: f32| std::array::from_fn(|k| if k == 0 { x0 } else { vals[k][i] });
         let delta = |i: usize, x0: f32| scale * diff(at(i, x0));
         let written = params.iter().zip(vals[0]).enumerate();
@@ -513,44 +538,55 @@ impl SharedModel {
         true
     }
 
-    /// The one merge body: adds `scale·diff(src values)` into each stripe as
-    /// it owns it; `scan` observes every delta visited (a zero adds nothing).
-    fn merge_core<const N: usize>(
+    /// [`merge_core`](Self::merge_core) of whole-shape models over the
+    /// stripes `visited(l0_cols)` names; one update.
+    fn merge_models<const N: usize>(
         &self,
         src: [&Model; N],
         scale: f32,
         diff: impl Fn([f32; N]) -> f32,
         l0_cols: Option<&[u32]>,
-        mut scan: Option<&mut MergeScan>,
+        scan: Option<&mut MergeScan>,
     ) -> u64 {
         for model in src {
-            assert_eq!(model.spec(), &self.spec, "merge source spec mismatch");
-            debug_assert!(
-                fits(model, l0_cols),
-                "compact merge source without its rows"
-            );
+            self.check_spec(model, "merge source");
         }
+        let stripe = |s: usize| (s, src.map(|m| m.stripe(&self.stripe_at(s))));
+        let found_owned = self.merge_core(self.visited(l0_cols).map(stripe), scale, diff, scan);
+        self.count_update();
+        found_owned
+    }
+
+    /// The one merge body: adds `scale·diff(src values)` into each stripe
+    /// `visits` names as it owns it; `scan` observes every delta visited (a
+    /// zero adds nothing).
+    fn merge_core<'v, const N: usize>(
+        &self,
+        mut visits: impl Iterator<Item = Visit<'v, N>>,
+        scale: f32,
+        diff: impl Fn([f32; N]) -> f32,
+        mut scan: Option<&mut MergeScan>,
+    ) -> u64 {
         assert!(scale.is_finite() && scale >= 0.0, "bad merge scale");
         // A stripe found owned is recorded — only then — and revisited once
         // `HELD_BACK` of them wait or the walk is over.
-        let mut held_back = [Visit::default(); HELD_BACK];
+        let mut held_back: [Visit<'v, N>; HELD_BACK] = [(0, [&[]; N]); HELD_BACK];
         let (mut waiting, mut found_owned) = (0, 0);
-        let mut visits = self.visited(l0_cols);
         loop {
             let next = visits.next();
-            if let Some(s) = next {
-                if self.try_merge_stripe(s, &src, scale, &diff, scan.as_deref_mut()) {
+            if let Some(v) = next {
+                if self.try_merge_stripe(v, scale, &diff, scan.as_deref_mut()) {
                     continue;
                 }
-                held_back[waiting] = s;
+                held_back[waiting] = v;
                 waiting += 1;
                 found_owned += 1;
                 if waiting < HELD_BACK {
                     continue;
                 }
             }
-            for &s in &held_back[..waiting] {
-                while !self.try_merge_stripe(s, &src, scale, &diff, scan.as_deref_mut()) {
+            for &v in &held_back[..waiting] {
+                while !self.try_merge_stripe(v, scale, &diff, scan.as_deref_mut()) {
                     yield_now();
                 }
             }
@@ -559,8 +595,6 @@ impl SharedModel {
                 break;
             }
         }
-        // Relaxed: monitoring counter.
-        self.updates.fetch_add(1, Ordering::Relaxed);
         found_owned
     }
 }
@@ -579,49 +613,22 @@ fn add_delta(p: &AtomicU32, delta: f32) {
     p.store(sum.to_bits(), Ordering::Relaxed);
 }
 
-/// One stripe of a traversal (`SharedModel::visited`): its index `s` and,
-/// for a layer-0 row of `l0_cols`, its index there — where a compact model
-/// keeps it.
-#[derive(Clone, Copy, Default)]
-struct Visit {
-    s: usize,
-    row: Option<usize>,
-}
-
-/// How many layer-0 weight rows `m` holds.
-fn l0_rows(m: &Model) -> usize {
-    m.layers().first().map_or(0, |l| l.w.shape().0)
-}
-
-/// Whether `m`'s layer 0 holds only some rows: those of a read or a
-/// gradient at a batch's support, one per feature, in the support's order.
-fn compact(m: &Model) -> bool {
-    l0_rows(m) < m.spec().input_dim
-}
-
-/// Whether `m` can be walked over the layer-0 rows `l0_cols`: it holds every
-/// row, or exactly one per entry of `l0_cols`.
-fn fits(m: &Model, l0_cols: Option<&[u32]>) -> bool {
-    !compact(m) || l0_cols.is_some_and(|c| c.len() == l0_rows(m))
-}
-
-/// Where `m` keeps stripe `st`, visited as entry `row` of the layer-0 rows
-/// (see `SharedModel::visited`): a compact model keeps entry `i` as its
-/// row `i`, a whole one keeps every stripe in place.
-fn held<'m>(m: &'m Model, st: &Stripe, row: Option<usize>) -> &'m [f32] {
-    match row {
-        Some(i) if compact(m) => m.stripe(&st.at_row(i)),
-        _ => m.stripe(st),
+/// A Hogwild lane's write of gradient values `g` into the parameters
+/// `params`: `w ← w − eta·g` per element.
+#[inline]
+fn racy_sub(params: &[AtomicU32], g: &[f32], eta: f32) {
+    for (p, g) in params.iter().zip(g) {
+        // Relaxed load/store pair: the non-atomic read-modify-write is the
+        // point — concurrent writers may overwrite each other (Hogwild
+        // lost-update semantics; module ordering note above).
+        let next = f32::from_bits(p.load(Ordering::Relaxed)) - eta * g;
+        p.store(next.to_bits(), Ordering::Relaxed);
     }
 }
 
-/// [`held`], writable.
-fn held_mut<'m>(m: &'m mut Model, st: &Stripe, row: Option<usize>) -> &'m mut [f32] {
-    match row {
-        Some(i) if compact(m) => m.stripe_mut(&st.at_row(i)),
-        _ => m.stripe_mut(st),
-    }
-}
+/// One stripe a merge visits: its index and the values of each source
+/// there.
+type Visit<'v, const N: usize> = (usize, [&'v [f32]; N]);
 
 impl std::fmt::Debug for SharedModel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -695,7 +702,7 @@ mod tests {
         let model = s.snapshot();
         let flat = model.flatten();
         let mut at = 0;
-        for Visit { s: i, .. } in s.visited(None) {
+        for i in s.visited(None) {
             let st = s.stripe_at(i);
             assert_eq!(st.start, at, "stripe {i}");
             assert_eq!(model.stripe(&st), &flat[st.start..st.end], "stripe {i}");

@@ -18,12 +18,16 @@
 //! non-zero — which [`SparseScratch`] keeps, so that appliers walk only
 //! those rows and the next CSR gradient re-zeroes only them. It is sized by
 //! the spec alone, so warm steps are allocation-free.
-//! [`SupportRead`] takes the same support before the step, on the worker
-//! side: it reads only those rows of the shared model, so a threaded step
-//! reads, differentiates and writes layer 0 at the size of its batch — in
-//! one buffer, which the gradient takes over from the read once the
-//! forward is done ([`Workspace::loss_and_gradient_at`]) and the next read
-//! takes back.
+//! [`CsrStep`] is a threaded worker's step on the shared model (§V: CPU
+//! workers use the global model by reference, GPU workers copy only what
+//! they train on): it takes the same support before the step, cuts it into
+//! blocks of [`L0_BLOCK_BYTES`] of layer-0 rows, and reads, differentiates
+//! and writes layer 0 one block at a time through one block-sized tile —
+//! it holds no copy of layer 0, not even of the support's rows.
+//! [`SupportRead`] is the same worker's read of a dense batch, whose
+//! support is every row: a full snapshot in one layer-0 buffer, which the
+//! gradient takes over from the read once the forward is done
+//! ([`Workspace::loss_and_gradient_at`]) and the next read takes back.
 //! [`ColumnBatch`] is the evaluator's fixed batch stored by feature, whose
 //! forward reads layer 0 where it lives, a tile of support rows at a time.
 //! [`forward_sparse`] is a thin allocating wrapper for one-off calls.
@@ -34,11 +38,15 @@
 //! levels — the only divergence from the dense path is float summation
 //! order over the input features.
 
-use hetero_tensor::{sparse, CsrBatch, CsrMatrix, CsrView, Matrix};
+use std::time::Instant;
+
+use hetero_tensor::sparse::{self, ColumnCuts};
+use hetero_tensor::{ops, CsrBatch, CsrMatrix, CsrView, Matrix};
 
 use crate::backward::Gradient;
 use crate::forward::ForwardPass;
 use crate::model::Model;
+use crate::scan::{LayerScan, MergeScan};
 use crate::shared::SharedModel;
 use crate::spec::MlpSpec;
 use crate::workspace::Workspace;
@@ -71,12 +79,6 @@ impl SparseScratch {
         &self.rows
     }
 
-    /// Forget the support: the gradient's layer 0 was replaced by one that
-    /// is zero already ([`crate::Workspace::loss_and_gradient_at`]).
-    pub(crate) fn forget_rows(&mut self) {
-        self.rows.clear();
-    }
-
     /// Σ of buffer capacities (workspace growth tracking).
     pub(crate) fn capacity_fingerprint(&self) -> usize {
         self.mask.capacity() + self.rows.capacity()
@@ -86,16 +88,12 @@ impl SparseScratch {
     /// previous support's rows, then scatter this batch straight into
     /// `grad.w[0]`. The gradient stays globally exact — true zeros in every
     /// row the batch never touched — so full-pass consumers (clipping, the
-    /// watchdog scan) need not know the format. A gradient at a batch's
-    /// support ([`crate::SupportRead`]) may have fewer rows than before:
-    /// a row it no longer has is re-zeroed when it grows back
-    /// ([`Model::fit_l0`]). `hetero_stale_l0_rows` is the seeded bug of
-    /// `scripts/check_mutation.sh`: no re-zero.
+    /// watchdog scan) need not know the format. `hetero_stale_l0_rows` is
+    /// the seeded bug of `scripts/check_mutation.sh`: no re-zero.
     pub(crate) fn backward_l0(&mut self, x: CsrView<'_>, delta: &Matrix, grad: &mut Gradient) {
         let gw = &mut grad.layers_mut()[0].w;
         if !cfg!(hetero_stale_l0_rows) {
-            let held = gw.rows();
-            for &c in self.rows.iter().filter(|&&c| (c as usize) < held) {
+            for &c in &self.rows {
                 gw.row_mut(c as usize).fill(0.0);
             }
         }
@@ -104,94 +102,36 @@ impl SparseScratch {
     }
 }
 
-/// A worker's read of the global model at the size of its batch (§V: CPU
-/// workers use the global model by reference, GPU workers copy only what
-/// they train on).
+/// A worker's read of the global model for a dense batch, whose support is
+/// every row: a full snapshot (§V: a GPU worker's deep copy). A CSR batch
+/// is read a block of its support at a time instead ([`CsrStep`]).
 ///
-/// For a CSR batch, [`read_csr`](Self::read_csr) takes the batch's
-/// *support* — the input features it touches, ascending, as the backward
-/// collects them — renumbers the batch's column indices onto it (feature
-/// `support[i]` becomes column `i`) and reads from the shared model only
-/// those layer-0 rows, local row `i` holding feature `support[i]`'s
-/// weights, plus every stripe from layer 0's bias on
-/// ([`SharedModel::read_rows`]). The kernels run on the compact model
-/// unchanged and meet the same values in the same order, so the loss and
-/// the gradient are bit-identical to a full snapshot's, the gradient
-/// holding only the support's rows; [`SharedModel::apply_racy`] and
-/// [`SharedModel::merge_gradient`], handed [`support`](Self::support),
-/// write gradient row `i` to model row `support[i]`. A dense batch's
-/// support is every row: [`read_all`](Self::read_all) is a full snapshot.
-///
-/// Nothing is read at construction. Layer 0 holds `k × out` for a support
-/// of `k` features and grows only when a support outgrows its capacity, to
-/// a quarter more rows than that support (at most `input_dim`); the
-/// scratch is sized by the spec, so a warm read is allocation-free.
-///
-/// That layer-0 buffer is the only one a worker holds. Layer 0 has no
-/// input gradient, so the read's rows are dead once the forward has run:
-/// [`Workspace::loss_and_gradient_at`] takes the buffer over as the
-/// gradient's layer 0, zeroes its rows and scatters `Xᵀ·δ` into them, the
-/// apply or merge consumes it, and the next read takes it back from the
-/// workspace it is handed before filling it.
+/// Its layer-0 buffer is the only one a worker on a dense run holds. Layer
+/// 0 has no input gradient, so the read's rows are dead once the forward
+/// has run: [`Workspace::loss_and_gradient_at`] takes the buffer over as
+/// the gradient's layer 0 and overwrites it with `Xᵀ·δ`, the apply or
+/// merge consumes it, and the next read takes it back from the workspace
+/// it is handed before filling it. Nothing is read at construction; a warm
+/// read is allocation-free.
 #[derive(Debug)]
 pub struct SupportRead {
     local: Model,
-    /// The last CSR read's support; meaningless after a dense read.
-    support: Vec<u32>,
-    /// Whether the last read was dense: every row.
-    every_row: bool,
-    /// One bit per input feature, all clear between calls (`collect_rows`).
-    mask: Vec<u64>,
-    /// Input feature → its local row; meaningful on the support only.
-    slot: Vec<u32>,
 }
 
 impl SupportRead {
     /// An empty read for models of shape `spec`.
     pub fn new(spec: &MlpSpec) -> Self {
-        let in_dim = spec.input_dim;
         SupportRead {
             local: Model::zeros_with_l0_rows(spec, 0),
-            support: Vec::with_capacity(in_dim),
-            every_row: false,
-            mask: vec![0; in_dim.div_ceil(64)],
-            slot: vec![0; in_dim],
         }
     }
 
-    /// Read what the CSR `batch` touches of `shared`, renumbering the
-    /// batch's columns onto its support (see the type docs), into the
-    /// layer-0 buffer taken back from `ws`: its gradient is consumed.
-    // audit: no_alloc
-    pub fn read_csr(&mut self, ws: &mut Workspace, shared: &SharedModel, batch: &mut CsrBatch) {
-        self.reclaim(ws);
-        collect_rows(batch.view().indices(), &mut self.mask, &mut self.support);
-        // A support of every feature numbers them as they are.
-        if self.support.len() < batch.cols() {
-            for (i, &c) in self.support.iter().enumerate() {
-                self.slot[c as usize] = i as u32;
-            }
-            let slot = &self.slot;
-            batch.renumber_cols(self.support.len(), |c| slot[c as usize]);
-        }
-        self.every_row = false;
-        shared.read_rows(Some(&self.support), &mut self.local);
-    }
-
-    /// Read every row of `shared`, the support of a dense batch, into the
-    /// layer-0 buffer taken back from `ws`: its gradient is consumed.
+    /// Read every row of `shared` into the layer-0 buffer taken back from
+    /// `ws`: its gradient is consumed.
     // audit: no_alloc
     pub fn read_all(&mut self, ws: &mut Workspace, shared: &SharedModel) {
-        self.reclaim(ws);
-        self.every_row = true;
-        shared.read_rows(None, &mut self.local);
-    }
-
-    /// Take back the layer-0 buffer a gradient at the last read took over,
-    /// so that this read fills it rather than growing one of its own.
-    // audit: no_alloc
-    fn reclaim(&mut self, ws: &mut Workspace) {
         self.local.take_l0(ws.grad_mut());
+        shared.snapshot_into(&mut self.local);
     }
 
     /// Hand the read's layer-0 buffer to `grad` once the forward has run
@@ -202,18 +142,217 @@ impl SupportRead {
         grad.take_l0(&mut self.local);
     }
 
-    /// The model read, at the size of the last batch; after a gradient at
-    /// it its layer 0 holds no row ([`Workspace::loss_and_gradient_at`]).
+    /// The model read; after a gradient at it its layer 0 holds no row
+    /// ([`Workspace::loss_and_gradient_at`]).
     pub fn model(&self) -> &Model {
         &self.local
     }
+}
 
-    /// The input features the read model's layer 0 holds, in its row
-    /// order (ascending): `Some` after a CSR read, `None` — every row —
-    /// after a dense one. What an apply of a gradient at the read takes.
-    pub fn support(&self) -> Option<&[u32]> {
-        (!self.every_row).then_some(&self.support)
+/// Bytes of layer-0 rows a [`CsrStep`] holds at once: 256 KiB — 1 024 rows
+/// at width 64, all 300 of w8a's rows at width 192 — which leaves a 2 MB
+/// L2 room for the step's activations while one block is read, scattered
+/// and written.
+pub const L0_BLOCK_BYTES: usize = 256 << 10;
+
+/// Layer-0 rows in one [`L0_BLOCK_BYTES`] block at layer-0 width `out`.
+fn block_rows(out: usize) -> usize {
+    (L0_BLOCK_BYTES / (std::mem::size_of::<f32>() * out.max(1))).max(1)
+}
+
+/// How a [`CsrStep`] writes its blocks of layer-0 gradient rows into the
+/// shared model, `w ← w − step·∇`.
+#[derive(Debug)]
+pub enum L0Write<'s> {
+    /// A Hogwild lane's load/subtract/store
+    /// ([`SharedModel::apply_l0_tile`]); with a scan, each block's sum of
+    /// squares and non-finite count are added to its layer 0
+    /// (`ops::sumsq_nonfinite` over the block) before the block is written.
+    Racy(Option<&'s mut MergeScan>),
+    /// A stripe-owning merger's add ([`SharedModel::merge_l0_tile`]), the
+    /// scan fused into its loop.
+    Merge(Option<&'s mut MergeScan>),
+}
+
+/// A threaded worker's step on a CSR batch, taken on the shared model
+/// itself (§V: CPU workers use the global model by reference, GPU workers
+/// copy only what they train on), holding no copy of layer 0:
+///
+/// - **Read** ([`read`](Self::read), the stage): the batch's *support* —
+///   the input features it touches, ascending — with the batch's column
+///   indices renumbered onto it (feature `support[i]` becomes column `i`),
+///   cut into blocks of [`L0_BLOCK_BYTES`] of layer-0 rows
+///   ([`ColumnCuts`]); and the tail, layer 0's bias and every later layer
+///   ([`SharedModel::read_tail`]).
+/// - **Forward** ([`Workspace::loss_and_gradient_blocks`]): for each block,
+///   its rows copied from the shared model into the one tile
+///   ([`SharedModel::read_l0_tile`]), then that block's entries added into
+///   the pre-activations ([`sparse::spmm_block_into`]; the first block
+///   starts them at the bias). Then the later layers, the loss, and the
+///   backward down to layer 0's bias, into the workspace's gradient, whose
+///   layer 0 holds no row.
+/// - **Layer 0's weight gradient** ([`write_l0`](Self::write_l0)): each
+///   block's `∇W₀ = Xᵀ·δ₀` scattered into the zeroed tile and written back
+///   at once ([`L0Write`]). The tail is written after it, as a gradient of
+///   the stripes from layer 0's bias on.
+///
+/// Every product is added in the whole-batch kernels' order — ascending
+/// feature per pre-activation row, ascending batch row per gradient row,
+/// mul then add — so with no concurrent writer the loss and every
+/// parameter written are bit-identical to the full-snapshot step
+/// (snapshot, `loss_and_gradient_into`, `apply_racy` / `merge_gradient`
+/// over the gradient's own rows). A support of one block reduces to that
+/// step's sequence: copy, `spmm_bias_into` with the bias, scatter, write.
+/// The scratch is sized by the spec and the block, so a warm step is
+/// allocation-free.
+#[derive(Debug)]
+pub struct CsrStep {
+    /// The last read's support, ascending.
+    support: Vec<u32>,
+    /// One bit per input feature, all clear between calls (`collect_rows`).
+    mask: Vec<u64>,
+    /// Input feature → its place in the support; meaningful on it only.
+    slot: Vec<u32>,
+    /// Layer-0 rows per block.
+    per: usize,
+    /// The last read batch's entries, by block.
+    cuts: ColumnCuts,
+    /// One block of layer-0 rows: weights in the forward, gradient rows in
+    /// the backward.
+    tile: Matrix,
+    /// Layer 0's bias and every later layer, as read; layer 0 holds no
+    /// weight row.
+    tail: Model,
+}
+
+impl CsrStep {
+    /// An empty step for models of shape `spec`.
+    pub fn new(spec: &MlpSpec) -> Self {
+        let (in_dim, out) = spec.layer_dims()[0];
+        let per = block_rows(out);
+        // One block's capacity up front, so the tile never grows past it.
+        let mut tile = Matrix::zeros(per.min(in_dim), out);
+        tile.resize(0, out);
+        CsrStep {
+            support: Vec::with_capacity(in_dim),
+            mask: vec![0; in_dim.div_ceil(64)],
+            slot: vec![0; in_dim],
+            per,
+            cuts: ColumnCuts::new(),
+            tile,
+            tail: Model::zeros_with_l0_rows(spec, 0),
+        }
     }
+
+    /// Read what the CSR `batch` needs of `shared` before its forward:
+    /// take its support, renumber the batch's columns onto it, cut it into
+    /// blocks, and read the tail (see the type docs).
+    /// `hetero_support_read_skips_tail` is the seeded bug of
+    /// `scripts/check_mutation.sh`: no tail read.
+    // audit: no_alloc
+    pub fn read(&mut self, shared: &SharedModel, batch: &mut CsrBatch) {
+        collect_rows(batch.view().indices(), &mut self.mask, &mut self.support);
+        // A support of every feature numbers them as they are.
+        if self.support.len() < batch.cols() {
+            for (i, &c) in self.support.iter().enumerate() {
+                self.slot[c as usize] = i as u32;
+            }
+            let slot = &self.slot;
+            batch.renumber_cols(self.support.len(), |c| slot[c as usize]);
+        }
+        self.cuts.cut(batch.view(), self.per);
+        if !cfg!(hetero_support_read_skips_tail) {
+            shared.read_tail(&mut self.tail);
+        }
+    }
+
+    /// The input features of the last read's batch, ascending: column `i`
+    /// of the renumbered batch is feature `support()[i]`.
+    pub fn support(&self) -> &[u32] {
+        &self.support
+    }
+
+    /// Layer 0's bias and every later layer as the last read took them.
+    pub fn tail(&self) -> &Model {
+        &self.tail
+    }
+
+    /// Floats of layer-0 rows the step holds: its tile's capacity, at most
+    /// one block.
+    pub fn l0_capacity(&self) -> usize {
+        self.tile.capacity()
+    }
+
+    /// Where block `b`'s features lie in the support.
+    fn span(&self, b: usize) -> std::ops::Range<usize> {
+        let s = b * self.per;
+        s..self.support.len().min(s + self.per)
+    }
+
+    /// `z ← X·W₀ + b₀` for the read batch `x`, layer 0's rows read from
+    /// `shared` one block at a time into the tile.
+    pub(crate) fn l0_forward(&mut self, shared: &SharedModel, x: CsrView<'_>, z: &mut Matrix) {
+        let out = self.tail.layers()[0].b.len();
+        for b in 0..self.cuts.blocks() {
+            let rows = &self.support[self.span(b)];
+            fit_tile(&mut self.tile, rows.len(), out);
+            shared.read_l0_tile(rows, self.tile.as_mut_slice());
+            let bias = (b == 0).then_some(&self.tail.layers()[0].b[..]);
+            sparse::spmm_block_into(self.cuts.block(x, b), &self.tile, bias, z);
+        }
+    }
+
+    /// Layer 0's weight gradient of the read batch `x`, from the δ₀ the
+    /// last [`Workspace::loss_and_gradient_blocks`] left in `ws`, a block
+    /// at a time: each block's rows scattered into the zeroed tile, then
+    /// written into `shared` at once, `w ← w − step·∇` ([`L0Write`]).
+    /// Returns the seconds spent writing (the step's merge phase; the
+    /// scatters are its compute) and the stripes a merge found owned.
+    /// `hetero_l0_block_skips_last` is the seeded bug of
+    /// `scripts/check_mutation.sh`: a last partial block is never written.
+    // audit: no_alloc
+    pub fn write_l0(
+        &mut self,
+        ws: &Workspace,
+        shared: &SharedModel,
+        x: CsrView<'_>,
+        step: f32,
+        mut to: L0Write<'_>,
+    ) -> (f64, u64) {
+        let delta = ws.l0_delta();
+        let blocks = self.cuts.blocks();
+        let (mut secs, mut found_owned) = (0.0, 0);
+        for b in 0..blocks {
+            let rows = &self.support[self.span(b)];
+            fit_tile(&mut self.tile, rows.len(), delta.cols());
+            self.tile.as_mut_slice().fill(0.0);
+            sparse::spmm_tn_block_scatter(self.cuts.block(x, b), delta, &mut self.tile);
+            if let L0Write::Racy(Some(scan)) = &mut to {
+                let (sumsq, nonfinite) = ops::sumsq_nonfinite(self.tile.as_slice());
+                scan.add(0, LayerScan { sumsq, nonfinite });
+            }
+            if cfg!(hetero_l0_block_skips_last) && b + 1 == blocks && rows.len() < self.per {
+                continue;
+            }
+            let (tile, at) = (self.tile.as_slice(), Instant::now());
+            found_owned += match &mut to {
+                L0Write::Racy(_) => {
+                    shared.apply_l0_tile(rows, tile, step);
+                    0
+                }
+                L0Write::Merge(scan) => shared.merge_l0_tile(rows, tile, step, scan.as_deref_mut()),
+            };
+            secs += at.elapsed().as_secs_f64();
+        }
+        (secs, found_owned)
+    }
+}
+
+/// Shape a [`CsrStep`]'s tile to one block of `rows` layer-0 rows of width
+/// `out`, inside the one block's capacity it was built with.
+fn fit_tile(tile: &mut Matrix, rows: usize, out: usize) {
+    debug_assert!(rows * out <= tile.capacity(), "a block past the tile");
+    tile.resize(rows, out);
 }
 
 /// The distinct column indices of a batch, ascending, into `out`:
@@ -466,7 +605,7 @@ mod column_eval {
         let spec = model.spec();
         let shared = SharedModel::new(model);
         let mut tail = Model::zeros_with_l0_rows(spec, 0);
-        shared.read_rows(Some(&[]), &mut tail);
+        shared.read_tail(&mut tail);
         assert_eq!(
             tail.layers()[0].w.rows(),
             0,
@@ -576,11 +715,177 @@ mod column_eval {
     }
 }
 
+/// A CSR step on the shared model against the full-snapshot step, bit for
+/// bit.
+///
+/// [`CsrStep`] reads, differentiates and writes layer 0 one block of its
+/// batch's support at a time; the full-snapshot step copies the whole
+/// model, takes [`Workspace::loss_and_gradient_into`] at it, and writes the
+/// gradient over its own rows ([`SharedModel::apply_racy`] /
+/// [`SharedModel::merge_gradient`]). Both add every product in the same
+/// order, so the loss, every parameter written and a merge's scan must agree
+/// to the bit.
+///
+/// `scripts/check_mutation.sh` rebuilds this suite with `--cfg
+/// hetero_l0_block_skips_last` (a last partial block is never written) and
+/// requires it to fail.
+#[cfg(all(test, not(feature = "loom")))]
+mod csr_step {
+    use hetero_tensor::simd::{host_levels, with_level};
+    use hetero_tensor::{CsrBatch, CsrMatrix, Matrix};
+
+    use super::{block_rows, CsrStep, L0Write};
+    use crate::{
+        Activation, InitScheme, LossKind, MergeScan, MlpSpec, Model, SharedModel, Targets,
+        Workspace,
+    };
+
+    /// `rows` rows over `cols` features whose support is the last `k`
+    /// features exactly: row `r` stores feature `c` of them unless
+    /// `(c + r) % 3 == 0`, with values off a seeded LCG.
+    fn batch(rows: usize, cols: usize, k: usize) -> CsrMatrix {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64 ^ k as u64;
+        let mut value = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 40) as f32 / (1u64 << 24) as f32) * 2.0 - 1.0
+        };
+        let entries: Vec<Vec<(u32, f32)>> = (0..rows)
+            .map(|r| {
+                let stored = (cols - k..cols).filter(|c| (c + r) % 3 != 0);
+                stored.map(|c| (c as u32, value())).collect()
+            })
+            .collect();
+        CsrMatrix::from_row_entries(cols, entries)
+    }
+
+    /// Supports of 1, `per − 1`, `per`, `per + 1` and `3·per + 5` rows of
+    /// layer 0, and `per − 1` again (a warm step whose support shrank), at
+    /// layer-0 width `out`, with 0, 1 and 2 hidden layers, for softmax-CE
+    /// and multi-label BCE, written racy and merged (scanned), at every
+    /// dispatch level the host has: a CSR step leaves its shared model as
+    /// the full-snapshot step leaves another, its loss is that step's and a
+    /// merge's scan is that merge's, and it holds at most one block of
+    /// layer-0 rows.
+    fn every_block_edge_at_width(out: usize) {
+        let per = block_rows(out);
+        let sizes = [1, per - 1, per, per + 1, 3 * per + 5, per - 1];
+        let features = 3 * per + 8;
+        for (loss, hidden) in [LossKind::SoftmaxCrossEntropy, LossKind::MultiLabelBce]
+            .into_iter()
+            .flat_map(|l| [0, 1, 2].map(|h| (l, h)))
+        {
+            let spec = MlpSpec {
+                input_dim: features,
+                hidden: [vec![], vec![out], vec![out, 16]][hidden].clone(),
+                classes: if hidden == 0 { out } else { 3 },
+                activation: Activation::Sigmoid,
+                loss,
+            };
+            let model = Model::new(spec.clone(), InitScheme::Xavier, out as u64);
+            for level in host_levels() {
+                with_level(level, || {
+                    for merge in [false, true] {
+                        let case = format!(
+                            "width {out}, {hidden} hidden, {loss:?}, {level:?}, merge {merge}"
+                        );
+                        steps(&model, &sizes, merge, per * out, &case);
+                    }
+                })
+            }
+        }
+    }
+
+    #[test]
+    fn a_csr_step_is_the_full_snapshot_step_at_every_block_edge_at_width_24() {
+        every_block_edge_at_width(24);
+    }
+
+    #[test]
+    fn a_csr_step_is_the_full_snapshot_step_at_every_block_edge_at_width_64() {
+        every_block_edge_at_width(64);
+    }
+
+    #[test]
+    fn a_csr_step_is_the_full_snapshot_step_at_every_block_edge_at_width_192() {
+        every_block_edge_at_width(192);
+    }
+
+    /// One step per support size of `sizes`, on one warm [`CsrStep`] and
+    /// workspace, against the full-snapshot step on a second shared model.
+    fn steps(model: &Model, sizes: &[usize], merge: bool, block: usize, case: &str) {
+        let spec = model.spec();
+        let (on_blocks, reference) = (SharedModel::new(model), SharedModel::new(model));
+        let (mut at, mut ws) = (CsrStep::new(spec), Workspace::new(spec));
+        let (mut full, mut ws_full) = (Model::zeros_like(spec), Workspace::new(spec));
+        let (mut staged, mut whole) = (CsrBatch::new(), CsrBatch::new());
+        let layers = spec.num_layers();
+        let (mut scan, mut scan_ref) = (MergeScan::new(layers), MergeScan::new(layers));
+        let bits = |m: &SharedModel| {
+            m.read_flat()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect::<Vec<_>>()
+        };
+        for (i, &k) in sizes.iter().enumerate() {
+            let case = format!("{case}, support {k} (step {i})");
+            let x = batch(6, spec.input_dim, k);
+            let classes: Vec<u32> = (0..6).map(|r| (r % spec.classes) as u32).collect();
+            let hot = Matrix::from_fn(6, spec.classes, |r, c| ((r + c) % 4 == 0) as u8 as f32);
+            let targets = match spec.loss {
+                LossKind::SoftmaxCrossEntropy => Targets::Classes(&classes),
+                LossKind::MultiLabelBce => Targets::MultiHot(&hot),
+            };
+            let eta = 0.5;
+            x.slice_rows_into(0, 6, &mut staged);
+            at.read(&on_blocks, &mut staged);
+            let l = ws.loss_and_gradient_blocks(&mut at, &on_blocks, staged.view(), targets);
+            scan.reset();
+            scan_ref.reset();
+            let to = match merge {
+                true => L0Write::Merge(Some(&mut scan)),
+                false => L0Write::Racy(None),
+            };
+            at.write_l0(&ws, &on_blocks, staged.view(), eta, to);
+            // The full-snapshot step.
+            x.slice_rows_into(0, 6, &mut whole);
+            reference.snapshot_into(&mut full);
+            let l_ref = ws_full
+                .loss_and_gradient_into(&full, whole.view(), targets, false)
+                .0;
+            let g = ws_full.grad();
+            assert_eq!(l.to_bits(), l_ref.to_bits(), "{case}: loss");
+            assert_eq!(Some(at.support()), ws_full.active_cols(), "{case}: support");
+            if merge {
+                on_blocks.merge_gradient(ws.grad(), eta, Some(&[]), Some(&mut scan));
+                reference.merge_gradient(g, eta, ws_full.active_cols(), Some(&mut scan_ref));
+                assert_eq!(scan, scan_ref, "{case}: scan");
+            } else {
+                on_blocks.apply_racy(ws.grad(), eta, Some(&[]));
+                reference.apply_racy(g, eta, ws_full.active_cols());
+            }
+            assert!(bits(&on_blocks) == bits(&reference), "{case}: parameters");
+            assert_eq!(on_blocks.update_count(), reference.update_count(), "{case}");
+            assert!(
+                at.l0_capacity() <= block,
+                "{case}: {} floats held",
+                at.l0_capacity()
+            );
+            assert_eq!(
+                ws.grad().layers()[0].w.capacity(),
+                0,
+                "{case}: gradient rows"
+            );
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::backward::loss_and_gradient;
-    use crate::forward::{Input, Targets};
+    use crate::forward::Targets;
     use crate::init::InitScheme;
     use crate::spec::MlpSpec;
 
@@ -743,121 +1048,18 @@ mod tests {
         assert_eq!(cols, vec![1, 5]);
     }
 
-    /// A support read holds the batch's rows and renumbers the batch onto
-    /// them; a gradient at it, applied through its support, moves the
-    /// shared model exactly as the full-snapshot gradient does — across
-    /// batches whose supports grow and shrink on one workspace.
-    #[test]
-    fn support_read_steps_match_full_snapshot_steps() {
-        let spec = MlpSpec::tiny(40, 2);
-        let model = Model::new(spec.clone(), InitScheme::Xavier, 12);
-        let (via_read, via_snapshot) = (SharedModel::new(&model), SharedModel::new(&model));
-        let (mut at, mut full) = (SupportRead::new(&spec), Model::zeros_like(&spec));
-        let (mut ws_read, mut ws_full) = (Workspace::new(&spec), Workspace::new(&spec));
-        let all = CsrMatrix::from_dense(&sparse_batch(24, 40, 5), 0.0);
-        let mut batch = CsrBatch::new();
-        for (s, e) in [(0, 3), (3, 15), (15, 17), (0, 24)] {
-            let labels: Vec<u32> = (s..e).map(|i| (i % 2) as u32).collect();
-            let targets = Targets::Classes(&labels);
-            all.slice_rows_into(s, e, &mut batch);
-            via_snapshot.snapshot_into(&mut full);
-            ws_full.loss_and_gradient_into(&full, batch.view(), targets, false);
-            via_snapshot.apply_racy(ws_full.grad(), 0.5, ws_full.active_cols());
-            let support = ws_full.active_cols().unwrap().to_vec();
-            at.read_csr(&mut ws_read, &via_read, &mut batch);
-            assert_eq!(at.support(), Some(&support[..]), "rows {s}..{e}");
-            assert_eq!(batch.cols(), support.len());
-            for (i, &c) in support.iter().enumerate() {
-                let local = at.model().layers()[0].w.row(i);
-                assert_eq!(local, full.layers()[0].w.row(c as usize));
-            }
-            let (_, g) = ws_read.loss_and_gradient_into(at.model(), batch.view(), targets, false);
-            assert_eq!(g.layers()[0].w.rows(), support.len());
-            via_read.apply_racy(g, 0.5, at.support());
-            assert_eq!(
-                via_read.read_flat(),
-                via_snapshot.read_flat(),
-                "rows {s}..{e}"
-            );
-        }
-        at.read_all(&mut ws_read, &via_read);
-        assert_eq!((at.model(), at.support()), (&via_read.snapshot(), None));
-    }
-
-    /// A gradient that takes the read's layer 0 over is the two-buffer
-    /// gradient at the read, bit for bit — loss and every gradient value —
-    /// and so is the model each one's apply leaves, on one handoff
-    /// workspace and read through CSR supports that grow, shrink, hold one
-    /// row and hold every feature, a dense batch and CSR again, at every
-    /// dispatch level the host has. The read keeps no layer-0 storage
-    /// after a handoff.
-    ///
-    /// `scripts/check_mutation.sh` rebuilds this suite with `--cfg
-    /// hetero_stale_l0_rows` (the rows taken over are not zeroed) and
-    /// requires this test to fail.
+    /// A gradient that takes the dense read's layer 0 over is the
+    /// two-buffer gradient at the read, bit for bit — loss and every
+    /// gradient value — and so is the model each one's apply leaves, over
+    /// batches on one handoff workspace, at every dispatch level the host
+    /// has. The read keeps no layer-0 storage after a handoff.
     #[test]
     fn a_gradient_at_the_read_is_the_two_buffer_gradient() {
         use hetero_tensor::simd::{host_levels, with_level};
 
         let spec = MlpSpec::tiny(40, 2);
         let model = Model::new(spec.clone(), InitScheme::Xavier, 21);
-        // `rows` rows, row `i` storing the features `keep(i, j)` picks.
-        let batch = |rows: usize, keep: &dyn Fn(usize, usize) -> bool| {
-            Matrix::from_fn(rows, 40, |i, j| {
-                let v = ((i * 40 + j) as f32 * 0.37).sin();
-                if keep(i, j) {
-                    v
-                } else {
-                    0.0
-                }
-            })
-        };
-        let cases: [(&str, Matrix, bool); 7] = [
-            (
-                "5 features",
-                batch(6, &|i, j| j < 5 && (i + j) % 2 == 0),
-                true,
-            ),
-            (
-                "grown to 20",
-                batch(9, &|i, j| j < 20 && j % 2 == i % 2),
-                true,
-            ),
-            (
-                "shrunk to 3",
-                batch(4, &|i, j| [7, 11, 30][i % 3] == j),
-                true,
-            ),
-            ("one row", batch(5, &|_, j| j == 13), true),
-            (
-                "every feature",
-                batch(8, &|i, j| (i * 40 + j) % 3 != 0),
-                true,
-            ),
-            ("dense", sparse_batch(7, 40, 19), false),
-            (
-                "CSR after dense",
-                batch(9, &|i, j| j < 20 && j % 2 == i % 2),
-                true,
-            ),
-        ];
-        // Read batch `x` — its CSR rows into `staged` when `csr` — of
-        // `shared` into `at`, taking its buffer back from `ws`: the input a
-        // gradient at the read takes.
-        fn read<'b>(
-            (shared, ws): (&SharedModel, &mut Workspace),
-            at: &mut SupportRead,
-            (x, all, csr): (&'b Matrix, &CsrMatrix, bool),
-            staged: &'b mut CsrBatch,
-        ) -> Input<'b> {
-            if !csr {
-                at.read_all(ws, shared);
-                return Input::Dense(x);
-            }
-            all.slice_rows_into(0, x.rows(), staged);
-            at.read_csr(ws, shared, staged);
-            Input::Csr(staged.view())
-        }
+        let batches = [sparse_batch(7, 40, 19), sparse_batch(3, 40, 4)];
         for level in host_levels() {
             with_level(level, || {
                 let (one, two) = (SharedModel::new(&model), SharedModel::new(&model));
@@ -865,32 +1067,22 @@ mod tests {
                 let (mut ws_at, mut ws) = (Workspace::new(&spec), Workspace::new(&spec));
                 // The two-buffer read's own: `ws` keeps its gradient.
                 let mut ws_read_two = Workspace::new(&spec);
-                let (mut staged, mut staged_two) = (CsrBatch::new(), CsrBatch::new());
-                for (name, x, csr) in &cases {
+                for (i, x) in batches.iter().chain(&batches).enumerate() {
                     let labels: Vec<u32> = (0..x.rows()).map(|i| (i % 2) as u32).collect();
                     let targets = Targets::Classes(&labels);
-                    let all = CsrMatrix::from_dense(x, 0.0);
-                    let input = read((&one, &mut ws_at), &mut at, (x, &all, *csr), &mut staged);
-                    let support = at.support().map(<[u32]>::to_vec);
-                    let (l_at, g_at) = ws_at.loss_and_gradient_at(&mut at, input, targets, false);
+                    at.read_all(&mut ws_at, &one);
+                    let (l_at, g_at) = ws_at.loss_and_gradient_at(&mut at, x, targets, false);
                     let (l_at, g_at) = (l_at, g_at.clone());
-                    let two_at = (&two, &mut ws_read_two);
-                    let input = read(two_at, &mut read_two, (x, &all, *csr), &mut staged_two);
-                    let (l, g) = ws.loss_and_gradient_into(read_two.model(), input, targets, false);
-                    let case = format!("{name}, {level:?}");
+                    read_two.read_all(&mut ws_read_two, &two);
+                    let (l, g) = ws.loss_and_gradient_into(read_two.model(), x, targets, false);
+                    let case = format!("batch {i}, {level:?}");
                     assert_eq!(l_at.to_bits(), l.to_bits(), "{case}: loss");
-                    for (a, b) in g_at.layers().iter().zip(g.layers()) {
-                        assert_eq!(a.w.shape(), b.w.shape(), "{case}");
-                        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                        assert!(
-                            bits(a.w.as_slice()) == bits(b.w.as_slice()),
-                            "{case}: weights"
-                        );
-                        assert!(bits(&a.b) == bits(&b.b), "{case}: bias");
-                    }
+                    let bits =
+                        |m: &Model| m.flatten().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    assert!(bits(&g_at) == bits(g), "{case}: gradient");
                     assert_eq!(at.model().layers()[0].w.capacity(), 0, "{case}: read kept");
-                    one.apply_racy(&g_at, 0.5, support.as_deref());
-                    two.apply_racy(g, 0.5, read_two.support());
+                    one.apply_racy(&g_at, 0.5, None);
+                    two.apply_racy(g, 0.5, None);
                     assert!(one.read_flat() == two.read_flat(), "{case}: applied");
                 }
             })
@@ -906,13 +1098,12 @@ mod tests {
         let spec = MlpSpec::tiny(40, 2);
         let shared = SharedModel::new(&Model::new(spec.clone(), InitScheme::Xavier, 3));
         let (mut at, mut ws) = (SupportRead::new(&spec), Workspace::new(&spec));
-        let mut batch = CsrBatch::new();
-        CsrMatrix::from_dense(&sparse_batch(6, 40, 8), 0.0).slice_rows_into(0, 6, &mut batch);
-        at.read_csr(&mut ws, &shared, &mut batch);
+        let x = sparse_batch(6, 40, 8);
+        at.read_all(&mut ws, &shared);
         let labels = [0u32, 1, 0, 1, 0, 1];
         let targets = Targets::Classes(&labels);
-        ws.loss_and_gradient_at(&mut at, batch.view(), targets, false);
-        ws.loss_and_gradient_at(&mut at, batch.view(), targets, false);
+        ws.loss_and_gradient_at(&mut at, &x, targets, false);
+        ws.loss_and_gradient_at(&mut at, &x, targets, false);
     }
 
     #[test]

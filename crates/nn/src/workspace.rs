@@ -29,7 +29,8 @@ use hetero_tensor::{CsrView, Matrix};
 use crate::backward::{backward_with_scratch, Gradient};
 use crate::forward::{forward_after_l0, forward_into_buffers, loss, ForwardPass, Input, Targets};
 use crate::model::Model;
-use crate::sparse_input::{ColumnBatch, Layer0, SparseScratch, SupportRead};
+use crate::shared::SharedModel;
+use crate::sparse_input::{ColumnBatch, CsrStep, Layer0, SparseScratch, SupportRead};
 use crate::spec::MlpSpec;
 
 /// Reusable forward/backward buffers for one worker (see module docs).
@@ -41,6 +42,8 @@ pub struct Workspace {
     /// Backprop δ ping-pong buffers.
     delta: Matrix,
     delta_next: Matrix,
+    /// Whether the last backward left δ₀ in `delta_next` (else `delta`).
+    l0_delta_next: bool,
     /// Gradient accumulator, overwritten in place every step. Its layer 0
     /// takes the rows of the model differentiated — every input feature's,
     /// or a batch support's — so it holds no row before the first step.
@@ -69,6 +72,7 @@ impl Workspace {
             },
             delta: Matrix::zeros(0, 0),
             delta_next: Matrix::zeros(0, 0),
+            l0_delta_next: false,
             grad: Model::zeros_with_l0_rows(spec, 0),
             sparse: None,
             warmed_batch: 0,
@@ -141,16 +145,16 @@ impl Workspace {
         );
     }
 
-    /// Before a gradient of `x` at `model`, give `grad`'s layer 0 the rows
-    /// `model`'s has (all of them, or a batch's support), and make `sparse`
-    /// fit what the backward will leave in `grad`: a dense backward
-    /// overwrites every row (no support), a CSR one needs the support of
-    /// the gradient it replaces — created here when absent, re-zeroing
-    /// the rows a dense backward wrote (a layer just grown is fresh zeros,
-    /// as a new workspace's is). A gradient that `takes_over` the read's
-    /// layer 0 ([`loss_and_gradient_at`](Self::loss_and_gradient_at))
-    /// leaves `grad`'s as it is. Runs before `track`, so the one-time
-    /// creation never counts against the steady-state invariant.
+    /// Before a gradient of `x` at `model`, give `grad`'s layer 0 every row,
+    /// and make `sparse` fit what the backward will leave in `grad`: a dense
+    /// backward overwrites every row (no support), a CSR one needs the
+    /// support of the gradient it replaces — created here when absent,
+    /// re-zeroing the rows a dense backward wrote (a layer just grown is
+    /// fresh zeros, as a new workspace's is). A gradient that `takes_over`
+    /// the read's layer 0
+    /// ([`loss_and_gradient_at`](Self::loss_and_gradient_at)) leaves
+    /// `grad`'s as it is. Runs before `track`, so the one-time creation
+    /// never counts against the steady-state invariant.
     fn prepare_gradient(&mut self, model: &Model, x: Input<'_>, takes_over: bool) {
         let fresh = takes_over || self.grad.fit_l0(model.layers()[0].w.rows());
         match x {
@@ -240,10 +244,8 @@ impl Workspace {
         self.check_spec(tail);
         assert_eq!(l0.spec(), &self.spec, "layer-0 source spec mismatch");
         assert_eq!(x.cols(), self.spec.input_dim, "column batch width");
-        let layers = self.spec.num_layers();
         self.track(x.rows(), |ws| {
-            let activations = &mut ws.pass.activations;
-            activations.resize_with(layers, || Matrix::zeros(0, 0));
+            let activations = ws.layer_slots();
             x.l0_into(l0, &tail.layers()[0].b, &mut activations[0]);
             forward_after_l0(tail, false, activations);
         });
@@ -293,7 +295,7 @@ impl Workspace {
     /// Backward pass of the last forward into the gradient; it reads no
     /// layer-0 weight of `model`, only the later layers' and the spec.
     fn backprop(&mut self, model: &Model, x: Input<'_>, targets: Targets<'_>, parallel: bool) {
-        backward_with_scratch(
+        self.l0_delta_next = backward_with_scratch(
             model,
             x,
             &self.pass,
@@ -306,46 +308,88 @@ impl Workspace {
         );
     }
 
-    /// [`loss_and_gradient_into`](Self::loss_and_gradient_into) at the
-    /// model `at` read, bit for bit, holding one layer-0 buffer rather than
-    /// two. Layer 0 has no input gradient, so the read's layer-0 rows are
-    /// dead once the forward has run: the gradient then takes that storage
-    /// over as its own layer 0 — a CSR batch's rows zeroed here, a dense
-    /// batch's overwritten by its product — and the backward scatters
-    /// `Xᵀ·δ` into it. The gradient's row `i` is then feature
-    /// `at.support()[i]`'s, what `SharedModel::apply_racy` and
-    /// `merge_gradient` take with that support. `at` holds no layer-0 row
-    /// until its next read takes the buffer back from this workspace.
+    /// [`loss_and_gradient_into`](Self::loss_and_gradient_into) of a dense
+    /// batch at the model `at` read, bit for bit, holding one layer-0
+    /// buffer rather than two. Layer 0 has no input gradient, so the read's
+    /// layer-0 rows are dead once the forward has run: the gradient then
+    /// takes that storage over as its own layer 0, which the backward's
+    /// product overwrites. `at` holds no layer-0 row until its next read
+    /// takes the buffer back from this workspace.
     ///
     /// # Panics
-    /// Panics if `at` was not read since the last gradient at it (unless
-    /// its batch touches no feature), or is of another spec.
+    /// Panics if `at` was not read since the last gradient at it, or is of
+    /// another spec.
     // audit: no_alloc
-    pub fn loss_and_gradient_at<'a>(
+    pub fn loss_and_gradient_at(
         &mut self,
         at: &mut SupportRead,
-        x: impl Into<Input<'a>>,
+        x: &Matrix,
         targets: Targets<'_>,
         parallel: bool,
     ) -> (f32, &Gradient) {
-        let x = x.into();
+        let x = Input::Dense(x);
         self.check_spec(at.model());
         self.prepare_gradient(at.model(), x, true);
         let l = self.track(x.dims().0, |ws| {
             let l = ws.forward_loss(at.model(), x, targets, parallel);
             at.lend_l0(&mut ws.grad);
-            // A CSR backward re-zeroes only its previous support's rows;
-            // every row taken over holds a weight of the read.
-            if let Some(s) = ws.sparse.as_deref_mut() {
-                if !cfg!(hetero_stale_l0_rows) {
-                    ws.grad.layers_mut()[0].w.as_mut_slice().fill(0.0);
-                }
-                s.forget_rows();
-            }
             ws.backprop(at.model(), x, targets, parallel);
             l
         });
         (l, &self.grad)
+    }
+
+    /// The loss of the CSR batch `x` at the shared model as `at` read it
+    /// ([`CsrStep::read`]), layer 0's weights read from `shared` a block at
+    /// a time, and the gradient of layer 0's bias and every later layer
+    /// into the stored gradient, whose layer 0 then holds no row. Layer
+    /// 0's weight gradient is [`CsrStep::write_l0`]'s, from the δ₀ kept
+    /// here. With no concurrent writer, the loss and that gradient are
+    /// [`loss_and_gradient_into`](Self::loss_and_gradient_into)'s at a
+    /// full snapshot, bit for bit.
+    ///
+    /// # Panics
+    /// Panics if `at` is not of this workspace's spec, or `x` is not the
+    /// batch it last read.
+    // audit: no_alloc
+    pub fn loss_and_gradient_blocks(
+        &mut self,
+        at: &mut CsrStep,
+        shared: &SharedModel,
+        x: CsrView<'_>,
+        targets: Targets<'_>,
+    ) -> f32 {
+        self.check_spec(at.tail());
+        // No support kept: the backward leaves layer 0's weights to the
+        // step's blocks.
+        self.grad.fit_l0(0);
+        self.sparse = None;
+        self.track(x.rows(), |ws| {
+            let activations = ws.layer_slots();
+            at.l0_forward(shared, x, &mut activations[0]);
+            forward_after_l0(at.tail(), false, activations);
+            let l = loss(ws.pass.probs(), targets, ws.spec.loss);
+            ws.backprop(at.tail(), Input::Csr(x), targets, false);
+            l
+        })
+    }
+
+    /// One activation slot per layer, for a forward whose layer 0 is
+    /// computed outside `forward_into_buffers`.
+    fn layer_slots(&mut self) -> &mut [Matrix] {
+        let layers = self.spec.num_layers();
+        let activations = &mut self.pass.activations;
+        activations.resize_with(layers, || Matrix::zeros(0, 0));
+        activations
+    }
+
+    /// δ₀ of the last backward: `∂loss/∂z₀`, batch × layer-0 width.
+    pub(crate) fn l0_delta(&self) -> &Matrix {
+        if self.l0_delta_next {
+            &self.delta_next
+        } else {
+            &self.delta
+        }
     }
 
     /// [`loss_and_gradient_into`](Self::loss_and_gradient_into) on a CSR

@@ -3,9 +3,10 @@
 //! lose an update in any interleaving, and the racy Hogwild path — against
 //! another lane or against a merge — must stay inside its documented
 //! lost-update envelope (values from a feasible serialization, never
-//! corruption), and a read of a batch's support, or an eval's read of a
-//! tile of layer-0 rows, beside both must see only values the parameters
-//! held. `scripts/check_mutation.sh` rebuilds this suite with
+//! corruption), a CSR step's merge of a block of layer-0 rows must lose
+//! nothing beside a whole merge, and a CSR step's block and tail reads, or
+//! an eval's read of a tile of layer-0 rows, beside both must see only
+//! values the parameters held. `scripts/check_mutation.sh` rebuilds this suite with
 //! `--cfg hetero_unguarded_merge` (mergers skip stripe acquisition) and
 //! requires the two-merger models to fail.
 #![cfg(feature = "loom")]
@@ -55,6 +56,32 @@ fn concurrent_merge_delta_loses_nothing() {
         assert_eq!(shared.update_count(), 2);
         let w = shared.snapshot().layers()[0].w.get(0, 0);
         assert!((w - 2.0).abs() < 1e-6, "CAS merge lost an update: {w}");
+    });
+}
+
+/// A CSR step's merge of one block of layer-0 gradient rows meets a whole
+/// merge on input feature 0's row: neither add may be lost, and the block
+/// counts no update (the step's tail write counts its one).
+#[test]
+fn a_block_merge_beside_a_whole_merge_loses_nothing() {
+    loom::model(|| {
+        let base = Model::new(scalar_spec(), InitScheme::Constant(0.0), 0);
+        let shared = Arc::new(SharedModel::new(&base));
+        let mut replica = base.clone();
+        replica.layers_mut()[0].w.row_mut(0)[0] = 1.0;
+        let block = {
+            let s = Arc::clone(&shared);
+            thread::spawn(move || s.merge_l0_tile(&[0], &[-1.0], 1.0, None))
+        };
+        let whole = {
+            let s = Arc::clone(&shared);
+            thread::spawn(move || s.merge(&base, &replica, 1.0, None, None))
+        };
+        block.join().unwrap();
+        whole.join().unwrap();
+        assert_eq!(shared.update_count(), 1);
+        let w = shared.snapshot().layers()[0].w.get(0, 0);
+        assert!((w - 2.0).abs() < 1e-6, "block merge lost an update: {w}");
     });
 }
 
@@ -201,13 +228,14 @@ fn merge_against_racy_lane_stays_in_feasible_envelope() {
     });
 }
 
-/// A read of a batch's support races a stripe-owning merger and a racy
-/// lane over the same rows. Input feature 1 of 2 is the support, so the
-/// read's layer 0 holds one row, feature 1's. Every value read must be one
-/// the parameter held at some point: a weight of 0 (neither write), +1
-/// (the merge), −2 (the lane), or −1 (both); a bias of 0 or +0.5 (the
-/// merge's) — never a torn or invented one. Some schedules must read
-/// before either write and some after, or nothing raced.
+/// A CSR step's read of its batch's support — the support's block of
+/// layer-0 rows, then the tail from layer 0's bias on — races a
+/// stripe-owning merger and a racy lane over the same rows. Input feature 1
+/// of 2 is the support, so the block holds one row, feature 1's. Every
+/// value read must be one the parameter held at some point: a weight of 0
+/// (neither write), +1 (the merge), −2 (the lane), or −1 (both); a bias of
+/// 0 or +0.5 (the merge's) — never a torn or invented one. Some schedules
+/// must read before either write and some after, or nothing raced.
 #[test]
 fn support_read_sees_only_values_the_parameters_held() {
     let seen = Arc::new([AtomicU64::new(0), AtomicU64::new(0)]);
@@ -233,13 +261,12 @@ fn support_read_sees_only_values_the_parameters_held() {
             let s = Arc::clone(&shared);
             thread::spawn(move || s.apply_racy(&raced, 1.0, Some(support)))
         };
-        let mut local = Model::zeros_like(&spec);
-        shared.read_rows(Some(support), &mut local);
+        let (mut block, mut tail) = ([f32::NAN], Model::zeros_with_l0_rows(&spec, 0));
+        shared.read_l0_tile(support, &mut block);
+        shared.read_tail(&mut tail);
         merger.join().unwrap();
         lane.join().unwrap();
-        let (w, b) = (&local.layers()[0].w, local.layers()[0].b[0]);
-        assert_eq!(w.rows(), 1, "the read holds the support's row only");
-        let w = w.get(0, 0);
+        let (w, b) = (block[0], tail.layers()[0].b[0]);
         assert!(
             [0.0, 1.0, -2.0, -1.0].contains(&w),
             "support read saw a weight {w} the parameter never held"

@@ -250,6 +250,32 @@ pub(crate) struct Operand<'a> {
     pub(crate) k_contig: bool,
 }
 
+/// The stored entries a CSR kernel walks: row `r`'s are `lo[r]..hi[r]` of
+/// `indices` / `values`, and an entry of column `c` reads or writes row
+/// `c − c0` of the dense operand — a whole CSR matrix (`lo`, `hi` its
+/// offsets, `c0 = 0`), or the entries of one block of its columns
+/// (`crate::sparse::CsrBlock`).
+#[derive(Clone, Copy)]
+pub(crate) struct CsrRows<'a> {
+    pub(crate) lo: &'a [usize],
+    pub(crate) hi: &'a [usize],
+    pub(crate) indices: &'a [u32],
+    pub(crate) values: &'a [f32],
+    pub(crate) c0: usize,
+}
+
+impl CsrRows<'_> {
+    /// Row `r`'s `(dense row, value)` entries.
+    #[inline]
+    pub(crate) fn entries_of(&self, r: usize) -> impl Iterator<Item = (usize, f32)> + '_ {
+        let (lo, hi, c0) = (self.lo[r], self.hi[r], self.c0);
+        self.indices[lo..hi]
+            .iter()
+            .zip(&self.values[lo..hi])
+            .map(move |(&c, &v)| (c as usize - c0, v))
+    }
+}
+
 /// Per-thread packed-panel storage for [`gemm_packed`]; grows to the
 /// blocking constants' working set on first use and is reused afterwards.
 pub(crate) struct PackBufs {
@@ -388,34 +414,20 @@ simd_entry!(
 );
 simd_entry!(
     /// Sparse first-layer forward: for each CSR row `r`,
-    /// `z[r,:] = bias + Σ v·wt[c,:]` over the row's stored `(c,v)` entries,
-    /// with `wt` the `cols×out` weights (layer 0's storage) so every gather
-    /// is a contiguous row. Empty `bias` means all-zero. Mul+add in scalar
-    /// element order — bit-identical to the portable loop.
-    spmm_csr(
-        indptr: &[usize],
-        indices: &[u32],
-        values: &[f32],
-        wt: &[f32],
-        bias: &[f32],
-        out: usize,
-        z: &mut [f32],
-    )
+    /// `z[r,:] = init + Σ v·wt[c − c0,:]` over the row's stored `(c,v)`
+    /// entries, with `wt` the weights (layer 0's storage, or a block of its
+    /// rows) so every gather is a contiguous row. `init` is `bias` (empty:
+    /// all-zero), or with `None` what `z` holds. Mul+add in scalar element
+    /// order — bit-identical to the portable loop.
+    spmm_csr(x: CsrRows<'_>, wt: &[f32], bias: Option<&[f32]>, out: usize, z: &mut [f32])
 );
 simd_entry!(
     /// Sparse first-layer weight gradient: for each stored `(r,c,v)`,
-    /// `grad[c,:] += v·delta[r,:]` — a contiguous-row scatter into the
-    /// `cols×out` gradient (layer 0's storage). The caller pre-zeroes the
-    /// rows of `grad` whose columns appear in the batch. Mul+add in scalar
-    /// element order — bit-identical to the portable loop.
-    spmm_tn_csr(
-        indptr: &[usize],
-        indices: &[u32],
-        values: &[f32],
-        delta: &[f32],
-        out: usize,
-        grad: &mut [f32],
-    )
+    /// `grad[c − c0,:] += v·delta[r,:]` — a contiguous-row scatter into the
+    /// gradient (layer 0's storage, or a block of its rows). The caller
+    /// pre-zeroes the rows of `grad` whose columns appear in the batch.
+    /// Mul+add in scalar element order — bit-identical to the portable loop.
+    spmm_tn_csr(x: CsrRows<'_>, delta: &[f32], out: usize, grad: &mut [f32])
 );
 simd_entry!(
     /// [`gemm_packed`] through the 12×32 zmm tile over 12-row A and
@@ -438,26 +450,11 @@ simd_entry!(
 simd_entry!(
     /// [`spmm_csr`] 16 lanes at a time, each row's pre-activations held in
     /// registers across its entries: the same bits.
-    spmm_csr_avx512(
-        indptr: &[usize],
-        indices: &[u32],
-        values: &[f32],
-        wt: &[f32],
-        bias: &[f32],
-        out: usize,
-        z: &mut [f32],
-    )
+    spmm_csr_avx512(x: CsrRows<'_>, wt: &[f32], bias: Option<&[f32]>, out: usize, z: &mut [f32])
 );
 simd_entry!(
     /// [`spmm_tn_csr`] 16 lanes at a time: the same bits.
-    spmm_tn_csr_avx512(
-        indptr: &[usize],
-        indices: &[u32],
-        values: &[f32],
-        delta: &[f32],
-        out: usize,
-        grad: &mut [f32],
-    )
+    spmm_tn_csr_avx512(x: CsrRows<'_>, delta: &[f32], out: usize, grad: &mut [f32])
 );
 
 simd_entry!(
@@ -480,7 +477,7 @@ mod imp {
     #[cfg(target_arch = "x86_64")]
     use core::arch::x86_64::*;
 
-    use super::{Operand, PackBufs, MR};
+    use super::{CsrRows, Operand, PackBufs, MR};
     use crate::ops::{ANGLE_STEP, COS_POLY, LN2, LN_POLY, MIX, SIN_POLY, TWO_POW_M24};
 
     /// Columns of the AVX2 register tile: two ymm vectors.
@@ -1091,26 +1088,23 @@ mod imp {
 
     #[target_feature(enable = "avx2,fma")]
     pub(super) fn spmm_csr(
-        indptr: &[usize],
-        indices: &[u32],
-        values: &[f32],
+        x: CsrRows<'_>,
         wt: &[f32],
-        bias: &[f32],
+        bias: Option<&[f32]>,
         out: usize,
         z: &mut [f32],
     ) {
-        let rows = indptr.len().saturating_sub(1);
         let n8 = out & !7;
-        for r in 0..rows {
+        for r in 0..x.lo.len() {
             let zr = &mut z[r * out..(r + 1) * out];
-            if bias.is_empty() {
-                zr.fill(0.0);
-            } else {
-                zr.copy_from_slice(bias);
+            match bias {
+                Some([]) => zr.fill(0.0),
+                Some(bias) => zr.copy_from_slice(bias),
+                None => {}
             }
-            for p in indptr[r]..indptr[r + 1] {
-                let c = indices[p] as usize;
-                let v = values[p];
+            for p in x.lo[r]..x.hi[r] {
+                let c = x.indices[p] as usize - x.c0;
+                let v = x.values[p];
                 let vv = _mm256_set1_ps(v);
                 let wr = &wt[c * out..(c + 1) * out];
                 let mut q = 0;
@@ -1127,21 +1121,13 @@ mod imp {
     }
 
     #[target_feature(enable = "avx2,fma")]
-    pub(super) fn spmm_tn_csr(
-        indptr: &[usize],
-        indices: &[u32],
-        values: &[f32],
-        delta: &[f32],
-        out: usize,
-        grad: &mut [f32],
-    ) {
-        let rows = indptr.len().saturating_sub(1);
+    pub(super) fn spmm_tn_csr(x: CsrRows<'_>, delta: &[f32], out: usize, grad: &mut [f32]) {
         let n8 = out & !7;
-        for r in 0..rows {
+        for r in 0..x.lo.len() {
             let d = &delta[r * out..(r + 1) * out];
-            for p in indptr[r]..indptr[r + 1] {
-                let c = indices[p] as usize;
-                let v = values[p];
+            for p in x.lo[r]..x.hi[r] {
+                let c = x.indices[p] as usize - x.c0;
+                let v = x.values[p];
                 let vv = _mm256_set1_ps(v);
                 let g = &mut grad[c * out..(c + 1) * out];
                 let mut q = 0;
@@ -1203,21 +1189,19 @@ mod imp {
     }
 
     /// [`spmm_csr`] in 16-lane vectors: a row's pre-activations, up to
-    /// `16·SPMM_VECS` columns at a time, stay in registers while the row's
-    /// entries are added in order, and are stored once. Each element is the
-    /// same `z + v·w` sequence, so the bits are the ymm body's.
+    /// `16·SPMM_VECS` columns at a time, start in registers (from the bias,
+    /// or from `z`), stay there while the row's entries are added in order,
+    /// and are stored once. Each element is the same `z + v·w` sequence, so
+    /// the bits are the ymm body's.
     #[target_feature(enable = "avx512f,avx2,fma")]
     pub(super) fn spmm_csr_avx512(
-        indptr: &[usize],
-        indices: &[u32],
-        values: &[f32],
+        x: CsrRows<'_>,
         wt: &[f32],
-        bias: &[f32],
+        bias: Option<&[f32]>,
         out: usize,
         z: &mut [f32],
     ) {
-        let rows = indptr.len().saturating_sub(1);
-        for r in 0..rows {
+        for r in 0..x.lo.len() {
             let zr = &mut z[r * out..(r + 1) * out];
             for q0 in (0..out).step_by(16 * SPMM_VECS) {
                 let width = (out - q0).min(16 * SPMM_VECS);
@@ -1227,14 +1211,19 @@ mod imp {
                     *m = mask16(width.saturating_sub(16 * j));
                 }
                 let mut acc = [_mm512_setzero_ps(); SPMM_VECS];
-                if !bias.is_empty() {
+                let init = match bias {
+                    Some([]) => None,
+                    Some(bias) => Some(bias),
+                    None => Some(&*zr),
+                };
+                if let Some(init) = init {
                     for j in 0..vecs {
-                        acc[j] = load16_masked(bias, q0 + 16 * j, mask[j]);
+                        acc[j] = load16_masked(init, q0 + 16 * j, mask[j]);
                     }
                 }
-                for p in indptr[r]..indptr[r + 1] {
-                    let vv = _mm512_set1_ps(values[p]);
-                    let wr = &wt[indices[p] as usize * out + q0..][..width];
+                for p in x.lo[r]..x.hi[r] {
+                    let vv = _mm512_set1_ps(x.values[p]);
+                    let wr = &wt[(x.indices[p] as usize - x.c0) * out + q0..][..width];
                     for j in 0..SPMM_VECS {
                         if j < vecs {
                             let vw = _mm512_mul_ps(vv, load16_masked(wr, 16 * j, mask[j]));
@@ -1252,21 +1241,13 @@ mod imp {
     /// [`spmm_tn_csr`] in 16-lane vectors, the tail masked: the same `g +
     /// v·δ` per element in the same order, so the ymm body's bits.
     #[target_feature(enable = "avx512f,avx2,fma")]
-    pub(super) fn spmm_tn_csr_avx512(
-        indptr: &[usize],
-        indices: &[u32],
-        values: &[f32],
-        delta: &[f32],
-        out: usize,
-        grad: &mut [f32],
-    ) {
-        let rows = indptr.len().saturating_sub(1);
+    pub(super) fn spmm_tn_csr_avx512(x: CsrRows<'_>, delta: &[f32], out: usize, grad: &mut [f32]) {
         let n16 = out & !15;
-        for r in 0..rows {
+        for r in 0..x.lo.len() {
             let d = &delta[r * out..(r + 1) * out];
-            for p in indptr[r]..indptr[r + 1] {
-                let c = indices[p] as usize;
-                let vv = _mm512_set1_ps(values[p]);
+            for p in x.lo[r]..x.hi[r] {
+                let c = x.indices[p] as usize - x.c0;
+                let vv = _mm512_set1_ps(x.values[p]);
                 let g = &mut grad[c * out..(c + 1) * out];
                 let mut q = 0;
                 while q < n16 {

@@ -11,7 +11,11 @@
 //!   weight gradient, accumulated row-contiguously in the same layout),
 //!
 //! which are exactly the two places sparsity pays off in a fully-connected
-//! network (every later layer is dense). Both dispatch through
+//! network (every later layer is dense). [`spmm_block_into`] and
+//! [`spmm_tn_block_scatter`] are the same products over one block of a
+//! batch's columns ([`ColumnCuts`]), with only that block's rows of the
+//! dense operand at hand; run block by block they store the whole
+//! products' bits. All four dispatch through
 //! [`crate::simd::active_level`] like the dense kernels — a 16-lane body at
 //! AVX-512, an 8-lane one at AVX2, the portable loop otherwise; the SIMD
 //! paths use separate mul/add in scalar element order, so every dispatch
@@ -28,7 +32,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::simd::{self, SimdLevel};
+use crate::simd::{self, CsrRows, SimdLevel};
 use crate::Matrix;
 
 /// [`CsrMatrix::from_dense`]'s stored entries of `row` as bits of `keep`
@@ -392,6 +396,17 @@ impl<'a> CsrView<'a> {
         }
     }
 
+    /// Every row's entries, as the kernels walk them.
+    fn entries(&self) -> CsrRows<'a> {
+        CsrRows {
+            lo: &self.indptr[..self.rows],
+            hi: &self.indptr[1..=self.rows],
+            indices: self.indices,
+            values: self.values,
+            c0: 0,
+        }
+    }
+
     /// Iterate over `(col, value)` pairs of row `i`.
     pub fn row_iter(&self, i: usize) -> impl Iterator<Item = (usize, f32)> + 'a {
         let (s, e) = (self.indptr[i], self.indptr[i + 1]);
@@ -488,47 +503,55 @@ impl CsrBatch {
 /// scalar element order — no FMA).
 pub fn spmm_bias_into(x: CsrView<'_>, w: &Matrix, bias: &[f32], z: &mut Matrix) {
     assert_eq!(w.rows(), x.cols(), "spmm inner dimension");
-    let out = w.cols();
     assert!(
-        bias.is_empty() || bias.len() == out,
+        bias.is_empty() || bias.len() == w.cols(),
         "spmm bias width mismatch"
     );
-    let rows = x.rows();
-    z.resize(rows, out);
+    z.resize(x.rows(), w.cols());
+    spmm_rows(x.entries(), w, Some(bias), z);
+}
+
+/// `Z ← Z + X_b·W_b`, or `Z ← X_b·W_b + bias` with `Some(bias)`: the
+/// forward product of one block of a CSR batch's columns ([`CsrBlock`]),
+/// `w` holding the block's weight rows (`block.cols() × out`). Run over
+/// every block in order, the first with the bias, each pre-activation
+/// receives its row's terms in ascending-column order, mul then add — the
+/// bits [`spmm_bias_into`] stores for the whole batch.
+///
+/// # Panics
+/// Panics if `w` is not `block.cols()` rows, or `z` is not
+/// `block.rows() × w.cols()` without a bias.
+pub fn spmm_block_into(x: CsrBlock<'_>, w: &Matrix, bias: Option<&[f32]>, z: &mut Matrix) {
+    assert_eq!(w.rows(), x.cols, "spmm block inner dimension");
+    match bias {
+        Some(bias) => {
+            assert!(bias.is_empty() || bias.len() == w.cols(), "spmm bias width");
+            z.resize(x.rows(), w.cols());
+        }
+        None => assert_eq!(z.shape(), (x.rows(), w.cols()), "spmm block output"),
+    }
+    spmm_rows(x.rows, w, bias, z);
+}
+
+/// The one body of both forward products: `z[r,:] = init + Σ v·w[c,:]`.
+fn spmm_rows(x: CsrRows<'_>, w: &Matrix, bias: Option<&[f32]>, z: &mut Matrix) {
+    let out = w.cols();
     if out == 0 {
         return;
     }
     match simd::active_level() {
-        SimdLevel::Avx512 => simd::spmm_csr_avx512(
-            x.indptr,
-            x.indices,
-            x.values,
-            w.as_slice(),
-            bias,
-            out,
-            z.as_mut_slice(),
-        ),
-        SimdLevel::Avx2 => simd::spmm_csr(
-            x.indptr,
-            x.indices,
-            x.values,
-            w.as_slice(),
-            bias,
-            out,
-            z.as_mut_slice(),
-        ),
+        SimdLevel::Avx512 => simd::spmm_csr_avx512(x, w.as_slice(), bias, out, z.as_mut_slice()),
+        SimdLevel::Avx2 => simd::spmm_csr(x, w.as_slice(), bias, out, z.as_mut_slice()),
         SimdLevel::Scalar => {
-            for r in 0..rows {
+            for r in 0..x.lo.len() {
                 let zr = z.row_mut(r);
-                if bias.is_empty() {
-                    zr.fill(0.0);
-                } else {
-                    zr.copy_from_slice(bias);
+                match bias {
+                    Some([]) => zr.fill(0.0),
+                    Some(bias) => zr.copy_from_slice(bias),
+                    None => {}
                 }
-                let (s, e) = (x.indptr[r], x.indptr[r + 1]);
-                for (&c, &v) in x.indices[s..e].iter().zip(&x.values[s..e]) {
-                    let wr = w.row(c as usize);
-                    for (zo, wv) in zr.iter_mut().zip(wr) {
+                for (c, v) in x.entries_of(r) {
+                    for (zo, wv) in zr.iter_mut().zip(w.row(c)) {
                         *zo += v * wv;
                     }
                 }
@@ -548,44 +571,162 @@ pub fn spmm_bias_into(x: CsrView<'_>, w: &Matrix, bias: &[f32], z: &mut Matrix) 
 /// merge lossless). Both dispatch paths are bit-identical.
 pub fn spmm_tn_scatter(x: CsrView<'_>, delta: &Matrix, grad: &mut Matrix) {
     assert_eq!(delta.rows(), x.rows(), "spmm_tn row count");
-    assert_eq!(
-        grad.shape(),
-        (x.cols(), delta.cols()),
-        "spmm_tn output shape"
-    );
+    let shape = (x.cols(), delta.cols());
+    assert_eq!(grad.shape(), shape, "spmm_tn output shape");
+    scatter_rows(x.entries(), delta, grad);
+}
+
+/// [`spmm_tn_scatter`] of one block of a CSR batch's columns into `grad`,
+/// the block's `block.cols() × out` rows of the gradient: each gradient
+/// row receives its terms in ascending batch-row order, mul then add — the
+/// bits the whole batch's scatter stores there. The caller pre-zeroes it.
+///
+/// # Panics
+/// Panics if `delta` is not `block.rows()` rows or `grad` not
+/// `block.cols() × delta.cols()`.
+pub fn spmm_tn_block_scatter(x: CsrBlock<'_>, delta: &Matrix, grad: &mut Matrix) {
+    assert_eq!(delta.rows(), x.rows(), "spmm_tn block row count");
+    let shape = (x.cols, delta.cols());
+    assert_eq!(grad.shape(), shape, "spmm_tn block output shape");
+    scatter_rows(x.rows, delta, grad);
+}
+
+/// The one body of both scatters.
+fn scatter_rows(x: CsrRows<'_>, delta: &Matrix, grad: &mut Matrix) {
     let out = delta.cols();
     if out == 0 {
         return;
     }
     match simd::active_level() {
-        SimdLevel::Avx512 => simd::spmm_tn_csr_avx512(
-            x.indptr,
-            x.indices,
-            x.values,
-            delta.as_slice(),
-            out,
-            grad.as_mut_slice(),
-        ),
-        SimdLevel::Avx2 => simd::spmm_tn_csr(
-            x.indptr,
-            x.indices,
-            x.values,
-            delta.as_slice(),
-            out,
-            grad.as_mut_slice(),
-        ),
+        SimdLevel::Avx512 => {
+            simd::spmm_tn_csr_avx512(x, delta.as_slice(), out, grad.as_mut_slice())
+        }
+        SimdLevel::Avx2 => simd::spmm_tn_csr(x, delta.as_slice(), out, grad.as_mut_slice()),
         SimdLevel::Scalar => {
-            for r in 0..x.rows() {
+            for r in 0..x.lo.len() {
                 let d = delta.row(r);
-                let (s, e) = (x.indptr[r], x.indptr[r + 1]);
-                for (&c, &v) in x.indices[s..e].iter().zip(&x.values[s..e]) {
-                    let g = grad.row_mut(c as usize);
-                    for (go, dv) in g.iter_mut().zip(d) {
+                for (c, v) in x.entries_of(r) {
+                    for (go, dv) in grad.row_mut(c).iter_mut().zip(d) {
                         *go += v * dv;
                     }
                 }
             }
         }
+    }
+}
+
+/// A CSR batch's stored entries cut by column into consecutive blocks of
+/// `per` columns — block `b` holds columns `b·per..(b + 1)·per` — so that a
+/// product can hold one block of the dense operand's rows at a time. Cut
+/// once per batch in `O(nnz + rows·blocks)`; each block is then a
+/// [`CsrBlock`] of the same batch, no entry copied. A batch of one block
+/// keeps no offsets of its own. Its buffer grows to the largest
+/// `rows·(blocks + 1)` it was cut for and is reused after.
+#[derive(Debug, Default)]
+pub struct ColumnCuts {
+    per: usize,
+    rows: usize,
+    blocks: usize,
+    /// Block-major: `at[b·rows + r]` is where row `r`'s entries of block `b`
+    /// start, `at[blocks·rows + r]` where its entries end.
+    at: Vec<usize>,
+}
+
+impl ColumnCuts {
+    /// No cut yet.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Cut `x`'s columns into blocks of `per`.
+    ///
+    /// # Panics
+    /// Panics if `per` is 0.
+    pub fn cut(&mut self, x: CsrView<'_>, per: usize) {
+        assert!(per > 0, "a block holds at least one column");
+        let (rows, blocks) = (x.rows(), x.cols().div_ceil(per).max(1));
+        (self.per, self.rows, self.blocks) = (per, rows, blocks);
+        self.at.clear();
+        if blocks == 1 {
+            return;
+        }
+        self.at.resize((blocks + 1) * rows, 0);
+        for r in 0..rows {
+            let (mut p, end) = (x.indptr[r], x.indptr[r + 1]);
+            for b in 0..blocks {
+                self.at[b * rows + r] = p;
+                let next = ((b + 1) * per) as u32;
+                while p < end && x.indices[p] < next {
+                    p += 1;
+                }
+            }
+            self.at[blocks * rows + r] = end;
+        }
+    }
+
+    /// How many blocks the last cut made (at least 1).
+    pub fn blocks(&self) -> usize {
+        self.blocks
+    }
+
+    /// Block `b` of `x`, the batch last cut.
+    ///
+    /// # Panics
+    /// Panics if `b` is not a block of the last cut, or `x` is not the
+    /// batch it cut.
+    pub fn block<'a>(&'a self, x: CsrView<'a>, b: usize) -> CsrBlock<'a> {
+        assert!(
+            b < self.blocks && x.rows() == self.rows,
+            "block {b} of another cut"
+        );
+        let c0 = b * self.per;
+        let cols = x.cols().min(c0 + self.per) - c0;
+        let (lo, hi) = if self.blocks == 1 {
+            (&x.indptr[..self.rows], &x.indptr[1..=self.rows])
+        } else {
+            let rows = self.rows;
+            (
+                &self.at[b * rows..(b + 1) * rows],
+                &self.at[(b + 1) * rows..(b + 2) * rows],
+            )
+        };
+        CsrBlock {
+            rows: CsrRows {
+                lo,
+                hi,
+                indices: x.indices,
+                values: x.values,
+                c0,
+            },
+            cols,
+        }
+    }
+}
+
+/// The entries of one block of a CSR batch's columns ([`ColumnCuts`]),
+/// borrowed from the batch: every row's, with its columns counted from the
+/// block's first. The input of [`spmm_block_into`] and
+/// [`spmm_tn_block_scatter`].
+#[derive(Clone, Copy)]
+pub struct CsrBlock<'a> {
+    rows: CsrRows<'a>,
+    cols: usize,
+}
+
+impl CsrBlock<'_> {
+    /// Rows of the batch.
+    pub fn rows(&self) -> usize {
+        self.rows.lo.len()
+    }
+
+    /// Columns in the block.
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// The batch's first column in the block.
+    pub fn first_col(&self) -> usize {
+        self.rows.c0
     }
 }
 
@@ -778,6 +919,65 @@ mod tests {
                 let (zv, gv) = run(level);
                 assert_eq!(zs.as_slice(), zv.as_slice(), "spmm out={out} {level:?}");
                 assert_eq!(gs.as_slice(), gv.as_slice(), "spmm_tn out={out} {level:?}");
+            }
+        }
+    }
+
+    /// The products of a batch cut into column blocks, run block by block
+    /// (the forward from the bias, then adding into it; the scatter into
+    /// each block's own rows), store the whole batch's bits at every
+    /// dispatch level: blocks of one column, of sizes that leave a partial
+    /// last block, of exactly the width, and wider; rows with no entry; a
+    /// block no row stores an entry of.
+    #[test]
+    fn block_products_store_the_whole_products_bits() {
+        let (rows, cols) = (13, 41);
+        let x = Matrix::from_fn(rows, cols, |i, j| {
+            let gap = (10..20).contains(&j) || i == 4;
+            if !gap && (i * 7 + j * 3) % 5 < 2 {
+                ((i * 3 + j) as f32 * 0.29).cos()
+            } else {
+                0.0
+            }
+        });
+        let sx = CsrMatrix::from_dense(&x, 0.0);
+        let mut cuts = ColumnCuts::new();
+        for out in [1usize, 16, 19, 64, 207] {
+            let w = Matrix::from_fn(cols, out, |i, j| ((i * out + j) as f32 * 0.05).sin());
+            let bias: Vec<f32> = (0..out).map(|j| (j as f32 * 0.7).cos()).collect();
+            let delta = Matrix::from_fn(rows, out, |i, j| ((i * out + j) as f32 * 0.13).cos());
+            for level in host_levels() {
+                with_level(level, || {
+                    let mut z = Matrix::zeros(0, 0);
+                    spmm_bias_into(sx.view(), &w, &bias, &mut z);
+                    let mut g = Matrix::zeros(cols, out);
+                    spmm_tn_scatter(sx.view(), &delta, &mut g);
+                    for per in [1, 4, 10, 40, 41, 64] {
+                        cuts.cut(sx.view(), per);
+                        assert_eq!(cuts.blocks(), cols.div_ceil(per), "per {per}");
+                        let mut zb = Matrix::zeros(0, 0);
+                        let mut gb = Matrix::zeros(cols, out);
+                        for b in 0..cuts.blocks() {
+                            let block = cuts.block(sx.view(), b);
+                            let (c0, n) = (block.first_col(), block.cols());
+                            assert_eq!(c0, b * per);
+                            let tile = Matrix::from_fn(n, out, |i, j| w.get(c0 + i, j));
+                            let first = (b == 0).then_some(&bias[..]);
+                            spmm_block_into(block, &tile, first, &mut zb);
+                            let mut gt = Matrix::zeros(n, out);
+                            spmm_tn_block_scatter(block, &delta, &mut gt);
+                            for i in 0..n {
+                                gb.row_mut(c0 + i).copy_from_slice(gt.row(i));
+                            }
+                        }
+                        let bits = |m: &Matrix| {
+                            m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+                        };
+                        let case = format!("out={out} per={per} {level:?}");
+                        assert!(bits(&zb) == bits(&z), "forward: {case}");
+                        assert!(bits(&gb) == bits(&g), "scatter: {case}");
+                    }
+                })
             }
         }
     }

@@ -22,9 +22,8 @@
 # worker's ranges reach an idle survivor; `--cfg hetero_no_top_up_on_fault`
 # skips that. In crates/nn/src/sparse_input.rs a CSR
 # backward scatters straight into the stored gradient after re-zeroing the
-# rows its previous support left behind (every row after a dense gradient),
-# and crates/nn/src/workspace.rs zeroes every row a gradient takes over
-# from a threaded worker's read (the read's weights); `--cfg
+# rows its previous support left behind, and crates/nn/src/workspace.rs
+# zeroes every row a dense gradient left before a CSR one; `--cfg
 # hetero_stale_l0_rows` skips both. In
 # crates/core/src/engine_sim.rs a run of k simulated Hogwild lanes is one
 # gradient applied at k times one lane's step; `--cfg hetero_wave_unscaled`
@@ -47,10 +46,13 @@
 # steps past the feature after each active one. In crates/core/src/lane.rs a
 # Hogbatch CPU batch is shared out to ⌈len/sub⌉ lanes, the last one short;
 # `--cfg hetero_split_drops_short_lane` counts ⌊len/sub⌋, so the short lane
-# never trains. In crates/nn/src/shared.rs a threaded step's read of its
-# batch's support copies the support's layer-0 rows and every stripe from
-# layer 0's bias on; `--cfg hetero_support_read_skips_tail` copies the rows
-# only. In crates/nn/src/sparse_input.rs an eval's column forward reads
+# never trains. In crates/nn/src/sparse_input.rs a threaded CSR step reads
+# its batch's support a block of layer-0 rows at a time, beside one read of
+# every stripe from layer 0's bias on; `--cfg
+# hetero_support_read_skips_tail` skips that tail read. The same step
+# scatters and writes each block of its layer-0 gradient in turn, the last
+# one partial; `--cfg hetero_l0_block_skips_last` never writes that
+# partial block. In crates/nn/src/sparse_input.rs an eval's column forward reads
 # layer 0 a tile of support rows at a time, the last tile partial; `--cfg
 # hetero_eval_skips_last_tile` drops that partial tile. In
 # crates/tensor/src/simd.rs the AVX-512 GEMM tile stores an edge tile's
@@ -71,10 +73,11 @@
 #      depending on whether its data is stored dense or as CSR, an
 #      injected GPU OOM that never halves a batch, sparse data trained
 #      dense, generated data with no two neighbouring features active, lane
-#      shares that leave the end of a batch untrained, a threaded step at a
-#      support read differing from the full-snapshot step, an eval's column
-#      forward differing from the row form's, a GEMM at the AVX-512 level
-#      diverging from the reference at a tile edge),
+#      shares that leave the end of a batch untrained, a threaded CSR step
+#      differing from the full-snapshot step — its tail unread, or its last
+#      partial block unwritten — an eval's column forward differing from the
+#      row form's, a GEMM at the AVX-512 level diverging from the reference
+#      at a tile edge),
 # i.e. the checker genuinely guards the edge.
 #
 # Usage: scripts/check_mutation.sh   (from anywhere in the repo)
@@ -97,18 +100,19 @@ oom="-p hetero-core --test fault_tolerance oom_retry_halves_batch_and_clamps_con
 format="-p hetero-core --lib the_format_follows_the_density"
 synth="-p hetero-data --lib synth::tests"
 split="-p hetero-core --lib lane_split_shares_tile_the_batch"
-read="-p hetero-core --lib a_support_read_step_is_bit_identical_to_a_full_snapshot_step"
+read="-p hetero-core --lib a_sparse_step_on_the_shared_model_is_bit_identical_to_a_full_snapshot_step"
+block="-p hetero-nn --lib sparse_input::csr_step"
 eval="-p hetero-nn --lib sparse_input::column_eval"
 tile="-p hetero-tensor --test proptest_simd every_tile_boundary_matches_reference"
 
-echo "[1/21] baseline: loom queue, shared-model, coordinator-model, event-loop, sparse-support, sim-wave, init-stream, sim-resume, store, GPU-OOM, input-format, generator-law, lane-split, support-read, column-eval and tile-boundary suites must pass as written"
+echo "[1/22] baseline: loom queue, shared-model, coordinator-model, event-loop, sparse-support, sim-wave, init-stream, sim-resume, store, GPU-OOM, input-format, generator-law, lane-split, CSR-step, block-edge, column-eval and tile-boundary suites must pass as written"
 # shellcheck disable=SC2086
 if ! { cargo test $queue -q && cargo test $shared -q && cargo test $model -q \
     && cargo test $run -q && cargo test $support -q && cargo test $wave -q \
     && cargo test $init -q && cargo test $resume -q && cargo test $store -q \
     && cargo test $oom -q && cargo test $format -q && cargo test $synth -q \
-    && cargo test $split -q && cargo test $read -q && cargo test $eval -q \
-    && cargo test $tile -q; } >"$log" 2>&1; then
+    && cargo test $split -q && cargo test $read -q && cargo test $block -q \
+    && cargo test $eval -q && cargo test $tile -q; } >"$log" 2>&1; then
     echo "FAIL: baseline suite is red"
     tail -40 "$log"
     exit 1
@@ -118,7 +122,7 @@ fi
 check_mutation() {
     local cfg="$1" desc="$2" step="$3" suite="$4"
     shift 4
-    echo "[$step/21] mutation: suite must FAIL with $desc"
+    echo "[$step/22] mutation: suite must FAIL with $desc"
     # shellcheck disable=SC2086
     if RUSTFLAGS="--cfg $cfg" cargo test $suite -q >"$log" 2>&1; then
         echo "FAIL: $desc mutation was NOT caught"
@@ -160,11 +164,10 @@ check_mutation hetero_resize_inverted "Algorithm 2's resize inverted" 8 \
 # survivor has run out of work.
 check_mutation hetero_no_top_up_on_fault "a retired worker's ranges left for the next report" 9 \
     "$run" "served ranges never trained" "run_hands_a_dead_workers_range_to_an_idle_survivor"
-# Stale rows survive into the next CSR gradient: the read's weights in a
-# layer taken over, and after another CSR batch or a dense one.
-check_mutation hetero_stale_l0_rows "a CSR gradient not zeroing the rows it took over or the previous support" 10 \
-    "$support" "a_gradient_at_the_read_is_the_two_buffer_gradient" \
-    "reused_workspace_rezeroes_previous_active_rows" \
+# Stale rows survive into the next CSR gradient: after another CSR batch
+# or a dense one.
+check_mutation hetero_stale_l0_rows "a CSR gradient not zeroing the previous support" 10 \
+    "$support" "reused_workspace_rezeroes_previous_active_rows" \
     "dense_then_sparse_on_one_workspace_is_exact"
 # A run applied at one lane's step moves the model less than its lanes did.
 check_mutation hetero_wave_unscaled "a run of simulated lanes applied without its lane count" 11 \
@@ -198,24 +201,30 @@ check_mutation hetero_synth_gap_skips_one "a gap walk skipping the feature after
 check_mutation hetero_split_drops_short_lane "a lane split dropping the short last lane" 18 \
     "$split" "lane_split_shares_tile_the_batch" "shares do not tile"
 
-# A support read that skips the bias and the later layers trains the step
-# on zeros there, so its update differs from the full-snapshot step's.
-check_mutation hetero_support_read_skips_tail "a support read skipping every stripe after the support rows" 19 \
-    "$read" "a_support_read_step_is_bit_identical_to_a_full_snapshot_step" "features, rows"
+# A CSR step that skips its tail read — layer 0's bias and the later
+# layers — trains on zeros there, so its update differs from the
+# full-snapshot step's.
+check_mutation hetero_support_read_skips_tail "a CSR step skipping its tail read" 19 \
+    "$read" "a_sparse_step_on_the_shared_model_is_bit_identical_to_a_full_snapshot_step" "features, rows"
+
+# A CSR step that never writes its last partial block of layer-0 gradient
+# rows leaves those parameters where the full-snapshot step moves them.
+check_mutation hetero_l0_block_skips_last "a CSR step never writing its last partial block" 20 \
+    "$block" "a_csr_step_is_the_full_snapshot_step_at_every_block_edge" "parameters"
 
 # An eval that drops its last partial tile of support rows leaves those
 # features out of the pre-activations, so the column form stops being the
 # row form.
-check_mutation hetero_eval_skips_last_tile "an eval's column forward dropping its last partial tile" 20 \
+check_mutation hetero_eval_skips_last_tile "an eval's column forward dropping its last partial tile" 21 \
     "$eval" "supports_at_the_tile_edges_score_bit_identically" "layer 0 differs"
 
 # An edge tile that drops its last column leaves it NaN (β = 0) or stale,
 # so the walk's AVX-512 run stops matching the reference there.
 if grep -qw avx512f /proc/cpuinfo 2>/dev/null; then
-    check_mutation hetero_avx512_edge_mask "an AVX-512 GEMM tile dropping its last edge column" 21 \
+    check_mutation hetero_avx512_edge_mask "an AVX-512 GEMM tile dropping its last edge column" 22 \
         "$tile" "every_tile_boundary_matches_reference" "diverged at Avx512"
-    echo "OK: all twenty seeded mutations are caught"
+    echo "OK: all twenty-one seeded mutations are caught"
 else
-    echo "[21/21] skipped: this host has no AVX-512, where the zmm tile never runs"
-    echo "OK: all nineteen seeded mutations that can run on this host are caught"
+    echo "[22/22] skipped: this host has no AVX-512, where the zmm tile never runs"
+    echo "OK: all twenty seeded mutations that can run on this host are caught"
 fi
