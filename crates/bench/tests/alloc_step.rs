@@ -1,15 +1,16 @@
 //! Measured (not asserted-by-inspection) allocation-freedom of a warm
 //! training step. Sparse, on real-sim-wide batches whose support spans many
-//! blocks of layer 0: CSR batch staging and the threaded CSR step on the
-//! shared model (`CsrStep`: support, block cut and tail read; the blocked
-//! loss+gradient pass; each block scattered and written; the tail write) —
-//! a Hogwild lane's racy, scanned, and the GPU worker's, with the
+//! blocks of layer 0: CSR batch staging and the CSR step (`CsrStep`:
+//! support, block cut and tail read; the blocked loss+gradient pass; each
+//! block scattered and written; the tail write) — on the shared model a
+//! Hogwild lane's racy, scanned, and the GPU worker's, with the
 //! device-ledger reservation and the link's charge around its scanned
-//! stripe-owning merge (uncontended, and beside a second merger). Dense:
-//! the serial loss+gradient pass and the plain apply the CPU Hogwild lanes
-//! run, and the GPU worker's step on dense batches. Eval: the threaded
-//! evaluator's score of the shared model, layer 0 read where it lives, on a
-//! sparse run.
+//! stripe-owning merge (uncontended, and beside a second merger); and the
+//! simulator's CPU wave, from a snapshot into its live model, scanned.
+//! Dense: the serial loss+gradient pass and the plain apply the CPU Hogwild
+//! lanes run, and the GPU worker's step on dense batches. Eval: the
+//! threaded evaluator's score of the shared model on a sparse run, the same
+//! step's forward with layer 0 read where it lives.
 //! None may touch the heap once buffers are warmed — they run per batch or
 //! per eval inside every engine's hot loop.
 //!
@@ -21,8 +22,8 @@ use hetero_bench::alloc_count::{allocs_in, CountingAlloc};
 use hetero_data::SynthConfig;
 use hetero_gpu::{DeviceMemory, Footprint, Link};
 use hetero_nn::{
-    Activation, ColumnBatch, CsrStep, InitScheme, L0Write, Layer0, LossKind, MergeScan, MlpSpec,
-    Model, SharedModel, SupportRead, Targets, Workspace,
+    Activation, CsrStep, InitScheme, L0Write, Layer0, LossKind, MergeScan, MlpSpec, Model,
+    SharedModel, SupportRead, Targets, Workspace,
 };
 use hetero_sim::GpuModel;
 use hetero_tensor::{CsrBatch, CsrMatrix, Matrix};
@@ -76,16 +77,12 @@ fn warm_cpu_sparse_step_is_allocation_free() {
         // sparse path under a watchdog (`Lane::step_shared`).
         data.labels.slice_into(s, e, &mut labels);
         csr_all.slice_rows_into(s, e, &mut csr);
-        at.read(&shared, &mut csr);
-        ws.loss_and_gradient_blocks(&mut at, &shared, csr.view(), labels.as_targets());
+        let from = Layer0::Shared(&shared);
+        at.read(from, &mut csr);
+        ws.loss_and_gradient_blocks(&mut at, from, csr.view(), labels.as_targets());
         scan.reset();
-        at.write_l0(
-            &ws,
-            &shared,
-            csr.view(),
-            0.01,
-            L0Write::Racy(Some(&mut scan)),
-        );
+        let to = L0Write::Racy(&shared, Some(&mut scan));
+        at.write_l0(&ws, csr.view(), 0.01, to);
         hetero_nn::scan_model(ws.grad(), &mut scan);
         shared.apply_racy(ws.grad(), 0.01, Some(&[]));
     });
@@ -93,9 +90,48 @@ fn warm_cpu_sparse_step_is_allocation_free() {
     assert_eq!(n, 0, "warm CPU sparse step allocated {n} times");
 }
 
+/// A warm simulated CPU wave on a sparse run — one run of its lanes read
+/// from the wave's base and written into the live model, block by block,
+/// scanned, then its tail, and the next wave's base copied — allocates
+/// nothing.
+#[test]
+fn warm_sim_sparse_wave_is_allocation_free() {
+    let (data, csr_all, spec) = sparse_fixture();
+    let mut model = Model::new(spec.clone(), InitScheme::Xavier, 5);
+    let mut base = model.clone();
+    let mut at = CsrStep::new(&spec);
+    let mut ws = Workspace::new(&spec);
+    let mut csr = CsrBatch::new();
+    let mut labels = data.labels.slice(0, 1);
+    let mut scan = MergeScan::new(spec.num_layers());
+    let (s, e) = (512, 768);
+    let n = allocs_in(|| {
+        // The exact per-run sequence of `SimScratch::run_waves` on the
+        // sparse path under a watchdog (`Lane::step_model`).
+        data.labels.slice_into(s, e, &mut labels);
+        csr_all.slice_rows_into(s, e, &mut csr);
+        let from = Layer0::Model(&base);
+        at.read(from, &mut csr);
+        ws.loss_and_gradient_blocks(&mut at, from, csr.view(), labels.as_targets());
+        scan.reset();
+        let to = L0Write::Model(&mut model, Some(&mut scan));
+        at.write_l0(&ws, csr.view(), 0.01, to);
+        hetero_nn::scan_model(ws.grad(), &mut scan);
+        model.apply_gradient(ws.grad(), 0.01);
+        base.copy_from(&model);
+    });
+    assert!(at.support().len() > 4 * 1024, "{} rows", at.support().len());
+    assert_eq!(
+        ws.grad().layers()[0].w.capacity(),
+        0,
+        "a layer-0 gradient row"
+    );
+    assert_eq!(n, 0, "warm simulated sparse wave allocated {n} times");
+}
+
 /// A warm eval of the shared model on a sparse run — its tail read, the
-/// tiled column forward over the eval rows with layer 0 read by reference,
-/// loss and accuracy — allocates nothing.
+/// block forward over the eval rows renumbered once, layer 0 read where it
+/// lives, loss and accuracy — allocates nothing.
 #[test]
 fn warm_sparse_eval_is_allocation_free() {
     let (data, csr_all, spec) = sparse_fixture();
@@ -105,14 +141,16 @@ fn warm_sparse_eval_is_allocation_free() {
         panic!("real-sim is single-label")
     };
     let classes: Vec<u32> = rows.iter().map(|&r| classes[r]).collect();
-    let mut x = ColumnBatch::new(csr_all.view(), &rows);
-    let mut held = Model::zeros_with_l0_rows(&spec, 0);
+    let (mut x, mut at) = (CsrBatch::new(), CsrStep::new(&spec));
+    csr_all
+        .select_rows(&rows)
+        .slice_rows_into(0, rows.len(), &mut x);
+    at.renumber(&mut x);
     let mut ws = Workspace::new(&spec);
     // The exact per-eval sequence of the threaded `Evaluator::score_shared`.
     let n = allocs_in(|| {
-        shared.read_tail(&mut held);
         let probs = ws
-            .forward_columns_into(Layer0::Shared(&shared), &held, &mut x)
+            .forward_blocks(&mut at, Layer0::Shared(&shared), x.view())
             .probs();
         let targets = Targets::Classes(&classes);
         hetero_nn::loss(probs, targets, spec.loss);
@@ -217,14 +255,15 @@ fn warm_sparse_merge_step_is_allocation_free() {
         let charge = link.charge(&fp, &g, e - s, 1);
         data.labels.slice_into(s, e, &mut labels);
         csr_all.slice_rows_into(s, e, &mut csr);
-        at.read(&shared, &mut csr);
+        let from = Layer0::Shared(&shared);
+        at.read(from, &mut csr);
         link.uploaded(&charge, sink.now());
-        ws.loss_and_gradient_blocks(&mut at, &shared, csr.view(), labels.as_targets());
+        ws.loss_and_gradient_blocks(&mut at, from, csr.view(), labels.as_targets());
         link.downloaded(&charge, sink.now());
         mem.free(held).unwrap();
         scan.reset();
-        let to = L0Write::Merge(Some(&mut scan));
-        let (_, found) = at.write_l0(&ws, &shared, csr.view(), 0.05, to);
+        let to = L0Write::Merge(&shared, Some(&mut scan));
+        let (_, found) = at.write_l0(&ws, csr.view(), 0.05, to);
         found + shared.merge_gradient(ws.grad(), 0.05, Some(&[]), Some(&mut scan))
     };
     let n = allocs_in(|| {

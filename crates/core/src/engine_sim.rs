@@ -38,7 +38,7 @@ use hetero_data::batch::BatchRange;
 use hetero_data::DenseDataset;
 use hetero_flight::Watchdog;
 use hetero_gpu::{Footprint, Link};
-use hetero_nn::{MlpSpec, Model};
+use hetero_nn::{CsrStep, MlpSpec, Model};
 use hetero_sim::{CpuModel, DeviceModel, EventQueue, GpuModel, UtilizationTimeline};
 use hetero_trace::{
     BatchPhases, CounterHandle, EventKind, HistHandle, Metric, TimeDomain, TraceSink,
@@ -50,7 +50,7 @@ use crate::coordinator::{
     record_busy, run_engine, Backend, Coordinator, CoreCkpt, Done, Engine, Event, RunCtx, Start,
 };
 use crate::fault::{FaultPlan, WorkerError};
-use crate::lane::{lane_split, BatchSource, Evaluator, Lane};
+use crate::lane::{lane_split, BatchSource, Checks, Evaluator, Lane};
 use crate::metrics::{LossPoint, TrainResult, WorkerKind, WorkerStats};
 
 /// Hardware and comparator parameters for a simulated run.
@@ -116,25 +116,32 @@ const WAVE: usize = 8;
 
 /// Per-run scratch shared by every `SimBackend::apply_batch` call: one
 /// CPU lane that computes each run of a wave's lanes as one mini-batch
-/// gradient, the wave base model, a dedicated GPU lane, and the spare
-/// snapshots completed events hand back to `SimBackend::start`. Reused
-/// across every event, so steady-state gradient computation allocates
-/// nothing.
+/// gradient, the wave base model, a dedicated GPU lane, each lane's CSR
+/// step on a sparse run, and the spare snapshots completed events hand back
+/// to `SimBackend::start`. Reused across every event, so steady-state
+/// gradient computation allocates nothing.
 pub(crate) struct SimScratch {
     cpu: Lane,
     base: Model,
     gpu: Lane,
+    /// The CPU and the GPU lane's CSR steps; `None` on a dense run.
+    csr: Option<(CsrStep, CsrStep)>,
     /// Snapshots of completed events, recycled by the next dispatches
     /// (at most one per worker is ever in flight).
     spares: Vec<Model>,
 }
 
 impl SimScratch {
-    pub(crate) fn new(spec: &MlpSpec) -> Self {
+    /// The scratch of a run on `src`, for models of shape `spec`.
+    pub(crate) fn new<D>(src: &BatchSource<D>, spec: &MlpSpec) -> Self
+    where
+        D: Deref<Target = DenseDataset>,
+    {
         SimScratch {
             cpu: Lane::new(spec),
             base: Model::zeros_like(spec),
             gpu: Lane::new(spec),
+            csr: src.csr().map(|_| (CsrStep::new(spec), CsrStep::new(spec))),
             spares: Vec::new(),
         }
     }
@@ -149,12 +156,12 @@ impl SimScratch {
     /// A wave's lanes read one model and their applies lose nothing, so
     /// `Σ ηᵢ·gᵢ = k·η(n)·ḡ` over a run of `k` lanes of `n` rows, where `ḡ`
     /// is the mean gradient over the run's `k·n` contiguous rows: each run
-    /// is one `stage` → `gradient` → `apply_to` at step `k·step(n)`, and a
-    /// wave has at most two runs. `inspect` sees every run's gradient
-    /// before it is applied. Returns the lanes that trained — one update
-    /// each.
+    /// is one [`Lane::step_model`] from the wave's base at step `k·step(n)`
+    /// — on CSR the threaded lane's block step — and a wave has at most two
+    /// runs. Each run's gradient gets the checks `checks` returns for it.
+    /// Returns the lanes that trained — one update each.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn run_waves<D>(
+    pub(crate) fn run_waves<'w, D>(
         &mut self,
         src: &BatchSource<D>,
         start: usize,
@@ -163,13 +170,13 @@ impl SimScratch {
         snapshot: &Model,
         model: &mut Model,
         step: impl Fn(usize) -> f32,
-        mut inspect: impl FnMut(&mut Lane),
+        mut checks: impl FnMut() -> Checks<'w>,
     ) -> usize
     where
         D: Deref<Target = DenseDataset>,
     {
         let (sub, trained) = lane_split(end - start, lanes);
-        let SimScratch { cpu, base, .. } = self;
+        let SimScratch { cpu, base, csr, .. } = self;
         base.copy_from(snapshot);
         for ws in (start..end).step_by(WAVE * sub) {
             let we = (ws + WAVE * sub).min(end);
@@ -181,22 +188,22 @@ impl SimScratch {
                 }
                 let n = (e - s).min(sub);
                 let k = (e - s) / n;
-                cpu.stage(src, s, e);
-                cpu.gradient(src, base);
-                inspect(cpu);
                 // `hetero_wave_unscaled` is a mutation switch for
                 // `scripts/check_mutation.sh`.
                 let scale = if cfg!(hetero_wave_unscaled) { 1 } else { k };
-                cpu.apply_to(model, scale as f32 * step(n));
+                let at = csr.as_mut().map(|(at, _)| at);
+                let eta = scale as f32 * step(n);
+                cpu.step_model(src, (s, e), at, base, model, eta, &checks());
             }
             base.copy_from(model);
         }
         trained
     }
 
-    /// A GPU worker's batch: one gradient at `snapshot` over `range`, seen
-    /// by `inspect`, applied to `model` at `eta` — the update the threaded
-    /// GPU worker merges into its shared model. Returns its one update.
+    /// A GPU worker's batch: one [`Lane::step_model`] from `snapshot` over
+    /// `range`, after `checks`, into `model` at `eta` — the update the
+    /// threaded GPU worker merges into its shared model. Returns its one
+    /// update.
     // audit: no_alloc
     pub(crate) fn run_gpu<D>(
         &mut self,
@@ -205,16 +212,15 @@ impl SimScratch {
         snapshot: &Model,
         model: &mut Model,
         eta: f32,
-        inspect: impl FnOnce(&mut Lane),
+        checks: &Checks<'_>,
     ) -> usize
     where
         D: Deref<Target = DenseDataset>,
     {
-        let lane = &mut self.gpu;
-        lane.stage(src, range.start, range.end);
-        lane.gradient(src, snapshot);
-        inspect(lane);
-        lane.apply_to(model, eta);
+        let at = self.csr.as_mut().map(|(_, at)| at);
+        let rows = (range.start, range.end);
+        self.gpu
+            .step_model(src, rows, at, snapshot, model, eta, checks);
         1
     }
 }
@@ -356,6 +362,7 @@ impl SimEngine {
             // pending.
             let ((global_updates, last_epoch_evaled), pending) = resume.unwrap_or_default();
             let evaluator = co.evaluator(&src, &cfg.spec);
+            let scratch = SimScratch::new(&src, &cfg.spec);
             let mut sim = SimBackend {
                 cfg,
                 footprint,
@@ -367,7 +374,7 @@ impl SimEngine {
                 eval_timeline: UtilizationTimeline::new(),
                 queue: EventQueue::new(),
                 global_updates,
-                scratch: SimScratch::new(&cfg.spec),
+                scratch,
                 sink: co.sink.clone(),
                 timeline_rejects: co.timeline_rejects.clone(),
                 last_epoch_evaled,
@@ -659,8 +666,11 @@ impl SimBackend<'_> {
         // Injected fault: one NaN into this worker's first applied gradient
         // at the planned step (0-based batch counter, like `death_after`).
         let mut poison = cfg.fault_plan.poison_at(worker) == Some(batches_done);
-        let inspect = |lane: &mut Lane| {
-            lane.inspect(std::mem::take(&mut poison), watchdog, worker, batches_done)
+        let mut checks = || Checks {
+            poison: std::mem::take(&mut poison),
+            watchdog,
+            worker,
+            step: batches_done,
         };
         // §VI-B staleness compensation: discount the learning rate for
         // gradients computed on an old snapshot.
@@ -676,13 +686,13 @@ impl SimBackend<'_> {
                     snapshot,
                     model,
                     step,
-                    inspect,
+                    checks,
                 );
                 (n, None)
             }
             Device::Gpu(g) => {
                 let eta = step(range.len());
-                let n = scratch.run_gpu(src, range, snapshot, model, eta, inspect);
+                let n = scratch.run_gpu(src, range, snapshot, model, eta, &checks());
                 let link = &obs.links[worker];
                 let charge = link.charge(footprint, g, range.len(), id);
                 let now = sink.now();
@@ -932,7 +942,7 @@ mod tests {
             for &(s, e) in wave {
                 lane.stage(src, s, e);
                 lane.gradient(src, &base);
-                lane.apply_to(&mut model, step(e - s));
+                model.apply_gradient(lane.grad(), step(e - s));
             }
         }
         (model, subs.len())
@@ -965,15 +975,18 @@ mod tests {
         ];
         for sparse in [false, true] {
             let src = BatchSource::in_format(&data, sparse);
-            let mut scratch = SimScratch::new(&spec);
+            let mut scratch = SimScratch::new(&src, &spec);
+            let off = Watchdog::disabled();
             for ((start, end), lanes) in cases {
                 let (want, lanes_run) = per_lane(&src, (start, end), lanes, &snapshot, step);
                 let mut got = snapshot.clone();
                 let mut runs = 0;
+                let checks = || {
+                    runs += 1;
+                    Checks::off(&off)
+                };
                 let updates =
-                    scratch.run_waves(&src, start, end, lanes, &snapshot, &mut got, step, |_| {
-                        runs += 1
-                    });
+                    scratch.run_waves(&src, start, end, lanes, &snapshot, &mut got, step, checks);
                 assert_eq!(
                     updates, lanes_run,
                     "sparse {sparse}, {start}..{end} / {lanes}"
@@ -990,6 +1003,48 @@ mod tests {
                          {start}..{end} / {lanes}): {a} vs {b}"
                     );
                 }
+            }
+        }
+    }
+
+    /// A simulated CSR step holds no copy of layer 0, as a threaded one
+    /// does not: after every CPU wave and GPU batch on real-sim-wide
+    /// batches, whose supports span many blocks and grow and shrink, the
+    /// only layer-0 rows either lane holds are its step's tile, at most one
+    /// block's; its gradient and its step's tail hold none.
+    #[test]
+    fn a_warm_sparse_wave_and_gpu_batch_hold_no_layer0_copy_past_one_block() {
+        let data = SynthConfig {
+            density: 0.0025,
+            ..SynthConfig::small(1024, 20_958, 2, 23)
+        }
+        .generate();
+        let spec = MlpSpec {
+            hidden: vec![64],
+            ..MlpSpec::tiny(data.features(), 2)
+        };
+        let block = hetero_nn::L0_BLOCK_BYTES / std::mem::size_of::<f32>();
+        let src = BatchSource::new(&data);
+        let mut scratch = SimScratch::new(&src, &spec);
+        let snapshot = Model::new(spec.clone(), hetero_nn::InitScheme::Xavier, 4);
+        let (mut model, off) = (snapshot.clone(), Watchdog::disabled());
+        for (s, e) in [(0, 512), (512, 640), (640, 1024), (0, 300)] {
+            let checks = || Checks::off(&off);
+            scratch.run_waves(&src, s, e, 4, &snapshot, &mut model, |_| 0.01, checks);
+            let range = BatchRange {
+                start: s,
+                end: e,
+                epoch: 0,
+            };
+            scratch.run_gpu(&src, &range, &snapshot, &mut model, 0.01, &checks());
+            let (cpu, gpu) = scratch.csr.as_ref().expect("a sparse run's steps");
+            for (worker, at, lane) in [("cpu", cpu, &scratch.cpu), ("gpu", gpu, &scratch.gpu)] {
+                let case = format!("{worker}, rows {s}..{e}");
+                let support = at.support().len();
+                assert!(support > 2 * block / 64, "{case}: support {support}");
+                assert!(at.l0_capacity() <= block, "{case}: {}", at.l0_capacity());
+                assert_eq!(lane.grad().layers()[0].w.capacity(), 0, "{case}: gradient");
+                assert_eq!(at.tail().layers()[0].w.capacity(), 0, "{case}: tail");
             }
         }
     }

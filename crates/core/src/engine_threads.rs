@@ -56,7 +56,7 @@ use hetero_data::DenseDataset;
 use hetero_flight::Watchdog;
 use hetero_gpu::{DeviceMemory, Footprint, Link};
 use hetero_mq::{channel, channel_traced_lineage, Receiver, RecvTimeoutError, Sender};
-use hetero_nn::{MlpSpec, Model, SharedModel};
+use hetero_nn::{MlpSpec, SharedModel};
 use hetero_sim::{DeviceModel, GpuModel};
 use hetero_trace::{
     BatchPhases, EventKind, HistHandle, Metric, TimeDomain, TraceSink, COORDINATOR,
@@ -67,7 +67,7 @@ use crate::coordinator::{
     run_engine, Backend, Coordinator, CoreCkpt, Done, Engine, Event, RunCtx, Start,
 };
 use crate::fault::{panic_message, FaultPlan, WorkerError};
-use crate::lane::{lane_split, BatchSource, Evaluator, Lane, SharedRead, StepWrite};
+use crate::lane::{lane_split, BatchSource, Checks, Evaluator, Lane, SharedRead};
 use crate::metrics::{LossPoint, TrainResult, WorkerKind};
 
 /// Configuration of the threaded engine.
@@ -252,7 +252,6 @@ impl ThreadedEngine {
                 to_spawn: Some((env, receivers)),
                 workers: Vec::new(),
                 shared,
-                eval_tail: Model::zeros_with_l0_rows(&cfg.spec, 0),
             }
         };
         run_engine(engine, dataset, ctx, split, build).0
@@ -317,10 +316,6 @@ struct ThreadsBackend<'a> {
     shared: Arc<SharedModel>,
     /// Scores the shared model where it lives, on the coordinator thread.
     evaluator: Evaluator,
-    /// What an eval copies of the shared model before it scores: every
-    /// stripe from layer 0's bias on, no layer-0 row, on a sparse run; the
-    /// whole model on a dense one ([`Evaluator::score_shared`]).
-    eval_tail: Model,
 }
 
 impl Backend for ThreadsBackend<'_> {
@@ -388,9 +383,7 @@ impl Backend for ThreadsBackend<'_> {
     /// is the conservative one. The initial point precedes the workers and
     /// the final one follows `close`: both read a model nobody writes.
     fn score(&mut self, epochs: f64) -> LossPoint {
-        let (loss, accuracy) = self
-            .evaluator
-            .score_shared(&self.shared, &mut self.eval_tail);
+        let (loss, accuracy) = self.evaluator.score_shared(&self.shared);
         LossPoint {
             time: self.now(),
             epochs,
@@ -611,17 +604,23 @@ impl<'a> HogwildLane<'a> {
             panic!("injected fault: hogwild lane 1 panicked in batch {batches_done}");
         }
         let (shared, src, train) = (&*self.env.shared, &*self.env.src, &self.env.train);
-        let how = StepWrite {
-            merge: false,
+        let checks = Checks {
             poison: self.poison_at == Some(batches_done),
             watchdog: &self.env.watchdog,
             worker: self.slot,
             step: batches_done,
         };
         let eta = train.lr_scaling.eta(train.lr, e - s);
-        let step = self
-            .lane
-            .step_shared(src, (s, e), shared, &mut self.at, how, || {}, |_| eta);
+        let step = self.lane.step_shared(
+            src,
+            (s, e),
+            shared,
+            &mut self.at,
+            false,
+            &checks,
+            || {},
+            |_| eta,
+        );
         if let Some(rows) = step.rows {
             self.rows_hist.record(rows as u64);
         }
@@ -753,8 +752,7 @@ impl<'a> GpuWorker<'a> {
             }
         };
         let charge = link.charge(fp, perf, len, id);
-        let how = StepWrite {
-            merge: true,
+        let checks = Checks {
             // Injected fault: one NaN into this worker's delta at the
             // planned step (the merge carries it into the shared model —
             // detection is the watchdog's job, not the merge's).
@@ -775,7 +773,8 @@ impl<'a> GpuWorker<'a> {
             rows,
             shared,
             at,
-            how,
+            true,
+            &checks,
             || link.uploaded(&charge, env.sink.now()),
             |staleness| {
                 link.downloaded(&charge, env.sink.now());
@@ -827,7 +826,7 @@ mod tests {
     use crate::lane::eval_subset;
     use hetero_ckpt::Checkpointer;
     use hetero_data::SynthConfig;
-    use hetero_nn::Workspace;
+    use hetero_nn::{Model, Workspace};
 
     /// Per-thread trace ring sized for a whole test run. The busiest
     /// thread (the GPU worker: start, transfers, merge, complete per
@@ -966,11 +965,10 @@ mod tests {
         let rows = eval_subset(data.len(), cfg.train.eval_subsample, cfg.train.seed);
         let mut evaluator = Evaluator::new(&src, &rows, &cfg.spec);
         let shared = SharedModel::new(&Model::new(cfg.spec.clone(), cfg.train.init, 1));
-        let mut tail = Model::zeros_with_l0_rows(&cfg.spec, 0);
         let eval_secs = (0..3)
             .map(|_| {
                 let t = Instant::now();
-                evaluator.score_shared(&shared, &mut tail);
+                evaluator.score_shared(&shared);
                 t.elapsed().as_secs_f64()
             })
             .fold(f64::INFINITY, f64::min);
@@ -1246,8 +1244,16 @@ mod tests {
             };
             gpu.batch_step(1, range, 0).unwrap();
             let mut sim = snapshot.clone();
-            let mut scratch = crate::engine_sim::SimScratch::new(&spec);
-            scratch.run_gpu(&*env.src, &range, &snapshot, &mut sim, eta, |_| {});
+            let mut scratch = crate::engine_sim::SimScratch::new(&*env.src, &spec);
+            let off = Watchdog::disabled();
+            scratch.run_gpu(
+                &*env.src,
+                &range,
+                &snapshot,
+                &mut sim,
+                eta,
+                &Checks::off(&off),
+            );
             assert_ne!(sim, snapshot, "sparse={sparse}: nothing applied");
             assert_eq!(env.shared.snapshot(), sim, "sparse={sparse}");
         }
@@ -1273,9 +1279,11 @@ mod tests {
             let src = BatchSource::in_format(Arc::clone(&data), sparse);
             for lanes in [1, 3, 8] {
                 let mut sim = snapshot.clone();
-                let mut scratch = crate::engine_sim::SimScratch::new(&spec);
+                let mut scratch = crate::engine_sim::SimScratch::new(&src, &spec);
+                let off = Watchdog::disabled();
+                let checks = || Checks::off(&off);
                 let updates =
-                    scratch.run_waves(&src, start, end, lanes, &snapshot, &mut sim, step, |_| {});
+                    scratch.run_waves(&src, start, end, lanes, &snapshot, &mut sim, step, checks);
                 let (sub, trained) = lane_split(end - start, lanes);
                 assert_eq!(updates, trained, "sparse={sparse} lanes={lanes}");
                 // Each lane on its own shared model of the snapshot; its

@@ -7,16 +7,17 @@
 //! differentiate, apply and evaluate through [`Lane`] and [`Evaluator`] and
 //! never ask which format they are on. What each format buys is in
 //! `hetero_nn::sparse_input`: CSR pays off at layer 0 only, so a lane
-//! stages CSR rows in O(nnz), runs the sparse layer-0 kernels, and its
-//! applies walk only the layer-0 rows of the input features the batch
-//! touched.
+//! stages CSR rows in O(nnz) and reads, differentiates and writes only the
+//! layer-0 rows of the input features the batch touched, a block at a time
+//! ([`CsrStep`]) — on both engines, and so does an eval.
 //!
 //! A [`Lane`] is also the one description of what a Hogbatch CPU lane does
 //! on either engine: [`lane_split`] shares a batch out to the lanes, and
-//! [`Lane::inspect`] runs the fault plan's poison and the watchdog's scan on
-//! each gradient before it is applied. On the threaded engine both kinds of
-//! worker take their step on the shared model through one method,
-//! [`Lane::step_shared`].
+//! every step's gradient is written through one method,
+//! [`Lane::write_gradient`], which runs the fault plan's poison and the
+//! watchdog's scan on it first. The simulator steps a model through
+//! [`Lane::step_model`]; on the threaded engine both kinds of worker take
+//! their step on the shared model through [`Lane::step_shared`].
 
 use std::ops::Deref;
 use std::time::Instant;
@@ -24,8 +25,8 @@ use std::time::Instant;
 use hetero_data::{DenseDataset, Labels};
 use hetero_flight::Watchdog;
 use hetero_nn::{
-    scan_model, ColumnBatch, CsrStep, Input, L0Write, Layer0, MergeScan, MlpSpec, Model,
-    SharedModel, SupportRead, Workspace,
+    scan_model, CsrStep, L0Write, Layer0, MergeScan, MlpSpec, Model, SharedModel, SupportRead,
+    Workspace,
 };
 use hetero_tensor::{CsrBatch, CsrMatrix, Matrix};
 use hetero_trace::BatchPhases;
@@ -97,15 +98,6 @@ impl<D: Deref<Target = DenseDataset>> BatchSource<D> {
         }
         self.compressed.as_ref().or(self.dataset.csr_store())
     }
-
-    /// Whichever of a lane's two staging buffers this run fills.
-    fn input<'a>(&self, x: &'a Matrix, csr: &'a CsrBatch) -> Input<'a> {
-        if self.sparse {
-            Input::Csr(csr.view())
-        } else {
-            Input::Dense(x)
-        }
-    }
 }
 
 /// A Hogbatch CPU batch of `len` rows on `lanes` Hogwild lanes: `(rows
@@ -136,8 +128,8 @@ pub(crate) struct Lane {
     /// CSR staging; stays empty on dense runs.
     csr: CsrBatch,
     labels: Labels,
-    /// Per-layer sumsq / non-finite counts of the last gradient inspected
-    /// or delta merged under a watchdog.
+    /// Per-layer sumsq / non-finite counts of the last gradient written
+    /// under a watchdog.
     pub(crate) scan: MergeScan,
 }
 
@@ -167,17 +159,20 @@ impl Lane {
         }
     }
 
-    /// Loss of the staged batch at `model`; its gradient stays in the
-    /// lane's workspace — globally exact in either format (true zeros in the
-    /// layer-0 rows of features a CSR batch never touched), so clipping, poisoning
-    /// and health scans of `ws.grad()` need not know the format.
-    // audit: no_alloc
+    /// Loss of the staged batch at `model` in either format, through a
+    /// whole-width gradient left in the lane's workspace (true zeros in the
+    /// layer-0 rows of features a CSR batch never touched): the reference
+    /// tests hold the engines' steps to.
+    #[cfg(test)]
     pub(crate) fn gradient<D>(&mut self, src: &BatchSource<D>, model: &Model) -> f32
     where
         D: Deref<Target = DenseDataset>,
     {
-        let x = src.input(&self.x, &self.csr);
         let targets = self.labels.as_targets();
+        let x = match src.sparse {
+            true => hetero_nn::Input::Csr(self.csr.view()),
+            false => hetero_nn::Input::Dense(&self.x),
+        };
         self.ws.loss_and_gradient_into(model, x, targets, false).0
     }
 
@@ -187,25 +182,59 @@ impl Lane {
         self.ws.grad()
     }
 
+    /// One simulated step on rows `s..e`: their gradient at `from`, written
+    /// into `to` at `step` after `checks` ([`write_gradient`]). A CSR batch
+    /// goes through `at`, read, differentiated and written a block of its
+    /// support's layer-0 rows at a time, as a threaded lane steps the
+    /// shared model; a dense one (`at` is `None`) at `from` whole.
+    ///
+    /// [`write_gradient`]: Self::write_gradient
+    // audit: no_alloc
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn step_model<D>(
+        &mut self,
+        src: &BatchSource<D>,
+        (s, e): (usize, usize),
+        mut at: Option<&mut CsrStep>,
+        from: &Model,
+        to: &mut Model,
+        step: f32,
+        checks: &Checks<'_>,
+    ) where
+        D: Deref<Target = DenseDataset>,
+    {
+        self.stage(src, s, e);
+        let targets = self.labels.as_targets();
+        match at.as_deref_mut() {
+            Some(at) => {
+                let from = Layer0::Model(from);
+                at.read(from, &mut self.csr);
+                let x = self.csr.view();
+                self.ws.loss_and_gradient_blocks(at, from, x, targets);
+            }
+            None => {
+                self.ws
+                    .loss_and_gradient_into(from, &self.x, targets, false);
+            }
+        }
+        self.write_gradient(at, Dest::Model(to), step, checks);
+    }
+
     /// One threaded step on the shared model, the same for a Hogwild lane
     /// and a GPU worker. Stage rows `s..e`, then read what they need of
     /// `shared` into `at` and call `staged` (stage phase); take the loss and
     /// gradient there (compute); then call `eta` with the updates counted
     /// since the read, for the step size every write takes, and write:
-    /// `how.merge` as a stripe-owning merger, else racy (merge phase).
+    /// as a stripe-owning merger when `merge`, else racy (merge phase;
+    /// [`write_gradient`](Self::write_gradient)).
     ///
     /// A CSR batch is read, differentiated and written one block of its
     /// support's layer-0 rows at a time ([`CsrStep`]), each block scattered
     /// (compute) and written (merge) before the next; then its tail — layer
     /// 0's bias and every later layer — is written. A dense batch is one
     /// full snapshot in the buffer its gradient takes over
-    /// ([`SupportRead`]), written whole. Before the tail (every stripe, on
-    /// a dense batch) is written, the fault plan's NaN goes into layer 0's
-    /// bias when `how.poison`; under an enabled watchdog a merge scans what
-    /// it adds in its loop, a lane each block as it is scattered and the
-    /// tail before it writes it, and the scan is observed as `how.worker`'s
-    /// batch `how.step`. The phases sum to the step's wall. The tail write
-    /// counts the step's one update.
+    /// ([`SupportRead`]), written whole. The phases sum to the step's wall.
+    /// The tail write counts the step's one update.
     // audit: no_alloc
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn step_shared<D>(
@@ -214,7 +243,8 @@ impl Lane {
         (s, e): (usize, usize),
         shared: &SharedModel,
         at: &mut SharedRead,
-        how: StepWrite<'_>,
+        merge: bool,
+        checks: &Checks<'_>,
         staged: impl FnOnce(),
         eta: impl FnOnce(u64) -> f32,
     ) -> Stepped
@@ -224,59 +254,36 @@ impl Lane {
         let t_stage = Instant::now();
         self.stage(src, s, e);
         let updates_at_read = shared.update_count();
+        let from = Layer0::Shared(shared);
         match at {
             SharedRead::Dense(read) => read.read_all(&mut self.ws, shared),
-            SharedRead::Csr(step) => step.read(shared, &mut self.csr),
+            SharedRead::Csr(step) => step.read(from, &mut self.csr),
         }
         staged();
         let t_compute = Instant::now();
         let targets = self.labels.as_targets();
-        match at {
+        let csr = match at {
             SharedRead::Dense(read) => {
                 self.ws.loss_and_gradient_at(read, &self.x, targets, false);
+                None
             }
             SharedRead::Csr(step) => {
                 let x = self.csr.view();
-                self.ws.loss_and_gradient_blocks(step, shared, x, targets);
+                self.ws.loss_and_gradient_blocks(step, from, x, targets);
+                Some(step)
             }
-        }
+        };
+        let rows = csr.as_ref().map(|step| step.support().len());
         let step = eta(shared.update_count().saturating_sub(updates_at_read));
-        let watched = how.watchdog.enabled();
-        self.scan.reset();
-        let (mut merge_secs, mut found_owned, mut rows) = (0.0, 0, None);
-        // The tail's layer-0 rows: none after a CSR batch's blocks.
-        let mut tail_rows = None;
-        if let SharedRead::Csr(at) = at {
-            let scan = watched.then_some(&mut self.scan);
-            let to = match how.merge {
-                true => L0Write::Merge(scan),
-                false => L0Write::Racy(scan),
-            };
-            (merge_secs, found_owned) = at.write_l0(&self.ws, shared, self.csr.view(), step, to);
-            (rows, tail_rows) = (Some(at.support().len()), Some(&[][..]));
-        }
-        if how.poison {
-            self.poison();
-        }
-        if watched && !how.merge {
-            scan_model(self.ws.grad(), &mut self.scan);
-        }
-        let t_tail = Instant::now();
-        if how.merge {
-            let scan = watched.then_some(&mut self.scan);
-            found_owned += shared.merge_gradient(self.ws.grad(), step, tail_rows, scan);
-        } else {
-            shared.apply_racy(self.ws.grad(), step, tail_rows);
-        }
-        let end = Instant::now();
-        merge_secs += (end - t_tail).as_secs_f64();
-        if watched {
-            self.report_scan(how.watchdog, how.worker, how.step);
-        }
+        let to = match merge {
+            true => Dest::Merge(shared),
+            false => Dest::Racy(shared),
+        };
+        let (merge_secs, found_owned) = self.write_gradient(csr, to, step, checks);
         Stepped {
             phases: BatchPhases {
                 stage_secs: (t_compute - t_stage).as_secs_f64(),
-                compute_secs: (end - t_compute).as_secs_f64() - merge_secs,
+                compute_secs: t_compute.elapsed().as_secs_f64() - merge_secs,
                 merge_secs,
                 ..BatchPhases::default()
             },
@@ -286,45 +293,80 @@ impl Lane {
         }
     }
 
-    /// The checks every gradient gets before it is applied: the fault
-    /// plan's NaN when `poison`, then, under an enabled watchdog, the
-    /// gradient's per-layer scan, observed as `worker`'s batch `step`.
+    /// Write the gradient the last step left into `to`, `w ← w − step·∇`,
+    /// after `checks` — the one write of every step on either engine. A
+    /// CSR step's layer-0 rows go first, a block at a time ([`CsrStep::write_l0`]);
+    /// then the fault plan's NaN goes into layer 0's bias when
+    /// `checks.poison`, and the tail (every stripe, after a dense gradient)
+    /// is written. Under an enabled watchdog a merge scans what it adds in
+    /// its loop, any other write each block as it is scattered and the tail
+    /// before it writes it, and the scan is observed as `checks.worker`'s
+    /// batch `checks.step`. Returns the seconds spent writing and the
+    /// stripes a merge found owned by another merger.
     // audit: no_alloc
-    pub(crate) fn inspect(&mut self, poison: bool, watchdog: &Watchdog, worker: usize, step: u64) {
-        if poison {
-            self.poison();
+    fn write_gradient(
+        &mut self,
+        csr: Option<&mut CsrStep>,
+        mut to: Dest<'_>,
+        step: f32,
+        checks: &Checks<'_>,
+    ) -> (f64, u64) {
+        let watched = checks.watchdog.enabled();
+        self.scan.reset();
+        let (mut merge_secs, mut found_owned) = (0.0, 0);
+        // The tail's layer-0 rows: none after a CSR step's blocks.
+        let mut tail_rows = None;
+        if let Some(at) = csr {
+            let scan = watched.then_some(&mut self.scan);
+            let l0 = match &mut to {
+                Dest::Racy(shared) => L0Write::Racy(shared, scan),
+                Dest::Merge(shared) => L0Write::Merge(shared, scan),
+                Dest::Model(model) => L0Write::Model(model, scan),
+            };
+            (merge_secs, found_owned) = at.write_l0(&self.ws, self.csr.view(), step, l0);
+            tail_rows = Some(&[][..]);
         }
-        if watchdog.enabled() {
-            self.scan.reset();
-            scan_model(self.ws.grad(), &mut self.scan);
-            self.report_scan(watchdog, worker, step);
+        if checks.poison {
+            // One NaN into layer 0's bias: part of every tail, so it
+            // reaches the model whatever the format.
+            self.ws.grad_mut().layers_mut()[0].b[0] = f32::NAN;
         }
+        let grad = self.ws.grad();
+        if watched && !matches!(to, Dest::Merge(_)) {
+            scan_model(grad, &mut self.scan);
+        }
+        let t_tail = Instant::now();
+        match to {
+            Dest::Merge(shared) => {
+                let scan = watched.then_some(&mut self.scan);
+                found_owned += shared.merge_gradient(grad, step, tail_rows, scan);
+            }
+            Dest::Racy(shared) => shared.apply_racy(grad, step, tail_rows),
+            Dest::Model(model) => model.apply_gradient(grad, step),
+        }
+        merge_secs += t_tail.elapsed().as_secs_f64();
+        if watched {
+            // `step` is named in the postmortem when an observation trips
+            // the policy.
+            for (l, ls) in self.scan.layers().iter().enumerate() {
+                let (worker, step) = (checks.worker as u32, checks.step);
+                checks
+                    .watchdog
+                    .observe_layer(worker, l, step, ls.sumsq, ls.nonfinite);
+            }
+        }
+        (merge_secs, found_owned)
     }
+}
 
-    /// One NaN into the stored gradient. The bias is part of a row-sparse
-    /// apply's dense tail, so the NaN reaches the model whatever the
-    /// format.
-    fn poison(&mut self) {
-        self.ws.grad_mut().layers_mut()[0].b[0] = f32::NAN;
-    }
-
-    /// Hand the scan to the watchdog, layer by layer; `step` is named in
-    /// the postmortem when an observation trips the policy.
-    fn report_scan(&self, watchdog: &Watchdog, worker: usize, step: u64) {
-        for (l, ls) in self.scan.layers().iter().enumerate() {
-            watchdog.observe_layer(worker as u32, l, step, ls.sumsq, ls.nonfinite);
-        }
-    }
-
-    /// `model ← model − eta·∇`, walking only the gradient's own layer-0
-    /// rows when it is row-sparse (plus biases and the later layers).
-    // audit: no_alloc
-    pub(crate) fn apply_to(&self, model: &mut Model, eta: f32) {
-        match self.ws.active_cols() {
-            Some(cols) => model.apply_gradient_sparse(self.ws.grad(), eta, cols),
-            None => model.apply_gradient(self.ws.grad(), eta),
-        }
-    }
+/// Where a step writes its gradient ([`Lane::write_gradient`]).
+enum Dest<'m> {
+    /// The shared model, a Hogwild lane's racy load/subtract/store.
+    Racy(&'m SharedModel),
+    /// The shared model, a stripe-owning merger's add (a GPU worker).
+    Merge(&'m SharedModel),
+    /// The simulator's live model.
+    Model(&'m mut Model),
 }
 
 /// What a threaded worker reads of the shared model, in the run's format:
@@ -359,18 +401,28 @@ impl SharedRead {
     }
 }
 
-/// How a threaded step writes into the shared model, and the checks its
-/// gradient gets first ([`Lane::step_shared`]).
-pub(crate) struct StepWrite<'w> {
-    /// A stripe-owning merger's add (a GPU worker); else a Hogwild lane's
-    /// racy apply.
-    pub(crate) merge: bool,
+/// The checks a step's gradient gets before it is written
+/// ([`Lane::write_gradient`]), on either engine.
+pub(crate) struct Checks<'w> {
     /// The fault plan's NaN into layer 0's bias.
     pub(crate) poison: bool,
     pub(crate) watchdog: &'w Watchdog,
     /// The worker and batch a scan is observed as.
     pub(crate) worker: usize,
     pub(crate) step: u64,
+}
+
+#[cfg(test)]
+impl<'w> Checks<'w> {
+    /// No poison, and a step number nobody reads unless `watchdog` is on.
+    pub(crate) fn off(watchdog: &'w Watchdog) -> Self {
+        Checks {
+            poison: false,
+            watchdog,
+            worker: 0,
+            step: 0,
+        }
+    }
 }
 
 /// What a threaded step reports ([`Lane::step_shared`]).
@@ -403,20 +455,18 @@ pub(crate) fn eval_subset(n: usize, k: usize, seed: u64) -> Vec<usize> {
 /// The run's loss/accuracy probe: a fixed eval batch in the run's format
 /// plus one workspace reused by every eval, on either engine.
 ///
-/// On a sparse run the batch is stored by input feature once
-/// ([`ColumnBatch`]), and every eval reads layer 0 where it lives — the
-/// simulator's model, or the threaded engine's shared one with relaxed
-/// loads — a few KB of support rows at a time, scattering each tile into
-/// the pre-activations. That is bit-identical to the row form's CSR
-/// forward, and nothing model-sized is copied: a threaded eval copies only
-/// layer 0's bias and the later layers into the caller's tail model. A
-/// dense run's inputs are narrow (the density rule keeps wide sparse data
-/// off the dense path), so a threaded eval still copies the whole model
-/// into it.
-/// A dense eval over a wide sparse batch would cost more than the training
-/// steps it measures and stall the coordinator's dispatch; the CSR eval
-/// rows are picked from the run's CSR features, so nothing dense is
-/// touched.
+/// On a sparse run the eval rows are one CSR batch whose support, column
+/// renumbering and block cuts are taken once, here ([`CsrStep::renumber`]),
+/// and every eval is that step's forward ([`Workspace::forward_blocks`]):
+/// layer 0 read where it lives — the simulator's model, or the threaded
+/// engine's shared one with relaxed loads — one block of the support's rows
+/// at a time, bit-identical to the row form's CSR forward. Nothing
+/// model-sized is copied: a threaded eval reads only layer 0's bias and the
+/// later layers into the step's own tail. A dense run's inputs are narrow
+/// (the density rule keeps wide sparse data off the dense path), so a
+/// threaded eval copies the whole model into the evaluator's own.
+/// The CSR eval rows are picked from the run's CSR features, so nothing
+/// dense is touched.
 pub(crate) struct Evaluator {
     ws: Workspace,
     x: EvalBatch,
@@ -425,8 +475,11 @@ pub(crate) struct Evaluator {
 
 /// The eval rows, in the run's format.
 enum EvalBatch {
-    Dense(Matrix),
-    Columns(ColumnBatch),
+    /// The rows, and the model a threaded eval reads the shared one into
+    /// (its layer 0 is grown at the first such read).
+    Dense(Matrix, Model),
+    /// The rows renumbered onto their support, and the step that cut them.
+    Csr(CsrBatch, Box<CsrStep>),
 }
 
 impl Evaluator {
@@ -441,8 +494,13 @@ impl Evaluator {
             Labels::MultiHot(m) => Labels::MultiHot(gather(m, rows)),
         };
         let x = match src.csr() {
-            Some(csr) => EvalBatch::Columns(ColumnBatch::new(csr.view(), rows)),
-            None => EvalBatch::Dense(data.gather(rows)),
+            Some(csr) => {
+                let (mut x, mut at) = (CsrBatch::new(), CsrStep::new(spec));
+                csr.select_rows(rows).slice_rows_into(0, rows.len(), &mut x);
+                at.renumber(&mut x);
+                EvalBatch::Csr(x, Box::new(at))
+            }
+            None => EvalBatch::Dense(data.gather(rows), Model::zeros_with_l0_rows(spec, 0)),
         };
         Evaluator {
             ws: Workspace::new(spec),
@@ -459,48 +517,37 @@ impl Evaluator {
     /// `(loss, accuracy)` of `model` on the eval batch, on the calling
     /// thread.
     pub(crate) fn score(&mut self, model: &Model) -> (f32, f32) {
-        score_batch(
-            &mut self.ws,
-            &mut self.x,
-            &self.labels,
-            Layer0::Model(model),
-            model,
-        )
+        let probs = match &mut self.x {
+            EvalBatch::Csr(x, at) => self.ws.forward_blocks(at, Layer0::Model(model), x.view()),
+            EvalBatch::Dense(x, _) => self.ws.forward_into(model, &*x, false),
+        }
+        .probs();
+        score_probs(probs, &self.labels, model.spec())
     }
 
     /// `(loss, accuracy)` of the shared model on the eval batch, read as
-    /// the workers train it, on the calling thread. `held` takes what the
-    /// eval copies of the shared model before it scores: every stripe from
-    /// layer 0's bias on (no layer-0 row) on a sparse run, every stripe on
-    /// a dense one; it may start as `Model::zeros_with_l0_rows(spec, 0)`.
+    /// the workers train it, on the calling thread: every stripe from layer
+    /// 0's bias on (no layer-0 row) into the CSR step's tail on a sparse
+    /// run, every stripe into the evaluator's model on a dense one.
     // audit: no_alloc
-    pub(crate) fn score_shared(&mut self, shared: &SharedModel, held: &mut Model) -> (f32, f32) {
-        match self.x {
-            EvalBatch::Columns(_) => shared.read_tail(held),
-            EvalBatch::Dense(_) => shared.snapshot_into(held),
+    pub(crate) fn score_shared(&mut self, shared: &SharedModel) -> (f32, f32) {
+        let probs = match &mut self.x {
+            EvalBatch::Csr(x, at) => self.ws.forward_blocks(at, Layer0::Shared(shared), x.view()),
+            EvalBatch::Dense(x, held) => {
+                shared.snapshot_into(held);
+                self.ws.forward_into(held, &*x, false)
+            }
         }
-        let l0 = Layer0::Shared(shared);
-        score_batch(&mut self.ws, &mut self.x, &self.labels, l0, held)
+        .probs();
+        score_probs(probs, &self.labels, shared.spec())
     }
 }
 
-/// `(loss, accuracy)` on `x`: layer 0's weights from `l0` on a sparse
-/// batch, everything else — and layer 0 too on a dense one — from `tail`.
-fn score_batch(
-    ws: &mut Workspace,
-    x: &mut EvalBatch,
-    labels: &Labels,
-    l0: Layer0<'_>,
-    tail: &Model,
-) -> (f32, f32) {
-    let probs = match x {
-        EvalBatch::Columns(x) => ws.forward_columns_into(l0, tail, x),
-        EvalBatch::Dense(x) => ws.forward_into(tail, &*x, false),
-    }
-    .probs();
+/// `(loss, accuracy)` of the eval batch's probabilities.
+fn score_probs(probs: &Matrix, labels: &Labels, spec: &MlpSpec) -> (f32, f32) {
     let targets = labels.as_targets();
     (
-        hetero_nn::loss(probs, targets, tail.spec().loss),
+        hetero_nn::loss(probs, targets, spec.loss),
         hetero_nn::accuracy(probs, targets),
     )
 }
@@ -523,7 +570,7 @@ mod tests {
     use crate::engine_threads::{ThreadedEngine, ThreadedEngineConfig};
     use crate::fault::FaultPlan;
     use hetero_data::SynthConfig;
-    use hetero_nn::InitScheme;
+    use hetero_nn::{InitScheme, Input};
     use hetero_sim::GpuModel;
     use hetero_trace::TraceSink;
     use std::sync::Arc;
@@ -652,9 +699,12 @@ mod tests {
         for (x, y) in a.ws.grad().flatten().iter().zip(b.ws.grad().flatten()) {
             assert!((x - y).abs() < 1e-4, "{x} vs {y}");
         }
+        // The engines' step: the CSR one a block of layer 0 at a time.
         let (mut ma, mut mb) = (m.clone(), m.clone());
-        a.apply_to(&mut ma, 0.5);
-        b.apply_to(&mut mb, 0.5);
+        let (off, mut at) = (Watchdog::disabled(), CsrStep::new(m.spec()));
+        let checks = Checks::off(&off);
+        a.step_model(&dense, (10, 40), None, &m, &mut ma, 0.5, &checks);
+        b.step_model(&csr, (10, 40), Some(&mut at), &m, &mut mb, 0.5, &checks);
         for (x, y) in ma.flatten().iter().zip(mb.flatten()) {
             assert!((x - y).abs() < 1e-4, "{x} vs {y}");
         }
@@ -707,7 +757,7 @@ mod tests {
         let mut on_dense = Evaluator::new(&dense, &rows, m.spec());
         let mut on_csr = Evaluator::new(&csr, &rows, m.spec());
         assert_eq!(on_dense.rows(), 24);
-        let EvalBatch::Dense(x) = &on_dense.x else {
+        let EvalBatch::Dense(x, _) = &on_dense.x else {
             panic!("a dense run's eval batch is dense")
         };
         for (i, &r) in rows.iter().enumerate() {
@@ -718,23 +768,23 @@ mod tests {
         assert!((a1 - a2).abs() < 1e-5, "{a1} vs {a2}");
     }
 
-    /// A workspace that served a CSR batch and then a dense one holds a
-    /// dense gradient: no row set describes it, and applying it through
-    /// the lane must reach every layer-0 row.
+    /// A lane that stepped a CSR batch a block of layer 0 at a time and
+    /// then a dense batch holds a dense gradient, and writes all of it:
+    /// every layer-0 row, as a plain apply of that gradient does.
     #[test]
-    fn dense_step_after_csr_step_forgets_the_csr_columns() {
+    fn dense_step_after_csr_step_writes_every_row() {
         let (dense, csr) = sources();
         let m = model();
         let mut lane = Lane::new(m.spec());
-        lane.stage(&csr, 0, 4);
-        lane.gradient(&csr, &m);
-        assert!(lane.ws.active_cols().is_some_and(|c| !c.is_empty()));
-        lane.stage(&dense, 20, 50);
-        lane.gradient(&dense, &m);
+        let (off, mut at) = (Watchdog::disabled(), CsrStep::new(m.spec()));
+        let checks = Checks::off(&off);
+        let mut via_lane = m.clone();
+        lane.step_model(&csr, (0, 4), Some(&mut at), &m, &mut via_lane, 0.5, &checks);
+        assert_eq!(lane.ws.grad().layers()[0].w.rows(), 0, "a CSR step's tail");
+        let mut reference = via_lane.clone();
+        let before = via_lane.clone();
+        lane.step_model(&dense, (20, 50), None, &before, &mut via_lane, 0.5, &checks);
         assert!(lane.ws.active_cols().is_none());
-        assert!(lane.ws.sparse_active_cols().is_empty());
-        let (mut via_lane, mut reference) = (m.clone(), m.clone());
-        lane.apply_to(&mut via_lane, 0.5);
         reference.apply_gradient(lane.ws.grad(), 0.5);
         assert_eq!(via_lane, reference);
     }

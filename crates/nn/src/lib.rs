@@ -46,8 +46,6 @@ pub use init::InitScheme;
 pub use model::Model;
 pub use scan::{scan_model, LayerScan, MergeScan};
 pub use shared::SharedModel;
-pub use sparse_input::{
-    forward_sparse, ColumnBatch, CsrStep, L0Write, Layer0, SupportRead, L0_BLOCK_BYTES,
-};
+pub use sparse_input::{forward_sparse, CsrStep, L0Write, Layer0, SupportRead, L0_BLOCK_BYTES};
 pub use spec::{LossKind, MlpSpec};
 pub use workspace::Workspace;

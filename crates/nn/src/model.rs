@@ -141,8 +141,8 @@ impl Model {
 
     /// [`zeros_like`](Self::zeros_like) with `rows` layer-0 weight rows. With
     /// 0 rows: everything of a model but layer 0's weights — what a reader
-    /// that takes those by reference ([`crate::ColumnBatch`],
-    /// [`crate::CsrStep`]) holds, and a gradient before its first step.
+    /// that takes those a block at a time ([`crate::CsrStep`]) holds, and a
+    /// gradient before its first step.
     pub fn zeros_with_l0_rows(spec: &MlpSpec, rows: usize) -> Self {
         let layers = spec
             .layer_dims()
@@ -254,11 +254,16 @@ impl Model {
         }
     }
 
-    /// In-place SGD update: `self ← self - eta · grad`.
+    /// In-place SGD update: `self ← self - eta · grad`. A gradient whose
+    /// layer 0 holds no weight row (a CSR step's tail, whose layer-0 rows
+    /// [`crate::CsrStep::write_l0`] writes) leaves layer 0's weights as
+    /// they are.
     pub fn apply_gradient(&mut self, grad: &Model, eta: f32) {
         assert_eq!(self.spec, grad.spec, "gradient for a different spec");
-        for (layer, g) in self.layers.iter_mut().zip(&grad.layers) {
-            ops::axpy(-eta, g.w.as_slice(), layer.w.as_mut_slice());
+        for (l, (layer, g)) in self.layers.iter_mut().zip(&grad.layers).enumerate() {
+            if l > 0 || g.w.rows() > 0 {
+                ops::axpy(-eta, g.w.as_slice(), layer.w.as_mut_slice());
+            }
             ops::axpy(-eta, &g.b, &mut layer.b);
         }
     }

@@ -33,10 +33,9 @@
 //! - [`SharedModel::read_l0_tile`] — layer 0 read where it lives, a block
 //!   of rows at a time, with the same loads and the same guarantee. A CSR
 //!   step ([`CsrStep`](crate::CsrStep)) reads its batch's support this
-//!   way, one block before the next, beside its tail read; an eval reads
-//!   its fixed batch's support a few KB at a time
-//!   ([`ColumnBatch`](crate::ColumnBatch)). Neither copies a model-sized
-//!   or support-sized layer 0.
+//!   way, one block before the next, beside its tail read, and so does an
+//!   eval of its fixed batch (the same step, forward only). Neither copies
+//!   a model-sized or support-sized layer 0.
 //! - [`SharedModel::apply_l0_tile`] / [`SharedModel::merge_l0_tile`] — a
 //!   CSR step's write of one block of layer-0 gradient rows: `apply_racy`'s
 //!   load/subtract/store and `merge_gradient`'s stripe-owning add, row `i`
@@ -217,7 +216,7 @@ impl SharedModel {
     /// The layer-0 weight rows of input features `rows` into `tile`, row
     /// `i` (`tile`'s `i`-th run of layer-0 width) taking feature `rows[i]`'s
     /// — what a CSR step and an eval read of layer 0, a block at a time
-    /// ([`CsrStep`](crate::CsrStep), [`ColumnBatch`](crate::ColumnBatch)).
+    /// ([`CsrStep`](crate::CsrStep)).
     /// `rows` must lie below the input width.
     // audit: no_alloc,no_panic,no_block
     pub fn read_l0_tile(&self, rows: &[u32], tile: &mut [f32]) {

@@ -15,21 +15,25 @@
 //! model and the backward scatters straight into the gradient: no repack,
 //! no transposed copy. What a CSR gradient does need is its *support* —
 //! the input features its batch touched, the only layer-0 rows that may be
-//! non-zero — which [`SparseScratch`] keeps, so that appliers walk only
-//! those rows and the next CSR gradient re-zeroes only them. It is sized by
-//! the spec alone, so warm steps are allocation-free.
-//! [`CsrStep`] is a threaded worker's step on the shared model (§V: CPU
-//! workers use the global model by reference, GPU workers copy only what
-//! they train on): it takes the same support before the step, cuts it into
-//! blocks of [`L0_BLOCK_BYTES`] of layer-0 rows, and reads, differentiates
-//! and writes layer 0 one block at a time through one block-sized tile —
-//! it holds no copy of layer 0, not even of the support's rows.
-//! [`SupportRead`] is the same worker's read of a dense batch, whose
+//! non-zero. A full-width CSR gradient at a whole model
+//! ([`Workspace::loss_and_gradient_into`]) keeps it in [`SparseScratch`],
+//! so that appliers walk only those rows and the next CSR gradient
+//! re-zeroes only them; no engine takes that path any more (the frozen
+//! benchmark pins it).
+//! [`CsrStep`] is the one layer-0 path of every engine's CSR batch (§V:
+//! CPU workers use the global model by reference, GPU workers copy only
+//! what they train on): it takes the same support before the step, cuts it
+//! into blocks of [`L0_BLOCK_BYTES`] of layer-0 rows, and reads,
+//! differentiates and writes layer 0 one block at a time through one
+//! block-sized tile — it holds no copy of layer 0, not even of the
+//! support's rows. It reads the global model or a whole one ([`Layer0`])
+//! and writes either ([`L0Write`]): a threaded worker's step, the
+//! simulator's, and, forward only, the evaluator's score of its fixed
+//! batch.
+//! [`SupportRead`] is a threaded worker's read of a dense batch, whose
 //! support is every row: a full snapshot in one layer-0 buffer, which the
 //! gradient takes over from the read once the forward is done
 //! ([`Workspace::loss_and_gradient_at`]) and the next read takes back.
-//! [`ColumnBatch`] is the evaluator's fixed batch stored by feature, whose
-//! forward reads layer 0 where it lives, a tile of support rows at a time.
 //! [`forward_sparse`] is a thin allocating wrapper for one-off calls.
 //!
 //! The layers after the first run the *same* code as for a dense batch, so
@@ -160,37 +164,79 @@ fn block_rows(out: usize) -> usize {
     (L0_BLOCK_BYTES / (std::mem::size_of::<f32>() * out.max(1))).max(1)
 }
 
-/// How a [`CsrStep`] writes its blocks of layer-0 gradient rows into the
-/// shared model, `w ← w − step·∇`.
-#[derive(Debug)]
-pub enum L0Write<'s> {
-    /// A Hogwild lane's load/subtract/store
-    /// ([`SharedModel::apply_l0_tile`]); with a scan, each block's sum of
-    /// squares and non-finite count are added to its layer 0
-    /// (`ops::sumsq_nonfinite` over the block) before the block is written.
-    Racy(Option<&'s mut MergeScan>),
-    /// A stripe-owning merger's add ([`SharedModel::merge_l0_tile`]), the
-    /// scan fused into its loop.
-    Merge(Option<&'s mut MergeScan>),
+/// Where a [`CsrStep`] reads the model from: a whole model — the
+/// simulator's, or the one an evaluator scores — or the global one by
+/// reference.
+#[derive(Clone, Copy, Debug)]
+pub enum Layer0<'a> {
+    /// A model holding every layer-0 row (plain reads); it lends the step
+    /// its own tail.
+    Model(&'a Model),
+    /// The global model ([`SharedModel::read_l0_tile`]'s `Relaxed` loads);
+    /// the step reads its tail into its own.
+    Shared(&'a SharedModel),
 }
 
-/// A threaded worker's step on a CSR batch, taken on the shared model
-/// itself (§V: CPU workers use the global model by reference, GPU workers
-/// copy only what they train on), holding no copy of layer 0:
+impl Layer0<'_> {
+    /// The layer-0 rows of input features `rows` into `tile`, row `i`
+    /// taking feature `rows[i]`'s.
+    // audit: no_alloc
+    fn read_tile(self, rows: &[u32], tile: &mut Matrix) {
+        match self {
+            Layer0::Model(m) => {
+                let w = &m.layers()[0].w;
+                for (&c, out) in rows
+                    .iter()
+                    .zip(tile.as_mut_slice().chunks_exact_mut(w.cols()))
+                {
+                    out.copy_from_slice(w.row(c as usize));
+                }
+            }
+            Layer0::Shared(s) => s.read_l0_tile(rows, tile.as_mut_slice()),
+        }
+    }
+}
+
+/// Where a [`CsrStep`] writes its blocks of layer-0 gradient rows,
+/// `w ← w − step·∇`. With a scan, `Racy` and `Model` add each block's sum
+/// of squares and non-finite count to its layer 0 (`ops::sumsq_nonfinite`
+/// over the block) before the block is written; `Merge` fuses the scan
+/// into its loop.
+#[derive(Debug)]
+pub enum L0Write<'s> {
+    /// A Hogwild lane's load/subtract/store into the global model
+    /// ([`SharedModel::apply_l0_tile`]).
+    Racy(&'s SharedModel, Option<&'s mut MergeScan>),
+    /// A stripe-owning merger's add into the global model
+    /// ([`SharedModel::merge_l0_tile`]).
+    Merge(&'s SharedModel, Option<&'s mut MergeScan>),
+    /// One `ops::axpy(-step, ..)` per row into a whole model (the
+    /// simulator's): the arithmetic of [`Model::apply_gradient_sparse`].
+    Model(&'s mut Model, Option<&'s mut MergeScan>),
+}
+
+/// One step on a CSR batch that holds no copy of layer 0, read from either
+/// kind of model and written to either ([`Layer0`], [`L0Write`]) — a
+/// threaded worker's on the global model (§V: CPU workers use the global
+/// model by reference, GPU workers copy only what they train on), the
+/// simulator's from a snapshot into its live model, and, forward only, an
+/// evaluator's:
 ///
 /// - **Read** ([`read`](Self::read), the stage): the batch's *support* —
 ///   the input features it touches, ascending — with the batch's column
 ///   indices renumbered onto it (feature `support[i]` becomes column `i`),
 ///   cut into blocks of [`L0_BLOCK_BYTES`] of layer-0 rows
-///   ([`ColumnCuts`]); and the tail, layer 0's bias and every later layer
-///   ([`SharedModel::read_tail`]).
-/// - **Forward** ([`Workspace::loss_and_gradient_blocks`]): for each block,
-///   its rows copied from the shared model into the one tile
-///   ([`SharedModel::read_l0_tile`]), then that block's entries added into
-///   the pre-activations ([`sparse::spmm_block_into`]; the first block
-///   starts them at the bias). Then the later layers, the loss, and the
-///   backward down to layer 0's bias, into the workspace's gradient, whose
-///   layer 0 holds no row.
+///   ([`ColumnCuts`]); and, from the global model, the tail, layer 0's bias
+///   and every later layer ([`SharedModel::read_tail`]). A whole model
+///   lends its own tail. A fixed batch (an evaluator's) is renumbered once
+///   ([`renumber`](Self::renumber)).
+/// - **Forward** ([`Workspace::loss_and_gradient_blocks`],
+///   [`Workspace::forward_blocks`]): for each block, its rows copied from
+///   the model into the one tile, then that block's entries added into the
+///   pre-activations ([`sparse::spmm_block_into`]; the first block starts
+///   them at the bias). Then the later layers, the loss, and the backward
+///   down to layer 0's bias, into the workspace's gradient, whose layer 0
+///   holds no row.
 /// - **Layer 0's weight gradient** ([`write_l0`](Self::write_l0)): each
 ///   block's `∇W₀ = Xᵀ·δ₀` scattered into the zeroed tile and written back
 ///   at once ([`L0Write`]). The tail is written after it, as a gradient of
@@ -201,10 +247,11 @@ pub enum L0Write<'s> {
 /// mul then add — so with no concurrent writer the loss and every
 /// parameter written are bit-identical to the full-snapshot step
 /// (snapshot, `loss_and_gradient_into`, `apply_racy` / `merge_gradient`
-/// over the gradient's own rows). A support of one block reduces to that
-/// step's sequence: copy, `spmm_bias_into` with the bias, scatter, write.
-/// The scratch is sized by the spec and the block, so a warm step is
-/// allocation-free.
+/// over the gradient's own rows, or `apply_gradient_sparse` on a whole
+/// model), and a forward's activations to [`Workspace::forward_into`]'s. A
+/// support of one block reduces to that step's sequence: copy,
+/// `spmm_bias_into` with the bias, scatter, write. The scratch is sized by
+/// the spec and the block, so a warm step is allocation-free.
 #[derive(Debug)]
 pub struct CsrStep {
     /// The last read's support, ascending.
@@ -220,8 +267,8 @@ pub struct CsrStep {
     /// One block of layer-0 rows: weights in the forward, gradient rows in
     /// the backward.
     tile: Matrix,
-    /// Layer 0's bias and every later layer, as read; layer 0 holds no
-    /// weight row.
+    /// Layer 0's bias and every later layer, as read from the global
+    /// model; layer 0 holds no weight row.
     tail: Model,
 }
 
@@ -244,13 +291,20 @@ impl CsrStep {
         }
     }
 
-    /// Read what the CSR `batch` needs of `shared` before its forward:
-    /// take its support, renumber the batch's columns onto it, cut it into
-    /// blocks, and read the tail (see the type docs).
-    /// `hetero_support_read_skips_tail` is the seeded bug of
-    /// `scripts/check_mutation.sh`: no tail read.
+    /// Read what the CSR `batch` needs of `from` before its forward:
+    /// [`renumber`](Self::renumber) it, then read the tail (see the type
+    /// docs).
     // audit: no_alloc
-    pub fn read(&mut self, shared: &SharedModel, batch: &mut CsrBatch) {
+    pub fn read(&mut self, from: Layer0<'_>, batch: &mut CsrBatch) {
+        self.renumber(batch);
+        self.refresh_tail(from);
+    }
+
+    /// Take `batch`'s support, renumber its columns onto it and cut it into
+    /// blocks: what a step reads first, and what an evaluator does once for
+    /// its fixed batch.
+    // audit: no_alloc
+    pub fn renumber(&mut self, batch: &mut CsrBatch) {
         collect_rows(batch.view().indices(), &mut self.mask, &mut self.support);
         // A support of every feature numbers them as they are.
         if self.support.len() < batch.cols() {
@@ -261,8 +315,16 @@ impl CsrStep {
             batch.renumber_cols(self.support.len(), |c| slot[c as usize]);
         }
         self.cuts.cut(batch.view(), self.per);
-        if !cfg!(hetero_support_read_skips_tail) {
-            shared.read_tail(&mut self.tail);
+    }
+
+    /// Read the tail of the global model; a whole model lends its own.
+    /// `hetero_support_read_skips_tail` is the seeded bug of
+    /// `scripts/check_mutation.sh`: no tail read.
+    pub(crate) fn refresh_tail(&mut self, from: Layer0<'_>) {
+        if let Layer0::Shared(shared) = from {
+            if !cfg!(hetero_support_read_skips_tail) {
+                shared.read_tail(&mut self.tail);
+            }
         }
     }
 
@@ -272,9 +334,19 @@ impl CsrStep {
         &self.support
     }
 
-    /// Layer 0's bias and every later layer as the last read took them.
+    /// Layer 0's bias and every later layer as the last read of the global
+    /// model took them.
     pub fn tail(&self) -> &Model {
         &self.tail
+    }
+
+    /// The tail a forward from `from` runs on: the whole model's own, or
+    /// the one read of the global model.
+    pub(crate) fn tail_of<'m>(&'m self, from: Layer0<'m>) -> &'m Model {
+        match from {
+            Layer0::Model(m) => m,
+            Layer0::Shared(_) => &self.tail,
+        }
     }
 
     /// Floats of layer-0 rows the step holds: its tile's capacity, at most
@@ -290,14 +362,23 @@ impl CsrStep {
     }
 
     /// `z ← X·W₀ + b₀` for the read batch `x`, layer 0's rows read from
-    /// `shared` one block at a time into the tile.
-    pub(crate) fn l0_forward(&mut self, shared: &SharedModel, x: CsrView<'_>, z: &mut Matrix) {
-        let out = self.tail.layers()[0].b.len();
-        for b in 0..self.cuts.blocks() {
+    /// `from` one block at a time into the tile.
+    /// `hetero_l0_forward_skips_last` is the seeded bug of
+    /// `scripts/check_mutation.sh`: a last partial block is never added.
+    pub(crate) fn l0_forward(&mut self, from: Layer0<'_>, x: CsrView<'_>, z: &mut Matrix) {
+        let bias = match from {
+            Layer0::Model(m) => &m.layers()[0].b,
+            Layer0::Shared(_) => &self.tail.layers()[0].b,
+        };
+        let blocks = self.cuts.blocks();
+        for b in 0..blocks {
             let rows = &self.support[self.span(b)];
-            fit_tile(&mut self.tile, rows.len(), out);
-            shared.read_l0_tile(rows, self.tile.as_mut_slice());
-            let bias = (b == 0).then_some(&self.tail.layers()[0].b[..]);
+            if cfg!(hetero_l0_forward_skips_last) && b + 1 == blocks && rows.len() < self.per {
+                continue;
+            }
+            fit_tile(&mut self.tile, rows.len(), bias.len());
+            from.read_tile(rows, &mut self.tile);
+            let bias = (b == 0).then_some(&bias[..]);
             sparse::spmm_block_into(self.cuts.block(x, b), &self.tile, bias, z);
         }
     }
@@ -305,16 +386,15 @@ impl CsrStep {
     /// Layer 0's weight gradient of the read batch `x`, from the δ₀ the
     /// last [`Workspace::loss_and_gradient_blocks`] left in `ws`, a block
     /// at a time: each block's rows scattered into the zeroed tile, then
-    /// written into `shared` at once, `w ← w − step·∇` ([`L0Write`]).
-    /// Returns the seconds spent writing (the step's merge phase; the
-    /// scatters are its compute) and the stripes a merge found owned.
+    /// written at once, `w ← w − step·∇` ([`L0Write`]). Returns the seconds
+    /// spent writing (the step's merge phase; the scatters are its compute)
+    /// and the stripes a merge found owned.
     /// `hetero_l0_block_skips_last` is the seeded bug of
     /// `scripts/check_mutation.sh`: a last partial block is never written.
     // audit: no_alloc
     pub fn write_l0(
         &mut self,
         ws: &Workspace,
-        shared: &SharedModel,
         x: CsrView<'_>,
         step: f32,
         mut to: L0Write<'_>,
@@ -327,20 +407,29 @@ impl CsrStep {
             fit_tile(&mut self.tile, rows.len(), delta.cols());
             self.tile.as_mut_slice().fill(0.0);
             sparse::spmm_tn_block_scatter(self.cuts.block(x, b), delta, &mut self.tile);
-            if let L0Write::Racy(Some(scan)) = &mut to {
+            if let L0Write::Racy(_, Some(scan)) | L0Write::Model(_, Some(scan)) = &mut to {
                 let (sumsq, nonfinite) = ops::sumsq_nonfinite(self.tile.as_slice());
                 scan.add(0, LayerScan { sumsq, nonfinite });
             }
             if cfg!(hetero_l0_block_skips_last) && b + 1 == blocks && rows.len() < self.per {
                 continue;
             }
-            let (tile, at) = (self.tile.as_slice(), Instant::now());
+            let (tile, at) = (&self.tile, Instant::now());
             found_owned += match &mut to {
-                L0Write::Racy(_) => {
-                    shared.apply_l0_tile(rows, tile, step);
+                L0Write::Racy(shared, _) => {
+                    shared.apply_l0_tile(rows, tile.as_slice(), step);
                     0
                 }
-                L0Write::Merge(scan) => shared.merge_l0_tile(rows, tile, step, scan.as_deref_mut()),
+                L0Write::Merge(shared, scan) => {
+                    shared.merge_l0_tile(rows, tile.as_slice(), step, scan.as_deref_mut())
+                }
+                L0Write::Model(model, _) => {
+                    let w = &mut model.layers_mut()[0].w;
+                    for (i, &c) in rows.iter().enumerate() {
+                        ops::axpy(-step, tile.row(i), w.row_mut(c as usize));
+                    }
+                    0
+                }
             };
             secs += at.elapsed().as_secs_f64();
         }
@@ -370,157 +459,6 @@ fn collect_rows(indices: &[u32], mask: &mut [u64], out: &mut Vec<u32>) {
     }
 }
 
-/// Where a forward over a [`ColumnBatch`] reads layer 0's weight rows
-/// from, a tile at a time: a whole model, or the shared one by reference.
-#[derive(Clone, Copy, Debug)]
-pub enum Layer0<'a> {
-    /// A model holding every layer-0 row (plain reads).
-    Model(&'a Model),
-    /// The global model ([`SharedModel::read_l0_tile`]'s `Relaxed` loads).
-    Shared(&'a SharedModel),
-}
-
-impl<'a> Layer0<'a> {
-    /// The layer-0 rows of input features `rows` into `tile`, row `i`
-    /// taking feature `rows[i]`'s.
-    // audit: no_alloc
-    fn read_tile(self, rows: &[u32], tile: &mut Matrix) {
-        match self {
-            Layer0::Model(m) => {
-                let w = &m.layers()[0].w;
-                for (&c, out) in rows
-                    .iter()
-                    .zip(tile.as_mut_slice().chunks_exact_mut(w.cols()))
-                {
-                    out.copy_from_slice(w.row(c as usize));
-                }
-            }
-            Layer0::Shared(s) => s.read_l0_tile(rows, tile.as_mut_slice()),
-        }
-    }
-
-    pub(crate) fn spec(self) -> &'a MlpSpec {
-        match self {
-            Layer0::Model(m) => m.spec(),
-            Layer0::Shared(s) => s.spec(),
-        }
-    }
-}
-
-/// Floats of layer-0 rows one tile of a [`ColumnBatch`] forward reads:
-/// 4 KB, well inside L1 beside the pre-activation rows it adds into.
-const TILE_FLOATS: usize = 1024;
-
-/// Layer-0 rows per tile at layer-0 width `out`.
-fn tile_rows(out: usize) -> usize {
-    (TILE_FLOATS / out.max(1)).max(1)
-}
-
-/// A fixed CSR batch stored by input feature — the evaluator's, which is
-/// scored on the same rows at every eval point. It holds the batch's
-/// support (ascending) and, for each support feature, the (row, value)
-/// entries that read it. Its layer-0 forward
-/// ([`Workspace::forward_columns_into`]) reads the model's layer 0 where it
-/// lives, a few KB of support rows at a time ([`tile_rows`]), and scatters
-/// each tile into the pre-activations with the backward's mul-then-add
-/// kernel ([`sparse::spmm_tn_scatter`]), after seeding them with the bias.
-/// Each output row then receives its terms in ascending-feature order —
-/// the order [`sparse::spmm_bias_into`] adds a CSR row's — so the forward
-/// is bit-identical to the row form's, and no model-sized copy of layer 0
-/// is made. Reading layer 0 per stored entry instead (a row per entry, by
-/// reference) measured twice as slow as a full copy.
-#[derive(Debug)]
-pub struct ColumnBatch {
-    /// Examples in the batch.
-    rows: usize,
-    /// Input features of the batch.
-    cols: usize,
-    /// The input features the batch stores an entry of, ascending.
-    support: Vec<u32>,
-    /// Row `i`: the entries of feature `support[i]` — the batch rows that
-    /// store it (ascending) and their values.
-    by_feature: CsrMatrix,
-    /// One tile of layer-0 rows, reused across tiles and calls.
-    tile: Matrix,
-}
-
-impl ColumnBatch {
-    /// Rows `rows` of `x`, in that order, stored by feature.
-    ///
-    /// # Panics
-    /// Panics if a row lies past `x`'s.
-    pub fn new(x: CsrView<'_>, rows: &[usize]) -> Self {
-        let mut count = vec![0usize; x.cols()];
-        for &r in rows {
-            for (c, _) in x.row_iter(r) {
-                count[c] += 1;
-            }
-        }
-        // `count[c]` becomes where feature `c`'s entries start.
-        let mut support = Vec::new();
-        let mut indptr = vec![0];
-        let mut at = 0;
-        for (c, n) in count.iter_mut().enumerate() {
-            if *n > 0 {
-                support.push(c as u32);
-                (*n, at) = (at, at + *n);
-                indptr.push(at);
-            }
-        }
-        let (mut indices, mut values) = (vec![0u32; at], vec![0.0f32; at]);
-        for (i, &r) in rows.iter().enumerate() {
-            for (c, v) in x.row_iter(r) {
-                let p = &mut count[c];
-                (indices[*p], values[*p]) = (i as u32, v);
-                *p += 1;
-            }
-        }
-        ColumnBatch {
-            rows: rows.len(),
-            cols: x.cols(),
-            support,
-            by_feature: CsrMatrix::from_parts(rows.len(), indptr, indices, values),
-            tile: Matrix::zeros(0, 0),
-        }
-    }
-
-    /// Examples in the batch.
-    pub(crate) fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Input features of the batch.
-    pub(crate) fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// `z ← X·W₀ + bias`, `W₀` read from `l0` one tile of support rows at a
-    /// time (see the type docs); `z` is reshaped to `rows × bias.len()`.
-    // audit: no_alloc
-    pub(crate) fn l0_into(&mut self, l0: Layer0<'_>, bias: &[f32], z: &mut Matrix) {
-        let out = bias.len();
-        z.resize(self.rows, out);
-        for r in 0..self.rows {
-            z.row_mut(r).copy_from_slice(bias);
-        }
-        let (n, per) = (self.support.len(), tile_rows(out));
-        // `hetero_eval_skips_last_tile` is the seeded bug of
-        // `scripts/check_mutation.sh`: a final partial tile is dropped.
-        let end = if cfg!(hetero_eval_skips_last_tile) {
-            n - n % per
-        } else {
-            n
-        };
-        let by_feature = self.by_feature.view();
-        for s in (0..end).step_by(per) {
-            let e = (s + per).min(n);
-            self.tile.resize(e - s, out);
-            l0.read_tile(&self.support[s..e], &mut self.tile);
-            sparse::spmm_tn_scatter(by_feature.row_range(s, e), &self.tile, z);
-        }
-    }
-}
-
 /// Forward pass with a sparse batch (first layer sparse, rest dense).
 ///
 /// Thin allocating wrapper over
@@ -531,59 +469,48 @@ pub fn forward_sparse(model: &Model, x: &CsrMatrix, parallel: bool) -> ForwardPa
     ws.forward_into(model, x.view(), parallel).clone()
 }
 
-/// The evaluator's column form against the row form, bit for bit.
+/// A CSR step from either kind of model into either kind, and a forward-only
+/// eval from either, against what each replaces, bit for bit.
 ///
-/// A [`ColumnBatch`] forward reads layer 0 a tile of support rows at a time
-/// and scatters each tile into the pre-activations; the row form
-/// ([`Workspace::forward_into`] on the same rows in CSR) gathers each row's
-/// entries from the whole layer. Both add a row's terms in ascending-feature
-/// order with the same mul-then-add, so every activation — and the loss —
-/// must agree to the bit, whether layer 0 is read from a [`Model`] or from
-/// a [`SharedModel`], at every SIMD dispatch level the host has.
+/// [`CsrStep`] reads, differentiates and writes layer 0 one block of its
+/// batch's support at a time. On the global model it replaces the
+/// full-snapshot step: copy the whole model, take
+/// [`Workspace::loss_and_gradient_into`] at it, and write the gradient over
+/// its own rows ([`SharedModel::apply_racy`] /
+/// [`SharedModel::merge_gradient`]). From a whole model into another it
+/// replaces the simulator's sequence: the same gradient at the model read,
+/// then [`Model::apply_gradient_sparse`] into the model written. Forward
+/// only, from a model or the global one, it replaces the row form,
+/// [`Workspace::forward_into`] at a whole model. All add every product in
+/// the same order, so the loss, every parameter written, a merge's scan and
+/// every activation must agree to the bit.
 ///
 /// `scripts/check_mutation.sh` rebuilds this suite with `--cfg
-/// hetero_eval_skips_last_tile` (the forward drops a final partial tile)
-/// and requires it to fail.
+/// hetero_l0_block_skips_last` (a last partial block is never written) and
+/// with `--cfg hetero_l0_forward_skips_last` (a forward drops its last
+/// partial block), and requires it to fail under each.
 // The loom build swaps SharedModel's atomics for model-checked versions
 // that require a loom context; these std tests are compiled out there.
 #[cfg(all(test, not(feature = "loom")))]
-mod column_eval {
+mod csr_step {
     use hetero_tensor::simd::{host_levels, with_level};
-    use hetero_tensor::{CsrMatrix, Matrix};
+    use hetero_tensor::{CsrBatch, CsrMatrix, Matrix};
 
-    use super::{tile_rows, ColumnBatch, Layer0};
+    use super::{block_rows, CsrStep, L0Write, Layer0};
     use crate::{
-        Activation, InitScheme, LossKind, MlpSpec, Model, SharedModel, Targets, Workspace,
+        Activation, InitScheme, LossKind, MergeScan, MlpSpec, Model, SharedModel, Targets,
+        Workspace,
     };
 
-    fn spec(input_dim: usize, hidden: usize) -> MlpSpec {
-        MlpSpec {
-            input_dim,
-            hidden: vec![hidden],
-            classes: 2,
-            activation: Activation::Sigmoid,
-            loss: LossKind::SoftmaxCrossEntropy,
-        }
-    }
-
-    /// `rows` CSR rows over `cols` features: row `r` stores the features
-    /// `row(r)` returns (sorted and deduplicated here), with values off a
-    /// seeded LCG.
-    fn csr(rows: usize, cols: usize, mut row: impl FnMut(usize) -> Vec<u32>) -> CsrMatrix {
-        let mut state = 0x2545_f491_4f6c_dd1du64;
-        let mut value = move || {
+    /// A seeded LCG draw in `[-1, 1)`.
+    fn values(seed: u64) -> impl FnMut() -> f32 {
+        let mut state = seed;
+        move || {
             state = state
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            ((state >> 40) as f32 / (1u64 << 24) as f32) * 2.0 - 0.9
-        };
-        let entries = (0..rows).map(|r| {
-            let mut cs = row(r);
-            cs.sort_unstable();
-            cs.dedup();
-            cs.into_iter().map(|c| (c, value())).collect::<Vec<_>>()
-        });
-        CsrMatrix::from_row_entries(cols, entries.collect::<Vec<_>>())
+            ((state >> 40) as f32 / (1u64 << 24) as f32) * 2.0 - 1.0
+        }
     }
 
     /// A seeded LCG over `0..n`.
@@ -597,81 +524,106 @@ mod column_eval {
         }
     }
 
-    /// Every activation of the eval subset `rows` of `x` at `model`, through
-    /// the row form, the column form on the model, and the column form on the
-    /// shared model with only its tail read — equal bit for bit at every
-    /// dispatch level the host has, and so is the loss. Returns the subset's support size.
-    fn assert_column_form_is_the_row_form(model: &Model, x: &CsrMatrix, rows: &[usize]) -> usize {
-        let spec = model.spec();
-        let shared = SharedModel::new(model);
-        let mut tail = Model::zeros_with_l0_rows(spec, 0);
-        shared.read_tail(&mut tail);
-        assert_eq!(
-            tail.layers()[0].w.rows(),
-            0,
-            "the tail holds no layer-0 row"
-        );
-        let labels: Vec<u32> = rows.iter().map(|&r| (r % 2) as u32).collect();
-        let targets = Targets::Classes(&labels);
-        let loss = |probs: &Matrix| crate::loss(probs, targets, spec.loss).to_bits();
-        let mut cols = ColumnBatch::new(x.view(), rows);
-        for level in host_levels() {
-            with_level(level, || {
-                let subset = x.select_rows(rows);
-                let mut ws = Workspace::new(spec);
-                let row_form = ws.forward_into(model, subset.view(), false).clone();
-                let expect = loss(row_form.probs());
-                for (name, l0, tail) in [
-                    ("model", Layer0::Model(model), model),
-                    ("shared", Layer0::Shared(&shared), &tail),
-                ] {
-                    // Twice on one batch and workspace: a warm call too.
-                    let mut ws = Workspace::new(spec);
-                    for call in 0..2 {
-                        let pass = ws.forward_columns_into(l0, tail, &mut cols);
-                        for (l, (a, b)) in pass
-                            .activations
-                            .iter()
-                            .zip(&row_form.activations)
-                            .enumerate()
-                        {
-                            assert_eq!(a.shape(), b.shape(), "{name} layer {l}");
-                            let same = a
-                                .as_slice()
-                                .iter()
-                                .zip(b.as_slice())
-                                .all(|(p, q)| p.to_bits() == q.to_bits());
-                            assert!(same, "{name}, {level:?}, call {call}: layer {l} differs");
-                        }
-                        assert_eq!(loss(pass.probs()), expect, "{name}, {level:?}: loss");
-                    }
-                }
-            })
-        }
-        cols.support.len()
+    /// `rows` CSR rows over `cols` features: row `r` stores the features
+    /// `row(r)` returns (sorted and deduplicated here), with seeded values.
+    fn csr(rows: usize, cols: usize, mut row: impl FnMut(usize) -> Vec<u32>) -> CsrMatrix {
+        let mut value = values(0x2545_f491_4f6c_dd1d ^ (rows * cols) as u64);
+        let entries = (0..rows).map(|r| {
+            let mut cs = row(r);
+            cs.sort_unstable();
+            cs.dedup();
+            cs.into_iter().map(|c| (c, value())).collect::<Vec<_>>()
+        });
+        CsrMatrix::from_row_entries(cols, entries.collect::<Vec<_>>())
     }
 
-    /// Real-sim's shape: 1 024 eval rows of ~51 entries over 20 958 features,
-    /// a 64-wide layer 0 — a support of thousands of rows whose last tile is
-    /// partial.
+    /// `rows` rows over `cols` features whose support is the last `k`
+    /// features exactly: row `r` stores feature `c` of them unless
+    /// `(c + r) % 3 == 0`.
+    fn batch(rows: usize, cols: usize, k: usize) -> CsrMatrix {
+        csr(rows, cols, |r| {
+            let stored = (cols - k..cols).filter(|c| (c + r) % 3 != 0);
+            stored.map(|c| c as u32).collect()
+        })
+    }
+
+    fn spec(input_dim: usize, hidden: Vec<usize>, classes: usize, loss: LossKind) -> MlpSpec {
+        MlpSpec {
+            input_dim,
+            hidden,
+            classes,
+            activation: Activation::Sigmoid,
+            loss,
+        }
+    }
+
+    /// Supports of 1, `per − 1`, `per`, `per + 1` and `3·per + 5` rows of
+    /// layer 0, `per − 1` again (a warm step whose support shrank), and the
+    /// first `per + 1` features (a support at the low end), at layer-0
+    /// width `out`, with 0, 1 and 2 hidden layers, for softmax-CE and
+    /// multi-label BCE, at every dispatch level the host has.
+    fn every_block_edge_at_width(out: usize) {
+        let per = block_rows(out);
+        let features = 3 * per + 8;
+        let mut batches: Vec<CsrMatrix> = [1, per - 1, per, per + 1, 3 * per + 5, per - 1]
+            .map(|k| batch(6, features, k))
+            .into();
+        batches.push(csr(9, features, |r| {
+            (0..per as u32 + 1)
+                .filter(|c| !(c + r as u32).is_multiple_of(3))
+                .collect()
+        }));
+        for (loss, hidden) in [LossKind::SoftmaxCrossEntropy, LossKind::MultiLabelBce]
+            .into_iter()
+            .flat_map(|l| [0, 1, 2].map(|h| (l, h)))
+        {
+            let hidden_dims = [vec![], vec![out], vec![out, 16]][hidden].clone();
+            let classes = if hidden == 0 { out } else { 3 };
+            let spec = spec(features, hidden_dims, classes, loss);
+            let model = Model::new(spec, InitScheme::Xavier, out as u64);
+            let case = format!("width {out}, {hidden} hidden, {loss:?}");
+            every_level(&model, &batches, &case);
+        }
+    }
+
     #[test]
-    fn a_real_sim_shaped_subset_scores_bit_identically() {
+    fn a_csr_step_is_the_step_it_replaces_at_every_block_edge_at_width_24() {
+        every_block_edge_at_width(24);
+    }
+
+    #[test]
+    fn a_csr_step_is_the_step_it_replaces_at_every_block_edge_at_width_64() {
+        every_block_edge_at_width(64);
+    }
+
+    #[test]
+    fn a_csr_step_is_the_step_it_replaces_at_every_block_edge_at_width_192() {
+        every_block_edge_at_width(192);
+    }
+
+    /// Real-sim's eval shape: 1 024 rows of ~51 entries over 20 958
+    /// features, a 64-wide layer 0 — a support of thousands of rows whose
+    /// last block is partial.
+    #[test]
+    fn a_real_sim_shaped_batch_steps_and_scores_bit_identically() {
         let features = 20_958;
         let mut pick = picker(7, features);
         let x = csr(2_048, features, |r| {
             (0..40 + r % 23).map(|_| pick()).collect()
         });
         let rows: Vec<usize> = (0..2_048).step_by(2).collect();
-        let model = Model::new(spec(features, 64), InitScheme::Xavier, 3);
-        let support = assert_column_form_is_the_row_form(&model, &x, &rows);
+        let subset = x.select_rows(&rows);
+        let spec = spec(features, vec![64], 2, LossKind::SoftmaxCrossEntropy);
+        let model = Model::new(spec, InitScheme::Xavier, 3);
+        let support = every_level(&model, &[subset], "real-sim")[0];
         assert!(support > 10_000, "support {support}");
-        assert_ne!(support % tile_rows(64), 0, "the last tile is partial");
+        assert_ne!(support % block_rows(64), 0, "the last block is partial");
     }
 
-    /// w8a's shape: 300 features and a subset whose support is every one of
-    /// them.
+    /// w8a's shape: 300 features and a batch whose support is every one of
+    /// them, left unrenumbered.
     #[test]
-    fn a_subset_whose_support_is_every_feature_scores_bit_identically() {
+    fn a_batch_whose_support_is_every_feature_steps_and_scores_bit_identically() {
         let features = 300;
         let mut pick = picker(11, features);
         let x = csr(500, features, |r| {
@@ -679,194 +631,199 @@ mod column_eval {
             cs.push((r % features) as u32);
             cs
         });
-        let rows: Vec<usize> = (0..500).collect();
-        let model = Model::new(spec(features, 100), InitScheme::PaperNormal, 5);
-        assert_eq!(assert_column_form_is_the_row_form(&model, &x, &rows), 300);
+        let spec = spec(features, vec![100], 2, LossKind::SoftmaxCrossEntropy);
+        let model = Model::new(spec, InitScheme::PaperNormal, 5);
+        assert_eq!(every_level(&model, &[x], "every feature"), [300]);
     }
 
-    /// A row with no entry is its bias alone, in both forms.
+    /// A row with no entry is its bias alone, in every form.
     #[test]
-    fn a_subset_with_an_empty_row_scores_bit_identically() {
+    fn a_batch_with_an_empty_row_steps_and_scores_bit_identically() {
         let x = csr(6, 40, |r| match r {
             2 => vec![],
             _ => vec![r as u32, (r * 7 + 3) as u32 % 40, 39],
         });
-        let model = Model::new(spec(40, 8), InitScheme::Xavier, 2);
-        assert_column_form_is_the_row_form(&model, &x, &[0, 2, 3, 5]);
-        assert_column_form_is_the_row_form(&model, &x, &[2]);
+        let spec = spec(40, vec![8], 2, LossKind::SoftmaxCrossEntropy);
+        let model = Model::new(spec, InitScheme::Xavier, 2);
+        let batches = [x.select_rows(&[0, 2, 3, 5]), x.select_rows(&[2])];
+        assert_eq!(every_level(&model, &batches, "empty row"), [6, 0]);
     }
 
-    /// Supports of one row, exactly one tile, and one tile and one row: the
-    /// tile loop's edges. Each row stores a window of consecutive features, so
-    /// the support is `0..k`.
-    #[test]
-    fn supports_at_the_tile_edges_score_bit_identically() {
-        let per = tile_rows(64);
-        for k in [1, per, per + 1] {
-            let x = csr(9, 200, |r| {
-                (0..k as u32)
-                    .filter(|c| !(c + r as u32).is_multiple_of(3))
-                    .collect()
-            });
-            let model = Model::new(spec(200, 64), InitScheme::Xavier, k as u64);
-            let rows: Vec<usize> = (0..9).collect();
-            assert_eq!(assert_column_form_is_the_row_form(&model, &x, &rows), k);
+    /// [`scores`] and [`steps`] of `batches` at `model` at every dispatch
+    /// level the host has; each batch's support size.
+    fn every_level(model: &Model, batches: &[CsrMatrix], case: &str) -> Vec<usize> {
+        let block = block_rows(model.spec().layer_dims()[0].1) * model.spec().layer_dims()[0].1;
+        let mut supports = Vec::new();
+        for level in host_levels() {
+            with_level(level, || {
+                let case = format!("{case}, {level:?}");
+                supports = scores(model, batches, block, &case);
+                for to in [To::Racy, To::Merge, To::Model] {
+                    steps(model, batches, to, block, &case);
+                }
+            })
+        }
+        supports
+    }
+
+    /// Batch `x`'s targets for `spec`: a class per row, or a multi-hot row.
+    fn labels_of(spec: &MlpSpec, x: &CsrMatrix) -> (Vec<u32>, Matrix) {
+        let n = x.rows();
+        let classes = (0..n).map(|r| (r % spec.classes) as u32).collect();
+        let hot = Matrix::from_fn(n, spec.classes, |r, c| ((r + c) % 4 == 0) as u8 as f32);
+        (classes, hot)
+    }
+
+    fn as_targets<'a>(spec: &MlpSpec, (classes, hot): &'a (Vec<u32>, Matrix)) -> Targets<'a> {
+        match spec.loss {
+            LossKind::SoftmaxCrossEntropy => Targets::Classes(classes),
+            LossKind::MultiLabelBce => Targets::MultiHot(hot),
         }
     }
-}
 
-/// A CSR step on the shared model against the full-snapshot step, bit for
-/// bit.
-///
-/// [`CsrStep`] reads, differentiates and writes layer 0 one block of its
-/// batch's support at a time; the full-snapshot step copies the whole
-/// model, takes [`Workspace::loss_and_gradient_into`] at it, and writes the
-/// gradient over its own rows ([`SharedModel::apply_racy`] /
-/// [`SharedModel::merge_gradient`]). Both add every product in the same
-/// order, so the loss, every parameter written and a merge's scan must agree
-/// to the bit.
-///
-/// `scripts/check_mutation.sh` rebuilds this suite with `--cfg
-/// hetero_l0_block_skips_last` (a last partial block is never written) and
-/// requires it to fail.
-#[cfg(all(test, not(feature = "loom")))]
-mod csr_step {
-    use hetero_tensor::simd::{host_levels, with_level};
-    use hetero_tensor::{CsrBatch, CsrMatrix, Matrix};
-
-    use super::{block_rows, CsrStep, L0Write};
-    use crate::{
-        Activation, InitScheme, LossKind, MergeScan, MlpSpec, Model, SharedModel, Targets,
-        Workspace,
-    };
-
-    /// `rows` rows over `cols` features whose support is the last `k`
-    /// features exactly: row `r` stores feature `c` of them unless
-    /// `(c + r) % 3 == 0`, with values off a seeded LCG.
-    fn batch(rows: usize, cols: usize, k: usize) -> CsrMatrix {
-        let mut state = 0x9e37_79b9_7f4a_7c15u64 ^ k as u64;
-        let mut value = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((state >> 40) as f32 / (1u64 << 24) as f32) * 2.0 - 1.0
-        };
-        let entries: Vec<Vec<(u32, f32)>> = (0..rows)
-            .map(|r| {
-                let stored = (cols - k..cols).filter(|c| (c + r) % 3 != 0);
-                stored.map(|c| (c as u32, value())).collect()
-            })
-            .collect();
-        CsrMatrix::from_row_entries(cols, entries)
-    }
-
-    /// Supports of 1, `per − 1`, `per`, `per + 1` and `3·per + 5` rows of
-    /// layer 0, and `per − 1` again (a warm step whose support shrank), at
-    /// layer-0 width `out`, with 0, 1 and 2 hidden layers, for softmax-CE
-    /// and multi-label BCE, written racy and merged (scanned), at every
-    /// dispatch level the host has: a CSR step leaves its shared model as
-    /// the full-snapshot step leaves another, its loss is that step's and a
-    /// merge's scan is that merge's, and it holds at most one block of
-    /// layer-0 rows.
-    fn every_block_edge_at_width(out: usize) {
-        let per = block_rows(out);
-        let sizes = [1, per - 1, per, per + 1, 3 * per + 5, per - 1];
-        let features = 3 * per + 8;
-        for (loss, hidden) in [LossKind::SoftmaxCrossEntropy, LossKind::MultiLabelBce]
-            .into_iter()
-            .flat_map(|l| [0, 1, 2].map(|h| (l, h)))
-        {
-            let spec = MlpSpec {
-                input_dim: features,
-                hidden: [vec![], vec![out], vec![out, 16]][hidden].clone(),
-                classes: if hidden == 0 { out } else { 3 },
-                activation: Activation::Sigmoid,
-                loss,
-            };
-            let model = Model::new(spec.clone(), InitScheme::Xavier, out as u64);
-            for level in host_levels() {
-                with_level(level, || {
-                    for merge in [false, true] {
-                        let case = format!(
-                            "width {out}, {hidden} hidden, {loss:?}, {level:?}, merge {merge}"
-                        );
-                        steps(&model, &sizes, merge, per * out, &case);
+    /// Forward only, each batch renumbered once on one warm step and
+    /// workspace per source and scored twice (a warm call too), from
+    /// `model` and from the global model with only its tail read: every
+    /// activation and the loss are the row form's, and the step holds at
+    /// most one block of layer-0 rows. Returns each batch's support size.
+    fn scores(model: &Model, batches: &[CsrMatrix], block: usize, case: &str) -> Vec<usize> {
+        let spec = model.spec();
+        let shared = SharedModel::new(model);
+        let mut supports = Vec::new();
+        for (name, from) in [
+            ("model", Layer0::Model(model)),
+            ("shared", Layer0::Shared(&shared)),
+        ] {
+            let (mut at, mut ws) = (CsrStep::new(spec), Workspace::new(spec));
+            let (mut ws_rows, mut staged) = (Workspace::new(spec), CsrBatch::new());
+            supports.clear();
+            for (i, x) in batches.iter().enumerate() {
+                let labels = labels_of(spec, x);
+                let targets = as_targets(spec, &labels);
+                x.slice_rows_into(0, x.rows(), &mut staged);
+                at.renumber(&mut staged);
+                supports.push(at.support().len());
+                let row_form = ws_rows.forward_into(model, x.view(), false);
+                let expect = crate::loss(row_form.probs(), targets, spec.loss).to_bits();
+                for call in 0..2 {
+                    let pass = ws.forward_blocks(&mut at, from, staged.view());
+                    let case = format!("{case}: {name} eval, batch {i}, call {call}");
+                    for (l, (a, b)) in pass
+                        .activations
+                        .iter()
+                        .zip(&row_form.activations)
+                        .enumerate()
+                    {
+                        assert_eq!(a.shape(), b.shape(), "{case}: layer {l} shape");
+                        let same = a
+                            .as_slice()
+                            .iter()
+                            .zip(b.as_slice())
+                            .all(|(p, q)| p.to_bits() == q.to_bits());
+                        assert!(same, "{case}: layer {l} differs");
                     }
-                })
+                    let got = crate::loss(pass.probs(), targets, spec.loss).to_bits();
+                    assert_eq!(got, expect, "{case}: loss");
+                }
+                assert!(at.l0_capacity() <= block, "{case}: {name} tile");
+                assert_eq!(at.tail().layers()[0].w.rows(), 0, "{case}: tail rows");
             }
         }
+        supports
     }
 
-    #[test]
-    fn a_csr_step_is_the_full_snapshot_step_at_every_block_edge_at_width_24() {
-        every_block_edge_at_width(24);
+    /// Where a step under test writes.
+    #[derive(Clone, Copy, Debug)]
+    enum To {
+        /// The global model, racy.
+        Racy,
+        /// The global model, merged and scanned.
+        Merge,
+        /// A whole model, read from another and scanned: the simulator's.
+        Model,
     }
 
-    #[test]
-    fn a_csr_step_is_the_full_snapshot_step_at_every_block_edge_at_width_64() {
-        every_block_edge_at_width(64);
-    }
-
-    #[test]
-    fn a_csr_step_is_the_full_snapshot_step_at_every_block_edge_at_width_192() {
-        every_block_edge_at_width(192);
-    }
-
-    /// One step per support size of `sizes`, on one warm [`CsrStep`] and
-    /// workspace, against the full-snapshot step on a second shared model.
-    fn steps(model: &Model, sizes: &[usize], merge: bool, block: usize, case: &str) {
+    /// One step per batch on one warm [`CsrStep`] and workspace, against
+    /// the step it replaces on a second copy of the model: the loss, every
+    /// parameter written and a merge's scan are that step's, bit for bit;
+    /// a scan of a whole-model write has its non-finite counts and, to
+    /// rounding, its sums (the block's sums are added a block at a time);
+    /// the step holds at most one block of layer-0 rows and its gradient
+    /// none.
+    fn steps(model: &Model, batches: &[CsrMatrix], to: To, block: usize, case: &str) {
         let spec = model.spec();
         let (on_blocks, reference) = (SharedModel::new(model), SharedModel::new(model));
+        let (mut into, mut into_ref, mut base) = (model.clone(), model.clone(), model.clone());
         let (mut at, mut ws) = (CsrStep::new(spec), Workspace::new(spec));
         let (mut full, mut ws_full) = (Model::zeros_like(spec), Workspace::new(spec));
         let (mut staged, mut whole) = (CsrBatch::new(), CsrBatch::new());
         let layers = spec.num_layers();
         let (mut scan, mut scan_ref) = (MergeScan::new(layers), MergeScan::new(layers));
-        let bits = |m: &SharedModel| {
-            m.read_flat()
-                .iter()
-                .map(|v| v.to_bits())
-                .collect::<Vec<_>>()
-        };
-        for (i, &k) in sizes.iter().enumerate() {
-            let case = format!("{case}, support {k} (step {i})");
-            let x = batch(6, spec.input_dim, k);
-            let classes: Vec<u32> = (0..6).map(|r| (r % spec.classes) as u32).collect();
-            let hot = Matrix::from_fn(6, spec.classes, |r, c| ((r + c) % 4 == 0) as u8 as f32);
-            let targets = match spec.loss {
-                LossKind::SoftmaxCrossEntropy => Targets::Classes(&classes),
-                LossKind::MultiLabelBce => Targets::MultiHot(&hot),
-            };
-            let eta = 0.5;
-            x.slice_rows_into(0, 6, &mut staged);
-            at.read(&on_blocks, &mut staged);
-            let l = ws.loss_and_gradient_blocks(&mut at, &on_blocks, staged.view(), targets);
+        let bits = |m: &[f32]| m.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let eta = 0.5;
+        for (i, x) in batches.iter().enumerate() {
+            let case = format!("{case}, {to:?}, step {i}");
+            let labels = labels_of(spec, x);
+            let targets = as_targets(spec, &labels);
+            x.slice_rows_into(0, x.rows(), &mut staged);
+            x.slice_rows_into(0, x.rows(), &mut whole);
             scan.reset();
             scan_ref.reset();
-            let to = match merge {
-                true => L0Write::Merge(Some(&mut scan)),
-                false => L0Write::Racy(None),
+            let from = match to {
+                To::Model => Layer0::Model(&base),
+                To::Racy | To::Merge => Layer0::Shared(&on_blocks),
             };
-            at.write_l0(&ws, &on_blocks, staged.view(), eta, to);
-            // The full-snapshot step.
-            x.slice_rows_into(0, 6, &mut whole);
-            reference.snapshot_into(&mut full);
+            at.read(from, &mut staged);
+            let l = ws.loss_and_gradient_blocks(&mut at, from, staged.view(), targets);
+            let write = match to {
+                To::Racy => L0Write::Racy(&on_blocks, None),
+                To::Merge => L0Write::Merge(&on_blocks, Some(&mut scan)),
+                To::Model => L0Write::Model(&mut into, Some(&mut scan)),
+            };
+            at.write_l0(&ws, staged.view(), eta, write);
+            // The step it replaces.
+            let read = match to {
+                To::Model => &base,
+                To::Racy | To::Merge => {
+                    reference.snapshot_into(&mut full);
+                    &full
+                }
+            };
             let l_ref = ws_full
-                .loss_and_gradient_into(&full, whole.view(), targets, false)
+                .loss_and_gradient_into(read, whole.view(), targets, false)
                 .0;
-            let g = ws_full.grad();
             assert_eq!(l.to_bits(), l_ref.to_bits(), "{case}: loss");
-            assert_eq!(Some(at.support()), ws_full.active_cols(), "{case}: support");
-            if merge {
-                on_blocks.merge_gradient(ws.grad(), eta, Some(&[]), Some(&mut scan));
-                reference.merge_gradient(g, eta, ws_full.active_cols(), Some(&mut scan_ref));
-                assert_eq!(scan, scan_ref, "{case}: scan");
-            } else {
-                on_blocks.apply_racy(ws.grad(), eta, Some(&[]));
-                reference.apply_racy(g, eta, ws_full.active_cols());
+            let (g, support) = (ws_full.grad(), ws_full.active_cols());
+            assert_eq!(Some(at.support()), support, "{case}: support");
+            match to {
+                To::Racy => {
+                    on_blocks.apply_racy(ws.grad(), eta, Some(&[]));
+                    reference.apply_racy(g, eta, support);
+                }
+                To::Merge => {
+                    on_blocks.merge_gradient(ws.grad(), eta, Some(&[]), Some(&mut scan));
+                    reference.merge_gradient(g, eta, support, Some(&mut scan_ref));
+                    assert_eq!(scan, scan_ref, "{case}: scan");
+                }
+                To::Model => {
+                    crate::scan_model(ws.grad(), &mut scan);
+                    into.apply_gradient(ws.grad(), eta);
+                    crate::scan_model(g, &mut scan_ref);
+                    into_ref.apply_gradient_sparse(g, eta, support.unwrap());
+                    for (a, b) in scan.layers().iter().zip(scan_ref.layers()) {
+                        assert_eq!(a.nonfinite, b.nonfinite, "{case}: scan");
+                        let tol = 1e-9 * b.sumsq.max(1.0);
+                        assert!((a.sumsq - b.sumsq).abs() <= tol, "{case}: scan {a:?} {b:?}");
+                    }
+                }
             }
-            assert!(bits(&on_blocks) == bits(&reference), "{case}: parameters");
+            let (got, want) = match to {
+                To::Model => (into.flatten(), into_ref.flatten()),
+                To::Racy | To::Merge => (on_blocks.read_flat(), reference.read_flat()),
+            };
+            assert!(bits(&got) == bits(&want), "{case}: parameters");
             assert_eq!(on_blocks.update_count(), reference.update_count(), "{case}");
+            base.copy_from(&into);
             assert!(
                 at.l0_capacity() <= block,
                 "{case}: {} floats held",

@@ -29,8 +29,7 @@ use hetero_tensor::{CsrView, Matrix};
 use crate::backward::{backward_with_scratch, Gradient};
 use crate::forward::{forward_after_l0, forward_into_buffers, loss, ForwardPass, Input, Targets};
 use crate::model::Model;
-use crate::shared::SharedModel;
-use crate::sparse_input::{ColumnBatch, CsrStep, Layer0, SparseScratch, SupportRead};
+use crate::sparse_input::{CsrStep, Layer0, SparseScratch, SupportRead};
 use crate::spec::MlpSpec;
 
 /// Reusable forward/backward buffers for one worker (see module docs).
@@ -225,30 +224,27 @@ impl Workspace {
         &self.pass
     }
 
-    /// Forward pass of a [`ColumnBatch`]: layer 0's weights read from `l0`
-    /// a tile at a time, everything else — layer 0's bias and every later
-    /// layer — from `tail`, whose layer-0 weights are never read (it may
-    /// hold none: `Model::zeros_with_l0_rows(spec, 0)`). Bit-identical to
-    /// [`forward_into`](Self::forward_into) of the same rows in CSR form on
-    /// a model holding both; allocation-free once warmed.
+    /// Forward pass of the CSR batch `x` that `at` renumbered
+    /// ([`CsrStep::renumber`]), layer 0's weights read from `from` a block
+    /// at a time and everything else from its tail, which is read first
+    /// from the global model (a whole model lends its own). Bit-identical
+    /// to [`forward_into`](Self::forward_into) of the batch as it was
+    /// before the renumbering, at a model holding both; allocation-free
+    /// once warmed. How an evaluator scores its fixed batch.
     ///
     /// # Panics
-    /// Panics if `l0`, `tail` or `x` is not of this workspace's spec.
+    /// Panics if `from` or `at` is not of this workspace's spec, or `x` is
+    /// not the batch `at` last renumbered.
     // audit: no_alloc
-    pub fn forward_columns_into(
+    pub fn forward_blocks(
         &mut self,
-        l0: Layer0<'_>,
-        tail: &Model,
-        x: &mut ColumnBatch,
+        at: &mut CsrStep,
+        from: Layer0<'_>,
+        x: CsrView<'_>,
     ) -> &ForwardPass {
-        self.check_spec(tail);
-        assert_eq!(l0.spec(), &self.spec, "layer-0 source spec mismatch");
-        assert_eq!(x.cols(), self.spec.input_dim, "column batch width");
-        self.track(x.rows(), |ws| {
-            let activations = ws.layer_slots();
-            x.l0_into(l0, &tail.layers()[0].b, &mut activations[0]);
-            forward_after_l0(tail, false, activations);
-        });
+        at.refresh_tail(from);
+        self.check_spec(at.tail_of(from));
+        self.track(x.rows(), |ws| ws.blocks_forward(at, from, x));
         &self.pass
     }
 
@@ -339,39 +335,45 @@ impl Workspace {
         (l, &self.grad)
     }
 
-    /// The loss of the CSR batch `x` at the shared model as `at` read it
-    /// ([`CsrStep::read`]), layer 0's weights read from `shared` a block at
-    /// a time, and the gradient of layer 0's bias and every later layer
-    /// into the stored gradient, whose layer 0 then holds no row. Layer
-    /// 0's weight gradient is [`CsrStep::write_l0`]'s, from the δ₀ kept
-    /// here. With no concurrent writer, the loss and that gradient are
+    /// The loss of the CSR batch `x` at the model `from` as `at` read it
+    /// ([`CsrStep::read`]), layer 0's weights read from `from` a block at a
+    /// time, and the gradient of layer 0's bias and every later layer into
+    /// the stored gradient, whose layer 0 then holds no row. Layer 0's
+    /// weight gradient is [`CsrStep::write_l0`]'s, from the δ₀ kept here.
+    /// With no concurrent writer, the loss and that gradient are
     /// [`loss_and_gradient_into`](Self::loss_and_gradient_into)'s at a
-    /// full snapshot, bit for bit.
+    /// whole model, bit for bit.
     ///
     /// # Panics
-    /// Panics if `at` is not of this workspace's spec, or `x` is not the
-    /// batch it last read.
+    /// Panics if `from` or `at` is not of this workspace's spec, or `x` is
+    /// not the batch `at` last read.
     // audit: no_alloc
     pub fn loss_and_gradient_blocks(
         &mut self,
         at: &mut CsrStep,
-        shared: &SharedModel,
+        from: Layer0<'_>,
         x: CsrView<'_>,
         targets: Targets<'_>,
     ) -> f32 {
-        self.check_spec(at.tail());
+        self.check_spec(at.tail_of(from));
         // No support kept: the backward leaves layer 0's weights to the
         // step's blocks.
         self.grad.fit_l0(0);
         self.sparse = None;
         self.track(x.rows(), |ws| {
-            let activations = ws.layer_slots();
-            at.l0_forward(shared, x, &mut activations[0]);
-            forward_after_l0(at.tail(), false, activations);
+            ws.blocks_forward(at, from, x);
             let l = loss(ws.pass.probs(), targets, ws.spec.loss);
-            ws.backprop(at.tail(), Input::Csr(x), targets, false);
+            ws.backprop(at.tail_of(from), Input::Csr(x), targets, false);
             l
         })
+    }
+
+    /// The forward of [`forward_blocks`](Self::forward_blocks) and
+    /// [`loss_and_gradient_blocks`](Self::loss_and_gradient_blocks).
+    fn blocks_forward(&mut self, at: &mut CsrStep, from: Layer0<'_>, x: CsrView<'_>) {
+        let activations = self.layer_slots();
+        at.l0_forward(from, x, &mut activations[0]);
+        forward_after_l0(at.tail_of(from), false, activations);
     }
 
     /// One activation slot per layer, for a forward whose layer 0 is

@@ -1192,7 +1192,10 @@ mod imp {
     /// `16·SPMM_VECS` columns at a time, start in registers (from the bias,
     /// or from `z`), stay there while the row's entries are added in order,
     /// and are stored once. Each element is the same `z + v·w` sequence, so
-    /// the bits are the ymm body's.
+    /// the bits are the ymm body's. The register block is sized to `out`
+    /// (4, 8 or 12 vectors) and its lane masks are set once per call, not
+    /// per row: a CSR block of a few entries per row (a batch cut by
+    /// `ColumnCuts`) is dominated by that per-row work.
     #[target_feature(enable = "avx512f,avx2,fma")]
     pub(super) fn spmm_csr_avx512(
         x: CsrRows<'_>,
@@ -1201,16 +1204,32 @@ mod imp {
         out: usize,
         z: &mut [f32],
     ) {
-        for r in 0..x.lo.len() {
-            let zr = &mut z[r * out..(r + 1) * out];
-            for q0 in (0..out).step_by(16 * SPMM_VECS) {
-                let width = (out - q0).min(16 * SPMM_VECS);
-                let vecs = width.div_ceil(16);
-                let mut mask = [0; SPMM_VECS];
-                for (j, m) in mask.iter_mut().enumerate() {
-                    *m = mask16(width.saturating_sub(16 * j));
-                }
-                let mut acc = [_mm512_setzero_ps(); SPMM_VECS];
+        match out.div_ceil(16) {
+            ..=4 => spmm_vecs::<4>(x, wt, bias, out, z),
+            5..=8 => spmm_vecs::<8>(x, wt, bias, out, z),
+            _ => spmm_vecs::<SPMM_VECS>(x, wt, bias, out, z),
+        }
+    }
+
+    /// [`spmm_csr_avx512`] holding up to `V` vectors of a row.
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    fn spmm_vecs<const V: usize>(
+        x: CsrRows<'_>,
+        wt: &[f32],
+        bias: Option<&[f32]>,
+        out: usize,
+        z: &mut [f32],
+    ) {
+        for q0 in (0..out).step_by(16 * V) {
+            let width = (out - q0).min(16 * V);
+            let vecs = width.div_ceil(16);
+            let mut mask = [0; V];
+            for (j, m) in mask.iter_mut().enumerate() {
+                *m = mask16(width.saturating_sub(16 * j));
+            }
+            for r in 0..x.lo.len() {
+                let zr = &mut z[r * out..(r + 1) * out];
+                let mut acc = [_mm512_setzero_ps(); V];
                 let init = match bias {
                     Some([]) => None,
                     Some(bias) => Some(bias),
@@ -1224,7 +1243,7 @@ mod imp {
                 for p in x.lo[r]..x.hi[r] {
                     let vv = _mm512_set1_ps(x.values[p]);
                     let wr = &wt[(x.indices[p] as usize - x.c0) * out + q0..][..width];
-                    for j in 0..SPMM_VECS {
+                    for j in 0..V {
                         if j < vecs {
                             let vw = _mm512_mul_ps(vv, load16_masked(wr, 16 * j, mask[j]));
                             acc[j] = _mm512_add_ps(acc[j], vw);

@@ -52,9 +52,9 @@
 # hetero_support_read_skips_tail` skips that tail read. The same step
 # scatters and writes each block of its layer-0 gradient in turn, the last
 # one partial; `--cfg hetero_l0_block_skips_last` never writes that
-# partial block. In crates/nn/src/sparse_input.rs an eval's column forward reads
-# layer 0 a tile of support rows at a time, the last tile partial; `--cfg
-# hetero_eval_skips_last_tile` drops that partial tile. In
+# partial block. Its forward — every CSR forward, the simulator's and the
+# evaluator's too — adds layer 0 in the same blocks; `--cfg
+# hetero_l0_forward_skips_last` drops that partial block. In
 # crates/tensor/src/simd.rs the AVX-512 GEMM tile stores an edge tile's
 # `nr` columns through a lane mask; `--cfg hetero_avx512_edge_mask` drops
 # its last column (checked only on a host with AVX-512, the one place the
@@ -75,7 +75,7 @@
 #      dense, generated data with no two neighbouring features active, lane
 #      shares that leave the end of a batch untrained, a threaded CSR step
 #      differing from the full-snapshot step — its tail unread, or its last
-#      partial block unwritten — an eval's column forward differing from the
+#      partial block unwritten — a forward-only eval differing from the
 #      row form's, a GEMM at the AVX-512 level diverging from the reference
 #      at a tile edge),
 # i.e. the checker genuinely guards the edge.
@@ -102,10 +102,10 @@ synth="-p hetero-data --lib synth::tests"
 split="-p hetero-core --lib lane_split_shares_tile_the_batch"
 read="-p hetero-core --lib a_sparse_step_on_the_shared_model_is_bit_identical_to_a_full_snapshot_step"
 block="-p hetero-nn --lib sparse_input::csr_step"
-eval="-p hetero-nn --lib sparse_input::column_eval"
+eval="-p hetero-nn --lib sparse_input::csr_step"
 tile="-p hetero-tensor --test proptest_simd every_tile_boundary_matches_reference"
 
-echo "[1/22] baseline: loom queue, shared-model, coordinator-model, event-loop, sparse-support, sim-wave, init-stream, sim-resume, store, GPU-OOM, input-format, generator-law, lane-split, CSR-step, block-edge, column-eval and tile-boundary suites must pass as written"
+echo "[1/22] baseline: loom queue, shared-model, coordinator-model, event-loop, sparse-support, sim-wave, init-stream, sim-resume, store, GPU-OOM, input-format, generator-law, lane-split, CSR-step, block-edge, block-eval and tile-boundary suites must pass as written"
 # shellcheck disable=SC2086
 if ! { cargo test $queue -q && cargo test $shared -q && cargo test $model -q \
     && cargo test $run -q && cargo test $support -q && cargo test $wave -q \
@@ -210,13 +210,13 @@ check_mutation hetero_support_read_skips_tail "a CSR step skipping its tail read
 # A CSR step that never writes its last partial block of layer-0 gradient
 # rows leaves those parameters where the full-snapshot step moves them.
 check_mutation hetero_l0_block_skips_last "a CSR step never writing its last partial block" 20 \
-    "$block" "a_csr_step_is_the_full_snapshot_step_at_every_block_edge" "parameters"
+    "$block" "a_csr_step_is_the_step_it_replaces_at_every_block_edge" "parameters"
 
-# An eval that drops its last partial tile of support rows leaves those
-# features out of the pre-activations, so the column form stops being the
-# row form.
-check_mutation hetero_eval_skips_last_tile "an eval's column forward dropping its last partial tile" 21 \
-    "$eval" "supports_at_the_tile_edges_score_bit_identically" "layer 0 differs"
+# A forward that drops its last partial block of support rows leaves those
+# features out of the pre-activations, so a forward-only eval stops being
+# the row form.
+check_mutation hetero_l0_forward_skips_last "a CSR step's forward dropping its last partial block" 21 \
+    "$eval" "a_real_sim_shaped_batch_steps_and_scores_bit_identically" "eval, batch 0, call 0: layer 0 differs"
 
 # An edge tile that drops its last column leaves it NaN (β = 0) or stale,
 # so the walk's AVX-512 run stops matching the reference there.
