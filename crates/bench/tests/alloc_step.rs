@@ -81,8 +81,8 @@ fn warm_cpu_sparse_step_is_allocation_free() {
         at.read(from, &mut csr);
         ws.loss_and_gradient_blocks(&mut at, from, csr.view(), labels.as_targets());
         scan.reset();
-        let to = L0Write::Racy(&shared, Some(&mut scan));
-        at.write_l0(&ws, csr.view(), 0.01, to);
+        let to = &mut L0Write::Racy(&shared);
+        at.write_l0(&ws, csr.view(), 0.01, to, Some(&mut scan));
         hetero_nn::scan_model(ws.grad(), &mut scan);
         shared.apply_racy(ws.grad(), 0.01, Some(&[]));
     });
@@ -114,10 +114,10 @@ fn warm_sim_sparse_wave_is_allocation_free() {
         at.read(from, &mut csr);
         ws.loss_and_gradient_blocks(&mut at, from, csr.view(), labels.as_targets());
         scan.reset();
-        let to = L0Write::Model(&mut model, Some(&mut scan));
-        at.write_l0(&ws, csr.view(), 0.01, to);
+        let mut to = L0Write::Model(&mut model);
+        at.write_l0(&ws, csr.view(), 0.01, &mut to, Some(&mut scan));
         hetero_nn::scan_model(ws.grad(), &mut scan);
-        model.apply_gradient(ws.grad(), 0.01);
+        model.apply_tail(ws.grad(), 0.01);
         base.copy_from(&model);
     });
     assert!(at.support().len() > 4 * 1024, "{} rows", at.support().len());
@@ -262,8 +262,8 @@ fn warm_sparse_merge_step_is_allocation_free() {
         link.downloaded(&charge, sink.now());
         mem.free(held).unwrap();
         scan.reset();
-        let to = L0Write::Merge(&shared, Some(&mut scan));
-        let (_, found) = at.write_l0(&ws, csr.view(), 0.05, to);
+        let to = &mut L0Write::Merge(&shared);
+        let (_, found) = at.write_l0(&ws, csr.view(), 0.05, to, Some(&mut scan));
         found + shared.merge_gradient(ws.grad(), 0.05, Some(&[]), Some(&mut scan))
     };
     let n = allocs_in(|| {

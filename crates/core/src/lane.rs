@@ -217,7 +217,7 @@ impl Lane {
                     .loss_and_gradient_into(from, &self.x, targets, false);
             }
         }
-        self.write_gradient(at, Dest::Model(to), step, checks);
+        self.write_gradient(at, L0Write::Model(to), step, checks);
     }
 
     /// One threaded step on the shared model, the same for a Hogwild lane
@@ -276,14 +276,14 @@ impl Lane {
         let rows = csr.as_ref().map(|step| step.support().len());
         let step = eta(shared.update_count().saturating_sub(updates_at_read));
         let to = match merge {
-            true => Dest::Merge(shared),
-            false => Dest::Racy(shared),
+            true => L0Write::Merge(shared),
+            false => L0Write::Racy(shared),
         };
-        let (merge_secs, found_owned) = self.write_gradient(csr, to, step, checks);
+        let (merge_secs, found_owned, end) = self.write_gradient(csr, to, step, checks);
         Stepped {
             phases: BatchPhases {
                 stage_secs: (t_compute - t_stage).as_secs_f64(),
-                compute_secs: t_compute.elapsed().as_secs_f64() - merge_secs,
+                compute_secs: (end - t_compute).as_secs_f64() - merge_secs,
                 merge_secs,
                 ..BatchPhases::default()
             },
@@ -301,16 +301,17 @@ impl Lane {
     /// is written. Under an enabled watchdog a merge scans what it adds in
     /// its loop, any other write each block as it is scattered and the tail
     /// before it writes it, and the scan is observed as `checks.worker`'s
-    /// batch `checks.step`. Returns the seconds spent writing and the
-    /// stripes a merge found owned by another merger.
+    /// batch `checks.step`. Returns the seconds spent writing, the stripes
+    /// a merge found owned by another merger and the instant the write
+    /// ended, before the scan is observed.
     // audit: no_alloc
     fn write_gradient(
         &mut self,
         csr: Option<&mut CsrStep>,
-        mut to: Dest<'_>,
+        mut to: L0Write<'_>,
         step: f32,
         checks: &Checks<'_>,
-    ) -> (f64, u64) {
+    ) -> (f64, u64, Instant) {
         let watched = checks.watchdog.enabled();
         self.scan.reset();
         let (mut merge_secs, mut found_owned) = (0.0, 0);
@@ -318,12 +319,7 @@ impl Lane {
         let mut tail_rows = None;
         if let Some(at) = csr {
             let scan = watched.then_some(&mut self.scan);
-            let l0 = match &mut to {
-                Dest::Racy(shared) => L0Write::Racy(shared, scan),
-                Dest::Merge(shared) => L0Write::Merge(shared, scan),
-                Dest::Model(model) => L0Write::Model(model, scan),
-            };
-            (merge_secs, found_owned) = at.write_l0(&self.ws, self.csr.view(), step, l0);
+            (merge_secs, found_owned) = at.write_l0(&self.ws, self.csr.view(), step, &mut to, scan);
             tail_rows = Some(&[][..]);
         }
         if checks.poison {
@@ -332,19 +328,21 @@ impl Lane {
             self.ws.grad_mut().layers_mut()[0].b[0] = f32::NAN;
         }
         let grad = self.ws.grad();
-        if watched && !matches!(to, Dest::Merge(_)) {
+        if watched && !matches!(to, L0Write::Merge(_)) {
             scan_model(grad, &mut self.scan);
         }
         let t_tail = Instant::now();
         match to {
-            Dest::Merge(shared) => {
+            L0Write::Merge(shared) => {
                 let scan = watched.then_some(&mut self.scan);
                 found_owned += shared.merge_gradient(grad, step, tail_rows, scan);
             }
-            Dest::Racy(shared) => shared.apply_racy(grad, step, tail_rows),
-            Dest::Model(model) => model.apply_gradient(grad, step),
+            L0Write::Racy(shared) => shared.apply_racy(grad, step, tail_rows),
+            L0Write::Model(model) if tail_rows.is_some() => model.apply_tail(grad, step),
+            L0Write::Model(model) => model.apply_gradient(grad, step),
         }
-        merge_secs += t_tail.elapsed().as_secs_f64();
+        let end = Instant::now();
+        merge_secs += (end - t_tail).as_secs_f64();
         if watched {
             // `step` is named in the postmortem when an observation trips
             // the policy.
@@ -355,18 +353,8 @@ impl Lane {
                     .observe_layer(worker, l, step, ls.sumsq, ls.nonfinite);
             }
         }
-        (merge_secs, found_owned)
+        (merge_secs, found_owned, end)
     }
-}
-
-/// Where a step writes its gradient ([`Lane::write_gradient`]).
-enum Dest<'m> {
-    /// The shared model, a Hogwild lane's racy load/subtract/store.
-    Racy(&'m SharedModel),
-    /// The shared model, a stripe-owning merger's add (a GPU worker).
-    Merge(&'m SharedModel),
-    /// The simulator's live model.
-    Model(&'m mut Model),
 }
 
 /// What a threaded worker reads of the shared model, in the run's format:
@@ -768,23 +756,23 @@ mod tests {
         assert!((a1 - a2).abs() < 1e-5, "{a1} vs {a2}");
     }
 
-    /// A lane that stepped a CSR batch a block of layer 0 at a time and
-    /// then a dense batch holds a dense gradient, and writes all of it:
-    /// every layer-0 row, as a plain apply of that gradient does.
+    /// A workspace that took a whole-width CSR gradient (the pinned path,
+    /// which keeps its support) and then a dense step holds a dense
+    /// gradient: no row set describes it, and the step writes every
+    /// layer-0 row, as a plain apply of that gradient does.
     #[test]
-    fn dense_step_after_csr_step_writes_every_row() {
+    fn dense_step_after_csr_gradient_forgets_the_csr_columns() {
         let (dense, csr) = sources();
         let m = model();
         let mut lane = Lane::new(m.spec());
-        let (off, mut at) = (Watchdog::disabled(), CsrStep::new(m.spec()));
+        lane.stage(&csr, 0, 4);
+        lane.gradient(&csr, &m);
+        assert!(lane.ws.active_cols().is_some_and(|c| !c.is_empty()));
+        let (off, mut via_lane, mut reference) = (Watchdog::disabled(), m.clone(), m.clone());
         let checks = Checks::off(&off);
-        let mut via_lane = m.clone();
-        lane.step_model(&csr, (0, 4), Some(&mut at), &m, &mut via_lane, 0.5, &checks);
-        assert_eq!(lane.ws.grad().layers()[0].w.rows(), 0, "a CSR step's tail");
-        let mut reference = via_lane.clone();
-        let before = via_lane.clone();
-        lane.step_model(&dense, (20, 50), None, &before, &mut via_lane, 0.5, &checks);
+        lane.step_model(&dense, (20, 50), None, &m, &mut via_lane, 0.5, &checks);
         assert!(lane.ws.active_cols().is_none());
+        assert!(lane.ws.sparse_active_cols().is_empty());
         reference.apply_gradient(lane.ws.grad(), 0.5);
         assert_eq!(via_lane, reference);
     }

@@ -254,23 +254,31 @@ impl Model {
         }
     }
 
-    /// In-place SGD update: `self ← self - eta · grad`. A gradient whose
-    /// layer 0 holds no weight row (a CSR step's tail, whose layer-0 rows
-    /// [`crate::CsrStep::write_l0`] writes) leaves layer 0's weights as
-    /// they are.
+    /// In-place SGD update: `self ← self - eta · grad`.
     pub fn apply_gradient(&mut self, grad: &Model, eta: f32) {
         assert_eq!(self.spec, grad.spec, "gradient for a different spec");
-        for (l, (layer, g)) in self.layers.iter_mut().zip(&grad.layers).enumerate() {
-            if l > 0 || g.w.rows() > 0 {
-                ops::axpy(-eta, g.w.as_slice(), layer.w.as_mut_slice());
-            }
+        for (layer, g) in self.layers.iter_mut().zip(&grad.layers) {
+            ops::axpy(-eta, g.w.as_slice(), layer.w.as_mut_slice());
+            ops::axpy(-eta, &g.b, &mut layer.b);
+        }
+    }
+
+    /// In-place SGD update of the *tail* — layer 0's bias and every later
+    /// layer — leaving layer 0's weights as they are: what a CSR step
+    /// writes after its layer-0 rows ([`crate::CsrStep::write_l0`]), from a
+    /// gradient whose layer 0 need hold no weight row.
+    pub fn apply_tail(&mut self, grad: &Model, eta: f32) {
+        assert_eq!(self.spec, grad.spec, "gradient for a different spec");
+        ops::axpy(-eta, &grad.layers[0].b, &mut self.layers[0].b);
+        for (layer, g) in self.layers.iter_mut().zip(&grad.layers).skip(1) {
+            ops::axpy(-eta, g.w.as_slice(), layer.w.as_mut_slice());
             ops::axpy(-eta, &g.b, &mut layer.b);
         }
     }
 
     /// In-place SGD update restricted to the sparse layer-0 support:
     /// touches only the layer-0 weight rows of the input features listed in
-    /// `l0_cols`, plus every bias and all later layers in full.
+    /// `l0_cols`, plus the tail ([`Model::apply_tail`]).
     ///
     /// Equivalent to [`Model::apply_gradient`] whenever the layer-0 weight
     /// gradient is exactly zero outside `l0_cols` — which the sparse
@@ -280,17 +288,11 @@ impl Model {
     /// Cost drops from `O(in·out)` to `O(|l0_cols|·out)` on the first layer.
     pub fn apply_gradient_sparse(&mut self, grad: &Model, eta: f32, l0_cols: &[u32]) {
         assert_eq!(self.spec, grad.spec, "gradient for a different spec");
-        {
-            let (layer, g) = (&mut self.layers[0], &grad.layers[0]);
-            for &c in l0_cols {
-                ops::axpy(-eta, g.w.row(c as usize), layer.w.row_mut(c as usize));
-            }
-            ops::axpy(-eta, &g.b, &mut layer.b);
+        let (w, g) = (&mut self.layers[0].w, &grad.layers[0].w);
+        for &c in l0_cols {
+            ops::axpy(-eta, g.row(c as usize), w.row_mut(c as usize));
         }
-        for (layer, g) in self.layers.iter_mut().zip(&grad.layers).skip(1) {
-            ops::axpy(-eta, g.w.as_slice(), layer.w.as_mut_slice());
-            ops::axpy(-eta, &g.b, &mut layer.b);
-        }
+        self.apply_tail(grad, eta);
     }
 
     /// Scale every parameter (e.g. averaging accumulated gradients).

@@ -198,21 +198,18 @@ impl Layer0<'_> {
 }
 
 /// Where a [`CsrStep`] writes its blocks of layer-0 gradient rows,
-/// `w ← w − step·∇`. With a scan, `Racy` and `Model` add each block's sum
-/// of squares and non-finite count to its layer 0 (`ops::sumsq_nonfinite`
-/// over the block) before the block is written; `Merge` fuses the scan
-/// into its loop.
+/// `w ← w − step·∇`.
 #[derive(Debug)]
 pub enum L0Write<'s> {
     /// A Hogwild lane's load/subtract/store into the global model
     /// ([`SharedModel::apply_l0_tile`]).
-    Racy(&'s SharedModel, Option<&'s mut MergeScan>),
+    Racy(&'s SharedModel),
     /// A stripe-owning merger's add into the global model
     /// ([`SharedModel::merge_l0_tile`]).
-    Merge(&'s SharedModel, Option<&'s mut MergeScan>),
+    Merge(&'s SharedModel),
     /// One `ops::axpy(-step, ..)` per row into a whole model (the
     /// simulator's): the arithmetic of [`Model::apply_gradient_sparse`].
-    Model(&'s mut Model, Option<&'s mut MergeScan>),
+    Model(&'s mut Model),
 }
 
 /// One step on a CSR batch that holds no copy of layer 0, read from either
@@ -386,9 +383,12 @@ impl CsrStep {
     /// Layer 0's weight gradient of the read batch `x`, from the δ₀ the
     /// last [`Workspace::loss_and_gradient_blocks`] left in `ws`, a block
     /// at a time: each block's rows scattered into the zeroed tile, then
-    /// written at once, `w ← w − step·∇` ([`L0Write`]). Returns the seconds
-    /// spent writing (the step's merge phase; the scatters are its compute)
-    /// and the stripes a merge found owned.
+    /// written at once, `w ← w − step·∇` ([`L0Write`]). With a scan, a
+    /// racy or whole-model write adds each block's sum of squares and
+    /// non-finite count to its layer 0 (`ops::sumsq_nonfinite` over the
+    /// block) before the block is written; a merge fuses the scan into its
+    /// loop. Returns the seconds spent writing (the step's merge phase; the
+    /// scatters are its compute) and the stripes a merge found owned.
     /// `hetero_l0_block_skips_last` is the seeded bug of
     /// `scripts/check_mutation.sh`: a last partial block is never written.
     // audit: no_alloc
@@ -397,7 +397,8 @@ impl CsrStep {
         ws: &Workspace,
         x: CsrView<'_>,
         step: f32,
-        mut to: L0Write<'_>,
+        to: &mut L0Write<'_>,
+        mut scan: Option<&mut MergeScan>,
     ) -> (f64, u64) {
         let delta = ws.l0_delta();
         let blocks = self.cuts.blocks();
@@ -407,7 +408,7 @@ impl CsrStep {
             fit_tile(&mut self.tile, rows.len(), delta.cols());
             self.tile.as_mut_slice().fill(0.0);
             sparse::spmm_tn_block_scatter(self.cuts.block(x, b), delta, &mut self.tile);
-            if let L0Write::Racy(_, Some(scan)) | L0Write::Model(_, Some(scan)) = &mut to {
+            if let (L0Write::Racy(_) | L0Write::Model(_), Some(scan)) = (&to, &mut scan) {
                 let (sumsq, nonfinite) = ops::sumsq_nonfinite(self.tile.as_slice());
                 scan.add(0, LayerScan { sumsq, nonfinite });
             }
@@ -415,15 +416,15 @@ impl CsrStep {
                 continue;
             }
             let (tile, at) = (&self.tile, Instant::now());
-            found_owned += match &mut to {
-                L0Write::Racy(shared, _) => {
+            found_owned += match to {
+                L0Write::Racy(shared) => {
                     shared.apply_l0_tile(rows, tile.as_slice(), step);
                     0
                 }
-                L0Write::Merge(shared, scan) => {
+                L0Write::Merge(shared) => {
                     shared.merge_l0_tile(rows, tile.as_slice(), step, scan.as_deref_mut())
                 }
-                L0Write::Model(model, _) => {
+                L0Write::Model(model) => {
                     let w = &mut model.layers_mut()[0].w;
                     for (i, &c) in rows.iter().enumerate() {
                         ops::axpy(-step, tile.row(i), w.row_mut(c as usize));
@@ -775,12 +776,12 @@ mod csr_step {
             };
             at.read(from, &mut staged);
             let l = ws.loss_and_gradient_blocks(&mut at, from, staged.view(), targets);
-            let write = match to {
-                To::Racy => L0Write::Racy(&on_blocks, None),
-                To::Merge => L0Write::Merge(&on_blocks, Some(&mut scan)),
-                To::Model => L0Write::Model(&mut into, Some(&mut scan)),
+            let (mut write, scanned) = match to {
+                To::Racy => (L0Write::Racy(&on_blocks), None),
+                To::Merge => (L0Write::Merge(&on_blocks), Some(&mut scan)),
+                To::Model => (L0Write::Model(&mut into), Some(&mut scan)),
             };
-            at.write_l0(&ws, staged.view(), eta, write);
+            at.write_l0(&ws, staged.view(), eta, &mut write, scanned);
             // The step it replaces.
             let read = match to {
                 To::Model => &base,
@@ -807,7 +808,7 @@ mod csr_step {
                 }
                 To::Model => {
                     crate::scan_model(ws.grad(), &mut scan);
-                    into.apply_gradient(ws.grad(), eta);
+                    into.apply_tail(ws.grad(), eta);
                     crate::scan_model(g, &mut scan_ref);
                     into_ref.apply_gradient_sparse(g, eta, support.unwrap());
                     for (a, b) in scan.layers().iter().zip(scan_ref.layers()) {
@@ -979,7 +980,10 @@ mod tests {
         // densely), then sparse again — the last call must re-zero every
         // row, the dense gradient's support.
         ws.loss_and_gradient_into(&model, csr.view(), Targets::Classes(&labels), false);
+        assert!(ws.active_cols().is_some());
         ws.loss_and_gradient_into(&model, &dense, Targets::Classes(&labels), false);
+        assert!(ws.active_cols().is_none(), "a dense gradient");
+        assert!(ws.sparse_active_cols().is_empty());
         let (_, g) =
             ws.loss_and_gradient_into(&model, csr.view(), Targets::Classes(&labels), false);
         let (_, g_ref) = loss_and_gradient_sparse(&model, &csr, Targets::Classes(&labels), false);

@@ -1193,9 +1193,9 @@ mod imp {
     /// or from `z`), stay there while the row's entries are added in order,
     /// and are stored once. Each element is the same `z + v·w` sequence, so
     /// the bits are the ymm body's. The register block is sized to `out`
-    /// (4, 8 or 12 vectors) and its lane masks are set once per call, not
-    /// per row: a CSR block of a few entries per row (a batch cut by
-    /// `ColumnCuts`) is dominated by that per-row work.
+    /// (4 vectors up to 64 columns, else 12) and its lane masks are set
+    /// once per call, not per row: a CSR block of a few entries per row (a
+    /// batch cut by `ColumnCuts`) is dominated by that per-row work.
     #[target_feature(enable = "avx512f,avx2,fma")]
     pub(super) fn spmm_csr_avx512(
         x: CsrRows<'_>,
@@ -1206,7 +1206,6 @@ mod imp {
     ) {
         match out.div_ceil(16) {
             ..=4 => spmm_vecs::<4>(x, wt, bias, out, z),
-            5..=8 => spmm_vecs::<8>(x, wt, bias, out, z),
             _ => spmm_vecs::<SPMM_VECS>(x, wt, bias, out, z),
         }
     }

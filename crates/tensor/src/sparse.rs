@@ -342,14 +342,13 @@ impl CsrMatrix {
 }
 
 /// Borrowed CSR view — the input type of every sparse kernel, served by
-/// both [`CsrMatrix::view`] and [`CsrBatch::view`], and by
-/// [`CsrView::row_range`] for a range of rows.
+/// both [`CsrMatrix::view`] and [`CsrBatch::view`].
 #[derive(Clone, Copy, Debug)]
 pub struct CsrView<'a> {
     rows: usize,
     cols: usize,
     /// `rows + 1` offsets into `indices`/`values`: row `r` is
-    /// `indptr[r]..indptr[r + 1]`. A sliced view's first need not be 0.
+    /// `indptr[r]..indptr[r + 1]`.
     indptr: &'a [usize],
     indices: &'a [u32],
     values: &'a [f32],
@@ -378,22 +377,6 @@ impl<'a> CsrView<'a> {
     #[inline]
     pub fn indices(&self) -> &'a [u32] {
         &self.indices[self.indptr[0]..self.indptr[self.rows]]
-    }
-
-    /// Rows `start..end` of this view, borrowed: no entry is copied.
-    ///
-    /// # Panics
-    /// Panics unless `start <= end <= rows`.
-    #[inline]
-    pub fn row_range(&self, start: usize, end: usize) -> CsrView<'a> {
-        assert!(start <= end && end <= self.rows, "csr slice out of range");
-        CsrView {
-            rows: end - start,
-            cols: self.cols,
-            indptr: &self.indptr[start..=end],
-            indices: self.indices,
-            values: self.values,
-        }
     }
 
     /// Every row's entries, as the kernels walk them.

@@ -445,16 +445,16 @@ fn avx512_gemm_stores_the_avx2_bits() {
 }
 
 /// The zmm CSR kernels store the ymm kernels' bits: random supports, rows
-/// with no entry, widths below, on and past a vector, in each size of the
-/// forward's register block (4, 8 and 12 vectors), and past the 192
+/// with no entry, widths below, on and past a vector, on and past the 64
+/// columns of the forward's small register block, and past the 192
 /// columns it holds in registers at once.
 #[test]
 fn avx512_csr_kernels_store_the_avx2_bits() {
     on_avx512("avx512_csr_kernels_store_the_avx2_bits", || {
         let mut draw = draws(0xc5a);
-        for case in 0..44 {
+        for case in 0..40 {
             let (rows, cols) = (draw(1, 30), draw(1, 60));
-            let out = [1, 15, 16, 17, 64, 65, 128, 191, 192, 193, 300][case % 11];
+            let out = [1, 15, 16, 17, 64, 65, 191, 192, 193, 300][case % 10];
             let density = draw(0, 60) as f32 / 100.0;
             let probe = seeded(rows, cols, case as u64 ^ 9);
             let x = Matrix::from_fn(rows, cols, |i, j| {
